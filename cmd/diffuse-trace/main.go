@@ -152,14 +152,14 @@ func printCalibration(w io.Writer, rt *core.Runtime) {
 	fs := rt.Legion().CalibrationStatsOf()
 	fmt.Fprintf(w, "\ncost-calibration stats (feedback=%v):\n",
 		rt.Legion().FeedbackOf() == legion.FeedbackOn)
-	fmt.Fprintf(w, "  classes=%d samples=%d calibrationHits=%d interpReroutes=%d\n",
-		fs.Classes, fs.Samples, fs.Hits, fs.InterpRoutes)
+	fmt.Fprintf(w, "  classes=%d samples=%d calibrationHits=%d\n",
+		fs.Classes, fs.Samples, fs.Hits)
 	entries := rt.Legion().CalibrationSnapshot()
 	if len(entries) == 0 {
 		return
 	}
-	fmt.Fprintf(w, "  %-24s %-4s %-8s %-6s %12s %12s %8s %8s\n",
-		"fingerprint", "dty", "backend", "shards", "predicted", "measured", "samples", "hits")
+	fmt.Fprintf(w, "  %-24s %-4s %-8s %12s %12s %8s %8s\n",
+		"fingerprint", "dty", "backend", "predicted", "measured", "samples", "hits")
 	for _, e := range entries {
 		backend := "interp"
 		if e.Backend {
@@ -173,8 +173,8 @@ func printCalibration(w io.Writer, rt *core.Runtime) {
 		if e.Samples > 0 {
 			measured = fmt.Sprintf("%.1f", e.MeasuredNsPerPoint)
 		}
-		fmt.Fprintf(w, "  %-24s %-4s %-8s %-6d %12.1f %12s %8d %8d\n",
-			fp, e.DType, backend, e.Shards, e.PredictedNsPerPoint, measured, e.Samples, e.Hits)
+		fmt.Fprintf(w, "  %-24s %-4s %-8s %12.1f %12s %8d %8d\n",
+			fp, e.DType, backend, e.PredictedNsPerPoint, measured, e.Samples, e.Hits)
 	}
 }
 

@@ -87,7 +87,7 @@ func TestPrintStatsCalibrationTable(t *testing.T) {
 		t.Fatalf("calibration table header missing:\n%s", on)
 	}
 	// At least one row must have a measured estimate printed as a number.
-	rowRe := regexp.MustCompile(`(?m)^  \S+\s+f64\s+\S+\s+\d+\s+[\d.]+\s+[\d.]+\s+[1-9]\d*\s+\d+$`)
+	rowRe := regexp.MustCompile(`(?m)^  \S+\s+f64\s+\S+\s+[\d.]+\s+[\d.]+\s+[1-9]\d*\s+\d+$`)
 	if !rowRe.MatchString(on) {
 		t.Fatalf("no calibration row with a measured estimate:\n%s", on)
 	}

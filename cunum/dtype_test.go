@@ -15,11 +15,12 @@ func dtCtx(policy legion.ExecPolicy) *cunum.Context {
 		Mode:          legion.ModeReal,
 		Machine:       machine.DefaultA100(4),
 		Enabled:       true,
-		Exec:          policy,
 		InitialWindow: 8,
 		MaxWindow:     64,
 	}
-	return cunum.NewContext(core.New(cfg))
+	ctx := cunum.NewContext(core.New(cfg))
+	ctx.Runtime().Legion().SetExecPolicy(policy)
+	return ctx
 }
 
 func TestTypedCreation(t *testing.T) {

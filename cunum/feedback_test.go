@@ -49,10 +49,9 @@ func feedbackRun(t *testing.T, fb legion.FeedbackMode, shards int) ([]float64, f
 }
 
 // TestFeedbackBitIdentical: feedback-directed scheduling may move chunk
-// sizes, inline routing, the backend pick, and the wavefront dispatch
-// order — but never point decomposition or reduction fold order, so the
-// solution vector and every FP fold are bit-identical with feedback on and
-// off, sharded and unsharded.
+// sizes and inline routing — but never point decomposition or reduction
+// fold order, so the solution vector and every FP fold are bit-identical
+// with feedback on and off, sharded and unsharded.
 func TestFeedbackBitIdentical(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		ref, refAcc, offStats := feedbackRun(t, legion.FeedbackOff, shards)
@@ -63,7 +62,9 @@ func TestFeedbackBitIdentical(t *testing.T) {
 		if onStats.Samples == 0 {
 			t.Fatalf("shards=%d: feedback-on run recorded no timed samples", shards)
 		}
-		if onStats.Hits == 0 {
+		// Sharded units are timed but statically priced: only the chunked
+		// path answers schedule decisions from measurement.
+		if shards == 1 && onStats.Hits == 0 {
 			t.Fatalf("shards=%d: feedback-on run never answered a decision from measurement", shards)
 		}
 		if math.Float64bits(acc) != math.Float64bits(refAcc) {
@@ -78,8 +79,8 @@ func TestFeedbackBitIdentical(t *testing.T) {
 }
 
 // TestFeedbackBitIdenticalInterp: same invariant on the interpreter
-// backend — without a codegen program there is no backend pick, and the
-// chunk/inline calibration alone must leave results untouched.
+// backend, whose calibration classes are distinct from the compiled
+// tier's.
 func TestFeedbackBitIdenticalInterp(t *testing.T) {
 	run := func(fb legion.FeedbackMode) ([]float64, float64) {
 		cfg := core.DefaultConfig(8)

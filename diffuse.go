@@ -56,9 +56,6 @@ type Session = core.Session
 // MachineConfig holds the simulated-cluster constants.
 type MachineConfig = machine.Config
 
-// ExecPolicy selects the real-mode executor implementation.
-type ExecPolicy = legion.ExecPolicy
-
 // ExecStats counts real-mode executor activity (inline vs pooled tasks,
 // chunks claimed, steals); read it via rt.Legion().ExecStats().
 type ExecStats = legion.ExecStats
@@ -83,24 +80,13 @@ type CodegenStats = legion.CodegenStats
 type FeedbackMode = legion.FeedbackMode
 
 // CalibrationStats aggregates online cost-calibration activity (classes,
-// timed samples, calibrated-estimate hits, interpreter reroutes); read it
-// via rt.Legion().CalibrationStatsOf().
+// timed samples, calibrated-estimate hits); read it via
+// rt.Legion().CalibrationStatsOf().
 type CalibrationStats = legion.CalibrationStats
 
 // CalibrationEntry is one calibration class's measured-vs-predicted
 // state; rt.Legion().CalibrationSnapshot() returns the full table.
 type CalibrationEntry = legion.CalibrationEntry
-
-// Real-mode executor policies.
-const (
-	// ExecChunked (default) schedules point tasks on a persistent,
-	// NumCPU-sized worker pool in cost-model-sized chunks with work
-	// stealing.
-	ExecChunked = legion.ExecChunked
-	// ExecPerPoint spawns one goroutine per point task (the v1 executor,
-	// kept as the measured baseline of BENCH_real.json).
-	ExecPerPoint = legion.ExecPerPoint
-)
 
 // Sharded drain schedulers (Config.Wavefront; only meaningful when
 // Config.Shards > 1).
@@ -127,9 +113,9 @@ const (
 
 // Feedback-directed scheduling modes (Config.Feedback; ModeReal only).
 const (
-	// FeedbackOn (default) calibrates chunk sizing, inline routing, the
-	// backend pick, and the wavefront dispatch order from sampled online
-	// timings. Results stay bit-identical; only schedule shape moves.
+	// FeedbackOn (default) calibrates chunk sizing and the inline-vs-pool
+	// cutoff from sampled online timings. Results stay bit-identical; only
+	// schedule shape moves.
 	FeedbackOn = legion.FeedbackOn
 	// FeedbackOff prices every schedule decision from the static machine
 	// model — the deterministic-schedule switch.

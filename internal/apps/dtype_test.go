@@ -15,8 +15,9 @@ func typedCtx(policy legion.ExecPolicy) *cunum.Context {
 	cfg := core.DefaultConfig(4)
 	cfg.Mode = legion.ModeReal
 	cfg.Machine = machine.DefaultA100(4)
-	cfg.Exec = policy
-	return cunum.NewContext(core.New(cfg))
+	ctx := cunum.NewContext(core.New(cfg))
+	ctx.Runtime().Legion().SetExecPolicy(policy)
+	return ctx
 }
 
 // TestJacobiF32BitIdenticalAcrossExecutors: the f32 benchmark rows compare

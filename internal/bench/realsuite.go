@@ -42,11 +42,11 @@ import (
 // closure tier vs the register interpreter, bit-identical by the
 // differential harness) and the codegen-vs-interp ratio on codegen rows
 // with an interpreter twin. v7 added the feedback column (feedback-
-// directed scheduling: online cost calibration driving chunk sizing,
-// inline routing, the backend pick, and wavefront dispatch order, vs the
-// static machine model) and the feedback-vs-static ratio on feedback rows
-// with a static-schedule twin; gomaxprocs is now stamped from the value
-// in effect while measuring, not at header construction. v8 added the
+// directed scheduling: online cost calibration driving chunk sizing and
+// inline routing, vs the static machine model) and the feedback-vs-static
+// ratio on feedback rows with a static-schedule twin; gomaxprocs is now
+// stamped from the value in effect while measuring, not at header
+// construction. v8 added the
 // tenants column (multi-tenant service-mode rows: N concurrent tenants
 // submitting identical workload streams to one diffuse-serve front end,
 // 0 = not a serve row), the streams/sec throughput and shared-plan-cache
@@ -414,14 +414,14 @@ func serveCases(preset string) []serveCase {
 }
 
 // realContext builds a ModeReal cunum context with the given fusion,
-// executor, sharding, drain-scheduler, kernel-backend, and feedback
-// settings.
+// sharding, drain-scheduler, kernel-backend, and feedback settings. The
+// executor policy is not a configuration: the per-point column selects
+// the v1 oracle on the legion runtime directly, before any task executes.
 func realContext(procs int, fused bool, policy legion.ExecPolicy, shards, ranks int, barrier, interp, nofb bool) *cunum.Context {
 	cfg := core.DefaultConfig(procs)
 	cfg.Mode = legion.ModeReal
 	cfg.Machine = machine.DefaultA100(procs)
 	cfg.Enabled = fused
-	cfg.Exec = policy
 	cfg.Shards = shards
 	cfg.Ranks = ranks
 	if barrier {
@@ -433,7 +433,9 @@ func realContext(procs int, fused bool, policy legion.ExecPolicy, shards, ranks 
 	if nofb {
 		cfg.Feedback = legion.FeedbackOff
 	}
-	return cunum.NewContext(core.New(cfg))
+	ctx := cunum.NewContext(core.New(cfg))
+	ctx.Runtime().Legion().SetExecPolicy(policy)
+	return ctx
 }
 
 // measureCase runs one configuration on a fresh context and returns

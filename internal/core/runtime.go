@@ -35,11 +35,6 @@ type Config struct {
 	// Machine configures the simulated cluster (ModeSim) and the default
 	// launch width used by libraries.
 	Machine machine.Config
-	// Exec selects the real-mode executor: the persistent chunked worker
-	// pool (legion.ExecChunked, the zero value) or the per-point-goroutine
-	// baseline (legion.ExecPerPoint) that the benchmark suite measures
-	// against. Ignored in ModeSim.
-	Exec legion.ExecPolicy
 	// Shards enables sharded execution (ModeReal): stores are decomposed
 	// into this many leading-axis blocks, and the runtime buffers
 	// compatible tasks into groups it executes shard-major — one task plan
@@ -88,9 +83,9 @@ type Config struct {
 	Codegen legion.CodegenMode
 	// Feedback selects feedback-directed scheduling (ModeReal): with
 	// legion.FeedbackOn (the zero value) the executor times a sampled
-	// subset of chunk and shard-unit executions and feeds the measured
-	// ns/point back into chunk sizing, inline routing, the codegen-vs-
-	// interpreter backend pick, and the wavefront dispatch order.
+	// subset of chunk executions and feeds the measured ns/point back
+	// into chunk sizing and the inline-vs-pool cutoff (floored at the
+	// static schedule); everything else stays statically priced.
 	// legion.FeedbackOff prices every decision from the static machine
 	// model — the deterministic-schedule switch bit-identity tests and
 	// A/B benchmarks use. Results are bit-identical either way: feedback
@@ -199,7 +194,6 @@ func New(cfg Config) *Runtime {
 		memo:    map[string]*memoEntry{},
 		quotaOf: map[ir.StoreID]storeCharge{},
 	}
-	r.leg.SetExecPolicy(cfg.Exec)
 	r.leg.SetShards(cfg.Shards)
 	r.leg.SetWavefront(cfg.Wavefront)
 	r.leg.SetCodegen(cfg.Codegen)

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"diffuse/cunum"
+	"diffuse/internal/apps"
 	"diffuse/internal/core"
 	"diffuse/internal/dist"
 )
@@ -72,10 +73,14 @@ func TestDelayedHaloBitIdentical(t *testing.T) {
 	}
 }
 
-// runExpectingFault runs the workload expecting a distributed failure:
-// it returns the recovered panic message, failing the test if the
-// workload completed cleanly or took longer than the bound to fail.
-func runExpectingFault(t *testing.T, ranks int) string {
+// runStencil is the body the halo-fault tests hand runExpectingFault.
+func runStencil(ctx *cunum.Context) { stencilWorkload().run(ctx) }
+
+// runExpectingFault runs body on a fresh distributed context expecting a
+// distributed failure: it returns the recovered panic message (or, when
+// body returned without one, Close's error), failing the test if the run
+// completed cleanly or took longer than the bound to fail.
+func runExpectingFault(t *testing.T, ranks int, body func(ctx *cunum.Context)) string {
 	t.Helper()
 	start := time.Now()
 	msg := ""
@@ -85,14 +90,13 @@ func runExpectingFault(t *testing.T, ranks int) string {
 				msg = fmt.Sprint(r)
 			}
 		}()
-		w := stencilWorkload()
 		dctx := cunum.NewDistributedContext(ranks)
 		defer func() {
 			if err := dctx.Close(); err != nil && msg == "" {
 				msg = err.Error()
 			}
 		}()
-		w.run(dctx)
+		body(dctx)
 	}()
 	if msg == "" {
 		t.Fatal("workload completed despite a fatal fault schedule")
@@ -119,7 +123,7 @@ func TestTruncatedHaloSurfacesError(t *testing.T) {
 			// The upwind stencil's halo traffic flows low-to-high, so the
 			// sender to target is rank 0 (rank 1 never issues a halo send).
 			t.Setenv(dist.EnvFaults, "0:send:*:halo:1:truncate")
-			msg := runExpectingFault(t, 2)
+			msg := runExpectingFault(t, 2, runStencil)
 			if !strings.Contains(msg, "rank") {
 				t.Fatalf("truncation error does not name a rank: %v", msg)
 			}
@@ -140,9 +144,37 @@ func TestSeveredLinkSurfacesError(t *testing.T) {
 			t.Setenv(dist.EnvTimeout, "3s")
 			t.Setenv(dist.EnvTransport, transport)
 			t.Setenv(dist.EnvFaults, "1:send:0:*:1:sever")
-			msg := runExpectingFault(t, 2)
+			msg := runExpectingFault(t, 2, runStencil)
 			if !strings.Contains(msg, "rank") {
 				t.Fatalf("sever error does not name a rank: %v", msg)
+			}
+		})
+	}
+}
+
+// TestSeveredLinkBeforeDrainSurfacesError: a drain is an acknowledged
+// barrier. The chain below ends in no host read, so the ranks only execute
+// its buffered group when the explicit drain arrives — and with a peer
+// link severed inside that group the drain must error naming a rank, not
+// return as if the work had completed (Close reporting the failure later
+// is too late: the caller already trusted the barrier).
+func TestSeveredLinkBeforeDrainSurfacesError(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns rank subprocesses")
+	}
+	for _, transport := range transports {
+		t.Run(transport, func(t *testing.T) {
+			t.Setenv(dist.EnvTimeout, "3s")
+			t.Setenv(dist.EnvTransport, transport)
+			t.Setenv(dist.EnvFaults, "1:send:0:*:1:sever")
+			msg := runExpectingFault(t, 2, func(ctx *cunum.Context) {
+				sc := apps.NewStencilChain(ctx, 1024, 64, 4, apps.ChainUpwind, cunum.F64)
+				sc.Iterate(1)
+				ctx.Runtime().Legion().DrainShardGroup()
+				t.Fatal("drain returned despite a link severed inside its group")
+			})
+			if !strings.Contains(msg, "rank") {
+				t.Fatalf("drain error does not name a rank: %v", msg)
 			}
 		})
 	}

@@ -276,21 +276,28 @@ func (p *Parent) broadcast(tag uint64, payload []byte) {
 	}
 }
 
-// reply reads rank 0's answer to the read request just broadcast.
-func (p *Parent) reply() []byte {
-	conn := p.conns[0]
-	conn.SetReadDeadline(time.Now().Add(p.timeout))
+// recvFrom reads rank r's next message to the parent, which must carry
+// the wanted tag and arrive by the deadline; what names the message in
+// errors.
+func (p *Parent) recvFrom(r int, want uint64, what string, deadline time.Time) []byte {
+	conn := p.conns[r]
+	conn.SetReadDeadline(deadline)
 	tag, body, err := readFrame(conn)
 	if err != nil {
 		if cerr := p.waitChildErr(); cerr != nil {
 			panic(cerr)
 		}
-		panic(fmt.Errorf("dist: waiting for rank 0 reply: %w", err))
+		panic(fmt.Errorf("dist: waiting for rank %d %s: %w", r, what, err))
 	}
-	if tag != msgReply {
-		panic(fmt.Errorf("dist: unexpected message %d from rank 0 (want reply)", tag))
+	if tag != want {
+		panic(fmt.Errorf("dist: unexpected message %d from rank %d (want %s)", tag, r, what))
 	}
 	return body
+}
+
+// reply reads rank 0's answer to the read request just broadcast.
+func (p *Parent) reply() []byte {
+	return p.recvFrom(0, msgReply, "reply", time.Now().Add(p.timeout))
 }
 
 func (p *Parent) ensureStore(s *ir.Store) {
@@ -390,9 +397,16 @@ func (p *Parent) FreeStore(id ir.StoreID) {
 	delete(p.sentStores, id)
 }
 
-// Drain implements legion.RemoteBackend.
+// Drain implements legion.RemoteBackend: a barrier. Every rank
+// acknowledges after its shard group has drained, and Drain returns only
+// once all of them have — a rank that dies or stalls instead surfaces as
+// an error naming it within the transport deadline.
 func (p *Parent) Drain() {
 	p.broadcast(msgDrain, nil)
+	deadline := time.Now().Add(p.timeout)
+	for r := range p.conns {
+		p.recvFrom(r, msgDrainAck, "drain acknowledgement", deadline)
+	}
 }
 
 // Close implements legion.RemoteBackend: shut the ranks down, reap them,

@@ -72,8 +72,9 @@ const (
 
 // Control-stream message types (the tag field of control frames). The
 // parent broadcasts every message to every rank in issue order — control
-// replication needs each rank to observe the identical sequence — and
-// only rank 0 answers read requests, on the reply tag.
+// replication needs each rank to observe the identical sequence. Only
+// rank 0 answers read requests, on the reply tag; every rank acknowledges
+// a drain, so the parent's Drain is a barrier.
 const (
 	msgHello      uint64 = iota + 1 // rank → parent/peer: 8-byte rank id
 	msgStoreNew                     // store id, dtype, name, shape
@@ -82,12 +83,13 @@ const (
 	msgWriteAll                     // store id, float64 bit patterns
 	msgWriteAll32                   // store id, float32 bit patterns
 	msgFree                         // store id
-	msgDrain                        // (empty) force the shard group to drain
+	msgDrain                        // (empty) force the shard group to drain; every rank acks
 	msgReadAll                      // store id; rank 0 replies float64 bits
 	msgReadAll32                    // store id; rank 0 replies float32 bits
 	msgReadAt                       // store id, flat offset; rank 0 replies ok + value
 	msgShutdown                     // (empty) clean rank exit
 	msgReply                        // rank 0 → parent: read payload
+	msgDrainAck                     // every rank → parent: (empty) its msgDrain completed
 )
 
 // maxFrame bounds a frame payload (1 GiB): a corrupt length header fails

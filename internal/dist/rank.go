@@ -299,7 +299,8 @@ func (rs *rankState) decodeLoop(parent net.Conn, ops chan<- ctlOp, quit <-chan s
 // controlLoop processes the replicated control stream until shutdown,
 // decoding ahead of execution on a separate goroutine. Every rank
 // executes every message (the drains inside host reads and writes are
-// collective), but only rank 0 sends reply payloads.
+// collective), but only rank 0 sends reply payloads; every rank
+// acknowledges an explicit drain.
 func (rs *rankState) controlLoop(parent net.Conn) error {
 	reply := func(payload []byte) error {
 		if rs.me != 0 {
@@ -328,6 +329,9 @@ func (rs *rankState) controlLoop(parent net.Conn) error {
 			rs.rt.FreeStore(op.id)
 		case msgDrain:
 			rs.rt.DrainShardGroup()
+			if err := writeFrame(parent, msgDrainAck, nil); err != nil {
+				return fmt.Errorf("rank %d: drain acknowledgement: %w", rs.me, err)
+			}
 		case msgReadAll:
 			data := rs.rt.ReadAll(op.st)
 			if err := reply(f64sToBits(data)); err != nil {

@@ -155,15 +155,8 @@ func (s *Scratch) grow(nregs, nslots, ndims, nred int) {
 // Execute runs the compiled kernel for one point task. Reduction
 // destinations must be bound to cells pre-initialized to the reduction
 // identity; Execute combines its partial results into them.
-func (c *Compiled) Execute(pa *PointArgs) { c.executeWith(c.prog, pa) }
-
-// ExecuteInterp runs the compiled kernel through the interpreter even
-// when a codegen program is attached — the feedback layer's backend
-// probe, which must not mutate shared Compiled state (detaching the
-// program races with concurrent pool workers). Bit-identical to Execute.
-func (c *Compiled) ExecuteInterp(pa *PointArgs) { c.executeWith(nil, pa) }
-
-func (c *Compiled) executeWith(prog *CodegenProgram, pa *PointArgs) {
+func (c *Compiled) Execute(pa *PointArgs) {
+	prog := c.prog
 	if pa.Scratch == nil {
 		pa.Scratch = NewScratch()
 	}

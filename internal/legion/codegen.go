@@ -11,11 +11,9 @@ import (
 // compiled in ModeReal. Programs capture only lowering-time structure, so
 // one program serves every Compiled whose kernel fingerprint matches —
 // unfused streams mint a fresh kernel object per task every iteration
-// and still hit this cache (the same motivation as the task-plan cache,
-// which is why both share the clear-on-overflow bound). Unlike task
-// plans, programs hold no region references, so the free-epoch
-// invalidation that guards plans is irrelevant here: a program outlives
-// any store.
+// and still hit this cache, and a kernel evicted from the per-kernel cache
+// (maxKernels) recompiles onto its existing program. Programs hold no
+// region references: a program outlives any store.
 
 // CodegenMode toggles the compiled-kernel backend. The zero value is on —
 // codegen is the default tier, the interpreter the reference oracle and
@@ -32,10 +30,8 @@ const (
 	CodegenOff
 )
 
-// maxProgs bounds the program cache exactly like maxPlans bounds the
-// plan cache: cleared wholesale on overflow rather than LRU-tracked,
-// since steady-state working sets are tiny and an overflow means an
-// unbounded-kernel-shape workload where any eviction policy thrashes.
+// maxProgs bounds the program cache exactly like maxKernels bounds the
+// per-kernel cache: cleared wholesale on overflow.
 const maxProgs = 2048
 
 // CodegenStats is a snapshot of the backend's activity counters.
@@ -69,8 +65,8 @@ func (rt *Runtime) SetCodegen(m CodegenMode) {
 	defer rt.mu.Unlock()
 	rt.codegen = m
 	if m == CodegenOff {
-		for _, c := range rt.compiled {
-			c.AttachProgram(nil)
+		for _, e := range rt.kernels {
+			e.comp.AttachProgram(nil)
 		}
 	}
 }

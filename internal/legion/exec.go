@@ -8,9 +8,9 @@ import (
 	"diffuse/internal/kir"
 )
 
-// executeReal runs the task's point tasks over real buffers through the
-// active executor policy: the persistent chunked pool (default) or the
-// per-point-goroutine baseline.
+// executeReal runs the task's point tasks over real buffers: through the
+// persistent chunked pool, or — when a test selected it with
+// SetExecPolicy — through the per-point oracle.
 func (rt *Runtime) executeReal(t *ir.Task) {
 	if rt.policy == ExecPerPoint {
 		rt.executePerPoint(t)
@@ -19,10 +19,12 @@ func (rt *Runtime) executeReal(t *ir.Task) {
 	rt.executeChunked(t)
 }
 
-// executePerPoint is the v1 executor, kept as the measured baseline: one
-// goroutine per point task behind a semaphore, with bindings resolved
-// afresh at every point. BENCH_real.json records the chunked executor's
-// speedup over this path.
+// executePerPoint is the v1 executor: one goroutine per point task behind
+// a semaphore, with bindings resolved afresh at every point (bindArg). It
+// is kept as a reference implementation, not a configuration — it shares
+// no plan, binding, or cache code with the chunked path, so the
+// determinism and dtype tests (and the per-point column of
+// BENCH_real.json) compare the executor against an independent oracle.
 func (rt *Runtime) executePerPoint(t *ir.Task) {
 	if t.Kernel == nil {
 		panic(fmt.Sprintf("legion: task %s has no kernel", t.Name))

@@ -19,7 +19,6 @@ package legion
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,7 +28,9 @@ import (
 	"diffuse/internal/machine"
 )
 
-// ExecPolicy selects how ModeReal point tasks are scheduled.
+// ExecPolicy selects how ModeReal point tasks are scheduled. It is a test
+// oracle switch, not a configuration: nothing above this package exposes
+// it, and only SetExecPolicy selects it.
 type ExecPolicy int
 
 // Executor policies.
@@ -38,9 +39,11 @@ const (
 	// persistent worker pool in cost-model-sized chunks with work
 	// stealing, running sub-dispatch-cost tasks inline.
 	ExecChunked ExecPolicy = iota
-	// ExecPerPoint reproduces the v1 executor — one goroutine per point
-	// task behind a semaphore — and exists as the measured baseline of
-	// the real-mode benchmark suite (BENCH_real.json).
+	// ExecPerPoint runs the v1 executor (exec.go) — one goroutine per
+	// point task, bindings resolved afresh at every point. It shares no
+	// binding code with the chunked path, which makes it the independent
+	// oracle the determinism and dtype tests compare against, and the
+	// per-point column of BENCH_real.json.
 	ExecPerPoint
 )
 
@@ -220,18 +223,14 @@ func (ws *workerState) release() {
 // whole shards.
 type execBatch struct {
 	plan    *taskPlan
-	comp    *kir.Compiled
 	payload *Payload
-	colors  []ir.Point
 	chunk   int // points per chunk
 	nparts  int // populated claim ranges (woken workers + submitter)
 	wg      sync.WaitGroup
 
-	// interp, when set, forces this batch through the interpreter even
-	// though a codegen program is attached — the feedback layer's backend
-	// pick (a probe while the interpreter twin warms up, or a measured
-	// decision that the interpreter is cheaper). Bit-identical either way.
-	interp bool
+	// insts, when set, are the shard-local instances of a (task, shard)
+	// unit (shard.go): every point's tiled bindings are rebased onto them.
+	insts []shardInst
 	// timed, when set, receives a timing observation per executed chunk
 	// (or per inline task): the feedback layer's sampled calibration.
 	timed *machine.Calibrated
@@ -248,43 +247,28 @@ type execBatch struct {
 }
 
 // taskPlan caches everything executeChunked can pre-resolve for a task
-// once per stream instead of once per point: region data, store strides
-// and shapes, per-dimension tiling coefficients, launch colors, reduction
-// partial buffers, and the cost-model grain estimate. Plans are keyed by
-// kernel pointer — memoized fused streams replay the same kernel object
-// every iteration, so steady-state iterations skip resolution entirely —
-// and validated structurally against the task before reuse. Guarded by
-// Runtime.execMu.
+// once per stream instead of once per point: store strides and shapes,
+// per-dimension tiling coefficients, launch colors, reduction partial
+// buffers, and the cost-model grain estimate. Plans live in the runtime's
+// per-kernel cache (kernelEntry) — memoized fused streams replay the same
+// kernel object every iteration, so steady-state iterations skip
+// resolution entirely — and are validated structurally against the task
+// before reuse. A plan holds region buffers only while a task executes
+// through it (bind/unbind): a cached plan never keeps a store's data
+// reachable. Guarded by Runtime.execMu.
 type taskPlan struct {
-	kernel   *kir.Kernel
+	comp     *kir.Compiled
 	launch   ir.Rect
 	colors   []ir.Point
 	args     []argPlan
 	redArgs  []int        // arg indices with Reduce privilege
 	partials []kir.Buffer // parallel to redArgs: per-point partial cells (typed at the destination dtype)
 	perPoint float64      // estimated seconds per point task (host model)
-	// backend records whether the kernel had codegen-lowered loops when
-	// the plan was built (observability: diffuse-trace and tests).
-	backend bool
-	// epoch is the runtime's free-epoch the plan's regions were resolved
-	// at; FreeStore bumps the epoch (O(1) — it must not scan the cache),
-	// and a plan whose epoch lags re-resolves every region before use.
-	// Deliberate tradeoff: a lagging plan keeps its old data slices
-	// reachable until that kernel next executes or the cache clears —
-	// bounded by maxPlans and gone entirely with the runtime.
-	epoch int64
 
-	// Feedback attachments (see feedback.go), nil with feedback off: the
-	// kernel fingerprint and dominant dtype (cached — fingerprints are
-	// built once per plan, not per execution), and the calibration
-	// classes for the chunked path, its interpreter twin (backend pick),
-	// and the sharded path at calShardN shards.
-	fp        string
-	dtype     kir.DType
-	cal       *machine.Calibrated
-	calInterp *machine.Calibrated
-	calShard  *machine.Calibrated
-	calShardN int
+	// dtype is the dominant element type of the calibration class; cal is
+	// the class itself (see feedback.go), nil with feedback off.
+	dtype kir.DType
+	cal   *machine.Calibrated
 }
 
 // argPlan is the pre-resolved binding recipe of one task argument.
@@ -295,7 +279,7 @@ type argPlan struct {
 	red   ir.ReduceOp
 
 	local  bool
-	data   kir.Buffer // nil buffer for temporary-eliminated (local) args
+	data   kir.Buffer // the bound region (bind/unbind); nil for temporary-eliminated (local) args
 	redIdx int        // index into taskPlan.redArgs when priv is Reduce
 
 	// None partitions bind identically at every point.
@@ -317,75 +301,67 @@ var (
 	extOne     = []int{1}
 )
 
-// maxPlans bounds the plan cache; unfused streams mint a fresh kernel per
-// task, and the cache must not grow with iteration count.
-const maxPlans = 2048
-
-// planFor returns (building and caching if needed) the execution plan of
-// the task. Callers hold execMu.
-func (rt *Runtime) planFor(t *ir.Task, comp *kir.Compiled) *taskPlan {
-	if p, ok := rt.plans[t.Kernel]; ok && p.refresh(rt, t) {
-		rt.attachCalibration(p)
-		return p
+// planFor returns the execution plan of the task — cached on the kernel's
+// cache entry, rebuilt when it cannot describe the task — bound to the
+// task's regions. Callers hold execMu and unbind the plan once the task
+// has executed.
+func (rt *Runtime) planFor(t *ir.Task) *taskPlan {
+	e := rt.kernelFor(t.Kernel)
+	p := e.plan
+	if p == nil || !p.matches(t) {
+		p = rt.buildPlan(t, e.comp)
+		e.plan = p
 	}
-	p := rt.buildPlan(t, comp)
 	rt.attachCalibration(p)
-	if len(rt.plans) >= maxPlans {
-		clear(rt.plans)
-	}
-	rt.plans[t.Kernel] = p
+	p.bind(rt, t)
 	return p
 }
 
-// refresh revalidates a cached plan against the task. Structure must
-// match exactly — launch, per-argument privileges, reduction ops, and
-// (structurally) partitions. Fresh store objects are fine as long as
-// their shapes match: fused streams recreate non-eliminated temporaries
-// every iteration, and the partition/stride coefficients depend only on
-// shape, so only the region data is re-resolved, in place. A plan whose
-// free-epoch lags the runtime's (some region was freed since it last
-// resolved) likewise re-resolves every region. Returns false when the
-// plan cannot describe the task and must be rebuilt.
-func (p *taskPlan) refresh(rt *Runtime, t *ir.Task) bool {
+// matches reports whether a cached plan describes the task: launch,
+// per-argument privileges, reduction ops, and (structurally) partitions
+// must match exactly. Fresh store objects are fine as long as their shapes
+// match: fused streams recreate non-eliminated temporaries every
+// iteration, and the partition/stride coefficients depend only on shape.
+func (p *taskPlan) matches(t *ir.Task) bool {
 	if !p.launch.Equal(t.Launch) || len(p.args) != len(t.Args) {
 		return false
 	}
-	fresh := p.epoch == rt.freeEpoch
 	for i := range t.Args {
 		a := &t.Args[i]
 		ap := &p.args[i]
 		if ap.priv != a.Priv || ap.red != a.Red || !ap.part.Equal(a.Part) {
 			return false
 		}
-		if ap.store == a.Store {
-			continue
-		}
-		if !intsEq(ap.store.Shape(), a.Store.Shape()) {
+		if ap.store != a.Store && !intsEq(ap.store.Shape(), a.Store.Shape()) {
 			return false
 		}
-		fresh = false
 	}
-	if fresh {
-		return true
-	}
-	rebindAll := p.epoch != rt.freeEpoch
+	return true
+}
+
+// bind resolves every argument's region for one execution of the task.
+func (p *taskPlan) bind(rt *Runtime, t *ir.Task) {
 	for i := range t.Args {
 		a := &t.Args[i]
 		ap := &p.args[i]
-		if ap.store == a.Store && !rebindAll {
+		ap.store = a.Store
+		if ap.local {
 			continue
 		}
-		ap.store = a.Store
-		ap.part = a.Part
-		if !ap.local {
-			ap.data = rt.regionFor(a.Store, a.Red).data
-			if ap.isNone {
-				ap.static.Acc.Data = ap.data
-			}
+		ap.data = rt.regionFor(a.Store, a.Red).data
+		if ap.isNone {
+			ap.static.Acc.Data = ap.data
 		}
 	}
-	p.epoch = rt.freeEpoch
-	return true
+}
+
+// unbind drops the region buffers bind resolved.
+func (p *taskPlan) unbind() {
+	for i := range p.args {
+		ap := &p.args[i]
+		ap.data = kir.Buffer{}
+		ap.static.Acc.Data = kir.Buffer{}
+	}
 }
 
 func intsEq(a, b []int) bool {
@@ -401,7 +377,7 @@ func intsEq(a, b []int) bool {
 }
 
 func (rt *Runtime) buildPlan(t *ir.Task, comp *kir.Compiled) *taskPlan {
-	p := &taskPlan{kernel: t.Kernel, launch: t.Launch, colors: t.Launch.Points(), epoch: rt.freeEpoch, backend: comp.HasCodegen()}
+	p := &taskPlan{comp: comp, launch: t.Launch, colors: t.Launch.Points()}
 	p.dtype = kir.F64
 	if len(t.Args) > 0 {
 		// Dominant dtype for the calibration class: the first argument's
@@ -417,9 +393,6 @@ func (rt *Runtime) buildPlan(t *ir.Task, comp *kir.Compiled) *taskPlan {
 		ap.priv = a.Priv
 		ap.red = a.Red
 		ap.local = t.Kernel.Local[i]
-		if !ap.local {
-			ap.data = rt.regionFor(a.Store, a.Red).data
-		}
 		if a.Priv.Reduces() {
 			ap.redIdx = len(p.redArgs)
 			p.redArgs = append(p.redArgs, i)
@@ -430,7 +403,7 @@ func (rt *Runtime) buildPlan(t *ir.Task, comp *kir.Compiled) *taskPlan {
 		case *ir.NonePart:
 			ap.isNone = true
 			ap.static = kir.Binding{
-				Acc: kir.Accessor{Data: ap.data, Base: 0, Strides: strides},
+				Acc: kir.Accessor{Base: 0, Strides: strides},
 				Ext: append([]int(nil), shape...),
 			}
 		case *ir.TilingPart:
@@ -536,37 +509,39 @@ func bindPoint(p *taskPlan, ws *workerState, pi int, color ir.Point) {
 	}
 }
 
-// runPoint executes one point task on this worker's reusable state.
-func (e *executor) runPoint(b *execBatch, ws *workerState, pi int, color ir.Point) {
-	bindPoint(b.plan, ws, pi, color)
-	if b.payload != nil && len(b.payload.CSR) > 0 {
+// runPoint is the one place a point task is bound, rebased onto its
+// shard-local instances (sharded units only), handed its CSR payloads and
+// executed, on this worker's reusable state.
+func (b *execBatch) runPoint(ws *workerState, pi int) {
+	bindPoint(b.plan, ws, pi, b.plan.colors[pi])
+	for i := range b.insts {
+		if inst := &b.insts[i]; !inst.buf.IsNil() {
+			ws.pa.Bind[i].Rebase(inst.buf, inst.lo)
+		}
+	}
+	if b.payload != nil {
 		for k, prov := range b.payload.CSR {
 			ws.pa.Payloads[k] = prov.Local(pi)
 		}
 	}
-	if b.interp {
-		b.comp.ExecuteInterp(&ws.pa)
-	} else {
-		b.comp.Execute(&ws.pa)
-	}
+	b.plan.comp.Execute(&ws.pa)
 }
 
 // runSpan executes the contiguous point range [lo, hi), timing it into the
 // batch's calibration class when this batch is sampled. Whole spans are
 // timed, never points — two clock reads per dispatch-cost-sized chunk keep
 // measurement overhead under 1%.
-func (e *executor) runSpan(b *execBatch, ws *workerState, lo, hi int) {
-	if b.timed == nil {
-		for pi := lo; pi < hi; pi++ {
-			e.runPoint(b, ws, pi, b.colors[pi])
-		}
-		return
+func (b *execBatch) runSpan(ws *workerState, lo, hi int) {
+	var t0 time.Time
+	if b.timed != nil {
+		t0 = time.Now()
 	}
-	t0 := time.Now()
 	for pi := lo; pi < hi; pi++ {
-		e.runPoint(b, ws, pi, b.colors[pi])
+		b.runPoint(ws, pi)
 	}
-	b.timed.Observe(time.Since(t0).Seconds(), hi-lo)
+	if b.timed != nil {
+		b.timed.Observe(time.Since(t0).Seconds(), hi-lo)
+	}
 }
 
 // run drains chunks for one participant: first its own range front to
@@ -592,7 +567,7 @@ func (e *executor) run(b *execBatch, wsIdx, rangeIdx int) {
 	}
 	ws.prepare(len(b.plan.args), b.payload)
 	defer ws.release()
-	n := len(b.colors)
+	n := len(b.plan.colors)
 	for {
 		c, stolen, ok := e.claimChunk(rangeIdx, b.nparts)
 		if !ok {
@@ -607,7 +582,7 @@ func (e *executor) run(b *execBatch, wsIdx, rangeIdx int) {
 		if hi > n {
 			hi = n
 		}
-		e.runSpan(b, ws, lo, hi)
+		b.runSpan(ws, lo, hi)
 	}
 }
 
@@ -635,11 +610,10 @@ func (rt *Runtime) executeChunked(t *ir.Task) {
 	if t.Kernel == nil {
 		panic(fmt.Sprintf("legion: task %s has no kernel", t.Name))
 	}
-	comp := rt.Compiled(t.Kernel)
-	rt.countBackend(comp)
-	plan := rt.planFor(t, comp)
-	colors := plan.colors
-	n := len(colors)
+	plan := rt.planFor(t)
+	defer plan.unbind()
+	rt.countBackend(plan.comp)
+	n := len(plan.colors)
 	if n == 0 {
 		return
 	}
@@ -647,33 +621,36 @@ func (rt *Runtime) executeChunked(t *ir.Task) {
 	plan.resetPartials(t, n)
 
 	e := rt.exec
-	b := &execBatch{plan: plan, comp: comp, payload: payload, colors: colors}
-	perPoint := rt.feedbackRoute(plan, b)
-	chunk, inline := e.host.ChunkPoints(perPoint, n, e.nw)
-	if plan.cal != nil && perPoint > plan.perPoint {
-		// Calibration only moves dispatch *toward* coarser scheduling: it
-		// may flip a pooled task inline or grow chunks, never the reverse.
-		// A measured per-point cost above the static prior folds in costs
-		// more dispatch cannot parallelize away — per-task overheads
-		// (binding, payload setup) both paths pay, and timesharing
-		// inflation when workers outnumber cores. Pricing those as
-		// divisible work would shrink chunks, which adds dispatches, which
-		// inflates the next measurement: an unstable feedback loop the
-		// static floor cuts. Measured costs *below* the prior still grow
-		// chunks and keep the inline flip — the side where the measurement
-		// is trustworthy, because contention only ever inflates it.
-		schunk, staticInline := e.host.ChunkPoints(plan.perPoint, n, e.nw)
-		if staticInline {
-			inline = true
-		} else if chunk < schunk {
-			chunk = schunk
+	b := &execBatch{plan: plan, payload: payload}
+	chunk, inline := e.host.ChunkPoints(plan.perPoint, n, e.nw)
+	if plan.cal != nil {
+		// Feedback's one consumer: the calibrated per-point cost reprices
+		// the chunk grain and the inline cutoff — but only *toward* coarser
+		// scheduling than the static schedule (it may flip a pooled task
+		// inline or grow chunks, never the reverse). A measured per-point
+		// cost above the static prior folds in costs more dispatch cannot
+		// parallelize away — per-task overheads (binding, payload setup)
+		// both paths pay, and timesharing inflation when workers outnumber
+		// cores. Pricing those as divisible work would shrink chunks, which
+		// adds dispatches, which inflates the next measurement: an unstable
+		// feedback loop the static floor cuts. Measured costs *below* the
+		// prior are trustworthy, because contention only ever inflates them.
+		if plan.cal.ShouldSample() {
+			b.timed = plan.cal
+		}
+		est, _ := plan.cal.Estimate()
+		if cchunk, cinline := e.host.ChunkPoints(est, n, e.nw); !inline {
+			inline = cinline
+			if cchunk > chunk {
+				chunk = cchunk
+			}
 		}
 	}
 	if inline {
 		e.inline.Add(1)
 		sub := &e.ws[e.nw]
 		sub.prepare(len(plan.args), payload)
-		e.runSpan(b, sub, 0, n)
+		b.runSpan(sub, 0, n)
 		sub.release()
 	} else {
 		e.pooled.Add(1)
@@ -681,58 +658,6 @@ func (rt *Runtime) executeChunked(t *ir.Task) {
 		e.dispatch(b, (n+chunk-1)/chunk)
 	}
 	plan.foldPartials(t)
-}
-
-// feedbackRoute prices one chunked execution: with feedback off it
-// returns the static per-point prior untouched; with feedback on it
-// returns the calibrated estimate of the cheaper backend, marks the batch
-// for interpreter execution when the backend pick (or a warmup probe)
-// chooses it, and marks the batch for timing when this execution is
-// sampled. Callers hold execMu.
-// interpPickMargin is the fraction of the compiled tier's calibrated
-// cost the interpreter twin must measure below before the backend pick
-// reroutes a class to the interpreter.
-const interpPickMargin = 0.85
-
-func (rt *Runtime) feedbackRoute(plan *taskPlan, b *execBatch) float64 {
-	if plan.cal == nil {
-		return plan.perPoint
-	}
-	chosen := plan.cal
-	est, _ := chosen.Estimate()
-	if plan.calInterp != nil {
-		iest, ical := plan.calInterp.Estimate()
-		switch {
-		case !ical:
-			// Interpreter twin still warming: probe it (timed) so the pick
-			// gets a measured comparison within a few executions — but only
-			// on tasks the static model prices onto the pool. A statically
-			// inline task finishes in under a dispatch, so no backend pick
-			// can earn back what the warmup probes cost; routing a few of
-			// its executions through the slower tier would be pure loss on
-			// exactly the fine-grained streams feedback targets.
-			e := rt.exec
-			if _, staticInline := e.host.ChunkPoints(plan.perPoint, len(b.colors), e.nw); !staticInline {
-				b.interp = true
-				b.timed = plan.calInterp
-				chosen, est = plan.calInterp, iest
-			}
-		case iest < est*interpPickMargin:
-			// Measured decision: the interpreter beats the compiled tier
-			// for this class (tiny extents where closure dispatch costs
-			// more than it saves). Bit-identical backends make this safe.
-			// The margin is hysteresis: near parity one noisy sample would
-			// flap the pick between backends, and a reroute can only ever
-			// recover the gap it measured — demand a decisive gap.
-			b.interp = true
-			chosen, est = plan.calInterp, iest
-			rt.fbInterpRoutes.Add(1)
-		}
-	}
-	if b.timed == nil && chosen.ShouldSample() {
-		b.timed = chosen
-	}
-	return est
 }
 
 // dispatch fans one batch of nunits claimable units (dispatch chunks, or
@@ -774,7 +699,6 @@ type dagState struct {
 	waiting   int // participants asleep in cond.Wait
 	indeg     []atomic.Int32
 	succ      [][]int32
-	prio      []float64 // optional dispatch priorities (see runDAG)
 	run       func(ws *workerState, node int32)
 }
 
@@ -817,9 +741,6 @@ func (d *dagState) loop(ws *workerState) {
 				ready = append(ready, sn)
 			}
 		}
-		if d.prio != nil && len(ready) > 1 {
-			sortReady(ready, d.prio)
-		}
 		d.mu.Lock()
 		d.stack = append(d.stack, ready...)
 		d.remaining--
@@ -830,33 +751,13 @@ func (d *dagState) loop(ws *workerState) {
 	}
 }
 
-// sortReady orders a batch of newly ready nodes so the highest-priority
-// node is popped first from the LIFO stack: ascending priority, ties
-// broken by descending id (the lowest id pops first, matching the
-// unprioritized drain). Priorities only reshape the schedule — any drain
-// order is correct — so this is a heuristic, applied per ready batch.
-func sortReady(nodes []int32, prio []float64) {
-	sort.Slice(nodes, func(i, j int) bool {
-		pi, pj := prio[nodes[i]], prio[nodes[j]]
-		if pi != pj {
-			return pi < pj
-		}
-		return nodes[i] > nodes[j]
-	})
-}
-
 // runDAG executes a dependence DAG of nnodes nodes to completion: roots
 // (in-degree zero) seed a readiness stack, and the submitting goroutine —
 // joined by up to nw-1 woken workers — drains it. With a single-worker
 // pool the whole DAG runs on the submitter in LIFO depth-first order with
 // no locking in the executor's way; results are independent of the
 // schedule (the DAG's edges are the only ordering the caller relies on).
-//
-// prio, when non-nil, biases the drain: among ready nodes the one with
-// the highest priority (the feedback layer passes measured critical-path
-// lengths) is dispatched first. With prio nil the order is exactly the
-// historical LIFO depth-first drain.
-func (e *executor) runDAG(nnodes int, indeg []atomic.Int32, succ [][]int32, prio []float64, run func(ws *workerState, node int32)) {
+func (e *executor) runDAG(nnodes int, indeg []atomic.Int32, succ [][]int32, run func(ws *workerState, node int32)) {
 	if nnodes == 0 {
 		return
 	}
@@ -868,9 +769,6 @@ func (e *executor) runDAG(nnodes int, indeg []atomic.Int32, succ [][]int32, prio
 			roots = append(roots, int32(n))
 		}
 	}
-	if prio != nil {
-		sortReady(roots, prio)
-	}
 	if e.nw <= 1 {
 		// Serial fast path: plain LIFO stack on the submitter.
 		sub := &e.ws[e.nw]
@@ -881,20 +779,10 @@ func (e *executor) runDAG(nnodes int, indeg []atomic.Int32, succ [][]int32, prio
 			stack = stack[:len(stack)-1]
 			run(sub, n)
 			done++
-			if prio == nil {
-				for i := len(succ[n]) - 1; i >= 0; i-- {
-					if sn := succ[n][i]; indeg[sn].Add(-1) == 0 {
-						stack = append(stack, sn)
-					}
+			for i := len(succ[n]) - 1; i >= 0; i-- {
+				if sn := succ[n][i]; indeg[sn].Add(-1) == 0 {
+					stack = append(stack, sn)
 				}
-			} else {
-				mark := len(stack)
-				for _, sn := range succ[n] {
-					if indeg[sn].Add(-1) == 0 {
-						stack = append(stack, sn)
-					}
-				}
-				sortReady(stack[mark:], prio)
 			}
 		}
 		if done != nnodes {
@@ -903,7 +791,7 @@ func (e *executor) runDAG(nnodes int, indeg []atomic.Int32, succ [][]int32, prio
 		return
 	}
 	e.pooled.Add(1)
-	d := &dagState{stack: roots, remaining: nnodes, indeg: indeg, succ: succ, prio: prio, run: run}
+	d := &dagState{stack: roots, remaining: nnodes, indeg: indeg, succ: succ, run: run}
 	d.cond = sync.NewCond(&d.mu)
 	b := &execBatch{dag: d}
 	woken := e.nw
@@ -940,13 +828,10 @@ func (e *executor) runShards(nshards int, fn func(ws *workerState, shard int)) {
 	e.dispatch(b, nshards)
 }
 
-// SetExecPolicy selects the real-mode executor implementation. It must be
-// called before any task executes and is not safe to change mid-stream;
-// the per-point policy exists as the benchmark baseline.
+// SetExecPolicy selects the real-mode executor implementation — the only
+// way to reach the per-point oracle. It must be called before any task
+// executes and is not safe to change mid-stream.
 func (rt *Runtime) SetExecPolicy(p ExecPolicy) { rt.policy = p }
-
-// ExecPolicyOf returns the active executor policy.
-func (rt *Runtime) ExecPolicyOf() ExecPolicy { return rt.policy }
 
 // ExecStats returns a snapshot of the executor's activity counters.
 func (rt *Runtime) ExecStats() ExecStats {
@@ -981,6 +866,5 @@ func (rt *Runtime) SetWorkerPool(n int) {
 // workers must not accumulate.
 func (rt *Runtime) attachExecutor() {
 	rt.exec = newExecutor(rt.workers, machine.HostExec(rt.workers))
-	rt.plans = map[*kir.Kernel]*taskPlan{}
 	runtime.SetFinalizer(rt, func(r *Runtime) { r.exec.shutdown() })
 }

@@ -2,7 +2,9 @@ package legion
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"diffuse/internal/ir"
 	"diffuse/internal/kir"
@@ -158,5 +160,75 @@ func TestPlanInvalidationOnFreeStore(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("s[%d] = %g after free+re-execute, want %g", i, got[i], want[i])
 		}
+	}
+}
+
+// TestKernelCacheBoundedAndHoldsNoRegions: the runtime has one cache keyed
+// by kernel object. Streams that mint a fresh kernel per task (unfused
+// streams do) must never grow it past maxKernels; between executions no
+// cached plan may hold a region buffer (regions re-resolve on every use);
+// and a store freed after execution leaves its buffer unreachable from the
+// runtime. Both the chunked path and the sharded drain are covered.
+func TestKernelCacheBoundedAndHoldsNoRegions(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		rt := New(ModeReal, machine.DefaultA100(4))
+		rt.SetShards(shards)
+		rt.SetWorkerPool(4)
+		var fact ir.Factory
+		launch := ir.MakeRect(ir.Point{0}, ir.Point{4})
+		fill := func(s *ir.Store, ext int, seed uint64) {
+			tp := ir.NewTiling(launch, []int{4 * ext}, []int{ext}, []int{0}, nil, nil)
+			rt.Execute(&ir.Task{Name: "fill", Launch: launch, Kernel: randomKernel(seed, ext),
+				Args: []ir.Arg{{Store: s, Part: tp, Priv: ir.Write}}})
+		}
+
+		small := fact.NewStore("small", []int{16})
+		for i := 0; i < 3*maxKernels; i++ {
+			fill(small, 4, uint64(i))
+			if n := len(rt.kernels); n > maxKernels {
+				t.Fatalf("shards=%d: per-kernel cache holds %d entries after %d fresh kernels, bound %d",
+					shards, n, i+1, maxKernels)
+			}
+		}
+
+		// A buffer big enough to take the pool path and to be its own heap
+		// object, so a finalizer on its first element tracks the buffer.
+		const ext = 1 << 15
+		big := fact.NewStore("big", []int{4 * ext})
+		fill(big, ext, 1)
+		rt.DrainShardGroup()
+
+		plans := 0
+		for _, e := range rt.kernels {
+			if e.plan == nil {
+				continue
+			}
+			plans++
+			for i := range e.plan.args {
+				if ap := &e.plan.args[i]; !ap.data.IsNil() || !ap.static.Acc.Data.IsNil() {
+					t.Fatalf("shards=%d: cached plan still holds a region buffer in arg %d after execution", shards, i)
+				}
+			}
+		}
+		if plans == 0 {
+			t.Fatalf("shards=%d: no cached plans to inspect", shards)
+		}
+
+		collected := make(chan struct{})
+		runtime.SetFinalizer(&rt.regions[big.ID()].data.F64()[0], func(*float64) { close(collected) })
+		rt.FreeStore(big.ID())
+		deadline := time.After(10 * time.Second)
+	wait:
+		for {
+			runtime.GC()
+			select {
+			case <-collected:
+				break wait
+			case <-deadline:
+				t.Fatalf("shards=%d: freed store's buffer is still reachable", shards)
+			case <-time.After(10 * time.Millisecond):
+			}
+		}
+		runtime.KeepAlive(rt)
 	}
 }

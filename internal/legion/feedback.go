@@ -1,36 +1,33 @@
 package legion
 
-// Feedback-directed scheduling (see DESIGN.md). The executor's schedule
-// decisions — chunk grain, the inline-vs-pool cutoff, the codegen-vs-
-// interpreter backend pick, and the wavefront dispatch order — all price
-// work through the static machine model, which cannot see how far a real
-// kernel drifts from nominal (the codegen tier alone moved per-point costs
+// Feedback-directed scheduling (see DESIGN.md). The chunked executor
+// prices its schedule — chunk grain and the inline-vs-pool cutoff —
+// through the static machine model, which cannot see how far a real kernel
+// drifts from nominal (the codegen tier alone moved per-point costs
 // 1.6-3.6x). With feedback on (the default), the executor times a sampled
-// subset of chunk and shard-unit executions and folds the measurements
-// into per-class machine.Calibrated cost sources; the calibrated estimate
-// then replaces the static prior wherever the schedule is priced.
+// subset of chunk executions and folds the measurements into per-class
+// machine.Calibrated cost sources; the calibrated per-point cost then
+// reprices ChunkPoints, floored at the static schedule (executeChunked).
+// That is the layer's one consumer: everything else — sharded units, the
+// wavefront drain order, which backend runs — is priced statically, and
+// the calibration table doubles as the measurement of how far the static
+// model is off (CalibrationSnapshot).
 //
-// A class is one (kernel fingerprint, dtype, backend, shard count): the
-// fingerprint already separates dtypes (kir includes parameter dtypes in
-// it), but the key carries the dtype anyway for observability, and the
-// backend and shard count are genuine cost dimensions — the same
-// fingerprint runs at different per-point cost compiled vs interpreted,
-// and at different cache behaviour per shard width.
+// A class is one (kernel fingerprint, dtype, backend): the fingerprint
+// already separates dtypes (kir includes parameter dtypes in it), but the
+// key carries the dtype anyway for observability, and the backend is a
+// genuine cost dimension — the same fingerprint runs at different
+// per-point cost compiled vs interpreted.
 //
 // Calibration is keyed by fingerprint, not kernel pointer, so it survives
-// both the plan cache's clear-on-overflow and free-epoch invalidation:
-// a plan that re-resolves its regions (or is rebuilt for a fresh kernel
-// object of the same fingerprint) reattaches to the same Calibrated and
-// keeps its history. Entries hold no region data, so free-epoch bumps
-// never orphan them; the map is bounded by maxCal like the plan cache.
+// the per-kernel cache's clear-on-overflow: a plan rebuilt for a fresh
+// kernel object of the same fingerprint reattaches to the same Calibrated
+// and keeps its history. Entries hold no region data; the map is bounded
+// by maxCal.
 //
-// Determinism: feedback only moves schedule shape — chunk sizes, inline
-// routing, which (bit-identical) backend runs, and the order a wavefront
-// DAG drains in. Point decomposition and reduction fold order never
+// Determinism: feedback only moves schedule shape — chunk sizes and
+// inline routing. Point decomposition and reduction fold order never
 // depend on it, so results are bit-identical with feedback on or off.
-// The distributed wavefront drain is deliberately NOT reordered: its
-// deadlock-freedom rests on every rank sharing one drain order, and ranks
-// calibrate independently.
 
 import (
 	"sort"
@@ -57,91 +54,54 @@ type calKey struct {
 	fp      string
 	dtype   kir.DType
 	backend bool // codegen-lowered loops attached
-	shards  int  // 1 for the unsharded chunked path
 }
 
 // maxCal bounds the calibration map; unfused streams mint fresh kernels
 // but share fingerprints, so the map tracks distinct kernel structures,
-// not iteration count. Cleared wholesale on overflow like the plan cache.
+// not iteration count. Cleared wholesale on overflow like the per-kernel
+// cache.
 const maxCal = 4096
 
-// calibrationFor returns (creating if needed) the calibration entry of
-// one class, seeded with the plan's static per-point prior. Callers hold
-// execMu (pool workers never touch the map — they receive *Calibrated
-// pointers through the plan, and Calibrated locks internally).
-func (rt *Runtime) calibrationFor(fp string, dt kir.DType, backend bool, shards int, prior float64) *machine.Calibrated {
-	if rt.cal == nil {
-		rt.cal = map[calKey]*machine.Calibrated{}
-	}
-	k := calKey{fp: fp, dtype: dt, backend: backend, shards: shards}
-	if c, ok := rt.cal[k]; ok {
-		return c
-	}
-	if len(rt.cal) >= maxCal {
-		clear(rt.cal)
-	}
-	c := machine.NewCalibrated(prior)
-	rt.cal[k] = c
-	return c
-}
-
 // SetFeedback selects the feedback mode. Like SetCodegen it must be
-// called before tasks execute; cached plans drop their calibration
-// attachments lazily on next resolve.
+// called before tasks execute; cached plans pick the change up on their
+// next resolve (attachCalibration). On a distributed parent execution
+// happens on the ranks, which receive the mode via DIFFUSE_FEEDBACK at
+// spawn (see core.New).
 func (rt *Runtime) SetFeedback(m FeedbackMode) {
 	rt.execMu.Lock()
 	defer rt.execMu.Unlock()
 	rt.feedback = m
-	if rt.remote != nil {
-		// Distributed parent: execution happens on the ranks; the mode is
-		// propagated to rank processes via DIFFUSE_FEEDBACK at spawn (see
-		// core.New), so a post-spawn switch only affects the parent's own
-		// (unused) executor.
-		return
-	}
-	clear(rt.plans)
 }
 
 // FeedbackOf returns the active feedback mode.
 func (rt *Runtime) FeedbackOf() FeedbackMode { return rt.feedback }
 
-// feedbackOn reports whether calibration is active for this runtime.
-func (rt *Runtime) feedbackOn() bool {
-	return rt.feedback == FeedbackOn && rt.mode == ModeReal
-}
-
-// attachCalibration wires a plan to its calibration classes: the chunked
-// (shards=1) class for the plan's backend, the interpreter twin when a
-// codegen program is attached (the backend pick prices both), and the
-// sharded class at the runtime's current shard count. Called under execMu
-// on every plan resolve so a SetShards/SetFeedback change re-attaches.
+// attachCalibration wires a plan to its calibration class (creating it,
+// seeded with the plan's static per-point prior, on first sight of the
+// fingerprint), or detaches it with feedback off. Called under execMu on
+// every plan resolve; pool workers never touch the map — they receive the
+// *Calibrated through the batch, and Calibrated locks internally.
 func (rt *Runtime) attachCalibration(p *taskPlan) {
-	if !rt.feedbackOn() {
-		p.cal, p.calInterp, p.calShard, p.calShardN = nil, nil, nil, 0
+	if rt.feedback != FeedbackOn {
+		p.cal = nil
 		return
 	}
-	s := rt.shards
-	if s < 1 {
-		s = 1
+	if p.cal != nil {
+		return // steady state: already wired
 	}
-	if p.cal != nil && p.calShardN == s {
-		return // steady state: already wired for this configuration
+	if rt.cal == nil {
+		rt.cal = map[calKey]*machine.Calibrated{}
 	}
-	if p.fp == "" {
-		p.fp = p.kernel.Fingerprint()
+	k := calKey{fp: p.comp.Kernel.Fingerprint(), dtype: p.dtype, backend: p.comp.HasCodegen()}
+	c, ok := rt.cal[k]
+	if !ok {
+		if len(rt.cal) >= maxCal {
+			clear(rt.cal)
+		}
+		c = machine.NewCalibrated(p.perPoint)
+		rt.cal[k] = c
 	}
-	p.cal = rt.calibrationFor(p.fp, p.dtype, p.backend, 1, p.perPoint)
-	if p.backend {
-		p.calInterp = rt.calibrationFor(p.fp, p.dtype, false, 1, p.perPoint)
-	} else {
-		p.calInterp = nil
-	}
-	if s > 1 {
-		p.calShard = rt.calibrationFor(p.fp, p.dtype, p.backend, s, p.perPoint)
-	} else {
-		p.calShard = nil
-	}
-	p.calShardN = s
+	p.cal = c
 }
 
 // CalibrationEntry is one calibration class's observable state.
@@ -152,8 +112,6 @@ type CalibrationEntry struct {
 	DType string
 	// Backend reports whether the class ran with codegen-lowered loops.
 	Backend bool
-	// Shards is the shard width the class executed at (1 = unsharded).
-	Shards int
 	// Samples is the number of timed executions folded into the estimate.
 	Samples int64
 	// Hits counts schedule decisions answered from measurement (post
@@ -173,13 +131,10 @@ type CalibrationStats struct {
 	// Samples and Hits sum the per-class counters.
 	Samples int64
 	Hits    int64
-	// InterpRoutes counts chunked task executions the backend pick routed
-	// to the interpreter because it measured faster than codegen.
-	InterpRoutes int64
 }
 
 // CalibrationSnapshot returns every calibration class sorted by
-// fingerprint (then dtype, backend, shard count) — the table behind
+// fingerprint (then dtype, backend) — the table behind
 // diffuse-trace -stats.
 func (rt *Runtime) CalibrationSnapshot() []CalibrationEntry {
 	rt.execMu.Lock()
@@ -191,7 +146,6 @@ func (rt *Runtime) CalibrationSnapshot() []CalibrationEntry {
 			Fingerprint:         k.fp,
 			DType:               k.dtype.String(),
 			Backend:             k.backend,
-			Shards:              k.shards,
 			Samples:             samples,
 			Hits:                hits,
 			MeasuredNsPerPoint:  meas * 1e9,
@@ -206,10 +160,7 @@ func (rt *Runtime) CalibrationSnapshot() []CalibrationEntry {
 		if a.DType != b.DType {
 			return a.DType < b.DType
 		}
-		if a.Backend != b.Backend {
-			return !a.Backend
-		}
-		return a.Shards < b.Shards
+		return !a.Backend && b.Backend
 	})
 	return out
 }
@@ -222,6 +173,5 @@ func (rt *Runtime) CalibrationStatsOf() CalibrationStats {
 		st.Samples += entries[i].Samples
 		st.Hits += entries[i].Hits
 	}
-	st.InterpRoutes = rt.fbInterpRoutes.Load()
 	return st
 }

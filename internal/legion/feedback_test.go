@@ -32,9 +32,8 @@ func feedbackStream(t *testing.T, rt *Runtime, iters int) {
 }
 
 // TestFeedbackCalibratesAndProbes: with feedback on, executing a kernel
-// repeatedly must register calibration classes, fold timed samples into
-// them, and — for a codegen-backed kernel — warm the interpreter twin
-// through probe executions so the backend pick has a measured comparison.
+// repeatedly must register its calibration class, fold timed samples into
+// it, and — past warmup — answer schedule decisions from the measurement.
 func TestFeedbackCalibratesAndProbes(t *testing.T) {
 	rt := New(ModeReal, machine.DefaultA100(4))
 	rt.SetWorkerPool(4)
@@ -44,27 +43,19 @@ func TestFeedbackCalibratesAndProbes(t *testing.T) {
 	if len(entries) == 0 {
 		t.Fatal("no calibration classes registered")
 	}
-	var codegen, interp *CalibrationEntry
+	var cls *CalibrationEntry
 	for i := range entries {
-		e := &entries[i]
-		if e.Fingerprint == mathKernel(2048).Fingerprint() {
-			if e.Backend {
-				codegen = e
-			} else {
-				interp = e
+		if e := &entries[i]; e.Fingerprint == mathKernel(2048).Fingerprint() {
+			if cls != nil {
+				t.Fatalf("math kernel has more than one class: %+v", entries)
 			}
+			cls = e
 		}
 	}
-	if codegen == nil {
+	if cls == nil || !cls.Backend {
 		t.Fatalf("math kernel has no codegen-backend class: %+v", entries)
 	}
-	if interp == nil {
-		t.Fatalf("math kernel has no interpreter twin (backend-pick probe): %+v", entries)
-	}
-	if interp.Samples < 3 {
-		t.Fatalf("interpreter twin only probed %d times, want warmup (3)", interp.Samples)
-	}
-	if codegen.Samples == 0 && interp.Samples == 0 {
+	if cls.Samples == 0 {
 		t.Fatal("no timed samples landed")
 	}
 	st := rt.CalibrationStatsOf()
@@ -84,7 +75,7 @@ func TestFeedbackOffLeavesNoTrace(t *testing.T) {
 	rt.SetWorkerPool(4)
 	feedbackStream(t, rt, 8)
 	st := rt.CalibrationStatsOf()
-	if st.Classes != 0 || st.Samples != 0 || st.Hits != 0 || st.InterpRoutes != 0 {
+	if st.Classes != 0 || st.Samples != 0 || st.Hits != 0 {
 		t.Fatalf("feedback-off run calibrated: %+v", st)
 	}
 }
@@ -120,21 +111,6 @@ func TestCalibrationSurvivesPlanInvalidation(t *testing.T) {
 		if after[i].Samples < before[i].Samples {
 			t.Fatalf("class %d lost samples across invalidation: %d -> %d",
 				i, before[i].Samples, after[i].Samples)
-		}
-	}
-}
-
-// TestSortReady: the priority sort must pop the highest-priority ready
-// node first (it sorts ascending for a LIFO stack) and break ties toward
-// the lowest id, matching the unprioritized drain.
-func TestSortReady(t *testing.T) {
-	prio := []float64{5, 1, 9, 1}
-	nodes := []int32{0, 1, 2, 3}
-	sortReady(nodes, prio)
-	want := []int32{3, 1, 0, 2} // popped back-to-front: 2 (prio 9), 0 (5), 1 (1, lower id), 3
-	for i := range want {
-		if nodes[i] != want[i] {
-			t.Fatalf("sortReady = %v, want %v", nodes, want)
 		}
 	}
 }

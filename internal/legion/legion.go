@@ -14,8 +14,9 @@
 //     and reused across the fused task stream. Reductions accumulate into
 //     per-point partial cells folded in point order at the barrier, so
 //     results are bit-identical under any scheduling. The v1 executor —
-//     one goroutine per point task — survives as ExecPerPoint, the
-//     measured baseline of BENCH_real.json.
+//     one goroutine per point task (exec.go) — stays as the independent
+//     binding oracle tests compare against, reachable only through
+//     SetExecPolicy; it is not a configuration.
 //   - simulated (ModeSim): no data is allocated; the task stream drives
 //     the machine cost model (internal/machine) so weak-scaling studies up
 //     to 128 simulated GPUs run on a laptop.
@@ -38,7 +39,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"diffuse/internal/ir"
 	"diffuse/internal/kir"
@@ -111,9 +111,11 @@ type Runtime struct {
 	writers map[ir.StoreID][]ir.Partition
 	pendRed map[ir.StoreID]ir.ReduceOp // stores with uncombined reductions
 
-	mu       sync.Mutex // guards regions, compiled, progs, and codegen
-	regions  map[ir.StoreID]*region
-	compiled map[*kir.Kernel]*kir.Compiled
+	mu      sync.Mutex // guards regions, kernels, progs, and codegen
+	regions map[ir.StoreID]*region
+	// kernels is the one per-kernel-object cache: the compiled form plus
+	// (ModeReal) the execution plan, bounded by maxKernels.
+	kernels map[*kir.Kernel]*kernelEntry
 
 	// Codegen-backend state (see codegen.go): the active mode, the
 	// fingerprint-keyed program cache, and the activity counters.
@@ -124,22 +126,18 @@ type Runtime struct {
 	// Feedback-directed scheduling state (see feedback.go): the active
 	// mode and the fingerprint-keyed calibration classes (map guarded by
 	// execMu; entries lock internally so pool workers can observe
-	// timings without it). fbInterpRoutes counts backend-pick reroutes.
-	feedback       FeedbackMode
-	cal            map[calKey]*machine.Calibrated
-	fbInterpRoutes atomic.Int64
+	// timings without it).
+	feedback FeedbackMode
+	cal      map[calKey]*machine.Calibrated
 
 	workers int
 	scratch sync.Pool // per-point-baseline scratch recycling
 
 	// Real-mode executor state (see executor.go): the persistent worker
-	// pool, the active scheduling policy, the cached execution plans, and
-	// the free-epoch that lazily invalidates their region resolution (all
-	// guarded by execMu, like everything else on the execution path).
-	exec      *executor
-	policy    ExecPolicy
-	plans     map[*kir.Kernel]*taskPlan
-	freeEpoch int64
+	// pool and the active scheduling policy (guarded by execMu, like
+	// everything else on the execution path).
+	exec   *executor
+	policy ExecPolicy
 
 	// Sharded execution state (see shard.go): the configured shard count,
 	// the drain scheduler (wavefront.go), the buffered task group, frees
@@ -176,14 +174,14 @@ type Runtime struct {
 // only cfg.GPUs is consulted (as the default launch width).
 func New(mode Mode, cfg machine.Config) *Runtime {
 	rt := &Runtime{
-		mode:     mode,
-		sim:      machine.NewSim(cfg),
-		regions:  map[ir.StoreID]*region{},
-		writers:  map[ir.StoreID][]ir.Partition{},
-		pendRed:  map[ir.StoreID]ir.ReduceOp{},
-		compiled: map[*kir.Kernel]*kir.Compiled{},
-		progs:    map[string]*kir.CodegenProgram{},
-		workers:  runtime.GOMAXPROCS(0),
+		mode:    mode,
+		sim:     machine.NewSim(cfg),
+		regions: map[ir.StoreID]*region{},
+		writers: map[ir.StoreID][]ir.Partition{},
+		pendRed: map[ir.StoreID]ir.ReduceOp{},
+		kernels: map[*kir.Kernel]*kernelEntry{},
+		progs:   map[string]*kir.CodegenProgram{},
+		workers: runtime.GOMAXPROCS(0),
 	}
 	rt.scratch.New = func() any { return kir.NewScratch() }
 	if mode == ModeReal {
@@ -202,15 +200,30 @@ func (rt *Runtime) Sim() *machine.Sim { return rt.sim }
 // SimTime returns the simulated makespan.
 func (rt *Runtime) SimTime() float64 { return rt.sim.Time() }
 
-// Compiled returns (compiling and caching on first use) the executable
-// form of a kernel. The fusion layer optimizes fused kernels before they
-// arrive here; unfused kernels compile as-is, mirroring the precompiled
-// task variants of standard cuPyNumeric.
-func (rt *Runtime) Compiled(k *kir.Kernel) *kir.Compiled {
+// kernelEntry is what the runtime caches per kernel object: the compiled
+// form and, once the kernel has executed in ModeReal, its execution plan.
+// The map slot is guarded by mu; plan is only touched under execMu.
+type kernelEntry struct {
+	comp *kir.Compiled
+	plan *taskPlan
+}
+
+// maxKernels bounds the per-kernel cache: unfused streams mint a fresh
+// kernel per task, and the cache must not grow with iteration count. It is
+// cleared wholesale on overflow rather than LRU-tracked — steady-state
+// working sets are tiny, and an overflow means an unbounded-kernel-shape
+// workload where any eviction policy thrashes. Evicted kernels that are
+// still live recompile on next use (their codegen programs stay shared by
+// fingerprint; codegen.go).
+const maxKernels = 2048
+
+// kernelFor returns (compiling and caching on first use) the cache entry
+// of a kernel.
+func (rt *Runtime) kernelFor(k *kir.Kernel) *kernelEntry {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if c, ok := rt.compiled[k]; ok {
-		return c
+	if e, ok := rt.kernels[k]; ok {
+		return e
 	}
 	c := kir.Compile(k)
 	// Second compilation stage: in ModeReal with codegen on, attach the
@@ -218,8 +231,20 @@ func (rt *Runtime) Compiled(k *kir.Kernel) *kir.Compiled {
 	if rt.mode == ModeReal && rt.codegen == CodegenOn {
 		rt.attachProgramLocked(c)
 	}
-	rt.compiled[k] = c
-	return c
+	if len(rt.kernels) >= maxKernels {
+		clear(rt.kernels)
+	}
+	e := &kernelEntry{comp: c}
+	rt.kernels[k] = e
+	return e
+}
+
+// Compiled returns (compiling and caching on first use) the executable
+// form of a kernel. The fusion layer optimizes fused kernels before they
+// arrive here; unfused kernels compile as-is, mirroring the precompiled
+// task variants of standard cuPyNumeric.
+func (rt *Runtime) Compiled(k *kir.Kernel) *kir.Compiled {
+	return rt.kernelFor(k).comp
 }
 
 // regionFor returns (allocating if needed) the buffer of a store.
@@ -248,15 +273,13 @@ func redIdentity(op ir.ReduceOp) float64 {
 	}
 }
 
-// FreeStore drops the region of a dead store and advances the free-epoch:
-// cached execution plans re-resolve their regions on next use instead of
-// executing against an orphaned buffer. Bumping an epoch (rather than
-// scanning the plan cache) keeps frees O(1) — iterative apps free dozens
-// of temporaries per iteration. When a buffered shard group still
-// references the store (its tasks have not executed yet), the free is
-// deferred until the group drains — draining the whole group on every
-// temporary's death would dissolve exactly the groups sharding exists to
-// build.
+// FreeStore drops the region of a dead store. Nothing else holds the
+// buffer — cached execution plans re-resolve their regions on every use —
+// so the free is O(1) and the memory is reclaimable at once. When a
+// buffered shard group still references the store (its tasks have not
+// executed yet), the free is deferred until the group drains — draining
+// the whole group on every temporary's death would dissolve exactly the
+// groups sharding exists to build.
 func (rt *Runtime) FreeStore(id ir.StoreID) {
 	rt.execMu.Lock()
 	defer rt.execMu.Unlock()
@@ -281,7 +304,6 @@ func (rt *Runtime) freeStoreLocked(id ir.StoreID) {
 	delete(rt.writers, id)
 	delete(rt.pendRed, id)
 	delete(rt.deferredFreeIn, id)
-	rt.freeEpoch++
 	rt.mu.Lock()
 	delete(rt.regions, id)
 	rt.mu.Unlock()

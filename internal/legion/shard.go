@@ -15,8 +15,9 @@ package legion
 // Why: consecutive tasks that sweep the same large operands (the multi-RHS
 // sweeps of internal/bench's Jacobi-MRHS workload) touch each block S
 // times in quick succession instead of streaming the full operand once per
-// task, which is worth >1.3x wall-clock on bandwidth-bound streams whose
-// working set exceeds the cache/TLB reach. Fusion achieves the same
+// task, which pays on bandwidth-bound streams whose working set exceeds the
+// cache/TLB reach (shard_speedup_vs_1 in BENCH_real.json is the measured
+// value). Fusion achieves the same
 // locality *inside* a fused kernel; sharding recovers it for the task
 // streams fusion cannot merge (and composes with it across fused tasks).
 //
@@ -54,7 +55,6 @@ package legion
 import (
 	"math"
 	"sync/atomic"
-	"time"
 
 	"diffuse/internal/ir"
 	"diffuse/internal/kir"
@@ -120,7 +120,6 @@ type groupEntry struct {
 	task  *ir.Task
 	stage int
 	plan  *taskPlan
-	comp  *kir.Compiled
 }
 
 // partStage is one (partition, latest stage, latest entry) record of a
@@ -259,9 +258,8 @@ func (rt *Runtime) shardActive() bool {
 	return rt.mode == ModeReal && rt.shards > 1
 }
 
-// SetShards configures the shard count of sharded execution. Like
-// SetExecPolicy it must be called before any task executes; n <= 1
-// disables sharding.
+// SetShards configures the shard count of sharded execution. It must be
+// called before any task executes; n <= 1 disables sharding.
 func (rt *Runtime) SetShards(n int) {
 	if n < 1 {
 		n = 1
@@ -583,14 +581,13 @@ func (rt *Runtime) drainShardGroupLocked() {
 		rt.shardStats.Groups++
 		rt.shardStats.GroupedTasks += int64(len(g.entries))
 
-		// Resolve every task's plan and compiled kernel up front (regions
-		// may allocate; single-threaded here), then run the DAG or the
-		// stages.
+		// Resolve and bind every task's plan up front (regions may
+		// allocate; single-threaded here), run the DAG or the stages, then
+		// unbind: a drained group leaves no region reachable from a plan.
 		for i := range g.entries {
 			e := &g.entries[i]
-			e.comp = rt.Compiled(e.task.Kernel)
-			rt.countBackend(e.comp)
-			e.plan = rt.planFor(e.task, e.comp)
+			e.plan = rt.planFor(e.task)
+			rt.countBackend(e.plan.comp)
 			e.plan.resetPartials(e.task, len(e.plan.colors))
 		}
 		if rt.distTx != nil {
@@ -607,6 +604,9 @@ func (rt *Runtime) drainShardGroupLocked() {
 				}
 				rt.runShardStage(units)
 			}
+		}
+		for i := range g.entries {
+			g.entries[i].plan.unbind()
 		}
 	}
 
@@ -645,7 +645,10 @@ func (rt *Runtime) runShardStage(units []*groupEntry) {
 
 // runUnitShard executes one (task, shard) unit: the task's point tasks
 // whose colors fall in the shard's leading-axis block, bound against
-// shard-local region instances.
+// shard-local region instances — one bounds-enforcing sub-buffer per tiled
+// argument, covering exactly this shard's footprint (block plus the halo
+// margin its stage admits). Replicated (None) arguments read the canonical
+// instance; reductions accumulate into per-point partials.
 func (rt *Runtime) runUnitShard(u *groupEntry, ws *workerState, s, shards int) {
 	plan := u.plan
 	lo, hi := shardColorRange(u.task.Launch, len(plan.colors), s, shards)
@@ -658,37 +661,13 @@ func (rt *Runtime) runUnitShard(u *groupEntry, ws *workerState, s, shards int) {
 	payload, _ := u.task.Payload.(*Payload)
 	ws.prepare(len(plan.args), payload)
 	defer ws.release()
-
-	// Shard-local instances: one bounds-enforcing sub-buffer per tiled
-	// argument, covering exactly this shard's footprint (block plus the
-	// halo margin its stage admits). Replicated (None) arguments read the
-	// canonical instance; reductions accumulate into per-point partials.
-	insts := shardInstances(plan, lo, hi)
-
-	// Sampled unit timing for the feedback layer: whole units are timed
-	// (never points), into the shard-width calibration class.
-	var t0 time.Time
-	timed := plan.calShard != nil && plan.calShard.ShouldSample()
-	if timed {
-		t0 = time.Now()
+	b := execBatch{plan: plan, payload: payload, insts: shardInstances(plan, lo, hi)}
+	// Sampled unit timing keeps the calibration table a measurement of the
+	// sharded path too; nothing in this path is priced from it.
+	if plan.cal != nil && plan.cal.ShouldSample() {
+		b.timed = plan.cal
 	}
-	for pi := lo; pi < hi; pi++ {
-		bindPoint(plan, ws, pi, plan.colors[pi])
-		for i := range plan.args {
-			if inst := &insts[i]; !inst.buf.IsNil() {
-				ws.pa.Bind[i].Rebase(inst.buf, inst.lo)
-			}
-		}
-		if payload != nil && len(payload.CSR) > 0 {
-			for k, prov := range payload.CSR {
-				ws.pa.Payloads[k] = prov.Local(pi)
-			}
-		}
-		u.comp.Execute(&ws.pa)
-	}
-	if timed {
-		plan.calShard.Observe(time.Since(t0).Seconds(), hi-lo)
-	}
+	b.runSpan(ws, lo, hi)
 }
 
 // shardInst is one shard-local instance: an aliased sub-buffer of the

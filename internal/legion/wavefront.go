@@ -39,14 +39,11 @@ package legion
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"sync/atomic"
 
 	"diffuse/internal/ir"
 )
-
-var wfDebug = os.Getenv("WF_DEBUG") != ""
 
 // WavefrontMode selects the sharded drain scheduler.
 type WavefrontMode int
@@ -286,9 +283,6 @@ func (rt *Runtime) runWavefront(g *shardGroup) {
 		n := &d.nodes[nid]
 		switch n.kind {
 		case wfUnit:
-			if wfDebug {
-				fmt.Printf("WF unit e=%d(%s) s=%d stage=%d\n", n.entry, g.entries[n.entry].task.Name, n.shard, g.entries[n.entry].stage)
-			}
 			rt.runUnitShard(&g.entries[n.entry], ws, int(n.shard), shards)
 		case wfHalo:
 			// Synchronization only on this shared-memory host: the halo
@@ -302,15 +296,7 @@ func (rt *Runtime) runWavefront(g *shardGroup) {
 			}
 		}
 	}
-	// Feedback-directed dispatch order: price every node from the
-	// calibrated cost model and prefer measured-critical paths. In-process
-	// only — the distributed drain (runWavefrontDist) must keep one common
-	// serial order across ranks, and ranks calibrate independently.
-	var prio []float64
-	if rt.feedbackOn() {
-		prio = rt.wavefrontPriorities(g, d, shards)
-	}
-	rt.exec.runDAG(len(d.nodes), d.indeg, d.succ, prio, run)
+	rt.exec.runDAG(len(d.nodes), d.indeg, d.succ, run)
 
 	rt.shardStats.WavefrontGroups++
 	rt.shardStats.WavefrontNodes += int64(len(d.nodes))
@@ -318,82 +304,4 @@ func (rt *Runtime) runWavefront(g *shardGroup) {
 	rt.shardStats.HaloNodes += d.halos
 	rt.shardStats.BarrierStages += int64(len(g.barriers))
 	rt.shardStats.Stages += int64(g.stages)
-}
-
-// wavefrontPriorities prices every DAG node and returns its critical-path
-// length — the node's own cost plus the longest downstream chain — so the
-// drain dispatches the node with the most measured work behind it first.
-// Unit nodes are priced from the shard-width calibration class (falling
-// back to the static prior until it warms up); halo nodes from the
-// boundary bytes a distributed substrate would move across the edge
-// (consumer-span bytes through the static bandwidth model — halo-edge
-// pricing); barrier folds are noise next to either and price as zero.
-func (rt *Runtime) wavefrontPriorities(g *shardGroup, d *wfDAG, shards int) []float64 {
-	n := len(d.nodes)
-	prio := make([]float64, n)
-	for i := range d.nodes {
-		nd := &d.nodes[i]
-		switch nd.kind {
-		case wfUnit:
-			u := &g.entries[nd.entry]
-			lo, hi := shardColorRange(u.task.Launch, len(u.plan.colors), int(nd.shard), shards)
-			if hi <= lo {
-				continue
-			}
-			per := u.plan.perPoint
-			if u.plan.calShard != nil {
-				per, _ = u.plan.calShard.Estimate()
-			}
-			prio[i] = per * float64(hi-lo)
-		case wfHalo:
-			dep := g.deps[nd.aux]
-			es := d.spans[dep.Cons]
-			if es == nil {
-				continue
-			}
-			u := &g.entries[dep.Cons]
-			sp := storeSpan(u, es, shards, int(nd.shard), dep.Store)
-			if sp.Empty() {
-				continue
-			}
-			elem := 8
-			for ai := range u.plan.args {
-				if u.plan.args[ai].store.ID() == dep.Store {
-					elem = u.plan.args[ai].store.ElemSize()
-					break
-				}
-			}
-			prio[i] = rt.exec.host.PointCost(float64((sp.Hi-sp.Lo)*elem), 0, 0)
-		}
-	}
-	// Longest path to sink in one reverse-topological sweep (Kahn over a
-	// private in-degree copy — d.indeg is consumed by the drain itself).
-	deg := make([]int32, n)
-	for i := range deg {
-		deg[i] = d.indeg[i].Load()
-	}
-	order := make([]int32, 0, n)
-	for i := 0; i < n; i++ {
-		if deg[i] == 0 {
-			order = append(order, int32(i))
-		}
-	}
-	for h := 0; h < len(order); h++ {
-		for _, sn := range d.succ[order[h]] {
-			if deg[sn]--; deg[sn] == 0 {
-				order = append(order, sn)
-			}
-		}
-	}
-	for i := len(order) - 1; i >= 0; i-- {
-		nd := order[i]
-		best := 0.0
-		for _, sn := range d.succ[nd] {
-			if prio[sn] > best {
-				best = prio[sn]
-			}
-		}
-		prio[nd] += best
-	}
-	return prio
 }

@@ -16,7 +16,6 @@ type dagHarness struct {
 	n     int
 	succ  [][]int32
 	indeg []atomic.Int32
-	prio  []float64 // optional dispatch priorities
 
 	mu    sync.Mutex
 	order []int32
@@ -35,7 +34,7 @@ func (h *dagHarness) run(t *testing.T, workers int) {
 	t.Helper()
 	e := newExecutor(workers, machine.HostExec(workers))
 	defer e.shutdown()
-	e.runDAG(h.n, h.indeg, h.succ, h.prio, func(_ *workerState, node int32) {
+	e.runDAG(h.n, h.indeg, h.succ, func(_ *workerState, node int32) {
 		h.mu.Lock()
 		h.order = append(h.order, node)
 		h.mu.Unlock()
