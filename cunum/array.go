@@ -2,6 +2,7 @@ package cunum
 
 import (
 	"fmt"
+	"strconv"
 
 	"diffuse/internal/ir"
 	"diffuse/internal/kir"
@@ -34,6 +35,52 @@ type Array struct {
 	shape     []int
 	stride    []int
 	ephemeral bool
+
+	// tiled caches what the view looks like to a launch over the
+	// context's processor grid. Offset, shape, stride and grid never
+	// change for a view, so it is computed on first use and shared by
+	// every task the view is an operand of — including the partition's
+	// cached structural hash.
+	tiled *viewTiling
+}
+
+// viewTiling is the launch-facing description of one view.
+type viewTiling struct {
+	part ir.Partition // Tiling partition over the context's launch domain
+	dom  string       // iteration-domain signature of element-wise loops
+	tile []int        // static per-point extent; shared, never written
+}
+
+func (a *Array) tiling() *viewTiling {
+	if a.tiled == nil {
+		grid := a.ctx.gridFor(a.Rank())
+		tile := make([]int, a.Rank())
+		for d := range tile {
+			tile[d] = ceilDiv(a.shape[d], grid[d])
+		}
+		// The signature reads "[shape]|[tile]" as fmt's %v would print the
+		// two slices; it is built by hand because every operation result
+		// is a new view and pays for this once.
+		var buf [64]byte
+		dom := append(appendInts(buf[:0], a.shape), '|')
+		a.tiled = &viewTiling{
+			part: ir.NewTiling(a.ctx.launchFor(a.Rank()), a.shape, tile, a.offset, a.stride, nil),
+			dom:  string(appendInts(dom, tile)),
+			tile: tile,
+		}
+	}
+	return a.tiled
+}
+
+func appendInts(b []byte, v []int) []byte {
+	b = append(b, '[')
+	for i, x := range v {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(x), 10)
+	}
+	return append(b, ']')
 }
 
 // newArray allocates a fresh store-backed array of the given element type;
@@ -176,15 +223,7 @@ func (a *Array) Step(step []int) *Array {
 
 // partition returns the Tiling partition this view is accessed through
 // when launched over the context's processor grid for its rank.
-func (a *Array) partition() ir.Partition {
-	grid := a.ctx.gridFor(a.Rank())
-	colors := a.ctx.launchFor(a.Rank())
-	tile := make([]int, a.Rank())
-	for d := range tile {
-		tile[d] = ceilDiv(a.shape[d], grid[d])
-	}
-	return ir.NewTiling(colors, a.shape, tile, a.offset, a.stride, nil)
-}
+func (a *Array) partition() ir.Partition { return a.tiling().part }
 
 // nonePart returns a replicated partition over the given launch domain.
 func (a *Array) nonePart(colors ir.Rect) ir.Partition {
@@ -194,24 +233,11 @@ func (a *Array) nonePart(colors ir.Rect) ir.Partition {
 // domSig is the iteration-domain signature of element-wise loops over this
 // view: loops with equal signatures have identical per-point extents and
 // may be merged by the kernel optimizer.
-func (a *Array) domSig() string {
-	grid := a.ctx.gridFor(a.Rank())
-	tile := make([]int, a.Rank())
-	for d := range tile {
-		tile[d] = ceilDiv(a.shape[d], grid[d])
-	}
-	return fmt.Sprintf("%v|%v", a.shape, tile)
-}
+func (a *Array) domSig() string { return a.tiling().dom }
 
-// tileExt is the static per-point extent (tile shape) of this view.
-func (a *Array) tileExt() []int {
-	grid := a.ctx.gridFor(a.Rank())
-	tile := make([]int, a.Rank())
-	for d := range tile {
-		tile[d] = ceilDiv(a.shape[d], grid[d])
-	}
-	return tile
-}
+// tileExt is the static per-point extent (tile shape) of this view. The
+// slice is shared with every kernel issued over the view: read-only.
+func (a *Array) tileExt() []int { return a.tiling().tile }
 
 // IsScalar reports whether the array is a shape-[1] scalar.
 func (a *Array) IsScalar() bool { return a.Rank() == 1 && a.shape[0] == 1 }

@@ -28,6 +28,11 @@ type Context struct {
 	sess  *core.Session
 	procs int
 	grid2 [2]int // processor grid used for 2-D arrays
+
+	// The three launch domains every task of this context is issued over,
+	// built once: rectangles are never written after construction, so all
+	// tasks and partitions share them.
+	launch1, launch2, launchScalar ir.Rect
 }
 
 // NewContext wraps a Diffuse runtime, issuing into its default session.
@@ -59,9 +64,10 @@ func NewDistributedTransportContext(ranks int, transport string) *Context {
 	return NewContext(core.New(cfg))
 }
 
-// Close shuts down the rank processes of a distributed runtime and
-// reports the first failure any rank hit; it is a no-op (returning nil)
-// for an in-process runtime.
+// Close ends the underlying runtime's life (core.Runtime.Close): a
+// distributed runtime shuts its rank processes down and reports the first
+// failure any rank hit; an in-process one releases its array data at once
+// and returns nil. Nothing may be issued or read afterwards.
 func (c *Context) Close() error { return c.rt.Close() }
 
 // NewSessionContext wraps one session of a shared runtime. Independent
@@ -82,7 +88,12 @@ func NewSessionContext(sess *core.Session) *Context {
 func newContext(rt *core.Runtime, sess *core.Session) *Context {
 	p := rt.Procs()
 	pr, pc := factor2(p)
-	return &Context{rt: rt, sess: sess, procs: p, grid2: [2]int{pr, pc}}
+	return &Context{
+		rt: rt, sess: sess, procs: p, grid2: [2]int{pr, pc},
+		launch1:      ir.MakeRect(ir.Point{0}, ir.Point{p}),
+		launch2:      ir.MakeRect(ir.Point{0, 0}, ir.Point{pr, pc}),
+		launchScalar: ir.MakeRect(ir.Point{0}, ir.Point{1}),
+	}
 }
 
 // Runtime returns the underlying Diffuse runtime.
@@ -117,9 +128,9 @@ func ceilDiv(a, b int) int { return (a + b - 1) / b }
 func (c *Context) launchFor(rank int) ir.Rect {
 	switch rank {
 	case 1:
-		return ir.MakeRect(ir.Point{0}, ir.Point{c.procs})
+		return c.launch1
 	case 2:
-		return ir.MakeRect(ir.Point{0, 0}, ir.Point{c.grid2[0], c.grid2[1]})
+		return c.launch2
 	default:
 		panic(fmt.Sprintf("cunum: rank %d arrays not supported", rank))
 	}
@@ -128,9 +139,7 @@ func (c *Context) launchFor(rank int) ir.Rect {
 // scalarLaunch is the single-point launch domain of scalar (shape-[1])
 // operations; the launch-domain-equivalence constraint correctly prevents
 // fusing them with vector operations.
-func (c *Context) scalarLaunch() ir.Rect {
-	return ir.MakeRect(ir.Point{0}, ir.Point{1})
-}
+func (c *Context) scalarLaunch() ir.Rect { return c.launchScalar }
 
 // gridFor returns the per-dimension processor grid for a view of the given
 // rank.

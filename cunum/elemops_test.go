@@ -117,3 +117,45 @@ func TestRegisteredOpFusesLikeHandwritten(t *testing.T) {
 	}
 	out.Free()
 }
+
+// TestDedupLeavesOperandsAlone: dedup used to compact its argument in
+// place, so an operand list with a repeat or a nil came back to the caller
+// rewritten. It must return a list of its own and leave the caller's.
+func TestDedupLeavesOperandsAlone(t *testing.T) {
+	ctx := testCtx(4)
+	a, b := ctx.Zeros(8), ctx.Zeros(8)
+	ins := []*Array{nil, a, a, b, a}
+	got := dedup(ins...)
+	if len(got) != 2 || got[0] != a || got[1] != b {
+		t.Fatalf("dedup returned %v, want [a b]", got)
+	}
+	if ins[0] != nil || ins[1] != a || ins[2] != a || ins[3] != b || ins[4] != a {
+		t.Fatalf("dedup rewrote its argument: %v", ins)
+	}
+	// The same operand twice, ephemeral: consumed once, not twice.
+	x := ctx.Ones(8)
+	y := x.Temp().Mul(x)
+	if got := y.ToHost(); got[0] != 1 {
+		t.Fatalf("x*x = %v", got[0])
+	}
+}
+
+// TestViewTilingComputedOnce: a view's partition, domain signature and
+// tile extents depend only on the view, so every task it is an operand of
+// gets the same partition object (and its cached hash) instead of a fresh
+// rendering; equal views still describe equal partitions.
+func TestViewTilingComputedOnce(t *testing.T) {
+	ctx := testCtx(4)
+	a := ctx.Zeros(16, 12).Keep()
+	if a.Partition() != a.Partition() {
+		t.Fatal("a view built its partition twice")
+	}
+	v := a.Slice([]int{1, 1}, []int{-1, -1})
+	w := a.Slice([]int{1, 1}, []int{-1, -1})
+	if v.Partition() == a.Partition() || !v.Partition().Equal(w.Partition()) || v.Partition().Hash() != w.Partition().Hash() {
+		t.Fatal("equal views must have equal partitions of their own")
+	}
+	if v.DomSig() != "[14 10]|[7 5]" || len(v.TileExt()) != 2 || v.TileExt()[0] != 7 || v.TileExt()[1] != 5 {
+		t.Fatalf("view tiling: dom %q, tile %v", v.DomSig(), v.TileExt())
+	}
+}

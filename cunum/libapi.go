@@ -32,7 +32,9 @@ func (a *Array) ReplicatedPartition(colors ir.Rect) ir.Partition { return a.none
 // DomSig returns the element-wise iteration-domain signature of the view.
 func (a *Array) DomSig() string { return a.domSig() }
 
-// TileExt returns the static per-point tile extents of the view.
+// TileExt returns the static per-point tile extents of the view. The slice
+// is shared with every kernel issued over the view and must not be
+// modified.
 func (a *Array) TileExt() []int { return a.tileExt() }
 
 // LaunchFor returns the launch domain used for views of the given rank.

@@ -74,14 +74,22 @@ func castIfMixed(out *Array, ins []*Array, e *kir.Expr) *kir.Expr {
 	return e
 }
 
+// dedup returns the distinct non-nil arrays in order, in a slice of its
+// own: callers pass their operand lists, which must come back untouched.
+// Operand lists hold a handful of arrays, so a scan beats a map.
 func dedup(arrays ...*Array) []*Array {
-	seen := map[*Array]bool{}
-	out := arrays[:0]
+	out := make([]*Array, 0, len(arrays))
+next:
 	for _, a := range arrays {
-		if a != nil && !seen[a] {
-			seen[a] = true
-			out = append(out, a)
+		if a == nil {
+			continue
 		}
+		for _, b := range out {
+			if a == b {
+				continue next
+			}
+		}
+		out = append(out, a)
 	}
 	return out
 }

@@ -229,7 +229,9 @@ func newTestRuntime(enabled bool) *Runtime {
 		InitialWindow: 8,
 		MaxWindow:     64,
 	}
-	return New(cfg)
+	r := New(cfg)
+	WatchKeys(r)
+	return r
 }
 
 // elemKernel builds an element-wise kernel writing arg `out` from constant
@@ -321,6 +323,45 @@ func TestMemoIsomorphicStreams(t *testing.T) {
 	}
 	if st.KernelsCompiled != 1 {
 		t.Fatalf("the fused kernel should compile once, got %d", st.KernelsCompiled)
+	}
+}
+
+// TestMemoTableBounded: window shapes are the application's to choose (a
+// diffuse-serve tenant picks its own sizes), so the memo table is capped
+// at maxMemo and cleared wholesale on overflow. Three times the bound of
+// distinct windows must leave it within the bound, and memoization must
+// go on working afterwards.
+func TestMemoTableBounded(t *testing.T) {
+	r := New(Config{Mode: legion.ModeSim, Machine: machine.DefaultA100(4), Enabled: true})
+	launch := ir.MakeRect(ir.Point{0}, ir.Point{4})
+	part := ir.NewTiling(launch, []int{16}, []int{4}, []int{0}, nil, nil)
+	st := r.NewStore("s", []int{16})
+	// One-task windows that differ only in the kernel's immediate.
+	fill := func(v float64) {
+		k := kir.NewKernel("fill", 1)
+		k.AddLoop(&kir.Loop{Kind: kir.LoopElem, Dom: "d16", Ext: []int{4},
+			Stmts: []kir.Stmt{{Kind: kir.KStore, E: kir.Const(v)}}})
+		r.Submit(&ir.Task{Name: "fill", Launch: launch, Kernel: k,
+			Args: []ir.Arg{{Store: st, Part: part, Priv: ir.Write}}})
+		r.Flush()
+	}
+	for i := 0; i < 3*maxMemo; i++ {
+		fill(float64(i))
+	}
+	if s := r.Stats(); s.MemoMisses != 3*maxMemo || s.MemoHits != 0 {
+		t.Fatalf("distinct windows: misses=%d hits=%d, want %d / 0", s.MemoMisses, s.MemoHits, 3*maxMemo)
+	}
+	r.mu.Lock()
+	n := len(r.memo)
+	r.mu.Unlock()
+	if n == 0 || n > maxMemo {
+		t.Fatalf("memo table holds %d entries after %d distinct windows, want 1..%d", n, 3*maxMemo, maxMemo)
+	}
+	fill(-1) // new: a miss, stored in the bounded table
+	fill(-1)
+	fill(-1)
+	if s := r.Stats(); s.MemoMisses != 3*maxMemo+1 || s.MemoHits != 2 {
+		t.Fatalf("after overflow: misses=%d hits=%d, want %d / 2", s.MemoMisses, s.MemoHits, 3*maxMemo+1)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"diffuse/internal/hash128"
 	"diffuse/internal/ir"
 	"diffuse/internal/kir"
 	"diffuse/internal/legion"
@@ -38,80 +39,63 @@ type memoEntry struct {
 	plan *fusionPlan
 }
 
-// analyze returns the fusion plan for a session's window, consulting the
-// memo table keyed by the window's canonical form. pinned stores (touched
-// by tasks deferred out of the window during a partial flush, or
-// referenced by another session's buffered tasks) are classified as live —
-// both in the canonical key and, below, for temporary-store elimination.
-// Callers hold r.mu.
-func (r *Runtime) analyze(window []*ir.Task, pinned map[ir.StoreID]bool) *fusionPlan {
-	pinned = withExternalRefs(window, pinned)
-	// Snapshot liveness once per store: ReleaseApp is an atomic another
-	// goroutine may flip at any time, and the memo key and temp
-	// elimination must agree on what they saw — a key minted as "live"
-	// caching a plan computed against "dead" would poison the memo table.
-	live := make(map[ir.StoreID]bool)
-	for _, t := range window {
-		for _, a := range t.Args {
-			id := a.Store.ID()
-			if _, seen := live[id]; !seen {
-				live[id] = a.Store.AppLive() || pinned[id]
-			}
-		}
-	}
-	if !r.cfg.NoMemo {
-		key := ir.Canonicalize(window, func(s *ir.Store) string {
-			if live[s.ID()] {
-				return "live"
-			}
-			return "dead"
-		})
-		if e, ok := r.memo[key]; ok {
-			r.stats.MemoHits++
-			return e.plan
-		}
-		plan := r.computePlan(window, live)
-		r.memo[key] = &memoEntry{plan: plan}
-		r.stats.MemoMisses++
-		return plan
-	}
-	return r.computePlan(window, live)
-}
+// maxMemo bounds the memo table. Window shapes are chosen by the
+// application — a diffuse-serve tenant picks its own N and Iters — so a
+// long-lived runtime must not grow the table with every shape it has ever
+// seen. Cleared wholesale on overflow, like legion's maxKernels: a
+// steady-state working set is a few dozen windows, and a stream with more
+// than maxMemo distinct windows defeats any eviction policy. Cleared
+// windows are analyzed again on their next appearance.
+const maxMemo = 2048
 
-// withExternalRefs extends pinned with stores whose runtime reference
+// analyze returns the fusion plan for a session's window, consulting the
+// memo table keyed by the window's structural key (ir.WindowScan). pinned
+// stores (touched by tasks deferred out of the window during a partial
+// flush) are classified as live, and so are stores whose runtime reference
 // count exceeds the references held by this window's own tasks: stores are
 // shared across sessions, so the surplus belongs to another session's
 // still-buffered tasks, and eliminating such a store as a temporary would
 // hand that session a freshly zeroed region. Runtime references are only
 // released during emission, which callers serialize under r.mu, so the
-// surplus can never be an undercount.
-func withExternalRefs(window []*ir.Task, pinned map[ir.StoreID]bool) map[ir.StoreID]bool {
-	counts := map[*ir.Store]int64{}
-	for _, t := range window {
-		for _, a := range t.Args {
-			counts[a.Store]++
-		}
+// surplus can never be an undercount. Callers hold r.mu.
+func (r *Runtime) analyze(window []*ir.Task, pinned map[ir.StoreID]bool) *fusionPlan {
+	sc := &r.scan
+	sc.Scan(window)
+	defer sc.Release()
+	// Snapshot liveness once per store: ReleaseApp is an atomic another
+	// goroutine may flip at any time, and the memo key and temp
+	// elimination must agree on what they saw — a key minted as "live"
+	// caching a plan computed against "dead" would poison the memo table.
+	for i := range sc.Stores {
+		s := &sc.Stores[i]
+		s.Live = s.Store.AppLive() || pinned[s.Store.ID()] || s.Store.RuntimeRefs() > s.Refs
 	}
-	out := make(map[ir.StoreID]bool, len(pinned))
-	for id, v := range pinned {
-		if v {
-			out[id] = true
-		}
+	if r.cfg.NoMemo {
+		return r.computePlan(window, sc)
 	}
-	for s, n := range counts {
-		if s.RuntimeRefs() > n {
-			out[s.ID()] = true
-		}
+	key := sc.Key(window)
+	if r.keyOracle != nil {
+		r.keyOracle(window, sc, key)
 	}
-	return out
+	if e, ok := r.memo[key]; ok {
+		r.stats.MemoHits++
+		return e.plan
+	}
+	plan := r.computePlan(window, sc)
+	if len(r.memo) >= maxMemo {
+		clear(r.memo)
+	}
+	r.memo[key] = &memoEntry{plan: plan}
+	r.stats.MemoMisses++
+	return plan
 }
 
 // computePlan runs the full analysis: fusible prefix, argument merging,
 // temporary-store elimination, kernel composition and optimization. live
-// is the snapshot taken by analyze: stores the application references,
-// plus pinned ones (deferred readers in this session or buffered tasks in
-// another).
-func (r *Runtime) computePlan(window []*ir.Task, live map[ir.StoreID]bool) *fusionPlan {
+// carries the liveness snapshot taken by analyze: stores the application
+// references, plus pinned ones (deferred readers in this session or
+// buffered tasks in another).
+func (r *Runtime) computePlan(window []*ir.Task, live *ir.WindowScan) *fusionPlan {
 	plan := &fusionPlan{prefixLen: fusiblePrefix(window)}
 	if plan.prefixLen <= 1 {
 		return plan
@@ -123,14 +107,14 @@ func (r *Runtime) computePlan(window []*ir.Task, live map[ir.StoreID]bool) *fusi
 	// with privileges promoted (R+W -> RW; paper §4.2.2).
 	type key struct {
 		store ir.StoreID
-		fp    string
+		part  hash128.Sum
 	}
 	index := map[key]int{}
 	plan.mappings = make([][]int, len(prefix))
 	for ti, t := range prefix {
 		plan.mappings[ti] = make([]int, len(t.Args))
 		for ai, a := range t.Args {
-			k := key{store: a.Store.ID(), fp: a.Part.Fingerprint()}
+			k := key{store: a.Store.ID(), part: a.Part.Hash()}
 			pi, ok := index[k]
 			if !ok {
 				pi = len(plan.params)
@@ -173,14 +157,14 @@ func (r *Runtime) computePlan(window []*ir.Task, live map[ir.StoreID]bool) *fusi
 		// interleave a write with aliased accesses (possible only for
 		// single-point launches, where the constraints admit such tasks).
 		storeOf := make([]ir.StoreID, len(plan.params))
-		fpOf := make([]string, len(plan.params))
+		partOf := make([]hash128.Sum, len(plan.params))
 		for pi, p := range plan.params {
 			a := prefix[p.taskIdx].Args[p.argIdx]
 			storeOf[pi] = a.Store.ID()
-			fpOf[pi] = a.Part.Fingerprint()
+			partOf[pi] = a.Part.Hash()
 		}
 		alias := func(p, q int) bool {
-			return storeOf[p] == storeOf[q] && fpOf[p] != fpOf[q]
+			return storeOf[p] == storeOf[q] && partOf[p] != partOf[q]
 		}
 		fused = kir.Optimize(fused, alias)
 	}
@@ -200,7 +184,7 @@ func (r *Runtime) computePlan(window []*ir.Task, live map[ir.StoreID]bool) *fusi
 
 // findTemps marks fused parameters whose stores satisfy Definition 4,
 // consulting the liveness snapshot taken with the memo key.
-func (r *Runtime) findTemps(plan *fusionPlan, prefix, suffix []*ir.Task, live map[ir.StoreID]bool) {
+func (r *Runtime) findTemps(plan *fusionPlan, prefix, suffix []*ir.Task, live *ir.WindowScan) {
 	// Per store: scan the prefix in program order.
 	type state struct {
 		coveredBy ir.Partition // partition of a covering write seen so far
@@ -252,7 +236,7 @@ func (r *Runtime) findTemps(plan *fusionPlan, prefix, suffix []*ir.Task, live ma
 		if x.coveredBy == nil {
 			continue // never produced inside the fusion
 		}
-		if suffixReads[s.ID()] || live[s.ID()] {
+		if suffixReads[s.ID()] || live.Live(s.ID()) {
 			continue
 		}
 		p.temp = true

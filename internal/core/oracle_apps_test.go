@@ -1,0 +1,126 @@
+package core_test
+
+import (
+	"fmt"
+	"testing"
+
+	"diffuse/cunum"
+	"diffuse/internal/apps"
+	"diffuse/internal/core"
+)
+
+// watchedCtx builds a fused real-mode context whose runtime reports every
+// analyzed window to the key oracle (oracle_test.go).
+func watchedCtx(shards int) *cunum.Context {
+	cfg := core.DefaultConfig(4)
+	cfg.Shards = shards
+	rt := core.New(cfg)
+	core.WatchKeys(rt)
+	return cunum.NewContext(rt)
+}
+
+// TestKeyOracleOnApplications runs the applications the repository ships
+// under the key oracle: on every window they make the runtime analyze, the
+// structural memo key and ir.Canonicalize must agree on which windows are
+// the same. The oracle panics on the first disagreement; this test adds
+// that the traffic was there and that it did repeat (so the "one string,
+// one key" direction was exercised by steady-state hits, not vacuously).
+// The hand-built windows of the in-package tests — partial drains with
+// pinned stores, two sessions sharing stores, dtype and repartition
+// boundaries — reach the same oracle through newTestRuntime.
+func TestKeyOracleOnApplications(t *testing.T) {
+	w0, d0 := core.WatchedKeyCounts()
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("swe/shards=%d", shards), func(t *testing.T) {
+			ctx := watchedCtx(shards)
+			s := apps.NewSWE(ctx, 16, 16, false)
+			s.Iterate(4)
+			ctx.Flush()
+			_ = s.TotalMass()
+		})
+		// CG forces its residual through futures every few iterations:
+		// FlushStore drains the dependency closure and re-buffers the
+		// rest, so windows are cut at points unrelated to the iteration
+		// and carry pinned stores.
+		t.Run(fmt.Sprintf("cg/shards=%d", shards), func(t *testing.T) {
+			ctx := watchedCtx(shards)
+			A := apps.BuildPoisson2D(ctx, 12)
+			cg := apps.NewCG(ctx, A, ctx.Ones(A.Rows()), false)
+			cg.Solve(-1, 17, 5)
+			_ = cg.X.ToHost()
+		})
+		for _, dt := range []cunum.DType{cunum.F64, cunum.F32} {
+			t.Run(fmt.Sprintf("blackscholes/%v/shards=%d", dt, shards), func(t *testing.T) {
+				ctx := watchedCtx(shards)
+				b := apps.NewBlackScholesT(ctx, 64, dt)
+				b.Iterate(3)
+				_ = b.Call.ToHost()
+			})
+			t.Run(fmt.Sprintf("jacobi/%v/shards=%d", dt, shards), func(t *testing.T) {
+				ctx := watchedCtx(shards)
+				j := apps.NewJacobiTotalT(ctx, 64, dt)
+				j.Solve(-1, 12, 4)
+				_ = j.Residual()
+			})
+			t.Run(fmt.Sprintf("chain/%v/shards=%d", dt, shards), func(t *testing.T) {
+				ctx := watchedCtx(shards)
+				sc := apps.NewStencilChain(ctx, 64, 8, 4, apps.ChainSymmetric, dt)
+				sc.Iterate(3)
+				_ = sc.Sum()
+			})
+		}
+	}
+
+	// A window that straddles a Reshard carries a non-zero generation
+	// delta; the same program without it must key differently.
+	t.Run("reshard", func(t *testing.T) {
+		for _, reshard := range []bool{false, true} {
+			ctx := watchedCtx(1)
+			x := ctx.Ones(64).Keep()
+			a := x.MulC(2).Keep()
+			if reshard {
+				a.Reshard(2)
+			}
+			b := a.AddC(1).Keep()
+			c := a.Mul(b).Keep()
+			ctx.Flush()
+			_ = c.ToHost()
+		}
+	})
+
+	w1, d1 := core.WatchedKeyCounts()
+	if w1-w0 < 200 {
+		t.Fatalf("oracle saw only %d analyses", w1-w0)
+	}
+	if d1-d0 < 40 || d1-d0 >= w1-w0 {
+		t.Fatalf("oracle saw %d distinct windows in %d analyses: want many, and repeats", d1-d0, w1-w0)
+	}
+}
+
+// TestAnalyzeHitPathDoesNotAllocate: in steady state analyze is a scan, a
+// liveness snapshot, a key fold and a map lookup over reused scratch. One
+// fmt call or one rebuilt map on that path costs more than the fused tasks
+// save on fine-grained steps (the benchmark's swe_small), so the guard
+// sits on analyze itself, over a window a real SWE step left buffered.
+func TestAnalyzeHitPathDoesNotAllocate(t *testing.T) {
+	cfg := core.DefaultConfig(4)
+	cfg.InitialWindow = 128 // a whole step fits, so a step stays buffered
+	ctx := cunum.NewContext(core.New(cfg))
+	s := apps.NewSWE(ctx, 16, 16, false)
+	s.Iterate(3) // steady state: every window of a step is memoized
+	s.Step()     // no flush
+	sess := ctx.Session()
+	if sess.Pending() < 80 {
+		t.Fatalf("SWE left only %d tasks buffered: not the window this guard is about", sess.Pending())
+	}
+	const runs = 50
+	allocs, hits := core.AnalyzeAllocs(sess, runs)
+	if hits != runs+1 { // AllocsPerRun warms up with one extra call
+		t.Fatalf("%d of %d measured analyses were memo hits", hits, runs+1)
+	}
+	if allocs != 0 {
+		t.Fatalf("a memo-hit analyze of a %d-task window allocates %.1f times, want 0", sess.Pending(), allocs)
+	}
+	ctx.Flush()
+	_ = s.TotalMass()
+}

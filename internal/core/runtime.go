@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"diffuse/internal/dist"
+	"diffuse/internal/hash128"
 	"diffuse/internal/ir"
 	"diffuse/internal/legion"
 	"diffuse/internal/machine"
@@ -154,10 +155,15 @@ type Runtime struct {
 	leg  *legion.Runtime
 	fact ir.Factory
 
-	mu    sync.Mutex // guards seq, memo, stats, and task emission
-	memo  map[string]*memoEntry
+	mu    sync.Mutex // guards seq, memo, scan, stats, and task emission
+	memo  map[hash128.Sum]*memoEntry
+	scan  ir.WindowScan // analyze's scratch, reused across windows
 	seq   int64
 	stats Stats
+
+	// keyOracle, set only by tests, sees every window analyze keys, with
+	// the liveness snapshot and the key it was given.
+	keyOracle func(window []*ir.Task, live *ir.WindowScan, key hash128.Sum)
 
 	// quotaOf maps each quota-charged store to its tenant charge, so the
 	// credit at store death reaches the right Quota. Guarded by quotaMu
@@ -191,7 +197,7 @@ func New(cfg Config) *Runtime {
 	r := &Runtime{
 		cfg:     cfg,
 		leg:     legion.New(cfg.Mode, cfg.Machine),
-		memo:    map[string]*memoEntry{},
+		memo:    map[hash128.Sum]*memoEntry{},
 		quotaOf: map[ir.StoreID]storeCharge{},
 	}
 	r.leg.SetShards(cfg.Shards)
@@ -220,13 +226,16 @@ func New(cfg Config) *Runtime {
 	return r
 }
 
-// Close shuts down the rank subprocesses of a distributed runtime and
-// reports the first failure any of them hit; it is a no-op (and returns
-// nil) for an in-process runtime.
+// Close ends the runtime's life. A distributed runtime shuts its rank
+// subprocesses down and reports the first failure any of them hit. An
+// in-process runtime releases its store data at once (legion.Runtime.Close)
+// and returns nil; tasks still buffered in session windows are not
+// flushed, and the runtime must not be used afterwards.
 func (r *Runtime) Close() error {
 	if rb := r.leg.Remote(); rb != nil {
 		return rb.Close()
 	}
+	r.leg.Close()
 	return nil
 }
 

@@ -44,7 +44,7 @@ type Session struct {
 	// Per-session plan-cache accounting, attributed from the runtime-wide
 	// counters across each window this session drains (atomics: another
 	// goroutine — a server's stats endpoint — reads them concurrently).
-	// planHits/planMisses count canonical-form memo lookups; progHits/
+	// planHits/planMisses count window-key memo lookups; progHits/
 	// progMisses count kernel-fingerprint program-cache lookups triggered
 	// while this session's windows compiled. A serving front end splits
 	// these by tenant to prove cross-tenant sharing of the compiled-plan
@@ -55,8 +55,8 @@ type Session struct {
 
 // SessionCacheStats is a snapshot of one session's plan-cache accounting.
 type SessionCacheStats struct {
-	// PlanHits / PlanMisses count fusion-plan memo lookups (canonical
-	// window form; a hit replays a previously computed plan, including
+	// PlanHits / PlanMisses count fusion-plan memo lookups (structural
+	// window key; a hit replays a previously computed plan, including
 	// its compiled fused kernel).
 	PlanHits, PlanMisses int64
 	// ProgramHits / ProgramMisses count codegen program-cache lookups
@@ -211,6 +211,12 @@ func (s *Session) Submit(t *ir.Task) {
 		t.Args[i].ShardGen = t.Args[i].Store.ShardGen()
 	}
 	r := s.rt
+	if r.cfg.Enabled && !r.cfg.NoMemo {
+		// Everything the memo key needs from the task alone, folded once
+		// here instead of once per window the task is analyzed in. It must
+		// follow the stamping above: dtypes are part of the kernel hash.
+		t.Seal()
+	}
 	r.mu.Lock()
 	r.seq++
 	t.Seq = r.seq

@@ -13,6 +13,11 @@ import (
 // structural property that the analysis depends on (task names, launch
 // domains, privileges, partition fingerprints, store shapes, and the
 // liveness bits consumed by temporary-store elimination) is kept verbatim.
+//
+// The string is the specification, not the product path: the fusion layer
+// keys its memo table with the structural hash of key.go, which folds the
+// same inputs without rendering them, and Canonicalize is the oracle that
+// key is tested against (and what the benchmark's ir probe times).
 
 // StoreFacts lets the caller contribute analysis-relevant per-store facts
 // (e.g. "application still holds a reference") into the canonical form so

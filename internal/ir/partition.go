@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"diffuse/internal/hash128"
 )
 
 // Projection applies a transformation to each point in a partition's color
@@ -116,9 +118,14 @@ type Partition interface {
 	// Equal is the constant-time structural equality used for alias
 	// checking. Partitions that are not Equal are assumed to alias.
 	Equal(other Partition) bool
-	// Fingerprint returns a canonical textual descriptor, used by the
-	// memoization of the fusion analysis (paper §5.2).
+	// Fingerprint returns a canonical textual descriptor: the partition's
+	// identity in Canonicalize and in the argument merging of a fusion
+	// plan.
 	Fingerprint() string
+	// Hash is Fingerprint without the text — equal exactly when the
+	// fingerprints are equal — cached at construction and folded into the
+	// structural memo key (Task.Seal, paper §5.2).
+	Hash() hash128.Sum
 }
 
 // NonePart replicates the parent store at every color: all points map to
@@ -128,10 +135,17 @@ type Partition interface {
 // point.
 type NonePart struct {
 	Colors Rect
+
+	hash   hash128.Sum // of Colors, set by ReplicateOver
+	hashed bool
 }
 
 // ReplicateOver returns a None partition over the given color space.
-func ReplicateOver(colors Rect) *NonePart { return &NonePart{Colors: colors} }
+func ReplicateOver(colors Rect) *NonePart {
+	n := &NonePart{Colors: colors}
+	n.hash, n.hashed = n.computeHash(), true
+	return n
+}
 
 // Kind implements Partition.
 func (n *NonePart) Kind() PartKind { return KindNone }
@@ -161,6 +175,27 @@ func (n *NonePart) Fingerprint() string {
 	return fmt.Sprintf("None%s", n.Colors)
 }
 
+// Hash implements Partition. A partition built as a literal instead of
+// through ReplicateOver has no cached hash and pays for one per call.
+func (n *NonePart) Hash() hash128.Sum {
+	if n.hashed {
+		return n.hash
+	}
+	return n.computeHash()
+}
+
+func (n *NonePart) computeHash() hash128.Sum {
+	h := hash128.New(uint64(KindNone))
+	hashRect(&h, n.Colors)
+	return h.Sum()
+}
+
+// hashRect folds a rectangle as Rect.String prints it: both corners.
+func hashRect(h *hash128.Hasher, r Rect) {
+	h.Ints(r.Lo)
+	h.Ints(r.Hi)
+}
+
 // String implements fmt.Stringer.
 func (n *NonePart) String() string { return n.Fingerprint() }
 
@@ -184,6 +219,9 @@ type TilingPart struct {
 	Stride []int       // parent-coordinate step between view elements (>=1)
 	Proj   *Projection // color transformation, IdentityProj if nil
 	Colors Rect        // color space (launch domain of the tasks using it)
+
+	hash   hash128.Sum // of the six fields above, set by seal
+	hashed bool
 }
 
 // NewTiling constructs a tiling partition. stride may be nil for unit
@@ -198,14 +236,41 @@ func NewTiling(colors Rect, view, tile, offset, stride []int, proj *Projection) 
 	if len(tile) != len(offset) || len(tile) != len(stride) || len(tile) != len(view) {
 		panic("ir: tiling rank mismatch")
 	}
-	return &TilingPart{
+	return (&TilingPart{
 		View:   append([]int(nil), view...),
 		Tile:   append([]int(nil), tile...),
 		Offset: append([]int(nil), offset...),
 		Stride: append([]int(nil), stride...),
 		Proj:   proj,
 		Colors: colors,
+	}).seal()
+}
+
+// seal caches the hash of a fully built tiling; the fields must not change
+// afterwards. NewTiling and the wire decoder end with it.
+func (t *TilingPart) seal() *TilingPart {
+	t.hash, t.hashed = t.computeHash(), true
+	return t
+}
+
+// Hash implements Partition. A tiling built as a literal and never sealed
+// pays for one hash per call.
+func (t *TilingPart) Hash() hash128.Sum {
+	if t.hashed {
+		return t.hash
 	}
+	return t.computeHash()
+}
+
+func (t *TilingPart) computeHash() hash128.Sum {
+	h := hash128.New(uint64(KindTiling))
+	h.Ints(t.View)
+	h.Ints(t.Tile)
+	h.Ints(t.Offset)
+	h.Ints(t.Stride)
+	h.Word(uint64(t.Proj.id))
+	hashRect(&h, t.Colors)
+	return h.Sum()
 }
 
 func ones(n int) []int {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"diffuse/internal/hash128"
 	"diffuse/internal/kir"
 )
 
@@ -115,7 +116,7 @@ func (a Arg) String() string {
 // kernels of fused prefixes.
 type Task struct {
 	// Name identifies the operation (e.g. "add", "spmv"); it participates
-	// in the canonical form used for memoization.
+	// in the memo key (key.go) and its canonical-string oracle.
 	Name string
 	// Launch is the launch domain; each point is one point task, typically
 	// one per processor.
@@ -136,6 +137,11 @@ type Task struct {
 	// FusedFrom records, for tasks produced by the fusion engine, how many
 	// original tasks were fused into this one (0 for original tasks).
 	FusedFrom int
+
+	// hash is the position-independent structural hash Seal caches for the
+	// memo key (key.go).
+	hash   hash128.Sum
+	sealed bool
 }
 
 // ReadsStore reports whether the task reads the given (store, partition)

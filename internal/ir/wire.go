@@ -188,7 +188,7 @@ func appendPartition(w *wbuf, p Partition) error {
 func readPartition(r *rbuf) Partition {
 	switch k := PartKind(r.u8()); k {
 	case KindNone:
-		return &NonePart{Colors: r.rect()}
+		return ReplicateOver(r.rect())
 	case KindTiling:
 		t := &TilingPart{
 			View:   r.ints(),
@@ -205,7 +205,7 @@ func readPartition(r *rbuf) Partition {
 			r.fail("ir: wire names unregistered projection %q", name)
 			return nil
 		}
-		return t
+		return t.seal()
 	default:
 		r.fail("ir: unknown wire partition kind %d", k)
 		return nil

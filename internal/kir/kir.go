@@ -26,6 +26,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
+
+	"diffuse/internal/hash128"
 )
 
 // Op enumerates scalar expression operators.
@@ -282,6 +284,17 @@ type Kernel struct {
 	// bookkeeping cheaper than the tasks it schedules. Reset by the
 	// build-time mutators (AddLoop, SetDType); not copied by Clone/Remap.
 	fpMemo string
+	// fpHash caches FingerprintHash under the same rules as fpMemo (set
+	// and reset together with it through dropFingerprint).
+	fpHash   hash128.Sum
+	fpHashed bool
+}
+
+// dropFingerprint invalidates both cached fingerprints after a build-time
+// mutation.
+func (k *Kernel) dropFingerprint() {
+	k.fpMemo = ""
+	k.fpHashed = false
 }
 
 // NewKernel allocates a kernel with the given parameter count; every
@@ -308,7 +321,7 @@ func (k *Kernel) SetDType(p int, d DType) {
 		k.DTypes = dts
 	}
 	k.DTypes[p] = d
-	k.fpMemo = ""
+	k.dropFingerprint()
 }
 
 // HasCast reports whether any statement of the kernel contains an explicit
@@ -350,7 +363,7 @@ func (k *Kernel) computeHasCast() bool {
 // AddLoop appends a loop to the kernel.
 func (k *Kernel) AddLoop(l *Loop) *Kernel {
 	k.Loops = append(k.Loops, l)
-	k.fpMemo = ""
+	k.dropFingerprint()
 	return k
 }
 
@@ -501,6 +514,96 @@ func exprFingerprint(b *strings.Builder, e *Expr) {
 		b.WriteByte(',')
 		exprFingerprint(b, e.C)
 		b.WriteByte(')')
+	}
+}
+
+// FingerprintHash is Fingerprint without the text: the same fields, in
+// the same order, folded into a 128-bit structural hash, so two kernels
+// have equal hashes exactly when their fingerprints are equal. The fusion
+// memo key (ir.WindowScan) consumes it once per submitted task; the
+// string survives for the program cache, the wire check and debugging.
+func (k *Kernel) FingerprintHash() hash128.Sum {
+	if k == nil {
+		return hash128.New(hashNilKernel).Sum()
+	}
+	if k.fpHashed {
+		return k.fpHash
+	}
+	h := hash128.New(hashKernel)
+	h.Int(k.NParams)
+	for p := 0; p < k.NParams; p++ {
+		h.Word(uint64(k.DTypeOf(p)))
+	}
+	h.Int(len(k.Loops))
+	for _, l := range k.Loops {
+		h.Word(uint64(l.Kind))
+		h.String(l.Dom)
+		h.Ints(l.Ext)
+		h.Int(l.ExtRef)
+		h.Int(l.Y)
+		h.Int(l.X)
+		h.Int(l.MatA)
+		h.Bool(l.Acc)
+		h.Word(uint64(l.Red))
+		h.Word(l.Seed)
+		h.Int(l.PayloadKey)
+		h.Int(len(l.Stmts))
+		for _, st := range l.Stmts {
+			h.Word(uint64(st.Kind))
+			h.Int(st.Param)
+			h.Word(uint64(st.Red))
+			exprHash(&h, st.E)
+		}
+	}
+	k.fpHash, k.fpHashed = h.Sum(), true
+	return k.fpHash
+}
+
+// Domain tags of the kernel hashes, and the node tags of exprHash: one
+// per arm of exprFingerprint, kept clear of every Op value.
+const (
+	hashKernel    = 0x6b69726b // "kirk"
+	hashNilKernel = 0x6b69726e // "kirn"
+
+	exprNil = 1<<32 + iota
+	exprConst
+	exprLoad
+	exprLoadScalar
+	exprCast
+)
+
+// exprHash mirrors exprFingerprint arm for arm. Immediates fold their
+// bits, which separates exactly what %g separates (it prints the shortest
+// text that parses back to the same float, and -0 as "-0") once every NaN
+// is folded as one value, as %g prints them all "NaN".
+func exprHash(h *hash128.Hasher, e *Expr) {
+	if e == nil {
+		h.Word(exprNil)
+		return
+	}
+	switch e.Op {
+	case OpConst:
+		h.Word(exprConst)
+		if e.Imm != e.Imm {
+			h.Word(math.Float64bits(math.NaN()))
+		} else {
+			h.Word(math.Float64bits(e.Imm))
+		}
+	case OpLoad:
+		h.Word(exprLoad)
+		h.Int(e.Param)
+	case OpLoadScalar:
+		h.Word(exprLoadScalar)
+		h.Int(e.Param)
+	case OpCast:
+		h.Word(exprCast)
+		h.Word(uint64(e.DT))
+		exprHash(h, e.A)
+	default:
+		h.Word(uint64(e.Op))
+		exprHash(h, e.A)
+		exprHash(h, e.B)
+		exprHash(h, e.C)
 	}
 }
 

@@ -232,3 +232,56 @@ func TestKernelCacheBoundedAndHoldsNoRegions(t *testing.T) {
 		runtime.KeepAlive(rt)
 	}
 }
+
+// TestCloseReleasesRegions: a closed runtime gives its store data back at
+// once — while the runtime object itself is still reachable, so before the
+// finalizer that stops the executor could have run — and refuses further
+// use. A buffered shard group is drained first.
+func TestCloseReleasesRegions(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		rt := New(ModeReal, machine.DefaultA100(4))
+		rt.SetShards(shards)
+		rt.SetWorkerPool(4)
+		var fact ir.Factory
+		launch := ir.MakeRect(ir.Point{0}, ir.Point{4})
+		const ext = 1 << 15 // its own heap object, so the finalizer tracks the buffer
+		big := fact.NewStore("big", []int{4 * ext})
+		big.SetShards(shards)
+		tp := ir.NewTiling(launch, []int{4 * ext}, []int{ext}, []int{0}, nil, nil)
+		rt.Execute(&ir.Task{Name: "fill", Launch: launch, Kernel: randomKernel(1, ext),
+			Args: []ir.Arg{{Store: big, Part: tp, Priv: ir.Write}}})
+
+		collected := make(chan struct{})
+		if shards == 1 {
+			runtime.SetFinalizer(&rt.regions[big.ID()].data.F64()[0], func(*float64) { close(collected) })
+		} else if rt.group == nil {
+			t.Fatalf("shards=%d: the task was not buffered into a shard group", shards)
+		}
+		rt.Close()
+		if shards == 1 {
+			deadline := time.After(10 * time.Second)
+		wait:
+			for {
+				runtime.GC()
+				select {
+				case <-collected:
+					break wait
+				case <-deadline:
+					t.Fatalf("shards=%d: a closed runtime's buffer is still reachable", shards)
+				case <-time.After(10 * time.Millisecond):
+				}
+			}
+		} else if rt.group != nil || rt.shardStats.Groups != 1 {
+			t.Fatalf("shards=%d: Close did not drain the buffered group", shards)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != "legion: runtime used after Close" {
+					t.Fatalf("shards=%d: use after Close recovered %v", shards, r)
+				}
+			}()
+			rt.ReadAll(big)
+		}()
+		runtime.KeepAlive(rt)
+	}
+}

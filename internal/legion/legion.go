@@ -251,6 +251,9 @@ func (rt *Runtime) Compiled(k *kir.Kernel) *kir.Compiled {
 func (rt *Runtime) regionFor(s *ir.Store, initRed ir.ReduceOp) *region {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
+	if rt.regions == nil {
+		panic("legion: runtime used after Close")
+	}
 	r, ok := rt.regions[s.ID()]
 	if !ok {
 		r = &region{data: kir.AllocBuffer(s.DType(), s.Size())}
@@ -271,6 +274,21 @@ func redIdentity(op ir.ReduceOp) float64 {
 	default:
 		return 0
 	}
+}
+
+// Close drops every region at once. Without it a discarded runtime's data
+// stays reachable until the finalizer that stops its executor has run —
+// two collections later, long enough for a process that builds runtimes
+// back to back to hold several dead ones' stores at the same time. A
+// buffered shard group is drained first; the runtime must not execute or
+// be read afterwards (regionFor panics).
+func (rt *Runtime) Close() {
+	rt.execMu.Lock()
+	defer rt.execMu.Unlock()
+	rt.drainShardGroupLocked()
+	rt.mu.Lock()
+	rt.regions = nil
+	rt.mu.Unlock()
 }
 
 // FreeStore drops the region of a dead store. Nothing else holds the
