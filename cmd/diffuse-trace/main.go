@@ -124,15 +124,19 @@ func printServeStats(w io.Writer, snap *serve.StatsSnapshot) {
 }
 
 // printStats dumps the runtime's execution counters: the codegen-backend
-// split (which tasks ran compiled, how the program cache behaved), when
-// sharding is on the sharded-drain accounting, and the online cost
-// calibration's measured-vs-predicted table.
+// split (which tasks ran compiled, how the program cache behaved), the
+// region recycler's allocate-vs-reuse split, when sharding is on the
+// sharded-drain accounting, and the online cost calibration's
+// measured-vs-predicted table.
 func printStats(w io.Writer, rt *core.Runtime, shards int) {
 	rt.Legion().DrainShardGroup() // make sure buffered groups are counted
 	cs := rt.Legion().CodegenStatsSnapshot()
 	fmt.Fprintf(w, "\ncodegen-backend stats:\n")
 	fmt.Fprintf(w, "  tasksCompiled=%d tasksInterpreted=%d programCacheHits=%d programCacheMisses=%d\n",
 		cs.TasksCompiled, cs.TasksInterpreted, cs.CacheHits, cs.CacheMisses)
+	es := rt.Legion().ExecStats()
+	fmt.Fprintf(w, "\nregion stats:\n")
+	fmt.Fprintf(w, "  regionAllocs=%d regionReuses=%d\n", es.RegionAllocs, es.RegionReuses)
 	ss := rt.Legion().ShardStatsSnapshot()
 	fmt.Fprintf(w, "\nsharded-drain stats (shards=%d):\n", shards)
 	fmt.Fprintf(w, "  groups=%d groupedTasks=%d stages=%d fallbacks=%d deferredFrees=%d\n",

@@ -1,3 +1,3 @@
 module diffuse
 
-go 1.23
+go 1.24

@@ -160,6 +160,13 @@ func (b Buffer) Set(i int, v float64) {
 	}
 }
 
+// Clear zeroes every element.
+func (b Buffer) Clear() {
+	clear(b.f64)
+	clear(b.f32)
+	clear(b.i32)
+}
+
 // Fill sets every element to v (rounded to the dtype).
 func (b Buffer) Fill(v float64) {
 	switch b.dt {

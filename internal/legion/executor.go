@@ -62,6 +62,11 @@ type ExecStats struct {
 	// Steals is the number of chunks a worker claimed from another
 	// worker's range.
 	Steals int64
+	// RegionAllocs is the number of regions that were freshly allocated,
+	// RegionReuses the number taken from the free list of freed regions
+	// (cleared first).
+	RegionAllocs int64
+	RegionReuses int64
 }
 
 // executor is the persistent worker pool of one ModeReal runtime. Exactly
@@ -839,11 +844,16 @@ func (rt *Runtime) ExecStats() ExecStats {
 	if e == nil {
 		return ExecStats{}
 	}
+	rt.mu.Lock()
+	allocs, reuses := rt.regionAllocs, rt.regionReuses
+	rt.mu.Unlock()
 	return ExecStats{
-		InlineTasks: e.inline.Load(),
-		PoolTasks:   e.pooled.Load(),
-		Chunks:      e.chunks.Load(),
-		Steals:      e.steals.Load(),
+		InlineTasks:  e.inline.Load(),
+		PoolTasks:    e.pooled.Load(),
+		Chunks:       e.chunks.Load(),
+		Steals:       e.steals.Load(),
+		RegionAllocs: allocs,
+		RegionReuses: reuses,
 	}
 }
 

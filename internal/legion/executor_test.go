@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"weak"
 
 	"diffuse/internal/ir"
 	"diffuse/internal/kir"
@@ -234,9 +235,10 @@ func TestKernelCacheBoundedAndHoldsNoRegions(t *testing.T) {
 }
 
 // TestCloseReleasesRegions: a closed runtime gives its store data back at
-// once — while the runtime object itself is still reachable, so before the
-// finalizer that stops the executor could have run — and refuses further
-// use. A buffered shard group is drained first.
+// once — live regions and the free list's recycled ones, while the runtime
+// object itself is still reachable, so before the finalizer that stops the
+// executor could have run — and refuses further use; a late FreeStore stays
+// a no-op. A buffered shard group is drained first.
 func TestCloseReleasesRegions(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		rt := New(ModeReal, machine.DefaultA100(4))
@@ -245,19 +247,38 @@ func TestCloseReleasesRegions(t *testing.T) {
 		var fact ir.Factory
 		launch := ir.MakeRect(ir.Point{0}, ir.Point{4})
 		const ext = 1 << 15 // its own heap object, so the finalizer tracks the buffer
-		big := fact.NewStore("big", []int{4 * ext})
-		big.SetShards(shards)
 		tp := ir.NewTiling(launch, []int{4 * ext}, []int{ext}, []int{0}, nil, nil)
-		rt.Execute(&ir.Task{Name: "fill", Launch: launch, Kernel: randomKernel(1, ext),
-			Args: []ir.Arg{{Store: big, Part: tp, Priv: ir.Write}}})
+		fill := func(name string) *ir.Store {
+			s := fact.NewStore(name, []int{4 * ext})
+			s.SetShards(shards)
+			rt.Execute(&ir.Task{Name: "fill", Launch: launch, Kernel: randomKernel(1, ext),
+				Args: []ir.Arg{{Store: s, Part: tp, Priv: ir.Write}}})
+			return s
+		}
+		// One region goes through the free list before Close (under shards=2
+		// by way of a deferred free the closing drain performs).
+		spare := fill("spare")
+		if shards == 1 {
+			rt.DrainShardGroup()
+		}
+		big := fill("big")
 
 		collected := make(chan struct{})
+		var recycled weak.Pointer[region]
 		if shards == 1 {
 			runtime.SetFinalizer(&rt.regions[big.ID()].data.F64()[0], func(*float64) { close(collected) })
+			recycled = weak.Make(rt.regions[spare.ID()])
 		} else if rt.group == nil {
 			t.Fatalf("shards=%d: the task was not buffered into a shard group", shards)
 		}
+		rt.FreeStore(spare.ID())
+		if shards == 1 && len(rt.free) != 1 {
+			t.Fatalf("shards=%d: the freed region is not on the free list", shards)
+		}
 		rt.Close()
+		if rt.free != nil {
+			t.Fatalf("shards=%d: Close kept the free list", shards)
+		}
 		if shards == 1 {
 			deadline := time.After(10 * time.Second)
 		wait:
@@ -271,8 +292,15 @@ func TestCloseReleasesRegions(t *testing.T) {
 				case <-time.After(10 * time.Millisecond):
 				}
 			}
-		} else if rt.group != nil || rt.shardStats.Groups != 1 {
+			if recycled.Value() != nil {
+				t.Fatalf("shards=%d: a closed runtime's recycled region is still reachable", shards)
+			}
+		} else if rt.group != nil || rt.shardStats.Groups != 1 || rt.shardStats.DeferredFrees != 1 {
 			t.Fatalf("shards=%d: Close did not drain the buffered group", shards)
+		}
+		rt.FreeStore(big.ID())
+		if rt.free != nil || rt.regions != nil {
+			t.Fatalf("shards=%d: FreeStore after Close resurrected runtime state", shards)
 		}
 		func() {
 			defer func() {

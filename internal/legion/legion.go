@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"weak"
 
 	"diffuse/internal/ir"
 	"diffuse/internal/kir"
@@ -111,8 +112,12 @@ type Runtime struct {
 	writers map[ir.StoreID][]ir.Partition
 	pendRed map[ir.StoreID]ir.ReduceOp // stores with uncombined reductions
 
-	mu      sync.Mutex // guards regions, kernels, progs, and codegen
+	mu      sync.Mutex // guards regions, free, kernels, progs, and codegen
 	regions map[ir.StoreID]*region
+	// free is the region free list (see regionKey); regionAllocs and
+	// regionReuses count what regionFor did, for ExecStats.
+	free                       map[regionKey][]weak.Pointer[region]
+	regionAllocs, regionReuses int64
 	// kernels is the one per-kernel-object cache: the compiled form plus
 	// (ModeReal) the execution plan, bounded by maxKernels.
 	kernels map[*kir.Kernel]*kernelEntry
@@ -177,6 +182,7 @@ func New(mode Mode, cfg machine.Config) *Runtime {
 		mode:    mode,
 		sim:     machine.NewSim(cfg),
 		regions: map[ir.StoreID]*region{},
+		free:    map[regionKey][]weak.Pointer[region]{},
 		writers: map[ir.StoreID][]ir.Partition{},
 		pendRed: map[ir.StoreID]ir.ReduceOp{},
 		kernels: map[*kir.Kernel]*kernelEntry{},
@@ -247,7 +253,37 @@ func (rt *Runtime) Compiled(k *kir.Kernel) *kir.Compiled {
 	return rt.kernelFor(k).comp
 }
 
-// regionFor returns (allocating if needed) the buffer of a store.
+// regionKey is what the free list matches on: a freed region serves a new
+// store of exactly its dtype and element count, so nothing is rounded up
+// and a recycled buffer has the length every binding expects.
+//
+// The list holds its regions weakly. Freed buffers cost nothing the
+// collector has to mark or keep: every cycle empties the list, so the live
+// heap and the collector's next goal are what they were without it, and a
+// dropped runtime pins nothing. A strong list gave the same step time but
+// kept the freed buffers in the live heap (cg_large 1.04 -> 2.03 MB,
+// blackscholes_large 9.0 -> 15.0 MB), and sync.Pool kept the live heap but
+// its victim cache raised blackscholes_large's peak RSS from 31 to 43-45 MB
+// and holds a dead runtime's buffers for two more cycles.
+type regionKey struct {
+	dt kir.DType
+	n  int
+}
+
+// maxFreePerKey and maxFreeKeys bound the free list between collections
+// (a process that never collects must not keep every region it ever
+// freed); on overflow a key's list, or the whole table, is dropped
+// wholesale like maxKernels.
+const (
+	maxFreePerKey = 64
+	maxFreeKeys   = 256
+)
+
+// regionFor returns the buffer of a store, on first use taking a freed
+// region of the same dtype and element count when one is still around and
+// allocating otherwise. A recycled region is cleared first, so it is
+// indistinguishable from a fresh one: nothing proves that a store's first
+// task writes every element.
 func (rt *Runtime) regionFor(s *ir.Store, initRed ir.ReduceOp) *region {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -256,12 +292,34 @@ func (rt *Runtime) regionFor(s *ir.Store, initRed ir.ReduceOp) *region {
 	}
 	r, ok := rt.regions[s.ID()]
 	if !ok {
-		r = &region{data: kir.AllocBuffer(s.DType(), s.Size())}
+		if r = rt.popFreeLocked(regionKey{s.DType(), s.Size()}); r != nil {
+			r.data.Clear()
+			rt.regionReuses++
+		} else {
+			r = &region{data: kir.AllocBuffer(s.DType(), s.Size())}
+			rt.regionAllocs++
+		}
 		if initRed == ir.RedMax || initRed == ir.RedMin {
 			r.data.Fill(redIdentity(initRed))
 		}
 		rt.regions[s.ID()] = r
 	}
+	return r
+}
+
+// popFreeLocked takes the most recently freed region under k that the
+// collector has not reclaimed. Callers hold mu.
+func (rt *Runtime) popFreeLocked(k regionKey) *region {
+	l := rt.free[k]
+	if len(l) == 0 {
+		return nil
+	}
+	var r *region
+	for r == nil && len(l) > 0 {
+		r = l[len(l)-1].Value()
+		l = l[:len(l)-1]
+	}
+	rt.free[k] = l
 	return r
 }
 
@@ -276,24 +334,27 @@ func redIdentity(op ir.ReduceOp) float64 {
 	}
 }
 
-// Close drops every region at once. Without it a discarded runtime's data
-// stays reachable until the finalizer that stops its executor has run —
-// two collections later, long enough for a process that builds runtimes
-// back to back to hold several dead ones' stores at the same time. A
-// buffered shard group is drained first; the runtime must not execute or
-// be read afterwards (regionFor panics).
+// Close drops every region and the free list at once. Without it a
+// discarded runtime's data stays reachable until the finalizer that stops
+// its executor has run — two collections later, long enough for a process
+// that builds runtimes back to back to hold several dead ones' stores at
+// the same time. A buffered shard group is drained first; the runtime must
+// not execute or be read afterwards (regionFor panics), and a later
+// FreeStore is a no-op.
 func (rt *Runtime) Close() {
 	rt.execMu.Lock()
 	defer rt.execMu.Unlock()
 	rt.drainShardGroupLocked()
 	rt.mu.Lock()
 	rt.regions = nil
+	rt.free = nil
 	rt.mu.Unlock()
 }
 
-// FreeStore drops the region of a dead store. Nothing else holds the
-// buffer — cached execution plans re-resolve their regions on every use —
-// so the free is O(1) and the memory is reclaimable at once. When a
+// FreeStore drops the region of a dead store onto the free list. Nothing
+// else holds the buffer — cached execution plans re-resolve their regions
+// on every use, and the list holds it weakly — so the free is O(1) and the
+// memory is reclaimable at once. When a
 // buffered shard group still references the store (its tasks have not
 // executed yet), the free is deferred until the group drains — draining
 // the whole group on every temporary's death would dissolve exactly the
@@ -323,7 +384,18 @@ func (rt *Runtime) freeStoreLocked(id ir.StoreID) {
 	delete(rt.pendRed, id)
 	delete(rt.deferredFreeIn, id)
 	rt.mu.Lock()
-	delete(rt.regions, id)
+	if r, ok := rt.regions[id]; ok {
+		delete(rt.regions, id)
+		k := regionKey{r.data.DType(), r.data.Len()}
+		l, known := rt.free[k]
+		if !known && len(rt.free) >= maxFreeKeys {
+			clear(rt.free)
+		}
+		if len(l) >= maxFreePerKey {
+			l = l[:0]
+		}
+		rt.free[k] = append(l, weak.Make(r))
+	}
 	rt.mu.Unlock()
 }
 
@@ -600,9 +672,10 @@ func interiorColor(colors Rect) ir.Point {
 type Rect = ir.Rect
 
 // updateWriters records the partitions that produced each store's current
-// contents: a covering write owns the whole store and resets the set;
-// partial writes (interior views, boundary strips) accumulate, capped to
-// bound the metadata like Legion's version-number compaction.
+// contents: a covering write owns the whole store and resets the set (in
+// place: the slice belongs to this map entry alone); partial writes
+// (interior views, boundary strips) accumulate, capped to bound the
+// metadata like Legion's version-number compaction.
 const maxWriters = 8
 
 func (rt *Runtime) updateWriters(t *ir.Task) {
@@ -611,7 +684,7 @@ func (rt *Runtime) updateWriters(t *ir.Task) {
 		case a.Priv.Writes():
 			id := a.Store.ID()
 			if a.Part.Covers(a.Store.Bounds()) {
-				rt.writers[id] = []ir.Partition{a.Part}
+				rt.writers[id] = append(rt.writers[id][:0], a.Part)
 			} else if !anyEqual(rt.writers[id], a.Part) {
 				ws := append(rt.writers[id], a.Part)
 				if len(ws) > maxWriters {
@@ -624,8 +697,9 @@ func (rt *Runtime) updateWriters(t *ir.Task) {
 			}
 			delete(rt.pendRed, a.Store.ID())
 		case a.Priv.Reduces():
-			rt.pendRed[a.Store.ID()] = a.Red
-			rt.writers[a.Store.ID()] = []ir.Partition{a.Part}
+			id := a.Store.ID()
+			rt.pendRed[id] = a.Red
+			rt.writers[id] = append(rt.writers[id][:0], a.Part)
 		}
 	}
 }
