@@ -9,11 +9,14 @@ import "diffuse/internal/ir"
 // execution (a prefix never crosses a Reshard boundary). effects tracks,
 // per store, the partitions through which the prefix so far has read,
 // written, and reduced; admitting one more task is a constant number of
-// map lookups and constant-time partition equality checks per argument —
+// slice lookups and constant-time partition equality checks per argument —
 // never a pairwise sub-store intersection (that is the scale-free property
-// of §4.2.1).
+// of §4.2.1). Stores go by their first-appearance indices in the window,
+// which ir.WindowScan computed for the memo key.
 
 type storeEffects struct {
+	// tracked is set once the prefix has touched the store.
+	tracked bool
 	// writeParts are the distinct partitions through which the prefix
 	// writes the store. Across tasks the true-dependence constraint
 	// forces a single one, but one task may carry several aliasing write
@@ -36,33 +39,30 @@ type storeEffects struct {
 	// between the decompositions — fusing across the boundary would bake
 	// the old decomposition into the fused task.
 	shardGen int64
-	genSet   bool
 }
 
 type dataflow struct {
-	launch  ir.Rect
-	effects map[ir.StoreID]*storeEffects
+	launch ir.Rect
+	// effects is indexed by window store index; argStores holds that index
+	// for every argument of the window in window order, and next is the
+	// position in it of the first argument of the task admits and record
+	// are about to see (tasks arrive in window order, each exactly once).
+	effects   []storeEffects
+	argStores []int32
+	next      int
 	// dtypes is the set of element types the prefix touches, and hasCast
 	// whether any admitted kernel contains an explicit cast. The dtype
 	// constraint (beyond Fig. 5's four): a prefix may span several element
 	// types only across an explicit cast — two otherwise-independent f32
 	// and f64 streams in one window must not merge into a single fused
 	// kernel (and hence a single memo entry) by accident of adjacency.
-	dtypes  map[ir.DType]bool
+	// One bit per ir.DType.
+	dtypes  uint32
 	hasCast bool
 }
 
-func newDataflow(first *ir.Task) *dataflow {
-	return &dataflow{launch: first.Launch, effects: map[ir.StoreID]*storeEffects{}, dtypes: map[ir.DType]bool{}}
-}
-
-func (d *dataflow) eff(s *ir.Store) *storeEffects {
-	e, ok := d.effects[s.ID()]
-	if !ok {
-		e = &storeEffects{}
-		d.effects[s.ID()] = e
-	}
-	return e
+func newDataflow(first *ir.Task, sc *ir.WindowScan) *dataflow {
+	return &dataflow{launch: first.Launch, effects: make([]storeEffects, len(sc.Stores)), argStores: sc.ArgStores()}
 }
 
 // admits reports whether appending t to the prefix keeps it fusible.
@@ -89,9 +89,9 @@ func (d *dataflow) admits(t *ir.Task) bool {
 	// Reduction semantics still demand a combine step before readers, so
 	// the reduction constraint stays.
 	single := d.launch.Size() == 1
-	for _, a := range t.Args {
-		e, tracked := d.effects[a.Store.ID()]
-		if !tracked {
+	for i, a := range t.Args {
+		e := &d.effects[d.argStores[d.next+i]]
+		if !e.tracked {
 			if d.selfAliases(a) {
 				// A replicated write on a multi-point launch is not
 				// point-wise even in isolation.
@@ -104,7 +104,7 @@ func (d *dataflow) admits(t *ir.Task) bool {
 		}
 		// Repartition constraint: the store was Resharded since the prefix
 		// first touched it.
-		if e.genSet && e.shardGen != a.ShardGen {
+		if e.shardGen != a.ShardGen {
 			return false
 		}
 		if d.selfAliases(a) {
@@ -160,10 +160,10 @@ func (d *dataflow) admits(t *ir.Task) bool {
 // check without allocating.
 func (d *dataflow) admitsDTypes(t *ir.Task) bool {
 	mixed := multiDType(t)
-	if !mixed && len(t.Args) > 0 && len(d.dtypes) > 0 {
+	if !mixed && len(t.Args) > 0 && d.dtypes != 0 {
 		// All of t's arguments share one dtype; the prefix widens exactly
 		// when that dtype is new to it.
-		mixed = !d.dtypes[t.Args[0].Store.DType()]
+		mixed = d.dtypes&(1<<t.Args[0].Store.DType()) == 0
 	}
 	if !mixed {
 		return true
@@ -179,8 +179,8 @@ func (d *dataflow) admitsDTypes(t *ir.Task) bool {
 
 // sharesStore reports whether t touches any store the prefix has touched.
 func (d *dataflow) sharesStore(t *ir.Task) bool {
-	for _, a := range t.Args {
-		if _, ok := d.effects[a.Store.ID()]; ok {
+	for i := range t.Args {
+		if d.effects[d.argStores[d.next+i]].tracked {
 			return true
 		}
 	}
@@ -242,17 +242,17 @@ func addPart(set []ir.Partition, p ir.Partition) []ir.Partition {
 }
 
 // record folds t's effects into the dataflow state (t must have been
-// admitted).
+// admitted) and moves on to the next task of the window.
 func (d *dataflow) record(t *ir.Task) {
 	if t.Kernel != nil && t.Kernel.HasCast() {
 		d.hasCast = true
 	}
-	for _, a := range t.Args {
-		d.dtypes[a.Store.DType()] = true
-		e := d.eff(a.Store)
-		if !e.genSet {
+	for i, a := range t.Args {
+		d.dtypes |= 1 << a.Store.DType()
+		e := &d.effects[d.argStores[d.next+i]]
+		if !e.tracked {
+			e.tracked = true
 			e.shardGen = a.ShardGen
-			e.genSet = true
 		}
 		if a.Priv.Reads() {
 			e.readParts = addPart(e.readParts, a.Part)
@@ -265,13 +265,14 @@ func (d *dataflow) record(t *ir.Task) {
 			e.redOp = a.Red
 		}
 	}
+	d.next += len(t.Args)
 }
 
 // fusiblePrefix returns the length of the longest fusible prefix of the
-// window (always >= 1: a single task is trivially "fusible" and is emitted
-// unfused).
-func fusiblePrefix(window []*ir.Task) int {
-	d := newDataflow(window[0])
+// window sc was scanned over (always >= 1: a single task is trivially
+// "fusible" and is emitted unfused).
+func fusiblePrefix(window []*ir.Task, sc *ir.WindowScan) int {
+	d := newDataflow(window[0], sc)
 	// The first task joins unconditionally at the task level, but a task
 	// whose own arguments self-alias must run alone (it is still legal for
 	// the runtime, which serializes it; it just cannot be fused). The same

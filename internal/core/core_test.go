@@ -68,7 +68,7 @@ func TestFusiblePrefixSound(t *testing.T) {
 	fn := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		window := randomWindow(rng, &fact)
-		n := fusiblePrefix(window)
+		n := fusiblePrefix(window, scanOf(window))
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
 				if !ir.PointwiseFusible(window[i], window[j]) {
@@ -101,7 +101,7 @@ func TestSelfAliasingWriteRuns(t *testing.T) {
 		mk(ir.Arg{Store: s, Part: ir.ReplicateOver(launch), Priv: ir.Write}),
 		mk(ir.Arg{Store: d, Part: tile, Priv: ir.Write}),
 	}
-	if got := fusiblePrefix(window); got != 1 {
+	if got := fusiblePrefix(window, scanOf(window)); got != 1 {
 		t.Fatalf("replicated-write task must run alone, prefix = %d", got)
 	}
 }
@@ -123,13 +123,14 @@ func TestSinglePointRelaxation(t *testing.T) {
 		mk(ir.Arg{Store: s, Part: full, Priv: ir.Write}),
 		mk(ir.Arg{Store: s, Part: view, Priv: ir.Read}, ir.Arg{Store: d, Part: full, Priv: ir.Write}),
 	}
-	if got := fusiblePrefix(window); got != 2 {
+	if got := fusiblePrefix(window, scanOf(window)); got != 2 {
 		t.Fatalf("single-point aliasing tasks should fuse, prefix = %d", got)
 	}
 	// A reduction remains a barrier even on one point.
 	red := mk(ir.Arg{Store: s, Part: view, Priv: ir.Read}, ir.Arg{Store: d, Part: ir.ReplicateOver(launch), Priv: ir.Reduce, Red: ir.RedSum})
 	readBack := mk(ir.Arg{Store: d, Part: ir.ReplicateOver(launch), Priv: ir.Read}, ir.Arg{Store: s, Part: full, Priv: ir.Write})
-	if got := fusiblePrefix([]*ir.Task{red, readBack}); got != 1 {
+	w := []*ir.Task{red, readBack}
+	if got := fusiblePrefix(w, scanOf(w)); got != 1 {
 		t.Fatalf("read-after-reduce must not fuse even on one point, prefix = %d", got)
 	}
 }
@@ -153,7 +154,7 @@ func TestLaunchDomainEquivalence(t *testing.T) {
 	other := ir.MakeRect(ir.Point{0}, ir.Point{2})
 	t2 := &ir.Task{Name: "t", Launch: other, Args: []ir.Arg{{Store: s, Part: ir.NewTiling(other, []int{16}, []int{8}, []int{0}, nil, nil), Priv: ir.Read}}, Kernel: kir.NewKernel("t", 1)}
 	window := []*ir.Task{mk(ir.Arg{Store: s, Part: tile, Priv: ir.Write}), t2}
-	if fusiblePrefix(window) != 1 {
+	if fusiblePrefix(window, scanOf(window)) != 1 {
 		t.Fatal("different launch domains must not fuse")
 	}
 }
@@ -169,12 +170,12 @@ func TestTrueDependenceConstraint(t *testing.T) {
 		mk(ir.Arg{Store: s, Part: tile, Priv: ir.Write}),
 		mk(ir.Arg{Store: s, Part: tile, Priv: ir.Read}, ir.Arg{Store: d, Part: tile, Priv: ir.Write}),
 	}
-	if fusiblePrefix(w) != 2 {
+	if fusiblePrefix(w, scanOf(w)) != 2 {
 		t.Fatal("same-partition RAW should fuse")
 	}
 	// Read through a shifted view: not fusible.
 	w[1] = mk(ir.Arg{Store: s, Part: shift, Priv: ir.Read}, ir.Arg{Store: d, Part: tile, Priv: ir.Write})
-	if fusiblePrefix(w) != 1 {
+	if fusiblePrefix(w, scanOf(w)) != 1 {
 		t.Fatal("aliasing RAW must not fuse")
 	}
 }
@@ -192,7 +193,7 @@ func TestAntiDependenceConstraint(t *testing.T) {
 		mk(ir.Arg{Store: s, Part: shift, Priv: ir.Read}, ir.Arg{Store: d, Part: tile, Priv: ir.ReadWrite}),
 		mk(ir.Arg{Store: s, Part: tile, Priv: ir.Write}),
 	}
-	if got := fusiblePrefix(w); got != 2 {
+	if got := fusiblePrefix(w, scanOf(w)); got != 2 {
 		t.Fatalf("write after aliasing read must stop the prefix at 2, got %d", got)
 	}
 }
@@ -209,12 +210,12 @@ func TestReductionConstraint(t *testing.T) {
 		mk(ir.Arg{Store: s, Part: tile, Priv: ir.Read}, ir.Arg{Store: acc, Part: rep, Priv: ir.Reduce, Red: ir.RedSum}),
 		mk(ir.Arg{Store: acc, Part: rep, Priv: ir.Read}, ir.Arg{Store: s, Part: tile, Priv: ir.Write}),
 	}
-	if got := fusiblePrefix(w); got != 2 {
+	if got := fusiblePrefix(w, scanOf(w)); got != 2 {
 		t.Fatalf("reductions fuse, their reader does not; got %d", got)
 	}
 	// Different operators must not fuse.
 	w[1].Args[1].Red = ir.RedMax
-	if got := fusiblePrefix(w); got != 1 {
+	if got := fusiblePrefix(w, scanOf(w)); got != 1 {
 		t.Fatalf("mixed reduction operators must not fuse; got %d", got)
 	}
 }

@@ -116,7 +116,7 @@ func TestDTypeFusionConstraint(t *testing.T) {
 			tk.Kernel.SetDType(i, a.Store.DType())
 		}
 	}
-	if n := fusiblePrefix(window); n != 2 {
+	if n := fusiblePrefix(window, scanOf(window)); n != 2 {
 		t.Fatalf("mixed-dtype window without cast fused %d tasks, want 2", n)
 	}
 
@@ -134,7 +134,7 @@ func TestDTypeFusionConstraint(t *testing.T) {
 			tk.Kernel.SetDType(i, a.Store.DType())
 		}
 	}
-	if n := fusiblePrefix(bridged); n != 4 {
+	if n := fusiblePrefix(bridged, scanOf(bridged)); n != 4 {
 		t.Fatalf("cast-bridged mixed-dtype window fused %d tasks, want 4", n)
 	}
 
@@ -148,7 +148,7 @@ func TestDTypeFusionConstraint(t *testing.T) {
 	for i, a := range unrelated[4].Args {
 		unrelated[4].Kernel.SetDType(i, a.Store.DType())
 	}
-	if n := fusiblePrefix(unrelated); n != 4 {
+	if n := fusiblePrefix(unrelated, scanOf(unrelated)); n != 4 {
 		t.Fatalf("unrelated i32 stream joined a cast-bridged prefix (%d tasks fused, want 4)", n)
 	}
 
@@ -161,7 +161,7 @@ func TestDTypeFusionConstraint(t *testing.T) {
 	for i, a := range connected[4].Args {
 		connected[4].Kernel.SetDType(i, a.Store.DType())
 	}
-	if n := fusiblePrefix(connected); n != 5 {
+	if n := fusiblePrefix(connected, scanOf(connected)); n != 5 {
 		t.Fatalf("store-connected widening task rejected from cast-bridged prefix (%d tasks fused, want 5)", n)
 	}
 
@@ -179,7 +179,7 @@ func TestDTypeFusionConstraint(t *testing.T) {
 	for i, a := range headMixed[0].Args {
 		headMixed[0].Kernel.SetDType(i, a.Store.DType())
 	}
-	if n := fusiblePrefix(headMixed); n != 1 {
+	if n := fusiblePrefix(headMixed, scanOf(headMixed)); n != 1 {
 		t.Fatalf("cast-free mixed-dtype head task fused %d tasks, want 1", n)
 	}
 
@@ -197,7 +197,7 @@ func TestDTypeFusionConstraint(t *testing.T) {
 	for i, a := range strayCast[2].Args {
 		strayCast[2].Kernel.SetDType(i, a.Store.DType())
 	}
-	if n := fusiblePrefix(strayCast); n != 2 {
+	if n := fusiblePrefix(strayCast, scanOf(strayCast)); n != 2 {
 		t.Fatalf("unconnected cast task joined a foreign prefix (%d tasks fused, want 2)", n)
 	}
 }

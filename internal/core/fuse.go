@@ -1,9 +1,8 @@
 package core
 
 import (
-	"fmt"
+	"strconv"
 
-	"diffuse/internal/hash128"
 	"diffuse/internal/ir"
 	"diffuse/internal/kir"
 	"diffuse/internal/legion"
@@ -91,42 +90,68 @@ func (r *Runtime) analyze(window []*ir.Task, pinned map[ir.StoreID]bool) *fusion
 }
 
 // computePlan runs the full analysis: fusible prefix, argument merging,
-// temporary-store elimination, kernel composition and optimization. live
-// carries the liveness snapshot taken by analyze: stores the application
-// references, plus pinned ones (deferred readers in this session or
-// buffered tasks in another).
-func (r *Runtime) computePlan(window []*ir.Task, live *ir.WindowScan) *fusionPlan {
-	plan := &fusionPlan{prefixLen: fusiblePrefix(window)}
+// temporary-store elimination, kernel composition and optimization. sc is
+// analyze's scan of the window: it names every store by a dense index, so
+// nothing below hashes a store identity again, and carries the liveness
+// snapshot (stores the application references, plus pinned ones: deferred
+// readers in this session or buffered tasks in another).
+func (r *Runtime) computePlan(window []*ir.Task, sc *ir.WindowScan) *fusionPlan {
+	plan := &fusionPlan{prefixLen: fusiblePrefix(window, sc)}
 	if plan.prefixLen <= 1 {
 		return plan
 	}
 	prefix := window[:plan.prefixLen]
-	suffix := window[plan.prefixLen:]
+	argStores := sc.ArgStores()
 
 	// Merge arguments: one fused parameter per distinct (store, partition),
-	// with privileges promoted (R+W -> RW; paper §4.2.2).
-	type key struct {
-		store ir.StoreID
-		part  hash128.Sum
+	// with privileges promoted (R+W -> RW; paper §4.2.2). A store's
+	// parameters are chained through nextParam from firstParam, in order of
+	// creation; nearly every chain has one link.
+	nargs := 0
+	for _, t := range prefix {
+		nargs += len(t.Args)
 	}
-	index := map[key]int{}
+	firstParam := make([]int32, len(sc.Stores))
+	for i := range firstParam {
+		firstParam[i] = -1
+	}
+	views := make([]int32, len(sc.Stores)) // fused parameters per store
+	var storeOf, nextParam []int32         // per fused parameter
+	aliased := false                       // some store is reached through several partitions
+	flat := make([]int, nargs)             // backs plan.mappings
 	plan.mappings = make([][]int, len(prefix))
+	ai := 0
 	for ti, t := range prefix {
-		plan.mappings[ti] = make([]int, len(t.Args))
-		for ai, a := range t.Args {
-			k := key{store: a.Store.ID(), part: a.Part.Hash()}
-			pi, ok := index[k]
-			if !ok {
-				pi = len(plan.params)
-				index[k] = pi
+		plan.mappings[ti] = flat[ai : ai+len(t.Args) : ai+len(t.Args)]
+		for i, a := range t.Args {
+			di := argStores[ai]
+			pi, last := firstParam[di], int32(-1)
+			for pi >= 0 {
+				p := &plan.params[pi]
+				if prefix[p.taskIdx].Args[p.argIdx].Part.Hash() == a.Part.Hash() {
+					break
+				}
+				pi, last = nextParam[pi], pi
+			}
+			if pi < 0 {
+				pi = int32(len(plan.params))
 				plan.params = append(plan.params, fusedParam{
-					taskIdx: ti, argIdx: ai, priv: a.Priv, red: a.Red,
+					taskIdx: ti, argIdx: i, priv: a.Priv, red: a.Red,
 				})
+				storeOf, nextParam = append(storeOf, di), append(nextParam, -1)
+				views[di]++
+				if last < 0 {
+					firstParam[di] = pi
+				} else {
+					nextParam[last] = pi
+					aliased = true
+				}
 			} else {
 				p := &plan.params[pi]
 				p.priv = mergePriv(p.priv, a.Priv)
 			}
-			plan.mappings[ti][ai] = pi
+			flat[ai] = int(pi)
+			ai++
 		}
 	}
 
@@ -137,7 +162,7 @@ func (r *Runtime) computePlan(window []*ir.Task, live *ir.WindowScan) *fusionPla
 	// reference. Reduction targets keep their regions (reduction cells
 	// survive the task).
 	if !r.cfg.NoTempElim {
-		r.findTemps(plan, prefix, suffix, live)
+		findTemps(plan, window, sc, storeOf, views)
 	}
 
 	// Compose and optimize the fused kernel (Fig. 8).
@@ -145,7 +170,7 @@ func (r *Runtime) computePlan(window []*ir.Task, live *ir.WindowScan) *fusionPla
 	for i, t := range prefix {
 		kernels[i] = t.Kernel
 	}
-	fused := kir.Concat(fmt.Sprintf("fused%d", len(prefix)), len(plan.params), kernels, plan.mappings)
+	fused := kir.Concat("fused"+strconv.Itoa(len(prefix)), len(plan.params), kernels, plan.mappings)
 	for pi, p := range plan.params {
 		if p.temp {
 			fused.MarkLocal(pi)
@@ -156,15 +181,18 @@ func (r *Runtime) computePlan(window []*ir.Task, live *ir.WindowScan) *fusionPla
 		// partitions) of one store; the loop-fusion pass must not
 		// interleave a write with aliased accesses (possible only for
 		// single-point launches, where the constraints admit such tasks).
-		storeOf := make([]ir.StoreID, len(plan.params))
-		partOf := make([]hash128.Sum, len(plan.params))
-		for pi, p := range plan.params {
-			a := prefix[p.taskIdx].Args[p.argIdx]
-			storeOf[pi] = a.Store.ID()
-			partOf[pi] = a.Part.Hash()
-		}
-		alias := func(p, q int) bool {
-			return storeOf[p] == storeOf[q] && partOf[p] != partOf[q]
+		// The store index is the alias class, for the parameters of stores
+		// that have several; a window without such a store has no relation
+		// to check.
+		var alias kir.Alias
+		if aliased {
+			alias = make(kir.Alias, len(plan.params))
+			for pi, di := range storeOf {
+				alias[pi] = -1
+				if views[di] > 1 {
+					alias[pi] = di
+				}
+			}
 		}
 		fused = kir.Optimize(fused, alias)
 	}
@@ -183,26 +211,24 @@ func (r *Runtime) computePlan(window []*ir.Task, live *ir.WindowScan) *fusionPla
 }
 
 // findTemps marks fused parameters whose stores satisfy Definition 4,
-// consulting the liveness snapshot taken with the memo key.
-func (r *Runtime) findTemps(plan *fusionPlan, prefix, suffix []*ir.Task, live *ir.WindowScan) {
+// consulting the liveness snapshot taken with the memo key. storeOf is the
+// store index of each fused parameter, views the number of fused
+// parameters naming each store.
+func findTemps(plan *fusionPlan, window []*ir.Task, sc *ir.WindowScan, storeOf, views []int32) {
 	// Per store: scan the prefix in program order.
 	type state struct {
-		coveredBy ir.Partition // partition of a covering write seen so far
-		badRead   bool         // a read not preceded by a covering write
-		reduced   bool
+		coveredBy  ir.Partition // partition of a covering write seen so far
+		badRead    bool         // a read not preceded by a covering write
+		reduced    bool
+		suffixRead bool // read or reduced by a still-pending task
 	}
-	states := map[ir.StoreID]*state{}
-	st := func(s *ir.Store) *state {
-		x, ok := states[s.ID()]
-		if !ok {
-			x = &state{}
-			states[s.ID()] = x
-		}
-		return x
-	}
-	for _, t := range prefix {
+	states := make([]state, len(sc.Stores))
+	argStores := sc.ArgStores()
+	ai := 0
+	for _, t := range window[:plan.prefixLen] {
 		for _, a := range t.Args {
-			x := st(a.Store)
+			x := &states[argStores[ai]]
+			ai++
 			if a.Priv.Reads() {
 				if x.coveredBy == nil || !x.coveredBy.Equal(a.Part) {
 					x.badRead = true
@@ -217,53 +243,31 @@ func (r *Runtime) findTemps(plan *fusionPlan, prefix, suffix []*ir.Task, live *i
 		}
 	}
 	// Condition 2: suffix (still-pending tasks) must not read or reduce.
-	suffixReads := map[ir.StoreID]bool{}
-	for _, t := range suffix {
+	for _, t := range window[plan.prefixLen:] {
 		for _, a := range t.Args {
 			if a.Priv.Reads() || a.Priv.Reduces() {
-				suffixReads[a.Store.ID()] = true
+				states[argStores[ai]].suffixRead = true
 			}
+			ai++
 		}
 	}
-	for pi := range plan.params {
-		p := &plan.params[pi]
-		a := prefix[p.taskIdx].Args[p.argIdx]
-		s := a.Store
-		x := states[s.ID()]
-		if x == nil || x.badRead || x.reduced {
+	for pi, di := range storeOf {
+		x := &states[di]
+		// A nil coveredBy is a store never produced inside the fusion.
+		if x.badRead || x.reduced || x.coveredBy == nil || x.suffixRead || sc.Stores[di].Live {
 			continue
 		}
-		if x.coveredBy == nil {
-			continue // never produced inside the fusion
-		}
-		if suffixReads[s.ID()] || live.Live(s.ID()) {
+		// A store reachable through several fused parameters (distinct
+		// partitions — possible under single-point-launch fusion, where
+		// aliasing accesses are admitted) must never be demoted: each local
+		// parameter would get its own task-local buffer, severing the
+		// aliasing between the views. Keep such stores in distributed
+		// storage.
+		if views[di] > 1 {
 			continue
 		}
-		p.temp = true
-	}
-	// A store reachable through several fused parameters (distinct
-	// partitions — possible under single-point-launch fusion, where
-	// aliasing accesses are admitted) must never be demoted: each local
-	// parameter would get its own task-local buffer, severing the aliasing
-	// between the views. Keep such stores in distributed storage.
-	byStore := map[ir.StoreID][]int{}
-	for pi := range plan.params {
-		p := plan.params[pi]
-		s := prefix[p.taskIdx].Args[p.argIdx].Store
-		byStore[s.ID()] = append(byStore[s.ID()], pi)
-	}
-	for _, pis := range byStore {
-		if len(pis) < 2 {
-			continue
-		}
-		for _, pi := range pis {
-			plan.params[pi].temp = false
-		}
-	}
-	for _, p := range plan.params {
-		if p.temp {
-			plan.temps++
-		}
+		plan.params[pi].temp = true
+		plan.temps++
 	}
 }
 

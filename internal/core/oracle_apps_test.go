@@ -124,3 +124,34 @@ func TestAnalyzeHitPathDoesNotAllocate(t *testing.T) {
 	ctx.Flush()
 	_ = s.TotalMass()
 }
+
+// TestAnalyzeMissPathAllocations: a memo miss pays for what it compiles and
+// nothing else. One NoMemo analysis of the 89-task window a SWE step leaves
+// buffered — its fusible prefix, argument merge, temporaries, Concat,
+// Optimize, Compile, Codegen — indexes slices by the scan's store numbers
+// and keeps the optimizer's access sets as it goes: no map of stores, no
+// map rebuilt per appended loop. It allocated 259 times at the parent of
+// this guard and 152 times with it (go1.24); the ceiling sits between.
+func TestAnalyzeMissPathAllocations(t *testing.T) {
+	cfg := core.DefaultConfig(4)
+	cfg.InitialWindow = 128 // a whole step fits, so a step stays buffered
+	cfg.NoMemo = true
+	ctx := cunum.NewContext(core.New(cfg))
+	s := apps.NewSWE(ctx, 16, 16, false)
+	s.Iterate(3)
+	s.Step() // no flush
+	sess := ctx.Session()
+	if sess.Pending() < 80 {
+		t.Fatalf("SWE left only %d tasks buffered: not the window this guard is about", sess.Pending())
+	}
+	allocs, hits := core.AnalyzeAllocs(sess, 20)
+	if hits != 0 {
+		t.Fatalf("%d memo hits under NoMemo", hits)
+	}
+	t.Logf("one miss-path analyze of a %d-task window: %.0f allocations", sess.Pending(), allocs)
+	if allocs > 200 {
+		t.Fatalf("a miss-path analyze of a %d-task window allocates %.0f times, want at most 200", sess.Pending(), allocs)
+	}
+	ctx.Flush()
+	_ = s.TotalMass()
+}

@@ -34,8 +34,12 @@ var suiteKeys = &keyRecorder{
 }
 
 func (o *keyRecorder) check(window []*ir.Task, live *ir.WindowScan, key hash128.Sum) {
+	isLive := map[*ir.Store]bool{}
+	for i := range live.Stores {
+		isLive[live.Stores[i].Store] = live.Stores[i].Live
+	}
 	str := ir.Canonicalize(window, func(s *ir.Store) string {
-		if live.Live(s.ID()) {
+		if isLive[s] {
 			return "live"
 		}
 		return "dead"
@@ -50,6 +54,14 @@ func (o *keyRecorder) check(window []*ir.Task, live *ir.WindowScan, key hash128.
 		panic(fmt.Sprintf("one canonical window has two memo keys %x and %x:\n%s", prev, key, str))
 	}
 	o.byKey[key], o.byString[str] = str, key
+}
+
+// scanOf scans a hand-built window the way analyze does before it asks for
+// the fusible prefix.
+func scanOf(window []*ir.Task) *ir.WindowScan {
+	sc := &ir.WindowScan{}
+	sc.Scan(window)
+	return sc
 }
 
 // WatchKeys puts a runtime under the suite's key oracle; the external

@@ -39,10 +39,12 @@ func windowPair(genY2 int64) []*ir.Task {
 // sharing a store fuse when their argument shard generations agree and
 // split when a Reshard happened in between.
 func TestRepartitionFusionConstraint(t *testing.T) {
-	if n := fusiblePrefix(windowPair(0)); n != 2 {
+	w := windowPair(0)
+	if n := fusiblePrefix(w, scanOf(w)); n != 2 {
 		t.Fatalf("same-generation window: prefix %d, want 2", n)
 	}
-	if n := fusiblePrefix(windowPair(1)); n != 1 {
+	w = windowPair(1)
+	if n := fusiblePrefix(w, scanOf(w)); n != 1 {
 		t.Fatalf("repartitioned window: prefix %d, want 1 (fusion across Reshard)", n)
 	}
 }

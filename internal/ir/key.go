@@ -50,9 +50,12 @@ func (t *Task) Seal() {
 // indexes the window's stores; the caller then decides each store's Live
 // bit (it owns the liveness snapshot, and needs Refs to see references
 // held from outside the window); Key folds the memo key from the sealed
-// tasks and those bits; Release drops the store pointers. The zero value
-// is ready, and nothing allocates once the scratch has grown to the
-// largest window seen.
+// tasks and those bits; Release drops the store pointers. Between Scan and
+// Release the first-appearance indices double as dense store numbers for
+// whoever analyzes the window (ArgStores), so a memo miss indexes slices
+// where it would otherwise hash store identities again. The zero value is
+// ready, and nothing allocates once the scratch has grown to the largest
+// window seen.
 type WindowScan struct {
 	// Stores lists the window's distinct stores in order of first
 	// appearance.
@@ -96,11 +99,11 @@ func (w *WindowScan) Scan(window []*Task) {
 	}
 }
 
-// Live reports the liveness bit of a store of the scanned window.
-func (w *WindowScan) Live(id StoreID) bool {
-	di, ok := w.pos[id]
-	return ok && w.Stores[di].Live
-}
+// ArgStores returns, for every argument of the scanned window in window
+// order (task by task, argument by argument), the index into Stores of the
+// store it names. It is valid between Scan and Release, and only until the
+// next Scan; the caller must not modify it.
+func (w *WindowScan) ArgStores() []int32 { return w.args }
 
 // Key returns the structural memo key of the window last passed to Scan.
 // Every task must have been sealed.

@@ -146,7 +146,8 @@ func (w *keyWindow) clone() *keyWindow {
 // stores in reverse order and shifts every store's base generation, so
 // nothing that identifies a store survives except how the arguments share
 // it.
-func (w *keyWindow) render(rename int) (hash128.Sum, string) {
+func (w *keyWindow) render(t testing.TB, rename int) (hash128.Sum, string) {
+	t.Helper()
 	var f ir.Factory
 	for i := 0; i < rename; i++ {
 		f.NewStore("burn", []int{1})
@@ -191,6 +192,25 @@ func (w *keyWindow) render(rename int) (hash128.Sum, string) {
 	sc.Scan(window)
 	for i := range sc.Stores {
 		sc.Stores[i].Live = live[sc.Stores[i].Store.ID()]
+	}
+	// ArgStores against an index built here from store identities alone:
+	// first-appearance numbers, one per argument, naming the right store.
+	first, argStores, ai := map[ir.StoreID]int32{}, sc.ArgStores(), 0
+	for _, task := range window {
+		for _, a := range task.Args {
+			want, seen := first[a.Store.ID()]
+			if !seen {
+				want = int32(len(first))
+				first[a.Store.ID()] = want
+			}
+			if ai >= len(argStores) || argStores[ai] != want || sc.Stores[want].Store != a.Store {
+				t.Fatalf("argument %d of the window (task %s): ArgStores %v, want store index %d", ai, task.Name, argStores, want)
+			}
+			ai++
+		}
+	}
+	if ai != len(argStores) || len(first) != len(sc.Stores) {
+		t.Fatalf("ArgStores has %d entries over %d stores, want %d over %d", len(argStores), len(sc.Stores), ai, len(first))
 	}
 	key := sc.Key(window)
 	str := ir.Canonicalize(window, func(s *ir.Store) string {
@@ -315,10 +335,10 @@ func checkWindowKey(t *testing.T, seed uint64, byKey map[hash128.Sum]string, byS
 		}
 		byKey[key], byString[str] = str, key
 	}
-	key, str := base.render(0)
+	key, str := base.render(t, 0)
 	see("base", key, str)
 	for _, rename := range []int{1, 5} {
-		rkey, rstr := base.render(rename)
+		rkey, rstr := base.render(t, rename)
 		if rstr != str || rkey != key {
 			t.Fatalf("seed %d: renaming stores changed the window (string changed: %v, key changed: %v)\n%s",
 				seed, rstr != str, rkey != key, str)
@@ -330,7 +350,7 @@ func checkWindowKey(t *testing.T, seed uint64, byKey map[hash128.Sum]string, byS
 		if len(mut.tasks) == 0 {
 			continue
 		}
-		mkey, mstr := mut.render(0)
+		mkey, mstr := mut.render(t, 0)
 		see(m.name, mkey, mstr)
 		if (mkey == key) != (mstr == str) {
 			t.Fatalf("seed %d: mutation %q: key equal %v, string equal %v\n%s---\n%s",

@@ -277,15 +277,17 @@ type Kernel struct {
 	// hasCastMemo caches HasCast: 0 uncomputed, 1 true, 2 false. Not
 	// copied by Clone/Remap (they rebuild statements).
 	hasCastMemo int8
-	// fpMemo caches Fingerprint. Unfused streams mint a fresh kernel
-	// object per task but fingerprint each one several times (fusion
-	// memo key, program cache, calibration class), and the render walks
-	// every statement — caching it keeps the scheduler's per-task
-	// bookkeeping cheaper than the tasks it schedules. Reset by the
-	// build-time mutators (AddLoop, SetDType); not copied by Clone/Remap.
+	// fpMemo caches Fingerprint for its readers that ask repeatedly (the
+	// wire's kernel table, ir.Canonicalize); the runtime's own lookups go
+	// by fpHash. Reset by the build-time mutators (AddLoop, SetDType); not
+	// copied by Clone/Remap.
 	fpMemo string
-	// fpHash caches FingerprintHash under the same rules as fpMemo (set
-	// and reset together with it through dropFingerprint).
+	// fpHash caches FingerprintHash under the same rules as fpMemo (reset
+	// together with it through dropFingerprint). Unfused streams mint a
+	// fresh kernel object per task and identify each one several times
+	// (memo key, program cache, calibration class); the fold walks every
+	// statement, so caching it keeps the scheduler's per-task bookkeeping
+	// cheaper than the tasks it schedules.
 	fpHash   hash128.Sum
 	fpHashed bool
 }
@@ -519,9 +521,13 @@ func exprFingerprint(b *strings.Builder, e *Expr) {
 
 // FingerprintHash is Fingerprint without the text: the same fields, in
 // the same order, folded into a 128-bit structural hash, so two kernels
-// have equal hashes exactly when their fingerprints are equal. The fusion
-// memo key (ir.WindowScan) consumes it once per submitted task; the
-// string survives for the program cache, the wire check and debugging.
+// have equal hashes exactly when their fingerprints are equal. It is the
+// one structural identity of a kernel body: the fusion memo key
+// (ir.Task.Seal) folds it once per submitted task, and legion keys its
+// codegen program cache and its calibration classes by it. The string is
+// rendered only where a human or the wire reads it (legion's calibration
+// snapshot, ir.Canonicalize, the wire's kernel table and the rank's check
+// of it).
 func (k *Kernel) FingerprintHash() hash128.Sum {
 	if k == nil {
 		return hash128.New(hashNilKernel).Sum()

@@ -132,7 +132,7 @@ func TestAliasGuardBlocksMerge(t *testing.T) {
 		Stmts: []Stmt{{Kind: KStore, Param: 0, E: Const(1)}}})
 	k.AddLoop(&Loop{Kind: LoopElem, Dom: "v", Ext: []int{4}, ExtRef: 2,
 		Stmts: []Stmt{{Kind: KStore, Param: 2, E: Load(1)}}})
-	alias := func(p, q int) bool { return (p == 0 && q == 1) || (p == 1 && q == 0) }
+	alias := Alias{0, 0, -1}
 	merged := FuseLoops(k, alias)
 	if len(merged.Loops) != 2 {
 		t.Fatalf("aliasing write/read loops must not merge, got %d", len(merged.Loops))

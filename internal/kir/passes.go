@@ -2,11 +2,121 @@ package kir
 
 // Optimization passes over fused kernels (paper §6.3, Fig. 8c→8d).
 
-// AliasFn reports whether two kernel parameters may reference overlapping
-// data through different access patterns (distinct views of one store).
-// It is supplied by the fusion engine, which knows the store/partition of
-// each parameter; a nil AliasFn means no parameters alias.
-type AliasFn func(p, q int) bool
+// Alias is the aliasing relation among a kernel's parameters, as data, one
+// entry per parameter: Alias[p] is the alias class of parameter p, negative
+// when p overlaps no other parameter. Two distinct parameters may reference overlapping data
+// through different access patterns (distinct views of one store) exactly
+// when they share a non-negative class. The fusion engine supplies it — it
+// knows the store and partition behind each parameter — and hands over nil
+// when no parameters alias, which skips the check outright.
+type Alias []int32
+
+// Both passes read statement expressions as trees, without a visited set.
+// Kernel identity (FingerprintHash) walks the same bodies the same way, and
+// the forwarded, more widely shared bodies Scalarize leaves behind, so an
+// expression DAG too shared to walk as a tree is unusable before it is slow
+// here.
+
+// paramSet is a set of kernel parameters, dense membership plus the member
+// list, so clearing and iterating cost the members and not NParams, and a
+// count of the members in each alias class.
+type paramSet struct {
+	in      []bool
+	list    []int
+	classes Alias
+	inClass []int32
+}
+
+func (s *paramSet) add(p int) {
+	if !s.in[p] {
+		s.in[p] = true
+		s.list = append(s.list, p)
+		s.inClass[s.classes[p]]++
+	}
+}
+
+func (s *paramSet) reset() {
+	for _, p := range s.list {
+		s.in[p] = false
+		s.inClass[s.classes[p]] = 0
+	}
+	s.list = s.list[:0]
+}
+
+// aliases reports whether some member of s aliases a different member of
+// other: a member of other's class that is not the parameter itself.
+func (s *paramSet) aliases(other *paramSet) bool {
+	for _, p := range s.list {
+		if n := other.inClass[s.classes[p]]; n > 1 || n == 1 && !other.in[p] {
+			return true
+		}
+	}
+	return false
+}
+
+// accesses are the aliasable parameters (non-negative class) an element-wise
+// loop, or the merged run under construction, stores to and loads.
+type accesses struct{ writes, reads paramSet }
+
+func newAccesses(alias Alias, nparams int) *accesses {
+	nclass := int32(0)
+	for _, c := range alias {
+		nclass = max(nclass, c+1)
+	}
+	set := func() paramSet {
+		return paramSet{in: make([]bool, nparams), classes: alias, inClass: make([]int32, nclass)}
+	}
+	return &accesses{writes: set(), reads: set()}
+}
+
+// of replaces a with the accesses of one element-wise loop.
+func (a *accesses) of(l *Loop) {
+	a.writes.reset()
+	a.reads.reset()
+	aliasable := func(p int) bool { return a.reads.classes[p] >= 0 }
+	read := func(p int) {
+		if aliasable(p) {
+			a.reads.add(p)
+		}
+	}
+	for i := range l.Stmts {
+		s := &l.Stmts[i]
+		if s.Kind == KStore && aliasable(s.Param) {
+			a.writes.add(s.Param)
+		}
+		eachLoad(s.E, read)
+	}
+}
+
+// eachLoad calls f with the parameter of every load, element-wise or
+// scalar, of e read as a tree.
+func eachLoad(e *Expr, f func(p int)) {
+	if e == nil {
+		return
+	}
+	if e.Op == OpLoad || e.Op == OpLoadScalar {
+		f(e.Param)
+	}
+	eachLoad(e.A, f)
+	eachLoad(e.B, f)
+	eachLoad(e.C, f)
+}
+
+// mergeSafe reports whether the loop with accesses b may be interleaved
+// per-element with the run a: no parameter written by either aliases
+// (under a different view) a parameter accessed by the other.
+func (a *accesses) mergeSafe(b *accesses) bool {
+	return !b.reads.aliases(&a.writes) && !b.writes.aliases(&a.writes) && !b.writes.aliases(&a.reads)
+}
+
+func (a *accesses) union(b *accesses) {
+	for _, p := range b.writes.list {
+		a.writes.add(p)
+	}
+	for _, p := range b.reads.list {
+		a.reads.add(p)
+	}
+}
 
 // FuseLoops merges runs of adjacent element-wise loops whose iteration
 // domains are identical (equal Dom signatures). Merging is legal when all
@@ -15,11 +125,17 @@ type AliasFn func(p, q int) bool
 // true, but single-point launches may legally fuse tasks over *aliasing*
 // views (any dependence is point-wise when there is one point), in which
 // case the loops must stay separate: merging would interleave a write with
-// offset reads of the same elements. alias captures that relation.
+// offset reads of the same elements. alias captures that relation; the
+// accesses of the run under construction are kept as it grows, so a loop
+// is summarized once however long the run it joins.
 // Non-element-wise loops (SpMV, GEMV, Random) act as barriers.
-func FuseLoops(k *Kernel, alias AliasFn) *Kernel {
-	out := &Kernel{Name: k.Name, NParams: k.NParams, Local: append([]bool(nil), k.Local...), DTypes: append([]DType(nil), k.DTypes...)}
+func FuseLoops(k *Kernel, alias Alias) *Kernel {
+	out := k.header()
 	var cur *Loop
+	var run, next *accesses // nil when nothing aliases
+	if alias != nil {
+		run, next = newAccesses(alias, k.NParams), newAccesses(alias, k.NParams)
+	}
 	flush := func() {
 		if cur != nil {
 			out.Loops = append(out.Loops, cur)
@@ -32,51 +148,28 @@ func FuseLoops(k *Kernel, alias AliasFn) *Kernel {
 			out.Loops = append(out.Loops, l.Clone())
 			continue
 		}
-		if cur == nil {
-			cur = l.Clone()
-			continue
+		if alias != nil {
+			next.of(l)
 		}
-		if cur.Dom == l.Dom && mergeSafe(cur, l, alias) {
+		if cur != nil && cur.Dom == l.Dom && (alias == nil || run.mergeSafe(next)) {
 			cur.Stmts = append(cur.Stmts, l.Stmts...)
+			if alias != nil {
+				run.union(next)
+			}
 			continue
 		}
 		flush()
 		cur = l.Clone()
+		run, next = next, run
 	}
 	flush()
 	return out
 }
 
-// mergeSafe reports whether two element-wise loops may be interleaved
-// per-element: no parameter written by either loop aliases (under a
-// different view) a parameter accessed by the other.
-func mergeSafe(a, b *Loop, alias AliasFn) bool {
-	if alias == nil {
-		return true
-	}
-	aw, ar := loopWritesReads(a)
-	bw, br := loopWritesReads(b)
-	check := func(writes, touched map[int]bool) bool {
-		for w := range writes {
-			for x := range touched {
-				if w != x && alias(w, x) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	return check(aw, br) && check(aw, bw) && check(bw, ar)
-}
-
-func loopWritesReads(l *Loop) (writes, reads map[int]bool) {
-	writes = map[int]bool{}
-	for _, s := range l.Stmts {
-		if s.Kind == KStore {
-			writes[s.Param] = true
-		}
-	}
-	return writes, loopLoads(l)
+// header returns a kernel with k's name, parameters, locals and dtypes and
+// no loops: what every pass starts its output from.
+func (k *Kernel) header() *Kernel {
+	return &Kernel{Name: k.Name, NParams: k.NParams, Local: append([]bool(nil), k.Local...), DTypes: append([]DType(nil), k.DTypes...)}
 }
 
 // Scalarize forwards values stored to task-local parameters: within each
@@ -85,41 +178,33 @@ func loopWritesReads(l *Loop) (writes, reads map[int]bool) {
 // forwarding). Stores to local parameters that are never loaded by any
 // later loop are then removed (dead store elimination). Local parameters
 // whose every access was forwarded need no allocation at all; the set of
-// locals that still need a task-local buffer is returned in
-// Kernel.needsBuffer (consumed by the compiler).
+// locals that still need a task-local buffer is what BufferLocals reports
+// (consumed by the compiler).
 func Scalarize(k *Kernel) *Kernel {
-	out := &Kernel{Name: k.Name, NParams: k.NParams, Local: append([]bool(nil), k.Local...), DTypes: append([]DType(nil), k.DTypes...)}
+	out := k.header()
 
-	// For dead-store elimination we need, per loop index, whether a local
-	// parameter is loaded by any later loop (or by a later statement that
-	// was not forwarded — handled below by only eliminating stores whose
-	// loop-local loads were all forwarded).
-	loadedLater := make([]map[int]bool, len(k.Loops)+1)
-	loadedLater[len(k.Loops)] = map[int]bool{}
-	for i := len(k.Loops) - 1; i >= 0; i-- {
-		m := map[int]bool{}
-		for p := range loadedLater[i+1] {
-			m[p] = true
-		}
-		for p := range loopLoads(k.Loops[i]) {
-			m[p] = true
-		}
-		loadedLater[i] = m
+	// Dead-store elimination asks, per store to a local, whether a later
+	// loop still loads the parameter and whether this loop does: both are
+	// answered by the index of the last loop loading it.
+	lastLoad := make([]int, k.NParams)
+	for p := range lastLoad {
+		lastLoad[p] = -1
+	}
+	for li, l := range k.Loops {
+		noteLoads(l, lastLoad, li)
 	}
 
+	f := forwarder{avail: make([]*Expr, k.NParams)}
 	for li, l := range k.Loops {
 		if l.Kind != LoopElem {
 			out.Loops = append(out.Loops, l.Clone())
 			continue
 		}
 		nl := l.Clone()
-		nl.Stmts = nil
-		thisLoopLoads := loopLoads(l)
-		// avail maps a local parameter to the expression whose value the
-		// parameter's current element holds.
-		avail := map[int]*Expr{}
+		nl.Stmts = nl.Stmts[:0] // the copy's storage, refilled below
+		f.reset()
 		for _, s := range l.Stmts {
-			e := forward(s.E, avail, map[*Expr]*Expr{})
+			e := f.forward(s.E)
 			switch {
 			case s.Kind == KStore && out.Local[s.Param]:
 				// Forwarded consumers must observe the value the typed
@@ -127,16 +212,16 @@ func Scalarize(k *Kernel) *Kernel {
 				// rounds, so forwarding has to round too or temporary
 				// elimination would change results at reduced precision.
 				if dt := out.DTypeOf(s.Param); dt != F64 {
-					avail[s.Param] = Cast(dt, e)
+					f.bind(s.Param, Cast(dt, e))
 				} else {
-					avail[s.Param] = e
+					f.bind(s.Param, e)
 				}
 				switch {
-				case loadedLater[li+1][s.Param]:
+				case lastLoad[s.Param] > li:
 					// A later loop still loads the parameter: the store
 					// (and its buffer) must stay.
 					nl.Stmts = append(nl.Stmts, Stmt{Kind: KStore, Param: s.Param, E: e})
-				case thisLoopLoads[s.Param]:
+				case lastLoad[s.Param] == li:
 					// Forwarded within this loop: keep an eval-only
 					// statement so the value is computed here, before any
 					// later statement mutates the expression's inputs.
@@ -155,70 +240,91 @@ func Scalarize(k *Kernel) *Kernel {
 	return out
 }
 
-// loopLoads returns the set of parameters loaded (element-wise or scalar)
-// by a loop.
-func loopLoads(l *Loop) map[int]bool {
-	loads := map[int]bool{}
-	var walk func(e *Expr)
-	seen := map[*Expr]bool{}
-	walk = func(e *Expr) {
-		if e == nil || seen[e] {
-			return
-		}
-		seen[e] = true
-		if e.Op == OpLoad || e.Op == OpLoadScalar {
-			loads[e.Param] = true
-		}
-		walk(e.A)
-		walk(e.B)
-		walk(e.C)
-	}
+// noteLoads records li as the last loop loading each parameter (element-wise
+// or scalar) that loop l loads.
+func noteLoads(l *Loop, lastLoad []int, li int) {
 	switch l.Kind {
 	case LoopElem:
+		note := func(p int) { lastLoad[p] = li }
 		for _, s := range l.Stmts {
-			walk(s.E)
+			eachLoad(s.E, note)
 		}
 	case LoopSpMV, LoopAxisReduce:
-		loads[l.X] = true
+		lastLoad[l.X] = li
 	case LoopGEMV:
-		loads[l.X] = true
-		loads[l.MatA] = true
+		lastLoad[l.X] = li
+		lastLoad[l.MatA] = li
 	}
-	return loads
 }
 
-// forward substitutes loads of available local values.
-func forward(e *Expr, avail map[int]*Expr, memo map[*Expr]*Expr) *Expr {
+// forwarder substitutes loads of available local values within one loop
+// body. avail[p] is the expression whose value local parameter p's current
+// element holds (bound lists the parameters that have one); memo keeps the
+// sharing of a statement's expression DAG and is emptied between
+// statements, since avail moves.
+type forwarder struct {
+	avail []*Expr
+	bound []int
+	memo  map[*Expr]*Expr
+}
+
+func (f *forwarder) reset() {
+	for _, p := range f.bound {
+		f.avail[p] = nil
+	}
+	f.bound = f.bound[:0]
+}
+
+func (f *forwarder) bind(p int, e *Expr) {
+	if f.avail[p] == nil {
+		f.bound = append(f.bound, p)
+	}
+	f.avail[p] = e
+}
+
+// forward returns e with every load of an available local replaced. With
+// nothing available that is e itself.
+func (f *forwarder) forward(e *Expr) *Expr {
+	if len(f.bound) == 0 {
+		return e
+	}
+	if f.memo == nil {
+		f.memo = map[*Expr]*Expr{}
+	}
+	clear(f.memo)
+	return f.rewrite(e)
+}
+
+func (f *forwarder) rewrite(e *Expr) *Expr {
 	if e == nil {
 		return nil
 	}
-	if r, ok := memo[e]; ok {
+	if r, ok := f.memo[e]; ok {
 		return r
 	}
 	// Loads of available local values are forwarded. OpLoadScalar loads of
 	// size-1 locals forward identically: the loops merged here share their
 	// (single-element) iteration domain.
 	if e.Op == OpLoad || e.Op == OpLoadScalar {
-		if v, ok := avail[e.Param]; ok {
-			memo[e] = v
+		if v := f.avail[e.Param]; v != nil {
+			f.memo[e] = v
 			return v
 		}
 	}
-	n := *e
-	n.A = forward(e.A, avail, memo)
-	n.B = forward(e.B, avail, memo)
-	n.C = forward(e.C, avail, memo)
-	if n.A == e.A && n.B == e.B && n.C == e.C {
-		memo[e] = e
+	a, b, c := f.rewrite(e.A), f.rewrite(e.B), f.rewrite(e.C)
+	if a == e.A && b == e.B && c == e.C {
+		f.memo[e] = e
 		return e
 	}
-	memo[e] = &n
+	n := *e
+	n.A, n.B, n.C = a, b, c
+	f.memo[e] = &n
 	return &n
 }
 
 // Optimize runs the full pass pipeline: loop fusion then scalarization.
 // alias may be nil when no parameters can alias.
-func Optimize(k *Kernel, alias AliasFn) *Kernel {
+func Optimize(k *Kernel, alias Alias) *Kernel {
 	return Scalarize(FuseLoops(k, alias))
 }
 

@@ -6,12 +6,14 @@ import (
 	"diffuse/internal/kir"
 )
 
-// The runtime side of the compiled-kernel (codegen) backend: a
-// fingerprint-keyed cache of kir.CodegenProgram attached to every kernel
-// compiled in ModeReal. Programs capture only lowering-time structure, so
-// one program serves every Compiled whose kernel fingerprint matches —
-// unfused streams mint a fresh kernel object per task every iteration
-// and still hit this cache, and a kernel evicted from the per-kernel cache
+// The runtime side of the compiled-kernel (codegen) backend: a cache of
+// kir.CodegenProgram keyed by the kernel's structural identity
+// (kir.Kernel.FingerprintHash, the hash the fusion memo key already cached
+// on the kernel), attached to every kernel compiled in ModeReal. Programs
+// capture only lowering-time structure, so one program serves every
+// Compiled whose kernel hashes alike — unfused streams mint a fresh kernel
+// object per task every iteration and still hit this cache without
+// rendering anything, and a kernel evicted from the per-kernel cache
 // (maxKernels) recompiles onto its existing program. Programs hold no
 // region references: a program outlives any store.
 
@@ -41,7 +43,7 @@ type CodegenStats struct {
 	TasksCompiled    int64
 	TasksInterpreted int64
 	// CacheHits / CacheMisses count program-cache lookups by kernel
-	// fingerprint (misses include first-ever compilations).
+	// identity (misses include first-ever compilations).
 	CacheHits   int64
 	CacheMisses int64
 }
@@ -89,8 +91,8 @@ func (rt *Runtime) CodegenStatsSnapshot() CodegenStats {
 }
 
 // ProgramsCached returns the number of distinct compiled programs
-// resident in the fingerprint-keyed program cache — the shared asset a
-// multi-tenant server amortizes across tenants.
+// resident in the program cache — the shared asset a multi-tenant server
+// amortizes across tenants.
 func (rt *Runtime) ProgramsCached() int {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -98,10 +100,10 @@ func (rt *Runtime) ProgramsCached() int {
 }
 
 // attachProgramLocked installs the codegen program for a freshly
-// compiled kernel, minting one on first sight of the fingerprint.
+// compiled kernel, minting one on first sight of its structure.
 // Callers hold rt.mu.
 func (rt *Runtime) attachProgramLocked(c *kir.Compiled) {
-	fp := c.Kernel.Fingerprint()
+	fp := c.Kernel.FingerprintHash()
 	if p, ok := rt.progs[fp]; ok {
 		rt.cgStats.cacheHits.Add(1)
 		c.AttachProgram(p)

@@ -13,15 +13,19 @@ package legion
 // the calibration table doubles as the measurement of how far the static
 // model is off (CalibrationSnapshot).
 //
-// A class is one (kernel fingerprint, dtype, backend): the fingerprint
-// already separates dtypes (kir includes parameter dtypes in it), but the
-// key carries the dtype anyway for observability, and the backend is a
-// genuine cost dimension — the same fingerprint runs at different
-// per-point cost compiled vs interpreted.
+// A class is one (kernel structure, dtype, backend). The structure is
+// kir.Kernel.FingerprintHash — the one identity the fusion memo key and
+// the program cache also use, already cached on the kernel, so looking a
+// class up renders nothing; the fingerprint text a snapshot shows is
+// rendered when the snapshot is taken. The hash already separates dtypes
+// (kir folds parameter dtypes into it), but the key carries the dtype
+// anyway for observability, and the backend is a genuine cost dimension —
+// the same kernel runs at different per-point cost compiled vs
+// interpreted.
 //
-// Calibration is keyed by fingerprint, not kernel pointer, so it survives
+// Calibration is keyed by structure, not kernel pointer, so it survives
 // the per-kernel cache's clear-on-overflow: a plan rebuilt for a fresh
-// kernel object of the same fingerprint reattaches to the same Calibrated
+// kernel object of the same structure reattaches to the same Calibrated
 // and keeps its history. Entries hold no region data; the map is bounded
 // by maxCal.
 //
@@ -32,6 +36,7 @@ package legion
 import (
 	"sort"
 
+	"diffuse/internal/hash128"
 	"diffuse/internal/kir"
 	"diffuse/internal/machine"
 )
@@ -51,13 +56,20 @@ const (
 
 // calKey identifies one calibration class.
 type calKey struct {
-	fp      string
+	fp      hash128.Sum // kir.Kernel.FingerprintHash
 	dtype   kir.DType
 	backend bool // codegen-lowered loops attached
 }
 
+// calClass is one calibration class: its cost source, and the kernel it
+// was first seen on, which CalibrationSnapshot renders the fingerprint of.
+type calClass struct {
+	cal    *machine.Calibrated
+	kernel *kir.Kernel
+}
+
 // maxCal bounds the calibration map; unfused streams mint fresh kernels
-// but share fingerprints, so the map tracks distinct kernel structures,
+// but share structure, so the map tracks distinct kernel structures,
 // not iteration count. Cleared wholesale on overflow like the per-kernel
 // cache.
 const maxCal = 4096
@@ -78,7 +90,7 @@ func (rt *Runtime) FeedbackOf() FeedbackMode { return rt.feedback }
 
 // attachCalibration wires a plan to its calibration class (creating it,
 // seeded with the plan's static per-point prior, on first sight of the
-// fingerprint), or detaches it with feedback off. Called under execMu on
+// kernel's structure), or detaches it with feedback off. Called under execMu on
 // every plan resolve; pool workers never touch the map — they receive the
 // *Calibrated through the batch, and Calibrated locks internally.
 func (rt *Runtime) attachCalibration(p *taskPlan) {
@@ -90,23 +102,24 @@ func (rt *Runtime) attachCalibration(p *taskPlan) {
 		return // steady state: already wired
 	}
 	if rt.cal == nil {
-		rt.cal = map[calKey]*machine.Calibrated{}
+		rt.cal = map[calKey]calClass{}
 	}
-	k := calKey{fp: p.comp.Kernel.Fingerprint(), dtype: p.dtype, backend: p.comp.HasCodegen()}
+	k := calKey{fp: p.comp.Kernel.FingerprintHash(), dtype: p.dtype, backend: p.comp.HasCodegen()}
 	c, ok := rt.cal[k]
 	if !ok {
 		if len(rt.cal) >= maxCal {
 			clear(rt.cal)
 		}
-		c = machine.NewCalibrated(p.perPoint)
+		c = calClass{cal: machine.NewCalibrated(p.perPoint), kernel: p.comp.Kernel}
 		rt.cal[k] = c
 	}
-	p.cal = c
+	p.cal = c.cal
 }
 
 // CalibrationEntry is one calibration class's observable state.
 type CalibrationEntry struct {
-	// Fingerprint is the kernel fingerprint of the class.
+	// Fingerprint is the kernel fingerprint of the class, rendered when
+	// the snapshot is taken.
 	Fingerprint string
 	// DType is the dominant element type of the kernel's stores.
 	DType string
@@ -141,9 +154,9 @@ func (rt *Runtime) CalibrationSnapshot() []CalibrationEntry {
 	defer rt.execMu.Unlock()
 	out := make([]CalibrationEntry, 0, len(rt.cal))
 	for k, c := range rt.cal {
-		prior, meas, samples, hits := c.Snapshot()
+		prior, meas, samples, hits := c.cal.Snapshot()
 		out = append(out, CalibrationEntry{
-			Fingerprint:         k.fp,
+			Fingerprint:         c.kernel.Fingerprint(),
 			DType:               k.dtype.String(),
 			Backend:             k.backend,
 			Samples:             samples,

@@ -41,6 +41,7 @@ import (
 	"sync"
 	"weak"
 
+	"diffuse/internal/hash128"
 	"diffuse/internal/ir"
 	"diffuse/internal/kir"
 	"diffuse/internal/machine"
@@ -123,17 +124,17 @@ type Runtime struct {
 	kernels map[*kir.Kernel]*kernelEntry
 
 	// Codegen-backend state (see codegen.go): the active mode, the
-	// fingerprint-keyed program cache, and the activity counters.
+	// program cache keyed by kernel structure, and the activity counters.
 	codegen CodegenMode
-	progs   map[string]*kir.CodegenProgram
+	progs   map[hash128.Sum]*kir.CodegenProgram
 	cgStats codegenCounters
 
 	// Feedback-directed scheduling state (see feedback.go): the active
-	// mode and the fingerprint-keyed calibration classes (map guarded by
-	// execMu; entries lock internally so pool workers can observe
-	// timings without it).
+	// mode and the calibration classes, keyed by kernel structure (map
+	// guarded by execMu; entries lock internally so pool workers can
+	// observe timings without it).
 	feedback FeedbackMode
-	cal      map[calKey]*machine.Calibrated
+	cal      map[calKey]calClass
 
 	workers int
 	scratch sync.Pool // per-point-baseline scratch recycling
@@ -186,7 +187,7 @@ func New(mode Mode, cfg machine.Config) *Runtime {
 		writers: map[ir.StoreID][]ir.Partition{},
 		pendRed: map[ir.StoreID]ir.ReduceOp{},
 		kernels: map[*kir.Kernel]*kernelEntry{},
-		progs:   map[string]*kir.CodegenProgram{},
+		progs:   map[hash128.Sum]*kir.CodegenProgram{},
 		workers: runtime.GOMAXPROCS(0),
 	}
 	rt.scratch.New = func() any { return kir.NewScratch() }
@@ -220,7 +221,7 @@ type kernelEntry struct {
 // working sets are tiny, and an overflow means an unbounded-kernel-shape
 // workload where any eviction policy thrashes. Evicted kernels that are
 // still live recompile on next use (their codegen programs stay shared by
-// fingerprint; codegen.go).
+// structure; codegen.go).
 const maxKernels = 2048
 
 // kernelFor returns (compiling and caching on first use) the cache entry
@@ -233,7 +234,7 @@ func (rt *Runtime) kernelFor(k *kir.Kernel) *kernelEntry {
 	}
 	c := kir.Compile(k)
 	// Second compilation stage: in ModeReal with codegen on, attach the
-	// closure-backend program (cached by kernel fingerprint; codegen.go).
+	// closure-backend program (cached by kernel structure; codegen.go).
 	if rt.mode == ModeReal && rt.codegen == CodegenOn {
 		rt.attachProgramLocked(c)
 	}
