@@ -10,7 +10,15 @@
 # and punctuation stripped, spaces to dashes; a trailing -N disambiguator
 # for duplicated headings is accepted). External URLs are skipped — CI must
 # not depend on the network.
+#
+# It also fails when README.md, DESIGN.md or docs/*.md name the real-mode
+# suite PR 20 deleted (its results file, its diffuse-bench flags), so a
+# sentence cannot outlive the file it quoted. ROADMAP.md is exempt: it
+# keeps history. The one-character brackets keep this script from matching
+# its own pattern in a repository-wide grep.
 set -u
+
+removed='BENCH[_]real|-real[p]reset|-check[r]eal|diffuse-bench -(real|compare|serve|ranks|all)\b'
 
 # slugs_of FILE: print the GitHub anchor slug of every heading, skipping
 # fenced code blocks (a `# comment` inside a fence is not a heading).
@@ -28,6 +36,11 @@ fail=0
 for f in README.md DESIGN.md ROADMAP.md docs/*.md; do
   [ -e "$f" ] || continue
   dir=$(dirname "$f")
+  if [ "$f" != ROADMAP.md ] && hits=$(grep -nE -e "$removed" "$f"); then
+    echo "$f: names the removed real-mode suite (docs/BENCHMARKS.md says what replaced it):"
+    echo "$hits"
+    fail=1
+  fi
   # while read (not an unquoted for) so links with spaces — e.g. a
   # [text](file.md "Title") form — survive as one token; the title part
   # is then stripped.

@@ -1,7 +1,7 @@
 // Command diffuse-bench regenerates every table and figure of the paper's
 // evaluation (§7) on the simulated cluster:
 //
-//	diffuse-bench -all                 # everything
+//	diffuse-bench                      # everything
 //	diffuse-bench -fig 10a             # one figure (9, 10a, 10b, 11a, 11b, 12a, 12b, 12c, 13)
 //	diffuse-bench -gpus 1,8,64         # restrict the weak-scaling x-axis
 //	diffuse-bench -scale 0.25          # shrink per-GPU problem sizes
@@ -10,27 +10,8 @@
 //	diffuse-bench -ablate nomemo       # no memoization
 //	diffuse-bench -ablate window       # window-size sensitivity sweep
 //
-// It also runs the real-execution macrobenchmark suite behind the
-// committed BENCH_real.json (see docs/BENCHMARKS.md):
-//
-//	diffuse-bench -real                          # wall-clock suite, table to stdout
-//	diffuse-bench -real -realout BENCH_real.json # also write the JSON document
-//	diffuse-bench -real -realpreset tiny         # CI smoke sizes
-//	diffuse-bench -checkreal BENCH_real.json     # schema gate: validate and exit
-//
-// And the CI perf-regression gate: compare a freshly measured suite
-// against the committed trajectory and exit nonzero if any matching row's
-// ratio metrics (executor / sharding / wavefront speedups) regressed more
-// than -comparetol (default 25%):
-//
-//	diffuse-bench -compare /tmp/fresh.json BENCH_real.json
-//
-// And the multi-tenant service-mode bench: aggregate streams/sec at each
-// tenant count against one in-process diffuse-serve front end (see
-// docs/SERVING.md):
-//
-//	diffuse-bench -serve                         # 1, 4, and 16 tenants
-//	diffuse-bench -serve -tenants 1,8 -streams 16
+// Wall-clock performance is measured elsewhere: the benchmark of record is
+// BENCHMARK.json + benchmark/ (bash benchmark/run.sh).
 package main
 
 import (
@@ -43,136 +24,36 @@ import (
 
 	"diffuse/internal/bench"
 	"diffuse/internal/core"
-	"diffuse/internal/dist"
 	"diffuse/internal/legion"
 	"diffuse/internal/machine"
-	"diffuse/internal/serve"
 )
 
 func main() {
-	// Distributed rank processes re-execute this binary; divert them into
-	// the rank control loop before anything else (including flag parsing).
-	dist.MaybeRankMain()
 	var (
-		figFlag   = flag.String("fig", "", "figure/table id: 9, 10a, 10b, 11a, 11b, 12a, 12b, 12c, 13")
-		allFlag   = flag.Bool("all", false, "run everything")
+		figFlag   = flag.String("fig", "", "figure/table id: 9, 10a, 10b, 11a, 11b, 12a, 12b, 12c, 13 (default: all)")
 		gpusFlag  = flag.String("gpus", "1,2,4,8,16,32,64,128", "comma-separated GPU counts")
 		scaleFlag = flag.Float64("scale", 1.0, "per-GPU problem size multiplier")
 		ablate    = flag.String("ablate", "", "ablation: taskonly | notemp | nomemo | window")
-
-		realFlag   = flag.Bool("real", false, "run the real-execution macrobenchmark suite")
-		realPreset = flag.String("realpreset", "full", "real suite preset: tiny | full")
-		realProcs  = flag.Int("realprocs", 8, "real suite launch width (point tasks per index task)")
-		realOut    = flag.String("realout", "", "write the real-suite JSON document to this path")
-		checkReal  = flag.String("checkreal", "", "validate a BENCH_real.json against the schema and exit")
-		compare    = flag.String("compare", "", "fresh suite JSON to compare against the committed trajectory (positional arg, default BENCH_real.json); exit nonzero on regression")
-		compareTol = flag.Float64("comparetol", bench.DefaultCompareTolerance, "allowed fractional regression of ratio metrics before -compare fails")
-		ranksFlag  = flag.Int("ranks", 0, "run the multi-process distributed quick bench at this rank count (times ranks=N vs in-process shards=N and verifies bit-identity)")
-		transport  = flag.String("transport", "", "peer transport for -ranks: unix (default) or tcp")
-		serveFlag  = flag.Bool("serve", false, "run the multi-tenant service-mode bench: streams/sec at each -tenants count against one in-process diffuse-serve")
-		tenants    = flag.String("tenants", "1,4,16", "comma-separated tenant counts for -serve")
-		streams    = flag.Int("streams", 8, "submissions per tenant for -serve")
 	)
 	flag.Parse()
-
-	if *serveFlag {
-		counts := parseCounts(*tenants, "tenant")
-		req := serve.SubmitRequest{Workload: "chain", N: 4096, Iters: 6}
-		if _, err := bench.RunServeBench(counts, *streams, req, *realProcs, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *ranksFlag > 0 {
-		if err := bench.RunDistBench(*ranksFlag, *transport, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *compare != "" {
-		committedPath := flag.Arg(0)
-		if committedPath == "" {
-			committedPath = "BENCH_real.json"
-		}
-		freshData, err := os.ReadFile(*compare)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		committedData, err := os.ReadFile(committedPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("comparing %s against committed %s (tolerance %.0f%%)\n", *compare, committedPath, *compareTol*100)
-		regressions, err := bench.CompareRealSuites(freshData, committedData, *compareTol, os.Stdout)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if regressions > 0 {
-			fmt.Fprintf(os.Stderr, "%d perf regression(s) beyond %.0f%% tolerance\n", regressions, *compareTol*100)
-			os.Exit(1)
-		}
-		fmt.Println("perf gate OK")
-		return
-	}
 
 	gpus := parseGPUs(*gpusFlag)
 	sc := bench.Scale(*scaleFlag)
 	out := os.Stdout
-
-	if *checkReal != "" {
-		data, err := os.ReadFile(*checkReal)
-		if err == nil {
-			err = bench.ValidateRealSuite(data)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("%s: schema %s OK\n", *checkReal, bench.RealSchema)
-		return
-	}
-
-	if *realFlag {
-		suite, err := bench.RunRealSuite(*realPreset, *realProcs, out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if *realOut != "" {
-			data, err := bench.MarshalRealSuite(suite)
-			if err == nil {
-				err = os.WriteFile(*realOut, data, 0o644)
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(out, "wrote %s\n", *realOut)
-		}
-		return
-	}
 
 	if *ablate != "" {
 		runAblation(*ablate, sc, gpus)
 		return
 	}
 
-	want := func(id string) bool {
-		return *allFlag || *figFlag == "" || strings.EqualFold("fig"+*figFlag, id) || strings.EqualFold(*figFlag, id)
+	sel, err := selectFigures(*figFlag, sc)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 
 	var headline []string
-	for _, f := range bench.Figures(sc) {
-		if !want(f.ID) {
-			continue
-		}
+	for _, f := range sel.figures {
 		series := f.Run(out, gpus)
 		if len(series) >= 2 {
 			g := bench.GeoMeanSpeedup(series[0], series[len(series)-1])
@@ -180,7 +61,7 @@ func main() {
 		}
 	}
 
-	if want("fig9") {
+	if sel.fig9 {
 		makers := bench.AppMakers(sc)
 		var rows []bench.TaskStats
 		for _, name := range bench.BenchmarkOrder {
@@ -189,7 +70,7 @@ func main() {
 		bench.PrintTaskStats(out, rows)
 	}
 
-	if want("fig13") {
+	if sel.fig13 {
 		makers := bench.AppMakers(sc)
 		var rows []bench.CompileStats
 		for _, name := range bench.BenchmarkOrder {
@@ -206,16 +87,42 @@ func main() {
 	}
 }
 
-func parseGPUs(s string) []int {
-	return parseCounts(s, "gpu")
+// selection is what one -fig value asks for: weak-scaling figures, and the
+// two tables (Fig. 9, Fig. 13) that are not sweeps.
+type selection struct {
+	figures     []bench.Figure
+	fig9, fig13 bool
 }
 
-func parseCounts(s, what string) []int {
+// selectFigures resolves a -fig value ("10a" or "fig10a", any case; empty
+// selects everything). An id that names nothing is an error listing the
+// valid ones.
+func selectFigures(id string, sc bench.Scale) (selection, error) {
+	want := func(figID string) bool {
+		return id == "" || strings.EqualFold("fig"+id, figID) || strings.EqualFold(id, figID)
+	}
+	valid := []string{"9"}
+	var sel selection
+	for _, f := range bench.Figures(sc) {
+		valid = append(valid, strings.TrimPrefix(f.ID, "fig"))
+		if want(f.ID) {
+			sel.figures = append(sel.figures, f)
+		}
+	}
+	valid = append(valid, "13")
+	sel.fig9, sel.fig13 = want("fig9"), want("fig13")
+	if len(sel.figures) == 0 && !sel.fig9 && !sel.fig13 {
+		return selection{}, fmt.Errorf("unknown figure %q (valid: %s)", id, strings.Join(valid, ", "))
+	}
+	return sel, nil
+}
+
+func parseGPUs(s string) []int {
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || v < 1 {
-			fmt.Fprintf(os.Stderr, "bad %s count %q\n", what, part)
+			fmt.Fprintf(os.Stderr, "bad gpu count %q\n", part)
 			os.Exit(2)
 		}
 		out = append(out, v)

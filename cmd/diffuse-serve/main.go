@@ -8,11 +8,10 @@
 //	diffuse-serve -quota 64MiB -tenant-inflight 2 -global-inflight 8
 //
 // The listen address is printed on startup ("listening on ..."); clients
-// (the serveclient package, examples/serve, diffuse-bench -serve,
-// diffuse-trace -serve) dial it with the matching -transport. SIGINT or
-// SIGTERM shuts down cleanly: in-flight and queued submissions drain,
-// final per-tenant counters print, and the process exits 0. See
-// docs/SERVING.md for the operator guide.
+// (the serveclient package, examples/serve, diffuse-trace -serve) dial it
+// with the matching -transport. SIGINT or SIGTERM shuts down cleanly:
+// in-flight and queued submissions drain, final per-tenant counters print,
+// and the process exits 0. See docs/SERVING.md for the operator guide.
 package main
 
 import (

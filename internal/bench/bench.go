@@ -1,20 +1,14 @@
-// Package bench is the benchmark harness of the repository, with two
-// families of experiments:
+// Package bench regenerates every table and figure of the paper's
+// evaluation (§7) on the simulated cluster (cmd/diffuse-bench is its
+// driver): weak-scaling throughput sweeps (Fig. 10–12), the
+// task-count/granularity table (Fig. 9), and the compilation-overhead
+// table (Fig. 13). Each experiment builds its application fresh per GPU
+// count at a weak-scaled problem size (constant work per GPU) in simulated
+// mode, runs warmup iterations (so fusion windows stabilize and kernels
+// compile), then measures steady-state simulated throughput.
 //
-// The simulated suite regenerates every table and figure of the paper's
-// evaluation (§7): weak-scaling throughput sweeps over the simulated
-// cluster (Fig. 10–12), the task-count/granularity table (Fig. 9), and
-// the compilation-overhead table (Fig. 13). Each experiment builds its
-// application fresh per GPU count at a weak-scaled problem size (constant
-// work per GPU) in simulated mode, runs warmup iterations (so fusion
-// windows stabilize and kernels compile), then measures steady-state
-// simulated throughput.
-//
-// The real-mode macrobenchmark suite (realsuite.go) times actual
-// wall-clock execution of CG, Jacobi, Black-Scholes, and SWE at several
-// problem sizes under both real-mode executors — the persistent chunked
-// pool and the per-point-goroutine baseline — and emits the committed
-// BENCH_real.json trajectory. See docs/BENCHMARKS.md.
+// Wall-clock performance is not measured here: the benchmark of record is
+// BENCHMARK.json + benchmark/ (see docs/BENCHMARKS.md).
 package bench
 
 import (

@@ -88,23 +88,48 @@ var transports = []string{"unix", "tcp"}
 // TestRanksBitIdenticalToShards: every workload observable at ranks=1/2/4
 // equals the in-process Shards=1/2/4 result bit for bit, over both the
 // unix and TCP transports (selected through the DIFFUSE_DIST_TRANSPORT
-// fallback path the env variable exists for).
+// fallback path the env variable exists for). One workload also runs at
+// ranks=2 with core.Config.Transport naming tcp while the environment says
+// unix: the explicit name must win, which shows as no unix rendezvous
+// directory appearing under a private TMPDIR while the ranks are up.
 func TestRanksBitIdenticalToShards(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns rank subprocesses")
 	}
-	for _, w := range workloads() {
+	type selector struct {
+		name, env, explicit string
+		ranks               []int
+	}
+	for i, w := range workloads() {
+		var sels []selector
 		for _, transport := range transports {
-			t.Run(fmt.Sprintf("%s/%s/%s", w.name, dtypeName(w.dt), transport), func(t *testing.T) {
-				t.Setenv(dist.EnvTransport, transport)
-				for _, n := range []int{1, 2, 4} {
+			sels = append(sels, selector{name: transport, env: transport, ranks: []int{1, 2, 4}})
+		}
+		if i == 0 {
+			sels = append(sels, selector{name: "explicit-tcp", env: "unix", explicit: "tcp", ranks: []int{2}})
+		}
+		for _, sel := range sels {
+			t.Run(fmt.Sprintf("%s/%s/%s", w.name, dtypeName(w.dt), sel.name), func(t *testing.T) {
+				t.Setenv(dist.EnvTransport, sel.env)
+				tmp := ""
+				if sel.explicit != "" {
+					tmp = t.TempDir()
+					t.Setenv("TMPDIR", tmp)
+				}
+				for _, n := range sel.ranks {
 					cfg := core.DefaultConfig(n)
 					cfg.Shards = n
 					inproc := cunum.NewContext(core.New(cfg))
 					want := w.run(inproc)
 
-					dctx := cunum.NewDistributedContext(n)
+					dctx := cunum.NewDistributedTransportContext(n, sel.explicit)
 					got := w.run(dctx)
+					if tmp != "" {
+						if left, err := os.ReadDir(tmp); err != nil || len(left) != 0 {
+							t.Errorf("ranks=%d: transport %q ignored in favour of %s=%s: %d entries under TMPDIR (err %v)",
+								n, sel.explicit, dist.EnvTransport, sel.env, len(left), err)
+						}
+					}
 					if err := dctx.Close(); err != nil {
 						t.Fatalf("ranks=%d: close: %v", n, err)
 					}

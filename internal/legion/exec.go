@@ -23,8 +23,8 @@ func (rt *Runtime) executeReal(t *ir.Task) {
 // a semaphore, with bindings resolved afresh at every point (bindArg). It
 // is kept as a reference implementation, not a configuration — it shares
 // no plan, binding, or cache code with the chunked path, so the
-// determinism and dtype tests (and the per-point column of
-// BENCH_real.json) compare the executor against an independent oracle.
+// determinism and dtype tests compare the executor against an independent
+// oracle.
 func (rt *Runtime) executePerPoint(t *ir.Task) {
 	if t.Kernel == nil {
 		panic(fmt.Sprintf("legion: task %s has no kernel", t.Name))

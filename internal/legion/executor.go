@@ -42,8 +42,7 @@ const (
 	// ExecPerPoint runs the v1 executor (exec.go) — one goroutine per
 	// point task, bindings resolved afresh at every point. It shares no
 	// binding code with the chunked path, which makes it the independent
-	// oracle the determinism and dtype tests compare against, and the
-	// per-point column of BENCH_real.json.
+	// oracle the determinism and dtype tests compare against.
 	ExecPerPoint
 )
 

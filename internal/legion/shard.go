@@ -13,11 +13,11 @@ package legion
 // claimable unit; idle workers steal whole shards).
 //
 // Why: consecutive tasks that sweep the same large operands (the multi-RHS
-// sweeps of internal/bench's Jacobi-MRHS workload) touch each block S
+// sweeps of internal/apps' Jacobi-MRHS workload) touch each block S
 // times in quick succession instead of streaming the full operand once per
 // task, which pays on bandwidth-bound streams whose working set exceeds the
-// cache/TLB reach (shard_speedup_vs_1 in BENCH_real.json is the measured
-// value). Fusion achieves the same
+// cache/TLB reach (legion.shard_speedup_vs_1 on BENCHMARK.json's
+// chain_sharded workload is the measured value). Fusion achieves the same
 // locality *inside* a fused kernel; sharding recovers it for the task
 // streams fusion cannot merge (and composes with it across fused tasks).
 //

@@ -27,9 +27,9 @@ package legion
 // stages deep in a chain while shard 3 is still on stage 0. On a
 // single-worker executor the same DAG drains on the submitting goroutine
 // in LIFO (depth-first) order — the order that keeps a shard's block and
-// its operand slabs hot across consecutive stages, which is where the
-// wavefront wins wall-clock even without parallelism (see the
-// deep-stencil-chain rows of BENCH_real.json).
+// its operand slabs hot across consecutive stages
+// (legion.wavefront_speedup_vs_barrier on BENCHMARK.json's chain_sharded
+// workload measures it against the stage-barrier drain).
 //
 // Determinism: unit nodes run exactly the same point decomposition and
 // shard instances as the stage-barrier drain, reduction partials stay

@@ -1,8 +1,9 @@
 // Package serveclient is the client half of Diffuse's service mode: it
 // dials a diffuse-serve front end (unix socket or TCP), performs the
 // tenant hello, and exposes the request/response protocol as method calls.
-// Tests, examples/serve, the diffuse-bench serve mode, and diffuse-trace's
-// serve-stats mode all drive the server through this package.
+// Tests, examples/serve, the benchmark of record's serve_chain workload,
+// and diffuse-trace's serve-stats mode all drive the server through this
+// package.
 package serveclient
 
 import (
