@@ -11,14 +11,17 @@
 # for duplicated headings is accepted). External URLs are skipped — CI must
 # not depend on the network.
 #
-# It also fails when README.md, DESIGN.md or docs/*.md name the real-mode
-# suite PR 20 deleted (its results file, its diffuse-bench flags), so a
-# sentence cannot outlive the file it quoted. ROADMAP.md is exempt: it
-# keeps history. The one-character brackets keep this script from matching
-# its own pattern in a repository-wide grep.
+# It also fails when README.md, DESIGN.md or docs/*.md name something a PR
+# deleted — the real-mode suite of PR 20 (its results file, its
+# diffuse-bench flags), the float64/float32 host-I/O pairs PR 21 folded
+# into ReadBuffer/WriteBuffer — so a sentence cannot outlive what it
+# quoted. ROADMAP.md is exempt: it keeps history. The one-character
+# brackets keep this script from matching its own pattern in a
+# repository-wide grep.
 set -u
 
 removed='BENCH[_]real|-real[p]reset|-check[r]eal|diffuse-bench -(real|compare|serve|ranks|all)\b'
+removed="$removed"'|(Read|Write)[A]ll32' # also inside msgReadAll32/msgWriteAll32
 
 # slugs_of FILE: print the GitHub anchor slug of every heading, skipping
 # fenced code blocks (a `# comment` inside a fence is not a heading).
@@ -37,7 +40,7 @@ for f in README.md DESIGN.md ROADMAP.md docs/*.md; do
   [ -e "$f" ] || continue
   dir=$(dirname "$f")
   if [ "$f" != ROADMAP.md ] && hits=$(grep -nE -e "$removed" "$f"); then
-    echo "$f: names the removed real-mode suite (docs/BENCHMARKS.md says what replaced it):"
+    echo "$f: names something removed (the real-mode suite: see docs/BENCHMARKS.md; ReadAll32/WriteAll32: see DESIGN.md, the wire):"
     echo "$hits"
     fail=1
   fi

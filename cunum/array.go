@@ -275,22 +275,38 @@ func (a *Array) viewOffset(idx []int) int {
 // ToHost forces the tasks this view depends on (leaving independent
 // buffered work pending) and copies the view out row-major. ModeReal only.
 func (a *Array) ToHost() []float64 {
-	a.ctx.sess.FlushStore(a.st())
-	raw := a.ctx.rt.Legion().ReadAll(a.store)
+	raw := a.readStore()
+	if a.wholeStore() && raw.DType() == F64 {
+		return raw.F64() // the runtime's copy is already the answer
+	}
 	out := make([]float64, a.Size())
-	a.gatherView(len(out), func(i, off int) { out[i] = raw[off] })
+	a.gatherView(len(out), func(i, off int) { out[i] = raw.Get(off) })
 	return out
 }
 
 // ToHost32 is ToHost in float32: exact for F32 arrays (no widening copy),
 // rounded for wider ones. ModeReal only.
 func (a *Array) ToHost32() []float32 {
-	a.ctx.sess.FlushStore(a.st())
-	raw := a.ctx.rt.Legion().ReadAll32(a.store)
+	raw := a.readStore()
+	if a.wholeStore() && raw.DType() == F32 {
+		return raw.F32()
+	}
 	out := make([]float32, a.Size())
-	a.gatherView(len(out), func(i, off int) { out[i] = raw[off] })
+	a.gatherView(len(out), func(i, off int) { out[i] = float32(raw.Get(off)) })
 	return out
 }
+
+// readStore flushes the view's dependencies and returns the runtime's copy
+// of the whole backing store, at the store's dtype.
+func (a *Array) readStore() kir.Buffer {
+	a.ctx.sess.FlushStore(a.st())
+	return a.ctx.rt.Legion().ReadBuffer(a.store)
+}
+
+// wholeStore reports whether the view is its backing store, element for
+// element (views stay in bounds, so equal sizes leave no room for an
+// offset or a stride).
+func (a *Array) wholeStore() bool { return a.Size() == a.st().Size() }
 
 // gatherView walks the view row-major, invoking visit with each view index
 // and its flat canonical-store offset.
@@ -316,21 +332,17 @@ func (a *Array) gatherView(n int, visit func(i, off int)) {
 // FromHost forces the tasks touching this store and overwrites the full
 // backing store, rounding to the array's dtype (the view must be the whole
 // store). ModeReal only; intended for test and example setup.
-func (a *Array) FromHost(data []float64) {
-	if a.Size() != a.st().Size() {
+func (a *Array) FromHost(data []float64) { a.writeStore(kir.BufF64(data)) }
+
+// FromHost32 is FromHost from float32 host data.
+func (a *Array) FromHost32(data []float32) { a.writeStore(kir.BufF32(data)) }
+
+func (a *Array) writeStore(data kir.Buffer) {
+	if !a.wholeStore() {
 		panic("cunum: FromHost requires a whole-store view")
 	}
 	a.ctx.sess.FlushStore(a.store)
-	a.ctx.rt.Legion().WriteAll(a.store, data)
-}
-
-// FromHost32 is FromHost from float32 host data.
-func (a *Array) FromHost32(data []float32) {
-	if a.Size() != a.st().Size() {
-		panic("cunum: FromHost32 requires a whole-store view")
-	}
-	a.ctx.sess.FlushStore(a.store)
-	a.ctx.rt.Legion().WriteAll32(a.store, data)
+	a.ctx.rt.Legion().WriteBuffer(a.store, data)
 }
 
 // Get reads one element, forcing only the tasks the view depends on.

@@ -40,9 +40,6 @@ type Series struct {
 	Throughput map[int]float64
 }
 
-// DefaultGPUCounts is the paper's x-axis: 1..128 GPUs by powers of two.
-var DefaultGPUCounts = []int{1, 2, 4, 8, 16, 32, 64, 128}
-
 // SimContext builds a simulated-mode Diffuse context.
 func SimContext(gpus int, fused bool) *cunum.Context {
 	cfg := core.DefaultConfig(gpus)

@@ -13,6 +13,7 @@ import (
 	"diffuse/internal/ir"
 	"diffuse/internal/kir"
 	"diffuse/internal/legion"
+	"diffuse/internal/wire"
 )
 
 // Parent is the parent-side handle of a distributed runtime: the rank
@@ -150,7 +151,7 @@ func Launch(ranks int, transport string, extraEnv ...string) (*Parent, error) {
 			cleanup()
 			return nil, fmt.Errorf("dist: bad hello from rank connection (tag %d): %v", tag, err)
 		}
-		r64, _, err := readI64(body)
+		r64, err := readIDBody(body)
 		r := int(r64)
 		if err != nil || r < 0 || r >= ranks || p.conns[r] != nil {
 			conn.Close()
@@ -317,7 +318,7 @@ func (p *Parent) ensureKernel(k *kir.Kernel) int64 {
 	}
 	ref := p.nextKernel
 	p.nextKernel++
-	p.broadcast(msgKernel, append(appendI64(nil, ref), kir.EncodeKernel(k)...))
+	p.broadcast(msgKernel, append(idBody(ref), kir.EncodeKernel(k)...))
 	p.kernelRefs[k] = ref
 	return ref
 }
@@ -341,50 +342,34 @@ func (p *Parent) Execute(t *ir.Task) {
 // ReadAt implements legion.RemoteBackend.
 func (p *Parent) ReadAt(s *ir.Store, off int) (float64, bool) {
 	p.ensureStore(s)
-	p.broadcast(msgReadAt, append(appendI64(nil, int64(s.ID())), appendI64(nil, int64(off))...))
-	body := p.reply()
-	if len(body) != 9 {
-		panic(fmt.Errorf("dist: ReadAt reply has %d bytes, want 9", len(body)))
+	p.broadcast(msgReadAt, encodeReadAt(s.ID(), off))
+	r := wire.NewReader(p.reply())
+	ok, v := r.Bool(), r.F64()
+	if err := r.Done(); err != nil {
+		panic(fmt.Errorf("dist: ReadAt reply: %w", err))
 	}
-	vals, err := bitsToF64s(body[1:])
-	if err != nil {
-		panic(err)
-	}
-	return vals[0], body[0] != 0
+	return v, ok
 }
 
-// ReadAll implements legion.RemoteBackend.
-func (p *Parent) ReadAll(s *ir.Store) []float64 {
+// ReadBuffer implements legion.RemoteBackend.
+func (p *Parent) ReadBuffer(s *ir.Store) kir.Buffer {
 	p.ensureStore(s)
-	p.broadcast(msgReadAll, appendI64(nil, int64(s.ID())))
-	data, err := bitsToF64s(p.reply())
-	if err != nil {
-		panic(err)
+	p.broadcast(msgRead, idBody(int64(s.ID())))
+	id, data, err := decodeStoreData(p.reply())
+	if err == nil && (id != s.ID() || data.DType() != s.DType() || data.Len() != s.Size()) {
+		err = fmt.Errorf("dist: read of store %d (%v x %d) answered with store %d (%v x %d)",
+			s.ID(), s.DType(), s.Size(), id, data.DType(), data.Len())
 	}
-	return data
-}
-
-// ReadAll32 implements legion.RemoteBackend.
-func (p *Parent) ReadAll32(s *ir.Store) []float32 {
-	p.ensureStore(s)
-	p.broadcast(msgReadAll32, appendI64(nil, int64(s.ID())))
-	data, err := bitsToF32s(p.reply())
 	if err != nil {
 		panic(err)
 	}
 	return data
 }
 
-// WriteAll implements legion.RemoteBackend.
-func (p *Parent) WriteAll(s *ir.Store, data []float64) {
+// WriteBuffer implements legion.RemoteBackend.
+func (p *Parent) WriteBuffer(s *ir.Store, data kir.Buffer) {
 	p.ensureStore(s)
-	p.broadcast(msgWriteAll, encodeF64s(s.ID(), data))
-}
-
-// WriteAll32 implements legion.RemoteBackend.
-func (p *Parent) WriteAll32(s *ir.Store, data []float32) {
-	p.ensureStore(s)
-	p.broadcast(msgWriteAll32, encodeF32s(s.ID(), data))
+	p.broadcast(msgWrite, encodeStoreData(s.ID(), data))
 }
 
 // FreeStore implements legion.RemoteBackend.
@@ -393,7 +378,7 @@ func (p *Parent) FreeStore(id ir.StoreID) {
 		// The store never reached the ranks; nothing to free there.
 		return
 	}
-	p.broadcast(msgFree, appendI64(nil, int64(id)))
+	p.broadcast(msgFree, idBody(int64(id)))
 	delete(p.sentStores, id)
 }
 

@@ -19,12 +19,12 @@
 package dist
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 
 	"diffuse/internal/ir"
+	"diffuse/internal/kir"
+	"diffuse/internal/wire"
 )
 
 // Environment variables of the rank re-entry protocol. The parent sets
@@ -76,36 +76,44 @@ const (
 // rank 0 answers read requests, on the reply tag; every rank acknowledges
 // a drain, so the parent's Drain is a barrier.
 const (
-	msgHello      uint64 = iota + 1 // rank → parent/peer: 8-byte rank id
-	msgStoreNew                     // store id, dtype, name, shape
-	msgKernel                       // kernel-table ref, kir wire bytes
-	msgTask                         // ir wire bytes (references store/kernel tables)
-	msgWriteAll                     // store id, float64 bit patterns
-	msgWriteAll32                   // store id, float32 bit patterns
-	msgFree                         // store id
-	msgDrain                        // (empty) force the shard group to drain; every rank acks
-	msgReadAll                      // store id; rank 0 replies float64 bits
-	msgReadAll32                    // store id; rank 0 replies float32 bits
-	msgReadAt                       // store id, flat offset; rank 0 replies ok + value
-	msgShutdown                     // (empty) clean rank exit
-	msgReply                        // rank 0 → parent: read payload
-	msgDrainAck                     // every rank → parent: (empty) its msgDrain completed
+	msgHello    uint64 = iota + 1 // rank → parent/peer: 8-byte rank id
+	msgStoreNew                   // store id, dtype, name, shape
+	msgKernel                     // kernel-table ref, kir wire bytes
+	msgTask                       // ir wire bytes (references store/kernel tables)
+	msgWrite                      // store data: store id, dtype, native-width elements
+	msgFree                       // store id
+	msgDrain                      // (empty) force the shard group to drain; every rank acks
+	msgRead                       // store id; rank 0 replies store data
+	msgReadAt                     // store id, flat offset; rank 0 replies ok + value
+	msgShutdown                   // (empty) clean rank exit
+	msgReply                      // rank 0 → parent: read payload
+	msgDrainAck                   // every rank → parent: (empty) its msgDrain completed
 )
 
 // maxFrame bounds a frame payload (1 GiB): a corrupt length header fails
 // fast instead of attempting an absurd allocation.
 const maxFrame = 1 << 30
 
-// writeFrame sends one framed message: 8-byte tag, 4-byte payload length,
-// payload, all little-endian.
-func writeFrame(w io.Writer, tag uint64, payload []byte) error {
+// appendHeader appends a frame header — 8-byte tag, 4-byte payload
+// length, little-endian — refusing a payload over maxFrame.
+func appendHeader(buf []byte, tag uint64, payload []byte) ([]byte, error) {
 	if len(payload) > maxFrame {
-		return fmt.Errorf("dist: frame payload %d bytes exceeds limit", len(payload))
+		return buf, fmt.Errorf("dist: frame payload %d bytes exceeds limit", len(payload))
 	}
+	w := wire.Writer{B: buf}
+	w.U64(tag)
+	w.U32(uint32(len(payload)))
+	return w.B, nil
+}
+
+// writeFrame sends one framed message: header, then payload.
+func writeFrame(w io.Writer, tag uint64, payload []byte) error {
 	var hdr [12]byte
-	binary.LittleEndian.PutUint64(hdr[0:], tag)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	h, err := appendHeader(hdr[:0], tag, payload)
+	if err != nil {
+		return err
+	}
+	if _, err := w.Write(h); err != nil {
 		return err
 	}
 	if len(payload) > 0 {
@@ -122,13 +130,10 @@ func writeFrame(w io.Writer, tag uint64, payload []byte) error {
 // whole frame to one conn.Write, so a steady-state send costs zero
 // allocations and one syscall instead of two.
 func appendFrame(buf []byte, tag uint64, payload []byte) ([]byte, error) {
-	if len(payload) > maxFrame {
-		return buf, fmt.Errorf("dist: frame payload %d bytes exceeds limit", len(payload))
+	buf, err := appendHeader(buf, tag, payload)
+	if err != nil {
+		return buf, err
 	}
-	var hdr [12]byte
-	binary.LittleEndian.PutUint64(hdr[0:], tag)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(payload)))
-	buf = append(buf, hdr[:]...)
 	return append(buf, payload...), nil
 }
 
@@ -138,8 +143,9 @@ func readFrame(r io.Reader) (tag uint64, payload []byte, err error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	tag = binary.LittleEndian.Uint64(hdr[0:])
-	n := binary.LittleEndian.Uint32(hdr[8:])
+	h := wire.NewReader(hdr[:])
+	tag = h.U64()
+	n := h.U32()
 	if n > maxFrame {
 		return 0, nil, fmt.Errorf("dist: frame payload %d bytes exceeds limit", n)
 	}
@@ -152,146 +158,96 @@ func readFrame(r io.Reader) (tag uint64, payload []byte, err error) {
 	return tag, payload, nil
 }
 
-// Body codecs of the control messages. These are deliberately tiny —
-// everything interesting (tasks, kernels) travels in the versioned ir/kir
-// wire formats; control bodies are fixed little-endian layouts.
+// Body codecs of the control messages, written and read with internal/wire
+// like everything else that crosses a process boundary. These are
+// deliberately tiny — everything interesting (tasks, kernels) travels in
+// the versioned ir/kir wire formats. Control bodies carry no version:
+// parent and ranks are the same binary by construction (the parent
+// re-executes itself). Every decoder rejects a body with bytes left over.
 
-func appendI64(b []byte, v int64) []byte { return binary.LittleEndian.AppendUint64(b, uint64(v)) }
+// idBody is the body of the one-integer messages (hello's rank id, the
+// store id of msgFree and msgRead); readIDBody decodes it.
+func idBody(v int64) []byte {
+	var w wire.Writer
+	w.I64(v)
+	return w.B
+}
 
-func readI64(b []byte) (int64, []byte, error) {
-	if len(b) < 8 {
-		return 0, nil, fmt.Errorf("dist: control body truncated (need 8 bytes, have %d)", len(b))
-	}
-	return int64(binary.LittleEndian.Uint64(b)), b[8:], nil
+func readIDBody(b []byte) (int64, error) {
+	r := wire.NewReader(b)
+	v := r.I64()
+	return v, r.Done()
 }
 
 func encodeStoreNew(s *ir.Store) []byte {
-	b := appendI64(nil, int64(s.ID()))
-	b = append(b, byte(s.DType()))
-	b = appendI64(b, int64(len(s.Name())))
-	b = append(b, s.Name()...)
-	b = appendI64(b, int64(s.Rank()))
-	for _, e := range s.Shape() {
-		b = appendI64(b, int64(e))
-	}
-	return b
+	var w wire.Writer
+	w.I64(int64(s.ID()))
+	w.U8(uint8(s.DType()))
+	w.Str(s.Name())
+	w.Ints(s.Shape())
+	return w.B
 }
 
 func decodeStoreNew(b []byte) (*ir.Store, error) {
-	id, b, err := readI64(b)
-	if err != nil {
-		return nil, err
+	r := wire.NewReader(b)
+	id := ir.StoreID(r.I64())
+	dt := ir.DType(r.U8())
+	name := r.Str()
+	shape := r.Ints()
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("dist: StoreNew: %w", err)
 	}
-	if len(b) < 1 {
-		return nil, fmt.Errorf("dist: StoreNew body truncated")
+	if !dt.Valid() {
+		return nil, fmt.Errorf("dist: StoreNew %d (%s): unknown dtype %d", id, name, uint8(dt))
 	}
-	dt := ir.DType(b[0])
-	b = b[1:]
-	nameLen, b, err := readI64(b)
-	if err != nil {
-		return nil, err
+	for d, e := range shape {
+		if e < 0 {
+			return nil, fmt.Errorf("dist: StoreNew %d (%s): negative extent %d on axis %d", id, name, e, d)
+		}
 	}
-	if nameLen < 0 || int64(len(b)) < nameLen {
-		return nil, fmt.Errorf("dist: StoreNew name length %d out of range", nameLen)
-	}
-	name := string(b[:nameLen])
-	b = b[nameLen:]
-	rank, b, err := readI64(b)
-	if err != nil {
-		return nil, err
-	}
-	if rank < 0 || int64(len(b)) != rank*8 {
-		return nil, fmt.Errorf("dist: StoreNew shape rank %d does not match body", rank)
-	}
-	shape := make([]int, rank)
-	for i := range shape {
-		var v int64
-		v, b, _ = readI64(b)
-		shape[i] = int(v)
-	}
-	return ir.RestoreStore(ir.StoreID(id), name, shape, dt), nil
+	return ir.RestoreStore(id, name, shape, dt), nil
 }
 
-func encodeF64s(id ir.StoreID, data []float64) []byte {
-	b := appendI64(nil, int64(id))
-	for _, v := range data {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-	}
-	return b
+// encodeStoreData is the one store-data body — a host write going out and
+// a host read coming back: store id, dtype byte, then every element at
+// that dtype's own width (kir.Buffer.AppendWire).
+func encodeStoreData(id ir.StoreID, data kir.Buffer) []byte {
+	w := wire.Writer{B: make([]byte, 0, 9+data.Len()*data.DType().Size())}
+	w.I64(int64(id))
+	w.U8(uint8(data.DType()))
+	return data.AppendWire(w.B, 0, data.Len())
 }
 
-func decodeF64s(b []byte) (ir.StoreID, []float64, error) {
-	id, b, err := readI64(b)
-	if err != nil {
-		return 0, nil, err
+func decodeStoreData(b []byte) (ir.StoreID, kir.Buffer, error) {
+	r := wire.NewReader(b)
+	id := ir.StoreID(r.I64())
+	dt := kir.DType(r.U8())
+	if err := r.Err(); err != nil {
+		return 0, kir.Buffer{}, fmt.Errorf("dist: store data: %w", err)
 	}
-	if len(b)%8 != 0 {
-		return 0, nil, fmt.Errorf("dist: float64 payload length %d not a multiple of 8", len(b))
+	if !dt.Valid() {
+		return 0, kir.Buffer{}, fmt.Errorf("dist: store %d data: unknown dtype %d", id, uint8(dt))
 	}
-	data := make([]float64, len(b)/8)
-	for i := range data {
-		data[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
+	n := r.Len() / dt.Size()
+	data := kir.AllocBuffer(dt, n)
+	if err := data.DecodeWire(0, n, r.Bytes(r.Len())); err != nil {
+		return 0, kir.Buffer{}, fmt.Errorf("dist: store %d data: %w", id, err)
 	}
-	return ir.StoreID(id), data, nil
+	return id, data, nil
 }
 
-func encodeF32s(id ir.StoreID, data []float32) []byte {
-	b := appendI64(nil, int64(id))
-	for _, v := range data {
-		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
-	}
-	return b
+func encodeReadAt(id ir.StoreID, off int) []byte {
+	var w wire.Writer
+	w.I64(int64(id))
+	w.I64(int64(off))
+	return w.B
 }
 
-func decodeF32s(b []byte) (ir.StoreID, []float32, error) {
-	id, b, err := readI64(b)
-	if err != nil {
-		return 0, nil, err
+func decodeReadAt(b []byte) (ir.StoreID, int, error) {
+	r := wire.NewReader(b)
+	id, off := ir.StoreID(r.I64()), int(r.I64())
+	if err := r.Done(); err != nil {
+		return 0, 0, fmt.Errorf("dist: ReadAt: %w", err)
 	}
-	if len(b)%4 != 0 {
-		return 0, nil, fmt.Errorf("dist: float32 payload length %d not a multiple of 4", len(b))
-	}
-	data := make([]float32, len(b)/4)
-	for i := range data {
-		data[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:]))
-	}
-	return ir.StoreID(id), data, nil
-}
-
-func f64sToBits(data []float64) []byte {
-	b := make([]byte, 0, len(data)*8)
-	for _, v := range data {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-	}
-	return b
-}
-
-func bitsToF64s(b []byte) ([]float64, error) {
-	if len(b)%8 != 0 {
-		return nil, fmt.Errorf("dist: float64 payload length %d not a multiple of 8", len(b))
-	}
-	data := make([]float64, len(b)/8)
-	for i := range data {
-		data[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-	}
-	return data, nil
-}
-
-func f32sToBits(data []float32) []byte {
-	b := make([]byte, 0, len(data)*4)
-	for _, v := range data {
-		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
-	}
-	return b
-}
-
-func bitsToF32s(b []byte) ([]float32, error) {
-	if len(b)%4 != 0 {
-		return nil, fmt.Errorf("dist: float32 payload length %d not a multiple of 4", len(b))
-	}
-	data := make([]float32, len(b)/4)
-	for i := range data {
-		data[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:]))
-	}
-	return data, nil
+	return id, off, nil
 }

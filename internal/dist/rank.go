@@ -13,6 +13,7 @@ import (
 	"diffuse/internal/kir"
 	"diffuse/internal/legion"
 	"diffuse/internal/machine"
+	"diffuse/internal/wire"
 )
 
 // MaybeRankMain re-enters the current binary as a rank process when the
@@ -91,7 +92,7 @@ func runRank() (err error) {
 		return fmt.Errorf("connect to parent: %w", err)
 	}
 	defer parent.Close()
-	if err := writeFrame(parent, msgHello, appendI64(nil, int64(me))); err != nil {
+	if err := writeFrame(parent, msgHello, idBody(int64(me))); err != nil {
 		return fmt.Errorf("hello to parent: %w", err)
 	}
 
@@ -170,11 +171,10 @@ func (rs *rankState) kernel(ref int64, fp string) (*kir.Kernel, error) {
 type ctlOp struct {
 	tag  uint64
 	task *ir.Task   // msgTask
-	st   *ir.Store  // msgWriteAll/32, msgReadAll/32, msgReadAt (resolved at decode time)
+	st   *ir.Store  // msgWrite, msgRead, msgReadAt (resolved at decode time)
 	id   ir.StoreID // msgFree
-	off  int64      // msgReadAt
-	f64s []float64  // msgWriteAll
-	f32s []float32  // msgWriteAll32
+	off  int        // msgReadAt
+	data kir.Buffer // msgWrite
 	err  error      // decode or stream failure; terminal
 }
 
@@ -211,84 +211,61 @@ func (rs *rankState) decodeLoop(parent net.Conn, ops chan<- ctlOp, quit <-chan s
 			// executor never looks stores up by id.
 			s, err := decodeStoreNew(body)
 			if err != nil {
-				op.err = fmt.Errorf("rank %d: %w", rs.me, err)
+				op.err = err
 				break
 			}
 			rs.stores[s.ID()] = s
 			continue // nothing to execute
 		case msgKernel:
-			ref, rest, err := readI64(body)
-			if err != nil {
-				op.err = fmt.Errorf("rank %d: kernel message: %w", rs.me, err)
+			r := wire.NewReader(body)
+			ref := r.I64()
+			if r.Err() != nil {
+				op.err = fmt.Errorf("kernel message: %w", r.Err())
 				break
 			}
-			k, err := kir.DecodeKernel(rest)
+			k, err := kir.DecodeKernel(r.Bytes(r.Len()))
 			if err != nil {
-				op.err = fmt.Errorf("rank %d: kernel %d: %w", rs.me, ref, err)
+				op.err = fmt.Errorf("kernel %d: %w", ref, err)
 				break
 			}
 			rs.kernels[ref] = k
 			continue
 		case msgTask:
 			op.task, op.err = ir.DecodeTask(body, rs.store, rs.kernel)
-			if op.err != nil {
-				op.err = fmt.Errorf("rank %d: %w", rs.me, op.err)
-			}
-		case msgWriteAll:
+		case msgWrite:
 			var id ir.StoreID
-			id, op.f64s, op.err = decodeF64s(body)
+			id, op.data, op.err = decodeStoreData(body)
 			if op.err == nil {
 				op.st, op.err = rs.store(id)
 			}
-			if op.err != nil {
-				op.err = fmt.Errorf("rank %d: WriteAll: %w", rs.me, op.err)
-			}
-		case msgWriteAll32:
-			var id ir.StoreID
-			id, op.f32s, op.err = decodeF32s(body)
-			if op.err == nil {
-				op.st, op.err = rs.store(id)
-			}
-			if op.err != nil {
-				op.err = fmt.Errorf("rank %d: WriteAll32: %w", rs.me, op.err)
+			if op.err == nil && op.data.Len() != op.st.Size() {
+				op.err = fmt.Errorf("dist: write of %d elements to store %d of %d", op.data.Len(), id, op.st.Size())
 			}
 		case msgFree:
-			id, _, err := readI64(body)
-			if err != nil {
-				op.err = fmt.Errorf("rank %d: Free: %w", rs.me, err)
-				break
-			}
+			var id int64
+			id, op.err = readIDBody(body)
 			op.id = ir.StoreID(id)
 			// The free is safe to apply to the decode table immediately:
 			// control replication guarantees no later message references a
 			// freed store. The runtime-side free happens at execution time.
 			delete(rs.stores, op.id)
 		case msgDrain:
-		case msgReadAll, msgReadAll32:
-			id, _, err := readI64(body)
-			if err == nil {
-				op.st, err = rs.store(ir.StoreID(id))
-			}
-			if err != nil {
-				op.err = fmt.Errorf("rank %d: read: %w", rs.me, err)
+		case msgRead:
+			var id int64
+			if id, op.err = readIDBody(body); op.err == nil {
+				op.st, op.err = rs.store(ir.StoreID(id))
 			}
 		case msgReadAt:
-			id, rest, err := readI64(body)
-			var off int64
-			if err == nil {
-				off, _, err = readI64(rest)
+			var id ir.StoreID
+			if id, op.off, op.err = decodeReadAt(body); op.err == nil {
+				op.st, op.err = rs.store(id)
 			}
-			if err == nil {
-				op.st, err = rs.store(ir.StoreID(id))
-			}
-			if err != nil {
-				op.err = fmt.Errorf("rank %d: ReadAt: %w", rs.me, err)
-				break
-			}
-			op.off = off
 		case msgShutdown:
 		default:
-			op.err = fmt.Errorf("rank %d: unknown control message %d", rs.me, tag)
+			op.err = fmt.Errorf("unknown control message %d", tag)
+		}
+		if op.err != nil {
+			op.err = fmt.Errorf("rank %d: %w", rs.me, op.err)
 		}
 		if !emit(op) {
 			return
@@ -321,10 +298,8 @@ func (rs *rankState) controlLoop(parent net.Conn) error {
 		switch op.tag {
 		case msgTask:
 			rs.rt.Execute(op.task)
-		case msgWriteAll:
-			rs.rt.WriteAll(op.st, op.f64s)
-		case msgWriteAll32:
-			rs.rt.WriteAll32(op.st, op.f32s)
+		case msgWrite:
+			rs.rt.WriteBuffer(op.st, op.data)
 		case msgFree:
 			rs.rt.FreeStore(op.id)
 		case msgDrain:
@@ -332,26 +307,16 @@ func (rs *rankState) controlLoop(parent net.Conn) error {
 			if err := writeFrame(parent, msgDrainAck, nil); err != nil {
 				return fmt.Errorf("rank %d: drain acknowledgement: %w", rs.me, err)
 			}
-		case msgReadAll:
-			data := rs.rt.ReadAll(op.st)
-			if err := reply(f64sToBits(data)); err != nil {
-				return fmt.Errorf("rank %d: reply: %w", rs.me, err)
-			}
-		case msgReadAll32:
-			data := rs.rt.ReadAll32(op.st)
-			if err := reply(f32sToBits(data)); err != nil {
+		case msgRead:
+			if err := reply(encodeStoreData(op.st.ID(), rs.rt.ReadBuffer(op.st))); err != nil {
 				return fmt.Errorf("rank %d: reply: %w", rs.me, err)
 			}
 		case msgReadAt:
-			v, ok := rs.rt.ReadAt(op.st, int(op.off))
-			payload := make([]byte, 0, 9)
-			if ok {
-				payload = append(payload, 1)
-			} else {
-				payload = append(payload, 0)
-			}
-			payload = append(payload, f64sToBits([]float64{v})...)
-			if err := reply(payload); err != nil {
+			v, ok := rs.rt.ReadAt(op.st, op.off)
+			var w wire.Writer
+			w.Bool(ok)
+			w.F64(v)
+			if err := reply(w.B); err != nil {
 				return fmt.Errorf("rank %d: reply: %w", rs.me, err)
 			}
 		case msgShutdown:

@@ -187,7 +187,7 @@ func connectMesh(p Provider, addrs *AddrSet, me int, timeout time.Duration) (*Tr
 			t.Close()
 			return nil, fmt.Errorf("rank %d connect to rank %d: %w", me, peer, err)
 		}
-		if err := writeFrame(conn, msgHello, appendI64(nil, int64(me))); err != nil {
+		if err := writeFrame(conn, msgHello, idBody(int64(me))); err != nil {
 			t.Close()
 			return nil, fmt.Errorf("rank %d hello to rank %d: %w", me, peer, err)
 		}
@@ -209,7 +209,7 @@ func connectMesh(p Provider, addrs *AddrSet, me int, timeout time.Duration) (*Tr
 			t.Close()
 			return nil, fmt.Errorf("rank %d: bad hello (tag %d): %v", me, tag, err)
 		}
-		peer64, _, err := readI64(body)
+		peer64, err := readIDBody(body)
 		peer := int(peer64)
 		if err != nil || peer <= me || peer >= ranks || t.links[peer] != nil {
 			conn.Close()

@@ -55,26 +55,9 @@ func argsConflict(a1, a2 Arg) bool {
 	return false
 }
 
-// DependenceMap materializes D(T1, T2) of Definition 2: for every point p
-// of T1's launch domain, the set of points of T2's launch domain whose
-// point task depends on T1^p. Exponential in machine size by design; tests
-// only.
-func DependenceMap(t1, t2 *Task) map[string][]Point {
-	m := make(map[string][]Point)
-	t1.Launch.Each(func(p1 Point) {
-		var deps []Point
-		t2.Launch.Each(func(p2 Point) {
-			if PointDep(t1, p1, t2, p2) {
-				deps = append(deps, p2)
-			}
-		})
-		m[p1.String()] = deps
-	})
-	return m
-}
-
 // PointwiseFusible reports Definition 3 directly: T1 and T2 are fusible iff
-// for all p, D(T1,T2)[p] ⊆ {p}. Used by tests to validate the scale-free
+// for all p, D(T1,T2)[p] ⊆ {p}, where D(T1,T2)[p] (Definition 2) is the set
+// of points of T2 whose point task depends on T1^p. Used by tests to validate the scale-free
 // constraints in internal/core.
 func PointwiseFusible(t1, t2 *Task) bool {
 	if !t1.Launch.Equal(t2.Launch) {

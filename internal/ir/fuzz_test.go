@@ -1,11 +1,11 @@
 package ir_test
 
 // Fuzz harness for the control-stream wire decoders. Every rank feeds
-// parent-supplied bytes straight into DecodeTask (and the dependence and
-// span codecs), so the decoders are a trust boundary: malformed or
-// truncated input must come back as an error — never a panic, and never
-// an allocation sized by an attacker-controlled count rather than the
-// input length (rbuf.count caps every count against the bytes actually
+// parent-supplied bytes straight into DecodeTask and kir.DecodeKernel, so
+// the decoders are a trust boundary: malformed or truncated input must
+// come back as an error — never a panic, and never an allocation sized by
+// an attacker-controlled count rather than the input length
+// (wire.Reader.Count caps every count against the bytes actually
 // present). The committed seed corpus under
 // testdata/fuzz/FuzzDecodeStream starts the exploration from valid
 // encodings plus canonical corruptions of them.
@@ -38,6 +38,10 @@ func FuzzDecodeStream(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0}) // version ok, flags, then nothing
+	kern := kir.NewKernel("seed", 2)
+	kern.AddLoop(&kir.Loop{Kind: kir.LoopElem, Dom: "v", Ext: []int{4}, ExtRef: 1,
+		Stmts: []kir.Stmt{{Kind: kir.KStore, Param: 1, E: kir.Load(0)}}})
+	f.Add(kir.EncodeKernel(kern))
 
 	resolveStore := func(ir.StoreID) (*ir.Store, error) { return store, nil }
 	resolveKernel := func(int64, string) (*kir.Kernel, error) { return nil, nil }
@@ -59,13 +63,17 @@ func FuzzDecodeStream(f *testing.F) {
 			}
 		}
 
-		rest := data
-		if _, r, err := ir.DecodeStageDep(rest); err == nil {
-			rest = r
+		// The kernel body codec reads the same bytes: an error, or a
+		// kernel that re-encodes, decodes again and is still the same
+		// kernel to the memo key and the plan cache.
+		if k, err := kir.DecodeKernel(data); err == nil {
+			k2, err := kir.DecodeKernel(kir.EncodeKernel(k))
+			if err != nil {
+				t.Fatalf("re-encoded kernel does not decode: %v", err)
+			}
+			if k.FingerprintHash() != k2.FingerprintHash() {
+				t.Fatalf("kernel %q changed its fingerprint hash across the wire", k.Name)
+			}
 		}
-		if _, r, err := ir.DecodeSpan(rest); err == nil {
-			rest = r
-		}
-		_ = rest
 	})
 }

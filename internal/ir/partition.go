@@ -421,10 +421,3 @@ func writeInts(b *strings.Builder, v []int) {
 	}
 	b.WriteByte(']')
 }
-
-// PartsAlias reports whether two partitions of the same store may alias,
-// i.e. whether a point task using one may touch data of a differently
-// colored point task using the other. Per the paper's fusion constraints
-// this is simply structural inequality: identical partitions induce only
-// point-wise sharing, anything else conservatively aliases.
-func PartsAlias(a, b Partition) bool { return !a.Equal(b) }

@@ -1,27 +1,19 @@
 package ir
 
-// Sharding is the block decomposition of a store along its leading axis —
+// A store's sharding is its block decomposition along the leading axis —
 // the coarse, machine-level partition that sharded execution (see
 // internal/legion) decomposes work over, one level above the per-point
-// Tiling partitions tasks access stores through. A store's sharding is
-// orthogonal to the partitions of the tasks touching it: partitions say
-// which elements a point task reads or writes, sharding says which shard's
+// Tiling partitions tasks access stores through. It is orthogonal to the
+// partitions of the tasks touching the store: partitions say which
+// elements a point task reads or writes, sharding says which shard's
 // region instance those elements live in.
 //
-// Sharding carries a generation counter: resharding a store (changing its
-// block decomposition mid-stream) bumps the generation, and the fusion
-// layer's sixth constraint (internal/core) refuses to fuse across the
-// boundary — tasks before and after a repartition must reach the runtime
-// as separate tasks so it can move data between the decompositions.
-type Sharding struct {
-	// Count is the number of leading-axis blocks (<= 1 means unsharded).
-	Count int
-	// Gen is the repartition generation, bumped by every Reshard.
-	Gen int64
-}
-
-// Active reports whether the sharding actually decomposes (Count > 1).
-func (sh Sharding) Active() bool { return sh.Count > 1 }
+// A sharding is a block count (<= 1 means unsharded) and a generation
+// counter: resharding a store (changing its block decomposition
+// mid-stream) bumps the generation, and the fusion layer's sixth constraint
+// (internal/core) refuses to fuse across the boundary — tasks before and
+// after a repartition must reach the runtime as separate tasks so it can
+// move data between the decompositions.
 
 // ShardBlock returns the half-open leading-axis interval [lo, hi) of
 // shard s when extent elements are decomposed into shards equal blocks
@@ -44,20 +36,6 @@ func ShardBlock(s, shards, extent int) (lo, hi int) {
 		hi = extent
 	}
 	return lo, hi
-}
-
-// ShardOf returns the shard owning leading-axis coordinate x under the
-// ShardBlock decomposition.
-func ShardOf(x, shards, extent int) int {
-	if shards <= 1 || extent <= 0 {
-		return 0
-	}
-	bs := (extent + shards - 1) / shards
-	s := x / bs
-	if s >= shards {
-		s = shards - 1
-	}
-	return s
 }
 
 // SetShards stamps the store's shard count at creation time (generation
@@ -92,11 +70,6 @@ func (s *Store) ShardCount() int {
 
 // ShardGen returns the store's current repartition generation.
 func (s *Store) ShardGen() int64 { return s.shardGen.Load() }
-
-// Shard returns the store's current sharding descriptor.
-func (s *Store) Shard() Sharding {
-	return Sharding{Count: s.ShardCount(), Gen: s.ShardGen()}
-}
 
 // ShardBlock returns the leading-axis row interval [lo, hi) of shard i
 // under the store's current decomposition.

@@ -144,27 +144,6 @@ type Task struct {
 	sealed bool
 }
 
-// ReadsStore reports whether the task reads the given (store, partition)
-// through any argument (the R predicate of paper §3.2).
-func (t *Task) ReadsStore(s *Store, p Partition) bool {
-	for _, a := range t.Args {
-		if a.Store == s && a.Priv.Reads() && a.Part.Equal(p) {
-			return true
-		}
-	}
-	return false
-}
-
-// TouchesStore reports whether any argument references the store.
-func (t *Task) TouchesStore(s *Store) bool {
-	for _, a := range t.Args {
-		if a.Store == s {
-			return true
-		}
-	}
-	return false
-}
-
 // String implements fmt.Stringer.
 func (t *Task) String() string {
 	var b strings.Builder

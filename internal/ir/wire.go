@@ -9,11 +9,11 @@ package ir
 // observe, deterministically, and nothing else.
 //
 // Encoding rules:
-//   - all integers are little-endian int64 (lengths, ids, coordinates),
-//     enums are single bytes, floats are IEEE-754 bit patterns — encoding
-//     the same task twice yields identical bytes, and re-encoding a
-//     decoded task reproduces them (the round-trip property test keys on
-//     this);
+//   - the byte layer is internal/wire: integers are little-endian int64
+//     (lengths, ids, coordinates), enums are single bytes, floats are
+//     IEEE-754 bit patterns — encoding the same task twice yields identical
+//     bytes, and re-encoding a decoded task reproduces them (the round-trip
+//     property test keys on this);
 //   - stores are referenced by StoreID: the decoder resolves them through
 //     a caller-supplied table, which the dist layer fills from StoreNew
 //     control messages (RestoreStore);
@@ -30,11 +30,10 @@ package ir
 //     before serialization.
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"diffuse/internal/kir"
+	"diffuse/internal/wire"
 )
 
 // WireVersion is the task-stream codec version; DecodeTask rejects any
@@ -43,171 +42,62 @@ const WireVersion uint16 = 1
 
 const taskFlagPayload uint8 = 1 << 0
 
-type wbuf struct{ b []byte }
-
-func (w *wbuf) u16(v uint16) { w.b = binary.LittleEndian.AppendUint16(w.b, v) }
-func (w *wbuf) u8(v uint8)   { w.b = append(w.b, v) }
-func (w *wbuf) u64(v uint64) { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
-func (w *wbuf) i64(v int64)  { w.u64(uint64(v)) }
-
-func (w *wbuf) str(s string) {
-	w.i64(int64(len(s)))
-	w.b = append(w.b, s...)
+func putRect(w *wire.Writer, r Rect) {
+	w.Ints(r.Lo)
+	w.Ints(r.Hi)
 }
 
-func (w *wbuf) ints(vs []int) {
-	w.i64(int64(len(vs)))
-	for _, v := range vs {
-		w.i64(int64(v))
-	}
-}
-
-func (w *wbuf) point(p Point) { w.ints([]int(p)) }
-
-func (w *wbuf) rect(r Rect) {
-	w.point(r.Lo)
-	w.point(r.Hi)
-}
-
-type rbuf struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *rbuf) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (r *rbuf) need(n int) bool {
-	if r.err != nil {
-		return false
-	}
-	if r.off+n > len(r.b) {
-		r.fail("ir: wire truncated at offset %d (need %d bytes of %d)", r.off, n, len(r.b))
-		return false
-	}
-	return true
-}
-
-func (r *rbuf) u16() uint16 {
-	if !r.need(2) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(r.b[r.off:])
-	r.off += 2
-	return v
-}
-
-func (r *rbuf) u8() uint8 {
-	if !r.need(1) {
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *rbuf) u64() uint64 {
-	if !r.need(8) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *rbuf) i64() int64 { return int64(r.u64()) }
-
-func (r *rbuf) count(min int) int {
-	n := r.i64()
-	if r.err != nil {
-		return 0
-	}
-	if n < 0 || (min > 0 && n > int64(len(r.b)-r.off)/int64(min)) {
-		r.fail("ir: wire count %d out of range at offset %d", n, r.off)
-		return 0
-	}
-	return int(n)
-}
-
-func (r *rbuf) str() string {
-	n := r.count(1)
-	if !r.need(n) {
-		return ""
-	}
-	s := string(r.b[r.off : r.off+n])
-	r.off += n
-	return s
-}
-
-func (r *rbuf) ints() []int {
-	n := r.count(8)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	vs := make([]int, n)
-	for i := range vs {
-		vs[i] = int(r.i64())
-	}
-	return vs
-}
-
-func (r *rbuf) point() Point { return Point(r.ints()) }
-
-func (r *rbuf) rect() Rect {
-	lo := r.point()
-	hi := r.point()
+func readRect(r *wire.Reader) Rect {
+	lo := Point(r.Ints())
+	hi := Point(r.Ints())
 	return Rect{Lo: lo, Hi: hi}
 }
 
-func appendPartition(w *wbuf, p Partition) error {
+func appendPartition(w *wire.Writer, p Partition) error {
 	switch pt := p.(type) {
 	case *NonePart:
-		w.u8(uint8(KindNone))
-		w.rect(pt.Colors)
+		w.U8(uint8(KindNone))
+		putRect(w, pt.Colors)
 	case *TilingPart:
-		w.u8(uint8(KindTiling))
-		w.ints(pt.View)
-		w.ints(pt.Tile)
-		w.ints(pt.Offset)
-		w.ints(pt.Stride)
+		w.U8(uint8(KindTiling))
+		w.Ints(pt.View)
+		w.Ints(pt.Tile)
+		w.Ints(pt.Offset)
+		w.Ints(pt.Stride)
 		if ProjectionByName(pt.Proj.Name()) != pt.Proj {
 			return fmt.Errorf("ir: projection %q is not the wire-registered singleton", pt.Proj.Name())
 		}
-		w.str(pt.Proj.Name())
-		w.rect(pt.Colors)
+		w.Str(pt.Proj.Name())
+		putRect(w, pt.Colors)
 	default:
 		return fmt.Errorf("ir: cannot encode partition kind %T", p)
 	}
 	return nil
 }
 
-func readPartition(r *rbuf) Partition {
-	switch k := PartKind(r.u8()); k {
+func readPartition(r *wire.Reader) Partition {
+	switch k := PartKind(r.U8()); k {
 	case KindNone:
-		return ReplicateOver(r.rect())
+		return ReplicateOver(readRect(r))
 	case KindTiling:
 		t := &TilingPart{
-			View:   r.ints(),
-			Tile:   r.ints(),
-			Offset: r.ints(),
-			Stride: r.ints(),
+			View:   r.Ints(),
+			Tile:   r.Ints(),
+			Offset: r.Ints(),
+			Stride: r.Ints(),
 		}
-		name := r.str()
-		t.Colors = r.rect()
-		if r.err != nil {
+		name := r.Str()
+		t.Colors = readRect(r)
+		if r.Err() != nil {
 			return nil
 		}
 		if t.Proj = ProjectionByName(name); t.Proj == nil {
-			r.fail("ir: wire names unregistered projection %q", name)
+			r.Fail("ir: wire names unregistered projection %q", name)
 			return nil
 		}
 		return t.seal()
 	default:
-		r.fail("ir: unknown wire partition kind %d", k)
+		r.Fail("ir: unknown wire partition kind %d", k)
 		return nil
 	}
 }
@@ -218,39 +108,39 @@ func readPartition(r *rbuf) Partition {
 // per distinct kernel. The task's payload, if any, is not encoded — only
 // its presence is flagged.
 func EncodeTask(t *Task, kernelRef int64) ([]byte, error) {
-	w := &wbuf{}
-	w.u16(WireVersion)
+	w := &wire.Writer{}
+	w.U16(WireVersion)
 	var flags uint8
 	if t.Payload != nil {
 		flags |= taskFlagPayload
 	}
-	w.u8(flags)
-	w.str(t.Name)
-	w.rect(t.Launch)
-	w.i64(t.Seq)
-	w.i64(int64(t.FusedFrom))
-	w.i64(kernelRef)
+	w.U8(flags)
+	w.Str(t.Name)
+	putRect(w, t.Launch)
+	w.I64(t.Seq)
+	w.I64(int64(t.FusedFrom))
+	w.I64(kernelRef)
 	if t.Kernel != nil {
-		w.str(t.Kernel.Fingerprint())
+		w.Str(t.Kernel.Fingerprint())
 	} else {
-		w.str("")
+		w.Str("")
 	}
-	w.i64(int64(len(t.Args)))
+	w.I64(int64(len(t.Args)))
 	for i := range t.Args {
 		a := &t.Args[i]
 		if a.Store == nil {
 			return nil, fmt.Errorf("ir: task %s arg %d has no store", t.Name, i)
 		}
-		w.i64(int64(a.Store.ID()))
-		w.u8(uint8(a.Priv))
-		w.u8(uint8(a.Red))
-		w.u64(math.Float64bits(a.HaloBytes))
-		w.i64(a.ShardGen)
+		w.I64(int64(a.Store.ID()))
+		w.U8(uint8(a.Priv))
+		w.U8(uint8(a.Red))
+		w.F64(a.HaloBytes)
+		w.I64(a.ShardGen)
 		if err := appendPartition(w, a.Part); err != nil {
 			return nil, fmt.Errorf("ir: task %s arg %d: %w", t.Name, i, err)
 		}
 	}
-	return w.b, nil
+	return w.B, nil
 }
 
 // DecodeTask parses a task from the wire format. Store references are
@@ -259,28 +149,28 @@ func EncodeTask(t *Task, kernelRef int64) ([]byte, error) {
 // repeated references yield the same *kir.Kernel. The decoded task's
 // Payload is always nil (see taskFlagPayload).
 func DecodeTask(data []byte, stores func(StoreID) (*Store, error), kernel func(ref int64, fingerprint string) (*kir.Kernel, error)) (*Task, error) {
-	r := &rbuf{b: data}
-	if v := r.u16(); r.err == nil && v != WireVersion {
+	r := wire.NewReader(data)
+	if v := r.U16(); r.Err() == nil && v != WireVersion {
 		return nil, fmt.Errorf("ir: task wire version %d, want %d", v, WireVersion)
 	}
-	flags := r.u8()
+	r.U8() // flags: payload presence is informational; payloads never decode
 	t := &Task{}
-	t.Name = r.str()
-	t.Launch = r.rect()
-	t.Seq = r.i64()
-	t.FusedFrom = int(r.i64())
-	kref := r.i64()
-	fp := r.str()
-	nargs := r.count(28)
-	for i := 0; i < nargs && r.err == nil; i++ {
+	t.Name = r.Str()
+	t.Launch = readRect(r)
+	t.Seq = r.I64()
+	t.FusedFrom = int(r.I64())
+	kref := r.I64()
+	fp := r.Str()
+	nargs := r.Count(28)
+	for i := 0; i < nargs && r.Err() == nil; i++ {
 		var a Arg
-		sid := StoreID(r.i64())
-		a.Priv = Privilege(r.u8())
-		a.Red = ReduceOp(r.u8())
-		a.HaloBytes = math.Float64frombits(r.u64())
-		a.ShardGen = r.i64()
+		sid := StoreID(r.I64())
+		a.Priv = Privilege(r.U8())
+		a.Red = ReduceOp(r.U8())
+		a.HaloBytes = r.F64()
+		a.ShardGen = r.I64()
 		a.Part = readPartition(r)
-		if r.err != nil {
+		if r.Err() != nil {
 			break
 		}
 		s, err := stores(sid)
@@ -290,11 +180,8 @@ func DecodeTask(data []byte, stores func(StoreID) (*Store, error), kernel func(r
 		a.Store = s
 		t.Args = append(t.Args, a)
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(data) {
-		return nil, fmt.Errorf("ir: %d trailing bytes after task %s", len(data)-r.off, t.Name)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("ir: task %q: %w", t.Name, err)
 	}
 	if kref >= 0 {
 		k, err := kernel(kref, fp)
@@ -303,53 +190,5 @@ func DecodeTask(data []byte, stores func(StoreID) (*Store, error), kernel func(r
 		}
 		t.Kernel = k
 	}
-	_ = flags // payload presence is informational; payloads never decode
 	return t, nil
-}
-
-// AppendStageDep serializes one dependence record (used by tests and
-// diagnostics; ranks re-derive StageDeps from the replicated stream, so
-// they are not part of the control protocol itself).
-func AppendStageDep(buf []byte, d StageDep) []byte {
-	w := &wbuf{b: buf}
-	w.i64(int64(d.Prod))
-	w.i64(int64(d.Cons))
-	w.i64(int64(d.Store))
-	w.u8(uint8(d.Kind))
-	return w.b
-}
-
-// DecodeStageDep parses one dependence record, returning the remaining
-// bytes.
-func DecodeStageDep(data []byte) (StageDep, []byte, error) {
-	r := &rbuf{b: data}
-	var d StageDep
-	d.Prod = int(r.i64())
-	d.Cons = int(r.i64())
-	d.Store = StoreID(r.i64())
-	d.Kind = DepKind(r.u8())
-	if r.err != nil {
-		return StageDep{}, nil, r.err
-	}
-	return d, data[r.off:], nil
-}
-
-// AppendSpan serializes one flat span.
-func AppendSpan(buf []byte, s Span) []byte {
-	w := &wbuf{b: buf}
-	w.i64(int64(s.Lo))
-	w.i64(int64(s.Hi))
-	return w.b
-}
-
-// DecodeSpan parses one flat span, returning the remaining bytes.
-func DecodeSpan(data []byte) (Span, []byte, error) {
-	r := &rbuf{b: data}
-	var s Span
-	s.Lo = int(r.i64())
-	s.Hi = int(r.i64())
-	if r.err != nil {
-		return Span{}, nil, r.err
-	}
-	return s, data[r.off:], nil
 }

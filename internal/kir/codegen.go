@@ -101,10 +101,6 @@ func (p *CodegenProgram) Lowered() int {
 // fingerprint, so the register/slot numbering agrees).
 func (c *Compiled) AttachProgram(p *CodegenProgram) { c.prog = p }
 
-// Program returns the attached codegen program (nil when the kernel runs
-// fully interpreted).
-func (c *Compiled) Program() *CodegenProgram { return c.prog }
-
 // HasCodegen reports whether any loop of the kernel executes on the
 // codegen backend.
 func (c *Compiled) HasCodegen() bool { return c.prog != nil && c.prog.Lowered() > 0 }

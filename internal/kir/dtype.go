@@ -3,6 +3,9 @@ package kir
 import (
 	"fmt"
 	"math"
+	"slices"
+
+	"diffuse/internal/wire"
 )
 
 // DType enumerates the element types a store (and hence a kernel parameter,
@@ -26,6 +29,10 @@ const (
 	// out-of-range values saturating and NaN mapping to 0.
 	I32
 )
+
+// Valid reports whether d names an element type; a dtype byte read from
+// another process is checked with it before anything is allocated.
+func (d DType) Valid() bool { return d <= I32 }
 
 // Size returns the element width in bytes.
 func (d DType) Size() int {
@@ -114,9 +121,6 @@ func BufF64(s []float64) Buffer { return Buffer{dt: F64, f64: s} }
 
 // BufF32 wraps an existing []float32 without copying.
 func BufF32(s []float32) Buffer { return Buffer{dt: F32, f32: s} }
-
-// BufI32 wraps an existing []int32 without copying.
-func BufI32(s []int32) Buffer { return Buffer{dt: I32, i32: s} }
 
 // DType returns the buffer's element type.
 func (b Buffer) DType() DType { return b.dt }
@@ -208,71 +212,57 @@ func (b Buffer) F32() []float32 { return b.f32 }
 // I32 returns the raw int32 slice (nil unless DType is I32).
 func (b Buffer) I32() []int32 { return b.i32 }
 
-// ToF64 copies the buffer out as []float64 (widening).
-func (b Buffer) ToF64() []float64 {
-	out := make([]float64, b.Len())
-	switch b.dt {
-	case F32:
-		for i, v := range b.f32 {
-			out[i] = float64(v)
-		}
-	case I32:
-		for i, v := range b.i32 {
-			out[i] = float64(v)
-		}
-	default:
-		copy(out, b.f64)
-	}
-	return out
+// Clone returns a copy of the buffer at its own dtype.
+func (b Buffer) Clone() Buffer {
+	return Buffer{dt: b.dt, f64: slices.Clone(b.f64), f32: slices.Clone(b.f32), i32: slices.Clone(b.i32)}
 }
 
-// ToF32 copies the buffer out as []float32 (rounding if wider).
-func (b Buffer) ToF32() []float32 {
-	out := make([]float32, b.Len())
-	switch b.dt {
-	case F32:
-		copy(out, b.f32)
-	case I32:
-		for i, v := range b.i32 {
-			out[i] = float32(v)
-		}
-	default:
-		for i, v := range b.f64 {
-			out[i] = float32(v)
-		}
+// CopyFrom overwrites the buffer from one of equal length, rounding each
+// element to the buffer's dtype when the two differ.
+func (b Buffer) CopyFrom(src Buffer) {
+	if src.dt == b.dt {
+		copy(b.f64, src.f64)
+		copy(b.f32, src.f32)
+		copy(b.i32, src.i32)
+		return
 	}
-	return out
-}
-
-// CopyFromF64 overwrites the buffer from a float64 slice of equal length,
-// rounding each element to the buffer's dtype.
-func (b Buffer) CopyFromF64(src []float64) {
-	switch b.dt {
-	case F32:
-		for i, v := range src {
-			b.f32[i] = float32(v)
-		}
-	case I32:
-		for i, v := range src {
-			b.i32[i] = clampI32(v)
-		}
-	default:
-		copy(b.f64, src)
+	for i, n := 0, src.Len(); i < n; i++ {
+		b.Set(i, src.Get(i))
 	}
 }
 
-// CopyFromF32 overwrites the buffer from a float32 slice of equal length.
-func (b Buffer) CopyFromF32(src []float32) {
+// AppendWire appends elements [lo, hi) to dst at the buffer's own width —
+// 8 bytes for F64, 4 for F32 and I32 — as exact bit patterns (the one
+// encoding of store data: halos, partials, write-backs and host transfers
+// all use it). Appending into a caller-owned scratch keeps a steady-state
+// encode allocation-free.
+func (b Buffer) AppendWire(dst []byte, lo, hi int) []byte {
+	w := wire.Writer{B: dst}
 	switch b.dt {
 	case F32:
-		copy(b.f32, src)
+		w.F32s(b.f32[lo:hi])
 	case I32:
-		for i, v := range src {
-			b.i32[i] = clampI32(float64(v))
-		}
+		w.I32s(b.i32[lo:hi])
 	default:
-		for i, v := range src {
-			b.f64[i] = float64(v)
-		}
+		w.F64s(b.f64[lo:hi])
 	}
+	return w.B
+}
+
+// DecodeWire decodes an AppendWire payload of exactly n elements into
+// [lo, lo+n).
+func (b Buffer) DecodeWire(lo, n int, data []byte) error {
+	if len(data) != n*b.dt.Size() {
+		return fmt.Errorf("kir: %v payload of %d bytes, want %d (%d elements)", b.dt, len(data), n*b.dt.Size(), n)
+	}
+	r := wire.NewReader(data)
+	switch b.dt {
+	case F32:
+		r.F32s(b.f32[lo : lo+n])
+	case I32:
+		r.I32s(b.i32[lo : lo+n])
+	default:
+		r.F64s(b.f64[lo : lo+n])
+	}
+	return r.Err()
 }

@@ -35,17 +35,21 @@ func TestBufferRoundTrip(t *testing.T) {
 
 func TestBufferConversions(t *testing.T) {
 	b := AllocBuffer(F32, 3)
-	b.CopyFromF64([]float64{1.1, 2.2, 3.3})
-	as64 := b.ToF64()
+	b.CopyFrom(BufF64([]float64{1.1, 2.2, 3.3}))
 	for i, v := range []float64{1.1, 2.2, 3.3} {
-		if as64[i] != float64(float32(v)) {
-			t.Fatalf("ToF64[%d] = %g", i, as64[i])
+		if b.Get(i) != float64(float32(v)) {
+			t.Fatalf("f32 <- f64 [%d] = %g", i, b.Get(i))
 		}
 	}
 	i := AllocBuffer(I32, 3)
-	i.CopyFromF32([]float32{1.9, -2.9, 100})
-	if got := i.ToF64(); got[0] != 1 || got[1] != -2 || got[2] != 100 {
+	i.CopyFrom(BufF32([]float32{1.9, -2.9, 100}))
+	if got := i.I32(); got[0] != 1 || got[1] != -2 || got[2] != 100 {
 		t.Fatalf("I32 truncation wrong: %v", got)
+	}
+	c := i.Clone()
+	c.Set(0, 7)
+	if c.DType() != I32 || c.Len() != 3 || c.Get(1) != -2 || i.Get(0) != 1 {
+		t.Fatalf("Clone is not an independent I32 copy: %v of %v", c.I32(), i.I32())
 	}
 }
 
@@ -148,5 +152,61 @@ func TestCostPricesByWidth(t *testing.T) {
 	b32 := Compile(k32).Cost(nil).Bytes
 	if b32*2 != b64 {
 		t.Fatalf("f32 bytes %g, f64 bytes %g: want exactly half", b32, b64)
+	}
+}
+
+// TestBufferWireCodec: the one encoding of store data. For every dtype and
+// a set of sub-ranges (empty ones included), decode(append(x)) restores the
+// exact bit patterns — -0, subnormals, infinities and NaNs with non-default
+// payloads among them — at the dtype's own width; a payload of any other
+// length is an error.
+func TestBufferWireCodec(t *testing.T) {
+	f64 := []float64{0, math.Copysign(0, -1), 1.5, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN(), math.Float64frombits(0x7ff8dead0000beef), math.Float64frombits(0xfff0000000000001), math.MaxFloat64}
+	f32 := []float32{0, float32(math.Copysign(0, -1)), 1.5, math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+		float32(math.Inf(1)), float32(math.Inf(-1)), math.Float32frombits(0x7fc00000), math.Float32frombits(0x7fc0beef), math.Float32frombits(0xff800001), math.MaxFloat32}
+	i32 := []int32{0, -1, 1, math.MaxInt32, math.MinInt32, 7, -7, 1 << 30, 42, -42, 99}
+	// bits returns element i's exact representation.
+	bits := func(b Buffer, i int) uint64 {
+		switch b.DType() {
+		case F32:
+			return uint64(math.Float32bits(b.F32()[i]))
+		case I32:
+			return uint64(uint32(b.I32()[i]))
+		default:
+			return math.Float64bits(b.F64()[i])
+		}
+	}
+	for _, src := range []Buffer{BufF64(f64), BufF32(f32), {dt: I32, i32: i32}} {
+		n, dt := src.Len(), src.DType()
+		for _, rg := range [][2]int{{0, n}, {0, 0}, {n, n}, {3, 4}, {2, 9}, {7, n}} {
+			lo, hi := rg[0], rg[1]
+			enc := src.AppendWire([]byte{0xAA}, lo, hi) // appends: the prefix survives
+			if enc[0] != 0xAA || len(enc) != 1+(hi-lo)*dt.Size() {
+				t.Fatalf("%v [%d,%d): %d payload bytes, want %d per element", dt, lo, hi, len(enc)-1, dt.Size())
+			}
+			dst := AllocBuffer(dt, n)
+			dst.Fill(3)
+			if err := dst.DecodeWire(lo, hi-lo, enc[1:]); err != nil {
+				t.Fatalf("%v [%d,%d): %v", dt, lo, hi, err)
+			}
+			for i := 0; i < n; i++ {
+				want := bits(src, i)
+				if i < lo || i >= hi {
+					want = bits(Buffer{dt: dt, f64: []float64{3}, f32: []float32{3}, i32: []int32{3}}, 0)
+				}
+				if got := bits(dst, i); got != want {
+					t.Fatalf("%v [%d,%d): element %d = %#x, want %#x", dt, lo, hi, i, got, want)
+				}
+			}
+			for _, l := range []int{len(enc) - 2, len(enc), len(enc) - 1 + dt.Size()} {
+				if l < 0 {
+					continue
+				}
+				if err := AllocBuffer(dt, n).DecodeWire(lo, hi-lo, make([]byte, l)); err == nil {
+					t.Fatalf("%v [%d,%d): a %d-byte payload decoded, want an error", dt, lo, hi, l)
+				}
+			}
+		}
 	}
 }

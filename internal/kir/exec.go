@@ -56,9 +56,6 @@ type CSRLocal struct {
 	Val    Buffer
 }
 
-// NNZ returns the number of stored entries.
-func (c *CSRLocal) NNZ() int { return len(c.Col) }
-
 // Rows returns the number of local rows.
 func (c *CSRLocal) Rows() int { return len(c.RowPtr) - 1 }
 

@@ -8,164 +8,25 @@ package kir
 // back into a shared DAG, preserving the compiler's evaluate-shared-
 // nodes-once behaviour and keeping re-encoding byte-stable.
 //
-// All integers are little-endian int64, floats are IEEE-754 bit patterns:
-// the encoding trades compactness for determinism — the same kernel always
-// encodes to the same bytes, which the wire round-trip property test
-// asserts directly.
+// The byte layer is internal/wire (little-endian int64s, IEEE-754 bit
+// patterns): the encoding trades compactness for determinism — the same
+// kernel always encodes to the same bytes, which the wire round-trip
+// property test asserts directly.
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
+
+	"diffuse/internal/wire"
 )
 
 // KernelWireVersion is the kernel codec version; decoders reject any
 // other value.
 const KernelWireVersion uint16 = 1
 
-type wireWriter struct{ buf []byte }
-
-func (w *wireWriter) u16(v uint16) {
-	w.buf = binary.LittleEndian.AppendUint16(w.buf, v)
-}
-
-func (w *wireWriter) u8(v uint8) { w.buf = append(w.buf, v) }
-
-func (w *wireWriter) i64(v int64) {
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(v))
-}
-
-func (w *wireWriter) u64(v uint64) {
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
-}
-
-func (w *wireWriter) f64(v float64) { w.u64(math.Float64bits(v)) }
-
-func (w *wireWriter) str(s string) {
-	w.i64(int64(len(s)))
-	w.buf = append(w.buf, s...)
-}
-
-func (w *wireWriter) ints(vs []int) {
-	w.i64(int64(len(vs)))
-	for _, v := range vs {
-		w.i64(int64(v))
-	}
-}
-
-func (w *wireWriter) bools(vs []bool) {
-	w.i64(int64(len(vs)))
-	for _, v := range vs {
-		if v {
-			w.u8(1)
-		} else {
-			w.u8(0)
-		}
-	}
-}
-
-type wireReader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (r *wireReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (r *wireReader) need(n int) bool {
-	if r.err != nil {
-		return false
-	}
-	if r.off+n > len(r.buf) {
-		r.fail("kir: wire truncated at offset %d (need %d bytes of %d)", r.off, n, len(r.buf))
-		return false
-	}
-	return true
-}
-
-func (r *wireReader) u16() uint16 {
-	if !r.need(2) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(r.buf[r.off:])
-	r.off += 2
-	return v
-}
-
-func (r *wireReader) u8() uint8 {
-	if !r.need(1) {
-		return 0
-	}
-	v := r.buf[r.off]
-	r.off++
-	return v
-}
-
-func (r *wireReader) u64() uint64 {
-	if !r.need(8) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *wireReader) i64() int64 { return int64(r.u64()) }
-
-func (r *wireReader) f64() float64 { return math.Float64frombits(r.u64()) }
-
-// count reads a length prefix and bounds-checks it against the remaining
-// bytes (at least min bytes per element) so corrupt streams fail cleanly
-// instead of over-allocating.
-func (r *wireReader) count(min int) int {
-	n := r.i64()
-	if r.err != nil {
-		return 0
-	}
-	if n < 0 || (min > 0 && n > int64(len(r.buf)-r.off)/int64(min)) {
-		r.fail("kir: wire count %d out of range at offset %d", n, r.off)
-		return 0
-	}
-	return int(n)
-}
-
-func (r *wireReader) str() string {
-	n := r.count(1)
-	if !r.need(n) {
-		return ""
-	}
-	s := string(r.buf[r.off : r.off+n])
-	r.off += n
-	return s
-}
-
-func (r *wireReader) ints() []int {
-	n := r.count(8)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	vs := make([]int, n)
-	for i := range vs {
-		vs[i] = int(r.i64())
-	}
-	return vs
-}
-
-func (r *wireReader) bools() []bool {
-	n := r.count(1)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	vs := make([]bool, n)
-	for i := range vs {
-		vs[i] = r.u8() != 0
-	}
-	return vs
-}
+// maxExprWalk bounds the expression nodes of a decoded kernel, counted as
+// a walk that revisits shared sub-expressions does. The largest fused
+// kernel of the apps suite walks 681.
+const maxExprWalk = 1 << 20
 
 // exprTable flattens the shared expression DAGs of a kernel into a node
 // list with children preceding parents.
@@ -192,14 +53,14 @@ func (t *exprTable) add(e *Expr) int64 {
 
 // EncodeKernel serializes the kernel to the versioned wire format.
 func EncodeKernel(k *Kernel) []byte {
-	w := &wireWriter{}
-	w.u16(KernelWireVersion)
-	w.str(k.Name)
-	w.i64(int64(k.NParams))
-	w.bools(k.Local)
-	w.i64(int64(len(k.DTypes)))
+	var w wire.Writer
+	w.U16(KernelWireVersion)
+	w.Str(k.Name)
+	w.I64(int64(k.NParams))
+	w.Bools(k.Local)
+	w.I64(int64(len(k.DTypes)))
 	for _, d := range k.DTypes {
-		w.u8(uint8(d))
+		w.U8(uint8(d))
 	}
 
 	// Expression node table: children before parents, shared nodes once.
@@ -215,125 +76,133 @@ func EncodeKernel(k *Kernel) []byte {
 		}
 		return tab.idx[e]
 	}
-	w.i64(int64(len(tab.nodes)))
+	w.I64(int64(len(tab.nodes)))
 	for _, e := range tab.nodes {
-		w.u8(uint8(e.Op))
-		w.i64(ref(e.A))
-		w.i64(ref(e.B))
-		w.i64(ref(e.C))
-		w.i64(int64(e.Param))
-		w.f64(e.Imm)
-		w.u8(uint8(e.DT))
+		w.U8(uint8(e.Op))
+		w.I64(ref(e.A))
+		w.I64(ref(e.B))
+		w.I64(ref(e.C))
+		w.I64(int64(e.Param))
+		w.F64(e.Imm)
+		w.U8(uint8(e.DT))
 	}
 
-	w.i64(int64(len(k.Loops)))
+	w.I64(int64(len(k.Loops)))
 	for _, l := range k.Loops {
-		w.u8(uint8(l.Kind))
-		w.str(l.Dom)
-		w.ints(l.Ext)
-		w.i64(int64(l.ExtRef))
-		w.i64(int64(len(l.Stmts)))
+		w.U8(uint8(l.Kind))
+		w.Str(l.Dom)
+		w.Ints(l.Ext)
+		w.I64(int64(l.ExtRef))
+		w.I64(int64(len(l.Stmts)))
 		for _, s := range l.Stmts {
-			w.u8(uint8(s.Kind))
-			w.i64(int64(s.Param))
-			w.u8(uint8(s.Red))
-			w.i64(ref(s.E))
+			w.U8(uint8(s.Kind))
+			w.I64(int64(s.Param))
+			w.U8(uint8(s.Red))
+			w.I64(ref(s.E))
 		}
-		w.i64(int64(l.Y))
-		w.i64(int64(l.X))
-		w.i64(int64(l.MatA))
-		if l.Acc {
-			w.u8(1)
-		} else {
-			w.u8(0)
-		}
-		w.u8(uint8(l.Red))
-		w.u64(l.Seed)
-		w.i64(int64(l.PayloadKey))
+		w.I64(int64(l.Y))
+		w.I64(int64(l.X))
+		w.I64(int64(l.MatA))
+		w.Bool(l.Acc)
+		w.U8(uint8(l.Red))
+		w.U64(l.Seed)
+		w.I64(int64(l.PayloadKey))
 	}
-	return w.buf
+	return w.B
 }
 
 // DecodeKernel parses a kernel from the wire format, rebuilding shared
 // expression DAGs. It rejects any version other than KernelWireVersion.
 func DecodeKernel(data []byte) (*Kernel, error) {
-	r := &wireReader{buf: data}
-	if v := r.u16(); r.err == nil && v != KernelWireVersion {
+	r := wire.NewReader(data)
+	if v := r.U16(); r.Err() == nil && v != KernelWireVersion {
 		return nil, fmt.Errorf("kir: kernel wire version %d, want %d", v, KernelWireVersion)
 	}
 	k := &Kernel{}
-	k.Name = r.str()
-	k.NParams = int(r.i64())
-	k.Local = r.bools()
-	ndt := r.count(1)
+	k.Name = r.Str()
+	k.NParams = int(r.I64())
+	k.Local = r.Bools()
+	if r.Err() == nil && len(k.Local) != k.NParams {
+		// Every pass indexes Local by parameter, and the fingerprints loop
+		// to NParams: a count the flags do not back is not a kernel.
+		return nil, fmt.Errorf("kir: kernel %q: %d parameters with %d local flags", k.Name, k.NParams, len(k.Local))
+	}
+	ndt := r.Count(1)
 	if ndt > 0 {
 		k.DTypes = make([]DType, ndt)
 		for i := range k.DTypes {
-			k.DTypes[i] = DType(r.u8())
+			k.DTypes[i] = DType(r.U8())
 		}
 	}
 
-	nnodes := r.count(34)
+	nnodes := r.Count(34)
 	nodes := make([]*Expr, nnodes)
+	// walked[i] is the number of nodes a walk from node i visits when it
+	// does not remember shared sub-expressions, which is how Fingerprint
+	// and FingerprintHash walk: a table of n nodes can describe 2^n of
+	// them, so the statements' total is capped (see maxExprWalk).
+	walked := make([]int, nnodes)
 	child := func(ref int64, i int) *Expr {
 		if ref < 0 {
 			return nil
 		}
 		if ref >= int64(i) {
-			r.fail("kir: wire expr node %d references forward node %d", i, ref)
+			r.Fail("kir: wire expr node %d references forward node %d", i, ref)
 			return nil
 		}
+		walked[i] = min(walked[i]+walked[ref], maxExprWalk+1)
 		return nodes[ref]
 	}
+	total := 0
 	for i := 0; i < nnodes; i++ {
 		e := &Expr{}
-		e.Op = Op(r.u8())
-		e.A = child(r.i64(), i)
-		e.B = child(r.i64(), i)
-		e.C = child(r.i64(), i)
-		e.Param = int(r.i64())
-		e.Imm = r.f64()
-		e.DT = DType(r.u8())
+		walked[i] = 1
+		e.Op = Op(r.U8())
+		e.A = child(r.I64(), i)
+		e.B = child(r.I64(), i)
+		e.C = child(r.I64(), i)
+		e.Param = int(r.I64())
+		e.Imm = r.F64()
+		e.DT = DType(r.U8())
 		nodes[i] = e
 	}
 
-	nloops := r.count(8)
+	nloops := r.Count(8)
 	for li := 0; li < nloops; li++ {
 		l := &Loop{}
-		l.Kind = LoopKind(r.u8())
-		l.Dom = r.str()
-		l.Ext = r.ints()
-		l.ExtRef = int(r.i64())
-		nst := r.count(18)
+		l.Kind = LoopKind(r.U8())
+		l.Dom = r.Str()
+		l.Ext = r.Ints()
+		l.ExtRef = int(r.I64())
+		nst := r.Count(18)
 		for si := 0; si < nst; si++ {
 			s := Stmt{}
-			s.Kind = StmtKind(r.u8())
-			s.Param = int(r.i64())
-			s.Red = RedOp(r.u8())
-			ref := r.i64()
+			s.Kind = StmtKind(r.U8())
+			s.Param = int(r.I64())
+			s.Red = RedOp(r.U8())
+			ref := r.I64()
 			if ref >= 0 {
 				if ref >= int64(len(nodes)) {
-					r.fail("kir: wire stmt references expr node %d of %d", ref, len(nodes))
+					r.Fail("kir: wire stmt references expr node %d of %d", ref, len(nodes))
+				} else if total += walked[ref]; total > maxExprWalk {
+					r.Fail("kir: wire kernel's expressions exceed %d nodes when walked unshared", maxExprWalk)
 				} else {
 					s.E = nodes[ref]
 				}
 			}
 			l.Stmts = append(l.Stmts, s)
 		}
-		l.Y = int(r.i64())
-		l.X = int(r.i64())
-		l.MatA = int(r.i64())
-		l.Acc = r.u8() != 0
-		l.Red = RedOp(r.u8())
-		l.Seed = r.u64()
-		l.PayloadKey = int(r.i64())
+		l.Y = int(r.I64())
+		l.X = int(r.I64())
+		l.MatA = int(r.I64())
+		l.Acc = r.Bool()
+		l.Red = RedOp(r.U8())
+		l.Seed = r.U64()
+		l.PayloadKey = int(r.I64())
 		k.Loops = append(k.Loops, l)
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(data) {
-		return nil, fmt.Errorf("kir: %d trailing bytes after kernel", len(data)-r.off)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("kir: kernel %q: %w", k.Name, err)
 	}
 	return k, nil
 }

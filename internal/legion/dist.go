@@ -42,10 +42,10 @@ package legion
 
 import (
 	"fmt"
-	"math"
 
 	"diffuse/internal/ir"
 	"diffuse/internal/kir"
+	"diffuse/internal/wire"
 )
 
 // RemoteBackend is the parent-side execution surface of a distributed
@@ -56,14 +56,12 @@ type RemoteBackend interface {
 	Execute(t *ir.Task)
 	// ReadAt reads one element from rank 0 (all ranks drain first).
 	ReadAt(s *ir.Store, off int) (float64, bool)
-	// ReadAll gathers the store contents, widened to float64, from rank 0.
-	ReadAll(s *ir.Store) []float64
-	// ReadAll32 gathers the store contents as float32 from rank 0.
-	ReadAll32(s *ir.Store) []float32
-	// WriteAll broadcasts a host write to every rank.
-	WriteAll(s *ir.Store, data []float64)
-	// WriteAll32 broadcasts a float32 host write to every rank.
-	WriteAll32(s *ir.Store, data []float32)
+	// ReadBuffer gathers the store contents, at the store's dtype, from
+	// rank 0.
+	ReadBuffer(s *ir.Store) kir.Buffer
+	// WriteBuffer broadcasts a host write (a buffer of the store's size,
+	// any dtype) to every rank.
+	WriteBuffer(s *ir.Store, data kir.Buffer)
 	// FreeStore forwards a store free.
 	FreeStore(id ir.StoreID)
 	// Drain forces every rank to drain its buffered shard group.
@@ -105,10 +103,6 @@ func (rt *Runtime) SetDistributed(rank, ranks int, tx HaloTransport) {
 	rt.distTx = tx
 }
 
-// Distributed reports whether this runtime executes as a rank of a
-// distributed runtime.
-func (rt *Runtime) Distributed() bool { return rt.distTx != nil }
-
 // Message tag layout: | groupSeq (32) | kind (4) | node/entry (20) | sub (8) |.
 // Tags only need to be unique among concurrently in-flight messages
 // between one (sender, receiver) pair; both sides issue sends and
@@ -124,59 +118,33 @@ func distTag(seq uint64, kind, id, sub int) uint64 {
 	return seq<<32 | uint64(kind&0xF)<<28 | uint64(id&0xFFFFF)<<8 | uint64(sub&0xFF)
 }
 
-// appendBufBytes appends elements [lo, hi) of a buffer as IEEE-754
-// float64 bit patterns (8 bytes per element, regardless of dtype —
-// widening an f32 or i32 element to float64 and back is exact, so the
-// round trip is bit-lossless at the destination dtype). Appending into a
-// caller-owned scratch buffer keeps the per-message encode allocation-free:
-// the transport copies the payload into its own frame buffer before the
-// send returns, so the scratch is immediately reusable.
-func appendBufBytes(dst []byte, b kir.Buffer, lo, hi int) []byte {
-	for i := lo; i < hi; i++ {
-		bits := math.Float64bits(b.Get(i))
-		dst = append(dst,
-			byte(bits), byte(bits>>8), byte(bits>>16), byte(bits>>24),
-			byte(bits>>32), byte(bits>>40), byte(bits>>48), byte(bits>>56))
+// patchBuf decodes a payload of elements [lo, hi) (kir.Buffer.AppendWire,
+// the store's own width) into b, skipping elements covered by cuts — flat
+// spans whose local contents are newer than the sender's (the receiver's
+// own later writes, or a fold result the sender's entry predates). Which
+// elements to skip is scheduling knowledge and lives here; the bytes of
+// each run between cuts are the buffer codec's.
+func patchBuf(b kir.Buffer, lo, hi int, data []byte, cuts []ir.Span) error {
+	sz := b.DType().Size()
+	if len(data) != (hi-lo)*sz {
+		return fmt.Errorf("legion: payload of %d bytes for %d %v elements", len(data), hi-lo, b.DType())
 	}
-	return dst
-}
-
-func appendU64(dst []byte, v uint64) []byte {
-	return append(dst,
-		byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-
-func readU64(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-// patchBuf decodes an appendBufBytes payload into elements [lo, lo+n) of b,
-// skipping elements covered by cuts — flat spans whose local contents are
-// newer than the sender's (the receiver's own later writes, or a fold
-// result the sender's entry predates).
-func patchBuf(b kir.Buffer, lo int, data []byte, cuts []ir.Span) error {
-	if len(data)%8 != 0 {
-		return fmt.Errorf("legion: halo payload length %d not a multiple of 8", len(data))
-	}
-	n := len(data) / 8
-	for i := 0; i < n; i++ {
-		idx := lo + i
-		cut := false
+scan:
+	for i := lo; i < hi; {
+		end := hi // the run [i, end) is ours unless a cut starts inside it
 		for _, c := range cuts {
-			if idx >= c.Lo && idx < c.Hi {
-				cut = true
-				break
+			if i >= c.Lo && i < c.Hi {
+				i = c.Hi
+				continue scan
+			}
+			if c.Lo > i && c.Lo < end {
+				end = c.Lo
 			}
 		}
-		if cut {
-			continue
+		if err := b.DecodeWire(i, end-i, data[(i-lo)*sz:(end-lo)*sz]); err != nil {
+			return err
 		}
-		off := i * 8
-		bits := uint64(data[off]) | uint64(data[off+1])<<8 | uint64(data[off+2])<<16 | uint64(data[off+3])<<24 |
-			uint64(data[off+4])<<32 | uint64(data[off+5])<<40 | uint64(data[off+6])<<48 | uint64(data[off+7])<<56
-		b.Set(idx, math.Float64frombits(bits))
+		i = end
 	}
 	return nil
 }
@@ -303,13 +271,23 @@ func (ds *distGroupState) recv(peer int, tag uint64, entry int) []byte {
 	return data
 }
 
+// patch applies a payload received from peer to elements sp of b (see
+// patchBuf). The payload must hold exactly the span both ranks derived
+// from the replicated schedule: a short or long one is a truncated or
+// diverged peer, reported by rank instead of patched in part.
+func (ds *distGroupState) patch(what string, peer int, b kir.Buffer, sp ir.Span, data []byte, cuts []ir.Span) {
+	if err := patchBuf(b, sp.Lo, sp.Hi, data, cuts); err != nil {
+		panic(fmt.Errorf("legion: rank %d %s from rank %d: %w", ds.me, what, peer, err))
+	}
+}
+
 // sendHalos pushes the boundary bytes of every halo dependence produced
 // by entry e the moment unit(e, me) completes: for each consuming shard,
 // the intersection of this rank's write span with the consumer's span —
 // the same per-partition span intersection that built the halo edges.
 //
 // All sub-messages bound for one consumer rank travel in a single batched
-// frame tagged by the producing entry: a sequence of [nodeID u64][len u64]
+// frame tagged by the producing entry: a sequence of [nodeID u64][len i64]
 // [len bytes] triples. Batching collapses the per-dependence frames of a
 // multi-store producer into one syscall per peer, and the receiver's
 // staging pass (stagedHalo) re-demultiplexes by node id — inclusion on the
@@ -320,7 +298,7 @@ func (ds *distGroupState) sendHalos(e int) {
 		if cs == ds.me {
 			continue
 		}
-		batch := ds.scratch[:0]
+		batch := wire.Writer{B: ds.scratch[:0]}
 		subs := 0
 		for di := range ds.g.deps {
 			dep := &ds.g.deps[di]
@@ -344,14 +322,14 @@ func (ds *distGroupState) sendHalos(e int) {
 				continue
 			}
 			buf := ds.storeBuf(e, dep.Store)
-			batch = appendU64(batch, uint64(uint32(nid)))
-			batch = appendU64(batch, uint64((w.Hi-w.Lo)*8))
-			batch = appendBufBytes(batch, buf, w.Lo, w.Hi)
+			batch.U64(uint64(uint32(nid)))
+			batch.I64(int64((w.Hi - w.Lo) * buf.DType().Size()))
+			batch.B = buf.AppendWire(batch.B, w.Lo, w.Hi)
 			subs++
 		}
-		ds.scratch = batch
+		ds.scratch = batch.B
 		if subs > 0 {
-			ds.send(cs, distTag(ds.seq, tagKindHalo, e, 0), batch)
+			ds.send(cs, distTag(ds.seq, tagKindHalo, e, 0), batch.B)
 		}
 	}
 }
@@ -373,18 +351,13 @@ func (ds *distGroupState) stagedHalo(sender int, nid int32, prod int) []byte {
 	}
 	ds.batched[bkey] = true
 	data := ds.recv(sender, distTag(ds.seq, tagKindHalo, prod, 0), prod)
-	for off := 0; off < len(data); {
-		if len(data)-off < 16 {
-			panic(fmt.Sprintf("legion: rank %d: truncated halo batch from rank %d (entry %d): %d bytes at offset %d", ds.me, sender, prod, len(data), off))
+	for r := wire.NewReader(data); r.Len() > 0; {
+		sub := r.U64()
+		payload := r.Bytes(r.Count(1))
+		if err := r.Err(); err != nil {
+			panic(fmt.Sprintf("legion: rank %d: truncated halo batch from rank %d (entry %d): %v", ds.me, sender, prod, err))
 		}
-		sub := readU64(data[off:])
-		ln := readU64(data[off+8:])
-		off += 16
-		if ln > uint64(len(data)-off) {
-			panic(fmt.Sprintf("legion: rank %d: truncated halo batch from rank %d (entry %d): sub-message %d wants %d bytes, %d remain", ds.me, sender, prod, sub, ln, len(data)-off))
-		}
-		ds.staged[uint64(sender)<<32|sub] = data[off : off+int(ln)]
-		off += int(ln)
+		ds.staged[uint64(sender)<<32|sub] = payload
 	}
 	payload, ok := ds.staged[skey]
 	if !ok {
@@ -428,12 +401,7 @@ func (ds *distGroupState) recvHalo(nid int32) {
 			continue
 		}
 		data := ds.stagedHalo(sp, nid, dep.Prod)
-		if len(data) != (w.Hi-w.Lo)*8 {
-			panic(fmt.Sprintf("legion: rank %d halo from rank %d: got %d bytes, want %d", ds.me, sp, len(data), (w.Hi-w.Lo)*8))
-		}
-		if err := patchBuf(buf, w.Lo, data, cuts); err != nil {
-			panic(err)
-		}
+		ds.patch("halo", sp, buf, w, data, cuts)
 	}
 }
 
@@ -455,7 +423,7 @@ func (ds *distGroupState) runBarrier(nid int32) {
 			sub := (bi*len(plan.redArgs) + ri) & 0xFF
 			tag := distTag(ds.seq, tagKindPartials, int(nid), sub)
 			if myHi > myLo {
-				ds.scratch = appendBufBytes(ds.scratch[:0], part, myLo, myHi)
+				ds.scratch = part.AppendWire(ds.scratch[:0], myLo, myHi)
 				for peer := 0; peer < ds.shards; peer++ {
 					if peer != ds.me {
 						ds.send(peer, tag, ds.scratch)
@@ -470,13 +438,7 @@ func (ds *distGroupState) runBarrier(nid int32) {
 				if plo >= phi {
 					continue
 				}
-				data := ds.recv(peer, tag, e)
-				if len(data) != (phi-plo)*8 {
-					panic(fmt.Sprintf("legion: rank %d partials from rank %d: got %d bytes, want %d", ds.me, peer, len(data), (phi-plo)*8))
-				}
-				if err := patchBuf(part, plo, data, nil); err != nil {
-					panic(err)
-				}
+				ds.patch("partials", peer, part, ir.Span{Lo: plo, Hi: phi}, ds.recv(peer, tag, e), nil)
 			}
 		}
 		ds.syncRedDests(nid, bi, e)
@@ -509,17 +471,14 @@ func (ds *distGroupState) syncRedDests(nid int32, bi, e int) {
 		sub := (bi*len(plan.redArgs) + ri) & 0xFF
 		tag := distTag(ds.seq, tagKindRedDest, int(nid), sub)
 		if ds.me == owner {
-			ds.scratch = appendBufBytes(ds.scratch[:0], buf, 0, 1)
+			ds.scratch = buf.AppendWire(ds.scratch[:0], 0, 1)
 			for peer := 0; peer < ds.shards; peer++ {
 				if peer != ds.me {
 					ds.send(peer, tag, ds.scratch)
 				}
 			}
 		} else {
-			data := ds.recv(owner, tag, prodEntry)
-			if err := patchBuf(buf, 0, data, nil); err != nil {
-				panic(err)
-			}
+			ds.patch("reduction destination", owner, buf, ir.Span{Lo: 0, Hi: 1}, ds.recv(owner, tag, prodEntry), nil)
 		}
 	}
 }
@@ -542,7 +501,7 @@ func (ds *distGroupState) writeback() {
 			tag := distTag(ds.seq, tagKindWriteback, e, i)
 			mySp := es.spans[i*ds.shards+ds.me]
 			if !mySp.Empty() {
-				ds.scratch = appendBufBytes(ds.scratch[:0], ap.data, mySp.Lo, mySp.Hi)
+				ds.scratch = ap.data.AppendWire(ds.scratch[:0], mySp.Lo, mySp.Hi)
 				for peer := 0; peer < ds.shards; peer++ {
 					if peer != ds.me {
 						ds.send(peer, tag, ds.scratch)
@@ -558,13 +517,7 @@ func (ds *distGroupState) writeback() {
 				if peerSp.Empty() {
 					continue
 				}
-				data := ds.recv(sp, tag, e)
-				if len(data) != (peerSp.Hi-peerSp.Lo)*8 {
-					panic(fmt.Sprintf("legion: rank %d writeback from rank %d: got %d bytes, want %d", ds.me, sp, len(data), (peerSp.Hi-peerSp.Lo)*8))
-				}
-				if err := patchBuf(ap.data, peerSp.Lo, data, cuts); err != nil {
-					panic(err)
-				}
+				ds.patch("writeback", sp, ap.data, peerSp, ds.recv(sp, tag, e), cuts)
 			}
 		}
 	}
@@ -629,8 +582,7 @@ func (rt *Runtime) runWavefrontDist(g *shardGroup) {
 		}
 	}
 
-	ws := &rt.exec.ws[rt.exec.nw]
-	run := func(nid int32) {
+	run := func(ws *workerState, nid int32) {
 		n := &d.nodes[nid]
 		switch n.kind {
 		case wfUnit:
@@ -645,41 +597,12 @@ func (rt *Runtime) runWavefrontDist(g *shardGroup) {
 			ds.runBarrier(nid)
 		}
 	}
-
-	// Serial LIFO drain — the same order runDAG's serial path uses, and
-	// (because the DAG is identical) the same order on every rank.
-	var stack []int32
-	for n := len(d.nodes) - 1; n >= 0; n-- {
-		if d.indeg[n].Load() == 0 {
-			stack = append(stack, int32(n))
-		}
-	}
-	done := 0
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		run(n)
-		done++
-		for i := len(d.succ[n]) - 1; i >= 0; i-- {
-			if sn := d.succ[n][i]; d.indeg[sn].Add(-1) == 0 {
-				stack = append(stack, sn)
-			}
-		}
-	}
-	if done != len(d.nodes) {
-		panic(fmt.Sprintf("legion: distributed wavefront DAG stalled at %d/%d nodes (cycle?)", done, len(d.nodes)))
-	}
+	drainSerial(&rt.exec.ws[rt.exec.nw], dagRoots(d.indeg), d.indeg, d.succ, run)
 
 	if len(ds.staged) != 0 {
 		panic(fmt.Sprintf("legion: rank %d: %d staged halo sub-messages left unconsumed after drain", ds.me, len(ds.staged)))
 	}
 
 	ds.writeback()
-
-	rt.shardStats.WavefrontGroups++
-	rt.shardStats.WavefrontNodes += int64(len(d.nodes))
-	rt.shardStats.WavefrontEdges += d.edges
-	rt.shardStats.HaloNodes += d.halos
-	rt.shardStats.BarrierStages += int64(len(g.barriers))
-	rt.shardStats.Stages += int64(g.stages)
+	rt.countWavefront(g, d)
 }

@@ -32,22 +32,25 @@ func TestTypedRegionAllocation(t *testing.T) {
 	rt := New(ModeReal, machine.DefaultA100(4))
 	var fact ir.Factory
 	s := fact.NewStoreTyped("s", []int{4}, ir.F32)
-	rt.WriteAll(s, []float64{0.1, 0.2, 0.3, 0.4})
-	got := rt.ReadAll(s)
+	writeAll(rt, s, []float64{0.1, 0.2, 0.3, 0.4})
+	got := readAll(rt, s)
 	for i, v := range []float64{0.1, 0.2, 0.3, 0.4} {
 		if got[i] != float64(float32(v)) {
 			t.Fatalf("f32 region[%d] = %v, want rounded %v", i, got[i], float64(float32(v)))
 		}
 	}
-	g32 := rt.ReadAll32(s)
-	for i := range g32 {
-		if float64(g32[i]) != got[i] {
-			t.Fatalf("ReadAll32[%d] = %v disagrees with ReadAll %v", i, g32[i], got[i])
+	raw := rt.ReadBuffer(s)
+	if raw.DType() != kir.F32 {
+		t.Fatalf("ReadBuffer of an f32 store is %v", raw.DType())
+	}
+	for i, v := range raw.F32() {
+		if float64(v) != got[i] {
+			t.Fatalf("ReadBuffer[%d] = %v disagrees with its widening %v", i, v, got[i])
 		}
 	}
-	rt.WriteAll32(s, []float32{1, 2, 3, 4})
+	rt.WriteBuffer(s, kir.BufF32([]float32{1, 2, 3, 4}))
 	if v, ok := rt.ReadAt(s, 2); !ok || v != 3 {
-		t.Fatalf("ReadAt after WriteAll32 = %v/%v", v, ok)
+		t.Fatalf("ReadAt after an f32 WriteBuffer = %v/%v", v, ok)
 	}
 }
 

@@ -765,33 +765,9 @@ func (e *executor) runDAG(nnodes int, indeg []atomic.Int32, succ [][]int32, run 
 	if nnodes == 0 {
 		return
 	}
-	// Seed roots in descending id order so the lowest (first entry, first
-	// shard) node pops first.
-	var roots []int32
-	for n := nnodes - 1; n >= 0; n-- {
-		if indeg[n].Load() == 0 {
-			roots = append(roots, int32(n))
-		}
-	}
+	roots := dagRoots(indeg)
 	if e.nw <= 1 {
-		// Serial fast path: plain LIFO stack on the submitter.
-		sub := &e.ws[e.nw]
-		stack := roots
-		done := 0
-		for len(stack) > 0 {
-			n := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			run(sub, n)
-			done++
-			for i := len(succ[n]) - 1; i >= 0; i-- {
-				if sn := succ[n][i]; indeg[sn].Add(-1) == 0 {
-					stack = append(stack, sn)
-				}
-			}
-		}
-		if done != nnodes {
-			panic(fmt.Sprintf("legion: wavefront DAG stalled at %d/%d nodes (cycle?)", done, nnodes))
-		}
+		drainSerial(&e.ws[e.nw], roots, indeg, succ, run)
 		return
 	}
 	e.pooled.Add(1)
@@ -810,6 +786,40 @@ func (e *executor) runDAG(nnodes int, indeg []atomic.Int32, succ [][]int32, run 
 	}
 	e.run(b, e.nw, e.nw)
 	b.wg.Wait()
+}
+
+// dagRoots returns the in-degree-zero nodes in descending id order, so the
+// lowest (first entry, first shard) node pops first off the stack.
+func dagRoots(indeg []atomic.Int32) []int32 {
+	var roots []int32
+	for n := len(indeg) - 1; n >= 0; n-- {
+		if indeg[n].Load() == 0 {
+			roots = append(roots, int32(n))
+		}
+	}
+	return roots
+}
+
+// drainSerial runs a whole DAG on the calling goroutine, as worker ws, in
+// LIFO (depth-first) order from the root stack. The order is a function
+// of the DAG alone, which is what lets every rank of a distributed drain
+// (runWavefrontDist) walk its identical DAG in the identical order.
+func drainSerial(ws *workerState, stack []int32, indeg []atomic.Int32, succ [][]int32, run func(ws *workerState, node int32)) {
+	done := 0
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		run(ws, n)
+		done++
+		for i := len(succ[n]) - 1; i >= 0; i-- {
+			if sn := succ[n][i]; indeg[sn].Add(-1) == 0 {
+				stack = append(stack, sn)
+			}
+		}
+	}
+	if done != len(indeg) {
+		panic(fmt.Sprintf("legion: wavefront DAG stalled at %d/%d nodes (cycle?)", done, len(indeg)))
+	}
 }
 
 // runShards dispatches one sharded stage onto the pool: shard indices

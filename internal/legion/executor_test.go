@@ -75,7 +75,7 @@ func runStream(t *testing.T, policy ExecPolicy, points, ext, iters int,
 	}
 	sv, _ := rt.ReadScalar(sum)
 	mv, _ := rt.ReadScalar(mx)
-	return rt.ReadAll(y), sv, mv
+	return readAll(rt, y), sv, mv
 }
 
 // TestChunkedBitIdenticalToPerPoint checks the determinism contract: the
@@ -153,10 +153,10 @@ func TestPlanInvalidationOnFreeStore(t *testing.T) {
 		Args: []ir.Arg{{Store: s, Part: tp, Priv: ir.Write}}}
 
 	rt.Execute(task)
-	want := rt.ReadAll(s)
+	want := readAll(rt, s)
 	rt.FreeStore(s.ID())
 	rt.Execute(task) // same kernel pointer: a stale plan would hit the orphan
-	got := rt.ReadAll(s)
+	got := readAll(rt, s)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("s[%d] = %g after free+re-execute, want %g", i, got[i], want[i])
@@ -308,7 +308,7 @@ func TestCloseReleasesRegions(t *testing.T) {
 					t.Fatalf("shards=%d: use after Close recovered %v", shards, r)
 				}
 			}()
-			rt.ReadAll(big)
+			readAll(rt, big)
 		}()
 		runtime.KeepAlive(rt)
 	}

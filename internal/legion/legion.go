@@ -103,13 +103,14 @@ type Runtime struct {
 	sim  *machine.Sim
 
 	// execMu serializes Execute, FreeStore, and the host-side data
-	// accessors (ReadAll/ReadAt/WriteAll) so concurrent Diffuse sessions
-	// never race on region contents or coherence metadata; writers and
-	// pendRed are guarded by it.
+	// accessors (ReadBuffer/ReadAt/WriteBuffer) so concurrent Diffuse
+	// sessions never race on region contents or coherence metadata; writers
+	// and pendRed are guarded by it.
 	execMu sync.Mutex
 	// writers tracks the partitions whose writes produced each store's
 	// current contents (a covering write resets the set) — a lightweight
-	// stand-in for Legion's per-subregion version/coherence metadata.
+	// stand-in for Legion's per-subregion version/coherence metadata. It and
+	// pendRed feed the ModeSim cost model and are nil in ModeReal.
 	writers map[ir.StoreID][]ir.Partition
 	pendRed map[ir.StoreID]ir.ReduceOp // stores with uncombined reductions
 
@@ -184,8 +185,6 @@ func New(mode Mode, cfg machine.Config) *Runtime {
 		sim:     machine.NewSim(cfg),
 		regions: map[ir.StoreID]*region{},
 		free:    map[regionKey][]weak.Pointer[region]{},
-		writers: map[ir.StoreID][]ir.Partition{},
-		pendRed: map[ir.StoreID]ir.ReduceOp{},
 		kernels: map[*kir.Kernel]*kernelEntry{},
 		progs:   map[hash128.Sum]*kir.CodegenProgram{},
 		workers: runtime.GOMAXPROCS(0),
@@ -193,6 +192,9 @@ func New(mode Mode, cfg machine.Config) *Runtime {
 	rt.scratch.New = func() any { return kir.NewScratch() }
 	if mode == ModeReal {
 		rt.attachExecutor()
+	} else {
+		rt.writers = map[ir.StoreID][]ir.Partition{}
+		rt.pendRed = map[ir.StoreID]ir.ReduceOp{}
 	}
 	return rt
 }
@@ -425,71 +427,38 @@ func (rt *Runtime) ReadAt(s *ir.Store, off int) (v float64, ok bool) {
 	return r.data.Get(off), true
 }
 
-// ReadAll copies out the store contents widened to float64 (tests and
-// examples; ModeReal).
-func (rt *Runtime) ReadAll(s *ir.Store) []float64 {
+// ReadBuffer copies out the store contents at the store's own dtype — the
+// one host-read path; cunum converts to what its caller asked for (tests
+// and examples; ModeReal).
+func (rt *Runtime) ReadBuffer(s *ir.Store) kir.Buffer {
 	rt.execMu.Lock()
 	defer rt.execMu.Unlock()
 	if rt.remote != nil {
-		return rt.remote.ReadAll(s)
+		return rt.remote.ReadBuffer(s)
 	}
 	rt.drainShardGroupLocked()
-	r := rt.regionFor(s, ir.RedNone)
-	return r.data.ToF64()
+	return rt.regionFor(s, ir.RedNone).data.Clone()
 }
 
-// ReadAll32 copies out the store contents as float32 — exact for f32
-// stores, rounded for wider ones (host transfer without the 2x widening).
-func (rt *Runtime) ReadAll32(s *ir.Store) []float32 {
+// WriteBuffer overwrites the store contents from a buffer of the store's
+// size and any dtype, rounding each element to the store's dtype (tests
+// and examples; ModeReal).
+func (rt *Runtime) WriteBuffer(s *ir.Store, data kir.Buffer) {
 	rt.execMu.Lock()
 	defer rt.execMu.Unlock()
-	if rt.remote != nil {
-		return rt.remote.ReadAll32(s)
+	if data.Len() != s.Size() {
+		panic(fmt.Sprintf("legion: WriteBuffer size mismatch %d != %d", data.Len(), s.Size()))
 	}
-	rt.drainShardGroupLocked()
-	r := rt.regionFor(s, ir.RedNone)
-	return r.data.ToF32()
-}
-
-// WriteAll overwrites the store contents, rounding each element to the
-// store's dtype (tests and examples; ModeReal).
-func (rt *Runtime) WriteAll(s *ir.Store, data []float64) {
-	rt.execMu.Lock()
-	defer rt.execMu.Unlock()
 	if rt.remote != nil {
-		rt.remote.WriteAll(s, data)
+		rt.remote.WriteBuffer(s, data)
 		return
 	}
 	rt.drainShardGroupLocked()
-	r := rt.regionFor(s, ir.RedNone)
-	if len(data) != r.data.Len() {
-		panic(fmt.Sprintf("legion: WriteAll size mismatch %d != %d", len(data), r.data.Len()))
+	rt.regionFor(s, ir.RedNone).data.CopyFrom(data)
+	if rt.mode == ModeSim {
+		// A host-side covering write, for the coherence model.
+		rt.writers[s.ID()] = []ir.Partition{ir.ReplicateOver(ir.MakeRect(ir.Point{0}, ir.Point{1}))}
 	}
-	r.data.CopyFromF64(data)
-	rt.markHostWrite(s)
-}
-
-// WriteAll32 overwrites the store contents from float32 host data.
-func (rt *Runtime) WriteAll32(s *ir.Store, data []float32) {
-	rt.execMu.Lock()
-	defer rt.execMu.Unlock()
-	if rt.remote != nil {
-		rt.remote.WriteAll32(s, data)
-		return
-	}
-	rt.drainShardGroupLocked()
-	r := rt.regionFor(s, ir.RedNone)
-	if len(data) != r.data.Len() {
-		panic(fmt.Sprintf("legion: WriteAll32 size mismatch %d != %d", len(data), r.data.Len()))
-	}
-	r.data.CopyFromF32(data)
-	rt.markHostWrite(s)
-}
-
-// markHostWrite records a host-side covering write for coherence purposes.
-// Callers hold execMu.
-func (rt *Runtime) markHostWrite(s *ir.Store) {
-	rt.writers[s.ID()] = []ir.Partition{ir.ReplicateOver(ir.MakeRect(ir.Point{0}, ir.Point{1}))}
 }
 
 // Execute runs one index task to completion (issue-order execution; the
@@ -512,8 +481,8 @@ func (rt *Runtime) Execute(t *ir.Task) {
 		rt.remote.Execute(t)
 		return
 	}
-	rt.coherence(t)
 	if rt.mode == ModeSim {
+		rt.coherence(t)
 		rt.executeSim(t)
 		rt.updateWriters(t)
 		return
@@ -531,7 +500,6 @@ func (rt *Runtime) Execute(t *ir.Task) {
 				rt.drainShardGroupLocked()
 			}
 			rt.enqueueShard(t)
-			rt.updateWriters(t)
 			return
 		}
 		// Incompatible task: everything buffered runs first (program
@@ -540,14 +508,14 @@ func (rt *Runtime) Execute(t *ir.Task) {
 		rt.drainShardGroupLocked()
 	}
 	rt.executeReal(t)
-	rt.updateWriters(t)
 }
 
-// coherence inspects read accesses against last-writer partitions and, in
-// ModeSim, charges the induced communication. This models Legion's
-// dynamic dependence analysis and copy generation: reading data through a
-// partition different from the one it was produced with requires data
-// movement.
+// coherence inspects read accesses against last-writer partitions and
+// charges the induced communication (ModeSim only: nothing reads the
+// last-writer metadata in ModeReal, so Execute does not keep it there).
+// This models Legion's dynamic dependence analysis and copy generation:
+// reading data through a partition different from the one it was produced
+// with requires data movement.
 func (rt *Runtime) coherence(t *ir.Task) {
 	n := t.Launch.Size()
 	for _, a := range t.Args {
@@ -558,9 +526,7 @@ func (rt *Runtime) coherence(t *ir.Task) {
 		// combine partial reduction instances (an allreduce for the
 		// replicated scalars our libraries use).
 		if _, ok := rt.pendRed[a.Store.ID()]; ok && a.Priv.Reads() {
-			if rt.mode == ModeSim {
-				rt.sim.Communicate(machine.CollAllReduce, rt.sim.Cfg.GPUs, float64(a.Store.SizeBytes()))
-			}
+			rt.sim.Communicate(machine.CollAllReduce, rt.sim.Cfg.GPUs, float64(a.Store.SizeBytes()))
 			delete(rt.pendRed, a.Store.ID())
 		}
 		if !a.Priv.Reads() {
@@ -571,9 +537,6 @@ func (rt *Runtime) coherence(t *ir.Task) {
 			// Never written, or produced through exactly this partition:
 			// the data a point task reads is already local (other writers
 			// contributed at most negligible slivers once one matches).
-			continue
-		}
-		if rt.mode != ModeSim {
 			continue
 		}
 		bytes := rt.commBytes(a, ws)

@@ -34,7 +34,7 @@ func dirtyAndFree(rt *Runtime, fact *ir.Factory, dt ir.DType, n int) {
 	for i := range data {
 		data[i] = float64(i + 1)
 	}
-	rt.WriteAll(s, data)
+	writeAll(rt, s, data)
 	rt.FreeStore(s.ID())
 }
 
@@ -57,7 +57,7 @@ func TestRecycledRegionReadsZeroWhereUnwritten(t *testing.T) {
 			s := fact.NewStoreTyped("s", []int{n}, dt)
 			rt.Execute(&ir.Task{Name: "const", Launch: launch, Kernel: constKernel(dt, ext, 7),
 				Args: []ir.Arg{{Store: s, Part: interior, Priv: ir.Write}}})
-			got := rt.ReadAll(s)
+			got := readAll(rt, s)
 			if st := rt.ExecStats(); st.RegionAllocs != 1 || st.RegionReuses != 1 {
 				t.Fatalf("%v policy %v: allocs/reuses = %d/%d, want 1/1", dt, policy, st.RegionAllocs, st.RegionReuses)
 			}
@@ -121,15 +121,15 @@ func TestRecycleKeyedByDType(t *testing.T) {
 	var fact ir.Factory
 	dirtyAndFree(rt, &fact, ir.F64, n)
 	s := fact.NewStoreTyped("s", []int{n}, ir.F32)
-	rt.WriteAll(s, []float64{0: 0.1, n - 1: 0})
+	writeAll(rt, s, []float64{0: 0.1, n - 1: 0})
 	if st := rt.ExecStats(); st.RegionAllocs != 2 || st.RegionReuses != 0 {
 		t.Fatalf("f32 store after an f64 free: allocs/reuses = %d/%d, want 2/0", st.RegionAllocs, st.RegionReuses)
 	}
-	if got := rt.ReadAll(s)[0]; got != float64(float32(0.1)) {
+	if got := readAll(rt, s)[0]; got != float64(float32(0.1)) {
 		t.Fatalf("s[0] = %v: not an f32 region", got)
 	}
 	// The f64 region is still there for an f64 store.
-	if got := rt.ReadAll(fact.NewStore("d", []int{n})); got[0] != 0 || got[n-1] != 0 {
+	if got := readAll(rt, fact.NewStore("d", []int{n})); got[0] != 0 || got[n-1] != 0 {
 		t.Fatalf("recycled f64 region reads %v .. %v, want zeros", got[0], got[n-1])
 	}
 	if st := rt.ExecStats(); st.RegionAllocs != 2 || st.RegionReuses != 1 {
@@ -172,10 +172,10 @@ func TestRecycleWaitsForShardGroup(t *testing.T) {
 		if shards > 1 && (rt.group == nil || rt.ShardStatsSnapshot().DeferredFrees != 1) {
 			t.Fatalf("shards=%d: the free was not deferred behind a buffered group", shards)
 		}
-		z = rt.ReadAll(zs) // drains; the deferred free runs afterwards
+		z = readAll(rt, zs) // drains; the deferred free runs afterwards
 		atDrain = rt.ExecStats()
 		math(zs, ws)
-		w = rt.ReadAll(ws)
+		w = readAll(rt, ws)
 		return z, w, atDrain, rt.ExecStats()
 	}
 	refZ, refW, ref1, _ := run(1)
@@ -206,7 +206,7 @@ func TestRecycleListEmptiedByCollector(t *testing.T) {
 	var fact ir.Factory
 	dirtyAndFree(rt, &fact, ir.F64, n)
 	runtime.GC()
-	for i, v := range rt.ReadAll(fact.NewStore("s", []int{n})) {
+	for i, v := range readAll(rt, fact.NewStore("s", []int{n})) {
 		if v != 0 {
 			t.Fatalf("s[%d] = %v, want 0", i, v)
 		}
@@ -225,7 +225,7 @@ func TestFreeListBounded(t *testing.T) {
 	var live []*ir.Store
 	for i := 0; i < 3*maxFreePerKey; i++ {
 		s := fact.NewStore("s", []int{8})
-		rt.WriteAll(s, make([]float64, 8))
+		writeAll(rt, s, make([]float64, 8))
 		live = append(live, s)
 	}
 	for _, s := range live {
@@ -240,7 +240,7 @@ func TestFreeListBounded(t *testing.T) {
 			t.Fatalf("%d keys, bound %d", len(rt.free), maxFreeKeys)
 		}
 	}
-	if got := rt.ReadAll(fact.NewStoreTyped("s", []int{3 * maxFreeKeys}, ir.I32)); got[0] != 0 {
+	if got := readAll(rt, fact.NewStoreTyped("s", []int{3 * maxFreeKeys}, ir.I32)); got[0] != 0 {
 		t.Fatalf("s[0] = %v after the table was cleared, want 0", got[0])
 	}
 }

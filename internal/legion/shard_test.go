@@ -43,7 +43,7 @@ func runShardedStream(t *testing.T, shards, points, ext, iters int) ([]float64, 
 	}
 	sv, _ := rt.ReadScalar(sum)
 	mv, _ := rt.ReadScalar(mx)
-	return rt.ReadAll(y), sv, mv, rt.ShardStatsSnapshot()
+	return readAll(rt, y), sv, mv, rt.ShardStatsSnapshot()
 }
 
 // TestShardedBitIdenticalAcrossShardCounts is the determinism contract of
@@ -94,7 +94,7 @@ func TestShardHaloExchangeOnMisalignedRead(t *testing.T) {
 			Args: []ir.Arg{
 				{Store: x, Part: shifted, Priv: ir.Read},
 				{Store: y, Part: out, Priv: ir.Write}}})
-		return rt.ReadAll(y), rt.ShardStatsSnapshot()
+		return readAll(rt, y), rt.ShardStatsSnapshot()
 	}
 	ref, _ := run(1)
 	for _, shards := range []int{2, 4} {
@@ -141,7 +141,7 @@ func TestShardDeferredFree(t *testing.T) {
 	if st.Groups != 0 {
 		t.Fatalf("free of a referenced store drained the group")
 	}
-	got := rt.ReadAll(y) // drains; deferred free runs afterwards
+	got := readAll(rt, y) // drains; deferred free runs afterwards
 	if len(got) != n {
 		t.Fatalf("got %d elements", len(got))
 	}

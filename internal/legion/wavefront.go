@@ -297,7 +297,11 @@ func (rt *Runtime) runWavefront(g *shardGroup) {
 		}
 	}
 	rt.exec.runDAG(len(d.nodes), d.indeg, d.succ, run)
+	rt.countWavefront(g, d)
+}
 
+// countWavefront adds one drained group's DAG to the shard counters.
+func (rt *Runtime) countWavefront(g *shardGroup, d *wfDAG) {
 	rt.shardStats.WavefrontGroups++
 	rt.shardStats.WavefrontNodes += int64(len(d.nodes))
 	rt.shardStats.WavefrontEdges += d.edges

@@ -133,7 +133,7 @@ func wavefrontStream(t *testing.T, shards, workers int, wf WavefrontMode) ([]flo
 	}
 	sv, _ := rt.ReadScalar(sum)
 	mv, _ := rt.ReadScalar(mx)
-	return rt.ReadAll(y), sv, mv, rt.ShardStatsSnapshot()
+	return readAll(rt, y), sv, mv, rt.ShardStatsSnapshot()
 }
 
 // TestWavefrontMatchesBarrier: the DAG drain is bit-identical to the
