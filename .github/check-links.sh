@@ -14,14 +14,17 @@
 # It also fails when README.md, DESIGN.md or docs/*.md name something a PR
 # deleted — the real-mode suite of PR 20 (its results file, its
 # diffuse-bench flags), the float64/float32 host-I/O pairs PR 21 folded
-# into ReadBuffer/WriteBuffer — so a sentence cannot outlive what it
-# quoted. ROADMAP.md is exempt: it keeps history. The one-character
+# into ReadBuffer/WriteBuffer, and legion's simulation hooks that moved
+# behind legion.Backend into machine.Pricer (the old backend interface,
+# its setter, the sim cost path, its metadata probe, the compile-charge
+# switch) — so a sentence cannot outlive what it quoted. ROADMAP.md is exempt: it keeps history. The one-character
 # brackets keep this script from matching its own pattern in a
 # repository-wide grep.
 set -u
 
 removed='BENCH[_]real|-real[p]reset|-check[r]eal|diffuse-bench -(real|compare|serve|ranks|all)\b'
 removed="$removed"'|(Read|Write)[A]ll32' # also inside msgReadAll32/msgWriteAll32
+removed="$removed"'|[R]emoteBackend|[S]etRemote|[e]xecuteSim|[S]imMetadataLen|[C]hargeCompile'
 
 # slugs_of FILE: print the GitHub anchor slug of every heading, skipping
 # fenced code blocks (a `# comment` inside a fence is not a heading).

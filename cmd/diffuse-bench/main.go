@@ -17,15 +17,16 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
 	"strings"
 
+	"diffuse/cunum"
 	"diffuse/internal/bench"
 	"diffuse/internal/core"
 	"diffuse/internal/legion"
-	"diffuse/internal/machine"
 )
 
 func main() {
@@ -37,24 +38,28 @@ func main() {
 	)
 	flag.Parse()
 
-	gpus := parseGPUs(*gpusFlag)
-	sc := bench.Scale(*scaleFlag)
-	out := os.Stdout
-
-	if *ablate != "" {
-		runAblation(*ablate, sc, gpus)
-		return
-	}
-
-	sel, err := selectFigures(*figFlag, sc)
-	if err != nil {
+	if err := run(os.Stdout, *figFlag, parseGPUs(*gpusFlag), bench.Scale(*scaleFlag), *ablate); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
+	}
+}
+
+// run prints what one invocation asks for to w: an ablation when ablate is
+// set, otherwise the figures and tables fig selects. The simulation reads
+// no clock, so the output is a pure function of the arguments.
+func run(w io.Writer, fig string, gpus []int, sc bench.Scale, ablate string) error {
+	if ablate != "" {
+		return runAblation(w, ablate, sc)
+	}
+
+	sel, err := selectFigures(fig, sc)
+	if err != nil {
+		return err
 	}
 
 	var headline []string
 	for _, f := range sel.figures {
-		series := f.Run(out, gpus)
+		series := f.Run(w, gpus)
 		if len(series) >= 2 {
 			g := bench.GeoMeanSpeedup(series[0], series[len(series)-1])
 			headline = append(headline, fmt.Sprintf("%s: fused/unfused geo-mean %.2fx", f.ID, g))
@@ -67,7 +72,7 @@ func main() {
 		for _, name := range bench.BenchmarkOrder {
 			rows = append(rows, bench.MeasureTaskStats(name, makers[name], 4))
 		}
-		bench.PrintTaskStats(out, rows)
+		bench.PrintTaskStats(w, rows)
 	}
 
 	if sel.fig13 {
@@ -76,15 +81,16 @@ func main() {
 		for _, name := range bench.BenchmarkOrder {
 			rows = append(rows, bench.MeasureCompileStats(name, makers[name], 2))
 		}
-		bench.PrintCompileStats(out, rows)
+		bench.PrintCompileStats(w, rows)
 	}
 
 	if len(headline) > 0 {
-		fmt.Fprintln(out, "\n== headline ==")
+		fmt.Fprintln(w, "\n== headline ==")
 		for _, h := range headline {
-			fmt.Fprintln(out, " ", h)
+			fmt.Fprintln(w, " ", h)
 		}
 	}
+	return nil
 }
 
 // selection is what one -fig value asks for: weak-scaling figures, and the
@@ -133,51 +139,49 @@ func parseGPUs(s string) []int {
 
 // runAblation quantifies the design choices DESIGN.md calls out, on the CG
 // workload at 8 GPUs.
-func runAblation(kind string, sc bench.Scale, gpus []int) {
+func runAblation(w io.Writer, kind string, sc bench.Scale) error {
 	mkCfg := func(mod func(*core.Config)) func(g int) bench.Instance {
 		return func(g int) bench.Instance {
 			cfg := core.DefaultConfig(g)
 			cfg.Mode = legion.ModeSim
-			cfg.Machine = machine.DefaultA100(g)
 			mod(&cfg)
-			ctx := bench.SimContextCfg(cfg)
-			return bench.CGOn(ctx, sc)
+			return bench.CGOn(cunum.NewContext(core.New(cfg)), sc)
 		}
 	}
 	switch kind {
 	case "taskonly":
-		compare("kernel fusion ablation (CG, 8 GPUs)",
+		compare(w, "kernel fusion ablation (CG, 8 GPUs)",
 			bench.Variant{Name: "task+kernel", Make: mkCfg(func(*core.Config) {})},
 			bench.Variant{Name: "task-only", Make: mkCfg(func(c *core.Config) { c.TaskFusionOnly = true })})
 	case "notemp":
-		compare("temporary elimination ablation (CG, 8 GPUs)",
+		compare(w, "temporary elimination ablation (CG, 8 GPUs)",
 			bench.Variant{Name: "with-temp-elim", Make: mkCfg(func(*core.Config) {})},
 			bench.Variant{Name: "no-temp-elim", Make: mkCfg(func(c *core.Config) { c.NoTempElim = true })})
 	case "nomemo":
-		compare("memoization ablation (CG, 8 GPUs)",
+		compare(w, "memoization ablation (CG, 8 GPUs)",
 			bench.Variant{Name: "with-memo", Make: mkCfg(func(*core.Config) {})},
 			bench.Variant{Name: "no-memo", Make: mkCfg(func(c *core.Config) { c.NoMemo = true })})
 	case "window":
-		fmt.Println("window-size sensitivity (CG, 8 GPUs)")
-		for _, w := range []int{1, 2, 5, 10, 20, 40, 80} {
-			v := bench.Variant{Name: fmt.Sprintf("w=%d", w), Make: mkCfg(func(c *core.Config) {
-				c.InitialWindow = w
-				c.MaxWindow = w
+		fmt.Fprintln(w, "window-size sensitivity (CG, 8 GPUs)")
+		for _, win := range []int{1, 2, 5, 10, 20, 40, 80} {
+			v := bench.Variant{Name: fmt.Sprintf("w=%d", win), Make: mkCfg(func(c *core.Config) {
+				c.InitialWindow = win
+				c.MaxWindow = win
 			})}
 			s := bench.WeakScale(v, []int{8}, 4, 10)
-			fmt.Printf("  window %3d: %8.2f iters/s\n", w, s.Throughput[8])
+			fmt.Fprintf(w, "  window %3d: %8.2f iters/s\n", win, s.Throughput[8])
 		}
 	default:
-		fmt.Fprintf(os.Stderr, "unknown ablation %q\n", kind)
-		os.Exit(2)
+		return fmt.Errorf("unknown ablation %q", kind)
 	}
+	return nil
 }
 
-func compare(title string, a, b bench.Variant) {
-	fmt.Println(title)
+func compare(w io.Writer, title string, a, b bench.Variant) {
+	fmt.Fprintln(w, title)
 	sa := bench.WeakScale(a, []int{8}, 4, 10)
 	sb := bench.WeakScale(b, []int{8}, 4, 10)
-	fmt.Printf("  %-16s %8.2f iters/s\n", a.Name, sa.Throughput[8])
-	fmt.Printf("  %-16s %8.2f iters/s\n", b.Name, sb.Throughput[8])
-	fmt.Printf("  ratio: %.2fx\n", sa.Throughput[8]/sb.Throughput[8])
+	fmt.Fprintf(w, "  %-16s %8.2f iters/s\n", a.Name, sa.Throughput[8])
+	fmt.Fprintf(w, "  %-16s %8.2f iters/s\n", b.Name, sb.Throughput[8])
+	fmt.Fprintf(w, "  ratio: %.2fx\n", sa.Throughput[8]/sb.Throughput[8])
 }

@@ -48,19 +48,14 @@ func SimContext(gpus int, fused bool) *cunum.Context {
 	return cunum.NewContext(core.New(cfg))
 }
 
-// SimContextCfg builds a simulated context from an explicit config.
-func SimContextCfg(cfg core.Config) *cunum.Context {
-	return cunum.NewContext(core.New(cfg))
-}
-
 // MeasureThroughput runs warmup then timed iterations on a fresh instance
 // and returns steady-state iterations/second of simulated time.
 func MeasureThroughput(inst Instance, warmup, iters int) float64 {
 	inst.Iterate(warmup)
-	leg := inst.Ctx.Runtime().Legion()
-	t0 := leg.SimTime()
+	sim := inst.Ctx.Runtime().Sim()
+	t0 := sim.Time()
 	inst.Iterate(iters)
-	t1 := leg.SimTime()
+	t1 := sim.Time()
 	if t1 <= t0 {
 		return math.Inf(1)
 	}
@@ -155,13 +150,13 @@ func MeasureTaskStats(name string, mk func(gpus int, fused bool) Instance, iters
 
 	// Unfused single-GPU run: task counts and granularity.
 	inst := mk(1, false)
-	leg := inst.Ctx.Runtime().Legion()
+	leg, sim := inst.Ctx.Runtime().Legion(), inst.Ctx.Runtime().Sim()
 	inst.Iterate(1) // setup + first iteration outside measurement
 	t0 := leg.ExecutedTasks
-	b0 := leg.Sim().BusyTime
+	b0 := sim.BusyTime
 	inst.Iterate(iters)
 	row.TasksPerIter = float64(leg.ExecutedTasks-t0) / float64(iters)
-	row.AvgTaskLengthMS = (leg.Sim().BusyTime - b0) / float64(leg.ExecutedTasks-t0) * 1e3
+	row.AvgTaskLengthMS = (sim.BusyTime - b0) / float64(leg.ExecutedTasks-t0) * 1e3
 
 	// Fused run (8 GPUs, the paper's Fig. 9 methodology).
 	finst := mk(8, true)
@@ -201,12 +196,11 @@ func MeasureCompileStats(name string, mk func(gpus int, fused bool) Instance, wa
 
 	measure := func(fused bool) (warm, perIter float64) {
 		inst := mk(8, fused)
-		leg := inst.Ctx.Runtime().Legion()
+		sim := inst.Ctx.Runtime().Sim()
 		inst.Iterate(warmupIters)
-		warm = leg.SimTime()
-		t0 := leg.SimTime()
+		warm = sim.Time()
 		inst.Iterate(5)
-		perIter = (leg.SimTime() - t0) / 5
+		perIter = (sim.Time() - warm) / 5
 		return warm, perIter
 	}
 	uw, ui := measure(false)

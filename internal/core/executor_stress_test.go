@@ -86,7 +86,7 @@ func TestConcurrentSessionsReduceSharedStores(t *testing.T) {
 						{Store: tinyAcc, Part: ir.ReplicateOver(launch), Priv: ir.Reduce, Red: ir.RedSum},
 					}})
 				s.Flush()
-				if got, _ := r.Legion().ReadScalar(tinyAcc); got != points {
+				if got, _ := r.Legion().ReadAt(tinyAcc, 0); got != points {
 					t.Errorf("session %d iter %d: tiny sum = %g, want %d", g, i, got, points)
 				}
 				r.ReleaseStore(tiny)
@@ -98,11 +98,11 @@ func TestConcurrentSessionsReduceSharedStores(t *testing.T) {
 	wg.Wait()
 
 	for g := 0; g < sessions; g++ {
-		if got, _ := r.Legion().ReadScalar(accs[g]); got != float64(iters*n) {
+		if got, _ := r.Legion().ReadAt(accs[g], 0); got != float64(iters*n) {
 			t.Fatalf("session %d acc = %g, want %d", g, got, iters*n)
 		}
 	}
-	if got, _ := r.Legion().ReadScalar(sharedAcc); got != float64(sessions*iters*n) {
+	if got, _ := r.Legion().ReadAt(sharedAcc, 0); got != float64(sessions*iters*n) {
 		t.Fatalf("shared acc = %g, want %d", got, sessions*iters*n)
 	}
 }

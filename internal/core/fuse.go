@@ -204,8 +204,8 @@ func (r *Runtime) computePlan(window []*ir.Task, sc *ir.WindowScan) *fusionPlan 
 	comp := r.leg.Compiled(fused)
 	r.stats.CompileSeconds += now().Sub(t0).Seconds()
 	r.stats.KernelsCompiled++
-	if r.cfg.ChargeCompile && r.cfg.Mode == legion.ModeSim {
-		r.leg.Sim().Compile(comp.NOps)
+	if sim := r.Sim(); sim != nil {
+		sim.Compile(comp.NOps)
 	}
 	return plan
 }

@@ -25,16 +25,19 @@ import (
 	"diffuse/internal/dist"
 	"diffuse/internal/hash128"
 	"diffuse/internal/ir"
+	"diffuse/internal/kir"
 	"diffuse/internal/legion"
 	"diffuse/internal/machine"
 )
 
 // Config controls a Diffuse runtime instance.
 type Config struct {
-	// Mode selects real or simulated execution in the underlying runtime.
+	// Mode selects real or simulated execution. It only chooses the backend
+	// New installs: ModeSim prices the same post-fusion stream on the
+	// simulated cluster (machine.Pricer) and allocates no data.
 	Mode legion.Mode
-	// Machine configures the simulated cluster (ModeSim) and the default
-	// launch width used by libraries.
+	// Machine configures the simulated cluster (ModeSim) and, in every
+	// mode, the default launch width used by libraries (GPUs).
 	Machine machine.Config
 	// Shards enables sharded execution (ModeReal): stores are decomposed
 	// into this many leading-axis blocks, and the runtime buffers
@@ -106,9 +109,6 @@ type Config struct {
 	NoTempElim bool
 	// NoMemo disables memoization of the fusion analysis (§5.2 ablation).
 	NoMemo bool
-	// ChargeCompile charges simulated JIT compilation time for each newly
-	// compiled fused kernel (Fig. 13). Defaults on when Enabled.
-	ChargeCompile bool
 
 	// InitialWindow is the starting task-window size (the paper's window
 	// sizes are selected automatically by growing the window whenever an
@@ -125,7 +125,6 @@ func DefaultConfig(procs int) Config {
 		Mode:          legion.ModeReal,
 		Machine:       machine.DefaultA100(procs),
 		Enabled:       true,
-		ChargeCompile: true,
 		InitialWindow: 5,
 		MaxWindow:     512,
 	}
@@ -196,15 +195,12 @@ func New(cfg Config) *Runtime {
 	}
 	r := &Runtime{
 		cfg:     cfg,
-		leg:     legion.New(cfg.Mode, cfg.Machine),
 		memo:    map[hash128.Sum]*memoEntry{},
 		quotaOf: map[ir.StoreID]storeCharge{},
 	}
-	r.leg.SetShards(cfg.Shards)
-	r.leg.SetWavefront(cfg.Wavefront)
-	r.leg.SetCodegen(cfg.Codegen)
-	r.leg.SetFeedback(cfg.Feedback)
-	if cfg.Ranks > 1 {
+	var backend legion.Backend
+	switch {
+	case cfg.Ranks > 1:
 		// Ranks execute the kernels, so the backend and feedback toggles
 		// must reach them; rank.go reads them back in MaybeRankMain's
 		// runtime setup.
@@ -219,31 +215,42 @@ func New(cfg Config) *Runtime {
 		if err != nil {
 			panic(fmt.Sprintf("core: launching %d-rank distributed runtime: %v", cfg.Ranks, err))
 		}
-		r.leg.SetRemote(par)
+		backend = par
+	case cfg.Mode == legion.ModeSim:
+		// The pricer reads compiled kernels from the runtime's one cache.
+		backend = machine.NewPricer(cfg.Machine, func(k *kir.Kernel) *kir.Compiled { return r.leg.Compiled(k) })
 	}
+	r.leg = legion.New(backend)
+	r.leg.SetShards(cfg.Shards)
+	r.leg.SetWavefront(cfg.Wavefront)
+	r.leg.SetCodegen(cfg.Codegen)
+	r.leg.SetFeedback(cfg.Feedback)
 	r.stats.WindowSize = cfg.InitialWindow
 	r.def = r.NewSession()
 	return r
 }
 
-// Close ends the runtime's life. A distributed runtime shuts its rank
-// subprocesses down and reports the first failure any of them hit. An
-// in-process runtime releases its store data at once (legion.Runtime.Close)
+// Close ends the runtime's life (legion.Runtime.Close). A distributed
+// runtime shuts its rank subprocesses down and reports the first failure
+// any of them hit. An in-process runtime releases its store data at once
 // and returns nil; tasks still buffered in session windows are not
 // flushed, and the runtime must not be used afterwards.
-func (r *Runtime) Close() error {
-	if rb := r.leg.Remote(); rb != nil {
-		return rb.Close()
-	}
-	r.leg.Close()
-	return nil
-}
+func (r *Runtime) Close() error { return r.leg.Close() }
 
 // Config returns the runtime's configuration.
 func (r *Runtime) Config() Config { return r.cfg }
 
 // Legion exposes the underlying runtime (data access for libraries/tests).
 func (r *Runtime) Legion() *legion.Runtime { return r.leg }
+
+// Sim returns the simulated cluster a ModeSim runtime prices its stream
+// on, and nil in every other mode.
+func (r *Runtime) Sim() *machine.Sim {
+	if p, ok := r.leg.Backend().(*machine.Pricer); ok {
+		return p.Sim()
+	}
+	return nil
+}
 
 // Factory returns the store factory of this runtime.
 func (r *Runtime) Factory() *ir.Factory { return &r.fact }

@@ -213,7 +213,7 @@ func TestDeadPeerSurfacesCleanError(t *testing.T) {
 				// Kill rank 1 out from under the runtime, then keep issuing
 				// work. The parent must reap the child and panic with an error
 				// naming the rank.
-				dist.KillRankForTest(ctx.Runtime().Legion().Remote(), 1)
+				dist.KillRankForTest(ctx.Runtime().Legion().Backend(), 1)
 				defer func() {
 					r := recover()
 					if r == nil {
@@ -234,5 +234,59 @@ func TestDeadPeerSurfacesCleanError(t *testing.T) {
 				t.Fatal("parent never noticed the dead rank")
 			})
 		}
+	}
+}
+
+// TestParentDoesNoRankWork: the parent of a distributed runtime fuses and
+// forwards; the ranks execute. After a ranks=2 conjugate-gradient solve the
+// parent has built no codegen program and executed nothing locally. The
+// solve is dense (cunum.MatVec): the sparse CG of internal/apps carries
+// CSR payloads, which cannot cross process boundaries.
+func TestParentDoesNoRankWork(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns rank subprocesses")
+	}
+	const n = 64
+	ctx := cunum.NewDistributedContext(2)
+	defer ctx.Close()
+	// A is the SPD tridiagonal [-1 2 -1].
+	a := make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		a[i*n+i] = 2
+		if i > 0 {
+			a[i*n+i-1] = -1
+		}
+		if i < n-1 {
+			a[i*n+i+1] = -1
+		}
+	}
+	A := ctx.FromSlice(a, n, n).Keep()
+	x := ctx.Zeros(n).Keep()
+	r := ctx.Ones(n).Keep()
+	p := ctx.Ones(n).Keep()
+	rs := r.Dot(r).Keep()
+	// The matrix has n/2 distinct eigenvalues on b's symmetric Krylov
+	// space, so n/2 steps converge in exact arithmetic.
+	for i := 0; i < n/2; i++ {
+		Ap := cunum.MatVec(A, p).Keep()
+		alpha := rs.Div(p.Dot(Ap)).Keep()
+		x = x.Add(p.Mul(alpha)).Keep()
+		r = r.Sub(Ap.Mul(alpha)).Keep()
+		rsNew := r.Dot(r).Keep()
+		p = r.Add(p.Mul(rsNew.Div(rs))).Keep()
+		rs = rsNew
+		ctx.Flush()
+	}
+	if res := rs.Future().Value(); !(res < 1e-12) {
+		t.Fatalf("CG did not converge: |r|^2 = %g", res)
+	}
+	_ = x.ToHost()
+
+	leg := ctx.Runtime().Legion()
+	if cg := leg.CodegenStatsSnapshot(); cg != (legion.CodegenStats{}) {
+		t.Errorf("parent codegen activity %+v, want none", cg)
+	}
+	if ex := leg.ExecStats(); ex != (legion.ExecStats{}) {
+		t.Errorf("parent executor activity %+v, want none", ex)
 	}
 }

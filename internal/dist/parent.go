@@ -19,8 +19,8 @@ import (
 // Parent is the parent-side handle of a distributed runtime: the rank
 // subprocesses, their control connections, and the lazily-filled store
 // and kernel tables of the wire protocol. It implements
-// legion.RemoteBackend — install it with legion.Runtime.SetRemote and the
-// parent's runtime forwards its whole execution surface here.
+// legion.Backend — core.New passes it to legion.New, and the parent's
+// runtime forwards its whole execution surface here.
 //
 // All backend methods execute under the legion runtime's execution lock,
 // so the tables need no locking of their own; only the child-failure
@@ -323,7 +323,7 @@ func (p *Parent) ensureKernel(k *kir.Kernel) int64 {
 	return ref
 }
 
-// Execute implements legion.RemoteBackend: forward one post-fusion task.
+// Execute implements legion.Backend: forward one post-fusion task.
 func (p *Parent) Execute(t *ir.Task) {
 	if t.Payload != nil {
 		panic(fmt.Errorf("dist: task %s carries a payload (sparse CSR providers cannot cross process boundaries); payload tasks are not supported in distributed mode", t.Name))
@@ -339,7 +339,7 @@ func (p *Parent) Execute(t *ir.Task) {
 	p.broadcast(msgTask, b)
 }
 
-// ReadAt implements legion.RemoteBackend.
+// ReadAt implements legion.Backend.
 func (p *Parent) ReadAt(s *ir.Store, off int) (float64, bool) {
 	p.ensureStore(s)
 	p.broadcast(msgReadAt, encodeReadAt(s.ID(), off))
@@ -351,7 +351,7 @@ func (p *Parent) ReadAt(s *ir.Store, off int) (float64, bool) {
 	return v, ok
 }
 
-// ReadBuffer implements legion.RemoteBackend.
+// ReadBuffer implements legion.Backend.
 func (p *Parent) ReadBuffer(s *ir.Store) kir.Buffer {
 	p.ensureStore(s)
 	p.broadcast(msgRead, idBody(int64(s.ID())))
@@ -366,13 +366,13 @@ func (p *Parent) ReadBuffer(s *ir.Store) kir.Buffer {
 	return data
 }
 
-// WriteBuffer implements legion.RemoteBackend.
+// WriteBuffer implements legion.Backend.
 func (p *Parent) WriteBuffer(s *ir.Store, data kir.Buffer) {
 	p.ensureStore(s)
 	p.broadcast(msgWrite, encodeStoreData(s.ID(), data))
 }
 
-// FreeStore implements legion.RemoteBackend.
+// FreeStore implements legion.Backend.
 func (p *Parent) FreeStore(id ir.StoreID) {
 	if !p.sentStores[id] {
 		// The store never reached the ranks; nothing to free there.
@@ -382,7 +382,7 @@ func (p *Parent) FreeStore(id ir.StoreID) {
 	delete(p.sentStores, id)
 }
 
-// Drain implements legion.RemoteBackend: a barrier. Every rank
+// Drain implements legion.Backend: a barrier. Every rank
 // acknowledges after its shard group has drained, and Drain returns only
 // once all of them have — a rank that dies or stalls instead surfaces as
 // an error naming it within the transport deadline.
@@ -394,7 +394,7 @@ func (p *Parent) Drain() {
 	}
 }
 
-// Close implements legion.RemoteBackend: shut the ranks down, reap them,
+// Close implements legion.Backend: shut the ranks down, reap them,
 // and report any recorded failures (nil on a clean run).
 func (p *Parent) Close() error {
 	p.mu.Lock()
@@ -438,4 +438,4 @@ func (p *Parent) Close() error {
 	return firstErr
 }
 
-var _ legion.RemoteBackend = (*Parent)(nil)
+var _ legion.Backend = (*Parent)(nil)

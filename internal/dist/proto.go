@@ -12,7 +12,7 @@
 //   - proto.go (this file): the framed message protocol shared by the
 //     parent control stream and the rank-to-rank peer links;
 //   - parent.go: process launch, child reaping, and the
-//     legion.RemoteBackend that forwards the parent's execution surface;
+//     legion.Backend that forwards the parent's execution surface;
 //   - rank.go: the rank process entry point and its control loop;
 //   - transport.go: the peer mesh and its tagged mailboxes — the
 //     legion.HaloTransport the distributed drain moves bytes through.

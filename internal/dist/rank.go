@@ -12,7 +12,6 @@ import (
 	"diffuse/internal/ir"
 	"diffuse/internal/kir"
 	"diffuse/internal/legion"
-	"diffuse/internal/machine"
 	"diffuse/internal/wire"
 )
 
@@ -116,7 +115,7 @@ func runRank() (err error) {
 		haloTx = faultx.Wrap(tx, me, sched)
 	}
 
-	rt := legion.New(legion.ModeReal, machine.DefaultA100(ranks))
+	rt := legion.New(nil)
 	if os.Getenv(EnvCodegen) == "off" {
 		rt.SetCodegen(legion.CodegenOff)
 	}

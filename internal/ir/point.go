@@ -104,6 +104,16 @@ func RectFromShape(shape []int) Rect {
 // Rank returns the dimensionality of the rectangle.
 func (r Rect) Rank() int { return len(r.Lo) }
 
+// Mid returns the point halfway between Lo and Hi on every axis: an
+// interior color the cost estimates sample as representative.
+func (r Rect) Mid() Point {
+	c := make(Point, r.Rank())
+	for d := range c {
+		c[d] = (r.Lo[d] + r.Hi[d]) / 2
+	}
+	return c
+}
+
 // Empty reports whether the rectangle contains no points.
 func (r Rect) Empty() bool {
 	for d := range r.Lo {

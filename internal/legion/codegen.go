@@ -9,9 +9,9 @@ import (
 // The runtime side of the compiled-kernel (codegen) backend: a cache of
 // kir.CodegenProgram keyed by the kernel's structural identity
 // (kir.Kernel.FingerprintHash, the hash the fusion memo key already cached
-// on the kernel), attached to every kernel compiled in ModeReal. Programs
-// capture only lowering-time structure, so one program serves every
-// Compiled whose kernel hashes alike — unfused streams mint a fresh kernel
+// on the kernel), attached to every kernel a runtime without a Backend
+// compiles. Programs capture only lowering-time structure, so one program
+// serves every Compiled whose kernel hashes alike — unfused streams mint a fresh kernel
 // object per task every iteration and still hit this cache without
 // rendering anything, and a kernel evicted from the per-kernel cache
 // (maxKernels) recompiles onto its existing program. Programs hold no
@@ -24,8 +24,8 @@ type CodegenMode int
 
 // Codegen modes.
 const (
-	// CodegenOn lowers every ModeReal kernel through the closure backend
-	// (loops the backend cannot take stay on the interpreter per-loop).
+	// CodegenOn lowers every locally executed kernel through the closure
+	// backend (loops it cannot take stay on the interpreter per-loop).
 	CodegenOn CodegenMode = iota
 	// CodegenOff runs every kernel fully interpreted — the bit-identical
 	// reference configuration benchmarks compare against.

@@ -3,11 +3,11 @@ package legion
 // Distributed (multi-process) execution hooks. The runtime participates in
 // the process-per-shard runtime of internal/dist from both sides:
 //
-//   - On the parent, a RemoteBackend intercepts the execution surface
-//     (Execute, host reads/writes, frees, drains): the parent runs fusion
-//     and submission as usual but owns no data — every call is forwarded
-//     as a control message to the rank processes, and host reads gather
-//     from rank 0.
+//   - On the parent, a Backend (dist.Parent) intercepts the execution
+//     surface (Execute, host reads/writes, frees, drains): the parent runs
+//     fusion and submission as usual but owns no data — every call is
+//     forwarded as a control message to the rank processes, and host reads
+//     gather from rank 0.
 //
 //   - On a rank, SetDistributed turns the wavefront drain into the real
 //     thing: rank r decodes the identical control stream every rank
@@ -47,35 +47,6 @@ import (
 	"diffuse/internal/kir"
 	"diffuse/internal/wire"
 )
-
-// RemoteBackend is the parent-side execution surface of a distributed
-// runtime: when set (SetRemote), the runtime forwards every data-touching
-// operation instead of executing locally. Implemented by internal/dist.
-type RemoteBackend interface {
-	// Execute forwards one post-fusion task to every rank.
-	Execute(t *ir.Task)
-	// ReadAt reads one element from rank 0 (all ranks drain first).
-	ReadAt(s *ir.Store, off int) (float64, bool)
-	// ReadBuffer gathers the store contents, at the store's dtype, from
-	// rank 0.
-	ReadBuffer(s *ir.Store) kir.Buffer
-	// WriteBuffer broadcasts a host write (a buffer of the store's size,
-	// any dtype) to every rank.
-	WriteBuffer(s *ir.Store, data kir.Buffer)
-	// FreeStore forwards a store free.
-	FreeStore(id ir.StoreID)
-	// Drain forces every rank to drain its buffered shard group.
-	Drain()
-	// Close shuts the rank processes down and reaps them.
-	Close() error
-}
-
-// SetRemote installs the parent-side backend of a distributed runtime.
-// Must be set before any task executes.
-func (rt *Runtime) SetRemote(rb RemoteBackend) { rt.remote = rb }
-
-// Remote returns the installed parent-side backend, if any.
-func (rt *Runtime) Remote() RemoteBackend { return rt.remote }
 
 // HaloTransport is the rank-side peer transport of a distributed runtime:
 // tagged, ordered, reliable byte messages between ranks. Send must not

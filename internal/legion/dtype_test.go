@@ -9,18 +9,16 @@ import (
 )
 
 // TestReadAtModeSimReportsNotOK: simulated runtimes have no data; the read
-// accessors must say so instead of silently returning zeros.
+// accessor must say so instead of silently returning zeros.
 func TestReadAtModeSimReportsNotOK(t *testing.T) {
-	rt := New(ModeSim, machine.DefaultA100(4))
+	var rt *Runtime
+	rt = New(machine.NewPricer(machine.DefaultA100(4), func(k *kir.Kernel) *kir.Compiled { return rt.Compiled(k) }))
 	var fact ir.Factory
 	s := fact.NewStore("s", []int{8})
 	if _, ok := rt.ReadAt(s, 3); ok {
 		t.Fatal("ModeSim ReadAt reported ok")
 	}
-	if _, ok := rt.ReadScalar(s); ok {
-		t.Fatal("ModeSim ReadScalar reported ok")
-	}
-	rtReal := New(ModeReal, machine.DefaultA100(4))
+	rtReal := New(nil)
 	if _, ok := rtReal.ReadAt(s, 3); !ok {
 		t.Fatal("ModeReal ReadAt reported not-ok")
 	}
@@ -29,7 +27,7 @@ func TestReadAtModeSimReportsNotOK(t *testing.T) {
 // TestTypedRegionAllocation: regions take the store's dtype, and the typed
 // write/read accessors round-trip through them.
 func TestTypedRegionAllocation(t *testing.T) {
-	rt := New(ModeReal, machine.DefaultA100(4))
+	rt := New(nil)
 	var fact ir.Factory
 	s := fact.NewStoreTyped("s", []int{4}, ir.F32)
 	writeAll(rt, s, []float64{0.1, 0.2, 0.3, 0.4})
@@ -59,7 +57,7 @@ func TestTypedRegionAllocation(t *testing.T) {
 // both executors.
 func TestTypedReductionExecution(t *testing.T) {
 	for _, policy := range []ExecPolicy{ExecChunked, ExecPerPoint} {
-		rt := New(ModeReal, machine.DefaultA100(4))
+		rt := New(nil)
 		rt.SetExecPolicy(policy)
 		var fact ir.Factory
 		const points, ext = 4, 16
@@ -86,9 +84,9 @@ func TestTypedReductionExecution(t *testing.T) {
 				{Store: x, Part: tile, Priv: ir.Read},
 				{Store: acc, Part: ir.ReplicateOver(launch), Priv: ir.Reduce, Red: ir.RedSum}}})
 
-		got, ok := rt.ReadScalar(acc)
+		got, ok := rt.ReadAt(acc, 0)
 		if !ok {
-			t.Fatal("ReadScalar not ok in ModeReal")
+			t.Fatal("ReadAt not ok")
 		}
 		// Reference: the same typed fold the runtime performs — per-point
 		// f64 accumulation over f32-rounded elements, each point's partial

@@ -162,32 +162,3 @@ func (rt *Runtime) bindArg(a ir.Arg, data kir.Buffer, partial kir.Buffer, pi int
 		panic(fmt.Sprintf("legion: unknown partition kind %T", a.Part))
 	}
 }
-
-// executeSim advances the machine simulation by one index task without
-// touching data.
-func (rt *Runtime) executeSim(t *ir.Task) {
-	if t.Kernel == nil {
-		panic(fmt.Sprintf("legion: task %s has no kernel", t.Name))
-	}
-	comp := rt.Compiled(t.Kernel)
-	payload, _ := t.Payload.(*Payload)
-	var stats kir.SpMVStats
-	if payload != nil {
-		stats = func(key int) (float64, float64, kir.DType) {
-			prov, ok := payload.CSR[key]
-			if !ok {
-				return 0, 0, kir.F64
-			}
-			rows, nnz := prov.Stats()
-			return rows, nnz, prov.ValDType()
-		}
-	}
-	cost := comp.Cost(stats)
-	n := t.Launch.Size()
-	sec := rt.sim.ComputeCost(cost.Bytes, cost.Flops, cost.Launches)
-	rt.sim.KernelCount += int64(cost.Launches)
-	rt.sim.IndexTask(n, func(int) float64 { return sec })
-	// Reductions imply a combine step visible to subsequent readers; the
-	// allreduce is charged at the read (coherence), matching Legion's lazy
-	// reduction instances.
-}

@@ -28,7 +28,7 @@ import (
 	"diffuse/internal/machine"
 )
 
-// ExecPolicy selects how ModeReal point tasks are scheduled. It is a test
+// ExecPolicy selects how point tasks are scheduled. It is a test
 // oracle switch, not a configuration: nothing above this package exposes
 // it, and only SetExecPolicy selects it.
 type ExecPolicy int
@@ -68,7 +68,7 @@ type ExecStats struct {
 	RegionReuses int64
 }
 
-// executor is the persistent worker pool of one ModeReal runtime. Exactly
+// executor is the persistent worker pool of one runtime. Exactly
 // one batch runs at a time (Runtime.Execute serializes on execMu), so the
 // claim ranges and per-worker states are reused batch to batch.
 type executor struct {
@@ -427,20 +427,8 @@ func (rt *Runtime) buildPlan(t *ir.Task, comp *kir.Compiled) *taskPlan {
 
 	// Grain estimate: per-point cost on the host model. SpMV loops draw
 	// their row/nnz statistics from the payload when present.
-	var stats kir.SpMVStats
-	if payload, ok := t.Payload.(*Payload); ok && payload != nil {
-		stats = func(key int) (float64, float64, kir.DType) {
-			prov, ok := payload.CSR[key]
-			if !ok {
-				return 0, 0, kir.F64
-			}
-			rows, nnz := prov.Stats()
-			return rows, nnz, prov.ValDType()
-		}
-	} else {
-		stats = func(int) (float64, float64, kir.DType) { return 0, 0, kir.F64 }
-	}
-	cost := comp.Cost(stats)
+	payload, _ := t.Payload.(*Payload)
+	cost := comp.Cost(payload.SpMVStats())
 	p.perPoint = rt.exec.host.PointCost(cost.Bytes, cost.Flops, cost.Launches)
 	return p
 }
@@ -849,27 +837,22 @@ func (rt *Runtime) SetExecPolicy(p ExecPolicy) { rt.policy = p }
 
 // ExecStats returns a snapshot of the executor's activity counters.
 func (rt *Runtime) ExecStats() ExecStats {
-	e := rt.exec
-	if e == nil {
-		return ExecStats{}
-	}
 	rt.mu.Lock()
-	allocs, reuses := rt.regionAllocs, rt.regionReuses
+	s := ExecStats{RegionAllocs: rt.regionAllocs, RegionReuses: rt.regionReuses}
 	rt.mu.Unlock()
-	return ExecStats{
-		InlineTasks:  e.inline.Load(),
-		PoolTasks:    e.pooled.Load(),
-		Chunks:       e.chunks.Load(),
-		Steals:       e.steals.Load(),
-		RegionAllocs: allocs,
-		RegionReuses: reuses,
+	if e := rt.exec; e != nil {
+		s.InlineTasks = e.inline.Load()
+		s.PoolTasks = e.pooled.Load()
+		s.Chunks = e.chunks.Load()
+		s.Steals = e.steals.Load()
 	}
+	return s
 }
 
 // SetWorkerPool resizes the persistent executor to n workers. The default
 // is GOMAXPROCS; tests and benchmarks set explicit sizes to exercise the
-// pooled path independently of host parallelism. ModeReal only; must be
-// called before any task executes.
+// pooled path independently of host parallelism. A no-op with a Backend;
+// must be called before any task executes.
 func (rt *Runtime) SetWorkerPool(n int) {
 	if rt.exec == nil || n < 1 {
 		return
@@ -879,7 +862,7 @@ func (rt *Runtime) SetWorkerPool(n int) {
 	rt.exec = newExecutor(n, machine.HostExec(n))
 }
 
-// attachExecutor wires a fresh executor to a ModeReal runtime and
+// attachExecutor wires a fresh executor to a runtime without a Backend and
 // arranges for its workers to exit when the runtime is collected —
 // benchmarks and tests create many short-lived runtimes, and parked
 // workers must not accumulate.

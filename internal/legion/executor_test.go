@@ -9,7 +9,6 @@ import (
 
 	"diffuse/internal/ir"
 	"diffuse/internal/kir"
-	"diffuse/internal/machine"
 )
 
 // randomKernel fills its single parameter with seeded pseudo-random values.
@@ -46,7 +45,7 @@ func reduceKernel(ext int, red kir.RedOp) *kir.Kernel {
 func runStream(t *testing.T, policy ExecPolicy, points, ext, iters int,
 	kRand, kMath, kSum, kMax *kir.Kernel) ([]float64, float64, float64) {
 	t.Helper()
-	rt := New(ModeReal, machine.DefaultA100(points))
+	rt := New(nil)
 	rt.SetExecPolicy(policy)
 	rt.SetWorkerPool(4) // exercise the pooled path even on 1-CPU hosts
 	var fact ir.Factory
@@ -73,8 +72,8 @@ func runStream(t *testing.T, policy ExecPolicy, points, ext, iters int,
 				{Store: y, Part: tp, Priv: ir.Read},
 				{Store: mx, Part: ir.ReplicateOver(launch), Priv: ir.Reduce, Red: ir.RedMax}}})
 	}
-	sv, _ := rt.ReadScalar(sum)
-	mv, _ := rt.ReadScalar(mx)
+	sv, _ := rt.ReadAt(sum, 0)
+	mv, _ := rt.ReadAt(mx, 0)
 	return readAll(rt, y), sv, mv
 }
 
@@ -111,7 +110,7 @@ func TestChunkedBitIdenticalToPerPoint(t *testing.T) {
 // TestExecutorInlineAndPoolPaths checks that the grain policy routes tiny
 // tasks inline and big ones to the pool, and that chunk accounting moves.
 func TestExecutorInlineAndPoolPaths(t *testing.T) {
-	rt := New(ModeReal, machine.DefaultA100(4))
+	rt := New(nil)
 	rt.SetWorkerPool(4)
 	var fact ir.Factory
 	launch := ir.MakeRect(ir.Point{0}, ir.Point{4})
@@ -143,7 +142,7 @@ func TestExecutorInlineAndPoolPaths(t *testing.T) {
 // plans that resolved into its region: re-executing the same kernel must
 // write the store's fresh region, not the orphaned buffer.
 func TestPlanInvalidationOnFreeStore(t *testing.T) {
-	rt := New(ModeReal, machine.DefaultA100(4))
+	rt := New(nil)
 	var fact ir.Factory
 	launch := ir.MakeRect(ir.Point{0}, ir.Point{4})
 	s := fact.NewStore("s", []int{16})
@@ -172,7 +171,7 @@ func TestPlanInvalidationOnFreeStore(t *testing.T) {
 // runtime. Both the chunked path and the sharded drain are covered.
 func TestKernelCacheBoundedAndHoldsNoRegions(t *testing.T) {
 	for _, shards := range []int{1, 2} {
-		rt := New(ModeReal, machine.DefaultA100(4))
+		rt := New(nil)
 		rt.SetShards(shards)
 		rt.SetWorkerPool(4)
 		var fact ir.Factory
@@ -241,7 +240,7 @@ func TestKernelCacheBoundedAndHoldsNoRegions(t *testing.T) {
 // a no-op. A buffered shard group is drained first.
 func TestCloseReleasesRegions(t *testing.T) {
 	for _, shards := range []int{1, 2} {
-		rt := New(ModeReal, machine.DefaultA100(4))
+		rt := New(nil)
 		rt.SetShards(shards)
 		rt.SetWorkerPool(4)
 		var fact ir.Factory

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"diffuse/internal/ir"
-	"diffuse/internal/machine"
 )
 
 // feedbackStream executes iters iterations of the shared math kernel on a
@@ -35,7 +34,7 @@ func feedbackStream(t *testing.T, rt *Runtime, iters int) {
 // repeatedly must register its calibration class, fold timed samples into
 // it, and — past warmup — answer schedule decisions from the measurement.
 func TestFeedbackCalibratesAndProbes(t *testing.T) {
-	rt := New(ModeReal, machine.DefaultA100(4))
+	rt := New(nil)
 	rt.SetWorkerPool(4)
 	feedbackStream(t, rt, 12)
 
@@ -70,7 +69,7 @@ func TestFeedbackCalibratesAndProbes(t *testing.T) {
 // TestFeedbackOffLeavesNoTrace: with feedback off the executor must never
 // attach calibration, time executions, or consult measurements.
 func TestFeedbackOffLeavesNoTrace(t *testing.T) {
-	rt := New(ModeReal, machine.DefaultA100(4))
+	rt := New(nil)
 	rt.SetFeedback(FeedbackOff)
 	rt.SetWorkerPool(4)
 	feedbackStream(t, rt, 8)
@@ -84,7 +83,7 @@ func TestFeedbackOffLeavesNoTrace(t *testing.T) {
 // fingerprint, not plan identity — freeing a store (which forces plans to
 // re-resolve) must reattach the same classes, not mint fresh ones.
 func TestCalibrationSurvivesPlanInvalidation(t *testing.T) {
-	rt := New(ModeReal, machine.DefaultA100(4))
+	rt := New(nil)
 	rt.SetWorkerPool(4)
 	var fact ir.Factory
 	const ext = 2048

@@ -5,7 +5,6 @@ import (
 
 	"diffuse/internal/ir"
 	"diffuse/internal/kir"
-	"diffuse/internal/machine"
 )
 
 // addConstKernel is y = x + c over one tile, with both parameters typed dt:
@@ -33,7 +32,7 @@ func addConstTask(k *kir.Kernel, x, y *ir.Store, ext int) *ir.Task {
 // that hash alike share one codegen program and one class; one immediate
 // or one parameter dtype apart, a kernel gets its own of each.
 func TestStructuralIdentitySharesProgramAndClass(t *testing.T) {
-	rt := New(ModeReal, machine.DefaultA100(4))
+	rt := New(nil)
 	var fact ir.Factory
 	const ext = 64
 	x, y := fact.NewStore("x", []int{ext}), fact.NewStore("y", []int{ext})
@@ -103,7 +102,7 @@ func TestStructuralIdentitySharesProgramAndClass(t *testing.T) {
 // cost 38 allocations where it now costs 29 (go1.24).
 func TestWarmSingletonTaskRendersNoFingerprint(t *testing.T) {
 	pauseGC(t) // a collection empties the free list and moves the count
-	rt := New(ModeReal, machine.DefaultA100(4))
+	rt := New(nil)
 	var fact ir.Factory
 	const ext, runs = 64, 100
 	x, y := fact.NewStore("x", []int{ext}), fact.NewStore("y", []int{ext})

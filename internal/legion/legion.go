@@ -1,38 +1,37 @@
 // Package legion is the task-based runtime substrate underneath Diffuse —
 // the stand-in for the Legion runtime system of the paper. It accepts
 // streams of index tasks over partitioned stores (after Diffuse's fusion
-// layer has processed them), maintains coherence of distributed data via
-// last-writer tracking, and executes point tasks either:
+// layer has processed them) and executes their point tasks over real,
+// typed buffers on a persistent, NumCPU-sized worker pool (executor.go).
+// The launch domain is grouped into cache-friendly chunks of contiguous
+// colors sized by the host cost model; workers claim chunks from their own
+// range and steal from others' when dry, tasks cheaper than a dispatch run
+// inline on the submitter, and binding state (regions, strides, tiling
+// coefficients, scratch) is pre-resolved once per task shape and reused
+// across the fused task stream. Reductions accumulate into per-point
+// partial cells folded in point order at the barrier, so results are
+// bit-identical under any scheduling. The v1 executor — one goroutine per
+// point task (exec.go) — stays as the independent binding oracle tests
+// compare against, reachable only through SetExecPolicy; it is not a
+// configuration.
 //
-//   - for real (ModeReal): point tasks run over actual float64 buffers on
-//     a persistent, NumCPU-sized worker pool (executor.go). The launch
-//     domain is grouped into cache-friendly chunks of contiguous colors
-//     sized by the machine cost model; workers claim chunks from their own
-//     range and steal from others' when dry, tasks cheaper than a dispatch
-//     run inline on the submitter, and binding state (regions, strides,
-//     tiling coefficients, scratch) is pre-resolved once per task shape
-//     and reused across the fused task stream. Reductions accumulate into
-//     per-point partial cells folded in point order at the barrier, so
-//     results are bit-identical under any scheduling. The v1 executor —
-//     one goroutine per point task (exec.go) — stays as the independent
-//     binding oracle tests compare against, reachable only through
-//     SetExecPolicy; it is not a configuration.
-//   - simulated (ModeSim): no data is allocated; the task stream drives
-//     the machine cost model (internal/machine) so weak-scaling studies up
-//     to 128 simulated GPUs run on a laptop.
+// A Backend fixed at construction takes over every data-touching call
+// instead (Execute, host reads and writes, frees, drains): the parent of a
+// distributed runtime (internal/dist) forwards the stream to its rank
+// processes, and the simulated cluster (machine.Pricer) prices it without
+// allocating data. Either way the stream is the one the fusion layer
+// emitted, so a fusion decision made for one is made for all. A runtime
+// with a backend starts no worker pool and builds no codegen program; it
+// keeps only the per-kernel compiled cache the fusion layer and the
+// pricer read.
 //
-// Both modes honour identical privilege/coherence semantics and share one
-// task protocol end to end (the same Execute entry point, dependence
-// analysis, and compiled kernels), so a fusion decision that is legal in
-// one is legal in the other.
-//
-// With SetShards > 1 (core.Config.Shards), real-mode execution is
-// additionally *sharded* (shard.go): tasks buffer into groups that run
-// shard-major over leading-axis blocks — one task plan per shard on the
-// work-stealing executor, halo-exchange stage boundaries between
-// dependent tasks whose partitions misalign, and shard-local region
-// instances bounding each shard's accesses. Results stay bit-identical
-// to unsharded execution at every shard count.
+// With SetShards > 1 (core.Config.Shards), execution is additionally
+// *sharded* (shard.go): tasks buffer into groups that run shard-major over
+// leading-axis blocks — one task plan per shard on the work-stealing
+// executor, halo-exchange stage boundaries between dependent tasks whose
+// partitions misalign, and shard-local region instances bounding each
+// shard's accesses. Results stay bit-identical to unsharded execution at
+// every shard count.
 package legion
 
 import (
@@ -44,19 +43,43 @@ import (
 	"diffuse/internal/hash128"
 	"diffuse/internal/ir"
 	"diffuse/internal/kir"
-	"diffuse/internal/machine"
 )
 
-// Mode selects real or simulated execution.
+// Mode selects real or simulated execution. The runtime itself always
+// executes real tasks; core.New reads the mode to decide which Backend, if
+// any, to install.
 type Mode int
 
 // Execution modes.
 const (
 	// ModeReal executes point tasks over real buffers.
 	ModeReal Mode = iota
-	// ModeSim drives the machine cost model without allocating data.
+	// ModeSim prices the task stream on the simulated cluster
+	// (machine.Pricer) without allocating data.
 	ModeSim
 )
+
+// Backend takes over the data-touching surface of a runtime: when one is
+// installed (New), the runtime forwards every call below instead of
+// executing locally. Implemented by internal/dist (the parent of a
+// distributed runtime) and internal/machine (the simulated cluster).
+type Backend interface {
+	// Execute receives one post-fusion task.
+	Execute(t *ir.Task)
+	// ReadAt reads one element; ok is false when no data exists.
+	ReadAt(s *ir.Store, off int) (float64, bool)
+	// ReadBuffer returns the store contents at the store's dtype.
+	ReadBuffer(s *ir.Store) kir.Buffer
+	// WriteBuffer applies a host write (a buffer of the store's size, any
+	// dtype).
+	WriteBuffer(s *ir.Store, data kir.Buffer)
+	// FreeStore releases a dead store.
+	FreeStore(id ir.StoreID)
+	// Drain is a barrier: every task received so far has executed.
+	Drain()
+	// Close ends the backend's life and reports any recorded failure.
+	Close() error
+}
 
 // CSRProvider supplies the CSR structure payload of SpMV loops: the local
 // rows for a given color (real execution) and aggregate statistics
@@ -71,6 +94,20 @@ type CSRProvider interface {
 // per-payload-key CSR structures.
 type Payload struct {
 	CSR map[int]CSRProvider
+}
+
+// SpMVStats returns the CSR statistics of the payload's SpMV loops for the
+// cost model. A key without a provider, and a nil payload, report zeros.
+func (p *Payload) SpMVStats() kir.SpMVStats {
+	return func(key int) (float64, float64, kir.DType) {
+		if p != nil {
+			if prov, ok := p.CSR[key]; ok {
+				rows, nnz := prov.Stats()
+				return rows, nnz, prov.ValDType()
+			}
+		}
+		return 0, 0, kir.F64
+	}
 }
 
 // MergePayloads combines the payloads of fused tasks.
@@ -99,20 +136,13 @@ type region struct {
 
 // Runtime is the Legion-analogue runtime instance.
 type Runtime struct {
-	mode Mode
-	sim  *machine.Sim
+	// backend, when set, receives every data-touching call (see Backend).
+	backend Backend
 
 	// execMu serializes Execute, FreeStore, and the host-side data
 	// accessors (ReadBuffer/ReadAt/WriteBuffer) so concurrent Diffuse
-	// sessions never race on region contents or coherence metadata; writers
-	// and pendRed are guarded by it.
+	// sessions never race on region contents or on the backend.
 	execMu sync.Mutex
-	// writers tracks the partitions whose writes produced each store's
-	// current contents (a covering write resets the set) — a lightweight
-	// stand-in for Legion's per-subregion version/coherence metadata. It and
-	// pendRed feed the ModeSim cost model and are nil in ModeReal.
-	writers map[ir.StoreID][]ir.Partition
-	pendRed map[ir.StoreID]ir.ReduceOp // stores with uncombined reductions
 
 	mu      sync.Mutex // guards regions, free, kernels, progs, and codegen
 	regions map[ir.StoreID]*region
@@ -121,7 +151,7 @@ type Runtime struct {
 	free                       map[regionKey][]weak.Pointer[region]
 	regionAllocs, regionReuses int64
 	// kernels is the one per-kernel-object cache: the compiled form plus
-	// (ModeReal) the execution plan, bounded by maxKernels.
+	// (without a backend) the execution plan, bounded by maxKernels.
 	kernels map[*kir.Kernel]*kernelEntry
 
 	// Codegen-backend state (see codegen.go): the active mode, the
@@ -158,11 +188,9 @@ type Runtime struct {
 	deferredFreeIn map[ir.StoreID]bool
 	shardStats     ShardStats
 
-	// Distributed execution state (see dist.go): the parent-side backend
-	// that forwards the execution surface to rank processes, and — on a
-	// rank — this process's rank id, the peer transport, and the drained-
-	// group sequence number that namespaces message tags.
-	remote   RemoteBackend
+	// Distributed execution state of a rank (see dist.go): this process's
+	// rank id, the peer transport, and the drained-group sequence number
+	// that namespaces message tags.
 	distRank int
 	distTx   HaloTransport
 	distSeq  uint64
@@ -170,19 +198,16 @@ type Runtime struct {
 	// ExecutedTasks counts index tasks that reached the runtime (post
 	// fusion); used by the Fig. 9 accounting.
 	ExecutedTasks int64
-	// MovedBytes accumulates simulated communication volume.
-	MovedBytes float64
 	// Trace, when set, observes every task as it executes (the
 	// diffuse-trace tool and tests).
 	Trace func(t *ir.Task)
 }
 
-// New creates a runtime. cfg configures the simulated machine; in ModeReal
-// only cfg.GPUs is consulted (as the default launch width).
-func New(mode Mode, cfg machine.Config) *Runtime {
+// New creates a runtime. With a nil backend it executes tasks itself on
+// its own worker pool; otherwise every data-touching call goes to b.
+func New(b Backend) *Runtime {
 	rt := &Runtime{
-		mode:    mode,
-		sim:     machine.NewSim(cfg),
+		backend: b,
 		regions: map[ir.StoreID]*region{},
 		free:    map[regionKey][]weak.Pointer[region]{},
 		kernels: map[*kir.Kernel]*kernelEntry{},
@@ -190,27 +215,18 @@ func New(mode Mode, cfg machine.Config) *Runtime {
 		workers: runtime.GOMAXPROCS(0),
 	}
 	rt.scratch.New = func() any { return kir.NewScratch() }
-	if mode == ModeReal {
+	if b == nil {
 		rt.attachExecutor()
-	} else {
-		rt.writers = map[ir.StoreID][]ir.Partition{}
-		rt.pendRed = map[ir.StoreID]ir.ReduceOp{}
 	}
 	return rt
 }
 
-// Mode returns the execution mode.
-func (rt *Runtime) Mode() Mode { return rt.mode }
-
-// Sim exposes the machine simulation (valid in both modes; only advanced
-// in ModeSim).
-func (rt *Runtime) Sim() *machine.Sim { return rt.sim }
-
-// SimTime returns the simulated makespan.
-func (rt *Runtime) SimTime() float64 { return rt.sim.Time() }
+// Backend returns the backend installed at construction, nil when the
+// runtime executes tasks itself.
+func (rt *Runtime) Backend() Backend { return rt.backend }
 
 // kernelEntry is what the runtime caches per kernel object: the compiled
-// form and, once the kernel has executed in ModeReal, its execution plan.
+// form and, once the kernel has executed locally, its execution plan.
 // The map slot is guarded by mu; plan is only touched under execMu.
 type kernelEntry struct {
 	comp *kir.Compiled
@@ -235,9 +251,10 @@ func (rt *Runtime) kernelFor(k *kir.Kernel) *kernelEntry {
 		return e
 	}
 	c := kir.Compile(k)
-	// Second compilation stage: in ModeReal with codegen on, attach the
-	// closure-backend program (cached by kernel structure; codegen.go).
-	if rt.mode == ModeReal && rt.codegen == CodegenOn {
+	// Second compilation stage: when this runtime executes the kernel
+	// itself with codegen on, attach the closure-backend program (cached by
+	// kernel structure; codegen.go).
+	if rt.backend == nil && rt.codegen == CodegenOn {
 		rt.attachProgramLocked(c)
 	}
 	if len(rt.kernels) >= maxKernels {
@@ -337,21 +354,27 @@ func redIdentity(op ir.ReduceOp) float64 {
 	}
 }
 
-// Close drops every region and the free list at once. Without it a
+// Close ends the runtime's life: with a backend it closes the backend and
+// returns its error. Otherwise it drops every region and the free list at
+// once and returns nil. Without it a
 // discarded runtime's data stays reachable until the finalizer that stops
 // its executor has run — two collections later, long enough for a process
 // that builds runtimes back to back to hold several dead ones' stores at
 // the same time. A buffered shard group is drained first; the runtime must
 // not execute or be read afterwards (regionFor panics), and a later
 // FreeStore is a no-op.
-func (rt *Runtime) Close() {
+func (rt *Runtime) Close() error {
 	rt.execMu.Lock()
 	defer rt.execMu.Unlock()
+	if rt.backend != nil {
+		return rt.backend.Close()
+	}
 	rt.drainShardGroupLocked()
 	rt.mu.Lock()
 	rt.regions = nil
 	rt.free = nil
 	rt.mu.Unlock()
+	return nil
 }
 
 // FreeStore drops the region of a dead store onto the free list. Nothing
@@ -365,8 +388,8 @@ func (rt *Runtime) Close() {
 func (rt *Runtime) FreeStore(id ir.StoreID) {
 	rt.execMu.Lock()
 	defer rt.execMu.Unlock()
-	if rt.remote != nil {
-		rt.remote.FreeStore(id)
+	if rt.backend != nil {
+		rt.backend.FreeStore(id)
 		return
 	}
 	if rt.group != nil && rt.group.refs[id] > 0 && !rt.deferredFreeIn[id] {
@@ -383,8 +406,6 @@ func (rt *Runtime) FreeStore(id ir.StoreID) {
 
 // freeStoreLocked performs the actual free. Callers hold execMu.
 func (rt *Runtime) freeStoreLocked(id ir.StoreID) {
-	delete(rt.writers, id)
-	delete(rt.pendRed, id)
 	delete(rt.deferredFreeIn, id)
 	rt.mu.Lock()
 	if r, ok := rt.regions[id]; ok {
@@ -402,25 +423,16 @@ func (rt *Runtime) freeStoreLocked(id ir.StoreID) {
 	rt.mu.Unlock()
 }
 
-// ReadScalar returns element 0 of the store's region. In ModeSim data does
-// not exist: ok is false and the value 0 — callers that need a real value
-// must check ok instead of silently treating simulated reads as zeros.
-func (rt *Runtime) ReadScalar(s *ir.Store) (v float64, ok bool) {
-	return rt.ReadAt(s, 0)
-}
-
 // ReadAt returns the element at the given flat offset into the store's
 // canonical row-major layout — the deferred-read primitive scalar futures
-// resolve through once the producer chain has been flushed. In ModeSim no
-// data exists; ok reports whether the value is real.
+// resolve through once the producer chain has been flushed. ok reports
+// whether the value is real: a simulated runtime has no data, and callers
+// that need a value must check ok instead of treating its zeros as data.
 func (rt *Runtime) ReadAt(s *ir.Store, off int) (v float64, ok bool) {
-	if rt.mode == ModeSim {
-		return 0, false
-	}
 	rt.execMu.Lock()
 	defer rt.execMu.Unlock()
-	if rt.remote != nil {
-		return rt.remote.ReadAt(s, off)
+	if rt.backend != nil {
+		return rt.backend.ReadAt(s, off)
 	}
 	rt.drainShardGroupLocked()
 	r := rt.regionFor(s, ir.RedNone)
@@ -429,12 +441,12 @@ func (rt *Runtime) ReadAt(s *ir.Store, off int) (v float64, ok bool) {
 
 // ReadBuffer copies out the store contents at the store's own dtype — the
 // one host-read path; cunum converts to what its caller asked for (tests
-// and examples; ModeReal).
+// and examples).
 func (rt *Runtime) ReadBuffer(s *ir.Store) kir.Buffer {
 	rt.execMu.Lock()
 	defer rt.execMu.Unlock()
-	if rt.remote != nil {
-		return rt.remote.ReadBuffer(s)
+	if rt.backend != nil {
+		return rt.backend.ReadBuffer(s)
 	}
 	rt.drainShardGroupLocked()
 	return rt.regionFor(s, ir.RedNone).data.Clone()
@@ -442,31 +454,27 @@ func (rt *Runtime) ReadBuffer(s *ir.Store) kir.Buffer {
 
 // WriteBuffer overwrites the store contents from a buffer of the store's
 // size and any dtype, rounding each element to the store's dtype (tests
-// and examples; ModeReal).
+// and examples).
 func (rt *Runtime) WriteBuffer(s *ir.Store, data kir.Buffer) {
 	rt.execMu.Lock()
 	defer rt.execMu.Unlock()
 	if data.Len() != s.Size() {
 		panic(fmt.Sprintf("legion: WriteBuffer size mismatch %d != %d", data.Len(), s.Size()))
 	}
-	if rt.remote != nil {
-		rt.remote.WriteBuffer(s, data)
+	if rt.backend != nil {
+		rt.backend.WriteBuffer(s, data)
 		return
 	}
 	rt.drainShardGroupLocked()
 	rt.regionFor(s, ir.RedNone).data.CopyFrom(data)
-	if rt.mode == ModeSim {
-		// A host-side covering write, for the coherence model.
-		rt.writers[s.ID()] = []ir.Partition{ir.ReplicateOver(ir.MakeRect(ir.Point{0}, ir.Point{1}))}
-	}
 }
 
 // Execute runs one index task to completion (issue-order execution; the
 // fusion layer above has already extracted the available parallelism into
-// point tasks). Under sharded execution (SetShards > 1, ModeReal) the
-// task may instead join the buffered shard group and execute at the next
-// barrier — host reads and writes drain the group, so deferral is never
-// observable through the data.
+// point tasks). Under sharded execution (SetShards > 1) the task may
+// instead join the buffered shard group and execute at the next barrier —
+// host reads and writes drain the group, so deferral is never observable
+// through the data.
 func (rt *Runtime) Execute(t *ir.Task) {
 	rt.execMu.Lock()
 	defer rt.execMu.Unlock()
@@ -474,20 +482,14 @@ func (rt *Runtime) Execute(t *ir.Task) {
 	if rt.Trace != nil {
 		rt.Trace(t)
 	}
-	if rt.remote != nil {
-		// Distributed parent: the post-fusion stream is forwarded to the
-		// rank processes, which own all data and re-derive the schedule
-		// (control replication); no local coherence or execution happens.
-		rt.remote.Execute(t)
+	if rt.backend != nil {
+		// The backend owns execution: rank processes re-derive the schedule
+		// from the forwarded stream (control replication), or the pricer
+		// charges it on the simulated cluster.
+		rt.backend.Execute(t)
 		return
 	}
-	if rt.mode == ModeSim {
-		rt.coherence(t)
-		rt.executeSim(t)
-		rt.updateWriters(t)
-		return
-	}
-	if rt.shardActive() {
+	if rt.shards > 1 {
 		if rt.groupable(t) {
 			// A kernel already buffered would collide with its cached
 			// plan's reduction partials: finish the group, then start a
@@ -508,162 +510,4 @@ func (rt *Runtime) Execute(t *ir.Task) {
 		rt.drainShardGroupLocked()
 	}
 	rt.executeReal(t)
-}
-
-// coherence inspects read accesses against last-writer partitions and
-// charges the induced communication (ModeSim only: nothing reads the
-// last-writer metadata in ModeReal, so Execute does not keep it there).
-// This models Legion's dynamic dependence analysis and copy generation:
-// reading data through a partition different from the one it was produced
-// with requires data movement.
-func (rt *Runtime) coherence(t *ir.Task) {
-	n := t.Launch.Size()
-	for _, a := range t.Args {
-		if !a.Priv.Reads() && !a.Priv.Reduces() {
-			continue
-		}
-		// Pending reduction: a read after reductions forces the runtime to
-		// combine partial reduction instances (an allreduce for the
-		// replicated scalars our libraries use).
-		if _, ok := rt.pendRed[a.Store.ID()]; ok && a.Priv.Reads() {
-			rt.sim.Communicate(machine.CollAllReduce, rt.sim.Cfg.GPUs, float64(a.Store.SizeBytes()))
-			delete(rt.pendRed, a.Store.ID())
-		}
-		if !a.Priv.Reads() {
-			continue
-		}
-		ws := rt.writers[a.Store.ID()]
-		if len(ws) == 0 || anyEqual(ws, a.Part) {
-			// Never written, or produced through exactly this partition:
-			// the data a point task reads is already local (other writers
-			// contributed at most negligible slivers once one matches).
-			continue
-		}
-		bytes := rt.commBytes(a, ws)
-		if a.HaloBytes > 0 && bytes > a.HaloBytes {
-			bytes = a.HaloBytes
-		}
-		if bytes <= 0 {
-			continue
-		}
-		rt.MovedBytes += bytes * float64(n)
-		switch {
-		case a.HaloBytes > 0:
-			rt.sim.Communicate(machine.CollHalo, n, a.HaloBytes)
-		case a.Part.Kind() == ir.KindNone:
-			rt.sim.Communicate(machine.CollAllGather, n, bytes)
-		default:
-			rt.sim.Communicate(machine.CollHalo, n, bytes)
-		}
-		// The moved data is now resident under the reader's partition:
-		// record it as a valid instance so repeated reads (e.g. a matrix
-		// reused every iteration) pay only once, as Legion's cached
-		// physical instances do. Halo-hinted reads stay per-iteration:
-		// their producer is rewritten between uses anyway.
-		if a.HaloBytes == 0 {
-			id := a.Store.ID()
-			ws := append(rt.writers[id], a.Part)
-			if len(ws) > maxWriters {
-				ws = append([]ir.Partition{ws[0]}, ws[len(ws)-maxWriters+1:]...)
-			}
-			rt.writers[id] = ws
-		}
-	}
-}
-
-func anyEqual(ws []ir.Partition, p ir.Partition) bool {
-	for _, w := range ws {
-		if w.Equal(p) {
-			return true
-		}
-	}
-	return false
-}
-
-// commBytes estimates, per participating GPU, the bytes that must move to
-// satisfy reading a.Store through a.Part given the writer partitions that
-// produced its contents. The estimate samples a representative interior
-// color and credits the best-covering writer, keeping the computation
-// independent of data size.
-func (rt *Runtime) commBytes(a ir.Arg, ws []ir.Partition) float64 {
-	parent := a.Store.Bounds()
-	switch a.Part.Kind() {
-	case ir.KindNone:
-		// Replicated read of distributed data: each GPU must gather the
-		// remote fraction; charge the per-GPU local share (the collective
-		// model multiplies by (n-1)).
-		n := 1
-		for _, w := range ws {
-			if s := w.ColorSpace().Size(); s > n {
-				n = s
-			}
-		}
-		if n <= 1 {
-			return 0
-		}
-		return float64(a.Store.SizeBytes()) / float64(n)
-	default:
-		// Differently-tiled read (e.g. halo): bytes = |read sub-store|
-		// minus the locally available part under the best writer.
-		c := interiorColor(a.Part.ColorSpace())
-		readR := a.Part.SubRect(c, parent)
-		best := 0
-		for _, w := range ws {
-			if !w.ColorSpace().Contains(c) {
-				continue
-			}
-			if ov := readR.Intersect(w.SubRect(c, parent)).Size(); ov > best {
-				best = ov
-			}
-		}
-		missing := readR.Size() - best
-		if missing < 0 {
-			missing = 0
-		}
-		return float64(missing * a.Store.ElemSize())
-	}
-}
-
-func interiorColor(colors Rect) ir.Point {
-	c := make(ir.Point, colors.Rank())
-	for d := range c {
-		c[d] = (colors.Lo[d] + colors.Hi[d]) / 2
-	}
-	return c
-}
-
-// Rect is re-exported locally for brevity.
-type Rect = ir.Rect
-
-// updateWriters records the partitions that produced each store's current
-// contents: a covering write owns the whole store and resets the set (in
-// place: the slice belongs to this map entry alone); partial writes
-// (interior views, boundary strips) accumulate, capped to bound the
-// metadata like Legion's version-number compaction.
-const maxWriters = 8
-
-func (rt *Runtime) updateWriters(t *ir.Task) {
-	for _, a := range t.Args {
-		switch {
-		case a.Priv.Writes():
-			id := a.Store.ID()
-			if a.Part.Covers(a.Store.Bounds()) {
-				rt.writers[id] = append(rt.writers[id][:0], a.Part)
-			} else if !anyEqual(rt.writers[id], a.Part) {
-				ws := append(rt.writers[id], a.Part)
-				if len(ws) > maxWriters {
-					// Keep the (typically covering) first writer and the
-					// most recent partial writers.
-					kept := append([]ir.Partition{ws[0]}, ws[len(ws)-maxWriters+1:]...)
-					ws = kept
-				}
-				rt.writers[id] = ws
-			}
-			delete(rt.pendRed, a.Store.ID())
-		case a.Priv.Reduces():
-			id := a.Store.ID()
-			rt.pendRed[id] = a.Red
-			rt.writers[id] = append(rt.writers[id][:0], a.Part)
-		}
-	}
 }

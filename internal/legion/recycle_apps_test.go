@@ -8,7 +8,6 @@ import (
 	"diffuse/cunum"
 	"diffuse/internal/apps"
 	"diffuse/internal/core"
-	"diffuse/internal/legion"
 )
 
 // TestWarmCGStepRecyclesItsVectors guards what the free list is for: with
@@ -45,30 +44,5 @@ func TestWarmCGStepRecyclesItsVectors(t *testing.T) {
 	if n := after.RegionAllocs - before.RegionAllocs; n != 0 {
 		t.Errorf("a warm CG step allocated %d fresh regions (reused %d), want 0",
 			n, after.RegionReuses-before.RegionReuses)
-	}
-}
-
-// TestRealModeKeepsNoSimMetadata: last-writer partitions and pending
-// reductions feed ModeSim's communication model and nothing else, so a
-// ModeReal solve — tasks, reductions, host writes and reads — must not pay
-// for them: both maps stay empty. The same solve in ModeSim fills them.
-func TestRealModeKeepsNoSimMetadata(t *testing.T) {
-	solve := func(cfg core.Config) (writers, pendRed int) {
-		rt := core.New(cfg)
-		ctx := cunum.NewContext(rt)
-		A := apps.BuildPoisson2D(ctx, 12)
-		rhs := ctx.FromSlice(make([]float64, A.Rows()), A.Rows()).Keep()
-		cg := apps.NewCG(ctx, A, rhs, false)
-		cg.Solve(-1, 5, 2)
-		ctx.Flush()
-		return legion.SimMetadataLen(rt.Legion())
-	}
-	if w, p := solve(core.DefaultConfig(4)); w != 0 || p != 0 {
-		t.Errorf("ModeReal CG left %d last-writer and %d pending-reduction entries, want 0 and 0", w, p)
-	}
-	sim := core.DefaultConfig(4)
-	sim.Mode = legion.ModeSim
-	if w, _ := solve(sim); w == 0 {
-		t.Error("ModeSim CG recorded no last writers: the cost model lost its input")
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"diffuse/internal/ir"
 	"diffuse/internal/kir"
-	"diffuse/internal/machine"
 )
 
 // constKernel stores c into every element of its single parameter's tile.
@@ -49,7 +48,7 @@ func TestRecycledRegionReadsZeroWhereUnwritten(t *testing.T) {
 	interior := ir.NewTiling(launch, []int{points * ext}, []int{ext}, []int{pad}, nil, nil)
 	for _, dt := range []ir.DType{ir.F64, ir.F32, ir.I32} {
 		for _, policy := range []ExecPolicy{ExecChunked, ExecPerPoint} {
-			rt := New(ModeReal, machine.DefaultA100(points))
+			rt := New(nil)
 			rt.SetExecPolicy(policy)
 			rt.SetWorkerPool(4)
 			var fact ir.Factory
@@ -89,7 +88,7 @@ func TestRecycledRegionReductionIdentity(t *testing.T) {
 		fill float64
 	}{{ir.RedMax, kir.RedMax, -3}, {ir.RedMin, kir.RedMin, 3}} {
 		for _, policy := range []ExecPolicy{ExecChunked, ExecPerPoint} {
-			rt := New(ModeReal, machine.DefaultA100(points))
+			rt := New(nil)
 			rt.SetExecPolicy(policy)
 			var fact ir.Factory
 			x := fact.NewStore("x", []int{n})
@@ -101,7 +100,7 @@ func TestRecycledRegionReductionIdentity(t *testing.T) {
 				Args: []ir.Arg{
 					{Store: x, Part: tp, Priv: ir.Read},
 					{Store: acc, Part: ir.ReplicateOver(launch), Priv: ir.Reduce, Red: tc.red}}})
-			got, _ := rt.ReadScalar(acc)
+			got, _ := rt.ReadAt(acc, 0)
 			if st := rt.ExecStats(); st.RegionReuses != 1 {
 				t.Fatalf("red %v policy %v: the destination was not recycled (reuses %d)", tc.red, policy, st.RegionReuses)
 			}
@@ -117,7 +116,7 @@ func TestRecycledRegionReductionIdentity(t *testing.T) {
 func TestRecycleKeyedByDType(t *testing.T) {
 	pauseGC(t)
 	const n = 1024
-	rt := New(ModeReal, machine.DefaultA100(4))
+	rt := New(nil)
 	var fact ir.Factory
 	dirtyAndFree(rt, &fact, ir.F64, n)
 	s := fact.NewStoreTyped("s", []int{n}, ir.F32)
@@ -146,7 +145,7 @@ func TestRecycleWaitsForShardGroup(t *testing.T) {
 	const points, ext = 4, 64
 	n := points * ext
 	run := func(shards int) (z, w []float64, atDrain, atEnd ExecStats) {
-		rt := New(ModeReal, machine.DefaultA100(points))
+		rt := New(nil)
 		rt.SetShards(shards)
 		rt.SetWorkerPool(4)
 		var fact ir.Factory
@@ -202,7 +201,7 @@ func TestRecycleWaitsForShardGroup(t *testing.T) {
 func TestRecycleListEmptiedByCollector(t *testing.T) {
 	pauseGC(t)
 	const n = 1 << 15
-	rt := New(ModeReal, machine.DefaultA100(4))
+	rt := New(nil)
 	var fact ir.Factory
 	dirtyAndFree(rt, &fact, ir.F64, n)
 	runtime.GC()
@@ -220,7 +219,7 @@ func TestRecycleListEmptiedByCollector(t *testing.T) {
 // TestFreeListBounded: neither one key's list nor the number of keys grows
 // without bound when nothing is collected or reused in between.
 func TestFreeListBounded(t *testing.T) {
-	rt := New(ModeReal, machine.DefaultA100(4))
+	rt := New(nil)
 	var fact ir.Factory
 	var live []*ir.Store
 	for i := 0; i < 3*maxFreePerKey; i++ {

@@ -39,9 +39,9 @@ package legion
 // exactly the shard's footprint (its block plus the halo margin admitted
 // by the current stage). On this single-address-space host the instances
 // alias the canonical region, so the halo-exchange step moves no bytes —
-// it is the scheduling barrier plus coherence bookkeeping, and the
-// simulated runtime charges the byte movement for the same access pattern
-// through its coherence model (legion.coherence, machine.CollHalo). On a
+// it is the scheduling barrier plus bookkeeping, and the simulated
+// runtime charges the byte movement for the same access pattern through
+// its last-writer model (machine.Pricer, machine.CollHalo). On a
 // distributed substrate the same step is where the boundary rows would
 // travel. The aliased instances are still load-bearing: a point task
 // reaching outside its shard's declared footprint faults immediately
@@ -253,11 +253,6 @@ func (g *shardGroup) acc(id ir.StoreID) *storeAccess {
 	return a
 }
 
-// shardActive reports whether sharded execution applies to this runtime.
-func (rt *Runtime) shardActive() bool {
-	return rt.mode == ModeReal && rt.shards > 1
-}
-
 // SetShards configures the shard count of sharded execution. It must be
 // called before any task executes; n <= 1 disables sharding.
 func (rt *Runtime) SetShards(n int) {
@@ -288,8 +283,8 @@ func (rt *Runtime) ShardStatsSnapshot() ShardStats {
 func (rt *Runtime) DrainShardGroup() {
 	rt.execMu.Lock()
 	defer rt.execMu.Unlock()
-	if rt.remote != nil {
-		rt.remote.Drain()
+	if rt.backend != nil {
+		rt.backend.Drain()
 		return
 	}
 	rt.drainShardGroupLocked()
@@ -520,7 +515,7 @@ func (rt *Runtime) enqueueShard(t *ir.Task) {
 func (rt *Runtime) recordHalo(t *ir.Task, a ir.Arg, writePart ir.Partition) {
 	rt.shardStats.HaloExchanges++
 	parent := a.Store.Bounds()
-	c := interiorColor(a.Part.ColorSpace())
+	c := a.Part.ColorSpace().Mid()
 	readR := a.Part.SubRect(c, parent)
 	missing := readR.Size()
 	// Credit the overlap with the writer's footprint at the same color

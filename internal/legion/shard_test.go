@@ -5,7 +5,6 @@ import (
 
 	"diffuse/internal/ir"
 	"diffuse/internal/kir"
-	"diffuse/internal/machine"
 )
 
 // runShardedStream executes iters rounds of a random→math→sum/max stream
@@ -14,7 +13,7 @@ import (
 // kernel object may appear at most once per group).
 func runShardedStream(t *testing.T, shards, points, ext, iters int) ([]float64, float64, float64, ShardStats) {
 	t.Helper()
-	rt := New(ModeReal, machine.DefaultA100(points))
+	rt := New(nil)
 	rt.SetShards(shards)
 	rt.SetWorkerPool(4) // exercise pooled shard claiming even on 1-CPU hosts
 	var fact ir.Factory
@@ -41,8 +40,8 @@ func runShardedStream(t *testing.T, shards, points, ext, iters int) ([]float64, 
 				{Store: y, Part: tp, Priv: ir.Read},
 				{Store: mx, Part: ir.ReplicateOver(launch), Priv: ir.Reduce, Red: ir.RedMax}}})
 	}
-	sv, _ := rt.ReadScalar(sum)
-	mv, _ := rt.ReadScalar(mx)
+	sv, _ := rt.ReadAt(sum, 0)
+	mv, _ := rt.ReadAt(mx, 0)
 	return readAll(rt, y), sv, mv, rt.ShardStatsSnapshot()
 }
 
@@ -77,7 +76,7 @@ func TestShardHaloExchangeOnMisalignedRead(t *testing.T) {
 	const points, ext = 4, 16
 	n := points * ext
 	run := func(shards int) ([]float64, ShardStats) {
-		rt := New(ModeReal, machine.DefaultA100(points))
+		rt := New(nil)
 		rt.SetShards(shards)
 		var fact ir.Factory
 		launch := ir.MakeRect(ir.Point{0}, ir.Point{points})
@@ -120,7 +119,7 @@ func TestShardHaloExchangeOnMisalignedRead(t *testing.T) {
 func TestShardDeferredFree(t *testing.T) {
 	const points, ext = 4, 32
 	n := points * ext
-	rt := New(ModeReal, machine.DefaultA100(points))
+	rt := New(nil)
 	rt.SetShards(2)
 	var fact ir.Factory
 	launch := ir.MakeRect(ir.Point{0}, ir.Point{points})
@@ -162,7 +161,7 @@ func TestShardDeferredFree(t *testing.T) {
 func TestShardGroupDrainsOnHostAccess(t *testing.T) {
 	const points, ext = 4, 16
 	n := points * ext
-	rt := New(ModeReal, machine.DefaultA100(points))
+	rt := New(nil)
 	rt.SetShards(4)
 	var fact ir.Factory
 	launch := ir.MakeRect(ir.Point{0}, ir.Point{points})
@@ -212,7 +211,7 @@ func TestShardColorRange(t *testing.T) {
 func TestShardWriterSeesAllReaders(t *testing.T) {
 	const points, ext = 4, 8
 	n := points * ext
-	rt := New(ModeReal, machine.DefaultA100(points))
+	rt := New(nil)
 	rt.SetShards(2)
 	var fact ir.Factory
 	launch := ir.MakeRect(ir.Point{0}, ir.Point{points})

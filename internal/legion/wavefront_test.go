@@ -94,7 +94,7 @@ func TestRunDAGDeepSerialIsLIFO(t *testing.T) {
 func wavefrontStream(t *testing.T, shards, workers int, wf WavefrontMode) ([]float64, float64, float64, ShardStats) {
 	t.Helper()
 	const points, ext, iters = 8, 64, 3
-	rt := New(ModeReal, machine.DefaultA100(points))
+	rt := New(nil)
 	rt.SetShards(shards)
 	rt.SetWavefront(wf)
 	if workers > 0 {
@@ -131,8 +131,8 @@ func wavefrontStream(t *testing.T, shards, workers int, wf WavefrontMode) ([]flo
 				{Store: y, Part: tp, Priv: ir.Read},
 				{Store: mx, Part: ir.ReplicateOver(launch), Priv: ir.Reduce, Red: ir.RedMax}}})
 	}
-	sv, _ := rt.ReadScalar(sum)
-	mv, _ := rt.ReadScalar(mx)
+	sv, _ := rt.ReadAt(sum, 0)
+	mv, _ := rt.ReadAt(mx, 0)
 	return readAll(rt, y), sv, mv, rt.ShardStatsSnapshot()
 }
 
@@ -193,7 +193,7 @@ func TestWavefrontStaggeredSameOpReductions(t *testing.T) {
 	const points, ext = 4, 32
 	n := points * ext
 	run := func(shards, workers int, wf WavefrontMode) (float64, *shardGroup) {
-		rt := New(ModeReal, machine.DefaultA100(points))
+		rt := New(nil)
 		rt.SetShards(shards)
 		rt.SetWavefront(wf)
 		rt.SetWorkerPool(workers)
@@ -222,7 +222,7 @@ func TestWavefrontStaggeredSameOpReductions(t *testing.T) {
 				{Store: y, Part: tp, Priv: ir.Read},
 				{Store: s, Part: ir.ReplicateOver(launch), Priv: ir.Reduce, Red: ir.RedSum}}})
 		g := rt.group // inspect before the read drains it
-		v, _ := rt.ReadScalar(s)
+		v, _ := rt.ReadAt(s, 0)
 		return v, g
 	}
 	ref, _ := run(1, 1, WavefrontOff)

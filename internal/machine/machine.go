@@ -5,9 +5,12 @@
 // point-task compute costs are bandwidth/flop-rate bound, runtime overheads
 // serialize on a runtime-analysis clock (reproducing Legion's minimum
 // effective task granularity), and communication is charged per collective
-// pattern. The real executor (internal/legion) uses none of this — the
-// simulation exists so the repository can regenerate the *shape* of the
-// paper's 1–128 GPU results on a single development machine.
+// pattern. Pricer (pricer.go) drives it: installed as the backend of a
+// legion runtime (ModeSim), it prices the same post-fusion task stream the
+// real executor runs. The real executor uses none of this beyond the
+// HostExec constants — the simulation exists so the repository can
+// regenerate the *shape* of the paper's 1–128 GPU results on a single
+// development machine.
 package machine
 
 import "math"
@@ -149,17 +152,13 @@ type Collective int
 
 // Communication patterns.
 const (
-	// CollNone is no communication.
-	CollNone Collective = iota
 	// CollHalo is a nearest-neighbor boundary exchange.
-	CollHalo
+	CollHalo Collective = iota
 	// CollAllGather assembles a replicated copy of distributed data on
 	// every GPU.
 	CollAllGather
 	// CollAllReduce combines a scalar across all GPUs.
 	CollAllReduce
-	// CollBcast broadcasts a small value from one GPU.
-	CollBcast
 )
 
 // Sim is the discrete-event state: one clock per GPU plus the serialized
@@ -169,9 +168,7 @@ type Sim struct {
 	clock    []float64
 	analysis float64
 	// Accounting.
-	CommTime    float64
 	TaskCount   int64
-	KernelCount int64
 	CompileTime float64
 	// BusyTime is the summed GPU compute time (excluding overheads),
 	// used to report average task lengths (Fig. 9).
@@ -181,19 +178,6 @@ type Sim struct {
 // NewSim creates a simulation with all clocks at zero.
 func NewSim(cfg Config) *Sim {
 	return &Sim{Cfg: cfg, clock: make([]float64, cfg.GPUs)}
-}
-
-// Reset zeroes all clocks and counters.
-func (s *Sim) Reset() {
-	for i := range s.clock {
-		s.clock[i] = 0
-	}
-	s.analysis = 0
-	s.CommTime = 0
-	s.TaskCount = 0
-	s.KernelCount = 0
-	s.CompileTime = 0
-	s.BusyTime = 0
 }
 
 // Time returns the simulated makespan so far.
@@ -213,11 +197,6 @@ func (s *Sim) Time() float64 {
 // HostExec constants to size dispatch chunks).
 func (c Config) PointCost(bytes, flops float64, launches int) float64 {
 	return float64(launches)*c.KernelLaunch + bytes/c.MemBW + flops/c.FlopRate
-}
-
-// ComputeCost converts a per-point traffic/flop estimate into seconds.
-func (s *Sim) ComputeCost(bytes, flops float64, launches int) float64 {
-	return s.Cfg.PointCost(bytes, flops, launches)
 }
 
 // IndexTask advances the simulation by one index task with nPoints point
@@ -254,7 +233,7 @@ func (s *Sim) Compile(nops int) {
 // Communicate synchronizes the GPUs in [0, nPoints) and charges the given
 // collective moving bytesPerGPU bytes per participant.
 func (s *Sim) Communicate(coll Collective, nPoints int, bytesPerGPU float64) {
-	if coll == CollNone || nPoints <= 1 {
+	if nPoints <= 1 {
 		return
 	}
 	n := nPoints
@@ -272,7 +251,6 @@ func (s *Sim) Communicate(coll Collective, nPoints int, bytesPerGPU float64) {
 	for g := 0; g < n; g++ {
 		s.clock[g] = t + dur
 	}
-	s.CommTime += dur
 }
 
 func (s *Sim) collectiveTime(coll Collective, n int, bytesPerGPU float64) float64 {
@@ -293,8 +271,6 @@ func (s *Sim) collectiveTime(coll Collective, n int, bytesPerGPU float64) float6
 		return lg*s.Cfg.NetLatency + bytesPerGPU*float64(n-1)/bw
 	case CollAllReduce:
 		return lg * (s.Cfg.NetLatency + bytesPerGPU/bw)
-	case CollBcast:
-		return lg * s.Cfg.NetLatency
 	default:
 		return 0
 	}

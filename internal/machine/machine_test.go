@@ -8,7 +8,7 @@ import (
 func TestComputeCost(t *testing.T) {
 	s := NewSim(DefaultA100(1))
 	// Pure bandwidth: 1.4 GB at 1.4 TB/s = 1 ms plus one launch.
-	got := s.ComputeCost(1.4e9, 0, 1)
+	got := s.Cfg.PointCost(1.4e9, 0, 1)
 	want := s.Cfg.KernelLaunch + 1e-3
 	if diff := got - want; diff > 1e-12 || diff < -1e-12 {
 		t.Fatalf("cost = %g, want %g", got, want)
@@ -61,17 +61,17 @@ func TestCollectiveCosts(t *testing.T) {
 	if ar <= 0 {
 		t.Fatal("allreduce must take time")
 	}
-	s.Reset()
+	s = NewSim(DefaultA100(16))
 	s.Communicate(CollAllGather, 16, 1e6)
 	ag := s.Time()
-	s.Reset()
+	s = NewSim(DefaultA100(16))
 	s.Communicate(CollHalo, 16, 1e6)
 	halo := s.Time()
 	if ag <= halo {
 		t.Fatalf("allgather (%g) must dominate a halo exchange (%g) at equal per-GPU bytes", ag, halo)
 	}
 	// Single participant: free.
-	s.Reset()
+	s = NewSim(DefaultA100(16))
 	s.Communicate(CollAllGather, 1, 1e9)
 	if s.Time() != 0 {
 		t.Fatal("no communication on one GPU")
