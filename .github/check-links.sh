@@ -17,7 +17,10 @@
 # into ReadBuffer/WriteBuffer, and legion's simulation hooks that moved
 # behind legion.Backend into machine.Pricer (the old backend interface,
 # its setter, the sim cost path, its metadata probe, the compile-charge
-# switch) — so a sentence cannot outlive what it quoted. ROADMAP.md is exempt: it keeps history. The one-character
+# switch), and the second shard-group executor path with its counters
+# (the stage loop, its shard dispatch, the halo-volume estimate, the
+# wavefront group count, the per-stage barrier count) — so a sentence
+# cannot outlive what it quoted. ROADMAP.md is exempt: it keeps history. The one-character
 # brackets keep this script from matching its own pattern in a
 # repository-wide grep.
 set -u
@@ -25,6 +28,7 @@ set -u
 removed='BENCH[_]real|-real[p]reset|-check[r]eal|diffuse-bench -(real|compare|serve|ranks|all)\b'
 removed="$removed"'|(Read|Write)[A]ll32' # also inside msgReadAll32/msgWriteAll32
 removed="$removed"'|[R]emoteBackend|[S]etRemote|[e]xecuteSim|[S]imMetadataLen|[C]hargeCompile'
+removed="$removed"'|[r]unShardStage|[r]unShards\b|[H]aloElemsMoved|[W]avefrontGroups|[B]arrierStages'
 
 # slugs_of FILE: print the GitHub anchor slug of every heading, skipping
 # fenced code blocks (a `# comment` inside a fence is not a heading).
@@ -43,7 +47,7 @@ for f in README.md DESIGN.md ROADMAP.md docs/*.md; do
   [ -e "$f" ] || continue
   dir=$(dirname "$f")
   if [ "$f" != ROADMAP.md ] && hits=$(grep -nE -e "$removed" "$f"); then
-    echo "$f: names something removed (the real-mode suite: see docs/BENCHMARKS.md; ReadAll32/WriteAll32: see DESIGN.md, the wire):"
+    echo "$f: names something removed (the real-mode suite: see docs/BENCHMARKS.md; ReadAll32/WriteAll32: see DESIGN.md, the wire; the stage-barrier executor path: see DESIGN.md, sharded execution):"
     echo "$hits"
     fail=1
   fi

@@ -141,10 +141,10 @@ func printStats(w io.Writer, rt *core.Runtime, shards int) {
 	fmt.Fprintf(w, "\nsharded-drain stats (shards=%d):\n", shards)
 	fmt.Fprintf(w, "  groups=%d groupedTasks=%d stages=%d fallbacks=%d deferredFrees=%d\n",
 		ss.Groups, ss.GroupedTasks, ss.Stages, ss.Fallbacks, ss.DeferredFrees)
-	fmt.Fprintf(w, "  wavefrontGroups=%d wavefrontNodes=%d wavefrontEdges=%d barrierStages=%d\n",
-		ss.WavefrontGroups, ss.WavefrontNodes, ss.WavefrontEdges, ss.BarrierStages)
-	fmt.Fprintf(w, "  haloNodes=%d haloExchanges=%d haloElemsMoved=%d shardUnits=%d\n",
-		ss.HaloNodes, ss.HaloExchanges, ss.HaloElemsMoved, ss.ShardUnits)
+	fmt.Fprintf(w, "  wavefrontNodes=%d wavefrontEdges=%d foldNodes=%d\n",
+		ss.WavefrontNodes, ss.WavefrontEdges, ss.FoldNodes)
+	fmt.Fprintf(w, "  haloNodes=%d haloExchanges=%d shardUnits=%d\n",
+		ss.HaloNodes, ss.HaloExchanges, ss.ShardUnits)
 	printCalibration(w, rt)
 }
 

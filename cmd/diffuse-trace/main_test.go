@@ -50,6 +50,34 @@ func TestPrintStatsCodegenCountersMove(t *testing.T) {
 	}
 }
 
+// TestPrintStatsShardedDrain: with shards on, the -stats dump must show
+// the drained groups' DAG — nodes, edges and the fold nodes of CG's
+// reductions — and no halo-volume estimate (the pricer models halo bytes,
+// and ranks measure them).
+func TestPrintStatsShardedDrain(t *testing.T) {
+	cfg := core.DefaultConfig(2)
+	cfg.Shards = 2
+	rt := core.New(cfg)
+	ctx := cunum.NewContext(rt)
+	iterate := buildApp(ctx, "cg")
+	iterate(2)
+	ctx.Flush()
+	var buf bytes.Buffer
+	printStats(&buf, rt, 2)
+	out := buf.String()
+	if !strings.Contains(out, "sharded-drain stats (shards=2):") {
+		t.Fatalf("no sharded-drain section in -stats output:\n%s", out)
+	}
+	for _, zero := range []string{`groups=0 `, `wavefrontNodes=0 `, `foldNodes=0\b`} {
+		if regexp.MustCompile(zero).MatchString(out) {
+			t.Fatalf("sharded CG run reports %s:\n%s", zero, out)
+		}
+	}
+	if strings.Contains(out, "haloElemsMoved") {
+		t.Fatalf("-stats still prints the removed halo-volume estimate:\n%s", out)
+	}
+}
+
 // TestPrintStatsCalibrationTable: with feedback on, the -stats dump must
 // show the cost-calibration section with per-fingerprint rows carrying
 // measured next to predicted ns/point and a nonzero calibration hit count;

@@ -52,7 +52,7 @@ func chainState(t *testing.T, shards int, fused bool, wf legion.WavefrontMode, d
 // TestWavefrontChainBitIdentical is the scheduler-equivalence contract of
 // the wavefront drain, at the cunum level: the deep block-banded chain —
 // including order-sensitive floating-point sum reductions — is
-// bit-identical between the wavefront DAG and the stage-barrier drain at
+// bit-identical between the wavefront and the stage-barrier chain rules at
 // Shards=1, 2, and 4, for f64 and f32, fused and unfused.
 func TestWavefrontChainBitIdentical(t *testing.T) {
 	for _, dt := range []cunum.DType{cunum.F64, cunum.F32} {
@@ -61,8 +61,8 @@ func TestWavefrontChainBitIdentical(t *testing.T) {
 			for _, shards := range []int{1, 2, 4} {
 				for _, wf := range []legion.WavefrontMode{legion.WavefrontOff, legion.WavefrontOn} {
 					got, sum, mx, st := chainState(t, shards, fused, wf, dt)
-					if shards > 1 && wf == legion.WavefrontOn && st.WavefrontGroups == 0 {
-						t.Fatalf("dt=%v fused=%v shards=%d: wavefront mode drained no DAG groups: %+v", dt, fused, shards, st)
+					if shards > 1 && (st.Groups == 0 || st.WavefrontNodes == 0) {
+						t.Fatalf("dt=%v fused=%v shards=%d wf=%v: drained no DAG groups: %+v", dt, fused, shards, wf, st)
 					}
 					if sum != refSum || mx != refMax {
 						t.Fatalf("dt=%v fused=%v shards=%d wf=%v reductions %v/%v, want bit-identical %v/%v",
@@ -81,9 +81,9 @@ func TestWavefrontChainBitIdentical(t *testing.T) {
 }
 
 // TestWavefrontReductionForcesBarrierStage: a group containing a
-// reduction must fold behind a barrier node — later stages wait on the
-// fold, not just on the reducing units — and produce identical values
-// under both schedulers.
+// reduction must fold in a fold node — later readers wait on the fold,
+// not just on the reducing units — and produce identical values under
+// both chain rules.
 func TestWavefrontReductionForcesBarrierStage(t *testing.T) {
 	run := func(wf legion.WavefrontMode) (float64, legion.ShardStats) {
 		ctx := wavefrontCtx(4, false, wf)
@@ -106,8 +106,8 @@ func TestWavefrontReductionForcesBarrierStage(t *testing.T) {
 	if gotV != refV {
 		t.Fatalf("reduction value %v under wavefront, want bit-identical %v", gotV, refV)
 	}
-	if st.WavefrontGroups > 0 && st.BarrierStages == 0 {
-		t.Fatalf("grouped reductions produced no barrier stages: %+v", st)
+	if st.Groups > 0 && st.FoldNodes == 0 {
+		t.Fatalf("grouped reductions produced no fold nodes: %+v", st)
 	}
 }
 

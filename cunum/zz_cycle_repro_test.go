@@ -6,10 +6,11 @@ import (
 	"diffuse/internal/legion"
 )
 
-// Repro: e_sum1 (reduce into S1, stage 0) ; reader of S1 (bumped to stage
-// 1, bdep on barrier@0) ; e_sum2 (independent reduce into S2, joins stage
-// 0, appended to the same barrier node). Chain edge reader->sum2 plus
-// barrier edges sum2->bn(0)->reader form a cycle.
+// Repro of a cycle folds merged per stage once built: e_sum1 (reduce into
+// S1, stage 0); a reader of S1 (stage 1, waiting on the stage-0 fold);
+// e_sum2 (independent reduce into S2, stage 0, its fold merged into the
+// same node). The chain edge reader->sum2 plus sum2->fold(0)->reader
+// closed a cycle. Each reducing entry has its own fold node now.
 func TestWavefrontTwoReductionsCycleRepro(t *testing.T) {
 	run := func(wf legion.WavefrontMode) float64 {
 		ctx := wavefrontCtx(2, false, wf)

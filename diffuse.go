@@ -88,15 +88,16 @@ type CalibrationStats = legion.CalibrationStats
 // state; rt.Legion().CalibrationSnapshot() returns the full table.
 type CalibrationEntry = legion.CalibrationEntry
 
-// Sharded drain schedulers (Config.Wavefront; only meaningful when
-// Config.Shards > 1).
+// Chain rules of the sharded drain's one dependence DAG (Config.Wavefront;
+// only meaningful when Config.Shards > 1). Each reducing task folds in its
+// own DAG node under both.
 const (
-	// WavefrontOn (default) drains shard groups through the per-(shard,
-	// stage) dependence DAG: a shard's next stage waits only on its own
+	// WavefrontOn (default): a shard's next stage waits only on its own
 	// previous stage plus the specific neighbor halo sends it consumes.
 	WavefrontOn = legion.WavefrontOn
-	// WavefrontOff drains with global stage barriers (the v1 scheduler,
-	// kept as the measured baseline of the wavefront benchmark rows).
+	// WavefrontOff: one node between consecutive stages waits on the
+	// whole stage — the global stage barrier, kept as the baseline of the
+	// benchmark's barrier twin.
 	WavefrontOff = legion.WavefrontOff
 )
 

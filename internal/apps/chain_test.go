@@ -73,7 +73,7 @@ func TestStencilChainGroupsDeep(t *testing.T) {
 	sc.Iterate(1)
 	ctx.Runtime().Legion().DrainShardGroup()
 	st := ctx.Runtime().Legion().ShardStatsSnapshot()
-	if st.WavefrontGroups == 0 {
+	if st.Groups == 0 || st.WavefrontNodes == 0 {
 		t.Fatalf("no wavefront groups drained: %+v", st)
 	}
 	if st.Stages < int64(sc.depth) {

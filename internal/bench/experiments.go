@@ -46,30 +46,25 @@ const (
 	sweSide    = 11264       // SWE grid side at 1 GPU
 )
 
-// BlackScholesVariants returns the Fig. 10a lines.
-func BlackScholesVariants(sc Scale) []Variant {
-	mk := func(fused bool) func(int) Instance {
-		return func(g int) Instance {
-			ctx := SimContext(g, fused)
-			app := apps.NewBlackScholes(ctx, sc.n(bsPerGPU))
-			return Instance{Ctx: ctx, Iterate: app.Iterate}
-		}
-	}
-	return []Variant{{"Fused", mk(true)}, {"Unfused", mk(false)}}
+// An app builds one instance of a paper application on a fresh simulated
+// context. Each of the seven is built here and only here: the figure
+// variants and the Fig. 9/13 tables (AppMakers) bind the same functions.
+type app func(sc Scale, g int, fused bool) Instance
+
+func blackScholesApp(sc Scale, g int, fused bool) Instance {
+	ctx := SimContext(g, fused)
+	a := apps.NewBlackScholes(ctx, sc.n(bsPerGPU))
+	return Instance{Ctx: ctx, Iterate: a.Iterate}
 }
 
-// JacobiVariants returns the Fig. 10b lines.
-func JacobiVariants(sc Scale) []Variant {
-	mk := func(fused bool) func(int) Instance {
-		return func(g int) Instance {
-			ctx := SimContext(g, fused)
-			// Dense: n^2/g constant => n grows with sqrt(g).
-			app := apps.NewJacobiTotal(ctx, sc.side(jacobiSide, g))
-			return Instance{Ctx: ctx, Iterate: app.Iterate}
-		}
-	}
-	return []Variant{{"Fused", mk(true)}, {"Unfused", mk(false)}}
+func jacobiApp(sc Scale, g int, fused bool) Instance {
+	ctx := SimContext(g, fused)
+	// Dense: n^2/g constant => n grows with sqrt(g).
+	a := apps.NewJacobiTotal(ctx, sc.side(jacobiSide, g))
+	return Instance{Ctx: ctx, Iterate: a.Iterate}
 }
+
+func cgApp(sc Scale, g int, fused bool) Instance { return cgInstance(g, fused, false, sc) }
 
 // cgInstance builds one CG configuration.
 func cgInstance(g int, fused, manual bool, sc Scale) Instance {
@@ -77,8 +72,42 @@ func cgInstance(g int, fused, manual bool, sc Scale) Instance {
 	n := sc.side(krylovSide, g)
 	A := apps.BuildPoisson2D(ctx, n)
 	b := ctx.Ones(A.Rows())
-	app := apps.NewCG(ctx, A, b, manual)
-	return Instance{Ctx: ctx, Iterate: app.Iterate}
+	a := apps.NewCG(ctx, A, b, manual)
+	return Instance{Ctx: ctx, Iterate: a.Iterate}
+}
+
+func bicgstabApp(sc Scale, g int, fused bool) Instance {
+	ctx := SimContext(g, fused)
+	n := sc.side(krylovSide, g)
+	A := apps.BuildPoisson2D(ctx, n)
+	b := ctx.Ones(A.Rows())
+	a := apps.NewBiCGSTAB(ctx, A, b)
+	return Instance{Ctx: ctx, Iterate: a.Iterate}
+}
+
+func gmgApp(sc Scale, g int, fused bool) Instance {
+	ctx := SimContext(g, fused)
+	n := sc.side(gmgSide, g)
+	b := ctx.Ones(n * n)
+	a := apps.NewGMG(ctx, n, 3, b)
+	return Instance{Ctx: ctx, Iterate: a.Iterate}
+}
+
+func cfdApp(sc Scale, g int, fused bool) Instance {
+	ctx := SimContext(g, fused)
+	n := sc.side(cfdSide, g)
+	a := apps.NewCFD(ctx, n, n)
+	return Instance{Ctx: ctx, Iterate: a.Iterate}
+}
+
+func sweApp(sc Scale, g int, fused bool) Instance { return sweInstance(g, fused, false, sc) }
+
+// sweInstance builds one SWE configuration.
+func sweInstance(g int, fused, manual bool, sc Scale) Instance {
+	ctx := SimContext(g, fused)
+	n := sc.side(sweSide, g)
+	a := apps.NewSWE(ctx, n, n, manual)
+	return Instance{Ctx: ctx, Iterate: a.Iterate}
 }
 
 func petscCG(g int, sc Scale) Instance {
@@ -86,86 +115,71 @@ func petscCG(g int, sc Scale) Instance {
 	n := sc.side(krylovSide, g)
 	A := apps.BuildPoisson2D(ctx, n)
 	b := ctx.Ones(A.Rows())
-	app := petsc.NewCG(ctx, A, b)
-	return Instance{Ctx: ctx, Iterate: app.Iterate}
+	a := petsc.NewCG(ctx, A, b)
+	return Instance{Ctx: ctx, Iterate: a.Iterate}
+}
+
+func petscBiCGSTAB(g int, sc Scale) Instance {
+	ctx := petsc.NewContext(legion.ModeSim, g)
+	n := sc.side(krylovSide, g)
+	A := apps.BuildPoisson2D(ctx, n)
+	b := ctx.Ones(A.Rows())
+	a := petsc.NewBiCGSTAB(ctx, A, b)
+	return Instance{Ctx: ctx, Iterate: a.Iterate}
+}
+
+// bind fixes an app's scale and fusion switch: one figure line.
+func bind(mk app, sc Scale, fused bool) func(int) Instance {
+	return func(g int) Instance { return mk(sc, g, fused) }
+}
+
+// BlackScholesVariants returns the Fig. 10a lines.
+func BlackScholesVariants(sc Scale) []Variant {
+	return []Variant{{"Fused", bind(blackScholesApp, sc, true)}, {"Unfused", bind(blackScholesApp, sc, false)}}
+}
+
+// JacobiVariants returns the Fig. 10b lines.
+func JacobiVariants(sc Scale) []Variant {
+	return []Variant{{"Fused", bind(jacobiApp, sc, true)}, {"Unfused", bind(jacobiApp, sc, false)}}
 }
 
 // CGVariants returns the Fig. 11a lines.
 func CGVariants(sc Scale) []Variant {
 	return []Variant{
-		{"Fused", func(g int) Instance { return cgInstance(g, true, false, sc) }},
+		{"Fused", bind(cgApp, sc, true)},
 		{"PETSc", func(g int) Instance { return petscCG(g, sc) }},
 		// The paper's "Manually Fused" baselines are the hand-optimized
 		// implementations run WITHOUT Diffuse.
 		{"ManuallyFused", func(g int) Instance { return cgInstance(g, false, true, sc) }},
-		{"Unfused", func(g int) Instance { return cgInstance(g, false, false, sc) }},
+		{"Unfused", bind(cgApp, sc, false)},
 	}
 }
 
 // BiCGSTABVariants returns the Fig. 11b lines.
 func BiCGSTABVariants(sc Scale) []Variant {
-	mk := func(fused bool) func(int) Instance {
-		return func(g int) Instance {
-			ctx := SimContext(g, fused)
-			n := sc.side(krylovSide, g)
-			A := apps.BuildPoisson2D(ctx, n)
-			b := ctx.Ones(A.Rows())
-			app := apps.NewBiCGSTAB(ctx, A, b)
-			return Instance{Ctx: ctx, Iterate: app.Iterate}
-		}
+	return []Variant{
+		{"Fused", bind(bicgstabApp, sc, true)},
+		{"PETSc", func(g int) Instance { return petscBiCGSTAB(g, sc) }},
+		{"Unfused", bind(bicgstabApp, sc, false)},
 	}
-	pet := func(g int) Instance {
-		ctx := petsc.NewContext(legion.ModeSim, g)
-		n := sc.side(krylovSide, g)
-		A := apps.BuildPoisson2D(ctx, n)
-		b := ctx.Ones(A.Rows())
-		app := petsc.NewBiCGSTAB(ctx, A, b)
-		return Instance{Ctx: ctx, Iterate: app.Iterate}
-	}
-	return []Variant{{"Fused", mk(true)}, {"PETSc", pet}, {"Unfused", mk(false)}}
 }
 
 // GMGVariants returns the Fig. 12a lines.
 func GMGVariants(sc Scale) []Variant {
-	mk := func(fused bool) func(int) Instance {
-		return func(g int) Instance {
-			ctx := SimContext(g, fused)
-			n := sc.side(gmgSide, g)
-			b := ctx.Ones(n * n)
-			app := apps.NewGMG(ctx, n, 3, b)
-			return Instance{Ctx: ctx, Iterate: app.Iterate}
-		}
-	}
-	return []Variant{{"Fused", mk(true)}, {"Unfused", mk(false)}}
+	return []Variant{{"Fused", bind(gmgApp, sc, true)}, {"Unfused", bind(gmgApp, sc, false)}}
 }
 
 // CFDVariants returns the Fig. 12b lines.
 func CFDVariants(sc Scale) []Variant {
-	mk := func(fused bool) func(int) Instance {
-		return func(g int) Instance {
-			ctx := SimContext(g, fused)
-			n := sc.side(cfdSide, g)
-			app := apps.NewCFD(ctx, n, n)
-			return Instance{Ctx: ctx, Iterate: app.Iterate}
-		}
-	}
-	return []Variant{{"Fused", mk(true)}, {"Unfused", mk(false)}}
+	return []Variant{{"Fused", bind(cfdApp, sc, true)}, {"Unfused", bind(cfdApp, sc, false)}}
 }
 
 // SWEVariants returns the Fig. 12c lines.
 func SWEVariants(sc Scale) []Variant {
-	mk := func(fused, manual bool) func(int) Instance {
-		return func(g int) Instance {
-			ctx := SimContext(g, fused)
-			n := sc.side(sweSide, g)
-			app := apps.NewSWE(ctx, n, n, manual)
-			return Instance{Ctx: ctx, Iterate: app.Iterate}
-		}
-	}
 	return []Variant{
-		{"Fused", mk(true, false)},
-		{"ManuallyFused", mk(false, true)},
-		{"Unfused", mk(false, false)},
+		{"Fused", bind(sweApp, sc, true)},
+		{"ManuallyFused", func(g int) Instance { return sweInstance(g, false, true, sc) }},
+		{"Unfused", bind(sweApp, sc, false)},
 	}
 }
 
@@ -185,48 +199,16 @@ func Figures(sc Scale) []Figure {
 }
 
 // AppMakers exposes the per-benchmark constructors used by the Fig. 9 and
-// Fig. 13 tables.
+// Fig. 13 tables, keyed by BenchmarkOrder's names.
 func AppMakers(sc Scale) map[string]func(gpus int, fused bool) Instance {
-	return map[string]func(gpus int, fused bool) Instance{
-		"Black-Scholes": func(g int, fused bool) Instance {
-			ctx := SimContext(g, fused)
-			app := apps.NewBlackScholes(ctx, sc.n(bsPerGPU))
-			return Instance{Ctx: ctx, Iterate: app.Iterate}
-		},
-		"Jacobi": func(g int, fused bool) Instance {
-			ctx := SimContext(g, fused)
-			app := apps.NewJacobiTotal(ctx, sc.side(jacobiSide, g))
-			return Instance{Ctx: ctx, Iterate: app.Iterate}
-		},
-		"CG": func(g int, fused bool) Instance { return cgInstance(g, fused, false, sc) },
-		"BiCGSTAB": func(g int, fused bool) Instance {
-			ctx := SimContext(g, fused)
-			n := sc.side(krylovSide, g)
-			A := apps.BuildPoisson2D(ctx, n)
-			b := ctx.Ones(A.Rows())
-			app := apps.NewBiCGSTAB(ctx, A, b)
-			return Instance{Ctx: ctx, Iterate: app.Iterate}
-		},
-		"GMG": func(g int, fused bool) Instance {
-			ctx := SimContext(g, fused)
-			n := sc.side(gmgSide, g)
-			b := ctx.Ones(n * n)
-			app := apps.NewGMG(ctx, n, 3, b)
-			return Instance{Ctx: ctx, Iterate: app.Iterate}
-		},
-		"CFD": func(g int, fused bool) Instance {
-			ctx := SimContext(g, fused)
-			n := sc.side(cfdSide, g)
-			app := apps.NewCFD(ctx, n, n)
-			return Instance{Ctx: ctx, Iterate: app.Iterate}
-		},
-		"TorchSWE": func(g int, fused bool) Instance {
-			ctx := SimContext(g, fused)
-			n := sc.side(sweSide, g)
-			app := apps.NewSWE(ctx, n, n, false)
-			return Instance{Ctx: ctx, Iterate: app.Iterate}
-		},
+	makers := map[string]func(gpus int, fused bool) Instance{}
+	for name, mk := range map[string]app{
+		"Black-Scholes": blackScholesApp, "Jacobi": jacobiApp, "CG": cgApp, "BiCGSTAB": bicgstabApp,
+		"GMG": gmgApp, "CFD": cfdApp, "TorchSWE": sweApp,
+	} {
+		makers[name] = func(g int, fused bool) Instance { return mk(sc, g, fused) }
 	}
+	return makers
 }
 
 // CGOn builds the CG workload on an existing context (ablation studies).

@@ -27,11 +27,6 @@ type storeEffects struct {
 	// redOp/redActive track reductions to the store.
 	redActive bool
 	redOp     ir.ReduceOp
-	// allConflict poisons the store: any further access breaks fusion.
-	// Set for writes through replicated (None) partitions on multi-point
-	// launches, which alias across point tasks even under partition
-	// equality — the formal model (Def. 3) rejects them, and so do we.
-	allConflict bool
 	// shardGen is the store's repartition generation when the prefix first
 	// touched it. The repartition constraint (beyond Fig. 5): a later task
 	// observing a different generation means the store was Resharded in
@@ -98,9 +93,6 @@ func (d *dataflow) admits(t *ir.Task) bool {
 				return false
 			}
 			continue
-		}
-		if e.allConflict {
-			return false
 		}
 		// Repartition constraint: the store was Resharded since the prefix
 		// first touched it.

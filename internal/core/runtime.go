@@ -65,16 +65,17 @@ type Config struct {
 	// Empty falls back to DIFFUSE_DIST_TRANSPORT, then "unix". Results
 	// are bit-identical across transports; only the byte path changes.
 	Transport string
-	// Wavefront selects the sharded drain scheduler: the per-(shard,
-	// stage) dependence DAG (legion.WavefrontOn, the zero value — one
-	// shard may run several stages ahead of another wherever no halo edge
-	// connects them) or the v1 global stage barriers (legion.WavefrontOff,
-	// the measured baseline of the wavefront benchmark rows). Results are
-	// bit-identical either way: only inter-stage ordering relaxes where no
-	// dependence edge exists, never the point decomposition or the
-	// point-order reduction folds. Drain semantics are unchanged — host
-	// reads, frees, incompatible tasks, and Reshard still wait for the
-	// whole buffered group, wavefront or not. Ignored unless Shards > 1.
+	// Wavefront selects the chain rule of the one shard-group DAG:
+	// legion.WavefrontOn, the zero value, chains each shard's units
+	// across the group, so one shard may run several stages ahead of
+	// another wherever no halo edge connects them; legion.WavefrontOff
+	// chains them within a stage behind one node per stage boundary — the
+	// global stage barrier, kept for the benchmark's barrier twin. Results
+	// are bit-identical either way: only inter-stage ordering changes,
+	// never the point decomposition or the point-order reduction folds.
+	// Drain semantics are unchanged — host reads, frees, incompatible
+	// tasks, and Reshard still wait for the whole buffered group. Ignored
+	// unless Shards > 1.
 	Wavefront legion.WavefrontMode
 	// Codegen selects the kernel execution backend (ModeReal): the
 	// compiled-kernel closure tier (legion.CodegenOn, the zero value —

@@ -73,7 +73,7 @@ func TestCanonicalFormSeesRepartition(t *testing.T) {
 }
 
 // TestWavefrontConfigPlumbs: Config.Wavefront reaches the runtime — the
-// zero value selects the wavefront DAG drain, WavefrontOff the v1 stage
+// zero value selects the wavefront chain rule, WavefrontOff the stage
 // barriers.
 func TestWavefrontConfigPlumbs(t *testing.T) {
 	cfg := DefaultConfig(4)

@@ -70,12 +70,3 @@ func (s *Store) ShardCount() int {
 
 // ShardGen returns the store's current repartition generation.
 func (s *Store) ShardGen() int64 { return s.shardGen.Load() }
-
-// ShardBlock returns the leading-axis row interval [lo, hi) of shard i
-// under the store's current decomposition.
-func (s *Store) ShardBlock(i int) (lo, hi int) {
-	if len(s.shape) == 0 {
-		return 0, 0
-	}
-	return ShardBlock(i, s.ShardCount(), s.shape[0])
-}

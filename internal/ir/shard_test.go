@@ -37,9 +37,6 @@ func TestStoreShardingAndGenerations(t *testing.T) {
 	if s.ShardCount() != 4 || s.ShardGen() != 0 {
 		t.Fatalf("SetShards changed the generation: %d/%d", s.ShardCount(), s.ShardGen())
 	}
-	if lo, hi := s.ShardBlock(1); lo != 3 || hi != 6 {
-		t.Fatalf("ShardBlock(1) = [%d,%d), want [3,6)", lo, hi)
-	}
 	s.Reshard(2)
 	if s.ShardCount() != 2 || s.ShardGen() != 1 {
 		t.Fatalf("Reshard: %d/%d, want 2/1", s.ShardCount(), s.ShardGen())

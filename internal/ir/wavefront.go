@@ -1,12 +1,12 @@
 package ir
 
 // Wavefront scheduling metadata. The sharded runtime (internal/legion)
-// relaxes its stage-barrier drain into a per-(shard, stage) dependence DAG:
-// a shard's stage k+1 waits only on its own stage k plus the specific
+// drains a shard group through a per-(task, shard) dependence DAG: a
+// shard's stage k+1 waits only on its own stage k plus the specific
 // neighbor halo sends it consumes, so one shard can run several stages
 // ahead of another wherever no dependence edge connects them. The types
 // here are the runtime-independent half of that plan: the dependence
-// records a drained group carries per stage, and the flat-offset spans the
+// records a drained group carries, and the flat-offset spans the
 // scheduler intersects to turn a record into concrete cross-shard edges.
 //
 // Spans are deliberately conservative: a span is the tight [Lo, Hi) flat
@@ -52,16 +52,15 @@ func (s Span) Union(o Span) Span {
 // DepKind classifies one dependence record of a drained shard group.
 type DepKind int
 
+// Point-wise dependences (through structurally equal partitions) have no
+// kind: shard blocks exchange nothing, the consumer's own-shard chain
+// orders it, and no record is made.
 const (
-	// DepPointwise is a dependence through structurally equal partitions:
-	// data flows point-wise, so shard blocks exchange nothing and the
-	// consumer needs no cross-shard edge (its own-shard chain suffices).
-	DepPointwise DepKind = iota
 	// DepHalo is a read-after-write whose partitions misalign: the
 	// consumer's shard footprint reaches into neighbor shards of the
 	// producer, and the edge is materialized as a first-class
 	// halo-exchange node in the wavefront DAG.
-	DepHalo
+	DepHalo DepKind = iota
 	// DepAnti is a write-after-read (or write-after-write) whose
 	// partitions misalign: ordering is required but no data travels, so
 	// the edge is direct (no halo node).
@@ -71,8 +70,6 @@ const (
 // String implements fmt.Stringer.
 func (k DepKind) String() string {
 	switch k {
-	case DepPointwise:
-		return "pointwise"
 	case DepHalo:
 		return "halo"
 	case DepAnti:

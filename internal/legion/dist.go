@@ -14,8 +14,8 @@ package legion
 //     receives, buffers the same shard groups, builds the same wavefront
 //     DAG (control replication — no schedule ever crosses the wire), and
 //     then executes only the unit nodes whose shard it owns. wfHalo nodes
-//     become actual receives of boundary spans, reduction barriers become
-//     an allgather of the per-point partial slices, and the group drain
+//     become actual receives of boundary spans, fold nodes become an
+//     allgather of the per-point partial slices, and the group drain
 //     ends with a write-back exchange that restores the replication
 //     invariant: *between groups, every rank holds a bit-identical replica
 //     of every store*. Under that invariant non-groupable tasks simply
@@ -35,8 +35,8 @@ package legion
 // rank and the pending entry (see HaloTransport).
 //
 // Determinism: units run the same point decomposition as in-process
-// sharding, partials stay per-point and fold in entry order inside
-// barrier nodes after the allgather, and every transferred byte is an
+// sharding, partials stay per-point and fold in each reducing entry's fold
+// node after the allgather, and every transferred byte is an
 // exact IEEE-754 bit pattern — so ranks=N reproduces in-process Shards=N
 // bit-for-bit, the cross-rank correctness oracle the tests enforce.
 
@@ -61,9 +61,9 @@ type HaloTransport interface {
 
 // SetDistributed turns this runtime into rank `rank` of an `ranks`-wide
 // distributed runtime: shards are forced to the rank count (shard s is
-// owned by rank s), the wavefront scheduler is forced on (the distributed
-// drain is built on its DAG), and halo/barrier/write-back traffic moves
-// through tx. Must be called before any task executes.
+// owned by rank s), the wavefront chain rule is forced on, and
+// halo/fold/write-back traffic moves through tx. Must be called before
+// any task executes.
 func (rt *Runtime) SetDistributed(rank, ranks int, tx HaloTransport) {
 	if rank < 0 || rank >= ranks {
 		panic(fmt.Sprintf("legion: rank %d out of range [0,%d)", rank, ranks))
@@ -376,53 +376,50 @@ func (ds *distGroupState) recvHalo(nid int32) {
 	}
 }
 
-// runBarrier runs a wfBarrier node: allgather every reducing entry's
-// per-point partial slices (each rank computed only its own shard's
-// points), synchronize the destination cell when it was written earlier
-// in this group, then fold the complete partial buffers in entry order —
-// the same fold sequence as in-process execution, now yielding the
-// identical scalar on every rank.
-func (ds *distGroupState) runBarrier(nid int32) {
-	n := &ds.d.nodes[nid]
-	for bi, e := range ds.g.barriers[int(n.entry)] {
-		u := &ds.g.entries[e]
-		plan := u.plan
-		nc := len(plan.colors)
-		myLo, myHi := shardColorRange(u.task.Launch, nc, ds.me, ds.shards)
-		for ri := range plan.redArgs {
-			part := plan.partials[ri]
-			sub := (bi*len(plan.redArgs) + ri) & 0xFF
-			tag := distTag(ds.seq, tagKindPartials, int(nid), sub)
-			if myHi > myLo {
-				ds.scratch = part.AppendWire(ds.scratch[:0], myLo, myHi)
-				for peer := 0; peer < ds.shards; peer++ {
-					if peer != ds.me {
-						ds.send(peer, tag, ds.scratch)
-					}
-				}
-			}
+// runFold runs a wfFold node: allgather the reducing entry's per-point
+// partial slices (each rank computed only its own shard's points),
+// synchronize the destination cell when it was written earlier in this
+// group, then fold the complete partial buffers — the same fold sequence
+// as in-process execution, now yielding the identical scalar on every
+// rank.
+func (ds *distGroupState) runFold(nid int32) {
+	e := int(ds.d.nodes[nid].entry)
+	u := &ds.g.entries[e]
+	plan := u.plan
+	nc := len(plan.colors)
+	myLo, myHi := shardColorRange(u.task.Launch, nc, ds.me, ds.shards)
+	for ri := range plan.redArgs {
+		part := plan.partials[ri]
+		tag := distTag(ds.seq, tagKindPartials, int(nid), ri)
+		if myHi > myLo {
+			ds.scratch = part.AppendWire(ds.scratch[:0], myLo, myHi)
 			for peer := 0; peer < ds.shards; peer++ {
-				if peer == ds.me {
-					continue
+				if peer != ds.me {
+					ds.send(peer, tag, ds.scratch)
 				}
-				plo, phi := shardColorRange(u.task.Launch, nc, peer, ds.shards)
-				if plo >= phi {
-					continue
-				}
-				ds.patch("partials", peer, part, ir.Span{Lo: plo, Hi: phi}, ds.recv(peer, tag, e), nil)
 			}
 		}
-		ds.syncRedDests(nid, bi, e)
-		u.plan.foldPartials(u.task)
-		ds.foldDone[e] = true
+		for peer := 0; peer < ds.shards; peer++ {
+			if peer == ds.me {
+				continue
+			}
+			plo, phi := shardColorRange(u.task.Launch, nc, peer, ds.shards)
+			if plo >= phi {
+				continue
+			}
+			ds.patch("partials", peer, part, ir.Span{Lo: plo, Hi: phi}, ds.recv(peer, tag, e), nil)
+		}
 	}
+	ds.syncRedDests(nid, e)
+	plan.foldPartials(u.task)
+	ds.foldDone[e] = true
 }
 
 // syncRedDests replicates the destination cell of entry e's reductions
 // when a unit earlier in this group wrote it: the fold reads the prior
 // cell value, which only the writing shard's rank holds — it broadcasts
 // the cell so every rank folds from the same base.
-func (ds *distGroupState) syncRedDests(nid int32, bi, e int) {
+func (ds *distGroupState) syncRedDests(nid int32, e int) {
 	plan := ds.g.entries[e].plan
 	for ri, ai := range plan.redArgs {
 		store := plan.args[ai].store.ID()
@@ -439,8 +436,7 @@ func (ds *distGroupState) syncRedDests(nid int32, bi, e int) {
 			continue
 		}
 		buf := ds.storeBuf(e, store)
-		sub := (bi*len(plan.redArgs) + ri) & 0xFF
-		tag := distTag(ds.seq, tagKindRedDest, int(nid), sub)
+		tag := distTag(ds.seq, tagKindRedDest, int(nid), ri)
 		if ds.me == owner {
 			ds.scratch = buf.AppendWire(ds.scratch[:0], 0, 1)
 			for peer := 0; peer < ds.shards; peer++ {
@@ -511,11 +507,11 @@ func intersectSpan(a, b ir.Span) ir.Span {
 // runWavefrontDist drains one group as rank `me` of the distributed
 // runtime: the common wavefront DAG, executed serially in the
 // deterministic LIFO order every rank shares, with owned units executed,
-// foreign units skipped, and halo/barrier/write-back traffic on the
+// foreign units skipped, and halo/fold/write-back traffic on the
 // transport. Callers hold execMu; plans are resolved and partials reset.
 func (rt *Runtime) runWavefrontDist(g *shardGroup) {
 	shards := rt.Shards()
-	d := g.buildWavefrontDAG(shards)
+	d := g.buildWavefrontDAG(shards, false)
 	ds := &distGroupState{
 		rt:        rt,
 		g:         g,
@@ -564,8 +560,8 @@ func (rt *Runtime) runWavefrontDist(g *shardGroup) {
 			}
 		case wfHalo:
 			ds.recvHalo(nid)
-		case wfBarrier:
-			ds.runBarrier(nid)
+		case wfFold:
+			ds.runFold(nid)
 		}
 	}
 	drainSerial(&rt.exec.ws[rt.exec.nw], dagRoots(d.indeg), d.indeg, d.succ, run)

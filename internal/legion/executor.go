@@ -223,8 +223,7 @@ func (ws *workerState) release() {
 
 // execBatch is one unit of work in flight on the pool: either one index
 // task whose chunks of contiguous point-task colors the participants
-// claim, or (shardRun set) one sharded stage whose claimable units are
-// whole shards.
+// claim, or (dag set) one shard group's dependence DAG.
 type execBatch struct {
 	plan    *taskPlan
 	payload *Payload
@@ -238,11 +237,6 @@ type execBatch struct {
 	// timed, when set, receives a timing observation per executed chunk
 	// (or per inline task): the feedback layer's sampled calibration.
 	timed *machine.Calibrated
-
-	// shardRun, when set, turns the batch into a sharded stage: claimed
-	// indices are shard numbers, and the claimant runs the whole shard
-	// (every stage task's points for that shard) in one call.
-	shardRun func(ws *workerState, shard int)
 
 	// dag, when set, turns the batch into a wavefront DAG drain: the
 	// participant joins dagState's readiness loop instead of claiming
@@ -544,19 +538,6 @@ func (e *executor) run(b *execBatch, wsIdx, rangeIdx int) {
 		b.dag.loop(ws)
 		return
 	}
-	if b.shardRun != nil {
-		for {
-			s, stolen, ok := e.claimChunk(rangeIdx, b.nparts)
-			if !ok {
-				return
-			}
-			e.chunks.Add(1)
-			if stolen {
-				e.steals.Add(1)
-			}
-			b.shardRun(ws, s)
-		}
-	}
 	ws.prepare(len(b.plan.args), b.payload)
 	defer ws.release()
 	n := len(b.plan.colors)
@@ -652,9 +633,8 @@ func (rt *Runtime) executeChunked(t *ir.Task) {
 	plan.foldPartials(t)
 }
 
-// dispatch fans one batch of nunits claimable units (dispatch chunks, or
-// whole shards when b.shardRun is set) out across the pool: up to nw
-// woken workers plus the submitting goroutine (always the last claim
+// dispatch fans one batch of nunits claimable dispatch chunks out across
+// the pool: up to nw woken workers plus the submitting goroutine (always the last claim
 // range), never waking more workers than there are units left after the
 // submitter's. Returns after every unit has run.
 func (e *executor) dispatch(b *execBatch, nunits int) {
@@ -808,26 +788,6 @@ func drainSerial(ws *workerState, stack []int32, indeg []atomic.Int32, succ [][]
 	if done != len(indeg) {
 		panic(fmt.Sprintf("legion: wavefront DAG stalled at %d/%d nodes (cycle?)", done, len(indeg)))
 	}
-}
-
-// runShards dispatches one sharded stage onto the pool: shard indices
-// [0, nshards) are the claimable units, spread across the woken workers
-// and the submitting goroutine exactly like chunk ranges (idle
-// participants steal whole shards from the back of others' ranges). With
-// a single-worker pool the submitter runs every shard in ascending order —
-// strict shard-major, the cache-friendly order the scheduler wants on a
-// serial host.
-func (e *executor) runShards(nshards int, fn func(ws *workerState, shard int)) {
-	if e.nw <= 1 || nshards <= 1 {
-		sub := &e.ws[e.nw]
-		for s := 0; s < nshards; s++ {
-			fn(sub, s)
-		}
-		return
-	}
-	e.pooled.Add(1)
-	b := &execBatch{shardRun: fn}
-	e.dispatch(b, nshards)
 }
 
 // SetExecPolicy selects the real-mode executor implementation — the only

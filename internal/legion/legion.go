@@ -27,10 +27,11 @@
 //
 // With SetShards > 1 (core.Config.Shards), execution is additionally
 // *sharded* (shard.go): tasks buffer into groups that run shard-major over
-// leading-axis blocks — one task plan per shard on the work-stealing
-// executor, halo-exchange stage boundaries between dependent tasks whose
-// partitions misalign, and shard-local region instances bounding each
-// shard's accesses. Results stay bit-identical to unsharded execution at
+// leading-axis blocks — one dependence DAG per group on the work-stealing
+// executor (wavefront.go), with a unit node per (task, shard), halo nodes
+// between dependent tasks whose partitions misalign, a fold node per
+// reducing task, and shard-local region instances bounding each shard's
+// accesses. Results stay bit-identical to unsharded execution at
 // every shard count.
 package legion
 

@@ -7,10 +7,9 @@ package legion
 // a store the group references, an incompatible task, or an explicit
 // DrainShardGroup. The group is scheduled *shard-major* ("owner computes"):
 // the launch domain of every task is decomposed into S contiguous
-// leading-axis blocks, and each shard runs the whole group's point tasks
-// for its block before the next shard starts — one task plan per shard,
-// dispatched onto the existing work-stealing executor (each shard is one
-// claimable unit; idle workers steal whole shards).
+// leading-axis blocks, and each (task, shard) pair is one unit of the
+// group's dependence DAG (wavefront.go), drained on the existing
+// work-stealing executor.
 //
 // Why: consecutive tasks that sweep the same large operands (the multi-RHS
 // sweeps of internal/apps' Jacobi-MRHS workload) touch each block S
@@ -23,29 +22,29 @@ package legion
 //
 // Dependences and halo exchange: shard-major order runs a later task's
 // shard s before an earlier task's shard s+1, which is only legal when no
-// data flows between them. The group is therefore split into *stages*:
-// within a stage, every dependence is point-wise through structurally
-// equal partitions (so shard blocks never exchange data), and every
-// dependence whose partitions misalign — a stencil reading its producer
-// through shifted views, a replicated read of a distributed write, SpMV
-// neighborhoods — ends the stage with an explicit halo-exchange step. The
-// stage boundary completes all shards of the producer, reconciles the
-// shard-local instances (see below), and only then starts the consumer's
-// shards. Reductions complete (their per-point partials fold, in point
-// order) at the end of their stage, before any later-stage reader.
+// data flows between them. Enqueue therefore labels every task with a
+// *stage*: within a stage, every dependence is point-wise through
+// structurally equal partitions (so shard blocks never exchange data), and
+// every dependence whose partitions misalign — a stencil reading its
+// producer through shifted views, a replicated read of a distributed
+// write, SpMV neighborhoods — starts a later stage and leaves a record
+// the DAG resolves into halo-exchange edges between exactly the shards
+// whose footprints overlap. Each reducing task's per-point partials fold,
+// in point order, in the task's own fold node, before any later reader of
+// the store and before the next same-op fold into it.
 //
 // Shard-local region instances: each shard's point tasks access store data
 // through a bounds-enforcing sub-buffer of the store's region covering
-// exactly the shard's footprint (its block plus the halo margin admitted
-// by the current stage). On this single-address-space host the instances
-// alias the canonical region, so the halo-exchange step moves no bytes —
-// it is the scheduling barrier plus bookkeeping, and the simulated
-// runtime charges the byte movement for the same access pattern through
-// its last-writer model (machine.Pricer, machine.CollHalo). On a
-// distributed substrate the same step is where the boundary rows would
-// travel. The aliased instances are still load-bearing: a point task
-// reaching outside its shard's declared footprint faults immediately
-// (slice bounds) instead of silently reading another shard's data.
+// exactly the shard's footprint (its block plus the halo margin of its
+// partition). On this single-address-space host the instances alias the
+// canonical region, so the halo-exchange step moves no bytes — it is a
+// synchronization point, and the simulated runtime charges the byte
+// movement for the same access pattern through its last-writer model
+// (machine.Pricer, machine.CollHalo). On a distributed substrate the same
+// step is where the boundary rows travel (dist.go). The aliased instances
+// are still load-bearing: a point task reaching outside its shard's
+// declared footprint faults immediately (slice bounds) instead of silently
+// reading another shard's data.
 //
 // Determinism: the point decomposition, the per-point reduction partial
 // cells, and the point-order fold are identical for every shard count, so
@@ -72,10 +71,6 @@ type ShardStats struct {
 	// HaloExchanges is the number of explicit halo-exchange stage
 	// boundaries (dependent tasks whose partitions misalign).
 	HaloExchanges int64
-	// HaloElemsMoved estimates the elements a distributed runtime would
-	// move at those boundaries (zero copies happen on this shared-memory
-	// host; see the package comment).
-	HaloElemsMoved int64
 	// ShardUnits is the number of (task, shard) execution units run.
 	ShardUnits int64
 	// Fallbacks is the number of tasks that could not join a group and
@@ -85,13 +80,11 @@ type ShardStats struct {
 	// group referencing them drained.
 	DeferredFrees int64
 
-	// Wavefront counters (see wavefront.go; all zero under WavefrontOff).
+	// DAG counters (see wavefront.go).
 
-	// WavefrontGroups is the number of groups drained through the
-	// wavefront DAG scheduler instead of the stage-barrier loop.
-	WavefrontGroups int64
 	// WavefrontNodes is the number of DAG nodes dispatched ((task, shard)
-	// units, halo-exchange nodes, and reduction barriers).
+	// units, halo-exchange nodes, fold nodes, and under WavefrontOff the
+	// nodes between consecutive stages).
 	WavefrontNodes int64
 	// WavefrontEdges is the number of dependence edges those nodes were
 	// connected by.
@@ -100,10 +93,9 @@ type ShardStats struct {
 	// per (misaligned dependence, consumer shard) with at least one
 	// cross-shard producer.
 	HaloNodes int64
-	// BarrierStages is the number of stages forced to a full barrier
-	// because a task in them carries a reduction (the fold must observe
-	// every shard's partials before any later reader runs).
-	BarrierStages int64
+	// FoldNodes is the number of reduction fold nodes: one per reducing
+	// task, waiting on every shard's partials before any later reader runs.
+	FoldNodes int64
 
 	// Distributed counters (see dist.go; all zero unless this runtime is
 	// a rank of a multi-process distributed runtime).
@@ -144,7 +136,8 @@ type partStage struct {
 type storeAccess struct {
 	writes   []partStage // distinct write partitions, latest stage/entry each
 	reads    []partStage // distinct read partitions, latest stage/entry each
-	redStage int         // latest stage reducing to the store, -1 if none
+	redStage int         // stage of the latest reduction to the store, -1 if none
+	redEntry int         // entry of that reduction: its fold node is what later accesses wait on
 	redOp    ir.ReduceOp
 }
 
@@ -190,11 +183,14 @@ func recordPS(list []partStage, part ir.Partition, stage, entry int) []partStage
 	return append(list, partStage{part: part, stage: stage, entry: entry})
 }
 
-// barrierDep is one "waits on a reduction fold" record: every shard of
-// entry cons must run after the barrier node of the given stage.
-type barrierDep struct {
-	stage int
-	cons  int
+// foldDep is one wait on a reduction fold: entry cons runs after the fold
+// node of entry fold. Its units wait, unless toFold is set: a same-op
+// reduction into the same store only orders its own fold, because its
+// units touch private partial cells while both folds read-modify-write
+// the one destination cell.
+type foldDep struct {
+	fold, cons int
+	toFold     bool
 }
 
 // shardGroup is the buffered task group of a sharded runtime.
@@ -206,13 +202,10 @@ type shardGroup struct {
 	gens    map[ir.StoreID]int64 // shard generation each store entered with
 	stages  int                  // 1 + max entry stage
 
-	// Wavefront plan metadata (consumed by wavefront.go): the misaligned
-	// dependence records between entries, the reduction-fold waits, and
-	// the entries reducing at each barrier stage (in entry order — the
-	// fold order both schedulers share).
-	deps     []ir.StageDep
-	bdeps    []barrierDep
-	barriers map[int][]int
+	// DAG metadata (consumed by wavefront.go): the misaligned dependence
+	// records between entries and the waits on reduction folds.
+	deps  []ir.StageDep
+	folds []foldDep
 }
 
 // maxGroupTasks caps the group; longer streams drain in slabs.
@@ -220,11 +213,10 @@ const maxGroupTasks = 4096
 
 func newShardGroup() *shardGroup {
 	return &shardGroup{
-		kernels:  map[*kir.Kernel]bool{},
-		access:   map[ir.StoreID]*storeAccess{},
-		refs:     map[ir.StoreID]int{},
-		gens:     map[ir.StoreID]int64{},
-		barriers: map[int][]int{},
+		kernels: map[*kir.Kernel]bool{},
+		access:  map[ir.StoreID]*storeAccess{},
+		refs:    map[ir.StoreID]int{},
+		gens:    map[ir.StoreID]int64{},
 	}
 }
 
@@ -326,11 +318,11 @@ func (rt *Runtime) enqueueShard(t *ir.Task) {
 	// in-group dependence, bumping past a stage boundary (and recording a
 	// halo exchange) whenever the dependence's partitions misalign.
 	// Misaligned dependences additionally append a StageDep record naming
-	// the producer entry: the wavefront DAG turns each record into edges
-	// between exactly the (producer shard, consumer shard) pairs whose
-	// flat spans overlap. Point-wise (equal-partition) dependences need no
-	// record — shard blocks of equal partitions touch disjoint data, and
-	// the consumer's own-shard chain already orders it after the producer.
+	// the producer entry: the DAG turns each record into edges between
+	// exactly the (producer shard, consumer shard) pairs whose flat spans
+	// overlap. Point-wise (equal-partition) dependences need no record —
+	// shard blocks of equal partitions touch disjoint data, and the
+	// consumer's own-shard chain already orders it after the producer.
 	stage := 0
 	bump := func(s int) {
 		if s+1 > stage {
@@ -343,9 +335,6 @@ func (rt *Runtime) enqueueShard(t *ir.Task) {
 		}
 	}
 	depStart := len(g.deps) // this task's records begin here (for dedup)
-	// Stages of same-op reductions this task joins; resolved after the
-	// final stage is known (a later argument may bump it higher).
-	var joinedReds []int
 	dep := func(prod int, id ir.StoreID, kind ir.DepKind) {
 		// One record per (producer, store, kind) suffices: edge
 		// resolution intersects store-level union spans, so a second
@@ -358,6 +347,15 @@ func (rt *Runtime) enqueueShard(t *ir.Task) {
 		}
 		g.deps = append(g.deps, ir.StageDep{Prod: prod, Cons: self, Store: id, Kind: kind})
 	}
+	foldStart := len(g.folds)
+	waitFold := func(fold int, toFold bool) {
+		for _, f := range g.folds[foldStart:] {
+			if f.fold == fold && f.toFold == toFold {
+				return
+			}
+		}
+		g.folds = append(g.folds, foldDep{fold: fold, cons: self, toFold: toFold})
+	}
 	for _, a := range t.Args {
 		id := a.Store.ID()
 		acc, seen := g.access[id]
@@ -365,28 +363,31 @@ func (rt *Runtime) enqueueShard(t *ir.Task) {
 			continue
 		}
 		lw, written := acc.latestWrite()
-		// Reductions pending on the store complete at the end of their
-		// stage; any later access waits for the fold (a barrier node in
-		// the wavefront DAG).
-		if acc.redStage >= 0 && !(a.Priv.Reduces() && acc.redOp == a.Red) {
-			bump(acc.redStage)
-			g.bdeps = append(g.bdeps, barrierDep{stage: acc.redStage, cons: self})
+		// A reduction pending on the store folds in its entry's own fold
+		// node. A same-op reduction joins its stage and orders only its
+		// fold after it; any other access lands a stage later and waits
+		// on the fold with every unit.
+		if acc.redStage >= 0 {
+			if a.Priv.Reduces() && acc.redOp == a.Red {
+				join(acc.redStage)
+				waitFold(acc.redEntry, true)
+			} else {
+				bump(acc.redStage)
+				waitFold(acc.redEntry, false)
+			}
 		}
 		if a.Priv.Reduces() {
 			// The reduce's units only touch private partial cells; the
 			// conflict is between the *fold* and earlier accesses, and the
-			// fold's barrier node already waits on every shard of this
-			// entry — whose own-shard chains order it after every earlier
-			// entry on every shard. No span records needed.
+			// fold node waits on every shard of this entry — whose
+			// own-shard chains (and, under WavefrontOff, the stage nodes)
+			// order it after every earlier entry on every shard. No span
+			// records needed.
 			if written {
 				bump(lw.stage)
 			}
 			if rs := acc.readStageOf(); rs >= 0 {
 				bump(rs)
-			}
-			if acc.redStage >= 0 && acc.redOp == a.Red {
-				join(acc.redStage)
-				joinedReds = append(joinedReds, acc.redStage)
 			}
 			continue
 		}
@@ -395,7 +396,7 @@ func (rt *Runtime) enqueueShard(t *ir.Task) {
 				join(lw.stage)
 			} else {
 				bump(lw.stage)
-				rt.recordHalo(t, a, lw.part)
+				rt.shardStats.HaloExchanges++
 			}
 			// Order after every earlier writer this read can observe, not
 			// just the latest: a partial overwrite leaves older writers'
@@ -433,46 +434,7 @@ func (rt *Runtime) enqueueShard(t *ir.Task) {
 		}
 	}
 
-	// A numeric stage is one barrier node in the wavefront DAG, so a
-	// reduction must not land on a stage an earlier entry already waits on
-	// (a bdep): the merged barrier would wait on this task's units, which
-	// chain after the waiting entry — a cycle. Push the reduction to the
-	// first stage with no recorded waiter. Running a fold later is always
-	// safe, and the joinedReds records below keep same-store folds
-	// explicitly ordered behind the earlier barrier.
-	reducesAny := false
-	for _, a := range t.Args {
-		if a.Priv.Reduces() {
-			reducesAny = true
-		}
-	}
-	if reducesAny {
-	relocate:
-		for {
-			for _, bd := range g.bdeps {
-				if bd.stage == stage {
-					stage++
-					continue relocate
-				}
-			}
-			break
-		}
-	}
-
-	// A same-op reduction normally joins the pending reduction's stage
-	// and shares its fold barrier. If another argument bumped this task
-	// to a *later* stage, the two folds get separate barrier nodes, and
-	// both read-modify-write the same destination cell — so the later
-	// task must wait on the earlier fold explicitly (its own units only
-	// chain after the earlier *units*, not the earlier barrier).
-	for _, rs := range joinedReds {
-		if stage > rs {
-			g.bdeps = append(g.bdeps, barrierDep{stage: rs, cons: self})
-		}
-	}
-
 	// Record the task's own effects at its stage.
-	reducedHere := false
 	for _, a := range t.Args {
 		acc := g.acc(a.Store.ID())
 		g.refs[a.Store.ID()]++
@@ -481,14 +443,7 @@ func (rt *Runtime) enqueueShard(t *ir.Task) {
 		}
 		switch {
 		case a.Priv.Reduces():
-			acc.redStage = stage
-			acc.redOp = a.Red
-			if !reducedHere {
-				// The stage becomes a barrier: its reduction folds must
-				// complete before any later dependent entry starts.
-				g.barriers[stage] = append(g.barriers[stage], self)
-				reducedHere = true
-			}
+			acc.redStage, acc.redEntry, acc.redOp = stage, self, a.Red
 		default:
 			if a.Priv.Reads() {
 				acc.reads = recordPS(acc.reads, a.Part, stage, self)
@@ -508,46 +463,6 @@ func (rt *Runtime) enqueueShard(t *ir.Task) {
 	}
 }
 
-// recordHalo accounts one misaligned read dependence: the halo-exchange
-// step its stage boundary implies, and an estimate of the rows a
-// distributed runtime would move there (reader footprint at an interior
-// shard boundary minus the latest writer's, per boundary).
-func (rt *Runtime) recordHalo(t *ir.Task, a ir.Arg, writePart ir.Partition) {
-	rt.shardStats.HaloExchanges++
-	parent := a.Store.Bounds()
-	c := a.Part.ColorSpace().Mid()
-	readR := a.Part.SubRect(c, parent)
-	missing := readR.Size()
-	// Credit the overlap with the writer's footprint at the same color
-	// when the color spaces are comparable (a reader and writer launched
-	// over different domains share no color to compare at — charge the
-	// full read footprint, as a full repartition would).
-	if ws := writePart.ColorSpace(); ws.Rank() == len(c) && ws.Contains(c) {
-		if ov := readR.Intersect(writePart.SubRect(c, parent)).Size(); ov > 0 {
-			missing -= ov
-		}
-	}
-	if missing < 0 {
-		missing = 0
-	}
-	seff := rt.shardsForLaunch(t.Launch)
-	rt.shardStats.HaloElemsMoved += int64(missing * (seff - 1))
-}
-
-// shardsForLaunch returns the effective shard count of a launch domain:
-// the configured count, capped by the leading-axis extent.
-func (rt *Runtime) shardsForLaunch(launch ir.Rect) int {
-	ext := launch.Hi[0] - launch.Lo[0]
-	s := rt.Shards()
-	if ext < s {
-		s = ext
-	}
-	if s < 1 {
-		s = 1
-	}
-	return s
-}
-
 // shardColorRange returns the contiguous index interval [lo, hi) of
 // plan.colors owned by shard s: the colors whose leading coordinate falls
 // in shard s's block of the launch domain (colors enumerate row-major, so
@@ -562,9 +477,8 @@ func shardColorRange(launch ir.Rect, ncolors, s, shards int) (lo, hi int) {
 	return blo * rowW, bhi * rowW
 }
 
-// drainShardGroupLocked executes the buffered group — through the
-// wavefront DAG by default, or stage by stage with global barriers under
-// WavefrontOff — then processes frees deferred while the group pinned
+// drainShardGroupLocked executes the buffered group through its
+// dependence DAG, then processes frees deferred while the group pinned
 // their stores. Callers hold execMu.
 func (rt *Runtime) drainShardGroupLocked() {
 	g := rt.group
@@ -577,8 +491,8 @@ func (rt *Runtime) drainShardGroupLocked() {
 		rt.shardStats.GroupedTasks += int64(len(g.entries))
 
 		// Resolve and bind every task's plan up front (regions may
-		// allocate; single-threaded here), run the DAG or the stages, then
-		// unbind: a drained group leaves no region reachable from a plan.
+		// allocate; single-threaded here), run the DAG, then unbind: a
+		// drained group leaves no region reachable from a plan.
 		for i := range g.entries {
 			e := &g.entries[i]
 			e.plan = rt.planFor(e.task)
@@ -587,18 +501,8 @@ func (rt *Runtime) drainShardGroupLocked() {
 		}
 		if rt.distTx != nil {
 			rt.runWavefrontDist(g)
-		} else if rt.wavefront == WavefrontOn {
-			rt.runWavefront(g)
 		} else {
-			for stage := 0; stage < g.stages; stage++ {
-				var units []*groupEntry
-				for i := range g.entries {
-					if g.entries[i].stage == stage {
-						units = append(units, &g.entries[i])
-					}
-				}
-				rt.runShardStage(units)
-			}
+			rt.runWavefront(g)
 		}
 		for i := range g.entries {
 			g.entries[i].plan.unbind()
@@ -614,35 +518,11 @@ func (rt *Runtime) drainShardGroupLocked() {
 	}
 }
 
-// runShardStage executes one stage's tasks shard-major: shard indices are
-// the claimable units of the work-stealing executor, and whichever
-// participant claims shard s runs *all* of the stage's point tasks for
-// that shard, in task order, against the shard's region instances. After
-// the stage barrier, reduction partials fold in point order (task order
-// within the stage), exactly as the unsharded executor folds them.
-func (rt *Runtime) runShardStage(units []*groupEntry) {
-	if len(units) == 0 {
-		return
-	}
-	rt.shardStats.Stages++
-	shards := rt.Shards()
-	e := rt.exec
-	runner := func(ws *workerState, s int) {
-		for _, u := range units {
-			rt.runUnitShard(u, ws, s, shards)
-		}
-	}
-	e.runShards(shards, runner)
-	for _, u := range units {
-		u.plan.foldPartials(u.task)
-	}
-}
-
 // runUnitShard executes one (task, shard) unit: the task's point tasks
 // whose colors fall in the shard's leading-axis block, bound against
 // shard-local region instances — one bounds-enforcing sub-buffer per tiled
 // argument, covering exactly this shard's footprint (block plus the halo
-// margin its stage admits). Replicated (None) arguments read the canonical
+// margin of its partition). Replicated (None) arguments read the canonical
 // instance; reductions accumulate into per-point partials.
 func (rt *Runtime) runUnitShard(u *groupEntry, ws *workerState, s, shards int) {
 	plan := u.plan
@@ -650,8 +530,8 @@ func (rt *Runtime) runUnitShard(u *groupEntry, ws *workerState, s, shards int) {
 	if lo >= hi {
 		return
 	}
-	// Units run on pool workers (both drain schedulers), so the counter
-	// must not race with other units or with snapshot readers.
+	// Units run on pool workers, so the counter must not race with other
+	// units or with snapshot readers.
 	atomic.AddInt64(&rt.shardStats.ShardUnits, 1)
 	payload, _ := u.task.Payload.(*Payload)
 	ws.prepare(len(plan.args), payload)

@@ -101,9 +101,6 @@ func TestShardHaloExchangeOnMisalignedRead(t *testing.T) {
 		if st.HaloExchanges == 0 {
 			t.Fatalf("shards=%d recorded no halo exchange for the misaligned read", shards)
 		}
-		if st.HaloElemsMoved == 0 {
-			t.Fatalf("shards=%d estimated no halo volume", shards)
-		}
 		for i := range ref {
 			if got[i] != ref[i] {
 				t.Fatalf("shards=%d y[%d] = %v, want %v", shards, i, got[i], ref[i])

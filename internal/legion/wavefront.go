@@ -1,12 +1,8 @@
 package legion
 
-// The wavefront shard-stage scheduler. The v1 sharded drain executed a
-// group's dependence stages as global barriers: every shard finished stage
-// k (and its halo exchange) before any shard started stage k+1, so a deep
-// stencil chain serialized exactly where a Legion-style runtime overlaps
-// it. This file replaces that loop with a per-(shard, stage) dependence
-// DAG, built inside each drained group from the StageDep records enqueue
-// collects:
+// The shard-group drain: one dependence DAG per drained group, built from
+// the StageDep and fold records enqueue collects, and drained by the
+// persistent work-stealing executor (executor.runDAG):
 //
 //   - every (task, shard) pair is a unit node; a shard's units are chained
 //     in program order, so one shard's work is always issue-ordered and
@@ -16,68 +12,73 @@ package legion
 //     on the store overlap — a three-point stencil yields edges only to
 //     the two neighbor shards, a replicated read yields edges to all;
 //   - read-after-write edges route through a first-class halo-exchange
-//     node (the point where a distributed runtime would move the boundary
-//     rows; here it is a synchronization point plus accounting);
-//   - a stage containing a reduction becomes a barrier node: the fold must
-//     observe every shard's partials, and every entry bumped past the
-//     reduction waits on the fold, not just on its producing units.
+//     node (the point where a distributed runtime moves the boundary rows;
+//     here it is a synchronization point);
+//   - every reducing task gets its own fold node: it waits on the task's
+//     units, folds their partials, and releases the later accessors of
+//     the store and the next same-op fold into it. Every edge runs from
+//     an earlier entry to a later one, or from an entry's units to its
+//     fold, so the graph is acyclic by construction.
 //
-// Ready nodes are dispatched onto the persistent work-stealing executor
-// with CAS-decremented in-degrees (executor.runDAG): shard 0 can be three
+// Ready nodes run with CAS-decremented in-degrees: shard 0 can be three
 // stages deep in a chain while shard 3 is still on stage 0. On a
 // single-worker executor the same DAG drains on the submitting goroutine
 // in LIFO (depth-first) order — the order that keeps a shard's block and
-// its operand slabs hot across consecutive stages
-// (legion.wavefront_speedup_vs_barrier on BENCHMARK.json's chain_sharded
-// workload measures it against the stage-barrier drain).
+// its operand slabs hot across consecutive stages.
 //
-// Determinism: unit nodes run exactly the same point decomposition and
-// shard instances as the stage-barrier drain, reduction partials stay
-// per-point, and folds run inside barrier nodes in entry order — the same
-// fold sequence both schedulers share — so results are bit-identical to
-// the barrier scheduler (and to unsharded execution) under any schedule.
+// WavefrontOff is one edge rule, not a second scheduler: a shard's units
+// chain only within a stage, and one node between consecutive stages
+// waits on the stage's units and folds — the global stage barrier. It is
+// the baseline twin of legion.wavefront_speedup_vs_barrier on
+// BENCHMARK.json's chain_sharded workload.
+//
+// Determinism: every unit runs the same point decomposition and shard
+// instances whatever the edge rule, reduction partials stay per-point,
+// and each fold runs the point-order fold of one task, ordered after the
+// previous fold into the same store — so results are bit-identical under
+// either rule, any schedule, and to unsharded execution.
 
 import (
-	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"diffuse/internal/ir"
 )
 
-// WavefrontMode selects the sharded drain scheduler.
+// WavefrontMode selects the chain rule of the shard-group DAG.
 type WavefrontMode int
 
 const (
-	// WavefrontOn (the default) drains shard groups through the
-	// per-(shard, stage) dependence DAG.
+	// WavefrontOn (the default) chains each shard's units across the
+	// whole group, so a shard runs ahead wherever no edge holds it back.
 	WavefrontOn WavefrontMode = iota
-	// WavefrontOff drains with the v1 global stage barriers; it exists as
-	// the measured baseline of the wavefront benchmark rows.
+	// WavefrontOff chains them only within a stage, behind one node per
+	// stage boundary: the global stage barrier, kept as the measured
+	// baseline of the benchmark's barrier twin.
 	WavefrontOff
 )
 
-// SetWavefront selects the sharded drain scheduler. Like SetShards it must
-// be called before any task executes.
+// SetWavefront selects the chain rule of the shard-group DAG. Like
+// SetShards it must be called before any task executes.
 func (rt *Runtime) SetWavefront(m WavefrontMode) { rt.wavefront = m }
 
-// Wavefront returns the active drain scheduler mode.
+// Wavefront returns the active chain rule.
 func (rt *Runtime) Wavefront() WavefrontMode { return rt.wavefront }
 
 // wfKind is the node kind of a wavefront DAG node.
 type wfKind uint8
 
 const (
-	wfUnit    wfKind = iota // one (task, shard) execution unit
-	wfHalo                  // halo-exchange synchronization point
-	wfBarrier               // reduction-fold stage barrier
+	wfUnit  wfKind = iota // one (task, shard) execution unit
+	wfHalo                // halo-exchange synchronization point
+	wfFold                // one reducing entry's partial fold
+	wfStage               // WavefrontOff's barrier between two stages
 )
 
 // wfNode is one node of the wavefront DAG. For units, entry/shard name the
-// (task, shard) pair; for barriers, entry holds the stage whose reduction
-// folds run; halo nodes carry the consumer (entry, shard) pair plus, in
-// aux, the index of the g.deps record they resolve — the distributed
-// drain needs it to compute the boundary span the node moves.
+// (task, shard) pair; a fold node's entry is the reducing entry, a stage
+// node's the stage it closes; halo nodes carry the consumer (entry, shard)
+// pair plus, in aux, the index of the g.deps record they resolve — the
+// distributed drain needs it to compute the boundary span the node moves.
 type wfNode struct {
 	kind  wfKind
 	entry int32
@@ -95,6 +96,7 @@ type wfDAG struct {
 	succ  [][]int32
 	edges int64
 	halos int64
+	folds int64
 
 	spans []*entrySpans // lazily computed per-entry spans (may hold nils)
 
@@ -169,8 +171,9 @@ func storeSpan(u *groupEntry, es *entrySpans, shards, s int, store ir.StoreID) i
 }
 
 // buildWavefrontDAG turns a drained group's dependence metadata into the
-// executable DAG. Entries' plans must already be resolved.
-func (g *shardGroup) buildWavefrontDAG(shards int) *wfDAG {
+// executable DAG; byStage selects WavefrontOff's chain rule. Entries'
+// plans must already be resolved.
+func (g *shardGroup) buildWavefrontDAG(shards int, byStage bool) *wfDAG {
 	nentries := len(g.entries)
 	d := &wfDAG{}
 	// Unit nodes first: node id of (entry e, shard s) is e*shards+s.
@@ -181,13 +184,53 @@ func (g *shardGroup) buildWavefrontDAG(shards int) *wfDAG {
 	}
 	unit := func(e, s int) int32 { return int32(e*shards + s) }
 
-	// Program-order chain per shard: a shard's stage k+1 always waits on
-	// its own stage k (and, more strongly, on every earlier entry at that
-	// shard — the issue order the barrier scheduler also preserves within
-	// a stage).
-	for s := 0; s < shards; s++ {
-		for e := 0; e+1 < nentries; e++ {
-			d.addEdge(unit(e, s), unit(e+1, s))
+	// Fold nodes: one per reducing entry (edges below).
+	fold := make([]int32, nentries)
+	for e := range g.entries {
+		fold[e] = -1
+		if len(g.entries[e].plan.redArgs) > 0 {
+			fold[e] = d.addNode(wfNode{kind: wfFold, entry: int32(e)})
+			d.folds++
+		}
+	}
+
+	// Program-order chain per shard: across the whole group, or within
+	// each stage behind a node that waits on the previous stage's last
+	// unit per shard and its folds.
+	if !byStage {
+		for s := 0; s < shards; s++ {
+			for e := 0; e+1 < nentries; e++ {
+				d.addEdge(unit(e, s), unit(e+1, s))
+			}
+		}
+	} else {
+		stages := make([][]int, g.stages)
+		for e := range g.entries {
+			st := g.entries[e].stage
+			stages[st] = append(stages[st], e)
+		}
+		barrier := int32(-1)
+		for st, es := range stages {
+			for s := 0; s < shards; s++ {
+				if barrier >= 0 {
+					d.addEdge(barrier, unit(es[0], s))
+				}
+				for i := 0; i+1 < len(es); i++ {
+					d.addEdge(unit(es[i], s), unit(es[i+1], s))
+				}
+			}
+			if st+1 == len(stages) {
+				break
+			}
+			barrier = d.addNode(wfNode{kind: wfStage, entry: int32(st)})
+			for s := 0; s < shards; s++ {
+				d.addEdge(unit(es[len(es)-1], s), barrier)
+			}
+			for _, e := range es {
+				if fold[e] >= 0 {
+					d.addEdge(fold[e], barrier)
+				}
+			}
 		}
 	}
 
@@ -235,32 +278,22 @@ func (g *shardGroup) buildWavefrontDAG(shards int) *wfDAG {
 		}
 	}
 
-	// Barrier nodes: one per stage containing reductions. The barrier
-	// waits on every shard of the stage's reducing entries, runs their
-	// folds in entry order, and releases every entry recorded as bumped
-	// past the reduction.
-	barrierAt := map[int]int32{}
-	stages := make([]int, 0, len(g.barriers))
-	for st := range g.barriers {
-		stages = append(stages, st)
-	}
-	sort.Ints(stages)
-	for _, st := range stages {
-		bn := d.addNode(wfNode{kind: wfBarrier, entry: int32(st)})
-		barrierAt[st] = bn
-		for _, e := range g.barriers[st] {
+	// A fold waits on every shard of its entry, and releases every unit
+	// of a later consumer, or only the consumer's own fold.
+	for e, fn := range fold {
+		if fn >= 0 {
 			for s := 0; s < shards; s++ {
-				d.addEdge(unit(e, s), bn)
+				d.addEdge(unit(e, s), fn)
 			}
 		}
 	}
-	for _, bd := range g.bdeps {
-		bn, ok := barrierAt[bd.stage]
-		if !ok {
-			panic(fmt.Sprintf("legion: wavefront barrier dep names stage %d with no reduction", bd.stage))
+	for _, f := range g.folds {
+		if f.toFold {
+			d.addEdge(fold[f.fold], fold[f.cons])
+			continue
 		}
 		for s := 0; s < shards; s++ {
-			d.addEdge(bn, unit(bd.cons, s))
+			d.addEdge(fold[f.fold], unit(f.cons, s))
 		}
 	}
 
@@ -274,26 +307,21 @@ func (g *shardGroup) buildWavefrontDAG(shards int) *wfDAG {
 	return d
 }
 
-// runWavefront drains the group through the wavefront DAG. Callers hold
-// execMu; entries' plans are already resolved and partials reset.
+// runWavefront drains the group through its DAG. Callers hold execMu;
+// entries' plans are already resolved and partials reset.
 func (rt *Runtime) runWavefront(g *shardGroup) {
 	shards := rt.Shards()
-	d := g.buildWavefrontDAG(shards)
+	d := g.buildWavefrontDAG(shards, rt.wavefront == WavefrontOff)
 	run := func(ws *workerState, nid int32) {
-		n := &d.nodes[nid]
-		switch n.kind {
+		// Halo and stage nodes only synchronize: on this shared-memory
+		// host the aliased shard instances make the exchanged rows
+		// visible without copies.
+		switch n := &d.nodes[nid]; n.kind {
 		case wfUnit:
 			rt.runUnitShard(&g.entries[n.entry], ws, int(n.shard), shards)
-		case wfHalo:
-			// Synchronization only on this shared-memory host: the halo
-			// bytes were accounted at enqueue (recordHalo), and the
-			// aliased shard instances make the exchanged rows visible
-			// without copies.
-		case wfBarrier:
-			for _, e := range g.barriers[int(n.entry)] {
-				u := &g.entries[e]
-				u.plan.foldPartials(u.task)
-			}
+		case wfFold:
+			u := &g.entries[n.entry]
+			u.plan.foldPartials(u.task)
 		}
 	}
 	rt.exec.runDAG(len(d.nodes), d.indeg, d.succ, run)
@@ -302,10 +330,9 @@ func (rt *Runtime) runWavefront(g *shardGroup) {
 
 // countWavefront adds one drained group's DAG to the shard counters.
 func (rt *Runtime) countWavefront(g *shardGroup, d *wfDAG) {
-	rt.shardStats.WavefrontGroups++
 	rt.shardStats.WavefrontNodes += int64(len(d.nodes))
 	rt.shardStats.WavefrontEdges += d.edges
 	rt.shardStats.HaloNodes += d.halos
-	rt.shardStats.BarrierStages += int64(len(g.barriers))
+	rt.shardStats.FoldNodes += d.folds
 	rt.shardStats.Stages += int64(g.stages)
 }

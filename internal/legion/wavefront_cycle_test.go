@@ -1,11 +1,12 @@
 package legion_test
 
 // Regression test for a wavefront DAG cycle: two workloads sharing stores
-// in one context could place an unrelated reduction on a stage number an
-// earlier entry already waited on (a bdep), merging it into that stage's
+// in one context once placed an unrelated reduction on a stage number an
+// earlier entry already waited on, merging its fold into that stage's
 // barrier node — which then waited on units chained after the waiter, a
-// cycle that stalled the drain. The reduction now relocates to a stage
-// with no recorded waiter (see enqueueShard).
+// cycle that stalled the drain. Folds are per reducing entry now, so no
+// such merge exists; the test runs under both chain rules, since the
+// stage-barrier rule is a DAG too.
 
 import (
 	"math"
@@ -14,12 +15,14 @@ import (
 	"diffuse/cunum"
 	"diffuse/internal/apps"
 	"diffuse/internal/core"
+	"diffuse/internal/legion"
 )
 
 func TestWavefrontBarrierStageNoCycle(t *testing.T) {
-	run := func(shards int) float64 {
+	run := func(shards int, wf legion.WavefrontMode) float64 {
 		cfg := core.DefaultConfig(4)
 		cfg.Shards = shards
+		cfg.Wavefront = wf
 		rt := core.New(cfg)
 		ctx := cunum.NewContext(rt)
 		A := apps.BuildPoisson2D(ctx, 12)
@@ -33,13 +36,15 @@ func TestWavefrontBarrierStageNoCycle(t *testing.T) {
 		rt.Legion().DrainShardGroup()
 		return s.ResidualNorm()
 	}
-	ref := run(1)
+	ref := run(1, legion.WavefrontOn)
 	if math.IsNaN(ref) {
 		t.Fatalf("reference residual is NaN")
 	}
-	for _, shards := range []int{2, 4} {
-		if got := run(shards); got != ref {
-			t.Fatalf("shards=%d residual %v, want bit-identical %v", shards, got, ref)
+	for _, wf := range []legion.WavefrontMode{legion.WavefrontOn, legion.WavefrontOff} {
+		for _, shards := range []int{2, 4} {
+			if got := run(shards, wf); got != ref {
+				t.Fatalf("shards=%d wf=%v residual %v, want bit-identical %v", shards, wf, got, ref)
+			}
 		}
 	}
 }

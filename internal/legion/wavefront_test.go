@@ -136,28 +136,29 @@ func wavefrontStream(t *testing.T, shards, workers int, wf WavefrontMode) ([]flo
 	return readAll(rt, y), sv, mv, rt.ShardStatsSnapshot()
 }
 
-// TestWavefrontMatchesBarrier: the DAG drain is bit-identical to the
-// stage-barrier drain — state and order-sensitive FP reductions — across
-// shard counts and worker counts (including the single-worker pool the
-// GOMAXPROCS=1 CI leg exercises), and its stats show the DAG actually ran:
-// halo nodes for the shifted read, barrier stages for the reductions.
+// TestWavefrontMatchesBarrier: the wavefront chain rule is bit-identical
+// to the stage-barrier rule — state and order-sensitive FP reductions —
+// across shard counts and worker counts (including the single-worker pool
+// the GOMAXPROCS=1 CI leg exercises), and its stats show which DAG ran:
+// halo nodes for the shifted read, fold nodes for the reductions, and
+// under WavefrontOff one node between each pair of consecutive stages.
 func TestWavefrontMatchesBarrier(t *testing.T) {
 	refY, refSum, refMax, _ := wavefrontStream(t, 1, 0, WavefrontOff)
 	for _, shards := range []int{2, 4} {
 		for _, workers := range []int{1, 4} {
 			bY, bSum, bMax, bSt := wavefrontStream(t, shards, workers, WavefrontOff)
 			wY, wSum, wMax, wSt := wavefrontStream(t, shards, workers, WavefrontOn)
-			if bSt.WavefrontGroups != 0 {
-				t.Fatalf("barrier mode drained wavefront groups: %+v", bSt)
-			}
-			if wSt.WavefrontGroups == 0 || wSt.WavefrontNodes == 0 || wSt.WavefrontEdges == 0 {
+			if wSt.Groups == 0 || wSt.WavefrontNodes == 0 || wSt.WavefrontEdges == 0 {
 				t.Fatalf("wavefront mode did not build DAGs: %+v", wSt)
 			}
-			if wSt.HaloNodes == 0 {
-				t.Fatalf("shifted-partition read produced no halo nodes: %+v", wSt)
+			if wSt.HaloNodes == 0 || bSt.HaloNodes != wSt.HaloNodes {
+				t.Fatalf("shifted-partition read: %d halo nodes (barrier %d), want the same nonzero count", wSt.HaloNodes, bSt.HaloNodes)
 			}
-			if wSt.BarrierStages == 0 {
-				t.Fatalf("reductions produced no barrier stages: %+v", wSt)
+			if wSt.FoldNodes == 0 || bSt.FoldNodes != wSt.FoldNodes {
+				t.Fatalf("reductions: %d fold nodes (barrier %d), want the same nonzero count", wSt.FoldNodes, bSt.FoldNodes)
+			}
+			if got, want := bSt.WavefrontNodes-wSt.WavefrontNodes, bSt.Stages-bSt.Groups; got != want || want == 0 {
+				t.Fatalf("barrier mode built %d stage nodes, want %d (stages %d, groups %d)", got, want, bSt.Stages, bSt.Groups)
 			}
 			if wSum != refSum || wMax != refMax || bSum != refSum || bMax != refMax {
 				t.Fatalf("shards=%d workers=%d reductions wf=%v/%v barrier=%v/%v, want %v/%v",
@@ -178,17 +179,41 @@ func TestWavefrontMatchesBarrier(t *testing.T) {
 // degenerate case.
 func TestWavefrontShardsOneBuildsNoDAG(t *testing.T) {
 	_, _, _, st := wavefrontStream(t, 1, 0, WavefrontOn)
-	if st.Groups != 0 || st.WavefrontGroups != 0 || st.WavefrontEdges != 0 {
+	if st.Groups != 0 || st.WavefrontNodes != 0 || st.WavefrontEdges != 0 {
 		t.Fatalf("shards=1 built groups or DAG edges: %+v", st)
 	}
 }
 
+// foldEdge reports whether the DAG of a drained group orders entry b's
+// fold node directly after entry a's.
+func foldEdge(t *testing.T, g *shardGroup, shards int, wf WavefrontMode, a, b int) bool {
+	t.Helper()
+	d := g.buildWavefrontDAG(shards, wf == WavefrontOff)
+	fold := map[int32]int32{}
+	for id, n := range d.nodes {
+		if n.kind == wfFold {
+			fold[n.entry] = int32(id)
+		}
+	}
+	fa, okA := fold[int32(a)]
+	fb, okB := fold[int32(b)]
+	if !okA || !okB {
+		t.Fatalf("entries %d and %d have no fold nodes", a, b)
+	}
+	for _, to := range d.succ[fa] {
+		if to == fb {
+			return true
+		}
+	}
+	return false
+}
+
 // TestWavefrontStaggeredSameOpReductions: two same-op reductions into one
 // store landing at *different* stages (the second bumped by an unrelated
-// dependence) must have their folds ordered — the later task waits on the
-// earlier fold's barrier node, not just on its units — and later readers
-// must observe both contributions. Regression test: without the explicit
-// barrier dependence the two fold nodes race on the destination cell.
+// dependence) must have their folds ordered — the later fold node waits on
+// the earlier one, not just on its units — and later readers must observe
+// both contributions. Regression test: without the fold-to-fold edge the
+// two fold nodes race on the destination cell.
 func TestWavefrontStaggeredSameOpReductions(t *testing.T) {
 	const points, ext = 4, 32
 	n := points * ext
@@ -205,8 +230,8 @@ func TestWavefrontStaggeredSameOpReductions(t *testing.T) {
 		x := fact.NewStore("x", []int{n})
 		y := fact.NewStore("y", []int{n})
 		s := fact.NewStore("s", []int{1})
-		// rand(x) @0; sum(x)->s @1; math(x shifted)->y @1; sum(y)->s @2:
-		// the second sum joins the first's op but lands a stage later.
+		// rand(x) @0; sum(x)->s @0; math(x shifted)->y @1; sum(y)->s @2:
+		// the second sum joins the first's op but lands two stages later.
 		rt.Execute(&ir.Task{Name: "rand", Launch: launch, Kernel: randomKernel(41, ext),
 			Args: []ir.Arg{{Store: x, Part: tp, Priv: ir.Write}}})
 		rt.Execute(&ir.Task{Name: "sumx", Launch: launch, Kernel: reduceKernel(ext, kir.RedSum),
@@ -226,27 +251,78 @@ func TestWavefrontStaggeredSameOpReductions(t *testing.T) {
 		return v, g
 	}
 	ref, _ := run(1, 1, WavefrontOff)
-	for _, workers := range []int{1, 4} {
-		bv, _ := run(4, workers, WavefrontOff)
-		wv, g := run(4, workers, WavefrontOn)
-		if g == nil {
-			t.Fatal("tasks did not group")
-		}
-		if g.entries[1].stage >= g.entries[3].stage {
-			t.Fatalf("scenario did not stagger the reductions: stages %d vs %d",
-				g.entries[1].stage, g.entries[3].stage)
-		}
-		found := false
-		for _, bd := range g.bdeps {
-			if bd.cons == 3 && bd.stage == g.entries[1].stage {
-				found = true
+	for _, wf := range []WavefrontMode{WavefrontOn, WavefrontOff} {
+		for _, workers := range []int{1, 4} {
+			v, g := run(4, workers, wf)
+			if g == nil {
+				t.Fatal("tasks did not group")
+			}
+			if g.entries[1].stage >= g.entries[3].stage {
+				t.Fatalf("scenario did not stagger the reductions: stages %d vs %d",
+					g.entries[1].stage, g.entries[3].stage)
+			}
+			if !foldEdge(t, g, 4, wf, 1, 3) {
+				t.Fatalf("wf=%v: the later same-op fold does not wait on the earlier fold", wf)
+			}
+			if v != ref {
+				t.Fatalf("wf=%v workers=%d staggered reductions: %v, want bit-identical %v", wf, workers, v, ref)
 			}
 		}
-		if !found {
-			t.Fatalf("later same-op reduction carries no barrier dependence on the earlier fold: %+v", g.bdeps)
+	}
+}
+
+// TestWavefrontJoinedSameOpReductions: two same-op reductions into one
+// store at the *same* stage fold in entry order — each in its own fold
+// node, the second ordered after the first — bit-identical to shards=1
+// under both chain rules. The sums are order-sensitive: folding y's
+// partials first rounds differently.
+func TestWavefrontJoinedSameOpReductions(t *testing.T) {
+	const points, ext = 4, 32
+	n := points * ext
+	run := func(shards, workers int, wf WavefrontMode) (float64, *shardGroup) {
+		rt := New(nil)
+		rt.SetShards(shards)
+		rt.SetWavefront(wf)
+		rt.SetWorkerPool(workers)
+		var fact ir.Factory
+		launch := ir.MakeRect(ir.Point{0}, ir.Point{points})
+		tp := ir.NewTiling(launch, []int{n}, []int{ext}, []int{0}, nil, nil)
+		x := fact.NewStore("x", []int{n})
+		y := fact.NewStore("y", []int{n})
+		s := fact.NewStore("s", []int{1})
+		// rand(x), math(x)->y, sum(x)->s, sum(y)->s: all point-wise, all @0.
+		rt.Execute(&ir.Task{Name: "rand", Launch: launch, Kernel: randomKernel(43, ext),
+			Args: []ir.Arg{{Store: x, Part: tp, Priv: ir.Write}}})
+		rt.Execute(&ir.Task{Name: "math", Launch: launch, Kernel: mathKernel(ext),
+			Args: []ir.Arg{
+				{Store: x, Part: tp, Priv: ir.Read},
+				{Store: y, Part: tp, Priv: ir.Write}}})
+		for _, src := range []*ir.Store{x, y} {
+			rt.Execute(&ir.Task{Name: "sum", Launch: launch, Kernel: reduceKernel(ext, kir.RedSum),
+				Args: []ir.Arg{
+					{Store: src, Part: tp, Priv: ir.Read},
+					{Store: s, Part: ir.ReplicateOver(launch), Priv: ir.Reduce, Red: ir.RedSum}}})
 		}
-		if bv != ref || wv != ref {
-			t.Fatalf("workers=%d staggered reductions: wf=%v barrier=%v, want bit-identical %v", workers, wv, bv, ref)
+		g := rt.group
+		v, _ := rt.ReadAt(s, 0)
+		return v, g
+	}
+	ref, _ := run(1, 1, WavefrontOn)
+	for _, wf := range []WavefrontMode{WavefrontOn, WavefrontOff} {
+		for _, workers := range []int{1, 4} {
+			v, g := run(4, workers, wf)
+			if g == nil || len(g.entries) != 4 {
+				t.Fatal("tasks did not group")
+			}
+			if g.entries[2].stage != g.entries[3].stage {
+				t.Fatalf("the reductions did not join one stage: %d vs %d", g.entries[2].stage, g.entries[3].stage)
+			}
+			if !foldEdge(t, g, 4, wf, 2, 3) {
+				t.Fatalf("wf=%v: the second fold does not wait on the first", wf)
+			}
+			if v != ref {
+				t.Fatalf("wf=%v workers=%d joined reductions: %v, want bit-identical %v", wf, workers, v, ref)
+			}
 		}
 	}
 }
