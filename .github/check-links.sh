@@ -19,7 +19,10 @@
 # its setter, the sim cost path, its metadata probe, the compile-charge
 # switch), and the second shard-group executor path with its counters
 # (the stage loop, its shard dispatch, the halo-volume estimate, the
-# wavefront group count, the per-stage barrier count) — so a sentence
+# wavefront group count, the per-stage barrier count), and feedback-directed
+# scheduling (its setter, mode getter and on-switch, the calibration hook,
+# the calibrated cost source, the rank environment variable, the
+# diffuse-trace flag and table, the bit-identity test) — so a sentence
 # cannot outlive what it quoted. ROADMAP.md is exempt: it keeps history. The one-character
 # brackets keep this script from matching its own pattern in a
 # repository-wide grep.
@@ -29,6 +32,8 @@ removed='BENCH[_]real|-real[p]reset|-check[r]eal|diffuse-bench -(real|compare|se
 removed="$removed"'|(Read|Write)[A]ll32' # also inside msgReadAll32/msgWriteAll32
 removed="$removed"'|[R]emoteBackend|[S]etRemote|[e]xecuteSim|[S]imMetadataLen|[C]hargeCompile'
 removed="$removed"'|[r]unShardStage|[r]unShards\b|[H]aloElemsMoved|[W]avefrontGroups|[B]arrierStages'
+removed="$removed"'|[S]etFeedback|[F]eedbackOn\b|[F]eedbackOf\b|[a]ttachCalibration|[N]ewCalibrated|[m]achine\.Calibrated\b'
+removed="$removed"'|DIFFUSE_[F]EEDBACK|-[n]ofeedback|[p]rintCalibration|[T]estFeedbackBitIdentical'
 
 # slugs_of FILE: print the GitHub anchor slug of every heading, skipping
 # fenced code blocks (a `# comment` inside a fence is not a heading).
@@ -47,7 +52,7 @@ for f in README.md DESIGN.md ROADMAP.md docs/*.md; do
   [ -e "$f" ] || continue
   dir=$(dirname "$f")
   if [ "$f" != ROADMAP.md ] && hits=$(grep -nE -e "$removed" "$f"); then
-    echo "$f: names something removed (the real-mode suite: see docs/BENCHMARKS.md; ReadAll32/WriteAll32: see DESIGN.md, the wire; the stage-barrier executor path: see DESIGN.md, sharded execution):"
+    echo "$f: names something removed (the real-mode suite: see docs/BENCHMARKS.md; ReadAll32/WriteAll32: see DESIGN.md, the wire; the stage-barrier executor path: see DESIGN.md, sharded execution; feedback scheduling: see DESIGN.md, static schedule):"
     echo "$hits"
     fail=1
   fi

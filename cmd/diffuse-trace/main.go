@@ -32,9 +32,8 @@ func main() {
 		gpus    = flag.Int("gpus", 4, "processors")
 		unfused = flag.Bool("unfused", false, "disable fusion")
 		shards  = flag.Int("shards", 0, "sharded execution: leading-axis blocks per store (0/1 disables)")
-		stats   = flag.Bool("stats", false, "print runtime counters (codegen backend split, sharded drain, cost calibration) after the traced run")
+		stats   = flag.Bool("stats", false, "print runtime counters (codegen backend split, region recycling, sharded drain) after the traced run")
 		interp  = flag.Bool("interp", false, "run kernels on the interpreter instead of the codegen backend")
-		nofb    = flag.Bool("nofeedback", false, "disable feedback-directed scheduling (static cost model only)")
 		serveAt = flag.String("serve", "", "print a running diffuse-serve's counters (per-tenant admissions, rejections, plan-cache split) instead of tracing: the server's address")
 		serveTr = flag.String("servetransport", "", "dial transport for -serve: unix (default) | tcp")
 	)
@@ -61,9 +60,6 @@ func main() {
 	cfg.Shards = *shards
 	if *interp {
 		cfg.Codegen = legion.CodegenOff
-	}
-	if *nofb {
-		cfg.Feedback = legion.FeedbackOff
 	}
 	rt := core.New(cfg)
 	ctx := cunum.NewContext(rt)
@@ -125,9 +121,8 @@ func printServeStats(w io.Writer, snap *serve.StatsSnapshot) {
 
 // printStats dumps the runtime's execution counters: the codegen-backend
 // split (which tasks ran compiled, how the program cache behaved), the
-// region recycler's allocate-vs-reuse split, when sharding is on the
-// sharded-drain accounting, and the online cost calibration's
-// measured-vs-predicted table.
+// region recycler's allocate-vs-reuse split, and when sharding is on the
+// sharded-drain accounting.
 func printStats(w io.Writer, rt *core.Runtime, shards int) {
 	rt.Legion().DrainShardGroup() // make sure buffered groups are counted
 	cs := rt.Legion().CodegenStatsSnapshot()
@@ -145,41 +140,6 @@ func printStats(w io.Writer, rt *core.Runtime, shards int) {
 		ss.WavefrontNodes, ss.WavefrontEdges, ss.FoldNodes)
 	fmt.Fprintf(w, "  haloNodes=%d haloExchanges=%d shardUnits=%d\n",
 		ss.HaloNodes, ss.HaloExchanges, ss.ShardUnits)
-	printCalibration(w, rt)
-}
-
-// printCalibration dumps the feedback layer's per-class table: the static
-// model's predicted ns/point next to the EWMA-measured value, with sample
-// and hit counts showing how often decisions were answered from
-// measurement.
-func printCalibration(w io.Writer, rt *core.Runtime) {
-	fs := rt.Legion().CalibrationStatsOf()
-	fmt.Fprintf(w, "\ncost-calibration stats (feedback=%v):\n",
-		rt.Legion().FeedbackOf() == legion.FeedbackOn)
-	fmt.Fprintf(w, "  classes=%d samples=%d calibrationHits=%d\n",
-		fs.Classes, fs.Samples, fs.Hits)
-	entries := rt.Legion().CalibrationSnapshot()
-	if len(entries) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "  %-24s %-4s %-8s %12s %12s %8s %8s\n",
-		"fingerprint", "dty", "backend", "predicted", "measured", "samples", "hits")
-	for _, e := range entries {
-		backend := "interp"
-		if e.Backend {
-			backend = "codegen"
-		}
-		fp := e.Fingerprint
-		if len(fp) > 24 {
-			fp = fp[:21] + "..."
-		}
-		measured := "-"
-		if e.Samples > 0 {
-			measured = fmt.Sprintf("%.1f", e.MeasuredNsPerPoint)
-		}
-		fmt.Fprintf(w, "  %-24s %-4s %-8s %12.1f %12s %8d %8d\n",
-			fp, e.DType, backend, e.PredictedNsPerPoint, measured, e.Samples, e.Hits)
-	}
 }
 
 func buildApp(ctx *cunum.Context, name string) func(int) {

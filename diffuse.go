@@ -76,18 +76,6 @@ type CodegenMode = legion.CodegenMode
 // rt.Legion().CodegenStatsSnapshot().
 type CodegenStats = legion.CodegenStats
 
-// FeedbackMode selects feedback-directed scheduling (Config.Feedback).
-type FeedbackMode = legion.FeedbackMode
-
-// CalibrationStats aggregates online cost-calibration activity (classes,
-// timed samples, calibrated-estimate hits); read it via
-// rt.Legion().CalibrationStatsOf().
-type CalibrationStats = legion.CalibrationStats
-
-// CalibrationEntry is one calibration class's measured-vs-predicted
-// state; rt.Legion().CalibrationSnapshot() returns the full table.
-type CalibrationEntry = legion.CalibrationEntry
-
 // Chain rules of the sharded drain's one dependence DAG (Config.Wavefront;
 // only meaningful when Config.Shards > 1). Each reducing task folds in its
 // own DAG node under both.
@@ -110,17 +98,6 @@ const (
 	// bit-identical reference backend the benchmark's codegen rows
 	// measure against.
 	CodegenOff = legion.CodegenOff
-)
-
-// Feedback-directed scheduling modes (Config.Feedback; ModeReal only).
-const (
-	// FeedbackOn (default) calibrates chunk sizing and the inline-vs-pool
-	// cutoff from sampled online timings. Results stay bit-identical; only
-	// schedule shape moves.
-	FeedbackOn = legion.FeedbackOn
-	// FeedbackOff prices every schedule decision from the static machine
-	// model — the deterministic-schedule switch.
-	FeedbackOff = legion.FeedbackOff
 )
 
 // Execution modes.

@@ -86,16 +86,11 @@ type Config struct {
 	// are bit-identical either way; only dispatch cost changes. In a
 	// distributed runtime the mode propagates to every rank subprocess.
 	Codegen legion.CodegenMode
-	// Feedback selects feedback-directed scheduling (ModeReal): with
-	// legion.FeedbackOn (the zero value) the executor times a sampled
-	// subset of chunk executions and feeds the measured ns/point back
-	// into chunk sizing and the inline-vs-pool cutoff (floored at the
-	// static schedule); everything else stays statically priced.
-	// legion.FeedbackOff prices every decision from the static machine
-	// model — the deterministic-schedule switch bit-identity tests and
-	// A/B benchmarks use. Results are bit-identical either way: feedback
-	// moves only schedule shape, never point decomposition or fold order.
-	// In a distributed runtime the mode propagates to every rank.
+	// Feedback is read by nothing: the static host cost model prices
+	// every schedule decision.
+	//
+	// Deprecated: inert, kept only for the frozen benchmark's static twin;
+	// ROADMAP 3(g) removes it with internal/legion/frozen.go.
 	Feedback legion.FeedbackMode
 
 	// Enabled turns the fusion layer on. When false, Diffuse is a
@@ -202,15 +197,11 @@ func New(cfg Config) *Runtime {
 	var backend legion.Backend
 	switch {
 	case cfg.Ranks > 1:
-		// Ranks execute the kernels, so the backend and feedback toggles
-		// must reach them; rank.go reads them back in MaybeRankMain's
-		// runtime setup.
+		// Ranks execute the kernels, so the backend toggle must reach
+		// them; rank.go reads it back in MaybeRankMain's runtime setup.
 		var extraEnv []string
 		if cfg.Codegen == legion.CodegenOff {
 			extraEnv = append(extraEnv, dist.EnvCodegen+"=off")
-		}
-		if cfg.Feedback == legion.FeedbackOff {
-			extraEnv = append(extraEnv, dist.EnvFeedback+"=off")
 		}
 		par, err := dist.Launch(cfg.Ranks, cfg.Transport, extraEnv...)
 		if err != nil {
@@ -225,7 +216,6 @@ func New(cfg Config) *Runtime {
 	r.leg.SetShards(cfg.Shards)
 	r.leg.SetWavefront(cfg.Wavefront)
 	r.leg.SetCodegen(cfg.Codegen)
-	r.leg.SetFeedback(cfg.Feedback)
 	r.stats.WindowSize = cfg.InitialWindow
 	r.def = r.NewSession()
 	return r

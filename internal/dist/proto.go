@@ -63,11 +63,6 @@ const (
 	// a bit-identity comparison against the in-process oracle would mix
 	// backends.
 	EnvCodegen = "DIFFUSE_CODEGEN"
-	// EnvFeedback carries the parent's feedback-directed-scheduling
-	// selection to the ranks ("off" disables online cost calibration;
-	// anything else leaves the default on). Results are bit-identical
-	// either way — this only pins schedule shape for deterministic runs.
-	EnvFeedback = "DIFFUSE_FEEDBACK"
 )
 
 // Control-stream message types (the tag field of control frames). The

@@ -119,9 +119,6 @@ func runRank() (err error) {
 	if os.Getenv(EnvCodegen) == "off" {
 		rt.SetCodegen(legion.CodegenOff)
 	}
-	if os.Getenv(EnvFeedback) == "off" {
-		rt.SetFeedback(legion.FeedbackOff)
-	}
 	rt.SetDistributed(me, ranks, haloTx)
 
 	rs := &rankState{

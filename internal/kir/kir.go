@@ -284,10 +284,10 @@ type Kernel struct {
 	fpMemo string
 	// fpHash caches FingerprintHash under the same rules as fpMemo (reset
 	// together with it through dropFingerprint). Unfused streams mint a
-	// fresh kernel object per task and identify each one several times
-	// (memo key, program cache, calibration class); the fold walks every
-	// statement, so caching it keeps the scheduler's per-task bookkeeping
-	// cheaper than the tasks it schedules.
+	// fresh kernel object per task and identify each one twice (memo key,
+	// program cache); the fold walks every statement, so caching it keeps
+	// the scheduler's per-task bookkeeping cheaper than the tasks it
+	// schedules.
 	fpHash   hash128.Sum
 	fpHashed bool
 }
@@ -524,10 +524,9 @@ func exprFingerprint(b *strings.Builder, e *Expr) {
 // have equal hashes exactly when their fingerprints are equal. It is the
 // one structural identity of a kernel body: the fusion memo key
 // (ir.Task.Seal) folds it once per submitted task, and legion keys its
-// codegen program cache and its calibration classes by it. The string is
-// rendered only where a human or the wire reads it (legion's calibration
-// snapshot, ir.Canonicalize, the wire's kernel table and the rank's check
-// of it).
+// codegen program cache by it. The string is rendered only where a human
+// or the wire reads it (ir.Canonicalize, the wire's kernel table and the
+// rank's check of it).
 func (k *Kernel) FingerprintHash() hash128.Sum {
 	if k == nil {
 		return hash128.New(hashNilKernel).Sum()

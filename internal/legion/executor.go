@@ -234,9 +234,6 @@ type execBatch struct {
 	// insts, when set, are the shard-local instances of a (task, shard)
 	// unit (shard.go): every point's tiled bindings are rebased onto them.
 	insts []shardInst
-	// timed, when set, receives a timing observation per executed chunk
-	// (or per inline task): the feedback layer's sampled calibration.
-	timed *machine.Calibrated
 
 	// dag, when set, turns the batch into a wavefront DAG drain: the
 	// participant joins dagState's readiness loop instead of claiming
@@ -262,11 +259,6 @@ type taskPlan struct {
 	redArgs  []int        // arg indices with Reduce privilege
 	partials []kir.Buffer // parallel to redArgs: per-point partial cells (typed at the destination dtype)
 	perPoint float64      // estimated seconds per point task (host model)
-
-	// dtype is the dominant element type of the calibration class; cal is
-	// the class itself (see feedback.go), nil with feedback off.
-	dtype kir.DType
-	cal   *machine.Calibrated
 }
 
 // argPlan is the pre-resolved binding recipe of one task argument.
@@ -310,7 +302,6 @@ func (rt *Runtime) planFor(t *ir.Task) *taskPlan {
 		p = rt.buildPlan(t, e.comp)
 		e.plan = p
 	}
-	rt.attachCalibration(p)
 	p.bind(rt, t)
 	return p
 }
@@ -376,13 +367,6 @@ func intsEq(a, b []int) bool {
 
 func (rt *Runtime) buildPlan(t *ir.Task, comp *kir.Compiled) *taskPlan {
 	p := &taskPlan{comp: comp, launch: t.Launch, colors: t.Launch.Points()}
-	p.dtype = kir.F64
-	if len(t.Args) > 0 {
-		// Dominant dtype for the calibration class: the first argument's
-		// store (fused kernels are single-precision-or-double throughout in
-		// practice, and the fingerprint disambiguates mixed cases anyway).
-		p.dtype = t.Args[0].Store.DType()
-	}
 	p.args = make([]argPlan, len(t.Args))
 	for i, a := range t.Args {
 		ap := &p.args[i]
@@ -513,20 +497,10 @@ func (b *execBatch) runPoint(ws *workerState, pi int) {
 	b.plan.comp.Execute(&ws.pa)
 }
 
-// runSpan executes the contiguous point range [lo, hi), timing it into the
-// batch's calibration class when this batch is sampled. Whole spans are
-// timed, never points — two clock reads per dispatch-cost-sized chunk keep
-// measurement overhead under 1%.
+// runSpan executes the contiguous point range [lo, hi).
 func (b *execBatch) runSpan(ws *workerState, lo, hi int) {
-	var t0 time.Time
-	if b.timed != nil {
-		t0 = time.Now()
-	}
 	for pi := lo; pi < hi; pi++ {
 		b.runPoint(ws, pi)
-	}
-	if b.timed != nil {
-		b.timed.Observe(time.Since(t0).Seconds(), hi-lo)
 	}
 }
 
@@ -596,34 +570,13 @@ func (rt *Runtime) executeChunked(t *ir.Task) {
 	e := rt.exec
 	b := &execBatch{plan: plan, payload: payload}
 	chunk, inline := e.host.ChunkPoints(plan.perPoint, n, e.nw)
-	if plan.cal != nil {
-		// Feedback's one consumer: the calibrated per-point cost reprices
-		// the chunk grain and the inline cutoff — but only *toward* coarser
-		// scheduling than the static schedule (it may flip a pooled task
-		// inline or grow chunks, never the reverse). A measured per-point
-		// cost above the static prior folds in costs more dispatch cannot
-		// parallelize away — per-task overheads (binding, payload setup)
-		// both paths pay, and timesharing inflation when workers outnumber
-		// cores. Pricing those as divisible work would shrink chunks, which
-		// adds dispatches, which inflates the next measurement: an unstable
-		// feedback loop the static floor cuts. Measured costs *below* the
-		// prior are trustworthy, because contention only ever inflates them.
-		if plan.cal.ShouldSample() {
-			b.timed = plan.cal
-		}
-		est, _ := plan.cal.Estimate()
-		if cchunk, cinline := e.host.ChunkPoints(est, n, e.nw); !inline {
-			inline = cinline
-			if cchunk > chunk {
-				chunk = cchunk
-			}
-		}
-	}
 	if inline {
 		e.inline.Add(1)
 		sub := &e.ws[e.nw]
 		sub.prepare(len(plan.args), payload)
+		t0 := time.Now()
 		b.runSpan(sub, 0, n)
+		rt.model.observe(time.Since(t0), plan.perPoint, n)
 		sub.release()
 	} else {
 		e.pooled.Add(1)

@@ -136,6 +136,44 @@ func TestExecutorInlineAndPoolPaths(t *testing.T) {
 	if st.Chunks == 0 {
 		t.Fatalf("pool dispatch should claim chunks: %+v", st)
 	}
+	// Only the inline task is timed against the host model (frozen.go).
+	if cs := rt.CalibrationSnapshot(); len(cs) != 1 || cs[0].Samples != 1 || cs[0].PredictedNsPerPoint <= 0 {
+		t.Fatalf("model error should hold the one inline task: %+v", cs)
+	}
+}
+
+// TestStaticScheduleRepeats: the static host model alone sizes chunks and
+// routes tasks inline, so two fresh runtimes running the same stream make
+// the same schedule — the same inline, pooled and chunk counts — however
+// long they run. Steals depend on which worker wakes first and are not
+// compared.
+func TestStaticScheduleRepeats(t *testing.T) {
+	const points, ext, iters = 16, 1 << 13, 12
+	launch := ir.MakeRect(ir.Point{0}, ir.Point{points})
+	tinyPart := ir.NewTiling(launch, []int{points}, []int{1}, []int{0}, nil, nil)
+	bigPart := ir.NewTiling(launch, []int{points * ext}, []int{ext}, []int{0}, nil, nil)
+	kTiny, kBig := randomKernel(1, 1), randomKernel(2, ext)
+	run := func() ExecStats {
+		rt := New(nil)
+		rt.SetWorkerPool(4)
+		var fact ir.Factory
+		tiny := fact.NewStore("tiny", []int{points})
+		big := fact.NewStore("big", []int{points * ext})
+		for i := 0; i < iters; i++ {
+			rt.Execute(&ir.Task{Name: "tiny", Launch: launch, Kernel: kTiny,
+				Args: []ir.Arg{{Store: tiny, Part: tinyPart, Priv: ir.Write}}})
+			rt.Execute(&ir.Task{Name: "big", Launch: launch, Kernel: kBig,
+				Args: []ir.Arg{{Store: big, Part: bigPart, Priv: ir.Write}}})
+		}
+		return rt.ExecStats()
+	}
+	a, b := run(), run()
+	if a.InlineTasks != iters || a.PoolTasks != iters {
+		t.Fatalf("want %d inline and %d pooled tasks: %+v", iters, iters, a)
+	}
+	if a.InlineTasks != b.InlineTasks || a.PoolTasks != b.PoolTasks || a.Chunks != b.Chunks {
+		t.Fatalf("two runs of one stream scheduled differently:\n  %+v\n  %+v", a, b)
+	}
 }
 
 // TestPlanInvalidationOnFreeStore checks that freeing a store drops cached

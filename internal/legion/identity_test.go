@@ -27,23 +27,20 @@ func addConstTask(k *kir.Kernel, x, y *ir.Store, ext int) *ir.Task {
 		Args: []ir.Arg{{Store: x, Part: tp, Priv: ir.Read}, {Store: y, Part: tp, Priv: ir.Write}}}
 }
 
-// TestStructuralIdentitySharesProgramAndClass: the program cache and the
-// calibration classes go by kir.Kernel.FingerprintHash. Kernel objects
-// that hash alike share one codegen program and one class; one immediate
-// or one parameter dtype apart, a kernel gets its own of each.
-func TestStructuralIdentitySharesProgramAndClass(t *testing.T) {
+// TestStructuralIdentitySharesProgram: the program cache goes by
+// kir.Kernel.FingerprintHash. Kernel objects that hash alike share one
+// codegen program; one immediate or one parameter dtype apart, a kernel
+// gets its own.
+func TestStructuralIdentitySharesProgram(t *testing.T) {
 	rt := New(nil)
 	var fact ir.Factory
 	const ext = 64
 	x, y := fact.NewStore("x", []int{ext}), fact.NewStore("y", []int{ext})
 	x32, y32 := fact.NewStoreTyped("x32", []int{ext}, ir.F32), fact.NewStoreTyped("y32", []int{ext}, ir.F32)
-	check := func(what string, programs, classes int) {
+	check := func(what string, programs int) {
 		t.Helper()
 		if got := rt.ProgramsCached(); got != programs {
 			t.Fatalf("%s: %d programs cached, want %d", what, got, programs)
-		}
-		if got := rt.CalibrationStatsOf().Classes; got != classes {
-			t.Fatalf("%s: %d calibration classes, want %d", what, got, classes)
 		}
 	}
 
@@ -53,30 +50,18 @@ func TestStructuralIdentitySharesProgramAndClass(t *testing.T) {
 	}
 	rt.Execute(addConstTask(a, x, y, ext))
 	rt.Execute(addConstTask(b, x, y, ext))
-	check("two objects, one structure", 1, 1)
+	check("two objects, one structure", 1)
 	if cg := rt.CodegenStatsSnapshot(); cg.CacheMisses != 1 || cg.CacheHits != 1 {
 		t.Fatalf("program cache saw %d misses and %d hits, want 1 and 1", cg.CacheMisses, cg.CacheHits)
 	}
 	if rt.Compiled(a) == rt.Compiled(b) {
-		t.Fatal("distinct kernel objects share a compiled form: only the program and the class are shared")
+		t.Fatal("distinct kernel objects share a compiled form: only the program is shared")
 	}
 
 	rt.Execute(addConstTask(addConstKernel(ir.F64, ext, 2), x, y, ext))
-	check("another immediate", 2, 2)
+	check("another immediate", 2)
 	rt.Execute(addConstTask(addConstKernel(ir.F32, ext, 1), x32, y32, ext))
-	check("another parameter dtype", 3, 3)
-
-	// The snapshot still shows fingerprint text, rendered from the class's
-	// kernel, and sorts by it.
-	entries := rt.CalibrationSnapshot()
-	for i, e := range entries {
-		if e.Fingerprint == "" || i > 0 && entries[i-1].Fingerprint > e.Fingerprint {
-			t.Fatalf("snapshot entry %d: fingerprint %q out of order or empty", i, e.Fingerprint)
-		}
-	}
-	if entries[0].Fingerprint != addConstKernel(ir.F32, ext, 1).Fingerprint() {
-		t.Fatalf("first class prints %q, want the f32 kernel's fingerprint", entries[0].Fingerprint)
-	}
+	check("another parameter dtype", 3)
 
 	// Turning codegen off still detaches every installed program, and a
 	// kernel compiled afterwards gets none.
@@ -96,10 +81,10 @@ func TestStructuralIdentitySharesProgramAndClass(t *testing.T) {
 // TestWarmSingletonTaskRendersNoFingerprint: an unfused stream (and every
 // singleton task of a fused one: cg_large emits 41 a step) executes a
 // fresh kernel object of a structure the runtime already knows. Attaching
-// its program and its calibration class is two lookups by the hash the
-// kernel carries; at the parent of this guard each rendered the kernel's
-// fingerprint through fmt into a strings.Builder first, and the same task
-// cost 38 allocations where it now costs 29 (go1.24).
+// its program is a lookup by the hash the kernel carries; before this
+// guard the lookup rendered the kernel's fingerprint through fmt into a
+// strings.Builder first, and the same task cost 38 allocations where it
+// now costs 27 (go1.24).
 func TestWarmSingletonTaskRendersNoFingerprint(t *testing.T) {
 	pauseGC(t) // a collection empties the free list and moves the count
 	rt := New(nil)
@@ -110,7 +95,7 @@ func TestWarmSingletonTaskRendersNoFingerprint(t *testing.T) {
 	for i := range tasks {
 		tasks[i] = addConstTask(addConstKernel(ir.F64, ext, 1), x, y, ext)
 	}
-	rt.Execute(tasks[0]) // the structure's program and class now exist
+	rt.Execute(tasks[0]) // the structure's program now exists
 	next := 1
 	allocs := testing.AllocsPerRun(runs, func() {
 		rt.Execute(tasks[next])
@@ -120,7 +105,7 @@ func TestWarmSingletonTaskRendersNoFingerprint(t *testing.T) {
 	if allocs > 33 {
 		t.Fatalf("a warm singleton task allocates %.0f times, want at most 33: is a fingerprint rendered again?", allocs)
 	}
-	if rt.ProgramsCached() != 1 || rt.CalibrationStatsOf().Classes != 1 {
-		t.Fatalf("%d programs and %d classes for one structure", rt.ProgramsCached(), rt.CalibrationStatsOf().Classes)
+	if rt.ProgramsCached() != 1 {
+		t.Fatalf("%d programs for one structure", rt.ProgramsCached())
 	}
 }

@@ -161,12 +161,9 @@ type Runtime struct {
 	progs   map[hash128.Sum]*kir.CodegenProgram
 	cgStats codegenCounters
 
-	// Feedback-directed scheduling state (see feedback.go): the active
-	// mode and the calibration classes, keyed by kernel structure (map
-	// guarded by execMu; entries lock internally so pool workers can
-	// observe timings without it).
-	feedback FeedbackMode
-	cal      map[calKey]calClass
+	// model is the static host model's measured error (frozen.go),
+	// guarded by execMu.
+	model modelError
 
 	workers int
 	scratch sync.Pool // per-point-baseline scratch recycling

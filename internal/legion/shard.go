@@ -537,11 +537,6 @@ func (rt *Runtime) runUnitShard(u *groupEntry, ws *workerState, s, shards int) {
 	ws.prepare(len(plan.args), payload)
 	defer ws.release()
 	b := execBatch{plan: plan, payload: payload, insts: shardInstances(plan, lo, hi)}
-	// Sampled unit timing keeps the calibration table a measurement of the
-	// sharded path too; nothing in this path is priced from it.
-	if plan.cal != nil && plan.cal.ShouldSample() {
-		b.timed = plan.cal
-	}
 	b.runSpan(ws, lo, hi)
 }
 

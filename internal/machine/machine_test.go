@@ -130,3 +130,51 @@ func TestMPIConfigCheaper(t *testing.T) {
 		t.Fatal("same silicon: bandwidths must match")
 	}
 }
+
+// ChunkPoints edge cases: the degenerate launches must always run inline,
+// and the inline cutoff must flip exactly at InlineCutoff seconds of total
+// work.
+func TestChunkPointsSingleWorkerInlines(t *testing.T) {
+	c := HostExec(1)
+	// Any size, any cost: a pool of one can never beat the submitter.
+	for _, n := range []int{1, 2, 1 << 20} {
+		chunk, inline := c.ChunkPoints(1.0, n, 1)
+		if !inline || chunk != n {
+			t.Fatalf("workers=1 npoints=%d: chunk=%d inline=%v, want inline whole task", n, chunk, inline)
+		}
+	}
+	if chunk, inline := c.ChunkPoints(1.0, 100, 0); !inline || chunk != 100 {
+		t.Fatalf("workers=0: chunk=%d inline=%v, want inline whole task", chunk, inline)
+	}
+}
+
+func TestChunkPointsSinglePointInlines(t *testing.T) {
+	c := HostExec(8)
+	// One point is one unit of work: nothing to parallelize, whatever the
+	// per-point cost says.
+	chunk, inline := c.ChunkPoints(10*c.InlineCutoff, 1, 8)
+	if !inline || chunk != 1 {
+		t.Fatalf("npoints=1: chunk=%d inline=%v, want inline", chunk, inline)
+	}
+	if chunk, inline := c.ChunkPoints(1.0, 0, 8); !inline || chunk != 0 {
+		t.Fatalf("npoints=0: chunk=%d inline=%v, want inline empty task", chunk, inline)
+	}
+}
+
+func TestChunkPointsCutoffBoundary(t *testing.T) {
+	c := HostExec(4)
+	const n = 1000
+	// Just under the cutoff: inline. At/above it: dispatched in chunks.
+	under := (c.InlineCutoff / n) * 0.99
+	over := (c.InlineCutoff / n) * 1.01
+	if _, inline := c.ChunkPoints(under, n, 4); !inline {
+		t.Fatalf("task under InlineCutoff must run inline")
+	}
+	chunk, inline := c.ChunkPoints(over, n, 4)
+	if inline {
+		t.Fatalf("task over InlineCutoff must be dispatched")
+	}
+	if chunk < 1 || chunk > (n+3)/4 {
+		t.Fatalf("chunk = %d out of [1, ceil(n/workers)]", chunk)
+	}
+}
