@@ -22,8 +22,11 @@
 # wavefront group count, the per-stage barrier count), and feedback-directed
 # scheduling (its setter, mode getter and on-switch, the calibration hook,
 # the calibrated cost source, the rank environment variable, the
-# diffuse-trace flag and table, the bit-identity test) — so a sentence
-# cannot outlive what it quoted. ROADMAP.md is exempt: it keeps history. The one-character
+# diffuse-trace flag and table, the bit-identity test), and the rank
+# mesh's tcp transport and serve's batching (the transport and bind
+# environment variables, the rendered peer list, the explicit-transport
+# context, the provider lookup, the batch limit and its diffuse-serve
+# flag) — so a sentence cannot outlive what it quoted. ROADMAP.md is exempt: it keeps history. The one-character
 # brackets keep this script from matching its own pattern in a
 # repository-wide grep.
 set -u
@@ -34,6 +37,8 @@ removed="$removed"'|[R]emoteBackend|[S]etRemote|[e]xecuteSim|[S]imMetadataLen|[C
 removed="$removed"'|[r]unShardStage|[r]unShards\b|[H]aloElemsMoved|[W]avefrontGroups|[B]arrierStages'
 removed="$removed"'|[S]etFeedback|[F]eedbackOn\b|[F]eedbackOf\b|[a]ttachCalibration|[N]ewCalibrated|[m]achine\.Calibrated\b'
 removed="$removed"'|DIFFUSE_[F]EEDBACK|-[n]ofeedback|[p]rintCalibration|[T]estFeedbackBitIdentical'
+removed="$removed"'|DIFFUSE_DIST_[T]RANSPORT|DIFFUSE_DIST_[B]IND|DIFFUSE_[P]EERS|[N]ewDistributedTransportContext'
+removed="$removed"'|[B]atchMax|[P]roviderFor|(^|[^[:alnum:]])-[b]atch\b'
 
 # slugs_of FILE: print the GitHub anchor slug of every heading, skipping
 # fenced code blocks (a `# comment` inside a fence is not a heading).
@@ -52,7 +57,7 @@ for f in README.md DESIGN.md ROADMAP.md docs/*.md; do
   [ -e "$f" ] || continue
   dir=$(dirname "$f")
   if [ "$f" != ROADMAP.md ] && hits=$(grep -nE -e "$removed" "$f"); then
-    echo "$f: names something removed (the real-mode suite: see docs/BENCHMARKS.md; ReadAll32/WriteAll32: see DESIGN.md, the wire; the stage-barrier executor path: see DESIGN.md, sharded execution; feedback scheduling: see DESIGN.md, static schedule):"
+    echo "$f: names something removed (the real-mode suite: see docs/BENCHMARKS.md; ReadAll32/WriteAll32: see DESIGN.md, the wire; the stage-barrier executor path: see DESIGN.md, sharded execution; feedback scheduling: see DESIGN.md, static schedule; the tcp rank mesh and serve batching: see docs/SERVING.md):"
     echo "$hits"
     fail=1
   fi

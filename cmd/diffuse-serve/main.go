@@ -10,8 +10,8 @@
 // The listen address is printed on startup ("listening on ..."); clients
 // (the serveclient package, examples/serve, diffuse-trace -serve) dial it
 // with the matching -transport. SIGINT or SIGTERM shuts down cleanly:
-// in-flight and queued submissions drain, final per-tenant counters print,
-// and the process exits 0. See docs/SERVING.md for the operator guide.
+// in-flight and waiting submissions finish, final per-tenant counters
+// print, and the process exits 0. See docs/SERVING.md for the operator guide.
 package main
 
 import (
@@ -34,8 +34,7 @@ func main() {
 		quota     = flag.String("quota", "0", "per-tenant live-store byte budget (accepts KiB/MiB/GiB suffixes; 0 = unlimited)")
 		tenantIn  = flag.Int("tenant-inflight", 1, "concurrent submissions per tenant")
 		globalIn  = flag.Int("global-inflight", 4, "concurrent submissions across all tenants")
-		queue     = flag.Int("queue-depth", 16, "per-tenant admission queue bound (full queue sheds with a retryable error)")
-		batch     = flag.Int("batch", 4, "max consecutive small submissions per admission token (1 disables batching)")
+		queue     = flag.Int("queue-depth", 16, "per-tenant bound on submissions waiting for a session (one more sheds with a retryable error)")
 	)
 	flag.Parse()
 
@@ -52,7 +51,6 @@ func main() {
 		TenantInflight: *tenantIn,
 		GlobalInflight: *globalIn,
 		QueueDepth:     *queue,
-		BatchMax:       *batch,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

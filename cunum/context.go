@@ -49,18 +49,8 @@ func NewContext(rt *core.Runtime) *Context {
 // results are bit-identical to an in-process context with Shards equal to
 // the rank count. Call Close when done to shut the ranks down.
 func NewDistributedContext(ranks int) *Context {
-	return NewDistributedTransportContext(ranks, "")
-}
-
-// NewDistributedTransportContext is NewDistributedContext with an explicit
-// peer transport: "unix" (single-host socket files, the default) or "tcp"
-// (loopback, or the interface named by DIFFUSE_DIST_BIND). Results are
-// bit-identical across transports; an empty transport falls back to
-// DIFFUSE_DIST_TRANSPORT and then to unix.
-func NewDistributedTransportContext(ranks int, transport string) *Context {
 	cfg := core.DefaultConfig(ranks)
 	cfg.Ranks = ranks
-	cfg.Transport = transport
 	return NewContext(core.New(cfg))
 }
 

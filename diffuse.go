@@ -119,15 +119,10 @@ func DefaultConfig(procs int) Config { return core.DefaultConfig(procs) }
 // DistributedConfig returns a real-execution configuration that runs as
 // ranks cooperating rank processes (Config.Ranks): the runtime becomes
 // the parent of a process-per-shard distributed runtime whose rank r owns
-// shard r. Results are bit-identical to the in-process Shards=ranks
-// configuration. Binaries using it must call MaybeRankMain first thing in
-// main() and Runtime.Close when done.
-//
-// The peer transport is selectable through Config.Transport: "unix"
-// (single-host socket files, the default) or "tcp" (loopback, or the
-// interface named by DIFFUSE_DIST_BIND). Results are bit-identical
-// across transports; leaving it empty falls back to
-// DIFFUSE_DIST_TRANSPORT and then to unix.
+// shard r. The ranks run on this host, meshed over unix-domain sockets.
+// Results are bit-identical to the in-process Shards=ranks configuration.
+// Binaries using it must call MaybeRankMain first thing in main() and
+// Runtime.Close when done.
 func DistributedConfig(ranks int) Config {
 	cfg := core.DefaultConfig(ranks)
 	cfg.Ranks = ranks

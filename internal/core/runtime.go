@@ -48,23 +48,16 @@ type Config struct {
 	// across shard counts. See DESIGN.md "Sharded execution".
 	Shards int
 	// Ranks launches a multi-process distributed runtime (ModeReal only):
-	// this process becomes the parent of Ranks rank subprocesses (one per
-	// shard; internal/dist) and forwards its post-fusion task stream to
-	// them instead of executing locally. Shards is forced equal to Ranks —
+	// this process becomes the parent of Ranks rank subprocesses on this
+	// host (one per shard, meshed over unix-domain sockets; internal/dist)
+	// and forwards its post-fusion task stream to them instead of
+	// executing locally. Shards is forced equal to Ranks —
 	// rank r owns shard r, and the fusion layer stamps tasks exactly as it
 	// would for in-process sharding, so ranks=N reproduces Shards=N
 	// bit-for-bit. 0 or 1 disables distribution. The binary embedding this
 	// runtime must call dist.MaybeRankMain first thing in main(), and
 	// Runtime.Close must be called to shut the ranks down.
 	Ranks int
-	// Transport selects the distributed dial/listen transport (only
-	// meaningful with Ranks > 1): "unix" keeps ranks on unix-domain
-	// sockets in a private rendezvous directory (the single-host
-	// default); "tcp" runs the identical mesh over TCP — loopback by
-	// default, or bound to DIFFUSE_DIST_BIND so ranks can span machines.
-	// Empty falls back to DIFFUSE_DIST_TRANSPORT, then "unix". Results
-	// are bit-identical across transports; only the byte path changes.
-	Transport string
 	// Wavefront selects the chain rule of the one shard-group DAG:
 	// legion.WavefrontOn, the zero value, chains each shard's units
 	// across the group, so one shard may run several stages ahead of
@@ -203,7 +196,7 @@ func New(cfg Config) *Runtime {
 		if cfg.Codegen == legion.CodegenOff {
 			extraEnv = append(extraEnv, dist.EnvCodegen+"=off")
 		}
-		par, err := dist.Launch(cfg.Ranks, cfg.Transport, extraEnv...)
+		par, err := dist.Launch(cfg.Ranks, extraEnv...)
 		if err != nil {
 			panic(fmt.Sprintf("core: launching %d-rank distributed runtime: %v", cfg.Ranks, err))
 		}

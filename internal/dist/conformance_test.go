@@ -1,14 +1,12 @@
 package dist
 
-// Transport conformance suite: every transport the distributed runtime
-// can run over — unix sockets, TCP, and the fault-injection wrapper in
-// passthrough mode — must satisfy the same contract, exercised here
-// through one shared harness: full-mesh bootstrap, per-tag FIFO ordering,
-// tag demultiplexing, prompt failure of receives blocked on a closed
-// peer, and deadline errors that name the peer. The legion drain's
-// correctness argument quantifies over exactly these properties, so a
-// transport that passes this suite is safe to select via
-// DIFFUSE_DIST_TRANSPORT without re-validating the runtime above it.
+// Transport conformance suite: the unix-socket peer mesh, and the
+// fault-injection wrapper around it in passthrough mode, must satisfy the
+// same contract, exercised here through one shared harness: full-mesh
+// bootstrap, per-tag FIFO ordering, tag demultiplexing, prompt failure of
+// receives blocked on a closed peer, and deadline errors that name the
+// peer. The legion drain's correctness argument quantifies over exactly
+// these properties.
 
 import (
 	"fmt"
@@ -37,17 +35,12 @@ type testMesh struct {
 	tx  []sendRecver
 }
 
-// buildMesh bootstraps a full ranks-wide mesh over the provider, with
-// every rank's connectMesh running concurrently the way real rank
-// processes do.
-func buildMesh(t *testing.T, prov Provider, ranks int, timeout time.Duration) *testMesh {
+// buildMesh bootstraps a full ranks-wide mesh in a fresh rendezvous
+// directory, with every rank's connectMesh running concurrently the way
+// real rank processes do.
+func buildMesh(t *testing.T, ranks int, timeout time.Duration) *testMesh {
 	t.Helper()
-	addrs, cleanup, err := prov.Allocate(ranks)
-	if err != nil {
-		t.Fatalf("allocate: %v", err)
-	}
-	t.Cleanup(cleanup)
-
+	dir := t.TempDir()
 	m := &testMesh{raw: make([]*Transport, ranks), tx: make([]sendRecver, ranks)}
 	errs := make([]error, ranks)
 	var wg sync.WaitGroup
@@ -55,7 +48,7 @@ func buildMesh(t *testing.T, prov Provider, ranks int, timeout time.Duration) *t
 		wg.Add(1)
 		go func(me int) {
 			defer wg.Done()
-			m.raw[me], errs[me] = connectMesh(prov, addrs, me, timeout)
+			m.raw[me], errs[me] = connectMesh(dir, me, ranks, timeout)
 		}(me)
 	}
 	wg.Wait()
@@ -75,7 +68,7 @@ func buildMesh(t *testing.T, prov Provider, ranks int, timeout time.Duration) *t
 	return m
 }
 
-// meshFactories enumerates the transports under test. The faultx entry
+// meshFactories enumerates the meshes under test. The faultx entry
 // wraps the unix mesh in a fault-injection transport with an empty
 // schedule: the wrapper must be a perfect passthrough when no rule
 // matches, including error propagation from the inner transport.
@@ -83,14 +76,9 @@ var meshFactories = []struct {
 	name  string
 	build func(t *testing.T, ranks int, timeout time.Duration) *testMesh
 }{
-	{"unix", func(t *testing.T, ranks int, timeout time.Duration) *testMesh {
-		return buildMesh(t, unixProvider{}, ranks, timeout)
-	}},
-	{"tcp", func(t *testing.T, ranks int, timeout time.Duration) *testMesh {
-		return buildMesh(t, tcpProvider{}, ranks, timeout)
-	}},
+	{"unix", buildMesh},
 	{"faultx", func(t *testing.T, ranks int, timeout time.Duration) *testMesh {
-		m := buildMesh(t, unixProvider{}, ranks, timeout)
+		m := buildMesh(t, ranks, timeout)
 		for me := range m.tx {
 			m.tx[me] = faultx.Wrap(m.raw[me], me, &faultx.Schedule{})
 		}
@@ -99,7 +87,7 @@ var meshFactories = []struct {
 }
 
 // TestTransportConformance runs every conformance check against every
-// transport.
+// mesh.
 func TestTransportConformance(t *testing.T) {
 	for _, f := range meshFactories {
 		t.Run(f.name, func(t *testing.T) {
@@ -250,64 +238,16 @@ func checkRecvTimeout(t *testing.T, build func(*testing.T, int, time.Duration) *
 	}
 }
 
-// TestAddrSetRoundTrip: the DIFFUSE_PEERS rendering decodes back to the
-// allocated address set for both providers.
-func TestAddrSetRoundTrip(t *testing.T) {
-	for _, prov := range []Provider{unixProvider{}, tcpProvider{}} {
-		addrs, cleanup, err := prov.Allocate(3)
-		if err != nil {
-			t.Fatalf("%s allocate: %v", prov.Name(), err)
-		}
-		defer cleanup()
-		back, err := ParseAddrSet(addrs.Render(), 3)
-		if err != nil {
-			t.Fatalf("%s parse: %v", prov.Name(), err)
-		}
-		if back.Parent != addrs.Parent || len(back.Ranks) != len(addrs.Ranks) {
-			t.Fatalf("%s round trip mangled the set: %+v vs %+v", prov.Name(), back, addrs)
-		}
-		for i := range addrs.Ranks {
-			if back.Ranks[i] != addrs.Ranks[i] {
-				t.Fatalf("%s rank %d address %q != %q", prov.Name(), i, back.Ranks[i], addrs.Ranks[i])
-			}
-		}
-	}
-	if _, err := ParseAddrSet("a,b", 3); err == nil {
-		t.Fatal("short address set accepted")
-	}
-	if _, err := ParseAddrSet("a,,c,d", 3); err == nil {
-		t.Fatal("empty address entry accepted")
-	}
-}
-
-// TestProviderByName: selector resolution, including the environment
-// fallback and the unknown-transport error.
-func TestProviderByName(t *testing.T) {
-	t.Setenv(EnvTransport, "")
-	for name, want := range map[string]string{"": "unix", "unix": "unix", "tcp": "tcp"} {
-		p, err := providerByName(name)
-		if err != nil || p.Name() != want {
-			t.Fatalf("providerByName(%q) = %v, %v; want %s", name, p, err, want)
-		}
-	}
-	t.Setenv(EnvTransport, "tcp")
-	if p, err := providerByName(""); err != nil || p.Name() != "tcp" {
-		t.Fatalf("env fallback: %v, %v", p, err)
-	}
-	if _, err := providerByName("carrier-pigeon"); err == nil {
-		t.Fatal("unknown transport accepted")
-	}
-}
-
-// TestDialRetryPermanentFailsFast: an unresolvable address must not
-// consume the retry budget — the regression dialRetry's error
+// TestDialRetryPermanentFailsFast: an address no socket can have must
+// not consume the retry budget — the regression dialRetry's error
 // classification exists to prevent (a misconfigured launch used to spin
 // on a hopeless dial for the full timeout before reporting).
 func TestDialRetryPermanentFailsFast(t *testing.T) {
 	start := time.Now()
-	_, err := dialRetry(tcpProvider{}, "127.0.0.1:99999", 10*time.Second) // port out of range
+	addr := filepath.Join(t.TempDir(), strings.Repeat("x", 200)+".sock") // longer than a socket path may be
+	_, err := dialRetry(addr, 10*time.Second)
 	if err == nil {
-		t.Fatal("dial to an invalid port succeeded")
+		t.Fatal("dial to an over-long socket path succeeded")
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("permanent dial failure took %v — retried instead of failing fast", elapsed)
@@ -319,53 +259,32 @@ func TestDialRetryPermanentFailsFast(t *testing.T) {
 
 // TestDialRetryWaitsForListener: the listener coming up late is the
 // expected bootstrap shape (every rank dials lower ranks that may not be
-// listening yet), so the dial must retry through it and succeed — for
-// both the missing-socket-file (unix) and connection-refused/no-listener
-// (tcp) flavors of "not up yet".
+// listening yet), so the dial must retry through the missing socket file
+// and succeed.
 func TestDialRetryWaitsForListener(t *testing.T) {
-	cases := []struct {
-		name string
-		prov Provider
-		addr func(t *testing.T) string
-	}{
-		{"unix", unixProvider{}, func(t *testing.T) string {
-			return filepath.Join(t.TempDir(), "late.sock")
-		}},
-		{"tcp", tcpProvider{}, func(t *testing.T) string {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
+	t.Run("unix", func(t *testing.T) {
+		addr := filepath.Join(t.TempDir(), "late.sock")
+		go func() {
+			time.Sleep(150 * time.Millisecond)
+			ln, err := net.Listen("unix", addr)
 			if err != nil {
-				t.Fatal(err)
+				return // the dialing side will report the failure
 			}
-			addr := ln.Addr().String()
-			ln.Close()
-			return addr
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			addr := tc.addr(t)
-			go func() {
-				time.Sleep(150 * time.Millisecond)
-				ln, err := tc.prov.Listen(addr)
-				if err != nil {
-					return // the dialing side will report the failure
-				}
-				defer ln.Close()
-				if conn, err := ln.Accept(); err == nil {
-					conn.Close()
-				}
-			}()
-			start := time.Now()
-			conn, err := dialRetry(tc.prov, addr, 10*time.Second)
-			if err != nil {
-				t.Fatalf("dial through a late listener: %v", err)
+			defer ln.Close()
+			if conn, err := ln.Accept(); err == nil {
+				conn.Close()
 			}
-			conn.Close()
-			if elapsed := time.Since(start); elapsed < 100*time.Millisecond {
-				t.Fatalf("dial succeeded in %v — before the listener existed?", elapsed)
-			}
-		})
-	}
+		}()
+		start := time.Now()
+		conn, err := dialRetry(addr, 10*time.Second)
+		if err != nil {
+			t.Fatalf("dial through a late listener: %v", err)
+		}
+		conn.Close()
+		if elapsed := time.Since(start); elapsed < 100*time.Millisecond {
+			t.Fatalf("dial succeeded in %v — before the listener existed?", elapsed)
+		}
+	})
 }
 
 // TestDialRetryTransientTimesOut: a listener that never comes up exhausts
@@ -374,7 +293,7 @@ func TestDialRetryWaitsForListener(t *testing.T) {
 func TestDialRetryTransientTimesOut(t *testing.T) {
 	addr := filepath.Join(t.TempDir(), "never.sock")
 	start := time.Now()
-	_, err := dialRetry(unixProvider{}, addr, 300*time.Millisecond)
+	_, err := dialRetry(addr, 300*time.Millisecond)
 	if err == nil {
 		t.Fatal("dial to a never-listening address succeeded")
 	}
@@ -383,25 +302,5 @@ func TestDialRetryTransientTimesOut(t *testing.T) {
 	}
 	if strings.Contains(err.Error(), "permanent") {
 		t.Fatalf("transient failure misclassified permanent: %v", err)
-	}
-}
-
-// TestTCPAllocateDistinctPorts: one launch's reservations never collide
-// with each other.
-func TestTCPAllocateDistinctPorts(t *testing.T) {
-	addrs, cleanup, err := tcpProvider{}.Allocate(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cleanup()
-	seen := map[string]bool{addrs.Parent: true}
-	for _, a := range addrs.Ranks {
-		if seen[a] {
-			t.Fatalf("address %s reserved twice in %+v", a, addrs)
-		}
-		seen[a] = true
-		if _, _, err := net.SplitHostPort(a); err != nil {
-			t.Fatalf("address %s: %v", a, err)
-		}
 	}
 }

@@ -81,72 +81,38 @@ func dtypeName(dt cunum.DType) string {
 	return "f64"
 }
 
-// transports enumerates the selectable peer transports; every distributed
-// test that asserts bit-identity or failure semantics runs over each.
-var transports = []string{"unix", "tcp"}
-
 // TestRanksBitIdenticalToShards: every workload observable at ranks=1/2/4
-// equals the in-process Shards=1/2/4 result bit for bit, over both the
-// unix and TCP transports (selected through the DIFFUSE_DIST_TRANSPORT
-// fallback path the env variable exists for). One workload also runs at
-// ranks=2 with core.Config.Transport naming tcp while the environment says
-// unix: the explicit name must win, which shows as no unix rendezvous
-// directory appearing under a private TMPDIR while the ranks are up.
+// equals the in-process Shards=1/2/4 result bit for bit. Subtest names
+// end in the mesh's transport, unix.
 func TestRanksBitIdenticalToShards(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns rank subprocesses")
 	}
-	type selector struct {
-		name, env, explicit string
-		ranks               []int
-	}
-	for i, w := range workloads() {
-		var sels []selector
-		for _, transport := range transports {
-			sels = append(sels, selector{name: transport, env: transport, ranks: []int{1, 2, 4}})
-		}
-		if i == 0 {
-			sels = append(sels, selector{name: "explicit-tcp", env: "unix", explicit: "tcp", ranks: []int{2}})
-		}
-		for _, sel := range sels {
-			t.Run(fmt.Sprintf("%s/%s/%s", w.name, dtypeName(w.dt), sel.name), func(t *testing.T) {
-				t.Setenv(dist.EnvTransport, sel.env)
-				tmp := ""
-				if sel.explicit != "" {
-					tmp = t.TempDir()
-					t.Setenv("TMPDIR", tmp)
+	for _, w := range workloads() {
+		t.Run(fmt.Sprintf("%s/%s/unix", w.name, dtypeName(w.dt)), func(t *testing.T) {
+			for _, n := range []int{1, 2, 4} {
+				cfg := core.DefaultConfig(n)
+				cfg.Shards = n
+				want := w.run(cunum.NewContext(core.New(cfg)))
+
+				dctx := cunum.NewDistributedContext(n)
+				got := w.run(dctx)
+				if err := dctx.Close(); err != nil {
+					t.Fatalf("ranks=%d: close: %v", n, err)
 				}
-				for _, n := range sel.ranks {
-					cfg := core.DefaultConfig(n)
-					cfg.Shards = n
-					inproc := cunum.NewContext(core.New(cfg))
-					want := w.run(inproc)
 
-					dctx := cunum.NewDistributedTransportContext(n, sel.explicit)
-					got := w.run(dctx)
-					if tmp != "" {
-						if left, err := os.ReadDir(tmp); err != nil || len(left) != 0 {
-							t.Errorf("ranks=%d: transport %q ignored in favour of %s=%s: %d entries under TMPDIR (err %v)",
-								n, sel.explicit, dist.EnvTransport, sel.env, len(left), err)
-						}
-					}
-					if err := dctx.Close(); err != nil {
-						t.Fatalf("ranks=%d: close: %v", n, err)
-					}
-
-					if len(got) != len(want) {
-						t.Fatalf("ranks=%d: %d observables, want %d", n, len(got), len(want))
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("ranks=%d observable %d: %x (%v), want %x (%v)",
-								n, i, got[i], math.Float64frombits(got[i]),
-								want[i], math.Float64frombits(want[i]))
-						}
+				if len(got) != len(want) {
+					t.Fatalf("ranks=%d: %d observables, want %d", n, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("ranks=%d observable %d: %x (%v), want %x (%v)",
+							n, i, got[i], math.Float64frombits(got[i]),
+							want[i], math.Float64frombits(want[i]))
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -190,50 +156,47 @@ func TestRanksCodegenBitIdentity(t *testing.T) {
 
 // TestDeadPeerSurfacesCleanError: when a rank dies mid-stream, the parent
 // reaps it and the next operation surfaces a wrapped error naming the
-// rank instead of hanging — over both transports and at both mesh widths.
+// rank instead of hanging — at both mesh widths.
 func TestDeadPeerSurfacesCleanError(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns rank subprocesses")
 	}
-	for _, transport := range transports {
-		for _, ranks := range []int{2, 4} {
-			t.Run(fmt.Sprintf("%s/ranks=%d", transport, ranks), func(t *testing.T) {
-				// Keep the recv deadline short so a stalled control stream
-				// surfaces quickly; the env var is read at rank startup and by
-				// the parent.
-				t.Setenv(dist.EnvTimeout, "2s")
-				t.Setenv(dist.EnvTransport, transport)
+	for _, ranks := range []int{2, 4} {
+		t.Run(fmt.Sprintf("unix/ranks=%d", ranks), func(t *testing.T) {
+			// Keep the recv deadline short so a stalled control stream
+			// surfaces quickly; the env var is read at rank startup and by
+			// the parent.
+			t.Setenv(dist.EnvTimeout, "2s")
 
-				ctx := cunum.NewDistributedContext(ranks)
-				defer ctx.Close()
-				x := ctx.Random(7, 64).Keep()
-				y := x.MulC(2).Keep()
-				_ = y.ToHost() // stream is live: all ranks executed and rank 0 replied
+			ctx := cunum.NewDistributedContext(ranks)
+			defer ctx.Close()
+			x := ctx.Random(7, 64).Keep()
+			y := x.MulC(2).Keep()
+			_ = y.ToHost() // stream is live: all ranks executed and rank 0 replied
 
-				// Kill rank 1 out from under the runtime, then keep issuing
-				// work. The parent must reap the child and panic with an error
-				// naming the rank.
-				dist.KillRankForTest(ctx.Runtime().Legion().Backend(), 1)
-				defer func() {
-					r := recover()
-					if r == nil {
-						t.Fatal("work after a dead rank did not surface an error")
-					}
-					msg := fmt.Sprint(r)
-					if !strings.Contains(msg, "rank 1") {
-						t.Fatalf("error does not name the dead rank: %v", msg)
-					}
-				}()
-				deadline := time.Now().Add(30 * time.Second)
-				for time.Now().Before(deadline) {
-					z := y.AddC(1).Keep()
-					_ = z.ToHost()
-					z.Free()
-					time.Sleep(10 * time.Millisecond)
+			// Kill rank 1 out from under the runtime, then keep issuing
+			// work. The parent must reap the child and panic with an error
+			// naming the rank.
+			dist.KillRankForTest(ctx.Runtime().Legion().Backend(), 1)
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatal("work after a dead rank did not surface an error")
 				}
-				t.Fatal("parent never noticed the dead rank")
-			})
-		}
+				msg := fmt.Sprint(r)
+				if !strings.Contains(msg, "rank 1") {
+					t.Fatalf("error does not name the dead rank: %v", msg)
+				}
+			}()
+			deadline := time.Now().Add(30 * time.Second)
+			for time.Now().Before(deadline) {
+				z := y.AddC(1).Keep()
+				_ = z.ToHost()
+				z.Free()
+				time.Sleep(10 * time.Millisecond)
+			}
+			t.Fatal("parent never noticed the dead rank")
+		})
 	}
 }
 

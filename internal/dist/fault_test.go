@@ -35,41 +35,37 @@ func stencilWorkload() workload {
 
 // TestDelayedHaloBitIdentical: delaying halo messages reorders wall-clock
 // arrival but not the drain's deterministic schedule — the delayed run
-// must stay bit-identical to in-process execution, over both transports
-// and at both mesh widths.
+// must stay bit-identical to in-process execution, at both mesh widths.
 func TestDelayedHaloBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns rank subprocesses")
 	}
 	w := stencilWorkload()
-	for _, transport := range transports {
-		for _, ranks := range []int{2, 4} {
-			t.Run(fmt.Sprintf("%s/ranks=%d", transport, ranks), func(t *testing.T) {
-				cfg := core.DefaultConfig(ranks)
-				cfg.Shards = ranks
-				want := w.run(cunum.NewContext(core.New(cfg)))
+	for _, ranks := range []int{2, 4} {
+		t.Run(fmt.Sprintf("unix/ranks=%d", ranks), func(t *testing.T) {
+			cfg := core.DefaultConfig(ranks)
+			cfg.Shards = ranks
+			want := w.run(cunum.NewContext(core.New(cfg)))
 
-				// Every rank's first halo send (and recv) to any peer is held
-				// back — exercising both interception directions.
-				t.Setenv(dist.EnvTransport, transport)
-				t.Setenv(dist.EnvFaults, "*:send:*:halo:1:delay:100ms,*:recv:*:halo:2:delay:50ms")
-				dctx := cunum.NewDistributedContext(ranks)
-				got := w.run(dctx)
-				if err := dctx.Close(); err != nil {
-					t.Fatalf("close: %v", err)
+			// Every rank's first halo send (and recv) to any peer is held
+			// back — exercising both interception directions.
+			t.Setenv(dist.EnvFaults, "*:send:*:halo:1:delay:100ms,*:recv:*:halo:2:delay:50ms")
+			dctx := cunum.NewDistributedContext(ranks)
+			got := w.run(dctx)
+			if err := dctx.Close(); err != nil {
+				t.Fatalf("close: %v", err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%d observables, want %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("observable %d: %x (%v), want %x (%v) — a delayed halo changed the result",
+						i, got[i], math.Float64frombits(got[i]),
+						want[i], math.Float64frombits(want[i]))
 				}
-				if len(got) != len(want) {
-					t.Fatalf("%d observables, want %d", len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("observable %d: %x (%v), want %x (%v) — a delayed halo changed the result",
-							i, got[i], math.Float64frombits(got[i]),
-							want[i], math.Float64frombits(want[i]))
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -116,19 +112,16 @@ func TestTruncatedHaloSurfacesError(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns rank subprocesses")
 	}
-	for _, transport := range transports {
-		t.Run(transport, func(t *testing.T) {
-			t.Setenv(dist.EnvTimeout, "3s")
-			t.Setenv(dist.EnvTransport, transport)
-			// The upwind stencil's halo traffic flows low-to-high, so the
-			// sender to target is rank 0 (rank 1 never issues a halo send).
-			t.Setenv(dist.EnvFaults, "0:send:*:halo:1:truncate")
-			msg := runExpectingFault(t, 2, runStencil)
-			if !strings.Contains(msg, "rank") {
-				t.Fatalf("truncation error does not name a rank: %v", msg)
-			}
-		})
-	}
+	t.Run("unix", func(t *testing.T) {
+		t.Setenv(dist.EnvTimeout, "3s")
+		// The upwind stencil's halo traffic flows low-to-high, so the
+		// sender to target is rank 0 (rank 1 never issues a halo send).
+		t.Setenv(dist.EnvFaults, "0:send:*:halo:1:truncate")
+		msg := runExpectingFault(t, 2, runStencil)
+		if !strings.Contains(msg, "rank") {
+			t.Fatalf("truncation error does not name a rank: %v", msg)
+		}
+	})
 }
 
 // TestSeveredLinkSurfacesError: severing one peer link mid-drain must
@@ -139,17 +132,14 @@ func TestSeveredLinkSurfacesError(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns rank subprocesses")
 	}
-	for _, transport := range transports {
-		t.Run(transport, func(t *testing.T) {
-			t.Setenv(dist.EnvTimeout, "3s")
-			t.Setenv(dist.EnvTransport, transport)
-			t.Setenv(dist.EnvFaults, "1:send:0:*:1:sever")
-			msg := runExpectingFault(t, 2, runStencil)
-			if !strings.Contains(msg, "rank") {
-				t.Fatalf("sever error does not name a rank: %v", msg)
-			}
-		})
-	}
+	t.Run("unix", func(t *testing.T) {
+		t.Setenv(dist.EnvTimeout, "3s")
+		t.Setenv(dist.EnvFaults, "1:send:0:*:1:sever")
+		msg := runExpectingFault(t, 2, runStencil)
+		if !strings.Contains(msg, "rank") {
+			t.Fatalf("sever error does not name a rank: %v", msg)
+		}
+	})
 }
 
 // TestSeveredLinkBeforeDrainSurfacesError: a drain is an acknowledged
@@ -162,20 +152,17 @@ func TestSeveredLinkBeforeDrainSurfacesError(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns rank subprocesses")
 	}
-	for _, transport := range transports {
-		t.Run(transport, func(t *testing.T) {
-			t.Setenv(dist.EnvTimeout, "3s")
-			t.Setenv(dist.EnvTransport, transport)
-			t.Setenv(dist.EnvFaults, "1:send:0:*:1:sever")
-			msg := runExpectingFault(t, 2, func(ctx *cunum.Context) {
-				sc := apps.NewStencilChain(ctx, 1024, 64, 4, apps.ChainUpwind, cunum.F64)
-				sc.Iterate(1)
-				ctx.Runtime().Legion().DrainShardGroup()
-				t.Fatal("drain returned despite a link severed inside its group")
-			})
-			if !strings.Contains(msg, "rank") {
-				t.Fatalf("drain error does not name a rank: %v", msg)
-			}
+	t.Run("unix", func(t *testing.T) {
+		t.Setenv(dist.EnvTimeout, "3s")
+		t.Setenv(dist.EnvFaults, "1:send:0:*:1:sever")
+		msg := runExpectingFault(t, 2, func(ctx *cunum.Context) {
+			sc := apps.NewStencilChain(ctx, 1024, 64, 4, apps.ChainUpwind, cunum.F64)
+			sc.Iterate(1)
+			ctx.Runtime().Legion().DrainShardGroup()
+			t.Fatal("drain returned despite a link severed inside its group")
 		})
-	}
+		if !strings.Contains(msg, "rank") {
+			t.Fatalf("drain error does not name a rank: %v", msg)
+		}
+	})
 }

@@ -27,7 +27,7 @@ import (
 // state is shared with the reaper goroutines.
 type Parent struct {
 	ranks   int
-	cleanup func() // releases the provider's address reservation
+	dir     string // the rendezvous directory, removed at shutdown
 	cmds    []*exec.Cmd
 	outputs []*tailBuffer
 	conns   []net.Conn
@@ -69,42 +69,38 @@ func (t *tailBuffer) String() string {
 	return string(t.buf)
 }
 
-// Launch starts a distributed runtime of the given width: it allocates
-// the rendezvous addresses of the selected transport ("unix", "tcp", or
-// "" to fall back to DIFFUSE_DIST_TRANSPORT and then unix), re-executes
-// the current binary once per rank (MaybeRankMain diverts the children
-// into the rank control loop), waits for every rank's control connection,
-// and starts the reapers that turn a dead child into the first-failure
-// error every subsequent operation reports. extraEnv entries ("KEY=val")
-// are appended to each rank's environment — how the parent propagates
-// runtime configuration (e.g. the codegen backend toggle) that ranks
-// must agree on.
-func Launch(ranks int, transport string, extraEnv ...string) (*Parent, error) {
+// Launch starts a distributed runtime of the given width on this host:
+// it creates the rendezvous directory every socket of the launch lives
+// in, re-executes the current binary once per rank (MaybeRankMain diverts
+// the children into the rank control loop), waits for every rank's
+// control connection, and starts the reapers that turn a dead child into
+// the first-failure error every subsequent operation reports. extraEnv
+// entries ("KEY=val") are appended to each rank's environment — how the
+// parent propagates runtime configuration (e.g. the codegen backend
+// toggle) that ranks must agree on.
+func Launch(ranks int, extraEnv ...string) (*Parent, error) {
 	if ranks < 1 {
 		return nil, fmt.Errorf("dist: rank count %d out of range", ranks)
-	}
-	prov, err := providerByName(transport)
-	if err != nil {
-		return nil, err
 	}
 	exe, err := os.Executable()
 	if err != nil {
 		return nil, fmt.Errorf("dist: locate executable: %w", err)
 	}
-	addrs, cleanup, err := prov.Allocate(ranks)
+	dir, err := os.MkdirTemp("", "diffuse-dist-")
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("dist: rendezvous dir: %w", err)
 	}
-	ln, err := prov.Listen(addrs.Parent)
+	cleanup := func() { os.RemoveAll(dir) }
+	ln, err := net.Listen("unix", parentSocket(dir))
 	if err != nil {
 		cleanup()
-		return nil, fmt.Errorf("dist: parent listen on %s: %w", addrs.Parent, err)
+		return nil, fmt.Errorf("dist: parent listen: %w", err)
 	}
 	defer ln.Close()
 
 	p := &Parent{
 		ranks:      ranks,
-		cleanup:    cleanup,
+		dir:        dir,
 		conns:      make([]net.Conn, ranks),
 		childErrs:  make([]error, ranks),
 		timeout:    distTimeout(),
@@ -117,8 +113,7 @@ func Launch(ranks int, transport string, extraEnv ...string) (*Parent, error) {
 		cmd.Env = append(os.Environ(),
 			EnvRank+"="+strconv.Itoa(r),
 			EnvRanks+"="+strconv.Itoa(ranks),
-			EnvPeers+"="+addrs.Render(),
-			EnvTransport+"="+prov.Name(),
+			EnvDir+"="+dir,
 		)
 		cmd.Env = append(cmd.Env, extraEnv...)
 		out := &tailBuffer{limit: 8 << 10}
@@ -133,9 +128,7 @@ func Launch(ranks int, transport string, extraEnv ...string) (*Parent, error) {
 		p.outputs = append(p.outputs, out)
 	}
 
-	if deadliner, ok := ln.(interface{ SetDeadline(time.Time) error }); ok {
-		deadliner.SetDeadline(time.Now().Add(p.timeout))
-	}
+	ln.(*net.UnixListener).SetDeadline(time.Now().Add(p.timeout))
 	for i := 0; i < ranks; i++ {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -434,7 +427,7 @@ func (p *Parent) Close() error {
 	for _, conn := range p.conns {
 		conn.Close()
 	}
-	p.cleanup()
+	os.RemoveAll(p.dir)
 	return firstErr
 }
 

@@ -1,7 +1,7 @@
 // Package dist is the multi-process distributed runtime: a parent process
-// launches one rank subprocess per shard (the same binary, re-entered
-// through MaybeRankMain) and control-replicates its post-fusion task
-// stream to every rank over unix-domain sockets. Each rank decodes the
+// launches one rank subprocess per shard on the same host (the same
+// binary, re-entered through MaybeRankMain) and control-replicates its
+// post-fusion task stream to every rank over unix-domain sockets. Each rank decodes the
 // identical stream, re-derives the identical sharded schedule through the
 // unchanged legion layer, executes the shard it owns, and exchanges
 // boundary spans with its peers (legion/dist.go). The parent owns no
@@ -14,8 +14,9 @@
 //   - parent.go: process launch, child reaping, and the
 //     legion.Backend that forwards the parent's execution surface;
 //   - rank.go: the rank process entry point and its control loop;
-//   - transport.go: the peer mesh and its tagged mailboxes — the
-//     legion.HaloTransport the distributed drain moves bytes through.
+//   - transport.go: the rendezvous sockets, the peer mesh and its tagged
+//     mailboxes — the legion.HaloTransport the distributed drain moves
+//     bytes through.
 package dist
 
 import (
@@ -28,26 +29,16 @@ import (
 )
 
 // Environment variables of the rank re-entry protocol. The parent sets
-// all three; MaybeRankMain triggers on DIFFUSE_RANK.
+// the first three; MaybeRankMain triggers on DIFFUSE_RANK.
 const (
 	// EnvRank is this process's rank id (unset in the parent).
 	EnvRank = "DIFFUSE_RANK"
 	// EnvRanks is the total rank count.
 	EnvRanks = "DIFFUSE_RANKS"
-	// EnvPeers is the parent-assigned rendezvous address set: the
-	// parent's control address first, then one peer listen address per
-	// rank, comma-separated (AddrSet.Render). For unix the addresses are
-	// socket paths in a private directory; for tcp they are host:port
-	// endpoints.
-	EnvPeers = "DIFFUSE_PEERS"
-	// EnvTransport selects the dial/listen transport ("unix", the
-	// default, or "tcp"). The parent sets it explicitly on every rank so
-	// the whole launch agrees; see Provider.
-	EnvTransport = "DIFFUSE_DIST_TRANSPORT"
-	// EnvBind is the host the tcp transport binds and dials (default
-	// 127.0.0.1). Setting it to a routable interface lets ranks span
-	// machines.
-	EnvBind = "DIFFUSE_DIST_BIND"
+	// EnvDir is the launch's private rendezvous directory. Every socket
+	// of the launch is a file in it: the parent's control socket and one
+	// peer listen socket per rank, named by rank number.
+	EnvDir = "DIFFUSE_DIST_DIR"
 	// EnvFaults is a fault-injection schedule (faultx.ParseSchedule
 	// syntax) each rank wraps around its peer transport — the scripted
 	// chaos harness of the fault-injection tests. Unset means no faults.

@@ -72,21 +72,13 @@ func runRank() (err error) {
 	if err != nil || ranks < 1 || me < 0 || me >= ranks {
 		return fmt.Errorf("bad %s/%s: %q of %q", EnvRank, EnvRanks, os.Getenv(EnvRank), os.Getenv(EnvRanks))
 	}
-	peers := os.Getenv(EnvPeers)
-	if peers == "" {
-		return fmt.Errorf("%s not set", EnvPeers)
-	}
-	prov, err := providerByName(os.Getenv(EnvTransport))
-	if err != nil {
-		return err
-	}
-	addrs, err := ParseAddrSet(peers, ranks)
-	if err != nil {
-		return err
+	dir := os.Getenv(EnvDir)
+	if dir == "" {
+		return fmt.Errorf("%s not set", EnvDir)
 	}
 	timeout := distTimeout()
 
-	parent, err := dialRetry(prov, addrs.Parent, timeout)
+	parent, err := dialRetry(parentSocket(dir), timeout)
 	if err != nil {
 		return fmt.Errorf("connect to parent: %w", err)
 	}
@@ -95,7 +87,7 @@ func runRank() (err error) {
 		return fmt.Errorf("hello to parent: %w", err)
 	}
 
-	tx, err := connectMesh(prov, addrs, me, timeout)
+	tx, err := connectMesh(dir, me, ranks, timeout)
 	if err != nil {
 		return err
 	}

@@ -1,10 +1,14 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"os"
+	"path/filepath"
+	"strconv"
 	"sync"
+	"syscall"
 	"time"
 )
 
@@ -22,9 +26,9 @@ func distTimeout() time.Duration {
 	return defaultTimeout
 }
 
-// Transport is the rank-to-rank peer mesh: one connection per peer (over
-// whichever Provider the launch selected), a reader goroutine per
-// connection draining frames into per-tag mailboxes, and blocking tagged
+// Transport is the rank-to-rank peer mesh: one unix-domain socket
+// connection per peer, a reader goroutine per connection draining frames
+// into per-tag mailboxes, and blocking tagged
 // receives with a deadline. Sends never block on the receiver's progress
 // (the kernel socket buffer plus the receiver's always-running reader
 // goroutine absorb them) — the property the distributed drain's
@@ -86,8 +90,8 @@ func (l *peerLink) send(tag uint64, data []byte, timeout time.Duration) error {
 		return fmt.Errorf("send to rank %d: %w", l.rank, err)
 	}
 	// A write deadline bounds the send against a peer that stopped
-	// draining entirely (its kernel buffer full, its reader gone): over
-	// TCP such a write can otherwise block indefinitely.
+	// draining entirely (its kernel buffer full, its reader gone): such a
+	// write can otherwise block indefinitely.
 	l.conn.SetWriteDeadline(time.Now().Add(timeout))
 	if _, err := l.conn.Write(buf); err != nil {
 		return fmt.Errorf("send to rank %d: %w", l.rank, err)
@@ -166,23 +170,58 @@ func (t *Transport) CloseLink(peer int) {
 	}
 }
 
-// connectMesh builds the full peer mesh of rank me over the given
-// transport: listen on this rank's assigned address, dial every lower
-// rank (introducing ourselves with a hello frame), and accept every
-// higher rank. Every rank listens before it dials, so the
-// dial-low/accept-high orientation cannot deadlock; dials retry while
-// lower-rank listeners start up.
-func connectMesh(p Provider, addrs *AddrSet, me int, timeout time.Duration) (*Transport, error) {
-	ranks := len(addrs.Ranks)
+// Every endpoint of a launch is a socket file in one private rendezvous
+// directory the parent creates and hands the ranks in EnvDir: the
+// parent's control socket and one peer listen socket per rank, named by
+// rank number.
+
+func parentSocket(dir string) string { return filepath.Join(dir, "parent.sock") }
+
+func rankSocket(dir string, rank int) string {
+	return filepath.Join(dir, "rank-"+strconv.Itoa(rank)+".sock")
+}
+
+// dialRetry dials a unix socket, retrying with exponential backoff until
+// the deadline while the listener is not up yet (the socket file missing,
+// or nothing accepting on it). Permanent failures — a path too long for a
+// socket address, say — fail fast without consuming the budget.
+func dialRetry(addr string, timeout time.Duration) (net.Conn, error) {
+	deadline := time.Now().Add(timeout)
+	backoff := time.Millisecond
+	for {
+		conn, err := net.DialTimeout("unix", addr, timeout)
+		if err == nil {
+			return conn, nil
+		}
+		if errors.Is(err, syscall.EINVAL) {
+			return nil, fmt.Errorf("dial %s: permanent failure: %w", addr, err)
+		}
+		if !time.Now().Before(deadline) {
+			return nil, fmt.Errorf("dial %s: %w", addr, err)
+		}
+		time.Sleep(backoff)
+		if backoff < 50*time.Millisecond {
+			backoff *= 2
+		}
+	}
+}
+
+// connectMesh builds the full peer mesh of rank me among ranks: listen on
+// this rank's socket in the rendezvous directory, dial every lower rank
+// (introducing ourselves with a hello frame), and accept every higher
+// rank. Every rank listens before it dials, so the dial-low/accept-high
+// orientation cannot deadlock; dials retry while lower-rank listeners
+// start up.
+func connectMesh(dir string, me, ranks int, timeout time.Duration) (*Transport, error) {
 	t := &Transport{me: me, links: make([]*peerLink, ranks), timeout: timeout}
-	ln, err := p.Listen(addrs.Ranks[me])
+	ln, err := net.Listen("unix", rankSocket(dir, me))
 	if err != nil {
-		return nil, fmt.Errorf("rank %d listen on %s: %w", me, addrs.Ranks[me], err)
+		return nil, fmt.Errorf("rank %d listen: %w", me, err)
 	}
 	defer ln.Close()
 
 	for peer := 0; peer < me; peer++ {
-		conn, err := dialRetry(p, addrs.Ranks[peer], timeout)
+		conn, err := dialRetry(rankSocket(dir, peer), timeout)
 		if err != nil {
 			t.Close()
 			return nil, fmt.Errorf("rank %d connect to rank %d: %w", me, peer, err)
@@ -194,9 +233,7 @@ func connectMesh(p Provider, addrs *AddrSet, me int, timeout time.Duration) (*Tr
 		t.links[peer] = newPeerLink(peer, conn)
 	}
 
-	if deadliner, ok := ln.(interface{ SetDeadline(time.Time) error }); ok {
-		deadliner.SetDeadline(time.Now().Add(timeout))
-	}
+	ln.(*net.UnixListener).SetDeadline(time.Now().Add(timeout))
 	for n := me + 1; n < ranks; n++ {
 		conn, err := ln.Accept()
 		if err != nil {

@@ -2,20 +2,22 @@
 // long-running front end that multiplexes many tenants onto one runtime.
 //
 // Each tenant gets isolated core.Sessions with a shared memory quota
-// (bytes of live stores, enforced at allocation) and admission control
-// (a bounded FIFO queue per tenant, a per-tenant in-flight cap, and a
-// global in-flight cap across tenants; a full queue sheds load with a
-// retryable error). All tenants share the runtime's compiled-plan caches —
-// the fusion-plan memo keyed on canonical window form and the codegen
-// program cache keyed on kernel fingerprint — so identical streams from
-// different tenants compile once; per-tenant hit/miss counters prove the
-// sharing. See docs/SERVING.md for the operator guide.
+// (bytes of live stores, enforced at allocation) and admission control on
+// two channels. A submission runs on the goroutine of the connection that
+// sent it: it takes one of its tenant's session lanes (TenantInflight of
+// them), then one of the server's global in-flight tokens. A submission
+// that finds QueueDepth others of its tenant already waiting for a lane
+// is shed with a retryable error. All tenants share the runtime's
+// compiled-plan caches — the fusion-plan memo keyed on canonical window
+// form and the codegen program cache keyed on kernel fingerprint — so
+// identical streams from different tenants compile once; per-tenant
+// hit/miss counters prove the sharing. See docs/SERVING.md for the
+// operator guide.
 //
 // The wire protocol is deliberately small: after a JSON hello naming the
 // tenant, the client sends length-prefixed JSON request frames and reads
-// one response frame per request, in order. Framing follows the
-// internal/dist wire idiom (little-endian length prefix); transports come
-// from the same provider seam (unix-domain sockets or TCP).
+// one response frame per request, in order, over a unix-domain socket or
+// TCP.
 package serve
 
 import (
@@ -114,9 +116,9 @@ type Response struct {
 	OK bool `json:"ok"`
 	// Error is the tenant-scoped failure message when OK is false.
 	Error string `json:"error,omitempty"`
-	// Retryable marks a load-shed rejection: the tenant's queue was full,
-	// nothing was executed, and the same request may be retried after
-	// backoff.
+	// Retryable marks a load-shed rejection: QueueDepth of the tenant's
+	// submissions were already waiting, nothing was executed, and the same
+	// request may be retried after backoff.
 	Retryable bool `json:"retryable,omitempty"`
 	// OverQuota marks a memory-quota rejection: the workload's allocations
 	// exceeded the tenant's live-store byte budget.
@@ -133,26 +135,24 @@ type SubmitResult struct {
 	Digest string `json:"digest"`
 	// Elems is the number of result elements digested.
 	Elems int `json:"elems"`
-	// Batched reports that this submission rode an already-held admission
-	// token (it was drained from the queue by a worker that had just
-	// finished another submission, skipping a release/re-acquire of the
-	// global cap).
-	Batched bool `json:"batched,omitempty"`
 }
 
 // TenantStats is one tenant's accounting snapshot.
 type TenantStats struct {
 	Tenant string `json:"tenant"`
-	// Admission counters: Admitted entered the queue; Rejected were shed
-	// because the queue was full. Completed/OverQuota/Failed partition the
-	// admitted submissions that have finished; Batched counts completed
-	// submissions that rode an already-held admission token.
+	// Admission counters: Admitted took a session lane; Rejected were shed
+	// because QueueDepth others were already waiting for one.
+	// Completed/OverQuota/Failed partition the admitted submissions that
+	// have finished.
 	Admitted  int64 `json:"admitted"`
 	Rejected  int64 `json:"rejected"`
 	Completed int64 `json:"completed"`
 	OverQuota int64 `json:"over_quota"`
 	Failed    int64 `json:"failed"`
-	Batched   int64 `json:"batched"`
+	// Batched is always zero: submissions are never batched.
+	//
+	// Deprecated: kept only because the frozen benchmark reads it.
+	Batched int64 `json:"batched"`
 	// Shared-plan-cache counters, split per tenant: PlanHits/PlanMisses
 	// are fusion-plan memo lookups (canonical window form); ProgramHits/
 	// ProgramMisses are codegen program-cache lookups (kernel

@@ -2,8 +2,10 @@ package serve_test
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"diffuse/internal/serve"
 	"diffuse/internal/serve/serveclient"
@@ -174,14 +176,14 @@ func TestQuotaIsolation(t *testing.T) {
 // errors scoped to that tenant, while another tenant keeps completing.
 func TestLoadShed(t *testing.T) {
 	s := startServer(t, serve.Config{
-		Procs: 2, TenantInflight: 1, GlobalInflight: 1, QueueDepth: 1, BatchMax: 1,
+		Procs: 2, TenantInflight: 1, GlobalInflight: 1, QueueDepth: 1,
 	})
 	heavy := serve.SubmitRequest{Workload: "stencil", N: 384, Iters: 32}
 	light := serve.SubmitRequest{Workload: "chain", N: 512, Iters: 2}
 	wantLight := soloDigest(t, 2, light)
 
 	// 6 concurrent connections of one tenant against queue depth 1: at
-	// most 1 queued + 1 executing at a time, so some must be shed. Dial
+	// most 1 waiting + 1 executing at a time, so some must be shed. Dial
 	// everyone first and release them together so the submissions overlap.
 	conns := make([]*serveclient.Client, 6)
 	for i := range conns {
@@ -320,8 +322,8 @@ func TestManyTenantStress(t *testing.T) {
 	}
 }
 
-// TestTCPTransport runs the shared-cache smoke over the TCP provider: the
-// transport seam must not change behaviour.
+// TestTCPTransport runs the shared-cache smoke over a TCP listener: the
+// listen transport must not change behaviour.
 func TestTCPTransport(t *testing.T) {
 	s := startServer(t, serve.Config{Transport: "tcp", Procs: 2})
 	req := serve.SubmitRequest{Workload: "chain", N: 512, Iters: 3}
@@ -339,46 +341,33 @@ func TestTCPTransport(t *testing.T) {
 	}
 }
 
-// TestBatching: with one worker and a deep queue, concurrent small
-// submissions ride the worker's admission token in batches.
-func TestBatching(t *testing.T) {
-	s := startServer(t, serve.Config{
-		Procs: 2, TenantInflight: 1, GlobalInflight: 1, QueueDepth: 16, BatchMax: 4,
-	})
-	req := serve.SubmitRequest{Workload: "chain", N: 256, Iters: 2}
-	want := soloDigest(t, 2, req)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c, err := serveclient.Dial(s.Transport(), s.Addr(), "batcher")
-			if err != nil {
-				t.Errorf("dial: %v", err)
-				return
-			}
-			defer c.Close()
-			res, err := c.Submit(req)
-			if err != nil {
-				t.Errorf("submit: %v", err)
-				return
-			}
-			if res.Digest != want {
-				t.Errorf("digest %s != solo %s", res.Digest, want)
-			}
-		}()
+// TestTenantCostsNoGoroutines: a tenant is a quota, a channel of session
+// lanes and a waiting count; a submission runs on its connection's
+// goroutine. Opening connections under many tenant names and closing them
+// again leaves the server's goroutine count where it started.
+func TestTenantCostsNoGoroutines(t *testing.T) {
+	s := startServer(t, serve.Config{Procs: 2, TenantInflight: 2})
+	base := runtime.NumGoroutine()
+	clients := make([]*serveclient.Client, 32)
+	for i := range clients {
+		clients[i] = dial(t, s, fmt.Sprintf("idle-%d", i))
 	}
-	wg.Wait()
-	snap, err := dial(t, s, "observer").Stats()
+	snap, err := clients[0].Stats()
 	if err != nil {
 		t.Fatalf("stats: %v", err)
 	}
-	bs := tenantStats(t, snap, "batcher")
-	if bs.Completed != 8 {
-		t.Fatalf("batcher completed %d of 8", bs.Completed)
+	if len(snap.Tenants) != len(clients) {
+		t.Fatalf("%d tenants registered, want %d", len(snap.Tenants), len(clients))
 	}
-	if bs.Batched == 0 {
-		t.Log("no submissions batched (timing-dependent); counters still consistent")
+	for _, c := range clients {
+		c.Close()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines with every connection closed, baseline %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"net"
 	"time"
 
-	"diffuse/internal/dist"
 	"diffuse/internal/serve"
 )
 
@@ -53,16 +52,16 @@ type Client struct {
 }
 
 // Dial connects to a serve front end and performs the tenant hello.
-// Transport is "unix" or "tcp" (empty falls back like the rank mesh:
-// DIFFUSE_DIST_TRANSPORT, then unix); addr is the server's Addr.
+// Transport is "unix" (also when empty) or "tcp"; addr is the server's
+// Addr.
 func Dial(transport, addr, tenant string) (*Client, error) {
-	p, err := dist.ProviderFor(transport)
+	network, err := serve.Network(transport)
 	if err != nil {
 		return nil, err
 	}
-	conn, err := p.Dial(addr, dialTimeout)
+	conn, err := net.DialTimeout(network, addr, dialTimeout)
 	if err != nil {
-		return nil, fmt.Errorf("serveclient: dial %s %s: %w", p.Name(), addr, err)
+		return nil, fmt.Errorf("serveclient: dial %s %s: %w", network, addr, err)
 	}
 	c := &Client{conn: conn}
 	if err := serve.WriteFrame(conn, serve.Hello{Proto: serve.ProtoVersion, Tenant: tenant}); err != nil {

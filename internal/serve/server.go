@@ -10,13 +10,12 @@ import (
 	"sync"
 
 	"diffuse/internal/core"
-	"diffuse/internal/dist"
 )
 
 // Config sizes a serve front end. Zero values mean defaults.
 type Config struct {
-	// Transport selects the listen transport: "unix" (default) or "tcp"
-	// — the same provider seam the distributed rank mesh uses.
+	// Transport selects the listen transport: "unix" (the default when
+	// empty) or "tcp".
 	Transport string
 	// Addr is the listen address (a socket path for unix, host:port for
 	// tcp). Empty picks one automatically: a socket in a fresh temp
@@ -27,24 +26,18 @@ type Config struct {
 	// TenantQuota caps each tenant's live-store bytes (0 = unlimited).
 	TenantQuota int64
 	// TenantInflight is the number of submissions one tenant may have
-	// executing concurrently — its worker-session count (default 1).
+	// executing concurrently — its session-lane count (default 1).
 	TenantInflight int
 	// GlobalInflight caps submissions executing concurrently across all
 	// tenants (default 4).
 	GlobalInflight int
-	// QueueDepth bounds each tenant's admission FIFO; a submission
-	// arriving at a full queue is shed with a retryable error
-	// (default 16).
+	// QueueDepth bounds how many of one tenant's submissions may wait
+	// for a session lane; a submission that finds QueueDepth others
+	// waiting is shed with a retryable error (default 16).
 	QueueDepth int
-	// BatchMax is the number of consecutive small submissions a worker
-	// may run per admission token (default 4; 1 disables batching).
-	BatchMax int
 }
 
 func (c Config) withDefaults() Config {
-	if c.Transport == "" {
-		c.Transport = "unix"
-	}
 	if c.Procs <= 0 {
 		c.Procs = 4
 	}
@@ -56,9 +49,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 16
-	}
-	if c.BatchMax <= 0 {
-		c.BatchMax = 4
 	}
 	return c
 }
@@ -77,8 +67,7 @@ type Server struct {
 	conns   map[net.Conn]struct{}
 	closed  bool
 
-	connWG   sync.WaitGroup
-	workerWG sync.WaitGroup
+	connWG sync.WaitGroup
 }
 
 // New opens the listener and starts the shared runtime. The server is
@@ -86,14 +75,14 @@ type Server struct {
 // callers may read Addr and dial immediately.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	p, err := dist.ProviderFor(cfg.Transport)
-	if err != nil {
+	var err error
+	if cfg.Transport, err = Network(cfg.Transport); err != nil {
 		return nil, err
 	}
 	addr := cfg.Addr
 	cleanup := func() {}
 	if addr == "" {
-		switch p.Name() {
+		switch cfg.Transport {
 		case "unix":
 			dir, err := os.MkdirTemp("", "diffuse-serve-")
 			if err != nil {
@@ -105,7 +94,7 @@ func New(cfg Config) (*Server, error) {
 			addr = "127.0.0.1:0"
 		}
 	}
-	ln, err := p.Listen(addr)
+	ln, err := net.Listen(cfg.Transport, addr)
 	if err != nil {
 		cleanup()
 		return nil, fmt.Errorf("serve: listen %s %s: %w", cfg.Transport, addr, err)
@@ -161,9 +150,9 @@ func (s *Server) Serve() error {
 	}
 }
 
-// Close shuts the server down: stop accepting, sever connections, let the
-// workers drain every already-admitted submission, then stop them. Safe to
-// call once; concurrent with Serve.
+// Close shuts the server down: stop accepting, sever connections, and wait
+// for every connection goroutine — each finishes the submission it is
+// running before it notices. Safe to call once; concurrent with Serve.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -175,10 +164,6 @@ func (s *Server) Close() error {
 	for c := range s.conns {
 		conns = append(conns, c)
 	}
-	tenants := make([]*tenant, 0, len(s.tenants))
-	for _, t := range s.tenants {
-		tenants = append(tenants, t)
-	}
 	s.mu.Unlock()
 
 	s.ln.Close()
@@ -186,10 +171,6 @@ func (s *Server) Close() error {
 		c.Close()
 	}
 	s.connWG.Wait()
-	for _, t := range tenants {
-		t.queue.close()
-	}
-	s.workerWG.Wait()
 	s.cleanup()
 	return s.rt.Close()
 }
@@ -216,8 +197,8 @@ func (s *Server) Stats() *StatsSnapshot {
 }
 
 // tenantFor returns (creating on first sight) the tenant's isolation
-// domain. Returns an error after shutdown began: new tenants must not
-// spin up workers the close path no longer waits for.
+// domain. Returns an error after shutdown began, so a hello racing Close
+// is refused rather than served.
 func (s *Server) tenantFor(name string) (*tenant, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -234,7 +215,7 @@ func (s *Server) tenantFor(name string) (*tenant, error) {
 
 // handle speaks the protocol on one connection: hello, then a strict
 // request/response sequence. All submissions on a connection are accounted
-// to the hello's tenant.
+// to the hello's tenant and run on this goroutine.
 func (s *Server) handle(conn net.Conn) {
 	defer func() {
 		conn.Close()
@@ -286,4 +267,17 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		}
 	}
+}
+
+// Network resolves a transport selector to the net package's network
+// name: "unix" (also for the empty selector) or "tcp". Servers listen and
+// clients dial through it, so both sides accept the same selectors.
+func Network(transport string) (string, error) {
+	switch transport {
+	case "", "unix":
+		return "unix", nil
+	case "tcp":
+		return "tcp", nil
+	}
+	return "", fmt.Errorf("serve: unknown transport %q (want unix or tcp)", transport)
 }

@@ -3,115 +3,34 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"diffuse/cunum"
 	"diffuse/internal/core"
 )
 
-// batchSmallBytes is the footprint ceiling under which a queued submission
-// may ride a worker's already-held admission token instead of paying a
-// release/re-acquire of the global cap: small streams are dispatch-bound,
-// which is exactly when the round trip through the semaphore matters.
-const batchSmallBytes = 1 << 20
-
-// pending is one admitted submission waiting in a tenant's FIFO. The reply
-// channel is buffered so a worker can deliver the response and move on even
-// if the connection handler is gone (client hung up mid-request).
-type pending struct {
-	req   SubmitRequest
-	reply chan Response
-}
-
-// fifo is a bounded FIFO with blocking pop — the per-tenant admission
-// queue. A full queue sheds (push returns false) instead of blocking the
-// connection handler: backpressure is the client's job, signalled by the
-// retryable error.
-type fifo struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	items  []*pending
-	depth  int
-	closed bool
-}
-
-func newFifo(depth int) *fifo {
-	f := &fifo{depth: depth}
-	f.cond = sync.NewCond(&f.mu)
-	return f
-}
-
-func (f *fifo) push(p *pending) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed || len(f.items) >= f.depth {
-		return false
-	}
-	f.items = append(f.items, p)
-	f.cond.Signal()
-	return true
-}
-
-// pop blocks until an item arrives or the queue is closed; after close it
-// keeps returning queued items until the queue is drained, so every
-// admitted submission gets a response even during shutdown.
-func (f *fifo) pop() (*pending, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for len(f.items) == 0 && !f.closed {
-		f.cond.Wait()
-	}
-	if len(f.items) == 0 {
-		return nil, false
-	}
-	p := f.items[0]
-	f.items = f.items[1:]
-	return p, true
-}
-
-// popSmall dequeues the head only if it is immediately available and small
-// enough to batch; it never blocks.
-func (f *fifo) popSmall(max int64) *pending {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if len(f.items) == 0 || f.items[0].req.EstBytes() > max {
-		return nil
-	}
-	p := f.items[0]
-	f.items = f.items[1:]
-	return p
-}
-
-func (f *fifo) close() {
-	f.mu.Lock()
-	f.closed = true
-	f.mu.Unlock()
-	f.cond.Broadcast()
-}
-
-// tenant is one tenant's isolation domain: a shared memory quota, a
-// bounded admission queue, and TenantInflight worker goroutines each
-// owning a private core.Session (sessions are single-goroutine; the
-// runtime underneath is shared by all tenants).
+// tenant is one tenant's isolation domain: a shared memory quota and
+// TenantInflight session lanes. A lane is a private core.Session
+// (sessions are single-goroutine; the runtime underneath is shared by all
+// tenants); a submission borrows one on the goroutine of the connection
+// that sent it, so a tenant owns no goroutines of its own.
 type tenant struct {
 	name  string
 	srv   *Server
 	quota *core.Quota
-	queue *fifo
 
-	workers []*worker
+	workers []*worker    // every lane, for stats
+	lanes   chan *worker // the idle lanes
+	waiting atomic.Int64 // submissions blocked on an empty lanes
 
 	admitted  atomic.Int64
 	rejected  atomic.Int64
 	completed atomic.Int64
 	overQuota atomic.Int64
 	failed    atomic.Int64
-	batched   atomic.Int64
 }
 
-// worker is one executing lane of a tenant: a session, its cunum context,
-// and the goroutine that drains the tenant queue through them.
+// worker is one session lane of a tenant: a session and its cunum context.
 type worker struct {
 	sess *core.Session
 	ctx  *cunum.Context
@@ -122,77 +41,62 @@ func newTenant(s *Server, name string) *tenant {
 		name:  name,
 		srv:   s,
 		quota: core.NewQuota(s.cfg.TenantQuota),
-		queue: newFifo(s.cfg.QueueDepth),
+		lanes: make(chan *worker, s.cfg.TenantInflight),
 	}
 	for i := 0; i < s.cfg.TenantInflight; i++ {
 		sess := s.rt.NewSession()
 		sess.SetQuota(t.quota)
 		w := &worker{sess: sess, ctx: cunum.NewSessionContext(sess)}
 		t.workers = append(t.workers, w)
-		s.workerWG.Add(1)
-		go func() {
-			defer s.workerWG.Done()
-			t.work(w)
-		}()
+		t.lanes <- w
 	}
 	return t
 }
 
-// submit runs the admission decision for one request: enqueue, or shed
-// with a retryable error if the tenant's queue is at its depth bound.
+// submit runs one request on the calling goroutine: take a lane of the
+// tenant, then a global in-flight token, execute, give both back. A
+// request that finds QueueDepth others of its tenant already waiting for
+// a lane is shed with a retryable error instead of waiting: backpressure
+// is the client's job.
 func (t *tenant) submit(req SubmitRequest) Response {
-	p := &pending{req: req, reply: make(chan Response, 1)}
-	if !t.queue.push(p) {
-		t.rejected.Add(1)
-		return Response{
-			Error:     fmt.Sprintf("tenant %q: admission queue full (depth %d); retry after backoff", t.name, t.srv.cfg.QueueDepth),
-			Retryable: true,
-		}
-	}
-	t.admitted.Add(1)
-	return <-p.reply
-}
-
-// work is a worker goroutine: dequeue, acquire the global in-flight token,
-// execute, and — while still holding the token — batch up to BatchMax-1
-// more small queued submissions before releasing it.
-func (t *tenant) work(w *worker) {
-	for {
-		p, ok := t.queue.pop()
-		if !ok {
-			return
-		}
-		t.srv.global <- struct{}{}
-		t.process(w, p, false)
-		for n := 1; n < t.srv.cfg.BatchMax; n++ {
-			q := t.queue.popSmall(batchSmallBytes)
-			if q == nil {
-				break
+	var w *worker
+	select {
+	case w = <-t.lanes:
+	default:
+		if t.waiting.Add(1) > int64(t.srv.cfg.QueueDepth) {
+			t.waiting.Add(-1)
+			t.rejected.Add(1)
+			return Response{
+				Error:     fmt.Sprintf("tenant %q: admission queue full (depth %d); retry after backoff", t.name, t.srv.cfg.QueueDepth),
+				Retryable: true,
 			}
-			t.process(w, q, true)
 		}
-		<-t.srv.global
+		w = <-t.lanes
+		t.waiting.Add(-1)
 	}
+	defer func() { t.lanes <- w }()
+	t.admitted.Add(1)
+	t.srv.global <- struct{}{}
+	defer func() { <-t.srv.global }()
+	return t.process(w, req)
 }
 
-// process executes one admitted submission inside the worker's session.
+// process executes one admitted submission inside the lane's session.
 // Failures are tenant-scoped: the session's buffered window is aborted and
 // every store still charged to the tenant's quota is reclaimed, so the
 // next request — this tenant's or anyone else's — starts clean.
-func (t *tenant) process(w *worker, p *pending, batched bool) {
-	res, err := RunWorkload(w.ctx, p.req)
+func (t *tenant) process(w *worker, req SubmitRequest) Response {
+	res, err := RunWorkload(w.ctx, req)
 	if err != nil {
 		w.sess.Abort()
 		w.sess.ReclaimQuota()
 		var qe *core.QuotaError
 		if errors.As(err, &qe) {
 			t.overQuota.Add(1)
-			p.reply <- Response{Error: fmt.Sprintf("tenant %q: %v", t.name, err), OverQuota: true}
-			return
+			return Response{Error: fmt.Sprintf("tenant %q: %v", t.name, err), OverQuota: true}
 		}
 		t.failed.Add(1)
-		p.reply <- Response{Error: fmt.Sprintf("tenant %q: %v", t.name, err)}
-		return
+		return Response{Error: fmt.Sprintf("tenant %q: %v", t.name, err)}
 	}
 	// Success: the workload freed everything it allocated, so the reclaim
 	// is a bookkeeping prune — but run it anyway, so a leak in one request
@@ -200,15 +104,11 @@ func (t *tenant) process(w *worker, p *pending, batched bool) {
 	w.sess.Flush()
 	w.sess.ReclaimQuota()
 	t.completed.Add(1)
-	if batched {
-		t.batched.Add(1)
-	}
-	res.Batched = batched
-	p.reply <- Response{OK: true, Result: res}
+	return Response{OK: true, Result: res}
 }
 
 // stats snapshots this tenant's counters, summing plan-cache attribution
-// over its worker sessions.
+// over its lane sessions.
 func (t *tenant) stats() TenantStats {
 	ts := TenantStats{
 		Tenant:     t.name,
@@ -217,7 +117,6 @@ func (t *tenant) stats() TenantStats {
 		Completed:  t.completed.Load(),
 		OverQuota:  t.overQuota.Load(),
 		Failed:     t.failed.Load(),
-		Batched:    t.batched.Load(),
 		QuotaUsed:  t.quota.Used(),
 		QuotaPeak:  t.quota.Peak(),
 		QuotaLimit: t.quota.Limit(),

@@ -60,28 +60,6 @@ func (req SubmitRequest) Validate() error {
 	return nil
 }
 
-// EstBytes estimates the live-store footprint of a submission — the
-// batching heuristic's notion of "small". It deliberately mirrors the
-// workloads' allocation shapes rather than measuring them.
-func (req SubmitRequest) EstBytes() int64 {
-	dt, err := dtypeOf(req)
-	if err != nil {
-		return math.MaxInt64
-	}
-	es := int64(dt.Size())
-	n := int64(req.N)
-	switch req.Workload {
-	case "chain":
-		return 2 * n * es
-	case "stencil":
-		return 2 * (n + 2) * (n + 2) * es
-	case "jacobi":
-		return (n*n + 3*n) * es
-	default:
-		return math.MaxInt64
-	}
-}
-
 // RunWorkload executes one submission on the given context (and so inside
 // its session's quota). Panics from the allocation path — notably the
 // over-quota *core.QuotaError — are recovered into errors, so a tenant
