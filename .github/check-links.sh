@@ -26,7 +26,10 @@
 # mesh's tcp transport and serve's batching (the transport and bind
 # environment variables, the rendered peer list, the explicit-transport
 # context, the provider lookup, the batch limit and its diffuse-serve
-# flag) — so a sentence cannot outlive what it quoted. ROADMAP.md is exempt: it keeps history. The one-character
+# flag), and the rank drain's four message protocols that one ordered-patch
+# rule replaced (the halo send and staging, the reduction-destination
+# sync, the rank DAG walk, the halo fault kind) — so a sentence cannot
+# outlive what it quoted. ROADMAP.md is exempt: it keeps history. The one-character
 # brackets keep this script from matching its own pattern in a
 # repository-wide grep.
 set -u
@@ -39,6 +42,7 @@ removed="$removed"'|[S]etFeedback|[F]eedbackOn\b|[F]eedbackOf\b|[a]ttachCalibrat
 removed="$removed"'|DIFFUSE_[F]EEDBACK|-[n]ofeedback|[p]rintCalibration|[T]estFeedbackBitIdentical'
 removed="$removed"'|DIFFUSE_DIST_[T]RANSPORT|DIFFUSE_DIST_[B]IND|DIFFUSE_[P]EERS|[N]ewDistributedTransportContext'
 removed="$removed"'|[B]atchMax|[P]roviderFor|(^|[^[:alnum:]])-[b]atch\b'
+removed="$removed"'|[s]endHalos|[s]tagedHalo|[s]yncRedDests|[r]unWavefrontDist|:[h]alo:'
 
 # slugs_of FILE: print the GitHub anchor slug of every heading, skipping
 # fenced code blocks (a `# comment` inside a fence is not a heading).
@@ -57,7 +61,7 @@ for f in README.md DESIGN.md ROADMAP.md docs/*.md; do
   [ -e "$f" ] || continue
   dir=$(dirname "$f")
   if [ "$f" != ROADMAP.md ] && hits=$(grep -nE -e "$removed" "$f"); then
-    echo "$f: names something removed (the real-mode suite: see docs/BENCHMARKS.md; ReadAll32/WriteAll32: see DESIGN.md, the wire; the stage-barrier executor path: see DESIGN.md, sharded execution; feedback scheduling: see DESIGN.md, static schedule; the tcp rank mesh and serve batching: see docs/SERVING.md):"
+    echo "$f: names something removed (the real-mode suite: see docs/BENCHMARKS.md; ReadAll32/WriteAll32: see DESIGN.md, the wire; the stage-barrier executor path: see DESIGN.md, sharded execution; feedback scheduling: see DESIGN.md, static schedule; the tcp rank mesh and serve batching: see docs/SERVING.md; the rank drain: see docs/ARCHITECTURE.md, distributed execution):"
     echo "$hits"
     fail=1
   fi

@@ -68,7 +68,8 @@ type Config struct {
 	// never the point decomposition or the point-order reduction folds.
 	// Drain semantics are unchanged — host reads, frees, incompatible
 	// tasks, and Reshard still wait for the whole buffered group. Ignored
-	// unless Shards > 1.
+	// unless Shards > 1, and by the ranks of a distributed runtime, which
+	// drain their groups in program order without a DAG.
 	Wavefront legion.WavefrontMode
 	// Codegen selects the kernel execution backend (ModeReal): the
 	// compiled-kernel closure tier (legion.CodegenOn, the zero value —
@@ -176,11 +177,9 @@ func New(cfg Config) *Runtime {
 		if cfg.Mode != legion.ModeReal {
 			panic("core: distributed execution (Ranks > 1) requires ModeReal")
 		}
-		// Rank r owns shard r, and the distributed drain is built on the
-		// wavefront DAG: both are forced so the parent stamps tasks
-		// exactly as the in-process Shards=Ranks oracle would.
+		// Rank r owns shard r: forced so the parent stamps tasks exactly
+		// as the in-process Shards=Ranks oracle would.
 		cfg.Shards = cfg.Ranks
-		cfg.Wavefront = legion.WavefrontOn
 	}
 	r := &Runtime{
 		cfg:     cfg,

@@ -21,9 +21,9 @@ import (
 	"diffuse/internal/dist"
 )
 
-// stencil is the workload every fault test runs: the stencil chain has
-// real halo traffic at every rank width, so halo-targeted schedules are
-// guaranteed to fire.
+// stencil is the workload every fault test runs: the stencil chain ships
+// write spans between ranks at every rank width, so write-targeted
+// schedules are guaranteed to fire.
 func stencilWorkload() workload {
 	for _, w := range workloads() {
 		if w.name == "Stencil-Chain" && w.dt == cunum.F64 {
@@ -33,10 +33,11 @@ func stencilWorkload() workload {
 	panic("stencil workload missing")
 }
 
-// TestDelayedHaloBitIdentical: delaying halo messages reorders wall-clock
-// arrival but not the drain's deterministic schedule — the delayed run
-// must stay bit-identical to in-process execution, at both mesh widths.
-func TestDelayedHaloBitIdentical(t *testing.T) {
+// TestDelayedWriteBitIdentical: delaying write messages reorders
+// wall-clock arrival but not the drain's program-order application — the
+// delayed run must stay bit-identical to in-process execution, at both
+// mesh widths.
+func TestDelayedWriteBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns rank subprocesses")
 	}
@@ -47,9 +48,9 @@ func TestDelayedHaloBitIdentical(t *testing.T) {
 			cfg.Shards = ranks
 			want := w.run(cunum.NewContext(core.New(cfg)))
 
-			// Every rank's first halo send (and recv) to any peer is held
-			// back — exercising both interception directions.
-			t.Setenv(dist.EnvFaults, "*:send:*:halo:1:delay:100ms,*:recv:*:halo:2:delay:50ms")
+			// Every rank's first write send (and second write recv) to any
+			// peer is held back — exercising both interception directions.
+			t.Setenv(dist.EnvFaults, "*:send:*:write:1:delay:100ms,*:recv:*:write:2:delay:50ms")
 			dctx := cunum.NewDistributedContext(ranks)
 			got := w.run(dctx)
 			if err := dctx.Close(); err != nil {
@@ -60,7 +61,7 @@ func TestDelayedHaloBitIdentical(t *testing.T) {
 			}
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("observable %d: %x (%v), want %x (%v) — a delayed halo changed the result",
+					t.Fatalf("observable %d: %x (%v), want %x (%v) — a delayed write changed the result",
 						i, got[i], math.Float64frombits(got[i]),
 						want[i], math.Float64frombits(want[i]))
 				}
@@ -69,7 +70,7 @@ func TestDelayedHaloBitIdentical(t *testing.T) {
 	}
 }
 
-// runStencil is the body the halo-fault tests hand runExpectingFault.
+// runStencil is the body the fault tests hand runExpectingFault.
 func runStencil(ctx *cunum.Context) { stencilWorkload().run(ctx) }
 
 // runExpectingFault runs body on a fresh distributed context expecting a
@@ -105,18 +106,16 @@ func runExpectingFault(t *testing.T, ranks int, body func(ctx *cunum.Context)) s
 	return msg
 }
 
-// TestTruncatedHaloSurfacesError: a halo payload cut in half must trip
-// the receiver's framing checks and surface an error naming a rank —
-// never patch half a boundary and keep going.
-func TestTruncatedHaloSurfacesError(t *testing.T) {
+// TestTruncatedWriteSurfacesError: a write payload cut in half must trip
+// the receiver's length check and surface an error naming a rank — never
+// patch half a span and keep going.
+func TestTruncatedWriteSurfacesError(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns rank subprocesses")
 	}
 	t.Run("unix", func(t *testing.T) {
 		t.Setenv(dist.EnvTimeout, "3s")
-		// The upwind stencil's halo traffic flows low-to-high, so the
-		// sender to target is rank 0 (rank 1 never issues a halo send).
-		t.Setenv(dist.EnvFaults, "0:send:*:halo:1:truncate")
+		t.Setenv(dist.EnvFaults, "0:send:*:write:1:truncate")
 		msg := runExpectingFault(t, 2, runStencil)
 		if !strings.Contains(msg, "rank") {
 			t.Fatalf("truncation error does not name a rank: %v", msg)

@@ -80,23 +80,20 @@ func (a Action) String() string {
 }
 
 // Tag kinds of legion's distributed message-tag layout
-// (| groupSeq (32) | kind (4) | node/entry (20) | sub (8) |), so rules
-// can target one traffic class. Mirrors internal/legion/dist.go.
+// (| groupSeq (32) | kind (4) | entry (20) | sub (8) |), so rules can
+// target one traffic class: a unit's write span, or its slice of a
+// reduction's partials. Mirrors internal/legion/dist.go.
 const (
-	KindHalo      = 0
-	KindPartials  = 1
-	KindRedDest   = 2
-	KindWriteback = 3
+	KindWrite    = 0
+	KindPartials = 1
 	// KindAny matches every tag.
 	KindAny = -1
 )
 
 var kindNames = map[string]int{
-	"halo":      KindHalo,
-	"partials":  KindPartials,
-	"reddest":   KindRedDest,
-	"writeback": KindWriteback,
-	"*":         KindAny,
+	"write":    KindWrite,
+	"partials": KindPartials,
+	"*":        KindAny,
 }
 
 func tagKind(tag uint64) int { return int(tag>>28) & 0xF }
@@ -131,7 +128,7 @@ type Schedule struct {
 // rules, each `rank:op:peer:kind:occurrence:action[:delay]`, with `*`
 // wildcards for rank, peer, kind, and occurrence. Examples:
 //
-//	1:send:0:halo:3:delay:50ms   rank 1's 3rd halo send to rank 0 is late
+//	1:send:0:write:3:delay:50ms  rank 1's 3rd write send to rank 0 is late
 //	1:send:*:*:5:sever           rank 1's 5th send severs that link
 //	*:recv:*:partials:1:truncate every rank's 1st partials recv truncates
 func ParseSchedule(spec string) (*Schedule, error) {
@@ -163,7 +160,7 @@ func ParseSchedule(spec string) (*Schedule, error) {
 		}
 		kind, ok := kindNames[parts[3]]
 		if !ok {
-			return nil, fmt.Errorf("faultx: rule %q kind %q: want halo, partials, reddest, writeback, or *", raw, parts[3])
+			return nil, fmt.Errorf("faultx: rule %q kind %q: want write, partials, or *", raw, parts[3])
 		}
 		r.Kind = kind
 		if r.Occurrence, err = parseIntOrStar(parts[4]); err != nil {
@@ -299,7 +296,7 @@ func (t *Transport) Stats() Stats {
 // first matching rule, if any. Every message increments one counter per
 // selector projection — (peer, kind), (peer, *), (*, kind), (*, *) — so
 // each rule's occurrence index counts exactly the messages its own
-// selector sees, which is what makes a script like "3rd halo send to
+// selector sees, which is what makes a script like "3rd write send to
 // rank 0" deterministic regardless of unrelated traffic.
 func (t *Transport) match(op Op, peer int, tag uint64) (Rule, bool) {
 	kind := tagKind(tag)

@@ -32,21 +32,20 @@ func key(peer int, tag uint64, n int) string {
 	return string(rune('0'+peer)) + ":" + string(rune('a'+tagKind(tag))) + ":" + string(rune('0'+n%10))
 }
 
-func haloTag(sub int) uint64      { return uint64(KindHalo)<<28 | uint64(sub) }
-func partialsTag(sub int) uint64  { return uint64(KindPartials)<<28 | uint64(sub) }
-func writebackTag(sub int) uint64 { return uint64(KindWriteback)<<28 | uint64(sub) }
+func writeTag(sub int) uint64    { return uint64(KindWrite)<<28 | uint64(sub) }
+func partialsTag(sub int) uint64 { return uint64(KindPartials)<<28 | uint64(sub) }
 
 func TestParseScheduleRoundTrip(t *testing.T) {
-	spec := "1:send:0:halo:3:delay:50ms,1:send:*:*:5:sever,*:recv:*:partials:1:truncate,0:recv:2:writeback:*:drop"
+	spec := "1:send:0:write:3:delay:50ms,1:send:*:*:5:sever,*:recv:*:partials:1:truncate,0:recv:2:write:*:drop"
 	s, err := ParseSchedule(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []Rule{
-		{Rank: 1, Op: OpSend, Peer: 0, Kind: KindHalo, Occurrence: 3, Action: Delay, Delay: 50 * time.Millisecond},
+		{Rank: 1, Op: OpSend, Peer: 0, Kind: KindWrite, Occurrence: 3, Action: Delay, Delay: 50 * time.Millisecond},
 		{Rank: 1, Op: OpSend, Peer: -1, Kind: KindAny, Occurrence: 5, Action: Sever},
 		{Rank: -1, Op: OpRecv, Peer: -1, Kind: KindPartials, Occurrence: 1, Action: Truncate},
-		{Rank: 0, Op: OpRecv, Peer: 2, Kind: KindWriteback, Occurrence: 0, Action: DropRetry},
+		{Rank: 0, Op: OpRecv, Peer: 2, Kind: KindWrite, Occurrence: 0, Action: DropRetry},
 	}
 	if !reflect.DeepEqual(s.Rules, want) {
 		t.Fatalf("parsed %+v, want %+v", s.Rules, want)
@@ -66,22 +65,22 @@ func TestParseScheduleRoundTrip(t *testing.T) {
 
 func TestParseScheduleErrors(t *testing.T) {
 	for _, spec := range []string{
-		"1:send:0:halo:3",            // missing action
-		"x:send:0:halo:3:sever",      // bad rank
-		"1:poke:0:halo:3:sever",      // bad op
-		"1:send:0:gluon:3:sever",     // bad kind
-		"1:send:0:halo:3:explode",    // bad action
-		"1:send:0:halo:3:delay",      // delay without duration
-		"1:send:0:halo:3:delay:fast", // bad duration
-		"1:send:0:halo:3:sever:50ms", // argument on an argless action
-		"-2:send:0:halo:3:sever",     // negative rank (only * means any)
+		"1:send:0:write:3",            // missing action
+		"x:send:0:write:3:sever",      // bad rank
+		"1:poke:0:write:3:sever",      // bad op
+		"1:send:0:gluon:3:sever",      // bad kind
+		"1:send:0:write:3:explode",    // bad action
+		"1:send:0:write:3:delay",      // delay without duration
+		"1:send:0:write:3:delay:fast", // bad duration
+		"1:send:0:write:3:sever:50ms", // argument on an argless action
+		"-2:send:0:write:3:sever",     // negative rank (only * means any)
 	} {
 		if _, err := ParseSchedule(spec); err == nil {
 			t.Errorf("ParseSchedule(%q) accepted a malformed rule", spec)
 		}
 	}
 	// Empty rules and whitespace are tolerated.
-	s, err := ParseSchedule(" , 1:send:0:halo:1:sever , ")
+	s, err := ParseSchedule(" , 1:send:0:write:1:sever , ")
 	if err != nil || len(s.Rules) != 1 {
 		t.Fatalf("whitespace spec: rules=%v err=%v", s, err)
 	}
@@ -91,20 +90,20 @@ func TestParseScheduleErrors(t *testing.T) {
 // messages its own (op, peer, kind) selector sees, independent of
 // unrelated traffic interleaved between them.
 func TestOccurrenceCounting(t *testing.T) {
-	sched, err := ParseSchedule("0:send:1:halo:2:drop")
+	sched, err := ParseSchedule("0:send:1:write:2:drop")
 	if err != nil {
 		t.Fatal(err)
 	}
 	inner := &fakeInner{}
 	tx := Wrap(inner, 0, sched)
 
-	// Interleave halo sends to peer 1 with partials sends to peer 1 and
-	// halo sends to peer 2: only the 2nd halo-to-1 matches.
-	tx.Send(1, haloTag(0), make([]byte, 8)) // halo-to-1 #1
+	// Interleave write sends to peer 1 with partials sends to peer 1 and
+	// write sends to peer 2: only the 2nd write-to-1 matches.
+	tx.Send(1, writeTag(0), make([]byte, 8)) // write-to-1 #1
 	tx.Send(1, partialsTag(0), make([]byte, 8))
-	tx.Send(2, haloTag(1), make([]byte, 8))
-	tx.Send(1, haloTag(2), make([]byte, 8)) // halo-to-1 #2 → dropped+retried
-	tx.Send(1, haloTag(3), make([]byte, 8)) // halo-to-1 #3
+	tx.Send(2, writeTag(1), make([]byte, 8))
+	tx.Send(1, writeTag(2), make([]byte, 8)) // write-to-1 #2 → dropped+retried
+	tx.Send(1, writeTag(3), make([]byte, 8)) // write-to-1 #3
 
 	if got := tx.Stats().Dropped; got != 1 {
 		t.Fatalf("Dropped = %d, want 1", got)
@@ -127,15 +126,15 @@ func TestWildcardProjections(t *testing.T) {
 	inner := &fakeInner{}
 	tx := Wrap(inner, 5, sched)
 
-	tx.Send(1, haloTag(0), make([]byte, 8))
+	tx.Send(1, writeTag(0), make([]byte, 8))
 	tx.Send(2, partialsTag(0), make([]byte, 8))
-	tx.Send(3, writebackTag(0), make([]byte, 8)) // 3rd overall → truncated
-	tx.Send(1, haloTag(1), make([]byte, 8))
+	tx.Send(3, writeTag(0), make([]byte, 8)) // 3rd overall → truncated
+	tx.Send(1, writeTag(1), make([]byte, 8))
 
 	if got := tx.Stats().Truncated; got != 1 {
 		t.Fatalf("Truncated = %d, want 1", got)
 	}
-	want := []string{key(1, haloTag(0), 8), key(2, partialsTag(0), 8), key(3, writebackTag(0), 4), key(1, haloTag(1), 8)}
+	want := []string{key(1, writeTag(0), 8), key(2, partialsTag(0), 8), key(3, writeTag(0), 4), key(1, writeTag(1), 8)}
 	if !reflect.DeepEqual(inner.sends, want) {
 		t.Fatalf("inner sends %v, want %v", inner.sends, want)
 	}
@@ -149,7 +148,7 @@ func TestRankFilter(t *testing.T) {
 	}
 	tx := Wrap(&fakeInner{}, 0, sched)
 	for i := 0; i < 10; i++ {
-		if err := tx.Send(1, haloTag(i), nil); err != nil {
+		if err := tx.Send(1, writeTag(i), nil); err != nil {
 			t.Fatalf("send %d: rule for rank 1 fired on rank 0: %v", i, err)
 		}
 	}
@@ -159,17 +158,17 @@ func TestRankFilter(t *testing.T) {
 // it through LinkCloser exactly once); every subsequent operation on that
 // peer fails, while other peers stay reachable.
 func TestSeverSticky(t *testing.T) {
-	sched, err := ParseSchedule("0:send:1:halo:2:sever")
+	sched, err := ParseSchedule("0:send:1:write:2:sever")
 	if err != nil {
 		t.Fatal(err)
 	}
 	inner := &fakeInner{reply: make([]byte, 8)}
 	tx := Wrap(inner, 0, sched)
 
-	if err := tx.Send(1, haloTag(0), nil); err != nil {
+	if err := tx.Send(1, writeTag(0), nil); err != nil {
 		t.Fatalf("send before sever: %v", err)
 	}
-	if err := tx.Send(1, haloTag(1), nil); err == nil {
+	if err := tx.Send(1, writeTag(1), nil); err == nil {
 		t.Fatal("matched send did not sever")
 	}
 	// Sticky: sends and recvs on the severed link keep failing without
@@ -179,11 +178,11 @@ func TestSeverSticky(t *testing.T) {
 	} else if s := err.Error(); !strings.Contains(s, "rank 0") || !strings.Contains(s, "rank 1") {
 		t.Fatalf("sever error does not name the ranks: %v", err)
 	}
-	if _, err := tx.Recv(1, haloTag(9)); err == nil {
+	if _, err := tx.Recv(1, writeTag(9)); err == nil {
 		t.Fatal("recv after sever succeeded")
 	}
 	// Unaffected peer still works.
-	if err := tx.Send(2, haloTag(0), nil); err != nil {
+	if err := tx.Send(2, writeTag(0), nil); err != nil {
 		t.Fatalf("send to peer 2 after severing peer 1: %v", err)
 	}
 	if !reflect.DeepEqual(inner.closed, []int{1}) {
@@ -197,20 +196,20 @@ func TestSeverSticky(t *testing.T) {
 // TestRecvTruncate: a recv-side truncate halves the delivered payload
 // after the inner receive succeeds.
 func TestRecvTruncate(t *testing.T) {
-	sched, err := ParseSchedule("0:recv:1:halo:1:truncate")
+	sched, err := ParseSchedule("0:recv:1:write:1:truncate")
 	if err != nil {
 		t.Fatal(err)
 	}
 	inner := &fakeInner{reply: make([]byte, 16)}
 	tx := Wrap(inner, 0, sched)
-	data, err := tx.Recv(1, haloTag(0))
+	data, err := tx.Recv(1, writeTag(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(data) != 8 {
 		t.Fatalf("truncated recv delivered %d bytes, want 8", len(data))
 	}
-	if data2, _ := tx.Recv(1, haloTag(1)); len(data2) != 16 {
+	if data2, _ := tx.Recv(1, writeTag(1)); len(data2) != 16 {
 		t.Fatalf("second recv delivered %d bytes, want 16 (occurrence 1 only)", len(data2))
 	}
 }
@@ -219,7 +218,7 @@ func TestRecvTruncate(t *testing.T) {
 // sequence fire the identical faults — the replayability property the
 // whole harness exists for.
 func TestDeterministicReplay(t *testing.T) {
-	sched, err := ParseSchedule("0:send:*:halo:2:drop,0:recv:1:*:3:truncate")
+	sched, err := ParseSchedule("0:send:*:write:2:drop,0:recv:1:*:3:truncate")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +226,7 @@ func TestDeterministicReplay(t *testing.T) {
 		inner := &fakeInner{reply: make([]byte, 8)}
 		tx := Wrap(inner, 0, sched)
 		for i := 0; i < 4; i++ {
-			tx.Send(1, haloTag(i), make([]byte, 8))
+			tx.Send(1, writeTag(i), make([]byte, 8))
 			tx.Recv(1, partialsTag(i))
 		}
 		return tx.Stats(), append(inner.sends, inner.recvs...)

@@ -167,7 +167,7 @@ func (p *Parent) Ranks() int { return p.ranks }
 
 // reap waits for one child and records its unexpected death. Every dead
 // rank is recorded, not just the first: one death usually cascades (the
-// peers' halo sockets break and they exit too), and the report must name
+// peers' sockets break and they exit too), and the report must name
 // the root cause along with its victims.
 func (p *Parent) reap(i int) {
 	defer p.reaped.Done()

@@ -83,7 +83,7 @@ func (l *peerLink) send(tag uint64, data []byte, timeout time.Duration) error {
 	defer l.wmu.Unlock()
 	// Encode into the reusable per-peer buffer and write the whole frame
 	// in one syscall: at smoke sizes (n=256) per-frame allocation and the
-	// separate header write dominate the halo payloads themselves.
+	// separate header write dominate the payloads themselves.
 	buf, err := appendFrame(l.wbuf[:0], tag, data)
 	l.wbuf = buf[:0]
 	if err != nil {

@@ -722,9 +722,8 @@ func dagRoots(indeg []atomic.Int32) []int32 {
 }
 
 // drainSerial runs a whole DAG on the calling goroutine, as worker ws, in
-// LIFO (depth-first) order from the root stack. The order is a function
-// of the DAG alone, which is what lets every rank of a distributed drain
-// (runWavefrontDist) walk its identical DAG in the identical order.
+// LIFO (depth-first) order from the root stack: runDAG's single-worker
+// path, which keeps a shard's block hot across consecutive stages.
 func drainSerial(ws *workerState, stack []int32, indeg []atomic.Int32, succ [][]int32, run func(ws *workerState, node int32)) {
 	done := 0
 	for len(stack) > 0 {

@@ -135,6 +135,7 @@ func recordStream(n int, app replayApp) []*ir.Task {
 	cfg := core.DefaultConfig(n)
 	cfg.Shards = n
 	rt := core.New(cfg)
+	defer rt.Close()
 	var tasks []*ir.Task
 	rt.Legion().Trace = func(t *ir.Task) { tasks = append(tasks, t) }
 	app.run(cunum.NewContext(rt))
@@ -212,6 +213,8 @@ func TestRankReplayBitIdentical(t *testing.T) {
 				}
 				for r := 0; r < n; r++ {
 					t.Logf("rank %d: %d tasks, DistMsgs %d, DistBytesMoved %d", r, len(tasks), stats[r].DistMsgs, stats[r].DistBytesMoved)
+				}
+				for r := 0; r < n; r++ {
 					for i, s := range stores {
 						if !bytes.Equal(got[r][i], want[i]) {
 							t.Fatalf("rank %d: store %d (%v) differs from the Shards=%d runtime", r, s.ID(), s, n)

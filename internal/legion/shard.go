@@ -40,11 +40,11 @@ package legion
 // canonical region, so the halo-exchange step moves no bytes — it is a
 // synchronization point, and the simulated runtime charges the byte
 // movement for the same access pattern through its last-writer model
-// (machine.Pricer, machine.CollHalo). On a distributed substrate the same
-// step is where the boundary rows travel (dist.go). The aliased instances
-// are still load-bearing: a point task reaching outside its shard's
-// declared footprint faults immediately (slice bounds) instead of silently
-// reading another shard's data.
+// (machine.Pricer, machine.CollHalo). On a distributed substrate ranks
+// move the bytes instead, as ordered patches of each unit's write spans
+// (dist.go). The aliased instances are still load-bearing: a point task
+// reaching outside its shard's declared footprint faults immediately
+// (slice bounds) instead of silently reading another shard's data.
 //
 // Determinism: the point decomposition, the per-point reduction partial
 // cells, and the point-order fold are identical for every shard count, so
@@ -100,8 +100,8 @@ type ShardStats struct {
 	// Distributed counters (see dist.go; all zero unless this runtime is
 	// a rank of a multi-process distributed runtime).
 
-	// DistMsgs is the number of peer messages this rank sent (halos,
-	// reduction partials, write-back spans).
+	// DistMsgs is the number of peer messages this rank sent (unit write
+	// spans and reduction partial slices).
 	DistMsgs int64
 	// DistBytesMoved is the payload bytes of those messages.
 	DistBytesMoved int64
@@ -477,9 +477,10 @@ func shardColorRange(launch ir.Rect, ncolors, s, shards int) (lo, hi int) {
 	return blo * rowW, bhi * rowW
 }
 
-// drainShardGroupLocked executes the buffered group through its
-// dependence DAG, then processes frees deferred while the group pinned
-// their stores. Callers hold execMu.
+// drainShardGroupLocked executes the buffered group — through its
+// dependence DAG, or on a distributed rank in program order (dist.go) —
+// then processes frees deferred while the group pinned their stores.
+// Callers hold execMu.
 func (rt *Runtime) drainShardGroupLocked() {
 	g := rt.group
 	if g == nil {
@@ -491,7 +492,7 @@ func (rt *Runtime) drainShardGroupLocked() {
 		rt.shardStats.GroupedTasks += int64(len(g.entries))
 
 		// Resolve and bind every task's plan up front (regions may
-		// allocate; single-threaded here), run the DAG, then unbind: a
+		// allocate; single-threaded here), run the group, then unbind: a
 		// drained group leaves no region reachable from a plan.
 		for i := range g.entries {
 			e := &g.entries[i]
@@ -500,7 +501,7 @@ func (rt *Runtime) drainShardGroupLocked() {
 			e.plan.resetPartials(e.task, len(e.plan.colors))
 		}
 		if rt.distTx != nil {
-			rt.runWavefrontDist(g)
+			rt.runGroupDist(g)
 		} else {
 			rt.runWavefront(g)
 		}

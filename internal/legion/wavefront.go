@@ -12,8 +12,8 @@ package legion
 //     on the store overlap — a three-point stencil yields edges only to
 //     the two neighbor shards, a replicated read yields edges to all;
 //   - read-after-write edges route through a first-class halo-exchange
-//     node (the point where a distributed runtime moves the boundary rows;
-//     here it is a synchronization point);
+//     node (a synchronization point: the aliased shard instances make the
+//     rows visible without copies);
 //   - every reducing task gets its own fold node: it waits on the task's
 //     units, folds their partials, and releases the later accessors of
 //     the store and the next same-op fold into it. Every edge runs from
@@ -77,19 +77,15 @@ const (
 // wfNode is one node of the wavefront DAG. For units, entry/shard name the
 // (task, shard) pair; a fold node's entry is the reducing entry, a stage
 // node's the stage it closes; halo nodes carry the consumer (entry, shard)
-// pair plus, in aux, the index of the g.deps record they resolve — the
-// distributed drain needs it to compute the boundary span the node moves.
+// pair.
 type wfNode struct {
 	kind  wfKind
 	entry int32
 	shard int32
-	aux   int32
 }
 
 // wfDAG is a built wavefront plan: nodes, CAS-decremented in-degrees, and
-// successor lists, plus the span cache the distributed drain reuses to
-// compute transfer footprints (the same per-partition span intersection
-// that elided the edges).
+// successor lists.
 type wfDAG struct {
 	nodes []wfNode
 	indeg []atomic.Int32
@@ -97,13 +93,6 @@ type wfDAG struct {
 	edges int64
 	halos int64
 	folds int64
-
-	spans []*entrySpans // lazily computed per-entry spans (may hold nils)
-
-	// haloID maps depIdx*shards+consumerShard to the halo node resolving
-	// that (dependence record, consumer shard) pair — the sender side of
-	// the distributed drain needs the node id to tag its messages.
-	haloID map[int64]int32
 }
 
 func (d *wfDAG) addNode(n wfNode) int32 {
@@ -235,20 +224,19 @@ func (g *shardGroup) buildWavefrontDAG(shards int, byStage bool) *wfDAG {
 	}
 
 	// Spans for the entries named by dependence records, computed lazily.
-	d.spans = make([]*entrySpans, nentries)
-	d.haloID = map[int64]int32{}
+	spans := make([]*entrySpans, nentries)
 	spanOf := func(e, s int, store ir.StoreID) ir.Span {
-		if d.spans[e] == nil {
-			d.spans[e] = spansFor(&g.entries[e], shards)
+		if spans[e] == nil {
+			spans[e] = spansFor(&g.entries[e], shards)
 		}
-		return storeSpan(&g.entries[e], d.spans[e], shards, s, store)
+		return storeSpan(&g.entries[e], spans[e], shards, s, store)
 	}
 
 	// Cross-shard edges from the dependence records: consumer shard s
 	// waits on exactly the producer shards whose spans its own span
 	// overlaps. Same-shard pairs are covered by the chain. Read-after-
 	// write records route through a first-class halo-exchange node.
-	for di, dep := range g.deps {
+	for _, dep := range g.deps {
 		for s := 0; s < shards; s++ {
 			cons := spanOf(dep.Cons, s, dep.Store)
 			if cons.Empty() {
@@ -265,8 +253,7 @@ func (g *shardGroup) buildWavefrontDAG(shards int, byStage bool) *wfDAG {
 				}
 				if dep.Kind == ir.DepHalo {
 					if haloNode < 0 {
-						haloNode = d.addNode(wfNode{kind: wfHalo, entry: int32(dep.Cons), shard: int32(s), aux: int32(di)})
-						d.haloID[int64(di)*int64(shards)+int64(s)] = haloNode
+						haloNode = d.addNode(wfNode{kind: wfHalo, entry: int32(dep.Cons), shard: int32(s)})
 						d.addEdge(haloNode, unit(dep.Cons, s))
 						d.halos++
 					}
