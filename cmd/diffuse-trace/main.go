@@ -136,10 +136,7 @@ func printStats(w io.Writer, rt *core.Runtime, shards int) {
 	fmt.Fprintf(w, "\nsharded-drain stats (shards=%d):\n", shards)
 	fmt.Fprintf(w, "  groups=%d groupedTasks=%d stages=%d fallbacks=%d deferredFrees=%d\n",
 		ss.Groups, ss.GroupedTasks, ss.Stages, ss.Fallbacks, ss.DeferredFrees)
-	fmt.Fprintf(w, "  wavefrontNodes=%d wavefrontEdges=%d foldNodes=%d\n",
-		ss.WavefrontNodes, ss.WavefrontEdges, ss.FoldNodes)
-	fmt.Fprintf(w, "  haloNodes=%d haloExchanges=%d shardUnits=%d\n",
-		ss.HaloNodes, ss.HaloExchanges, ss.ShardUnits)
+	fmt.Fprintf(w, "  haloExchanges=%d shardUnits=%d\n", ss.HaloExchanges, ss.ShardUnits)
 }
 
 func buildApp(ctx *cunum.Context, name string) func(int) {

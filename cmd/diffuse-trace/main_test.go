@@ -55,9 +55,9 @@ func TestPrintStatsCodegenCountersMove(t *testing.T) {
 }
 
 // TestPrintStatsShardedDrain: with shards on, the -stats dump must show
-// the drained groups' DAG — nodes, edges and the fold nodes of CG's
-// reductions — and no halo-volume estimate (the pricer models halo bytes,
-// and ranks measure them).
+// the drained groups — their stages and (task, shard) units — and no DAG
+// counters or halo-volume estimate (the pricer models halo bytes, and
+// ranks measure them).
 func TestPrintStatsShardedDrain(t *testing.T) {
 	cfg := core.DefaultConfig(2)
 	cfg.Shards = 2
@@ -72,13 +72,15 @@ func TestPrintStatsShardedDrain(t *testing.T) {
 	if !strings.Contains(out, "sharded-drain stats (shards=2):") {
 		t.Fatalf("no sharded-drain section in -stats output:\n%s", out)
 	}
-	for _, zero := range []string{`groups=0 `, `wavefrontNodes=0 `, `foldNodes=0\b`} {
+	for _, zero := range []string{`groups=0 `, `stages=0 `, `shardUnits=0\b`} {
 		if regexp.MustCompile(zero).MatchString(out) {
 			t.Fatalf("sharded CG run reports %s:\n%s", zero, out)
 		}
 	}
-	if strings.Contains(out, "haloElemsMoved") {
-		t.Fatalf("-stats still prints the removed halo-volume estimate:\n%s", out)
+	for _, gone := range []string{"haloElemsMoved", "wavefrontNodes", "foldNodes", "haloNodes"} {
+		if strings.Contains(out, gone) {
+			t.Fatalf("-stats still prints the removed %s counter:\n%s", gone, out)
+		}
 	}
 }
 

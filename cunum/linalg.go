@@ -67,9 +67,8 @@ func MatVec(A, x *Array) *Array {
 // replicated x read makes every preceding distributed write of x a global
 // dependence — both operands are read through block tilings, so a chain
 // of BlockMatVecs over shifted views of x (the block-banded operators of
-// internal/apps' stencil chain) carries only neighbor-block dependences:
-// exactly the halo structure the sharded runtime's wavefront scheduler
-// pipelines across stage boundaries.
+// internal/apps' stencil chain) carries only neighbor-block dependences,
+// which the sharded runtime counts as halo exchanges.
 //
 // x may be any aliasing slice view; passing x shifted by whole blocks
 // (e.g. x[:m-T] against the sub-diagonal blocks) expresses the off-

@@ -9,13 +9,12 @@ import (
 	"diffuse/internal/machine"
 )
 
-func shardCtx(shards int, fused bool, dt cunum.DType) *cunum.Context {
+func shardCtx(shards int, fused bool) *cunum.Context {
 	cfg := core.DefaultConfig(8)
 	cfg.Mode = legion.ModeReal
 	cfg.Machine = machine.DefaultA100(8)
 	cfg.Enabled = fused
 	cfg.Shards = shards
-	_ = dt
 	return cunum.NewContext(core.New(cfg))
 }
 
@@ -25,7 +24,7 @@ func shardCtx(shards int, fused bool, dt cunum.DType) *cunum.Context {
 // returns the final state bits plus a chained sum reduction.
 func stencilRun(t *testing.T, shards int, fused bool, dt cunum.DType) ([]float64, float64, legion.ShardStats) {
 	t.Helper()
-	ctx := shardCtx(shards, fused, dt)
+	ctx := shardCtx(shards, fused)
 	const n = 128
 	u := ctx.ArangeT(dt, n).MulC(0.01).Keep()
 	for it := 0; it < 3; it++ {
@@ -77,7 +76,7 @@ func TestShardStencilBitIdentical(t *testing.T) {
 // executor machinery).
 func TestShardMatVecReductionsBitIdentical(t *testing.T) {
 	run := func(shards int, fused bool) (float64, float64) {
-		ctx := shardCtx(shards, fused, cunum.F64)
+		ctx := shardCtx(shards, fused)
 		A := ctx.Random(31, 64, 64).Keep()
 		x := ctx.Random(32, 64).Keep()
 		var dot float64
@@ -107,7 +106,7 @@ func TestShardMatVecReductionsBitIdentical(t *testing.T) {
 // the identical window without the Reshard fuses fully.
 func TestReshardBreaksFusion(t *testing.T) {
 	run := func(reshard bool) core.Stats {
-		ctx := shardCtx(1, true, cunum.F64)
+		ctx := shardCtx(1, true)
 		x := ctx.Ones(64).Keep()
 		a := x.MulC(2).Keep()
 		if reshard {

@@ -65,9 +65,6 @@ type ExecStats = legion.ExecStats
 // rt.Legion().ShardStatsSnapshot().
 type ShardStats = legion.ShardStats
 
-// WavefrontMode selects the sharded drain scheduler (Config.Wavefront).
-type WavefrontMode = legion.WavefrontMode
-
 // CodegenMode selects the kernel execution backend (Config.Codegen).
 type CodegenMode = legion.CodegenMode
 
@@ -75,19 +72,6 @@ type CodegenMode = legion.CodegenMode
 // program-cache hits/misses); read it via
 // rt.Legion().CodegenStatsSnapshot().
 type CodegenStats = legion.CodegenStats
-
-// Chain rules of the sharded drain's one dependence DAG (Config.Wavefront;
-// only meaningful when Config.Shards > 1). Each reducing task folds in its
-// own DAG node under both.
-const (
-	// WavefrontOn (default): a shard's next stage waits only on its own
-	// previous stage plus the specific neighbor halo sends it consumes.
-	WavefrontOn = legion.WavefrontOn
-	// WavefrontOff: one node between consecutive stages waits on the
-	// whole stage — the global stage barrier, kept as the baseline of the
-	// benchmark's barrier twin.
-	WavefrontOff = legion.WavefrontOff
-)
 
 // Kernel execution backends (Config.Codegen; ModeReal only).
 const (

@@ -12,16 +12,11 @@ type ChainKind int
 const (
 	// ChainUpwind couples each block only to its left neighbor — the
 	// one-sided (causal) stencil of an upwind transport sweep, like the
-	// directional flux sweeps of SWE-style solvers. Its dependence DAG is
-	// lower-triangular across shards, the deepest-pipelining case: shard 0
-	// can run the whole chain before shard S-1 starts, so the wavefront
-	// scheduler walks each shard's operator slabs depth-first through
-	// every sweep while they are hot.
+	// directional flux sweeps of SWE-style solvers: each sweep reads
+	// one-sided halos from the left neighbor block only.
 	ChainUpwind ChainKind = iota
 	// ChainSymmetric couples each block to both neighbors — the classic
-	// block-tridiagonal (Jacobi-relaxation) stencil. Neighbor shards can
-	// never drift more than one sweep apart, so it bounds the wavefront's
-	// win from below while exercising two-sided halo edges.
+	// block-tridiagonal (Jacobi-relaxation) stencil, with two-sided halos.
 	ChainSymmetric
 )
 
@@ -33,7 +28,7 @@ func (k ChainKind) String() string {
 	return "upwind"
 }
 
-// StencilChain is the deep-stencil-chain workload of the wavefront
+// StencilChain is the deep-stencil-chain workload of the chain_sharded
 // benchmark rows: `depth` dependent block-banded matvec sweeps per
 // iteration,
 //
@@ -45,13 +40,12 @@ func (k ChainKind) String() string {
 // right neighbor). Each per-block term is a dense T×T GEMV
 // (cunum.BlockMatVec), so a sweep streams the stacked operator slabs D/L/U
 // — n×T elements each — through the evaluator's memory-bound GEMV fast
-// path, and consecutive sweeps re-read the same slabs. Under the
-// stage-barrier drain every sweep is a stage that streams the full
-// operator once per sweep; the wavefront scheduler instead runs one
-// shard's sweeps back to back, re-reading that shard's slab portion while
-// it is still in near memory. The off-diagonal terms read x through
-// whole-block-shifted slice views, so the cross-sweep dependences are
-// exactly neighbor-block halos, never global.
+// path, and consecutive sweeps re-read the same slabs. The sharded drain
+// runs the sweeps in program order, each sweep's shards as one batch, so
+// every sweep is a stage that streams the full operator once. The
+// off-diagonal terms read x through whole-block-shifted slice views, so
+// the cross-sweep dependences are exactly neighbor-block halos, never
+// global.
 //
 // Each sweep allocates a fresh state vector (the NumPy idiom — and what
 // keeps write-after-read dependences from recoupling shards the one-sided
@@ -157,8 +151,8 @@ func (sc *StencilChain) Step() {
 
 // Iterate runs n chains, flushing the session window at each chain
 // boundary (the natural fusion period; the sharded group drains on its
-// own barriers, so the chain's sweeps stay eligible for wavefront
-// pipelining across the flush).
+// own barriers, so the chain's sweeps across the flush stay in one
+// group).
 func (sc *StencilChain) Iterate(n int) {
 	for i := 0; i < n; i++ {
 		sc.Step()
@@ -167,7 +161,7 @@ func (sc *StencilChain) Iterate(n int) {
 }
 
 // Sum returns the chained sum reduction of the live state (ModeReal
-// only) — the bit-comparable observable the scheduler equivalence tests
+// only) — the bit-comparable observable the shard bit-identity tests
 // key on.
 func (sc *StencilChain) Sum() float64 {
 	return sc.live(sc.X).Temp().Sum().Future().Value()

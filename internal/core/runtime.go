@@ -41,9 +41,9 @@ type Config struct {
 	Machine machine.Config
 	// Shards enables sharded execution (ModeReal): stores are decomposed
 	// into this many leading-axis blocks, and the runtime buffers
-	// compatible tasks into groups it executes shard-major — one task plan
-	// per shard on the work-stealing executor, with explicit halo-exchange
-	// boundaries between dependent tasks whose partitions misalign. 0 or 1
+	// compatible tasks into groups it executes shard-major, in program
+	// order: each task's per-shard units run as one batch on the
+	// work-stealing executor, the way a rank runs its own. 0 or 1
 	// disables sharding; results (including reductions) are bit-identical
 	// across shard counts. See DESIGN.md "Sharded execution".
 	Shards int
@@ -58,18 +58,11 @@ type Config struct {
 	// runtime must call dist.MaybeRankMain first thing in main(), and
 	// Runtime.Close must be called to shut the ranks down.
 	Ranks int
-	// Wavefront selects the chain rule of the one shard-group DAG:
-	// legion.WavefrontOn, the zero value, chains each shard's units
-	// across the group, so one shard may run several stages ahead of
-	// another wherever no halo edge connects them; legion.WavefrontOff
-	// chains them within a stage behind one node per stage boundary — the
-	// global stage barrier, kept for the benchmark's barrier twin. Results
-	// are bit-identical either way: only inter-stage ordering changes,
-	// never the point decomposition or the point-order reduction folds.
-	// Drain semantics are unchanged — host reads, frees, incompatible
-	// tasks, and Reshard still wait for the whole buffered group. Ignored
-	// unless Shards > 1, and by the ranks of a distributed runtime, which
-	// drain their groups in program order without a DAG.
+	// Wavefront is read by nothing: every shard group drains in program
+	// order, in process and on the ranks of a distributed runtime alike.
+	//
+	// Deprecated: inert, kept only for the frozen benchmark's barrier
+	// twin; ROADMAP 3(g) removes it with internal/legion/frozen.go.
 	Wavefront legion.WavefrontMode
 	// Codegen selects the kernel execution backend (ModeReal): the
 	// compiled-kernel closure tier (legion.CodegenOn, the zero value —
@@ -206,7 +199,6 @@ func New(cfg Config) *Runtime {
 	}
 	r.leg = legion.New(backend)
 	r.leg.SetShards(cfg.Shards)
-	r.leg.SetWavefront(cfg.Wavefront)
 	r.leg.SetCodegen(cfg.Codegen)
 	r.stats.WindowSize = cfg.InitialWindow
 	r.def = r.NewSession()

@@ -3,8 +3,8 @@ package dist_test
 // Cross-rank bit-identity tests for the process-per-shard distributed
 // runtime: ranks=N must reproduce the in-process Shards=N drain exactly —
 // full solution vectors and floating-point reductions included — because
-// every rank decodes the same control-replicated task stream and runs the
-// same wavefront schedule over it. The rank subprocesses re-execute this
+// every rank decodes the same control-replicated task stream and drains
+// its groups in the same program order. The rank subprocesses re-execute this
 // test binary, so TestMain diverts them into the rank control loop before
 // the test framework sees them (and under `go test -race` the ranks run
 // race-enabled too).

@@ -1,8 +1,8 @@
 package ir_test
 
 // Property test for the distributed control-stream codec: every task the
-// full internal/apps suite emits — all element types, sharded stores,
-// wavefront metadata, fused kernels — must survive EncodeTask/DecodeTask
+// full internal/apps suite emits — all element types, sharded stores and
+// their shard generations, fused kernels — must survive EncodeTask/DecodeTask
 // bit-identically, because the distributed runtime's determinism contract
 // (ranks=N reproduces Shards=N exactly) rests on every rank decoding the
 // same stream the parent encoded. The test is external (package ir_test)
@@ -21,7 +21,7 @@ import (
 )
 
 // captureSuiteTasks runs every workload of the apps suite on a sharded
-// wavefront runtime and returns each emitted task alongside the shard
+// runtime and returns each emitted task alongside the shard
 // count it was stamped under.
 func captureSuiteTasks(t *testing.T, shards int) []*ir.Task {
 	t.Helper()

@@ -17,9 +17,9 @@ import (
 // (maxKernels) recompiles onto its existing program. Programs hold no
 // region references: a program outlives any store.
 
-// CodegenMode toggles the compiled-kernel backend. The zero value is on —
+// CodegenMode toggles the compiled-kernel backend. The zero value is on:
 // codegen is the default tier, the interpreter the reference oracle and
-// fallback — mirroring WavefrontMode.
+// fallback.
 type CodegenMode int
 
 // Codegen modes.

@@ -82,17 +82,27 @@ func (rt *Runtime) SetDistributed(rank, ranks int, tx HaloTransport) {
 	rt.distTx = tx
 }
 
-// Message tag layout: | groupSeq (32) | kind (4) | entry (20) | sub (8) |,
+// Message tag layout: | groupSeq (32) | kind (1) | entry (12) | sub (19) |,
 // where sub is the write argument or the reduction index. Tags only need
 // to be unique among concurrently in-flight messages between one (sender,
-// receiver) pair; every (entry, sub) pair is sent at most once per group.
+// receiver) pair; every (kind, entry, sub) triple is sent at most once per
+// group. Each field is sized from its bound, so no two triples share a
+// tag: entries index a group (< maxGroupTasks), and groupable keeps any
+// task with more than maxTagSub arguments out of a group.
 const (
 	tagKindWrite    = 0
 	tagKindPartials = 1
+
+	tagSubBits   = 19
+	tagEntryBits = 12
+	maxTagSub    = 1 << tagSubBits
 )
 
+// A group must not hold more entries than the tag's entry field names.
+var _ [1<<tagEntryBits - maxGroupTasks]struct{}
+
 func distTag(seq uint64, kind, entry, sub int) uint64 {
-	return seq<<32 | uint64(kind&0xF)<<28 | uint64(entry&0xFFFFF)<<8 | uint64(sub&0xFF)
+	return seq<<32 | uint64(kind)<<(tagEntryBits+tagSubBits) | uint64(entry)<<tagSubBits | uint64(sub)
 }
 
 // patchBuf decodes a payload of elements [lo, hi) (kir.Buffer.AppendWire,
@@ -131,6 +141,41 @@ type distGroupState struct {
 	scratch []byte
 }
 
+// argShardSpan returns the tight flat-offset span argument i of the plan
+// touches over colors [lo, hi): the whole store for replicated (None)
+// arguments, the clipped tile union for tiled ones (tiledShardSpan — the
+// same footprint arithmetic shardInstances executes against), and an
+// empty span for local (temporary-eliminated) and reduction arguments,
+// which touch no shared region data (reductions accumulate into private
+// partial cells).
+func argShardSpan(plan *taskPlan, i, lo, hi int) ir.Span {
+	ap := &plan.args[i]
+	if ap.priv.Reduces() || ap.local {
+		return ir.Span{}
+	}
+	if ap.isNone {
+		return ir.Span{Lo: 0, Hi: ap.store.Size()}
+	}
+	return tiledShardSpan(plan, ap, lo, hi)
+}
+
+// spansFor computes the flat span each (argument, shard) pair of an entry
+// touches: spans[argIdx*shards+s].
+func spansFor(u *groupEntry, shards int) []ir.Span {
+	plan := u.plan
+	spans := make([]ir.Span, len(plan.args)*shards)
+	for s := 0; s < shards; s++ {
+		lo, hi := shardColorRange(u.task.Launch, len(plan.colors), s, shards)
+		if lo >= hi {
+			continue
+		}
+		for i := range plan.args {
+			spans[i*shards+s] = argShardSpan(plan, i, lo, hi)
+		}
+	}
+	return spans
+}
+
 // runGroupDist drains one group as rank `me` of the distributed runtime.
 // Callers hold execMu; plans are resolved and partials reset.
 func (rt *Runtime) runGroupDist(g *shardGroup) {
@@ -146,15 +191,15 @@ func (rt *Runtime) runGroupDist(g *shardGroup) {
 	ws := &rt.exec.ws[rt.exec.nw]
 	for e := range g.entries {
 		u := &g.entries[e]
-		es := spansFor(u, ds.shards)
+		spans := spansFor(u, ds.shards)
 		for i := range u.plan.args {
-			if sp := es.spans[i*ds.shards+ds.me]; !sp.Empty() {
+			if sp := spans[i*ds.shards+ds.me]; !sp.Empty() {
 				ds.sync(u.plan.args[i].store.ID(), sp)
 			}
 		}
 		rt.runUnitShard(u, ws, ds.me, ds.shards)
-		ds.ship(e, es)
-		ds.enqueue(e, es)
+		ds.ship(e, spans)
+		ds.enqueue(e, spans)
 	}
 	for _, store := range ds.stores {
 		ds.sync(store, ir.Span{Lo: 0, Hi: math.MaxInt})
@@ -164,12 +209,12 @@ func (rt *Runtime) runGroupDist(g *shardGroup) {
 // ship sends what this rank's unit of entry e produced to every peer: the
 // span of each write argument, and this shard's slice of each reduction's
 // per-point partials.
-func (ds *distGroupState) ship(e int, es *entrySpans) {
+func (ds *distGroupState) ship(e int, spans []ir.Span) {
 	u := &ds.g.entries[e]
 	plan := u.plan
 	for i := range plan.args {
 		ap := &plan.args[i]
-		sp := es.spans[i*ds.shards+ds.me]
+		sp := spans[i*ds.shards+ds.me]
 		if !ap.priv.Writes() || ap.local || sp.Empty() {
 			continue
 		}
@@ -188,7 +233,7 @@ func (ds *distGroupState) ship(e int, es *entrySpans) {
 
 // enqueue queues the peer updates of entry e: a patch for each foreign
 // unit's non-empty write span, and a fold for each reduction.
-func (ds *distGroupState) enqueue(e int, es *entrySpans) {
+func (ds *distGroupState) enqueue(e int, spans []ir.Span) {
 	plan := ds.g.entries[e].plan
 	for i := range plan.args {
 		ap := &plan.args[i]
@@ -196,7 +241,7 @@ func (ds *distGroupState) enqueue(e int, es *entrySpans) {
 			continue
 		}
 		for s := 0; s < ds.shards; s++ {
-			if sp := es.spans[i*ds.shards+s]; s != ds.me && !sp.Empty() {
+			if sp := spans[i*ds.shards+s]; s != ds.me && !sp.Empty() {
 				ds.push(ap.store.ID(), pendingUpdate{entry: e, sub: i, peer: s, sp: sp})
 			}
 		}

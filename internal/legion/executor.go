@@ -223,7 +223,7 @@ func (ws *workerState) release() {
 
 // execBatch is one unit of work in flight on the pool: either one index
 // task whose chunks of contiguous point-task colors the participants
-// claim, or (dag set) one shard group's dependence DAG.
+// claim, or (unit set) a batch of independent units, one per claim.
 type execBatch struct {
 	plan    *taskPlan
 	payload *Payload
@@ -235,10 +235,10 @@ type execBatch struct {
 	// unit (shard.go): every point's tiled bindings are rebased onto them.
 	insts []shardInst
 
-	// dag, when set, turns the batch into a wavefront DAG drain: the
-	// participant joins dagState's readiness loop instead of claiming
-	// chunk ranges.
-	dag *dagState
+	// unit, when set, runs claimed index i in place of a chunk of points:
+	// the (entry, shard) units of one shard-group entry (shard.go). A unit
+	// prepares its own worker state.
+	unit func(ws *workerState, i int)
 }
 
 // taskPlan caches everything executeChunked can pre-resolve for a task
@@ -508,13 +508,12 @@ func (b *execBatch) runSpan(ws *workerState, lo, hi int) {
 // back, then the backs of the other participants' ranges.
 func (e *executor) run(b *execBatch, wsIdx, rangeIdx int) {
 	ws := &e.ws[wsIdx]
-	if b.dag != nil {
-		b.dag.loop(ws)
-		return
+	n := 0
+	if b.unit == nil {
+		ws.prepare(len(b.plan.args), b.payload)
+		defer ws.release()
+		n = len(b.plan.colors)
 	}
-	ws.prepare(len(b.plan.args), b.payload)
-	defer ws.release()
-	n := len(b.plan.colors)
 	for {
 		c, stolen, ok := e.claimChunk(rangeIdx, b.nparts)
 		if !ok {
@@ -523,6 +522,10 @@ func (e *executor) run(b *execBatch, wsIdx, rangeIdx int) {
 		e.chunks.Add(1)
 		if stolen {
 			e.steals.Add(1)
+		}
+		if b.unit != nil {
+			b.unit(ws, c)
+			continue
 		}
 		lo := c * b.chunk
 		hi := lo + b.chunk
@@ -608,138 +611,20 @@ func (e *executor) dispatch(b *execBatch, nunits int) {
 	b.wg.Wait()
 }
 
-// dagState is a wavefront DAG drain in flight on the pool: a LIFO
-// readiness stack of node ids plus the shared in-degree counters. The
-// stack is LIFO on purpose — popping the most recently enabled node walks
-// a shard depth-first through consecutive stages, the order that keeps its
-// block and operand slabs in near memory. In-degrees are decremented with
-// atomic CAS (Add); the stack and the termination count are under mu so
-// idle participants can sleep on cond instead of spinning.
-type dagState struct {
-	mu        sync.Mutex
-	cond      *sync.Cond
-	stack     []int32
-	remaining int // nodes not yet executed
-	nparts    int // participants draining this DAG
-	waiting   int // participants asleep in cond.Wait
-	indeg     []atomic.Int32
-	succ      [][]int32
-	run       func(ws *workerState, node int32)
-}
-
-// loop participates in a DAG drain until every node has executed: pop a
-// ready node, run it, decrement successors' in-degrees, and push the newly
-// ready ones. A participant that finds the stack empty while nodes remain
-// sleeps; the participant that completes the last node (or pushes new
-// ready nodes) wakes the others. Deadlock-free for any worker count ≥ 1:
-// the stack is only empty while some node is executing, and executing a
-// node always either pushes successors or decrements remaining to zero.
-func (d *dagState) loop(ws *workerState) {
-	for {
-		d.mu.Lock()
-		for len(d.stack) == 0 && d.remaining > 0 {
-			// Every participant asleep with nodes remaining means no node
-			// can ever become ready again: a cycle or an in-degree
-			// miscount. Fail loudly (like the serial path) instead of
-			// hanging the whole pool.
-			if d.waiting+1 == d.nparts {
-				d.mu.Unlock()
-				panic(fmt.Sprintf("legion: wavefront DAG stalled with %d nodes unreachable (cycle?)", d.remaining))
-			}
-			d.waiting++
-			d.cond.Wait()
-			d.waiting--
+// runUnits runs units 0..n-1 of one batch, each exactly once: on the
+// submitting goroutine when the pool has a single worker (which can never
+// beat the submitter doing the work itself), otherwise claimed across the
+// pool like the chunks of one index task. Returns after every unit has run.
+func (e *executor) runUnits(n int, unit func(ws *workerState, i int)) {
+	if e.nw <= 1 || n <= 1 {
+		e.inline.Add(1)
+		for i := 0; i < n; i++ {
+			unit(&e.ws[e.nw], i)
 		}
-		if d.remaining == 0 {
-			d.mu.Unlock()
-			return
-		}
-		n := d.stack[len(d.stack)-1]
-		d.stack = d.stack[:len(d.stack)-1]
-		d.mu.Unlock()
-
-		d.run(ws, n)
-
-		var ready []int32
-		for _, sn := range d.succ[n] {
-			if d.indeg[sn].Add(-1) == 0 {
-				ready = append(ready, sn)
-			}
-		}
-		d.mu.Lock()
-		d.stack = append(d.stack, ready...)
-		d.remaining--
-		if d.remaining == 0 || len(ready) > 0 {
-			d.cond.Broadcast()
-		}
-		d.mu.Unlock()
-	}
-}
-
-// runDAG executes a dependence DAG of nnodes nodes to completion: roots
-// (in-degree zero) seed a readiness stack, and the submitting goroutine —
-// joined by up to nw-1 woken workers — drains it. With a single-worker
-// pool the whole DAG runs on the submitter in LIFO depth-first order with
-// no locking in the executor's way; results are independent of the
-// schedule (the DAG's edges are the only ordering the caller relies on).
-func (e *executor) runDAG(nnodes int, indeg []atomic.Int32, succ [][]int32, run func(ws *workerState, node int32)) {
-	if nnodes == 0 {
-		return
-	}
-	roots := dagRoots(indeg)
-	if e.nw <= 1 {
-		drainSerial(&e.ws[e.nw], roots, indeg, succ, run)
 		return
 	}
 	e.pooled.Add(1)
-	d := &dagState{stack: roots, remaining: nnodes, indeg: indeg, succ: succ, run: run}
-	d.cond = sync.NewCond(&d.mu)
-	b := &execBatch{dag: d}
-	woken := e.nw
-	if nnodes-1 < woken {
-		woken = nnodes - 1
-	}
-	d.nparts = woken + 1
-	e.startWorkers()
-	b.wg.Add(woken)
-	for w := 0; w < woken; w++ {
-		e.wake[w] <- b
-	}
-	e.run(b, e.nw, e.nw)
-	b.wg.Wait()
-}
-
-// dagRoots returns the in-degree-zero nodes in descending id order, so the
-// lowest (first entry, first shard) node pops first off the stack.
-func dagRoots(indeg []atomic.Int32) []int32 {
-	var roots []int32
-	for n := len(indeg) - 1; n >= 0; n-- {
-		if indeg[n].Load() == 0 {
-			roots = append(roots, int32(n))
-		}
-	}
-	return roots
-}
-
-// drainSerial runs a whole DAG on the calling goroutine, as worker ws, in
-// LIFO (depth-first) order from the root stack: runDAG's single-worker
-// path, which keeps a shard's block hot across consecutive stages.
-func drainSerial(ws *workerState, stack []int32, indeg []atomic.Int32, succ [][]int32, run func(ws *workerState, node int32)) {
-	done := 0
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		run(ws, n)
-		done++
-		for i := len(succ[n]) - 1; i >= 0; i-- {
-			if sn := succ[n][i]; indeg[sn].Add(-1) == 0 {
-				stack = append(stack, sn)
-			}
-		}
-	}
-	if done != len(indeg) {
-		panic(fmt.Sprintf("legion: wavefront DAG stalled at %d/%d nodes (cycle?)", done, len(indeg)))
-	}
+	e.dispatch(&execBatch{unit: unit}, n)
 }
 
 // SetExecPolicy selects the real-mode executor implementation — the only

@@ -1,12 +1,14 @@
 package legion
 
-// Names left behind by feedback-directed scheduling, which is gone:
-// machine.HostExec.ChunkPoints on a plan's static per-point cost is the
-// only thing that sizes chunks and routes work inline. The frozen
+// Names left behind by feedback-directed scheduling and by the wavefront
+// DAG, which are gone: machine.HostExec.ChunkPoints on a plan's static
+// per-point cost is the only thing that sizes chunks and routes work
+// inline, and a shard group drains in program order. The frozen
 // benchmark still compiles against these names and reports how far the
 // static model is off from them, so they stay, with only the fields it
 // reads, until ROADMAP 3(g) deletes this file, Runtime.model and its one
-// call site in executeChunked, together with core.Config.Feedback.
+// call site in executeChunked, together with core.Config.Feedback and
+// core.Config.Wavefront.
 
 import "time"
 
@@ -16,6 +18,14 @@ type FeedbackMode int
 // FeedbackOff is the zero FeedbackMode, so every configuration already
 // reads it. Inert: see ROADMAP 3(g).
 const FeedbackOff FeedbackMode = 0
+
+// WavefrontMode is inert: it selects nothing. See ROADMAP 3(g).
+type WavefrontMode int
+
+// WavefrontOff is the zero WavefrontMode, so every configuration already
+// reads it: no shard runs ahead of another, every group drains in program
+// order. Inert: see ROADMAP 3(g).
+const WavefrontOff WavefrontMode = 0
 
 // CalibrationStats counts the tasks the model error was measured on.
 // Hits is always zero: no schedule decision reads a measurement.

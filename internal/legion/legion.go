@@ -27,12 +27,12 @@
 //
 // With SetShards > 1 (core.Config.Shards), execution is additionally
 // *sharded* (shard.go): tasks buffer into groups that run shard-major over
-// leading-axis blocks — one dependence DAG per group on the work-stealing
-// executor (wavefront.go), with a unit node per (task, shard), halo nodes
-// between dependent tasks whose partitions misalign, a fold node per
-// reducing task, and shard-local region instances bounding each shard's
-// accesses. Results stay bit-identical to unsharded execution at
-// every shard count.
+// leading-axis blocks. A group drains in program order, the way a rank of
+// a distributed runtime drains it (dist.go): each task's (task, shard)
+// units run as one batch on the work-stealing executor against
+// shard-local region instances that bound each shard's accesses, then the
+// task's reductions fold in point order. Results stay bit-identical to
+// unsharded execution at every shard count.
 package legion
 
 import (
@@ -175,12 +175,10 @@ type Runtime struct {
 	policy ExecPolicy
 
 	// Sharded execution state (see shard.go): the configured shard count,
-	// the drain scheduler (wavefront.go), the buffered task group, frees
-	// deferred while the group references their stores, and the activity
-	// counters (guarded by execMu; ShardUnits is updated atomically by
-	// pool workers).
+	// the buffered task group, frees deferred while the group references
+	// their stores, and the activity counters (guarded by execMu;
+	// ShardUnits is updated atomically by pool workers).
 	shards         int
-	wavefront      WavefrontMode
 	group          *shardGroup
 	deferredFrees  []ir.StoreID
 	deferredFreeIn map[ir.StoreID]bool

@@ -18,6 +18,7 @@ import (
 	"diffuse/internal/apps"
 	"diffuse/internal/core"
 	"diffuse/internal/ir"
+	"diffuse/internal/kir"
 	"diffuse/internal/legion"
 )
 
@@ -86,10 +87,16 @@ func (e memEnd) Recv(peer int, tag uint64) ([]byte, error) {
 	return data, nil
 }
 
-// replayApp is one recorded workload: it issues its stream into ctx.
+// replayApp is one workload: stream returns the post-fusion task stream
+// it executes at Shards=n.
 type replayApp struct {
-	name string
-	run  func(ctx *cunum.Context)
+	name   string
+	stream func(n int) []*ir.Task
+}
+
+// cunumApp records a cunum program's stream (recordStream).
+func cunumApp(name string, run func(ctx *cunum.Context)) replayApp {
+	return replayApp{name, func(n int) []*ir.Task { return recordStream(n, run) }}
 }
 
 func replayApps() []replayApp {
@@ -105,40 +112,81 @@ func replayApps() []replayApp {
 		}
 	}
 	return []replayApp{
-		{"SWE", func(ctx *cunum.Context) {
+		cunumApp("SWE", func(ctx *cunum.Context) {
 			s := apps.NewSWE(ctx, 18, 18, false)
 			s.Iterate(3)
 			_ = s.TotalMass()
-		}},
-		{"CG", func(ctx *cunum.Context) {
+		}),
+		cunumApp("CG", func(ctx *cunum.Context) {
 			A := apps.BuildPoisson2D(ctx, 12)
 			cg := apps.NewCG(ctx, A, ctx.Ones(A.Rows()), false)
 			cg.Solve(-1, 6, 2)
-		}},
-		{"BlackScholes", func(ctx *cunum.Context) {
+		}),
+		cunumApp("BlackScholes", func(ctx *cunum.Context) {
 			b := apps.NewBlackScholes(ctx, 512)
 			b.Iterate(2)
-		}},
-		{"Jacobi-MRHS/f64", mrhs(cunum.F64)},
-		{"Jacobi-MRHS/f32", mrhs(cunum.F32)},
-		{"Stencil-Chain", func(ctx *cunum.Context) {
+		}),
+		cunumApp("Jacobi-MRHS/f64", mrhs(cunum.F64)),
+		cunumApp("Jacobi-MRHS/f32", mrhs(cunum.F32)),
+		cunumApp("Stencil-Chain", func(ctx *cunum.Context) {
 			sc := apps.NewStencilChain(ctx, 1024, 64, 4, apps.ChainUpwind, cunum.F64)
 			sc.Iterate(2)
 			_ = sc.Sum()
-		}},
+		}),
+		{"Wide-Entry", func(int) []*ir.Task { return wideEntryStream(300, 266) }},
 	}
 }
 
-// recordStream runs the app on a Shards=n runtime and returns the tasks
-// its legion runtime executed, in order.
-func recordStream(n int, app replayApp) []*ir.Task {
+// wideEntryStream is one task writing `outs` stores from one input, then
+// a replicated read of output `read`: a rank syncs that output's peer
+// rows before any other's, out of the order its peers sent them in. Each
+// output holds a different value, so rows delivered under another
+// output's message tag show.
+func wideEntryStream(outs, read int) []*ir.Task {
+	const points, ext = 4, 8
+	n := points * ext
+	var fact ir.Factory
+	launch := ir.MakeRect(ir.Point{0}, ir.Point{points})
+	tp := ir.NewTiling(launch, []int{n}, []int{ext}, []int{0}, nil, nil)
+
+	x := fact.NewStore("x", []int{n})
+	fill := kir.NewKernel("fill", 1)
+	fill.AddLoop(&kir.Loop{Kind: kir.LoopRandom, Dom: "v", Ext: []int{ext}, ExtRef: 0, Seed: 5})
+
+	wide := kir.NewKernel("wide", 1+outs)
+	args := []ir.Arg{{Store: x, Part: tp, Priv: ir.Read}}
+	var stmts []kir.Stmt
+	for i := 1; i <= outs; i++ {
+		args = append(args, ir.Arg{Store: fact.NewStore(fmt.Sprint("y", i), []int{n}), Part: tp, Priv: ir.Write})
+		stmts = append(stmts, kir.Stmt{Kind: kir.KStore, Param: i,
+			E: kir.Binary(kir.OpAdd, kir.Load(0), kir.Const(float64(i)))})
+	}
+	wide.AddLoop(&kir.Loop{Kind: kir.LoopElem, Dom: "v", Ext: []int{ext}, ExtRef: 1, Stmts: stmts})
+
+	z := fact.NewStore("z", []int{n})
+	copyK := kir.NewKernel("copy", 2)
+	copyK.AddLoop(&kir.Loop{Kind: kir.LoopElem, Dom: "v", Ext: []int{ext}, ExtRef: 1,
+		Stmts: []kir.Stmt{{Kind: kir.KStore, Param: 1, E: kir.Load(0)}}})
+
+	return []*ir.Task{
+		{Name: "fill", Launch: launch, Kernel: fill, Args: []ir.Arg{{Store: x, Part: tp, Priv: ir.Write}}},
+		{Name: "wide", Launch: launch, Kernel: wide, Args: args},
+		{Name: "copy", Launch: launch, Kernel: copyK, Args: []ir.Arg{
+			{Store: args[read].Store, Part: ir.ReplicateOver(launch), Priv: ir.Read},
+			{Store: z, Part: tp, Priv: ir.Write}}},
+	}
+}
+
+// recordStream runs the program on a Shards=n runtime and returns the
+// tasks its legion runtime executed, in order.
+func recordStream(n int, run func(ctx *cunum.Context)) []*ir.Task {
 	cfg := core.DefaultConfig(n)
 	cfg.Shards = n
 	rt := core.New(cfg)
 	defer rt.Close()
 	var tasks []*ir.Task
 	rt.Legion().Trace = func(t *ir.Task) { tasks = append(tasks, t) }
-	app.run(cunum.NewContext(rt))
+	run(cunum.NewContext(rt))
 	rt.Legion().DrainShardGroup()
 	return tasks
 }
@@ -175,18 +223,23 @@ func replayInto(rt *legion.Runtime, tasks []*ir.Task, stores []*ir.Store) [][]by
 
 // TestRankReplayBitIdentical replays every app's stream at N = 2 and 4
 // and requires every rank's every store to equal the in-process
-// Shards=N runtime's bit for bit.
+// Shards=N runtime's bit for bit, and every rank to count the same groups,
+// tasks, stages, halo exchanges and deferred frees.
 func TestRankReplayBitIdentical(t *testing.T) {
 	for _, app := range replayApps() {
 		for _, n := range []int{2, 4} {
 			t.Run(fmt.Sprintf("%s/ranks=%d", app.name, n), func(t *testing.T) {
-				tasks := recordStream(n, app)
+				tasks := app.stream(n)
 				stores := streamStores(tasks)
 
 				oracle := legion.New(nil)
 				oracle.SetShards(n)
 				want := replayInto(oracle, tasks, stores)
+				wantStats := oracle.ShardStatsSnapshot()
 				oracle.Close()
+				if wantStats.Groups == 0 {
+					t.Fatalf("the Shards=%d runtime drained no groups: %+v", n, wantStats)
+				}
 
 				mesh := newMemMesh(20 * time.Second)
 				got := make([][][]byte, n)
@@ -215,6 +268,9 @@ func TestRankReplayBitIdentical(t *testing.T) {
 					t.Logf("rank %d: %d tasks, DistMsgs %d, DistBytesMoved %d", r, len(tasks), stats[r].DistMsgs, stats[r].DistBytesMoved)
 				}
 				for r := 0; r < n; r++ {
+					if got, want := drainCounts(stats[r]), drainCounts(wantStats); got != want {
+						t.Fatalf("rank %d counts %+v, the Shards=%d runtime %+v", r, got, n, want)
+					}
 					for i, s := range stores {
 						if !bytes.Equal(got[r][i], want[i]) {
 							t.Fatalf("rank %d: store %d (%v) differs from the Shards=%d runtime", r, s.ID(), s, n)
@@ -224,4 +280,14 @@ func TestRankReplayBitIdentical(t *testing.T) {
 			})
 		}
 	}
+}
+
+// drainCount is the part of ShardStats every rank shares with the
+// in-process Shards=N runtime.
+type drainCount struct {
+	Groups, GroupedTasks, Stages, HaloExchanges, DeferredFrees int64
+}
+
+func drainCounts(s legion.ShardStats) drainCount {
+	return drainCount{s.Groups, s.GroupedTasks, s.Stages, s.HaloExchanges, s.DeferredFrees}
 }

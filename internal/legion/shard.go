@@ -7,9 +7,10 @@ package legion
 // a store the group references, an incompatible task, or an explicit
 // DrainShardGroup. The group is scheduled *shard-major* ("owner computes"):
 // the launch domain of every task is decomposed into S contiguous
-// leading-axis blocks, and each (task, shard) pair is one unit of the
-// group's dependence DAG (wavefront.go), drained on the existing
-// work-stealing executor.
+// leading-axis blocks, and each (task, shard) pair is one unit. The group
+// drains entry by entry, in program order — the same loop a distributed
+// rank runs (dist.go): an entry's S units run as one batch on the
+// work-stealing executor, then its reductions fold in point order.
 //
 // Why: consecutive tasks that sweep the same large operands (the multi-RHS
 // sweeps of internal/apps' Jacobi-MRHS workload) touch each block S
@@ -20,18 +21,15 @@ package legion
 // locality *inside* a fused kernel; sharding recovers it for the task
 // streams fusion cannot merge (and composes with it across fused tasks).
 //
-// Dependences and halo exchange: shard-major order runs a later task's
-// shard s before an earlier task's shard s+1, which is only legal when no
-// data flows between them. Enqueue therefore labels every task with a
-// *stage*: within a stage, every dependence is point-wise through
-// structurally equal partitions (so shard blocks never exchange data), and
-// every dependence whose partitions misalign — a stencil reading its
-// producer through shifted views, a replicated read of a distributed
-// write, SpMV neighborhoods — starts a later stage and leaves a record
-// the DAG resolves into halo-exchange edges between exactly the shards
-// whose footprints overlap. Each reducing task's per-point partials fold,
-// in point order, in the task's own fold node, before any later reader of
-// the store and before the next same-op fold into it.
+// Dependences and halo exchange: program order is the only schedule, so
+// every dependence of the stream holds by construction. Enqueue still
+// labels every task with a *stage* — within a stage every dependence is
+// point-wise through structurally equal partitions, and every dependence
+// whose partitions misalign (a stencil reading its producer through
+// shifted views, a replicated read of a distributed write, SpMV
+// neighborhoods) starts a later stage and counts a halo exchange — but
+// only the legion.shard_stages and legion.halo_exchanges counters read
+// the labels.
 //
 // Shard-local region instances: each shard's point tasks access store data
 // through a bounds-enforcing sub-buffer of the store's region covering
@@ -80,23 +78,6 @@ type ShardStats struct {
 	// group referencing them drained.
 	DeferredFrees int64
 
-	// DAG counters (see wavefront.go).
-
-	// WavefrontNodes is the number of DAG nodes dispatched ((task, shard)
-	// units, halo-exchange nodes, fold nodes, and under WavefrontOff the
-	// nodes between consecutive stages).
-	WavefrontNodes int64
-	// WavefrontEdges is the number of dependence edges those nodes were
-	// connected by.
-	WavefrontEdges int64
-	// HaloNodes is the number of first-class halo-exchange nodes — one
-	// per (misaligned dependence, consumer shard) with at least one
-	// cross-shard producer.
-	HaloNodes int64
-	// FoldNodes is the number of reduction fold nodes: one per reducing
-	// task, waiting on every shard's partials before any later reader runs.
-	FoldNodes int64
-
 	// Distributed counters (see dist.go; all zero unless this runtime is
 	// a rank of a multi-process distributed runtime).
 
@@ -114,40 +95,33 @@ type groupEntry struct {
 	plan  *taskPlan
 }
 
-// partStage is one (partition, latest stage, latest entry) record of a
-// store's in-group access history.
+// partStage is one (partition, latest stage) record of a store's
+// in-group access history.
 type partStage struct {
 	part  ir.Partition
 	stage int
-	entry int // index into shardGroup.entries of the latest such access
 }
 
-// storeAccess tracks the in-group access history of one store, for the
-// stage computation and the wavefront dependence records: the full
-// per-partition history on both sides. Two reads through different
-// partitions can legally share a stage and a later writer must be
-// ordered after *both*; a reader must be ordered after *every* earlier
-// writer whose footprint it can touch, not just the latest one (a
-// partial overwrite leaves older writers' data visible). The stage
-// computation needs only the latest write — a second write through a
-// different partition is always bumped past the first — which
-// latestWrite derives from the same history, so there is exactly one
-// record of each access.
+// storeAccess tracks the in-group access history of one store for the
+// stage computation: the latest stage per distinct partition on both
+// sides. Two reads through different partitions can share a stage, and a
+// later writer lands after *both*. Accesses need only the latest write —
+// a write through a different partition is always bumped past it — which
+// latestWrite derives from the same history.
 type storeAccess struct {
-	writes   []partStage // distinct write partitions, latest stage/entry each
-	reads    []partStage // distinct read partitions, latest stage/entry each
+	writes   []partStage // distinct write partitions, latest stage each
+	reads    []partStage // distinct read partitions, latest stage each
 	redStage int         // stage of the latest reduction to the store, -1 if none
-	redEntry int         // entry of that reduction: its fold node is what later accesses wait on
 	redOp    ir.ReduceOp
 }
 
-// latestWrite returns the most recent write record (highest stage, entry
-// order breaking ties); ok is false when the store was never written in
-// this group.
+// latestWrite returns the write record with the highest stage, the
+// earliest recorded on a tie; ok is false when the store was never
+// written in this group.
 func (acc *storeAccess) latestWrite() (partStage, bool) {
-	best, ok := partStage{stage: -1, entry: -1}, false
+	best, ok := partStage{stage: -1}, false
 	for _, w := range acc.writes {
-		if w.stage > best.stage || (w.stage == best.stage && w.entry > best.entry) {
+		if w.stage > best.stage {
 			best, ok = w, true
 		}
 	}
@@ -166,31 +140,18 @@ func (acc *storeAccess) readStageOf() int {
 	return st
 }
 
-// recordPS notes an access through part at the given stage by the given
-// entry in a per-partition history list, returning the updated list.
-func recordPS(list []partStage, part ir.Partition, stage, entry int) []partStage {
+// recordPS notes an access through part at the given stage in a
+// per-partition history list, returning the updated list.
+func recordPS(list []partStage, part ir.Partition, stage int) []partStage {
 	for i := range list {
 		if list[i].part.Equal(part) {
 			if stage > list[i].stage {
 				list[i].stage = stage
 			}
-			if entry > list[i].entry {
-				list[i].entry = entry
-			}
 			return list
 		}
 	}
-	return append(list, partStage{part: part, stage: stage, entry: entry})
-}
-
-// foldDep is one wait on a reduction fold: entry cons runs after the fold
-// node of entry fold. Its units wait, unless toFold is set: a same-op
-// reduction into the same store only orders its own fold, because its
-// units touch private partial cells while both folds read-modify-write
-// the one destination cell.
-type foldDep struct {
-	fold, cons int
-	toFold     bool
+	return append(list, partStage{part: part, stage: stage})
 }
 
 // shardGroup is the buffered task group of a sharded runtime.
@@ -201,11 +162,6 @@ type shardGroup struct {
 	refs    map[ir.StoreID]int   // stores referenced by buffered tasks
 	gens    map[ir.StoreID]int64 // shard generation each store entered with
 	stages  int                  // 1 + max entry stage
-
-	// DAG metadata (consumed by wavefront.go): the misaligned dependence
-	// records between entries and the waits on reduction folds.
-	deps  []ir.StageDep
-	folds []foldDep
 }
 
 // maxGroupTasks caps the group; longer streams drain in slabs.
@@ -283,13 +239,14 @@ func (rt *Runtime) DrainShardGroup() {
 }
 
 // groupable reports whether the task can ever join a shard group: a task
-// with a compiled kernel and arguments the executor's binding recipes
-// cover. A kernel object already buffered in the current group forces a
+// with a compiled kernel, arguments the executor's binding recipes cover,
+// and no more arguments than a rank's message tag can name (distTag). A
+// kernel object already buffered in the current group forces a
 // drain first (plans — and their reduction partials — are keyed by
 // kernel, so one kernel appears at most once per group); Execute handles
 // that case by draining and starting a fresh group.
 func (rt *Runtime) groupable(t *ir.Task) bool {
-	if t.Kernel == nil || t.Launch.Rank() < 1 || t.Launch.Size() == 0 {
+	if t.Kernel == nil || t.Launch.Rank() < 1 || t.Launch.Size() == 0 || len(t.Args) > maxTagSub {
 		return false
 	}
 	for _, a := range t.Args {
@@ -302,27 +259,20 @@ func (rt *Runtime) groupable(t *ir.Task) bool {
 	return true
 }
 
-// enqueueShard admits a task into the shard group, computing its stage
-// from the group's dependence state and recording the dependence metadata
-// the wavefront scheduler resolves into per-shard edges at drain time.
-// Callers hold execMu and have already checked groupable.
+// enqueueShard admits a task into the shard group and labels it with its
+// stage. The drain runs in program order whatever the labels say; they
+// feed only the Stages and HaloExchanges counters. Callers hold execMu and
+// have already checked groupable.
 func (rt *Runtime) enqueueShard(t *ir.Task) {
 	g := rt.group
 	if g == nil {
 		g = newShardGroup()
 		rt.group = g
 	}
-	self := len(g.entries) // index this task will occupy
 
 	// Stage assignment: start at the earliest stage consistent with every
-	// in-group dependence, bumping past a stage boundary (and recording a
+	// in-group dependence, bumping past a stage boundary (and counting a
 	// halo exchange) whenever the dependence's partitions misalign.
-	// Misaligned dependences additionally append a StageDep record naming
-	// the producer entry: the DAG turns each record into edges between
-	// exactly the (producer shard, consumer shard) pairs whose flat spans
-	// overlap. Point-wise (equal-partition) dependences need no record —
-	// shard blocks of equal partitions touch disjoint data, and the
-	// consumer's own-shard chain already orders it after the producer.
 	stage := 0
 	bump := func(s int) {
 		if s+1 > stage {
@@ -334,55 +284,23 @@ func (rt *Runtime) enqueueShard(t *ir.Task) {
 			stage = s
 		}
 	}
-	depStart := len(g.deps) // this task's records begin here (for dedup)
-	dep := func(prod int, id ir.StoreID, kind ir.DepKind) {
-		// One record per (producer, store, kind) suffices: edge
-		// resolution intersects store-level union spans, so a second
-		// record from another argument on the same store adds nothing
-		// but duplicate DAG nodes and edges.
-		for _, d := range g.deps[depStart:] {
-			if d.Prod == prod && d.Store == id && d.Kind == kind {
-				return
-			}
-		}
-		g.deps = append(g.deps, ir.StageDep{Prod: prod, Cons: self, Store: id, Kind: kind})
-	}
-	foldStart := len(g.folds)
-	waitFold := func(fold int, toFold bool) {
-		for _, f := range g.folds[foldStart:] {
-			if f.fold == fold && f.toFold == toFold {
-				return
-			}
-		}
-		g.folds = append(g.folds, foldDep{fold: fold, cons: self, toFold: toFold})
-	}
 	for _, a := range t.Args {
-		id := a.Store.ID()
-		acc, seen := g.access[id]
+		acc, seen := g.access[a.Store.ID()]
 		if !seen {
 			continue
 		}
 		lw, written := acc.latestWrite()
-		// A reduction pending on the store folds in its entry's own fold
-		// node. A same-op reduction joins its stage and orders only its
-		// fold after it; any other access lands a stage later and waits
-		// on the fold with every unit.
+		// A same-op reduction joins a pending reduction's stage; any
+		// other access lands a stage later.
 		if acc.redStage >= 0 {
 			if a.Priv.Reduces() && acc.redOp == a.Red {
 				join(acc.redStage)
-				waitFold(acc.redEntry, true)
 			} else {
 				bump(acc.redStage)
-				waitFold(acc.redEntry, false)
 			}
 		}
 		if a.Priv.Reduces() {
-			// The reduce's units only touch private partial cells; the
-			// conflict is between the *fold* and earlier accesses, and the
-			// fold node waits on every shard of this entry — whose
-			// own-shard chains (and, under WavefrontOff, the stage nodes)
-			// order it after every earlier entry on every shard. No span
-			// records needed.
+			// A reduction lands after every earlier access of the store.
 			if written {
 				bump(lw.stage)
 			}
@@ -398,14 +316,6 @@ func (rt *Runtime) enqueueShard(t *ir.Task) {
 				bump(lw.stage)
 				rt.shardStats.HaloExchanges++
 			}
-			// Order after every earlier writer this read can observe, not
-			// just the latest: a partial overwrite leaves older writers'
-			// rows visible through this read's footprint.
-			for _, w := range acc.writes {
-				if !w.part.Equal(a.Part) {
-					dep(w.entry, id, ir.DepHalo)
-				}
-			}
 		}
 		if a.Priv.Writes() {
 			if written {
@@ -415,20 +325,13 @@ func (rt *Runtime) enqueueShard(t *ir.Task) {
 					bump(lw.stage)
 				}
 			}
-			for _, w := range acc.writes {
-				if !w.part.Equal(a.Part) {
-					dep(w.entry, id, ir.DepAnti)
-				}
-			}
-			// Anti-dependences against *every* distinct read partition:
-			// the write shares a stage with point-wise (equal-partition)
+			// The write shares a stage with point-wise (equal-partition)
 			// readers only, and lands strictly after every misaligned one.
 			for _, r := range acc.reads {
 				if r.part.Equal(a.Part) {
 					join(r.stage)
 				} else {
 					bump(r.stage)
-					dep(r.entry, id, ir.DepAnti)
 				}
 			}
 		}
@@ -443,13 +346,13 @@ func (rt *Runtime) enqueueShard(t *ir.Task) {
 		}
 		switch {
 		case a.Priv.Reduces():
-			acc.redStage, acc.redEntry, acc.redOp = stage, self, a.Red
+			acc.redStage, acc.redOp = stage, a.Red
 		default:
 			if a.Priv.Reads() {
-				acc.reads = recordPS(acc.reads, a.Part, stage, self)
+				acc.reads = recordPS(acc.reads, a.Part, stage)
 			}
 			if a.Priv.Writes() {
-				acc.writes = recordPS(acc.writes, a.Part, stage, self)
+				acc.writes = recordPS(acc.writes, a.Part, stage)
 			}
 		}
 	}
@@ -477,8 +380,8 @@ func shardColorRange(launch ir.Rect, ncolors, s, shards int) (lo, hi int) {
 	return blo * rowW, bhi * rowW
 }
 
-// drainShardGroupLocked executes the buffered group — through its
-// dependence DAG, or on a distributed rank in program order (dist.go) —
+// drainShardGroupLocked executes the buffered group in program order —
+// in process, or on a distributed rank with its peer hooks (dist.go) —
 // then processes frees deferred while the group pinned their stores.
 // Callers hold execMu.
 func (rt *Runtime) drainShardGroupLocked() {
@@ -490,6 +393,7 @@ func (rt *Runtime) drainShardGroupLocked() {
 	if len(g.entries) > 0 {
 		rt.shardStats.Groups++
 		rt.shardStats.GroupedTasks += int64(len(g.entries))
+		rt.shardStats.Stages += int64(g.stages)
 
 		// Resolve and bind every task's plan up front (regions may
 		// allocate; single-threaded here), run the group, then unbind: a
@@ -503,7 +407,7 @@ func (rt *Runtime) drainShardGroupLocked() {
 		if rt.distTx != nil {
 			rt.runGroupDist(g)
 		} else {
-			rt.runWavefront(g)
+			rt.runGroupLocal(g)
 		}
 		for i := range g.entries {
 			g.entries[i].plan.unbind()
@@ -516,6 +420,21 @@ func (rt *Runtime) drainShardGroupLocked() {
 			rt.freeStoreLocked(id)
 		}
 		rt.deferredFrees = rt.deferredFrees[:0]
+	}
+}
+
+// runGroupLocal drains the group entry by entry: an entry's units run as
+// one batch on the pool, then its reductions fold in point order before
+// the next entry starts. Callers hold execMu; plans are resolved and
+// partials reset.
+func (rt *Runtime) runGroupLocal(g *shardGroup) {
+	shards := rt.Shards()
+	for e := range g.entries {
+		u := &g.entries[e]
+		rt.exec.runUnits(shards, func(ws *workerState, s int) {
+			rt.runUnitShard(u, ws, s, shards)
+		})
+		u.plan.foldPartials(u.task)
 	}
 }
 
@@ -551,10 +470,9 @@ type shardInst struct {
 // tiledShardSpan computes the tight flat-offset span a tiled argument's
 // point tasks access over colors [lo, hi) — the single footprint
 // computation shared by the shard-local instances executed against
-// (shardInstances) and the wavefront DAG's edge elision (argShardSpan in
-// wavefront.go). The two uses are correctness-coupled: an edge is elided
-// exactly when spans prove disjointness, so the elision must see the same
-// arithmetic the execution uses.
+// (shardInstances) and a rank's synced and shipped spans (argShardSpan in
+// dist.go). The two uses are correctness-coupled: a rank syncs and ships
+// exactly the span its unit's point tasks touch.
 func tiledShardSpan(plan *taskPlan, ap *argPlan, lo, hi int) ir.Span {
 	minBase, maxLast := math.MaxInt, -1
 	for pi := lo; pi < hi; pi++ {
