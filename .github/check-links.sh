@@ -31,7 +31,9 @@
 # sync, the rank DAG walk, the halo fault kind), and the in-process
 # wavefront DAG (its construction, the executor's DAG drain and serial walk,
 # its node counters, the dependence records and their halo kind, the
-# run-ahead mode) — so a sentence cannot outlive what it quoted. ROADMAP.md is exempt: it keeps history. The one-character
+# run-ahead mode), and legion's executor-policy switch that the reference
+# backend internal/oracle replaced (the setter, both policies, the
+# per-point executor) — so a sentence cannot outlive what it quoted. ROADMAP.md is exempt: it keeps history. The one-character
 # brackets keep this script from matching its own pattern in a
 # repository-wide grep.
 set -u
@@ -46,6 +48,7 @@ removed="$removed"'|DIFFUSE_DIST_[T]RANSPORT|DIFFUSE_DIST_[B]IND|DIFFUSE_[P]EERS
 removed="$removed"'|[B]atchMax|[P]roviderFor|(^|[^[:alnum:]])-[b]atch\b'
 removed="$removed"'|[s]endHalos|[s]tagedHalo|[s]yncRedDests|[r]unWavefrontDist|:[h]alo:'
 removed="$removed"'|[b]uildWavefrontDAG|[r]unDAG|[d]rainSerial|[W]avefrontNodes|[H]aloNodes|[F]oldNodes|[S]tageDep|[D]epHalo|[W]avefrontOn'
+removed="$removed"'|[S]etExecPolicy|[E]xecPerPoint|[E]xecChunked|[e]xecutePerPoint'
 
 # slugs_of FILE: print the GitHub anchor slug of every heading, skipping
 # fenced code blocks (a `# comment` inside a fence is not a heading).
@@ -64,7 +67,7 @@ for f in README.md DESIGN.md ROADMAP.md docs/*.md; do
   [ -e "$f" ] || continue
   dir=$(dirname "$f")
   if [ "$f" != ROADMAP.md ] && hits=$(grep -nE -e "$removed" "$f"); then
-    echo "$f: names something removed (the real-mode suite: see docs/BENCHMARKS.md; ReadAll32/WriteAll32: see DESIGN.md, the wire; the stage-barrier executor path: see DESIGN.md, sharded execution; feedback scheduling: see DESIGN.md, static schedule; the tcp rank mesh and serve batching: see docs/SERVING.md; the rank drain: see docs/ARCHITECTURE.md, distributed execution; the wavefront DAG: see DESIGN.md, one drain loop):"
+    echo "$f: names something removed (the real-mode suite: see docs/BENCHMARKS.md; ReadAll32/WriteAll32: see DESIGN.md, the wire; the stage-barrier executor path: see DESIGN.md, sharded execution; feedback scheduling: see DESIGN.md, static schedule; the tcp rank mesh and serve batching: see docs/SERVING.md; the rank drain: see docs/ARCHITECTURE.md, distributed execution; the wavefront DAG: see DESIGN.md, one drain loop; the executor policies: see DESIGN.md, the reference backend):"
     echo "$hits"
     fail=1
   fi

@@ -8,23 +8,23 @@ import (
 	"diffuse/internal/core"
 	"diffuse/internal/legion"
 	"diffuse/internal/machine"
+	"diffuse/internal/oracle"
 )
 
-func dtCtx(policy legion.ExecPolicy) *cunum.Context {
-	cfg := core.Config{
+func dtConfig() core.Config {
+	return core.Config{
 		Mode:          legion.ModeReal,
 		Machine:       machine.DefaultA100(4),
 		Enabled:       true,
 		InitialWindow: 8,
 		MaxWindow:     64,
 	}
-	ctx := cunum.NewContext(core.New(cfg))
-	ctx.Runtime().Legion().SetExecPolicy(policy)
-	return ctx
 }
 
+func dtCtx() *cunum.Context { return cunum.NewContext(core.New(dtConfig())) }
+
 func TestTypedCreation(t *testing.T) {
-	ctx := dtCtx(legion.ExecChunked)
+	ctx := dtCtx()
 	a := ctx.ZerosT(cunum.F32, 8)
 	if a.DType() != cunum.F32 {
 		t.Fatalf("ZerosT dtype = %v", a.DType())
@@ -44,7 +44,7 @@ func TestTypedCreation(t *testing.T) {
 }
 
 func TestAsTypeRoundTrip(t *testing.T) {
-	ctx := dtCtx(legion.ExecChunked)
+	ctx := dtCtx()
 	a := ctx.FromSlice([]float64{0.1, 0.2, 1.0 / 3.0, -7.5}, 4)
 	f := a.AsType(cunum.F32).Keep()
 	if f.DType() != cunum.F32 {
@@ -73,7 +73,7 @@ func TestAsTypeRoundTrip(t *testing.T) {
 }
 
 func TestHost32Transfer(t *testing.T) {
-	ctx := dtCtx(legion.ExecChunked)
+	ctx := dtCtx()
 	a := ctx.EmptyT(cunum.F32, 2, 2)
 	a.FromHost32([]float32{1.5, 2.5, 3.5, 4.5})
 	h := a.ToHost32()
@@ -94,7 +94,7 @@ func TestHost32Transfer(t *testing.T) {
 // f32 results throughout (including reductions), with rounding applied at
 // every store.
 func TestF32StreamStaysF32(t *testing.T) {
-	ctx := dtCtx(legion.ExecChunked)
+	ctx := dtCtx()
 	x := ctx.RandomT(cunum.F32, 7, 64)
 	y := x.MulC(3).AddC(0.25).Keep()
 	if y.DType() != cunum.F32 {
@@ -116,7 +116,7 @@ func TestF32StreamStaysF32(t *testing.T) {
 // and an f32 consumer chain submitted in one window fuse into a single
 // task — the cast is the sanctioned dtype boundary.
 func TestMixedDTypeFusesAcrossCast(t *testing.T) {
-	ctx := dtCtx(legion.ExecChunked)
+	ctx := dtCtx()
 	rt := ctx.Runtime()
 	s0 := rt.Stats()
 	x := ctx.Random(11, 256)
@@ -142,7 +142,7 @@ func TestMixedDTypeFusesAcrossCast(t *testing.T) {
 // TestIndependentDTypeStreamsDoNotFuse: two unrelated chains of different
 // dtypes interleaved in one window must not merge into one fused kernel.
 func TestIndependentDTypeStreamsDoNotFuse(t *testing.T) {
-	ctx := dtCtx(legion.ExecChunked)
+	ctx := dtCtx()
 	rt := ctx.Runtime()
 	s0 := rt.Stats()
 	a := ctx.Random(1, 128)
@@ -157,20 +157,20 @@ func TestIndependentDTypeStreamsDoNotFuse(t *testing.T) {
 }
 
 // TestReductionBitIdentityPerDType: reductions over f32 (and f64) streams
-// must be bit-identical between the chunked executor and the per-point
-// baseline — the per-dtype determinism guarantee of the typed executor.
+// must be bit-identical between the chunked executor and the serial
+// reference backend (internal/oracle) — the per-dtype determinism
+// guarantee of the typed executor.
 func TestReductionBitIdentityPerDType(t *testing.T) {
 	for _, dt := range []cunum.DType{cunum.F64, cunum.F32} {
-		run := func(policy legion.ExecPolicy) (float64, []float64) {
-			ctx := dtCtx(policy)
+		run := func(ctx *cunum.Context) (float64, []float64) {
 			ctx.Runtime().Legion().SetWorkerPool(4) // pooled path on 1-CPU hosts
 			x := ctx.RandomT(dt, 42, 4096)
 			y := x.MulC(1.000001).SubC(0.3).Keep()
 			s := y.Sum().Future().Value()
 			return s, y.ToHost()
 		}
-		sChunked, yChunked := run(legion.ExecChunked)
-		sPerPoint, yPerPoint := run(legion.ExecPerPoint)
+		sChunked, yChunked := run(dtCtx())
+		sPerPoint, yPerPoint := run(cunum.NewContext(core.NewWithBackend(dtConfig(), oracle.New())))
 		if math.Float64bits(sChunked) != math.Float64bits(sPerPoint) {
 			t.Fatalf("%v sum differs between executors: %x vs %x",
 				dt, math.Float64bits(sChunked), math.Float64bits(sPerPoint))
@@ -187,7 +187,7 @@ func TestReductionBitIdentityPerDType(t *testing.T) {
 // astype family exercises it, and a user-registered op gets the same
 // treatment.
 func TestRegistryOutDType(t *testing.T) {
-	ctx := dtCtx(legion.ExecChunked)
+	ctx := dtCtx()
 	op, ok := cunum.LookupElemOp("astype_f32")
 	if !ok || op.Out != cunum.OutF32 {
 		t.Fatalf("astype_f32 not registered with OutF32 (ok=%v out=%v)", ok, op.Out)

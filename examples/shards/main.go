@@ -2,7 +2,7 @@
 // multi-right-hand-side Jacobi workload runs at 1, 2, and 4 shards
 // (core.Config.Shards via the diffuse façade), prints the shard-group
 // activity counters, and verifies that the final state is bit-identical
-// across shard counts — the determinism contract of shard-major
+// across shard counts — the determinism contract of sharded
 // scheduling. See docs/ARCHITECTURE.md "Where sharding hooks in".
 package main
 

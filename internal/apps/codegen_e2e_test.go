@@ -9,6 +9,7 @@ import (
 	"diffuse/internal/core"
 	"diffuse/internal/legion"
 	"diffuse/internal/machine"
+	"diffuse/internal/oracle"
 )
 
 // End-to-end differential testing of the codegen backend: every app of
@@ -18,14 +19,16 @@ import (
 // through the fusion layer, the executors, and the apps.
 
 func codegenCtx(shards int, mode legion.CodegenMode) *cunum.Context {
-	cfg := core.DefaultConfig(4)
-	cfg.Mode = legion.ModeReal
-	cfg.Machine = machine.DefaultA100(4)
-	cfg.Shards = shards
-	cfg.Codegen = mode
-	ctx := cunum.NewContext(core.New(cfg))
+	ctx := cunum.NewContext(core.New(codegenConfig(shards, mode)))
 	ctx.Runtime().Legion().SetWorkerPool(4)
 	return ctx
+}
+
+func codegenConfig(shards int, mode legion.CodegenMode) core.Config {
+	cfg := typedConfig()
+	cfg.Shards = shards
+	cfg.Codegen = mode
+	return cfg
 }
 
 // bits64/bits32 reduce observable state to raw bit patterns so the
@@ -50,8 +53,9 @@ func bits32(xs ...[]float32) []uint64 {
 	return out
 }
 
-// TestAppsCodegenBitIdentity runs the whole app suite twice per
-// configuration — codegen on vs off — and requires byte-equal state.
+// TestAppsCodegenBitIdentity runs the whole app suite three times per
+// configuration — codegen on, codegen off, and fused on the serial
+// reference backend (internal/oracle) — and requires byte-equal state.
 func TestAppsCodegenBitIdentity(t *testing.T) {
 	runners := []struct {
 		name string
@@ -112,17 +116,23 @@ func TestAppsCodegenBitIdentity(t *testing.T) {
 		for _, shards := range []int{1, 4} {
 			interp := r.run(codegenCtx(shards, legion.CodegenOff))
 			coded := r.run(codegenCtx(shards, legion.CodegenOn))
-			if len(interp) != len(coded) {
-				t.Fatalf("%s shards=%d: observable size differs (%d vs %d)",
-					r.name, shards, len(interp), len(coded))
-			}
-			for i := range interp {
-				if interp[i] != coded[i] {
-					t.Fatalf("%s shards=%d: element %d diverges: %#x (interp) vs %#x (codegen)",
-						r.name, shards, i, interp[i], coded[i])
+			ref := r.run(cunum.NewContext(core.NewWithBackend(codegenConfig(shards, legion.CodegenOn), oracle.New())))
+			for _, other := range []struct {
+				name string
+				obs  []uint64
+			}{{"interp", interp}, {"oracle", ref}} {
+				if len(other.obs) != len(coded) {
+					t.Fatalf("%s shards=%d: observable size differs (%d %s vs %d codegen)",
+						r.name, shards, len(other.obs), other.name, len(coded))
+				}
+				for i := range coded {
+					if other.obs[i] != coded[i] {
+						t.Fatalf("%s shards=%d: element %d diverges: %#x (%s) vs %#x (codegen)",
+							r.name, shards, i, other.obs[i], other.name, coded[i])
+					}
 				}
 			}
-			if len(interp) == 0 {
+			if len(coded) == 0 {
 				t.Fatalf("%s: empty observable", r.name)
 			}
 		}

@@ -41,8 +41,8 @@ type Config struct {
 	Machine machine.Config
 	// Shards enables sharded execution (ModeReal): stores are decomposed
 	// into this many leading-axis blocks, and the runtime buffers
-	// compatible tasks into groups it executes shard-major, in program
-	// order: each task's per-shard units run as one batch on the
+	// compatible tasks into groups it executes in program order, entry
+	// by entry: each task's per-shard units run as one batch on the
 	// work-stealing executor, the way a rank runs its own. 0 or 1
 	// disables sharding; results (including reductions) are bit-identical
 	// across shard counts. See DESIGN.md "Sharded execution".
@@ -156,32 +156,22 @@ type Runtime struct {
 	def *Session // default session backing Runtime.Submit / Runtime.Flush
 }
 
-// New creates a Diffuse runtime. With cfg.Ranks > 1 it also launches the
-// rank subprocesses of a distributed runtime and panics if they cannot be
-// started — a half-launched process mesh has no usable degraded mode.
+// New creates a Diffuse runtime on the backend its configuration selects:
+// none (the runtime executes itself), the rank subprocesses of a
+// distributed runtime (cfg.Ranks > 1), or the simulated cluster
+// (ModeSim). With cfg.Ranks > 1 it panics if the ranks cannot be started
+// — a half-launched process mesh has no usable degraded mode.
 func New(cfg Config) *Runtime {
-	if cfg.InitialWindow <= 0 {
-		cfg.InitialWindow = 5
-	}
-	if cfg.MaxWindow <= 0 {
-		cfg.MaxWindow = 512
-	}
-	if cfg.Ranks > 1 {
+	var r *Runtime
+	var backend legion.Backend
+	switch {
+	case cfg.Ranks > 1:
 		if cfg.Mode != legion.ModeReal {
 			panic("core: distributed execution (Ranks > 1) requires ModeReal")
 		}
 		// Rank r owns shard r: forced so the parent stamps tasks exactly
 		// as the in-process Shards=Ranks oracle would.
 		cfg.Shards = cfg.Ranks
-	}
-	r := &Runtime{
-		cfg:     cfg,
-		memo:    map[hash128.Sum]*memoEntry{},
-		quotaOf: map[ir.StoreID]storeCharge{},
-	}
-	var backend legion.Backend
-	switch {
-	case cfg.Ranks > 1:
 		// Ranks execute the kernels, so the backend toggle must reach
 		// them; rank.go reads it back in MaybeRankMain's runtime setup.
 		var extraEnv []string
@@ -197,7 +187,26 @@ func New(cfg Config) *Runtime {
 		// The pricer reads compiled kernels from the runtime's one cache.
 		backend = machine.NewPricer(cfg.Machine, func(k *kir.Kernel) *kir.Compiled { return r.leg.Compiled(k) })
 	}
-	r.leg = legion.New(backend)
+	r = NewWithBackend(cfg, backend)
+	return r
+}
+
+// NewWithBackend creates a Diffuse runtime whose post-fusion stream goes
+// to b (legion.New); a nil b executes it in process. Tests install the
+// reference backend (internal/oracle) through it.
+func NewWithBackend(cfg Config, b legion.Backend) *Runtime {
+	if cfg.InitialWindow <= 0 {
+		cfg.InitialWindow = 5
+	}
+	if cfg.MaxWindow <= 0 {
+		cfg.MaxWindow = 512
+	}
+	r := &Runtime{
+		cfg:     cfg,
+		memo:    map[hash128.Sum]*memoEntry{},
+		quotaOf: map[ir.StoreID]storeCharge{},
+	}
+	r.leg = legion.New(b)
 	r.leg.SetShards(cfg.Shards)
 	r.leg.SetCodegen(cfg.Codegen)
 	r.stats.WindowSize = cfg.InitialWindow

@@ -63,6 +63,19 @@ const (
 	RedMin
 )
 
+// Combiner returns the kernel-IR combiner of the reduction (RedSum for
+// RedNone).
+func (r ReduceOp) Combiner() kir.RedOp {
+	switch r {
+	case RedMax:
+		return kir.RedMax
+	case RedMin:
+		return kir.RedMin
+	default:
+		return kir.RedSum
+	}
+}
+
 // String implements fmt.Stringer.
 func (r ReduceOp) String() string {
 	switch r {

@@ -119,8 +119,8 @@ func (rt *Runtime) attachProgramLocked(c *kir.Compiled) {
 }
 
 // countBackend records which backend an index task's kernel executes on.
-// Called once per index task by each executor path (chunked, per-point,
-// sharded), under execMu.
+// Called once per index task by each executor path (chunked, sharded),
+// under execMu.
 func (rt *Runtime) countBackend(c *kir.Compiled) {
 	if c.HasCodegen() {
 		rt.cgStats.tasksCompiled.Add(1)

@@ -295,7 +295,7 @@ func (ds *distGroupState) apply(p *pendingUpdate) {
 		}
 	}
 	ai := plan.redArgs[p.sub]
-	foldPartialCell(redOpOf(u.task.Args[ai].Red), plan.args[ai].data, part)
+	foldPartialCell(u.task.Args[ai].Red.Combiner(), plan.args[ai].data, part)
 }
 
 func (ds *distGroupState) sendAll(tag uint64) {

@@ -6,6 +6,7 @@ import (
 	"diffuse/internal/ir"
 	"diffuse/internal/kir"
 	"diffuse/internal/machine"
+	"diffuse/internal/oracle"
 )
 
 // TestReadAtModeSimReportsNotOK: simulated runtimes have no data; the read
@@ -54,11 +55,10 @@ func TestTypedRegionAllocation(t *testing.T) {
 
 // TestTypedReductionExecution: a reduction into an f32 cell rounds every
 // fold step at f32, matching the per-dtype bit-identity contract between
-// both executors.
+// the executor and the reference backend.
 func TestTypedReductionExecution(t *testing.T) {
-	for _, policy := range []ExecPolicy{ExecChunked, ExecPerPoint} {
-		rt := New(nil)
-		rt.SetExecPolicy(policy)
+	for _, b := range []Backend{nil, oracle.New()} {
+		rt := New(b)
 		var fact ir.Factory
 		const points, ext = 4, 16
 		n := points * ext
@@ -104,7 +104,7 @@ func TestTypedReductionExecution(t *testing.T) {
 		}
 		want := float64(float32(folded))
 		if got != want {
-			t.Fatalf("policy %v: f32 reduction = %v, want %v", policy, got, want)
+			t.Fatalf("backend %T: f32 reduction = %v, want %v", b, got, want)
 		}
 	}
 }

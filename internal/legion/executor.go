@@ -1,9 +1,9 @@
 package legion
 
-// The persistent real-mode executor. v1 spawned one goroutine per point
-// task behind a semaphore and re-resolved every region, shape, and stride
-// once per point; on streams of fine-grained tasks the runtime spent more
-// time standing up execution than executing. v2 keeps a NumCPU-sized pool
+// The persistent real-mode executor. One goroutine per point task with
+// every region, shape and stride re-resolved per point spent more time
+// standing up execution than executing on streams of fine-grained tasks.
+// This executor keeps a NumCPU-sized pool
 // of workers alive for the life of the Runtime and feeds it *chunks* —
 // groups of contiguous point-task colors sized by the machine cost model
 // so each dispatch carries enough work to amortize its scheduling. Workers
@@ -13,8 +13,8 @@ package legion
 //
 // Determinism: every point task accumulates reductions into its own
 // per-point partial cell, and the barrier folds cells in point order —
-// results are bit-identical to the per-point baseline no matter how chunks
-// are sized, scheduled, or stolen.
+// results are bit-identical to the serial reference backend
+// (internal/oracle) no matter how chunks are sized, scheduled, or stolen.
 
 import (
 	"fmt"
@@ -26,24 +26,6 @@ import (
 	"diffuse/internal/ir"
 	"diffuse/internal/kir"
 	"diffuse/internal/machine"
-)
-
-// ExecPolicy selects how point tasks are scheduled. It is a test
-// oracle switch, not a configuration: nothing above this package exposes
-// it, and only SetExecPolicy selects it.
-type ExecPolicy int
-
-// Executor policies.
-const (
-	// ExecChunked (the default) runs point tasks on the runtime's
-	// persistent worker pool in cost-model-sized chunks with work
-	// stealing, running sub-dispatch-cost tasks inline.
-	ExecChunked ExecPolicy = iota
-	// ExecPerPoint runs the v1 executor (exec.go) — one goroutine per
-	// point task, bindings resolved afresh at every point. It shares no
-	// binding code with the chunked path, which makes it the independent
-	// oracle the determinism and dtype tests compare against.
-	ExecPerPoint
 )
 
 // ExecStats counts executor activity since the runtime was created.
@@ -421,18 +403,32 @@ func (p *taskPlan) resetPartials(t *ir.Task, n int) {
 		if p.partials[r].Len() != n || p.partials[r].DType() != dt {
 			p.partials[r] = kir.AllocBuffer(dt, n)
 		}
-		p.partials[r].Fill(redOpOf(t.Args[i].Red).Identity())
+		p.partials[r].Fill(t.Args[i].Red.Combiner().Identity())
 	}
 }
 
 // foldPartials combines every reduction's per-point cells into its
-// destination cell, in point order — the same order (and the same typed
-// fold sequence) the per-point baseline uses, so results are
+// destination cell, in point order, so results are
 // scheduling-independent per dtype.
 func (p *taskPlan) foldPartials(t *ir.Task) {
 	for r, i := range p.redArgs {
-		foldPartialCell(redOpOf(t.Args[i].Red), p.args[i].data, p.partials[r])
+		foldPartialCell(t.Args[i].Red.Combiner(), p.args[i].data, p.partials[r])
 	}
+}
+
+// foldPartialCell combines per-point partial cells into the destination
+// cell in point order — the one fold sequence the in-process and rank
+// drains share, so results are bit-identical per dtype under any
+// scheduling. The combine runs in float64 and each step is observed
+// through the typed partial cells, with one final rounding at the
+// destination's dtype.
+func foldPartialCell(op kir.RedOp, cell, partials kir.Buffer) {
+	acc := cell.Get(0)
+	n := partials.Len()
+	for j := 0; j < n; j++ {
+		acc = op.Combine(acc, partials.Get(j))
+	}
+	cell.Set(0, acc)
 }
 
 // bindPoint rebinds ws.pa for one point task using the plan's
@@ -479,10 +475,10 @@ func bindPoint(p *taskPlan, ws *workerState, pi int, color ir.Point) {
 	}
 }
 
-// runPoint is the one place a point task is bound, rebased onto its
+// execPoint is the one place a point task is bound, rebased onto its
 // shard-local instances (sharded units only), handed its CSR payloads and
 // executed, on this worker's reusable state.
-func (b *execBatch) runPoint(ws *workerState, pi int) {
+func (b *execBatch) execPoint(ws *workerState, pi int) {
 	bindPoint(b.plan, ws, pi, b.plan.colors[pi])
 	for i := range b.insts {
 		if inst := &b.insts[i]; !inst.buf.IsNil() {
@@ -500,7 +496,7 @@ func (b *execBatch) runPoint(ws *workerState, pi int) {
 // runSpan executes the contiguous point range [lo, hi).
 func (b *execBatch) runSpan(ws *workerState, lo, hi int) {
 	for pi := lo; pi < hi; pi++ {
-		b.runPoint(ws, pi)
+		b.execPoint(ws, pi)
 	}
 }
 
@@ -627,11 +623,6 @@ func (e *executor) runUnits(n int, unit func(ws *workerState, i int)) {
 	e.dispatch(&execBatch{unit: unit}, n)
 }
 
-// SetExecPolicy selects the real-mode executor implementation — the only
-// way to reach the per-point oracle. It must be called before any task
-// executes and is not safe to change mid-stream.
-func (rt *Runtime) SetExecPolicy(p ExecPolicy) { rt.policy = p }
-
 // ExecStats returns a snapshot of the executor's activity counters.
 func (rt *Runtime) ExecStats() ExecStats {
 	rt.mu.Lock()
@@ -655,7 +646,6 @@ func (rt *Runtime) SetWorkerPool(n int) {
 		return
 	}
 	rt.exec.shutdown()
-	rt.workers = n
 	rt.exec = newExecutor(n, machine.HostExec(n))
 }
 
@@ -664,6 +654,7 @@ func (rt *Runtime) SetWorkerPool(n int) {
 // benchmarks and tests create many short-lived runtimes, and parked
 // workers must not accumulate.
 func (rt *Runtime) attachExecutor() {
-	rt.exec = newExecutor(rt.workers, machine.HostExec(rt.workers))
+	n := runtime.GOMAXPROCS(0)
+	rt.exec = newExecutor(n, machine.HostExec(n))
 	runtime.SetFinalizer(rt, func(r *Runtime) { r.exec.shutdown() })
 }

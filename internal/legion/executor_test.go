@@ -9,6 +9,7 @@ import (
 
 	"diffuse/internal/ir"
 	"diffuse/internal/kir"
+	"diffuse/internal/oracle"
 )
 
 // randomKernel fills its single parameter with seeded pseudo-random values.
@@ -38,15 +39,13 @@ func reduceKernel(ext int, red kir.RedOp) *kir.Kernel {
 	return k
 }
 
-// runStream executes the shared random→math→reduce stream on a fresh
-// runtime with the given policy and returns the math output plus the two
-// reduction scalars. The kernels are shared between invocations so the
-// chunked executor's plan cache is exercised on the repeat iterations.
-func runStream(t *testing.T, policy ExecPolicy, points, ext, iters int,
+// runStream executes the shared random→math→reduce stream on rt and
+// returns the math output plus the two reduction scalars. The kernels are
+// shared between invocations so the chunked executor's plan cache is
+// exercised on the repeat iterations.
+func runStream(t *testing.T, rt *Runtime, points, ext, iters int,
 	kRand, kMath, kSum, kMax *kir.Kernel) ([]float64, float64, float64) {
 	t.Helper()
-	rt := New(nil)
-	rt.SetExecPolicy(policy)
 	rt.SetWorkerPool(4) // exercise the pooled path even on 1-CPU hosts
 	var fact ir.Factory
 	n := points * ext
@@ -79,7 +78,8 @@ func runStream(t *testing.T, policy ExecPolicy, points, ext, iters int,
 
 // TestChunkedBitIdenticalToPerPoint checks the determinism contract: the
 // chunked executor (any chunking, any stealing schedule) produces results
-// bit-identical to the per-point baseline, including order-sensitive
+// bit-identical to the serial per-point reference backend (internal/oracle),
+// including order-sensitive
 // floating-point sum reductions, across launches narrower and wider than
 // the worker pool.
 func TestChunkedBitIdenticalToPerPoint(t *testing.T) {
@@ -89,10 +89,10 @@ func TestChunkedBitIdenticalToPerPoint(t *testing.T) {
 		kMath := mathKernel(ext)
 		kSum := reduceKernel(ext, kir.RedSum)
 		kMax := reduceKernel(ext, kir.RedMax)
-		yC, sumC, maxC := runStream(t, ExecChunked, points, ext, 3, kRand, kMath, kSum, kMax)
-		yP, sumP, maxP := runStream(t, ExecPerPoint, points, ext, 3, kRand, kMath, kSum, kMax)
+		yC, sumC, maxC := runStream(t, New(nil), points, ext, 3, kRand, kMath, kSum, kMax)
+		yP, sumP, maxP := runStream(t, New(oracle.New()), points, ext, 3, kRand, kMath, kSum, kMax)
 		if math.Float64bits(sumC) != math.Float64bits(sumP) {
-			t.Fatalf("points=%d: sum differs: chunked %x per-point %x", points,
+			t.Fatalf("points=%d: sum differs: chunked %x oracle %x", points,
 				math.Float64bits(sumC), math.Float64bits(sumP))
 		}
 		if math.Float64bits(maxC) != math.Float64bits(maxP) {
@@ -100,7 +100,7 @@ func TestChunkedBitIdenticalToPerPoint(t *testing.T) {
 		}
 		for i := range yC {
 			if math.Float64bits(yC[i]) != math.Float64bits(yP[i]) {
-				t.Fatalf("points=%d: y[%d] = %x, per-point %x", points, i,
+				t.Fatalf("points=%d: y[%d] = %x, oracle %x", points, i,
 					math.Float64bits(yC[i]), math.Float64bits(yP[i]))
 			}
 		}

@@ -10,10 +10,10 @@
 // coefficients, scratch) is pre-resolved once per task shape and reused
 // across the fused task stream. Reductions accumulate into per-point
 // partial cells folded in point order at the barrier, so results are
-// bit-identical under any scheduling. The v1 executor — one goroutine per
-// point task (exec.go) — stays as the independent binding oracle tests
-// compare against, reachable only through SetExecPolicy; it is not a
-// configuration.
+// bit-identical under any scheduling. The reference those results are
+// checked against is not in this package: internal/oracle is a Backend
+// that runs every task serially, point by point, on the kir interpreter,
+// and tests install it like any other backend.
 //
 // A Backend fixed at construction takes over every data-touching call
 // instead (Execute, host reads and writes, frees, drains): the parent of a
@@ -26,8 +26,8 @@
 // pricer read.
 //
 // With SetShards > 1 (core.Config.Shards), execution is additionally
-// *sharded* (shard.go): tasks buffer into groups that run shard-major over
-// leading-axis blocks. A group drains in program order, the way a rank of
+// *sharded* (shard.go): tasks buffer into groups over leading-axis blocks.
+// A group drains entry by entry in program order, the way a rank of
 // a distributed runtime drains it (dist.go): each task's (task, shard)
 // units run as one batch on the work-stealing executor against
 // shard-local region instances that bound each shard's accesses, then the
@@ -37,7 +37,6 @@ package legion
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"weak"
 
@@ -111,6 +110,19 @@ func (p *Payload) SpMVStats() kir.SpMVStats {
 	}
 }
 
+// Locals returns the point-local CSR rows of every payload key at point
+// pi, nil for a nil or CSR-free payload.
+func (p *Payload) Locals(pi int) map[int]*kir.CSRLocal {
+	if p == nil || len(p.CSR) == 0 {
+		return nil
+	}
+	out := make(map[int]*kir.CSRLocal, len(p.CSR))
+	for k, prov := range p.CSR {
+		out[k] = prov.Local(pi)
+	}
+	return out
+}
+
 // MergePayloads combines the payloads of fused tasks.
 func MergePayloads(tasks []*ir.Task) *Payload {
 	var out *Payload
@@ -165,14 +177,9 @@ type Runtime struct {
 	// guarded by execMu.
 	model modelError
 
-	workers int
-	scratch sync.Pool // per-point-baseline scratch recycling
-
-	// Real-mode executor state (see executor.go): the persistent worker
-	// pool and the active scheduling policy (guarded by execMu, like
-	// everything else on the execution path).
-	exec   *executor
-	policy ExecPolicy
+	// exec is the persistent worker pool (executor.go), nil with a
+	// backend.
+	exec *executor
 
 	// Sharded execution state (see shard.go): the configured shard count,
 	// the buffered task group, frees deferred while the group references
@@ -208,9 +215,7 @@ func New(b Backend) *Runtime {
 		free:    map[regionKey][]weak.Pointer[region]{},
 		kernels: map[*kir.Kernel]*kernelEntry{},
 		progs:   map[hash128.Sum]*kir.CodegenProgram{},
-		workers: runtime.GOMAXPROCS(0),
 	}
-	rt.scratch.New = func() any { return kir.NewScratch() }
 	if b == nil {
 		rt.attachExecutor()
 	}
@@ -316,7 +321,7 @@ func (rt *Runtime) regionFor(s *ir.Store, initRed ir.ReduceOp) *region {
 			rt.regionAllocs++
 		}
 		if initRed == ir.RedMax || initRed == ir.RedMin {
-			r.data.Fill(redIdentity(initRed))
+			r.data.Fill(initRed.Combiner().Identity())
 		}
 		rt.regions[s.ID()] = r
 	}
@@ -337,17 +342,6 @@ func (rt *Runtime) popFreeLocked(k regionKey) *region {
 	}
 	rt.free[k] = l
 	return r
-}
-
-func redIdentity(op ir.ReduceOp) float64 {
-	switch op {
-	case ir.RedMax:
-		return kir.RedMax.Identity()
-	case ir.RedMin:
-		return kir.RedMin.Identity()
-	default:
-		return 0
-	}
 }
 
 // Close ends the runtime's life: with a backend it closes the backend and
@@ -505,5 +499,5 @@ func (rt *Runtime) Execute(t *ir.Task) {
 		rt.shardStats.Fallbacks++
 		rt.drainShardGroupLocked()
 	}
-	rt.executeReal(t)
+	rt.executeChunked(t)
 }

@@ -39,7 +39,7 @@ func dirtyAndFree(rt *Runtime, fact *ir.Factory, dt ir.DType, n int) {
 
 // TestRecycledRegionReadsZeroWhereUnwritten: a new store that takes a freed
 // region and is written on part of its domain only must read 0 everywhere
-// else, at every dtype and under both executors.
+// else, at every dtype.
 func TestRecycledRegionReadsZeroWhereUnwritten(t *testing.T) {
 	pauseGC(t)
 	const points, ext, pad = 4, 256, 24
@@ -47,27 +47,24 @@ func TestRecycledRegionReadsZeroWhereUnwritten(t *testing.T) {
 	launch := ir.MakeRect(ir.Point{0}, ir.Point{points})
 	interior := ir.NewTiling(launch, []int{points * ext}, []int{ext}, []int{pad}, nil, nil)
 	for _, dt := range []ir.DType{ir.F64, ir.F32, ir.I32} {
-		for _, policy := range []ExecPolicy{ExecChunked, ExecPerPoint} {
-			rt := New(nil)
-			rt.SetExecPolicy(policy)
-			rt.SetWorkerPool(4)
-			var fact ir.Factory
-			dirtyAndFree(rt, &fact, dt, n)
-			s := fact.NewStoreTyped("s", []int{n}, dt)
-			rt.Execute(&ir.Task{Name: "const", Launch: launch, Kernel: constKernel(dt, ext, 7),
-				Args: []ir.Arg{{Store: s, Part: interior, Priv: ir.Write}}})
-			got := readAll(rt, s)
-			if st := rt.ExecStats(); st.RegionAllocs != 1 || st.RegionReuses != 1 {
-				t.Fatalf("%v policy %v: allocs/reuses = %d/%d, want 1/1", dt, policy, st.RegionAllocs, st.RegionReuses)
+		rt := New(nil)
+		rt.SetWorkerPool(4)
+		var fact ir.Factory
+		dirtyAndFree(rt, &fact, dt, n)
+		s := fact.NewStoreTyped("s", []int{n}, dt)
+		rt.Execute(&ir.Task{Name: "const", Launch: launch, Kernel: constKernel(dt, ext, 7),
+			Args: []ir.Arg{{Store: s, Part: interior, Priv: ir.Write}}})
+		got := readAll(rt, s)
+		if st := rt.ExecStats(); st.RegionAllocs != 1 || st.RegionReuses != 1 {
+			t.Fatalf("%v: allocs/reuses = %d/%d, want 1/1", dt, st.RegionAllocs, st.RegionReuses)
+		}
+		for i, v := range got {
+			want := 7.0
+			if i < pad || i >= n-pad {
+				want = 0
 			}
-			for i, v := range got {
-				want := 7.0
-				if i < pad || i >= n-pad {
-					want = 0
-				}
-				if v != want {
-					t.Fatalf("%v policy %v: s[%d] = %v, want %v", dt, policy, i, v, want)
-				}
+			if v != want {
+				t.Fatalf("%v: s[%d] = %v, want %v", dt, i, v, want)
 			}
 		}
 	}
@@ -87,26 +84,23 @@ func TestRecycledRegionReductionIdentity(t *testing.T) {
 		kred kir.RedOp
 		fill float64
 	}{{ir.RedMax, kir.RedMax, -3}, {ir.RedMin, kir.RedMin, 3}} {
-		for _, policy := range []ExecPolicy{ExecChunked, ExecPerPoint} {
-			rt := New(nil)
-			rt.SetExecPolicy(policy)
-			var fact ir.Factory
-			x := fact.NewStore("x", []int{n})
-			rt.Execute(&ir.Task{Name: "const", Launch: launch, Kernel: constKernel(ir.F64, ext, tc.fill),
-				Args: []ir.Arg{{Store: x, Part: tp, Priv: ir.Write}}})
-			dirtyAndFree(rt, &fact, ir.F64, 1)
-			acc := fact.NewStore("acc", []int{1})
-			rt.Execute(&ir.Task{Name: "red", Launch: launch, Kernel: reduceKernel(ext, tc.kred),
-				Args: []ir.Arg{
-					{Store: x, Part: tp, Priv: ir.Read},
-					{Store: acc, Part: ir.ReplicateOver(launch), Priv: ir.Reduce, Red: tc.red}}})
-			got, _ := rt.ReadAt(acc, 0)
-			if st := rt.ExecStats(); st.RegionReuses != 1 {
-				t.Fatalf("red %v policy %v: the destination was not recycled (reuses %d)", tc.red, policy, st.RegionReuses)
-			}
-			if got != tc.fill {
-				t.Fatalf("red %v policy %v: reduction into a recycled region = %v, want %v", tc.red, policy, got, tc.fill)
-			}
+		rt := New(nil)
+		var fact ir.Factory
+		x := fact.NewStore("x", []int{n})
+		rt.Execute(&ir.Task{Name: "const", Launch: launch, Kernel: constKernel(ir.F64, ext, tc.fill),
+			Args: []ir.Arg{{Store: x, Part: tp, Priv: ir.Write}}})
+		dirtyAndFree(rt, &fact, ir.F64, 1)
+		acc := fact.NewStore("acc", []int{1})
+		rt.Execute(&ir.Task{Name: "red", Launch: launch, Kernel: reduceKernel(ext, tc.kred),
+			Args: []ir.Arg{
+				{Store: x, Part: tp, Priv: ir.Read},
+				{Store: acc, Part: ir.ReplicateOver(launch), Priv: ir.Reduce, Red: tc.red}}})
+		got, _ := rt.ReadAt(acc, 0)
+		if st := rt.ExecStats(); st.RegionReuses != 1 {
+			t.Fatalf("red %v: the destination was not recycled (reuses %d)", tc.red, st.RegionReuses)
+		}
+		if got != tc.fill {
+			t.Fatalf("red %v: reduction into a recycled region = %v, want %v", tc.red, got, tc.fill)
 		}
 	}
 }

@@ -5,21 +5,20 @@ package legion
 // eagerly: compatible tasks accumulate into a *shard group*, and the group
 // executes when a barrier forces it — a host-side read or write, a free of
 // a store the group references, an incompatible task, or an explicit
-// DrainShardGroup. The group is scheduled *shard-major* ("owner computes"):
-// the launch domain of every task is decomposed into S contiguous
-// leading-axis blocks, and each (task, shard) pair is one unit. The group
-// drains entry by entry, in program order — the same loop a distributed
-// rank runs (dist.go): an entry's S units run as one batch on the
-// work-stealing executor, then its reductions fold in point order.
+// DrainShardGroup. The launch domain of every task is decomposed into S
+// contiguous leading-axis blocks ("owner computes"), and each (task,
+// shard) pair is one unit. The group drains entry by entry, in program
+// order — the same loop a distributed rank runs (dist.go): an entry's S
+// units run as one batch on the work-stealing executor, then its
+// reductions fold in point order.
 //
-// Why: consecutive tasks that sweep the same large operands (the multi-RHS
-// sweeps of internal/apps' Jacobi-MRHS workload) touch each block S
-// times in quick succession instead of streaming the full operand once per
-// task, which pays on bandwidth-bound streams whose working set exceeds the
-// cache/TLB reach (legion.shard_speedup_vs_1 on BENCHMARK.json's
-// chain_sharded workload is the measured value). Fusion achieves the same
-// locality *inside* a fused kernel; sharding recovers it for the task
-// streams fusion cannot merge (and composes with it across fused tasks).
+// Why: rank fidelity. One process runs exactly the groups and point
+// decomposition the ranks of a distributed runtime execute, so tests check
+// them bit for bit. It is not a locality optimization: every unit of an
+// entry runs before the next entry, so consecutive tasks still stream
+// their operands in full, and chain_sharded (BENCHMARK.json), which runs
+// at a 2-vCPU host's memory floor, read legion.shard_speedup_vs_1
+// 0.72–1.03 over four traced runs.
 //
 // Dependences and halo exchange: program order is the only schedule, so
 // every dependence of the stream holds by construction. Enqueue still
