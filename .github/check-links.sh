@@ -33,7 +33,9 @@
 # its node counters, the dependence records and their halo kind, the
 # run-ahead mode), and legion's executor-policy switch that the reference
 # backend internal/oracle replaced (the setter, both policies, the
-# per-point executor) — so a sentence cannot outlive what it quoted. ROADMAP.md is exempt: it keeps history. The one-character
+# per-point executor), and legion's program cache that the one
+# structural kernel cache absorbed (its attach step and its bound) — so a
+# sentence cannot outlive what it quoted. ROADMAP.md is exempt: it keeps history. The one-character
 # brackets keep this script from matching its own pattern in a
 # repository-wide grep.
 set -u
@@ -49,6 +51,7 @@ removed="$removed"'|[B]atchMax|[P]roviderFor|(^|[^[:alnum:]])-[b]atch\b'
 removed="$removed"'|[s]endHalos|[s]tagedHalo|[s]yncRedDests|[r]unWavefrontDist|:[h]alo:'
 removed="$removed"'|[b]uildWavefrontDAG|[r]unDAG|[d]rainSerial|[W]avefrontNodes|[H]aloNodes|[F]oldNodes|[S]tageDep|[D]epHalo|[W]avefrontOn'
 removed="$removed"'|[S]etExecPolicy|[E]xecPerPoint|[E]xecChunked|[e]xecutePerPoint'
+removed="$removed"'|[a]ttachProgramLocked|[m]axProgs'
 
 # slugs_of FILE: print the GitHub anchor slug of every heading, skipping
 # fenced code blocks (a `# comment` inside a fence is not a heading).

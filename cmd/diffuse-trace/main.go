@@ -120,7 +120,7 @@ func printServeStats(w io.Writer, snap *serve.StatsSnapshot) {
 }
 
 // printStats dumps the runtime's execution counters: the codegen-backend
-// split (which tasks ran compiled, how the program cache behaved), the
+// split (which tasks ran compiled, how the kernel cache behaved), the
 // region recycler's allocate-vs-reuse split, and when sharding is on the
 // sharded-drain accounting.
 func printStats(w io.Writer, rt *core.Runtime, shards int) {

@@ -69,7 +69,7 @@ type ShardStats = legion.ShardStats
 type CodegenMode = legion.CodegenMode
 
 // CodegenStats counts codegen-backend activity (tasks on each backend,
-// program-cache hits/misses); read it via
+// kernel-cache hits/misses); read it via
 // rt.Legion().CodegenStatsSnapshot().
 type CodegenStats = legion.CodegenStats
 

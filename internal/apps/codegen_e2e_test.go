@@ -182,7 +182,7 @@ func TestCodegenCacheHitsAcrossFreshKernels(t *testing.T) {
 	sc.Sum()
 	st := ctx.Runtime().Legion().CodegenStatsSnapshot()
 	if st.CacheHits == 0 {
-		t.Fatalf("repeated unfused iterations never hit the program cache: %+v", st)
+		t.Fatalf("repeated unfused iterations never hit the kernel cache: %+v", st)
 	}
 	if st.CacheMisses == 0 || st.CacheHits < st.CacheMisses {
 		t.Fatalf("expected hits to dominate misses on an iterated stream: %+v", st)

@@ -9,10 +9,11 @@ import (
 	"diffuse/internal/kir"
 	"diffuse/internal/legion"
 	"diffuse/internal/machine"
+	"diffuse/internal/oracle"
 )
 
 // --- Property-based soundness: the scale-free constraints against the
-// --- materialized dependence maps of Definitions 1-3 (ir/deps.go).
+// --- materialized dependence maps of Definitions 1-3 (oracle/deps.go).
 
 // randomWindow builds a random task window over a small pool of stores
 // with a mix of partitions (full tilings, offset views, replication) and
@@ -71,7 +72,7 @@ func TestFusiblePrefixSound(t *testing.T) {
 		n := fusiblePrefix(window, scanOf(window))
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				if !ir.PointwiseFusible(window[i], window[j]) {
+				if !oracle.PointwiseFusible(window[i], window[j]) {
 					t.Logf("seed %d: tasks %d and %d in prefix %d are not point-wise fusible:\n  %v\n  %v",
 						seed, i, j, n, window[i], window[j])
 					return false

@@ -45,8 +45,8 @@ type Session struct {
 	// counters across each window this session drains (atomics: another
 	// goroutine — a server's stats endpoint — reads them concurrently).
 	// planHits/planMisses count window-key memo lookups; progHits/
-	// progMisses count kernel-fingerprint program-cache lookups triggered
-	// while this session's windows compiled. A serving front end splits
+	// progMisses count kernel-cache lookups (kernel structure) made while
+	// this session's windows drained. A serving front end splits
 	// these by tenant to prove cross-tenant sharing of the compiled-plan
 	// cache.
 	planHits, planMisses atomic.Int64
@@ -59,8 +59,10 @@ type SessionCacheStats struct {
 	// window key; a hit replays a previously computed plan, including
 	// its compiled fused kernel).
 	PlanHits, PlanMisses int64
-	// ProgramHits / ProgramMisses count codegen program-cache lookups
-	// (kernel fingerprint) attributed to this session's window drains.
+	// ProgramHits / ProgramMisses count lookups of legion's kernel cache
+	// (kernel structure; legion.CodegenStats.CacheHits) attributed to
+	// this session's window drains: the compile of each fused kernel and
+	// the execution of each emitted task.
 	ProgramHits, ProgramMisses int64
 }
 
@@ -68,11 +70,11 @@ type SessionCacheStats struct {
 // from any goroutine.
 //
 // Attribution is per window drain: lookups are counted against the session
-// whose drain performed them, which is exact for memo lookups and for the
-// compilation of fused kernels (both happen inside the drain under the
-// runtime lock). Program-cache lookups that happen later, when the
-// executor compiles a single-task kernel on first execution, stay
-// unattributed.
+// whose drain performed them, which is exact for memo lookups, for the
+// compilation of fused kernels and for tasks executed as they are emitted
+// (all happen inside the drain under the runtime lock). Kernel-cache
+// lookups of tasks a shard group buffers and executes at a later barrier
+// stay unattributed.
 func (s *Session) CacheStats() SessionCacheStats {
 	return SessionCacheStats{
 		PlanHits:      s.planHits.Load(),

@@ -21,6 +21,8 @@ import (
 	"diffuse/internal/apps"
 	"diffuse/internal/core"
 	"diffuse/internal/dist"
+	"diffuse/internal/hash128"
+	"diffuse/internal/ir"
 	"diffuse/internal/legion"
 )
 
@@ -251,5 +253,65 @@ func TestParentDoesNoRankWork(t *testing.T) {
 	}
 	if ex := leg.ExecStats(); ex != (legion.ExecStats{}) {
 		t.Errorf("parent executor activity %+v, want none", ex)
+	}
+}
+
+// TestUnfusedStreamSendsOneKernelPerStructure: an unfused stream mints a
+// fresh kernel object per operation. The parent broadcasts each kernel
+// structure to the ranks once, and a ranks=2 run stays bit-identical to
+// the in-process Shards=2 run of the same stream.
+func TestUnfusedStreamSendsOneKernelPerStructure(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns rank subprocesses")
+	}
+	const ranks, n, iters = 2, 256, 12
+	run := func(ctx *cunum.Context) []uint64 {
+		x := ctx.Random(7, n).Keep()
+		for i := 0; i < iters; i++ {
+			y := x.MulC(0.5).AddC(1).Keep()
+			x.Free()
+			x = y
+		}
+		obs := []uint64{math.Float64bits(x.Sum().Future().Value())}
+		for _, v := range x.ToHost() {
+			obs = append(obs, math.Float64bits(v))
+		}
+		return obs
+	}
+	cfg := core.DefaultConfig(ranks)
+	cfg.Enabled = false
+	cfg.Shards = ranks
+	local := core.New(cfg)
+	var tasks int
+	structures := map[hash128.Sum]bool{}
+	local.Legion().Trace = func(t *ir.Task) {
+		tasks++
+		structures[t.Kernel.FingerprintHash()] = true
+	}
+	want := run(cunum.NewContext(local))
+	local.Close()
+	if tasks <= 2*len(structures) {
+		t.Fatalf("%d tasks over %d kernel structures: the stream does not repeat its operations", tasks, len(structures))
+	}
+
+	cfg.Ranks = ranks
+	dctx := cunum.NewContext(core.New(cfg))
+	got := run(dctx)
+	sent := dist.KernelsSentForTest(dctx.Runtime().Legion().Backend())
+	if err := dctx.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	t.Logf("%d tasks, %d structures, %d kernels sent", tasks, len(structures), sent)
+	if sent != int64(len(structures)) {
+		t.Fatalf("the parent sent %d kernels for %d tasks of %d structures", sent, tasks, len(structures))
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d observables, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("observable %d: %x (%v), want %x (%v)", i, got[i], math.Float64frombits(got[i]),
+				want[i], math.Float64frombits(want[i]))
+		}
 	}
 }

@@ -8,3 +8,9 @@ func KillRankForTest(rb legion.Backend, rank int) {
 	p := rb.(*Parent)
 	_ = p.cmds[rank].Process.Kill()
 }
+
+// KernelsSentForTest is the number of kernels the parent has broadcast to
+// its ranks.
+func KernelsSentForTest(rb legion.Backend) int64 {
+	return rb.(*Parent).nextKernel
+}

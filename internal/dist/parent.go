@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"diffuse/internal/hash128"
 	"diffuse/internal/ir"
 	"diffuse/internal/kir"
 	"diffuse/internal/legion"
@@ -34,7 +35,10 @@ type Parent struct {
 	timeout time.Duration
 
 	sentStores map[ir.StoreID]bool
-	kernelRefs map[*kir.Kernel]int64
+	// kernelRefs is the kernel table, keyed by structure
+	// (kir.Kernel.FingerprintHash): an unfused stream mints a fresh kernel
+	// object per operation, and each structure crosses the wire once.
+	kernelRefs map[hash128.Sum]int64
 	nextKernel int64
 	wbuf       []byte // reusable broadcast frame buffer (execMu-serialized)
 
@@ -105,7 +109,7 @@ func Launch(ranks int, extraEnv ...string) (*Parent, error) {
 		childErrs:  make([]error, ranks),
 		timeout:    distTimeout(),
 		sentStores: map[ir.StoreID]bool{},
-		kernelRefs: map[*kir.Kernel]int64{},
+		kernelRefs: map[hash128.Sum]int64{},
 	}
 
 	for r := 0; r < ranks; r++ {
@@ -306,13 +310,14 @@ func (p *Parent) ensureKernel(k *kir.Kernel) int64 {
 	if k == nil {
 		return -1
 	}
-	if ref, ok := p.kernelRefs[k]; ok {
+	fp := k.FingerprintHash()
+	if ref, ok := p.kernelRefs[fp]; ok {
 		return ref
 	}
 	ref := p.nextKernel
 	p.nextKernel++
 	p.broadcast(msgKernel, append(idBody(ref), kir.EncodeKernel(k)...))
-	p.kernelRefs[k] = ref
+	p.kernelRefs[fp] = ref
 	return ref
 }
 

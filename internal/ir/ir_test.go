@@ -213,22 +213,3 @@ func TestCanonicalizeIsomorphism(t *testing.T) {
 		t.Fatal("differing store pattern must change the canonical form")
 	}
 }
-
-func TestDependenceMapPointwise(t *testing.T) {
-	var f Factory
-	launch := MakeRect(pt(0), pt(4))
-	s := f.NewStore("s", []int{16})
-	d := f.NewStore("d", []int{16})
-	part := NewTiling(launch, []int{16}, []int{4}, []int{0}, nil, nil)
-	t1 := canonTask("w", launch, Arg{Store: s, Part: part, Priv: Write})
-	t2 := canonTask("r", launch, Arg{Store: s, Part: part, Priv: Read}, Arg{Store: d, Part: part, Priv: Write})
-	if !PointwiseFusible(t1, t2) {
-		t.Fatal("same-partition RAW is point-wise")
-	}
-	// Offset read: stencil-like dependence, not point-wise.
-	shift := NewTiling(launch, []int{15}, []int{4}, []int{1}, nil, nil)
-	t3 := canonTask("r2", launch, Arg{Store: s, Part: shift, Priv: Read}, Arg{Store: d, Part: part, Priv: Write})
-	if PointwiseFusible(t1, t3) {
-		t.Fatal("offset read must not be point-wise")
-	}
-}

@@ -36,13 +36,12 @@ package kir
 //
 // A CodegenProgram captures only lowering-time structure (register
 // indices, parameter numbers, dtypes, reduction ops) — never buffers,
-// bindings, or any region state — so one program is shared by every
-// Compiled whose kernel fingerprint matches (the fingerprint covers
-// parameter dtypes, loop shapes, statement trees, and constants, which
-// together determine the lowering exactly). That is what makes the
-// runtime-level program cache (legion) worth keying by fingerprint rather
-// than kernel pointer: unfused streams mint a fresh kernel object per
-// task and still hit.
+// bindings, or any region state — and belongs to the one Compiled it was
+// lowered from. The runtime (legion) caches that pair once per kernel
+// structure (FingerprintHash: parameter dtypes and locals, loop shapes,
+// statement trees, constants), so every kernel object of the structure
+// executes through it: unfused streams mint a fresh kernel object per task
+// and still hit.
 
 import "math"
 
@@ -96,9 +95,9 @@ func (p *CodegenProgram) Lowered() int {
 
 // AttachProgram installs a codegen program on the compiled kernel;
 // Execute dispatches each lowered loop to its closures and every other
-// loop to the interpreter. The program must have been built from a kernel
-// with an equal Fingerprint (lowering is deterministic in the
-// fingerprint, so the register/slot numbering agrees).
+// loop to the interpreter. The program must have been lowered from this
+// Compiled or from one of a twin kernel built the same way, so the
+// register/slot numbering agrees; the runtime attaches Codegen(c).
 func (c *Compiled) AttachProgram(p *CodegenProgram) { c.prog = p }
 
 // HasCodegen reports whether any loop of the kernel executes on the

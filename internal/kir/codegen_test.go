@@ -201,9 +201,8 @@ func TestCodegenDTypeGuard(t *testing.T) {
 }
 
 // TestCodegenProgramShared: a program captures only lowering-time
-// structure, so one program built from kernel A serves any Compiled with
-// an equal fingerprint — the property the runtime's fingerprint-keyed
-// cache depends on.
+// structure, so one program built from kernel A serves the Compiled of a
+// twin kernel built the same way.
 func TestCodegenProgramShared(t *testing.T) {
 	mk := func() *Kernel {
 		k := NewKernel("shared", 2)

@@ -66,7 +66,7 @@ type Compiled struct {
 	// cost model (Fig. 13).
 	NOps int
 	// prog is the optional second-stage (codegen-backend) lowering; see
-	// codegen.go. Attached after Compile by the runtime's program cache,
+	// codegen.go. Attached after Compile by the runtime's kernel cache,
 	// nil when the kernel runs fully interpreted.
 	prog *CodegenProgram
 }

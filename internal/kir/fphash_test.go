@@ -75,6 +75,8 @@ func TestFingerprintHashMatchesFingerprint(t *testing.T) {
 		func(k *Kernel, l *Loop) { l.Stmts = append(l.Stmts, l.Stmts[0]) },
 		func(k *Kernel, l *Loop) { k.SetDType(0, F32) },
 		func(k *Kernel, l *Loop) { k.SetDType(1, F32) },
+		func(k *Kernel, l *Loop) { k.MarkLocal(1) },
+		func(k *Kernel, l *Loop) { k.MarkLocal(0) },
 		func(k *Kernel, l *Loop) { k.NParams = 3 },
 	}
 	seen := map[hash128.Sum]int{}
@@ -111,8 +113,13 @@ func TestFingerprintHashInvalidation(t *testing.T) {
 		t.Fatal("SetDType did not invalidate the cached fingerprints")
 	}
 	k.AddLoop(&Loop{Kind: LoopIota, Dom: "d", Ext: []int{4}})
-	if k.FingerprintHash() == h1 || k.Fingerprint() == fp1 {
+	h2, fp2 := k.FingerprintHash(), k.Fingerprint()
+	if h2 == h1 || fp2 == fp1 {
 		t.Fatal("AddLoop did not invalidate the cached fingerprints")
+	}
+	k.MarkLocal(0)
+	if k.FingerprintHash() == h2 || k.Fingerprint() == fp2 {
+		t.Fatal("MarkLocal did not invalidate the cached fingerprints")
 	}
 	if c := k.Clone(); c.FingerprintHash() != k.FingerprintHash() {
 		t.Fatal("a clone hashes apart from its original")

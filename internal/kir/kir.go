@@ -279,14 +279,14 @@ type Kernel struct {
 	hasCastMemo int8
 	// fpMemo caches Fingerprint for its readers that ask repeatedly (the
 	// wire's kernel table, ir.Canonicalize); the runtime's own lookups go
-	// by fpHash. Reset by the build-time mutators (AddLoop, SetDType); not
-	// copied by Clone/Remap.
+	// by fpHash. Reset by the build-time mutators (AddLoop, SetDType,
+	// MarkLocal); not copied by Clone/Remap.
 	fpMemo string
 	// fpHash caches FingerprintHash under the same rules as fpMemo (reset
 	// together with it through dropFingerprint). Unfused streams mint a
 	// fresh kernel object per task and identify each one twice (memo key,
-	// program cache); the fold walks every statement, so caching it keeps
-	// the scheduler's per-task bookkeeping cheaper than the tasks it
+	// legion's kernel cache); the fold walks every statement, so caching it
+	// keeps the scheduler's per-task bookkeeping cheaper than the tasks it
 	// schedules.
 	fpHash   hash128.Sum
 	fpHashed bool
@@ -444,7 +444,15 @@ func Concat(name string, nparams int, kernels []*Kernel, mappings [][]int) *Kern
 }
 
 // MarkLocal demotes parameter p to a task-local allocation (Fig. 8c).
-func (k *Kernel) MarkLocal(p int) { k.Local[p] = true }
+// Locals are part of the kernel's identity, so the cached fingerprints go.
+func (k *Kernel) MarkLocal(p int) {
+	k.Local[p] = true
+	k.dropFingerprint()
+}
+
+// isLocal reports whether parameter p is task-local (false when Local was
+// never sized, as on hand-built kernels).
+func (k *Kernel) isLocal(p int) bool { return p < len(k.Local) && k.Local[p] }
 
 // String implements fmt.Stringer.
 func (k *Kernel) String() string {
@@ -456,11 +464,15 @@ func (k *Kernel) String() string {
 	return b.String()
 }
 
-// Fingerprint renders the kernel body's structural identity — loop shapes,
-// statement structure, and every immediate constant. Two tasks may share a
-// memoized fusion analysis (and hence a compiled fused kernel) only when
-// their kernel fingerprints agree: task names alone do not distinguish,
-// e.g., fill(0) from fill(1), whose constants are baked into the body.
+// Fingerprint renders the kernel body's structural identity — parameter
+// dtypes and locals, loop shapes, statement structure, and every immediate
+// constant: everything kir.Compile, Codegen and the runtime's execution
+// plan read. Two tasks may share a memoized fusion analysis (and hence a
+// compiled fused kernel) only when their kernel fingerprints agree: task
+// names alone do not distinguish, e.g., fill(0) from fill(1), whose
+// constants are baked into the body. A local parameter renders an "L"
+// after its dtype; only fusion demotes parameters, so no submitted
+// kernel's fingerprint, and no memo key, carries the marker.
 func (k *Kernel) Fingerprint() string {
 	if k == nil {
 		return "nil"
@@ -475,6 +487,9 @@ func (k *Kernel) Fingerprint() string {
 	// compiled kernel's locals, rounding, and cost all differ).
 	for p := 0; p < k.NParams; p++ {
 		b.WriteString(k.DTypeOf(p).String())
+		if k.isLocal(p) {
+			b.WriteByte('L')
+		}
 		b.WriteByte(',')
 	}
 	b.WriteByte('|')
@@ -524,8 +539,8 @@ func exprFingerprint(b *strings.Builder, e *Expr) {
 // have equal hashes exactly when their fingerprints are equal. It is the
 // one structural identity of a kernel body: the fusion memo key
 // (ir.Task.Seal) folds it once per submitted task, and legion keys its
-// codegen program cache by it. The string is rendered only where a human
-// or the wire reads it (ir.Canonicalize, the wire's kernel table and the
+// one kernel cache by it. The string is rendered only where a human or
+// the wire reads it (ir.Canonicalize, the wire's kernel table and the
 // rank's check of it).
 func (k *Kernel) FingerprintHash() hash128.Sum {
 	if k == nil {
@@ -537,7 +552,11 @@ func (k *Kernel) FingerprintHash() hash128.Sum {
 	h := hash128.New(hashKernel)
 	h.Int(k.NParams)
 	for p := 0; p < k.NParams; p++ {
-		h.Word(uint64(k.DTypeOf(p)))
+		w := uint64(k.DTypeOf(p))
+		if k.isLocal(p) {
+			w |= hashLocal
+		}
+		h.Word(w)
 	}
 	h.Int(len(k.Loops))
 	for _, l := range k.Loops {
@@ -576,6 +595,10 @@ const (
 	exprLoadScalar
 	exprCast
 )
+
+// hashLocal is or-ed into a local parameter's dtype word, clear of every
+// DType value.
+const hashLocal = 1 << 40
 
 // exprHash mirrors exprFingerprint arm for arm. Immediates fold their
 // bits, which separates exactly what %g separates (it prints the shortest

@@ -6,16 +6,13 @@ import (
 	"diffuse/internal/kir"
 )
 
-// The runtime side of the compiled-kernel (codegen) backend: a cache of
-// kir.CodegenProgram keyed by the kernel's structural identity
-// (kir.Kernel.FingerprintHash, the hash the fusion memo key already cached
-// on the kernel), attached to every kernel a runtime without a Backend
-// compiles. Programs capture only lowering-time structure, so one program
-// serves every Compiled whose kernel hashes alike — unfused streams mint a fresh kernel
-// object per task every iteration and still hit this cache without
-// rendering anything, and a kernel evicted from the per-kernel cache
-// (maxKernels) recompiles onto its existing program. Programs hold no
-// region references: a program outlives any store.
+// The runtime side of the compiled-kernel (codegen) backend: a runtime
+// that executes tasks itself with codegen on attaches a kir.CodegenProgram
+// to every compiled form its kernel cache creates (kernelFor). The entry
+// is keyed by the kernel's structure, so the program is built once per
+// structure: unfused streams mint a fresh kernel object per task every
+// iteration and still reuse it. Programs hold no region references: a
+// program outlives any store.
 
 // CodegenMode toggles the compiled-kernel backend. The zero value is on:
 // codegen is the default tier, the interpreter the reference oracle and
@@ -32,26 +29,24 @@ const (
 	CodegenOff
 )
 
-// maxProgs bounds the program cache exactly like maxKernels bounds the
-// per-kernel cache: cleared wholesale on overflow.
-const maxProgs = 2048
-
 // CodegenStats is a snapshot of the backend's activity counters.
 type CodegenStats struct {
 	// TasksCompiled / TasksInterpreted count index-task executions whose
 	// kernel did / did not have at least one codegen-lowered loop.
 	TasksCompiled    int64
 	TasksInterpreted int64
-	// CacheHits / CacheMisses count program-cache lookups by kernel
-	// identity (misses include first-ever compilations).
+	// CacheHits / CacheMisses count lookups of the kernel cache by a
+	// runtime that executes with codegen on: every executed task and every
+	// fused kernel the fusion layer compiles looks its structure up once,
+	// and a miss compiles it and builds its program.
 	CacheHits   int64
 	CacheMisses int64
 }
 
 // codegenCounters holds the live counters. Cache hits/misses are bumped
-// under rt.mu (the compile path), task counts under execMu (the three
-// executor paths); atomics keep the snapshot getter lock-free and the
-// two lock domains independent.
+// under rt.mu (kernelFor), task counts under execMu (the chunked and
+// sharded executor paths); atomics keep the snapshot getter lock-free and
+// the two lock domains independent.
 type codegenCounters struct {
 	tasksCompiled    atomic.Int64
 	tasksInterpreted atomic.Int64
@@ -59,25 +54,13 @@ type codegenCounters struct {
 	cacheMisses      atomic.Int64
 }
 
-// SetCodegen selects the execution backend. Turning codegen off also
-// detaches any programs already installed on cached kernels, so a
-// runtime toggled mid-stream genuinely reverts to the interpreter.
+// SetCodegen selects the execution backend. Like SetShards, it must be
+// called before any task executes: compiled forms already cached keep the
+// backend they were built with.
 func (rt *Runtime) SetCodegen(m CodegenMode) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	rt.codegen = m
-	if m == CodegenOff {
-		for _, e := range rt.kernels {
-			e.comp.AttachProgram(nil)
-		}
-	}
-}
-
-// Codegen returns the active backend mode.
-func (rt *Runtime) Codegen() CodegenMode {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.codegen
 }
 
 // CodegenStatsSnapshot returns the backend's activity counters.
@@ -91,31 +74,22 @@ func (rt *Runtime) CodegenStatsSnapshot() CodegenStats {
 }
 
 // ProgramsCached returns the number of distinct compiled programs
-// resident in the program cache — the shared asset a multi-tenant server
-// amortizes across tenants.
+// resident in the kernel cache — the shared asset a multi-tenant server
+// amortizes across tenants. Only a runtime that executes with codegen on
+// builds programs, one per cached structure.
 func (rt *Runtime) ProgramsCached() int {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return len(rt.progs)
+	if !rt.buildsProgramsLocked() {
+		return 0
+	}
+	return len(rt.kernels)
 }
 
-// attachProgramLocked installs the codegen program for a freshly
-// compiled kernel, minting one on first sight of its structure.
-// Callers hold rt.mu.
-func (rt *Runtime) attachProgramLocked(c *kir.Compiled) {
-	fp := c.Kernel.FingerprintHash()
-	if p, ok := rt.progs[fp]; ok {
-		rt.cgStats.cacheHits.Add(1)
-		c.AttachProgram(p)
-		return
-	}
-	rt.cgStats.cacheMisses.Add(1)
-	if len(rt.progs) >= maxProgs {
-		clear(rt.progs)
-	}
-	p := kir.Codegen(c)
-	rt.progs[fp] = p
-	c.AttachProgram(p)
+// buildsProgramsLocked reports whether this runtime executes kernels
+// itself on the codegen backend. Callers hold rt.mu.
+func (rt *Runtime) buildsProgramsLocked() bool {
+	return rt.backend == nil && rt.codegen == CodegenOn
 }
 
 // countBackend records which backend an index task's kernel executes on.

@@ -227,13 +227,14 @@ type execBatch struct {
 // once per stream instead of once per point: store strides and shapes,
 // per-dimension tiling coefficients, launch colors, reduction partial
 // buffers, and the cost-model grain estimate. Plans live in the runtime's
-// per-kernel cache (kernelEntry) — memoized fused streams replay the same
-// kernel object every iteration, so steady-state iterations skip
-// resolution entirely — and are validated structurally against the task
-// before reuse. A plan holds region buffers only while a task executes
-// through it (bind/unbind): a cached plan never keeps a store's data
-// reachable. Guarded by Runtime.execMu.
+// kernel cache (kernelEntry), one per kernel structure — steady-state
+// iterations replay the same structures, so they skip resolution entirely
+// — and are validated structurally against the task before reuse. A plan
+// holds region buffers only while a task executes through it
+// (bind/unbind): a cached plan never keeps a store's data reachable.
+// Guarded by Runtime.execMu.
 type taskPlan struct {
+	bound    bool // between bind and unbind: a task is executing through it
 	comp     *kir.Compiled
 	launch   ir.Rect
 	colors   []ir.Point
@@ -273,14 +274,20 @@ var (
 	extOne     = []int{1}
 )
 
-// planFor returns the execution plan of the task — cached on the kernel's
-// cache entry, rebuilt when it cannot describe the task — bound to the
-// task's regions. Callers hold execMu and unbind the plan once the task
-// has executed.
+// planFor returns the execution plan of the task bound to the task's
+// regions: the plan cached on the entry of the kernel's structure, rebuilt
+// when it cannot describe the task. While the cached plan is bound to an
+// earlier task of the same structure — another entry of the shard group
+// being drained, whose bindings and reduction partials it holds — the task
+// gets a private plan no cache keeps. Callers hold execMu and unbind the
+// plan once the task has executed.
 func (rt *Runtime) planFor(t *ir.Task) *taskPlan {
 	e := rt.kernelFor(t.Kernel)
 	p := e.plan
-	if p == nil || !p.matches(t) {
+	switch {
+	case p != nil && p.bound:
+		p = rt.buildPlan(t, e.comp)
+	case p == nil || !p.matches(t):
 		p = rt.buildPlan(t, e.comp)
 		e.plan = p
 	}
@@ -312,6 +319,7 @@ func (p *taskPlan) matches(t *ir.Task) bool {
 
 // bind resolves every argument's region for one execution of the task.
 func (p *taskPlan) bind(rt *Runtime, t *ir.Task) {
+	p.bound = true
 	for i := range t.Args {
 		a := &t.Args[i]
 		ap := &p.args[i]
@@ -328,6 +336,7 @@ func (p *taskPlan) bind(rt *Runtime, t *ir.Task) {
 
 // unbind drops the region buffers bind resolved.
 func (p *taskPlan) unbind() {
+	p.bound = false
 	for i := range p.args {
 		ap := &p.args[i]
 		ap.data = kir.Buffer{}

@@ -202,8 +202,8 @@ func TestPlanInvalidationOnFreeStore(t *testing.T) {
 }
 
 // TestKernelCacheBoundedAndHoldsNoRegions: the runtime has one cache keyed
-// by kernel object. Streams that mint a fresh kernel per task (unfused
-// streams do) must never grow it past maxKernels; between executions no
+// by kernel structure. Streams that mint a fresh kernel structure per task
+// must never grow it past maxKernels; between executions no
 // cached plan may hold a region buffer (regions re-resolve on every use);
 // and a store freed after execution leaves its buffer unreachable from the
 // runtime. Both the chunked path and the sharded drain are covered.
@@ -224,7 +224,7 @@ func TestKernelCacheBoundedAndHoldsNoRegions(t *testing.T) {
 		for i := 0; i < 3*maxKernels; i++ {
 			fill(small, 4, uint64(i))
 			if n := len(rt.kernels); n > maxKernels {
-				t.Fatalf("shards=%d: per-kernel cache holds %d entries after %d fresh kernels, bound %d",
+				t.Fatalf("shards=%d: kernel cache holds %d entries after %d fresh kernels, bound %d",
 					shards, n, i+1, maxKernels)
 			}
 		}

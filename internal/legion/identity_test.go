@@ -27,20 +27,24 @@ func addConstTask(k *kir.Kernel, x, y *ir.Store, ext int) *ir.Task {
 		Args: []ir.Arg{{Store: x, Part: tp, Priv: ir.Read}, {Store: y, Part: tp, Priv: ir.Write}}}
 }
 
-// TestStructuralIdentitySharesProgram: the program cache goes by
+// TestStructuralIdentitySharesProgram: the kernel cache goes by
 // kir.Kernel.FingerprintHash. Kernel objects that hash alike share one
-// codegen program; one immediate or one parameter dtype apart, a kernel
-// gets its own.
+// entry — one compiled form, one codegen program and one execution plan;
+// one immediate, one parameter dtype or one local parameter apart, a
+// kernel gets its own.
 func TestStructuralIdentitySharesProgram(t *testing.T) {
 	rt := New(nil)
 	var fact ir.Factory
 	const ext = 64
 	x, y := fact.NewStore("x", []int{ext}), fact.NewStore("y", []int{ext})
 	x32, y32 := fact.NewStoreTyped("x32", []int{ext}, ir.F32), fact.NewStoreTyped("y32", []int{ext}, ir.F32)
-	check := func(what string, programs int) {
+	check := func(what string, entries int) {
 		t.Helper()
-		if got := rt.ProgramsCached(); got != programs {
-			t.Fatalf("%s: %d programs cached, want %d", what, got, programs)
+		if got := len(rt.kernels); got != entries {
+			t.Fatalf("%s: %d cache entries, want %d", what, got, entries)
+		}
+		if got := rt.ProgramsCached(); got != entries {
+			t.Fatalf("%s: %d programs cached, want %d", what, got, entries)
 		}
 	}
 
@@ -49,42 +53,39 @@ func TestStructuralIdentitySharesProgram(t *testing.T) {
 		t.Fatal("want two kernel objects of one structure")
 	}
 	rt.Execute(addConstTask(a, x, y, ext))
+	plan := rt.kernels[a.FingerprintHash()].plan
 	rt.Execute(addConstTask(b, x, y, ext))
 	check("two objects, one structure", 1)
 	if cg := rt.CodegenStatsSnapshot(); cg.CacheMisses != 1 || cg.CacheHits != 1 {
-		t.Fatalf("program cache saw %d misses and %d hits, want 1 and 1", cg.CacheMisses, cg.CacheHits)
+		t.Fatalf("kernel cache saw %d misses and %d hits, want 1 and 1", cg.CacheMisses, cg.CacheHits)
 	}
-	if rt.Compiled(a) == rt.Compiled(b) {
-		t.Fatal("distinct kernel objects share a compiled form: only the program is shared")
+	if ca := rt.Compiled(a); ca != rt.Compiled(b) || !ca.HasCodegen() {
+		t.Fatal("two kernel objects of one structure do not share one compiled form with a program")
+	}
+	if e := rt.kernels[b.FingerprintHash()]; plan == nil || e.plan != plan {
+		t.Fatal("the second kernel object of a structure built its own plan")
 	}
 
 	rt.Execute(addConstTask(addConstKernel(ir.F64, ext, 2), x, y, ext))
 	check("another immediate", 2)
 	rt.Execute(addConstTask(addConstKernel(ir.F32, ext, 1), x32, y32, ext))
 	check("another parameter dtype", 3)
-
-	// Turning codegen off still detaches every installed program, and a
-	// kernel compiled afterwards gets none.
-	rt.SetCodegen(CodegenOff)
-	for k, e := range rt.kernels {
-		if e.comp.HasCodegen() {
-			t.Fatalf("kernel %s keeps its program after SetCodegen(CodegenOff)", k.Name)
-		}
-	}
-	c := addConstKernel(ir.F64, ext, 3)
-	rt.Execute(addConstTask(c, x, y, ext))
-	if rt.Compiled(c).HasCodegen() || rt.ProgramsCached() != 3 {
-		t.Fatalf("with codegen off a fresh kernel still reached the program cache (%d programs)", rt.ProgramsCached())
+	local := addConstKernel(ir.F64, ext, 1)
+	local.MarkLocal(1)
+	rt.Execute(addConstTask(local, x, fact.NewStore("tmp", []int{ext}), ext))
+	check("another local parameter", 4)
+	if rt.Compiled(local) == rt.Compiled(a) {
+		t.Fatal("a kernel with a local parameter shares the compiled form of one without")
 	}
 }
 
 // TestWarmSingletonTaskRendersNoFingerprint: an unfused stream (and every
 // singleton task of a fused one: cg_large emits 41 a step) executes a
-// fresh kernel object of a structure the runtime already knows. Attaching
-// its program is a lookup by the hash the kernel carries; before this
-// guard the lookup rendered the kernel's fingerprint through fmt into a
-// strings.Builder first, and the same task cost 38 allocations where it
-// now costs 27 (go1.24).
+// fresh kernel object of a structure the runtime already knows. Finding
+// its compiled form, program and plan is one lookup by the hash the kernel
+// carries. Rendering the fingerprint through fmt cost 38 allocations per
+// task; recompiling and replanning each fresh object cost 27; the lookup
+// leaves 1 (go1.24).
 func TestWarmSingletonTaskRendersNoFingerprint(t *testing.T) {
 	pauseGC(t) // a collection empties the free list and moves the count
 	rt := New(nil)
@@ -95,15 +96,15 @@ func TestWarmSingletonTaskRendersNoFingerprint(t *testing.T) {
 	for i := range tasks {
 		tasks[i] = addConstTask(addConstKernel(ir.F64, ext, 1), x, y, ext)
 	}
-	rt.Execute(tasks[0]) // the structure's program now exists
+	rt.Execute(tasks[0]) // the structure's entry now exists
 	next := 1
 	allocs := testing.AllocsPerRun(runs, func() {
 		rt.Execute(tasks[next])
 		next++
 	})
 	t.Logf("a warm singleton task with a fresh kernel object: %.0f allocations", allocs)
-	if allocs > 33 {
-		t.Fatalf("a warm singleton task allocates %.0f times, want at most 33: is a fingerprint rendered again?", allocs)
+	if allocs > 4 {
+		t.Fatalf("a warm singleton task allocates %.0f times, want at most 4: is a fingerprint rendered or a kernel recompiled again?", allocs)
 	}
 	if rt.ProgramsCached() != 1 {
 		t.Fatalf("%d programs for one structure", rt.ProgramsCached())

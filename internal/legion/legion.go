@@ -22,8 +22,8 @@
 // allocating data. Either way the stream is the one the fusion layer
 // emitted, so a fusion decision made for one is made for all. A runtime
 // with a backend starts no worker pool and builds no codegen program; it
-// keeps only the per-kernel compiled cache the fusion layer and the
-// pricer read.
+// keeps only the kernel cache's compiled forms, which the fusion layer and
+// the pricer read.
 //
 // With SetShards > 1 (core.Config.Shards), execution is additionally
 // *sharded* (shard.go): tasks buffer into groups over leading-axis blocks.
@@ -157,20 +157,20 @@ type Runtime struct {
 	// sessions never race on region contents or on the backend.
 	execMu sync.Mutex
 
-	mu      sync.Mutex // guards regions, free, kernels, progs, and codegen
+	mu      sync.Mutex // guards regions, free, kernels, and codegen
 	regions map[ir.StoreID]*region
 	// free is the region free list (see regionKey); regionAllocs and
 	// regionReuses count what regionFor did, for ExecStats.
 	free                       map[regionKey][]weak.Pointer[region]
 	regionAllocs, regionReuses int64
-	// kernels is the one per-kernel-object cache: the compiled form plus
-	// (without a backend) the execution plan, bounded by maxKernels.
-	kernels map[*kir.Kernel]*kernelEntry
+	// kernels is the one kernel cache, keyed by structure
+	// (kir.Kernel.FingerprintHash): the compiled form, its codegen program
+	// and the execution plan, bounded by maxKernels.
+	kernels map[hash128.Sum]*kernelEntry
 
-	// Codegen-backend state (see codegen.go): the active mode, the
-	// program cache keyed by kernel structure, and the activity counters.
+	// Codegen-backend state (see codegen.go): the active mode and the
+	// activity counters.
 	codegen CodegenMode
-	progs   map[hash128.Sum]*kir.CodegenProgram
 	cgStats codegenCounters
 
 	// model is the static host model's measured error (frozen.go),
@@ -213,8 +213,7 @@ func New(b Backend) *Runtime {
 		backend: b,
 		regions: map[ir.StoreID]*region{},
 		free:    map[regionKey][]weak.Pointer[region]{},
-		kernels: map[*kir.Kernel]*kernelEntry{},
-		progs:   map[hash128.Sum]*kir.CodegenProgram{},
+		kernels: map[hash128.Sum]*kernelEntry{},
 	}
 	if b == nil {
 		rt.attachExecutor()
@@ -226,50 +225,57 @@ func New(b Backend) *Runtime {
 // runtime executes tasks itself.
 func (rt *Runtime) Backend() Backend { return rt.backend }
 
-// kernelEntry is what the runtime caches per kernel object: the compiled
-// form and, once the kernel has executed locally, its execution plan.
-// The map slot is guarded by mu; plan is only touched under execMu.
+// kernelEntry is what the runtime caches per kernel structure: the
+// compiled form (with its codegen program when this runtime executes with
+// codegen on) and, once a kernel of the structure has executed locally,
+// its execution plan. The map slot is guarded by mu; plan is only touched
+// under execMu.
 type kernelEntry struct {
 	comp *kir.Compiled
 	plan *taskPlan
 }
 
-// maxKernels bounds the per-kernel cache: unfused streams mint a fresh
-// kernel per task, and the cache must not grow with iteration count. It is
-// cleared wholesale on overflow rather than LRU-tracked — steady-state
-// working sets are tiny, and an overflow means an unbounded-kernel-shape
-// workload where any eviction policy thrashes. Evicted kernels that are
-// still live recompile on next use (their codegen programs stay shared by
-// structure; codegen.go).
+// maxKernels bounds the kernel cache. Keyed by structure, a stream's
+// working set is the handful of distinct kernel bodies it runs, however
+// many kernel objects it mints; the bound caps a workload of unbounded
+// kernel shapes. The cache is cleared wholesale on overflow rather than
+// LRU-tracked: such a workload thrashes under any eviction policy, and
+// evicted structures recompile on next use.
 const maxKernels = 2048
 
-// kernelFor returns (compiling and caching on first use) the cache entry
-// of a kernel.
+// kernelFor returns (compiling and caching on first sight of its
+// structure) the cache entry of a kernel.
 func (rt *Runtime) kernelFor(k *kir.Kernel) *kernelEntry {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if e, ok := rt.kernels[k]; ok {
+	fp := k.FingerprintHash()
+	cg := rt.buildsProgramsLocked()
+	if e, ok := rt.kernels[fp]; ok {
+		if cg {
+			rt.cgStats.cacheHits.Add(1)
+		}
 		return e
 	}
 	c := kir.Compile(k)
 	// Second compilation stage: when this runtime executes the kernel
-	// itself with codegen on, attach the closure-backend program (cached by
-	// kernel structure; codegen.go).
-	if rt.backend == nil && rt.codegen == CodegenOn {
-		rt.attachProgramLocked(c)
+	// itself with codegen on, attach the closure-backend program.
+	if cg {
+		rt.cgStats.cacheMisses.Add(1)
+		c.AttachProgram(kir.Codegen(c))
 	}
 	if len(rt.kernels) >= maxKernels {
 		clear(rt.kernels)
 	}
 	e := &kernelEntry{comp: c}
-	rt.kernels[k] = e
+	rt.kernels[fp] = e
 	return e
 }
 
-// Compiled returns (compiling and caching on first use) the executable
-// form of a kernel. The fusion layer optimizes fused kernels before they
-// arrive here; unfused kernels compile as-is, mirroring the precompiled
-// task variants of standard cuPyNumeric.
+// Compiled returns (compiling and caching on first sight of its
+// structure) the executable form of a kernel; kernel objects of one
+// structure share it. The fusion layer optimizes fused kernels before they
+// arrive here; unfused kernels compile as-is, once per structure,
+// mirroring the precompiled task variants of standard cuPyNumeric.
 func (rt *Runtime) Compiled(k *kir.Kernel) *kir.Compiled {
 	return rt.kernelFor(k).comp
 }
@@ -481,11 +487,10 @@ func (rt *Runtime) Execute(t *ir.Task) {
 	}
 	if rt.shards > 1 {
 		if rt.groupable(t) {
-			// A kernel already buffered would collide with its cached
-			// plan's reduction partials: finish the group, then start a
-			// fresh one with this task (memoized streams replay the same
+			// A kernel object already buffered ends the group, and this
+			// task starts a fresh one: memoized streams replay the same
 			// kernel object once per iteration, so iteration boundaries
-			// drain naturally). A shard-generation change on any shared
+			// drain naturally. A shard-generation change on any shared
 			// store — a Reshard between the two submissions — is likewise
 			// a group boundary.
 			if rt.group != nil && (rt.group.kernels[t.Kernel] || rt.group.genConflict(t)) {

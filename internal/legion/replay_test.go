@@ -2,10 +2,11 @@ package legion_test
 
 // In-process rank replay: the post-fusion stream of an app, recorded
 // through Runtime.Trace at Shards=N, is replayed into one SetShards(N)
-// runtime and into N SetDistributed ranks joined by an in-memory peer
-// mesh. After a final drain every store must be bit-identical across the
-// shards runtime and every rank — the replication invariant of the
-// distributed drain, checked without rank subprocesses, on every app.
+// runtime, into the reference backend (internal/oracle) and into N
+// SetDistributed ranks joined by an in-memory peer mesh. After a final
+// drain every store must be bit-identical across the oracle, the shards
+// runtime and every rank — the replication invariant of the distributed
+// drain, checked without rank subprocesses, on every app.
 
 import (
 	"bytes"
@@ -20,6 +21,7 @@ import (
 	"diffuse/internal/ir"
 	"diffuse/internal/kir"
 	"diffuse/internal/legion"
+	"diffuse/internal/oracle"
 )
 
 // memMesh is an in-memory legion.HaloTransport mesh: Send copies the
@@ -134,6 +136,62 @@ func replayApps() []replayApp {
 			_ = sc.Sum()
 		}),
 		{"Wide-Entry", func(int) []*ir.Task { return wideEntryStream(300, 266) }},
+		{"Same-Structure", func(int) []*ir.Task { return sameStructureStream() }},
+	}
+}
+
+// sameStructureStream fills two vectors, then sums each into its own
+// scalar through two kernel objects of one structure. Both sums join one
+// shard group, and the kernel cache gives them one entry: the second sum
+// must not execute through the plan the first holds bound.
+func sameStructureStream() []*ir.Task {
+	const points, ext = 4, 32
+	n := points * ext
+	var fact ir.Factory
+	launch := ir.MakeRect(ir.Point{0}, ir.Point{points})
+	tp := ir.NewTiling(launch, []int{n}, []int{ext}, []int{0}, nil, nil)
+	var fills, sums []*ir.Task
+	for i := 1; i <= 2; i++ {
+		x := fact.NewStore(fmt.Sprint("x", i), []int{n})
+		fill := kir.NewKernel("fill", 1)
+		fill.AddLoop(&kir.Loop{Kind: kir.LoopRandom, Dom: "v", Ext: []int{ext}, ExtRef: 0, Seed: uint64(i)})
+		fills = append(fills, &ir.Task{Name: "fill", Launch: launch, Kernel: fill,
+			Args: []ir.Arg{{Store: x, Part: tp, Priv: ir.Write}}})
+
+		sum := kir.NewKernel("sum", 2)
+		sum.AddLoop(&kir.Loop{Kind: kir.LoopElem, Dom: "v", Ext: []int{ext}, ExtRef: 0,
+			Stmts: []kir.Stmt{{Kind: kir.KReduce, Param: 1, E: kir.Load(0), Red: kir.RedSum}}})
+		sums = append(sums, &ir.Task{Name: "sum", Launch: launch, Kernel: sum, Args: []ir.Arg{
+			{Store: x, Part: tp, Priv: ir.Read},
+			{Store: fact.NewStore(fmt.Sprint("s", i), []int{1}), Part: ir.ReplicateOver(launch), Priv: ir.Reduce, Red: ir.RedSum}}})
+	}
+	return append(fills, sums...)
+}
+
+// TestSameStructureEntriesInOneGroup: two kernel objects of one structure
+// drained in one shard group at Shards=4 give what Shards=1 and the
+// oracle give, bit for bit.
+func TestSameStructureEntriesInOneGroup(t *testing.T) {
+	tasks := sameStructureStream()
+	if a, b := tasks[2].Kernel, tasks[3].Kernel; a == b || a.FingerprintHash() != b.FingerprintHash() {
+		t.Fatal("want two kernel objects of one structure")
+	}
+	stores := streamStores(tasks)
+	want := replayInto(legion.New(oracle.New()), tasks, stores)
+	for _, shards := range []int{1, 4} {
+		rt := legion.New(nil)
+		rt.SetShards(shards)
+		got := replayInto(rt, tasks, stores)
+		st := rt.ShardStatsSnapshot()
+		rt.Close()
+		if shards > 1 && (st.Groups != 1 || st.GroupedTasks != int64(len(tasks))) {
+			t.Fatalf("Shards=%d: %d tasks in %d groups, want all %d in one", shards, st.GroupedTasks, st.Groups, len(tasks))
+		}
+		for i, s := range stores {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("Shards=%d: store %d (%v) differs from the oracle", shards, s.ID(), s)
+			}
+		}
 	}
 }
 
@@ -222,9 +280,10 @@ func replayInto(rt *legion.Runtime, tasks []*ir.Task, stores []*ir.Store) [][]by
 }
 
 // TestRankReplayBitIdentical replays every app's stream at N = 2 and 4
-// and requires every rank's every store to equal the in-process
-// Shards=N runtime's bit for bit, and every rank to count the same groups,
-// tasks, stages, halo exchanges and deferred frees.
+// and requires the in-process Shards=N runtime's every store to equal the
+// oracle's, every rank's every store to equal the Shards=N runtime's bit
+// for bit, and every rank to count the same groups, tasks, stages, halo
+// exchanges and deferred frees.
 func TestRankReplayBitIdentical(t *testing.T) {
 	for _, app := range replayApps() {
 		for _, n := range []int{2, 4} {
@@ -232,13 +291,22 @@ func TestRankReplayBitIdentical(t *testing.T) {
 				tasks := app.stream(n)
 				stores := streamStores(tasks)
 
-				oracle := legion.New(nil)
-				oracle.SetShards(n)
-				want := replayInto(oracle, tasks, stores)
-				wantStats := oracle.ShardStatsSnapshot()
-				oracle.Close()
+				ref := legion.New(oracle.New())
+				refBytes := replayInto(ref, tasks, stores)
+				ref.Close()
+
+				sharded := legion.New(nil)
+				sharded.SetShards(n)
+				want := replayInto(sharded, tasks, stores)
+				wantStats := sharded.ShardStatsSnapshot()
+				sharded.Close()
 				if wantStats.Groups == 0 {
 					t.Fatalf("the Shards=%d runtime drained no groups: %+v", n, wantStats)
+				}
+				for i, s := range stores {
+					if !bytes.Equal(want[i], refBytes[i]) {
+						t.Fatalf("store %d (%v): the Shards=%d runtime differs from the oracle", s.ID(), s, n)
+					}
 				}
 
 				mesh := newMemMesh(20 * time.Second)

@@ -240,10 +240,11 @@ func (rt *Runtime) DrainShardGroup() {
 // groupable reports whether the task can ever join a shard group: a task
 // with a compiled kernel, arguments the executor's binding recipes cover,
 // and no more arguments than a rank's message tag can name (distTag). A
-// kernel object already buffered in the current group forces a
-// drain first (plans — and their reduction partials — are keyed by
-// kernel, so one kernel appears at most once per group); Execute handles
-// that case by draining and starting a fresh group.
+// kernel object already buffered in the current group forces a drain
+// first, so one kernel object appears at most once per group; Execute
+// handles that case by draining and starting a fresh group. Distinct
+// objects of one structure may share a group: the later ones execute
+// through private plans (planFor).
 func (rt *Runtime) groupable(t *ir.Task) bool {
 	if t.Kernel == nil || t.Launch.Rank() < 1 || t.Launch.Size() == 0 || len(t.Args) > maxTagSub {
 		return false

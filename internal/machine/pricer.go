@@ -21,8 +21,8 @@ import (
 type Pricer struct {
 	sim *Sim
 	// compiled returns the compiled form of a kernel from the owning
-	// runtime's per-kernel cache, so a kernel is compiled once whichever
-	// backend runs it.
+	// runtime's kernel cache, so a kernel structure is compiled once
+	// whichever backend runs it.
 	compiled func(*kir.Kernel) *kir.Compiled
 
 	// writers tracks the partitions whose writes produced each store's

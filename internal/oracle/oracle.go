@@ -6,7 +6,10 @@
 // sharding, region or codegen code with internal/legion and imports only
 // ir and kir, as machine.Pricer does, so legion's own tests install it
 // without an import cycle. Tests in other packages install it through
-// core.NewWithBackend; no product package imports it.
+// core.NewWithBackend; no product package imports it. The package also
+// holds the fusion layer's reference: the point-task dependence
+// definitions of paper §4.1 (deps.go), which the fusion constraints are
+// checked against.
 package oracle
 
 import (

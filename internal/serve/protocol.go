@@ -9,7 +9,8 @@
 // that finds QueueDepth others of its tenant already waiting for a lane
 // is shed with a retryable error. All tenants share the runtime's
 // compiled-plan caches — the fusion-plan memo keyed on canonical window
-// form and the codegen program cache keyed on kernel fingerprint — so
+// form and legion's kernel cache (compiled forms and codegen programs)
+// keyed on kernel structure — so
 // identical streams from different tenants compile once; per-tenant
 // hit/miss counters prove the sharing. See docs/SERVING.md for the
 // operator guide.
@@ -155,9 +156,9 @@ type TenantStats struct {
 	Batched int64 `json:"batched"`
 	// Shared-plan-cache counters, split per tenant: PlanHits/PlanMisses
 	// are fusion-plan memo lookups (canonical window form); ProgramHits/
-	// ProgramMisses are codegen program-cache lookups (kernel
-	// fingerprint). A tenant with hits > 0 and misses == 0 is riding plans
-	// other tenants' misses populated.
+	// ProgramMisses are kernel-cache lookups (kernel structure) made
+	// during the tenant's window drains. A tenant with hits > 0 and
+	// misses == 0 is riding plans other tenants' misses populated.
 	PlanHits      int64 `json:"plan_hits"`
 	PlanMisses    int64 `json:"plan_misses"`
 	ProgramHits   int64 `json:"program_hits"`
@@ -173,7 +174,7 @@ type StatsSnapshot struct {
 	// Tenants holds one entry per tenant seen, sorted by name.
 	Tenants []TenantStats `json:"tenants"`
 	// ProgramsCached is the number of distinct compiled programs resident
-	// in the runtime's shared program cache.
+	// in the runtime's shared kernel cache.
 	ProgramsCached int `json:"programs_cached"`
 	// Admission-control configuration echo.
 	TenantInflight int `json:"tenant_inflight"`
