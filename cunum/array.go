@@ -36,15 +36,16 @@ type Array struct {
 	stride    []int
 	ephemeral bool
 
-	// tiled caches what the view looks like to a launch over the
-	// context's processor grid. Offset, shape, stride and grid never
-	// change for a view, so it is computed on first use and shared by
-	// every task the view is an operand of — including the partition's
-	// cached structural hash.
+	// tiled is what the view looks like to a launch over the context's
+	// processor grid. Offset, shape, stride and grid never change for a
+	// view, so it is looked up on first use in the context's table
+	// (intern.go), which every view of the same (shape, offset, stride)
+	// shares — including the partition's cached structural hash.
 	tiled *viewTiling
 }
 
-// viewTiling is the launch-facing description of one view.
+// viewTiling is the launch-facing description of one view; interned per
+// context and never written after it is built.
 type viewTiling struct {
 	part ir.Partition // Tiling partition over the context's launch domain
 	dom  string       // iteration-domain signature of element-wise loops
@@ -53,21 +54,7 @@ type viewTiling struct {
 
 func (a *Array) tiling() *viewTiling {
 	if a.tiled == nil {
-		grid := a.ctx.gridFor(a.Rank())
-		tile := make([]int, a.Rank())
-		for d := range tile {
-			tile[d] = ceilDiv(a.shape[d], grid[d])
-		}
-		// The signature reads "[shape]|[tile]" as fmt's %v would print the
-		// two slices; it is built by hand because every operation result
-		// is a new view and pays for this once.
-		var buf [64]byte
-		dom := append(appendInts(buf[:0], a.shape), '|')
-		a.tiled = &viewTiling{
-			part: ir.NewTiling(a.ctx.launchFor(a.Rank()), a.shape, tile, a.offset, a.stride, nil),
-			dom:  string(appendInts(dom, tile)),
-			tile: tile,
-		}
+		a.tiled = a.ctx.tilingOf(a)
 	}
 	return a.tiled
 }
@@ -224,11 +211,6 @@ func (a *Array) Step(step []int) *Array {
 // partition returns the Tiling partition this view is accessed through
 // when launched over the context's processor grid for its rank.
 func (a *Array) partition() ir.Partition { return a.tiling().part }
-
-// nonePart returns a replicated partition over the given launch domain.
-func (a *Array) nonePart(colors ir.Rect) ir.Partition {
-	return ir.ReplicateOver(colors)
-}
 
 // domSig is the iteration-domain signature of element-wise loops over this
 // view: loops with equal signatures have identical per-point extents and

@@ -23,7 +23,7 @@ func Compute(name string, ins []*Array, build func(loads []*kir.Expr) *kir.Expr)
 		}
 	}
 	out := c.newArray(name, promoteDType(ins), base.shape, true)
-	c.emitMap(name, out, ins, build)
+	c.emitMap(name, out, ins, nil, nil, build)
 	consume(dedup(ins...)...)
 	return out
 }
@@ -31,6 +31,6 @@ func Compute(name string, ins []*Array, build func(loads []*kir.Expr) *kir.Expr)
 // ComputeInto is Compute with an explicit destination view (hand-fused
 // updates in place).
 func ComputeInto(name string, dst *Array, ins []*Array, build func(loads []*kir.Expr) *kir.Expr) {
-	dst.ctx.emitMap(name, dst, ins, build)
+	dst.ctx.emitMap(name, dst, ins, nil, nil, build)
 	consume(dedup(ins...)...)
 }

@@ -33,6 +33,11 @@ type Context struct {
 	// built once: rectangles are never written after construction, so all
 	// tasks and partitions share them.
 	launch1, launch2, launchScalar ir.Rect
+	// The replicated partitions over those three domains, shared the same
+	// way (a None partition is its color space and nothing else).
+	rep1, rep2, repScalar *ir.NonePart
+
+	in interns // view tilings and registry-op kernels (intern.go)
 }
 
 // NewContext wraps a Diffuse runtime, issuing into its default session.
@@ -78,12 +83,15 @@ func NewSessionContext(sess *core.Session) *Context {
 func newContext(rt *core.Runtime, sess *core.Session) *Context {
 	p := rt.Procs()
 	pr, pc := factor2(p)
-	return &Context{
+	c := &Context{
 		rt: rt, sess: sess, procs: p, grid2: [2]int{pr, pc},
 		launch1:      ir.MakeRect(ir.Point{0}, ir.Point{p}),
 		launch2:      ir.MakeRect(ir.Point{0, 0}, ir.Point{pr, pc}),
 		launchScalar: ir.MakeRect(ir.Point{0}, ir.Point{1}),
+		in:           newInterns(),
 	}
+	c.rep1, c.rep2, c.repScalar = ir.ReplicateOver(c.launch1), ir.ReplicateOver(c.launch2), ir.ReplicateOver(c.launchScalar)
+	return c
 }
 
 // Runtime returns the underlying Diffuse runtime.
@@ -124,6 +132,14 @@ func (c *Context) launchFor(rank int) ir.Rect {
 	default:
 		panic(fmt.Sprintf("cunum: rank %d arrays not supported", rank))
 	}
+}
+
+// replicatedFor returns the replicated partition over launchFor(rank).
+func (c *Context) replicatedFor(rank int) *ir.NonePart {
+	if rank == 2 {
+		return c.rep2
+	}
+	return c.rep1
 }
 
 // scalarLaunch is the single-point launch domain of scalar (shape-[1])

@@ -20,7 +20,12 @@ type ElemOp struct {
 	Name   string
 	Arity  int
 	Consts int
-	Build  func(loads []*kir.Expr, consts []float64) *kir.Expr
+	// Build returns the stored expression. It must be a pure function of
+	// (loads, consts): each Context interns one kernel per (op, constants'
+	// bits, operand dtypes and bindings, destination domain) and builds it
+	// on the first call only, so a builder that reads anything else (a
+	// captured variable, a counter) silently runs its first body forever.
+	Build func(loads []*kir.Expr, consts []float64) *kir.Expr
 	// Out selects the result dtype of ApplyOp. The zero value (OutSame)
 	// follows NumPy-style promotion over the input dtypes; the fixed
 	// variants pin the result type — the astype_* entries and mask- or
@@ -83,7 +88,10 @@ var elemOps = struct {
 
 // RegisterElemOp adds an operation to the registry. Registering a nil
 // builder, a negative arity, or a duplicate name panics: op tables are
-// assembled at init time and a collision is a programming error.
+// assembled at init time and a collision is a programming error. The
+// builder must be a pure function of its loads and constants (see
+// ElemOp.Build): kernels are interned on them. An expression that depends
+// on anything else belongs in Compute, which builds per call.
 func RegisterElemOp(op ElemOp) {
 	if op.Name == "" || op.Build == nil || op.Arity < 0 || op.Consts < 0 {
 		panic(fmt.Sprintf("cunum: invalid ElemOp %+v", op))
@@ -151,9 +159,7 @@ func ApplyOp(name string, ins []*Array, consts ...float64) *Array {
 	}
 	base := broadcastBase(ins)
 	out := base.ctx.newArray(name, op.Out.resolve(promoteDType(ins)), base.shape, true)
-	base.ctx.emitMap(name, out, ins, func(l []*kir.Expr) *kir.Expr {
-		return op.Build(l, consts)
-	})
+	base.ctx.emitMap(name, out, ins, &op, consts, nil)
 	consume(dedup(ins...)...)
 	return out
 }
@@ -164,9 +170,7 @@ func ApplyOp(name string, ins []*Array, consts ...float64) *Array {
 // issued (the anonymous-slice-assignment pattern).
 func ApplyOpInto(name string, dst *Array, ins []*Array, consts ...float64) {
 	op := mustOp(name, len(ins), len(consts))
-	dst.ctx.emitMap(name, dst, ins, func(l []*kir.Expr) *kir.Expr {
-		return op.Build(l, consts)
-	})
+	dst.ctx.emitMap(name, dst, ins, &op, consts, nil)
 	consume(dedup(append(append([]*Array{}, ins...), dst)...)...)
 }
 

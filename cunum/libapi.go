@@ -27,7 +27,7 @@ func (a *Array) Partition() ir.Partition { return a.partition() }
 
 // ReplicatedPartition returns a None (replicated) partition of the array
 // over the given launch domain.
-func (a *Array) ReplicatedPartition(colors ir.Rect) ir.Partition { return a.nonePart(colors) }
+func (a *Array) ReplicatedPartition(colors ir.Rect) ir.Partition { return ir.ReplicateOver(colors) }
 
 // DomSig returns the element-wise iteration-domain signature of the view.
 func (a *Array) DomSig() string { return a.domSig() }

@@ -38,11 +38,11 @@ func MatVec(A, x *Array) *Array {
 	y := c.newArray("matvec", promoteDType([]*Array{A, x}), []int{m}, true)
 
 	rowTile := ceilDiv(m, c.procs)
-	apart := ir.NewTiling(launch, A.shape, []int{rowTile, n}, A.offset, A.stride, rows2dProj)
+	apart := c.tilingOver(A, []int{rowTile, n}, rows2dProj, c.procs)
 
 	args := []ir.Arg{
 		{Store: A.store, Part: apart, Priv: ir.Read},
-		{Store: x.store, Part: ir.ReplicateOver(launch), Priv: ir.Read},
+		{Store: x.store, Part: c.rep1, Priv: ir.Read},
 		{Store: y.store, Part: y.partition(), Priv: ir.Write},
 	}
 	k := kir.NewKernel("gemv", 3)
@@ -125,11 +125,11 @@ func blockMatVecTask(A, x, y *Array, acc bool) {
 	c := A.ctx
 	m, t := A.shape[0], A.shape[1]
 	nb := m / t
-	launch := ir.MakeRect(ir.Point{0}, ir.Point{nb})
 
-	apart := ir.NewTiling(launch, A.shape, []int{t, t}, A.offset, A.stride, rows2dProj)
-	xpart := ir.NewTiling(launch, x.shape, []int{t}, x.offset, x.stride, nil)
-	ypart := ir.NewTiling(launch, y.shape, []int{t}, y.offset, y.stride, nil)
+	apart := c.tilingOver(A, []int{t, t}, rows2dProj, nb)
+	xpart := c.tilingOver(x, []int{t}, nil, nb)
+	ypart := c.tilingOver(y, []int{t}, nil, nb)
+	launch := apart.Colors
 
 	ypriv, name := ir.Write, "blockgemv"
 	if acc {

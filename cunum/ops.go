@@ -16,47 +16,66 @@ import (
 // nothing numerically (the store rounds regardless) but marks the kernel
 // as a dtype boundary, which is what the fusion constraint requires for a
 // mixed-dtype task to join a fused prefix.
-func (c *Context) emitMap(name string, out *Array, ins []*Array, build func(loads []*kir.Expr) *kir.Expr) {
+//
+// A registry op passes itself and its constants: its kernel is then
+// interned in the context (intern.go) and built only on first sight of
+// its key. A nil op builds a fresh kernel from build — a user closure
+// (Compute) carries no identity a kernel could be interned on.
+func (c *Context) emitMap(name string, out *Array, ins []*Array, op *ElemOp, consts []float64, build func(loads []*kir.Expr) *kir.Expr) {
 	out.st()
 	outScalar := out.IsScalar()
-	launch := c.launchFor(out.Rank())
+	launch, rep := c.launchFor(out.Rank()), c.replicatedFor(out.Rank())
 	if outScalar {
-		launch = c.scalarLaunch()
+		launch, rep = c.scalarLaunch(), c.repScalar
 	}
 
 	args := make([]ir.Arg, 0, len(ins)+1)
-	loads := make([]*kir.Expr, len(ins))
-	for i, in := range ins {
+	for _, in := range ins {
 		in.st()
-		switch {
-		case in.IsScalar():
-			args = append(args, ir.Arg{Store: in.store, Part: in.nonePart(launch), Priv: ir.Read})
-			loads[i] = kir.LoadScalar(i)
-		default:
-			out.sameShape(in)
-			args = append(args, ir.Arg{Store: in.store, Part: in.partition(), Priv: ir.Read})
-			loads[i] = kir.Load(i)
+		if in.IsScalar() {
+			args = append(args, ir.Arg{Store: in.store, Part: rep, Priv: ir.Read})
+			continue
 		}
+		out.sameShape(in)
+		args = append(args, ir.Arg{Store: in.store, Part: in.partition(), Priv: ir.Read})
 	}
-	outIdx := len(ins)
-	var outPart ir.Partition
-	if outScalar {
-		outPart = out.nonePart(launch)
-	} else {
+	var outPart ir.Partition = rep
+	if !outScalar {
 		outPart = out.partition()
 	}
 	args = append(args, ir.Arg{Store: out.store, Part: outPart, Priv: ir.Write})
 
-	e := castIfMixed(out, ins, build(loads))
-	k := kir.NewKernel(name, len(args))
-	k.AddLoop(&kir.Loop{
-		Kind:   kir.LoopElem,
-		Dom:    out.domSig(),
-		Ext:    out.tileExt(),
-		ExtRef: outIdx,
-		Stmts:  []kir.Stmt{{Kind: kir.KStore, Param: outIdx, E: e}},
-	})
-
+	mk := func() *kir.Kernel {
+		loads := make([]*kir.Expr, len(ins))
+		for i, in := range ins {
+			if in.IsScalar() {
+				loads[i] = kir.LoadScalar(i)
+			} else {
+				loads[i] = kir.Load(i)
+			}
+		}
+		var e *kir.Expr
+		if op != nil {
+			e = op.Build(loads, consts)
+		} else {
+			e = build(loads)
+		}
+		outIdx := len(ins)
+		k := kir.NewKernel(name, len(args))
+		return k.AddLoop(&kir.Loop{
+			Kind:   kir.LoopElem,
+			Dom:    out.domSig(),
+			Ext:    out.tileExt(),
+			ExtRef: outIdx,
+			Stmts:  []kir.Stmt{{Kind: kir.KStore, Param: outIdx, E: castIfMixed(out, ins, e)}},
+		})
+	}
+	var k *kir.Kernel
+	if op != nil {
+		k = c.kernel(c.opKey(keyMap, 0, name, consts, ins, out, out.domSig()), args, mk)
+	} else {
+		k = mk()
+	}
 	c.sess.Submit(&ir.Task{Name: name, Launch: launch, Args: args, Kernel: k})
 }
 

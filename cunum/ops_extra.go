@@ -75,7 +75,7 @@ func (a *Array) axisReduce(name string, red kir.RedOp) *Array {
 	launch := c.launchFor(1)
 	y := c.newArray(name, a.store.DType(), []int{m}, true)
 	rowTile := ceilDiv(m, c.procs)
-	apart := ir.NewTiling(launch, a.shape, []int{rowTile, n}, a.offset, a.stride, rows2dProj)
+	apart := c.tilingOver(a, []int{rowTile, n}, rows2dProj, c.procs)
 	args := []ir.Arg{
 		{Store: a.store, Part: apart, Priv: ir.Read},
 		{Store: y.store, Part: y.partition(), Priv: ir.Write},

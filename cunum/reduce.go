@@ -10,7 +10,8 @@ import (
 // privilege and a replicated partition — the runtime combines the per-point
 // partials, and the reduction fusion constraint keeps readers of the
 // result out of the same fused task (a global combine is required), per
-// §4.2.1.
+// §4.2.1. The name must determine build: the kernel is interned in the
+// context under it (intern.go).
 func (c *Context) emitReduce(name string, red ir.ReduceOp, kred kir.RedOp, ins []*Array, build func(loads []*kir.Expr) *kir.Expr) *Array {
 	base := ins[0]
 	launch := c.launchFor(base.Rank())
@@ -20,24 +21,27 @@ func (c *Context) emitReduce(name string, red ir.ReduceOp, kred kir.RedOp, ins [
 	out := c.newArray(name, promoteDType(ins), []int{1}, true)
 
 	args := make([]ir.Arg, 0, len(ins)+1)
-	loads := make([]*kir.Expr, len(ins))
-	for i, in := range ins {
+	for _, in := range ins {
 		in.st()
 		base.sameShape(in)
 		args = append(args, ir.Arg{Store: in.store, Part: in.partition(), Priv: ir.Read})
-		loads[i] = kir.Load(i)
 	}
 	outIdx := len(ins)
-	args = append(args, ir.Arg{Store: out.store, Part: ir.ReplicateOver(launch), Priv: ir.Reduce, Red: red})
+	args = append(args, ir.Arg{Store: out.store, Part: c.replicatedFor(base.Rank()), Priv: ir.Reduce, Red: red})
 
-	e := castIfMixed(out, ins, build(loads))
-	k := kir.NewKernel(name, len(args))
-	k.AddLoop(&kir.Loop{
-		Kind:   kir.LoopElem,
-		Dom:    base.domSig(),
-		Ext:    base.tileExt(),
-		ExtRef: 0,
-		Stmts:  []kir.Stmt{{Kind: kir.KReduce, Param: outIdx, E: e, Red: kred}},
+	key := c.opKey(keyReduce, kred, name, nil, ins, out, base.domSig())
+	k := c.kernel(key, args, func() *kir.Kernel {
+		loads := make([]*kir.Expr, len(ins))
+		for i := range ins {
+			loads[i] = kir.Load(i)
+		}
+		return kir.NewKernel(name, len(args)).AddLoop(&kir.Loop{
+			Kind:   kir.LoopElem,
+			Dom:    base.domSig(),
+			Ext:    base.tileExt(),
+			ExtRef: 0,
+			Stmts:  []kir.Stmt{{Kind: kir.KReduce, Param: outIdx, E: castIfMixed(out, ins, build(loads)), Red: kred}},
+		})
 	})
 	c.sess.Submit(&ir.Task{Name: name, Launch: launch, Args: args, Kernel: k})
 	consume(dedup(ins...)...)

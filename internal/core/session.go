@@ -195,14 +195,20 @@ func (s *Session) Pending() int { return len(s.window) }
 // all argument stores until the task has executed.
 //
 // Submit is the chokepoint where kernels learn their element types: kernel
-// parameters correspond one-to-one to task arguments, so the argument
-// stores' dtypes are stamped onto the kernel here. Libraries therefore
-// never spell dtypes in their generator functions — typing an array (e.g.
-// cunum's AsType) retypes every kernel downstream of it.
+// parameters correspond one-to-one to task arguments, so each argument
+// store's dtype is stamped onto the kernel here wherever the kernel's
+// parameter disagrees. Libraries therefore never spell dtypes in their
+// generator functions — typing an array (e.g. cunum's AsType) retypes
+// every kernel downstream of it. A kernel that already carries its
+// arguments' dtypes is only read: cunum interns registry-op kernels
+// stamped and hashed, shares each across every task of its key, and
+// Submit never drops their cached fingerprint.
 func (s *Session) Submit(t *ir.Task) {
 	if t.Kernel != nil && t.Kernel.NParams == len(t.Args) {
 		for i, a := range t.Args {
-			t.Kernel.SetDType(i, a.Store.DType())
+			if dt := a.Store.DType(); t.Kernel.DTypeOf(i) != dt {
+				t.Kernel.SetDType(i, dt)
+			}
 		}
 	}
 	// Stamp each argument with its store's repartition generation: the

@@ -40,8 +40,8 @@ package kir
 // lowered from. The runtime (legion) caches that pair once per kernel
 // structure (FingerprintHash: parameter dtypes and locals, loop shapes,
 // statement trees, constants), so every kernel object of the structure
-// executes through it: unfused streams mint a fresh kernel object per task
-// and still hit.
+// executes through it: a kernel object minted per task (a user closure, a
+// generator) still hits.
 
 import "math"
 

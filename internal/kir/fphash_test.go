@@ -89,15 +89,20 @@ func TestFingerprintHashMatchesFingerprint(t *testing.T) {
 		seen[k.FingerprintHash()] = i
 	}
 
-	// Every NaN prints "NaN", so every NaN immediate is one kernel.
+	// A NaN immediate's payload reaches the results, so two payloads are
+	// two kernels and one payload twice is one.
 	nan := func(bits uint64) *Kernel {
 		return base(func(k *Kernel, l *Loop) { l.Stmts[0].E = Const(math.Float64frombits(bits)) })
 	}
-	a, b := nan(0x7ff8000000000001), nan(0xfff8000000000000)
+	a, b, a2 := nan(0x7ff8000000000001), nan(0xfff8000000000000), nan(0x7ff8000000000001)
 	o.see(t, a)
 	o.see(t, b)
-	if a.FingerprintHash() != b.FingerprintHash() {
-		t.Fatal("two NaN immediates hash apart but print alike")
+	o.see(t, a2)
+	if a.FingerprintHash() == b.FingerprintHash() {
+		t.Fatal("two NaN payloads share a kernel hash")
+	}
+	if a.FingerprintHash() != a2.FingerprintHash() {
+		t.Fatal("one NaN payload hashes apart from itself")
 	}
 }
 

@@ -283,11 +283,11 @@ type Kernel struct {
 	// MarkLocal); not copied by Clone/Remap.
 	fpMemo string
 	// fpHash caches FingerprintHash under the same rules as fpMemo (reset
-	// together with it through dropFingerprint). Unfused streams mint a
-	// fresh kernel object per task and identify each one twice (memo key,
-	// legion's kernel cache); the fold walks every statement, so caching it
-	// keeps the scheduler's per-task bookkeeping cheaper than the tasks it
-	// schedules.
+	// together with it through dropFingerprint). Every submitted task's
+	// kernel is identified twice (memo key, legion's kernel cache), and
+	// cunum's interned kernels once per task they serve; the fold walks
+	// every statement, so caching it keeps the scheduler's per-task
+	// bookkeeping cheaper than the tasks it schedules.
 	fpHash   hash128.Sum
 	fpHashed bool
 }
@@ -470,9 +470,12 @@ func (k *Kernel) String() string {
 // plan read. Two tasks may share a memoized fusion analysis (and hence a
 // compiled fused kernel) only when their kernel fingerprints agree: task
 // names alone do not distinguish, e.g., fill(0) from fill(1), whose
-// constants are baked into the body. A local parameter renders an "L"
-// after its dtype; only fusion demotes parameters, so no submitted
-// kernel's fingerprint, and no memo key, carries the marker.
+// constants are baked into the body. An immediate renders as %g does,
+// except a NaN, which renders its bits: the payload is baked into the body
+// and reaches the results, so two NaN payloads are two kernels. A local
+// parameter renders an "L" after its dtype; only fusion demotes
+// parameters, so no submitted kernel's fingerprint, and no memo key,
+// carries the marker.
 func (k *Kernel) Fingerprint() string {
 	if k == nil {
 		return "nil"
@@ -514,7 +517,11 @@ func exprFingerprint(b *strings.Builder, e *Expr) {
 	}
 	switch e.Op {
 	case OpConst:
-		fmt.Fprintf(b, "c%g", e.Imm)
+		if e.Imm != e.Imm {
+			fmt.Fprintf(b, "cNaN%x", math.Float64bits(e.Imm))
+		} else {
+			fmt.Fprintf(b, "c%g", e.Imm)
+		}
 	case OpLoad:
 		fmt.Fprintf(b, "l%d", e.Param)
 	case OpLoadScalar:
@@ -601,9 +608,9 @@ const (
 const hashLocal = 1 << 40
 
 // exprHash mirrors exprFingerprint arm for arm. Immediates fold their
-// bits, which separates exactly what %g separates (it prints the shortest
-// text that parses back to the same float, and -0 as "-0") once every NaN
-// is folded as one value, as %g prints them all "NaN".
+// bits, which separates exactly what the fingerprint separates: %g prints
+// the shortest text that parses back to the same float, and -0 as "-0",
+// and a NaN renders its bits.
 func exprHash(h *hash128.Hasher, e *Expr) {
 	if e == nil {
 		h.Word(exprNil)
@@ -612,11 +619,7 @@ func exprHash(h *hash128.Hasher, e *Expr) {
 	switch e.Op {
 	case OpConst:
 		h.Word(exprConst)
-		if e.Imm != e.Imm {
-			h.Word(math.Float64bits(math.NaN()))
-		} else {
-			h.Word(math.Float64bits(e.Imm))
-		}
+		h.Word(math.Float64bits(e.Imm))
 	case OpLoad:
 		h.Word(exprLoad)
 		h.Int(e.Param)
