@@ -8,13 +8,16 @@ package kir
 // backend gets the same effect the classic way interpreters beat their
 // dispatch: *batching*. Each element-wise loop is lowered once into a
 // sequence of per-instruction closures, each a monomorphic tight loop over
-// a block of elements held in float64 lane buffers. Dispatch (one closure
-// call + captured-variable loads) is paid once per instruction per block
-// of cgBlockSize elements instead of once per instruction per element,
-// and the inner loops are shaped so the compiler eliminates bounds checks
-// and can unroll. Loads and stores are specialized per parameter dtype and
-// per stride at lowering time — no slotState.load/store indirection, no
-// opcode switch.
+// a block of elements held in float64 lanes. Dispatch (one closure call +
+// captured-variable loads) is paid once per instruction per block of
+// elements instead of once per instruction per element, and the inner
+// loops are shaped so the compiler eliminates bounds checks and can
+// unroll. Loads and stores are specialized per parameter dtype and per
+// stride at lowering time — no slotState.load/store indirection, no
+// opcode switch. A lane is the register's own slice of the scratch lane
+// buffer, except that an f64 load at inner stride 1 whose elements no
+// store can overwrite before its register's last reader (inPlaceLoad)
+// points its lane at the region's elements and copies nothing.
 //
 // Bit-identity with the interpreter is a hard requirement (the
 // differential harness in diff_test.go replays every workload against
@@ -151,7 +154,7 @@ func lowerElem(k *Kernel, cl *compiledLoop) cgLoop {
 		case OpLoadScalar:
 			g.setup = append(g.setup, cgSetup{reg: int(in.Dst), param: int(in.Slot)})
 		case OpLoad:
-			g.elem = append(g.elem, lowerLoad(int(in.Dst), int(in.Slot), g.slotDT[in.Slot]))
+			g.elem = append(g.elem, lowerLoad(int(in.Dst), int(in.Slot), g.slotDT[in.Slot], inPlaceLoad(cl.body, i)))
 		case opStoreElem:
 			g.elem = append(g.elem, lowerStore(int(in.A), int(in.Slot), g.slotDT[in.Slot]))
 		case opReduceAcc:
@@ -169,10 +172,46 @@ func lowerElem(k *Kernel, cl *compiledLoop) cgLoop {
 	return g
 }
 
+// inPlaceLoad reports whether the load body[i] may leave its register
+// aliasing the source region instead of holding a copy (lowerLoad acts on
+// it for f64 loads): true when no element store lies strictly between the
+// load and the last instruction reading its register. Any store there
+// could write the loaded elements (the same parameter, or a second one
+// bound to the same buffer) before a later reader sees them, and the copy
+// is what keeps the value the interpreter's register holds. A register
+// nothing reads needs no copy either.
+func inPlaceLoad(body []Instr, i int) bool {
+	r := body[i].Dst
+	stored := false
+	for j := i + 1; j < len(body); j++ {
+		in := &body[j]
+		if stored && readsReg(in, r) {
+			return false
+		}
+		if in.Op == opStoreElem {
+			stored = true
+		}
+	}
+	return true
+}
+
+// readsReg reports whether in reads register r, counting operands by the
+// op's arity (stores and reduction accumulations read A alone).
+func readsReg(in *Instr, r uint16) bool {
+	n := in.Op.Arity()
+	if in.Op == opStoreElem || in.Op == opReduceAcc {
+		n = 1
+	}
+	return n >= 1 && in.A == r || n >= 2 && in.B == r || n >= 3 && in.C == r
+}
+
 // lowerLoad builds the load closure for one (register, slot, dtype).
 // Registers are SSA (the builder allocates a fresh one per instruction),
-// so a lane is written by exactly one closure per block.
-func lowerLoad(dst, slot int, dt DType) cgOp {
+// so a lane is written by exactly one closure per block. An in-place f64
+// load (inPlaceLoad) at inner stride 1 points its lane at the block's
+// elements of the region and copies nothing; every other load fills the
+// register's own slice of the lane storage.
+func lowerLoad(dst, slot int, dt DType, inPlace bool) cgOp {
 	switch dt {
 	case F32:
 		return func(st *cgState) {
@@ -196,9 +235,14 @@ func lowerLoad(dst, slot int, dt DType) cgOp {
 		}
 	default:
 		return func(st *cgState) {
-			d := st.lane[dst][:st.n]
 			s := st.f64[slot]
 			c, str := st.cur[slot], st.istr[slot]
+			if inPlace && str == 1 {
+				st.lane[dst] = s[c : c+st.n : c+st.n]
+				return
+			}
+			d := st.own(dst)[:st.n]
+			st.lane[dst] = d
 			if str == 1 {
 				copy(d, s[c:c+len(d)])
 				return
@@ -498,13 +542,16 @@ func lowerArith(in *Instr) cgOp {
 }
 
 // cgState is the per-goroutine execution state of the codegen backend:
-// the register lane buffers, the per-slot streaming cursors/slices, and
+// the register lanes, the per-slot streaming cursors/slices, and
 // the reduction partials. It lives in Scratch and is resized, never
 // reallocated, on the steady-state path.
 type cgState struct {
-	buf  []float64   // backing storage for all lanes
-	lane [][]float64 // lane[r] is register r's block, length = loop's block size
-	n    int         // active elements in the current block
+	buf []float64 // backing storage for all lanes
+	// lane[r] is register r's block: its own slice of buf (own), or the
+	// window of the region an in-place load reads.
+	lane  [][]float64
+	block int // lane length of the executing loop
+	n     int // active elements in the current block
 
 	cur  []int // per-slot cursor at the current block's first element
 	istr []int // per-slot innermost-dimension stride
@@ -528,8 +575,9 @@ func (s *Scratch) cg(nregs, block, nslots, nred int) *cgState {
 		st.lane = make([][]float64, nregs)
 	}
 	st.lane = st.lane[:nregs]
-	for r := 0; r < nregs; r++ {
-		st.lane[r] = st.buf[r*block : (r+1)*block]
+	st.block = block
+	for r := range st.lane {
+		st.lane[r] = st.own(r)
 	}
 	if cap(st.cur) < nslots {
 		st.cur = make([]int, nslots)
@@ -550,12 +598,19 @@ func (s *Scratch) cg(nregs, block, nslots, nred int) *cgState {
 	return st
 }
 
+// own returns register r's own slice of the lane storage.
+func (st *cgState) own(r int) []float64 {
+	return st.buf[r*st.block : (r+1)*st.block]
+}
+
 // release drops buffer references so a parked scratch never pins freed
-// regions (the same discipline as the interpreter's slot states).
+// regions (the same discipline as the interpreter's slot states): the
+// slot slices, and the lanes in-place loads pointed into a region.
 func (st *cgState) release() {
 	for s := range st.f64 {
 		st.f64[s], st.f32[s], st.i32[s] = nil, nil, nil
 	}
+	clear(st.lane)
 }
 
 // execElemCg runs one element-wise loop on the codegen backend. It

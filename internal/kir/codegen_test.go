@@ -1,6 +1,7 @@
 package kir
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -246,5 +247,118 @@ func TestCodegenLowered(t *testing.T) {
 	c.AttachProgram(p)
 	if !c.HasCodegen() {
 		t.Fatal("HasCodegen false with a lowered loop")
+	}
+}
+
+// aliasKernel builds the sharing Scalarize's forwarding produces: one
+// Load(0) node read by the first and third statements, with an element
+// store between them to parameter storeTo. Params: 0 the loaded input,
+// 1 and 2 outputs, 3 a second name a test may bind to param 0's buffer.
+//
+//	p1 = x * 2;  p[storeTo] = 7;  p2 = x + 1   (x = Load(0), read once)
+func aliasKernel(shape []int, storeTo int) *Kernel {
+	k := NewKernel("alias", 4)
+	x := Load(0)
+	k.AddLoop(&Loop{Kind: LoopElem, Dom: "d", Ext: shape, ExtRef: 1, Stmts: []Stmt{
+		{Kind: KStore, Param: 1, E: Binary(OpMul, x, Const(2))},
+		{Kind: KStore, Param: storeTo, E: Const(7)},
+		{Kind: KStore, Param: 2, E: Binary(OpAdd, x, Const(1))},
+	}})
+	return k
+}
+
+// aliasBindings binds the four parameters of aliasKernel over fresh
+// buffers of the given view shape and innermost stride, each view at a
+// nonzero base; param 3 shares param 0's buffer and view when shared.
+func aliasBindings(shape []int, inner int, shared bool) ([]Binding, []Buffer) {
+	strides := make([]int, len(shape))
+	n := inner
+	for d := len(shape) - 1; d >= 0; d-- {
+		strides[d] = n
+		n *= shape[d]
+	}
+	bind := make([]Binding, 4)
+	bufs := make([]Buffer, 4)
+	for p := range bind {
+		buf := AllocBuffer(F64, n+3)
+		for i := 0; i < buf.Len(); i++ {
+			buf.Set(i, math.Sin(float64(i*(p+1)))*100)
+		}
+		bufs[p] = buf
+		bind[p] = Binding{Acc: Accessor{Data: buf, Base: 2, Strides: strides}, Ext: shape}
+	}
+	if shared {
+		bind[3] = bind[0]
+		bufs[3] = Buffer{}
+	}
+	return bind, bufs
+}
+
+// TestCodegenInPlaceLoadAliasRule: a load read again after an element
+// store that may write its elements keeps its copy. The store goes to the
+// loaded parameter itself (a) or to a second parameter bound to the same
+// buffer and view (b); the same kernels then run at inner stride 2, where
+// every load copies, and at rank 2, where the odometer moves the cursors
+// between rows (c). Each run must equal the interpreter bit for bit.
+func TestCodegenInPlaceLoadAliasRule(t *testing.T) {
+	cases := []struct {
+		name    string
+		storeTo int
+		shared  bool
+	}{
+		{"same-param", 0, false},
+		{"aliased-param", 3, true},
+	}
+	geoms := []struct {
+		shape []int
+		inner int
+	}{
+		{[]int{1000}, 1}, // two blocks, the second partial
+		{[]int{1000}, 2},
+		{[]int{3, 700}, 1},
+		{[]int{3, 700}, 2},
+	}
+	for _, tc := range cases {
+		for _, g := range geoms {
+			k := aliasKernel(g.shape, tc.storeTo)
+			interp := Compile(k)
+			coded := Compile(k)
+			coded.AttachProgram(Codegen(coded))
+			if !coded.HasCodegen() {
+				t.Fatalf("%s: loop not lowered", tc.name)
+			}
+			bi, bufsI := aliasBindings(g.shape, g.inner, tc.shared)
+			bc, bufsC := aliasBindings(g.shape, g.inner, tc.shared)
+			interp.Execute(&PointArgs{Bind: bi})
+			coded.Execute(&PointArgs{Bind: bc, Scratch: NewScratch()})
+			for p := range bufsI {
+				if !buffersEqualBits(bufsI[p], bufsC[p]) {
+					t.Fatalf("%s shape=%v stride=%d: param %d diverges from the interpreter",
+						tc.name, g.shape, g.inner, p)
+				}
+			}
+		}
+	}
+}
+
+// TestInPlaceLoads pins which loads the rule lets read the region: a
+// load whose last reader precedes every store, or that nothing reads,
+// goes in place; one read again after a store keeps its copy.
+func TestInPlaceLoads(t *testing.T) {
+	k := aliasKernel([]int{8}, 0)
+	// A second, unshared load of param 0 read only before the store, and
+	// an evaluated load nothing reads.
+	k.Loops[0].Stmts[0].E = Binary(OpAdd, k.Loops[0].Stmts[0].E, Load(0))
+	k.Loops[0].Stmts = append(k.Loops[0].Stmts, Stmt{Kind: KEval, Param: 0, E: Load(0)})
+	c := Compile(k)
+	l := &c.loops[0]
+	var loads []bool
+	for i, in := range l.body {
+		if in.Op == OpLoad {
+			loads = append(loads, inPlaceLoad(l.body, i))
+		}
+	}
+	if want := []bool{false, true, true}; fmt.Sprint(loads) != fmt.Sprint(want) {
+		t.Fatalf("in-place marks of the loads = %v, want %v", loads, want)
 	}
 }

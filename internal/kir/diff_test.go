@@ -67,8 +67,11 @@ func randExpr(rng *rand.Rand, depth int, grid, scalars []int) *Expr {
 // grid params share the loop shape (elem loops, generators, axis-reduce
 // inputs), scalar params are size-1 cells (scalar loads, reduction
 // destinations, rank-1 axis-reduce outputs), and rank-2 shapes add a
-// dedicated axis-reduce output row plus GEMV x/y vectors.
-func randDiffKernel(rng *rand.Rand) *diffKernel {
+// dedicated axis-reduce output row plus GEMV x/y vectors. A non-nil share
+// makes element loops sometimes read an earlier statement's load node
+// again; it is a separate stream so that every seed builds the same kernel
+// with or without it, apart from those shared terms.
+func randDiffKernel(rng, share *rand.Rand) *diffKernel {
 	rank := 1 + rng.Intn(2)
 	var shape []int
 	if rank == 1 {
@@ -110,8 +113,16 @@ func randDiffKernel(rng *rand.Rand) *diffKernel {
 		case choice < 6:
 			l := &Loop{Kind: LoopElem, Dom: dom, Ext: shape, ExtRef: grid[rng.Intn(ng)]}
 			nst := 1 + rng.Intn(3)
+			var loads []*Expr // element loads of earlier statements
 			for s := 0; s < nst; s++ {
 				e := randExpr(rng, 3, grid, scalars)
+				// Sometimes read an earlier statement's load node again:
+				// the sharing Scalarize's forwarding produces, whose value
+				// must survive a store between the two statements.
+				if share != nil && len(loads) > 0 && share.Intn(2) == 0 {
+					e = Binary(OpAdd, e, loads[share.Intn(len(loads))])
+				}
+				loads = appendLoads(loads, e)
 				if rng.Intn(4) == 0 {
 					l.Stmts = append(l.Stmts, Stmt{Kind: KReduce,
 						Param: scalars[rng.Intn(ns)], E: e, Red: RedOp(rng.Intn(3))})
@@ -214,6 +225,22 @@ func randDiffKernel(rng *rand.Rand) *diffKernel {
 	return dk
 }
 
+// appendLoads appends the element-load nodes of e (each once) to loads.
+func appendLoads(loads []*Expr, e *Expr) []*Expr {
+	if e == nil {
+		return loads
+	}
+	if e.Op == OpLoad {
+		for _, l := range loads {
+			if l == e {
+				return loads
+			}
+		}
+		return append(loads, e)
+	}
+	return appendLoads(appendLoads(appendLoads(loads, e.A), e.B), e.C)
+}
+
 // bindDiff allocates and fills buffers for one run. The data is derived
 // from the rng, so two calls with identically seeded rngs produce
 // identical inputs for the two backends.
@@ -256,7 +283,7 @@ func (dk *diffKernel) bind(rng *rand.Rand) ([]Binding, []Buffer) {
 func runDiff(t *testing.T, seed uint64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(seed)))
-	dk := randDiffKernel(rng)
+	dk := randDiffKernel(rng, rand.New(rand.NewSource(^int64(seed))))
 	opt := Optimize(dk.k, nil)
 
 	interp := Compile(opt)

@@ -376,8 +376,28 @@ func (c *Compiled) execSpMV(l *compiledLoop, pa *PointArgs) {
 	}
 	rows := csr.Rows()
 	// Uniform-dtype fast paths: stream the raw slices. Mixed dtypes fall
-	// back to the generic widening accessors.
+	// back to the generic widening accessors. With unit-stride f64 x and
+	// y, each row walks resliced value/column windows, so the inner loop
+	// pays no bounds check on them and no stride multiply; every row's sum
+	// is still one serial chain in nonzero order, the generic loop's.
 	if vals, xd, yd := csr.Val.F64(), x.Data.F64(), y.Data.F64(); vals != nil && xd != nil && yd != nil {
+		if xstride == 1 && ystride == 1 && rows > 0 {
+			rp := csr.RowPtr[1 : rows+1]
+			xv := xd[x.Base:]
+			yv := yd[y.Base:][:len(rp)]
+			lo := csr.RowPtr[0]
+			for i, hi := range rp {
+				vs := vals[lo:hi]
+				cs := csr.Col[lo:hi][:len(vs)]
+				sum := 0.0
+				for k, v := range vs {
+					sum += v * xv[cs[k]]
+				}
+				yv[i] = sum
+				lo = hi
+			}
+			return
+		}
 		for i := 0; i < rows; i++ {
 			sum := 0.0
 			for k := csr.RowPtr[i]; k < csr.RowPtr[i+1]; k++ {

@@ -31,12 +31,12 @@ func (o *fpOracle) see(t *testing.T, k *Kernel) {
 func TestFingerprintHashMatchesFingerprint(t *testing.T) {
 	o := &fpOracle{byFP: map[string]hash128.Sum{}, byHash: map[hash128.Sum]string{}}
 	for seed := int64(0); seed < 400; seed++ {
-		dk := randDiffKernel(rand.New(rand.NewSource(seed)))
+		dk := randDiffKernel(rand.New(rand.NewSource(seed)), nil)
 		o.see(t, dk.k)
 		o.see(t, Optimize(dk.k, nil))
 		// A second kernel from the same seed: equal fingerprint, distinct
 		// object, so the equal-hash direction is exercised too.
-		o.see(t, randDiffKernel(rand.New(rand.NewSource(seed))).k)
+		o.see(t, randDiffKernel(rand.New(rand.NewSource(seed)), nil).k)
 	}
 	o.see(t, nil)
 

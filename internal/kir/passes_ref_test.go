@@ -226,7 +226,7 @@ func randComposed(rng *rand.Rand) (*Kernel, Alias) {
 	kernels := make([]*Kernel, n)
 	mappings := make([][]int, n)
 	for i := range kernels {
-		kernels[i] = randDiffKernel(rng).k
+		kernels[i] = randDiffKernel(rng, nil).k
 		mappings[i] = make([]int, kernels[i].NParams)
 		for p := range mappings[i] {
 			mappings[i][p] = rng.Intn(nparams)

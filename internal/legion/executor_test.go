@@ -234,7 +234,18 @@ func TestKernelCacheBoundedAndHoldsNoRegions(t *testing.T) {
 		const ext = 1 << 15
 		big := fact.NewStore("big", []int{4 * ext})
 		fill(big, ext, 1)
+		// big's last reader is a compiled element loop whose unit-stride
+		// f64 loads read the region in place: the pool workers' parked
+		// scratch must not keep those lanes.
+		compiled := rt.CodegenStatsSnapshot().TasksCompiled
+		tp := ir.NewTiling(launch, []int{4 * ext}, []int{ext}, []int{0}, nil, nil)
+		rt.Execute(&ir.Task{Name: "math", Launch: launch, Kernel: mathKernel(ext),
+			Args: []ir.Arg{{Store: big, Part: tp, Priv: ir.Read},
+				{Store: fact.NewStore("out", []int{4 * ext}), Part: tp, Priv: ir.Write}}})
 		rt.DrainShardGroup()
+		if rt.CodegenStatsSnapshot().TasksCompiled == compiled {
+			t.Fatalf("shards=%d: the reader of the freed store did not run compiled", shards)
+		}
 
 		plans := 0
 		for _, e := range rt.kernels {
