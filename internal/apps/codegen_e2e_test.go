@@ -2,11 +2,14 @@ package apps_test
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"diffuse/cunum"
 	"diffuse/internal/apps"
 	"diffuse/internal/core"
+	"diffuse/internal/ir"
+	"diffuse/internal/kir"
 	"diffuse/internal/legion"
 	"diffuse/internal/machine"
 	"diffuse/internal/oracle"
@@ -186,5 +189,81 @@ func TestCodegenCacheHitsAcrossFreshKernels(t *testing.T) {
 	}
 	if st.CacheMisses == 0 || st.CacheHits < st.CacheMisses {
 		t.Fatalf("expected hits to dominate misses on an iterated stream: %+v", st)
+	}
+}
+
+// TestEveryElementLoopLowered: with codegen on, every element loop an app
+// emits runs compiled; none falls back to the interpreter's per-element
+// walk. Black-Scholes and the stencil chain are built the way the
+// benchmark builds them: the constructor's inputs are freed before the
+// first window drains and fresh ones take their place, which leaves the
+// set-up kernels storing to temporaries nothing reads. Every kernel that
+// reaches legion must lower each of its element loops.
+func TestEveryElementLoopLowered(t *testing.T) {
+	runs := []struct {
+		name   string
+		shards int
+		run    func(ctx *cunum.Context)
+	}{
+		{"black-scholes", 0, func(ctx *cunum.Context) {
+			const perProc = 64
+			b := apps.NewBlackScholes(ctx, perProc)
+			n := perProc * ctx.Procs()
+			b.S.Free()
+			b.K.Free()
+			b.T.Free()
+			b.S = ctx.Random(1, n).MulC(50).AddC(10).Keep()
+			b.K = ctx.Random(2, n).MulC(50).AddC(15).Keep()
+			b.T = ctx.Random(3, n).MulC(2).AddC(0.5).Keep()
+			for i := 0; i < 2; i++ {
+				b.Step()
+				ctx.Flush()
+				b.Call.Sum().Future().Value()
+			}
+		}},
+		{"stencil-chain", 4, func(ctx *cunum.Context) {
+			const n, tile, depth = 256, 32, 4
+			sc := apps.NewStencilChain(ctx, n, tile, depth, apps.ChainUpwind, cunum.F64)
+			scale := 1.0 / float64(2*tile)
+			sc.D.Free()
+			sc.L.Free()
+			sc.D = ctx.Random(1, n, tile).MulC(scale).Keep()
+			sc.L = ctx.Random(2, n, tile).MulC(scale).Keep()
+			for i := 0; i < 2; i++ {
+				live := sc.X.Slice([]int{tile}, []int{tile + n}).Temp()
+				cunum.ApplyOpInto("fill", live, nil, 1)
+				sc.Step()
+				ctx.Flush()
+				sc.Sum()
+			}
+		}},
+	}
+	for _, r := range runs {
+		ctx := codegenCtx(r.shards, legion.CodegenOn)
+		var mu sync.Mutex
+		var kernels []*kir.Kernel
+		ctx.Runtime().Legion().Trace = func(t *ir.Task) {
+			mu.Lock()
+			kernels = append(kernels, t.Kernel)
+			mu.Unlock()
+		}
+		r.run(ctx)
+		mu.Lock()
+		if len(kernels) == 0 {
+			t.Fatalf("%s: no kernel reached legion", r.name)
+		}
+		for _, k := range kernels {
+			elem := 0
+			for _, l := range k.Loops {
+				if l.Kind == kir.LoopElem {
+					elem++
+				}
+			}
+			if got := kir.Codegen(kir.Compile(k)).Lowered(); got != elem {
+				t.Errorf("%s: kernel %s lowers %d of its %d element loops", r.name, k.Name, got, elem)
+			}
+		}
+		mu.Unlock()
+		ctx.Runtime().Close()
 	}
 }

@@ -66,8 +66,8 @@ type Config struct {
 	Wavefront legion.WavefrontMode
 	// Codegen selects the kernel execution backend (ModeReal): the
 	// compiled-kernel closure tier (legion.CodegenOn, the zero value —
-	// element loops and large dense matvecs run as per-dtype monomorphic
-	// block loops) or the fully interpreted register evaluator
+	// element loops run as per-dtype monomorphic block loops) or the
+	// fully interpreted register evaluator
 	// (legion.CodegenOff, the bit-identical reference the differential
 	// harness and the benchmark's codegen rows compare against). Results
 	// are bit-identical either way; only dispatch cost changes. In a

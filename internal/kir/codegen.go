@@ -19,6 +19,11 @@ package kir
 // store can overwrite before its register's last reader (inPlaceLoad)
 // points its lane at the region's elements and copies nothing.
 //
+// Element loops are the only loops this tier lowers. The others — SpMV,
+// GEMV, Random, Iota and axis reductions — pay one dispatch per loop, not
+// per element, so there is nothing to batch: each has one native loop in
+// exec.go, per dtype and layout, that both tiers run.
+//
 // Bit-identity with the interpreter is a hard requirement (the
 // differential harness in diff_test.go replays every workload against
 // both): per element the closures execute the same float64 operation
@@ -56,10 +61,9 @@ type CodegenProgram struct {
 	loops []cgLoop
 }
 
-// cgLoop is the compiled form of one loop. A nil elem slice on a LoopElem
-// (or a loop kind the backend does not lower) leaves the loop on the
-// interpreter permanently; gemv marks a LoopGEMV eligible for the blocked
-// execution in block.go.
+// cgLoop is the compiled form of one element-wise loop. A nil elem slice
+// leaves the loop on exec.go's code permanently: the interpreter for a
+// declined element loop, the one native loop for any other kind.
 type cgLoop struct {
 	elem  []cgOp    // LoopElem: per-instruction block closures
 	setup []cgSetup // LoopElem: per-execution lane fills (consts, scalars)
@@ -68,8 +72,7 @@ type cgLoop struct {
 	// falls back to the interpreter when a hand-built binding disagrees.
 	slotDT []DType
 	nregs  int
-	block  int  // lane block size (elements), chosen by planBlock
-	gemv   bool // LoopGEMV: blocked execution eligible
+	block  int // lane block size (elements), chosen by planBlock
 }
 
 // cgOp executes one instruction across the current lane block.
@@ -84,12 +87,12 @@ type cgSetup struct {
 	imm   float64
 }
 
-// Lowered reports how many loops of the program run on the codegen
-// backend (observability: tests and the trace tool).
+// Lowered reports how many element loops of the program run on the
+// codegen backend (observability: tests and the trace tool).
 func (p *CodegenProgram) Lowered() int {
 	n := 0
 	for i := range p.loops {
-		if p.loops[i].elem != nil || p.loops[i].gemv {
+		if p.loops[i].elem != nil {
 			n++
 		}
 	}
@@ -103,27 +106,55 @@ func (p *CodegenProgram) Lowered() int {
 // register/slot numbering agrees; the runtime attaches Codegen(c).
 func (c *Compiled) AttachProgram(p *CodegenProgram) { c.prog = p }
 
-// HasCodegen reports whether any loop of the kernel executes on the
-// codegen backend.
+// HasCodegen reports whether any element loop of the kernel executes on
+// the codegen backend.
 func (c *Compiled) HasCodegen() bool { return c.prog != nil && c.prog.Lowered() > 0 }
 
 // Codegen lowers a compiled kernel into its closure-backend program — the
-// second compilation stage. It never fails: loops the backend cannot
-// lower (SpMV, generators, axis reductions, and the declined element
-// loops documented above) simply stay on the interpreter, which the
-// differential harness keeps bit-identical anyway.
+// second compilation stage. It lowers element loops only and never fails:
+// a declined element loop (documented above) stays on the interpreter,
+// which the differential harness keeps bit-identical anyway, and every
+// other loop kind (SpMV, GEMV, Random, Iota, axis reductions) has one
+// native loop in exec.go that both tiers run.
 func Codegen(c *Compiled) *CodegenProgram {
 	p := &CodegenProgram{loops: make([]cgLoop, len(c.loops))}
 	for i := range c.loops {
-		cl := &c.loops[i]
-		switch cl.kind {
-		case LoopElem:
+		if cl := &c.loops[i]; cl.kind == LoopElem {
 			p.loops[i] = lowerElem(c.Kernel, cl)
-		case LoopGEMV:
-			p.loops[i] = cgLoop{gemv: true}
 		}
 	}
 	return p
+}
+
+const (
+	// cgLaneBudget bounds the lane working set of one element loop
+	// (nregs × block × 8 bytes) so the registers of a block stay resident
+	// in L1 while its instructions stream over them.
+	cgLaneBudget = 32 << 10
+	// cgBlockMin keeps enough elements per block to amortize the closure
+	// dispatch even for instruction-heavy kernels; cgBlockMax caps the
+	// lane length so short loops still fill blocks.
+	cgBlockMin = 32
+	cgBlockMax = 512
+)
+
+// planBlock picks the element-loop lane block size for a body of nregs
+// registers: as large as the lane budget allows, clamped to
+// [cgBlockMin, cgBlockMax] and rounded to a multiple of 8. Block size
+// never changes which float64 operations run or in what order, only how
+// far apart in time they run.
+func planBlock(nregs int) int {
+	if nregs < 1 {
+		nregs = 1
+	}
+	b := cgLaneBudget / (nregs * 8)
+	if b > cgBlockMax {
+		b = cgBlockMax
+	}
+	if b < cgBlockMin {
+		b = cgBlockMin
+	}
+	return b &^ 7
 }
 
 // lowerElem lowers one element-wise loop body. Returns a zero cgLoop

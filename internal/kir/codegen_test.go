@@ -37,104 +37,6 @@ func TestPlanBlock(t *testing.T) {
 	}
 }
 
-// gemvKernel builds y = A·x (or y += A·x) with params 0=A, 1=x, 2=y.
-func gemvKernel(dt DType, rows, cols int, acc bool) *Kernel {
-	k := NewKernel("gemv", 3)
-	for p := 0; p < 3; p++ {
-		k.SetDType(p, dt)
-	}
-	k.AddLoop(&Loop{Kind: LoopGEMV, Dom: "g", Ext: []int{rows, cols},
-		ExtRef: 0, MatA: 0, X: 1, Y: 2, Acc: acc})
-	return k
-}
-
-// TestBlockedGEMVBitIdentical: past the x-spill threshold the blocked
-// GEMV must engage and reproduce the interpreter's unrolled path bit for
-// bit (the carried-accumulator argument in block.go, checked here).
-func TestBlockedGEMVBitIdentical(t *testing.T) {
-	cases := []struct {
-		dt   DType
-		cols int
-	}{
-		{F64, gemvXSpillBytes/8 + 128}, // 32896 cols: past the f64 spill
-		{F32, gemvXSpillBytes/4 + 128}, // 65664 cols: past the f32 spill
-	}
-	for _, tc := range cases {
-		for _, acc := range []bool{false, true} {
-			rows := 16
-			comp := Compile(gemvKernel(tc.dt, rows, tc.cols, acc))
-			coded := Compile(gemvKernel(tc.dt, rows, tc.cols, acc))
-			coded.AttachProgram(Codegen(coded))
-			if !coded.HasCodegen() {
-				t.Fatalf("%s: GEMV loop not marked for the blocked backend", tc.dt)
-			}
-			mk := func() []Binding {
-				fill := func(i int) float64 { return math.Sin(float64(i)*0.7) * 3 }
-				return []Binding{
-					contiguous(tc.dt, []int{rows, tc.cols}, fill),
-					contiguous(tc.dt, []int{tc.cols}, fill),
-					contiguous(tc.dt, []int{rows}, fill),
-				}
-			}
-			bi, bc := mk(), mk()
-			paC := &PointArgs{Bind: bc, Scratch: NewScratch()}
-			// The blocked path must actually engage at this size, not fall
-			// back — otherwise this test would pass vacuously.
-			if !coded.execGEMVCg(&coded.loops[0], paC) {
-				t.Fatalf("%s cols=%d: blocked GEMV declined past the spill threshold", tc.dt, tc.cols)
-			}
-			comp.Execute(&PointArgs{Bind: bi})
-			if !buffersEqualBits(bi[2].Acc.Data, bc[2].Acc.Data) {
-				t.Fatalf("%s acc=%t: blocked GEMV diverges from interpreter", tc.dt, acc)
-			}
-		}
-	}
-}
-
-// TestBlockedGEMVDeclines: below the thresholds or off the expected
-// layout, execGEMVCg must return false before touching any data.
-func TestBlockedGEMVDeclines(t *testing.T) {
-	fill := func(i int) float64 { return float64(i % 7) }
-
-	// Small x: blocking buys nothing, plain unrolled path runs.
-	small := Compile(gemvKernel(F64, 16, 64, false))
-	pa := &PointArgs{Bind: []Binding{
-		contiguous(F64, []int{16, 64}, fill),
-		contiguous(F64, []int{64}, fill),
-		contiguous(F64, []int{16}, fill),
-	}, Scratch: NewScratch()}
-	if small.execGEMVCg(&small.loops[0], pa) {
-		t.Fatal("blocked GEMV engaged below the spill threshold")
-	}
-
-	// Too few rows: no x reuse to create.
-	cols := gemvXSpillBytes/8 + 128
-	short := Compile(gemvKernel(F64, 2, cols, false))
-	pa = &PointArgs{Bind: []Binding{
-		contiguous(F64, []int{2, cols}, fill),
-		contiguous(F64, []int{cols}, fill),
-		contiguous(F64, []int{2}, fill),
-	}, Scratch: NewScratch()}
-	if short.execGEMVCg(&short.loops[0], pa) {
-		t.Fatal("blocked GEMV engaged with rows < gemvBlockMinRows")
-	}
-
-	// Non-unit innermost matrix stride: the streaming row slices assume
-	// unit stride.
-	strided := Compile(gemvKernel(F64, 16, cols, false))
-	a := contiguous(F64, []int{16, 2 * cols}, fill)
-	a.Ext = []int{16, cols}
-	a.Acc.Strides = []int{2 * cols, 2}
-	pa = &PointArgs{Bind: []Binding{
-		a,
-		contiguous(F64, []int{cols}, fill),
-		contiguous(F64, []int{16}, fill),
-	}, Scratch: NewScratch()}
-	if strided.execGEMVCg(&strided.loops[0], pa) {
-		t.Fatal("blocked GEMV engaged on a non-unit matrix stride")
-	}
-}
-
 // TestCodegenDeclinesScalarLoadOfStoredParam: the one construct that
 // could observe batching — reading a cell as a scalar while the same
 // loop stores it element-wise — must keep the loop on the interpreter.
@@ -231,7 +133,8 @@ func TestCodegenProgramShared(t *testing.T) {
 }
 
 // TestCodegenLowered: Lowered/HasCodegen count exactly the loops the
-// backend takes — element loops and GEMVs, never generators.
+// backend takes — element loops, never generators or axis reductions,
+// which run their one native loop under both tiers.
 func TestCodegenLowered(t *testing.T) {
 	k := NewKernel("mixed", 3)
 	k.AddLoop(&Loop{Kind: LoopIota, Dom: "d", Ext: []int{8}, ExtRef: 0})

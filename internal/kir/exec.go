@@ -113,12 +113,9 @@ type Scratch struct {
 	states []slotState
 	locals map[int]Buffer
 
-	// Codegen-backend state (codegen.go / block.go): the lane buffers and
-	// streaming cursors of the closure backend, and the carried
-	// accumulators of the column-blocked GEMV.
-	cgs    *cgState
-	gemv64 []float64
-	gemv32 []float32
+	// Codegen-backend state (codegen.go): the lane buffers and streaming
+	// cursors of the closure backend.
+	cgs *cgState
 }
 
 // NewScratch allocates evaluator scratch state.
@@ -184,10 +181,11 @@ func (c *Compiled) Execute(pa *PointArgs) {
 		pa.Bind[p].hasGlobal = true
 		pa.Bind[p].Acc = Accessor{Data: buf, Strides: strides}
 	}
-	// The codegen program, when attached, takes each loop it lowered; a
-	// lowered loop whose runtime guard declines (dtype mismatch against a
-	// hand-built binding, unprofitable GEMV layout) falls back to the
-	// interpreter for that execution. Both backends are bit-identical.
+	// The codegen program, when attached, takes each element loop it
+	// lowered; a lowered loop whose runtime guard declines (dtype mismatch
+	// against a hand-built binding) falls back to the interpreter for that
+	// execution. Both backends are bit-identical. Every other loop kind
+	// has one native loop, the same under both.
 	for i := range c.loops {
 		l := &c.loops[i]
 		switch l.kind {
@@ -201,9 +199,6 @@ func (c *Compiled) Execute(pa *PointArgs) {
 		case LoopSpMV:
 			c.execSpMV(l, pa)
 		case LoopGEMV:
-			if prog != nil && prog.loops[i].gemv && c.execGEMVCg(l, pa) {
-				continue
-			}
 			c.execGEMV(l, pa)
 		case LoopRandom:
 			c.execRandom(l, pa)
@@ -375,35 +370,27 @@ func (c *Compiled) execSpMV(l *compiledLoop, pa *PointArgs) {
 		xstride = x.Strides[0]
 	}
 	rows := csr.Rows()
-	// Uniform-dtype fast paths: stream the raw slices. Mixed dtypes fall
-	// back to the generic widening accessors. With unit-stride f64 x and
-	// y, each row walks resliced value/column windows, so the inner loop
-	// pays no bounds check on them and no stride multiply; every row's sum
-	// is still one serial chain in nonzero order, the generic loop's.
-	if vals, xd, yd := csr.Val.F64(), x.Data.F64(), y.Data.F64(); vals != nil && xd != nil && yd != nil {
-		if xstride == 1 && ystride == 1 && rows > 0 {
-			rp := csr.RowPtr[1 : rows+1]
-			xv := xd[x.Base:]
-			yv := yd[y.Base:][:len(rp)]
-			lo := csr.RowPtr[0]
-			for i, hi := range rp {
-				vs := vals[lo:hi]
-				cs := csr.Col[lo:hi][:len(vs)]
-				sum := 0.0
-				for k, v := range vs {
-					sum += v * xv[cs[k]]
-				}
-				yv[i] = sum
-				lo = hi
-			}
-			return
-		}
-		for i := 0; i < rows; i++ {
+	// Fast paths stream the raw slices; every other layout takes the
+	// generic widening loop below. With unit-stride f64 x and y, each row
+	// walks resliced value/column windows, so the inner loop pays no
+	// bounds check on them and no stride multiply; every row's sum is
+	// still one serial chain in nonzero order, the generic loop's, and a
+	// strided f64 SpMV runs exactly these float64 operations there.
+	if vals, xd, yd := csr.Val.F64(), x.Data.F64(), y.Data.F64(); vals != nil && xd != nil && yd != nil &&
+		xstride == 1 && ystride == 1 && rows > 0 {
+		rp := csr.RowPtr[1 : rows+1]
+		xv := xd[x.Base:]
+		yv := yd[y.Base:][:len(rp)]
+		lo := csr.RowPtr[0]
+		for i, hi := range rp {
+			vs := vals[lo:hi]
+			cs := csr.Col[lo:hi][:len(vs)]
 			sum := 0.0
-			for k := csr.RowPtr[i]; k < csr.RowPtr[i+1]; k++ {
-				sum += vals[k] * xd[x.Base+int(csr.Col[k])*xstride]
+			for k, v := range vs {
+				sum += v * xv[cs[k]]
 			}
-			yd[y.Base+i*ystride] = sum
+			yv[i] = sum
+			lo = hi
 		}
 		return
 	}
@@ -612,20 +599,12 @@ func (c *Compiled) execAxisReduce(l *compiledLoop, pa *PointArgs) {
 	curIn := in.Acc.Base
 	curOut := out.Acc.Base
 	innerStride := in.Acc.Strides[rank-1]
-	inF64 := in.Acc.Data.F64()
 	for e := 0; e < outTotal; e++ {
 		acc := l.red.Identity()
 		off := curIn
-		if inF64 != nil {
-			for j := 0; j < last; j++ {
-				acc = l.red.Combine(acc, inF64[off])
-				off += innerStride
-			}
-		} else {
-			for j := 0; j < last; j++ {
-				acc = l.red.Combine(acc, in.Acc.Data.Get(off))
-				off += innerStride
-			}
+		for j := 0; j < last; j++ {
+			acc = l.red.Combine(acc, in.Acc.Data.Get(off))
+			off += innerStride
 		}
 		out.Acc.Data.Set(curOut, acc)
 		for d := rank - 2; d >= 0; d-- {

@@ -205,6 +205,120 @@ func TestGEMV(t *testing.T) {
 	}
 }
 
+// gemvKernel builds y = A·x (or y += A·x) with params 0=A, 1=x, 2=y.
+func gemvKernel(dt DType, rows, cols int, acc bool) *Kernel {
+	k := NewKernel("gemv", 3)
+	for p := 0; p < 3; p++ {
+		k.SetDType(p, dt)
+	}
+	k.AddLoop(&Loop{Kind: LoopGEMV, Dom: "g", Ext: []int{rows, cols},
+		ExtRef: 0, MatA: 0, X: 1, Y: 2, Acc: acc})
+	return k
+}
+
+// refGEMV is the summation order of a uniform-dtype GEMV: with unit-stride
+// rows and x, four accumulators over the column quads in increasing column
+// order, summed, then the tail columns; otherwise one serial sum. acc adds
+// the row sum into y, after it.
+func refGEMV[T float32 | float64](a []T, astr0, astr1 int, x []T, xstr int, y []T, ystr, rows, cols int, acc bool) {
+	for i := 0; i < rows; i++ {
+		row := a[i*astr0:]
+		var sum T
+		j := 0
+		if astr1 == 1 && xstr == 1 {
+			var s [4]T
+			for ; j+4 <= cols; j += 4 {
+				for q := range s {
+					s[q] += row[j+q] * x[j+q]
+				}
+			}
+			sum = s[0] + s[1] + s[2] + s[3]
+		}
+		for ; j < cols; j++ {
+			sum += row[j*astr1] * x[j*xstr]
+		}
+		if acc {
+			y[i*ystr] += sum
+		} else {
+			y[i*ystr] = sum
+		}
+	}
+}
+
+// TestGEMVPaths runs every branch of the dense matvec loop against a
+// reference loop, bit for bit: f64 and f32, each with unit-stride rows and
+// x and with a strided operand, each overwriting and accumulating, and the
+// mixed-dtype loop, which widens to float64, adds y last and rounds once
+// at the store. Both tiers run this one loop, so this test, not the
+// differential harness, is what checks GEMV. Rows carry a NaN, an Inf and
+// an Inf-Inf cancellation; an accumulated y cell holds a NaN.
+func TestGEMVPaths(t *testing.T) {
+	const rows, abase, xbase, ybase = 5, 4, 3, 2
+	dtypes := [][3]DType{{F64, F64, F64}, {F32, F32, F32}, {F32, F64, F64}, {F64, F32, F64}, {F64, F64, F32}}
+	strides := [][3]int{{1, 1, 1}, {1, 1, 3}, {2, 1, 1}, {1, 2, 2}}
+	fill := func(dt DType, n, salt int) Buffer {
+		b := AllocBuffer(dt, n)
+		for i := 0; i < n; i++ {
+			b.Set(i, math.Sin(float64(i*salt+1))*100)
+		}
+		return b
+	}
+	for _, dt := range dtypes {
+		for _, cols := range []int{3, 11} {
+			for _, st := range strides {
+				for _, acc := range []bool{false, true} {
+					astr1, xstr, ystr := st[0], st[1], st[2]
+					astr0 := cols*astr1 + 1
+					a := fill(dt[0], abase+rows*astr0, 7)
+					x := fill(dt[1], xbase+cols*xstr+1, 3)
+					y := fill(dt[2], ybase+rows*ystr+1, 5)
+					at := func(i, j int) int { return abase + i*astr0 + j*astr1 }
+					a.Set(at(1, 2), math.NaN())
+					a.Set(at(2, cols-1), math.Inf(1))
+					a.Set(at(3, 0), math.Inf(1))
+					a.Set(at(3, cols-1), math.Inf(-1))
+					y.Set(ybase+4*ystr, math.NaN())
+
+					want := y.Clone()
+					switch {
+					case dt == [3]DType{F64, F64, F64}:
+						refGEMV(a.F64()[abase:], astr0, astr1, x.F64()[xbase:], xstr, want.F64()[ybase:], ystr, rows, cols, acc)
+					case dt == [3]DType{F32, F32, F32}:
+						refGEMV(a.F32()[abase:], astr0, astr1, x.F32()[xbase:], xstr, want.F32()[ybase:], ystr, rows, cols, acc)
+					default:
+						for i := 0; i < rows; i++ {
+							sum := 0.0
+							for j := 0; j < cols; j++ {
+								sum += a.Get(at(i, j)) * x.Get(xbase+j*xstr)
+							}
+							if acc {
+								sum += want.Get(ybase + i*ystr)
+							}
+							want.Set(ybase+i*ystr, sum)
+						}
+					}
+
+					k := gemvKernel(dt[0], rows, cols, acc)
+					for p, d := range dt {
+						k.SetDType(p, d)
+					}
+					Compile(k).Execute(&PointArgs{Bind: []Binding{
+						{Acc: Accessor{Data: a, Base: abase, Strides: []int{astr0, astr1}}, Ext: []int{rows, cols}},
+						{Acc: Accessor{Data: x, Base: xbase, Strides: []int{xstr}}, Ext: []int{cols}},
+						{Acc: Accessor{Data: y, Base: ybase, Strides: []int{ystr}}, Ext: []int{rows}},
+					}})
+					for i := 0; i < y.Len(); i++ {
+						if g, w := y.Get(i), want.Get(i); math.Float64bits(g) != math.Float64bits(w) {
+							t.Fatalf("dtypes %v cols=%d strides a=%d x=%d y=%d acc=%t: y[%d] = %g, want %g",
+								dt, cols, astr1, xstr, ystr, acc, i, g, w)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestStridedAccessor checks 2-D strided views address correctly.
 func TestStridedAccessor(t *testing.T) {
 	// A 4x4 buffer; access the 2x2 interior with offset (1,1).

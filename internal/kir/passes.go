@@ -176,10 +176,12 @@ func (k *Kernel) header() *Kernel {
 // element-wise loop, a load of a local parameter that was stored earlier in
 // the same loop body is replaced by the stored expression (value
 // forwarding). Stores to local parameters that are never loaded by any
-// later loop are then removed (dead store elimination). Local parameters
-// whose every access was forwarded need no allocation at all; the set of
-// locals that still need a task-local buffer is what BufferLocals reports
-// (consumed by the compiler).
+// later loop are then removed (dead store elimination), and an
+// element-wise loop left with no statements is dropped: it would walk its
+// domain doing nothing. Local parameters whose every access was forwarded
+// need no allocation at all; the set of locals that still need a
+// task-local buffer is what BufferLocals reports (consumed by the
+// compiler).
 func Scalarize(k *Kernel) *Kernel {
 	out := k.header()
 
@@ -235,7 +237,9 @@ func Scalarize(k *Kernel) *Kernel {
 				nl.Stmts = append(nl.Stmts, ns)
 			}
 		}
-		out.Loops = append(out.Loops, nl)
+		if len(nl.Stmts) > 0 {
+			out.Loops = append(out.Loops, nl)
+		}
 	}
 	return out
 }

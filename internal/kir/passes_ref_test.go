@@ -1,9 +1,10 @@
 package kir
 
 // The map-based passes as they stood before the linear rewrite in
-// passes.go, kept verbatim (only the colliding names carry a ref prefix) as
-// the oracle TestOptimizeMatchesReference and FuzzOptimizeMatchesReference
-// compare the product passes against.
+// passes.go (only the colliding names carry a ref prefix), plus the one
+// contract Scalarize gained since — an element loop left with no
+// statements is dropped — as the oracle TestOptimizeMatchesReference and
+// FuzzOptimizeMatchesReference compare the product passes against.
 
 import (
 	"maps"
@@ -144,7 +145,9 @@ func refScalarize(k *Kernel) *Kernel {
 				nl.Stmts = append(nl.Stmts, ns)
 			}
 		}
-		out.Loops = append(out.Loops, nl)
+		if len(nl.Stmts) > 0 {
+			out.Loops = append(out.Loops, nl)
+		}
 	}
 	return out
 }
@@ -288,6 +291,11 @@ func runOptimizeDiff(t *testing.T, seed uint64) {
 	}
 	if g, w := Compile(got).NOps, Compile(want).NOps; g != w {
 		t.Fatalf("seed %d: %d instructions, want %d (expression sharing differs)", seed, g, w)
+	}
+	for li, l := range got.Loops {
+		if l.Kind == LoopElem && len(l.Stmts) == 0 {
+			t.Fatalf("seed %d: loop %d is an element loop with no statements", seed, li)
+		}
 	}
 }
 

@@ -14,17 +14,20 @@ import (
 // iteration and still reuse it. Programs hold no region references: a
 // program outlives any store.
 
-// CodegenMode toggles the compiled-kernel backend. The zero value is on:
-// codegen is the default tier, the interpreter the reference oracle and
-// fallback.
+// CodegenMode toggles the compiled-kernel backend for element loops. The
+// zero value is on: codegen is the default tier, the interpreter the
+// reference oracle and fallback. Every other loop kind (SpMV, GEMV,
+// Random, Iota, axis reductions) runs the same native loop in either
+// mode.
 type CodegenMode int
 
 // Codegen modes.
 const (
-	// CodegenOn lowers every locally executed kernel through the closure
-	// backend (loops it cannot take stay on the interpreter per-loop).
+	// CodegenOn lowers the element loops of every locally executed kernel
+	// through the closure backend (an element loop it declines stays on
+	// the interpreter).
 	CodegenOn CodegenMode = iota
-	// CodegenOff runs every kernel fully interpreted — the bit-identical
+	// CodegenOff runs every element loop interpreted — the bit-identical
 	// reference configuration benchmarks compare against.
 	CodegenOff
 )
@@ -32,7 +35,9 @@ const (
 // CodegenStats is a snapshot of the backend's activity counters.
 type CodegenStats struct {
 	// TasksCompiled / TasksInterpreted count index-task executions whose
-	// kernel did / did not have at least one codegen-lowered loop.
+	// kernel did / did not have at least one codegen-lowered element loop.
+	// A kernel of SpMV, GEMV, generator or axis-reduction loops alone
+	// counts as interpreted: those loops run one native loop either way.
 	TasksCompiled    int64
 	TasksInterpreted int64
 	// CacheHits / CacheMisses count lookups of the kernel cache by a
