@@ -36,7 +36,9 @@
 # per-point executor), and legion's program cache that the one
 # structural kernel cache absorbed (its attach step and its bound), and
 # kir's blocked GEMV tier that no workload reached (its execution
-# entry, its two kernels, its x-spill threshold) — so a sentence cannot
+# entry, its two kernels, its x-spill threshold), and the pool's second
+# batch mode that ran an in-process shard group's (task, shard) units —
+# so a sentence cannot
 # outlive what it quoted. ROADMAP.md is exempt: it keeps history. The one-character
 # brackets keep this script from matching its own pattern in a
 # repository-wide grep.
@@ -55,6 +57,7 @@ removed="$removed"'|[b]uildWavefrontDAG|[r]unDAG|[d]rainSerial|[W]avefrontNodes|
 removed="$removed"'|[S]etExecPolicy|[E]xecPerPoint|[E]xecChunked|[e]xecutePerPoint'
 removed="$removed"'|[a]ttachProgramLocked|[m]axProgs'
 removed="$removed"'|[e]xecGEMVCg|[g]emvBlocked|[g]emvXSpillBytes|column-[b]locked'
+removed="$removed"'|[r]unUnits'
 
 # slugs_of FILE: print the GitHub anchor slug of every heading, skipping
 # fenced code blocks (a `# comment` inside a fence is not a heading).
@@ -73,7 +76,7 @@ for f in README.md DESIGN.md ROADMAP.md docs/*.md; do
   [ -e "$f" ] || continue
   dir=$(dirname "$f")
   if [ "$f" != ROADMAP.md ] && hits=$(grep -nE -e "$removed" "$f"); then
-    echo "$f: names something removed (the real-mode suite: see docs/BENCHMARKS.md; ReadAll32/WriteAll32: see DESIGN.md, the wire; the stage-barrier executor path: see DESIGN.md, sharded execution; feedback scheduling: see DESIGN.md, static schedule; the tcp rank mesh and serve batching: see docs/SERVING.md; the rank drain: see docs/ARCHITECTURE.md, distributed execution; the wavefront DAG: see DESIGN.md, one drain loop; the executor policies: see DESIGN.md, the reference backend; the blocked GEMV: see DESIGN.md, kernel backends):"
+    echo "$f: names something removed (the real-mode suite: see docs/BENCHMARKS.md; ReadAll32/WriteAll32: see DESIGN.md, the wire; the stage-barrier executor path: see DESIGN.md, sharded execution; feedback scheduling: see DESIGN.md, static schedule; the tcp rank mesh and serve batching: see docs/SERVING.md; the rank drain: see docs/ARCHITECTURE.md, distributed execution; the wavefront DAG: see DESIGN.md, one drain loop; the executor policies: see DESIGN.md, the reference backend; the blocked GEMV: see DESIGN.md, kernel backends; the unit batch: see DESIGN.md, one drain loop):"
     echo "$hits"
     fail=1
   fi

@@ -39,10 +39,10 @@ func (k ChainKind) String() string {
 // (block 0 has no left neighbor; in the symmetric chain block nb-1 has no
 // right neighbor). Each per-block term is a dense T×T GEMV
 // (cunum.BlockMatVec), so a sweep streams the stacked operator slabs D/L/U
-// — n×T elements each — through the evaluator's memory-bound GEMV fast
-// path, and consecutive sweeps re-read the same slabs. The sharded drain
-// runs the sweeps in program order, each sweep's shards as one batch, so
-// every sweep is a stage that streams the full operator once. The
+// — n×T elements each — through the evaluator's unit-stride GEMV loop,
+// and consecutive sweeps re-read the same slabs. The sharded drain runs
+// the sweeps in program order, each on the chunked executor, so every
+// sweep is a stage that streams the full operator once. The
 // off-diagonal terms read x through whole-block-shifted slice views, so
 // the cross-sweep dependences are exactly neighbor-block halos, never
 // global.

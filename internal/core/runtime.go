@@ -42,8 +42,8 @@ type Config struct {
 	// Shards enables sharded execution (ModeReal): stores are decomposed
 	// into this many leading-axis blocks, and the runtime buffers
 	// compatible tasks into groups it executes in program order, entry
-	// by entry: each task's per-shard units run as one batch on the
-	// work-stealing executor, the way a rank runs its own. 0 or 1
+	// by entry: each task runs on the work-stealing executor as an
+	// unsharded task does, in the order a rank runs its own unit. 0 or 1
 	// disables sharding; results (including reductions) are bit-identical
 	// across shard counts. See DESIGN.md "Sharded execution".
 	Shards int

@@ -3,9 +3,9 @@ package ir
 // Span is a half-open interval [Lo, Hi) of flat element offsets into one
 // store's canonical layout. The zero Span is empty.
 //
-// The sharded runtime (internal/legion) bounds every (task, shard) unit's
-// access to one argument by a span: the tight interval covering every
-// element the shard's point tasks touch. A rank of a distributed runtime
+// A rank of the sharded runtime (internal/legion) bounds every (task,
+// shard) unit's access to one argument by a span: the tight interval
+// covering every element the shard's point tasks touch. A rank
 // syncs its peers' updates to the spans its unit reads and ships the
 // spans its unit writes. Spans are conservative: two spans that do not
 // overlap provably touch disjoint data, while overlapping spans may or

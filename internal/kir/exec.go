@@ -427,37 +427,11 @@ func (c *Compiled) execGEMV(l *compiledLoop, pa *PointArgs) {
 		xstride = x.Strides[0]
 	}
 	astr0, astr1 := a.Acc.Strides[0], a.Acc.Strides[1]
-	// Uniform-dtype fast paths: the matrix stream dominates the traffic,
-	// and the row dot products run four independent accumulators so the
-	// loop is bound by the memory stream, not the FMA latency chain — this
-	// is what lets an f32 matrix (half the bytes, and a working set that
-	// fits one cache level earlier) actually convert its traffic advantage
-	// into wall-clock. The f32 path accumulates in float32, the f32 BLAS
-	// convention; unit-stride rows take the unrolled path.
+	// Uniform-dtype fast paths. The f32 path accumulates in float32, the
+	// f32 BLAS convention; unit-stride rows and x take gemvUnit.
 	if ad, xd, yd := a.Acc.Data.F64(), x.Data.F64(), y.Data.F64(); ad != nil && xd != nil && yd != nil {
 		if astr1 == 1 && xstride == 1 {
-			xv := xd[x.Base : x.Base+cols]
-			for i := 0; i < rows; i++ {
-				base := a.Acc.Base + i*astr0
-				row := ad[base : base+cols]
-				var s0, s1, s2, s3 float64
-				j := 0
-				for ; j+4 <= cols; j += 4 {
-					s0 += row[j] * xv[j]
-					s1 += row[j+1] * xv[j+1]
-					s2 += row[j+2] * xv[j+2]
-					s3 += row[j+3] * xv[j+3]
-				}
-				sum := s0 + s1 + s2 + s3
-				for ; j < cols; j++ {
-					sum += row[j] * xv[j]
-				}
-				if l.acc {
-					yd[y.Base+i*ystride] += sum
-				} else {
-					yd[y.Base+i*ystride] = sum
-				}
-			}
+			gemvUnit(ad, a.Acc.Base, astr0, xd[x.Base:x.Base+cols], yd, y.Base, ystride, rows, l.acc)
 			return
 		}
 		for i := 0; i < rows; i++ {
@@ -476,28 +450,7 @@ func (c *Compiled) execGEMV(l *compiledLoop, pa *PointArgs) {
 	}
 	if ad, xd, yd := a.Acc.Data.F32(), x.Data.F32(), y.Data.F32(); ad != nil && xd != nil && yd != nil {
 		if astr1 == 1 && xstride == 1 {
-			xv := xd[x.Base : x.Base+cols]
-			for i := 0; i < rows; i++ {
-				base := a.Acc.Base + i*astr0
-				row := ad[base : base+cols]
-				var s0, s1, s2, s3 float32
-				j := 0
-				for ; j+4 <= cols; j += 4 {
-					s0 += row[j] * xv[j]
-					s1 += row[j+1] * xv[j+1]
-					s2 += row[j+2] * xv[j+2]
-					s3 += row[j+3] * xv[j+3]
-				}
-				sum := s0 + s1 + s2 + s3
-				for ; j < cols; j++ {
-					sum += row[j] * xv[j]
-				}
-				if l.acc {
-					yd[y.Base+i*ystride] += sum
-				} else {
-					yd[y.Base+i*ystride] = sum
-				}
-			}
+			gemvUnit(ad, a.Acc.Base, astr0, xd[x.Base:x.Base+cols], yd, y.Base, ystride, rows, l.acc)
 			return
 		}
 		for i := 0; i < rows; i++ {
@@ -524,6 +477,74 @@ func (c *Compiled) execGEMV(l *compiledLoop, pa *PointArgs) {
 			sum += y.Data.Get(y.Base + i*ystride)
 		}
 		y.Data.Set(y.Base+i*ystride, sum)
+	}
+}
+
+// gemvUnit is the uniform-dtype GEMV over unit-stride rows and x: for
+// each of the matrix's rows (row i starts at ad[base+i*astr0]), y[i] is
+// set to, or accumulates, the row's dot product with xv. Each row sums
+// four independent accumulators over the column quads, so the add
+// latency chain does not bound the loop, then the tail columns in order,
+// and stores or adds the sum last: the order of a one-row loop, so the
+// bits do not depend on the pairing. The rows run in pairs over shared
+// 4-wide windows of xv, and every row is resliced to len(xv), so a quad
+// of two rows costs one bounds check: with the matrix in cache the loop
+// is bound by instructions, not bytes. It assumes yd does not overlap
+// xv: the second row of a pair reads xv before the first row's y is
+// stored.
+func gemvUnit[T float32 | float64](ad []T, base, astr0 int, xv, yd []T, ybase, ystride, rows int, acc bool) {
+	cols := len(xv)
+	i := 0
+	for ; i+2 <= rows; i += 2 {
+		r0 := ad[base+i*astr0:][:cols]
+		r1 := ad[base+(i+1)*astr0:][:cols]
+		var s0, s1, s2, s3, t0, t1, t2, t3 T
+		j := 0
+		for ; j+4 <= cols; j += 4 {
+			x, a, b := xv[j:j+4:j+4], r0[j:j+4:j+4], r1[j:j+4:j+4]
+			s0 += a[0] * x[0]
+			s1 += a[1] * x[1]
+			s2 += a[2] * x[2]
+			s3 += a[3] * x[3]
+			t0 += b[0] * x[0]
+			t1 += b[1] * x[1]
+			t2 += b[2] * x[2]
+			t3 += b[3] * x[3]
+		}
+		sum0, sum1 := s0+s1+s2+s3, t0+t1+t2+t3
+		for ; j < cols; j++ {
+			sum0 += r0[j] * xv[j]
+			sum1 += r1[j] * xv[j]
+		}
+		y0, y1 := ybase+i*ystride, ybase+(i+1)*ystride
+		if acc {
+			yd[y0] += sum0
+			yd[y1] += sum1
+		} else {
+			yd[y0] = sum0
+			yd[y1] = sum1
+		}
+	}
+	if i < rows {
+		r := ad[base+i*astr0:][:cols]
+		var s0, s1, s2, s3 T
+		j := 0
+		for ; j+4 <= cols; j += 4 {
+			x, a := xv[j:j+4:j+4], r[j:j+4:j+4]
+			s0 += a[0] * x[0]
+			s1 += a[1] * x[1]
+			s2 += a[2] * x[2]
+			s3 += a[3] * x[3]
+		}
+		sum := s0 + s1 + s2 + s3
+		for ; j < cols; j++ {
+			sum += r[j] * xv[j]
+		}
+		if acc {
+			yd[ybase+i*ystride] += sum
+		} else {
+			yd[ybase+i*ystride] = sum
+		}
 	}
 }
 

@@ -250,67 +250,80 @@ func refGEMV[T float32 | float64](a []T, astr0, astr1 int, x []T, xstr int, y []
 // x and with a strided operand, each overwriting and accumulating, and the
 // mixed-dtype loop, which widens to float64, adds y last and rounds once
 // at the store. Both tiers run this one loop, so this test, not the
-// differential harness, is what checks GEMV. Rows carry a NaN, an Inf and
-// an Inf-Inf cancellation; an accumulated y cell holds a NaN.
+// differential harness, is what checks GEMV. The unit-stride loop runs
+// rows in pairs, so the shapes cover a lone row, one pair, and pairs plus
+// a remainder row, each with no column quad, no tail, both, and a
+// chain_sharded-wide block. Rows carry a NaN and an Inf-Inf cancellation
+// in the second row of a pair and an Inf in the first; accumulated y
+// cells hold a NaN in a paired row and in the last row.
 func TestGEMVPaths(t *testing.T) {
-	const rows, abase, xbase, ybase = 5, 4, 3, 2
+	const abase, xbase, ybase = 4, 3, 2
 	dtypes := [][3]DType{{F64, F64, F64}, {F32, F32, F32}, {F32, F64, F64}, {F64, F32, F64}, {F64, F64, F32}}
 	strides := [][3]int{{1, 1, 1}, {1, 1, 3}, {2, 1, 1}, {1, 2, 2}}
+	// Magnitudes 2^0..2^48 apart make the sum's rounding depend on which
+	// products share an accumulator and in what order the sums combine.
 	fill := func(dt DType, n, salt int) Buffer {
 		b := AllocBuffer(dt, n)
 		for i := 0; i < n; i++ {
-			b.Set(i, math.Sin(float64(i*salt+1))*100)
+			b.Set(i, math.Ldexp(math.Sin(float64(i*salt+1))*100, i%5*12))
 		}
 		return b
 	}
 	for _, dt := range dtypes {
-		for _, cols := range []int{3, 11} {
-			for _, st := range strides {
-				for _, acc := range []bool{false, true} {
-					astr1, xstr, ystr := st[0], st[1], st[2]
-					astr0 := cols*astr1 + 1
-					a := fill(dt[0], abase+rows*astr0, 7)
-					x := fill(dt[1], xbase+cols*xstr+1, 3)
-					y := fill(dt[2], ybase+rows*ystr+1, 5)
-					at := func(i, j int) int { return abase + i*astr0 + j*astr1 }
-					a.Set(at(1, 2), math.NaN())
-					a.Set(at(2, cols-1), math.Inf(1))
-					a.Set(at(3, 0), math.Inf(1))
-					a.Set(at(3, cols-1), math.Inf(-1))
-					y.Set(ybase+4*ystr, math.NaN())
-
-					want := y.Clone()
-					switch {
-					case dt == [3]DType{F64, F64, F64}:
-						refGEMV(a.F64()[abase:], astr0, astr1, x.F64()[xbase:], xstr, want.F64()[ybase:], ystr, rows, cols, acc)
-					case dt == [3]DType{F32, F32, F32}:
-						refGEMV(a.F32()[abase:], astr0, astr1, x.F32()[xbase:], xstr, want.F32()[ybase:], ystr, rows, cols, acc)
-					default:
-						for i := 0; i < rows; i++ {
-							sum := 0.0
-							for j := 0; j < cols; j++ {
-								sum += a.Get(at(i, j)) * x.Get(xbase+j*xstr)
-							}
-							if acc {
-								sum += want.Get(ybase + i*ystr)
-							}
-							want.Set(ybase+i*ystr, sum)
+		for _, rows := range []int{1, 2, 5, 6} {
+			for _, cols := range []int{3, 8, 11, 128} {
+				for _, st := range strides {
+					for _, acc := range []bool{false, true} {
+						astr1, xstr, ystr := st[0], st[1], st[2]
+						astr0 := cols*astr1 + 1
+						a := fill(dt[0], abase+rows*astr0, 7)
+						x := fill(dt[1], xbase+cols*xstr+1, 3)
+						y := fill(dt[2], ybase+rows*ystr+1, 5)
+						at := func(i, j int) int { return abase + i*astr0 + j*astr1 }
+						if rows > 1 {
+							a.Set(at(1, 2), math.NaN())
+							y.Set(ybase, math.NaN())
 						}
-					}
+						if rows > 3 {
+							a.Set(at(2, cols-1), math.Inf(1))
+							a.Set(at(3, 0), math.Inf(1))
+							a.Set(at(3, cols-1), math.Inf(-1))
+						}
+						y.Set(ybase+(rows-1)*ystr, math.NaN())
 
-					k := gemvKernel(dt[0], rows, cols, acc)
-					for p, d := range dt {
-						k.SetDType(p, d)
-					}
-					Compile(k).Execute(&PointArgs{Bind: []Binding{
-						{Acc: Accessor{Data: a, Base: abase, Strides: []int{astr0, astr1}}, Ext: []int{rows, cols}},
-						{Acc: Accessor{Data: x, Base: xbase, Strides: []int{xstr}}, Ext: []int{cols}},
-						{Acc: Accessor{Data: y, Base: ybase, Strides: []int{ystr}}, Ext: []int{rows}},
-					}})
-					for i := 0; i < y.Len(); i++ {
-						if g, w := y.Get(i), want.Get(i); math.Float64bits(g) != math.Float64bits(w) {
-							t.Fatalf("dtypes %v cols=%d strides a=%d x=%d y=%d acc=%t: y[%d] = %g, want %g",
-								dt, cols, astr1, xstr, ystr, acc, i, g, w)
+						want := y.Clone()
+						switch {
+						case dt == [3]DType{F64, F64, F64}:
+							refGEMV(a.F64()[abase:], astr0, astr1, x.F64()[xbase:], xstr, want.F64()[ybase:], ystr, rows, cols, acc)
+						case dt == [3]DType{F32, F32, F32}:
+							refGEMV(a.F32()[abase:], astr0, astr1, x.F32()[xbase:], xstr, want.F32()[ybase:], ystr, rows, cols, acc)
+						default:
+							for i := 0; i < rows; i++ {
+								sum := 0.0
+								for j := 0; j < cols; j++ {
+									sum += a.Get(at(i, j)) * x.Get(xbase+j*xstr)
+								}
+								if acc {
+									sum += want.Get(ybase + i*ystr)
+								}
+								want.Set(ybase+i*ystr, sum)
+							}
+						}
+
+						k := gemvKernel(dt[0], rows, cols, acc)
+						for p, d := range dt {
+							k.SetDType(p, d)
+						}
+						Compile(k).Execute(&PointArgs{Bind: []Binding{
+							{Acc: Accessor{Data: a, Base: abase, Strides: []int{astr0, astr1}}, Ext: []int{rows, cols}},
+							{Acc: Accessor{Data: x, Base: xbase, Strides: []int{xstr}}, Ext: []int{cols}},
+							{Acc: Accessor{Data: y, Base: ybase, Strides: []int{ystr}}, Ext: []int{rows}},
+						}})
+						for i := 0; i < y.Len(); i++ {
+							if g, w := y.Get(i), want.Get(i); math.Float64bits(g) != math.Float64bits(w) {
+								t.Fatalf("dtypes %v rows=%d cols=%d strides a=%d x=%d y=%d acc=%t: y[%d] = %g, want %g",
+									dt, rows, cols, astr1, xstr, ystr, acc, i, g, w)
+							}
 						}
 					}
 				}

@@ -1,32 +1,11 @@
 package legion
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"diffuse/internal/ir"
 	"diffuse/internal/kir"
-	"diffuse/internal/machine"
 )
-
-// TestRunUnitsRunsEachOnce: every unit of a batch runs exactly once, on
-// the submitter alone (one worker) and claimed across a pool (run with
-// -race).
-func TestRunUnitsRunsEachOnce(t *testing.T) {
-	for _, workers := range []int{1, 2, 4} {
-		e := newExecutor(workers, machine.HostExec(workers))
-		for _, n := range []int{1, 3, 8, 17} {
-			runs := make([]atomic.Int32, n)
-			e.runUnits(n, func(_ *workerState, i int) { runs[i].Add(1) })
-			for i := range runs {
-				if got := runs[i].Load(); got != 1 {
-					t.Fatalf("workers=%d n=%d: unit %d ran %d times, want 1", workers, n, i, got)
-				}
-			}
-		}
-		e.shutdown()
-	}
-}
 
 // haloStream mirrors shard_test.go's stream (random -> math -> sum + max
 // reductions), with the math task reading through a shifted partition,

@@ -203,9 +203,8 @@ func (ws *workerState) release() {
 	}
 }
 
-// execBatch is one unit of work in flight on the pool: either one index
-// task whose chunks of contiguous point-task colors the participants
-// claim, or (unit set) a batch of independent units, one per claim.
+// execBatch is one index task in flight: the chunks of contiguous
+// point-task colors the participants claim.
 type execBatch struct {
 	plan    *taskPlan
 	payload *Payload
@@ -213,14 +212,10 @@ type execBatch struct {
 	nparts  int // populated claim ranges (woken workers + submitter)
 	wg      sync.WaitGroup
 
-	// insts, when set, are the shard-local instances of a (task, shard)
-	// unit (shard.go): every point's tiled bindings are rebased onto them.
+	// insts, when set, are the shard-local instances of a rank's (task,
+	// shard) unit (shard.go): every point's tiled bindings are rebased
+	// onto them.
 	insts []shardInst
-
-	// unit, when set, runs claimed index i in place of a chunk of points:
-	// the (entry, shard) units of one shard-group entry (shard.go). A unit
-	// prepares its own worker state.
-	unit func(ws *workerState, i int)
 }
 
 // taskPlan caches everything executeChunked can pre-resolve for a task
@@ -485,7 +480,7 @@ func bindPoint(p *taskPlan, ws *workerState, pi int, color ir.Point) {
 }
 
 // execPoint is the one place a point task is bound, rebased onto its
-// shard-local instances (sharded units only), handed its CSR payloads and
+// shard-local instances (a rank's units only), handed its CSR payloads and
 // executed, on this worker's reusable state.
 func (b *execBatch) execPoint(ws *workerState, pi int) {
 	bindPoint(b.plan, ws, pi, b.plan.colors[pi])
@@ -513,12 +508,9 @@ func (b *execBatch) runSpan(ws *workerState, lo, hi int) {
 // back, then the backs of the other participants' ranges.
 func (e *executor) run(b *execBatch, wsIdx, rangeIdx int) {
 	ws := &e.ws[wsIdx]
-	n := 0
-	if b.unit == nil {
-		ws.prepare(len(b.plan.args), b.payload)
-		defer ws.release()
-		n = len(b.plan.colors)
-	}
+	ws.prepare(len(b.plan.args), b.payload)
+	defer ws.release()
+	n := len(b.plan.colors)
 	for {
 		c, stolen, ok := e.claimChunk(rangeIdx, b.nparts)
 		if !ok {
@@ -527,10 +519,6 @@ func (e *executor) run(b *execBatch, wsIdx, rangeIdx int) {
 		e.chunks.Add(1)
 		if stolen {
 			e.steals.Add(1)
-		}
-		if b.unit != nil {
-			b.unit(ws, c)
-			continue
 		}
 		lo := c * b.chunk
 		hi := lo + b.chunk
@@ -558,9 +546,8 @@ func (e *executor) claimChunk(self, nparts int) (chunk int, stolen, ok bool) {
 }
 
 // executeChunked runs the task's point tasks through the persistent
-// executor: plan resolution (cached across the stream), grain selection
-// from the host cost model, inline or pooled dispatch, and the reduction
-// barrier fold.
+// executor: plan resolution (cached across the stream), runPlan, and the
+// reduction barrier fold.
 func (rt *Runtime) executeChunked(t *ir.Task) {
 	if t.Kernel == nil {
 		panic(fmt.Sprintf("legion: task %s has no kernel", t.Name))
@@ -568,13 +555,22 @@ func (rt *Runtime) executeChunked(t *ir.Task) {
 	plan := rt.planFor(t)
 	defer plan.unbind()
 	rt.countBackend(plan.comp)
-	n := len(plan.colors)
-	if n == 0 {
+	if len(plan.colors) == 0 {
 		return
 	}
-	payload, _ := t.Payload.(*Payload)
-	plan.resetPartials(t, n)
+	plan.resetPartials(t, len(plan.colors))
+	rt.runPlan(plan, t)
+	plan.foldPartials(t)
+}
 
+// runPlan runs every point task of a bound plan whose partials are
+// reset: grain selection from the host cost model, then inline or pooled
+// dispatch. The caller folds the reductions. This is the one path an
+// index task executes on in process, alone (executeChunked) or as an
+// entry of a shard group (runGroupLocal).
+func (rt *Runtime) runPlan(plan *taskPlan, t *ir.Task) {
+	n := len(plan.colors)
+	payload, _ := t.Payload.(*Payload)
 	e := rt.exec
 	b := &execBatch{plan: plan, payload: payload}
 	chunk, inline := e.host.ChunkPoints(plan.perPoint, n, e.nw)
@@ -591,21 +587,20 @@ func (rt *Runtime) executeChunked(t *ir.Task) {
 		b.chunk = chunk
 		e.dispatch(b, (n+chunk-1)/chunk)
 	}
-	plan.foldPartials(t)
 }
 
-// dispatch fans one batch of nunits claimable dispatch chunks out across
-// the pool: up to nw woken workers plus the submitting goroutine (always the last claim
-// range), never waking more workers than there are units left after the
-// submitter's. Returns after every unit has run.
-func (e *executor) dispatch(b *execBatch, nunits int) {
+// dispatch fans one batch of nchunks claimable chunks out across the
+// pool: up to nw woken workers plus the submitting goroutine (always the
+// last claim range), never waking more workers than there are chunks left
+// after the submitter's. Returns after every chunk has run.
+func (e *executor) dispatch(b *execBatch, nchunks int) {
 	woken := e.nw
-	if nunits-1 < woken {
-		woken = nunits - 1
+	if nchunks-1 < woken {
+		woken = nchunks - 1
 	}
 	b.nparts = woken + 1
 	for i := 0; i < b.nparts; i++ {
-		e.ranges[i].set(i*nunits/b.nparts, (i+1)*nunits/b.nparts)
+		e.ranges[i].set(i*nchunks/b.nparts, (i+1)*nchunks/b.nparts)
 	}
 	e.startWorkers()
 	b.wg.Add(woken)
@@ -614,22 +609,6 @@ func (e *executor) dispatch(b *execBatch, nunits int) {
 	}
 	e.run(b, e.nw, b.nparts-1)
 	b.wg.Wait()
-}
-
-// runUnits runs units 0..n-1 of one batch, each exactly once: on the
-// submitting goroutine when the pool has a single worker (which can never
-// beat the submitter doing the work itself), otherwise claimed across the
-// pool like the chunks of one index task. Returns after every unit has run.
-func (e *executor) runUnits(n int, unit func(ws *workerState, i int)) {
-	if e.nw <= 1 || n <= 1 {
-		e.inline.Add(1)
-		for i := 0; i < n; i++ {
-			unit(&e.ws[e.nw], i)
-		}
-		return
-	}
-	e.pooled.Add(1)
-	e.dispatch(&execBatch{unit: unit}, n)
 }
 
 // ExecStats returns a snapshot of the executor's activity counters.

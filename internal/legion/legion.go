@@ -27,12 +27,12 @@
 //
 // With SetShards > 1 (core.Config.Shards), execution is additionally
 // *sharded* (shard.go): tasks buffer into groups over leading-axis blocks.
-// A group drains entry by entry in program order, the way a rank of
-// a distributed runtime drains it (dist.go): each task's (task, shard)
-// units run as one batch on the work-stealing executor against
-// shard-local region instances that bound each shard's accesses, then the
-// task's reductions fold in point order. Results stay bit-identical to
-// unsharded execution at every shard count.
+// A group drains entry by entry in program order, the way a rank of a
+// distributed runtime drains it (dist.go): each task runs on the
+// work-stealing executor exactly as an unsharded task does (a rank runs
+// its own (task, shard) unit against shard-local region instances that
+// bound its accesses), then the task's reductions fold in point order.
+// Results stay bit-identical to unsharded execution at every shard count.
 package legion
 
 import (
@@ -183,8 +183,7 @@ type Runtime struct {
 
 	// Sharded execution state (see shard.go): the configured shard count,
 	// the buffered task group, frees deferred while the group references
-	// their stores, and the activity counters (guarded by execMu;
-	// ShardUnits is updated atomically by pool workers).
+	// their stores, and the activity counters (guarded by execMu).
 	shards         int
 	group          *shardGroup
 	deferredFrees  []ir.StoreID

@@ -283,7 +283,9 @@ func replayInto(rt *legion.Runtime, tasks []*ir.Task, stores []*ir.Store) [][]by
 // and requires the in-process Shards=N runtime's every store to equal the
 // oracle's, every rank's every store to equal the Shards=N runtime's bit
 // for bit, and every rank to count the same groups, tasks, stages, halo
-// exchanges and deferred frees.
+// exchanges and deferred frees. Only ranks run (task, shard) units: each
+// rank counts one per task its shard owns colors of, the in-process
+// runtime none.
 func TestRankReplayBitIdentical(t *testing.T) {
 	for _, app := range replayApps() {
 		for _, n := range []int{2, 4} {
@@ -300,8 +302,8 @@ func TestRankReplayBitIdentical(t *testing.T) {
 				want := replayInto(sharded, tasks, stores)
 				wantStats := sharded.ShardStatsSnapshot()
 				sharded.Close()
-				if wantStats.Groups == 0 {
-					t.Fatalf("the Shards=%d runtime drained no groups: %+v", n, wantStats)
+				if wantStats.Groups == 0 || wantStats.Fallbacks != 0 || wantStats.ShardUnits != 0 {
+					t.Fatalf("the Shards=%d runtime drained no groups, left tasks out of them or ran (task, shard) units in process: %+v", n, wantStats)
 				}
 				for i, s := range stores {
 					if !bytes.Equal(want[i], refBytes[i]) {
@@ -336,6 +338,9 @@ func TestRankReplayBitIdentical(t *testing.T) {
 					t.Logf("rank %d: %d tasks, DistMsgs %d, DistBytesMoved %d", r, len(tasks), stats[r].DistMsgs, stats[r].DistBytesMoved)
 				}
 				for r := 0; r < n; r++ {
+					if got, want := stats[r].ShardUnits, rankUnits(tasks, r, n); got != want {
+						t.Fatalf("rank %d ran %d (task, shard) units, want %d", r, got, want)
+					}
 					if got, want := drainCounts(stats[r]), drainCounts(wantStats); got != want {
 						t.Fatalf("rank %d counts %+v, the Shards=%d runtime %+v", r, got, n, want)
 					}
@@ -348,6 +353,19 @@ func TestRankReplayBitIdentical(t *testing.T) {
 			})
 		}
 	}
+}
+
+// rankUnits is the number of (task, shard) units rank r of n runs on a
+// stream that groups every task: one per task whose launch domain has a
+// non-empty leading-axis block for r.
+func rankUnits(tasks []*ir.Task, r, n int) int64 {
+	var units int64
+	for _, t := range tasks {
+		if lo, hi := ir.ShardBlock(r, n, t.Launch.Hi[0]-t.Launch.Lo[0]); lo < hi {
+			units++
+		}
+	}
+	return units
 }
 
 // drainCount is the part of ShardStats every rank shares with the

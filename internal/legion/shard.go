@@ -5,20 +5,21 @@ package legion
 // eagerly: compatible tasks accumulate into a *shard group*, and the group
 // executes when a barrier forces it — a host-side read or write, a free of
 // a store the group references, an incompatible task, or an explicit
-// DrainShardGroup. The launch domain of every task is decomposed into S
-// contiguous leading-axis blocks ("owner computes"), and each (task,
-// shard) pair is one unit. The group drains entry by entry, in program
-// order — the same loop a distributed rank runs (dist.go): an entry's S
-// units run as one batch on the work-stealing executor, then its
-// reductions fold in point order.
+// DrainShardGroup. The group drains entry by entry, in program order —
+// the same loop a distributed rank runs (dist.go): in process an entry's
+// bound plan runs through runPlan, the chunked executor path of an
+// unsharded task, then its reductions fold in point order. A rank
+// decomposes the launch domain of every task into S contiguous
+// leading-axis blocks ("owner computes") and runs its own (task, shard)
+// pair, one unit, in place of the whole entry.
 //
 // Why: rank fidelity. One process runs exactly the groups and point
 // decomposition the ranks of a distributed runtime execute, so tests check
-// them bit for bit. It is not a locality optimization: every unit of an
+// them bit for bit. It is not a locality optimization: every point of an
 // entry runs before the next entry, so consecutive tasks still stream
-// their operands in full, and chain_sharded (BENCHMARK.json), which runs
-// at a 2-vCPU host's memory floor, read legion.shard_speedup_vs_1
-// 0.72–1.03 over four traced runs.
+// their operands in full. chain_sharded (BENCHMARK.json) keeps its 16 MB
+// of block operators in the 300 MB L3 of the 2-vCPU host it is measured
+// on, so the GEMV loop's instructions, not memory bandwidth, bound it.
 //
 // Dependences and halo exchange: program order is the only schedule, so
 // every dependence of the stream holds by construction. Enqueue still
@@ -30,18 +31,17 @@ package legion
 // only the legion.shard_stages and legion.halo_exchanges counters read
 // the labels.
 //
-// Shard-local region instances: each shard's point tasks access store data
+// Shard-local region instances: a rank's unit accesses store data
 // through a bounds-enforcing sub-buffer of the store's region covering
 // exactly the shard's footprint (its block plus the halo margin of its
-// partition). On this single-address-space host the instances alias the
-// canonical region, so the halo-exchange step moves no bytes — it is a
-// synchronization point, and the simulated runtime charges the byte
-// movement for the same access pattern through its last-writer model
-// (machine.Pricer, machine.CollHalo). On a distributed substrate ranks
-// move the bytes instead, as ordered patches of each unit's write spans
-// (dist.go). The aliased instances are still load-bearing: a point task
-// reaching outside its shard's declared footprint faults immediately
-// (slice bounds) instead of silently reading another shard's data.
+// partition), so a point task reaching outside its shard's declared
+// footprint faults immediately (slice bounds) instead of silently reading
+// data its rank has not synced. Ranks move the bytes a halo exchange
+// needs, as ordered patches of each unit's write spans (dist.go). In
+// process every entry binds the canonical regions, so the halo-exchange
+// step moves no bytes — it is a synchronization point, and the simulated
+// runtime charges the byte movement for the same access pattern through
+// its last-writer model (machine.Pricer, machine.CollHalo).
 //
 // Determinism: the point decomposition, the per-point reduction partial
 // cells, and the point-order fold are identical for every shard count, so
@@ -50,7 +50,6 @@ package legion
 
 import (
 	"math"
-	"sync/atomic"
 
 	"diffuse/internal/ir"
 	"diffuse/internal/kir"
@@ -68,7 +67,8 @@ type ShardStats struct {
 	// HaloExchanges is the number of explicit halo-exchange stage
 	// boundaries (dependent tasks whose partitions misalign).
 	HaloExchanges int64
-	// ShardUnits is the number of (task, shard) execution units run.
+	// ShardUnits is the number of (task, shard) units a rank ran; zero
+	// in process.
 	ShardUnits int64
 	// Fallbacks is the number of tasks that could not join a group and
 	// executed through the unsharded path.
@@ -423,22 +423,19 @@ func (rt *Runtime) drainShardGroupLocked() {
 	}
 }
 
-// runGroupLocal drains the group entry by entry: an entry's units run as
-// one batch on the pool, then its reductions fold in point order before
-// the next entry starts. Callers hold execMu; plans are resolved and
-// partials reset.
+// runGroupLocal drains the group entry by entry: an entry's bound plan
+// runs through runPlan, the path of an unsharded task, then its
+// reductions fold in point order before the next entry starts. Callers
+// hold execMu; plans are resolved and partials reset.
 func (rt *Runtime) runGroupLocal(g *shardGroup) {
-	shards := rt.Shards()
 	for e := range g.entries {
 		u := &g.entries[e]
-		rt.exec.runUnits(shards, func(ws *workerState, s int) {
-			rt.runUnitShard(u, ws, s, shards)
-		})
+		rt.runPlan(u.plan, u.task)
 		u.plan.foldPartials(u.task)
 	}
 }
 
-// runUnitShard executes one (task, shard) unit: the task's point tasks
+// runUnitShard executes a rank's (task, shard) unit: the task's point tasks
 // whose colors fall in the shard's leading-axis block, bound against
 // shard-local region instances — one bounds-enforcing sub-buffer per tiled
 // argument, covering exactly this shard's footprint (block plus the halo
@@ -450,9 +447,7 @@ func (rt *Runtime) runUnitShard(u *groupEntry, ws *workerState, s, shards int) {
 	if lo >= hi {
 		return
 	}
-	// Units run on pool workers, so the counter must not race with other
-	// units or with snapshot readers.
-	atomic.AddInt64(&rt.shardStats.ShardUnits, 1)
+	rt.shardStats.ShardUnits++
 	payload, _ := u.task.Payload.(*Payload)
 	ws.prepare(len(plan.args), payload)
 	defer ws.release()
