@@ -38,17 +38,24 @@ func runInternedProgram(ctx *cunum.Context, seed uint64) []uint64 {
 		ctx.Random(seed+2, n, n).MulC(8).AsType(cunum.I32).Keep(),
 	}
 	scalars := []*cunum.Array{ctx.Scalar(c()), ctx.ScalarT(cunum.F32, c())}
-	// A slice shape every view below shares, so slices combine with each
-	// other and land in each other's interiors.
-	view := func(a *cunum.Array) *cunum.Array {
+	// A slice of rows×(n-2) elements. Every view of one op shares the
+	// shape, so slices combine with each other and land in each other's
+	// interiors.
+	view := func(a *cunum.Array, rows int) *cunum.Array {
 		lo := []int{rng.Intn(3), rng.Intn(3)}
-		return a.Slice(lo, []int{lo[0] + n - 2, lo[1] + n - 2}).Temp()
+		return a.Slice(lo, []int{lo[0] + rows, lo[1] + n - 2}).Temp()
 	}
 	pick := func() *cunum.Array { return pool[rng.Intn(len(pool))] }
 	// into picks a destination and operands drawn from the rest of the
 	// pool: a task that reads one view of a store while writing another,
-	// overlapping one has no defined result, fused or not.
+	// overlapping one has no defined result, fused or not. One op in four
+	// works on one-row views, whose tiles on the second launch row are
+	// empty.
 	into := func(arity int) (*cunum.Array, []*cunum.Array) {
+		rows := n - 2
+		if rng.Intn(4) == 0 {
+			rows = 1
+		}
 		d := rng.Intn(len(pool))
 		ins := make([]*cunum.Array, arity)
 		for i := range ins {
@@ -56,9 +63,9 @@ func runInternedProgram(ctx *cunum.Context, seed uint64) []uint64 {
 			if j >= d {
 				j++
 			}
-			ins[i] = view(pool[j])
+			ins[i] = view(pool[j], rows)
 		}
-		return view(pool[d]), ins
+		return view(pool[d], rows), ins
 	}
 	ops := 10 + rng.Intn(20)
 	script := rng.Int63()
@@ -138,15 +145,19 @@ func FuzzInternedOps(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed uint64) {
-		want := runInternedProgram(oracleCtx(4), seed)
-		got := runInternedProgram(ctxWith(true, 4), seed)
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: %d elements, want %d", seed, len(got), len(want))
-		}
-		for i := range got {
-			g, w := math.Float64frombits(got[i]), math.Float64frombits(want[i])
-			if got[i] != want[i] && !(math.IsNaN(g) && math.IsNaN(w)) {
-				t.Fatalf("seed %d: element %d is %#x, reference %#x", seed, i, got[i], want[i])
+		// Width 4 tiles the 10×10 views evenly; width 8 (a 2×4 grid)
+		// clips their last launch column.
+		for _, procs := range []int{4, 8} {
+			want := runInternedProgram(oracleCtx(procs), seed)
+			got := runInternedProgram(ctxWith(true, procs), seed)
+			if len(got) != len(want) {
+				t.Fatalf("seed %d, width %d: %d elements, want %d", seed, procs, len(got), len(want))
+			}
+			for i := range got {
+				g, w := math.Float64frombits(got[i]), math.Float64frombits(want[i])
+				if got[i] != want[i] && !(math.IsNaN(g) && math.IsNaN(w)) {
+					t.Fatalf("seed %d, width %d: element %d is %#x, reference %#x", seed, procs, i, got[i], want[i])
+				}
 			}
 		}
 	})

@@ -34,7 +34,8 @@ package kir
 // code path. Running an instruction across a whole block before the next
 // instruction is observationally identical because element-wise loops are
 // element-parallel by system invariant: the chunked/sharded executors
-// already run a loop's elements in arbitrary decompositions, FuseLoops
+// already run a loop's elements in arbitrary decompositions (legion runs a
+// chunk of point tasks as one call over the union of their tiles), FuseLoops
 // refuses to merge loops whose written parameters alias other accessed
 // parameters under different views (mergeSafe), and aligned aliases see
 // stores strictly in instruction order either way. The one construct that
@@ -680,23 +681,24 @@ func (c *Compiled) execElemCg(l *compiledLoop, g *cgLoop, pa *PointArgs) bool {
 	for r := range l.reduces {
 		st.racc[r] = l.reduces[r].red.Identity()
 	}
-	// Per-execution lane fills: constants and hoisted scalar loads. Fill
-	// the whole block capacity once; every block reads a prefix.
+	inner := 1
+	if rank > 0 {
+		inner = ext[rank-1]
+	}
+	// Per-execution lane fills: constants and hoisted scalar loads. A
+	// block never runs past the innermost extent, so every block reads a
+	// prefix of min(block, inner) lanes; fill that prefix once.
+	fill := min(g.block, inner)
 	for _, su := range g.setup {
 		v := su.imm
 		if su.param >= 0 {
 			b := &pa.Bind[su.param]
 			v = b.Acc.Data.Get(b.Acc.Base)
 		}
-		lane := st.lane[su.reg]
+		lane := st.lane[su.reg][:fill]
 		for i := range lane {
 			lane[i] = v
 		}
-	}
-
-	inner := 1
-	if rank > 0 {
-		inner = ext[rank-1]
 	}
 	outer := total / inner
 	// Outer odometer over dims 0..rank-2 (matches the interpreter's

@@ -11,6 +11,17 @@ package legion
 // workers' ranges when they run dry; tasks estimated to finish faster than
 // a dispatch costs run inline on the submitting goroutine.
 //
+// Spans: a chunk binds point by point only when it must. A plan whose
+// loops are all element loops, with no reduction, payload or tile-local
+// scalar load (spanEligible), runs a chunk whose colors' tiles form one
+// rectangle as one kernel call, every argument bound once over the union
+// of those tiles (bindUnion): the per-point cost of binding and of
+// starting each loop is paid once per chunk, and the loops run rows as
+// long as the union's instead of one tile's. Union element E sits at
+// offBase + E·accStr, the cell per-point execution reaches as c·Tile + e,
+// and element loops are element-parallel (kir/codegen.go's header), so
+// the bits cannot move. The inline path is one chunk of every color.
+//
 // Determinism: every point task accumulates reductions into its own
 // per-point partial cell, and the barrier folds cells in point order —
 // results are bit-identical to the serial reference backend
@@ -19,6 +30,7 @@ package legion
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,7 +64,8 @@ type ExecStats struct {
 
 // executor is the persistent worker pool of one runtime. Exactly
 // one batch runs at a time (Runtime.Execute serializes on execMu), so the
-// claim ranges and per-worker states are reused batch to batch.
+// batch, the claim ranges and the per-worker states are reused batch to
+// batch.
 type executor struct {
 	nw   int
 	host machine.Config
@@ -70,10 +83,16 @@ type executor struct {
 	// submitter's.
 	ws []workerState
 
+	// batch is the one index task in flight (runPlan).
+	batch execBatch
+
 	inline atomic.Int64
 	pooled atomic.Int64
 	chunks atomic.Int64
 	steals atomic.Int64
+	// spans counts chunks run as one kernel call over their union
+	// (runSpan); tests read it to tell the two paths apart.
+	spans atomic.Int64
 }
 
 func newExecutor(workers int, host machine.Config) *executor {
@@ -237,6 +256,12 @@ type taskPlan struct {
 	redArgs  []int        // arg indices with Reduce privilege
 	partials []kir.Buffer // parallel to redArgs: per-point partial cells (typed at the destination dtype)
 	perPoint float64      // estimated seconds per point task (host model)
+
+	// canSpan is spanEligible's verdict on the plan; span additionally
+	// holds for the bound task when it writes no store it reaches through
+	// an overlapping, different partition (bind).
+	canSpan bool
+	span    bool
 }
 
 // argPlan is the pre-resolved binding recipe of one task argument.
@@ -281,9 +306,9 @@ func (rt *Runtime) planFor(t *ir.Task) *taskPlan {
 	p := e.plan
 	switch {
 	case p != nil && p.bound:
-		p = rt.buildPlan(t, e.comp)
+		p = rt.buildPlan(t, e)
 	case p == nil || !p.matches(t):
-		p = rt.buildPlan(t, e.comp)
+		p = rt.buildPlan(t, e)
 		e.plan = p
 	}
 	p.bind(rt, t)
@@ -327,6 +352,7 @@ func (p *taskPlan) bind(rt *Runtime, t *ir.Task) {
 			ap.static.Acc.Data = ap.data
 		}
 	}
+	p.span = p.canSpan && !p.misalignedSelfAlias(t)
 }
 
 // unbind drops the region buffers bind resolved.
@@ -351,7 +377,8 @@ func intsEq(a, b []int) bool {
 	return true
 }
 
-func (rt *Runtime) buildPlan(t *ir.Task, comp *kir.Compiled) *taskPlan {
+func (rt *Runtime) buildPlan(t *ir.Task, e *kernelEntry) *taskPlan {
+	comp := e.comp
 	p := &taskPlan{comp: comp, launch: t.Launch, colors: t.Launch.Points()}
 	p.args = make([]argPlan, len(t.Args))
 	for i, a := range t.Args {
@@ -388,6 +415,7 @@ func (rt *Runtime) buildPlan(t *ir.Task, comp *kir.Compiled) *taskPlan {
 		}
 	}
 	p.partials = make([]kir.Buffer, len(p.redArgs))
+	p.canSpan = p.spanEligible(t, &e.span)
 
 	// Grain estimate: per-point cost on the host model. SpMV loops draw
 	// their row/nnz statistics from the payload when present.
@@ -395,6 +423,170 @@ func (rt *Runtime) buildPlan(t *ir.Task, comp *kir.Compiled) *taskPlan {
 	cost := comp.Cost(payload.SpMVStats())
 	p.perPoint = rt.exec.host.PointCost(cost.Bytes, cost.Flops, cost.Launches)
 	return p
+}
+
+// spanEligible reports whether a chunk of the plan's colors whose tiles
+// form one rectangle may run as one kernel call over the union of those
+// tiles. Every loop must be an element loop, and the task must carry no
+// reduction and no payload. Every tiled argument needs the identity
+// projection, the launch's rank and no more tiles than launch colors in
+// each dimension, so a color names its tile and a rectangle of colors a
+// rectangle of tiles. A replicated argument must be a one-element store
+// the task only reads: it binds the same at every point.
+func (p *taskPlan) spanEligible(t *ir.Task, sh *spanShape) bool {
+	if !sh.elemOnly || len(p.redArgs) > 0 || t.Payload != nil {
+		return false
+	}
+	rank := p.launch.Rank()
+	for i := range p.args {
+		ap := &p.args[i]
+		if ap.isNone {
+			if ap.local || ap.priv != ir.Read || ap.store.Size() != 1 {
+				return false
+			}
+			continue
+		}
+		tp := ap.tp
+		if tp.Proj != ir.IdentityProj || len(tp.Tile) != rank {
+			return false
+		}
+		for d, tile := range tp.Tile {
+			if tile <= 0 || (tp.View[d]+tile-1)/tile > p.launch.Hi[d]-p.launch.Lo[d] {
+				return false
+			}
+		}
+	}
+	// Union element E is the same view element of every parameter a loop
+	// iterates only if each is tiled like the loop's extent reference.
+	for i := 0; i < len(sh.pairs); i += 2 {
+		ref, tp := p.args[sh.pairs[i]].tp, p.args[sh.pairs[i+1]].tp
+		if ref == nil || tp == nil || !intsEq(tp.Tile, ref.Tile) {
+			return false
+		}
+	}
+	// A scalar load of a tiled parameter reads its own tile's first
+	// element at every point.
+	for _, q := range sh.scalars {
+		if !p.args[q].isNone {
+			return false
+		}
+	}
+	return true
+}
+
+// spanShape is what spanEligible reads of a kernel's structure, derived
+// once per kernel cache entry (kernelFor).
+type spanShape struct {
+	// elemOnly: every loop is an element loop and none reduces.
+	elemOnly bool
+	// pairs is a flat list of (extent reference, parameter) pairs: each
+	// loop pairs its reference with itself and with every parameter the
+	// loop loads or stores element-wise.
+	pairs []int
+	// scalars are the parameters read through OpLoadScalar.
+	scalars []int
+}
+
+// spanWalker derives spanShapes, reusing its buffers from kernel to
+// kernel (Runtime.spanWalk, guarded by mu).
+type spanWalker struct {
+	seen    map[*kir.Expr]bool
+	ref     int
+	pairs   []int
+	scalars []int
+}
+
+func (w *spanWalker) shape(k *kir.Kernel) spanShape {
+	if w.seen == nil {
+		w.seen = map[*kir.Expr]bool{}
+	}
+	defer clear(w.seen) // hold no expression past the walk
+	w.pairs, w.scalars = w.pairs[:0], w.scalars[:0]
+	for _, l := range k.Loops {
+		if l.Kind != kir.LoopElem {
+			return spanShape{}
+		}
+		w.ref = l.ExtRef
+		w.pairs = append(w.pairs, l.ExtRef, l.ExtRef)
+		clear(w.seen) // a node shared across loops loads in each
+		for _, st := range l.Stmts {
+			switch st.Kind {
+			case kir.KReduce:
+				return spanShape{}
+			case kir.KStore:
+				w.pairs = append(w.pairs, l.ExtRef, st.Param)
+			}
+			w.walk(st.E)
+		}
+	}
+	return spanShape{elemOnly: true, pairs: slices.Clone(w.pairs), scalars: slices.Clone(w.scalars)}
+}
+
+func (w *spanWalker) walk(e *kir.Expr) {
+	if e == nil || w.seen[e] {
+		return
+	}
+	w.seen[e] = true
+	switch e.Op {
+	case kir.OpLoad:
+		w.pairs = append(w.pairs, w.ref, e.Param)
+	case kir.OpLoadScalar:
+		w.scalars = append(w.scalars, e.Param)
+	}
+	w.walk(e.A)
+	w.walk(e.B)
+	w.walk(e.C)
+}
+
+// misalignedSelfAlias reports whether the task writes a store it also
+// reaches through a different partition whose view overlaps the written
+// one. Such a task has no defined result, fused or not; per-point
+// execution orders those accesses point by point, and it keeps that order.
+// Temporary-eliminated (local) arguments touch no region and cannot
+// alias. Checked per bound task: a cached plan matches tasks by shape,
+// not by which arguments share a store.
+func (p *taskPlan) misalignedSelfAlias(t *ir.Task) bool {
+	for i := range t.Args {
+		w := &t.Args[i]
+		if !w.Priv.Writes() || p.args[i].local {
+			continue
+		}
+		for j := range t.Args {
+			a := &t.Args[j]
+			if j != i && a.Store == w.Store && !p.args[j].local && !a.Part.Equal(w.Part) &&
+				viewsOverlap(w.Part, a.Part, w.Store.Shape()) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// viewsOverlap reports whether two partitions' views of a store share a
+// bounding-box cell: a replicated partition views the whole store, a
+// tiling the box from its offset over its strided view.
+func viewsOverlap(a, b ir.Partition, shape []int) bool {
+	for d := range shape {
+		alo, ahi := viewBounds(a, shape, d)
+		blo, bhi := viewBounds(b, shape, d)
+		if max(alo, blo) >= min(ahi, bhi) {
+			return false
+		}
+	}
+	return true
+}
+
+// viewBounds is dimension d's half-open parent-coordinate range of a
+// partition's view.
+func viewBounds(part ir.Partition, shape []int, d int) (lo, hi int) {
+	tp, ok := part.(*ir.TilingPart)
+	if !ok {
+		return 0, shape[d]
+	}
+	if tp.View[d] <= 0 {
+		return tp.Offset[d], tp.Offset[d]
+	}
+	return tp.Offset[d], tp.Offset[d] + (tp.View[d]-1)*tp.Stride[d] + 1
 }
 
 // resetPartials sizes every reduction's per-point cell buffer to the
@@ -452,12 +644,7 @@ func bindPoint(p *taskPlan, ws *workerState, pi int, color ir.Point) {
 		default:
 			c := ap.tp.Proj.Apply(color)
 			rank := len(ap.tileCoef)
-			ext := ws.ext[i]
-			if cap(ext) < rank {
-				ext = make([]int, rank)
-				ws.ext[i] = ext
-			}
-			ext = ext[:rank]
+			ext := ws.extent(i, rank)
 			base := ap.offBase
 			for d := 0; d < rank; d++ {
 				cd := c[d]
@@ -479,9 +666,59 @@ func bindPoint(p *taskPlan, ws *workerState, pi int, color ir.Point) {
 	}
 }
 
-// execPoint is the one place a point task is bound, rebased onto its
-// shard-local instances (a rank's units only), handed its CSR payloads and
-// executed, on this worker's reusable state.
+// extent returns argument i's reusable extent buffer at the given rank.
+func (ws *workerState) extent(i, rank int) []int {
+	if cap(ws.ext[i]) < rank {
+		ws.ext[i] = make([]int, rank)
+	}
+	return ws.ext[i][:rank]
+}
+
+// bindUnion rebinds ws.pa once for the colors [lo, hi) when their tiles
+// form one rectangle — the range's first and last colors bound a box
+// holding exactly hi-lo colors — and reports whether they did. Each tiled
+// argument is bound at the box's first tile with the extents of the
+// union of its tiles, clipped to the view; a replicated argument binds as
+// at every point. Only a spanEligible plan comes here.
+func bindUnion(p *taskPlan, ws *workerState, lo, hi int) bool {
+	if lo >= hi {
+		return false
+	}
+	first, last := p.colors[lo], p.colors[hi-1]
+	n := 1
+	for d := range first {
+		if last[d] < first[d] {
+			return false
+		}
+		n *= last[d] - first[d] + 1
+	}
+	if n != hi-lo {
+		return false
+	}
+	for i := range p.args {
+		ap := &p.args[i]
+		if ap.isNone {
+			ws.pa.Bind[i] = ap.static
+			continue
+		}
+		ext := ws.extent(i, len(first))
+		base := ap.offBase
+		for d, c0 := range first {
+			tile := ap.tp.Tile[d]
+			base += c0 * ap.tileCoef[d]
+			ext[d] = max(min(ap.tp.View[d], (last[d]+1)*tile)-c0*tile, 0)
+		}
+		ws.pa.Bind[i] = kir.Binding{
+			Acc: kir.Accessor{Data: ap.data, Base: base, Strides: ap.accStr},
+			Ext: ext,
+		}
+	}
+	return true
+}
+
+// execPoint binds one point task, rebases it onto its shard-local
+// instances (a rank's units only), hands it its CSR payloads and executes
+// it, on this worker's reusable state.
 func (b *execBatch) execPoint(ws *workerState, pi int) {
 	bindPoint(b.plan, ws, pi, b.plan.colors[pi])
 	for i := range b.insts {
@@ -497,8 +734,16 @@ func (b *execBatch) execPoint(ws *workerState, pi int) {
 	b.plan.comp.Execute(&ws.pa)
 }
 
-// runSpan executes the contiguous point range [lo, hi).
-func (b *execBatch) runSpan(ws *workerState, lo, hi int) {
+// runSpan executes the contiguous point range [lo, hi): as one kernel
+// call over the union of its tiles when the bound plan allows it and the
+// tiles form one rectangle, otherwise point by point. A rank's unit,
+// bound against shard-local instances, always runs point by point.
+func (e *executor) runSpan(b *execBatch, ws *workerState, lo, hi int) {
+	if b.insts == nil && b.plan.span && bindUnion(b.plan, ws, lo, hi) {
+		b.plan.comp.Execute(&ws.pa)
+		e.spans.Add(1)
+		return
+	}
 	for pi := lo; pi < hi; pi++ {
 		b.execPoint(ws, pi)
 	}
@@ -525,7 +770,7 @@ func (e *executor) run(b *execBatch, wsIdx, rangeIdx int) {
 		if hi > n {
 			hi = n
 		}
-		b.runSpan(ws, lo, hi)
+		e.runSpan(b, ws, lo, hi)
 	}
 }
 
@@ -572,14 +817,16 @@ func (rt *Runtime) runPlan(plan *taskPlan, t *ir.Task) {
 	n := len(plan.colors)
 	payload, _ := t.Payload.(*Payload)
 	e := rt.exec
-	b := &execBatch{plan: plan, payload: payload}
+	b := &e.batch
+	b.plan, b.payload = plan, payload
+	defer b.reset()
 	chunk, inline := e.host.ChunkPoints(plan.perPoint, n, e.nw)
 	if inline {
 		e.inline.Add(1)
 		sub := &e.ws[e.nw]
 		sub.prepare(len(plan.args), payload)
 		t0 := time.Now()
-		b.runSpan(sub, 0, n)
+		e.runSpan(b, sub, 0, n)
 		rt.model.observe(time.Since(t0), plan.perPoint, n)
 		sub.release()
 	} else {
@@ -587,6 +834,13 @@ func (rt *Runtime) runPlan(plan *taskPlan, t *ir.Task) {
 		b.chunk = chunk
 		e.dispatch(b, (n+chunk-1)/chunk)
 	}
+}
+
+// reset clears the executor's batch once its task has run, so the idle
+// batch pins no plan or payload. Every participant has finished with it:
+// dispatch returns only after the woken workers are done.
+func (b *execBatch) reset() {
+	b.plan, b.payload, b.chunk, b.nparts, b.insts = nil, nil, 0, 0, nil
 }
 
 // dispatch fans one batch of nchunks claimable chunks out across the

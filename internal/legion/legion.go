@@ -157,7 +157,7 @@ type Runtime struct {
 	// sessions never race on region contents or on the backend.
 	execMu sync.Mutex
 
-	mu      sync.Mutex // guards regions, free, kernels, and codegen
+	mu      sync.Mutex // guards regions, free, kernels, spanWalk, and codegen
 	regions map[ir.StoreID]*region
 	// free is the region free list (see regionKey); regionAllocs and
 	// regionReuses count what regionFor did, for ExecStats.
@@ -167,6 +167,8 @@ type Runtime struct {
 	// (kir.Kernel.FingerprintHash): the compiled form, its codegen program
 	// and the execution plan, bounded by maxKernels.
 	kernels map[hash128.Sum]*kernelEntry
+	// spanWalk derives each new entry's spanShape (kernelFor).
+	spanWalk spanWalker
 
 	// Codegen-backend state (see codegen.go): the active mode and the
 	// activity counters.
@@ -228,10 +230,11 @@ func (rt *Runtime) Backend() Backend { return rt.backend }
 // compiled form (with its codegen program when this runtime executes with
 // codegen on) and, once a kernel of the structure has executed locally,
 // its execution plan. The map slot is guarded by mu; plan is only touched
-// under execMu.
+// under execMu. span is the structure's spanShape, fixed at creation.
 type kernelEntry struct {
 	comp *kir.Compiled
 	plan *taskPlan
+	span spanShape
 }
 
 // maxKernels bounds the kernel cache. Keyed by structure, a stream's
@@ -265,7 +268,7 @@ func (rt *Runtime) kernelFor(k *kir.Kernel) *kernelEntry {
 	if len(rt.kernels) >= maxKernels {
 		clear(rt.kernels)
 	}
-	e := &kernelEntry{comp: c}
+	e := &kernelEntry{comp: c, span: rt.spanWalk.shape(k)}
 	rt.kernels[fp] = e
 	return e
 }

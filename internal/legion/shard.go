@@ -452,7 +452,7 @@ func (rt *Runtime) runUnitShard(u *groupEntry, ws *workerState, s, shards int) {
 	ws.prepare(len(plan.args), payload)
 	defer ws.release()
 	b := execBatch{plan: plan, payload: payload, insts: shardInstances(plan, lo, hi)}
-	b.runSpan(ws, lo, hi)
+	rt.exec.runSpan(&b, ws, lo, hi)
 }
 
 // shardInst is one shard-local instance: an aliased sub-buffer of the
