@@ -37,7 +37,10 @@
 # structural kernel cache absorbed (its attach step and its bound), and
 # kir's blocked GEMV tier that no workload reached (its execution
 # entry, its two kernels, its x-spill threshold), and the pool's second
-# batch mode that ran an in-process shard group's (task, shard) units —
+# batch mode that ran an in-process shard group's (task, shard) units,
+# and the per-analysis window scan the session's key stream replaced
+# (its type, its store record, its key fold) with cunum's operand
+# dedup and stride-of-ones helpers —
 # so a sentence cannot
 # outlive what it quoted. ROADMAP.md is exempt: it keeps history. The one-character
 # brackets keep this script from matching its own pattern in a
@@ -58,6 +61,7 @@ removed="$removed"'|[S]etExecPolicy|[E]xecPerPoint|[E]xecChunked|[e]xecutePerPoi
 removed="$removed"'|[a]ttachProgramLocked|[m]axProgs'
 removed="$removed"'|[e]xecGEMVCg|[g]emvBlocked|[g]emvXSpillBytes|column-[b]locked'
 removed="$removed"'|[r]unUnits'
+removed="$removed"'|[W]indowScan|[S]canStore|\b[d]edup\b|[o]nesOf'
 
 # slugs_of FILE: print the GitHub anchor slug of every heading, skipping
 # fenced code blocks (a `# comment` inside a fence is not a heading).
@@ -76,7 +80,7 @@ for f in README.md DESIGN.md ROADMAP.md docs/*.md; do
   [ -e "$f" ] || continue
   dir=$(dirname "$f")
   if [ "$f" != ROADMAP.md ] && hits=$(grep -nE -e "$removed" "$f"); then
-    echo "$f: names something removed (the real-mode suite: see docs/BENCHMARKS.md; ReadAll32/WriteAll32: see DESIGN.md, the wire; the stage-barrier executor path: see DESIGN.md, sharded execution; feedback scheduling: see DESIGN.md, static schedule; the tcp rank mesh and serve batching: see docs/SERVING.md; the rank drain: see docs/ARCHITECTURE.md, distributed execution; the wavefront DAG: see DESIGN.md, one drain loop; the executor policies: see DESIGN.md, the reference backend; the blocked GEMV: see DESIGN.md, kernel backends; the unit batch: see DESIGN.md, one drain loop):"
+    echo "$f: names something removed (the real-mode suite: see docs/BENCHMARKS.md; ReadAll32/WriteAll32: see DESIGN.md, the wire; the stage-barrier executor path: see DESIGN.md, sharded execution; feedback scheduling: see DESIGN.md, static schedule; the tcp rank mesh and serve batching: see docs/SERVING.md; the rank drain: see docs/ARCHITECTURE.md, distributed execution; the wavefront DAG: see DESIGN.md, one drain loop; the executor policies: see DESIGN.md, the reference backend; the blocked GEMV: see DESIGN.md, kernel backends; the unit batch: see DESIGN.md, one drain loop; the window scan: see DESIGN.md, memoization and kernel identity):"
     echo "$hits"
     fail=1
   fi

@@ -35,6 +35,9 @@ type Array struct {
 	shape     []int
 	stride    []int
 	ephemeral bool
+	// dims backs offset, shape and stride for views of rank 2 or less, so
+	// such a handle is one allocation (initView).
+	dims [6]int
 
 	// tiled is what the view looks like to a launch over the context's
 	// processor grid. Offset, shape, stride and grid never change for a
@@ -73,23 +76,33 @@ func appendInts(b []byte, v []int) []byte {
 // newArray allocates a fresh store-backed array of the given element type;
 // the handle holds the store's single application reference.
 func (c *Context) newArray(name string, dt DType, shape []int, ephemeral bool) *Array {
-	st := c.sess.NewStoreTyped(name, shape, dt)
-	return &Array{
-		ctx:       c,
-		store:     st,
-		offset:    make([]int, len(shape)),
-		shape:     append([]int(nil), shape...),
-		stride:    onesOf(len(shape)),
-		ephemeral: ephemeral,
+	a := &Array{ctx: c, store: c.sess.NewStoreTyped(name, shape, dt), ephemeral: ephemeral}
+	a.initView(len(shape))
+	copy(a.shape, shape)
+	for d := range a.stride {
+		a.stride[d] = 1
 	}
+	return a
 }
 
-func onesOf(n int) []int {
-	s := make([]int, n)
-	for i := range s {
-		s[i] = 1
+// view returns a new handle on a's store with zeroed offset, shape and
+// stride of a's rank. The caller takes its application reference.
+func (a *Array) view() *Array {
+	v := &Array{ctx: a.ctx, store: a.store}
+	v.initView(a.Rank())
+	return v
+}
+
+// initView points offset, shape and stride at one backing array: the
+// handle's own dims up to rank 2.
+func (a *Array) initView(rank int) {
+	buf := a.dims[:]
+	if 3*rank > len(buf) {
+		buf = make([]int, 3*rank)
 	}
-	return s
+	a.offset = buf[:rank:rank]
+	a.shape = buf[rank : 2*rank : 2*rank]
+	a.stride = buf[2*rank : 3*rank : 3*rank]
 }
 
 // Shape returns the view extents.
@@ -154,6 +167,8 @@ func (a *Array) Free() {
 }
 
 // consume releases ephemeral operands after their reading task was issued.
+// An operand listed twice is released once (Free is idempotent), and the
+// list itself is left as the caller passed it.
 func consume(arrays ...*Array) {
 	for _, a := range arrays {
 		if a != nil && a.ephemeral {
@@ -169,8 +184,8 @@ func (a *Array) Slice(lo, hi []int) *Array {
 	if len(lo) != a.Rank() || len(hi) != a.Rank() {
 		panic("cunum: Slice rank mismatch")
 	}
-	off := make([]int, a.Rank())
-	shp := make([]int, a.Rank())
+	v := a.view()
+	copy(v.stride, a.stride)
 	for d := range lo {
 		l, h := lo[d], hi[d]
 		if l < 0 {
@@ -182,11 +197,11 @@ func (a *Array) Slice(lo, hi []int) *Array {
 		if l < 0 || h > a.shape[d] || l > h {
 			panic(fmt.Sprintf("cunum: slice [%d:%d] out of range for dim %d of %v", lo[d], hi[d], d, a.shape))
 		}
-		off[d] = a.offset[d] + l*a.stride[d]
-		shp[d] = h - l
+		v.offset[d] = a.offset[d] + l*a.stride[d]
+		v.shape[d] = h - l
 	}
 	a.store.RetainApp()
-	return &Array{ctx: a.ctx, store: a.store, offset: off, shape: shp, stride: append([]int(nil), a.stride...)}
+	return v
 }
 
 // Step returns the strided view a[::step[d]] of the current view.
@@ -195,17 +210,19 @@ func (a *Array) Step(step []int) *Array {
 	if len(step) != a.Rank() {
 		panic("cunum: Step rank mismatch")
 	}
-	shp := make([]int, a.Rank())
-	str := make([]int, a.Rank())
 	for d := range step {
 		if step[d] < 1 {
 			panic("cunum: step must be >= 1")
 		}
-		shp[d] = ceilDiv(a.shape[d], step[d])
-		str[d] = a.stride[d] * step[d]
+	}
+	v := a.view()
+	copy(v.offset, a.offset)
+	for d := range step {
+		v.shape[d] = ceilDiv(a.shape[d], step[d])
+		v.stride[d] = a.stride[d] * step[d]
 	}
 	a.store.RetainApp()
-	return &Array{ctx: a.ctx, store: a.store, offset: append([]int(nil), a.offset...), shape: shp, stride: str}
+	return v
 }
 
 // partition returns the Tiling partition this view is accessed through
@@ -383,11 +400,11 @@ func (a *Array) Reshard(shards int) *Array {
 func (a *Array) AsType(dt DType) *Array {
 	switch dt {
 	case F64:
-		return ApplyOp("astype_f64", []*Array{a})
+		return applyOp(opAsF64, []*Array{a})
 	case F32:
-		return ApplyOp("astype_f32", []*Array{a})
+		return applyOp(opAsF32, []*Array{a})
 	case I32:
-		return ApplyOp("astype_i32", []*Array{a})
+		return applyOp(opAsI32, []*Array{a})
 	default:
 		panic(fmt.Sprintf("cunum: AsType to unknown dtype %v", dt))
 	}

@@ -24,7 +24,7 @@ func Compute(name string, ins []*Array, build func(loads []*kir.Expr) *kir.Expr)
 	}
 	out := c.newArray(name, promoteDType(ins), base.shape, true)
 	c.emitMap(name, out, ins, nil, nil, build)
-	consume(dedup(ins...)...)
+	consume(ins...)
 	return out
 }
 
@@ -32,5 +32,5 @@ func Compute(name string, ins []*Array, build func(loads []*kir.Expr) *kir.Expr)
 // updates in place).
 func ComputeInto(name string, dst *Array, ins []*Array, build func(loads []*kir.Expr) *kir.Expr) {
 	dst.ctx.emitMap(name, dst, ins, nil, nil, build)
-	consume(dedup(ins...)...)
+	consume(ins...)
 }

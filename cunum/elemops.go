@@ -83,8 +83,8 @@ func promoteDType(ins []*Array) DType {
 
 var elemOps = struct {
 	sync.RWMutex
-	m map[string]ElemOp
-}{m: map[string]ElemOp{}}
+	m map[string]*ElemOp
+}{m: map[string]*ElemOp{}}
 
 // RegisterElemOp adds an operation to the registry. Registering a nil
 // builder, a negative arity, or a duplicate name panics: op tables are
@@ -92,7 +92,12 @@ var elemOps = struct {
 // builder must be a pure function of its loads and constants (see
 // ElemOp.Build): kernels are interned on them. An expression that depends
 // on anything else belongs in Compute, which builds per call.
-func RegisterElemOp(op ElemOp) {
+func RegisterElemOp(op ElemOp) { register(op) }
+
+// register adds op to the registry and returns its entry. Entries are
+// never replaced or removed, so the pointer is stable: cunum's own
+// operators hold theirs and skip the lookup.
+func register(op ElemOp) *ElemOp {
 	if op.Name == "" || op.Build == nil || op.Arity < 0 || op.Consts < 0 {
 		panic(fmt.Sprintf("cunum: invalid ElemOp %+v", op))
 	}
@@ -101,15 +106,18 @@ func RegisterElemOp(op ElemOp) {
 	if _, dup := elemOps.m[op.Name]; dup {
 		panic(fmt.Sprintf("cunum: duplicate ElemOp %q", op.Name))
 	}
-	elemOps.m[op.Name] = op
+	elemOps.m[op.Name] = &op
+	return &op
 }
 
 // LookupElemOp returns the registered operation descriptor.
 func LookupElemOp(name string) (ElemOp, bool) {
 	elemOps.RLock()
 	defer elemOps.RUnlock()
-	op, ok := elemOps.m[name]
-	return op, ok
+	if op, ok := elemOps.m[name]; ok {
+		return *op, true
+	}
+	return ElemOp{}, false
 }
 
 // ElemOpNames returns the sorted names of all registered operations.
@@ -125,9 +133,11 @@ func ElemOpNames() []string {
 }
 
 // mustOp resolves a registered op and checks the call shape against it.
-func mustOp(name string, arity, consts int) ElemOp {
-	op, ok := LookupElemOp(name)
-	if !ok {
+func mustOp(name string, arity, consts int) *ElemOp {
+	elemOps.RLock()
+	op := elemOps.m[name]
+	elemOps.RUnlock()
+	if op == nil {
 		panic(fmt.Sprintf("cunum: unregistered ElemOp %q", name))
 	}
 	if op.Arity != arity || op.Consts != consts {
@@ -153,14 +163,17 @@ func broadcastBase(ins []*Array) *Array {
 // the registry and returns a fresh ephemeral result. Ephemeral inputs are
 // consumed, exactly as the named operator methods do.
 func ApplyOp(name string, ins []*Array, consts ...float64) *Array {
-	op := mustOp(name, len(ins), len(consts))
+	return applyOp(mustOp(name, len(ins), len(consts)), ins, consts...)
+}
+
+func applyOp(op *ElemOp, ins []*Array, consts ...float64) *Array {
 	if len(ins) == 0 {
 		panic("cunum: ApplyOp requires at least one input (use ApplyOpInto for generators)")
 	}
 	base := broadcastBase(ins)
-	out := base.ctx.newArray(name, op.Out.resolve(promoteDType(ins)), base.shape, true)
-	base.ctx.emitMap(name, out, ins, &op, consts, nil)
-	consume(dedup(ins...)...)
+	out := base.ctx.newArray(op.Name, op.Out.resolve(promoteDType(ins)), base.shape, true)
+	base.ctx.emitMap(op.Name, out, ins, op, consts, nil)
+	consume(ins...)
 	return out
 }
 
@@ -169,22 +182,26 @@ func ApplyOp(name string, ins []*Array, consts ...float64) *Array {
 // Assign/Fill, an ephemeral destination view is released after the task is
 // issued (the anonymous-slice-assignment pattern).
 func ApplyOpInto(name string, dst *Array, ins []*Array, consts ...float64) {
-	op := mustOp(name, len(ins), len(consts))
-	dst.ctx.emitMap(name, dst, ins, &op, consts, nil)
-	consume(dedup(append(append([]*Array{}, ins...), dst)...)...)
+	applyOpInto(mustOp(name, len(ins), len(consts)), dst, ins, consts...)
+}
+
+func applyOpInto(op *ElemOp, dst *Array, ins []*Array, consts ...float64) {
+	dst.ctx.emitMap(op.Name, dst, ins, op, consts, nil)
+	consume(ins...)
+	consume(dst)
 }
 
 // bin registers a two-operand kir binary as an ElemOp.
-func bin(name string, op kir.Op) {
-	RegisterElemOp(ElemOp{Name: name, Arity: 2, Build: func(l []*kir.Expr, _ []float64) *kir.Expr {
+func bin(name string, op kir.Op) *ElemOp {
+	return register(ElemOp{Name: name, Arity: 2, Build: func(l []*kir.Expr, _ []float64) *kir.Expr {
 		return kir.Binary(op, l[0], l[1])
 	}})
 }
 
 // binC registers a one-operand, one-constant kir binary; rev puts the
 // constant on the left (c - a, c / a).
-func binC(name string, op kir.Op, rev bool) {
-	RegisterElemOp(ElemOp{Name: name, Arity: 1, Consts: 1, Build: func(l []*kir.Expr, c []float64) *kir.Expr {
+func binC(name string, op kir.Op, rev bool) *ElemOp {
+	return register(ElemOp{Name: name, Arity: 1, Consts: 1, Build: func(l []*kir.Expr, c []float64) *kir.Expr {
 		if rev {
 			return kir.Binary(op, kir.Const(c[0]), l[0])
 		}
@@ -193,61 +210,69 @@ func binC(name string, op kir.Op, rev bool) {
 }
 
 // un registers a one-operand kir unary as an ElemOp.
-func un(name string, op kir.Op) {
-	RegisterElemOp(ElemOp{Name: name, Arity: 1, Build: func(l []*kir.Expr, _ []float64) *kir.Expr {
+func un(name string, op kir.Op) *ElemOp {
+	return register(ElemOp{Name: name, Arity: 1, Build: func(l []*kir.Expr, _ []float64) *kir.Expr {
 		return kir.Unary(op, l[0])
 	}})
 }
 
-func init() {
-	bin("add", kir.OpAdd)
-	bin("sub", kir.OpSub)
-	bin("mul", kir.OpMul)
-	bin("div", kir.OpDiv)
-	bin("maximum", kir.OpMax)
-	bin("minimum", kir.OpMin)
-	bin("ge", kir.OpGE)
-	bin("le", kir.OpLE)
-
-	binC("addc", kir.OpAdd, false)
-	binC("subc", kir.OpSub, false)
-	binC("rsubc", kir.OpSub, true)
-	binC("mulc", kir.OpMul, false)
-	binC("divc", kir.OpDiv, false)
-	binC("rdivc", kir.OpDiv, true)
-	binC("powc", kir.OpPow, false)
-	binC("maxc", kir.OpMax, false)
-	binC("minc", kir.OpMin, false)
-	binC("gec", kir.OpGE, false)
-	binC("lec", kir.OpLE, false)
-
-	un("neg", kir.OpNeg)
-	un("abs", kir.OpAbs)
-	un("sqrt", kir.OpSqrt)
-	un("exp", kir.OpExp)
-	un("log", kir.OpLog)
-	un("erf", kir.OpErf)
-	un("sin", kir.OpSin)
-	un("cos", kir.OpCos)
-
-	RegisterElemOp(ElemOp{Name: "square", Arity: 1, Build: func(l []*kir.Expr, _ []float64) *kir.Expr {
-		return kir.Binary(kir.OpMul, l[0], l[0])
-	}})
-	RegisterElemOp(ElemOp{Name: "copy", Arity: 1, Build: func(l []*kir.Expr, _ []float64) *kir.Expr {
+// same registers a one-operand op whose builder returns its operand: a
+// copy, or with a fixed result dtype a conversion.
+func same(name string, out OutDType) *ElemOp {
+	return register(ElemOp{Name: name, Arity: 1, Out: out, Build: func(l []*kir.Expr, _ []float64) *kir.Expr {
 		return l[0]
 	}})
-	RegisterElemOp(ElemOp{Name: "fill", Arity: 0, Consts: 1, Build: func(_ []*kir.Expr, c []float64) *kir.Expr {
+}
+
+// The built-in registry entries. The named operators below and in ops.go
+// apply them through these pointers, without a registry lookup.
+var (
+	opAdd     = bin("add", kir.OpAdd)
+	opSub     = bin("sub", kir.OpSub)
+	opMul     = bin("mul", kir.OpMul)
+	opDiv     = bin("div", kir.OpDiv)
+	opMaximum = bin("maximum", kir.OpMax)
+	opMinimum = bin("minimum", kir.OpMin)
+	opGe      = bin("ge", kir.OpGE)
+	opLe      = bin("le", kir.OpLE)
+
+	opAddC  = binC("addc", kir.OpAdd, false)
+	opSubC  = binC("subc", kir.OpSub, false)
+	opRSubC = binC("rsubc", kir.OpSub, true)
+	opMulC  = binC("mulc", kir.OpMul, false)
+	opDivC  = binC("divc", kir.OpDiv, false)
+	opRDivC = binC("rdivc", kir.OpDiv, true)
+	opPowC  = binC("powc", kir.OpPow, false)
+	opMaxC  = binC("maxc", kir.OpMax, false)
+	opMinC  = binC("minc", kir.OpMin, false)
+	opGeC   = binC("gec", kir.OpGE, false)
+	opLeC   = binC("lec", kir.OpLE, false)
+
+	opNeg  = un("neg", kir.OpNeg)
+	opAbs  = un("abs", kir.OpAbs)
+	opSqrt = un("sqrt", kir.OpSqrt)
+	opExp  = un("exp", kir.OpExp)
+	opLog  = un("log", kir.OpLog)
+	opErf  = un("erf", kir.OpErf)
+	opSin  = un("sin", kir.OpSin)
+	opCos  = un("cos", kir.OpCos)
+
+	opSquare = register(ElemOp{Name: "square", Arity: 1, Build: func(l []*kir.Expr, _ []float64) *kir.Expr {
+		return kir.Binary(kir.OpMul, l[0], l[0])
+	}})
+	opCopy = same("copy", OutSame)
+	opFill = register(ElemOp{Name: "fill", Arity: 0, Consts: 1, Build: func(_ []*kir.Expr, c []float64) *kir.Expr {
 		return kir.Const(c[0])
 	}})
-	RegisterElemOp(ElemOp{Name: "where", Arity: 3, Build: func(l []*kir.Expr, _ []float64) *kir.Expr {
+	opWhere = register(ElemOp{Name: "where", Arity: 3, Build: func(l []*kir.Expr, _ []float64) *kir.Expr {
 		return kir.Select(l[0], l[1], l[2])
 	}})
-	RegisterElemOp(ElemOp{Name: "clip", Arity: 1, Consts: 2, Build: func(l []*kir.Expr, c []float64) *kir.Expr {
+	opClip = register(ElemOp{Name: "clip", Arity: 1, Consts: 2, Build: func(l []*kir.Expr, c []float64) *kir.Expr {
 		return kir.Binary(kir.OpMin, kir.Binary(kir.OpMax, l[0], kir.Const(c[0])), kir.Const(c[1]))
 	}})
 	// fma(x, y, z) = x*y + z: the fused multiply-add that falls out of the
 	// registry (no dedicated emitter needed).
-	RegisterElemOp(ElemOp{Name: "fma", Arity: 3, Build: func(l []*kir.Expr, _ []float64) *kir.Expr {
+	opFMA = register(ElemOp{Name: "fma", Arity: 3, Build: func(l []*kir.Expr, _ []float64) *kir.Expr {
 		return kir.Binary(kir.OpAdd, kir.Binary(kir.OpMul, l[0], l[1]), l[2])
 	}})
 	// The astype_* family behind Array.AsType. The builders are identity —
@@ -255,28 +280,22 @@ func init() {
 	// expression in an explicit kir cast whenever input and output dtypes
 	// differ, which is what lets these tasks (and only tasks like them)
 	// fuse across a dtype boundary.
-	RegisterElemOp(ElemOp{Name: "astype_f64", Arity: 1, Out: OutF64, Build: func(l []*kir.Expr, _ []float64) *kir.Expr {
-		return l[0]
-	}})
-	RegisterElemOp(ElemOp{Name: "astype_f32", Arity: 1, Out: OutF32, Build: func(l []*kir.Expr, _ []float64) *kir.Expr {
-		return l[0]
-	}})
-	RegisterElemOp(ElemOp{Name: "astype_i32", Arity: 1, Out: OutI32, Build: func(l []*kir.Expr, _ []float64) *kir.Expr {
-		return l[0]
-	}})
-}
+	opAsF64 = same("astype_f64", OutF64)
+	opAsF32 = same("astype_f32", OutF32)
+	opAsI32 = same("astype_i32", OutI32)
+)
 
 // FMA returns a*b + c element-wise (scalar operands broadcast).
-func FMA(a, b, c *Array) *Array { return ApplyOp("fma", []*Array{a, b, c}) }
+func FMA(a, b, c *Array) *Array { return applyOp(opFMA, []*Array{a, b, c}) }
 
 // AddInto writes a + b into the destination view dst.
-func AddInto(dst, a, b *Array) { ApplyOpInto("add", dst, []*Array{a, b}) }
+func AddInto(dst, a, b *Array) { applyOpInto(opAdd, dst, []*Array{a, b}) }
 
 // SubInto writes a - b into the destination view dst.
-func SubInto(dst, a, b *Array) { ApplyOpInto("sub", dst, []*Array{a, b}) }
+func SubInto(dst, a, b *Array) { applyOpInto(opSub, dst, []*Array{a, b}) }
 
 // MulInto writes a * b into the destination view dst.
-func MulInto(dst, a, b *Array) { ApplyOpInto("mul", dst, []*Array{a, b}) }
+func MulInto(dst, a, b *Array) { applyOpInto(opMul, dst, []*Array{a, b}) }
 
 // The AXPY-family solver kernels ("axpy", "axmy") are registered by
 // package sparse — the registry is shared across libraries, so sparse's

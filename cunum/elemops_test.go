@@ -118,19 +118,23 @@ func TestRegisteredOpFusesLikeHandwritten(t *testing.T) {
 	out.Free()
 }
 
-// TestDedupLeavesOperandsAlone: dedup used to compact its argument in
-// place, so an operand list with a repeat or a nil came back to the caller
-// rewritten. It must return a list of its own and leave the caller's.
+// TestDedupLeavesOperandsAlone: consume skips repeated operands in place.
+// An operand list with a repeat or a nil must come back to the caller as
+// it went in, and an ephemeral operand listed twice is released once.
 func TestDedupLeavesOperandsAlone(t *testing.T) {
 	ctx := testCtx(4)
-	a, b := ctx.Zeros(8), ctx.Zeros(8)
+	a, b := ctx.Zeros(8).Temp(), ctx.Zeros(8).Temp()
+	st := a.Store()
 	ins := []*Array{nil, a, a, b, a}
-	got := dedup(ins...)
-	if len(got) != 2 || got[0] != a || got[1] != b {
-		t.Fatalf("dedup returned %v, want [a b]", got)
-	}
+	consume(ins...)
 	if ins[0] != nil || ins[1] != a || ins[2] != a || ins[3] != b || ins[4] != a {
-		t.Fatalf("dedup rewrote its argument: %v", ins)
+		t.Fatalf("consume rewrote its argument: %v", ins)
+	}
+	if a.store != nil || b.store != nil {
+		t.Fatal("consume left an ephemeral operand unreleased")
+	}
+	if st.AppLive() {
+		t.Fatal("the repeated operand's store is still referenced")
 	}
 	// The same operand twice, ephemeral: consumed once, not twice.
 	x := ctx.Ones(8)

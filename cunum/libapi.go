@@ -45,4 +45,4 @@ func (c *Context) Submit(t *ir.Task) { c.sess.Submit(t) }
 
 // Consume releases ephemeral operands after a library issued its task
 // reading them.
-func Consume(arrays ...*Array) { consume(dedup(arrays...)...) }
+func Consume(arrays ...*Array) { consume(arrays...) }

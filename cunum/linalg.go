@@ -56,7 +56,7 @@ func MatVec(A, x *Array) *Array {
 		Y:      2,
 	})
 	c.sess.Submit(&ir.Task{Name: "gemv", Launch: launch, Args: args, Kernel: k})
-	consume(dedup(A, x)...)
+	consume(A, x)
 	return y
 }
 
@@ -78,7 +78,7 @@ func BlockMatVec(A, x *Array) *Array {
 	m := blockMatVecCheck(A, x)
 	y := A.ctx.newArray("blockmatvec", promoteDType([]*Array{A, x}), []int{m}, true)
 	blockMatVecTask(A, x, y, false)
-	consume(dedup(A, x)...)
+	consume(A, x)
 	return y
 }
 
@@ -102,7 +102,7 @@ func BlockMatVecAcc(A, x, y *Array) {
 		panic(fmt.Sprintf("cunum: BlockMatVecAcc destination dtype %v, want %v (the promoted operand type)", y.DType(), dt))
 	}
 	blockMatVecTask(A, x, y, true)
-	consume(dedup(A, x, y)...)
+	consume(A, x, y)
 }
 
 func blockMatVecCheck(A, x *Array) int {

@@ -29,7 +29,7 @@ func (c *Context) emitMap(name string, out *Array, ins []*Array, op *ElemOp, con
 		launch, rep = c.scalarLaunch(), c.repScalar
 	}
 
-	args := make([]ir.Arg, 0, len(ins)+1)
+	task, args := newMapTask(len(ins) + 1)
 	for _, in := range ins {
 		in.st()
 		if in.IsScalar() {
@@ -56,7 +56,9 @@ func (c *Context) emitMap(name string, out *Array, ins []*Array, op *ElemOp, con
 		}
 		var e *kir.Expr
 		if op != nil {
-			e = op.Build(loads, consts)
+			// The builder gets a copy: handing it the caller's constants
+			// would move every call's variadic list to the heap.
+			e = op.Build(loads, append([]float64(nil), consts...))
 		} else {
 			e = build(loads)
 		}
@@ -76,7 +78,25 @@ func (c *Context) emitMap(name string, out *Array, ins []*Array, op *ElemOp, con
 	} else {
 		k = mk()
 	}
-	c.sess.Submit(&ir.Task{Name: name, Launch: launch, Args: args, Kernel: k})
+	*task = ir.Task{Name: name, Launch: launch, Args: args, Kernel: k}
+	c.sess.Submit(task)
+}
+
+// mapTask is an element-wise task with room for its arguments: a map of up
+// to two inputs is one allocation.
+type mapTask struct {
+	task ir.Task
+	args [3]ir.Arg
+}
+
+// newMapTask returns a task and an empty argument list of capacity n that
+// share one allocation when n fits.
+func newMapTask(n int) (*ir.Task, []ir.Arg) {
+	if n > len(mapTask{}.args) {
+		return &ir.Task{}, make([]ir.Arg, 0, n)
+	}
+	m := &mapTask{}
+	return &m.task, m.args[:0:n]
 }
 
 // castIfMixed wraps the stored expression in an explicit cast to the
@@ -93,109 +113,89 @@ func castIfMixed(out *Array, ins []*Array, e *kir.Expr) *kir.Expr {
 	return e
 }
 
-// dedup returns the distinct non-nil arrays in order, in a slice of its
-// own: callers pass their operand lists, which must come back untouched.
-// Operand lists hold a handful of arrays, so a scan beats a map.
-func dedup(arrays ...*Array) []*Array {
-	out := make([]*Array, 0, len(arrays))
-next:
-	for _, a := range arrays {
-		if a == nil {
-			continue
-		}
-		for _, b := range out {
-			if a == b {
-				continue next
-			}
-		}
-		out = append(out, a)
-	}
-	return out
-}
-
 // The named operator methods below are thin wrappers over the element-op
-// registry (elemops.go): each resolves its registered descriptor and goes
-// through the generic appliers, so cunum's operators, sparse's registered
-// kernels, and user-registered ops all share one emission path.
+// registry (elemops.go): each applies its registered descriptor through
+// the generic appliers, so cunum's operators, sparse's registered kernels,
+// and user-registered ops all share one emission path.
 
 // Add returns a + b (element-wise; scalar operands broadcast).
-func (a *Array) Add(b *Array) *Array { return ApplyOp("add", []*Array{a, b}) }
+func (a *Array) Add(b *Array) *Array { return applyOp(opAdd, []*Array{a, b}) }
 
 // Sub returns a - b.
-func (a *Array) Sub(b *Array) *Array { return ApplyOp("sub", []*Array{a, b}) }
+func (a *Array) Sub(b *Array) *Array { return applyOp(opSub, []*Array{a, b}) }
 
 // Mul returns a * b.
-func (a *Array) Mul(b *Array) *Array { return ApplyOp("mul", []*Array{a, b}) }
+func (a *Array) Mul(b *Array) *Array { return applyOp(opMul, []*Array{a, b}) }
 
 // Div returns a / b.
-func (a *Array) Div(b *Array) *Array { return ApplyOp("div", []*Array{a, b}) }
+func (a *Array) Div(b *Array) *Array { return applyOp(opDiv, []*Array{a, b}) }
 
 // Maximum returns max(a, b) element-wise.
-func (a *Array) Maximum(b *Array) *Array { return ApplyOp("maximum", []*Array{a, b}) }
+func (a *Array) Maximum(b *Array) *Array { return applyOp(opMaximum, []*Array{a, b}) }
 
 // Minimum returns min(a, b) element-wise.
-func (a *Array) Minimum(b *Array) *Array { return ApplyOp("minimum", []*Array{a, b}) }
+func (a *Array) Minimum(b *Array) *Array { return applyOp(opMinimum, []*Array{a, b}) }
 
 // AddC returns a + c.
-func (a *Array) AddC(c float64) *Array { return ApplyOp("addc", []*Array{a}, c) }
+func (a *Array) AddC(c float64) *Array { return applyOp(opAddC, []*Array{a}, c) }
 
 // SubC returns a - c.
-func (a *Array) SubC(c float64) *Array { return ApplyOp("subc", []*Array{a}, c) }
+func (a *Array) SubC(c float64) *Array { return applyOp(opSubC, []*Array{a}, c) }
 
 // RSubC returns c - a.
-func (a *Array) RSubC(c float64) *Array { return ApplyOp("rsubc", []*Array{a}, c) }
+func (a *Array) RSubC(c float64) *Array { return applyOp(opRSubC, []*Array{a}, c) }
 
 // MulC returns a * c.
-func (a *Array) MulC(c float64) *Array { return ApplyOp("mulc", []*Array{a}, c) }
+func (a *Array) MulC(c float64) *Array { return applyOp(opMulC, []*Array{a}, c) }
 
 // DivC returns a / c.
-func (a *Array) DivC(c float64) *Array { return ApplyOp("divc", []*Array{a}, c) }
+func (a *Array) DivC(c float64) *Array { return applyOp(opDivC, []*Array{a}, c) }
 
 // RDivC returns c / a.
-func (a *Array) RDivC(c float64) *Array { return ApplyOp("rdivc", []*Array{a}, c) }
+func (a *Array) RDivC(c float64) *Array { return applyOp(opRDivC, []*Array{a}, c) }
 
 // PowC returns a ** c.
-func (a *Array) PowC(c float64) *Array { return ApplyOp("powc", []*Array{a}, c) }
+func (a *Array) PowC(c float64) *Array { return applyOp(opPowC, []*Array{a}, c) }
 
 // MaximumC returns max(a, c).
-func (a *Array) MaximumC(c float64) *Array { return ApplyOp("maxc", []*Array{a}, c) }
+func (a *Array) MaximumC(c float64) *Array { return applyOp(opMaxC, []*Array{a}, c) }
 
 // MinimumC returns min(a, c).
-func (a *Array) MinimumC(c float64) *Array { return ApplyOp("minc", []*Array{a}, c) }
+func (a *Array) MinimumC(c float64) *Array { return applyOp(opMinC, []*Array{a}, c) }
 
 // Neg returns -a.
-func (a *Array) Neg() *Array { return ApplyOp("neg", []*Array{a}) }
+func (a *Array) Neg() *Array { return applyOp(opNeg, []*Array{a}) }
 
 // Abs returns |a|.
-func (a *Array) Abs() *Array { return ApplyOp("abs", []*Array{a}) }
+func (a *Array) Abs() *Array { return applyOp(opAbs, []*Array{a}) }
 
 // Sqrt returns sqrt(a).
-func (a *Array) Sqrt() *Array { return ApplyOp("sqrt", []*Array{a}) }
+func (a *Array) Sqrt() *Array { return applyOp(opSqrt, []*Array{a}) }
 
 // Exp returns e**a.
-func (a *Array) Exp() *Array { return ApplyOp("exp", []*Array{a}) }
+func (a *Array) Exp() *Array { return applyOp(opExp, []*Array{a}) }
 
 // Log returns ln(a).
-func (a *Array) Log() *Array { return ApplyOp("log", []*Array{a}) }
+func (a *Array) Log() *Array { return applyOp(opLog, []*Array{a}) }
 
 // Erf returns erf(a).
-func (a *Array) Erf() *Array { return ApplyOp("erf", []*Array{a}) }
+func (a *Array) Erf() *Array { return applyOp(opErf, []*Array{a}) }
 
 // Sin returns sin(a).
-func (a *Array) Sin() *Array { return ApplyOp("sin", []*Array{a}) }
+func (a *Array) Sin() *Array { return applyOp(opSin, []*Array{a}) }
 
 // Cos returns cos(a).
-func (a *Array) Cos() *Array { return ApplyOp("cos", []*Array{a}) }
+func (a *Array) Cos() *Array { return applyOp(opCos, []*Array{a}) }
 
 // Square returns a*a.
-func (a *Array) Square() *Array { return ApplyOp("square", []*Array{a}) }
+func (a *Array) Square() *Array { return applyOp(opSquare, []*Array{a}) }
 
 // Assign copies src into the view a (the COPY task of Fig. 1). a is the
 // destination and is written through its own partition; src is read.
 // An ephemeral destination view is released after the copy is issued
 // (Python's anonymous-slice-assignment pattern).
-func (a *Array) Assign(src *Array) { ApplyOpInto("copy", a, []*Array{src}) }
+func (a *Array) Assign(src *Array) { applyOpInto(opCopy, a, []*Array{src}) }
 
 // Fill overwrites the view with a constant. An ephemeral destination view
 // is released after the fill is issued.
-func (a *Array) Fill(v float64) { ApplyOpInto("fill", a, nil, v) }
+func (a *Array) Fill(v float64) { applyOpInto(opFill, a, nil, v) }

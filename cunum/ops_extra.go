@@ -42,23 +42,23 @@ func (c *Context) Linspace(lo, hi float64, n int) *Array {
 }
 
 // Ge returns 1 where a >= b, else 0 (element-wise; scalars broadcast).
-func (a *Array) Ge(b *Array) *Array { return ApplyOp("ge", []*Array{a, b}) }
+func (a *Array) Ge(b *Array) *Array { return applyOp(opGe, []*Array{a, b}) }
 
 // Le returns 1 where a <= b, else 0.
-func (a *Array) Le(b *Array) *Array { return ApplyOp("le", []*Array{a, b}) }
+func (a *Array) Le(b *Array) *Array { return applyOp(opLe, []*Array{a, b}) }
 
 // GeC returns 1 where a >= c, else 0.
-func (a *Array) GeC(c float64) *Array { return ApplyOp("gec", []*Array{a}, c) }
+func (a *Array) GeC(c float64) *Array { return applyOp(opGeC, []*Array{a}, c) }
 
 // LeC returns 1 where a <= c, else 0.
-func (a *Array) LeC(c float64) *Array { return ApplyOp("lec", []*Array{a}, c) }
+func (a *Array) LeC(c float64) *Array { return applyOp(opLeC, []*Array{a}, c) }
 
 // Where returns an array holding x where cond != 0 and y elsewhere
 // (numpy.where). Scalars broadcast.
-func Where(cond, x, y *Array) *Array { return ApplyOp("where", []*Array{cond, x, y}) }
+func Where(cond, x, y *Array) *Array { return applyOp(opWhere, []*Array{cond, x, y}) }
 
 // Clip returns a clamped into [lo, hi] (numpy.clip).
-func (a *Array) Clip(lo, hi float64) *Array { return ApplyOp("clip", []*Array{a}, lo, hi) }
+func (a *Array) Clip(lo, hi float64) *Array { return applyOp(opClip, []*Array{a}, lo, hi) }
 
 // axisReduce folds the last axis of a 2-D array into a 1-D result using
 // the given combiner. The matrix is read through a row-block partition

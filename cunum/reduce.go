@@ -44,7 +44,7 @@ func (c *Context) emitReduce(name string, red ir.ReduceOp, kred kir.RedOp, ins [
 		})
 	})
 	c.sess.Submit(&ir.Task{Name: name, Launch: launch, Args: args, Kernel: k})
-	consume(dedup(ins...)...)
+	consume(ins...)
 	return out
 }
 

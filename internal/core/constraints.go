@@ -12,7 +12,7 @@ import "diffuse/internal/ir"
 // slice lookups and constant-time partition equality checks per argument —
 // never a pairwise sub-store intersection (that is the scale-free property
 // of §4.2.1). Stores go by their first-appearance indices in the window,
-// which ir.WindowScan computed for the memo key.
+// which ir.KeyStream derives from its back-references for the memo key.
 
 type storeEffects struct {
 	// tracked is set once the prefix has touched the store.
@@ -56,7 +56,7 @@ type dataflow struct {
 	hasCast bool
 }
 
-func newDataflow(first *ir.Task, sc *ir.WindowScan) *dataflow {
+func newDataflow(first *ir.Task, sc *ir.KeyStream) *dataflow {
 	return &dataflow{launch: first.Launch, effects: make([]storeEffects, len(sc.Stores)), argStores: sc.ArgStores()}
 }
 
@@ -261,9 +261,9 @@ func (d *dataflow) record(t *ir.Task) {
 }
 
 // fusiblePrefix returns the length of the longest fusible prefix of the
-// window sc was scanned over (always >= 1: a single task is trivially
+// window sc was snapshotted over (always >= 1: a single task is trivially
 // "fusible" and is emitted unfused).
-func fusiblePrefix(window []*ir.Task, sc *ir.WindowScan) int {
+func fusiblePrefix(window []*ir.Task, sc *ir.KeyStream) int {
 	d := newDataflow(window[0], sc)
 	// The first task joins unconditionally at the task level, but a task
 	// whose own arguments self-alias must run alone (it is still legal for

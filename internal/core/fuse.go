@@ -48,7 +48,7 @@ type memoEntry struct {
 const maxMemo = 2048
 
 // analyze returns the fusion plan for a session's window, consulting the
-// memo table keyed by the window's structural key (ir.WindowScan). pinned
+// memo table keyed by the window's structural key (ir.KeyStream). pinned
 // stores (touched by tasks deferred out of the window during a partial
 // flush) are classified as live, and so are stores whose runtime reference
 // count exceeds the references held by this window's own tasks: stores are
@@ -57,30 +57,21 @@ const maxMemo = 2048
 // hand that session a freshly zeroed region. Runtime references are only
 // released during emission, which callers serialize under r.mu, so the
 // surplus can never be an undercount. Callers hold r.mu.
-func (r *Runtime) analyze(window []*ir.Task, pinned map[ir.StoreID]bool) *fusionPlan {
-	sc := &r.scan
-	sc.Scan(window)
-	defer sc.Release()
-	// Snapshot liveness once per store: ReleaseApp is an atomic another
-	// goroutine may flip at any time, and the memo key and temp
-	// elimination must agree on what they saw — a key minted as "live"
-	// caching a plan computed against "dead" would poison the memo table.
-	for i := range sc.Stores {
-		s := &sc.Stores[i]
-		s.Live = s.Store.AppLive() || pinned[s.Store.ID()] || s.Store.RuntimeRefs() > s.Refs
-	}
+func (r *Runtime) analyze(k *ir.KeyStream, pinned map[ir.StoreID]bool) *fusionPlan {
+	snapshotLiveness(k, pinned)
+	window := k.Window()
 	if r.cfg.NoMemo {
-		return r.computePlan(window, sc)
+		return r.computePlan(window, k)
 	}
-	key := sc.Key(window)
+	key := k.Key()
 	if r.keyOracle != nil {
-		r.keyOracle(window, sc, key)
+		r.keyOracle(k, key)
 	}
 	if e, ok := r.memo[key]; ok {
 		r.stats.MemoHits++
 		return e.plan
 	}
-	plan := r.computePlan(window, sc)
+	plan := r.computePlan(window, k)
 	if len(r.memo) >= maxMemo {
 		clear(r.memo)
 	}
@@ -89,13 +80,27 @@ func (r *Runtime) analyze(window []*ir.Task, pinned map[ir.StoreID]bool) *fusion
 	return plan
 }
 
+// snapshotLiveness indexes the window's stores and decides each one's Live
+// bit once: ReleaseApp is an atomic another goroutine may flip at any
+// time, and the memo key and temp elimination must agree on what they saw
+// — a key minted as "live" caching a plan computed against "dead" would
+// poison the memo table.
+func snapshotLiveness(k *ir.KeyStream, pinned map[ir.StoreID]bool) {
+	k.Snapshot()
+	for i := range k.Stores {
+		s := &k.Stores[i]
+		s.Live = s.Store.AppLive() || pinned[s.Store.ID()] || s.Store.RuntimeRefs() > s.Refs
+	}
+}
+
 // computePlan runs the full analysis: fusible prefix, argument merging,
 // temporary-store elimination, kernel composition and optimization. sc is
-// analyze's scan of the window: it names every store by a dense index, so
-// nothing below hashes a store identity again, and carries the liveness
-// snapshot (stores the application references, plus pinned ones: deferred
-// readers in this session or buffered tasks in another).
-func (r *Runtime) computePlan(window []*ir.Task, sc *ir.WindowScan) *fusionPlan {
+// the window's stream as analyze snapshotted it: it names every store by a
+// dense index, so nothing below hashes a store identity again, and carries
+// the liveness snapshot the key was folded with (stores the application
+// references, plus pinned ones: deferred readers in this session or
+// buffered tasks in another).
+func (r *Runtime) computePlan(window []*ir.Task, sc *ir.KeyStream) *fusionPlan {
 	plan := &fusionPlan{prefixLen: fusiblePrefix(window, sc)}
 	if plan.prefixLen <= 1 {
 		return plan
@@ -214,7 +219,7 @@ func (r *Runtime) computePlan(window []*ir.Task, sc *ir.WindowScan) *fusionPlan 
 // consulting the liveness snapshot taken with the memo key. storeOf is the
 // store index of each fused parameter, views the number of fused
 // parameters naming each store.
-func findTemps(plan *fusionPlan, window []*ir.Task, sc *ir.WindowScan, storeOf, views []int32) {
+func findTemps(plan *fusionPlan, window []*ir.Task, sc *ir.KeyStream, storeOf, views []int32) {
 	// Per store: scan the prefix in program order.
 	type state struct {
 		coveredBy  ir.Partition // partition of a covering write seen so far

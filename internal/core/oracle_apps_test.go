@@ -97,11 +97,14 @@ func TestKeyOracleOnApplications(t *testing.T) {
 	}
 }
 
-// TestAnalyzeHitPathDoesNotAllocate: in steady state analyze is a scan, a
-// liveness snapshot, a key fold and a map lookup over reused scratch. One
-// fmt call or one rebuilt map on that path costs more than the fused tasks
-// save on fine-grained steps (the benchmark's swe_small), so the guard
-// sits on analyze itself, over a window a real SWE step left buffered.
+// TestAnalyzeHitPathDoesNotAllocate: in steady state analyze is a
+// liveness snapshot, a fold of cached tokens and a map lookup over reused
+// scratch, and the window bookkeeping of warm submission and emission —
+// pushing a task, dropping an emitted prefix, refolding the tokens a drop
+// invalidated — reuses the stream's buffers. One fmt call or one rebuilt
+// map on that path costs more than the fused tasks save on fine-grained
+// steps (the benchmark's swe_small), so the guard sits on analyze and the
+// stream themselves, over a window a real SWE step left buffered.
 func TestAnalyzeHitPathDoesNotAllocate(t *testing.T) {
 	cfg := core.DefaultConfig(4)
 	cfg.InitialWindow = 128 // a whole step fits, so a step stays buffered
@@ -120,6 +123,34 @@ func TestAnalyzeHitPathDoesNotAllocate(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("a memo-hit analyze of a %d-task window allocates %.1f times, want 0", sess.Pending(), allocs)
+	}
+	allocs, hits = core.StreamAllocs(sess, runs)
+	if hits != runs+1 {
+		t.Fatalf("%d of %d re-pushed windows were memo hits", hits, runs+1)
+	}
+	if allocs != 0 {
+		t.Fatalf("pushing and dropping a %d-task window allocates %.1f times, want 0", sess.Pending(), allocs)
+	}
+	ctx.Flush()
+	_ = s.TotalMass()
+}
+
+// TestWarmSWEStepAllocations pins what a warm natural SWE 16x16 step
+// allocates, front end to kernels: 1 047 times before cunum reached one
+// allocation per view and per task and legion kept a plan per
+// partitioning, 322 after (go1.24, 4 processors). Per submitted operation
+// that is the result handle, its store and the task with its arguments;
+// a slice costs one handle; the rest are the fused tasks. The ceiling
+// leaves a little slack for the runtime.
+func TestWarmSWEStepAllocations(t *testing.T) {
+	ctx := cunum.NewContext(core.New(core.DefaultConfig(4)))
+	s := apps.NewSWE(ctx, 16, 16, false)
+	s.Iterate(20)
+	ctx.Flush()
+	allocs := testing.AllocsPerRun(200, s.Step)
+	t.Logf("one warm SWE 16x16 step: %.0f allocations", allocs)
+	if allocs > 340 {
+		t.Fatalf("a warm SWE 16x16 step allocates %.0f times, want at most 340", allocs)
 	}
 	ctx.Flush()
 	_ = s.TotalMass()

@@ -10,14 +10,17 @@ import (
 )
 
 // keyRecorder is the in-tree half of the memo key's oracle. The product
-// path keys windows structurally (ir.WindowScan); ir.Canonicalize is the
+// path keys windows structurally (ir.KeyStream); ir.Canonicalize is the
 // specification it replaced. Every window analyzed by a watched runtime is
 // rendered both ways under the same liveness snapshot, and the two
 // equalities must coincide over everything the recorder has ever seen —
 // across runtimes, apps, dtypes and shard counts: one key may stand for
 // one string only (a coarser key would replay the wrong fused kernel) and
 // one string may have one key only (a finer key would miss in steady
-// state). It panics on the first window that breaks either direction.
+// state). The session's stream, whose tokens survived every Submit, drop,
+// partial drain, Abort and Reshard before the analysis, must also key the
+// window as a stream rebuilt from scratch over it does. It panics on the
+// first window that breaks any of these.
 type keyRecorder struct {
 	mu       sync.Mutex
 	byKey    map[hash128.Sum]string
@@ -33,12 +36,15 @@ var suiteKeys = &keyRecorder{
 	byString: map[string]hash128.Sum{},
 }
 
-func (o *keyRecorder) check(window []*ir.Task, live *ir.WindowScan, key hash128.Sum) {
-	isLive := map[*ir.Store]bool{}
-	for i := range live.Stores {
-		isLive[live.Stores[i].Store] = live.Stores[i].Live
+func (o *keyRecorder) check(k *ir.KeyStream, key hash128.Sum) {
+	if err := rebuiltKeyAgrees(k, key); err != nil {
+		panic(err.Error())
 	}
-	str := ir.Canonicalize(window, func(s *ir.Store) string {
+	isLive := map[*ir.Store]bool{}
+	for i := range k.Stores {
+		isLive[k.Stores[i].Store] = k.Stores[i].Live
+	}
+	str := ir.Canonicalize(k.Window(), func(s *ir.Store) string {
 		if isLive[s] {
 			return "live"
 		}
@@ -56,11 +62,51 @@ func (o *keyRecorder) check(window []*ir.Task, live *ir.WindowScan, key hash128.
 	o.byKey[key], o.byString[str] = str, key
 }
 
-// scanOf scans a hand-built window the way analyze does before it asks for
-// the fusible prefix.
-func scanOf(window []*ir.Task) *ir.WindowScan {
-	sc := &ir.WindowScan{}
-	sc.Scan(window)
+// rebuiltKeyAgrees keys the window of k through a stream built from
+// scratch, under the liveness snapshot k was keyed with, and compares the
+// result with key.
+func rebuiltKeyAgrees(k *ir.KeyStream, key hash128.Sum) error {
+	var fresh ir.KeyStream
+	for _, t := range k.Window() {
+		fresh.Push(t)
+	}
+	fresh.Snapshot()
+	if len(fresh.Stores) != len(k.Stores) {
+		return fmt.Errorf("rebuilt stream has %d stores, the session's %d", len(fresh.Stores), len(k.Stores))
+	}
+	for i := range fresh.Stores {
+		f, s := &fresh.Stores[i], &k.Stores[i]
+		if f.Store != s.Store || f.Refs != s.Refs {
+			return fmt.Errorf("store %d: rebuilt stream has %v (%d refs), the session's %v (%d refs)", i, f.Store, f.Refs, s.Store, s.Refs)
+		}
+		f.Live = s.Live
+	}
+	if got := fresh.Key(); got != key {
+		return fmt.Errorf("the session's stream keys its %d-task window %x, a rebuilt stream %x", k.Len(), key, got)
+	}
+	return nil
+}
+
+// streamAgrees keys the session's buffered window as analyze would and
+// checks the key against a rebuilt stream's.
+func streamAgrees(s *Session) error {
+	s.rt.mu.Lock()
+	defer s.rt.mu.Unlock()
+	if s.window.Len() == 0 {
+		return nil
+	}
+	snapshotLiveness(&s.window, s.pinned)
+	return rebuiltKeyAgrees(&s.window, s.window.Key())
+}
+
+// scanOf indexes a hand-built window the way analyze does before it asks
+// for the fusible prefix.
+func scanOf(window []*ir.Task) *ir.KeyStream {
+	sc := &ir.KeyStream{}
+	for _, t := range window {
+		sc.Push(t)
+	}
+	sc.Snapshot()
 	return sc
 }
 
@@ -84,8 +130,39 @@ func AnalyzeAllocs(s *Session, runs int) (allocs float64, hits int64) {
 	r := s.rt
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.analyze(s.window, s.pinned)
+	r.analyze(&s.window, s.pinned)
 	h0 := r.stats.MemoHits
-	allocs = testing.AllocsPerRun(runs, func() { r.analyze(s.window, s.pinned) })
+	allocs = testing.AllocsPerRun(runs, func() { r.analyze(&s.window, s.pinned) })
+	return allocs, r.stats.MemoHits - h0
+}
+
+// StreamAllocs measures the window bookkeeping of warm submission and
+// emission on the session's buffered window, without executing anything:
+// per run, the window's head is dropped a task at a time with the rest
+// re-keyed after each drop (tokens recomputed where a back-reference left),
+// every task is sealed and pushed back, and the restored window is
+// analyzed, which must be a memo hit. It reports allocations per run and
+// the memo hits among the runs.
+func StreamAllocs(s *Session, runs int) (allocs float64, hits int64) {
+	r := s.rt
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	k := &s.window
+	window := append([]*ir.Task(nil), k.Window()...)
+	r.analyze(k, s.pinned)
+	h0 := r.stats.MemoHits
+	allocs = testing.AllocsPerRun(runs, func() {
+		for k.Len() > 1 {
+			k.Drop(1)
+			snapshotLiveness(k, s.pinned)
+			k.Key()
+		}
+		k.Drop(1)
+		for _, t := range window {
+			t.Seal()
+			k.Push(t)
+		}
+		r.analyze(k, s.pinned)
+	})
 	return allocs, r.stats.MemoHits - h0
 }

@@ -137,15 +137,14 @@ type Runtime struct {
 	leg  *legion.Runtime
 	fact ir.Factory
 
-	mu    sync.Mutex // guards seq, memo, scan, stats, and task emission
+	mu    sync.Mutex // guards seq, memo, stats, and task emission
 	memo  map[hash128.Sum]*memoEntry
-	scan  ir.WindowScan // analyze's scratch, reused across windows
 	seq   int64
 	stats Stats
 
 	// keyOracle, set only by tests, sees every window analyze keys, with
 	// the liveness snapshot and the key it was given.
-	keyOracle func(window []*ir.Task, live *ir.WindowScan, key hash128.Sum)
+	keyOracle func(k *ir.KeyStream, key hash128.Sum)
 
 	// quotaOf maps each quota-charged store to its tenant charge, so the
 	// credit at store death reaches the right Quota. Guarded by quotaMu

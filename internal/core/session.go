@@ -24,8 +24,11 @@ import (
 // producer is still buffered in another session returns the store's prior
 // contents.
 type Session struct {
-	rt         *Runtime
-	window     []*ir.Task
+	rt *Runtime
+	// window holds the buffered tasks as the memo key reads them: each
+	// task's window-relative token survives the emission of the tasks
+	// before it (ir.KeyStream).
+	window     ir.KeyStream
 	windowSize int
 	// pinned marks stores touched by tasks deferred during a partial flush
 	// (FlushStore). The fusion analysis must treat them as live: Def. 4's
@@ -135,7 +138,7 @@ func (s *Session) NewStoreTyped(name string, shape []int, dtype ir.DType) *ir.St
 // abandoned stream never reaches the executor.
 func (s *Session) Abort() {
 	r := s.rt
-	for _, t := range s.window {
+	for _, t := range s.window.Window() {
 		for _, a := range t.Args {
 			a.Store.ReleaseRuntime()
 			if a.Store.Dead() {
@@ -143,7 +146,7 @@ func (s *Session) Abort() {
 			}
 		}
 	}
-	s.window = s.window[:0]
+	s.window.Reset()
 	s.pinned = nil
 }
 
@@ -188,7 +191,7 @@ func (r *Runtime) NewSession() *Session {
 func (s *Session) Runtime() *Runtime { return s.rt }
 
 // Pending returns the number of tasks buffered in this session's window.
-func (s *Session) Pending() int { return len(s.window) }
+func (s *Session) Pending() int { return s.window.Len() }
 
 // Submit hands a task to Diffuse. The task enters this session's window;
 // windows are analyzed when full. Submission retains runtime references on
@@ -245,16 +248,16 @@ func (s *Session) Submit(t *ir.Task) {
 	// its ephemeral handles first, so the liveness information consumed by
 	// temporary-store elimination (Def. 4, condition 3) is up to date —
 	// the moral equivalent of Python refcounts having settled.
-	for len(s.window) >= s.windowSize {
+	for s.window.Len() >= s.windowSize {
 		s.processOnce()
 	}
-	s.window = append(s.window, t)
+	s.window.Push(t)
 }
 
 // Flush drains the window, analyzing and emitting everything buffered
 // (the flush_window of Fig. 6).
 func (s *Session) Flush() {
-	for len(s.window) > 0 {
+	for s.window.Len() > 0 {
 		s.processOnce()
 	}
 }
@@ -272,14 +275,15 @@ func (s *Session) Flush() {
 // therefore inside the closure, so emitting it as an in-order subsequence
 // and re-buffering the remainder preserves program semantics.
 func (s *Session) FlushStore(st *ir.Store) {
-	if len(s.window) == 0 {
+	window := s.window.Window()
+	if len(window) == 0 {
 		return
 	}
 	needed := map[ir.StoreID]bool{st.ID(): true}
-	mark := make([]bool, len(s.window))
+	mark := make([]bool, len(window))
 	n := 0
-	for i := len(s.window) - 1; i >= 0; i-- {
-		t := s.window[i]
+	for i := len(window) - 1; i >= 0; i-- {
+		t := window[i]
 		touches := false
 		for _, a := range t.Args {
 			if needed[a.Store.ID()] {
@@ -299,13 +303,13 @@ func (s *Session) FlushStore(st *ir.Store) {
 	if n == 0 {
 		return
 	}
-	if n == len(s.window) {
+	if n == len(window) {
 		s.Flush()
 		return
 	}
 	deps := make([]*ir.Task, 0, n)
-	rest := make([]*ir.Task, 0, len(s.window)-n)
-	for i, t := range s.window {
+	rest := make([]*ir.Task, 0, len(window)-n)
+	for i, t := range window {
 		if mark[i] {
 			deps = append(deps, t)
 		} else {
@@ -322,17 +326,24 @@ func (s *Session) FlushStore(st *ir.Store) {
 			pinned[a.Store.ID()] = true
 		}
 	}
-	s.window = deps
+	// The stream is rebuilt around the drain: the deps alone, then, once
+	// they are emitted, the remainder.
+	s.window.Reset()
+	for _, t := range deps {
+		s.window.Push(t)
+	}
 	s.pinned = pinned
 	s.Flush()
 	s.pinned = nil
-	s.window = append(s.window, rest...)
+	for _, t := range rest {
+		s.window.Push(t)
+	}
 }
 
 // processOnce analyzes the current window, emits its fusible prefix (fused
 // when longer than one task), and grows the window when everything fused.
 func (s *Session) processOnce() {
-	if len(s.window) == 0 {
+	if s.window.Len() == 0 {
 		return
 	}
 	r := s.rt
@@ -350,8 +361,8 @@ func (s *Session) processOnce() {
 		s.progHits.Add(cg1.CacheHits - cg0.CacheHits)
 		s.progMisses.Add(cg1.CacheMisses - cg0.CacheMisses)
 	}()
-	plan := r.analyze(s.window, s.pinned)
-	prefix := s.window[:plan.prefixLen]
+	plan := r.analyze(&s.window, s.pinned)
+	prefix := s.window.Window()[:plan.prefixLen]
 
 	if plan.prefixLen == 1 {
 		r.emit(prefix[0], prefix)
@@ -359,7 +370,7 @@ func (s *Session) processOnce() {
 		fused := r.buildFused(plan, prefix)
 		r.emit(fused, prefix)
 	}
-	s.window = append(s.window[:0], s.window[plan.prefixLen:]...)
+	s.window.Drop(plan.prefixLen)
 
 	// Adaptive window sizing: if the entire window fused, a larger window
 	// might fuse more (§7: window sizes were selected automatically by

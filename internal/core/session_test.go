@@ -1,8 +1,10 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"diffuse/internal/ir"
 )
@@ -155,4 +157,85 @@ func TestConcurrentSessions(t *testing.T) {
 	if st.Emitted == 0 || st.Emitted >= st.Submitted {
 		t.Fatalf("concurrent sessions should still fuse: emitted %d of %d", st.Emitted, st.Submitted)
 	}
+}
+
+// TestKeyStreamMatchesRebuild: the session keeps each task's
+// window-relative token across the edits a window goes through. After
+// each of them — Submit (with the emissions a full window triggers), a
+// FlushStore partial drain, Abort and a mid-window Reshard — keying the
+// buffered window through the session's stream must give what a stream
+// rebuilt from scratch over the same window and liveness gives.
+func TestKeyStreamMatchesRebuild(t *testing.T) {
+	r := newTestRuntime(true)
+	s := r.DefaultSession()
+	check := func(what string) {
+		t.Helper()
+		if err := streamAgrees(s); err != nil {
+			t.Fatalf("after %s: %v", what, err)
+		}
+	}
+	stores := make([]*ir.Store, 6)
+	for i := range stores {
+		stores[i] = r.NewStore("s", []int{16})
+	}
+	launch := ir.MakeRect(ir.Point{0}, ir.Point{4})
+	shifted := ir.NewTiling(launch, []int{12}, []int{3}, []int{2}, nil, nil)
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 20; i++ {
+			// Chains over a few shared stores, so back-references reach
+			// across the prefixes a full window emits. Every third task
+			// reads its input through another tiling than its producer
+			// wrote it with, which ends the fusible prefix there: the
+			// window then emits only part of itself.
+			task := chainTask(r, stores[i%len(stores)], stores[(i*5+1)%len(stores)])
+			if i%3 == 2 {
+				task.Args[0].Part = shifted
+			}
+			s.Submit(task)
+			check("Submit")
+		}
+		s.FlushStore(stores[1])
+		check("FlushStore")
+		stores[2].Reshard(2)
+		check("Reshard")
+		s.Submit(chainTask(r, stores[2], stores[3]))
+		check("Submit after Reshard")
+		s.Abort()
+		check("Abort")
+		s.Submit(chainTask(r, stores[3], stores[4]))
+		check("Submit after Abort")
+	}
+	s.Flush()
+}
+
+// TestFlushedTasksAreNotPinned: emission clears the window slots it
+// vacates, so an idle session keeps no emitted task — nor the kernel,
+// payload and stores it references — reachable.
+func TestFlushedTasksAreNotPinned(t *testing.T) {
+	r := newTestRuntime(true)
+	s := r.DefaultSession()
+	const n = 12
+	freed := make(chan int, n)
+	prev := r.NewStore("x0", []int{16})
+	for i := 0; i < n; i++ {
+		next := r.NewStore("x", []int{16})
+		task := chainTask(r, prev, next)
+		runtime.AddCleanup(task, func(i int) { freed <- i }, i)
+		s.Submit(task)
+		prev = next
+	}
+	s.Flush()
+	got := 0
+	deadline := time.After(10 * time.Second)
+	for got < n {
+		runtime.GC()
+		select {
+		case <-freed:
+			got++
+		case <-time.After(10 * time.Millisecond):
+		case <-deadline:
+			t.Fatalf("%d of %d flushed tasks still reachable from the idle session", n-got, n)
+		}
+	}
+	runtime.KeepAlive(s)
 }

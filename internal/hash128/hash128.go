@@ -1,6 +1,6 @@
 // Package hash128 is the word-at-a-time structural hasher behind the
 // fusion memo key (paper §5.2): kernels (kir), partitions and tasks (ir)
-// and whole windows (ir.WindowScan) fold their fields into it instead of
+// and whole windows (ir.KeyStream) fold their fields into it instead of
 // rendering them to text. It sits below kir so that both kir and ir can
 // cache a Sum on their immutable values.
 //

@@ -2,11 +2,14 @@ package ir_test
 
 // Adversarial half of the memo key's oracle (the in-tree half is
 // internal/core's key-oracle tests). The product path keys a window with
-// Task.Seal + WindowScan.Key; Canonicalize is the specification. A seed
+// Task.Seal + KeyStream.Key; Canonicalize is the specification. A seed
 // expands into a small window, a renamed twin of it, and one mutant per
 // field the key depends on; over all of them the two equalities must
 // coincide: a mutation changes the key iff it changes the string, and
-// renaming stores changes neither.
+// renaming stores changes neither. Each window is also keyed through one
+// stream while tasks are pushed, head tasks dropped and stores resharded
+// in random order: after every step the stream's key must equal a rebuilt
+// stream's, and join the same iff.
 
 import (
 	"fmt"
@@ -142,11 +145,11 @@ func (w *keyWindow) clone() *keyWindow {
 }
 
 // render builds the window over fresh stores and returns both forms of
-// its identity. rename > 0 burns that many store IDs first, allocates the
-// stores in reverse order and shifts every store's base generation, so
-// nothing that identifies a store survives except how the arguments share
-// it.
-func (w *keyWindow) render(t testing.TB, rename int) (hash128.Sum, string) {
+// its identity, with the window and its liveness facts. rename > 0 burns
+// that many store IDs first, allocates the stores in reverse order and
+// shifts every store's base generation, so nothing that identifies a store
+// survives except how the arguments share it.
+func (w *keyWindow) render(t testing.TB, rename int) (hash128.Sum, string, []*ir.Task, map[ir.StoreID]bool) {
 	t.Helper()
 	var f ir.Factory
 	for i := 0; i < rename; i++ {
@@ -188,14 +191,10 @@ func (w *keyWindow) render(t testing.TB, rename int) (hash128.Sum, string) {
 		t.Seal()
 		window[ti] = t
 	}
-	var sc ir.WindowScan
-	sc.Scan(window)
-	for i := range sc.Stores {
-		sc.Stores[i].Live = live[sc.Stores[i].Store.ID()]
-	}
+	k := streamOf(window)
 	// ArgStores against an index built here from store identities alone:
 	// first-appearance numbers, one per argument, naming the right store.
-	first, argStores, ai := map[ir.StoreID]int32{}, sc.ArgStores(), 0
+	first, argStores, ai := map[ir.StoreID]int32{}, k.ArgStores(), 0
 	for _, task := range window {
 		for _, a := range task.Args {
 			want, seen := first[a.Store.ID()]
@@ -203,23 +202,88 @@ func (w *keyWindow) render(t testing.TB, rename int) (hash128.Sum, string) {
 				want = int32(len(first))
 				first[a.Store.ID()] = want
 			}
-			if ai >= len(argStores) || argStores[ai] != want || sc.Stores[want].Store != a.Store {
+			if ai >= len(argStores) || argStores[ai] != want || k.Stores[want].Store != a.Store {
 				t.Fatalf("argument %d of the window (task %s): ArgStores %v, want store index %d", ai, task.Name, argStores, want)
 			}
 			ai++
 		}
 	}
-	if ai != len(argStores) || len(first) != len(sc.Stores) {
-		t.Fatalf("ArgStores has %d entries over %d stores, want %d over %d", len(argStores), len(sc.Stores), ai, len(first))
+	if ai != len(argStores) || len(first) != len(k.Stores) {
+		t.Fatalf("ArgStores has %d entries over %d stores, want %d over %d", len(argStores), len(k.Stores), ai, len(first))
 	}
-	key := sc.Key(window)
-	str := ir.Canonicalize(window, func(s *ir.Store) string {
+	key, str := keyOf(k, live), canonical(window, live)
+	return key, str, window, live
+}
+
+// streamOf pushes a window into a fresh stream and snapshots it.
+func streamOf(window []*ir.Task) *ir.KeyStream {
+	k := &ir.KeyStream{}
+	for _, t := range window {
+		k.Push(t)
+	}
+	k.Snapshot()
+	return k
+}
+
+// keyOf keys a stream's window under the given liveness facts.
+func keyOf(k *ir.KeyStream, live map[ir.StoreID]bool) hash128.Sum {
+	k.Snapshot()
+	for i := range k.Stores {
+		k.Stores[i].Live = live[k.Stores[i].Store.ID()]
+	}
+	return k.Key()
+}
+
+func canonical(window []*ir.Task, live map[ir.StoreID]bool) string {
+	return ir.Canonicalize(window, func(s *ir.Store) string {
 		if live[s.ID()] {
 			return "live"
 		}
 		return "dead"
 	})
-	return key, str
+}
+
+// streamEdits keys a rendered window through one stream that grows and
+// shrinks at random: tasks are pushed in order, the head is dropped as an
+// emitted prefix, and a store is resharded now and then. After every step
+// the stream's key must equal that of a stream rebuilt from scratch over
+// the same tasks and liveness, and see joins it to the iff. The stream
+// keys after every step, so tokens are cached across each drop and
+// reshard that follows.
+func streamEdits(t *testing.T, rng *rand.Rand, window []*ir.Task, live map[ir.StoreID]bool, see func(what string, key hash128.Sum, str string)) {
+	t.Helper()
+	var k ir.KeyStream
+	lo, hi := 0, 0
+	for lo < len(window) {
+		what := "push"
+		switch {
+		case hi < len(window) && (lo == hi || rng.Intn(3) > 0):
+			k.Push(window[hi])
+			hi++
+		default:
+			what = "drop"
+			n := 1 + rng.Intn(hi-lo)
+			k.Drop(n)
+			lo += n
+		}
+		if rng.Intn(4) == 0 {
+			task := window[rng.Intn(len(window))]
+			s := task.Args[rng.Intn(len(task.Args))].Store
+			s.Reshard(s.ShardCount() + 1)
+			what += "+reshard"
+		}
+		if k.Len() != hi-lo {
+			t.Fatalf("%s: stream holds %d tasks, want %d", what, k.Len(), hi-lo)
+		}
+		if lo == hi {
+			continue
+		}
+		got, want := keyOf(&k, live), keyOf(streamOf(window[lo:hi]), live)
+		if got != want {
+			t.Fatalf("%s: the stream keys tasks [%d,%d) %x, a rebuilt stream %x\n%s", what, lo, hi, got, want, canonical(window[lo:hi], live))
+		}
+		see("stream "+what, got, canonical(window[lo:hi], live))
+	}
 }
 
 // keyMutations are the single-field edits, one per input of the key. Each
@@ -335,10 +399,10 @@ func checkWindowKey(t *testing.T, seed uint64, byKey map[hash128.Sum]string, byS
 		}
 		byKey[key], byString[str] = str, key
 	}
-	key, str := base.render(t, 0)
+	key, str, window, live := base.render(t, 0)
 	see("base", key, str)
 	for _, rename := range []int{1, 5} {
-		rkey, rstr := base.render(t, rename)
+		rkey, rstr, _, _ := base.render(t, rename)
 		if rstr != str || rkey != key {
 			t.Fatalf("seed %d: renaming stores changed the window (string changed: %v, key changed: %v)\n%s",
 				seed, rstr != str, rkey != key, str)
@@ -350,13 +414,15 @@ func checkWindowKey(t *testing.T, seed uint64, byKey map[hash128.Sum]string, byS
 		if len(mut.tasks) == 0 {
 			continue
 		}
-		mkey, mstr := mut.render(t, 0)
+		mkey, mstr, _, _ := mut.render(t, 0)
 		see(m.name, mkey, mstr)
 		if (mkey == key) != (mstr == str) {
 			t.Fatalf("seed %d: mutation %q: key equal %v, string equal %v\n%s---\n%s",
 				seed, m.name, mkey == key, mstr == str, str, mstr)
 		}
 	}
+	// Last: the edits reshard the base window's stores.
+	streamEdits(t, rng, window, live, see)
 }
 
 // TestWindowKeySeeds is the always-on sweep; all seeds share one table, so
@@ -395,12 +461,13 @@ func TestWindowKeyUnsealedPanics(t *testing.T) {
 	launch := ir.MakeRect(ir.Point{0}, ir.Point{4})
 	task := &ir.Task{Name: "t", Launch: launch,
 		Args: []ir.Arg{{Store: f.NewStore("s", []int{4}), Part: ir.ReplicateOver(launch)}}}
-	var sc ir.WindowScan
-	sc.Scan([]*ir.Task{task})
+	var k ir.KeyStream
+	k.Push(task)
+	k.Snapshot()
 	defer func() {
 		if r := recover(); r == nil || fmt.Sprint(r) != "ir: window key over a task that was never sealed: t" {
 			t.Fatalf("recovered %v", r)
 		}
 	}()
-	sc.Key([]*ir.Task{task})
+	k.Key()
 }

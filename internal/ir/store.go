@@ -37,6 +37,9 @@ type Store struct {
 	shape []int
 	name  string
 	dtype DType
+	// dims backs shape for stores of rank 2 or less, so such a store is
+	// one allocation.
+	dims [2]int
 
 	appRefs atomic.Int64 // references held by the application / libraries
 	runRefs atomic.Int64 // references held by the runtime (pending tasks)
@@ -61,14 +64,7 @@ func (f *Factory) NewStore(name string, shape []int) *Store {
 
 // NewStoreTyped creates a store with an explicit element type.
 func (f *Factory) NewStoreTyped(name string, shape []int, dtype DType) *Store {
-	s := &Store{
-		id:    StoreID(f.next.Add(1)),
-		shape: append([]int(nil), shape...),
-		name:  name,
-		dtype: dtype,
-	}
-	s.appRefs.Store(1)
-	return s
+	return newStore(StoreID(f.next.Add(1)), name, shape, dtype)
 }
 
 // RestoreStore reconstructs a store with an explicit identity — the
@@ -77,11 +73,16 @@ func (f *Factory) NewStoreTyped(name string, shape []int, dtype DType) *Store {
 // (internal/dist). The store starts with one application reference, like
 // a Factory-created one.
 func RestoreStore(id StoreID, name string, shape []int, dtype DType) *Store {
-	s := &Store{
-		id:    id,
-		shape: append([]int(nil), shape...),
-		name:  name,
-		dtype: dtype,
+	return newStore(id, name, shape, dtype)
+}
+
+func newStore(id StoreID, name string, shape []int, dtype DType) *Store {
+	s := &Store{id: id, name: name, dtype: dtype}
+	if len(shape) <= len(s.dims) {
+		s.shape = s.dims[:len(shape):len(shape)]
+		copy(s.shape, shape)
+	} else {
+		s.shape = append([]int(nil), shape...)
 	}
 	s.appRefs.Store(1)
 	return s

@@ -241,9 +241,9 @@ type execBatch struct {
 // once per stream instead of once per point: store strides and shapes,
 // per-dimension tiling coefficients, launch colors, reduction partial
 // buffers, and the cost-model grain estimate. Plans live in the runtime's
-// kernel cache (kernelEntry), one per kernel structure — steady-state
+// kernel cache (kernelEntry), a few per kernel structure — steady-state
 // iterations replay the same structures, so they skip resolution entirely
-// — and are validated structurally against the task before reuse. A plan
+// — and are matched structurally against the task before reuse. A plan
 // holds region buffers only while a task executes through it
 // (bind/unbind): a cached plan never keeps a store's data reachable.
 // Guarded by Runtime.execMu.
@@ -295,21 +295,31 @@ var (
 )
 
 // planFor returns the execution plan of the task bound to the task's
-// regions: the plan cached on the entry of the kernel's structure, rebuilt
-// when it cannot describe the task. While the cached plan is bound to an
-// earlier task of the same structure — another entry of the shard group
-// being drained, whose bindings and reduction partials it holds — the task
-// gets a private plan no cache keeps. Callers hold execMu and unbind the
-// plan once the task has executed.
+// regions: a plan cached on the entry of the kernel's structure that
+// describes the task, or a new one the entry keeps. While the matching
+// plan is bound to an earlier task of the same structure — another entry
+// of the shard group being drained, whose bindings and reduction partials
+// it holds — the task gets a private plan no cache keeps. Callers hold
+// execMu and unbind the plan once the task has executed.
 func (rt *Runtime) planFor(t *ir.Task) *taskPlan {
 	e := rt.kernelFor(t.Kernel)
-	p := e.plan
+	var p *taskPlan
+	for _, q := range e.plans {
+		if q.matches(t) {
+			p = q
+			break
+		}
+	}
 	switch {
 	case p != nil && p.bound:
 		p = rt.buildPlan(t, e)
-	case p == nil || !p.matches(t):
+	case p == nil:
 		p = rt.buildPlan(t, e)
-		e.plan = p
+		if len(e.plans) == maxPlans {
+			copy(e.plans, e.plans[1:])
+			e.plans = e.plans[:maxPlans-1]
+		}
+		e.plans = append(e.plans, p)
 	}
 	p.bind(rt, t)
 	return p
@@ -378,6 +388,7 @@ func intsEq(a, b []int) bool {
 }
 
 func (rt *Runtime) buildPlan(t *ir.Task, e *kernelEntry) *taskPlan {
+	rt.planBuilds++
 	comp := e.comp
 	p := &taskPlan{comp: comp, launch: t.Launch, colors: t.Launch.Points()}
 	p.args = make([]argPlan, len(t.Args))

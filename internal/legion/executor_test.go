@@ -249,13 +249,12 @@ func TestKernelCacheBoundedAndHoldsNoRegions(t *testing.T) {
 
 		plans := 0
 		for _, e := range rt.kernels {
-			if e.plan == nil {
-				continue
-			}
-			plans++
-			for i := range e.plan.args {
-				if ap := &e.plan.args[i]; !ap.data.IsNil() || !ap.static.Acc.Data.IsNil() {
-					t.Fatalf("shards=%d: cached plan still holds a region buffer in arg %d after execution", shards, i)
+			for _, p := range e.plans {
+				plans++
+				for i := range p.args {
+					if ap := &p.args[i]; !ap.data.IsNil() || !ap.static.Acc.Data.IsNil() {
+						t.Fatalf("shards=%d: cached plan still holds a region buffer in arg %d after execution", shards, i)
+					}
 				}
 			}
 		}
@@ -359,5 +358,35 @@ func TestCloseReleasesRegions(t *testing.T) {
 			readAll(rt, big)
 		}()
 		runtime.KeepAlive(rt)
+	}
+}
+
+// TestPlansPerPartitioning: one kernel structure launched over two
+// partitionings in alternation — a stencil step's boundary copies share a
+// body but tile different edges — builds each plan once and then finds it
+// on the kernel's entry, instead of each launch evicting the other's plan.
+func TestPlansPerPartitioning(t *testing.T) {
+	rt := New(nil)
+	var fact ir.Factory
+	launch := ir.MakeRect(ir.Point{0}, ir.Point{4})
+	x := fact.NewStore("x", []int{20})
+	y := fact.NewStore("y", []int{20})
+	lo := ir.NewTiling(launch, []int{16}, []int{4}, []int{0}, nil, nil)
+	hi := ir.NewTiling(launch, []int{16}, []int{4}, []int{4}, nil, nil)
+	k := mathKernel(4)
+	for i := 0; i < 10; i++ {
+		for _, tp := range []ir.Partition{lo, hi} {
+			rt.Execute(&ir.Task{Name: "copy", Launch: launch, Kernel: k,
+				Args: []ir.Arg{{Store: x, Part: tp, Priv: ir.Read}, {Store: y, Part: tp, Priv: ir.Write}}})
+		}
+		if i == 0 {
+			continue
+		}
+		rt.execMu.Lock()
+		builds := rt.planBuilds
+		rt.execMu.Unlock()
+		if builds != 2 {
+			t.Fatalf("after %d alternating pairs: %d plans built, want 2", i+1, builds)
+		}
 	}
 }

@@ -165,7 +165,7 @@ type Runtime struct {
 	regionAllocs, regionReuses int64
 	// kernels is the one kernel cache, keyed by structure
 	// (kir.Kernel.FingerprintHash): the compiled form, its codegen program
-	// and the execution plan, bounded by maxKernels.
+	// and the execution plans, bounded by maxKernels.
 	kernels map[hash128.Sum]*kernelEntry
 	// spanWalk derives each new entry's spanShape (kernelFor).
 	spanWalk spanWalker
@@ -174,6 +174,9 @@ type Runtime struct {
 	// activity counters.
 	codegen CodegenMode
 	cgStats codegenCounters
+
+	// planBuilds counts buildPlan calls (guarded by execMu).
+	planBuilds int64
 
 	// model is the static host model's measured error (frozen.go),
 	// guarded by execMu.
@@ -228,14 +231,23 @@ func (rt *Runtime) Backend() Backend { return rt.backend }
 
 // kernelEntry is what the runtime caches per kernel structure: the
 // compiled form (with its codegen program when this runtime executes with
-// codegen on) and, once a kernel of the structure has executed locally,
-// its execution plan. The map slot is guarded by mu; plan is only touched
-// under execMu. span is the structure's spanShape, fixed at creation.
+// codegen on) and, once kernels of the structure have executed locally,
+// their execution plans. The map slot is guarded by mu; plans are only
+// touched under execMu. span is the structure's spanShape, fixed at
+// creation.
 type kernelEntry struct {
 	comp *kir.Compiled
-	plan *taskPlan
-	span spanShape
+	// plans holds up to maxPlans plans, one per partitioning the
+	// structure was launched with, most recently built last.
+	plans []*taskPlan
+	span  spanShape
 }
+
+// maxPlans bounds an entry's plans. One kernel structure is launched over
+// a few partitionings at most — the boundary copies of a stencil step
+// share a body but tile different edges — and a task no cached plan
+// describes replaces the oldest.
+const maxPlans = 4
 
 // maxKernels bounds the kernel cache. Keyed by structure, a stream's
 // working set is the handful of distinct kernel bodies it runs, however
