@@ -14,10 +14,13 @@ package legion
 //     receives and buffers the same shard groups (control replication —
 //     no schedule ever crosses the wire), then drains each group entry by
 //     entry, in program order, running only the unit of the shard it
-//     owns. Between groups *every rank holds a bit-identical replica of
-//     every store*: under that invariant non-groupable tasks simply
-//     execute in full on every rank (replicated inputs make replicated
-//     outputs), and host reads are satisfied by rank 0 alone.
+//     owns: that shard's block of colors through runPlan, the executor
+//     path of every point task, pooled and spanned like any chunk but
+//     bound against shard-local instances. Between groups *every rank
+//     holds a bit-identical replica of every store*: under that invariant
+//     non-groupable tasks simply execute in full on every rank (replicated
+//     inputs make replicated outputs), and host reads are satisfied by
+//     rank 0 alone.
 //
 // The ordered-patch rule. After running its unit of entry e, a rank ships
 // what the unit produced — each write argument's span, and its slice of
@@ -42,17 +45,21 @@ package legion
 // finished drain. The rank waiting at the earliest entry therefore always
 // has its data already sent, which rules out cross-rank deadlock. A peer
 // that dies instead of sending surfaces as a deadline error naming the
-// rank and the entry (see HaloTransport).
+// rank and the entry (see HaloTransport). A unit's own fault — a point
+// task reaching outside its shard-local instance — may panic on a pool
+// worker; the executor re-raises it on the draining goroutine, so it
+// takes the same way out.
 //
 // Determinism: units run the same point decomposition as in-process
-// sharding, partials stay per-point and fold in point order, and every
-// transferred byte is an exact IEEE-754 bit pattern — so ranks=N
-// reproduces in-process Shards=N bit-for-bit, the cross-rank correctness
-// oracle the tests enforce.
+// sharding, a span computes its points' bits (executor.go), partials stay
+// per-point and fold in point order, and every transferred byte is an
+// exact IEEE-754 bit pattern — so ranks=N reproduces in-process Shards=N
+// bit-for-bit, the cross-rank correctness oracle the tests enforce.
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"diffuse/internal/ir"
 	"diffuse/internal/kir"
@@ -143,11 +150,12 @@ type distGroupState struct {
 
 // argShardSpan returns the tight flat-offset span argument i of the plan
 // touches over colors [lo, hi): the whole store for replicated (None)
-// arguments, the clipped tile union for tiled ones (tiledShardSpan — the
-// same footprint arithmetic shardInstances executes against), and an
-// empty span for local (temporary-eliminated) and reduction arguments,
-// which touch no shared region data (reductions accumulate into private
-// partial cells).
+// arguments, the hull of the point tasks' clipped tiles (argPlan.tileBox,
+// the binding arithmetic the unit executes) for tiled ones, and an empty
+// span for local (temporary-eliminated) and reduction arguments, which
+// touch no shared region data (reductions accumulate into private
+// partial cells). A rank syncs and ships exactly these spans, and its
+// unit executes against instances cut to them (instances).
 func argShardSpan(plan *taskPlan, i, lo, hi int) ir.Span {
 	ap := &plan.args[i]
 	if ap.priv.Reduces() || ap.local {
@@ -156,7 +164,48 @@ func argShardSpan(plan *taskPlan, i, lo, hi int) ir.Span {
 	if ap.isNone {
 		return ir.Span{Lo: 0, Hi: ap.store.Size()}
 	}
-	return tiledShardSpan(plan, ap, lo, hi)
+	sp := ir.Span{Lo: math.MaxInt}
+	ext := make([]int, len(ap.tileCoef))
+	for pi := lo; pi < hi; pi++ {
+		c := ap.tp.Proj.Apply(plan.colors[pi])
+		base := ap.tileBox(c, c, ext)
+		if slices.Contains(ext, 0) {
+			continue
+		}
+		last := base
+		for d, e := range ext {
+			last += (e - 1) * ap.accStr[d]
+		}
+		sp.Lo, sp.Hi = min(sp.Lo, base), max(sp.Hi, last+1)
+	}
+	if sp.Empty() {
+		return ir.Span{} // no elements accessed by this shard
+	}
+	return sp
+}
+
+// shardInst is one shard-local instance: an aliased sub-buffer of the
+// canonical region covering flat elements [lo, hi).
+type shardInst struct {
+	buf kir.Buffer
+	lo  int
+}
+
+// instances returns the shard-local instances of shard s's unit of an
+// entry: a bounds-enforcing sub-buffer of each tiled argument's region
+// over the span spansFor computed, so a point task reaching outside its
+// shard's declared footprint faults instead of silently reading data its
+// rank has not synced. Replicated arguments read the canonical instance;
+// reduction and local arguments touch no region.
+func instances(plan *taskPlan, spans []ir.Span, s, shards int) []shardInst {
+	insts := make([]shardInst, len(plan.args))
+	for i := range plan.args {
+		ap := &plan.args[i]
+		if sp := spans[i*shards+s]; ap.tp != nil && !sp.Empty() {
+			insts[i] = shardInst{buf: ap.data.Slice(sp.Lo, sp.Hi), lo: sp.Lo}
+		}
+	}
+	return insts
 }
 
 // spansFor computes the flat span each (argument, shard) pair of an entry
@@ -176,8 +225,13 @@ func spansFor(u *groupEntry, shards int) []ir.Span {
 	return spans
 }
 
-// runGroupDist drains one group as rank `me` of the distributed runtime.
-// Callers hold execMu; plans are resolved and partials reset.
+// runGroupDist drains one group as rank `me` of the distributed runtime:
+// entry by entry, it syncs the spans its unit touches, runs the unit
+// through runPlan and ships what the unit wrote. Every entry's plan is
+// bound up front and stays bound to the group end, because a later sync
+// patches and folds into an earlier entry's regions and partials; an
+// entry whose structure an earlier entry's plan holds gets a private plan
+// (planFor). The group end unbinds them all. Callers hold execMu.
 func (rt *Runtime) runGroupDist(g *shardGroup) {
 	ds := &distGroupState{
 		rt:      rt,
@@ -188,7 +242,12 @@ func (rt *Runtime) runGroupDist(g *shardGroup) {
 		pending: map[ir.StoreID][]pendingUpdate{},
 	}
 	rt.distSeq++
-	ws := &rt.exec.ws[rt.exec.nw]
+	for i := range g.entries {
+		u := &g.entries[i]
+		u.plan = rt.planFor(u.task)
+		rt.countBackend(u.plan.comp)
+		u.plan.resetPartials(u.task, len(u.plan.colors))
+	}
 	for e := range g.entries {
 		u := &g.entries[e]
 		spans := spansFor(u, ds.shards)
@@ -197,12 +256,18 @@ func (rt *Runtime) runGroupDist(g *shardGroup) {
 				ds.sync(u.plan.args[i].store.ID(), sp)
 			}
 		}
-		rt.runUnitShard(u, ws, ds.me, ds.shards)
+		if lo, hi := shardColorRange(u.task.Launch, len(u.plan.colors), ds.me, ds.shards); lo < hi {
+			rt.shardStats.ShardUnits++
+			rt.runPlan(u.plan, u.task, lo, hi, instances(u.plan, spans, ds.me, ds.shards))
+		}
 		ds.ship(e, spans)
 		ds.enqueue(e, spans)
 	}
 	for _, store := range ds.stores {
 		ds.sync(store, ir.Span{Lo: 0, Hi: math.MaxInt})
+	}
+	for i := range g.entries {
+		g.entries[i].plan.unbind()
 	}
 }
 

@@ -11,16 +11,24 @@ package legion
 // workers' ranges when they run dry; tasks estimated to finish faster than
 // a dispatch costs run inline on the submitting goroutine.
 //
-// Spans: a chunk binds point by point only when it must. A plan whose
-// loops are all element loops, with no reduction, payload or tile-local
-// scalar load (spanEligible), runs a chunk whose colors' tiles form one
-// rectangle as one kernel call, every argument bound once over the union
-// of those tiles (bindUnion): the per-point cost of binding and of
-// starting each loop is paid once per chunk, and the loops run rows as
-// long as the union's instead of one tile's. Union element E sits at
-// offBase + E·accStr, the cell per-point execution reaches as c·Tile + e,
-// and element loops are element-parallel (kir/codegen.go's header), so
-// the bits cannot move. The inline path is one chunk of every color.
+// Binding: every point task's sub-store is the paper's one tiling
+// formula, evaluated by one function (argPlan.tileBox) over a box of
+// colors; a point is the box c..c. A chunk binds point by point only when
+// it must. A plan whose loops are all element loops, with no reduction,
+// payload or tile-local scalar load (spanEligible), runs a chunk whose
+// colors' tiles form one rectangle as one kernel call, every argument
+// bound once over the union of those tiles (execBatch.bind): the
+// per-point cost of binding and of starting each loop is paid once per
+// chunk, and the loops run rows as long as the union's instead of one
+// tile's. Union element E sits at offBase + E·accStr, the cell per-point
+// execution reaches as c·Tile + e, and element loops are element-parallel
+// (kir/codegen.go's header), so the bits cannot move. The inline path is
+// one chunk of every color.
+//
+// One run path: runPlan runs a range of a bound plan's colors, all of them
+// for a task executed alone or as an in-process shard-group entry, one
+// shard's block for a rank's unit (dist.go), whose arguments the batch
+// rebases onto shard-local instances.
 //
 // Determinism: every point task accumulates reductions into its own
 // per-point partial cell, and the barrier folds cells in point order —
@@ -223,18 +231,23 @@ func (ws *workerState) release() {
 }
 
 // execBatch is one index task in flight: the chunks of contiguous
-// point-task colors the participants claim.
+// point-task colors in [lo, hi) the participants claim.
 type execBatch struct {
 	plan    *taskPlan
 	payload *Payload
+	lo, hi  int
 	chunk   int // points per chunk
 	nparts  int // populated claim ranges (woken workers + submitter)
 	wg      sync.WaitGroup
 
 	// insts, when set, are the shard-local instances of a rank's (task,
-	// shard) unit (shard.go): every point's tiled bindings are rebased
-	// onto them.
+	// shard) unit (dist.go): every tiled binding is rebased onto them.
 	insts []shardInst
+
+	// fault is the first panic a pooled participant recovered; dispatch
+	// raises it again on the submitter once every participant is done.
+	faultMu sync.Mutex
+	fault   any
 }
 
 // taskPlan caches everything executeChunked can pre-resolve for a task
@@ -279,7 +292,7 @@ type argPlan struct {
 	isNone bool
 	static kir.Binding
 
-	// Tiling partitions bind via precomputed coefficients:
+	// Tiling partitions bind via precomputed coefficients (tileBox):
 	// base = offBase + Σ_d proj(color)[d]*tileCoef[d], element stride
 	// accStr[d], extents clipped against the view.
 	tp       *ir.TilingPart
@@ -298,9 +311,11 @@ var (
 // regions: a plan cached on the entry of the kernel's structure that
 // describes the task, or a new one the entry keeps. While the matching
 // plan is bound to an earlier task of the same structure — another entry
-// of the shard group being drained, whose bindings and reduction partials
-// it holds — the task gets a private plan no cache keeps. Callers hold
-// execMu and unbind the plan once the task has executed.
+// of the shard group a rank is draining (runGroupDist), whose bindings and
+// reduction partials it holds — the task gets a private plan no cache
+// keeps. In process every task unbinds before the next binds, so no
+// private plan is built there. Callers hold execMu and unbind the plan
+// once the task has executed.
 func (rt *Runtime) planFor(t *ir.Task) *taskPlan {
 	e := rt.kernelFor(t.Kernel)
 	var p *taskPlan
@@ -340,7 +355,7 @@ func (p *taskPlan) matches(t *ir.Task) bool {
 		if ap.priv != a.Priv || ap.red != a.Red || !ap.part.Equal(a.Part) {
 			return false
 		}
-		if ap.store != a.Store && !intsEq(ap.store.Shape(), a.Store.Shape()) {
+		if ap.store != a.Store && !slices.Equal(ap.store.Shape(), a.Store.Shape()) {
 			return false
 		}
 	}
@@ -373,18 +388,6 @@ func (p *taskPlan) unbind() {
 		ap.data = kir.Buffer{}
 		ap.static.Acc.Data = kir.Buffer{}
 	}
-}
-
-func intsEq(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func (rt *Runtime) buildPlan(t *ir.Task, e *kernelEntry) *taskPlan {
@@ -471,7 +474,7 @@ func (p *taskPlan) spanEligible(t *ir.Task, sh *spanShape) bool {
 	// iterates only if each is tiled like the loop's extent reference.
 	for i := 0; i < len(sh.pairs); i += 2 {
 		ref, tp := p.args[sh.pairs[i]].tp, p.args[sh.pairs[i+1]].tp
-		if ref == nil || tp == nil || !intsEq(tp.Tile, ref.Tile) {
+		if ref == nil || tp == nil || !slices.Equal(tp.Tile, ref.Tile) {
 			return false
 		}
 	}
@@ -638,43 +641,17 @@ func foldPartialCell(op kir.RedOp, cell, partials kir.Buffer) {
 	cell.Set(0, acc)
 }
 
-// bindPoint rebinds ws.pa for one point task using the plan's
-// pre-resolved recipes; no allocation on the steady-state path.
-func bindPoint(p *taskPlan, ws *workerState, pi int, color ir.Point) {
-	for i := range p.args {
-		ap := &p.args[i]
-		switch {
-		case ap.priv.Reduces():
-			// Reductions accumulate into the point's private cell.
-			ws.pa.Bind[i] = kir.Binding{
-				Acc: kir.Accessor{Data: p.partials[ap.redIdx], Base: pi, Strides: zeroStride},
-				Ext: extOne,
-			}
-		case ap.isNone:
-			ws.pa.Bind[i] = ap.static
-		default:
-			c := ap.tp.Proj.Apply(color)
-			rank := len(ap.tileCoef)
-			ext := ws.extent(i, rank)
-			base := ap.offBase
-			for d := 0; d < rank; d++ {
-				cd := c[d]
-				base += cd * ap.tileCoef[d]
-				e := ap.tp.View[d] - cd*ap.tp.Tile[d]
-				if e > ap.tp.Tile[d] {
-					e = ap.tp.Tile[d]
-				}
-				if e < 0 {
-					e = 0
-				}
-				ext[d] = e
-			}
-			ws.pa.Bind[i] = kir.Binding{
-				Acc: kir.Accessor{Data: ap.data, Base: base, Strides: ap.accStr},
-				Ext: ext,
-			}
-		}
+// tileBox returns the flat base of the union of a tiled argument's tiles
+// over the box of (projected) colors first..last, and writes its extents,
+// clipped to the view and at zero, into ext. One tile is the box c..c.
+func (ap *argPlan) tileBox(first, last ir.Point, ext []int) int {
+	base := ap.offBase
+	for d := range ap.tileCoef {
+		tile := ap.tp.Tile[d]
+		base += first[d] * ap.tileCoef[d]
+		ext[d] = max(min(ap.tp.View[d], (last[d]+1)*tile)-first[d]*tile, 0)
 	}
+	return base
 }
 
 // extent returns argument i's reusable extent buffer at the given rank.
@@ -685,88 +662,84 @@ func (ws *workerState) extent(i, rank int) []int {
 	return ws.ext[i][:rank]
 }
 
-// bindUnion rebinds ws.pa once for the colors [lo, hi) when their tiles
-// form one rectangle — the range's first and last colors bound a box
-// holding exactly hi-lo colors — and reports whether they did. Each tiled
-// argument is bound at the box's first tile with the extents of the
-// union of its tiles, clipped to the view; a replicated argument binds as
-// at every point. Only a spanEligible plan comes here.
-func bindUnion(p *taskPlan, ws *workerState, lo, hi int) bool {
-	if lo >= hi {
-		return false
-	}
+// bind rebinds ws.pa for the colors [lo, hi) and reports whether it could:
+// one point task when hi = lo+1 — its projection, reduction cells and CSR
+// payloads included — or, for a span plan only, the union of the range's
+// tiles when they form one rectangle: the range's first and last colors
+// bound a box holding exactly hi-lo colors. A replicated argument binds
+// the same everywhere; a tiled one with a shard-local instance is rebased
+// onto it. No allocation on the steady-state path.
+func (b *execBatch) bind(ws *workerState, lo, hi int) bool {
+	p := b.plan
 	first, last := p.colors[lo], p.colors[hi-1]
-	n := 1
-	for d := range first {
-		if last[d] < first[d] {
+	if hi-lo > 1 {
+		n := 1
+		for d := range first {
+			n *= max(last[d]-first[d]+1, 0)
+		}
+		if n != hi-lo {
 			return false
 		}
-		n *= last[d] - first[d] + 1
-	}
-	if n != hi-lo {
-		return false
 	}
 	for i := range p.args {
 		ap := &p.args[i]
-		if ap.isNone {
+		switch {
+		case ap.priv.Reduces():
+			// Reductions accumulate into the point's private cell.
+			ws.pa.Bind[i] = kir.Binding{
+				Acc: kir.Accessor{Data: p.partials[ap.redIdx], Base: lo, Strides: zeroStride},
+				Ext: extOne,
+			}
+		case ap.isNone:
 			ws.pa.Bind[i] = ap.static
-			continue
+		default:
+			// A span's projections are the identity (spanEligible).
+			c0, c1 := first, last
+			if hi-lo == 1 {
+				c0 = ap.tp.Proj.Apply(first)
+				c1 = c0
+			}
+			ext := ws.extent(i, len(ap.tileCoef))
+			ws.pa.Bind[i] = kir.Binding{
+				Acc: kir.Accessor{Data: ap.data, Base: ap.tileBox(c0, c1, ext), Strides: ap.accStr},
+				Ext: ext,
+			}
+			if b.insts != nil && !b.insts[i].buf.IsNil() {
+				ws.pa.Bind[i].Rebase(b.insts[i].buf, b.insts[i].lo)
+			}
 		}
-		ext := ws.extent(i, len(first))
-		base := ap.offBase
-		for d, c0 := range first {
-			tile := ap.tp.Tile[d]
-			base += c0 * ap.tileCoef[d]
-			ext[d] = max(min(ap.tp.View[d], (last[d]+1)*tile)-c0*tile, 0)
-		}
-		ws.pa.Bind[i] = kir.Binding{
-			Acc: kir.Accessor{Data: ap.data, Base: base, Strides: ap.accStr},
-			Ext: ext,
+	}
+	if b.payload != nil {
+		for k, prov := range b.payload.CSR {
+			ws.pa.Payloads[k] = prov.Local(lo)
 		}
 	}
 	return true
 }
 
-// execPoint binds one point task, rebases it onto its shard-local
-// instances (a rank's units only), hands it its CSR payloads and executes
-// it, on this worker's reusable state.
-func (b *execBatch) execPoint(ws *workerState, pi int) {
-	bindPoint(b.plan, ws, pi, b.plan.colors[pi])
-	for i := range b.insts {
-		if inst := &b.insts[i]; !inst.buf.IsNil() {
-			ws.pa.Bind[i].Rebase(inst.buf, inst.lo)
-		}
-	}
-	if b.payload != nil {
-		for k, prov := range b.payload.CSR {
-			ws.pa.Payloads[k] = prov.Local(pi)
-		}
-	}
-	b.plan.comp.Execute(&ws.pa)
-}
-
 // runSpan executes the contiguous point range [lo, hi): as one kernel
 // call over the union of its tiles when the bound plan allows it and the
-// tiles form one rectangle, otherwise point by point. A rank's unit,
-// bound against shard-local instances, always runs point by point.
+// tiles form one rectangle, otherwise point by point.
 func (e *executor) runSpan(b *execBatch, ws *workerState, lo, hi int) {
-	if b.insts == nil && b.plan.span && bindUnion(b.plan, ws, lo, hi) {
+	if b.plan.span && b.bind(ws, lo, hi) {
 		b.plan.comp.Execute(&ws.pa)
 		e.spans.Add(1)
 		return
 	}
 	for pi := lo; pi < hi; pi++ {
-		b.execPoint(ws, pi)
+		b.bind(ws, pi, pi+1)
+		b.plan.comp.Execute(&ws.pa)
 	}
 }
 
-// run drains chunks for one participant: first its own range front to
-// back, then the backs of the other participants' ranges.
+// run drains chunks for one pooled participant: first its own range
+// front to back, then the backs of the other participants' ranges. A
+// panic ends the participant's share and is recovered into the batch.
 func (e *executor) run(b *execBatch, wsIdx, rangeIdx int) {
+	defer b.recoverFault()
 	ws := &e.ws[wsIdx]
 	ws.prepare(len(b.plan.args), b.payload)
 	defer ws.release()
-	n := len(b.plan.colors)
 	for {
 		c, stolen, ok := e.claimChunk(rangeIdx, b.nparts)
 		if !ok {
@@ -776,12 +749,8 @@ func (e *executor) run(b *execBatch, wsIdx, rangeIdx int) {
 		if stolen {
 			e.steals.Add(1)
 		}
-		lo := c * b.chunk
-		hi := lo + b.chunk
-		if hi > n {
-			hi = n
-		}
-		e.runSpan(b, ws, lo, hi)
+		lo := b.lo + c*b.chunk
+		e.runSpan(b, ws, lo, min(lo+b.chunk, b.hi))
 	}
 }
 
@@ -815,31 +784,32 @@ func (rt *Runtime) executeChunked(t *ir.Task) {
 		return
 	}
 	plan.resetPartials(t, len(plan.colors))
-	rt.runPlan(plan, t)
+	rt.runPlan(plan, t, 0, len(plan.colors), nil)
 	plan.foldPartials(t)
 }
 
-// runPlan runs every point task of a bound plan whose partials are
-// reset: grain selection from the host cost model, then inline or pooled
-// dispatch. The caller folds the reductions. This is the one path an
-// index task executes on in process, alone (executeChunked) or as an
-// entry of a shard group (runGroupLocal).
-func (rt *Runtime) runPlan(plan *taskPlan, t *ir.Task) {
-	n := len(plan.colors)
+// runPlan runs the point tasks [lo, hi) of a bound plan whose partials
+// are reset, rebased onto insts when a rank's unit passes them: grain
+// selection from the host cost model, then inline or pooled dispatch. The
+// caller folds the reductions. This is the one path point tasks execute
+// on: a lone task or an in-process shard-group entry (executeChunked), and
+// a rank's unit (runGroupDist).
+func (rt *Runtime) runPlan(plan *taskPlan, t *ir.Task, lo, hi int, insts []shardInst) {
+	n := hi - lo
 	payload, _ := t.Payload.(*Payload)
 	e := rt.exec
 	b := &e.batch
-	b.plan, b.payload = plan, payload
+	b.plan, b.payload, b.lo, b.hi, b.insts = plan, payload, lo, hi, insts
 	defer b.reset()
 	chunk, inline := e.host.ChunkPoints(plan.perPoint, n, e.nw)
 	if inline {
 		e.inline.Add(1)
 		sub := &e.ws[e.nw]
 		sub.prepare(len(plan.args), payload)
+		defer sub.release()
 		t0 := time.Now()
-		e.runSpan(b, sub, 0, n)
+		e.runSpan(b, sub, lo, hi)
 		rt.model.observe(time.Since(t0), plan.perPoint, n)
-		sub.release()
 	} else {
 		e.pooled.Add(1)
 		b.chunk = chunk
@@ -849,15 +819,28 @@ func (rt *Runtime) runPlan(plan *taskPlan, t *ir.Task) {
 
 // reset clears the executor's batch once its task has run, so the idle
 // batch pins no plan or payload. Every participant has finished with it:
-// dispatch returns only after the woken workers are done.
+// dispatch returns only after the woken workers are done, panic or not.
 func (b *execBatch) reset() {
-	b.plan, b.payload, b.chunk, b.nparts, b.insts = nil, nil, 0, 0, nil
+	b.plan, b.payload, b.lo, b.hi, b.chunk, b.nparts, b.insts, b.fault = nil, nil, 0, 0, 0, 0, nil, nil
+}
+
+// recoverFault, deferred by a pooled participant, records its panic as
+// the batch's fault unless another participant's came first.
+func (b *execBatch) recoverFault() {
+	if p := recover(); p != nil {
+		b.faultMu.Lock()
+		if b.fault == nil {
+			b.fault = p
+		}
+		b.faultMu.Unlock()
+	}
 }
 
 // dispatch fans one batch of nchunks claimable chunks out across the
 // pool: up to nw woken workers plus the submitting goroutine (always the
 // last claim range), never waking more workers than there are chunks left
-// after the submitter's. Returns after every chunk has run.
+// after the submitter's. Returns after every chunk has run, and then
+// raises the first panic a participant recovered on the submitter.
 func (e *executor) dispatch(b *execBatch, nchunks int) {
 	woken := e.nw
 	if nchunks-1 < woken {
@@ -874,6 +857,9 @@ func (e *executor) dispatch(b *execBatch, nchunks int) {
 	}
 	e.run(b, e.nw, b.nparts-1)
 	b.wg.Wait()
+	if b.fault != nil {
+		panic(b.fault)
+	}
 }
 
 // ExecStats returns a snapshot of the executor's activity counters.

@@ -365,6 +365,9 @@ func TestCloseReleasesRegions(t *testing.T) {
 // partitionings in alternation — a stencil step's boundary copies share a
 // body but tile different edges — builds each plan once and then finds it
 // on the kernel's entry, instead of each launch evicting the other's plan.
+// Two kernel objects of one structure in one in-process shard group share
+// one plan too: an entry unbinds before the next binds, so no drain builds
+// a private plan.
 func TestPlansPerPartitioning(t *testing.T) {
 	rt := New(nil)
 	var fact ir.Factory
@@ -389,4 +392,82 @@ func TestPlansPerPartitioning(t *testing.T) {
 			t.Fatalf("after %d alternating pairs: %d plans built, want 2", i+1, builds)
 		}
 	}
+
+	sharded := New(nil)
+	sharded.SetShards(4)
+	z := fact.NewStore("z", []int{20})
+	all := ir.NewTiling(launch, []int{20}, []int{5}, []int{0}, nil, nil)
+	k1, k2 := mathKernel(5), mathKernel(5)
+	for i := 0; i < 10; i++ {
+		// k1 again ends the previous group: each iteration drains one
+		// group holding both kernel objects.
+		for _, k := range []*kir.Kernel{k1, k2} {
+			sharded.Execute(&ir.Task{Name: "math", Launch: launch, Kernel: k,
+				Args: []ir.Arg{{Store: x, Part: all, Priv: ir.Read}, {Store: z, Part: all, Priv: ir.Write}}})
+		}
+	}
+	sharded.DrainShardGroup()
+	st := sharded.ShardStatsSnapshot()
+	sharded.execMu.Lock()
+	builds := sharded.planBuilds
+	sharded.execMu.Unlock()
+	if st.Groups != 10 || st.GroupedTasks != 20 || builds != 1 {
+		t.Fatalf("Shards=4: %d groups of %d tasks built %d plans, want 10 groups of 20 tasks and 1 plan", st.Groups, st.GroupedTasks, builds)
+	}
+}
+
+// panicCSR is identityCSR whose Local panics at color at. Its statistics
+// price every point task high enough that a task dispatches to the pool.
+type panicCSR struct {
+	identityCSR
+	at int
+}
+
+type panicAt int
+
+func (c panicCSR) Local(color int) *kir.CSRLocal {
+	if color == c.at {
+		panic(panicAt(color))
+	}
+	return c.identityCSR.Local(color)
+}
+func (c panicCSR) Stats() (float64, float64) { return 1e6, 1e8 }
+
+// TestPooledPanicReachesCaller: a pooled point task that panics — on a
+// woken worker or in the submitter's own chunk — unwinds on the caller of
+// Execute once every participant is done with the batch, and the runtime
+// then runs a task bit for bit as the oracle does.
+func TestPooledPanicReachesCaller(t *testing.T) {
+	const n, tile = 32, 4
+	spmv := func(rt *Runtime, fact *ir.Factory, at int) *ir.Store {
+		x, y := filled(rt, fact, "x", n), fact.NewStore("y", []int{n})
+		k := kir.NewKernel("spmv", 2)
+		k.AddLoop(&kir.Loop{Kind: kir.LoopSpMV, Dom: "spmv", Ext: []int{tile}, ExtRef: 0, Y: 0, X: 1, PayloadKey: 3})
+		rt.Execute(&ir.Task{Name: "spmv", Launch: launch1x8, Kernel: k,
+			Payload: &Payload{CSR: map[int]CSRProvider{3: panicCSR{identityCSR{rows: tile}, at}}},
+			Args: []ir.Arg{
+				{Store: y, Part: ir.NewTiling(launch1x8, []int{n}, []int{tile}, []int{0}, nil, nil), Priv: ir.Write},
+				{Store: x, Part: ir.ReplicateOver(launch1x8), Priv: ir.Read}}})
+		return y
+	}
+	rt := New(nil)
+	rt.SetWorkerPool(4)
+	var fact ir.Factory
+	for at := 0; at < 8; at++ {
+		pooled := rt.ExecStats().PoolTasks
+		func() {
+			defer func() {
+				if p := recover(); p != panicAt(at) {
+					t.Fatalf("color %d: recovered %v, want the provider's panic", at, p)
+				}
+			}()
+			spmv(rt, &fact, at)
+		}()
+		if rt.ExecStats().PoolTasks == pooled {
+			t.Fatalf("color %d: the task ran inline, want the pool", at)
+		}
+	}
+	ref := New(oracle.New())
+	var fr ir.Factory
+	sameStores(t, "after recovered panics", rt, []*ir.Store{spmv(rt, &fact, -1)}, ref, []*ir.Store{spmv(ref, &fr, -1)})
 }

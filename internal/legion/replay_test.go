@@ -90,15 +90,17 @@ func (e memEnd) Recv(peer int, tag uint64) ([]byte, error) {
 }
 
 // replayApp is one workload: stream returns the post-fusion task stream
-// it executes at Shards=n.
+// it executes at Shards=n. A spans app's units must run spans on every
+// rank.
 type replayApp struct {
 	name   string
 	stream func(n int) []*ir.Task
+	spans  bool
 }
 
 // cunumApp records a cunum program's stream (recordStream).
 func cunumApp(name string, run func(ctx *cunum.Context)) replayApp {
-	return replayApp{name, func(n int) []*ir.Task { return recordStream(n, run) }}
+	return replayApp{name: name, stream: func(n int) []*ir.Task { return recordStream(n, run) }}
 }
 
 func replayApps() []replayApp {
@@ -135,8 +137,59 @@ func replayApps() []replayApp {
 			sc.Iterate(2)
 			_ = sc.Sum()
 		}),
-		{"Wide-Entry", func(int) []*ir.Task { return wideEntryStream(300, 266) }},
-		{"Same-Structure", func(int) []*ir.Task { return sameStructureStream() }},
+		{name: "Wide-Entry", stream: func(int) []*ir.Task { return wideEntryStream(300, 266) }},
+		{name: "Same-Structure", stream: func(int) []*ir.Task { return sameStructureStream() }},
+		{name: "Spans", stream: func(int) []*ir.Task { return spanStream() }, spans: true},
+	}
+}
+
+// spanStream is element-wise work over a 4×4 launch whose tiles clip at
+// the store's edges: a fill, a pointwise task, a stencil reading its
+// producer through shifted views (a halo exchange), a sum, and a task
+// reading that sum as a replicated scalar. Every task but the fill and the
+// sum runs a rank's unit as spans.
+func spanStream() []*ir.Task {
+	const rows, cols = 30, 22
+	var fact ir.Factory
+	launch := ir.MakeRect(ir.Point{0, 0}, ir.Point{4, 4})
+	view := func(r, c, r0, c0 int) *ir.TilingPart {
+		return ir.NewTiling(launch, []int{r, c}, []int{(r + 3) / 4, (c + 3) / 4}, []int{r0, c0}, nil, nil)
+	}
+	all := view(rows, cols, 0, 0)
+	elem := func(name string, params, ref int, ext []int, e *kir.Expr) *kir.Kernel {
+		k := kir.NewKernel(name, params)
+		k.AddLoop(&kir.Loop{Kind: kir.LoopElem, Dom: "v", Ext: ext, ExtRef: ref,
+			Stmts: []kir.Stmt{{Kind: kir.KStore, Param: ref, E: e}}})
+		return k
+	}
+	x, y, z, w := fact.NewStore("x", []int{rows, cols}), fact.NewStore("y", []int{rows, cols}),
+		fact.NewStore("z", []int{rows, cols}), fact.NewStore("w", []int{rows, cols})
+	s := fact.NewStore("s", []int{1})
+
+	fill := kir.NewKernel("fill", 1)
+	fill.AddLoop(&kir.Loop{Kind: kir.LoopRandom, Dom: "v", Ext: []int{8, 6}, ExtRef: 0, Seed: 9})
+	sum := kir.NewKernel("sum", 2)
+	sum.AddLoop(&kir.Loop{Kind: kir.LoopElem, Dom: "v", Ext: []int{8, 6}, ExtRef: 0,
+		Stmts: []kir.Stmt{{Kind: kir.KReduce, Param: 1, E: kir.Load(0), Red: kir.RedSum}}})
+	none := ir.ReplicateOver(launch)
+	return []*ir.Task{
+		{Name: "fill", Launch: launch, Kernel: fill, Args: []ir.Arg{{Store: x, Part: all, Priv: ir.Write}}},
+		{Name: "math", Launch: launch, Args: []ir.Arg{{Store: x, Part: all, Priv: ir.Read}, {Store: y, Part: all, Priv: ir.Write}},
+			Kernel: elem("math", 2, 1, []int{8, 6}, kir.Binary(kir.OpAdd,
+				kir.Unary(kir.OpSqrt, kir.Unary(kir.OpAbs, kir.Load(0))), kir.Binary(kir.OpMul, kir.Load(0), kir.Load(0))))},
+		{Name: "stencil", Launch: launch, Args: []ir.Arg{
+			{Store: y, Part: view(rows-2, cols-2, 0, 1), Priv: ir.Read},
+			{Store: y, Part: view(rows-2, cols-2, 2, 1), Priv: ir.Read},
+			{Store: z, Part: view(rows-2, cols-2, 1, 1), Priv: ir.Write}},
+			Kernel: elem("stencil", 3, 2, []int{7, 5}, kir.Binary(kir.OpSub, kir.Load(0), kir.Binary(kir.OpMul, kir.Load(1), kir.Const(0.5))))},
+		{Name: "sum", Launch: launch, Kernel: sum, Args: []ir.Arg{
+			{Store: z, Part: all, Priv: ir.Read},
+			{Store: s, Part: none, Priv: ir.Reduce, Red: ir.RedSum}}},
+		{Name: "scale", Launch: launch, Args: []ir.Arg{
+			{Store: z, Part: all, Priv: ir.Read},
+			{Store: s, Part: none, Priv: ir.Read},
+			{Store: w, Part: all, Priv: ir.Write}},
+			Kernel: elem("scale", 3, 2, []int{8, 6}, kir.Binary(kir.OpMul, kir.Load(0), kir.LoadScalar(1)))},
 	}
 }
 
@@ -285,7 +338,8 @@ func replayInto(rt *legion.Runtime, tasks []*ir.Task, stores []*ir.Store) [][]by
 // for bit, and every rank to count the same groups, tasks, stages, halo
 // exchanges and deferred frees. Only ranks run (task, shard) units: each
 // rank counts one per task its shard owns colors of, the in-process
-// runtime none.
+// runtime none. A spans app's ranks must run spans, and equal Shards=1
+// bit for bit.
 func TestRankReplayBitIdentical(t *testing.T) {
 	for _, app := range replayApps() {
 		for _, n := range []int{2, 4} {
@@ -311,10 +365,18 @@ func TestRankReplayBitIdentical(t *testing.T) {
 					}
 				}
 
+				var solo [][]byte
+				if app.spans {
+					rt := legion.New(nil)
+					solo = replayInto(rt, tasks, stores)
+					rt.Close()
+				}
+
 				mesh := newMemMesh(20 * time.Second)
 				got := make([][][]byte, n)
 				errs := make([]any, n)
 				stats := make([]legion.ShardStats, n)
+				spans := make([]int64, n)
 				var wg sync.WaitGroup
 				for r := 0; r < n; r++ {
 					wg.Add(1)
@@ -326,6 +388,7 @@ func TestRankReplayBitIdentical(t *testing.T) {
 						rt.SetDistributed(r, n, memEnd{m: mesh, me: r})
 						got[r] = replayInto(rt, tasks, stores)
 						stats[r] = rt.ShardStatsSnapshot()
+						spans[r] = legion.SpansRun(rt)
 					}(r)
 				}
 				wg.Wait()
@@ -348,6 +411,12 @@ func TestRankReplayBitIdentical(t *testing.T) {
 						if !bytes.Equal(got[r][i], want[i]) {
 							t.Fatalf("rank %d: store %d (%v) differs from the Shards=%d runtime", r, s.ID(), s, n)
 						}
+						if solo != nil && !bytes.Equal(got[r][i], solo[i]) {
+							t.Fatalf("rank %d: store %d (%v) differs from the Shards=1 runtime", r, s.ID(), s)
+						}
+					}
+					if app.spans && spans[r] == 0 {
+						t.Fatalf("rank %d ran no unit as a span", r)
 					}
 				}
 			})

@@ -6,12 +6,13 @@ package legion
 // executes when a barrier forces it — a host-side read or write, a free of
 // a store the group references, an incompatible task, or an explicit
 // DrainShardGroup. The group drains entry by entry, in program order —
-// the same loop a distributed rank runs (dist.go): in process an entry's
-// bound plan runs through runPlan, the chunked executor path of an
-// unsharded task, then its reductions fold in point order. A rank
-// decomposes the launch domain of every task into S contiguous
-// leading-axis blocks ("owner computes") and runs its own (task, shard)
-// pair, one unit, in place of the whole entry.
+// the same loop a distributed rank runs (dist.go): in process an entry
+// executes as an unsharded task does (executeChunked: its plan, runPlan,
+// then the point-order fold of its reductions). A rank decomposes the
+// launch domain of every task into S contiguous leading-axis blocks
+// ("owner computes") and runs its own (task, shard) pair, one unit, in
+// place of the whole entry: its block of colors through the same runPlan,
+// pooled and spanned like any chunk.
 //
 // Why: rank fidelity. One process runs exactly the groups and point
 // decomposition the ranks of a distributed runtime execute, so tests check
@@ -49,8 +50,6 @@ package legion
 // Shards=1,2,4,... and across any work-stealing schedule.
 
 import (
-	"math"
-
 	"diffuse/internal/ir"
 	"diffuse/internal/kir"
 )
@@ -91,7 +90,7 @@ type ShardStats struct {
 type groupEntry struct {
 	task  *ir.Task
 	stage int
-	plan  *taskPlan
+	plan  *taskPlan // bound across a rank's drain (runGroupDist)
 }
 
 // partStage is one (partition, latest stage) record of a store's
@@ -243,8 +242,8 @@ func (rt *Runtime) DrainShardGroup() {
 // kernel object already buffered in the current group forces a drain
 // first, so one kernel object appears at most once per group; Execute
 // handles that case by draining and starting a fresh group. Distinct
-// objects of one structure may share a group: the later ones execute
-// through private plans (planFor).
+// objects of one structure may share a group: on a rank the later ones
+// execute through private plans (planFor).
 func (rt *Runtime) groupable(t *ir.Task) bool {
 	if t.Kernel == nil || t.Launch.Rank() < 1 || t.Launch.Size() == 0 || len(t.Args) > maxTagSub {
 		return false
@@ -395,22 +394,14 @@ func (rt *Runtime) drainShardGroupLocked() {
 		rt.shardStats.GroupedTasks += int64(len(g.entries))
 		rt.shardStats.Stages += int64(g.stages)
 
-		// Resolve and bind every task's plan up front (regions may
-		// allocate; single-threaded here), run the group, then unbind: a
-		// drained group leaves no region reachable from a plan.
-		for i := range g.entries {
-			e := &g.entries[i]
-			e.plan = rt.planFor(e.task)
-			rt.countBackend(e.plan.comp)
-			e.plan.resetPartials(e.task, len(e.plan.colors))
-		}
 		if rt.distTx != nil {
 			rt.runGroupDist(g)
 		} else {
-			rt.runGroupLocal(g)
-		}
-		for i := range g.entries {
-			g.entries[i].plan.unbind()
+			// Entry by entry, each the path of an unsharded task: its
+			// reductions fold in point order before the next entry starts.
+			for i := range g.entries {
+				rt.executeChunked(g.entries[i].task)
+			}
 		}
 	}
 
@@ -421,103 +412,4 @@ func (rt *Runtime) drainShardGroupLocked() {
 		}
 		rt.deferredFrees = rt.deferredFrees[:0]
 	}
-}
-
-// runGroupLocal drains the group entry by entry: an entry's bound plan
-// runs through runPlan, the path of an unsharded task, then its
-// reductions fold in point order before the next entry starts. Callers
-// hold execMu; plans are resolved and partials reset.
-func (rt *Runtime) runGroupLocal(g *shardGroup) {
-	for e := range g.entries {
-		u := &g.entries[e]
-		rt.runPlan(u.plan, u.task)
-		u.plan.foldPartials(u.task)
-	}
-}
-
-// runUnitShard executes a rank's (task, shard) unit: the task's point tasks
-// whose colors fall in the shard's leading-axis block, bound against
-// shard-local region instances — one bounds-enforcing sub-buffer per tiled
-// argument, covering exactly this shard's footprint (block plus the halo
-// margin of its partition). Replicated (None) arguments read the canonical
-// instance; reductions accumulate into per-point partials.
-func (rt *Runtime) runUnitShard(u *groupEntry, ws *workerState, s, shards int) {
-	plan := u.plan
-	lo, hi := shardColorRange(u.task.Launch, len(plan.colors), s, shards)
-	if lo >= hi {
-		return
-	}
-	rt.shardStats.ShardUnits++
-	payload, _ := u.task.Payload.(*Payload)
-	ws.prepare(len(plan.args), payload)
-	defer ws.release()
-	b := execBatch{plan: plan, payload: payload, insts: shardInstances(plan, lo, hi)}
-	rt.exec.runSpan(&b, ws, lo, hi)
-}
-
-// shardInst is one shard-local instance: an aliased sub-buffer of the
-// canonical region covering flat elements [lo, hi).
-type shardInst struct {
-	buf kir.Buffer
-	lo  int
-}
-
-// tiledShardSpan computes the tight flat-offset span a tiled argument's
-// point tasks access over colors [lo, hi) — the single footprint
-// computation shared by the shard-local instances executed against
-// (shardInstances) and a rank's synced and shipped spans (argShardSpan in
-// dist.go). The two uses are correctness-coupled: a rank syncs and ships
-// exactly the span its unit's point tasks touch.
-func tiledShardSpan(plan *taskPlan, ap *argPlan, lo, hi int) ir.Span {
-	minBase, maxLast := math.MaxInt, -1
-	for pi := lo; pi < hi; pi++ {
-		c := ap.tp.Proj.Apply(plan.colors[pi])
-		base, last, empty := ap.offBase, 0, false
-		for d := range ap.tileCoef {
-			cd := c[d]
-			base += cd * ap.tileCoef[d]
-			e := ap.tp.View[d] - cd*ap.tp.Tile[d]
-			if e > ap.tp.Tile[d] {
-				e = ap.tp.Tile[d]
-			}
-			if e <= 0 {
-				empty = true
-				break
-			}
-			last += (e - 1) * ap.accStr[d]
-		}
-		if empty {
-			continue
-		}
-		if base < minBase {
-			minBase = base
-		}
-		if base+last > maxLast {
-			maxLast = base + last
-		}
-	}
-	if maxLast < 0 || minBase > maxLast {
-		return ir.Span{} // no elements accessed by this shard
-	}
-	return ir.Span{Lo: minBase, Hi: maxLast + 1}
-}
-
-// shardInstances computes the per-argument instances of one (task, shard)
-// unit from the plan's binding coefficients: the tight flat-offset span
-// the shard's point tasks access. Reduction cells, temporary-eliminated
-// (local) arguments, and replicated arguments keep their existing binding.
-func shardInstances(plan *taskPlan, lo, hi int) []shardInst {
-	insts := make([]shardInst, len(plan.args))
-	for i := range plan.args {
-		ap := &plan.args[i]
-		if ap.priv.Reduces() || ap.local || ap.isNone || ap.tp == nil {
-			continue
-		}
-		sp := tiledShardSpan(plan, ap, lo, hi)
-		if sp.Empty() {
-			continue
-		}
-		insts[i] = shardInst{buf: ap.data.Slice(sp.Lo, sp.Hi), lo: sp.Lo}
-	}
-	return insts
 }

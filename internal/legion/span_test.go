@@ -128,9 +128,36 @@ func runPerPoint(rt *Runtime, t *ir.Task) {
 	defer ws.release()
 	b := execBatch{plan: plan}
 	for pi := range plan.colors {
-		b.execPoint(ws, pi)
+		b.bind(ws, pi, pi+1)
+		plan.comp.Execute(&ws.pa)
 	}
 }
+
+// runUnits executes t as a rank runs its (task, shard) units, every shard
+// in turn: each unit's colors through runPlan, rebased onto the
+// shard-local instances of the spans a rank syncs and ships. It returns
+// the number of non-empty units.
+func runUnits(rt *Runtime, t *ir.Task, shards int) int {
+	rt.execMu.Lock()
+	defer rt.execMu.Unlock()
+	plan := rt.planFor(t)
+	defer plan.unbind()
+	plan.resetPartials(t, len(plan.colors))
+	spans := spansFor(&groupEntry{task: t, plan: plan}, shards)
+	units := 0
+	for s := 0; s < shards; s++ {
+		if lo, hi := shardColorRange(t.Launch, len(plan.colors), s, shards); lo < hi {
+			rt.runPlan(plan, t, lo, hi, instances(plan, spans, s, shards))
+			units++
+		}
+	}
+	plan.foldPartials(t)
+	return units
+}
+
+// SpansRun is the number of chunks rt ran as one kernel call over their
+// union, for the rank replay tests of package legion_test.
+func SpansRun(rt *Runtime) int64 { return rt.exec.spans.Load() }
 
 // sameStores requires bit-equal contents of two runtimes' stores.
 func sameStores(t *testing.T, what string, a *Runtime, as []*ir.Store, b *Runtime, bs []*ir.Store) {
@@ -149,8 +176,9 @@ func sameStores(t *testing.T, what string, a *Runtime, as []*ir.Store, b *Runtim
 }
 
 // TestSpanMatchesPerPointAndOracle runs every scenario as spans, point by
-// point and on the oracle, under both backends, and requires the same
-// bits from all three — and that the span path really ran.
+// point, as two ranks' units against shard-local instances and on the
+// oracle, under both backends, and requires the same bits from all four —
+// and that the span path really ran, once per inline unit.
 func TestSpanMatchesPerPointAndOracle(t *testing.T) {
 	for name, sc := range spanScenarios {
 		for _, cg := range []CodegenMode{CodegenOn, CodegenOff} {
@@ -158,13 +186,16 @@ func TestSpanMatchesPerPointAndOracle(t *testing.T) {
 			if cg == CodegenOff {
 				what += " (interpreted)"
 			}
-			span, point := New(nil), New(nil)
+			span, point, unit := New(nil), New(nil), New(nil)
 			span.SetCodegen(cg)
 			point.SetCodegen(cg)
+			unit.SetCodegen(cg)
 			ref := New(oracle.New())
-			var fs, fp, fr ir.Factory
+			var fs, fp, fu, fr ir.Factory
 			ss := sc(span, &fs, span.Execute)
 			ps := sc(point, &fp, func(t *ir.Task) { runPerPoint(point, t) })
+			units := 0
+			us := sc(unit, &fu, func(t *ir.Task) { units += runUnits(unit, t, 2) })
 			rs := sc(ref, &fr, ref.Execute)
 			if span.exec.spans.Load() == 0 {
 				t.Fatalf("%s: no chunk ran as a span", what)
@@ -172,8 +203,12 @@ func TestSpanMatchesPerPointAndOracle(t *testing.T) {
 			if point.exec.spans.Load() != 0 {
 				t.Fatalf("%s: the per-point reference ran a span", what)
 			}
+			if got := unit.exec.spans.Load(); got != int64(units) {
+				t.Fatalf("%s: %d rank units ran %d spans, want one each", what, units, got)
+			}
 			sameStores(t, what+": span vs per point", span, ss, point, ps)
 			sameStores(t, what+": span vs oracle", span, ss, ref, rs)
+			sameStores(t, what+": rank units vs per point", unit, us, point, ps)
 		}
 	}
 }
@@ -322,25 +357,5 @@ func TestSpanDeclines(t *testing.T) {
 			t.Fatalf("%s: ran %d spans, want per point", name, s)
 		}
 		sameStores(t, name+" vs oracle", rt, got, ref, sc(ref, &fr, ref.Execute))
-	}
-	// A plan that spans as one task stays per point as a rank's unit,
-	// bound against shard-local instances.
-	rt := New(nil)
-	var fact ir.Factory
-	spanScenarios["1d clipped, replicated scalar"](rt, &fact, func(task *ir.Task) {
-		rt.execMu.Lock()
-		defer rt.execMu.Unlock()
-		plan := rt.planFor(task)
-		defer plan.unbind()
-		if !plan.span {
-			t.Fatalf("the scenario's plan should span")
-		}
-		ws := &rt.exec.ws[0]
-		ws.prepare(len(plan.args), nil)
-		defer ws.release()
-		rt.exec.runSpan(&execBatch{plan: plan, insts: shardInstances(plan, 2, 6)}, ws, 2, 6)
-	})
-	if s := rt.exec.spans.Load(); s != 0 {
-		t.Fatalf("a rank unit ran %d spans, want per point", s)
 	}
 }
