@@ -103,19 +103,19 @@ func main() {
 }
 
 // printServeStats dumps a serve front end's counters: the per-tenant
-// admission-control split (admitted / rejected / completed / over-quota /
-// failed), the shared-plan-cache attribution proving which
-// tenants amortized whose compilations, and the quota accounting.
+// admission-control split (admitted / rejected / completed / failed) and
+// the shared-plan-cache attribution proving which tenants amortized whose
+// compilations.
 func printServeStats(w io.Writer, snap *serve.StatsSnapshot) {
 	fmt.Fprintf(w, "serve stats: %d tenant(s), %d programs cached, inflight %d/tenant %d/global, queue depth %d\n",
 		len(snap.Tenants), snap.ProgramsCached, snap.TenantInflight, snap.GlobalInflight, snap.QueueDepth)
-	fmt.Fprintf(w, "  %-16s %8s %8s %9s %9s %6s %9s %10s %9s %10s %12s\n",
-		"tenant", "admitted", "rejected", "completed", "overquota", "failed",
-		"planHits", "planMisses", "progHits", "progMisses", "quotaUsed")
+	fmt.Fprintf(w, "  %-16s %8s %8s %9s %6s %9s %10s %9s %10s\n",
+		"tenant", "admitted", "rejected", "completed", "failed",
+		"planHits", "planMisses", "progHits", "progMisses")
 	for _, ts := range snap.Tenants {
-		fmt.Fprintf(w, "  %-16s %8d %8d %9d %9d %6d %9d %10d %9d %10d %12d\n",
-			ts.Tenant, ts.Admitted, ts.Rejected, ts.Completed, ts.OverQuota, ts.Failed,
-			ts.PlanHits, ts.PlanMisses, ts.ProgramHits, ts.ProgramMisses, ts.QuotaUsed)
+		fmt.Fprintf(w, "  %-16s %8d %8d %9d %6d %9d %10d %9d %10d\n",
+			ts.Tenant, ts.Admitted, ts.Rejected, ts.Completed, ts.Failed,
+			ts.PlanHits, ts.PlanMisses, ts.ProgramHits, ts.ProgramMisses)
 	}
 }
 

@@ -94,10 +94,10 @@ func TestPrintStatsShardedDrain(t *testing.T) {
 func TestPrintServeStats(t *testing.T) {
 	snap := &serve.StatsSnapshot{
 		Tenants: []serve.TenantStats{
-			{Tenant: "ada", Admitted: 12, Rejected: 2, Completed: 9, OverQuota: 1, Failed: 0,
-				PlanHits: 40, PlanMisses: 0, ProgramHits: 9, ProgramMisses: 0, QuotaUsed: 0, QuotaPeak: 1 << 20, QuotaLimit: 8 << 20},
+			{Tenant: "ada", Admitted: 12, Rejected: 2, Completed: 9, Failed: 1,
+				PlanHits: 40, PlanMisses: 0, ProgramHits: 9, ProgramMisses: 0},
 			{Tenant: "edsger", Admitted: 10, Rejected: 0, Completed: 10,
-				PlanHits: 0, PlanMisses: 20, ProgramHits: 10, ProgramMisses: 10, QuotaUsed: 4096},
+				PlanHits: 0, PlanMisses: 20, ProgramHits: 10, ProgramMisses: 10},
 		},
 		ProgramsCached: 10,
 		TenantInflight: 1,
@@ -110,13 +110,13 @@ func TestPrintServeStats(t *testing.T) {
 	if !strings.Contains(out, "serve stats: 2 tenant(s), 10 programs cached, inflight 1/tenant 4/global, queue depth 16") {
 		t.Fatalf("missing summary line:\n%s", out)
 	}
-	if !regexp.MustCompile(`(?m)^  ada\s+12\s+2\s+9\s+1\s+0\s+40\s+0\s+9\s+0\s+0$`).MatchString(out) {
+	if !regexp.MustCompile(`(?m)^  ada\s+12\s+2\s+9\s+1\s+40\s+0\s+9\s+0$`).MatchString(out) {
 		t.Fatalf("ada row malformed:\n%s", out)
 	}
-	if !regexp.MustCompile(`(?m)^  edsger\s+10\s+0\s+10\s+0\s+0\s+0\s+20\s+10\s+10\s+4096$`).MatchString(out) {
+	if !regexp.MustCompile(`(?m)^  edsger\s+10\s+0\s+10\s+0\s+0\s+20\s+10\s+10$`).MatchString(out) {
 		t.Fatalf("edsger row malformed:\n%s", out)
 	}
-	for _, col := range []string{"admitted", "rejected", "overquota", "planHits", "planMisses", "quotaUsed"} {
+	for _, col := range []string{"admitted", "rejected", "completed", "failed", "planHits", "planMisses", "progHits", "progMisses"} {
 		if !strings.Contains(out, col) {
 			t.Fatalf("header missing column %q:\n%s", col, out)
 		}

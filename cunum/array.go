@@ -76,7 +76,7 @@ func appendInts(b []byte, v []int) []byte {
 // newArray allocates a fresh store-backed array of the given element type;
 // the handle holds the store's single application reference.
 func (c *Context) newArray(name string, dt DType, shape []int, ephemeral bool) *Array {
-	a := &Array{ctx: c, store: c.sess.NewStoreTyped(name, shape, dt), ephemeral: ephemeral}
+	a := &Array{ctx: c, store: c.rt.NewStoreTyped(name, shape, dt), ephemeral: ephemeral}
 	a.initView(len(shape))
 	copy(a.shape, shape)
 	for d := range a.stride {

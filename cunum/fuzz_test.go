@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"diffuse/cunum"
+	"diffuse/internal/core"
 )
 
 // fuzzConsts are the constants the interned-op programs draw from: the
@@ -130,33 +131,43 @@ func runInternedProgram(ctx *cunum.Context, seed uint64) []uint64 {
 	return bits
 }
 
+// fuzzSchedules are the (InitialWindow, MaxWindow) pairs a fuzzed program
+// runs under: a window of one task, windows that never grow or grow once,
+// windows cut at odd sizes, and windows that start at or near the cap.
+var fuzzSchedules = [][2]int{{1, 1}, {1, 2}, {2, 512}, {3, 7}, {5, 512}, {16, 16}, {80, 512}, {512, 512}}
+
 // FuzzInternedOps holds random registry-op programs, issued fused through
-// the context's interned kernels and view tilings, to the reference
-// backend running them unfused: every bit read back must agree, except
-// that a NaN matches any NaN. Go leaves the payload of an operation on two
-// NaNs to the operand order the compiler picks: under the fuzzer's
-// instrumented build, a sum meeting two NaN payloads keeps a different
-// one in the interpreter and in codegen. The payload a single NaN
-// constant carries through is pinned by TestInternedKernelKeyDistinguishes
-// instead. The committed corpus under testdata/fuzz/FuzzInternedOps
-// replays on every `go test`.
+// the context's interned kernels and view tilings under a window schedule
+// drawn from the seed, to the reference backend running them unfused:
+// every bit read back must agree, except that a NaN matches any NaN. Go
+// leaves the payload of an operation on two NaNs to the operand order the
+// compiler picks: under the fuzzer's instrumented build, a sum meeting two
+// NaN payloads keeps a different one in the interpreter and in codegen.
+// The payload a single NaN constant carries through is pinned by
+// TestInternedKernelKeyDistinguishes instead. The committed corpus under
+// testdata/fuzz/FuzzInternedOps replays on every `go test`.
 func FuzzInternedOps(f *testing.F) {
 	for _, seed := range []uint64{0, 1, 7, 42, 1234, 99991} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed uint64) {
+		// The top three bits of a multiplicative hash pick the schedule,
+		// so neighbouring seeds spread over all of them.
+		sched := fuzzSchedules[(seed*0x9e3779b97f4a7c15)>>61]
 		// Width 4 tiles the 10×10 views evenly; width 8 (a 2×4 grid)
 		// clips their last launch column.
 		for _, procs := range []int{4, 8} {
+			cfg := core.DefaultConfig(procs)
+			cfg.InitialWindow, cfg.MaxWindow = sched[0], sched[1]
 			want := runInternedProgram(oracleCtx(procs), seed)
-			got := runInternedProgram(ctxWith(true, procs), seed)
+			got := runInternedProgram(cunum.NewContext(core.New(cfg)), seed)
 			if len(got) != len(want) {
-				t.Fatalf("seed %d, width %d: %d elements, want %d", seed, procs, len(got), len(want))
+				t.Fatalf("seed %d, width %d, window %v: %d elements, want %d", seed, procs, sched, len(got), len(want))
 			}
 			for i := range got {
 				g, w := math.Float64frombits(got[i]), math.Float64frombits(want[i])
 				if got[i] != want[i] && !(math.IsNaN(g) && math.IsNaN(w)) {
-					t.Fatalf("seed %d, width %d: element %d is %#x, reference %#x", seed, procs, i, got[i], want[i])
+					t.Fatalf("seed %d, width %d, window %v: element %d is %#x, reference %#x", seed, procs, sched, i, got[i], want[i])
 				}
 			}
 		}

@@ -146,12 +146,6 @@ type Runtime struct {
 	// the liveness snapshot and the key it was given.
 	keyOracle func(k *ir.KeyStream, key hash128.Sum)
 
-	// quotaOf maps each quota-charged store to its tenant charge, so the
-	// credit at store death reaches the right Quota. Guarded by quotaMu
-	// (not mu: allocation happens outside the emission lock).
-	quotaMu sync.Mutex
-	quotaOf map[ir.StoreID]storeCharge
-
 	def *Session // default session backing Runtime.Submit / Runtime.Flush
 }
 
@@ -201,9 +195,8 @@ func NewWithBackend(cfg Config, b legion.Backend) *Runtime {
 		cfg.MaxWindow = 512
 	}
 	r := &Runtime{
-		cfg:     cfg,
-		memo:    map[hash128.Sum]*memoEntry{},
-		quotaOf: map[ir.StoreID]storeCharge{},
+		cfg:  cfg,
+		memo: map[hash128.Sum]*memoEntry{},
 	}
 	r.leg = legion.New(b)
 	r.leg.SetShards(cfg.Shards)
@@ -280,7 +273,7 @@ func (r *Runtime) Reshard(s *ir.Store, n int) {
 func (r *Runtime) ReleaseStore(s *ir.Store) {
 	s.ReleaseApp()
 	if s.Dead() {
-		r.freeStore(s.ID())
+		r.leg.FreeStore(s.ID())
 	}
 }
 
@@ -311,7 +304,7 @@ func (r *Runtime) emit(t *ir.Task, origs []*ir.Task) {
 		for _, a := range o.Args {
 			a.Store.ReleaseRuntime()
 			if a.Store.Dead() {
-				r.freeStore(a.Store.ID())
+				r.leg.FreeStore(a.Store.ID())
 			}
 		}
 	}

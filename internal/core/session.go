@@ -36,14 +36,6 @@ type Session struct {
 	// into the re-buffered remainder.
 	pinned map[ir.StoreID]bool
 
-	// quota, when set, is charged for every store this session allocates
-	// (Session.NewStore / NewStoreTyped) and credited when the store dies.
-	// Shared across all sessions of one tenant.
-	quota *Quota
-	// charged tracks stores this session charged to its quota, so
-	// ReclaimQuota can force-free leftovers after a failed submission.
-	charged map[ir.StoreID]int64
-
 	// Per-session plan-cache accounting, attributed from the runtime-wide
 	// counters across each window this session drains (atomics: another
 	// goroutine — a server's stats endpoint — reads them concurrently).
@@ -87,51 +79,6 @@ func (s *Session) CacheStats() SessionCacheStats {
 	}
 }
 
-// SetQuota attaches a memory quota to this session; subsequent allocations
-// through Session.NewStore / NewStoreTyped are charged against it. Pass
-// nil to detach. Multiple sessions may share one Quota (a tenant with
-// several connections); attach before the first allocation.
-func (s *Session) SetQuota(q *Quota) { s.quota = q }
-
-// Quota returns the quota attached to this session, or nil.
-func (s *Session) Quota() *Quota { return s.quota }
-
-// NewStore allocates a float64 store charged to this session's quota (when
-// one is attached). Like Runtime.NewStore, the store is shared: any
-// session may submit tasks against it.
-func (s *Session) NewStore(name string, shape []int) *ir.Store {
-	return s.NewStoreTyped(name, shape, ir.F64)
-}
-
-// NewStoreTyped allocates a store with an explicit element type, charged
-// to this session's quota. If the allocation would push the quota over its
-// limit, no store is created and NewStoreTyped panics with a *QuotaError —
-// allocation APIs in this codebase do not return errors; a serving front
-// end recovers the panic at its submission boundary and reports a
-// tenant-scoped failure.
-func (s *Session) NewStoreTyped(name string, shape []int, dtype ir.DType) *ir.Store {
-	if s.quota == nil {
-		return s.rt.NewStoreTyped(name, shape, dtype)
-	}
-	n := int64(dtype.Size())
-	for _, d := range shape {
-		n *= int64(d)
-	}
-	if err := s.quota.charge(n); err != nil {
-		panic(err)
-	}
-	st := s.rt.NewStoreTyped(name, shape, dtype)
-	r := s.rt
-	r.quotaMu.Lock()
-	r.quotaOf[st.ID()] = storeCharge{q: s.quota, bytes: n}
-	r.quotaMu.Unlock()
-	if s.charged == nil {
-		s.charged = map[ir.StoreID]int64{}
-	}
-	s.charged[st.ID()] = n
-	return st
-}
-
 // Abort discards every task still buffered in this session's window
 // without executing it, releasing the runtime references submission took.
 // A server calls it after a failed request so the dead half of an
@@ -142,42 +89,12 @@ func (s *Session) Abort() {
 		for _, a := range t.Args {
 			a.Store.ReleaseRuntime()
 			if a.Store.Dead() {
-				r.freeStore(a.Store.ID())
+				r.leg.FreeStore(a.Store.ID())
 			}
 		}
 	}
 	s.window.Reset()
 	s.pinned = nil
-}
-
-// ReclaimQuota force-frees every store still charged to this session's
-// quota and returns the bytes recovered. After a successful, well-behaved
-// request nothing is left charged and this is a cheap bookkeeping prune;
-// after a failed or over-quota request it is the cleanup that guarantees a
-// tenant's next request starts from a clean budget. Call Abort first if
-// the window may still hold tasks referencing the charged stores.
-func (s *Session) ReclaimQuota() int64 {
-	if s.quota == nil || len(s.charged) == 0 {
-		return 0
-	}
-	r := s.rt
-	var freed int64
-	var dead []ir.StoreID
-	r.quotaMu.Lock()
-	for id := range s.charged {
-		if c, ok := r.quotaOf[id]; ok && c.q == s.quota {
-			delete(r.quotaOf, id)
-			freed += c.bytes
-			dead = append(dead, id)
-		}
-		delete(s.charged, id)
-	}
-	r.quotaMu.Unlock()
-	s.quota.credit(freed)
-	for _, id := range dead {
-		r.leg.FreeStore(id)
-	}
-	return freed
 }
 
 // NewSession creates an independent submission stream over the runtime's

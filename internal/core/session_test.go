@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"diffuse/internal/ir"
+	"diffuse/internal/kir"
 )
 
 // chainTask builds the elem task next = f(prev) over the standard fixture
@@ -238,4 +239,64 @@ func TestFlushedTasksAreNotPinned(t *testing.T) {
 		}
 	}
 	runtime.KeepAlive(s)
+}
+
+func TestSessionAbortReleasesWindow(t *testing.T) {
+	r := New(DefaultConfig(2))
+	s := r.NewSession()
+	st := r.NewStore("x", []int{16})
+
+	// Buffer a task without flushing, then abort: the runtime reference
+	// submission took must be released so the store can die.
+	launch := ir.MakeRect(ir.Point{0}, ir.Point{2})
+	task := &ir.Task{
+		Name:   "noop",
+		Launch: launch,
+		Args:   []ir.Arg{{Store: st, Priv: ir.ReadWrite, Part: ir.ReplicateOver(launch)}},
+		Kernel: kir.NewKernel("noop", 1),
+	}
+	s.Submit(task)
+	if s.Pending() != 1 {
+		t.Fatalf("pending = %d, want 1", s.Pending())
+	}
+	s.Abort()
+	if s.Pending() != 0 {
+		t.Fatalf("pending = %d after abort", s.Pending())
+	}
+	r.ReleaseStore(st)
+	if !st.Dead() {
+		t.Fatal("store still referenced after abort + app release")
+	}
+}
+
+func TestSessionCacheStatsAttribution(t *testing.T) {
+	r := New(DefaultConfig(2))
+	a := r.NewSession()
+	b := r.NewSession()
+
+	// Identical window shapes on two sessions: the first drain misses the
+	// shared memo and populates it; the second session's drains hit it.
+	launch := ir.MakeRect(ir.Point{0}, ir.Point{2})
+	emitChain := func(s *Session) {
+		st := r.NewStore("v", []int{32})
+		for i := 0; i < 8; i++ {
+			s.Submit(&ir.Task{
+				Name:   "inc",
+				Launch: launch,
+				Args:   []ir.Arg{{Store: st, Priv: ir.ReadWrite, Part: ir.ReplicateOver(launch)}},
+				Kernel: elemKernel(1, 0),
+			})
+		}
+		s.Flush()
+		r.ReleaseStore(st)
+	}
+	emitChain(a)
+	emitChain(b)
+	as, bs := a.CacheStats(), b.CacheStats()
+	if as.PlanMisses == 0 {
+		t.Fatalf("first session should have plan misses, got %+v", as)
+	}
+	if bs.PlanHits == 0 {
+		t.Fatalf("second session re-submitting an identical stream should hit the shared memo, got %+v", bs)
+	}
 }

@@ -1,9 +1,8 @@
 // Package serve implements Diffuse's multi-tenant service mode: a
 // long-running front end that multiplexes many tenants onto one runtime.
 //
-// Each tenant gets isolated core.Sessions with a shared memory quota
-// (bytes of live stores, enforced at allocation) and admission control on
-// two channels. A submission runs on the goroutine of the connection that
+// Each tenant gets isolated core.Sessions and admission control on two
+// channels. A submission runs on the goroutine of the connection that
 // sent it: it takes one of its tenant's session lanes (TenantInflight of
 // them), then one of the server's global in-flight tokens. A submission
 // that finds QueueDepth others of its tenant already waiting for a lane
@@ -120,10 +119,7 @@ type Response struct {
 	// Retryable marks a load-shed rejection: QueueDepth of the tenant's
 	// submissions were already waiting, nothing was executed, and the same
 	// request may be retried after backoff.
-	Retryable bool `json:"retryable,omitempty"`
-	// OverQuota marks a memory-quota rejection: the workload's allocations
-	// exceeded the tenant's live-store byte budget.
-	OverQuota bool           `json:"over_quota,omitempty"`
+	Retryable bool           `json:"retryable,omitempty"`
 	Result    *SubmitResult  `json:"result,omitempty"`
 	Stats     *StatsSnapshot `json:"stats,omitempty"`
 }
@@ -143,12 +139,11 @@ type TenantStats struct {
 	Tenant string `json:"tenant"`
 	// Admission counters: Admitted took a session lane; Rejected were shed
 	// because QueueDepth others were already waiting for one.
-	// Completed/OverQuota/Failed partition the admitted submissions that
+	// Completed/Failed partition the admitted submissions that
 	// have finished.
 	Admitted  int64 `json:"admitted"`
 	Rejected  int64 `json:"rejected"`
 	Completed int64 `json:"completed"`
-	OverQuota int64 `json:"over_quota"`
 	Failed    int64 `json:"failed"`
 	// Batched is always zero: submissions are never batched.
 	//
@@ -163,10 +158,6 @@ type TenantStats struct {
 	PlanMisses    int64 `json:"plan_misses"`
 	ProgramHits   int64 `json:"program_hits"`
 	ProgramMisses int64 `json:"program_misses"`
-	// Quota accounting (bytes of live stores; limit 0 = unlimited).
-	QuotaUsed  int64 `json:"quota_used"`
-	QuotaPeak  int64 `json:"quota_peak"`
-	QuotaLimit int64 `json:"quota_limit"`
 }
 
 // StatsSnapshot is the server-wide accounting snapshot.

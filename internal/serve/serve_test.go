@@ -7,6 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"diffuse/cunum"
+	"diffuse/internal/core"
+	"diffuse/internal/ir"
 	"diffuse/internal/serve"
 	"diffuse/internal/serve/serveclient"
 )
@@ -106,69 +109,43 @@ func TestSharedPlanCache(t *testing.T) {
 	}
 }
 
-// TestQuotaIsolation: a tenant whose workload blows its memory quota gets
-// a tenant-scoped over-quota error; a well-behaved tenant sharing the
-// server concurrently stays bit-identical to its solo run, and the hog's
-// next (small) request succeeds — nothing leaked, nothing crashed.
-func TestQuotaIsolation(t *testing.T) {
-	// 1 MiB quota: jacobi n=512 wants a 2 MiB f64 system matrix.
-	s := startServer(t, serve.Config{Procs: 2, TenantQuota: 1 << 20, TenantInflight: 1, GlobalInflight: 2})
-	big := serve.SubmitRequest{Workload: "jacobi", N: 512, Iters: 2}
-	small := serve.SubmitRequest{Workload: "jacobi", N: 64, Iters: 3}
-	wantSmall := soloDigest(t, 2, small)
-
-	hog := dial(t, s, "hog")
-	good := dial(t, s, "good")
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var goodErr error
-	var goodDigest string
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 4; i++ {
-			res, err := good.Submit(small)
-			if err != nil {
-				goodErr = err
-				return
+// TestRunWorkloadFreesEverything: a completed workload leaves no store
+// alive — every store its emitted stream touched, views' parent stores
+// included, is dead once RunWorkload has returned and the session is
+// flushed.
+func TestRunWorkloadFreesEverything(t *testing.T) {
+	for _, workload := range []string{"chain", "stencil", "jacobi"} {
+		for _, dtype := range []string{"f64", "f32"} {
+			for _, fused := range []bool{true, false} {
+				name := fmt.Sprintf("%s/%s/fused=%v", workload, dtype, fused)
+				t.Run(name, func(t *testing.T) {
+					cfg := core.DefaultConfig(2)
+					cfg.Enabled = fused
+					rt := core.New(cfg)
+					defer rt.Close()
+					seen := map[*ir.Store]bool{}
+					rt.Legion().Trace = func(tk *ir.Task) {
+						for _, a := range tk.Args {
+							seen[a.Store] = true
+						}
+					}
+					ctx := cunum.NewContext(rt)
+					req := serve.SubmitRequest{Workload: workload, N: 16, Iters: 3, DType: dtype}
+					if _, err := serve.RunWorkload(ctx, req); err != nil {
+						t.Fatalf("run: %v", err)
+					}
+					ctx.Flush()
+					if len(seen) == 0 {
+						t.Fatal("trace saw no stores")
+					}
+					for st := range seen {
+						if !st.Dead() {
+							t.Errorf("%v still live after the workload returned (%d stores traced)", st, len(seen))
+						}
+					}
+				})
 			}
-			goodDigest = res.Digest
 		}
-	}()
-	if _, err := hog.Submit(big); !serveclient.IsOverQuota(err) {
-		t.Fatalf("hog want over-quota error, got %v", err)
-	}
-	wg.Wait()
-	if goodErr != nil {
-		t.Fatalf("good tenant perturbed by hog: %v", goodErr)
-	}
-	if goodDigest != wantSmall {
-		t.Fatalf("good tenant digest %s != solo %s", goodDigest, wantSmall)
-	}
-
-	// The hog's budget must be fully reclaimed: the same small workload
-	// fits in 1 MiB and must now succeed for the hog too.
-	res, err := hog.Submit(small)
-	if err != nil {
-		t.Fatalf("hog's small follow-up should succeed after reclaim: %v", err)
-	}
-	if res.Digest != wantSmall {
-		t.Fatalf("hog follow-up digest %s != solo %s", res.Digest, wantSmall)
-	}
-
-	snap, err := good.Stats()
-	if err != nil {
-		t.Fatalf("stats: %v", err)
-	}
-	hs := tenantStats(t, snap, "hog")
-	if hs.OverQuota != 1 {
-		t.Fatalf("hog over-quota count = %d, want 1 (%+v)", hs.OverQuota, hs)
-	}
-	if hs.QuotaUsed != 0 {
-		t.Fatalf("hog still has %d bytes charged after reclaim", hs.QuotaUsed)
-	}
-	if gs := tenantStats(t, snap, "good"); gs.OverQuota != 0 || gs.Failed != 0 || gs.Completed != 4 {
-		t.Fatalf("good tenant counters perturbed: %+v", gs)
 	}
 }
 
@@ -250,12 +227,12 @@ func TestLoadShed(t *testing.T) {
 }
 
 // TestManyTenantStress drives many tenants concurrently — mixed workloads,
-// one tenant over quota, several connections per tenant — and checks every
+// several connections per tenant — and checks every
 // successful digest against the solo oracle. Run under -race this is the
 // isolation stress test the issue asks for.
 func TestManyTenantStress(t *testing.T) {
 	s := startServer(t, serve.Config{
-		Procs: 2, TenantQuota: 8 << 20, TenantInflight: 2, GlobalInflight: 4, QueueDepth: 32,
+		Procs: 2, TenantInflight: 2, GlobalInflight: 4, QueueDepth: 32,
 	})
 	reqs := []serve.SubmitRequest{
 		{Workload: "chain", N: 1024, Iters: 4},
@@ -266,7 +243,6 @@ func TestManyTenantStress(t *testing.T) {
 	for i, r := range reqs {
 		want[i] = soloDigest(t, 2, r)
 	}
-	over := serve.SubmitRequest{Workload: "jacobi", N: 1200, Iters: 1} // ~11.5 MiB matrix > 8 MiB quota
 
 	var wg sync.WaitGroup
 	for tn := 0; tn < 6; tn++ {
@@ -282,13 +258,6 @@ func TestManyTenantStress(t *testing.T) {
 				}
 				defer c.Close()
 				for i := 0; i < 3; i++ {
-					if tn == 0 && i == 1 {
-						// Tenant 0 interleaves an over-quota request.
-						if _, err := c.Submit(over); !serveclient.IsOverQuota(err) {
-							t.Errorf("%s: want over-quota, got %v", name, err)
-						}
-						continue
-					}
 					k := (tn + conn + i) % len(reqs)
 					res, err := c.Submit(reqs[k])
 					if serveclient.IsRetryable(err) {
@@ -312,12 +281,9 @@ func TestManyTenantStress(t *testing.T) {
 		t.Fatalf("stats: %v", err)
 	}
 	for _, ts := range snap.Tenants {
-		if ts.Admitted != ts.Completed+ts.OverQuota+ts.Failed {
-			t.Errorf("tenant %s: admitted %d != completed %d + overquota %d + failed %d",
-				ts.Tenant, ts.Admitted, ts.Completed, ts.OverQuota, ts.Failed)
-		}
-		if ts.QuotaUsed != 0 {
-			t.Errorf("tenant %s: %d bytes still charged after drain", ts.Tenant, ts.QuotaUsed)
+		if ts.Admitted != ts.Completed+ts.Failed {
+			t.Errorf("tenant %s: admitted %d != completed %d + failed %d",
+				ts.Tenant, ts.Admitted, ts.Completed, ts.Failed)
 		}
 	}
 }
@@ -341,8 +307,8 @@ func TestTCPTransport(t *testing.T) {
 	}
 }
 
-// TestTenantCostsNoGoroutines: a tenant is a quota, a channel of session
-// lanes and a waiting count; a submission runs on its connection's
+// TestTenantCostsNoGoroutines: a tenant is a channel of session lanes and
+// a waiting count; a submission runs on its connection's
 // goroutine. Opening connections under many tenant names and closing them
 // again leaves the server's goroutine count where it started.
 func TestTenantCostsNoGoroutines(t *testing.T) {
@@ -387,7 +353,7 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("submit %+v: want validation error", req)
 			continue
 		}
-		if serveclient.IsRetryable(err) || serveclient.IsOverQuota(err) {
+		if serveclient.IsRetryable(err) {
 			t.Errorf("submit %+v: misclassified error %v", req, err)
 		}
 	}

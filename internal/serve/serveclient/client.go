@@ -25,8 +25,6 @@ type RemoteError struct {
 	Msg string
 	// Retryable marks a load-shed rejection (queue full, nothing ran).
 	Retryable bool
-	// OverQuota marks a memory-quota rejection.
-	OverQuota bool
 }
 
 func (e *RemoteError) Error() string { return e.Msg }
@@ -36,12 +34,6 @@ func (e *RemoteError) Error() string { return e.Msg }
 func IsRetryable(err error) bool {
 	var re *RemoteError
 	return errors.As(err, &re) && re.Retryable
-}
-
-// IsOverQuota reports whether err is a memory-quota rejection.
-func IsOverQuota(err error) bool {
-	var re *RemoteError
-	return errors.As(err, &re) && re.OverQuota
 }
 
 // Client is one tenant connection. A Client is not safe for concurrent
@@ -92,7 +84,7 @@ func (c *Client) roundTrip(req serve.Request) (*serve.Response, error) {
 		return nil, err
 	}
 	if !resp.OK {
-		return nil, &RemoteError{Msg: resp.Error, Retryable: resp.Retryable, OverQuota: resp.OverQuota}
+		return nil, &RemoteError{Msg: resp.Error, Retryable: resp.Retryable}
 	}
 	return &resp, nil
 }
@@ -105,7 +97,7 @@ func (c *Client) Ping() error {
 
 // Submit runs one workload stream in the tenant's session and returns its
 // result digest. A *RemoteError return carries the tenant-scoped failure
-// classification (IsRetryable, IsOverQuota).
+// classification (IsRetryable).
 func (c *Client) Submit(req serve.SubmitRequest) (*serve.SubmitResult, error) {
 	resp, err := c.roundTrip(serve.Request{Op: "submit", Submit: &req})
 	if err != nil {

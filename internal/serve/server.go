@@ -23,8 +23,6 @@ type Config struct {
 	Addr string
 	// Procs is the runtime's launch width (default 4).
 	Procs int
-	// TenantQuota caps each tenant's live-store bytes (0 = unlimited).
-	TenantQuota int64
 	// TenantInflight is the number of submissions one tenant may have
 	// executing concurrently — its session-lane count (default 1).
 	TenantInflight int

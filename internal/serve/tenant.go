@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -9,15 +8,14 @@ import (
 	"diffuse/internal/core"
 )
 
-// tenant is one tenant's isolation domain: a shared memory quota and
-// TenantInflight session lanes. A lane is a private core.Session
-// (sessions are single-goroutine; the runtime underneath is shared by all
-// tenants); a submission borrows one on the goroutine of the connection
-// that sent it, so a tenant owns no goroutines of its own.
+// tenant is one tenant's isolation domain: TenantInflight session lanes.
+// A lane is a private core.Session (sessions are single-goroutine; the
+// runtime underneath is shared by all tenants); a submission borrows one
+// on the goroutine of the connection that sent it, so a tenant owns no
+// goroutines of its own.
 type tenant struct {
-	name  string
-	srv   *Server
-	quota *core.Quota
+	name string
+	srv  *Server
 
 	workers []*worker    // every lane, for stats
 	lanes   chan *worker // the idle lanes
@@ -26,7 +24,6 @@ type tenant struct {
 	admitted  atomic.Int64
 	rejected  atomic.Int64
 	completed atomic.Int64
-	overQuota atomic.Int64
 	failed    atomic.Int64
 }
 
@@ -40,12 +37,10 @@ func newTenant(s *Server, name string) *tenant {
 	t := &tenant{
 		name:  name,
 		srv:   s,
-		quota: core.NewQuota(s.cfg.TenantQuota),
 		lanes: make(chan *worker, s.cfg.TenantInflight),
 	}
 	for i := 0; i < s.cfg.TenantInflight; i++ {
 		sess := s.rt.NewSession()
-		sess.SetQuota(t.quota)
 		w := &worker{sess: sess, ctx: cunum.NewSessionContext(sess)}
 		t.workers = append(t.workers, w)
 		t.lanes <- w
@@ -82,27 +77,16 @@ func (t *tenant) submit(req SubmitRequest) Response {
 }
 
 // process executes one admitted submission inside the lane's session.
-// Failures are tenant-scoped: the session's buffered window is aborted and
-// every store still charged to the tenant's quota is reclaimed, so the
-// next request — this tenant's or anyone else's — starts clean.
+// Failures are tenant-scoped: the session's buffered window is aborted,
+// so the dead half of the stream never reaches the executor.
 func (t *tenant) process(w *worker, req SubmitRequest) Response {
 	res, err := RunWorkload(w.ctx, req)
 	if err != nil {
 		w.sess.Abort()
-		w.sess.ReclaimQuota()
-		var qe *core.QuotaError
-		if errors.As(err, &qe) {
-			t.overQuota.Add(1)
-			return Response{Error: fmt.Sprintf("tenant %q: %v", t.name, err), OverQuota: true}
-		}
 		t.failed.Add(1)
 		return Response{Error: fmt.Sprintf("tenant %q: %v", t.name, err)}
 	}
-	// Success: the workload freed everything it allocated, so the reclaim
-	// is a bookkeeping prune — but run it anyway, so a leak in one request
-	// cannot accumulate into a quota squeeze across requests.
 	w.sess.Flush()
-	w.sess.ReclaimQuota()
 	t.completed.Add(1)
 	return Response{OK: true, Result: res}
 }
@@ -111,15 +95,11 @@ func (t *tenant) process(w *worker, req SubmitRequest) Response {
 // over its lane sessions.
 func (t *tenant) stats() TenantStats {
 	ts := TenantStats{
-		Tenant:     t.name,
-		Admitted:   t.admitted.Load(),
-		Rejected:   t.rejected.Load(),
-		Completed:  t.completed.Load(),
-		OverQuota:  t.overQuota.Load(),
-		Failed:     t.failed.Load(),
-		QuotaUsed:  t.quota.Used(),
-		QuotaPeak:  t.quota.Peak(),
-		QuotaLimit: t.quota.Limit(),
+		Tenant:    t.name,
+		Admitted:  t.admitted.Load(),
+		Rejected:  t.rejected.Load(),
+		Completed: t.completed.Load(),
+		Failed:    t.failed.Load(),
 	}
 	for _, w := range t.workers {
 		cs := w.sess.CacheStats()

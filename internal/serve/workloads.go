@@ -17,9 +17,8 @@ import (
 // the outside. Every workload is stateless: it allocates, iterates, reads
 // the result back, digests it, and frees everything it allocated.
 
-// Workload size bounds: a tenant's request sizes its own allocations (the
-// quota bounds the bytes), but the launch-domain and iteration bounds keep
-// a single request's execution time within reason.
+// Workload size bounds: they keep a single request's allocations and
+// execution time within reason.
 const (
 	maxChainN = 1 << 22
 	maxGridN  = 4096
@@ -60,19 +59,13 @@ func (req SubmitRequest) Validate() error {
 	return nil
 }
 
-// RunWorkload executes one submission on the given context (and so inside
-// its session's quota). Panics from the allocation path — notably the
-// over-quota *core.QuotaError — are recovered into errors, so a tenant
-// blowing its budget never takes the server down. On error the caller
-// still owns cleanup of any half-built stream (Session.Abort +
-// Session.ReclaimQuota); RunWorkload itself frees everything on success.
+// RunWorkload executes one submission on the given context. Panics are
+// recovered into errors, so a failing request never takes the server
+// down. On error the caller still owns cleanup of any half-built stream
+// (Session.Abort); RunWorkload itself frees everything on success.
 func RunWorkload(ctx *cunum.Context, req SubmitRequest) (res *SubmitResult, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			if qe, ok := p.(*core.QuotaError); ok {
-				err = qe
-				return
-			}
 			err = fmt.Errorf("serve: workload %q panicked: %v", req.Workload, p)
 		}
 	}()
@@ -108,10 +101,12 @@ func RunWorkload(ctx *cunum.Context, req SubmitRequest) (res *SubmitResult, err 
 			center.Assign(avg.MulC(0.2))
 		}
 		out = grid.ToHost()
-		grid.Free()
+		// Each view holds an application reference on grid's store.
+		for _, a := range []*cunum.Array{center, north, east, west, south, grid} {
+			a.Free()
+		}
 	case "jacobi":
-		// Damped dense-matvec sweeps; the n² system matrix is the large
-		// allocation that trips a tight memory quota.
+		// Damped dense-matvec sweeps over an n² system matrix.
 		n := req.N
 		A := ctx.RandomT(dt, 1, n, n)
 		b := ctx.RandomT(dt, 2, n)
