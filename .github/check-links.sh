@@ -46,7 +46,10 @@
 # function, one bind and one run path replaced, and serve's per-tenant
 # memory quota (the core type, its error, the session hooks, the serve
 # config field, the client predicate, the wire field, the diffuse-serve
-# flag, the diffuse-trace column) —
+# flag, the diffuse-trace column), and the store repartition that moved
+# no data (the array, runtime and store methods, the argument's
+# generation, the store's shard count, the constraint and generation
+# they were documented as) —
 # so a sentence cannot
 # outlive what it quoted. ROADMAP.md is exempt: it keeps history. The one-character
 # brackets keep this script from matching its own pattern in a
@@ -69,6 +72,7 @@ removed="$removed"'|[e]xecGEMVCg|[g]emvBlocked|[g]emvXSpillBytes|column-[b]locke
 removed="$removed"'|[r]unUnits'
 removed="$removed"'|[W]indowScan|[S]canStore|\b[d]edup\b|[o]nesOf'
 removed="$removed"'|[b]indPoint|[b]indUnion|[e]xecPoint|[r]unGroupLocal|[t]iledShardSpan|[s]hardInstances'
+removed="$removed"'|[A]rray\.Reshard|[R]untime\.Reshard|[S]tore\.Reshard|\b[S]hardGen\b|\b[S]hardCount\b|[Ss]ixth fusion constraint|[Rr]epartition generation'
 removed="$removed"'|core\.[Q]uota|[Q]uotaError|[S]etQuota|[R]eclaimQuota|[T]enantQuota|[I]sOverQuota|[o]ver_quota|(^|[^[:alnum:]])-[q]uota\b|[q]uotaUsed'
 
 # slugs_of FILE: print the GitHub anchor slug of every heading, skipping
@@ -88,7 +92,7 @@ for f in README.md DESIGN.md ROADMAP.md docs/*.md; do
   [ -e "$f" ] || continue
   dir=$(dirname "$f")
   if [ "$f" != ROADMAP.md ] && hits=$(grep -nE -e "$removed" "$f"); then
-    echo "$f: names something removed (the real-mode suite: see docs/BENCHMARKS.md; ReadAll32/WriteAll32: see DESIGN.md, the wire; the stage-barrier executor path: see DESIGN.md, sharded execution; feedback scheduling: see DESIGN.md, static schedule; the tcp rank mesh and serve batching: see docs/SERVING.md; the rank drain: see docs/ARCHITECTURE.md, distributed execution; the wavefront DAG: see DESIGN.md, one drain loop; the executor policies: see DESIGN.md, the reference backend; the blocked GEMV: see DESIGN.md, kernel backends; the unit batch: see DESIGN.md, one drain loop; the window scan: see DESIGN.md, memoization and kernel identity; the binding recipes and run paths: see DESIGN.md, execution engine; the memory quota: see docs/SERVING.md):"
+    echo "$f: names something removed (the real-mode suite: see docs/BENCHMARKS.md; ReadAll32/WriteAll32: see DESIGN.md, the wire; the stage-barrier executor path: see DESIGN.md, sharded execution; feedback scheduling: see DESIGN.md, static schedule; the tcp rank mesh and serve batching: see docs/SERVING.md; the rank drain: see docs/ARCHITECTURE.md, distributed execution; the wavefront DAG: see DESIGN.md, one drain loop; the executor policies: see DESIGN.md, the reference backend; the blocked GEMV: see DESIGN.md, kernel backends; the unit batch: see DESIGN.md, one drain loop; the window scan: see DESIGN.md, memoization and kernel identity; the binding recipes and run paths: see DESIGN.md, execution engine; the memory quota: see docs/SERVING.md; the store repartition: see DESIGN.md, sharded execution):"
     echo "$hits"
     fail=1
   fi

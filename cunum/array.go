@@ -380,17 +380,6 @@ func (a *Array) ScalarOK() (v float64, ok bool) {
 	return a.ctx.rt.Legion().ReadAt(a.store, off)
 }
 
-// Reshard changes the backing store's leading-axis block decomposition
-// (Config.Shards sets the default at creation). The repartition is a
-// fusion and grouping barrier: tasks issued before and after it never
-// fuse into one kernel or share a shard group, because the runtime must
-// be free to move data between the two decompositions in between.
-// Returns the array for chaining.
-func (a *Array) Reshard(shards int) *Array {
-	a.ctx.rt.Reshard(a.st(), shards)
-	return a
-}
-
 // AsType returns a copy of the array converted to the given element type —
 // the explicit cast boundary of the dtype system. The emitted kernel
 // carries an explicit cast expression, which is what entitles it (and only

@@ -101,33 +101,6 @@ func TestShardMatVecReductionsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestReshardBreaksFusion: the sixth fusion constraint — a window that
-// straddles a Reshard of a store must not fuse across the boundary, while
-// the identical window without the Reshard fuses fully.
-func TestReshardBreaksFusion(t *testing.T) {
-	run := func(reshard bool) core.Stats {
-		ctx := shardCtx(1, true)
-		x := ctx.Ones(64).Keep()
-		a := x.MulC(2).Keep()
-		if reshard {
-			a.Reshard(2)
-		}
-		b := a.AddC(1).Keep()
-		ctx.Flush()
-		_ = b.ToHost()
-		return ctx.Runtime().Stats()
-	}
-	fusedPlain := run(false)
-	if fusedPlain.FusedOriginals == 0 {
-		t.Fatalf("control window did not fuse at all: %+v", fusedPlain)
-	}
-	fusedResharded := run(true)
-	if fusedResharded.FusedOriginals >= fusedPlain.FusedOriginals {
-		t.Fatalf("Reshard did not break fusion: %d originals fused with reshard, %d without",
-			fusedResharded.FusedOriginals, fusedPlain.FusedOriginals)
-	}
-}
-
 // TestShardsWithSessionsRace: concurrent sessions over one sharded
 // runtime — groups, drains, and deferred frees are all under the
 // runtime's execution lock; run with -race.

@@ -94,44 +94,3 @@ func TestWavefrontReductionForcesBarrierStage(t *testing.T) {
 		t.Fatalf("the reductions did not group: %+v", st)
 	}
 }
-
-// TestWavefrontReshardMidChain: a halo-misaligned repartition in the
-// middle of a stencil chain — Reshard drains the buffered group, bumps
-// the store's generation, and the chain continues under the new
-// decomposition with results bit-identical to the unsharded runtime's.
-func TestWavefrontReshardMidChain(t *testing.T) {
-	run := func(shards int) ([]float64, legion.ShardStats) {
-		ctx := shardCtx(shards, false)
-		const n = 128
-		u := ctx.Arange(n).MulC(0.01).Keep()
-		for it := 0; it < 4; it++ {
-			left := u.Slice([]int{0}, []int{n - 2})
-			right := u.Slice([]int{2}, []int{n})
-			un := ctx.Zeros(n).Keep()
-			cunum.AddInto(un.Slice([]int{1}, []int{n - 1}).Temp(), left.Temp(), right.Temp())
-			u.Free()
-			u = un
-			if it == 1 {
-				// Mid-chain repartition: the group drains, the generation
-				// bumps, and later sweeps regroup under the new block
-				// decomposition.
-				u.Reshard(2)
-			}
-		}
-		ctx.Flush()
-		got := u.ToHost()
-		return got, ctx.Runtime().Legion().ShardStatsSnapshot()
-	}
-	ref, _ := run(1)
-	for _, shards := range []int{2, 4} {
-		got, st := run(shards)
-		if st.Groups < 2 {
-			t.Fatalf("shards=%d: Reshard did not split the chain into multiple groups: %+v", shards, st)
-		}
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("shards=%d u[%d] = %v, want bit-identical %v", shards, i, got[i], ref[i])
-			}
-		}
-	}
-}

@@ -3,10 +3,9 @@ package core
 import "diffuse/internal/ir"
 
 // The four fusion constraints of Fig. 5, implemented as an incremental
-// forwards dataflow over the task window, plus two of our own: the dtype
-// constraint of the typed-value system (a prefix spans element types only
-// across an explicit cast) and the repartition constraint of sharded
-// execution (a prefix never crosses a Reshard boundary). effects tracks,
+// forwards dataflow over the task window, plus the dtype constraint of the
+// typed-value system (a prefix spans element types only across an explicit
+// cast). effects tracks,
 // per store, the partitions through which the prefix so far has read,
 // written, and reduced; admitting one more task is a constant number of
 // slice lookups and constant-time partition equality checks per argument —
@@ -27,13 +26,6 @@ type storeEffects struct {
 	// redOp/redActive track reductions to the store.
 	redActive bool
 	redOp     ir.ReduceOp
-	// shardGen is the store's repartition generation when the prefix first
-	// touched it. The repartition constraint (beyond Fig. 5): a later task
-	// observing a different generation means the store was Resharded in
-	// between, and the runtime must see both sides separately to move data
-	// between the decompositions — fusing across the boundary would bake
-	// the old decomposition into the fused task.
-	shardGen int64
 }
 
 type dataflow struct {
@@ -93,11 +85,6 @@ func (d *dataflow) admits(t *ir.Task) bool {
 				return false
 			}
 			continue
-		}
-		// Repartition constraint: the store was Resharded since the prefix
-		// first touched it.
-		if e.shardGen != a.ShardGen {
-			return false
 		}
 		if d.selfAliases(a) {
 			return false
@@ -242,10 +229,7 @@ func (d *dataflow) record(t *ir.Task) {
 	for i, a := range t.Args {
 		d.dtypes |= 1 << a.Store.DType()
 		e := &d.effects[d.argStores[d.next+i]]
-		if !e.tracked {
-			e.tracked = true
-			e.shardGen = a.ShardGen
-		}
+		e.tracked = true
 		if a.Priv.Reads() {
 			e.readParts = addPart(e.readParts, a.Part)
 		}

@@ -295,7 +295,7 @@ func (r *Runtime) buildFused(plan *fusionPlan, prefix []*ir.Task) *ir.Task {
 	args := make([]ir.Arg, len(plan.params))
 	for pi, p := range plan.params {
 		src := prefix[p.taskIdx].Args[p.argIdx]
-		args[pi] = ir.Arg{Store: src.Store, Part: src.Part, Priv: p.priv, Red: p.red, HaloBytes: src.HaloBytes, ShardGen: src.ShardGen}
+		args[pi] = ir.Arg{Store: src.Store, Part: src.Part, Priv: p.priv, Red: p.red, HaloBytes: src.HaloBytes}
 	}
 	r.stats.TempsEliminated += int64(plan.temps)
 	t := &ir.Task{

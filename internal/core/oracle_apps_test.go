@@ -26,8 +26,8 @@ func watchedCtx(shards int) *cunum.Context {
 // that the traffic was there and that it did repeat (so the "one string,
 // one key" direction was exercised by steady-state hits, not vacuously).
 // The hand-built windows of the in-package tests — partial drains with
-// pinned stores, two sessions sharing stores, dtype and repartition
-// boundaries — reach the same oracle through newTestRuntime.
+// pinned stores, two sessions sharing stores, dtype boundaries — reach the
+// same oracle through newTestRuntime.
 func TestKeyOracleOnApplications(t *testing.T) {
 	w0, d0 := core.WatchedKeyCounts()
 	for _, shards := range []int{1, 4} {
@@ -70,23 +70,6 @@ func TestKeyOracleOnApplications(t *testing.T) {
 			})
 		}
 	}
-
-	// A window that straddles a Reshard carries a non-zero generation
-	// delta; the same program without it must key differently.
-	t.Run("reshard", func(t *testing.T) {
-		for _, reshard := range []bool{false, true} {
-			ctx := watchedCtx(1)
-			x := ctx.Ones(64).Keep()
-			a := x.MulC(2).Keep()
-			if reshard {
-				a.Reshard(2)
-			}
-			b := a.AddC(1).Keep()
-			c := a.Mul(b).Keep()
-			ctx.Flush()
-			_ = c.ToHost()
-		}
-	})
 
 	w1, d1 := core.WatchedKeyCounts()
 	if w1-w0 < 200 {

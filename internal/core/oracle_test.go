@@ -18,7 +18,7 @@ import (
 // one string only (a coarser key would replay the wrong fused kernel) and
 // one string may have one key only (a finer key would miss in steady
 // state). The session's stream, whose tokens survived every Submit, drop,
-// partial drain, Abort and Reshard before the analysis, must also key the
+// partial drain and Abort before the analysis, must also key the
 // window as a stream rebuilt from scratch over it does. It panics on the
 // first window that breaks any of these.
 type keyRecorder struct {

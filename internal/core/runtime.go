@@ -39,21 +39,23 @@ type Config struct {
 	// Machine configures the simulated cluster (ModeSim) and, in every
 	// mode, the default launch width used by libraries (GPUs).
 	Machine machine.Config
-	// Shards enables sharded execution (ModeReal): stores are decomposed
-	// into this many leading-axis blocks, and the runtime buffers
-	// compatible tasks into groups it executes in program order, entry
-	// by entry: each task runs on the work-stealing executor as an
-	// unsharded task does, in the order a rank runs its own unit. 0 or 1
-	// disables sharding; results (including reductions) are bit-identical
-	// across shard counts. See DESIGN.md "Sharded execution".
+	// Shards enables sharded execution (ModeReal): the runtime decomposes
+	// every task's work into this many leading-axis blocks of the stores
+	// it touches (one decomposition for the whole runtime; a store has no
+	// shard count of its own), and it buffers compatible tasks into
+	// groups it executes in program order, entry by entry: each task runs
+	// on the work-stealing executor as an unsharded task does, in the
+	// order a rank runs its own unit. 0 or 1 disables sharding; results
+	// (including reductions) are bit-identical across shard counts. See
+	// DESIGN.md "Sharded execution".
 	Shards int
 	// Ranks launches a multi-process distributed runtime (ModeReal only):
 	// this process becomes the parent of Ranks rank subprocesses on this
 	// host (one per shard, meshed over unix-domain sockets; internal/dist)
 	// and forwards its post-fusion task stream to them instead of
 	// executing locally. Shards is forced equal to Ranks —
-	// rank r owns shard r, and the fusion layer stamps tasks exactly as it
-	// would for in-process sharding, so ranks=N reproduces Shards=N
+	// rank r owns shard r, and the fusion layer emits the same task stream
+	// as it would for in-process sharding, so ranks=N reproduces Shards=N
 	// bit-for-bit. 0 or 1 disables distribution. The binary embedding this
 	// runtime must call dist.MaybeRankMain first thing in main(), and
 	// Runtime.Close must be called to shut the ranks down.
@@ -137,9 +139,8 @@ type Runtime struct {
 	leg  *legion.Runtime
 	fact ir.Factory
 
-	mu    sync.Mutex // guards seq, memo, stats, and task emission
+	mu    sync.Mutex // guards memo, stats, and task emission
 	memo  map[hash128.Sum]*memoEntry
-	seq   int64
 	stats Stats
 
 	// keyOracle, set only by tests, sees every window analyze keys, with
@@ -162,8 +163,8 @@ func New(cfg Config) *Runtime {
 		if cfg.Mode != legion.ModeReal {
 			panic("core: distributed execution (Ranks > 1) requires ModeReal")
 		}
-		// Rank r owns shard r: forced so the parent stamps tasks exactly
-		// as the in-process Shards=Ranks oracle would.
+		// Rank r owns shard r: forced so the parent runs the same shard
+		// count as the in-process Shards=Ranks oracle.
 		cfg.Shards = cfg.Ranks
 		// Ranks execute the kernels, so the backend toggle must reach
 		// them; rank.go reads it back in MaybeRankMain's runtime setup.
@@ -245,26 +246,12 @@ func (r *Runtime) Procs() int { return r.cfg.Machine.GPUs }
 // Stores are shared across sessions: any session may submit tasks against
 // any store.
 func (r *Runtime) NewStore(name string, shape []int) *ir.Store {
-	s := r.fact.NewStore(name, shape)
-	s.SetShards(r.cfg.Shards)
-	return s
+	return r.fact.NewStore(name, shape)
 }
 
 // NewStoreTyped allocates a store with an explicit element type.
 func (r *Runtime) NewStoreTyped(name string, shape []int, dtype ir.DType) *ir.Store {
-	s := r.fact.NewStoreTyped(name, shape, dtype)
-	s.SetShards(r.cfg.Shards)
-	return s
-}
-
-// Reshard changes a store's leading-axis block decomposition mid-stream.
-// The pending sharded group is drained first (the runtime must finish work
-// issued against the old decomposition), and tasks submitted afterwards
-// carry a new repartition generation, so no fused prefix ever spans the
-// boundary (the sixth fusion constraint).
-func (r *Runtime) Reshard(s *ir.Store, n int) {
-	r.leg.DrainShardGroup()
-	s.Reshard(n)
+	return r.fact.NewStoreTyped(name, shape, dtype)
 }
 
 // ReleaseStore drops the application's reference to a store. If the store

@@ -131,13 +131,6 @@ func (s *Session) Submit(t *ir.Task) {
 			}
 		}
 	}
-	// Stamp each argument with its store's repartition generation: the
-	// fusion analysis compares generations (not live store state, which a
-	// later Reshard would have overwritten by analysis time) to keep
-	// prefixes from crossing a repartition boundary.
-	for i := range t.Args {
-		t.Args[i].ShardGen = t.Args[i].Store.ShardGen()
-	}
 	r := s.rt
 	if r.cfg.Enabled && !r.cfg.NoMemo {
 		// Everything the memo key needs from the task alone, folded once
@@ -146,8 +139,6 @@ func (s *Session) Submit(t *ir.Task) {
 		t.Seal()
 	}
 	r.mu.Lock()
-	r.seq++
-	t.Seq = r.seq
 	r.stats.Submitted++
 	r.mu.Unlock()
 	for _, a := range t.Args {

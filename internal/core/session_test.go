@@ -163,9 +163,9 @@ func TestConcurrentSessions(t *testing.T) {
 // TestKeyStreamMatchesRebuild: the session keeps each task's
 // window-relative token across the edits a window goes through. After
 // each of them — Submit (with the emissions a full window triggers), a
-// FlushStore partial drain, Abort and a mid-window Reshard — keying the
-// buffered window through the session's stream must give what a stream
-// rebuilt from scratch over the same window and liveness gives.
+// FlushStore partial drain and Abort — keying the buffered window
+// through the session's stream must give what a stream rebuilt from
+// scratch over the same window and liveness gives.
 func TestKeyStreamMatchesRebuild(t *testing.T) {
 	r := newTestRuntime(true)
 	s := r.DefaultSession()
@@ -197,10 +197,6 @@ func TestKeyStreamMatchesRebuild(t *testing.T) {
 		}
 		s.FlushStore(stores[1])
 		check("FlushStore")
-		stores[2].Reshard(2)
-		check("Reshard")
-		s.Submit(chainTask(r, stores[2], stores[3]))
-		check("Submit after Reshard")
 		s.Abort()
 		check("Abort")
 		s.Submit(chainTask(r, stores[3], stores[4]))

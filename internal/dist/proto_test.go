@@ -111,3 +111,52 @@ func FuzzControlBody(f *testing.F) {
 		}
 	})
 }
+
+// TestRankKernelVerifiesFingerprint: a task names its kernel by the ref
+// the parent interned it under plus the kernel's structural hash. A rank
+// resolves a matching task to the one *kir.Kernel it decoded for the ref,
+// and rejects a task encoded against another kernel structure than the
+// interned one.
+func TestRankKernelVerifiesFingerprint(t *testing.T) {
+	kernel := func(dt kir.DType) *kir.Kernel {
+		k := kir.NewKernel("copy", 2)
+		k.SetDType(0, dt)
+		k.SetDType(1, dt)
+		k.AddLoop(&kir.Loop{Kind: kir.LoopElem, Dom: "v", Ext: []int{4}, ExtRef: 1,
+			Stmts: []kir.Stmt{{Kind: kir.KStore, Param: 1, E: kir.Load(0)}}})
+		return k
+	}
+	interned, err := kir.DecodeKernel(kir.EncodeKernel(kernel(kir.F64)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f ir.Factory
+	x, y := f.NewStore("x", []int{16}), f.NewStore("y", []int{16})
+	rs := &rankState{
+		stores:  map[ir.StoreID]*ir.Store{x.ID(): x, y.ID(): y},
+		kernels: map[int64]*kir.Kernel{0: interned},
+	}
+	launch := ir.MakeRect(ir.Point{0}, ir.Point{4})
+	tp := ir.NewTiling(launch, []int{16}, []int{4}, []int{0}, nil, nil)
+	decode := func(k *kir.Kernel, ref int64) (*ir.Task, error) {
+		t.Helper()
+		body, err := ir.EncodeTask(&ir.Task{Name: "copy", Launch: launch, Kernel: k, Args: []ir.Arg{
+			{Store: x, Part: tp, Priv: ir.Read},
+			{Store: y, Part: tp, Priv: ir.Write},
+		}}, ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ir.DecodeTask(body, rs.store, rs.kernel)
+	}
+
+	if task, err := decode(kernel(kir.F64), 0); err != nil || task.Kernel != interned {
+		t.Fatalf("matching kernel: task %v, error %v; want the interned kernel", task, err)
+	}
+	if _, err := decode(kernel(kir.F32), 0); err == nil || !strings.Contains(err.Error(), "fingerprint mismatch") {
+		t.Fatalf("kernel of another structure: error %v, want a fingerprint mismatch", err)
+	}
+	if _, err := decode(kernel(kir.F64), 1); err == nil || !strings.Contains(err.Error(), "unknown kernel 1") {
+		t.Fatalf("uninterned ref: error %v, want an unknown kernel", err)
+	}
+}

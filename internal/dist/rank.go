@@ -9,6 +9,7 @@ import (
 	"strconv"
 
 	"diffuse/internal/dist/faultx"
+	"diffuse/internal/hash128"
 	"diffuse/internal/ir"
 	"diffuse/internal/kir"
 	"diffuse/internal/legion"
@@ -42,10 +43,6 @@ type rankState struct {
 
 	stores  map[ir.StoreID]*ir.Store
 	kernels map[int64]*kir.Kernel
-	// kernelFP caches each interned kernel's fingerprint: tasks carry the
-	// producer's fingerprint and every reference re-verifies it, but the
-	// fingerprint of the (immutable) decoded kernel never changes.
-	kernelFP map[int64]string
 }
 
 func runRank() (err error) {
@@ -114,12 +111,11 @@ func runRank() (err error) {
 	rt.SetDistributed(me, ranks, haloTx)
 
 	rs := &rankState{
-		me:       me,
-		ranks:    ranks,
-		rt:       rt,
-		stores:   map[ir.StoreID]*ir.Store{},
-		kernels:  map[int64]*kir.Kernel{},
-		kernelFP: map[int64]string{},
+		me:      me,
+		ranks:   ranks,
+		rt:      rt,
+		stores:  map[ir.StoreID]*ir.Store{},
+		kernels: map[int64]*kir.Kernel{},
 	}
 	return rs.controlLoop(parent)
 }
@@ -132,20 +128,16 @@ func (rs *rankState) store(id ir.StoreID) (*ir.Store, error) {
 	return s, nil
 }
 
-func (rs *rankState) kernel(ref int64, fp string) (*kir.Kernel, error) {
+// kernel resolves a task's kernel reference to the interned kernel, whose
+// structural hash (cached on the immutable decoded kernel) must match the
+// one the producer encoded.
+func (rs *rankState) kernel(ref int64, fp hash128.Sum) (*kir.Kernel, error) {
 	k, ok := rs.kernels[ref]
 	if !ok {
 		return nil, fmt.Errorf("rank %d: stream references unknown kernel %d", rs.me, ref)
 	}
-	if fp != "" {
-		got, ok := rs.kernelFP[ref]
-		if !ok {
-			got = k.Fingerprint()
-			rs.kernelFP[ref] = got
-		}
-		if got != fp {
-			return nil, fmt.Errorf("rank %d: kernel %d fingerprint mismatch (stream %q, interned %q)", rs.me, ref, fp, got)
-		}
+	if got := k.FingerprintHash(); got != fp {
+		return nil, fmt.Errorf("rank %d: kernel %d fingerprint mismatch (stream %x, interned %x)", rs.me, ref, fp, got)
 	}
 	return k, nil
 }

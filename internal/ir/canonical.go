@@ -28,11 +28,6 @@ type StoreFacts func(s *Store) string
 func Canonicalize(window []*Task, facts StoreFacts) string {
 	var b strings.Builder
 	idx := make(map[StoreID]int)
-	// gen0 records the shard generation each store first appeared with;
-	// later arguments write only their delta, so memoized plans replay
-	// across iterations (absolute generations grow) while windows that
-	// straddle a Reshard canonicalize differently from ones that do not.
-	gen0 := make(map[StoreID]int64)
 	for _, t := range window {
 		b.WriteString(t.Name)
 		b.WriteString(t.Launch.String())
@@ -52,12 +47,10 @@ func Canonicalize(window []*Task, facts StoreFacts) string {
 			if !seen {
 				di = len(idx)
 				idx[a.Store.ID()] = di
-				gen0[a.Store.ID()] = a.ShardGen
-				// First appearance: record shape, dtype, shard count, and
-				// caller facts once (dtype also appears in the kernel
-				// fingerprint above, but opaque-kernel tasks must separate
-				// too).
-				fmt.Fprintf(&b, "%d:new%v%s/s%d", di, a.Store.Shape(), a.Store.DType(), a.Store.ShardCount())
+				// First appearance: record shape, dtype and caller facts
+				// once (dtype also appears in the kernel fingerprint
+				// above, but opaque-kernel tasks must separate too).
+				fmt.Fprintf(&b, "%d:new%v%s", di, a.Store.Shape(), a.Store.DType())
 				if facts != nil {
 					b.WriteByte('{')
 					b.WriteString(facts(a.Store))
@@ -65,9 +58,6 @@ func Canonicalize(window []*Task, facts StoreFacts) string {
 				}
 			} else {
 				fmt.Fprintf(&b, "%d", di)
-			}
-			if d := a.ShardGen - gen0[a.Store.ID()]; d != 0 {
-				fmt.Fprintf(&b, "^%d", d)
 			}
 			b.WriteByte(',')
 			b.WriteString(a.Priv.String())

@@ -11,8 +11,13 @@ package ir_test
 // encodings plus canonical corruptions of them.
 
 import (
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
+	"diffuse/internal/hash128"
 	"diffuse/internal/ir"
 	"diffuse/internal/kir"
 )
@@ -25,7 +30,6 @@ func FuzzDecodeStream(f *testing.F) {
 	task := &ir.Task{
 		Name:   "seed",
 		Launch: ir.MakeRect(ir.Point{0}, ir.Point{4}),
-		Seq:    7,
 		Args: []ir.Arg{{
 			Store: store,
 			Part:  ir.ReplicateOver(ir.MakeRect(ir.Point{0}, ir.Point{4})),
@@ -37,14 +41,14 @@ func FuzzDecodeStream(f *testing.F) {
 		f.Add(enc[:len(enc)/2]) // truncated mid-structure
 	}
 	f.Add([]byte{})
-	f.Add([]byte{1, 0, 0}) // version ok, flags, then nothing
+	f.Add([]byte{2, 0, 0}) // version ok, flags, then nothing
 	kern := kir.NewKernel("seed", 2)
 	kern.AddLoop(&kir.Loop{Kind: kir.LoopElem, Dom: "v", Ext: []int{4}, ExtRef: 1,
 		Stmts: []kir.Stmt{{Kind: kir.KStore, Param: 1, E: kir.Load(0)}}})
 	f.Add(kir.EncodeKernel(kern))
 
 	resolveStore := func(ir.StoreID) (*ir.Store, error) { return store, nil }
-	resolveKernel := func(int64, string) (*kir.Kernel, error) { return nil, nil }
+	resolveKernel := func(int64, hash128.Sum) (*kir.Kernel, error) { return nil, nil }
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The decoders must return an error or a well-formed value; the
@@ -76,4 +80,42 @@ func FuzzDecodeStream(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestDecodeStreamCorpusIsCurrent: the committed FuzzDecodeStream seeds
+// are encodings at the current WireVersion, so each one reaches the part
+// of the decoder it was written for instead of stopping at the version
+// check — valid-tiled decodes, the corrupted variants fail past it. A
+// version bump must regenerate them.
+func TestDecodeStreamCorpusIsCurrent(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeStream")
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := (&ir.Factory{}).NewStore("s", []int{16})
+	for _, fe := range files {
+		raw, err := os.ReadFile(filepath.Join(dir, fe.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+		data, qerr := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if !ok || qerr != nil {
+			t.Fatalf("%s: not a []byte corpus entry", fe.Name())
+		}
+		dec, err := ir.DecodeTask([]byte(data),
+			func(ir.StoreID) (*ir.Store, error) { return store, nil },
+			func(int64, hash128.Sum) (*kir.Kernel, error) { return nil, nil })
+		switch {
+		case fe.Name() == "valid-tiled":
+			if err != nil || len(dec.Args) != 2 {
+				t.Fatalf("%s: decoded %v, %v; want a two-argument task", fe.Name(), dec, err)
+			}
+		case err == nil:
+			t.Fatalf("%s: a corrupted seed decoded", fe.Name())
+		case strings.Contains(err.Error(), "wire version"):
+			t.Fatalf("%s: stops at the version check: %v", fe.Name(), err)
+		}
+	}
 }

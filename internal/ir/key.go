@@ -17,23 +17,20 @@ import "diffuse/internal/hash128"
 //   - KeyStream.Push links each argument into the window, and the next Key
 //     folds the task's place in it into a token it caches: once per task,
 //     not once per analysis. Stores are named by back-references instead
-//     of first-appearance indices: an
-//     argument records the distance, in arguments, to the previous
-//     argument of the window that names the same store, and its
-//     repartition generation relative to that argument. An argument with
-//     no such predecessor is new and records the store's shape and element
-//     type. Distances survive the emission of the window's head, so a
-//     token is recomputed only when emission drops an argument it points
-//     to (that argument's successor becomes new).
+//     of first-appearance indices: an argument records the distance, in
+//     arguments, to the previous argument of the window that names the
+//     same store. An argument with no such predecessor is new and records
+//     the store's shape and element type. Distances survive the emission
+//     of the window's head, so a token is recomputed only when emission
+//     drops an argument it points to (that argument's successor becomes
+//     new).
 //   - Key folds what can change between two analyses of the same tasks:
 //     the task count, the tokens, and for each store where it first
-//     appears its shard count (a Reshard rewrites it) and the caller's
-//     liveness bit (an application release flips it).
+//     appears the caller's liveness bit (an application release flips it).
 //
 // Back-references and first-appearance indices describe the same partition
-// of the window's arguments by store, and generation deltas to the
-// previous argument sum to the deltas to the first, so two windows get
-// equal keys exactly when their canonical strings are equal.
+// of the window's arguments by store, so two windows get equal keys
+// exactly when their canonical strings are equal.
 
 // Domain tags of the hashes minted here.
 const (
@@ -43,9 +40,8 @@ const (
 )
 
 // Seal computes and caches the task's position-independent structural
-// hash. core.Session.Submit calls it after stamping dtypes and shard
-// generations; the task's name, launch, kernel and argument list must not
-// change afterwards.
+// hash. core.Session.Submit calls it after stamping dtypes; the task's
+// name, launch, kernel and argument list must not change afterwards.
 func (t *Task) Seal() {
 	h := hash128.New(hashTask)
 	h.String(t.Name)
@@ -122,7 +118,6 @@ type token struct {
 type streamArg struct {
 	store *Store
 	task  int64 // stream number of the task it belongs to
-	gen   int64 // Arg.ShardGen
 	back  int32 // distance to the previous argument naming store; 0: new
 	next  int32 // distance to the next one; 0: none in the window
 }
@@ -155,7 +150,7 @@ func (k *KeyStream) Push(t *Task) {
 	for i := range t.Args {
 		a := &t.Args[i]
 		n := k.abase + int64(len(k.args))
-		sa := streamArg{store: a.Store, task: tn, gen: a.ShardGen}
+		sa := streamArg{store: a.Store, task: tn}
 		if p, ok := k.last[a.Store.id]; ok {
 			sa.back = int32(n - p)
 			k.args[p-k.abase].next = sa.back
@@ -261,9 +256,7 @@ func (k *KeyStream) Key() hash128.Sum {
 		j += len(t.Args)
 	}
 	for i := range k.Stores {
-		s := &k.Stores[i]
-		h.Int(s.Store.ShardCount())
-		h.Bool(s.Live)
+		h.Bool(k.Stores[i].Live)
 	}
 	return h.Sum()
 }
@@ -281,10 +274,7 @@ func (k *KeyStream) token(t *Task, j int) hash128.Sum {
 		if a.back == 0 {
 			h.Ints(a.store.shape)
 			h.Word(uint64(a.store.dtype))
-		} else {
-			h.Word(uint64(a.gen - k.args[j-int(a.back)].gen))
 		}
-		j++
 	}
 	return h.Sum()
 }

@@ -7,9 +7,9 @@ package ir_test
 // field the key depends on; over all of them the two equalities must
 // coincide: a mutation changes the key iff it changes the string, and
 // renaming stores changes neither. Each window is also keyed through one
-// stream while tasks are pushed, head tasks dropped and stores resharded
-// in random order: after every step the stream's key must equal a rebuilt
-// stream's, and join the same iff.
+// stream while tasks are pushed and head tasks dropped in random order:
+// after every step the stream's key must equal a rebuilt stream's, and
+// join the same iff.
 
 import (
 	"fmt"
@@ -25,10 +25,9 @@ import (
 // field at a time and rebuilt over fresh stores.
 type (
 	keyStore struct {
-		shape  []int
-		dtype  ir.DType
-		shards int
-		live   bool
+		shape []int
+		dtype ir.DType
+		live  bool
 	}
 	keyPart struct {
 		none                       bool
@@ -40,7 +39,6 @@ type (
 		store int
 		priv  ir.Privilege
 		red   ir.ReduceOp
-		gen   int64 // ShardGen relative to the store's base generation
 		part  keyPart
 	}
 	keyTask struct {
@@ -84,10 +82,9 @@ func genKeyWindow(rng *rand.Rand) *keyWindow {
 	w := &keyWindow{}
 	for i, n := 0, 1+rng.Intn(4); i < n; i++ {
 		w.stores = append(w.stores, keyStore{
-			shape:  randInts(rng, 1+rng.Intn(2), 1, 9),
-			dtype:  ir.DType(rng.Intn(3)),
-			shards: 1 + rng.Intn(3),
-			live:   rng.Intn(2) == 0,
+			shape: randInts(rng, 1+rng.Intn(2), 1, 9),
+			dtype: ir.DType(rng.Intn(3)),
+			live:  rng.Intn(2) == 0,
 		})
 	}
 	names := []string{"add", "mul", "fill", "copy", "spmv"}
@@ -104,7 +101,6 @@ func genKeyWindow(rng *rand.Rand) *keyWindow {
 				store: rng.Intn(len(w.stores)),
 				priv:  ir.Privilege(rng.Intn(4)),
 				red:   ir.ReduceOp(rng.Intn(4)),
-				gen:   int64(rng.Intn(2)),
 				part:  keyPart{none: rng.Intn(3) == 0, colors: t.launch},
 			}
 			if !a.part.none {
@@ -146,9 +142,9 @@ func (w *keyWindow) clone() *keyWindow {
 
 // render builds the window over fresh stores and returns both forms of
 // its identity, with the window and its liveness facts. rename > 0 burns
-// that many store IDs first, allocates the stores in reverse order and
-// shifts every store's base generation, so nothing that identifies a store
-// survives except how the arguments share it.
+// that many store IDs first and allocates the stores in reverse order, so
+// nothing that identifies a store survives except how the arguments share
+// it.
 func (w *keyWindow) render(t testing.TB, rename int) (hash128.Sum, string, []*ir.Task, map[ir.StoreID]bool) {
 	t.Helper()
 	var f ir.Factory
@@ -164,7 +160,6 @@ func (w *keyWindow) render(t testing.TB, rename int) (hash128.Sum, string, []*ir
 		}
 		ks := w.stores[si]
 		s := f.NewStoreTyped("s", ks.shape, ks.dtype)
-		s.SetShards(ks.shards)
 		stores[si], live[s.ID()] = s, ks.live
 	}
 	window := make([]*ir.Task, len(w.tasks))
@@ -175,8 +170,7 @@ func (w *keyWindow) render(t testing.TB, rename int) (hash128.Sum, string, []*ir
 			if !ka.part.none {
 				part = ir.NewTiling(ka.part.colors, ka.part.view, ka.part.tile, ka.part.offset, ka.part.stride, keyProjs[ka.part.proj])
 			}
-			t.Args = append(t.Args, ir.Arg{Store: stores[ka.store], Part: part, Priv: ka.priv, Red: ka.red,
-				ShardGen: ka.gen + int64(rename*(ka.store+1))})
+			t.Args = append(t.Args, ir.Arg{Store: stores[ka.store], Part: part, Priv: ka.priv, Red: ka.red})
 		}
 		if !kt.opaque {
 			out := len(kt.args) - 1
@@ -244,12 +238,11 @@ func canonical(window []*ir.Task, live map[ir.StoreID]bool) string {
 }
 
 // streamEdits keys a rendered window through one stream that grows and
-// shrinks at random: tasks are pushed in order, the head is dropped as an
-// emitted prefix, and a store is resharded now and then. After every step
-// the stream's key must equal that of a stream rebuilt from scratch over
-// the same tasks and liveness, and see joins it to the iff. The stream
-// keys after every step, so tokens are cached across each drop and
-// reshard that follows.
+// shrinks at random: tasks are pushed in order and the head is dropped as
+// an emitted prefix. After every step the stream's key must equal that of
+// a stream rebuilt from scratch over the same tasks and liveness, and see
+// joins it to the iff. The stream keys after every step, so tokens are
+// cached across each drop that follows.
 func streamEdits(t *testing.T, rng *rand.Rand, window []*ir.Task, live map[ir.StoreID]bool, see func(what string, key hash128.Sum, str string)) {
 	t.Helper()
 	var k ir.KeyStream
@@ -265,12 +258,6 @@ func streamEdits(t *testing.T, rng *rand.Rand, window []*ir.Task, live map[ir.St
 			n := 1 + rng.Intn(hi-lo)
 			k.Drop(n)
 			lo += n
-		}
-		if rng.Intn(4) == 0 {
-			task := window[rng.Intn(len(window))]
-			s := task.Args[rng.Intn(len(task.Args))].Store
-			s.Reshard(s.ShardCount() + 1)
-			what += "+reshard"
 		}
 		if k.Len() != hi-lo {
 			t.Fatalf("%s: stream holds %d tasks, want %d", what, k.Len(), hi-lo)
@@ -331,9 +318,7 @@ var keyMutations = []struct {
 	{"store shape", func(rng *rand.Rand, w *keyWindow) { s := pickStore(rng, w); s.shape[rng.Intn(len(s.shape))]++ }},
 	{"store rank", func(rng *rand.Rand, w *keyWindow) { s := pickStore(rng, w); s.shape = append(s.shape, 1) }},
 	{"store dtype", func(rng *rand.Rand, w *keyWindow) { s := pickStore(rng, w); s.dtype = (s.dtype + 1) % 3 }},
-	{"store shard count", func(rng *rand.Rand, w *keyWindow) { pickStore(rng, w).shards++ }},
 	{"store liveness", func(rng *rand.Rand, w *keyWindow) { s := pickStore(rng, w); s.live = !s.live }},
-	{"shard generation", func(rng *rand.Rand, w *keyWindow) { pickArg(rng, w).gen++ }},
 	{"privilege", func(rng *rand.Rand, w *keyWindow) { a := pickArg(rng, w); a.priv = (a.priv + 1) % 4 }},
 	{"reduction operator", func(rng *rand.Rand, w *keyWindow) { a := pickArg(rng, w); a.red = (a.red + 1) % 4 }},
 	{"aliasing", func(rng *rand.Rand, w *keyWindow) { a := pickArg(rng, w); a.store = (a.store + 1) % len(w.stores) }},
@@ -421,7 +406,6 @@ func checkWindowKey(t *testing.T, seed uint64, byKey map[hash128.Sum]string, byS
 				seed, m.name, mkey == key, mstr == str, str, mstr)
 		}
 	}
-	// Last: the edits reshard the base window's stores.
 	streamEdits(t, rng, window, live, see)
 }
 

@@ -24,21 +24,3 @@ func TestShardBlockPartitionsExtent(t *testing.T) {
 		}
 	}
 }
-
-// TestStoreShardingAndGenerations: stores carry their shard count and a
-// generation that only Reshard advances.
-func TestStoreShardingAndGenerations(t *testing.T) {
-	var f Factory
-	s := f.NewStore("s", []int{12})
-	if s.ShardCount() != 1 || s.ShardGen() != 0 {
-		t.Fatalf("fresh store sharding = %d/%d, want 1/0", s.ShardCount(), s.ShardGen())
-	}
-	s.SetShards(4)
-	if s.ShardCount() != 4 || s.ShardGen() != 0 {
-		t.Fatalf("SetShards changed the generation: %d/%d", s.ShardCount(), s.ShardGen())
-	}
-	s.Reshard(2)
-	if s.ShardCount() != 2 || s.ShardGen() != 1 {
-		t.Fatalf("Reshard: %d/%d, want 2/1", s.ShardCount(), s.ShardGen())
-	}
-}

@@ -43,11 +43,6 @@ type Store struct {
 
 	appRefs atomic.Int64 // references held by the application / libraries
 	runRefs atomic.Int64 // references held by the runtime (pending tasks)
-
-	// Leading-axis block decomposition (see shard.go). shardCount <= 1
-	// means unsharded; shardGen counts repartitions.
-	shardCount atomic.Int64
-	shardGen   atomic.Int64
 }
 
 // Factory allocates stores with unique IDs. It is the single source of

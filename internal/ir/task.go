@@ -107,13 +107,6 @@ type Arg struct {
 	// effect on the fusion analysis: the partition still differs from the
 	// producer's, so the dependence (and fusion barrier) remains.
 	HaloBytes float64
-
-	// ShardGen is the store's repartition generation observed when the
-	// task was submitted (stamped by core.Session.Submit). The fusion
-	// layer's repartition constraint compares generations: a prefix must
-	// not span a Reshard of any store it touches, because the runtime has
-	// to move data between the two decompositions in between.
-	ShardGen int64
 }
 
 // String implements fmt.Stringer.
@@ -144,9 +137,6 @@ type Task struct {
 	// Payload carries immutable auxiliary data needed by the kernel (e.g.
 	// CSR structure). It never participates in dependence analysis.
 	Payload any
-	// Seq is a monotonically increasing sequence number assigned at
-	// submission; used for debugging and stable ordering.
-	Seq int64
 	// FusedFrom records, for tasks produced by the fusion engine, how many
 	// original tasks were fused into this one (0 for original tasks).
 	FusedFrom int

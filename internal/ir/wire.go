@@ -18,10 +18,12 @@ package ir
 //     a caller-supplied table, which the dist layer fills from StoreNew
 //     control messages (RestoreStore);
 //   - kernels are referenced by a caller-managed table id plus the
-//     kernel's fingerprint: the rank interns one decoded *kir.Kernel per
-//     id, preserving the pointer identity that drives plan memoization
-//     and drain-on-kernel-reuse, and verifies the fingerprint against the
-//     producer's (see internal/kir/wire.go for the kernel body codec);
+//     kernel's 16-byte structural hash (kir.Kernel.FingerprintHash, the
+//     key of the producer's kernel table): the rank interns one decoded
+//     *kir.Kernel per id, preserving the pointer identity that drives plan
+//     memoization and drain-on-kernel-reuse, and verifies the hash against
+//     the interned kernel's (see internal/kir/wire.go for the kernel body
+//     codec);
 //   - projections are encoded by registry name ("id", "rows2d", ...);
 //     their apply functions are closures, but every rank runs the same
 //     binary, so a name resolves to the same function in every process;
@@ -32,13 +34,14 @@ package ir
 import (
 	"fmt"
 
+	"diffuse/internal/hash128"
 	"diffuse/internal/kir"
 	"diffuse/internal/wire"
 )
 
 // WireVersion is the task-stream codec version; DecodeTask rejects any
 // other value.
-const WireVersion uint16 = 1
+const WireVersion uint16 = 2
 
 const taskFlagPayload uint8 = 1 << 0
 
@@ -117,14 +120,14 @@ func EncodeTask(t *Task, kernelRef int64) ([]byte, error) {
 	w.U8(flags)
 	w.Str(t.Name)
 	putRect(w, t.Launch)
-	w.I64(t.Seq)
 	w.I64(int64(t.FusedFrom))
 	w.I64(kernelRef)
+	var fp hash128.Sum
 	if t.Kernel != nil {
-		w.Str(t.Kernel.Fingerprint())
-	} else {
-		w.Str("")
+		fp = t.Kernel.FingerprintHash()
 	}
+	w.U64(fp[0])
+	w.U64(fp[1])
 	w.I64(int64(len(t.Args)))
 	for i := range t.Args {
 		a := &t.Args[i]
@@ -135,7 +138,6 @@ func EncodeTask(t *Task, kernelRef int64) ([]byte, error) {
 		w.U8(uint8(a.Priv))
 		w.U8(uint8(a.Red))
 		w.F64(a.HaloBytes)
-		w.I64(a.ShardGen)
 		if err := appendPartition(w, a.Part); err != nil {
 			return nil, fmt.Errorf("ir: task %s arg %d: %w", t.Name, i, err)
 		}
@@ -144,11 +146,11 @@ func EncodeTask(t *Task, kernelRef int64) ([]byte, error) {
 }
 
 // DecodeTask parses a task from the wire format. Store references are
-// resolved through stores; the kernel reference (with its fingerprint) is
-// resolved through kernel, which should intern decoded kernels by ref so
-// repeated references yield the same *kir.Kernel. The decoded task's
-// Payload is always nil (see taskFlagPayload).
-func DecodeTask(data []byte, stores func(StoreID) (*Store, error), kernel func(ref int64, fingerprint string) (*kir.Kernel, error)) (*Task, error) {
+// resolved through stores; the kernel reference (with its fingerprint
+// hash) is resolved through kernel, which should intern decoded kernels
+// by ref so repeated references yield the same *kir.Kernel. The decoded
+// task's Payload is always nil (see taskFlagPayload).
+func DecodeTask(data []byte, stores func(StoreID) (*Store, error), kernel func(ref int64, fingerprint hash128.Sum) (*kir.Kernel, error)) (*Task, error) {
 	r := wire.NewReader(data)
 	if v := r.U16(); r.Err() == nil && v != WireVersion {
 		return nil, fmt.Errorf("ir: task wire version %d, want %d", v, WireVersion)
@@ -157,10 +159,9 @@ func DecodeTask(data []byte, stores func(StoreID) (*Store, error), kernel func(r
 	t := &Task{}
 	t.Name = r.Str()
 	t.Launch = readRect(r)
-	t.Seq = r.I64()
 	t.FusedFrom = int(r.I64())
 	kref := r.I64()
-	fp := r.Str()
+	fp := hash128.Sum{r.U64(), r.U64()}
 	nargs := r.Count(28)
 	for i := 0; i < nargs && r.Err() == nil; i++ {
 		var a Arg
@@ -168,7 +169,6 @@ func DecodeTask(data []byte, stores func(StoreID) (*Store, error), kernel func(r
 		a.Priv = Privilege(r.U8())
 		a.Red = ReduceOp(r.U8())
 		a.HaloBytes = r.F64()
-		a.ShardGen = r.I64()
 		a.Part = readPartition(r)
 		if r.Err() != nil {
 			break

@@ -1,9 +1,8 @@
 package ir_test
 
 // Property test for the distributed control-stream codec: every task the
-// full internal/apps suite emits — all element types, sharded stores and
-// their shard generations, fused kernels — must survive EncodeTask/DecodeTask
-// bit-identically, because the distributed runtime's determinism contract
+// full internal/apps suite emits — all element types, sharded runtimes,
+// fused kernels — must survive EncodeTask/DecodeTask bit-identically, because the distributed runtime's determinism contract
 // (ranks=N reproduces Shards=N exactly) rests on every rank decoding the
 // same stream the parent encoded. The test is external (package ir_test)
 // so it can drive the real library stack on top of the ir package.
@@ -16,6 +15,7 @@ import (
 	"diffuse/cunum"
 	"diffuse/internal/apps"
 	"diffuse/internal/core"
+	"diffuse/internal/hash128"
 	"diffuse/internal/ir"
 	"diffuse/internal/kir"
 )
@@ -114,12 +114,12 @@ func TestTaskWireRoundTripAppsSuite(t *testing.T) {
 						}
 						return s, nil
 					},
-					func(r int64, fp string) (*kir.Kernel, error) {
+					func(r int64, fp hash128.Sum) (*kir.Kernel, error) {
 						k, ok := decodedKernels[r]
 						if !ok {
 							return nil, fmt.Errorf("unknown kernel ref %d", r)
 						}
-						if k.Fingerprint() != fp {
+						if k.FingerprintHash() != fp {
 							return nil, fmt.Errorf("kernel ref %d fingerprint mismatch", r)
 						}
 						return k, nil
@@ -128,9 +128,9 @@ func TestTaskWireRoundTripAppsSuite(t *testing.T) {
 					t.Fatalf("task %d (%s): decode: %v", ti, orig.Name, err)
 				}
 
-				if dec.Name != orig.Name || dec.Seq != orig.Seq || dec.FusedFrom != orig.FusedFrom {
-					t.Fatalf("task %d: header mismatch: got (%s, %d, %d), want (%s, %d, %d)",
-						ti, dec.Name, dec.Seq, dec.FusedFrom, orig.Name, orig.Seq, orig.FusedFrom)
+				if dec.Name != orig.Name || dec.FusedFrom != orig.FusedFrom {
+					t.Fatalf("task %d: header mismatch: got (%s, %d), want (%s, %d)",
+						ti, dec.Name, dec.FusedFrom, orig.Name, orig.FusedFrom)
 				}
 				if len(dec.Args) != len(orig.Args) {
 					t.Fatalf("task %d (%s): %d args, want %d", ti, orig.Name, len(dec.Args), len(orig.Args))
@@ -138,7 +138,7 @@ func TestTaskWireRoundTripAppsSuite(t *testing.T) {
 				for i := range orig.Args {
 					oa, da := &orig.Args[i], &dec.Args[i]
 					if da.Store.ID() != oa.Store.ID() || da.Priv != oa.Priv || da.Red != oa.Red ||
-						da.HaloBytes != oa.HaloBytes || da.ShardGen != oa.ShardGen {
+						da.HaloBytes != oa.HaloBytes {
 						t.Fatalf("task %d (%s) arg %d: decoded %+v, want %+v", ti, orig.Name, i, da, oa)
 					}
 				}
@@ -178,7 +178,7 @@ func TestTaskWireVersionMismatch(t *testing.T) {
 	enc[0], enc[1] = 0xFF, 0xFF // clobber the little-endian version word
 	_, err = ir.DecodeTask(enc,
 		func(ir.StoreID) (*ir.Store, error) { return s, nil },
-		func(int64, string) (*kir.Kernel, error) { return nil, nil })
+		func(int64, hash128.Sum) (*kir.Kernel, error) { return nil, nil })
 	if err == nil {
 		t.Fatal("decode accepted a wire version it does not speak")
 	}

@@ -297,7 +297,6 @@ func TestCloseReleasesRegions(t *testing.T) {
 		tp := ir.NewTiling(launch, []int{4 * ext}, []int{ext}, []int{0}, nil, nil)
 		fill := func(name string) *ir.Store {
 			s := fact.NewStore(name, []int{4 * ext})
-			s.SetShards(shards)
 			rt.Execute(&ir.Task{Name: "fill", Launch: launch, Kernel: randomKernel(1, ext),
 				Args: []ir.Arg{{Store: s, Part: tp, Priv: ir.Write}}})
 			return s

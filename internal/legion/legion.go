@@ -504,10 +504,8 @@ func (rt *Runtime) Execute(t *ir.Task) {
 			// A kernel object already buffered ends the group, and this
 			// task starts a fresh one: memoized streams replay the same
 			// kernel object once per iteration, so iteration boundaries
-			// drain naturally. A shard-generation change on any shared
-			// store — a Reshard between the two submissions — is likewise
-			// a group boundary.
-			if rt.group != nil && (rt.group.kernels[t.Kernel] || rt.group.genConflict(t)) {
+			// drain naturally.
+			if rt.group != nil && rt.group.kernels[t.Kernel] {
 				rt.drainShardGroupLocked()
 			}
 			rt.enqueueShard(t)

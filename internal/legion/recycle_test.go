@@ -145,11 +145,7 @@ func TestRecycleWaitsForShardGroup(t *testing.T) {
 		var fact ir.Factory
 		launch := ir.MakeRect(ir.Point{0}, ir.Point{points})
 		tp := ir.NewTiling(launch, []int{n}, []int{ext}, []int{0}, nil, nil)
-		store := func(name string) *ir.Store {
-			s := fact.NewStore(name, []int{n})
-			s.SetShards(shards)
-			return s
-		}
+		store := func(name string) *ir.Store { return fact.NewStore(name, []int{n}) }
 		math := func(in, out *ir.Store) {
 			rt.Execute(&ir.Task{Name: "math", Launch: launch, Kernel: mathKernel(ext),
 				Args: []ir.Arg{

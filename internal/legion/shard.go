@@ -157,9 +157,8 @@ type shardGroup struct {
 	entries []groupEntry
 	kernels map[*kir.Kernel]bool
 	access  map[ir.StoreID]*storeAccess
-	refs    map[ir.StoreID]int   // stores referenced by buffered tasks
-	gens    map[ir.StoreID]int64 // shard generation each store entered with
-	stages  int                  // 1 + max entry stage
+	refs    map[ir.StoreID]int // stores referenced by buffered tasks
+	stages  int                // 1 + max entry stage
 }
 
 // maxGroupTasks caps the group; longer streams drain in slabs.
@@ -170,24 +169,7 @@ func newShardGroup() *shardGroup {
 		kernels: map[*kir.Kernel]bool{},
 		access:  map[ir.StoreID]*storeAccess{},
 		refs:    map[ir.StoreID]int{},
-		gens:    map[ir.StoreID]int64{},
 	}
-}
-
-// genConflict reports whether the task observes a different shard
-// generation than the group recorded for any shared store — a Reshard
-// happened between the two submissions, and the group must drain so the
-// runtime is free to move data between the decompositions (the runtime
-// side of the fusion layer's repartition constraint; this holds even
-// when pre-Reshard tasks were still buffered in a session window when
-// the Reshard was issued).
-func (g *shardGroup) genConflict(t *ir.Task) bool {
-	for _, a := range t.Args {
-		if gen, ok := g.gens[a.Store.ID()]; ok && gen != a.ShardGen {
-			return true
-		}
-	}
-	return false
 }
 
 func (g *shardGroup) acc(id ir.StoreID) *storeAccess {
@@ -224,8 +206,9 @@ func (rt *Runtime) ShardStatsSnapshot() ShardStats {
 }
 
 // DrainShardGroup forces any buffered shard group to execute. Host-side
-// reads and writes drain implicitly; explicit drains are needed only
-// around operations the runtime cannot see (e.g. core.Runtime.Reshard).
+// reads and writes drain implicitly; an explicit drain is for a caller
+// that counts or times the group's execution (diffuse-trace's stats, the
+// tests' stage counters) at a point of its own choosing.
 func (rt *Runtime) DrainShardGroup() {
 	rt.execMu.Lock()
 	defer rt.execMu.Unlock()
@@ -340,9 +323,6 @@ func (rt *Runtime) enqueueShard(t *ir.Task) {
 	for _, a := range t.Args {
 		acc := g.acc(a.Store.ID())
 		g.refs[a.Store.ID()]++
-		if _, ok := g.gens[a.Store.ID()]; !ok {
-			g.gens[a.Store.ID()] = a.ShardGen
-		}
 		switch {
 		case a.Priv.Reduces():
 			acc.redStage, acc.redOp = stage, a.Red
