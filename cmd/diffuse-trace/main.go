@@ -7,7 +7,6 @@
 //	diffuse-trace -app swe -gpus 1        # single-point relaxed fusion
 //	diffuse-trace -app stencil -shards 4 -stats   # drain + backend counters
 //	diffuse-trace -app cg -interp -stats          # interpreter backend
-//	diffuse-trace -serve /tmp/d/serve.sock        # a running diffuse-serve's counters
 package main
 
 import (
@@ -21,8 +20,6 @@ import (
 	"diffuse/internal/core"
 	"diffuse/internal/ir"
 	"diffuse/internal/legion"
-	"diffuse/internal/serve"
-	"diffuse/internal/serve/serveclient"
 )
 
 func main() {
@@ -34,26 +31,8 @@ func main() {
 		shards  = flag.Int("shards", 0, "sharded execution: leading-axis blocks per store (0/1 disables)")
 		stats   = flag.Bool("stats", false, "print runtime counters (codegen backend split, region recycling, sharded drain) after the traced run")
 		interp  = flag.Bool("interp", false, "run kernels on the interpreter instead of the codegen backend")
-		serveAt = flag.String("serve", "", "print a running diffuse-serve's counters (per-tenant admissions, rejections, plan-cache split) instead of tracing: the server's address")
-		serveTr = flag.String("servetransport", "", "dial transport for -serve: unix (default) | tcp")
 	)
 	flag.Parse()
-
-	if *serveAt != "" {
-		c, err := serveclient.Dial(*serveTr, *serveAt, "diffuse-trace")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer c.Close()
-		snap, err := c.Stats()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		printServeStats(os.Stdout, snap)
-		return
-	}
 
 	cfg := core.DefaultConfig(*gpus)
 	cfg.Enabled = !*unfused
@@ -99,23 +78,6 @@ func main() {
 	if *stats {
 		ctx.Flush()
 		printStats(os.Stdout, rt, *shards)
-	}
-}
-
-// printServeStats dumps a serve front end's counters: the per-tenant
-// admission-control split (admitted / rejected / completed / failed) and
-// the shared-plan-cache attribution proving which tenants amortized whose
-// compilations.
-func printServeStats(w io.Writer, snap *serve.StatsSnapshot) {
-	fmt.Fprintf(w, "serve stats: %d tenant(s), %d programs cached, inflight %d/tenant %d/global, queue depth %d\n",
-		len(snap.Tenants), snap.ProgramsCached, snap.TenantInflight, snap.GlobalInflight, snap.QueueDepth)
-	fmt.Fprintf(w, "  %-16s %8s %8s %9s %6s %9s %10s %9s %10s\n",
-		"tenant", "admitted", "rejected", "completed", "failed",
-		"planHits", "planMisses", "progHits", "progMisses")
-	for _, ts := range snap.Tenants {
-		fmt.Fprintf(w, "  %-16s %8d %8d %9d %6d %9d %10d %9d %10d\n",
-			ts.Tenant, ts.Admitted, ts.Rejected, ts.Completed, ts.Failed,
-			ts.PlanHits, ts.PlanMisses, ts.ProgramHits, ts.ProgramMisses)
 	}
 }
 

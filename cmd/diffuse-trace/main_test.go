@@ -9,8 +9,6 @@ import (
 	"diffuse/cunum"
 	"diffuse/internal/core"
 	"diffuse/internal/legion"
-	"diffuse/internal/serve"
-	"diffuse/internal/serve/serveclient"
 )
 
 // TestPrintStatsCodegenCountersMove: the -stats dump must show tasks on
@@ -85,77 +83,5 @@ func TestPrintStatsShardedDrain(t *testing.T) {
 		if strings.Contains(out, gone) {
 			t.Fatalf("-stats still prints the removed %s counter:\n%s", gone, out)
 		}
-	}
-}
-
-// TestPrintServeStats: the -serve dump must carry one row per tenant with
-// the admission split and the shared-plan-cache attribution, matching the
-// printStats fixture-and-regex pattern above.
-func TestPrintServeStats(t *testing.T) {
-	snap := &serve.StatsSnapshot{
-		Tenants: []serve.TenantStats{
-			{Tenant: "ada", Admitted: 12, Rejected: 2, Completed: 9, Failed: 1,
-				PlanHits: 40, PlanMisses: 0, ProgramHits: 9, ProgramMisses: 0},
-			{Tenant: "edsger", Admitted: 10, Rejected: 0, Completed: 10,
-				PlanHits: 0, PlanMisses: 20, ProgramHits: 10, ProgramMisses: 10},
-		},
-		ProgramsCached: 10,
-		TenantInflight: 1,
-		GlobalInflight: 4,
-		QueueDepth:     16,
-	}
-	var buf bytes.Buffer
-	printServeStats(&buf, snap)
-	out := buf.String()
-	if !strings.Contains(out, "serve stats: 2 tenant(s), 10 programs cached, inflight 1/tenant 4/global, queue depth 16") {
-		t.Fatalf("missing summary line:\n%s", out)
-	}
-	if !regexp.MustCompile(`(?m)^  ada\s+12\s+2\s+9\s+1\s+40\s+0\s+9\s+0$`).MatchString(out) {
-		t.Fatalf("ada row malformed:\n%s", out)
-	}
-	if !regexp.MustCompile(`(?m)^  edsger\s+10\s+0\s+10\s+0\s+0\s+20\s+10\s+10$`).MatchString(out) {
-		t.Fatalf("edsger row malformed:\n%s", out)
-	}
-	for _, col := range []string{"admitted", "rejected", "completed", "failed", "planHits", "planMisses", "progHits", "progMisses"} {
-		if !strings.Contains(out, col) {
-			t.Fatalf("header missing column %q:\n%s", col, out)
-		}
-	}
-}
-
-// TestServeStatsEndToEnd drives printServeStats through a live server the
-// way `diffuse-trace -serve <addr>` does.
-func TestServeStatsEndToEnd(t *testing.T) {
-	s, err := serve.New(serve.Config{Procs: 2})
-	if err != nil {
-		t.Fatalf("serve.New: %v", err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- s.Serve() }()
-	defer func() {
-		if err := s.Close(); err != nil {
-			t.Errorf("close: %v", err)
-		}
-		if err := <-done; err != nil {
-			t.Errorf("serve loop: %v", err)
-		}
-	}()
-	c, err := serveclient.Dial(s.Transport(), s.Addr(), "tracer")
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer c.Close()
-	if _, err := c.Submit(serve.SubmitRequest{Workload: "chain", N: 256, Iters: 2}); err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	snap, err := c.Stats()
-	if err != nil {
-		t.Fatalf("stats: %v", err)
-	}
-	var buf bytes.Buffer
-	printServeStats(&buf, snap)
-	out := buf.String()
-	if !regexp.MustCompile(`(?m)^  tracer\s+1\s+0\s+1\s+`).MatchString(out) {
-		t.Fatalf("tracer row missing its completed submission:\n%s", out)
 	}
 }

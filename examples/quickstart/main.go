@@ -1,19 +1,27 @@
 // Quickstart: create distributed arrays, run a fusible operation chain,
-// and inspect what Diffuse did to the task stream.
+// and inspect what Diffuse did to the task stream. It exits 1 when a value
+// differs from the "want" it prints: every one is exact in IEEE
+// arithmetic.
 package main
 
 import (
 	"fmt"
+	"os"
 
+	"diffuse"
 	"diffuse/cunum"
-	"diffuse/internal/core"
 )
 
 func main() {
 	// A Diffuse runtime decomposing work over 8 (simulated) processors,
 	// executing for real on this machine.
-	rt := core.New(core.DefaultConfig(8))
+	rt := diffuse.New(diffuse.DefaultConfig(8))
 	ctx := cunum.NewContext(rt)
+	ok := true
+	check := func(name string, got, want float64) {
+		fmt.Printf("%-9s = %g (want %g)\n", name, got, want)
+		ok = ok && got == want
+	}
 
 	// z = 2x; w = y + z; v = w^2  — the Fig. 6 fragment of the paper.
 	x := ctx.Zeros(1 << 16)
@@ -25,13 +33,13 @@ func main() {
 	// the value is demanded, and then only its dependency closure.
 	nrm := w.Slice([]int{1 << 15}, []int{0}).Temp().Norm().Future()
 
-	fmt.Printf("v[0]     = %g (want 1)\n", v.Get(0))
-	fmt.Printf("||w[h:]|| = %g (want %g)\n", nrm.Value(), 181.01933598375618)
+	check("v[0]", v.Get(0), 1)
+	check("||w[h:]||", nrm.Value(), 181.01933598375618)
 
 	// Typed values: an explicit cast moves the stream to float32 — half
 	// the memory traffic — and fuses into the window like any other op.
 	f := v.AsType(cunum.F32).MulC(3).Keep()
-	fmt.Printf("f32 chain = %g (dtype %v, want 3)\n", f.Get(0), f.DType())
+	check("f32 chain", f.Get(0), 3)
 	f.Free()
 
 	st := rt.Stats()
@@ -42,4 +50,8 @@ func main() {
 	z.Free()
 	w.Free()
 	v.Free()
+	if !ok {
+		fmt.Println("quickstart: a value differs from its want")
+		os.Exit(1)
+	}
 }

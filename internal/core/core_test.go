@@ -329,7 +329,7 @@ func TestMemoIsomorphicStreams(t *testing.T) {
 }
 
 // TestMemoTableBounded: window shapes are the application's to choose (a
-// diffuse-serve tenant picks its own sizes), so the memo table is capped
+// serve tenant picks its own sizes), so the memo table is capped
 // at maxMemo and cleared wholesale on overflow. Three times the bound of
 // distinct windows must leave it within the bound, and memoization must
 // go on working afterwards.

@@ -39,7 +39,7 @@ type memoEntry struct {
 }
 
 // maxMemo bounds the memo table. Window shapes are chosen by the
-// application — a diffuse-serve tenant picks its own N and Iters — so a
+// application — a serve tenant picks its own N and Iters — so a
 // long-lived runtime must not grow the table with every shape it has ever
 // seen. Cleared wholesale on overflow, like legion's maxKernels: a
 // steady-state working set is a few dozen windows, and a stream with more

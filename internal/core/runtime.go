@@ -53,10 +53,12 @@ type Config struct {
 	// this process becomes the parent of Ranks rank subprocesses on this
 	// host (one per shard, meshed over unix-domain sockets; internal/dist)
 	// and forwards its post-fusion task stream to them instead of
-	// executing locally. Shards is forced equal to Ranks —
-	// rank r owns shard r, and the fusion layer emits the same task stream
-	// as it would for in-process sharding, so ranks=N reproduces Shards=N
-	// bit-for-bit. 0 or 1 disables distribution. The binary embedding this
+	// executing locally. Rank r owns shard r of every store: the ranks
+	// decompose by the rank count, and the parent, which forwards every
+	// task before reading its own shard count, leaves Shards unread. The
+	// fusion layer emits the same task stream as it would for in-process
+	// sharding, so ranks=N reproduces Shards=N bit-for-bit. 0 or 1
+	// disables distribution. The binary embedding this
 	// runtime must call dist.MaybeRankMain first thing in main(), and
 	// Runtime.Close must be called to shut the ranks down.
 	Ranks int
@@ -163,9 +165,6 @@ func New(cfg Config) *Runtime {
 		if cfg.Mode != legion.ModeReal {
 			panic("core: distributed execution (Ranks > 1) requires ModeReal")
 		}
-		// Rank r owns shard r: forced so the parent runs the same shard
-		// count as the in-process Shards=Ranks oracle.
-		cfg.Shards = cfg.Ranks
 		// Ranks execute the kernels, so the backend toggle must reach
 		// them; rank.go reads it back in MaybeRankMain's runtime setup.
 		var extraEnv []string

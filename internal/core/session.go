@@ -38,12 +38,11 @@ type Session struct {
 
 	// Per-session plan-cache accounting, attributed from the runtime-wide
 	// counters across each window this session drains (atomics: another
-	// goroutine — a server's stats endpoint — reads them concurrently).
+	// goroutine — serve.Server.Stats — reads them concurrently).
 	// planHits/planMisses count window-key memo lookups; progHits/
 	// progMisses count kernel-cache lookups (kernel structure) made while
-	// this session's windows drained. A serving front end splits
-	// these by tenant to prove cross-tenant sharing of the compiled-plan
-	// cache.
+	// this session's windows drained. Serve splits the plan counters by
+	// tenant to prove cross-tenant sharing of the fusion-plan memo.
 	planHits, planMisses atomic.Int64
 	progHits, progMisses atomic.Int64
 }

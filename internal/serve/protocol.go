@@ -1,5 +1,7 @@
-// Package serve implements Diffuse's multi-tenant service mode: a
-// long-running front end that multiplexes many tenants onto one runtime.
+// Package serve is a small multi-tenant front end over one Diffuse
+// runtime: clients connect over a unix-domain socket, name a tenant, and
+// submit the one named workload stream ("chain") to be run in a session
+// of that tenant.
 //
 // Each tenant gets isolated core.Sessions and admission control on two
 // channels. A submission runs on the goroutine of the connection that
@@ -7,17 +9,14 @@
 // them), then one of the server's global in-flight tokens. A submission
 // that finds QueueDepth others of its tenant already waiting for a lane
 // is shed with a retryable error. All tenants share the runtime's
-// compiled-plan caches — the fusion-plan memo keyed on canonical window
-// form and legion's kernel cache (compiled forms and codegen programs)
-// keyed on kernel structure — so
-// identical streams from different tenants compile once; per-tenant
-// hit/miss counters prove the sharing. See docs/SERVING.md for the
-// operator guide.
+// fusion-plan memo and kernel cache, so identical streams from different
+// tenants compile once; Server.Stats splits the plan-cache hits and
+// misses per tenant.
 //
 // The wire protocol is deliberately small: after a JSON hello naming the
-// tenant, the client sends length-prefixed JSON request frames and reads
-// one response frame per request, in order, over a unix-domain socket or
-// TCP.
+// tenant, the client sends length-prefixed JSON submit frames and reads
+// one response frame per request, in order. The package exists for the
+// benchmark of record's serve_chain workload; it has no binary of its own.
 package serve
 
 import (
@@ -28,12 +27,15 @@ import (
 )
 
 // ProtoVersion is the wire-protocol version carried in the hello frame;
-// the server rejects clients speaking a different version.
-const ProtoVersion = 1
+// the server rejects clients speaking a different version. Version 2 has
+// one op (submit), one workload (chain) and no element-type field, so a
+// version-1 client is refused at hello rather than half-served: its
+// float32 chain would otherwise run in float64.
+const ProtoVersion = 2
 
 // maxFrame bounds a single frame; a four-byte length prefix from a
 // confused or malicious peer must not drive an allocation. Requests and
-// stats snapshots are small; 16 MiB is generous.
+// responses are small; 16 MiB is generous.
 const maxFrame = 16 << 20
 
 // WriteFrame marshals v and writes it as one length-prefixed JSON frame.
@@ -89,7 +91,7 @@ type HelloReply struct {
 
 // Request is one client request frame.
 type Request struct {
-	// Op selects the operation: "submit", "stats", or "ping".
+	// Op selects the operation; "submit" is the only one.
 	Op     string         `json:"op"`
 	Submit *SubmitRequest `json:"submit,omitempty"`
 }
@@ -100,15 +102,12 @@ type Request struct {
 // identical result digests) regardless of which tenant submits them —
 // that is what makes the shared plan cache effective and testable.
 type SubmitRequest struct {
-	// Workload names the stream: "chain", "stencil", or "jacobi".
+	// Workload names the stream; "chain" is the only one.
 	Workload string `json:"workload"`
-	// N is the problem size (elements for chain, grid side for stencil,
-	// matrix side for jacobi).
+	// N is the problem size in elements.
 	N int `json:"n"`
 	// Iters is the iteration count of the workload's loop.
 	Iters int `json:"iters"`
-	// DType selects the element type: "" or "f64", or "f32".
-	DType string `json:"dtype,omitempty"`
 }
 
 // Response answers one request frame.
@@ -119,9 +118,8 @@ type Response struct {
 	// Retryable marks a load-shed rejection: QueueDepth of the tenant's
 	// submissions were already waiting, nothing was executed, and the same
 	// request may be retried after backoff.
-	Retryable bool           `json:"retryable,omitempty"`
-	Result    *SubmitResult  `json:"result,omitempty"`
-	Stats     *StatsSnapshot `json:"stats,omitempty"`
+	Retryable bool          `json:"retryable,omitempty"`
+	Result    *SubmitResult `json:"result,omitempty"`
 }
 
 // SubmitResult carries a completed submission's outcome.
@@ -132,43 +130,4 @@ type SubmitResult struct {
 	Digest string `json:"digest"`
 	// Elems is the number of result elements digested.
 	Elems int `json:"elems"`
-}
-
-// TenantStats is one tenant's accounting snapshot.
-type TenantStats struct {
-	Tenant string `json:"tenant"`
-	// Admission counters: Admitted took a session lane; Rejected were shed
-	// because QueueDepth others were already waiting for one.
-	// Completed/Failed partition the admitted submissions that
-	// have finished.
-	Admitted  int64 `json:"admitted"`
-	Rejected  int64 `json:"rejected"`
-	Completed int64 `json:"completed"`
-	Failed    int64 `json:"failed"`
-	// Batched is always zero: submissions are never batched.
-	//
-	// Deprecated: kept only because the frozen benchmark reads it.
-	Batched int64 `json:"batched"`
-	// Shared-plan-cache counters, split per tenant: PlanHits/PlanMisses
-	// are fusion-plan memo lookups (canonical window form); ProgramHits/
-	// ProgramMisses are kernel-cache lookups (kernel structure) made
-	// during the tenant's window drains. A tenant with hits > 0 and
-	// misses == 0 is riding plans other tenants' misses populated.
-	PlanHits      int64 `json:"plan_hits"`
-	PlanMisses    int64 `json:"plan_misses"`
-	ProgramHits   int64 `json:"program_hits"`
-	ProgramMisses int64 `json:"program_misses"`
-}
-
-// StatsSnapshot is the server-wide accounting snapshot.
-type StatsSnapshot struct {
-	// Tenants holds one entry per tenant seen, sorted by name.
-	Tenants []TenantStats `json:"tenants"`
-	// ProgramsCached is the number of distinct compiled programs resident
-	// in the runtime's shared kernel cache.
-	ProgramsCached int `json:"programs_cached"`
-	// Admission-control configuration echo.
-	TenantInflight int `json:"tenant_inflight"`
-	GlobalInflight int `json:"global_inflight"`
-	QueueDepth     int `json:"queue_depth"`
 }

@@ -1,9 +1,7 @@
-// Package serveclient is the client half of Diffuse's service mode: it
-// dials a diffuse-serve front end (unix socket or TCP), performs the
-// tenant hello, and exposes the request/response protocol as method calls.
-// Tests, examples/serve, the benchmark of record's serve_chain workload,
-// and diffuse-trace's serve-stats mode all drive the server through this
-// package.
+// Package serveclient is the client half of package serve: it dials a
+// serve front end's unix socket, performs the tenant hello, and submits
+// workload streams. The serve tests and the benchmark of record's
+// serve_chain workload drive the server through it.
 package serveclient
 
 import (
@@ -44,8 +42,8 @@ type Client struct {
 }
 
 // Dial connects to a serve front end and performs the tenant hello.
-// Transport is "unix" (also when empty) or "tcp"; addr is the server's
-// Addr.
+// Transport is "unix" or empty, anything else is an error; addr is the
+// server's Addr.
 func Dial(transport, addr, tenant string) (*Client, error) {
 	network, err := serve.Network(transport)
 	if err != nil {
@@ -89,12 +87,6 @@ func (c *Client) roundTrip(req serve.Request) (*serve.Response, error) {
 	return &resp, nil
 }
 
-// Ping round-trips a no-op request.
-func (c *Client) Ping() error {
-	_, err := c.roundTrip(serve.Request{Op: "ping"})
-	return err
-}
-
 // Submit runs one workload stream in the tenant's session and returns its
 // result digest. A *RemoteError return carries the tenant-scoped failure
 // classification (IsRetryable).
@@ -107,16 +99,4 @@ func (c *Client) Submit(req serve.SubmitRequest) (*serve.SubmitResult, error) {
 		return nil, errors.New("serveclient: submit response carried no result")
 	}
 	return resp.Result, nil
-}
-
-// Stats fetches the server-wide accounting snapshot.
-func (c *Client) Stats() (*serve.StatsSnapshot, error) {
-	resp, err := c.roundTrip(serve.Request{Op: "stats"})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Stats == nil {
-		return nil, errors.New("serveclient: stats response carried no snapshot")
-	}
-	return resp.Stats, nil
 }

@@ -14,12 +14,14 @@ import (
 
 // Config sizes a serve front end. Zero values mean defaults.
 type Config struct {
-	// Transport selects the listen transport: "unix" (the default when
-	// empty) or "tcp".
+	// Transport must be "" or "unix": the server listens on a unix-domain
+	// socket only.
+	//
+	// Deprecated: it has one legal value; kept only because the frozen
+	// benchmark sets it.
 	Transport string
-	// Addr is the listen address (a socket path for unix, host:port for
-	// tcp). Empty picks one automatically: a socket in a fresh temp
-	// directory, or a kernel-assigned loopback port.
+	// Addr is the listen socket's path. Empty picks a socket in a fresh
+	// temp directory.
 	Addr string
 	// Procs is the runtime's launch width (default 4).
 	Procs int
@@ -80,17 +82,12 @@ func New(cfg Config) (*Server, error) {
 	addr := cfg.Addr
 	cleanup := func() {}
 	if addr == "" {
-		switch cfg.Transport {
-		case "unix":
-			dir, err := os.MkdirTemp("", "diffuse-serve-")
-			if err != nil {
-				return nil, fmt.Errorf("serve: socket dir: %w", err)
-			}
-			addr = filepath.Join(dir, "serve.sock")
-			cleanup = func() { os.RemoveAll(dir) }
-		default:
-			addr = "127.0.0.1:0"
+		dir, err := os.MkdirTemp("", "diffuse-serve-")
+		if err != nil {
+			return nil, fmt.Errorf("serve: socket dir: %w", err)
 		}
+		addr = filepath.Join(dir, "serve.sock")
+		cleanup = func() { os.RemoveAll(dir) }
 	}
 	ln, err := net.Listen(cfg.Transport, addr)
 	if err != nil {
@@ -109,10 +106,10 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Addr returns the listen address (socket path or host:port) clients dial.
+// Addr returns the socket path clients dial.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Transport returns the transport selector clients must dial with.
+// Transport returns the transport clients dial with: always "unix".
 func (s *Server) Transport() string { return s.cfg.Transport }
 
 // Runtime exposes the shared runtime (tests and stats).
@@ -173,6 +170,34 @@ func (s *Server) Close() error {
 	return s.rt.Close()
 }
 
+// TenantStats is one tenant's accounting snapshot.
+type TenantStats struct {
+	Tenant string
+	// Admission counters: Admitted took a session lane; Rejected were shed
+	// because QueueDepth others were already waiting for one.
+	// Completed/Failed partition the admitted submissions that
+	// have finished.
+	Admitted  int64
+	Rejected  int64
+	Completed int64
+	Failed    int64
+	// Batched is always zero: submissions are never batched.
+	//
+	// Deprecated: kept only because the frozen benchmark reads it.
+	Batched int64
+	// PlanHits/PlanMisses are the fusion-plan memo lookups (canonical
+	// window form) of the tenant's sessions. A tenant with hits > 0 and
+	// misses == 0 is riding plans other tenants' misses populated.
+	PlanHits   int64
+	PlanMisses int64
+}
+
+// StatsSnapshot is the server-wide accounting snapshot.
+type StatsSnapshot struct {
+	// Tenants holds one entry per tenant seen, sorted by name.
+	Tenants []TenantStats
+}
+
 // Stats snapshots the server-wide accounting.
 func (s *Server) Stats() *StatsSnapshot {
 	s.mu.Lock()
@@ -181,12 +206,7 @@ func (s *Server) Stats() *StatsSnapshot {
 		tenants = append(tenants, t)
 	}
 	s.mu.Unlock()
-	snap := &StatsSnapshot{
-		ProgramsCached: s.rt.Legion().ProgramsCached(),
-		TenantInflight: s.cfg.TenantInflight,
-		GlobalInflight: s.cfg.GlobalInflight,
-		QueueDepth:     s.cfg.QueueDepth,
-	}
+	snap := &StatsSnapshot{}
 	for _, t := range tenants {
 		snap.Tenants = append(snap.Tenants, t.stats())
 	}
@@ -247,19 +267,13 @@ func (s *Server) handle(conn net.Conn) {
 			return // EOF or severed connection: the client is done
 		}
 		var resp Response
-		switch req.Op {
-		case "ping":
-			resp = Response{OK: true}
-		case "stats":
-			resp = Response{OK: true, Stats: s.Stats()}
-		case "submit":
-			if req.Submit == nil {
-				resp = Response{Error: "serve: submit request missing body"}
-			} else {
-				resp = t.submit(*req.Submit)
-			}
+		switch {
+		case req.Op != "submit":
+			resp = Response{Error: fmt.Sprintf("serve: unknown op %q (want submit)", req.Op)}
+		case req.Submit == nil:
+			resp = Response{Error: "serve: submit request missing body"}
 		default:
-			resp = Response{Error: fmt.Sprintf("serve: unknown op %q", req.Op)}
+			resp = t.submit(*req.Submit)
 		}
 		if err := WriteFrame(conn, resp); err != nil {
 			return
@@ -268,14 +282,12 @@ func (s *Server) handle(conn net.Conn) {
 }
 
 // Network resolves a transport selector to the net package's network
-// name: "unix" (also for the empty selector) or "tcp". Servers listen and
-// clients dial through it, so both sides accept the same selectors.
+// name: "unix", for "unix" and the empty selector alike; anything else is
+// an error that names it. Servers listen and clients dial through it, so
+// both sides accept the same selectors.
 func Network(transport string) (string, error) {
-	switch transport {
-	case "", "unix":
-		return "unix", nil
-	case "tcp":
-		return "tcp", nil
+	if transport != "" && transport != "unix" {
+		return "", fmt.Errorf("serve: unknown transport %q (want unix)", transport)
 	}
-	return "", fmt.Errorf("serve: unknown transport %q (want unix or tcp)", transport)
+	return "unix", nil
 }

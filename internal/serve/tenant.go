@@ -105,8 +105,6 @@ func (t *tenant) stats() TenantStats {
 		cs := w.sess.CacheStats()
 		ts.PlanHits += cs.PlanHits
 		ts.PlanMisses += cs.PlanMisses
-		ts.ProgramHits += cs.ProgramHits
-		ts.ProgramMisses += cs.ProgramMisses
 	}
 	return ts
 }
