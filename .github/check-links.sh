@@ -51,7 +51,9 @@
 # generation, the store's shard count, the constraint and generation
 # they were documented as), and the serve surfaces no benchmark workload
 # drives (the service binary, its example, its operator guide, and
-# diffuse-trace's serve mode with its transport flag) —
+# diffuse-trace's serve mode with its transport flag), and the rank
+# fault script that moved into internal/dist's tests (its environment
+# variable, its constant, its parser) —
 # so a sentence cannot
 # outlive what it quoted. ROADMAP.md is exempt: it keeps history. The one-character
 # brackets keep this script from matching its own pattern in a
@@ -77,6 +79,7 @@ removed="$removed"'|[b]indPoint|[b]indUnion|[e]xecPoint|[r]unGroupLocal|[t]iledS
 removed="$removed"'|[A]rray\.Reshard|[R]untime\.Reshard|[S]tore\.Reshard|\b[S]hardGen\b|\b[S]hardCount\b|[Ss]ixth fusion constraint|[Rr]epartition generation'
 removed="$removed"'|core\.[Q]uota|[Q]uotaError|[S]etQuota|[R]eclaimQuota|[T]enantQuota|[I]sOverQuota|[o]ver_quota|(^|[^[:alnum:]])-[q]uota\b|[q]uotaUsed'
 removed="$removed"'|diffuse-[s]erve|examples/[s]erve\b|[S]ERVING\.md|[s]ervetransport|diffuse-trace -[s]erve'
+removed="$removed"'|DIFFUSE_DIST_[F]AULTS|[E]nvFaults|[P]arseSchedule'
 
 # slugs_of FILE: print the GitHub anchor slug of every heading, skipping
 # fenced code blocks (a `# comment` inside a fence is not a heading).
@@ -95,7 +98,7 @@ for f in README.md DESIGN.md ROADMAP.md docs/*.md; do
   [ -e "$f" ] || continue
   dir=$(dirname "$f")
   if [ "$f" != ROADMAP.md ] && hits=$(grep -nE -e "$removed" "$f"); then
-    echo "$f: names something removed (the real-mode suite: see docs/BENCHMARKS.md; ReadAll32/WriteAll32: see DESIGN.md, the wire; the stage-barrier executor path: see DESIGN.md, sharded execution; feedback scheduling: see DESIGN.md, static schedule; the tcp rank mesh and serve batching: see docs/ARCHITECTURE.md, distributed execution; the rank drain: see docs/ARCHITECTURE.md, distributed execution; the wavefront DAG: see DESIGN.md, one drain loop; the executor policies: see DESIGN.md, the reference backend; the blocked GEMV: see DESIGN.md, kernel backends; the unit batch: see DESIGN.md, one drain loop; the window scan: see DESIGN.md, memoization and kernel identity; the binding recipes and run paths: see DESIGN.md, execution engine; the memory quota: see docs/ARCHITECTURE.md, service mode; the store repartition: see DESIGN.md, sharded execution; the serve binary, example, guide and trace mode: see docs/ARCHITECTURE.md, service mode):"
+    echo "$f: names something removed (the real-mode suite: see docs/BENCHMARKS.md; ReadAll32/WriteAll32: see DESIGN.md, the wire; the stage-barrier executor path: see DESIGN.md, sharded execution; feedback scheduling: see DESIGN.md, static schedule; the tcp rank mesh and serve batching: see docs/ARCHITECTURE.md, distributed execution; the rank drain: see docs/ARCHITECTURE.md, distributed execution; the wavefront DAG: see DESIGN.md, one drain loop; the executor policies: see DESIGN.md, the reference backend; the blocked GEMV: see DESIGN.md, kernel backends; the unit batch: see DESIGN.md, one drain loop; the window scan: see DESIGN.md, memoization and kernel identity; the binding recipes and run paths: see DESIGN.md, execution engine; the memory quota: see docs/ARCHITECTURE.md, service mode; the store repartition: see DESIGN.md, sharded execution; the serve binary, example, guide and trace mode: see docs/ARCHITECTURE.md, service mode; the rank fault script: see docs/ARCHITECTURE.md, fault injection):"
     echo "$hits"
     fail=1
   fi

@@ -7,7 +7,8 @@ package dist_test
 // its groups in the same program order. The rank subprocesses re-execute this
 // test binary, so TestMain diverts them into the rank control loop before
 // the test framework sees them (and under `go test -race` the ranks run
-// race-enabled too).
+// race-enabled too). The same re-execution lets a rank install the fault
+// schedule its parent test set (fault_test.go) before its mesh comes up.
 
 import (
 	"fmt"
@@ -27,6 +28,7 @@ import (
 )
 
 func TestMain(m *testing.M) {
+	installFaults()
 	dist.MaybeRankMain()
 	os.Exit(m.Run())
 }
@@ -198,6 +200,42 @@ func TestDeadPeerSurfacesCleanError(t *testing.T) {
 				time.Sleep(10 * time.Millisecond)
 			}
 			t.Fatal("parent never noticed the dead rank")
+		})
+	}
+}
+
+// TestMalformedTimeoutIsAnError: a DIFFUSE_DIST_TIMEOUT that is not a
+// positive duration is an error naming the variable and the value, which
+// Launch returns before it creates its rendezvous directory or starts a
+// rank; an unset or valid value selects the deadline as before.
+func TestMalformedTimeoutIsAnError(t *testing.T) {
+	for _, tc := range []struct {
+		val  string
+		want time.Duration
+	}{{"", 60 * time.Second}, {"2s", 2 * time.Second}, {"1m30s", 90 * time.Second}} {
+		t.Setenv(dist.EnvTimeout, tc.val)
+		if d, err := dist.DistTimeout(); err != nil || d != tc.want {
+			t.Errorf("%s=%q: deadline %v, %v; want %v", dist.EnvTimeout, tc.val, d, err, tc.want)
+		}
+	}
+	for _, val := range []string{"3", "-1s", "0s", "abc"} {
+		t.Run(val, func(t *testing.T) {
+			// The rendezvous directory is made under TMPDIR, and every rank
+			// starts after it: an empty TMPDIR shows that nothing started.
+			tmp := t.TempDir()
+			t.Setenv("TMPDIR", tmp)
+			t.Setenv(dist.EnvTimeout, val)
+			p, err := dist.Launch(2)
+			if err == nil {
+				p.Close()
+				t.Fatalf("Launch accepted %s=%q", dist.EnvTimeout, val)
+			}
+			if msg := err.Error(); !strings.Contains(msg, dist.EnvTimeout) || !strings.Contains(msg, fmt.Sprintf("%q", val)) {
+				t.Fatalf("error does not name the variable and the value: %v", err)
+			}
+			if ents, _ := os.ReadDir(tmp); len(ents) != 0 {
+				t.Fatalf("Launch created %v before rejecting the timeout", ents)
+			}
 		})
 	}
 }

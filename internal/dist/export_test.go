@@ -14,3 +14,13 @@ func KillRankForTest(rb legion.Backend, rank int) {
 func KernelsSentForTest(rb legion.Backend) int64 {
 	return rb.(*Parent).nextKernel
 }
+
+// SetWrapMeshForTest installs the hook every rank of this binary wraps
+// its peer mesh with — how the fault-injection tests put faultx between
+// the drain and the transport.
+func SetWrapMeshForTest(wrap func(tx *Transport, me int) legion.HaloTransport) {
+	wrapMesh = wrap
+}
+
+// DistTimeout is the transport deadline EnvTimeout selects.
+var DistTimeout = distTimeout

@@ -1,16 +1,19 @@
 package dist_test
 
-// Fault-injection end-to-end tests: scripted fault schedules (see
-// internal/dist/faultx) reach the rank subprocesses through
-// DIFFUSE_DIST_FAULTS and hit real workloads mid-drain. The contract
-// under test is the fault model itself — transient faults (delays) leave
-// results bit-identical to a fault-free run; fatal faults (truncated
-// payloads, severed links) surface as errors naming a rank within the
-// transport deadline, never as hangs or silent wrong answers.
+// Fault-injection end-to-end tests: fault schedules (see
+// internal/dist/faultx) reach the rank subprocesses JSON-encoded in
+// envFaults, and each rank wraps its mesh in its schedule through the
+// package's test hook, so the faults hit real workloads mid-drain. The
+// contract under test is the fault model itself — transient faults
+// (delays) leave results bit-identical to a fault-free run; fatal faults
+// (truncated payloads, severed links) surface as errors naming a rank
+// within the transport deadline, never as hangs or silent wrong answers.
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -19,7 +22,42 @@ import (
 	"diffuse/internal/apps"
 	"diffuse/internal/core"
 	"diffuse/internal/dist"
+	"diffuse/internal/dist/faultx"
+	"diffuse/internal/legion"
 )
+
+// envFaults carries a test's fault schedule, JSON-encoded, to the rank
+// subprocesses it launches: they re-execute this test binary, whose
+// TestMain calls installFaults before diverting into the rank loop.
+const envFaults = "DIFFUSE_TEST_FAULTS"
+
+// setFaults makes every rank the test launches from here on wrap its peer
+// mesh in sched.
+func setFaults(t *testing.T, sched faultx.Schedule) {
+	t.Helper()
+	b, err := json.Marshal(sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv(envFaults, string(b))
+}
+
+// installFaults wraps this process's rank mesh in the schedule its parent
+// test set, if any.
+func installFaults() {
+	spec := os.Getenv(envFaults)
+	if spec == "" {
+		return
+	}
+	var sched faultx.Schedule
+	if err := json.Unmarshal([]byte(spec), &sched); err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", envFaults, err)
+		os.Exit(2)
+	}
+	dist.SetWrapMeshForTest(func(tx *dist.Transport, me int) legion.HaloTransport {
+		return faultx.Wrap(tx, me, &sched)
+	})
+}
 
 // stencil is the workload every fault test runs: the stencil chain ships
 // write spans between ranks at every rank width, so write-targeted
@@ -50,7 +88,10 @@ func TestDelayedWriteBitIdentical(t *testing.T) {
 
 			// Every rank's first write send (and second write recv) to any
 			// peer is held back — exercising both interception directions.
-			t.Setenv(dist.EnvFaults, "*:send:*:write:1:delay:100ms,*:recv:*:write:2:delay:50ms")
+			setFaults(t, faultx.Schedule{Rules: []faultx.Rule{
+				{Rank: -1, Op: faultx.OpSend, Peer: -1, Kind: faultx.KindWrite, Occurrence: 1, Action: faultx.Delay, Delay: 100 * time.Millisecond},
+				{Rank: -1, Op: faultx.OpRecv, Peer: -1, Kind: faultx.KindWrite, Occurrence: 2, Action: faultx.Delay, Delay: 50 * time.Millisecond},
+			}})
 			dctx := cunum.NewDistributedContext(ranks)
 			got := w.run(dctx)
 			if err := dctx.Close(); err != nil {
@@ -115,13 +156,20 @@ func TestTruncatedWriteSurfacesError(t *testing.T) {
 	}
 	t.Run("unix", func(t *testing.T) {
 		t.Setenv(dist.EnvTimeout, "3s")
-		t.Setenv(dist.EnvFaults, "0:send:*:write:1:truncate")
+		setFaults(t, faultx.Schedule{Rules: []faultx.Rule{
+			{Rank: 0, Op: faultx.OpSend, Peer: -1, Kind: faultx.KindWrite, Occurrence: 1, Action: faultx.Truncate},
+		}})
 		msg := runExpectingFault(t, 2, runStencil)
 		if !strings.Contains(msg, "rank") {
 			t.Fatalf("truncation error does not name a rank: %v", msg)
 		}
 	})
 }
+
+// severRank1To0 severs rank 1's link to rank 0 at its first send there.
+var severRank1To0 = faultx.Schedule{Rules: []faultx.Rule{
+	{Rank: 1, Op: faultx.OpSend, Peer: 0, Kind: faultx.KindAny, Occurrence: 1, Action: faultx.Sever},
+}}
 
 // TestSeveredLinkSurfacesError: severing one peer link mid-drain must
 // fail both ends of the link promptly — the severing side through the
@@ -133,7 +181,7 @@ func TestSeveredLinkSurfacesError(t *testing.T) {
 	}
 	t.Run("unix", func(t *testing.T) {
 		t.Setenv(dist.EnvTimeout, "3s")
-		t.Setenv(dist.EnvFaults, "1:send:0:*:1:sever")
+		setFaults(t, severRank1To0)
 		msg := runExpectingFault(t, 2, runStencil)
 		if !strings.Contains(msg, "rank") {
 			t.Fatalf("sever error does not name a rank: %v", msg)
@@ -153,7 +201,7 @@ func TestSeveredLinkBeforeDrainSurfacesError(t *testing.T) {
 	}
 	t.Run("unix", func(t *testing.T) {
 		t.Setenv(dist.EnvTimeout, "3s")
-		t.Setenv(dist.EnvFaults, "1:send:0:*:1:sever")
+		setFaults(t, severRank1To0)
 		msg := runExpectingFault(t, 2, func(ctx *cunum.Context) {
 			sc := apps.NewStencilChain(ctx, 1024, 64, 4, apps.ChainUpwind, cunum.F64)
 			sc.Iterate(1)

@@ -1,25 +1,23 @@
 // Package faultx is the deterministic fault-injection harness of the
-// distributed runtime: a transport wrapper that intercepts every message
-// boundary of a rank's peer mesh and applies a scripted fault schedule —
-// delay, drop-then-retry, truncate, or sever — to exactly the messages
-// the script names. Schedules are matched on (rank, operation, peer,
-// tag kind, occurrence), never on wall-clock time or unseeded
-// randomness, so a failing chaos run replays bit-for-bit.
+// distributed runtime's tests: a transport wrapper that intercepts every
+// message boundary of a rank's peer mesh and applies a fault schedule —
+// delay, truncate, or sever — to exactly the messages the schedule
+// names. Schedules are Go values matched on (rank, operation, peer, tag
+// kind, occurrence), never on wall-clock time or unseeded randomness, so
+// a failing chaos run replays bit-for-bit.
 //
 // The wrapper sits between legion's distributed drain and the real
-// transport (internal/dist wires it in when DIFFUSE_DIST_FAULTS is set),
-// which makes the fault model precise: a *transient* fault (delay,
-// drop-then-retry) still delivers the message, and the run must converge
-// bit-identically to a fault-free one; a *fatal* fault (truncate, sever)
-// breaks the contract the drain depends on, and the runtime must surface
-// a wrapped error naming the failed rank within the transport deadline —
-// never hang.
+// transport (internal/dist's tests install it through the rank's mesh
+// hook; no product package imports faultx), which makes the fault model
+// precise: a *transient* fault (delay) still delivers the message, and
+// the run must converge bit-identically to a fault-free one; a *fatal*
+// fault (truncate, sever) breaks the contract the drain depends on, and
+// the runtime must surface a wrapped error naming the failed rank within
+// the transport deadline — never hang.
 package faultx
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
@@ -34,13 +32,6 @@ const (
 	OpRecv
 )
 
-func (o Op) String() string {
-	if o == OpSend {
-		return "send"
-	}
-	return "recv"
-}
-
 // Action is the fault applied to a matched message.
 type Action uint8
 
@@ -48,10 +39,6 @@ const (
 	// Delay sleeps for Rule.Delay before the operation proceeds. The
 	// message is still delivered: a delayed run must stay bit-identical.
 	Delay Action = iota
-	// DropRetry drops the first transmission attempt and immediately
-	// retries it — the shape of a retransmit after loss. The message is
-	// delivered exactly once; only the attempt count changes.
-	DropRetry
 	// Truncate delivers only the first half of the payload. The receiver's
 	// length and framing checks must turn this into an error naming the
 	// peer, never a silent wrong answer.
@@ -62,22 +49,6 @@ const (
 	// the peer observes the break too.
 	Sever
 )
-
-var actionNames = map[string]Action{
-	"delay":    Delay,
-	"drop":     DropRetry,
-	"truncate": Truncate,
-	"sever":    Sever,
-}
-
-func (a Action) String() string {
-	for n, v := range actionNames {
-		if v == a {
-			return n
-		}
-	}
-	return fmt.Sprintf("action(%d)", a)
-}
 
 // Tag kinds of legion's distributed message-tag layout
 // (| groupSeq (32) | kind (4) | entry (20) | sub (8) |), so rules can
@@ -90,19 +61,12 @@ const (
 	KindAny = -1
 )
 
-var kindNames = map[string]int{
-	"write":    KindWrite,
-	"partials": KindPartials,
-	"*":        KindAny,
-}
-
 func tagKind(tag uint64) int { return int(tag>>28) & 0xF }
 
 // Rule matches one class of messages and applies one fault.
 type Rule struct {
 	// Rank is the rank this rule fires on (-1: every rank). A schedule is
-	// shared by every rank of a launch through one environment variable,
-	// so each rule names its rank.
+	// shared by every rank of a launch, so each rule names its rank.
 	Rank int
 	// Op selects the direction at the firing rank.
 	Op Op
@@ -122,123 +86,6 @@ type Rule struct {
 // Schedule is an ordered fault script; the first matching rule wins.
 type Schedule struct {
 	Rules []Rule
-}
-
-// ParseSchedule parses the DIFFUSE_DIST_FAULTS syntax: comma-separated
-// rules, each `rank:op:peer:kind:occurrence:action[:delay]`, with `*`
-// wildcards for rank, peer, kind, and occurrence. Examples:
-//
-//	1:send:0:write:3:delay:50ms  rank 1's 3rd write send to rank 0 is late
-//	1:send:*:*:5:sever           rank 1's 5th send severs that link
-//	*:recv:*:partials:1:truncate every rank's 1st partials recv truncates
-func ParseSchedule(spec string) (*Schedule, error) {
-	s := &Schedule{}
-	for _, raw := range strings.Split(spec, ",") {
-		raw = strings.TrimSpace(raw)
-		if raw == "" {
-			continue
-		}
-		parts := strings.Split(raw, ":")
-		if len(parts) < 6 {
-			return nil, fmt.Errorf("faultx: rule %q: want rank:op:peer:kind:occurrence:action[:delay]", raw)
-		}
-		var r Rule
-		var err error
-		if r.Rank, err = parseIntOrStar(parts[0]); err != nil {
-			return nil, fmt.Errorf("faultx: rule %q rank: %w", raw, err)
-		}
-		switch parts[1] {
-		case "send":
-			r.Op = OpSend
-		case "recv":
-			r.Op = OpRecv
-		default:
-			return nil, fmt.Errorf("faultx: rule %q op %q: want send or recv", raw, parts[1])
-		}
-		if r.Peer, err = parseIntOrStar(parts[2]); err != nil {
-			return nil, fmt.Errorf("faultx: rule %q peer: %w", raw, err)
-		}
-		kind, ok := kindNames[parts[3]]
-		if !ok {
-			return nil, fmt.Errorf("faultx: rule %q kind %q: want write, partials, or *", raw, parts[3])
-		}
-		r.Kind = kind
-		if r.Occurrence, err = parseIntOrStar(parts[4]); err != nil {
-			return nil, fmt.Errorf("faultx: rule %q occurrence: %w", raw, err)
-		}
-		if r.Occurrence < 0 {
-			r.Occurrence = 0 // `*`: every occurrence
-		}
-		act, ok := actionNames[parts[5]]
-		if !ok {
-			return nil, fmt.Errorf("faultx: rule %q action %q: want delay, drop, truncate, or sever", raw, parts[5])
-		}
-		r.Action = act
-		if act == Delay {
-			if len(parts) != 7 {
-				return nil, fmt.Errorf("faultx: rule %q: delay wants a duration argument", raw)
-			}
-			if r.Delay, err = time.ParseDuration(parts[6]); err != nil {
-				return nil, fmt.Errorf("faultx: rule %q delay: %w", raw, err)
-			}
-		} else if len(parts) != 6 {
-			return nil, fmt.Errorf("faultx: rule %q: %s takes no argument", raw, parts[5])
-		}
-		s.Rules = append(s.Rules, r)
-	}
-	return s, nil
-}
-
-func parseIntOrStar(s string) (int, error) {
-	if s == "*" {
-		return -1, nil
-	}
-	v, err := strconv.Atoi(s)
-	if err != nil || v < 0 {
-		return 0, fmt.Errorf("%q: want a non-negative integer or *", s)
-	}
-	return v, nil
-}
-
-// Render serializes the schedule back to the ParseSchedule syntax — how
-// tests hand a programmatic schedule to rank subprocesses through the
-// environment.
-func (s *Schedule) Render() string {
-	var b strings.Builder
-	for i, r := range s.Rules {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		star := func(v int) string {
-			if v < 0 {
-				return "*"
-			}
-			return strconv.Itoa(v)
-		}
-		kind := "*"
-		for n, v := range kindNames {
-			if v == r.Kind && n != "*" {
-				kind = n
-			}
-		}
-		occ := star(r.Occurrence)
-		if r.Occurrence == 0 {
-			occ = "*"
-		}
-		fmt.Fprintf(&b, "%s:%s:%s:%s:%s:%s", star(r.Rank), r.Op, star(r.Peer), kind, occ, r.Action)
-		if r.Action == Delay {
-			fmt.Fprintf(&b, ":%s", r.Delay)
-		}
-	}
-	return b.String()
-}
-
-// Stats counts the faults the wrapper fired (one wrapper = one rank).
-type Stats struct {
-	Delayed   int64
-	Dropped   int64
-	Truncated int64
-	Severed   int64
 }
 
 // Inner is the wrapped transport surface — legion.HaloTransport,
@@ -265,7 +112,6 @@ type Transport struct {
 	mu      sync.Mutex
 	counts  map[countKey]int
 	severed map[int]bool
-	stats   Stats
 }
 
 type countKey struct {
@@ -283,13 +129,6 @@ func Wrap(inner Inner, me int, sched *Schedule) *Transport {
 		counts:  map[countKey]int{},
 		severed: map[int]bool{},
 	}
-}
-
-// Stats returns a snapshot of the fired-fault counters.
-func (t *Transport) Stats() Stats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.stats
 }
 
 // match advances the occurrence counters for one message and returns the
@@ -340,9 +179,6 @@ func (t *Transport) sever(peer int) error {
 	t.mu.Lock()
 	first := !t.severed[peer]
 	t.severed[peer] = true
-	if first {
-		t.stats.Severed++
-	}
 	t.mu.Unlock()
 	if lc, ok := t.inner.(LinkCloser); ok && first {
 		lc.CloseLink(peer)
@@ -358,16 +194,8 @@ func (t *Transport) Send(peer int, tag uint64, data []byte) error {
 	}
 	switch r.Action {
 	case Delay:
-		t.count(&t.stats.Delayed)
 		time.Sleep(r.Delay)
-		return t.inner.Send(peer, tag, data)
-	case DropRetry:
-		// The first transmission is dropped before it reaches the wire;
-		// the immediate retry delivers. Exactly-once delivery holds.
-		t.count(&t.stats.Dropped)
-		return t.inner.Send(peer, tag, data)
 	case Truncate:
-		t.count(&t.stats.Truncated)
 		return t.inner.Send(peer, tag, data[:len(data)/2])
 	case Sever:
 		return t.sever(peer)
@@ -383,27 +211,15 @@ func (t *Transport) Recv(peer int, tag uint64) ([]byte, error) {
 	}
 	switch r.Action {
 	case Delay:
-		t.count(&t.stats.Delayed)
 		time.Sleep(r.Delay)
-		return t.inner.Recv(peer, tag)
-	case DropRetry:
-		t.count(&t.stats.Dropped)
-		return t.inner.Recv(peer, tag)
 	case Truncate:
 		data, err := t.inner.Recv(peer, tag)
 		if err != nil {
 			return nil, err
 		}
-		t.count(&t.stats.Truncated)
 		return data[:len(data)/2], nil
 	case Sever:
 		return nil, t.sever(peer)
 	}
 	return t.inner.Recv(peer, tag)
-}
-
-func (t *Transport) count(c *int64) {
-	t.mu.Lock()
-	*c++
-	t.mu.Unlock()
 }

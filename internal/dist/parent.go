@@ -81,10 +81,15 @@ func (t *tailBuffer) String() string {
 // the first-failure error every subsequent operation reports. extraEnv
 // entries ("KEY=val") are appended to each rank's environment — how the
 // parent propagates runtime configuration (e.g. the codegen backend
-// toggle) that ranks must agree on.
+// toggle) that ranks must agree on. A malformed EnvTimeout is an error
+// returned before any directory, socket or process is created.
 func Launch(ranks int, extraEnv ...string) (*Parent, error) {
 	if ranks < 1 {
 		return nil, fmt.Errorf("dist: rank count %d out of range", ranks)
+	}
+	timeout, err := distTimeout()
+	if err != nil {
+		return nil, err
 	}
 	exe, err := os.Executable()
 	if err != nil {
@@ -107,7 +112,7 @@ func Launch(ranks int, extraEnv ...string) (*Parent, error) {
 		dir:        dir,
 		conns:      make([]net.Conn, ranks),
 		childErrs:  make([]error, ranks),
-		timeout:    distTimeout(),
+		timeout:    timeout,
 		sentStores: map[ir.StoreID]bool{},
 		kernelRefs: map[hash128.Sum]int64{},
 	}

@@ -39,14 +39,10 @@ const (
 	// of the launch is a file in it: the parent's control socket and one
 	// peer listen socket per rank, named by rank number.
 	EnvDir = "DIFFUSE_DIST_DIR"
-	// EnvFaults is a fault-injection schedule (faultx.ParseSchedule
-	// syntax) each rank wraps around its peer transport — the scripted
-	// chaos harness of the fault-injection tests. Unset means no faults.
-	EnvFaults = "DIFFUSE_DIST_FAULTS"
 	// EnvTimeout optionally overrides the transport receive deadline
-	// (a Go duration string, e.g. "2s"; default 60s) — the bound after
-	// which a missing peer message surfaces as an error instead of a
-	// hang.
+	// (a positive Go duration string, e.g. "2s"; default 60s) — the
+	// bound after which a missing peer message surfaces as an error
+	// instead of a hang. Any other value is an error.
 	EnvTimeout = "DIFFUSE_DIST_TIMEOUT"
 	// EnvCodegen carries the parent's kernel-backend selection to the
 	// ranks ("off" disables the codegen tier; anything else, including

@@ -8,7 +8,6 @@ import (
 	"os"
 	"strconv"
 
-	"diffuse/internal/dist/faultx"
 	"diffuse/internal/hash128"
 	"diffuse/internal/ir"
 	"diffuse/internal/kir"
@@ -32,6 +31,11 @@ func MaybeRankMain() {
 	}
 	os.Exit(0)
 }
+
+// wrapMesh, when set, wraps rank me's peer mesh before its drains use it.
+// It is nil in the product; internal/dist's fault-injection tests set it
+// in the test binary their rank subprocesses re-execute.
+var wrapMesh func(tx *Transport, me int) legion.HaloTransport
 
 // rankState is the decode side of the control stream: the store and
 // kernel tables the parent fills lazily (StoreNew / Kernel messages
@@ -73,7 +77,10 @@ func runRank() (err error) {
 	if dir == "" {
 		return fmt.Errorf("%s not set", EnvDir)
 	}
-	timeout := distTimeout()
+	timeout, err := distTimeout()
+	if err != nil {
+		return err
+	}
 
 	parent, err := dialRetry(parentSocket(dir), timeout)
 	if err != nil {
@@ -90,18 +97,9 @@ func runRank() (err error) {
 	}
 	defer tx.Close()
 
-	// The fault-injection harness wraps the mesh when a schedule is
-	// scripted in the environment: the wrapper intercepts every message
-	// boundary and applies the (rank, peer, occurrence)-matched faults
-	// deterministically. haloTx stays the raw mesh otherwise — zero cost
-	// in the common case.
 	var haloTx legion.HaloTransport = tx
-	if spec := os.Getenv(EnvFaults); spec != "" {
-		sched, err := faultx.ParseSchedule(spec)
-		if err != nil {
-			return fmt.Errorf("rank %d: %s: %w", me, EnvFaults, err)
-		}
-		haloTx = faultx.Wrap(tx, me, sched)
+	if wrapMesh != nil {
+		haloTx = wrapMesh(tx, me)
 	}
 
 	rt := legion.New(nil)

@@ -17,13 +17,15 @@ import (
 // peer instead of a silent hang. Overridable via EnvTimeout.
 const defaultTimeout = 60 * time.Second
 
-func distTimeout() time.Duration {
-	if s := os.Getenv(EnvTimeout); s != "" {
-		if d, err := time.ParseDuration(s); err == nil && d > 0 {
-			return d
-		}
+func distTimeout() (time.Duration, error) {
+	s := os.Getenv(EnvTimeout)
+	if s == "" {
+		return defaultTimeout, nil
 	}
-	return defaultTimeout
+	if d, err := time.ParseDuration(s); err == nil && d > 0 {
+		return d, nil
+	}
+	return 0, fmt.Errorf("dist: %s=%q: want a positive duration such as \"2s\"", EnvTimeout, s)
 }
 
 // Transport is the rank-to-rank peer mesh: one unix-domain socket
