@@ -72,8 +72,8 @@ func main() {
 
 	st := rt.Stats()
 	fmt.Printf("\n%d tasks executed (%d fusions covering %d original tasks)\n", total, fused, originals)
-	fmt.Printf("window size %d, %d temporaries eliminated, memo %d/%d hits\n",
-		st.WindowSize, st.TempsEliminated, st.MemoHits, st.MemoHits+st.MemoMisses)
+	fmt.Printf("window size %d after %d growths, %d temporaries eliminated, memo %d/%d hits, %d kernels compiled\n",
+		st.WindowSize, st.WindowGrowths, st.TempsEliminated, st.MemoHits, st.MemoHits+st.MemoMisses, st.KernelsCompiled)
 
 	if *stats {
 		ctx.Flush()

@@ -405,26 +405,38 @@ func TestFig7Streams(t *testing.T) {
 	}
 }
 
+// TestWindowGrowth: a window that fuses whole grows before it is emitted.
+// A 64-task chain on the default window schedule holds at 5, 10, 20 and
+// 40 tasks, reaching 80 > 64, so nothing is emitted or compiled before the
+// flush, which emits the whole chain as one fused task. Without the memo
+// the decision is the same.
 func TestWindowGrowth(t *testing.T) {
-	r := newTestRuntime(true)
-	launch := ir.MakeRect(ir.Point{0}, ir.Point{4})
-	tile := func() ir.Partition { return ir.NewTiling(launch, []int{16}, []int{4}, []int{0}, nil, nil) }
-	// A long chain of fusible tasks: window should grow.
-	prev := r.NewStore("x0", []int{16})
-	for i := 0; i < 64; i++ {
-		next := r.NewStore("x", []int{16})
-		r.Submit(&ir.Task{Name: "f", Launch: launch, Kernel: elemKernel(2, 1),
-			Args: []ir.Arg{{Store: prev, Part: tile(), Priv: ir.Read}, {Store: next, Part: tile(), Priv: ir.Write}}})
-		r.ReleaseStore(prev)
-		prev = next
-	}
-	r.Flush()
-	st := r.Stats()
-	if st.WindowSize <= 8 {
-		t.Fatalf("window should have grown beyond its initial size, got %d", st.WindowSize)
-	}
-	if st.WindowGrowths == 0 {
-		t.Fatal("expected at least one window growth")
+	for _, noMemo := range []bool{false, true} {
+		cfg := DefaultConfig(4)
+		cfg.NoMemo = noMemo
+		r := New(cfg)
+		WatchKeys(r)
+		prev := r.NewStore("x0", []int{16})
+		for i := 0; i < 64; i++ {
+			next := r.NewStore("x", []int{16})
+			r.Submit(chainTask(r, prev, next))
+			r.ReleaseStore(prev)
+			prev = next
+		}
+		st := r.Stats()
+		if st.Emitted != 0 || st.KernelsCompiled != 0 {
+			t.Fatalf("noMemo=%v: a held chain emitted %d tasks and compiled %d kernels before the flush, want 0 and 0",
+				noMemo, st.Emitted, st.KernelsCompiled)
+		}
+		r.Flush()
+		st = r.Stats()
+		if st.Emitted != 1 || st.KernelsCompiled != 1 || st.WindowGrowths != 4 || st.WindowSize != 80 {
+			t.Fatalf("noMemo=%v: after the flush emitted %d, compiled %d, grew %d times to %d; want 1, 1, 4 and 80",
+				noMemo, st.Emitted, st.KernelsCompiled, st.WindowGrowths, st.WindowSize)
+		}
+		if got := r.Legion().ReadBuffer(prev).Get(0); got != 64 {
+			t.Fatalf("noMemo=%v: chain end = %v, want 64", noMemo, got)
+		}
 	}
 }
 

@@ -21,7 +21,9 @@ type fusionPlan struct {
 	// mappings[t][a] is the fused parameter index of task t's argument a.
 	mappings [][]int
 	// kernel is the optimized fused kernel, shared across replays so the
-	// runtime compiles it exactly once.
+	// runtime compiles it exactly once. It stays nil, with params and
+	// mappings, until a window with this key first emits its prefix fused:
+	// a held window needs only prefixLen.
 	kernel *kir.Kernel
 	// temps counts eliminated temporaries (stats).
 	temps int
@@ -57,26 +59,41 @@ const maxMemo = 2048
 // hand that session a freshly zeroed region. Runtime references are only
 // released during emission, which callers serialize under r.mu, so the
 // surplus can never be an undercount. Callers hold r.mu.
-func (r *Runtime) analyze(k *ir.KeyStream, pinned map[ir.StoreID]bool) *fusionPlan {
+//
+// hold says the caller will keep a wholly fusible window buffered and
+// grow it instead of emitting it (Session.processOnce). A miss computes
+// the fusible prefix first and composes the fused kernel only if the
+// window will emit it: a held window's plan is memoized without a kernel,
+// so a fresh runtime compiles only the windows it emits. A hit on such a
+// plan that must emit (a drain, or a session whose window may not grow)
+// composes it once, in place: the same key folds the same liveness bits,
+// so it finds the same temporaries.
+func (r *Runtime) analyze(k *ir.KeyStream, pinned map[ir.StoreID]bool, hold bool) *fusionPlan {
 	snapshotLiveness(k, pinned)
 	window := k.Window()
+	var plan *fusionPlan
 	if r.cfg.NoMemo {
-		return r.computePlan(window, k)
+		plan = &fusionPlan{prefixLen: fusiblePrefix(window, k)}
+	} else {
+		key := k.Key()
+		if r.keyOracle != nil {
+			r.keyOracle(k, key)
+		}
+		if e, ok := r.memo[key]; ok {
+			r.stats.MemoHits++
+			plan = e.plan
+		} else {
+			plan = &fusionPlan{prefixLen: fusiblePrefix(window, k)}
+			if len(r.memo) >= maxMemo {
+				clear(r.memo)
+			}
+			r.memo[key] = &memoEntry{plan: plan}
+			r.stats.MemoMisses++
+		}
 	}
-	key := k.Key()
-	if r.keyOracle != nil {
-		r.keyOracle(k, key)
+	if plan.kernel == nil && plan.prefixLen > 1 && !(hold && plan.prefixLen == len(window)) {
+		r.compose(plan, window, k)
 	}
-	if e, ok := r.memo[key]; ok {
-		r.stats.MemoHits++
-		return e.plan
-	}
-	plan := r.computePlan(window, k)
-	if len(r.memo) >= maxMemo {
-		clear(r.memo)
-	}
-	r.memo[key] = &memoEntry{plan: plan}
-	r.stats.MemoMisses++
 	return plan
 }
 
@@ -93,18 +110,15 @@ func snapshotLiveness(k *ir.KeyStream, pinned map[ir.StoreID]bool) {
 	}
 }
 
-// computePlan runs the full analysis: fusible prefix, argument merging,
-// temporary-store elimination, kernel composition and optimization. sc is
-// the window's stream as analyze snapshotted it: it names every store by a
-// dense index, so nothing below hashes a store identity again, and carries
-// the liveness snapshot the key was folded with (stores the application
-// references, plus pinned ones: deferred readers in this session or
-// buffered tasks in another).
-func (r *Runtime) computePlan(window []*ir.Task, sc *ir.KeyStream) *fusionPlan {
-	plan := &fusionPlan{prefixLen: fusiblePrefix(window, sc)}
-	if plan.prefixLen <= 1 {
-		return plan
-	}
+// compose completes a plan whose fusible prefix is known and longer than
+// one task: argument merging, temporary-store elimination, kernel
+// composition, optimization and compilation. sc is the window's stream as
+// analyze snapshotted it: it names every store by a dense index, so
+// nothing below hashes a store identity again, and carries the liveness
+// snapshot the key was folded with (stores the application references,
+// plus pinned ones: deferred readers in this session or buffered tasks in
+// another).
+func (r *Runtime) compose(plan *fusionPlan, window []*ir.Task, sc *ir.KeyStream) {
 	prefix := window[:plan.prefixLen]
 	argStores := sc.ArgStores()
 
@@ -212,7 +226,6 @@ func (r *Runtime) computePlan(window []*ir.Task, sc *ir.KeyStream) *fusionPlan {
 	if sim := r.Sim(); sim != nil {
 		sim.Compile(comp.NOps)
 	}
-	return plan
 }
 
 // findTemps marks fused parameters whose stores satisfy Definition 4,

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"diffuse/cunum"
@@ -168,4 +169,38 @@ func TestAnalyzeMissPathAllocations(t *testing.T) {
 	}
 	ctx.Flush()
 	_ = s.TotalMass()
+}
+
+// TestColdSWEScriptCounts pins what a fresh runtime does for the cold
+// script (the benchmark's swe_cold): natural SWE 16x16, three steps, each
+// flushed. A window that fuses whole and may still grow is held, not
+// emitted, so the fused prefixes of the growing window (5, 10, 20 and 40
+// tasks) are never composed or compiled: 8 kernels, 46 emitted tasks and
+// 22 memo misses, against 15, 50 and 26 when each such window was emitted
+// before the window grew (held windows are keyed, so they still miss).
+// The mass must be bit-identical to the unfused run's.
+func TestColdSWEScriptCounts(t *testing.T) {
+	run := func(cfg core.Config) (core.Stats, float64) {
+		rt := core.New(cfg)
+		defer rt.Close()
+		ctx := cunum.NewContext(rt)
+		s := apps.NewSWE(ctx, 16, 16, false)
+		for i := 0; i < 3; i++ {
+			s.Step()
+			ctx.Flush()
+		}
+		m := s.TotalMass()
+		return rt.Stats(), m
+	}
+	st, mass := run(core.DefaultConfig(4))
+	unfusedCfg := core.DefaultConfig(4)
+	unfusedCfg.Enabled = false
+	_, want := run(unfusedCfg)
+	if st.KernelsCompiled != 8 || st.Emitted != 46 || st.MemoMisses != 22 {
+		t.Fatalf("cold SWE script: %d kernels compiled, %d tasks emitted, %d memo misses; want 8, 46 and 22",
+			st.KernelsCompiled, st.Emitted, st.MemoMisses)
+	}
+	if math.Float64bits(mass) != math.Float64bits(want) {
+		t.Fatalf("cold SWE mass %v, unfused %v", mass, want)
+	}
 }

@@ -130,9 +130,9 @@ func AnalyzeAllocs(s *Session, runs int) (allocs float64, hits int64) {
 	r := s.rt
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.analyze(&s.window, s.pinned)
+	r.analyze(&s.window, s.pinned, false)
 	h0 := r.stats.MemoHits
-	allocs = testing.AllocsPerRun(runs, func() { r.analyze(&s.window, s.pinned) })
+	allocs = testing.AllocsPerRun(runs, func() { r.analyze(&s.window, s.pinned, false) })
 	return allocs, r.stats.MemoHits - h0
 }
 
@@ -149,7 +149,7 @@ func StreamAllocs(s *Session, runs int) (allocs float64, hits int64) {
 	defer r.mu.Unlock()
 	k := &s.window
 	window := append([]*ir.Task(nil), k.Window()...)
-	r.analyze(k, s.pinned)
+	r.analyze(k, s.pinned, false)
 	h0 := r.stats.MemoHits
 	allocs = testing.AllocsPerRun(runs, func() {
 		for k.Len() > 1 {
@@ -162,7 +162,7 @@ func StreamAllocs(s *Session, runs int) (allocs float64, hits int64) {
 			t.Seal()
 			k.Push(t)
 		}
-		r.analyze(k, s.pinned)
+		r.analyze(k, s.pinned, false)
 	})
 	return allocs, r.stats.MemoHits - h0
 }

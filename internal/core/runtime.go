@@ -99,9 +99,14 @@ type Config struct {
 
 	// InitialWindow is the starting task-window size (the paper's window
 	// sizes are selected automatically by growing the window whenever an
-	// entire window fuses; see §7 overview).
+	// entire window fuses; see §7 overview). A session grows its window
+	// before emitting it: when a submission finds the window full and the
+	// memoized plan fuses it whole, the window doubles and keeps
+	// buffering, so only the window that finally emits is compiled. A
+	// drain (Flush, FlushStore, a future) never grows it.
 	InitialWindow int
-	// MaxWindow caps automatic window growth.
+	// MaxWindow caps automatic window growth, and so bounds how many
+	// tasks a session holds back unemitted.
 	MaxWindow int
 }
 

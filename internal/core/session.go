@@ -156,7 +156,7 @@ func (s *Session) Submit(t *ir.Task) {
 	// temporary-store elimination (Def. 4, condition 3) is up to date —
 	// the moral equivalent of Python refcounts having settled.
 	for s.window.Len() >= s.windowSize {
-		s.processOnce()
+		s.processOnce(false)
 	}
 	s.window.Push(t)
 }
@@ -165,7 +165,7 @@ func (s *Session) Submit(t *ir.Task) {
 // (the flush_window of Fig. 6).
 func (s *Session) Flush() {
 	for s.window.Len() > 0 {
-		s.processOnce()
+		s.processOnce(true)
 	}
 }
 
@@ -247,9 +247,17 @@ func (s *Session) FlushStore(st *ir.Store) {
 	}
 }
 
-// processOnce analyzes the current window, emits its fusible prefix (fused
-// when longer than one task), and grows the window when everything fused.
-func (s *Session) processOnce() {
+// processOnce analyzes the current window and emits its fusible prefix
+// (fused when longer than one task), unless the whole window fuses and the
+// window may still grow: then it grows the window and emits nothing (§7:
+// window sizes were selected automatically by Diffuse through a process
+// that increases the window size when all tasks in the current window were
+// fused). The decision comes from the memoized plan, before anything is
+// composed for emission (analyze), so a held window compiles nothing. A
+// drain (Flush, and so FlushStore and every future) never holds: it emits
+// everything, so flushes stay barriers, and MaxWindow bounds what a
+// session can hold.
+func (s *Session) processOnce(draining bool) {
 	if s.window.Len() == 0 {
 		return
 	}
@@ -268,9 +276,15 @@ func (s *Session) processOnce() {
 		s.progHits.Add(cg1.CacheHits - cg0.CacheHits)
 		s.progMisses.Add(cg1.CacheMisses - cg0.CacheMisses)
 	}()
-	plan := r.analyze(&s.window, s.pinned)
+	hold := !draining && s.windowSize < r.cfg.MaxWindow
+	plan := r.analyze(&s.window, s.pinned, hold)
+	if hold && plan.prefixLen == s.window.Len() {
+		s.windowSize = min(2*s.windowSize, r.cfg.MaxWindow)
+		r.stats.WindowGrowths++
+		r.stats.WindowSize = s.windowSize
+		return
+	}
 	prefix := s.window.Window()[:plan.prefixLen]
-
 	if plan.prefixLen == 1 {
 		r.emit(prefix[0], prefix)
 	} else {
@@ -278,17 +292,5 @@ func (s *Session) processOnce() {
 		r.emit(fused, prefix)
 	}
 	s.window.Drop(plan.prefixLen)
-
-	// Adaptive window sizing: if the entire window fused, a larger window
-	// might fuse more (§7: window sizes were selected automatically by
-	// Diffuse through a process that increases the window size when all
-	// tasks in the current window were fused).
-	if plan.prefixLen >= s.windowSize && s.windowSize < r.cfg.MaxWindow {
-		s.windowSize *= 2
-		if s.windowSize > r.cfg.MaxWindow {
-			s.windowSize = r.cfg.MaxWindow
-		}
-		r.stats.WindowGrowths++
-	}
 	r.stats.WindowSize = s.windowSize
 }

@@ -1,13 +1,17 @@
 package core
 
 import (
+	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"diffuse/internal/ir"
 	"diffuse/internal/kir"
+	"diffuse/internal/legion"
+	"diffuse/internal/machine"
 )
 
 // chainTask builds the elem task next = f(prev) over the standard fixture
@@ -294,5 +298,61 @@ func TestSessionCacheStatsAttribution(t *testing.T) {
 	}
 	if bs.PlanHits == 0 {
 		t.Fatalf("second session re-submitting an identical stream should hit the shared memo, got %+v", bs)
+	}
+}
+
+// TestHeldPlanComposesOnHit: a held window's plan is memoized without a
+// kernel, and the first window with its key that must emit composes it.
+// Session A fills a 5-task chain window and holds it on its sixth submit;
+// session B drains an isomorphic 5-task chain on its own stores, a memo hit
+// on A's kernel-less plan that composes and compiles it once. Both chains
+// must read what an unfused runtime computes.
+func TestHeldPlanComposesOnHit(t *testing.T) {
+	chain := func(r *Runtime, s *Session, n int) *ir.Store {
+		prev := r.NewStore("x0", []int{16})
+		for i := 0; i < n; i++ {
+			next := r.NewStore("x", []int{16})
+			s.Submit(chainTask(r, prev, next))
+			r.ReleaseStore(prev)
+			prev = next
+		}
+		return prev
+	}
+	bits := func(r *Runtime, st *ir.Store) []uint64 {
+		buf := r.Legion().ReadBuffer(st)
+		out := make([]uint64, buf.Len())
+		for i := range out {
+			out[i] = math.Float64bits(buf.Get(i))
+		}
+		return out
+	}
+	ref := New(Config{Mode: legion.ModeReal, Machine: machine.DefaultA100(4)})
+	want5 := chain(ref, ref.DefaultSession(), 5)
+	want6 := chain(ref, ref.DefaultSession(), 6)
+
+	r := New(DefaultConfig(4))
+	WatchKeys(r)
+	a, b := r.NewSession(), r.NewSession()
+	endA := chain(r, a, 6)
+	if st := r.Stats(); st.Emitted != 0 || st.KernelsCompiled != 0 || st.WindowGrowths != 1 || st.MemoMisses != 1 {
+		t.Fatalf("session A did not hold its full window: %+v", st)
+	}
+	endB := chain(r, b, 5)
+	b.Flush()
+	if st := r.Stats(); st.Emitted != 1 || st.KernelsCompiled != 1 || st.MemoMisses != 1 {
+		t.Fatalf("session B's drain should hit A's plan and compile it once: %+v", st)
+	}
+	if cs := b.CacheStats(); cs.PlanHits != 1 || cs.PlanMisses != 0 {
+		t.Fatalf("session B's drain: %+v, want one plan hit", cs)
+	}
+	if got, want := bits(r, endB), bits(ref, want5); !slices.Equal(got, want) {
+		t.Fatalf("session B's chain = %v, unfused %v", got, want)
+	}
+	a.Flush()
+	if st := r.Stats(); st.Emitted != 2 || a.Pending() != 0 {
+		t.Fatalf("session A's drain did not emit its window: %+v", st)
+	}
+	if got, want := bits(r, endA), bits(ref, want6); !slices.Equal(got, want) {
+		t.Fatalf("session A's chain = %v, unfused %v", got, want)
 	}
 }

@@ -74,7 +74,8 @@ func stencilWorkload() workload {
 // TestDelayedWriteBitIdentical: delaying write messages reorders
 // wall-clock arrival but not the drain's program-order application — the
 // delayed run must stay bit-identical to in-process execution, at both
-// mesh widths.
+// mesh widths. The run must also take at least the first send's delay, so
+// a schedule that never fires cannot pass as a transient fault survived.
 func TestDelayedWriteBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns rank subprocesses")
@@ -86,16 +87,21 @@ func TestDelayedWriteBitIdentical(t *testing.T) {
 			cfg.Shards = ranks
 			want := w.run(cunum.NewContext(core.New(cfg)))
 
+			const firstDelay = 100 * time.Millisecond
 			// Every rank's first write send (and second write recv) to any
 			// peer is held back — exercising both interception directions.
 			setFaults(t, faultx.Schedule{Rules: []faultx.Rule{
-				{Rank: -1, Op: faultx.OpSend, Peer: -1, Kind: faultx.KindWrite, Occurrence: 1, Action: faultx.Delay, Delay: 100 * time.Millisecond},
+				{Rank: -1, Op: faultx.OpSend, Peer: -1, Kind: faultx.KindWrite, Occurrence: 1, Action: faultx.Delay, Delay: firstDelay},
 				{Rank: -1, Op: faultx.OpRecv, Peer: -1, Kind: faultx.KindWrite, Occurrence: 2, Action: faultx.Delay, Delay: 50 * time.Millisecond},
 			}})
+			start := time.Now()
 			dctx := cunum.NewDistributedContext(ranks)
 			got := w.run(dctx)
 			if err := dctx.Close(); err != nil {
 				t.Fatalf("close: %v", err)
+			}
+			if elapsed := time.Since(start); elapsed < firstDelay {
+				t.Fatalf("the distributed run took %v, less than the %v delay on the first write send: no delay fired", elapsed, firstDelay)
 			}
 			if len(got) != len(want) {
 				t.Fatalf("%d observables, want %d", len(got), len(want))
