@@ -2,8 +2,10 @@ package cunum_test
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"diffuse/cunum"
 	"diffuse/internal/core"
@@ -242,5 +244,50 @@ func TestInternedOpsConcurrentSessions(t *testing.T) {
 	wg.Wait()
 	for g := range got {
 		sameBits(t, got[g], want, "session result")
+	}
+}
+
+// TestSquaringChainFuses: squaring an array d times in one window
+// (a = a.Mul(a)) forwards each link into the next, which reads it twice,
+// so the fused kernel's walk that does not remember shared nodes doubles
+// per link; past the composer's bound the links keep their stores. At
+// d = 40 the fused run returns at once (the doubling walk would take
+// hours, and the wire decoder refuses such a kernel), computes the
+// reference backend's bits, and every fused kernel survives the wire.
+func TestSquaringChainFuses(t *testing.T) {
+	const d = 40
+	run := func(ctx *cunum.Context) []uint64 {
+		defer ctx.Close()
+		a := ctx.Random(3, 64).MulC(1e-13).AddC(1) // 2^40 squarings stay finite
+		for i := 0; i < d; i++ {
+			a = a.Mul(a)
+		}
+		return bitsOf(a)
+	}
+	ctx := ctxWith(true, 2)
+	var fused []*kir.Kernel
+	ctx.Runtime().Legion().Trace = func(t *ir.Task) {
+		if t.FusedFrom > 1 {
+			fused = append(fused, t.Kernel)
+		}
+	}
+	t0 := time.Now()
+	got := run(ctx)
+	elapsed := time.Since(t0)
+	t.Logf("fused d=%d in %v, %d fused tasks", d, elapsed, len(fused))
+	if elapsed > 5*time.Second {
+		t.Fatalf("fused d=%d took %v: the kernel's walk is not bounded", d, elapsed)
+	}
+	if want := run(oracleCtx(2)); !slices.Equal(got, want) {
+		t.Fatalf("fused squaring chain differs from the reference backend")
+	}
+	if len(fused) == 0 {
+		t.Fatal("the chain did not fuse")
+	}
+	for _, k := range fused {
+		back, err := kir.DecodeKernel(kir.EncodeKernel(k))
+		if err != nil || back.FingerprintHash() != k.FingerprintHash() {
+			t.Fatalf("fused kernel %s does not round-trip the wire: %v", k.Name, err)
+		}
 	}
 }

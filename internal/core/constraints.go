@@ -23,6 +23,9 @@ type storeEffects struct {
 	writeParts []ir.Partition
 	// readParts are the distinct partitions read so far.
 	readParts []ir.Partition
+	// first backs each set's first partition: nearly every store is
+	// accessed through one.
+	first [2]ir.Partition
 	// redOp/redActive track reductions to the store.
 	redActive bool
 	redOp     ir.ReduceOp
@@ -229,6 +232,9 @@ func (d *dataflow) record(t *ir.Task) {
 	for i, a := range t.Args {
 		d.dtypes |= 1 << a.Store.DType()
 		e := &d.effects[d.argStores[d.next+i]]
+		if !e.tracked {
+			e.writeParts, e.readParts = e.first[:0:1], e.first[1:1:2]
+		}
 		e.tracked = true
 		if a.Priv.Reads() {
 			e.readParts = addPart(e.readParts, a.Part)

@@ -33,11 +33,6 @@ type fusedParam struct {
 	taskIdx, argIdx int // representative argument (store & partition source)
 	priv            ir.Privilege
 	red             ir.ReduceOp
-	temp            bool
-}
-
-type memoEntry struct {
-	plan *fusionPlan
 }
 
 // maxMemo bounds the memo table. Window shapes are chosen by the
@@ -79,15 +74,15 @@ func (r *Runtime) analyze(k *ir.KeyStream, pinned map[ir.StoreID]bool, hold bool
 		if r.keyOracle != nil {
 			r.keyOracle(k, key)
 		}
-		if e, ok := r.memo[key]; ok {
+		if p, ok := r.memo[key]; ok {
 			r.stats.MemoHits++
-			plan = e.plan
+			plan = p
 		} else {
 			plan = &fusionPlan{prefixLen: fusiblePrefix(window, k)}
 			if len(r.memo) >= maxMemo {
 				clear(r.memo)
 			}
-			r.memo[key] = &memoEntry{plan: plan}
+			r.memo[key] = plan
 			r.stats.MemoMisses++
 		}
 	}
@@ -179,42 +174,30 @@ func (r *Runtime) compose(plan *fusionPlan, window []*ir.Task, sc *ir.KeyStream)
 	// a covering write through the same partition, (2) no task after the
 	// prefix reads or reduces it, and (3) the application holds no live
 	// reference. Reduction targets keep their regions (reduction cells
-	// survive the task).
+	// survive the task). A temporary's parameter becomes task-local.
+	local := make([]bool, len(plan.params))
 	if !r.cfg.NoTempElim {
-		findTemps(plan, window, sc, storeOf, views)
+		findTemps(plan, window, sc, storeOf, views, local)
 	}
 
-	// Compose and optimize the fused kernel (Fig. 8).
+	// Compose the fused kernel (Fig. 8). Parameters alias when they are
+	// distinct views (partitions) of one store, which the constraints
+	// admit only for single-point launches; the store index is the class.
 	kernels := make([]*kir.Kernel, len(prefix))
 	for i, t := range prefix {
 		kernels[i] = t.Kernel
 	}
-	fused := kir.Concat("fused"+strconv.Itoa(len(prefix)), len(plan.params), kernels, plan.mappings)
-	for pi, p := range plan.params {
-		if p.temp {
-			fused.MarkLocal(pi)
-		}
-	}
-	if !r.cfg.TaskFusionOnly {
-		// Two parameters alias when they are distinct views (different
-		// partitions) of one store; the loop-fusion pass must not
-		// interleave a write with aliased accesses (possible only for
-		// single-point launches, where the constraints admit such tasks).
-		// The store index is the alias class, for the parameters of stores
-		// that have several; a window without such a store has no relation
-		// to check.
-		var alias kir.Alias
-		if aliased {
-			alias = make(kir.Alias, len(plan.params))
-			for pi, di := range storeOf {
-				alias[pi] = -1
-				if views[di] > 1 {
-					alias[pi] = di
-				}
+	var alias kir.Alias
+	if aliased {
+		alias = make(kir.Alias, len(plan.params))
+		for pi, di := range storeOf {
+			alias[pi] = -1
+			if views[di] > 1 {
+				alias[pi] = di
 			}
 		}
-		fused = kir.Optimize(fused, alias)
 	}
+	fused := r.comp.Compose("fused"+strconv.Itoa(len(prefix)), len(plan.params), kernels, plan.mappings, local, alias, !r.cfg.TaskFusionOnly)
 	plan.kernel = fused
 
 	// Account (and, in simulation, charge) JIT compilation: this is a
@@ -228,11 +211,11 @@ func (r *Runtime) compose(plan *fusionPlan, window []*ir.Task, sc *ir.KeyStream)
 	}
 }
 
-// findTemps marks fused parameters whose stores satisfy Definition 4,
-// consulting the liveness snapshot taken with the memo key. storeOf is the
-// store index of each fused parameter, views the number of fused
-// parameters naming each store.
-func findTemps(plan *fusionPlan, window []*ir.Task, sc *ir.KeyStream, storeOf, views []int32) {
+// findTemps marks in local the fused parameters whose stores satisfy
+// Definition 4, consulting the liveness snapshot taken with the memo key.
+// storeOf is the store index of each fused parameter, views the number of
+// fused parameters naming each store.
+func findTemps(plan *fusionPlan, window []*ir.Task, sc *ir.KeyStream, storeOf, views []int32, local []bool) {
 	// Per store: scan the prefix in program order.
 	type state struct {
 		coveredBy  ir.Partition // partition of a covering write seen so far
@@ -284,7 +267,7 @@ func findTemps(plan *fusionPlan, window []*ir.Task, sc *ir.KeyStream, storeOf, v
 		if views[di] > 1 {
 			continue
 		}
-		plan.params[pi].temp = true
+		local[pi] = true
 		plan.temps++
 	}
 }

@@ -136,6 +136,14 @@ func AnalyzeAllocs(s *Session, runs int) (allocs float64, hits int64) {
 	return allocs, r.stats.MemoHits - h0
 }
 
+// EmitPrefix analyzes the session's window as a drain does and emits its
+// fusible prefix, returning the prefix's length.
+func EmitPrefix(s *Session) int {
+	n := s.window.Len()
+	s.processOnce(true)
+	return n - s.window.Len()
+}
+
 // StreamAllocs measures the window bookkeeping of warm submission and
 // emission on the session's buffered window, without executing anything:
 // per run, the window's head is dropped a task at a time with the rest

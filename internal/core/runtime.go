@@ -146,9 +146,10 @@ type Runtime struct {
 	leg  *legion.Runtime
 	fact ir.Factory
 
-	mu    sync.Mutex // guards memo, stats, and task emission
-	memo  map[hash128.Sum]*memoEntry
+	mu    sync.Mutex // guards memo, stats, comp, and task emission
+	memo  map[hash128.Sum]*fusionPlan
 	stats Stats
+	comp  kir.Composer // writes every fused kernel (compose)
 
 	// keyOracle, set only by tests, sees every window analyze keys, with
 	// the liveness snapshot and the key it was given.
@@ -201,7 +202,7 @@ func NewWithBackend(cfg Config, b legion.Backend) *Runtime {
 	}
 	r := &Runtime{
 		cfg:  cfg,
-		memo: map[hash128.Sum]*memoEntry{},
+		memo: map[hash128.Sum]*fusionPlan{},
 	}
 	r.leg = legion.New(b)
 	r.leg.SetShards(cfg.Shards)

@@ -95,10 +95,10 @@ func MakeRect(lo, hi Point) Rect {
 
 // RectFromShape returns the rectangle [0, shape) of the given extents.
 func RectFromShape(shape []int) Rect {
-	lo := make(Point, len(shape))
-	hi := make(Point, len(shape))
-	copy(hi, shape)
-	return Rect{Lo: lo, Hi: hi}
+	n := len(shape)
+	b := make(Point, 2*n) // one allocation for both corners
+	copy(b[n:], shape)
+	return Rect{Lo: b[:n:n], Hi: b[n:]}
 }
 
 // Rank returns the dimensionality of the rectangle.

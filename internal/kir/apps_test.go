@@ -1,0 +1,102 @@
+package kir_test
+
+import (
+	"fmt"
+	"testing"
+
+	"diffuse/cunum"
+	"diffuse/internal/apps"
+	"diffuse/internal/core"
+	"diffuse/internal/kir"
+)
+
+// TestAppsCompositionsMatchReference: every fused kernel the applications
+// the repository ships make the runtime compose hashes as the reference
+// pipeline's kernel of the same input does, so memo keys, the kernel cache
+// and the task wire see the kernels the separate passes built.
+func TestAppsCompositionsMatchReference(t *testing.T) {
+	n := 0
+	stop := kir.WatchCompositions(func(got, want *kir.Kernel) {
+		n++
+		if got.FingerprintHash() != want.FingerprintHash() {
+			t.Fatalf("composition %d differs from the reference\n got %s\nwant %s", n, got.Fingerprint(), want.Fingerprint())
+		}
+	})
+	defer stop()
+	run := func(name string, cfg core.Config, app func(ctx *cunum.Context)) {
+		t.Run(name, func(t *testing.T) {
+			ctx := cunum.NewContext(core.New(cfg))
+			defer ctx.Close()
+			app(ctx)
+		})
+	}
+	for _, shards := range []int{1, 4} {
+		cfg := core.DefaultConfig(4)
+		cfg.Shards = shards
+		run(fmt.Sprintf("swe/shards=%d", shards), cfg, func(ctx *cunum.Context) {
+			s := apps.NewSWE(ctx, 16, 16, false)
+			s.Iterate(4)
+			ctx.Flush()
+			_ = s.TotalMass()
+		})
+		run(fmt.Sprintf("cg/shards=%d", shards), cfg, func(ctx *cunum.Context) {
+			A := apps.BuildPoisson2D(ctx, 12)
+			cg := apps.NewCG(ctx, A, ctx.Ones(A.Rows()), false)
+			cg.Solve(-1, 17, 5)
+			_ = cg.X.ToHost()
+		})
+		run(fmt.Sprintf("bicgstab/shards=%d", shards), cfg, func(ctx *cunum.Context) {
+			A := apps.BuildPoisson2D(ctx, 12)
+			s := apps.NewBiCGSTAB(ctx, A, ctx.Ones(A.Rows()))
+			s.Solve(-1, 9, 3)
+		})
+		run(fmt.Sprintf("cfd/shards=%d", shards), cfg, func(ctx *cunum.Context) {
+			c := apps.NewCFD(ctx, 16, 16)
+			c.Iterate(3)
+			ctx.Flush()
+		})
+		run(fmt.Sprintf("gmg/shards=%d", shards), cfg, func(ctx *cunum.Context) {
+			g := apps.NewGMG(ctx, 16, 3, ctx.Ones(16*16))
+			g.Iterate(2)
+			ctx.Flush()
+		})
+		for _, dt := range []cunum.DType{cunum.F64, cunum.F32} {
+			run(fmt.Sprintf("blackscholes/%v/shards=%d", dt, shards), cfg, func(ctx *cunum.Context) {
+				b := apps.NewBlackScholesT(ctx, 64, dt)
+				b.Iterate(3)
+				_ = b.Call.ToHost()
+			})
+			run(fmt.Sprintf("jacobi/%v/shards=%d", dt, shards), cfg, func(ctx *cunum.Context) {
+				j := apps.NewJacobiTotalT(ctx, 64, dt)
+				j.Solve(-1, 12, 4)
+				_ = j.Residual()
+			})
+			run(fmt.Sprintf("mrhs/%v/shards=%d", dt, shards), cfg, func(ctx *cunum.Context) {
+				m := apps.NewJacobiMRHS(ctx, 32, 3, dt)
+				m.Iterate(3)
+				_ = m.Residual()
+			})
+			run(fmt.Sprintf("chain/%v/shards=%d", dt, shards), cfg, func(ctx *cunum.Context) {
+				sc := apps.NewStencilChain(ctx, 64, 8, 4, apps.ChainSymmetric, dt)
+				sc.Iterate(3)
+				_ = sc.Sum()
+			})
+		}
+	}
+	// A fresh runtime per script: every window a miss (the benchmark's
+	// swe_cold), and the hand-fused SWE.
+	for _, manual := range []bool{false, true} {
+		run(fmt.Sprintf("swe_cold/manual=%v", manual), core.DefaultConfig(8), func(ctx *cunum.Context) {
+			s := apps.NewSWE(ctx, 16, 16, manual)
+			for i := 0; i < 3; i++ {
+				s.Step()
+				ctx.Flush()
+			}
+			_ = s.TotalMass()
+		})
+	}
+	if n < 50 {
+		t.Fatalf("the applications composed only %d kernels", n)
+	}
+	t.Logf("%d compositions match the reference", n)
+}

@@ -35,7 +35,7 @@ package kir
 // instruction is observationally identical because element-wise loops are
 // element-parallel by system invariant: the chunked/sharded executors
 // already run a loop's elements in arbitrary decompositions (legion runs a
-// chunk of point tasks as one call over the union of their tiles), FuseLoops
+// chunk of point tasks as one call over the union of their tiles), Compose
 // refuses to merge loops whose written parameters alias other accessed
 // parameters under different views (mergeSafe), and aligned aliases see
 // stores strictly in instruction order either way. The one construct that
@@ -164,19 +164,17 @@ func lowerElem(k *Kernel, cl *compiledLoop) cgLoop {
 	// Decline: an OpLoadScalar of a parameter the same loop stores
 	// element-wise reads the cell once per element in the interpreter but
 	// once per loop here.
-	stored := map[int]bool{}
-	for _, ss := range cl.stores {
-		stored[cl.iter[ss.slot].param] = true
-	}
 	for _, in := range cl.body {
-		if in.Op == OpLoadScalar && stored[int(in.Slot)] {
-			return cgLoop{}
+		for _, ss := range cl.stores {
+			if in.Op == OpLoadScalar && cl.iter[ss.slot] == int(in.Slot) {
+				return cgLoop{}
+			}
 		}
 	}
 	g := cgLoop{nregs: cl.nregs, block: planBlock(cl.nregs)}
 	g.slotDT = make([]DType, len(cl.iter))
-	for s, ip := range cl.iter {
-		g.slotDT[s] = k.DTypeOf(ip.param)
+	for s, p := range cl.iter {
+		g.slotDT[s] = k.DTypeOf(p)
 	}
 	for i := range cl.body {
 		in := &cl.body[i]
@@ -656,9 +654,16 @@ func (c *Compiled) execElemCg(l *compiledLoop, g *cgLoop, pa *PointArgs) bool {
 		return true
 	}
 	rank := len(ext)
-	st := pa.Scratch.cg(g.nregs, g.block, len(l.iter), len(l.reduces))
-	for s, ip := range l.iter {
-		b := &pa.Bind[ip.param]
+	inner := 1
+	if rank > 0 {
+		inner = ext[rank-1]
+	}
+	// A block never runs past the innermost extent, so no lane needs to be
+	// longer than it.
+	block := min(g.block, inner)
+	st := pa.Scratch.cg(g.nregs, block, len(l.iter), len(l.reduces))
+	for s, p := range l.iter {
+		b := &pa.Bind[p]
 		if b.Acc.Data.DType() != g.slotDT[s] {
 			st.release()
 			return false
@@ -681,21 +686,14 @@ func (c *Compiled) execElemCg(l *compiledLoop, g *cgLoop, pa *PointArgs) bool {
 	for r := range l.reduces {
 		st.racc[r] = l.reduces[r].red.Identity()
 	}
-	inner := 1
-	if rank > 0 {
-		inner = ext[rank-1]
-	}
-	// Per-execution lane fills: constants and hoisted scalar loads. A
-	// block never runs past the innermost extent, so every block reads a
-	// prefix of min(block, inner) lanes; fill that prefix once.
-	fill := min(g.block, inner)
+	// Per-execution lane fills: constants and hoisted scalar loads.
 	for _, su := range g.setup {
 		v := su.imm
 		if su.param >= 0 {
 			b := &pa.Bind[su.param]
 			v = b.Acc.Data.Get(b.Acc.Base)
 		}
-		lane := st.lane[su.reg][:fill]
+		lane := st.lane[su.reg]
 		for i := range lane {
 			lane[i] = v
 		}
@@ -712,7 +710,7 @@ func (c *Compiled) execElemCg(l *compiledLoop, g *cgLoop, pa *PointArgs) bool {
 	for o := 0; o < outer; o++ {
 		rem := inner
 		for rem > 0 {
-			n := g.block
+			n := block
 			if n > rem {
 				n = rem
 			}
@@ -736,14 +734,14 @@ func (c *Compiled) execElemCg(l *compiledLoop, g *cgLoop, pa *PointArgs) bool {
 		for d := rank - 2; d >= 0; d-- {
 			idx[d]++
 			if idx[d] < ext[d] {
-				for s, ip := range l.iter {
-					st.cur[s] += pa.Bind[ip.param].Acc.Strides[d]
+				for s, p := range l.iter {
+					st.cur[s] += pa.Bind[p].Acc.Strides[d]
 				}
 				break
 			}
 			idx[d] = 0
-			for s, ip := range l.iter {
-				st.cur[s] -= pa.Bind[ip.param].Acc.Strides[d] * (ext[d] - 1)
+			for s, p := range l.iter {
+				st.cur[s] -= pa.Bind[p].Acc.Strides[d] * (ext[d] - 1)
 			}
 		}
 	}

@@ -37,6 +37,42 @@ func TestPlanBlock(t *testing.T) {
 	}
 }
 
+// TestCodegenLanesSizedToTile: a block never runs past the innermost
+// extent, so a many-register loop over a 16-wide tile keeps at most 16
+// lanes per register where planBlock would give it more, a wide tile still
+// gets planBlock's, and both compute the interpreter's bits.
+func TestCodegenLanesSizedToTile(t *testing.T) {
+	k := NewKernel("deep", 2)
+	e := Load(0)
+	for i := 0; i < 60; i++ {
+		e = Binary([]Op{OpAdd, OpMul, OpSub}[i%3], e, Binary(OpMul, Load(0), Const(1+float64(i)/64)))
+	}
+	k.AddLoop(&Loop{Kind: LoopElem, Dom: "d", Ext: []int{8, 16}, ExtRef: 1,
+		Stmts: []Stmt{{Kind: KStore, Param: 1, E: e}}})
+	coded := Compile(k)
+	coded.AttachProgram(Codegen(coded))
+	nregs := coded.loops[0].nregs
+	if planBlock(nregs) <= 16 {
+		t.Fatalf("%d registers plan a block of %d: too few for this test", nregs, planBlock(nregs))
+	}
+	for _, inner := range []int{16, 1000} {
+		shape := []int{3, inner}
+		in := func(i int) float64 { return float64(i%97)/50 - 0.9 }
+		zero := func(int) float64 { return 0 }
+		want := []Binding{contiguous(F64, shape, in), contiguous(F64, shape, zero)}
+		Compile(k).Execute(&PointArgs{Bind: want})
+		got := []Binding{contiguous(F64, shape, in), contiguous(F64, shape, zero)}
+		sc := NewScratch()
+		coded.Execute(&PointArgs{Bind: got, Scratch: sc})
+		if !buffersEqualBits(got[1].Acc.Data, want[1].Acc.Data) {
+			t.Fatalf("inner extent %d: codegen differs from the interpreter", inner)
+		}
+		if lanes, limit := cap(sc.cgs.buf), nregs*min(inner, planBlock(nregs)); lanes != limit {
+			t.Fatalf("inner extent %d: %d lane floats for %d registers, want %d", inner, lanes, nregs, limit)
+		}
+	}
+}
+
 // TestCodegenDeclinesScalarLoadOfStoredParam: the one construct that
 // could observe batching — reading a cell as a scalar while the same
 // loop stores it element-wise — must keep the loop on the interpreter.
@@ -153,7 +189,7 @@ func TestCodegenLowered(t *testing.T) {
 	}
 }
 
-// aliasKernel builds the sharing Scalarize's forwarding produces: one
+// aliasKernel builds the sharing forwarding produces: one
 // Load(0) node read by the first and third statements, with an element
 // store between them to parameter storeTo. Params: 0 the loaded input,
 // 1 and 2 outputs, 3 a second name a test may bind to param 0's buffer.

@@ -1,6 +1,9 @@
 package kir
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Compile lowers an optimized kernel to a register program — the analogue
 // of the paper's MLIR lowering to GPU/OpenMP code. The resulting Compiled
@@ -35,18 +38,13 @@ type redSlot struct {
 	red   RedOp
 }
 
-// iterParam describes one parameter iterated element-wise by a loop.
-type iterParam struct {
-	param int
-}
-
 type compiledLoop struct {
 	kind       LoopKind
 	extRef     int
 	body       []Instr
 	stores     []storeSlot
 	reduces    []redSlot
-	iter       []iterParam // slot -> parameter
+	iter       []int // slot -> parameter iterated element-wise
 	nregs      int
 	y, x, matA int
 	acc        bool
@@ -72,25 +70,51 @@ type Compiled struct {
 }
 
 // Compile runs no optimizations; callers normally pass the result of
-// Optimize. It panics on malformed kernels (programming errors in
+// Compose. It panics on malformed kernels (programming errors in
 // generator functions).
 func Compile(k *Kernel) *Compiled {
-	c := &Compiled{Kernel: k}
-	for _, l := range k.Loops {
-		cl := compileLoop(k, l)
-		c.NOps += len(cl.body) + 1
+	c := &Compiled{Kernel: k, loops: make([]compiledLoop, len(k.Loops))}
+	b := &loopBuilder{slotOf: make([]int32, k.NParams)}
+	if k.nnodes > 0 {
+		b.regOf = make([]int32, k.nnodes+1)
+	} else {
+		b.regs = map[*Expr]uint16{}
+	}
+	for li, l := range k.Loops {
+		c.loops[li] = b.compileLoop(l)
+		c.NOps += len(c.loops[li].body) + 1
 		if l.Kind == LoopSpMV || l.Kind == LoopGEMV {
 			c.NOps += 4
 		}
-		c.loops = append(c.loops, cl)
 	}
-	for p := range BufferLocals(k) {
-		c.bufLocals = append(c.bufLocals, p)
-	}
+	c.bufLocals = bufferLocals(k)
 	return c
 }
 
-func compileLoop(k *Kernel, l *Loop) compiledLoop {
+// ElemAccesses describes a kernel whose every loop is element-wise and
+// reduces nothing (ok): pairs flattens each loop's (extent reference,
+// parameter) pairs — the reference with itself and with every parameter
+// loaded or stored element-wise — and scalars lists scalar-loaded ones.
+func (c *Compiled) ElemAccesses() (pairs, scalars []int, ok bool) {
+	for i := range c.loops {
+		l := &c.loops[i]
+		if l.kind != LoopElem || len(l.reduces) > 0 {
+			return nil, nil, false
+		}
+		pairs = append(pairs, l.extRef, l.extRef)
+		for _, p := range l.iter {
+			pairs = append(pairs, l.extRef, p)
+		}
+		for _, in := range l.body {
+			if in.Op == OpLoadScalar {
+				scalars = append(scalars, int(in.Slot))
+			}
+		}
+	}
+	return pairs, scalars, true
+}
+
+func (b *loopBuilder) compileLoop(l *Loop) compiledLoop {
 	cl := compiledLoop{
 		kind:       l.Kind,
 		extRef:     l.ExtRef,
@@ -105,7 +129,12 @@ func compileLoop(k *Kernel, l *Loop) compiledLoop {
 	if l.Kind != LoopElem {
 		return cl
 	}
-	b := &loopBuilder{slots: map[int]int{}, regs: map[*Expr]uint16{}}
+	b.instrs, b.next = nil, 0
+	clear(b.regs)
+	for _, p := range b.slotOrder {
+		b.slotOf[p] = 0
+	}
+	b.slotOrder = b.slotOrder[:0]
 	for _, s := range l.Stmts {
 		reg := b.compile(s.E)
 		switch s.Kind {
@@ -125,39 +154,38 @@ func compileLoop(k *Kernel, l *Loop) compiledLoop {
 	}
 	cl.body = b.instrs
 	cl.nregs = int(b.next)
-	cl.iter = make([]iterParam, len(b.slotOrder))
-	for i, p := range b.slotOrder {
-		cl.iter[i] = iterParam{param: p}
-	}
+	cl.iter = slices.Clone(b.slotOrder)
 	return cl
 }
 
+// loopBuilder compiles one element loop at a time, keeping its tables from
+// loop to loop. Shared subtrees are computed once: a node's register is
+// found by its id on a kernel Compose numbered (whose loops share no
+// node), through a map otherwise.
 type loopBuilder struct {
 	instrs    []Instr
 	next      uint16
-	regs      map[*Expr]uint16 // DAG node -> register (shared subtrees computed once)
-	slots     map[int]int      // param -> iteration slot
+	regOf     []int32          // Expr.id -> 1 + register
+	regs      map[*Expr]uint16 // DAG node -> register, on unnumbered kernels
+	slotOf    []int32          // param -> 1 + iteration slot in this loop
 	slotOrder []int
 }
 
 func (b *loopBuilder) slot(param int) int {
-	if s, ok := b.slots[param]; ok {
-		return s
+	if s := b.slotOf[param]; s > 0 {
+		return int(s - 1)
 	}
-	s := len(b.slotOrder)
-	b.slots[param] = s
 	b.slotOrder = append(b.slotOrder, param)
-	return s
-}
-
-func (b *loopBuilder) alloc() uint16 {
-	r := b.next
-	b.next++
-	return r
+	b.slotOf[param] = int32(len(b.slotOrder))
+	return len(b.slotOrder) - 1
 }
 
 func (b *loopBuilder) compile(e *Expr) uint16 {
-	if r, ok := b.regs[e]; ok {
+	if b.regOf != nil {
+		if r := b.regOf[e.id]; r > 0 {
+			return uint16(r - 1)
+		}
+	} else if r, ok := b.regs[e]; ok {
 		return r
 	}
 	var in Instr
@@ -181,8 +209,13 @@ func (b *loopBuilder) compile(e *Expr) uint16 {
 			in.C = b.compile(e.C)
 		}
 	}
-	in.Dst = b.alloc()
+	in.Dst = b.next
+	b.next++
 	b.instrs = append(b.instrs, in)
-	b.regs[e] = in.Dst
+	if b.regOf != nil {
+		b.regOf[e.id] = int32(in.Dst) + 1
+	} else {
+		b.regs[e] = in.Dst
+	}
 	return in.Dst
 }

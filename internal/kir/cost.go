@@ -41,8 +41,8 @@ func (c *Compiled) Cost(spmv SpMVStats) CostStats {
 			// parameters that were scalarized never appear as slots. Count
 			// unique slots (loads and stores share slots) at each slot's
 			// element width.
-			for _, ip := range cl.iter {
-				cs.Bytes += elems * sz(ip.param)
+			for _, p := range cl.iter {
+				cs.Bytes += elems * sz(p)
 			}
 			arith := 0
 			for _, in := range cl.body {

@@ -117,7 +117,7 @@ func randDiffKernel(rng, share *rand.Rand) *diffKernel {
 			for s := 0; s < nst; s++ {
 				e := randExpr(rng, 3, grid, scalars)
 				// Sometimes read an earlier statement's load node again:
-				// the sharing Scalarize's forwarding produces, whose value
+				// the sharing forwarding produces, whose value
 				// must survive a store between the two statements.
 				if share != nil && len(loads) > 0 && share.Intn(2) == 0 {
 					e = Binary(OpAdd, e, loads[share.Intn(len(loads))])
@@ -155,9 +155,9 @@ func randDiffKernel(rng, share *rand.Rand) *diffKernel {
 			}
 		}
 	}
-	// Demote some grid params to task-local allocations so the pipeline's
-	// MarkLocal/Scalarize path (forwarding, KEval pinning, reduced-
-	// precision Cast insertion) is exercised. Only write-before-read params
+	// Demote some grid params to task-local allocations so composition's
+	// local path (forwarding, KEval pinning, reduced-precision Cast
+	// insertion) is exercised. Only write-before-read params
 	// are eligible — the real pipeline only ever demotes eliminated
 	// temporaries, which are always written before use, and a local read
 	// before any store to it is a malformed kernel (no buffer would be
@@ -284,7 +284,7 @@ func runDiff(t *testing.T, seed uint64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(seed)))
 	dk := randDiffKernel(rng, rand.New(rand.NewSource(^int64(seed))))
-	opt := Optimize(dk.k, nil)
+	opt := optimize(dk.k, nil)
 
 	interp := Compile(opt)
 	coded := Compile(opt)

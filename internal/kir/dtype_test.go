@@ -132,7 +132,7 @@ func TestScalarizeRoundsForwardedF32Local(t *testing.T) {
 	k.AddLoop(&Loop{Kind: LoopElem, Dom: "v", Ext: []int{1}, ExtRef: 1,
 		Stmts: []Stmt{{Kind: KStore, Param: 1, E: Binary(OpAdd, Load(0), Const(0))}}})
 	k.MarkLocal(0)
-	opt := Optimize(k, nil)
+	opt := optimize(k, nil)
 	out := []float64{0}
 	Compile(opt).Execute(&PointArgs{Bind: []Binding{{}, flat(out, 1)}})
 	if out[0] != float64(float32(1.0/3.0)) {

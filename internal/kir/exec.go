@@ -237,8 +237,8 @@ func (c *Compiled) execElem(l *compiledLoop, pa *PointArgs) {
 	}
 	// Per-slot accessor state, reused across executions.
 	states := sc.states[:len(l.iter)]
-	for s, ip := range l.iter {
-		b := &pa.Bind[ip.param]
+	for s, p := range l.iter {
+		b := &pa.Bind[p]
 		states[s].bind(b.Acc.Data)
 		states[s].strides = b.Acc.Strides
 		cur[s] = b.Acc.Base

@@ -7,16 +7,18 @@
 //
 // The compilation pipeline mirrors Fig. 8 of the paper:
 //
-//  1. the fusion engine composes the kernels of a fused task prefix in
-//     program order (Concat),
-//  2. distributed temporaries eliminated by the store analysis are demoted
-//     to task-local parameters (MarkLocal),
-//  3. FuseLoops merges element-wise loops with identical iteration domains,
-//  4. Scalarize forwards values stored to local temporaries within a fused
-//     loop, removing dead stores and, when possible, the local allocation
-//     itself,
-//  5. Compile lowers the kernel to a compact register program executed by
-//     the evaluator in exec.go (the "generated code").
+//  1. the fusion engine hands Compose the kernels of a fused task prefix
+//     in program order with their parameter mappings, the distributed
+//     temporaries its store analysis eliminated (demoted to task-local
+//     parameters) and the alias classes of the rest;
+//  2. Compose writes the fused kernel in one walk over each source
+//     statement: parameters remapped, element-wise loops with identical
+//     iteration domains merged, and values stored to local temporaries
+//     forwarded within a merged loop, removing dead stores and, when
+//     possible, the local allocation itself;
+//  3. Compile lowers the kernel to a compact register program executed by
+//     the evaluator in exec.go (the "generated code"), and Codegen lowers
+//     its element loops again into closures (codegen.go).
 //
 // kir is deliberately independent of the ir package: kernels reference
 // their parameters by index only.
@@ -101,6 +103,7 @@ type Expr struct {
 	Param   int     // parameter index for OpLoad / OpLoadScalar
 	Imm     float64 // immediate for OpConst
 	DT      DType   // target dtype for OpCast
+	id      int32   // 1.. on the nodes Compose made (Kernel.nnodes), else 0
 }
 
 // Const returns a constant expression.
@@ -246,16 +249,6 @@ type Loop struct {
 	PayloadKey int
 }
 
-// Clone returns a deep-enough copy of the loop (statements copied;
-// expression trees shared, which is safe because passes never mutate
-// expressions in place).
-func (l *Loop) Clone() *Loop {
-	c := *l
-	c.Ext = append([]int(nil), l.Ext...)
-	c.Stmts = append([]Stmt(nil), l.Stmts...)
-	return &c
-}
-
 // Kernel is a task body: a parameter list (implied by count) and a
 // sequence of loops.
 type Kernel struct {
@@ -274,13 +267,15 @@ type Kernel struct {
 	// plan.
 	DTypes []DType
 
-	// hasCastMemo caches HasCast: 0 uncomputed, 1 true, 2 false. Not
-	// copied by Clone/Remap (they rebuild statements).
-	hasCastMemo int8
+	// shape caches HasCast and sharesNodes (shapeKnown once computed).
+	shape uint8
+	// nnodes counts the nodes Compose made for the kernel, by which
+	// Compile indexes registers; 0 on every other kernel (AddLoop clears it).
+	nnodes int
 	// fpMemo caches Fingerprint for its readers that ask repeatedly (the
 	// wire's kernel table, ir.Canonicalize); the runtime's own lookups go
 	// by fpHash. Reset by the build-time mutators (AddLoop, SetDType,
-	// MarkLocal); not copied by Clone/Remap.
+	// MarkLocal).
 	fpMemo string
 	// fpHash caches FingerprintHash under the same rules as fpMemo (reset
 	// together with it through dropFingerprint). Every submitted task's
@@ -326,121 +321,61 @@ func (k *Kernel) SetDType(p int, d DType) {
 	k.dropFingerprint()
 }
 
+// Bits of Kernel.shape.
+const (
+	shapeKnown uint8 = 1 << iota
+	shapeCast
+	shapeShared
+)
+
 // HasCast reports whether any statement of the kernel contains an explicit
 // OpCast — the marker the fusion constraint accepts as a legal dtype
 // boundary inside a fused prefix. The statement tree is immutable after
 // construction and the admission path asks repeatedly, so the answer is
 // computed once and cached (callers serialize under the runtime's
 // analysis lock).
-func (k *Kernel) HasCast() bool {
-	if k.hasCastMemo == 0 {
-		k.hasCastMemo = 2
-		if k.computeHasCast() {
-			k.hasCastMemo = 1
-		}
-	}
-	return k.hasCastMemo == 1
-}
+func (k *Kernel) HasCast() bool { return k.shapeOf()&shapeCast != 0 }
 
-func (k *Kernel) computeHasCast() bool {
+// sharesNodes reports whether some expression node is reachable twice from
+// the kernel's statements, computed by the same walk as HasCast.
+func (k *Kernel) sharesNodes() bool { return k.shapeOf()&shapeShared != 0 }
+
+func (k *Kernel) shapeOf() uint8 {
+	if k.shape != 0 {
+		return k.shape
+	}
+	k.shape = shapeKnown
 	seen := map[*Expr]bool{}
-	var walk func(e *Expr) bool
-	walk = func(e *Expr) bool {
-		if e == nil || seen[e] {
-			return false
+	var walk func(e *Expr)
+	walk = func(e *Expr) {
+		switch {
+		case e == nil:
+		case seen[e]:
+			k.shape |= shapeShared
+		default:
+			seen[e] = true
+			if e.Op == OpCast {
+				k.shape |= shapeCast
+			}
+			walk(e.A)
+			walk(e.B)
+			walk(e.C)
 		}
-		seen[e] = true
-		return e.Op == OpCast || walk(e.A) || walk(e.B) || walk(e.C)
 	}
 	for _, l := range k.Loops {
 		for _, s := range l.Stmts {
-			if walk(s.E) {
-				return true
-			}
+			walk(s.E)
 		}
 	}
-	return false
+	return k.shape
 }
 
 // AddLoop appends a loop to the kernel.
 func (k *Kernel) AddLoop(l *Loop) *Kernel {
 	k.Loops = append(k.Loops, l)
+	k.nnodes = 0
 	k.dropFingerprint()
 	return k
-}
-
-// Clone deep-copies the kernel (loops cloned, expressions shared).
-func (k *Kernel) Clone() *Kernel {
-	c := &Kernel{Name: k.Name, NParams: k.NParams}
-	c.Local = append([]bool(nil), k.Local...)
-	c.DTypes = append([]DType(nil), k.DTypes...)
-	for _, l := range k.Loops {
-		c.Loops = append(c.Loops, l.Clone())
-	}
-	return c
-}
-
-// Remap returns a copy of the kernel with every parameter index i replaced
-// by mapping[i]. nparams is the parameter count of the resulting kernel.
-// Parameter dtypes follow their parameters.
-func (k *Kernel) Remap(mapping []int, nparams int) *Kernel {
-	c := &Kernel{Name: k.Name, NParams: nparams, Local: make([]bool, nparams), DTypes: make([]DType, nparams)}
-	for p := 0; p < k.NParams && p < len(mapping); p++ {
-		c.DTypes[mapping[p]] = k.DTypeOf(p)
-	}
-	for _, l := range k.Loops {
-		nl := l.Clone()
-		nl.ExtRef = mapping[l.ExtRef]
-		if l.Kind == LoopSpMV || l.Kind == LoopGEMV || l.Kind == LoopAxisReduce {
-			nl.Y = mapping[l.Y]
-			nl.X = mapping[l.X]
-			if l.Kind == LoopGEMV {
-				nl.MatA = mapping[l.MatA]
-			}
-		}
-		for i := range nl.Stmts {
-			nl.Stmts[i].Param = mapping[nl.Stmts[i].Param]
-			nl.Stmts[i].E = remapExpr(nl.Stmts[i].E, mapping, map[*Expr]*Expr{})
-		}
-		c.Loops = append(c.Loops, nl)
-	}
-	return c
-}
-
-func remapExpr(e *Expr, mapping []int, memo map[*Expr]*Expr) *Expr {
-	if e == nil {
-		return nil
-	}
-	if r, ok := memo[e]; ok {
-		return r
-	}
-	n := *e
-	if e.Op == OpLoad || e.Op == OpLoadScalar {
-		n.Param = mapping[e.Param]
-	}
-	n.A = remapExpr(e.A, mapping, memo)
-	n.B = remapExpr(e.B, mapping, memo)
-	n.C = remapExpr(e.C, mapping, memo)
-	memo[e] = &n
-	return &n
-}
-
-// Concat composes kernels in program order into a single kernel, applying
-// the per-kernel parameter mappings. This is stage 1 of the fused-task
-// compilation pipeline (Fig. 8b).
-func Concat(name string, nparams int, kernels []*Kernel, mappings [][]int) *Kernel {
-	out := NewKernel(name, nparams)
-	for i, k := range kernels {
-		rk := k.Remap(mappings[i], nparams)
-		out.Loops = append(out.Loops, rk.Loops...)
-		// Remap already placed each parameter's dtype at its fused index;
-		// merge only the mapped entries (fused parameters always merge
-		// arguments of one store, so overlapping entries agree).
-		for _, np := range mappings[i] {
-			out.DTypes[np] = rk.DTypes[np]
-		}
-	}
-	return out
 }
 
 // MarkLocal demotes parameter p to a task-local allocation (Fig. 8c).
@@ -453,16 +388,6 @@ func (k *Kernel) MarkLocal(p int) {
 // isLocal reports whether parameter p is task-local (false when Local was
 // never sized, as on hand-built kernels).
 func (k *Kernel) isLocal(p int) bool { return p < len(k.Local) && k.Local[p] }
-
-// String implements fmt.Stringer.
-func (k *Kernel) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "kernel %s(%d params)\n", k.Name, k.NParams)
-	for i, l := range k.Loops {
-		fmt.Fprintf(&b, "  loop %d kind=%d dom=%q stmts=%d\n", i, l.Kind, l.Dom, len(l.Stmts))
-	}
-	return b.String()
-}
 
 // Fingerprint renders the kernel body's structural identity — parameter
 // dtypes and locals, loop shapes, statement structure, and every immediate

@@ -26,15 +26,13 @@ func addKernel() *Kernel {
 // temporary scalarized away (8d).
 func TestFig8Pipeline(t *testing.T) {
 	// c = a + b ; e = c + d. Fused parameters: a,b,c,d,e = 0..4.
-	fused := Concat("fused", 5, []*Kernel{addKernel(), addKernel()}, [][]int{
-		{0, 1, 2},
-		{2, 3, 4},
-	})
-	if len(fused.Loops) != 2 {
+	kernels := []*Kernel{addKernel(), addKernel()}
+	mappings := [][]int{{0, 1, 2}, {2, 3, 4}}
+	var c Composer
+	if fused := c.Compose("fused", 5, kernels, mappings, make([]bool, 5), nil, false); len(fused.Loops) != 2 {
 		t.Fatalf("composition should have 2 loops, got %d", len(fused.Loops))
 	}
-	fused.MarkLocal(2)
-	opt := Optimize(fused, nil)
+	opt := c.Compose("fused", 5, kernels, mappings, []bool{2: true, 4: false}, nil, true)
 	if len(opt.Loops) != 1 {
 		t.Fatalf("loop fusion should merge to 1 loop, got %d", len(opt.Loops))
 	}
@@ -47,7 +45,7 @@ func TestFig8Pipeline(t *testing.T) {
 	if stores != 1 {
 		t.Fatalf("only the store to e should remain; stores = %d", stores)
 	}
-	if n := len(BufferLocals(opt)); n != 0 {
+	if n := len(bufferLocals(opt)); n != 0 {
 		t.Fatalf("no local buffers should remain, got %d", n)
 	}
 
@@ -107,9 +105,9 @@ func TestBufferLocal(t *testing.T) {
 	k.AddLoop(&Loop{Kind: LoopElem, Dom: "v", Ext: []int{4}, ExtRef: 2,
 		Stmts: []Stmt{{Kind: KStore, Param: 2, E: Binary(OpAdd, Load(1), Const(1))}}})
 	k.MarkLocal(1)
-	opt := Optimize(k, nil)
-	if len(BufferLocals(opt)) != 1 {
-		t.Fatalf("temp used across loops needs a buffer: %v", BufferLocals(opt))
+	opt := optimize(k, nil)
+	if len(bufferLocals(opt)) != 1 {
+		t.Fatalf("temp used across loops needs a buffer: %v", bufferLocals(opt))
 	}
 	comp := Compile(opt)
 	a := seq(4, 5)
@@ -133,11 +131,11 @@ func TestAliasGuardBlocksMerge(t *testing.T) {
 	k.AddLoop(&Loop{Kind: LoopElem, Dom: "v", Ext: []int{4}, ExtRef: 2,
 		Stmts: []Stmt{{Kind: KStore, Param: 2, E: Load(1)}}})
 	alias := Alias{0, 0, -1}
-	merged := FuseLoops(k, alias)
+	merged := optimize(k, alias)
 	if len(merged.Loops) != 2 {
 		t.Fatalf("aliasing write/read loops must not merge, got %d", len(merged.Loops))
 	}
-	if len(FuseLoops(k, nil).Loops) != 1 {
+	if len(optimize(k, nil).Loops) != 1 {
 		t.Fatal("without aliasing the loops merge")
 	}
 }
@@ -439,7 +437,9 @@ func TestRemapPreservesSemantics(t *testing.T) {
 		out1 := make([]float64, 2)
 		Compile(k).Execute(&PointArgs{Bind: []Binding{flat(a, 2), flat(b, 2), flat(out1, 2)}})
 
-		rk := k.Remap([]int{2, 0, 1}, 3) // params rotate: a->2, b->0, out->1
+		// params rotate: a->2, b->0, out->1
+		var c Composer
+		rk := c.Compose("k", 3, []*Kernel{k}, [][]int{{2, 0, 1}}, make([]bool, 3), nil, false)
 		out2 := make([]float64, 2)
 		Compile(rk).Execute(&PointArgs{Bind: []Binding{flat(b, 2), flat(out2, 2), flat(a, 2)}})
 		return out1[0] == out2[0] && out1[1] == out2[1]
@@ -451,9 +451,9 @@ func TestRemapPreservesSemantics(t *testing.T) {
 
 // TestCostAccounting sanity-checks the cost model inputs.
 func TestCostAccounting(t *testing.T) {
-	fused := Concat("fused", 5, []*Kernel{addKernel(), addKernel()}, [][]int{{0, 1, 2}, {2, 3, 4}})
-	fused.MarkLocal(2)
-	opt := Optimize(fused, nil)
+	var c Composer
+	opt := c.Compose("fused", 5, []*Kernel{addKernel(), addKernel()}, [][]int{{0, 1, 2}, {2, 3, 4}},
+		[]bool{2: true, 4: false}, nil, true)
 	comp := Compile(opt)
 	cs := comp.Cost(nil)
 	if cs.Launches != 1 {

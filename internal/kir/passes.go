@@ -1,6 +1,6 @@
 package kir
 
-// Optimization passes over fused kernels (paper §6.3, Fig. 8c→8d).
+// Composition of fused kernels (paper §6.3, Fig. 8b→8d).
 
 // Alias is the aliasing relation among a kernel's parameters, as data, one
 // entry per parameter: Alias[p] is the alias class of parameter p, negative
@@ -10,12 +10,6 @@ package kir
 // knows the store and partition behind each parameter — and hands over nil
 // when no parameters alias, which skips the check outright.
 type Alias []int32
-
-// Both passes read statement expressions as trees, without a visited set.
-// Kernel identity (FingerprintHash) walks the same bodies the same way, and
-// the forwarded, more widely shared bodies Scalarize leaves behind, so an
-// expression DAG too shared to walk as a tree is unusable before it is slow
-// here.
 
 // paramSet is a set of kernel parameters, dense membership plus the member
 // list, so clearing and iterating cost the members and not NParams, and a
@@ -69,37 +63,36 @@ func newAccesses(alias Alias, nparams int) *accesses {
 	return &accesses{writes: set(), reads: set()}
 }
 
-// of replaces a with the accesses of one element-wise loop.
-func (a *accesses) of(l *Loop) {
+// of replaces a with the accesses of one element-wise loop whose
+// parameters map to fused parameters through m.
+func (a *accesses) of(l *Loop, m []int) {
 	a.writes.reset()
 	a.reads.reset()
 	aliasable := func(p int) bool { return a.reads.classes[p] >= 0 }
 	read := func(p int) {
-		if aliasable(p) {
+		if p = m[p]; aliasable(p) {
 			a.reads.add(p)
 		}
 	}
 	for i := range l.Stmts {
 		s := &l.Stmts[i]
-		if s.Kind == KStore && aliasable(s.Param) {
-			a.writes.add(s.Param)
+		if s.Kind == KStore && aliasable(m[s.Param]) {
+			a.writes.add(m[s.Param])
 		}
 		eachLoad(s.E, read)
 	}
 }
 
 // eachLoad calls f with the parameter of every load, element-wise or
-// scalar, of e read as a tree.
-func eachLoad(e *Expr, f func(p int)) {
+// scalar, of e read as a tree, and returns the nodes it read.
+func eachLoad(e *Expr, f func(p int)) int {
 	if e == nil {
-		return
+		return 0
 	}
 	if e.Op == OpLoad || e.Op == OpLoadScalar {
 		f(e.Param)
 	}
-	eachLoad(e.A, f)
-	eachLoad(e.B, f)
-	eachLoad(e.C, f)
+	return 1 + eachLoad(e.A, f) + eachLoad(e.B, f) + eachLoad(e.C, f)
 }
 
 // mergeSafe reports whether the loop with accesses b may be interleaved
@@ -118,253 +111,310 @@ func (a *accesses) union(b *accesses) {
 	}
 }
 
-// FuseLoops merges runs of adjacent element-wise loops whose iteration
-// domains are identical (equal Dom signatures). Merging is legal when all
-// cross-statement dependencies between the loops are element-aligned; for
-// prefixes admitted by the multi-GPU fusion constraints that is always
-// true, but single-point launches may legally fuse tasks over *aliasing*
-// views (any dependence is point-wise when there is one point), in which
-// case the loops must stay separate: merging would interleave a write with
-// offset reads of the same elements. alias captures that relation; the
-// accesses of the run under construction are kept as it grows, so a loop
-// is summarized once however long the run it joins.
-// Non-element-wise loops (SpMV, GEMV, Random) act as barriers.
-func FuseLoops(k *Kernel, alias Alias) *Kernel {
-	out := k.header()
-	var cur *Loop
-	var run, next *accesses // nil when nothing aliases
+// forwardWalk bounds the nodes an unshared walk of a composed kernel's
+// statements visits (FingerprintHash, the wire decoder): forwarding copies
+// no node, but a chain of locals each read twice by the next doubles the
+// walk per link.
+const forwardWalk = maxExprWalk / 16
+
+// composeWatch, set only by tests, sees every composition and its result.
+var composeWatch func(kernels []*Kernel, mappings [][]int, alias Alias, optimize bool, out *Kernel)
+
+// Composer writes fused kernels, keeping its buffers from one composition
+// to the next (a runtime holds one, under its analysis lock).
+type Composer struct {
+	group    []int   // per source loop, over all kernels: its output loop
+	lastLoad []int   // per fused parameter: last output loop loading it, -1 none
+	avail    []*Expr // per fused parameter: the value a load of it reads
+	bound    []int   // the parameters with an avail value
+	run      *accesses
+	next     *accesses
+
+	slab  []Expr  // the current chunk of the kernel's nodes
+	walk  []int32 // per node id: the nodes an unshared walk from it visits
+	stmts []Stmt  // the kernel's statements, carved into its loops
+	first int     // the current output loop's first statement
+	total int     // the unshared walk of the statements written so far
+	// memo maps source nodes to their copies within a statement while the
+	// source kernel shares nodes (sharesNodes); other statements are trees.
+	memo               map[*Expr]*Expr
+	useMemo, forwarded bool // forwarded: a rewrite replaced a load
+}
+
+// Compose writes the fused kernel of kernels in program order: mappings[i]
+// maps kernels[i]'s parameters onto the nparams fused ones, local marks the
+// parameters demoted to task-local allocations (it becomes the kernel's
+// Local) and alias relates the others (nil when none alias). The sources
+// are only read. With optimize, the one walk over each source statement
+// that remaps it also (paper Fig. 8c→8d):
+//
+//   - merges runs of adjacent element-wise loops with equal Dom, unless
+//     alias shows one loop's write reaching another's access under a
+//     different view (possible only for single-point launches: it would
+//     interleave a write with offset reads of the same elements). The
+//     run's accesses grow with it, so each loop is summarized once;
+//   - forwards values stored to locals within a merged loop (through a
+//     cast for f32/i32, rounding as the buffer would). A store no later
+//     loop loads is dropped, or kept as a KEval (computed at its program
+//     point) when this loop loads it; an element loop left empty is
+//     dropped. Once forwarding would take the kernel's unshared walk past
+//     forwardWalk, locals keep their stores and buffers: same bits.
+//
+// Every node of the result is one Compose allocated, numbered from 1 in
+// creation order (Expr.id), and no two loops share a node: Compile indexes
+// registers by id.
+func (c *Composer) Compose(name string, nparams int, kernels []*Kernel, mappings [][]int, local []bool, alias Alias, optimize bool) *Kernel {
+	out := &Kernel{Name: name, NParams: nparams, Local: local, DTypes: make([]DType, nparams)}
+	if cap(c.lastLoad) < nparams {
+		c.lastLoad, c.avail = make([]int, nparams), make([]*Expr, nparams)
+	}
+	c.lastLoad, c.avail = c.lastLoad[:nparams], c.avail[:nparams]
+	for p := range c.lastLoad {
+		c.lastLoad[p] = -1
+	}
+	c.group, c.walk, c.total = c.group[:0], append(c.walk[:0], 0), 0 // node ids start at 1
 	if alias != nil {
-		run, next = newAccesses(alias, k.NParams), newAccesses(alias, k.NParams)
+		c.run, c.next = newAccesses(alias, nparams), newAccesses(alias, nparams)
 	}
-	flush := func() {
-		if cur != nil {
-			out.Loops = append(out.Loops, cur)
-			cur = nil
+
+	// Plan: the output loop of each source loop, the last output loop
+	// loading each parameter, the dtypes, and the statements and nodes.
+	ngroups, nstmts, nnodes := 0, 0, 0
+	mergeable, dom := false, "" // the last output loop may absorb an element loop of dom
+	for ki, k := range kernels {
+		m := mappings[ki]
+		for p, np := range m {
+			out.DTypes[np] = k.DTypeOf(p)
 		}
-	}
-	for _, l := range k.Loops {
-		if l.Kind != LoopElem {
-			flush()
-			out.Loops = append(out.Loops, l.Clone())
-			continue
-		}
-		if alias != nil {
-			next.of(l)
-		}
-		if cur != nil && cur.Dom == l.Dom && (alias == nil || run.mergeSafe(next)) {
-			cur.Stmts = append(cur.Stmts, l.Stmts...)
-			if alias != nil {
-				run.union(next)
+		for _, l := range k.Loops {
+			elem := optimize && l.Kind == LoopElem
+			if elem && alias != nil {
+				c.next.of(l, m)
 			}
-			continue
-		}
-		flush()
-		cur = l.Clone()
-		run, next = next, run
-	}
-	flush()
-	return out
-}
-
-// header returns a kernel with k's name, parameters, locals and dtypes and
-// no loops: what every pass starts its output from.
-func (k *Kernel) header() *Kernel {
-	return &Kernel{Name: k.Name, NParams: k.NParams, Local: append([]bool(nil), k.Local...), DTypes: append([]DType(nil), k.DTypes...)}
-}
-
-// Scalarize forwards values stored to task-local parameters: within each
-// element-wise loop, a load of a local parameter that was stored earlier in
-// the same loop body is replaced by the stored expression (value
-// forwarding). Stores to local parameters that are never loaded by any
-// later loop are then removed (dead store elimination), and an
-// element-wise loop left with no statements is dropped: it would walk its
-// domain doing nothing. Local parameters whose every access was forwarded
-// need no allocation at all; the set of locals that still need a
-// task-local buffer is what BufferLocals reports (consumed by the
-// compiler).
-func Scalarize(k *Kernel) *Kernel {
-	out := k.header()
-
-	// Dead-store elimination asks, per store to a local, whether a later
-	// loop still loads the parameter and whether this loop does: both are
-	// answered by the index of the last loop loading it.
-	lastLoad := make([]int, k.NParams)
-	for p := range lastLoad {
-		lastLoad[p] = -1
-	}
-	for li, l := range k.Loops {
-		noteLoads(l, lastLoad, li)
-	}
-
-	f := forwarder{avail: make([]*Expr, k.NParams)}
-	for li, l := range k.Loops {
-		if l.Kind != LoopElem {
-			out.Loops = append(out.Loops, l.Clone())
-			continue
-		}
-		nl := l.Clone()
-		nl.Stmts = nl.Stmts[:0] // the copy's storage, refilled below
-		f.reset()
-		for _, s := range l.Stmts {
-			e := f.forward(s.E)
-			switch {
-			case s.Kind == KStore && out.Local[s.Param]:
-				// Forwarded consumers must observe the value the typed
-				// buffer would have held: storing to an f32/i32 local
-				// rounds, so forwarding has to round too or temporary
-				// elimination would change results at reduced precision.
-				if dt := out.DTypeOf(s.Param); dt != F64 {
-					f.bind(s.Param, Cast(dt, e))
-				} else {
-					f.bind(s.Param, e)
+			if elem && mergeable && dom == l.Dom && (alias == nil || c.run.mergeSafe(c.next)) {
+				if alias != nil {
+					c.run.union(c.next)
 				}
-				switch {
-				case lastLoad[s.Param] > li:
-					// A later loop still loads the parameter: the store
-					// (and its buffer) must stay.
-					nl.Stmts = append(nl.Stmts, Stmt{Kind: KStore, Param: s.Param, E: e})
-				case lastLoad[s.Param] == li:
-					// Forwarded within this loop: keep an eval-only
-					// statement so the value is computed here, before any
-					// later statement mutates the expression's inputs.
-					nl.Stmts = append(nl.Stmts, Stmt{Kind: KEval, Param: s.Param, E: e})
-				default:
-					// Dead store: drop entirely.
+			} else {
+				ngroups++
+				mergeable, dom = elem, l.Dom
+				if alias != nil {
+					c.run, c.next = c.next, c.run
 				}
-			default:
-				ns := s
-				ns.E = e
-				nl.Stmts = append(nl.Stmts, ns)
+			}
+			c.group = append(c.group, ngroups-1)
+			nstmts += len(l.Stmts)
+			nnodes += c.noteLoads(l, m, ngroups-1)
+		}
+	}
+
+	// Write each output loop, rewriting every source statement once.
+	c.slab, c.stmts = make([]Expr, 0, min(nnodes, 1<<12)), make([]Stmt, 0, nstmts)
+	loops := make([]Loop, ngroups)
+	out.Loops = make([]*Loop, 0, ngroups)
+	si := 0
+	for ki, k := range kernels {
+		m := mappings[ki]
+		if c.useMemo = k.sharesNodes(); c.useMemo && c.memo == nil {
+			c.memo = map[*Expr]*Expr{}
+		}
+		for _, l := range k.Loops {
+			g := c.group[si]
+			if si == 0 || c.group[si-1] != g {
+				nl := &loops[g]
+				*nl = *l
+				nl.ExtRef = m[l.ExtRef]
+				switch l.Kind {
+				case LoopGEMV:
+					nl.MatA = m[l.MatA]
+					fallthrough
+				case LoopSpMV, LoopAxisReduce:
+					nl.Y, nl.X = m[l.Y], m[l.X]
+				}
+				c.first = len(c.stmts)
+				c.unbind()
+			}
+			for i := range l.Stmts {
+				c.statement(out, &l.Stmts[i], m, g, optimize && l.Kind == LoopElem)
+			}
+			if si++; si == len(c.group) || c.group[si] != g {
+				c.finish(out, &loops[g], optimize)
 			}
 		}
-		if len(nl.Stmts) > 0 {
-			out.Loops = append(out.Loops, nl)
-		}
+	}
+	c.unbind()
+	clear(c.memo)
+	out.nnodes = len(c.walk) - 1
+	c.slab, c.stmts = nil, nil // the kernel's now
+	if composeWatch != nil {
+		composeWatch(kernels, mappings, alias, optimize, out)
 	}
 	return out
 }
 
-// noteLoads records li as the last loop loading each parameter (element-wise
-// or scalar) that loop l loads.
-func noteLoads(l *Loop, lastLoad []int, li int) {
+// noteLoads records output loop g as the last loading each fused parameter
+// the source loop l loads under m, and returns a bound on the nodes its
+// statements rewrite into: their trees, plus a cast each.
+func (c *Composer) noteLoads(l *Loop, m []int, g int) int {
 	switch l.Kind {
 	case LoopElem:
-		note := func(p int) { lastLoad[p] = li }
-		for _, s := range l.Stmts {
-			eachLoad(s.E, note)
+		n := 0
+		note := func(p int) { c.lastLoad[m[p]] = g }
+		for i := range l.Stmts {
+			n += eachLoad(l.Stmts[i].E, note) + 1
 		}
+		return n
 	case LoopSpMV, LoopAxisReduce:
-		lastLoad[l.X] = li
+		c.lastLoad[m[l.X]] = g
 	case LoopGEMV:
-		lastLoad[l.X] = li
-		lastLoad[l.MatA] = li
+		c.lastLoad[m[l.X]], c.lastLoad[m[l.MatA]] = g, g
+	}
+	return 0
+}
+
+// finish gives output loop l its statements and appends it unless it is
+// an element loop optimized down to nothing.
+func (c *Composer) finish(out *Kernel, l *Loop, optimize bool) {
+	l.Stmts = c.stmts[c.first:len(c.stmts):len(c.stmts)]
+	if !optimize || l.Kind != LoopElem || len(l.Stmts) > 0 {
+		out.Loops = append(out.Loops, l)
 	}
 }
 
-// forwarder substitutes loads of available local values within one loop
-// body. avail[p] is the expression whose value local parameter p's current
-// element holds (bound lists the parameters that have one); memo keeps the
-// sharing of a statement's expression DAG and is emptied between
-// statements, since avail moves.
-type forwarder struct {
-	avail []*Expr
-	bound []int
-	memo  map[*Expr]*Expr
+// statement writes source statement s into output loop g; fwd says the
+// loop forwards locals.
+func (c *Composer) statement(out *Kernel, s *Stmt, m []int, g int, fwd bool) {
+	p := m[s.Param]
+	if !fwd || s.Kind != KStore || !out.Local[p] {
+		c.stmts = append(c.stmts, Stmt{Kind: s.Kind, Param: p, E: c.expr(s.E, m), Red: s.Red})
+		return
+	}
+	if c.lastLoad[p] < g {
+		return // a dead store: nothing loads the value
+	}
+	e := c.expr(s.E, m)
+	v := e
+	if dt := out.DTypes[p]; dt != F64 {
+		v = c.node(Expr{Op: OpCast, A: e, DT: dt})
+	}
+	if c.avail[p] == nil {
+		c.bound = append(c.bound, p)
+	}
+	c.avail[p] = v
+	kind := KStore // a later loop loads it: the store and its buffer stay
+	if c.lastLoad[p] == g {
+		kind = KEval
+	}
+	c.stmts = append(c.stmts, Stmt{Kind: kind, Param: p, E: e})
 }
 
-func (f *forwarder) reset() {
-	for _, p := range f.bound {
-		f.avail[p] = nil
+// expr rewrites a source expression under m, forwarding the available
+// locals unless that would take the kernel's unshared walk past
+// forwardWalk: then the locals bound so far keep their stores (a KEval
+// becomes one), and the statement loads them.
+func (c *Composer) expr(e *Expr, m []int) *Expr {
+	c.forwarded = false
+	r := c.rewrite(e, m)
+	if c.forwarded && c.total+int(c.walkOf(r)) > forwardWalk {
+		for i := c.first; i < len(c.stmts); i++ {
+			if s := &c.stmts[i]; s.Kind == KEval && c.avail[s.Param] != nil {
+				s.Kind = KStore
+			}
+		}
+		c.unbind()
+		r = c.rewrite(e, m)
 	}
-	f.bound = f.bound[:0]
+	c.total += int(c.walkOf(r))
+	return r
 }
 
-func (f *forwarder) bind(p int, e *Expr) {
-	if f.avail[p] == nil {
-		f.bound = append(f.bound, p)
+func (c *Composer) rewrite(e *Expr, m []int) *Expr {
+	if c.useMemo {
+		clear(c.memo)
 	}
-	f.avail[p] = e
+	return c.rewriteNode(e, m)
 }
 
-// forward returns e with every load of an available local replaced. With
-// nothing available that is e itself.
-func (f *forwarder) forward(e *Expr) *Expr {
-	if len(f.bound) == 0 {
-		return e
-	}
-	if f.memo == nil {
-		f.memo = map[*Expr]*Expr{}
-	}
-	clear(f.memo)
-	return f.rewrite(e)
-}
-
-func (f *forwarder) rewrite(e *Expr) *Expr {
+func (c *Composer) rewriteNode(e *Expr, m []int) *Expr {
 	if e == nil {
 		return nil
 	}
-	if r, ok := f.memo[e]; ok {
-		return r
-	}
-	// Loads of available local values are forwarded. OpLoadScalar loads of
-	// size-1 locals forward identically: the loops merged here share their
-	// (single-element) iteration domain.
-	if e.Op == OpLoad || e.Op == OpLoadScalar {
-		if v := f.avail[e.Param]; v != nil {
-			f.memo[e] = v
-			return v
+	if c.useMemo {
+		if r, ok := c.memo[e]; ok {
+			return r
 		}
-	}
-	a, b, c := f.rewrite(e.A), f.rewrite(e.B), f.rewrite(e.C)
-	if a == e.A && b == e.B && c == e.C {
-		f.memo[e] = e
-		return e
 	}
 	n := *e
-	n.A, n.B, n.C = a, b, c
-	f.memo[e] = &n
-	return &n
+	var r *Expr
+	if e.Op == OpLoad || e.Op == OpLoadScalar {
+		// A scalar load of a size-1 local forwards like an element load:
+		// the merged loops share its single-element domain.
+		n.Param = m[e.Param]
+		r = c.avail[n.Param]
+		c.forwarded = c.forwarded || r != nil
+	}
+	if r == nil {
+		n.A, n.B, n.C = c.rewriteNode(e.A, m), c.rewriteNode(e.B, m), c.rewriteNode(e.C, m)
+		r = c.node(n)
+	}
+	if c.useMemo {
+		c.memo[e] = r
+	}
+	return r
 }
 
-// Optimize runs the full pass pipeline: loop fusion then scalarization.
-// alias may be nil when no parameters can alias.
-func Optimize(k *Kernel, alias Alias) *Kernel {
-	return Scalarize(FuseLoops(k, alias))
+// node copies n into the kernel's node storage and numbers it. A full
+// chunk stays as it is, its nodes referenced; the next one is new.
+func (c *Composer) node(n Expr) *Expr {
+	if len(c.slab) == cap(c.slab) {
+		c.slab = make([]Expr, 0, max(cap(c.slab), 64))
+	}
+	n.id = int32(len(c.walk))
+	c.slab = append(c.slab, n)
+	c.walk = append(c.walk, min(1+c.walkOf(n.A)+c.walkOf(n.B)+c.walkOf(n.C), maxExprWalk+1))
+	return &c.slab[len(c.slab)-1]
 }
 
-// BufferLocals returns the set of local parameters that still require a
-// task-local buffer after optimization (they are stored in one loop and
-// loaded in another), together with the loop index that defines each
-// buffer's extent (the first loop storing to it).
-func BufferLocals(k *Kernel) map[int]int {
-	needs := map[int]int{}
-	for li, l := range k.Loops {
-		if l.Kind == LoopElem {
-			for _, s := range l.Stmts {
-				if s.Kind == KStore && k.Local[s.Param] {
-					if _, ok := needs[s.Param]; !ok {
-						needs[s.Param] = li
-					}
-				}
-			}
-		}
-		if l.Kind == LoopSpMV || l.Kind == LoopGEMV || l.Kind == LoopAxisReduce {
-			if k.Local[l.Y] {
-				if _, ok := needs[l.Y]; !ok {
-					needs[l.Y] = li
-				}
-			}
-		}
-		if (l.Kind == LoopRandom || l.Kind == LoopIota) && k.Local[l.ExtRef] {
-			if _, ok := needs[l.ExtRef]; !ok {
-				needs[l.ExtRef] = li
-			}
+func (c *Composer) walkOf(e *Expr) int32 {
+	if e == nil {
+		return 0
+	}
+	return c.walk[e.id]
+}
+
+func (c *Composer) unbind() {
+	for _, p := range c.bound {
+		c.avail[p] = nil
+	}
+	c.bound = c.bound[:0]
+}
+
+// bufferLocals returns the local parameters that still need a task-local
+// buffer, in the order loops first store to them (element-wise, as a
+// matrix-vector or axis-reduce destination, or as a generator's);
+// composition removed every other store to a local.
+func bufferLocals(k *Kernel) []int {
+	var need []int
+	seen := make([]bool, k.NParams)
+	add := func(p int) {
+		if k.isLocal(p) && !seen[p] {
+			seen[p] = true
+			need = append(need, p)
 		}
 	}
-	// Locals that are never loaded anywhere after scalarization and whose
-	// stores were eliminated will not appear here because the stores are
-	// gone; locals that retained stores but are never loaded can also be
-	// dropped — but Scalarize already removed such stores, so anything
-	// remaining is genuinely needed.
-	return needs
+	for _, l := range k.Loops {
+		switch l.Kind {
+		case LoopElem:
+			for _, s := range l.Stmts {
+				if s.Kind == KStore {
+					add(s.Param)
+				}
+			}
+		case LoopSpMV, LoopGEMV, LoopAxisReduce:
+			add(l.Y)
+		case LoopRandom, LoopIota:
+			add(l.ExtRef)
+		}
+	}
+	return need
 }

@@ -2,10 +2,11 @@ package kir
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
-// Backfill coverage for the optimizer passes (Scalarize's reduced-
+// Backfill coverage for composition's scalarization (reduced-
 // precision handling, dead-store elimination, buffer-local analysis) and
 // the cost model's per-loop-kind accounting.
 
@@ -22,8 +23,8 @@ func TestScalarizeRoundsForwardedI32Local(t *testing.T) {
 	use := &Loop{Kind: LoopElem, Dom: "d", Ext: []int{4}, ExtRef: 0,
 		Stmts: []Stmt{{Kind: KStore, Param: 2, E: Binary(OpMul, Load(1), Const(4))}}}
 	k.AddLoop(store).AddLoop(use)
-	opt := Optimize(k, nil)
-	if n := len(BufferLocals(opt)); n != 0 {
+	opt := optimize(k, nil)
+	if n := len(bufferLocals(opt)); n != 0 {
 		t.Fatalf("fully forwarded local still needs %d buffers", n)
 	}
 	c := Compile(opt)
@@ -50,8 +51,8 @@ func TestScalarizeDeadStore(t *testing.T) {
 			{Kind: KStore, Param: 1, E: Binary(OpMul, Load(0), Const(3))},
 			{Kind: KStore, Param: 0, E: Binary(OpAdd, Load(0), Const(1))},
 		}})
-	opt := Optimize(k, nil)
-	if n := len(BufferLocals(opt)); n != 0 {
+	opt := optimize(k, nil)
+	if n := len(bufferLocals(opt)); n != 0 {
 		t.Fatalf("dead local still needs %d buffers", n)
 	}
 	for _, l := range opt.Loops {
@@ -73,9 +74,8 @@ func TestScalarizeKeepsStoreForLaterLoop(t *testing.T) {
 	// Different Dom: not merged, so forwarding cannot replace the load.
 	k.AddLoop(&Loop{Kind: LoopElem, Dom: "b", Ext: []int{4}, ExtRef: 0,
 		Stmts: []Stmt{{Kind: KStore, Param: 2, E: Binary(OpAdd, Load(1), Const(1))}}})
-	opt := Optimize(k, nil)
-	needs := BufferLocals(opt)
-	if _, ok := needs[1]; !ok {
+	opt := optimize(k, nil)
+	if !slices.Contains(bufferLocals(opt), 1) {
 		t.Fatal("cross-loop local lost its buffer")
 	}
 	c := Compile(opt)

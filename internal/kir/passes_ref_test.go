@@ -1,19 +1,100 @@
 package kir
 
-// The map-based passes as they stood before the linear rewrite in
-// passes.go (only the colliding names carry a ref prefix), plus the one
-// contract Scalarize gained since — an element loop left with no
-// statements is dropped — as the oracle TestOptimizeMatchesReference and
-// FuzzOptimizeMatchesReference compare the product passes against.
+// The oracle TestOptimizeMatchesReference and FuzzOptimizeMatchesReference
+// hold Compose to: the pipeline it replaced, as separate passes —
+// refConcat composes the remapped kernels, the locals are marked, and the
+// map-based loop fusion and scalarization that preceded the linear ones
+// (plus the one contract scalarization gained since: an element loop left
+// with no statements is dropped) optimize the result.
 
 import (
-	"maps"
+	"math"
 	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"slices"
 	"testing"
 )
+
+// refCloneLoop copies a loop (statements copied, expression trees shared;
+// the passes never mutate an expression in place).
+func refCloneLoop(l *Loop) *Loop {
+	c := *l
+	c.Ext = append([]int(nil), l.Ext...)
+	c.Stmts = append([]Stmt(nil), l.Stmts...)
+	return &c
+}
+
+// refRemap returns a copy of the kernel with every parameter index i
+// replaced by mapping[i]; nparams is the parameter count of the result.
+// Parameter dtypes follow their parameters.
+func refRemap(k *Kernel, mapping []int, nparams int) *Kernel {
+	c := &Kernel{Name: k.Name, NParams: nparams, Local: make([]bool, nparams), DTypes: make([]DType, nparams)}
+	for p := 0; p < k.NParams && p < len(mapping); p++ {
+		c.DTypes[mapping[p]] = k.DTypeOf(p)
+	}
+	for _, l := range k.Loops {
+		nl := refCloneLoop(l)
+		nl.ExtRef = mapping[l.ExtRef]
+		if l.Kind == LoopSpMV || l.Kind == LoopGEMV || l.Kind == LoopAxisReduce {
+			nl.Y = mapping[l.Y]
+			nl.X = mapping[l.X]
+			if l.Kind == LoopGEMV {
+				nl.MatA = mapping[l.MatA]
+			}
+		}
+		for i := range nl.Stmts {
+			nl.Stmts[i].Param = mapping[nl.Stmts[i].Param]
+			nl.Stmts[i].E = refRemapExpr(nl.Stmts[i].E, mapping, map[*Expr]*Expr{})
+		}
+		c.Loops = append(c.Loops, nl)
+	}
+	return c
+}
+
+func refRemapExpr(e *Expr, mapping []int, memo map[*Expr]*Expr) *Expr {
+	if e == nil {
+		return nil
+	}
+	if r, ok := memo[e]; ok {
+		return r
+	}
+	n := *e
+	n.id = 0
+	if e.Op == OpLoad || e.Op == OpLoadScalar {
+		n.Param = mapping[e.Param]
+	}
+	n.A = refRemapExpr(e.A, mapping, memo)
+	n.B = refRemapExpr(e.B, mapping, memo)
+	n.C = refRemapExpr(e.C, mapping, memo)
+	memo[e] = &n
+	return &n
+}
+
+// refConcat composes kernels in program order into a single kernel,
+// applying the per-kernel parameter mappings (Fig. 8b).
+func refConcat(name string, nparams int, kernels []*Kernel, mappings [][]int) *Kernel {
+	out := NewKernel(name, nparams)
+	for i, k := range kernels {
+		rk := refRemap(k, mappings[i], nparams)
+		out.Loops = append(out.Loops, rk.Loops...)
+		for _, np := range mappings[i] {
+			out.DTypes[np] = rk.DTypes[np]
+		}
+	}
+	return out
+}
+
+// optimize composes k alone, under the identity mapping and with its own
+// locals: Compose's optimization of a kernel built already concatenated.
+func optimize(k *Kernel, alias Alias) *Kernel {
+	m := make([]int, k.NParams)
+	for p := range m {
+		m[p] = p
+	}
+	var c Composer
+	return c.Compose(k.Name, k.NParams, []*Kernel{k}, [][]int{m}, slices.Clone(k.Local), alias, true)
+}
 
 // AliasFn reports whether two kernel parameters may reference overlapping
 // data through different access patterns (distinct views of one store); a
@@ -32,11 +113,11 @@ func refFuseLoops(k *Kernel, alias AliasFn) *Kernel {
 	for _, l := range k.Loops {
 		if l.Kind != LoopElem {
 			flush()
-			out.Loops = append(out.Loops, l.Clone())
+			out.Loops = append(out.Loops, refCloneLoop(l))
 			continue
 		}
 		if cur == nil {
-			cur = l.Clone()
+			cur = refCloneLoop(l)
 			continue
 		}
 		if cur.Dom == l.Dom && mergeSafe(cur, l, alias) {
@@ -44,7 +125,7 @@ func refFuseLoops(k *Kernel, alias AliasFn) *Kernel {
 			continue
 		}
 		flush()
-		cur = l.Clone()
+		cur = refCloneLoop(l)
 	}
 	flush()
 	return out
@@ -104,10 +185,10 @@ func refScalarize(k *Kernel) *Kernel {
 
 	for li, l := range k.Loops {
 		if l.Kind != LoopElem {
-			out.Loops = append(out.Loops, l.Clone())
+			out.Loops = append(out.Loops, refCloneLoop(l))
 			continue
 		}
-		nl := l.Clone()
+		nl := refCloneLoop(l)
 		nl.Stmts = nil
 		thisLoopLoads := loopLoads(l)
 		// avail maps a local parameter to the expression whose value the
@@ -217,85 +298,216 @@ func refOptimize(k *Kernel, alias AliasFn) *Kernel {
 	return refScalarize(refFuseLoops(k, alias))
 }
 
-// randComposed builds what core.computePlan hands Optimize: a few
-// generated kernels (mixed dtypes, GEMV/axis-reduce/Random/Iota barriers)
-// concatenated under random, generally non-injective mappings, plus SpMV
-// barriers, a random MarkLocal set and an alias relation — nil, everything
-// in one class, or random classes with unaliased parameters among them.
-// Loop domains are redrawn from two signatures so adjacent loops do merge.
-func randComposed(rng *rand.Rand) (*Kernel, Alias) {
-	nparams := 2 + rng.Intn(14)
-	n := 1 + rng.Intn(6)
-	kernels := make([]*Kernel, n)
-	mappings := make([][]int, n)
-	for i := range kernels {
-		kernels[i] = randDiffKernel(rng, nil).k
-		mappings[i] = make([]int, kernels[i].NParams)
-		for p := range mappings[i] {
-			mappings[i][p] = rng.Intn(nparams)
-		}
-	}
-	k := Concat("composed", nparams, kernels, mappings)
-	var loops []*Loop
-	for _, l := range k.Loops {
-		l.Dom = "a"
-		if rng.Intn(5) == 0 {
-			l.Dom = "b"
-		}
-		loops = append(loops, l)
-		if rng.Intn(8) == 0 {
-			y := rng.Intn(nparams)
-			loops = append(loops, &Loop{Kind: LoopSpMV, Dom: l.Dom, Ext: l.Ext, ExtRef: y,
-				Y: y, X: rng.Intn(nparams), PayloadKey: rng.Intn(3)})
-		}
-	}
-	k.Loops = loops
-	for p := 0; p < nparams; p++ {
-		if rng.Intn(3) == 0 {
+// composition is Compose's input as the fusion engine hands it over.
+type composition struct {
+	nparams  int
+	kernels  []*Kernel
+	mappings [][]int
+	local    []bool
+	alias    Alias
+	// ext is the one element domain of a composition the evaluator can
+	// run (every parameter one vector of ext elements); 0 for the rest.
+	ext int
+}
+
+func (c *composition) compose() *Kernel {
+	var cm Composer
+	return cm.Compose("composed", c.nparams, c.kernels, c.mappings, slices.Clone(c.local), c.alias, true)
+}
+
+// reference composes through the oracle passes.
+func (c *composition) reference() *Kernel { return c.referenceOf(true) }
+
+// referenceOf is refConcat with the locals marked, optimized when
+// optimize is set.
+func (c *composition) referenceOf(optimize bool) *Kernel {
+	k := refConcat("composed", c.nparams, c.kernels, c.mappings)
+	for p, l := range c.local {
+		if l {
 			k.MarkLocal(p)
 		}
 	}
-	var alias Alias
+	if !optimize {
+		return k
+	}
+	var fn AliasFn
+	if c.alias != nil {
+		fn = func(p, q int) bool { return c.alias[p] >= 0 && c.alias[p] == c.alias[q] }
+	}
+	return refOptimize(k, fn)
+}
+
+// randComposed builds what core's compose hands Compose: a few generated
+// kernels (mixed dtypes, GEMV/axis-reduce/Random/Iota barriers) under
+// random, generally non-injective mappings, SpMV kernels between them, a
+// random local set and an alias relation — nil, everything in one class,
+// or random classes with unaliased parameters among them. Loop domains are
+// redrawn from two signatures so adjacent loops do merge. One case in four
+// is a runnable chain instead (randChain).
+func randComposed(rng *rand.Rand) *composition {
+	if rng.Intn(4) == 0 {
+		return randChain(rng)
+	}
+	c := &composition{nparams: 2 + rng.Intn(14)}
+	add := func(k *Kernel) {
+		m := make([]int, k.NParams)
+		for p := range m {
+			m[p] = rng.Intn(c.nparams)
+		}
+		c.kernels, c.mappings = append(c.kernels, k), append(c.mappings, m)
+	}
+	for n := 1 + rng.Intn(6); n > 0; n-- {
+		k := randDiffKernel(rng, nil).k
+		for _, l := range k.Loops {
+			l.Dom = "a"
+			if rng.Intn(5) == 0 {
+				l.Dom = "b"
+			}
+		}
+		add(k)
+		if rng.Intn(4) == 0 {
+			spmv := NewKernel("spmv", 2)
+			spmv.AddLoop(&Loop{Kind: LoopSpMV, Dom: "a", Ext: []int{8}, Y: 0, X: 1, PayloadKey: rng.Intn(3)})
+			add(spmv)
+		}
+	}
+	c.local = make([]bool, c.nparams)
+	for p := range c.local {
+		c.local[p] = rng.Intn(3) == 0
+	}
 	switch rng.Intn(4) {
 	case 0:
 	case 1:
-		alias = make(Alias, nparams)
+		c.alias = make(Alias, c.nparams)
 	default:
-		alias = make(Alias, nparams)
-		for p := range alias {
-			alias[p] = int32(rng.Intn(4)) - 1
+		c.alias = make(Alias, c.nparams)
+		for p := range c.alias {
+			c.alias[p] = int32(rng.Intn(4)) - 1
 		}
 	}
-	return k, alias
+	return c
 }
 
-// runOptimizeDiff checks the product pipeline against the reference on one
-// generated case: same loops and statements (Fingerprint), same locals,
-// same buffered locals, same expression sharing (the instruction count).
+// randChain builds a composition the evaluator can run: the program that
+// squares an array d times (a = a op a) as d+2 three-parameter kernels over
+// one vector domain. Fused parameter 0 is the input and 1 the output; the
+// links in between are locals of random dtype, each written once and read
+// twice by the next kernel, so forwarding doubles the walk per link and a
+// long chain passes forwardWalk.
+func randChain(rng *rand.Rand) *composition {
+	d := rng.Intn(25)
+	c := &composition{nparams: d + 3, ext: 1 + rng.Intn(20)}
+	c.local = make([]bool, c.nparams)
+	dts := make([]DType, c.nparams)
+	for p := 2; p < c.nparams; p++ {
+		c.local[p] = true
+		dts[p] = DType(rng.Intn(3))
+	}
+	ops := []Op{OpAdd, OpSub, OpMul, OpMax, OpMin}
+	link := func(src, dst int) {
+		k := NewKernel("link", 3)
+		k.AddLoop(&Loop{Kind: LoopElem, Dom: "c", Ext: []int{c.ext}, ExtRef: 2,
+			Stmts: []Stmt{{Kind: KStore, Param: 2, E: Binary(ops[rng.Intn(len(ops))], Load(0), Load(1))}}})
+		m := []int{src, src, dst}
+		for p, np := range m {
+			k.SetDType(p, dts[np])
+		}
+		c.kernels, c.mappings = append(c.kernels, k), append(c.mappings, m)
+	}
+	prev := 0
+	for p := 2; p < c.nparams; p++ {
+		link(prev, p)
+		prev = p
+	}
+	link(prev, 1)
+	return c
+}
+
+// run executes a runnable composition's kernel on inputs drawn from seed
+// and returns its output parameter.
+func (c *composition) run(k *Kernel, seed int64) Buffer {
+	rng := rand.New(rand.NewSource(seed))
+	bind := make([]Binding, c.nparams)
+	for p := range bind {
+		bind[p] = Binding{Acc: Accessor{Strides: []int{1}}, Ext: []int{c.ext}}
+		if !k.Local[p] {
+			buf := AllocBuffer(k.DTypeOf(p), c.ext)
+			for i := 0; i < c.ext; i++ {
+				buf.Set(i, 0.5+rng.Float64())
+			}
+			bind[p].Acc.Data = buf
+		}
+	}
+	Compile(k).Execute(&PointArgs{Bind: bind})
+	return bind[1].Acc.Data
+}
+
+// walkOf is the number of nodes an unshared walk of k's statements visits.
+func walkOf(k *Kernel) int {
+	memo := map[*Expr]int{}
+	var walk func(e *Expr) int
+	walk = func(e *Expr) int {
+		if e == nil {
+			return 0
+		}
+		if n, ok := memo[e]; ok {
+			return n
+		}
+		n := min(1+walk(e.A)+walk(e.B)+walk(e.C), math.MaxInt32)
+		memo[e] = n
+		return n
+	}
+	total := 0
+	for _, l := range k.Loops {
+		for _, s := range l.Stmts {
+			total = min(total+walk(s.E), math.MaxInt32)
+		}
+	}
+	return total
+}
+
+// runOptimizeDiff checks Compose against the reference on one generated
+// case: same loops and statements (FingerprintHash), same locals, same
+// buffered locals, same expression sharing (the instruction count), and on
+// a runnable case the same output bits. Past forwardWalk the reference
+// forwards what Compose stores, so there the results, the walk bound and
+// a wire round trip are what must hold.
 func runOptimizeDiff(t *testing.T, seed uint64) {
 	t.Helper()
-	k, alias := randComposed(rand.New(rand.NewSource(int64(seed))))
-	var fn AliasFn
-	if alias != nil {
-		fn = func(p, q int) bool { return alias[p] >= 0 && alias[p] == alias[q] }
-	}
-	got, want := Optimize(k, alias), refOptimize(k, fn)
-	if g, w := got.Fingerprint(), want.Fingerprint(); g != w {
-		t.Fatalf("seed %d (alias %v): kernels differ\n got %s\nwant %s", seed, alias, g, w)
-	}
+	c := randComposed(rand.New(rand.NewSource(int64(seed))))
+	got, want := c.compose(), c.reference()
 	if !slices.Equal(got.Local, want.Local) {
 		t.Fatalf("seed %d: Local %v, want %v", seed, got.Local, want.Local)
 	}
-	if g, w := BufferLocals(got), BufferLocals(want); !maps.Equal(g, w) {
-		t.Fatalf("seed %d: BufferLocals %v, want %v", seed, g, w)
-	}
-	if g, w := Compile(got).NOps, Compile(want).NOps; g != w {
-		t.Fatalf("seed %d: %d instructions, want %d (expression sharing differs)", seed, g, w)
+	if c.ext > 0 {
+		if g, w := c.run(got, int64(seed)), c.run(want, int64(seed)); !buffersEqualBits(g, w) {
+			t.Fatalf("seed %d: chain of %d links computes %v, reference %v", seed, c.nparams-2, g, w)
+		}
 	}
 	for li, l := range got.Loops {
 		if l.Kind == LoopElem && len(l.Stmts) == 0 {
 			t.Fatalf("seed %d: loop %d is an element loop with no statements", seed, li)
 		}
+	}
+	if walkOf(want) > forwardWalk {
+		unforwarded := walkOf(refConcat("composed", c.nparams, c.kernels, c.mappings))
+		if w := walkOf(got); w > forwardWalk+unforwarded {
+			t.Fatalf("seed %d: composed kernel walks %d nodes, bound %d", seed, w, forwardWalk+unforwarded)
+		}
+		back, err := DecodeKernel(EncodeKernel(got))
+		if err != nil || back.FingerprintHash() != got.FingerprintHash() {
+			t.Fatalf("seed %d: composed kernel does not round-trip the wire: %v", seed, err)
+		}
+		return
+	}
+	if got.FingerprintHash() != want.FingerprintHash() {
+		t.Fatalf("seed %d (alias %v): kernels differ\n got %s\nwant %s", seed, c.alias, got.Fingerprint(), want.Fingerprint())
+	}
+	if g, w := bufferLocals(got), bufferLocals(want); !slices.Equal(g, w) {
+		t.Fatalf("seed %d: buffered locals %v, want %v", seed, g, w)
+	}
+	if g, w := Compile(got).NOps, Compile(want).NOps; g != w {
+		t.Fatalf("seed %d: %d instructions, want %d (expression sharing differs)", seed, g, w)
 	}
 }
 
@@ -314,27 +526,28 @@ func FuzzOptimizeMatchesReference(f *testing.F) {
 	f.Fuzz(runOptimizeDiff)
 }
 
-// TestOptimizeAllocatesLinearly: the passes cost what they compile. A run
-// of n same-domain single-statement loops — what the adaptive window hands
-// the compiler when a program fuses well — under a non-nil alias relation
-// in which every parameter is aliasable (its own class, so every loop
-// joins the run and the run's access sets grow with it) must allocate in
-// proportion to n: at most 2.5x per doubling. The map-based reference
+// TestOptimizeAllocatesLinearly: composition costs what it writes. A run
+// of n same-domain single-statement kernels — what the adaptive window
+// hands the composer when a program fuses well — under a non-nil alias
+// relation in which every parameter is aliasable (its own class, so every
+// loop joins the run and the run's access sets grow with it) must allocate
+// in proportion to n: at most 2.5x per doubling. The map-based reference
 // rebuilt the sets of everything merged so far for every loop it appended
 // and roughly quadruples (logged below; 3.6x-3.9x when this was written).
 func TestOptimizeAllocatesLinearly(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	chain := func(n int) (*Kernel, Alias) {
-		k := NewKernel("chain", n+1)
-		alias := make(Alias, n+1)
+	chain := func(n int) *composition {
+		c := &composition{nparams: n + 1, local: make([]bool, n+1), alias: make(Alias, n+1)}
 		for i := 0; i < n; i++ {
-			k.AddLoop(&Loop{Kind: LoopElem, Dom: "d", Ext: []int{8}, ExtRef: i + 1,
-				Stmts: []Stmt{{Kind: KStore, Param: i + 1, E: Binary(OpAdd, Load(i), Const(1))}}})
+			k := NewKernel("inc", 2)
+			k.AddLoop(&Loop{Kind: LoopElem, Dom: "d", Ext: []int{8}, ExtRef: 1,
+				Stmts: []Stmt{{Kind: KStore, Param: 1, E: Binary(OpAdd, Load(0), Const(1))}}})
+			c.kernels, c.mappings = append(c.kernels, k), append(c.mappings, []int{i, i + 1})
 		}
-		for p := range alias {
-			alias[p] = int32(p)
+		for p := range c.alias {
+			c.alias[p] = int32(p)
 		}
-		return k, alias
+		return c
 	}
 	bytesOf := func(f func()) float64 {
 		var a, b runtime.MemStats
@@ -345,17 +558,17 @@ func TestOptimizeAllocatesLinearly(t *testing.T) {
 	}
 	var prev, prevRef float64
 	for _, n := range []int{64, 128, 256} {
-		k, alias := chain(n)
+		c := chain(n)
 		var opt *Kernel
-		got := bytesOf(func() { opt = Optimize(k, alias) })
-		ref := bytesOf(func() { refOptimize(k, func(p, q int) bool { return alias[p] == alias[q] }) })
+		got := bytesOf(func() { opt = c.compose() })
+		ref := bytesOf(func() { c.reference() })
 		if len(opt.Loops) != 1 || len(opt.Loops[0].Stmts) != n {
 			t.Fatalf("n=%d: %d loops, want one loop of %d statements", n, len(opt.Loops), n)
 		}
 		if prev > 0 {
 			t.Logf("n=%d: %.0f B, %.2fx the half (reference %.0f B, %.2fx)", n, got, got/prev, ref, ref/prevRef)
 			if got > 2.5*prev {
-				t.Fatalf("Optimize over %d loops allocates %.0f B, %.2fx what %d loops did: not linear", n, got, got/prev, n/2)
+				t.Fatalf("Compose over %d kernels allocates %.0f B, %.2fx what %d did: not linear", n, got, got/prev, n/2)
 			}
 		}
 		prev, prevRef = got, ref

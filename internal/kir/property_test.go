@@ -77,7 +77,7 @@ func TestOptimizePreservesSemantics(t *testing.T) {
 		}
 
 		got := exec(k)
-		want := exec(Optimize(k, nil))
+		want := exec(optimize(k, nil))
 
 		for p := 0; p < nParams; p++ {
 			if locals[p] || k.Local[p] {
@@ -99,16 +99,16 @@ func TestOptimizePreservesSemantics(t *testing.T) {
 
 // TestOptimizeIdempotent: running the pipeline twice changes nothing.
 func TestOptimizeIdempotent(t *testing.T) {
-	fused := Concat("f", 5, []*Kernel{addKernel(), addKernel()}, [][]int{{0, 1, 2}, {2, 3, 4}})
-	fused.MarkLocal(2)
-	once := Optimize(fused, nil)
-	twice := Optimize(once, nil)
+	var c Composer
+	once := c.Compose("f", 5, []*Kernel{addKernel(), addKernel()}, [][]int{{0, 1, 2}, {2, 3, 4}},
+		[]bool{2: true, 4: false}, nil, true)
+	twice := optimize(once, nil)
 	if len(once.Loops) != len(twice.Loops) {
-		t.Fatal("Optimize must be idempotent in loop structure")
+		t.Fatal("composition must be idempotent in loop structure")
 	}
 	for i := range once.Loops {
 		if len(once.Loops[i].Stmts) != len(twice.Loops[i].Stmts) {
-			t.Fatal("Optimize must be idempotent in statement counts")
+			t.Fatal("composition must be idempotent in statement counts")
 		}
 	}
 }

@@ -489,7 +489,8 @@ func (p *taskPlan) spanEligible(t *ir.Task, sh *spanShape) bool {
 }
 
 // spanShape is what spanEligible reads of a kernel's structure, derived
-// once per kernel cache entry (kernelFor).
+// from its compiled form once per kernel cache entry (kernelFor,
+// kir.Compiled.ElemAccesses).
 type spanShape struct {
 	// elemOnly: every loop is an element loop and none reduces.
 	elemOnly bool
@@ -499,57 +500,6 @@ type spanShape struct {
 	pairs []int
 	// scalars are the parameters read through OpLoadScalar.
 	scalars []int
-}
-
-// spanWalker derives spanShapes, reusing its buffers from kernel to
-// kernel (Runtime.spanWalk, guarded by mu).
-type spanWalker struct {
-	seen    map[*kir.Expr]bool
-	ref     int
-	pairs   []int
-	scalars []int
-}
-
-func (w *spanWalker) shape(k *kir.Kernel) spanShape {
-	if w.seen == nil {
-		w.seen = map[*kir.Expr]bool{}
-	}
-	defer clear(w.seen) // hold no expression past the walk
-	w.pairs, w.scalars = w.pairs[:0], w.scalars[:0]
-	for _, l := range k.Loops {
-		if l.Kind != kir.LoopElem {
-			return spanShape{}
-		}
-		w.ref = l.ExtRef
-		w.pairs = append(w.pairs, l.ExtRef, l.ExtRef)
-		clear(w.seen) // a node shared across loops loads in each
-		for _, st := range l.Stmts {
-			switch st.Kind {
-			case kir.KReduce:
-				return spanShape{}
-			case kir.KStore:
-				w.pairs = append(w.pairs, l.ExtRef, st.Param)
-			}
-			w.walk(st.E)
-		}
-	}
-	return spanShape{elemOnly: true, pairs: slices.Clone(w.pairs), scalars: slices.Clone(w.scalars)}
-}
-
-func (w *spanWalker) walk(e *kir.Expr) {
-	if e == nil || w.seen[e] {
-		return
-	}
-	w.seen[e] = true
-	switch e.Op {
-	case kir.OpLoad:
-		w.pairs = append(w.pairs, w.ref, e.Param)
-	case kir.OpLoadScalar:
-		w.scalars = append(w.scalars, e.Param)
-	}
-	w.walk(e.A)
-	w.walk(e.B)
-	w.walk(e.C)
 }
 
 // misalignedSelfAlias reports whether the task writes a store it also

@@ -157,7 +157,7 @@ type Runtime struct {
 	// sessions never race on region contents or on the backend.
 	execMu sync.Mutex
 
-	mu      sync.Mutex // guards regions, free, kernels, spanWalk, and codegen
+	mu      sync.Mutex // guards regions, free, kernels, and codegen
 	regions map[ir.StoreID]*region
 	// free is the region free list (see regionKey); regionAllocs and
 	// regionReuses count what regionFor did, for ExecStats.
@@ -167,8 +167,6 @@ type Runtime struct {
 	// (kir.Kernel.FingerprintHash): the compiled form, its codegen program
 	// and the execution plans, bounded by maxKernels.
 	kernels map[hash128.Sum]*kernelEntry
-	// spanWalk derives each new entry's spanShape (kernelFor).
-	spanWalk spanWalker
 
 	// Codegen-backend state (see codegen.go): the active mode and the
 	// activity counters.
@@ -280,7 +278,8 @@ func (rt *Runtime) kernelFor(k *kir.Kernel) *kernelEntry {
 	if len(rt.kernels) >= maxKernels {
 		clear(rt.kernels)
 	}
-	e := &kernelEntry{comp: c, span: rt.spanWalk.shape(k)}
+	pairs, scalars, elemOnly := c.ElemAccesses()
+	e := &kernelEntry{comp: c, span: spanShape{elemOnly: elemOnly, pairs: pairs, scalars: scalars}}
 	rt.kernels[fp] = e
 	return e
 }
