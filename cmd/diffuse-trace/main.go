@@ -19,6 +19,7 @@ import (
 	"diffuse/internal/apps"
 	"diffuse/internal/core"
 	"diffuse/internal/ir"
+	"diffuse/internal/kir"
 	"diffuse/internal/legion"
 )
 
@@ -49,24 +50,11 @@ func main() {
 	var total, fused, originals int
 	rt.Legion().Trace = func(t *ir.Task) {
 		total++
-		tag := ""
 		if t.FusedFrom > 0 {
 			fused++
 			originals += t.FusedFrom
-			tag = fmt.Sprintf("  <- fusion of %d tasks", t.FusedFrom)
 		}
-		nloops := 0
-		locals := 0
-		if t.Kernel != nil {
-			nloops = len(t.Kernel.Loops)
-			for _, l := range t.Kernel.Local {
-				if l {
-					locals++
-				}
-			}
-		}
-		fmt.Printf("%-12s launch=%-8v args=%-3d loops=%-3d temps=%-3d%s\n",
-			t.Name, t.Launch.Extents(), len(t.Args), nloops, locals, tag)
+		fmt.Println(taskLine(t, !*interp))
 	}
 	iterate(*iters)
 
@@ -99,6 +87,31 @@ func printStats(w io.Writer, rt *core.Runtime, shards int) {
 	fmt.Fprintf(w, "  groups=%d groupedTasks=%d stages=%d fallbacks=%d deferredFrees=%d\n",
 		ss.Groups, ss.GroupedTasks, ss.Stages, ss.Fallbacks, ss.DeferredFrees)
 	fmt.Fprintf(w, "  haloExchanges=%d shardUnits=%d\n", ss.HaloExchanges, ss.ShardUnits)
+}
+
+// taskLine describes one emitted task: its launch, arguments, loops, the
+// closures per block the codegen tier runs its element loops with (0 on
+// the interpreter), temporaries and, for a fused task, how many tasks it
+// fused.
+func taskLine(t *ir.Task, codegen bool) string {
+	tag := ""
+	if t.FusedFrom > 0 {
+		tag = fmt.Sprintf("  <- fusion of %d tasks", t.FusedFrom)
+	}
+	nloops, closures, locals := 0, 0, 0
+	if t.Kernel != nil {
+		nloops = len(t.Kernel.Loops)
+		if codegen {
+			closures = kir.Codegen(kir.Compile(t.Kernel)).Closures()
+		}
+		for _, l := range t.Kernel.Local {
+			if l {
+				locals++
+			}
+		}
+	}
+	return fmt.Sprintf("%-12s launch=%-8v args=%-3d loops=%-3d cg=%-3d temps=%-3d%s",
+		t.Name, t.Launch.Extents(), len(t.Args), nloops, closures, locals, tag)
 }
 
 func buildApp(ctx *cunum.Context, name string) func(int) {

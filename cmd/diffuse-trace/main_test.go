@@ -8,6 +8,7 @@ import (
 
 	"diffuse/cunum"
 	"diffuse/internal/core"
+	"diffuse/internal/ir"
 	"diffuse/internal/legion"
 )
 
@@ -82,6 +83,34 @@ func TestPrintStatsShardedDrain(t *testing.T) {
 	for _, gone := range []string{"haloElemsMoved", "wavefrontNodes", "foldNodes", "haloNodes"} {
 		if strings.Contains(out, gone) {
 			t.Fatalf("-stats still prints the removed %s counter:\n%s", gone, out)
+		}
+	}
+}
+
+// TestTaskLineCountsClosures: each traced task's line carries the closures
+// per block its element loops run on the codegen tier next to its loop
+// count — 9 for CG's fused5, whose stores and sum absorb their arithmetic
+// — and 0 under -interp.
+func TestTaskLineCountsClosures(t *testing.T) {
+	rt := core.New(core.DefaultConfig(4))
+	ctx := cunum.NewContext(rt)
+	iterate := buildApp(ctx, "cg")
+	iterate(3)
+	var lines []string
+	rt.Legion().Trace = func(task *ir.Task) {
+		if task.Name == "fused5" {
+			lines = append(lines, taskLine(task, true), taskLine(task, false))
+		}
+	}
+	iterate(1)
+	want := regexp.MustCompile(`^fused5 +launch=\[4 +\] args=10 +loops=1 +cg=(\d+) +temps=2 +<- fusion of 5 tasks$`)
+	if len(lines) != 2 {
+		t.Fatalf("traced %d fused5 lines, want 2", len(lines))
+	}
+	for i, cg := range []string{"9", "0"} {
+		m := want.FindStringSubmatch(lines[i])
+		if m == nil || m[1] != cg {
+			t.Fatalf("line %q: want loops=1 cg=%s", lines[i], cg)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"diffuse/cunum"
 	"diffuse/internal/apps"
 	"diffuse/internal/core"
+	"diffuse/internal/ir"
 	"diffuse/internal/kir"
 )
 
@@ -99,4 +100,36 @@ func TestAppsCompositionsMatchReference(t *testing.T) {
 		t.Fatalf("the applications composed only %d kernels", n)
 	}
 	t.Logf("%d compositions match the reference", n)
+}
+
+// TestCGSteadyKernelClosures pins the closures per block of natural CG's
+// steady fused kernels, where the codegen tier absorbs each update's
+// arithmetic into its store and each dot's product into its sum: fused5
+// (x += αp; r −= αAp; r·r) runs 9 where one per instruction was 14, the
+// SpMV and p·Ap fused2 3 where it was 4, and the p-update fused2 3 where
+// it was 5.
+func TestCGSteadyKernelClosures(t *testing.T) {
+	ctx := cunum.NewContext(core.New(core.DefaultConfig(8)))
+	defer ctx.Close()
+	A := apps.BuildPoisson2D(ctx, 24)
+	cg := apps.NewCG(ctx, A, ctx.Ones(A.Rows()), false)
+	cg.Iterate(3)
+	got := map[string]int{}
+	ctx.Runtime().Legion().Trace = func(task *ir.Task) {
+		if task.Kernel == nil || task.FusedFrom == 0 {
+			return
+		}
+		name := task.Name
+		for _, l := range task.Kernel.Loops {
+			if l.Kind == kir.LoopSpMV {
+				name += "+spmv"
+			}
+		}
+		got[name] = kir.Codegen(kir.Compile(task.Kernel)).Closures()
+	}
+	cg.Iterate(2)
+	want := map[string]int{"fused5": 9, "fused2+spmv": 3, "fused2": 3}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("closures per block of CG's fused kernels = %v, want %v", got, want)
+	}
 }

@@ -19,6 +19,15 @@ package kir
 // store can overwrite before its register's last reader (inPlaceLoad)
 // points its lane at the region's elements and copies nothing.
 //
+// Two consumers absorb the arithmetic only they read (absorptions): an f64
+// element store of x ± u·b, u a constant or hoisted scalar load, writes
+// the result straight into the region (axpy), and a sum reduction of a·b
+// into an f64 cell folds the products with no product lane (dot). An
+// instruction is absorbed only when the consumer is its single reader and
+// no element store lies between the two. Natural CG's x += αp; r −= αAp;
+// r·r then runs 9 closures per block instead of 14. Every other shape
+// keeps one closure per instruction.
+//
 // Element loops are the only loops this tier lowers. The others — SpMV,
 // GEMV, Random, Iota and axis reductions — pay one dispatch per loop, not
 // per element, so there is nothing to batch: each has one native loop in
@@ -31,17 +40,19 @@ package kir
 // through the identical float32/clampI32 conversions, reductions fold
 // lane values into the partial accumulator in element order, and the
 // final fold into the typed destination cell reuses the interpreter's
-// code path. Running an instruction across a whole block before the next
-// instruction is observationally identical because element-wise loops are
-// element-parallel by system invariant: the chunked/sharded executors
-// already run a loop's elements in arbitrary decompositions (legion runs a
-// chunk of point tasks as one call over the union of their tiles), Compose
-// refuses to merge loops whose written parameters alias other accessed
-// parameters under different views (mergeSafe), and aligned aliases see
-// stores strictly in instruction order either way. The one construct that
-// would observe batching — an OpLoadScalar of a cell the same loop stores
-// element-wise — is declined at lowering time (the loop stays on the
-// interpreter).
+// code path. An absorbed closure keeps each instruction's operand order
+// and rounds its products through an explicit float64 conversion, so the
+// compiler may not contract them into FMAs. Running an instruction across
+// a whole block before the next instruction is observationally identical
+// because element-wise loops are element-parallel by system invariant:
+// the chunked/sharded executors already run a loop's elements in
+// arbitrary decompositions (legion runs a chunk of point tasks as one
+// call over the union of their tiles), Compose refuses to merge loops
+// whose written parameters alias other accessed parameters under
+// different views (mergeSafe), and aligned aliases see stores strictly in
+// instruction order either way. The one construct that would observe
+// batching — an OpLoadScalar of a cell the same loop stores element-wise
+// — is declined at lowering time (the loop stays on the interpreter).
 //
 // A CodegenProgram captures only lowering-time structure (register
 // indices, parameter numbers, dtypes, reduction ops) — never buffers,
@@ -52,7 +63,10 @@ package kir
 // executes through it: a kernel object minted per task (a user closure, a
 // generator) still hits.
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // CodegenProgram is the closure-compiled form of a kernel: one cgLoop per
 // Compiled loop. Immutable after Codegen returns; safe for concurrent use
@@ -96,6 +110,17 @@ func (p *CodegenProgram) Lowered() int {
 		if p.loops[i].elem != nil {
 			n++
 		}
+	}
+	return n
+}
+
+// Closures reports how many closures the program runs per block of
+// elements, over all its lowered loops (observability: tests and the
+// trace tool).
+func (p *CodegenProgram) Closures() int {
+	n := 0
+	for i := range p.loops {
+		n += len(p.loops[i].elem)
 	}
 	return n
 }
@@ -176,8 +201,12 @@ func lowerElem(k *Kernel, cl *compiledLoop) cgLoop {
 	for s, p := range cl.iter {
 		g.slotDT[s] = k.DTypeOf(p)
 	}
+	fused, absorbed := absorptions(k, cl, g.slotDT)
 	for i := range cl.body {
 		in := &cl.body[i]
+		if absorbed != nil && absorbed[i] {
+			continue
+		}
 		switch in.Op {
 		case OpConst:
 			g.setup = append(g.setup, cgSetup{reg: int(in.Dst), param: -1, imm: in.Imm})
@@ -186,8 +215,16 @@ func lowerElem(k *Kernel, cl *compiledLoop) cgLoop {
 		case OpLoad:
 			g.elem = append(g.elem, lowerLoad(int(in.Dst), int(in.Slot), g.slotDT[in.Slot], inPlaceLoad(cl.body, i)))
 		case opStoreElem:
+			if f, ok := fused[i]; ok {
+				g.elem = append(g.elem, lowerAxpyStore(int(in.Slot), f))
+				continue
+			}
 			g.elem = append(g.elem, lowerStore(int(in.A), int(in.Slot), g.slotDT[in.Slot]))
 		case opReduceAcc:
+			if f, ok := fused[i]; ok {
+				g.elem = append(g.elem, lowerDotReduce(f.m0, f.m1, int(in.Slot)))
+				continue
+			}
 			g.elem = append(g.elem, lowerReduce(int(in.A), int(in.Slot), cl.reduces[in.Slot].red))
 		case OpCast:
 			g.elem = append(g.elem, lowerCast(int(in.Dst), int(in.A), DType(in.Slot)))
@@ -225,14 +262,197 @@ func inPlaceLoad(body []Instr, i int) bool {
 	return true
 }
 
-// readsReg reports whether in reads register r, counting operands by the
-// op's arity (stores and reduction accumulations read A alone).
+// readsReg reports whether in reads register r.
 func readsReg(in *Instr, r uint16) bool {
-	n := in.Op.Arity()
-	if in.Op == opStoreElem || in.Op == opReduceAcc {
-		n = 1
-	}
+	n := nreads(in)
 	return n >= 1 && in.A == r || n >= 2 && in.B == r || n >= 3 && in.C == r
+}
+
+// nreads is how many of A, B and C in reads: the op's arity, or A alone
+// for stores and reduction accumulations.
+func nreads(in *Instr) int {
+	if in.Op == opStoreElem || in.Op == opReduceAcc {
+		return 1
+	}
+	return in.Op.Arity()
+}
+
+// absorption is a consumer that lowerElem lowers together with the
+// arithmetic only it reads: an f64 element store of x ± u·b (axpy, op
+// OpAdd or OpSub, u a uniform register) or a sum reduction of m0·m1 into
+// an f64 cell (dot, op OpMul).
+type absorption struct {
+	op        Op
+	x         int  // axpy: the register the product is added to or subtracted from
+	m0, m1    int  // the product's operands, in the mul's order
+	prodFirst bool // axpy: the product is the add or sub's first operand
+	uFirst    bool // axpy: m0 is the uniform operand, else m1
+	own       int  // axpy: the add or sub's register, whose lane stages a strided store
+}
+
+// absorptions picks the consumers of an element loop body that absorb
+// their operand's arithmetic, keyed by instruction index, and marks the
+// instructions they absorb (both nil when there are none). An instruction
+// is absorbed only when the consumer is its single reader and no element
+// store lies between the two, so computing it at the consumer reads the
+// lanes and region elements it would have read in place.
+func absorptions(k *Kernel, cl *compiledLoop, slotDT []DType) (map[int]absorption, []bool) {
+	body := cl.body
+	counts := make([]int32, 2*cl.nregs)
+	readers, def := counts[:cl.nregs], counts[cl.nregs:]
+	for i := range body {
+		in := &body[i]
+		if in.Op != opStoreElem && in.Op != opReduceAcc {
+			def[in.Dst] = int32(i)
+		}
+		ops := [...]uint16{in.A, in.B, in.C}
+		for _, r := range ops[:nreads(in)] {
+			readers[r]++
+		}
+	}
+	// producer returns the index of the op instruction defining r when the
+	// instruction at j is r's single reader and no store lies between.
+	producer := func(r uint16, j int, ops ...Op) int {
+		p := int(def[r])
+		if readers[r] != 1 || !slices.Contains(ops, body[p].Op) {
+			return -1
+		}
+		for q := p + 1; q < j; q++ {
+			if body[q].Op == opStoreElem {
+				return -1
+			}
+		}
+		return p
+	}
+	uniform := func(r uint16) bool {
+		op := body[def[r]].Op
+		return op == OpConst || op == OpLoadScalar
+	}
+	var fused map[int]absorption
+	var absorbed []bool
+	absorb := func(j int, f absorption, ins ...int) {
+		if fused == nil {
+			fused, absorbed = map[int]absorption{}, make([]bool, len(body))
+		}
+		fused[j] = f
+		for _, i := range ins {
+			absorbed[i] = true
+		}
+	}
+	for j := range body {
+		in := &body[j]
+		switch {
+		case in.Op == opStoreElem && slotDT[in.Slot] == F64:
+			s := producer(in.A, j, OpAdd, OpSub)
+			if s < 0 {
+				continue
+			}
+			for _, prodFirst := range []bool{true, false} {
+				pr, x := body[s].A, body[s].B
+				if !prodFirst {
+					pr, x = x, pr
+				}
+				m := producer(pr, s, OpMul)
+				if m < 0 || !uniform(body[m].A) && !uniform(body[m].B) {
+					continue
+				}
+				absorb(j, absorption{op: body[s].Op, x: int(x), m0: int(body[m].A), m1: int(body[m].B),
+					prodFirst: prodFirst, uFirst: uniform(body[m].A), own: int(body[s].Dst)}, s, m)
+				break
+			}
+		case in.Op == opReduceAcc && cl.reduces[in.Slot].red == RedSum && k.DTypeOf(cl.reduces[in.Slot].param) == F64:
+			if m := producer(in.A, j, OpMul); m >= 0 {
+				absorb(j, absorption{op: OpMul, m0: int(body[m].A), m1: int(body[m].B)}, m)
+			}
+		}
+	}
+	return fused, absorbed
+}
+
+// lowerAxpyStore builds the closure of an absorbed f64 element store of
+// x ± u·b. At unit stride it writes each element straight into the
+// region; otherwise it stages the block in the add's own lane and
+// scatters it. The product is rounded through an explicit float64
+// conversion, which forbids the compiler to contract it and the add into
+// an FMA the interpreter does not run.
+//
+// Each case keeps the operand order of both instructions, and with it the
+// NaN payload the interpreter keeps when both operands of one are NaNs:
+// its first operand's, the one its compiled add or mul holds in the
+// destination register. Here u is loop-invariant, so b's register is the
+// product's destination whichever operand comes first; when u does and
+// is a NaN, every product is u, quieted, and the product lane is then u's
+// own. A load the compiler folds into an add becomes its second operand,
+// so x + u·b leaves b's lane unresliced: its bounds check puts x's load in
+// an earlier block than the add, where it cannot be folded.
+// TestCodegenAbsorbsAxpyStore pins all of this.
+func lowerAxpyStore(slot int, f absorption) cgOp {
+	x, b, u, own, uFirst := f.x, f.m0, f.m1, f.own, f.uFirst
+	if uFirst {
+		b, u = f.m1, f.m0
+	}
+	operands := func(st *cgState) (d, a, v []float64, s float64) {
+		d = st.storeWindow(slot, own)
+		s = st.lane[u][0]
+		v = st.lane[b]
+		if uFirst && s != s {
+			v = st.lane[u]
+		}
+		return d, st.lane[x][:len(d)], v, s
+	}
+	switch {
+	case f.op == OpAdd && !f.prodFirst:
+		return func(st *cgState) {
+			d, a, v, s := operands(st)
+			for i := range d {
+				d[i] = a[i] + float64(v[i]*s)
+			}
+			st.scatter(slot, d)
+		}
+	case f.op == OpAdd:
+		return func(st *cgState) {
+			d, a, v, s := operands(st)
+			v = v[:len(d)]
+			for i := range d {
+				d[i] = float64(v[i]*s) + a[i]
+			}
+			st.scatter(slot, d)
+		}
+	case !f.prodFirst:
+		return func(st *cgState) {
+			d, a, v, s := operands(st)
+			v = v[:len(d)]
+			for i := range d {
+				d[i] = a[i] - float64(v[i]*s)
+			}
+			st.scatter(slot, d)
+		}
+	default:
+		return func(st *cgState) {
+			d, a, v, s := operands(st)
+			v = v[:len(d)]
+			for i := range d {
+				d[i] = float64(v[i]*s) - a[i]
+			}
+			st.scatter(slot, d)
+		}
+	}
+}
+
+// lowerDotReduce folds the products of two lanes into a sum reduction's
+// partial accumulator in element order with no product lane, each product
+// rounded through float64 as lowerAxpyStore's are. Both factors are loads
+// and the accumulator is the add's first operand, as in the interpreter.
+func lowerDotReduce(ra, rb, ri int) cgOp {
+	return func(st *cgState) {
+		a := st.lane[ra][:st.n]
+		b := st.lane[rb][:len(a)]
+		s := st.racc[ri]
+		for i := range a {
+			s = s + float64(a[i]*b[i])
+		}
+		st.racc[ri] = s
+	}
 }
 
 // lowerLoad builds the load closure for one (register, slot, dtype).
@@ -631,6 +851,29 @@ func (s *Scratch) cg(nregs, block, nslots, nred int) *cgState {
 // own returns register r's own slice of the lane storage.
 func (st *cgState) own(r int) []float64 {
 	return st.buf[r*st.block : (r+1)*st.block]
+}
+
+// storeWindow is where an absorbed f64 store to slot writes the current
+// block: the region's own elements at unit stride, register r's lane at
+// any other, which scatter then copies out.
+func (st *cgState) storeWindow(slot, r int) []float64 {
+	if c := st.cur[slot]; st.istr[slot] == 1 {
+		return st.f64[slot][c : c+st.n : c+st.n]
+	}
+	return st.own(r)[:st.n]
+}
+
+// scatter stores a block storeWindow staged in a lane to a strided slot;
+// a unit-stride block is already in place.
+func (st *cgState) scatter(slot int, d []float64) {
+	s, c, str := st.f64[slot], st.cur[slot], st.istr[slot]
+	if str == 1 {
+		return
+	}
+	for i := range d {
+		s[c] = d[i]
+		c += str
+	}
 }
 
 // release drops buffer references so a parked scratch never pins freed

@@ -301,3 +301,191 @@ func TestInPlaceLoads(t *testing.T) {
 		t.Fatalf("in-place marks of the loads = %v, want %v", loads, want)
 	}
 }
+
+// NaNs with distinct payloads: an absorbed closure must keep the operand
+// order that decides which payload survives an operation on two of them.
+var (
+	nanA = math.Float64frombits(0x7ff8000000000001)
+	nanB = math.Float64frombits(0x7ff8000000000002)
+	nanC = math.Float64frombits(0xfff8000000000003)
+)
+
+// absorbVals are the element values the absorption tests cycle through:
+// the three NaNs, signed zeros and infinities, and ordinary numbers.
+var absorbVals = []float64{nanA, 1.5, nanB, -0.0, 3.25, math.Inf(1), nanC, -2, 0, 1e300, math.Inf(-1), 7}
+
+// vec binds a 1-D view of n elements of dt at inner stride str and base 1,
+// its element i holding absorbVals[(i*mul+add) % len] and the gaps between
+// elements holding -1.
+func vec(dt DType, n, str, mul, add int) Binding {
+	buf := AllocBuffer(dt, n*str+2)
+	for i := 0; i < buf.Len(); i++ {
+		buf.Set(i, -1)
+	}
+	for i := 0; i < n; i++ {
+		buf.Set(1+i*str, absorbVals[(i*mul+add)%len(absorbVals)])
+	}
+	return Binding{Acc: Accessor{Data: buf, Base: 1, Strides: []int{str}}, Ext: []int{n}}
+}
+
+// cell binds a one-element parameter of dt holding v.
+func cell(dt DType, v float64) Binding {
+	buf := AllocBuffer(dt, 1)
+	buf.Set(0, v)
+	return Binding{Acc: Accessor{Data: buf, Strides: []int{0}}, Ext: []int{1}}
+}
+
+// runBothTiers executes k on the interpreter and on the codegen tier over
+// twin bindings from bind, requires every buffer bit-equal, and returns
+// the number of closures the codegen program runs per block.
+func runBothTiers(t *testing.T, name string, k *Kernel, bind func() []Binding) int {
+	t.Helper()
+	coded := Compile(k)
+	prog := Codegen(coded)
+	coded.AttachProgram(prog)
+	want, got := bind(), bind()
+	Compile(k).Execute(&PointArgs{Bind: want})
+	coded.Execute(&PointArgs{Bind: got, Scratch: NewScratch()})
+	for p := range want {
+		if !buffersEqualBits(got[p].Acc.Data, want[p].Acc.Data) {
+			t.Fatalf("%s: param %d differs from the interpreter", name, p)
+		}
+	}
+	return prog.Closures()
+}
+
+// axpyKernel stores a ± u·b: params 0 (a), 1 (b), 2 (the scalar u) and 3
+// (the destination, of dtype dt), with the product on either side of the
+// add or sub and u on either side of the mul. inPlace stores into param 0
+// instead, so the addend loads the destination (x = x + α·p).
+func axpyKernel(op Op, prodFirst, uFirst, inPlace bool, dt DType, n int) *Kernel {
+	k := NewKernel("axpy", 4)
+	k.SetDType(3, dt)
+	m := Binary(OpMul, Load(1), LoadScalar(2))
+	if uFirst {
+		m = Binary(OpMul, LoadScalar(2), Load(1))
+	}
+	e := Binary(op, Load(0), m)
+	if prodFirst {
+		e = Binary(op, m, Load(0))
+	}
+	dst := 3
+	if inPlace {
+		dst = 0
+	}
+	k.AddLoop(&Loop{Kind: LoopElem, Dom: "v", Ext: []int{n}, ExtRef: dst,
+		Stmts: []Stmt{{Kind: KStore, Param: dst, E: e}}})
+	return k
+}
+
+// TestCodegenAbsorbsAxpyStore: an f64 store of a ± u·b lowers to one
+// closure beside its two loads, and computes the interpreter's bits for
+// every operand order, add and sub, unit and stride-2 destinations, a
+// destination the addend loads in place, and NaN operands meeting in both
+// orders, u included.
+func TestCodegenAbsorbsAxpyStore(t *testing.T) {
+	const n = 700 // two blocks, the second partial
+	for _, op := range []Op{OpAdd, OpSub} {
+		for _, prodFirst := range []bool{false, true} {
+			for _, uFirst := range []bool{false, true} {
+				for _, inPlace := range []bool{false, true} {
+					for _, str := range []int{1, 2} {
+						for _, u := range []float64{-0.75, nanB, nanA} {
+							name := fmt.Sprintf("%v prodFirst=%v uFirst=%v inPlace=%v stride=%d u=%v", op, prodFirst, uFirst, inPlace, str, u)
+							k := axpyKernel(op, prodFirst, uFirst, inPlace, F64, n)
+							got := runBothTiers(t, name, k, func() []Binding {
+								return []Binding{vec(F64, n, str, 1, 0), vec(F64, n, 1, 5, 2), cell(F64, u), vec(F64, n, str, 1, 3)}
+							})
+							if got != 3 {
+								t.Fatalf("%s: %d closures per block, want 3 (two loads and the store)", name, got)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCodegenAbsorbsDotReduce: a sum of a·b into an f64 cell folds the
+// products with no product lane, in element order, from either operand
+// order, NaNs included.
+func TestCodegenAbsorbsDotReduce(t *testing.T) {
+	const n = 1100
+	for _, swap := range []bool{false, true} {
+		k := NewKernel("dot", 3)
+		m := Binary(OpMul, Load(0), Load(1))
+		if swap {
+			m = Binary(OpMul, Load(1), Load(0))
+		}
+		k.AddLoop(&Loop{Kind: LoopElem, Dom: "v", Ext: []int{n}, ExtRef: 0,
+			Stmts: []Stmt{{Kind: KReduce, Param: 2, E: m, Red: RedSum}}})
+		for _, mul := range []int{1, 5} {
+			name := fmt.Sprintf("swap=%v mul=%d", swap, mul)
+			got := runBothTiers(t, name, k, func() []Binding {
+				return []Binding{vec(F64, n, 1, 1, 0), vec(F64, n, 2, mul, 7), cell(F64, 0.5)}
+			})
+			if got != 3 {
+				t.Fatalf("%s: %d closures per block, want 3 (two loads and the fold)", name, got)
+			}
+		}
+	}
+}
+
+// TestCodegenKeepsUnabsorbedClosures: every other shape keeps one closure
+// per instruction, with the interpreter's bits: a product with a second
+// reader, an element store between the product and its consumer (one that
+// overwrites the product's operand, which an absorbed product would read
+// too late), f32 and i32 destinations, max and min reductions, and a
+// product with no uniform operand.
+func TestCodegenKeepsUnabsorbedClosures(t *testing.T) {
+	const n = 300
+	loop := func(k *Kernel, ext int, stmts ...Stmt) *Kernel {
+		return k.AddLoop(&Loop{Kind: LoopElem, Dom: "v", Ext: []int{n}, ExtRef: ext, Stmts: stmts})
+	}
+	prod := func() *Expr { return Binary(OpMul, Load(1), LoadScalar(2)) }
+	cases := []struct {
+		name     string
+		k        *Kernel
+		closures int
+	}{
+		{"second reader", func() *Kernel {
+			m := prod()
+			return loop(NewKernel("k", 4), 3,
+				Stmt{Kind: KStore, Param: 3, E: Binary(OpAdd, Load(0), m)},
+				Stmt{Kind: KStore, Param: 0, E: m})
+		}(), 6},
+		{"store between", func() *Kernel {
+			m := prod()
+			return loop(NewKernel("k", 4), 3,
+				Stmt{Kind: KEval, E: m},
+				Stmt{Kind: KStore, Param: 1, E: Const(7)},
+				Stmt{Kind: KStore, Param: 3, E: Binary(OpAdd, Load(0), m)})
+		}(), 6},
+		{"f32 destination", axpyKernel(OpAdd, false, false, false, F32, n), 5},
+		{"i32 destination", axpyKernel(OpSub, true, true, false, I32, n), 5},
+		{"max", loop(NewKernel("k", 5), 0, Stmt{Kind: KReduce, Param: 4, E: Binary(OpMul, Load(0), Load(1)), Red: RedMax}), 4},
+		{"min", loop(NewKernel("k", 5), 0, Stmt{Kind: KReduce, Param: 4, E: Binary(OpMul, Load(0), Load(1)), Red: RedMin}), 4},
+		{"f32 sum", func() *Kernel {
+			k := loop(NewKernel("k", 5), 0, Stmt{Kind: KReduce, Param: 4, E: Binary(OpMul, Load(0), Load(1)), Red: RedSum})
+			k.SetDType(4, F32)
+			return k
+		}(), 4},
+		{"no uniform operand", loop(NewKernel("k", 4), 3,
+			Stmt{Kind: KStore, Param: 3, E: Binary(OpAdd, Load(0), Binary(OpMul, Load(1), Load(2)))}), 6},
+	}
+	for _, tc := range cases {
+		// Every parameter is a vector: a scalar load or a reduction reads
+		// or folds into its first element.
+		got := runBothTiers(t, tc.name, tc.k, func() []Binding {
+			var bind []Binding
+			for p := 0; p < tc.k.NParams; p++ {
+				bind = append(bind, vec(tc.k.DTypeOf(p), n, 1, 2*p+1, p))
+			}
+			return bind
+		})
+		if got != tc.closures {
+			t.Fatalf("%s: %d closures per block, want %d", tc.name, got, tc.closures)
+		}
+	}
+}

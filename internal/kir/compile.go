@@ -67,6 +67,9 @@ type Compiled struct {
 	// codegen.go. Attached after Compile by the runtime's kernel cache,
 	// nil when the kernel runs fully interpreted.
 	prog *CodegenProgram
+	// overwrites[p] reports that the kernel's first access to parameter p
+	// is a store (Overwrites).
+	overwrites []bool
 }
 
 // Compile runs no optimizations; callers normally pass the result of
@@ -88,7 +91,57 @@ func Compile(k *Kernel) *Compiled {
 		}
 	}
 	c.bufLocals = bufferLocals(k)
+	c.overwrites = firstStores(c.loops, k.NParams)
 	return c
+}
+
+// Overwrites reports whether the kernel's first access to parameter p
+// stores it: an element store before any load of p, a non-accumulating
+// SpMV, GEMV or axis-reduce destination, or a Random or Iota destination.
+// A loop's extent is the tile of every parameter it touches, and each of
+// these loops writes its destination over the whole extent, so such a
+// kernel writes every element of p's tile before it reads one; legion
+// hands it a recycled region uncleared.
+func (c *Compiled) Overwrites(p int) bool { return c.overwrites[p] }
+
+// firstStores classifies every parameter by the kernel's first access to
+// it, in loop and instruction order.
+func firstStores(loops []compiledLoop, nparams int) []bool {
+	flags := make([]bool, 2*nparams)
+	seen, stores := flags[:nparams], flags[nparams:]
+	access := func(p int, store bool) {
+		if !seen[p] {
+			seen[p], stores[p] = true, store
+		}
+	}
+	for i := range loops {
+		l := &loops[i]
+		switch l.kind {
+		case LoopElem:
+			for _, in := range l.body {
+				switch in.Op {
+				case OpLoad:
+					access(l.iter[in.Slot], false)
+				case OpLoadScalar:
+					access(int(in.Slot), false)
+				case opStoreElem:
+					access(l.iter[in.Slot], true)
+				case opReduceAcc:
+					access(l.reduces[in.Slot].param, false)
+				}
+			}
+		case LoopSpMV, LoopAxisReduce:
+			access(l.x, false)
+			access(l.y, true)
+		case LoopGEMV:
+			access(l.matA, false)
+			access(l.x, false)
+			access(l.y, !l.acc)
+		case LoopRandom, LoopIota:
+			access(l.extRef, true)
+		}
+	}
+	return stores
 }
 
 // ElemAccesses describes a kernel whose every loop is element-wise and

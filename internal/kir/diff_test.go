@@ -68,9 +68,10 @@ func randExpr(rng *rand.Rand, depth int, grid, scalars []int) *Expr {
 // inputs), scalar params are size-1 cells (scalar loads, reduction
 // destinations, rank-1 axis-reduce outputs), and rank-2 shapes add a
 // dedicated axis-reduce output row plus GEMV x/y vectors. A non-nil share
-// makes element loops sometimes read an earlier statement's load node
-// again; it is a separate stream so that every seed builds the same kernel
-// with or without it, apart from those shared terms.
+// makes some element-loop statements take the shapes codegen absorbs
+// into their consumer (absorbable) and some read an earlier statement's
+// load node again. It is a separate stream, so the sweeps that pass nil
+// build the same kernels whatever it draws.
 func randDiffKernel(rng, share *rand.Rand) *diffKernel {
 	rank := 1 + rng.Intn(2)
 	var shape []int
@@ -116,20 +117,28 @@ func randDiffKernel(rng, share *rand.Rand) *diffKernel {
 			var loads []*Expr // element loads of earlier statements
 			for s := 0; s < nst; s++ {
 				e := randExpr(rng, 3, grid, scalars)
-				// Sometimes read an earlier statement's load node again:
-				// the sharing forwarding produces, whose value
-				// must survive a store between the two statements.
-				if share != nil && len(loads) > 0 && share.Intn(2) == 0 {
-					e = Binary(OpAdd, e, loads[share.Intn(len(loads))])
+				st := Stmt{Kind: KStore}
+				if rng.Intn(4) == 0 {
+					st.Kind, st.Param, st.Red = KReduce, scalars[rng.Intn(ns)], RedOp(rng.Intn(3))
+				} else {
+					st.Param = grid[rng.Intn(ng)]
+				}
+				if share != nil {
+					// Sometimes the shape codegen absorbs into its
+					// consumer, and sometimes a read of an earlier
+					// statement's load node again: the sharing forwarding
+					// produces, whose value must survive a store between
+					// the two statements.
+					if share.Intn(3) == 0 {
+						e = absorbable(share, &st, grid, scalars, loads)
+					}
+					if len(loads) > 0 && share.Intn(2) == 0 {
+						e = Binary(OpAdd, e, loads[share.Intn(len(loads))])
+					}
 				}
 				loads = appendLoads(loads, e)
-				if rng.Intn(4) == 0 {
-					l.Stmts = append(l.Stmts, Stmt{Kind: KReduce,
-						Param: scalars[rng.Intn(ns)], E: e, Red: RedOp(rng.Intn(3))})
-				} else {
-					l.Stmts = append(l.Stmts, Stmt{Kind: KStore,
-						Param: grid[rng.Intn(ng)], E: e})
-				}
+				st.E = e
+				l.Stmts = append(l.Stmts, st)
 			}
 			k.AddLoop(l)
 		case choice < 7:
@@ -225,6 +234,37 @@ func randDiffKernel(rng, share *rand.Rand) *diffKernel {
 	return dk
 }
 
+// absorbable returns a value of the shape the codegen tier computes in
+// its consumer for the statement st: a product summed into a reduction
+// (st becomes a sum), or for a store x ± u·b, u a constant or a scalar
+// load, with the operands of both instructions in either order. Operands
+// are sometimes earlier statements' load nodes.
+func absorbable(rng *rand.Rand, st *Stmt, grid, scalars []int, loads []*Expr) *Expr {
+	load := func() *Expr {
+		if len(loads) > 0 && rng.Intn(2) == 0 {
+			return loads[rng.Intn(len(loads))]
+		}
+		return Load(grid[rng.Intn(len(grid))])
+	}
+	if st.Kind == KReduce {
+		st.Red = RedSum
+		return Binary(OpMul, load(), load())
+	}
+	u := Const(-0.75)
+	if rng.Intn(2) == 0 {
+		u = LoadScalar(scalars[rng.Intn(len(scalars))])
+	}
+	m := Binary(OpMul, load(), u)
+	if rng.Intn(2) == 0 {
+		m.A, m.B = m.B, m.A
+	}
+	op := []Op{OpAdd, OpSub}[rng.Intn(2)]
+	if rng.Intn(2) == 0 {
+		return Binary(op, m, load())
+	}
+	return Binary(op, load(), m)
+}
+
 // appendLoads appends the element-load nodes of e (each once) to loads.
 func appendLoads(loads []*Expr, e *Expr) []*Expr {
 	if e == nil {
@@ -279,8 +319,10 @@ func (dk *diffKernel) bind(rng *rand.Rand) ([]Binding, []Buffer) {
 }
 
 // runDiff executes the kernel once per backend on identical inputs and
-// compares every observable buffer bitwise.
-func runDiff(t *testing.T, seed uint64) {
+// compares every observable buffer bitwise. It returns how many stores
+// and reductions the codegen program computes with the arithmetic it
+// absorbed (axpy, dot).
+func runDiff(t *testing.T, seed uint64) (axpy, dot int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(seed)))
 	dk := randDiffKernel(rng, rand.New(rand.NewSource(^int64(seed))))
@@ -306,6 +348,25 @@ func runDiff(t *testing.T, seed uint64) {
 				seed, p, dk.k.DTypeOf(p), opt.Fingerprint())
 		}
 	}
+	return absorbedShapes(coded)
+}
+
+// absorbedShapes counts the consumers of c's lowered element loops that
+// absorb their operand's arithmetic, by shape.
+func absorbedShapes(c *Compiled) (axpy, dot int) {
+	for i := range c.loops {
+		if g := &c.prog.loops[i]; g.elem != nil {
+			fused, _ := absorptions(c.Kernel, &c.loops[i], g.slotDT)
+			for _, f := range fused {
+				if f.op == OpMul {
+					dot++
+				} else {
+					axpy++
+				}
+			}
+		}
+	}
+	return axpy, dot
 }
 
 // buffersEqualBits compares buffers bit for bit (NaN == NaN, -0 != +0).
@@ -340,20 +401,29 @@ func buffersEqualBits(a, b Buffer) bool {
 }
 
 // TestDiffCodegenSeeds is the always-on differential sweep: several
-// hundred generated kernels per `go test` run.
+// hundred generated kernels per `go test` run, among them stores and
+// reductions that absorb their operand's arithmetic.
 func TestDiffCodegenSeeds(t *testing.T) {
 	n := 400
 	if testing.Short() {
 		n = 50
 	}
+	var axpy, dot int
 	for seed := 0; seed < n; seed++ {
-		runDiff(t, uint64(seed))
+		a, d := runDiff(t, uint64(seed))
+		axpy += a
+		dot += d
 	}
+	if axpy == 0 || dot == 0 {
+		t.Fatalf("the sweep lowered %d absorbed stores and %d absorbed reductions, want some of each", axpy, dot)
+	}
+	t.Logf("%d absorbed stores, %d absorbed reductions", axpy, dot)
 }
 
 // FuzzDiffCodegen is the native fuzz target over generator seeds; the
 // committed corpus in testdata/fuzz pins the seeds that exercised every
-// lowering path when the backend landed.
+// lowering path when the backend landed, and one seed each whose kernel
+// absorbs into a store (seed-1000-axpy) and into a sum (seed-1007-dot).
 func FuzzDiffCodegen(f *testing.F) {
 	for _, seed := range []uint64{0, 1, 7, 42, 1234, 99991, 1 << 33, 0xdeadbeef} {
 		f.Add(seed)

@@ -1,6 +1,7 @@
 package kir
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -535,4 +536,39 @@ func TestSpMVStreamingPaths(t *testing.T) {
 		Bind:     []Binding{flat([]float64{1}, 1), flat([]float64{}, 0)},
 		Payloads: map[int]*CSRLocal{1: {RowPtr: []int32{0}, Val: BufF64([]float64{})}},
 	})
+}
+
+// TestOverwrites: a parameter is overwritten when the kernel's first
+// access to it, in loop and instruction order, is a store: an element
+// store before any load, a non-accumulating SpMV, GEMV or axis-reduce
+// destination, or a generator's destination. A load, a scalar load, a
+// reduction or an accumulating GEMV first is a read.
+func TestOverwrites(t *testing.T) {
+	k := NewKernel("mixed", 12)
+	k.AddLoop(&Loop{Kind: LoopIota, Dom: "d", Ext: []int{8}, ExtRef: 0})
+	k.AddLoop(&Loop{Kind: LoopElem, Dom: "d", Ext: []int{8}, ExtRef: 1, Stmts: []Stmt{
+		{Kind: KStore, Param: 1, E: Binary(OpAdd, Load(0), LoadScalar(5))},
+		{Kind: KStore, Param: 2, E: Binary(OpMul, Load(1), Load(2))},
+		{Kind: KStore, Param: 3, E: Load(1)},
+		{Kind: KReduce, Param: 4, E: Load(3), Red: RedSum},
+	}})
+	k.AddLoop(&Loop{Kind: LoopElem, Dom: "d", Ext: []int{8}, ExtRef: 5,
+		Stmts: []Stmt{{Kind: KStore, Param: 5, E: Const(1)}}})
+	k.AddLoop(&Loop{Kind: LoopSpMV, Dom: "s", Ext: []int{8}, ExtRef: 7, X: 6, Y: 7})
+	k.AddLoop(&Loop{Kind: LoopGEMV, Dom: "g", Ext: []int{8, 8}, ExtRef: 8, MatA: 8, X: 6, Y: 9, Acc: true})
+	k.AddLoop(&Loop{Kind: LoopGEMV, Dom: "g", Ext: []int{8, 8}, ExtRef: 8, MatA: 8, X: 6, Y: 10})
+	k.AddLoop(&Loop{Kind: LoopAxisReduce, Dom: "a", Ext: []int{8, 8}, ExtRef: 8, X: 8, Y: 11, Red: RedMax})
+	c := Compile(k)
+	var got []bool
+	for p := 0; p < k.NParams; p++ {
+		got = append(got, c.Overwrites(p))
+	}
+	// 0 Iota; 1 stored first; 2 loaded by its own store; 3 stored first;
+	// 4 reduced; 5 scalar-loaded before its store; 6 SpMV and GEMV x; 7
+	// SpMV y; 8 GEMV matrix; 9 accumulating GEMV y; 10 GEMV y; 11 axis
+	// reduce y.
+	want := []bool{true, true, false, true, false, false, false, true, false, false, true, true}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Overwrites = %v, want %v", got, want)
+	}
 }

@@ -244,7 +244,7 @@ func (rt *Runtime) runGroupDist(g *shardGroup) {
 	rt.distSeq++
 	for i := range g.entries {
 		u := &g.entries[i]
-		u.plan = rt.planFor(u.task)
+		u.plan = rt.planFor(u.task, false)
 		rt.countBackend(u.plan.comp)
 		u.plan.resetPartials(u.task, len(u.plan.colors))
 	}

@@ -65,7 +65,7 @@ type ExecStats struct {
 	Steals int64
 	// RegionAllocs is the number of regions that were freshly allocated,
 	// RegionReuses the number taken from the free list of freed regions
-	// (cleared first).
+	// (cleared unless their first writer overwrites them; regionFor).
 	RegionAllocs int64
 	RegionReuses int64
 }
@@ -288,6 +288,11 @@ type argPlan struct {
 	data   kir.Buffer // the bound region (bind/unbind); nil for temporary-eliminated (local) args
 	redIdx int        // index into taskPlan.redArgs when priv is Reduce
 
+	// overwrites: the task writes every element of the store before it
+	// reads one, when no other argument names the store and the task runs
+	// all its points here (bind); a recycled region then needs no clear.
+	overwrites bool
+
 	// None partitions bind identically at every point.
 	isNone bool
 	static kir.Binding
@@ -314,9 +319,10 @@ var (
 // of the shard group a rank is draining (runGroupDist), whose bindings and
 // reduction partials it holds — the task gets a private plan no cache
 // keeps. In process every task unbinds before the next binds, so no
-// private plan is built there. Callers hold execMu and unbind the plan
-// once the task has executed.
-func (rt *Runtime) planFor(t *ir.Task) *taskPlan {
+// private plan is built there. whole says the task runs all its points in
+// this process, which a rank's unit does not (bind). Callers hold execMu
+// and unbind the plan once the task has executed.
+func (rt *Runtime) planFor(t *ir.Task, whole bool) *taskPlan {
 	e := rt.kernelFor(t.Kernel)
 	var p *taskPlan
 	for _, q := range e.plans {
@@ -336,7 +342,7 @@ func (rt *Runtime) planFor(t *ir.Task) *taskPlan {
 		}
 		e.plans = append(e.plans, p)
 	}
-	p.bind(rt, t)
+	p.bind(rt, t, whole)
 	return p
 }
 
@@ -362,8 +368,12 @@ func (p *taskPlan) matches(t *ir.Task) bool {
 	return true
 }
 
-// bind resolves every argument's region for one execution of the task.
-func (p *taskPlan) bind(rt *Runtime, t *ir.Task) {
+// bind resolves every argument's region for one execution of the task. A
+// region the task takes from the free list stays uncleared where the
+// argument overwrites the store, no other argument names it (whose access
+// the kernel's first store would not order) and the task runs whole: a
+// rank's unit writes only its shard's block of the store.
+func (p *taskPlan) bind(rt *Runtime, t *ir.Task, whole bool) {
 	p.bound = true
 	for i := range t.Args {
 		a := &t.Args[i]
@@ -372,12 +382,23 @@ func (p *taskPlan) bind(rt *Runtime, t *ir.Task) {
 		if ap.local {
 			continue
 		}
-		ap.data = rt.regionFor(a.Store, a.Red).data
+		overwrite := whole && ap.overwrites && !namedTwice(t, i)
+		ap.data = rt.regionFor(a.Store, a.Red, overwrite).data
 		if ap.isNone {
 			ap.static.Acc.Data = ap.data
 		}
 	}
 	p.span = p.canSpan && !p.misalignedSelfAlias(t)
+}
+
+// namedTwice reports whether an argument other than i names i's store.
+func namedTwice(t *ir.Task, i int) bool {
+	for j := range t.Args {
+		if j != i && t.Args[j].Store == t.Args[i].Store {
+			return true
+		}
+	}
+	return false
 }
 
 // unbind drops the region buffers bind resolved.
@@ -406,6 +427,8 @@ func (rt *Runtime) buildPlan(t *ir.Task, e *kernelEntry) *taskPlan {
 			ap.redIdx = len(p.redArgs)
 			p.redArgs = append(p.redArgs, i)
 		}
+		ap.overwrites = !ap.local && !a.Priv.Reduces() && comp.Overwrites(i) && len(p.colors) > 0 &&
+			t.Launch.ContainsRect(a.Part.ColorSpace()) && a.Part.Covers(a.Store.Bounds())
 		shape := a.Store.Shape()
 		strides := a.Store.Strides()
 		switch part := a.Part.(type) {
@@ -727,7 +750,7 @@ func (rt *Runtime) executeChunked(t *ir.Task) {
 	if t.Kernel == nil {
 		panic(fmt.Sprintf("legion: task %s has no kernel", t.Name))
 	}
-	plan := rt.planFor(t)
+	plan := rt.planFor(t, true)
 	defer plan.unbind()
 	rt.countBackend(plan.comp)
 	if len(plan.colors) == 0 {

@@ -163,6 +163,9 @@ type Runtime struct {
 	// regionReuses count what regionFor did, for ExecStats.
 	free                       map[regionKey][]weak.Pointer[region]
 	regionAllocs, regionReuses int64
+	// clearsSkipped counts the recycled regions regionFor handed out
+	// uncleared; tests read it to tell the two paths apart.
+	clearsSkipped int64
 	// kernels is the one kernel cache, keyed by structure
 	// (kir.Kernel.FingerprintHash): the compiled form, its codegen program
 	// and the execution plans, bounded by maxKernels.
@@ -321,10 +324,12 @@ const (
 
 // regionFor returns the buffer of a store, on first use taking a freed
 // region of the same dtype and element count when one is still around and
-// allocating otherwise. A recycled region is cleared first, so it is
-// indistinguishable from a fresh one: nothing proves that a store's first
-// task writes every element.
-func (rt *Runtime) regionFor(s *ir.Store, initRed ir.ReduceOp) *region {
+// allocating otherwise. A recycled region is cleared, so it reads as a
+// fresh one does, unless its first writer writes every element before
+// anything reads one: a RedMax/RedMin destination (its identity fill), a
+// task whose argument overwrites the store (argPlan.overwrites), or a
+// whole-store WriteBuffer, which says so through overwrite.
+func (rt *Runtime) regionFor(s *ir.Store, initRed ir.ReduceOp, overwrite bool) *region {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if rt.regions == nil {
@@ -332,14 +337,19 @@ func (rt *Runtime) regionFor(s *ir.Store, initRed ir.ReduceOp) *region {
 	}
 	r, ok := rt.regions[s.ID()]
 	if !ok {
+		fill := initRed == ir.RedMax || initRed == ir.RedMin
 		if r = rt.popFreeLocked(regionKey{s.DType(), s.Size()}); r != nil {
-			r.data.Clear()
 			rt.regionReuses++
+			if fill || overwrite {
+				rt.clearsSkipped++
+			} else {
+				r.data.Clear()
+			}
 		} else {
 			r = &region{data: kir.AllocBuffer(s.DType(), s.Size())}
 			rt.regionAllocs++
 		}
-		if initRed == ir.RedMax || initRed == ir.RedMin {
+		if fill {
 			r.data.Fill(initRed.Combiner().Identity())
 		}
 		rt.regions[s.ID()] = r
@@ -444,7 +454,7 @@ func (rt *Runtime) ReadAt(s *ir.Store, off int) (v float64, ok bool) {
 		return rt.backend.ReadAt(s, off)
 	}
 	rt.drainShardGroupLocked()
-	r := rt.regionFor(s, ir.RedNone)
+	r := rt.regionFor(s, ir.RedNone, false)
 	return r.data.Get(off), true
 }
 
@@ -458,7 +468,7 @@ func (rt *Runtime) ReadBuffer(s *ir.Store) kir.Buffer {
 		return rt.backend.ReadBuffer(s)
 	}
 	rt.drainShardGroupLocked()
-	return rt.regionFor(s, ir.RedNone).data.Clone()
+	return rt.regionFor(s, ir.RedNone, false).data.Clone()
 }
 
 // WriteBuffer overwrites the store contents from a buffer of the store's
@@ -475,7 +485,7 @@ func (rt *Runtime) WriteBuffer(s *ir.Store, data kir.Buffer) {
 		return
 	}
 	rt.drainShardGroupLocked()
-	rt.regionFor(s, ir.RedNone).data.CopyFrom(data)
+	rt.regionFor(s, ir.RedNone, true).data.CopyFrom(data)
 }
 
 // Execute runs one index task to completion (issue-order execution; the

@@ -1,12 +1,14 @@
 package legion
 
 import (
+	"math"
 	"runtime"
 	"runtime/debug"
 	"testing"
 
 	"diffuse/internal/ir"
 	"diffuse/internal/kir"
+	"diffuse/internal/oracle"
 )
 
 // constKernel stores c into every element of its single parameter's tile.
@@ -35,6 +37,154 @@ func dirtyAndFree(rt *Runtime, fact *ir.Factory, dt ir.DType, n int) {
 	}
 	writeAll(rt, s, data)
 	rt.FreeStore(s.ID())
+}
+
+// nanAndFree gives the runtime a freed f64 region of n elements whose
+// every element is a NaN, which a skipped clear would leave for a read.
+func nanAndFree(rt *Runtime, fact *ir.Factory, n int) {
+	s := fact.NewStore("nan", []int{n})
+	data := make([]float64, n)
+	for i := range data {
+		data[i] = math.NaN()
+	}
+	writeAll(rt, s, data)
+	rt.FreeStore(s.ID())
+}
+
+// clearsSkipped reads the runtime's count of recycled regions handed out
+// uncleared.
+func clearsSkipped(rt *Runtime) int64 {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return rt.clearsSkipped
+}
+
+// ClearsSkipped is clearsSkipped for the rank replay tests of package
+// legion_test.
+func ClearsSkipped(rt *Runtime) int64 { return clearsSkipped(rt) }
+
+// TestRecycledRegionUnclearedWhenOverwritten: a recycled region whose
+// first writer writes every element before anything reads one is not
+// cleared, and reads what that writer wrote: a task whose covering
+// tiling stores every element before loading any, a whole-store
+// WriteBuffer, and a max reduction destination's identity fill.
+func TestRecycledRegionUnclearedWhenOverwritten(t *testing.T) {
+	pauseGC(t)
+	const points, ext = 4, 64
+	n := points * ext
+	launch := ir.MakeRect(ir.Point{0}, ir.Point{points})
+	tp := ir.NewTiling(launch, []int{n}, []int{ext}, []int{0}, nil, nil)
+	// s = 7, then s = s * 2, loaded only after the store: 14 everywhere.
+	k := kir.NewKernel("const", 1)
+	k.AddLoop(&kir.Loop{Kind: kir.LoopElem, Dom: "v", Ext: []int{ext}, ExtRef: 0, Stmts: []kir.Stmt{
+		{Kind: kir.KStore, Param: 0, E: kir.Const(7)},
+		{Kind: kir.KStore, Param: 0, E: kir.Binary(kir.OpMul, kir.Load(0), kir.Const(2))}}})
+	rt := New(nil)
+	rt.SetWorkerPool(4)
+	var fact ir.Factory
+	check := func(what string, s *ir.Store, want float64) {
+		t.Helper()
+		for i, v := range readAll(rt, s) {
+			if v != want {
+				t.Fatalf("%s: s[%d] = %v, want %v", what, i, v, want)
+			}
+		}
+	}
+
+	nanAndFree(rt, &fact, n)
+	s := fact.NewStore("s", []int{n})
+	rt.Execute(&ir.Task{Name: "const", Launch: launch, Kernel: k,
+		Args: []ir.Arg{{Store: s, Part: tp, Priv: ir.Write}}})
+	if st, skipped := rt.ExecStats(), clearsSkipped(rt); st.RegionReuses != 1 || skipped != 1 {
+		t.Fatalf("covering task: reuses/skipped clears = %d/%d, want 1/1", st.RegionReuses, skipped)
+	}
+	check("covering task", s, 14)
+
+	nanAndFree(rt, &fact, n)
+	w := fact.NewStore("w", []int{n})
+	data := make([]float64, n)
+	for i := range data {
+		data[i] = 3
+	}
+	writeAll(rt, w, data)
+	if skipped := clearsSkipped(rt); skipped != 2 {
+		t.Fatalf("WriteBuffer: %d skipped clears, want 2", skipped)
+	}
+	check("WriteBuffer", w, 3)
+
+	nanAndFree(rt, &fact, 1)
+	acc := fact.NewStore("acc", []int{1})
+	rt.Execute(&ir.Task{Name: "red", Launch: launch, Kernel: reduceKernel(ext, kir.RedMax),
+		Args: []ir.Arg{
+			{Store: s, Part: tp, Priv: ir.Read},
+			{Store: acc, Part: ir.ReplicateOver(launch), Priv: ir.Reduce, Red: ir.RedMax}}})
+	if skipped := clearsSkipped(rt); skipped != 3 {
+		t.Fatalf("max reduction: %d skipped clears, want 3", skipped)
+	}
+	check("max reduction", acc, 14)
+}
+
+// TestRecycledRegionClearedUnlessOverwritten: a recycled NaN-filled region
+// is still cleared, and the task's results equal the reference backend's,
+// when its first task reads before it writes (a ReadWrite kernel that
+// loads first), when two arguments name the store (one loads what the
+// other's first store would not order), and when a rank's (task, shard)
+// unit binds it, which writes its shard's block only.
+func TestRecycledRegionClearedUnlessOverwritten(t *testing.T) {
+	pauseGC(t)
+	const points, ext = 4, 64
+	n := points * ext
+	launch := ir.MakeRect(ir.Point{0}, ir.Point{points})
+	tp := ir.NewTiling(launch, []int{n}, []int{ext}, []int{0}, nil, nil)
+	incr := kir.NewKernel("incr", 1) // s = s + 1
+	incr.AddLoop(&kir.Loop{Kind: kir.LoopElem, Dom: "v", Ext: []int{ext}, ExtRef: 0,
+		Stmts: []kir.Stmt{{Kind: kir.KStore, Param: 0, E: kir.Binary(kir.OpAdd, kir.Load(0), kir.Const(1))}}})
+	// The same through two parameters, the stored one bound first: its
+	// first access is a store, but the other loads the same elements.
+	incr2 := kir.NewKernel("incr2", 2)
+	incr2.AddLoop(&kir.Loop{Kind: kir.LoopElem, Dom: "v", Ext: []int{ext}, ExtRef: 0,
+		Stmts: []kir.Stmt{{Kind: kir.KStore, Param: 0, E: kir.Binary(kir.OpAdd, kir.Load(1), kir.Const(1))}}})
+	cases := []struct {
+		name string
+		task func(s *ir.Store) *ir.Task
+		run  func(rt *Runtime, t *ir.Task)
+	}{
+		{"load first", func(s *ir.Store) *ir.Task {
+			return &ir.Task{Name: "incr", Launch: launch, Kernel: incr,
+				Args: []ir.Arg{{Store: s, Part: tp, Priv: ir.ReadWrite}}}
+		}, (*Runtime).Execute},
+		{"named twice", func(s *ir.Store) *ir.Task {
+			return &ir.Task{Name: "incr", Launch: launch, Kernel: incr2,
+				Args: []ir.Arg{{Store: s, Part: tp, Priv: ir.Write}, {Store: s, Part: tp, Priv: ir.Read}}}
+		}, (*Runtime).Execute},
+		{"rank unit", func(s *ir.Store) *ir.Task {
+			return &ir.Task{Name: "const", Launch: launch, Kernel: constKernel(ir.F64, ext, 7),
+				Args: []ir.Arg{{Store: s, Part: tp, Priv: ir.Write}}}
+		}, func(rt *Runtime, t *ir.Task) { runUnits(rt, t, 2) }},
+	}
+	for _, tc := range cases {
+		var fr ir.Factory
+		ref := New(oracle.New())
+		sr := fr.NewStore("s", []int{n})
+		ref.Execute(tc.task(sr))
+		want := readAll(ref, sr)
+
+		rt := New(nil)
+		var fact ir.Factory
+		nanAndFree(rt, &fact, n)
+		s := fact.NewStore("s", []int{n})
+		before := clearsSkipped(rt)
+		tc.run(rt, tc.task(s))
+		if st := rt.ExecStats(); st.RegionReuses != 1 || clearsSkipped(rt) != before {
+			t.Fatalf("%s: reuses %d, skipped clears %d -> %d: the region was not recycled, or not cleared",
+				tc.name, st.RegionReuses, before, clearsSkipped(rt))
+		}
+		for i, v := range readAll(rt, s) {
+			if v != want[i] {
+				t.Fatalf("%s: s[%d] = %v, the reference backend has %v", tc.name, i, v, want[i])
+			}
+		}
+	}
 }
 
 // TestRecycledRegionReadsZeroWhereUnwritten: a new store that takes a freed

@@ -11,6 +11,7 @@ package legion_test
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -445,4 +446,64 @@ type drainCount struct {
 
 func drainCounts(s legion.ShardStats) drainCount {
 	return drainCount{s.Groups, s.GroupedTasks, s.Stages, s.HaloExchanges, s.DeferredFrees}
+}
+
+// TestRankUnitClearsRecycledRegion: a rank's (task, shard) unit writes
+// only its shard's block of a store, so a region it takes from the free
+// list is cleared even when the task would overwrite the whole store.
+// Each of two ranks recycles a NaN-filled region for a covering task's
+// destination, skips no clear, and ends with the reference backend's
+// bits.
+func TestRankUnitClearsRecycledRegion(t *testing.T) {
+	const points, ext = 4, 64
+	n := points * ext
+	launch := ir.MakeRect(ir.Point{0}, ir.Point{points})
+	tp := ir.NewTiling(launch, []int{n}, []int{ext}, []int{0}, nil, nil)
+	var fact ir.Factory
+	nan, s := fact.NewStore("nan", []int{n}), fact.NewStore("s", []int{n})
+	// Each runtime gets its own kernel object: the ranks run concurrently.
+	task := func() *ir.Task {
+		k := kir.NewKernel("iota", 1)
+		k.AddLoop(&kir.Loop{Kind: kir.LoopIota, Dom: "v", Ext: []int{ext}, ExtRef: 0})
+		return &ir.Task{Name: "iota", Launch: launch, Kernel: k, Args: []ir.Arg{{Store: s, Part: tp, Priv: ir.Write}}}
+	}
+
+	ref := legion.New(oracle.New())
+	defer ref.Close()
+	want := replayInto(ref, []*ir.Task{task()}, []*ir.Store{s})
+
+	mesh := newMemMesh(20 * time.Second)
+	var wg sync.WaitGroup
+	errs := make([]any, 2)
+	for r := range errs {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			defer func() { errs[r] = recover() }()
+			rt := legion.New(nil)
+			defer rt.Close()
+			rt.SetDistributed(r, 2, memEnd{m: mesh, me: r})
+			fill := make([]float64, n)
+			for i := range fill {
+				fill[i] = math.NaN()
+			}
+			rt.WriteBuffer(nan, kir.BufF64(fill))
+			rt.FreeStore(nan.ID())
+			before := legion.ClearsSkipped(rt)
+			got := replayInto(rt, []*ir.Task{task()}, []*ir.Store{s})
+			if st := rt.ExecStats(); st.RegionReuses != 1 || legion.ClearsSkipped(rt) != before {
+				panic(fmt.Sprintf("reuses %d, skipped clears %d -> %d: the region was not recycled, or not cleared",
+					st.RegionReuses, before, legion.ClearsSkipped(rt)))
+			}
+			if !bytes.Equal(got[0], want[0]) {
+				panic("the store differs from the reference backend's")
+			}
+		}(r)
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
 }

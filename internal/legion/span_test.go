@@ -121,7 +121,7 @@ var spanScenarios = map[string]spanScenario{
 func runPerPoint(rt *Runtime, t *ir.Task) {
 	rt.execMu.Lock()
 	defer rt.execMu.Unlock()
-	plan := rt.planFor(t)
+	plan := rt.planFor(t, true)
 	defer plan.unbind()
 	ws := &rt.exec.ws[rt.exec.nw]
 	ws.prepare(len(plan.args), nil)
@@ -140,7 +140,7 @@ func runPerPoint(rt *Runtime, t *ir.Task) {
 func runUnits(rt *Runtime, t *ir.Task, shards int) int {
 	rt.execMu.Lock()
 	defer rt.execMu.Unlock()
-	plan := rt.planFor(t)
+	plan := rt.planFor(t, false)
 	defer plan.unbind()
 	plan.resetPartials(t, len(plan.colors))
 	spans := spansFor(&groupEntry{task: t, plan: plan}, shards)
@@ -234,7 +234,7 @@ func TestSpanChunkShapes(t *testing.T) {
 	ss := sc(rt, &fact, func(task *ir.Task) {
 		rt.execMu.Lock()
 		defer rt.execMu.Unlock()
-		plan := rt.planFor(task)
+		plan := rt.planFor(task, true)
 		defer plan.unbind()
 		ws := &rt.exec.ws[0]
 		ws.prepare(len(plan.args), nil)
