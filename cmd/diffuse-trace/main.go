@@ -91,27 +91,21 @@ func printStats(w io.Writer, rt *core.Runtime, shards int) {
 
 // taskLine describes one emitted task: its launch, arguments, loops, the
 // closures per block the codegen tier runs its element loops with (0 on
-// the interpreter), temporaries and, for a fused task, how many tasks it
-// fused.
+// the interpreter) and, for a fused task, how many tasks it fused.
 func taskLine(t *ir.Task, codegen bool) string {
 	tag := ""
 	if t.FusedFrom > 0 {
 		tag = fmt.Sprintf("  <- fusion of %d tasks", t.FusedFrom)
 	}
-	nloops, closures, locals := 0, 0, 0
+	nloops, closures := 0, 0
 	if t.Kernel != nil {
 		nloops = len(t.Kernel.Loops)
 		if codegen {
 			closures = kir.Codegen(kir.Compile(t.Kernel)).Closures()
 		}
-		for _, l := range t.Kernel.Local {
-			if l {
-				locals++
-			}
-		}
 	}
-	return fmt.Sprintf("%-12s launch=%-8v args=%-3d loops=%-3d cg=%-3d temps=%-3d%s",
-		t.Name, t.Launch.Extents(), len(t.Args), nloops, closures, locals, tag)
+	return fmt.Sprintf("%-12s launch=%-8v args=%-3d loops=%-3d cg=%-3d%s",
+		t.Name, t.Launch.Extents(), len(t.Args), nloops, closures, tag)
 }
 
 func buildApp(ctx *cunum.Context, name string) func(int) {

@@ -90,7 +90,8 @@ func TestPrintStatsShardedDrain(t *testing.T) {
 // TestTaskLineCountsClosures: each traced task's line carries the closures
 // per block its element loops run on the codegen tier next to its loop
 // count — 9 for CG's fused5, whose stores and sum absorb their arithmetic
-// — and 0 under -interp.
+// — and 0 under -interp. Its arguments are the 8 stores the kernel
+// touches: the two temporaries it forwards are none of them.
 func TestTaskLineCountsClosures(t *testing.T) {
 	rt := core.New(core.DefaultConfig(4))
 	ctx := cunum.NewContext(rt)
@@ -103,7 +104,7 @@ func TestTaskLineCountsClosures(t *testing.T) {
 		}
 	}
 	iterate(1)
-	want := regexp.MustCompile(`^fused5 +launch=\[4 +\] args=10 +loops=1 +cg=(\d+) +temps=2 +<- fusion of 5 tasks$`)
+	want := regexp.MustCompile(`^fused5 +launch=\[4 +\] args=8 +loops=1 +cg=(\d+) +<- fusion of 5 tasks$`)
 	if len(lines) != 2 {
 		t.Fatalf("traced %d fused5 lines, want 2", len(lines))
 	}

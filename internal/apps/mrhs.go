@@ -6,15 +6,13 @@ import (
 
 // JacobiMRHS is the multiple-right-hand-side variant of the dense Jacobi
 // iteration: k independent systems A x_j = b_j sharing one matrix, each
-// advanced by x_j' = (b_j - A x_j) * dinv per sweep. It is the
-// bandwidth-bound workload of the sharded-execution benchmark rows: every
-// iteration streams the n×n matrix k times, so once n²·8 bytes exceed the
-// cache/TLB reach the iteration is bound by the matrix stream — and
-// shard-major scheduling (Config.Shards), which runs all k sweeps over one
-// leading-axis block before moving to the next, re-reads each block from
-// near memory instead of streaming the full matrix k times. Solving many
+// advanced by x_j' = (b_j - A x_j) * dinv per sweep. Solving many
 // right-hand sides against one operator is the standard shape of
-// block-Krylov and parameter-sweep workloads.
+// block-Krylov and parameter-sweep workloads. No benchmark workload runs
+// it: it is the GEMV-heavy stream of the rank replay, distributed and
+// wire tests, and of the shard and codegen bit-identity tests. Under
+// Config.Shards its sweeps drain entry by entry in program order, each
+// entry's shards in turn.
 type JacobiMRHS struct {
 	ctx  *cunum.Context
 	A    *cunum.Array   // (n, n) shared matrix

@@ -32,9 +32,9 @@ func TestJacobiMRHSConverges(t *testing.T) {
 	}
 }
 
-// TestJacobiMRHSBitIdenticalAcrossShards: the benchmark workload's state
-// is bit-identical across shard counts after several iterations, for f64
-// and f32 — the acceptance contract of the sharded bench rows.
+// TestJacobiMRHSBitIdenticalAcrossShards: the workload's state is
+// bit-identical across shard counts after several iterations, for f64 and
+// f32 — the contract of sharded execution.
 func TestJacobiMRHSBitIdenticalAcrossShards(t *testing.T) {
 	for _, dt := range []cunum.DType{cunum.F64, cunum.F32} {
 		run := func(shards int) [][]float64 {

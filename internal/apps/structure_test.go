@@ -1,11 +1,14 @@
 package apps
 
 import (
+	"maps"
 	"strings"
 	"testing"
 
+	"diffuse/cunum"
 	"diffuse/internal/ir"
 	"diffuse/internal/kir"
+	"diffuse/internal/serve"
 )
 
 // Structural tests: beyond numerics, the task streams must exhibit the
@@ -122,5 +125,84 @@ func TestSWEManualVsNaturalTaskCounts(t *testing.T) {
 	}
 	if nat < 50 {
 		t.Fatalf("natural SWE should be granular (~90 tasks/iter), got %g", nat)
+	}
+}
+
+// TestFusedTaskArguments: at launch width 8 each steady fused task binds
+// only the stores its kernel touches. A temporary the composer forwards
+// into registers is no argument: SWE's fused65 binds 18 stores where it
+// bound 79 when each of its 61 forwarded temporaries was one, and
+// Black-Scholes' fused41 binds 5 of 44. The temporaries eliminated per
+// step are as many as when they were all arguments: at this width every
+// temporary of these applications is forwarded.
+func TestFusedTaskArguments(t *testing.T) {
+	cases := []struct {
+		name  string
+		setup func(ctx *cunum.Context) (step func())
+		args  map[string]int // per steady fused task
+		temps int64          // eliminated per step
+	}{
+		{"swe", func(ctx *cunum.Context) func() {
+			s := NewSWE(ctx, 16, 16, false)
+			return s.Step
+		}, map[string]int{"fused2": 4, "fused6": 3, "fused65": 18}, 66},
+		{"blackscholes", func(ctx *cunum.Context) func() {
+			return NewBlackScholes(ctx, 64).Step
+		}, map[string]int{"fused41": 5}, 39},
+		{"cg", func(ctx *cunum.Context) func() {
+			A := BuildPoisson2D(ctx, 16)
+			b := ctx.Ones(A.Rows())
+			return func() {
+				cg := NewCG(ctx, A, b, false)
+				cg.Solve(-1, 20, 5)
+				ctx.Flush()
+				cg.X.Free()
+				cg.R.Free()
+				cg.P.Free()
+				cg.RSold.Free()
+			}
+		}, map[string]int{"fused2": 4, "fused3": 7, "fused4": 7, "fused5": 8}, 56},
+		{"cfd", func(ctx *cunum.Context) func() {
+			return NewCFD(ctx, 16, 16).Step
+		}, map[string]int{"fused2": 2, "fused3": 5, "fused9": 6, "fused19": 11, "fused44": 16}, 139},
+		{"serve chain", func(ctx *cunum.Context) func() {
+			return func() {
+				if _, err := serve.RunWorkload(ctx, serve.SubmitRequest{Workload: "chain", N: 4096, Iters: 6}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}, map[string]int{"fused32": 2}, 24},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := ctxWith(t, true, 8)
+			defer ctx.Close()
+			step := tc.setup(ctx)
+			run := func() {
+				step()
+				ctx.Flush()
+			}
+			for i := 0; i < 4; i++ {
+				run()
+			}
+			rt := ctx.Runtime()
+			args := map[string]int{}
+			rt.Legion().Trace = func(tk *ir.Task) {
+				if tk.FusedFrom > 0 {
+					args[tk.Name] = len(tk.Args)
+				}
+			}
+			const steps = 3
+			t0 := rt.Stats().TempsEliminated
+			for i := 0; i < steps; i++ {
+				run()
+			}
+			if !maps.Equal(args, tc.args) {
+				t.Errorf("fused task arguments %v, want %v", args, tc.args)
+			}
+			if got := (rt.Stats().TempsEliminated - t0) / steps; got != tc.temps {
+				t.Errorf("%d temporaries eliminated per step, want %d", got, tc.temps)
+			}
+		})
 	}
 }

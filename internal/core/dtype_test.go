@@ -55,8 +55,8 @@ func submitChain(r *Runtime, dt ir.DType) {
 }
 
 // TestMemoSeparatesDTypes: an f32 replay of a structurally identical f64
-// stream must miss the memo table (its kernels, locals, and rounding all
-// differ), while a same-dtype replay hits.
+// stream must miss the memo table (its kernels and rounding differ), while
+// a same-dtype replay hits.
 func TestMemoSeparatesDTypes(t *testing.T) {
 	r := newTestRuntime(true)
 	submitChain(r, ir.F64)

@@ -9,23 +9,21 @@ import (
 )
 
 // fusionPlan is the (memoizable) outcome of analyzing one window: how long
-// the fusible prefix is, how prefix-task arguments map onto fused-task
-// parameters, which parameters are eliminated temporaries, and the
-// optimized, compiled-on-first-use fused kernel. Plans reference stores
-// positionally (task index, argument index) so that a plan computed for one
-// window can be replayed on any isomorphic window (paper §5.2).
+// the fusible prefix is, the fused task's arguments, and the optimized,
+// compiled-on-first-use fused kernel. Plans reference stores positionally
+// (task index, argument index) so that a plan computed for one window can
+// be replayed on any isomorphic window (paper §5.2).
 type fusionPlan struct {
 	prefixLen int
-	// params[i] describes fused parameter i.
+	// params[i] describes the argument behind kernel parameter i: the
+	// prefix's merged arguments less the temporaries the kernel dropped.
 	params []fusedParam
-	// mappings[t][a] is the fused parameter index of task t's argument a.
-	mappings [][]int
 	// kernel is the optimized fused kernel, shared across replays so the
-	// runtime compiles it exactly once. It stays nil, with params and
-	// mappings, until a window with this key first emits its prefix fused:
-	// a held window needs only prefixLen.
+	// runtime compiles it exactly once. It stays nil, with params, until a
+	// window with this key first emits its prefix fused: a held window
+	// needs only prefixLen.
 	kernel *kir.Kernel
-	// temps counts eliminated temporaries (stats).
+	// temps counts the eliminated temporaries the kernel dropped (stats).
 	temps int
 }
 
@@ -132,11 +130,11 @@ func (r *Runtime) compose(plan *fusionPlan, window []*ir.Task, sc *ir.KeyStream)
 	views := make([]int32, len(sc.Stores)) // fused parameters per store
 	var storeOf, nextParam []int32         // per fused parameter
 	aliased := false                       // some store is reached through several partitions
-	flat := make([]int, nargs)             // backs plan.mappings
-	plan.mappings = make([][]int, len(prefix))
+	flat := make([]int, nargs)             // backs mappings
+	mappings := make([][]int, len(prefix))
 	ai := 0
 	for ti, t := range prefix {
-		plan.mappings[ti] = flat[ai : ai+len(t.Args) : ai+len(t.Args)]
+		mappings[ti] = flat[ai : ai+len(t.Args) : ai+len(t.Args)]
 		for i, a := range t.Args {
 			di := argStores[ai]
 			pi, last := firstParam[di], int32(-1)
@@ -174,10 +172,10 @@ func (r *Runtime) compose(plan *fusionPlan, window []*ir.Task, sc *ir.KeyStream)
 	// a covering write through the same partition, (2) no task after the
 	// prefix reads or reduces it, and (3) the application holds no live
 	// reference. Reduction targets keep their regions (reduction cells
-	// survive the task). A temporary's parameter becomes task-local.
-	local := make([]bool, len(plan.params))
+	// survive the task).
+	temp := make([]bool, len(plan.params))
 	if !r.cfg.NoTempElim {
-		findTemps(plan, window, sc, storeOf, views, local)
+		findTemps(plan.prefixLen, window, sc, storeOf, views, temp)
 	}
 
 	// Compose the fused kernel (Fig. 8). Parameters alias when they are
@@ -197,8 +195,15 @@ func (r *Runtime) compose(plan *fusionPlan, window []*ir.Task, sc *ir.KeyStream)
 			}
 		}
 	}
-	fused := r.comp.Compose("fused"+strconv.Itoa(len(prefix)), len(plan.params), kernels, plan.mappings, local, alias, !r.cfg.TaskFusionOnly)
+	// The fused task's arguments are the parameters the kernel kept (in
+	// order: the copy runs in place): a dropped temporary is not bound.
+	fused, kept := r.comp.Compose("fused"+strconv.Itoa(len(prefix)), len(plan.params), kernels, mappings, temp, alias, !r.cfg.TaskFusionOnly)
 	plan.kernel = fused
+	for i, pi := range kept {
+		plan.params[i] = plan.params[pi]
+	}
+	plan.temps = len(plan.params) - len(kept) // only temporaries are dropped
+	plan.params = plan.params[:len(kept):len(kept)]
 
 	// Account (and, in simulation, charge) JIT compilation: this is a
 	// fresh kernel the compiler has not seen.
@@ -211,11 +216,12 @@ func (r *Runtime) compose(plan *fusionPlan, window []*ir.Task, sc *ir.KeyStream)
 	}
 }
 
-// findTemps marks in local the fused parameters whose stores satisfy
-// Definition 4, consulting the liveness snapshot taken with the memo key.
-// storeOf is the store index of each fused parameter, views the number of
-// fused parameters naming each store.
-func findTemps(plan *fusionPlan, window []*ir.Task, sc *ir.KeyStream, storeOf, views []int32, local []bool) {
+// findTemps marks in temp the fused parameters whose stores satisfy
+// Definition 4 in the window's first prefixLen tasks, consulting the
+// liveness snapshot taken with the memo key. storeOf is the store index of
+// each fused parameter, views the number of fused parameters naming each
+// store.
+func findTemps(prefixLen int, window []*ir.Task, sc *ir.KeyStream, storeOf, views []int32, temp []bool) {
 	// Per store: scan the prefix in program order.
 	type state struct {
 		coveredBy  ir.Partition // partition of a covering write seen so far
@@ -226,7 +232,7 @@ func findTemps(plan *fusionPlan, window []*ir.Task, sc *ir.KeyStream, storeOf, v
 	states := make([]state, len(sc.Stores))
 	argStores := sc.ArgStores()
 	ai := 0
-	for _, t := range window[:plan.prefixLen] {
+	for _, t := range window[:prefixLen] {
 		for _, a := range t.Args {
 			x := &states[argStores[ai]]
 			ai++
@@ -235,7 +241,7 @@ func findTemps(plan *fusionPlan, window []*ir.Task, sc *ir.KeyStream, storeOf, v
 					x.badRead = true
 				}
 			}
-			if a.Priv.Writes() && a.Part.Covers(a.Store.Bounds()) {
+			if a.Priv.Writes() && a.Part.Covers(a.Store.Shape()) {
 				x.coveredBy = a.Part
 			}
 			if a.Priv.Reduces() {
@@ -244,7 +250,7 @@ func findTemps(plan *fusionPlan, window []*ir.Task, sc *ir.KeyStream, storeOf, v
 		}
 	}
 	// Condition 2: suffix (still-pending tasks) must not read or reduce.
-	for _, t := range window[plan.prefixLen:] {
+	for _, t := range window[prefixLen:] {
 		for _, a := range t.Args {
 			if a.Priv.Reads() || a.Priv.Reduces() {
 				states[argStores[ai]].suffixRead = true
@@ -260,15 +266,12 @@ func findTemps(plan *fusionPlan, window []*ir.Task, sc *ir.KeyStream, storeOf, v
 		}
 		// A store reachable through several fused parameters (distinct
 		// partitions — possible under single-point-launch fusion, where
-		// aliasing accesses are admitted) must never be demoted: each local
-		// parameter would get its own task-local buffer, severing the
-		// aliasing between the views. Keep such stores in distributed
-		// storage.
+		// aliasing accesses are admitted) is never a temporary: forwarding
+		// through one view would sever the aliasing between the views.
 		if views[di] > 1 {
 			continue
 		}
-		local[pi] = true
-		plan.temps++
+		temp[pi] = true
 	}
 }
 

@@ -225,8 +225,8 @@ func (s *Session) FlushStore(st *ir.Store) {
 	}
 	// Every store the deferred remainder touches must survive the drain:
 	// temporary-store elimination inside the deps stream would otherwise
-	// demote a store some deferred task still reads into a task-local
-	// buffer, silently corrupting the deferred computation.
+	// forward a store some deferred task still reads and never write it,
+	// silently corrupting the deferred computation.
 	pinned := make(map[ir.StoreID]bool)
 	for _, t := range rest {
 		for _, a := range t.Args {

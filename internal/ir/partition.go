@@ -113,8 +113,9 @@ type Partition interface {
 	// parent store shape.
 	LocalExtents(color Point, parentShape []int) []int
 	// Covers reports whether the union of sub-stores covers every point of
-	// the parent rectangle (used by temporary-store elimination, Def. 4).
-	Covers(parent Rect) bool
+	// a parent store of the given shape (used by temporary-store
+	// elimination, Def. 4).
+	Covers(shape []int) bool
 	// Equal is the constant-time structural equality used for alias
 	// checking. Partitions that are not Equal are assumed to alias.
 	Equal(other Partition) bool
@@ -162,7 +163,7 @@ func (n *NonePart) LocalExtents(_ Point, parentShape []int) []int {
 }
 
 // Covers implements Partition: replication trivially covers the parent.
-func (n *NonePart) Covers(Rect) bool { return true }
+func (n *NonePart) Covers([]int) bool { return true }
 
 // Equal implements Partition.
 func (n *NonePart) Equal(other Partition) bool {
@@ -336,7 +337,7 @@ func maxInt(a, b int) int {
 // Covers implements Partition: the tiling covers the parent iff the view
 // is the entire store (zero offset, unit stride, full extents), the
 // projection is identity, and the color grid spans the view.
-func (t *TilingPart) Covers(parent Rect) bool {
+func (t *TilingPart) Covers(shape []int) bool {
 	if t.Proj != IdentityProj || !unitStride(t.Stride) {
 		return false
 	}
@@ -344,7 +345,7 @@ func (t *TilingPart) Covers(parent Rect) bool {
 		if t.Offset[d] != 0 {
 			return false
 		}
-		if t.View[d] != parent.Hi[d]-parent.Lo[d] {
+		if t.View[d] != shape[d] {
 			return false
 		}
 		if t.Colors.Lo[d] != 0 {

@@ -120,7 +120,7 @@ func TestCoversImpliesUnionIsParent(t *testing.T) {
 	fn := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		pc := randomTiling(rng)
-		if !pc.part.Covers(pc.parent) {
+		if !pc.part.Covers(pc.parent.Hi) {
 			return true // nothing claimed
 		}
 		covered := 0

@@ -2,6 +2,7 @@ package kir_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"diffuse/cunum"
@@ -13,14 +14,18 @@ import (
 
 // TestAppsCompositionsMatchReference: every fused kernel the applications
 // the repository ships make the runtime compose hashes as the reference
-// pipeline's kernel of the same input does, so memo keys, the kernel cache
-// and the task wire see the kernels the separate passes built.
+// pipeline's kernel of the same input does, and keeps the same parameters,
+// so memo keys, the kernel cache and the task wire see the kernels the
+// separate passes built.
 func TestAppsCompositionsMatchReference(t *testing.T) {
 	n := 0
-	stop := kir.WatchCompositions(func(got, want *kir.Kernel) {
+	stop := kir.WatchCompositions(func(got, want *kir.Kernel, gotKept, wantKept []int) {
 		n++
 		if got.FingerprintHash() != want.FingerprintHash() {
 			t.Fatalf("composition %d differs from the reference\n got %s\nwant %s", n, got.Fingerprint(), want.Fingerprint())
+		}
+		if !slices.Equal(gotKept, wantKept) {
+			t.Fatalf("composition %d keeps parameters %v, the reference %v", n, gotKept, wantKept)
 		}
 	})
 	defer stop()

@@ -58,9 +58,9 @@ package kir
 // indices, parameter numbers, dtypes, reduction ops) — never buffers,
 // bindings, or any region state — and belongs to the one Compiled it was
 // lowered from. The runtime (legion) caches that pair once per kernel
-// structure (FingerprintHash: parameter dtypes and locals, loop shapes,
-// statement trees, constants), so every kernel object of the structure
-// executes through it: a kernel object minted per task (a user closure, a
+// structure (FingerprintHash: parameter dtypes, loop shapes, statement
+// trees, constants), so every kernel object of the structure executes
+// through it: a kernel object minted per task (a user closure, a
 // generator) still hits.
 
 import (

@@ -62,7 +62,7 @@ func TestCodegenLanesSizedToTile(t *testing.T) {
 		want := []Binding{contiguous(F64, shape, in), contiguous(F64, shape, zero)}
 		Compile(k).Execute(&PointArgs{Bind: want})
 		got := []Binding{contiguous(F64, shape, in), contiguous(F64, shape, zero)}
-		sc := NewScratch()
+		sc := &Scratch{}
 		coded.Execute(&PointArgs{Bind: got, Scratch: sc})
 		if !buffersEqualBits(got[1].Acc.Data, want[1].Acc.Data) {
 			t.Fatalf("inner extent %d: codegen differs from the interpreter", inner)
@@ -124,7 +124,7 @@ func TestCodegenDTypeGuard(t *testing.T) {
 	// Bind f32 buffers against the f64 lowering.
 	in := contiguous(F32, []int{16}, func(i int) float64 { return float64(i) + 0.5 })
 	out := contiguous(F32, []int{16}, func(int) float64 { return 0 })
-	pa := &PointArgs{Bind: []Binding{in, out}, Scratch: NewScratch()}
+	pa := &PointArgs{Bind: []Binding{in, out}, Scratch: &Scratch{}}
 	if c.execElemCg(&c.loops[0], &c.prog.loops[0], pa) {
 		t.Fatal("codegen ran against buffers of the wrong dtype")
 	}
@@ -269,7 +269,7 @@ func TestCodegenInPlaceLoadAliasRule(t *testing.T) {
 			bi, bufsI := aliasBindings(g.shape, g.inner, tc.shared)
 			bc, bufsC := aliasBindings(g.shape, g.inner, tc.shared)
 			interp.Execute(&PointArgs{Bind: bi})
-			coded.Execute(&PointArgs{Bind: bc, Scratch: NewScratch()})
+			coded.Execute(&PointArgs{Bind: bc, Scratch: &Scratch{}})
 			for p := range bufsI {
 				if !buffersEqualBits(bufsI[p], bufsC[p]) {
 					t.Fatalf("%s shape=%v stride=%d: param %d diverges from the interpreter",
@@ -345,7 +345,7 @@ func runBothTiers(t *testing.T, name string, k *Kernel, bind func() []Binding) i
 	coded.AttachProgram(prog)
 	want, got := bind(), bind()
 	Compile(k).Execute(&PointArgs{Bind: want})
-	coded.Execute(&PointArgs{Bind: got, Scratch: NewScratch()})
+	coded.Execute(&PointArgs{Bind: got, Scratch: &Scratch{}})
 	for p := range want {
 		if !buffersEqualBits(got[p].Acc.Data, want[p].Acc.Data) {
 			t.Fatalf("%s: param %d differs from the interpreter", name, p)

@@ -57,9 +57,6 @@ type compiledLoop struct {
 type Compiled struct {
 	Kernel *Kernel
 	loops  []compiledLoop
-	// bufLocals maps local parameters that need a task-local buffer to the
-	// parameter index itself (extent source).
-	bufLocals []int
 	// NOps is the total instruction count, the input to the compile-time
 	// cost model (Fig. 13).
 	NOps int
@@ -90,7 +87,6 @@ func Compile(k *Kernel) *Compiled {
 			c.NOps += 4
 		}
 	}
-	c.bufLocals = bufferLocals(k)
 	c.overwrites = firstStores(c.loops, k.NParams)
 	return c
 }

@@ -37,10 +37,10 @@ func (c *Compiled) Cost(spmv SpMVStats) CostStats {
 		switch cl.kind {
 		case LoopElem:
 			elems := float64(extTotal(l.Ext))
-			// Each iterated parameter is streamed once per element; local
-			// parameters that were scalarized never appear as slots. Count
-			// unique slots (loads and stores share slots) at each slot's
-			// element width.
+			// Each iterated parameter is streamed once per element; a
+			// forwarded temporary is no parameter at all. Count unique
+			// slots (loads and stores share slots) at each slot's element
+			// width.
 			for _, p := range cl.iter {
 				cs.Bytes += elems * sz(p)
 			}

@@ -20,6 +20,7 @@ import (
 // binding geometry needed to execute it.
 type diffKernel struct {
 	k      *Kernel
+	temp   []bool  // the parameters composition may eliminate
 	shapes [][]int // per-param view shape
 	stride []int   // per-param innermost-stride multiplier (1 or 2)
 }
@@ -164,15 +165,15 @@ func randDiffKernel(rng, share *rand.Rand) *diffKernel {
 			}
 		}
 	}
-	// Demote some grid params to task-local allocations so composition's
-	// local path (forwarding, KEval pinning, reduced-precision Cast
-	// insertion) is exercised. Only write-before-read params
-	// are eligible — the real pipeline only ever demotes eliminated
-	// temporaries, which are always written before use, and a local read
-	// before any store to it is a malformed kernel (no buffer would be
-	// allocated). Eligibility check: every read (in program order, with a
-	// statement's expression reads preceding its own store) must follow
-	// some store to the param. Param 0 always stays observable.
+	// Mark some grid params temporaries so composition's forwarding path
+	// (forwarding, KEval pinning, reduced-precision Cast insertion,
+	// dropping the parameter) is exercised. Only write-before-read params
+	// are eligible — the real pipeline only ever eliminates temporaries,
+	// which are always written before use, and a temporary read before
+	// any store to it would be forwarded nothing. Eligibility check: every
+	// read (in program order, with a statement's expression reads
+	// preceding its own store) must follow some store to the param.
+	// Param 0 always stays observable.
 	stored := map[int]bool{}
 	readBeforeWrite := map[int]bool{}
 	noteReads := func(e *Expr) {
@@ -216,12 +217,13 @@ func randDiffKernel(rng, share *rand.Rand) *diffKernel {
 			}
 		}
 	}
+	temp := make([]bool, k.NParams)
 	for _, p := range grid[1:] {
 		if stored[p] && !readBeforeWrite[p] && rng.Intn(4) == 0 {
-			k.MarkLocal(p)
+			temp[p] = true
 		}
 	}
-	dk := &diffKernel{k: k, shapes: shapes, stride: make([]int, len(shapes))}
+	dk := &diffKernel{k: k, temp: temp, shapes: shapes, stride: make([]int, len(shapes))}
 	for p := range dk.stride {
 		dk.stride[p] = 1
 		// Occasional strided views exercise the non-unit-stride load and
@@ -308,11 +310,6 @@ func (dk *diffKernel) bind(rng *rand.Rand) ([]Binding, []Buffer) {
 			}
 		}
 		bufs[p] = buf
-		if dk.k.Local[p] {
-			// Task-local: nil data, geometry preserved (Execute allocates).
-			bind[p] = Binding{Acc: Accessor{Strides: strides}, Ext: shape}
-			continue
-		}
 		bind[p] = Binding{Acc: Accessor{Data: buf, Base: 1, Strides: strides}, Ext: shape}
 	}
 	return bind, bufs
@@ -326,7 +323,7 @@ func runDiff(t *testing.T, seed uint64) (axpy, dot int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(seed)))
 	dk := randDiffKernel(rng, rand.New(rand.NewSource(^int64(seed))))
-	opt := optimize(dk.k, nil)
+	opt, kept := optimize(dk.k, dk.temp, nil)
 
 	interp := Compile(opt)
 	coded := Compile(opt)
@@ -336,11 +333,11 @@ func runDiff(t *testing.T, seed uint64) (axpy, dot int) {
 	bindI, bufsI := dk.bind(rand.New(rand.NewSource(dataSeed)))
 	bindC, bufsC := dk.bind(rand.New(rand.NewSource(dataSeed)))
 
-	interp.Execute(&PointArgs{Bind: bindI})
-	coded.Execute(&PointArgs{Bind: bindC})
+	interp.Execute(&PointArgs{Bind: keptBindings(bindI, kept)})
+	coded.Execute(&PointArgs{Bind: keptBindings(bindC, kept)})
 
 	for p := range bufsI {
-		if dk.k.Local[p] {
+		if dk.temp[p] {
 			continue
 		}
 		if !buffersEqualBits(bufsI[p], bufsC[p]) {
@@ -349,6 +346,15 @@ func runDiff(t *testing.T, seed uint64) (axpy, dot int) {
 		}
 	}
 	return absorbedShapes(coded)
+}
+
+// keptBindings returns the bindings of the parameters kept, in order.
+func keptBindings(bind []Binding, kept []int) []Binding {
+	out := make([]Binding, len(kept))
+	for i, p := range kept {
+		out[i] = bind[p]
+	}
+	return out
 }
 
 // absorbedShapes counts the consumers of c's lowered element loops that

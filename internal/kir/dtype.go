@@ -89,9 +89,9 @@ func clampI32(v float64) int32 {
 }
 
 // Buffer is a dtype-tagged linear buffer — the typed replacement for the
-// raw []float64 backing stores, regions, reduction cells, task-local
-// temporaries, and CSR values. Exactly one of the underlying slices is
-// non-nil. The zero Buffer is the nil buffer (IsNil reports true).
+// raw []float64 backing stores, regions, reduction cells and CSR values.
+// Exactly one of the underlying slices is non-nil. The zero Buffer is the
+// nil buffer (IsNil reports true).
 //
 // The generic Get/Set accessors widen/round through float64; the evaluator
 // hot paths instead pull out the raw slice for their dtype once per loop

@@ -2,6 +2,7 @@ package kir
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -131,10 +132,12 @@ func TestScalarizeRoundsForwardedF32Local(t *testing.T) {
 		Stmts: []Stmt{{Kind: KStore, Param: 0, E: Binary(OpDiv, Const(1), Const(3))}}})
 	k.AddLoop(&Loop{Kind: LoopElem, Dom: "v", Ext: []int{1}, ExtRef: 1,
 		Stmts: []Stmt{{Kind: KStore, Param: 1, E: Binary(OpAdd, Load(0), Const(0))}}})
-	k.MarkLocal(0)
-	opt := optimize(k, nil)
+	opt, kept := optimize(k, temps(2, 0), nil)
+	if !slices.Equal(kept, []int{1}) {
+		t.Fatalf("kept parameters %v, want the output alone", kept)
+	}
 	out := []float64{0}
-	Compile(opt).Execute(&PointArgs{Bind: []Binding{{}, flat(out, 1)}})
+	Compile(opt).Execute(&PointArgs{Bind: []Binding{flat(out, 1)}})
 	if out[0] != float64(float32(1.0/3.0)) {
 		t.Fatalf("forwarded f32 local not rounded: %v, want %v", out[0], float64(float32(1.0/3.0)))
 	}

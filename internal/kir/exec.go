@@ -18,16 +18,13 @@ type Accessor struct {
 
 // Binding is the per-point-task binding of one kernel parameter: its
 // accessor plus the runtime local extents of the view (the clipped tile).
-// Local (temporary-eliminated) parameters have a nil Data; the evaluator
-// allocates task-local buffers for those that need them.
 type Binding struct {
 	Acc Accessor
 	Ext []int
-	// global preserves the distributed-coordinate accessor of local
-	// (temporary-eliminated) parameters whose Acc was rebound to a
-	// task-local buffer; generator loops (Random, Iota) that derive
-	// values from global coordinates read it. Zero-valued when Acc is
-	// already global.
+	// global is the distributed-coordinate accessor of a binding Rebase
+	// moved onto a shard-local instance; generator loops (Random, Iota)
+	// that derive values from global coordinates read it. Zero-valued
+	// when Acc is already global.
 	global    Accessor
 	hasGlobal bool
 }
@@ -35,9 +32,7 @@ type Binding struct {
 // Rebase retargets the binding onto a sub-buffer of its region starting at
 // flat offset lo (a shard-local region instance), preserving the original
 // global-coordinate accessor so generator loops (Random, Iota) still
-// derive values from distributed coordinates. Locals rebound by Execute
-// overwrite the preserved accessor afterwards, so Rebase must not be
-// applied to local parameters.
+// derive values from distributed coordinates.
 func (b *Binding) Rebase(data Buffer, lo int) {
 	b.global = b.Acc
 	b.hasGlobal = true
@@ -104,23 +99,17 @@ func (s *slotState) store(i int, v float64) {
 // Scratch holds reusable evaluator state. A Scratch belongs to exactly one
 // executing goroutine at a time; the persistent executor keeps one per
 // worker so the entire fused task stream reuses the same registers,
-// odometers, accessor slots, and task-local buffers without allocating.
+// odometers and accessor slots without allocating.
 type Scratch struct {
 	regs   []float64
 	cur    []int
 	idx    []int
 	racc   []float64
 	states []slotState
-	locals map[int]Buffer
 
 	// Codegen-backend state (codegen.go): the lane buffers and streaming
 	// cursors of the closure backend.
 	cgs *cgState
-}
-
-// NewScratch allocates evaluator scratch state.
-func NewScratch() *Scratch {
-	return &Scratch{locals: map[int]Buffer{}}
 }
 
 func (s *Scratch) grow(nregs, nslots, ndims, nred int) {
@@ -152,34 +141,7 @@ func (s *Scratch) grow(nregs, nslots, ndims, nred int) {
 func (c *Compiled) Execute(pa *PointArgs) {
 	prog := c.prog
 	if pa.Scratch == nil {
-		pa.Scratch = NewScratch()
-	}
-	// Allocate task-local buffers for locals that survived scalarization
-	// (the memref.alloc of Fig. 8c), typed by the parameter's dtype.
-	for _, p := range c.bufLocals {
-		if !pa.Bind[p].Acc.Data.IsNil() {
-			continue
-		}
-		ext := pa.Bind[p].Ext
-		n := 1
-		for _, e := range ext {
-			n *= e
-		}
-		dt := c.Kernel.DTypeOf(p)
-		buf, ok := pa.Scratch.locals[p]
-		if !ok || buf.Len() < n || buf.DType() != dt {
-			buf = AllocBuffer(dt, n)
-			pa.Scratch.locals[p] = buf
-		}
-		strides := make([]int, len(ext))
-		acc := 1
-		for d := len(ext) - 1; d >= 0; d-- {
-			strides[d] = acc
-			acc *= ext[d]
-		}
-		pa.Bind[p].global = pa.Bind[p].Acc
-		pa.Bind[p].hasGlobal = true
-		pa.Bind[p].Acc = Accessor{Data: buf, Strides: strides}
+		pa.Scratch = &Scratch{}
 	}
 	// The codegen program, when attached, takes each element loop it
 	// lowered; a lowered loop whose runtime guard declines (dtype mismatch
@@ -550,9 +512,9 @@ func gemvUnit[T float32 | float64](ad []T, base, astr0 int, xv, yd []T, ybase, y
 
 // execGenerator walks the destination writing fn(globalOffset): the
 // coordinate-derived fills (Random, Iota) must be independent of the
-// processor decomposition and of whether the destination was demoted to a
-// task-local buffer, so the value is keyed by the element's offset in the
-// distributed parent store even when writing locally.
+// processor decomposition, so the value is keyed by the element's offset
+// in the distributed parent store even when writing a shard-local
+// instance.
 func execGenerator(sc *Scratch, b *Binding, fn func(globalOffset int) float64) {
 	ext := b.Ext
 	total := extTotal(ext)

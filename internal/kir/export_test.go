@@ -1,12 +1,14 @@
 package kir
 
-// WatchCompositions hands f every kernel Compose writes until the returned
-// function is called, together with the kernel the reference pipeline
-// (refConcat, the locals marked, refOptimize) builds from the same input.
-func WatchCompositions(f func(got, want *Kernel)) (stop func()) {
-	composeWatch = func(kernels []*Kernel, mappings [][]int, alias Alias, optimize bool, out *Kernel) {
-		c := &composition{nparams: out.NParams, kernels: kernels, mappings: mappings, local: out.Local, alias: alias}
-		f(out, c.referenceOf(optimize))
+// WatchCompositions hands f every kernel Compose writes and the fused
+// parameters it kept, until the returned function is called, together with
+// what the reference pipeline (refConcat, refOptimize, refCompact) builds
+// from the same input.
+func WatchCompositions(f func(got, want *Kernel, gotKept, wantKept []int)) (stop func()) {
+	composeWatch = func(nparams int, kernels []*Kernel, mappings [][]int, temp []bool, alias Alias, optimize bool, out *Kernel, kept []int) {
+		c := &composition{nparams: nparams, kernels: kernels, mappings: mappings, temp: temp, alias: alias}
+		want, wantKept := c.referenceOf(optimize)
+		f(out, want, kept, wantKept)
 	}
 	return func() { composeWatch = nil }
 }

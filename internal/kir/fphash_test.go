@@ -33,7 +33,8 @@ func TestFingerprintHashMatchesFingerprint(t *testing.T) {
 	for seed := int64(0); seed < 400; seed++ {
 		dk := randDiffKernel(rand.New(rand.NewSource(seed)), nil)
 		o.see(t, dk.k)
-		o.see(t, optimize(dk.k, nil))
+		opt, _ := optimize(dk.k, dk.temp, nil)
+		o.see(t, opt)
 		// A second kernel from the same seed: equal fingerprint, distinct
 		// object, so the equal-hash direction is exercised too.
 		o.see(t, randDiffKernel(rand.New(rand.NewSource(seed)), nil).k)
@@ -75,8 +76,7 @@ func TestFingerprintHashMatchesFingerprint(t *testing.T) {
 		func(k *Kernel, l *Loop) { l.Stmts = append(l.Stmts, l.Stmts[0]) },
 		func(k *Kernel, l *Loop) { k.SetDType(0, F32) },
 		func(k *Kernel, l *Loop) { k.SetDType(1, F32) },
-		func(k *Kernel, l *Loop) { k.MarkLocal(1) },
-		func(k *Kernel, l *Loop) { k.MarkLocal(0) },
+		func(k *Kernel, l *Loop) { l.Stmts[0].Kind, l.Stmts[0].Param = KEval, -1 },
 		func(k *Kernel, l *Loop) { k.NParams = 3 },
 	}
 	seen := map[hash128.Sum]int{}
@@ -121,9 +121,5 @@ func TestFingerprintHashInvalidation(t *testing.T) {
 	h2, fp2 := k.FingerprintHash(), k.Fingerprint()
 	if h2 == h1 || fp2 == fp1 {
 		t.Fatal("AddLoop did not invalidate the cached fingerprints")
-	}
-	k.MarkLocal(0)
-	if k.FingerprintHash() == h2 || k.Fingerprint() == fp2 {
-		t.Fatal("MarkLocal did not invalidate the cached fingerprints")
 	}
 }

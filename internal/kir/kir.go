@@ -9,13 +9,13 @@
 //
 //  1. the fusion engine hands Compose the kernels of a fused task prefix
 //     in program order with their parameter mappings, the distributed
-//     temporaries its store analysis eliminated (demoted to task-local
-//     parameters) and the alias classes of the rest;
+//     temporaries its store analysis eliminated and the alias classes of
+//     the rest;
 //  2. Compose writes the fused kernel in one walk over each source
 //     statement: parameters remapped, element-wise loops with identical
-//     iteration domains merged, and values stored to local temporaries
-//     forwarded within a merged loop, removing dead stores and, when
-//     possible, the local allocation itself;
+//     iteration domains merged, and values stored to temporaries forwarded
+//     within a merged loop, removing dead stores and the temporary itself:
+//     only one the kernel still names stays, as an ordinary parameter;
 //  3. Compile lowers the kernel to a compact register program executed by
 //     the evaluator in exec.go (the "generated code"), and Codegen lowers
 //     its element loops again into closures (codegen.go).
@@ -175,10 +175,11 @@ const (
 	KStore  StmtKind = iota // param[elem] = expr
 	KReduce                 // reduce-accumulate expr into param (a scalar)
 	// KEval evaluates the expression for its value only. Scalarization
-	// replaces eliminated stores to forwarded locals with KEval so the
-	// value is still computed at its original program point — consumers
-	// that were forwarded the same expression node reuse its register,
-	// which pins the value before any later mutation of its inputs.
+	// replaces eliminated stores to forwarded temporaries with KEval so
+	// the value is still computed at its original program point —
+	// consumers that were forwarded the same expression node reuse its
+	// register, which pins the value before any later mutation of its
+	// inputs. A composed KEval names no parameter (Param is -1).
 	KEval
 )
 
@@ -255,13 +256,9 @@ type Kernel struct {
 	Name    string
 	NParams int
 	Loops   []*Loop
-	// Local[i] reports that parameter i has been demoted from a
-	// distributed store to a task-local allocation by temporary-store
-	// elimination. Locals may be scalarized away entirely by the compiler.
-	Local []bool
 	// DTypes[i] is the element type of parameter i (F64 by default). The
-	// submission layer stamps these from the argument stores; they size
-	// task-local buffers, select typed accessor paths in the evaluator,
+	// submission layer stamps these from the argument stores; they select
+	// typed accessor paths in the evaluator,
 	// price bytes in the cost model, and participate in the fingerprint so
 	// structurally identical f32 and f64 kernels never share a memoized
 	// plan.
@@ -274,8 +271,7 @@ type Kernel struct {
 	nnodes int
 	// fpMemo caches Fingerprint for its readers that ask repeatedly (the
 	// wire's kernel table, ir.Canonicalize); the runtime's own lookups go
-	// by fpHash. Reset by the build-time mutators (AddLoop, SetDType,
-	// MarkLocal).
+	// by fpHash. Reset by the build-time mutators (AddLoop, SetDType).
 	fpMemo string
 	// fpHash caches FingerprintHash under the same rules as fpMemo (reset
 	// together with it through dropFingerprint). Every submitted task's
@@ -297,7 +293,7 @@ func (k *Kernel) dropFingerprint() {
 // NewKernel allocates a kernel with the given parameter count; every
 // parameter defaults to F64.
 func NewKernel(name string, nparams int) *Kernel {
-	return &Kernel{Name: name, NParams: nparams, Local: make([]bool, nparams), DTypes: make([]DType, nparams)}
+	return &Kernel{Name: name, NParams: nparams, DTypes: make([]DType, nparams)}
 }
 
 // DTypeOf returns the element type of parameter p (F64 when dtypes were
@@ -378,29 +374,15 @@ func (k *Kernel) AddLoop(l *Loop) *Kernel {
 	return k
 }
 
-// MarkLocal demotes parameter p to a task-local allocation (Fig. 8c).
-// Locals are part of the kernel's identity, so the cached fingerprints go.
-func (k *Kernel) MarkLocal(p int) {
-	k.Local[p] = true
-	k.dropFingerprint()
-}
-
-// isLocal reports whether parameter p is task-local (false when Local was
-// never sized, as on hand-built kernels).
-func (k *Kernel) isLocal(p int) bool { return p < len(k.Local) && k.Local[p] }
-
 // Fingerprint renders the kernel body's structural identity — parameter
-// dtypes and locals, loop shapes, statement structure, and every immediate
+// dtypes, loop shapes, statement structure, and every immediate
 // constant: everything kir.Compile, Codegen and the runtime's execution
 // plan read. Two tasks may share a memoized fusion analysis (and hence a
 // compiled fused kernel) only when their kernel fingerprints agree: task
 // names alone do not distinguish, e.g., fill(0) from fill(1), whose
 // constants are baked into the body. An immediate renders as %g does,
 // except a NaN, which renders its bits: the payload is baked into the body
-// and reaches the results, so two NaN payloads are two kernels. A local
-// parameter renders an "L" after its dtype; only fusion demotes
-// parameters, so no submitted kernel's fingerprint, and no memo key,
-// carries the marker.
+// and reaches the results, so two NaN payloads are two kernels.
 func (k *Kernel) Fingerprint() string {
 	if k == nil {
 		return "nil"
@@ -412,12 +394,9 @@ func (k *Kernel) Fingerprint() string {
 	fmt.Fprintf(&b, "%d|", k.NParams)
 	// Parameter dtypes are part of kernel identity: an f32 stream and an
 	// f64 stream with identical bodies must not share a memoized plan (the
-	// compiled kernel's locals, rounding, and cost all differ).
+	// compiled kernel's rounding and cost differ).
 	for p := 0; p < k.NParams; p++ {
 		b.WriteString(k.DTypeOf(p).String())
-		if k.isLocal(p) {
-			b.WriteByte('L')
-		}
 		b.WriteByte(',')
 	}
 	b.WriteByte('|')
@@ -484,11 +463,7 @@ func (k *Kernel) FingerprintHash() hash128.Sum {
 	h := hash128.New(hashKernel)
 	h.Int(k.NParams)
 	for p := 0; p < k.NParams; p++ {
-		w := uint64(k.DTypeOf(p))
-		if k.isLocal(p) {
-			w |= hashLocal
-		}
-		h.Word(w)
+		h.Word(uint64(k.DTypeOf(p)))
 	}
 	h.Int(len(k.Loops))
 	for _, l := range k.Loops {
@@ -527,10 +502,6 @@ const (
 	exprLoadScalar
 	exprCast
 )
-
-// hashLocal is or-ed into a local parameter's dtype word, clear of every
-// DType value.
-const hashLocal = 1 << 40
 
 // exprHash mirrors exprFingerprint arm for arm. Immediates fold their
 // bits, which separates exactly what the fingerprint separates: %g prints

@@ -3,6 +3,7 @@ package kir
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -23,17 +24,17 @@ func addKernel() *Kernel {
 }
 
 // TestFig8Pipeline walks the exact compilation pipeline of Fig. 8:
-// two adds composed (8b), temporary demoted (8c), loops fused and the
-// temporary scalarized away (8d).
+// two adds composed (8b), loops fused and the temporary scalarized away
+// (8c→8d): it is no parameter of the fused kernel.
 func TestFig8Pipeline(t *testing.T) {
 	// c = a + b ; e = c + d. Fused parameters: a,b,c,d,e = 0..4.
 	kernels := []*Kernel{addKernel(), addKernel()}
 	mappings := [][]int{{0, 1, 2}, {2, 3, 4}}
 	var c Composer
-	if fused := c.Compose("fused", 5, kernels, mappings, make([]bool, 5), nil, false); len(fused.Loops) != 2 {
+	if fused, _ := c.Compose("fused", 5, kernels, mappings, make([]bool, 5), nil, false); len(fused.Loops) != 2 {
 		t.Fatalf("composition should have 2 loops, got %d", len(fused.Loops))
 	}
-	opt := c.Compose("fused", 5, kernels, mappings, []bool{2: true, 4: false}, nil, true)
+	opt, kept := c.Compose("fused", 5, kernels, mappings, []bool{2: true, 4: false}, nil, true)
 	if len(opt.Loops) != 1 {
 		t.Fatalf("loop fusion should merge to 1 loop, got %d", len(opt.Loops))
 	}
@@ -46,8 +47,9 @@ func TestFig8Pipeline(t *testing.T) {
 	if stores != 1 {
 		t.Fatalf("only the store to e should remain; stores = %d", stores)
 	}
-	if n := len(bufferLocals(opt)); n != 0 {
-		t.Fatalf("no local buffers should remain, got %d", n)
+	if !slices.Equal(kept, []int{0, 1, 3, 4}) || opt.NParams != 4 || opt.Loops[0].ExtRef != 0 {
+		t.Fatalf("kept %v of %d parameters, extent from %d: want a, b, d, e, extent from a",
+			kept, opt.NParams, opt.Loops[0].ExtRef)
 	}
 
 	comp := Compile(opt)
@@ -56,13 +58,69 @@ func TestFig8Pipeline(t *testing.T) {
 	bb := seq(n, 10)
 	d := seq(n, 100)
 	e := make([]float64, n)
-	pa := &PointArgs{Bind: []Binding{flat(a, n), flat(bb, n), {Ext: []int{n}}, flat(d, n), flat(e, n)}}
+	pa := &PointArgs{Bind: []Binding{flat(a, n), flat(bb, n), flat(d, n), flat(e, n)}}
 	comp.Execute(pa)
 	for i := 0; i < n; i++ {
 		want := a[i] + bb[i] + d[i]
 		if e[i] != want {
 			t.Fatalf("e[%d] = %g, want %g", i, e[i], want)
 		}
+	}
+}
+
+// TestComposeKeepsNamedTemporaries: the fused kernel's parameters are the
+// ones it still names. In a GMG-shaped composition the SpMV's output t is
+// a temporary the element loop can only load, so it stays an ordinary
+// parameter; u, stored and forwarded within the merged element loop, goes,
+// and the loop takes its extent from b, the first parameter it iterates. A
+// constant fill reduced into a scalar iterates no parameter, so its
+// temporary stays to give the loop its extent.
+func TestComposeKeepsNamedTemporaries(t *testing.T) {
+	// Fused parameters: x, t, b, u, r = 0..4. t = A·x; u = b - t; r = 2u.
+	spmv := NewKernel("spmv", 2)
+	spmv.AddLoop(&Loop{Kind: LoopSpMV, X: 0, Y: 1, ExtRef: 1, Dom: "v", Ext: []int{3}, PayloadKey: 7})
+	sub := NewKernel("sub", 3)
+	sub.AddLoop(&Loop{Kind: LoopElem, Dom: "v", Ext: []int{3}, ExtRef: 2,
+		Stmts: []Stmt{{Kind: KStore, Param: 2, E: Binary(OpSub, Load(0), Load(1))}}})
+	scale := NewKernel("scale", 2)
+	scale.AddLoop(&Loop{Kind: LoopElem, Dom: "v", Ext: []int{3}, ExtRef: 1,
+		Stmts: []Stmt{{Kind: KStore, Param: 1, E: Binary(OpMul, Load(0), Const(2))}}})
+	var c Composer
+	k, kept := c.Compose("gmg", 5, []*Kernel{spmv, sub, scale}, [][]int{{0, 1}, {2, 1, 3}, {3, 4}}, temps(5, 1, 3), nil, true)
+	if !slices.Equal(kept, []int{0, 1, 2, 4}) || len(k.Loops) != 2 {
+		t.Fatalf("kept %v in %d loops: want x, t, b, r in an SpMV and one element loop", kept, len(k.Loops))
+	}
+	if l := k.Loops[1]; k.Loops[0].Y != 1 || l.ExtRef != 2 || l.Stmts[0].Kind != KEval || l.Stmts[0].Param != -1 {
+		t.Fatalf("SpMV into %d, element loop over %d, first statement %+v: want t, b and a KEval naming nothing",
+			k.Loops[0].Y, l.ExtRef, l.Stmts[0])
+	}
+	x, tv, b, r := []float64{1, 2, 3, 4}, make([]float64, 3), []float64{10, 20, 30}, make([]float64, 3)
+	Compile(k).Execute(&PointArgs{
+		Bind: []Binding{flat(x, 4), flat(tv, 3), flat(b, 3), flat(r, 3)},
+		Payloads: map[int]*CSRLocal{7: {
+			RowPtr: []int32{0, 2, 3, 5}, Col: []int32{0, 2, 1, 0, 3}, Val: BufF64([]float64{1, 2, 3, 4, 5})}},
+	})
+	for i, ax := range []float64{7, 6, 24} {
+		if tv[i] != ax || r[i] != 2*(b[i]-ax) {
+			t.Fatalf("row %d: t = %g, r = %g; want %g, %g", i, tv[i], r[i], ax, 2*(b[i]-ax))
+		}
+	}
+
+	// Fused parameters: f, s. f = 3; s += f.
+	fill := NewKernel("fill", 1)
+	fill.AddLoop(&Loop{Kind: LoopElem, Dom: "w", Ext: []int{4}, ExtRef: 0,
+		Stmts: []Stmt{{Kind: KStore, Param: 0, E: Const(3)}}})
+	sum := NewKernel("sum", 2)
+	sum.AddLoop(&Loop{Kind: LoopElem, Dom: "w", Ext: []int{4}, ExtRef: 0,
+		Stmts: []Stmt{{Kind: KReduce, Param: 1, E: Load(0), Red: RedSum}}})
+	k, kept = c.Compose("fillsum", 2, []*Kernel{fill, sum}, [][]int{{0}, {0, 1}}, temps(2, 0), nil, true)
+	if !slices.Equal(kept, []int{0, 1}) || len(k.Loops) != 1 || k.Loops[0].ExtRef != 0 {
+		t.Fatalf("kept %v, %d loops: the temporary must stay as the loop's extent reference", kept, len(k.Loops))
+	}
+	f, total := make([]float64, 4), []float64{0}
+	Compile(k).Execute(&PointArgs{Bind: []Binding{flat(f, 4), flat(total, 1)}})
+	if total[0] != 12 {
+		t.Fatalf("sum of a forwarded fill = %g, want 12", total[0])
 	}
 }
 
@@ -95,7 +153,8 @@ func TestStatementOrdering(t *testing.T) {
 	}
 }
 
-// TestBufferLocal checks cross-loop temporaries get task-local buffers.
+// TestBufferLocal: a temporary a later, unmerged loop loads keeps its
+// store and stays an ordinary parameter, bound like any other store.
 func TestBufferLocal(t *testing.T) {
 	// loop1 (domain A): t = a*2 ; loop2 (domain A, not mergeable because a
 	// random loop sits between): out = t + 1.
@@ -105,15 +164,14 @@ func TestBufferLocal(t *testing.T) {
 	k.AddLoop(&Loop{Kind: LoopRandom, Dom: "r", Ext: []int{4}, ExtRef: 0, Seed: 9})
 	k.AddLoop(&Loop{Kind: LoopElem, Dom: "v", Ext: []int{4}, ExtRef: 2,
 		Stmts: []Stmt{{Kind: KStore, Param: 2, E: Binary(OpAdd, Load(1), Const(1))}}})
-	k.MarkLocal(1)
-	opt := optimize(k, nil)
-	if len(bufferLocals(opt)) != 1 {
-		t.Fatalf("temp used across loops needs a buffer: %v", bufferLocals(opt))
+	opt, kept := optimize(k, temps(3, 1), nil)
+	if !slices.Equal(kept, []int{0, 1, 2}) {
+		t.Fatalf("kept parameters %v: a temporary used across loops stays", kept)
 	}
 	comp := Compile(opt)
 	a := seq(4, 5)
-	out := make([]float64, 4)
-	comp.Execute(&PointArgs{Bind: []Binding{flat(a, 4), {Ext: []int{4}}, flat(out, 4)}})
+	tmp, out := make([]float64, 4), make([]float64, 4)
+	comp.Execute(&PointArgs{Bind: []Binding{flat(a, 4), flat(tmp, 4), flat(out, 4)}})
 	// a was overwritten by the random loop AFTER t was computed.
 	for i := range out {
 		if out[i] != (5+float64(i))*2+1 {
@@ -132,11 +190,11 @@ func TestAliasGuardBlocksMerge(t *testing.T) {
 	k.AddLoop(&Loop{Kind: LoopElem, Dom: "v", Ext: []int{4}, ExtRef: 2,
 		Stmts: []Stmt{{Kind: KStore, Param: 2, E: Load(1)}}})
 	alias := Alias{0, 0, -1}
-	merged := optimize(k, alias)
+	merged, _ := optimize(k, nil, alias)
 	if len(merged.Loops) != 2 {
 		t.Fatalf("aliasing write/read loops must not merge, got %d", len(merged.Loops))
 	}
-	if len(optimize(k, nil).Loops) != 1 {
+	if unaliased, _ := optimize(k, nil, nil); len(unaliased.Loops) != 1 {
 		t.Fatal("without aliasing the loops merge")
 	}
 }
@@ -440,7 +498,7 @@ func TestRemapPreservesSemantics(t *testing.T) {
 
 		// params rotate: a->2, b->0, out->1
 		var c Composer
-		rk := c.Compose("k", 3, []*Kernel{k}, [][]int{{2, 0, 1}}, make([]bool, 3), nil, false)
+		rk, _ := c.Compose("k", 3, []*Kernel{k}, [][]int{{2, 0, 1}}, make([]bool, 3), nil, false)
 		out2 := make([]float64, 2)
 		Compile(rk).Execute(&PointArgs{Bind: []Binding{flat(b, 2), flat(out2, 2), flat(a, 2)}})
 		return out1[0] == out2[0] && out1[1] == out2[1]
@@ -453,7 +511,7 @@ func TestRemapPreservesSemantics(t *testing.T) {
 // TestCostAccounting sanity-checks the cost model inputs.
 func TestCostAccounting(t *testing.T) {
 	var c Composer
-	opt := c.Compose("fused", 5, []*Kernel{addKernel(), addKernel()}, [][]int{{0, 1, 2}, {2, 3, 4}},
+	opt, _ := c.Compose("fused", 5, []*Kernel{addKernel(), addKernel()}, [][]int{{0, 1, 2}, {2, 3, 4}},
 		[]bool{2: true, 4: false}, nil, true)
 	comp := Compile(opt)
 	cs := comp.Cost(nil)

@@ -113,12 +113,12 @@ func (a *accesses) union(b *accesses) {
 
 // forwardWalk bounds the nodes an unshared walk of a composed kernel's
 // statements visits (FingerprintHash, the wire decoder): forwarding copies
-// no node, but a chain of locals each read twice by the next doubles the
-// walk per link.
+// no node, but a chain of temporaries each read twice by the next doubles
+// the walk per link.
 const forwardWalk = maxExprWalk / 16
 
 // composeWatch, set only by tests, sees every composition and its result.
-var composeWatch func(kernels []*Kernel, mappings [][]int, alias Alias, optimize bool, out *Kernel)
+var composeWatch func(nparams int, kernels []*Kernel, mappings [][]int, temp []bool, alias Alias, optimize bool, out *Kernel, kept []int)
 
 // Composer writes fused kernels, keeping its buffers from one composition
 // to the next (a runtime holds one, under its analysis lock).
@@ -127,10 +127,13 @@ type Composer struct {
 	lastLoad []int   // per fused parameter: last output loop loading it, -1 none
 	avail    []*Expr // per fused parameter: the value a load of it reads
 	bound    []int   // the parameters with an avail value
+	temp     []bool  // per fused parameter: an eliminated temporary
+	named    []bool  // per fused parameter: the kernel names it
 	run      *accesses
 	next     *accesses
 
 	slab  []Expr  // the current chunk of the kernel's nodes
+	loads []*Expr // the kernel's load nodes
 	walk  []int32 // per node id: the nodes an unshared walk from it visits
 	stmts []Stmt  // the kernel's statements, carved into its loops
 	first int     // the current output loop's first statement
@@ -142,36 +145,49 @@ type Composer struct {
 }
 
 // Compose writes the fused kernel of kernels in program order: mappings[i]
-// maps kernels[i]'s parameters onto the nparams fused ones, local marks the
-// parameters demoted to task-local allocations (it becomes the kernel's
-// Local) and alias relates the others (nil when none alias). The sources
-// are only read. With optimize, the one walk over each source statement
-// that remaps it also (paper Fig. 8c→8d):
+// maps kernels[i]'s parameters onto the nparams fused ones, temp[p] marks
+// fused parameter p an eliminated temporary and alias relates the fused
+// parameters (nil when none alias). The sources are only read. With
+// optimize, the one walk over each source statement that remaps it also
+// (paper Fig. 8c→8d):
 //
 //   - merges runs of adjacent element-wise loops with equal Dom, unless
 //     alias shows one loop's write reaching another's access under a
 //     different view (possible only for single-point launches: it would
 //     interleave a write with offset reads of the same elements). The
 //     run's accesses grow with it, so each loop is summarized once;
-//   - forwards values stored to locals within a merged loop (through a
-//     cast for f32/i32, rounding as the buffer would). A store no later
+//   - forwards values stored to temporaries within a merged loop (through
+//     a cast for f32/i32, rounding as the buffer would). A store no later
 //     loop loads is dropped, or kept as a KEval (computed at its program
 //     point) when this loop loads it; an element loop left empty is
 //     dropped. Once forwarding would take the kernel's unshared walk past
-//     forwardWalk, locals keep their stores and buffers: same bits.
+//     forwardWalk, temporaries keep their stores: same bits.
+//
+// The kernel's parameters are the fused parameters it still names, and
+// kept lists them: kernel parameter i stands for fused parameter kept[i].
+// A temporary that a statement stores or loads, or a loop of another kind
+// touches, stays as an ordinary parameter; every other temporary is gone,
+// and a KEval names no parameter. An element loop whose extent reference
+// went takes the first kept parameter it stores or loads element-wise,
+// statement by statement (the loop iterates all of them over one extent);
+// with none, the temporary stays.
 //
 // Every node of the result is one Compose allocated, numbered from 1 in
 // creation order (Expr.id), and no two loops share a node: Compile indexes
 // registers by id.
-func (c *Composer) Compose(name string, nparams int, kernels []*Kernel, mappings [][]int, local []bool, alias Alias, optimize bool) *Kernel {
-	out := &Kernel{Name: name, NParams: nparams, Local: local, DTypes: make([]DType, nparams)}
+func (c *Composer) Compose(name string, nparams int, kernels []*Kernel, mappings [][]int, temp []bool, alias Alias, optimize bool) (out *Kernel, kept []int) {
+	out = &Kernel{Name: name, NParams: nparams, DTypes: make([]DType, nparams)}
 	if cap(c.lastLoad) < nparams {
-		c.lastLoad, c.avail = make([]int, nparams), make([]*Expr, nparams)
+		c.lastLoad, c.avail, c.named = make([]int, nparams), make([]*Expr, nparams), make([]bool, nparams)
 	}
-	c.lastLoad, c.avail = c.lastLoad[:nparams], c.avail[:nparams]
+	c.lastLoad, c.avail, c.named = c.lastLoad[:nparams], c.avail[:nparams], c.named[:nparams]
 	for p := range c.lastLoad {
 		c.lastLoad[p] = -1
 	}
+	for p, t := range temp {
+		c.named[p] = !t
+	}
+	c.temp = temp
 	c.group, c.walk, c.total = c.group[:0], append(c.walk[:0], 0), 0 // node ids start at 1
 	if alias != nil {
 		c.run, c.next = newAccesses(alias, nparams), newAccesses(alias, nparams)
@@ -227,10 +243,13 @@ func (c *Composer) Compose(name string, nparams int, kernels []*Kernel, mappings
 				switch l.Kind {
 				case LoopGEMV:
 					nl.MatA = m[l.MatA]
+					c.named[nl.MatA] = true
 					fallthrough
 				case LoopSpMV, LoopAxisReduce:
 					nl.Y, nl.X = m[l.Y], m[l.X]
+					c.named[nl.Y], c.named[nl.X] = true, true
 				}
+				c.named[nl.ExtRef] = c.named[nl.ExtRef] || l.Kind != LoopElem
 				c.first = len(c.stmts)
 				c.unbind()
 			}
@@ -245,11 +264,95 @@ func (c *Composer) Compose(name string, nparams int, kernels []*Kernel, mappings
 	c.unbind()
 	clear(c.memo)
 	out.nnodes = len(c.walk) - 1
-	c.slab, c.stmts = nil, nil // the kernel's now
+	kept = c.compact(out)
+	c.slab, c.stmts, c.loads, c.temp = nil, nil, c.loads[:0], nil // the kernel's now
 	if composeWatch != nil {
-		composeWatch(kernels, mappings, alias, optimize, out)
+		composeWatch(nparams, kernels, mappings, temp, alias, optimize, out, kept)
 	}
-	return out
+	return out, kept
+}
+
+// compact drops the temporaries the kernel does not name, renumbers the
+// parameters that stay, and returns the fused parameter each stands for.
+func (c *Composer) compact(out *Kernel) []int {
+	named := c.named
+	for _, l := range out.Loops {
+		if l.Kind == LoopElem && !named[l.ExtRef] {
+			if p := firstIterated(l); p >= 0 {
+				l.ExtRef = p
+			} else {
+				named[l.ExtRef] = true
+			}
+		}
+	}
+	kept := make([]int, 0, out.NParams)
+	idx := c.lastLoad // free now: the new index of each fused parameter
+	for p := range named {
+		idx[p] = -1
+		if named[p] {
+			idx[p] = len(kept)
+			kept = append(kept, p)
+		}
+	}
+	for _, l := range out.Loops {
+		l.ExtRef = idx[l.ExtRef]
+		switch l.Kind {
+		case LoopGEMV:
+			l.MatA = idx[l.MatA]
+			fallthrough
+		case LoopSpMV, LoopAxisReduce:
+			l.Y, l.X = idx[l.Y], idx[l.X]
+		}
+		for i := range l.Stmts {
+			if s := &l.Stmts[i]; s.Kind == KEval {
+				s.Param = -1
+			} else {
+				s.Param = idx[s.Param]
+			}
+		}
+	}
+	for _, e := range c.loads {
+		e.Param = idx[e.Param]
+	}
+	dts := make([]DType, len(kept))
+	for i, p := range kept {
+		dts[i] = out.DTypes[p]
+	}
+	out.NParams, out.DTypes = len(kept), dts
+	return kept
+}
+
+// firstIterated returns the first parameter the element loop l stores or
+// loads element-wise, statement by statement and a statement's
+// destination before its loads, or -1. Every such parameter of a composed
+// loop is named.
+func firstIterated(l *Loop) int {
+	for _, s := range l.Stmts {
+		if s.Kind == KStore {
+			return s.Param
+		}
+		if p := firstLoad(s.E); p >= 0 {
+			return p
+		}
+	}
+	return -1
+}
+
+// firstLoad returns the parameter of e's first element load, read as a
+// tree, or -1.
+func firstLoad(e *Expr) int {
+	if e == nil {
+		return -1
+	}
+	if e.Op == OpLoad {
+		return e.Param
+	}
+	for _, x := range [...]*Expr{e.A, e.B, e.C} {
+		if p := firstLoad(x); p >= 0 {
+			return p
+		}
+	}
+	return -1
 }
 
 // noteLoads records output loop g as the last loading each fused parameter
@@ -282,11 +385,16 @@ func (c *Composer) finish(out *Kernel, l *Loop, optimize bool) {
 }
 
 // statement writes source statement s into output loop g; fwd says the
-// loop forwards locals.
+// loop forwards temporaries.
 func (c *Composer) statement(out *Kernel, s *Stmt, m []int, g int, fwd bool) {
+	if s.Kind == KEval { // a composed kernel's: it names no parameter
+		c.stmts = append(c.stmts, Stmt{Kind: KEval, Param: -1, E: c.expr(s.E, m)})
+		return
+	}
 	p := m[s.Param]
-	if !fwd || s.Kind != KStore || !out.Local[p] {
+	if !fwd || s.Kind != KStore || !c.temp[p] {
 		c.stmts = append(c.stmts, Stmt{Kind: s.Kind, Param: p, E: c.expr(s.E, m), Red: s.Red})
+		c.named[p] = true
 		return
 	}
 	if c.lastLoad[p] < g {
@@ -301,24 +409,26 @@ func (c *Composer) statement(out *Kernel, s *Stmt, m []int, g int, fwd bool) {
 		c.bound = append(c.bound, p)
 	}
 	c.avail[p] = v
-	kind := KStore // a later loop loads it: the store and its buffer stay
+	kind := KStore // a later loop loads it: the store and its region stay
 	if c.lastLoad[p] == g {
 		kind = KEval
 	}
+	c.named[p] = c.named[p] || kind == KStore
 	c.stmts = append(c.stmts, Stmt{Kind: kind, Param: p, E: e})
 }
 
 // expr rewrites a source expression under m, forwarding the available
-// locals unless that would take the kernel's unshared walk past
-// forwardWalk: then the locals bound so far keep their stores (a KEval
-// becomes one), and the statement loads them.
+// temporaries unless that would take the kernel's unshared walk past
+// forwardWalk: then the temporaries bound so far keep their stores (a
+// KEval becomes one), and the statement loads them.
 func (c *Composer) expr(e *Expr, m []int) *Expr {
 	c.forwarded = false
 	r := c.rewrite(e, m)
 	if c.forwarded && c.total+int(c.walkOf(r)) > forwardWalk {
 		for i := c.first; i < len(c.stmts); i++ {
-			if s := &c.stmts[i]; s.Kind == KEval && c.avail[s.Param] != nil {
+			if s := &c.stmts[i]; s.Kind == KEval && s.Param >= 0 && c.avail[s.Param] != nil {
 				s.Kind = KStore
+				c.named[s.Param] = true
 			}
 		}
 		c.unbind()
@@ -347,8 +457,8 @@ func (c *Composer) rewriteNode(e *Expr, m []int) *Expr {
 	n := *e
 	var r *Expr
 	if e.Op == OpLoad || e.Op == OpLoadScalar {
-		// A scalar load of a size-1 local forwards like an element load:
-		// the merged loops share its single-element domain.
+		// A scalar load of a size-1 temporary forwards like an element
+		// load: the merged loops share its single-element domain.
 		n.Param = m[e.Param]
 		r = c.avail[n.Param]
 		c.forwarded = c.forwarded || r != nil
@@ -372,7 +482,12 @@ func (c *Composer) node(n Expr) *Expr {
 	n.id = int32(len(c.walk))
 	c.slab = append(c.slab, n)
 	c.walk = append(c.walk, min(1+c.walkOf(n.A)+c.walkOf(n.B)+c.walkOf(n.C), maxExprWalk+1))
-	return &c.slab[len(c.slab)-1]
+	e := &c.slab[len(c.slab)-1]
+	if n.Op == OpLoad || n.Op == OpLoadScalar {
+		c.named[n.Param] = true
+		c.loads = append(c.loads, e)
+	}
+	return e
 }
 
 func (c *Composer) walkOf(e *Expr) int32 {
@@ -387,34 +502,4 @@ func (c *Composer) unbind() {
 		c.avail[p] = nil
 	}
 	c.bound = c.bound[:0]
-}
-
-// bufferLocals returns the local parameters that still need a task-local
-// buffer, in the order loops first store to them (element-wise, as a
-// matrix-vector or axis-reduce destination, or as a generator's);
-// composition removed every other store to a local.
-func bufferLocals(k *Kernel) []int {
-	var need []int
-	seen := make([]bool, k.NParams)
-	add := func(p int) {
-		if k.isLocal(p) && !seen[p] {
-			seen[p] = true
-			need = append(need, p)
-		}
-	}
-	for _, l := range k.Loops {
-		switch l.Kind {
-		case LoopElem:
-			for _, s := range l.Stmts {
-				if s.Kind == KStore {
-					add(s.Param)
-				}
-			}
-		case LoopSpMV, LoopGEMV, LoopAxisReduce:
-			add(l.Y)
-		case LoopRandom, LoopIota:
-			add(l.ExtRef)
-		}
-	}
-	return need
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // Backfill coverage for composition's scalarization (reduced-
-// precision handling, dead-store elimination, buffer-local analysis) and
-// the cost model's per-loop-kind accounting.
+// precision handling, dead-store elimination, the temporaries a kernel
+// keeps) and the cost model's per-loop-kind accounting.
 
 // TestScalarizeRoundsForwardedI32Local: forwarding a value stored to an
 // i32 local must truncate exactly as the buffer store would have —
@@ -17,21 +17,19 @@ func TestScalarizeRoundsForwardedI32Local(t *testing.T) {
 	// tmp(i32, local) = in * 0.75; out = tmp * 4
 	k := NewKernel("i32fwd", 3)
 	k.SetDType(1, I32)
-	k.MarkLocal(1)
 	store := &Loop{Kind: LoopElem, Dom: "d", Ext: []int{4}, ExtRef: 0,
 		Stmts: []Stmt{{Kind: KStore, Param: 1, E: Binary(OpMul, Load(0), Const(0.75))}}}
 	use := &Loop{Kind: LoopElem, Dom: "d", Ext: []int{4}, ExtRef: 0,
 		Stmts: []Stmt{{Kind: KStore, Param: 2, E: Binary(OpMul, Load(1), Const(4))}}}
 	k.AddLoop(store).AddLoop(use)
-	opt := optimize(k, nil)
-	if n := len(bufferLocals(opt)); n != 0 {
-		t.Fatalf("fully forwarded local still needs %d buffers", n)
+	opt, kept := optimize(k, temps(3, 1), nil)
+	if !slices.Equal(kept, []int{0, 2}) {
+		t.Fatalf("kept parameters %v: a fully forwarded temporary is none", kept)
 	}
 	c := Compile(opt)
 	in := contiguous(F64, []int{4}, func(i int) float64 { return float64(i) + 1 }) // 1..4
 	out := contiguous(F64, []int{4}, func(int) float64 { return 0 })
-	local := Binding{Acc: Accessor{Strides: []int{1}}, Ext: []int{4}}
-	c.Execute(&PointArgs{Bind: []Binding{in, local, out}})
+	c.Execute(&PointArgs{Bind: []Binding{in, out}})
 	// in*0.75 = 0.75, 1.5, 2.25, 3 truncates through i32 to 0, 1, 2, 3.
 	for i := 0; i < 4; i++ {
 		want := float64(int32(float64(i+1)*0.75)) * 4
@@ -41,48 +39,39 @@ func TestScalarizeRoundsForwardedI32Local(t *testing.T) {
 	}
 }
 
-// TestScalarizeDeadStore: a store to a local never loaded anywhere is
-// removed outright, and the local needs no buffer.
+// TestScalarizeDeadStore: a store to a temporary never loaded anywhere is
+// removed outright, and the temporary is no parameter.
 func TestScalarizeDeadStore(t *testing.T) {
 	k := NewKernel("dead", 2)
-	k.MarkLocal(1)
 	k.AddLoop(&Loop{Kind: LoopElem, Dom: "d", Ext: []int{4}, ExtRef: 0,
 		Stmts: []Stmt{
 			{Kind: KStore, Param: 1, E: Binary(OpMul, Load(0), Const(3))},
 			{Kind: KStore, Param: 0, E: Binary(OpAdd, Load(0), Const(1))},
 		}})
-	opt := optimize(k, nil)
-	if n := len(bufferLocals(opt)); n != 0 {
-		t.Fatalf("dead local still needs %d buffers", n)
-	}
-	for _, l := range opt.Loops {
-		for _, s := range l.Stmts {
-			if s.Param == 1 {
-				t.Fatalf("dead store to local survived as kind %d", s.Kind)
-			}
-		}
+	opt, kept := optimize(k, temps(2, 1), nil)
+	if !slices.Equal(kept, []int{0}) || len(opt.Loops[0].Stmts) != 1 {
+		t.Fatalf("kept parameters %v and %d statements: the dead store survived", kept, len(opt.Loops[0].Stmts))
 	}
 }
 
-// TestScalarizeKeepsStoreForLaterLoop: a local loaded by a *later* loop
-// across a fusion barrier keeps its store and its buffer.
+// TestScalarizeKeepsStoreForLaterLoop: a temporary loaded by a *later*
+// loop across a fusion barrier keeps its store and its parameter.
 func TestScalarizeKeepsStoreForLaterLoop(t *testing.T) {
 	k := NewKernel("kept", 3)
-	k.MarkLocal(1)
 	k.AddLoop(&Loop{Kind: LoopElem, Dom: "a", Ext: []int{4}, ExtRef: 0,
 		Stmts: []Stmt{{Kind: KStore, Param: 1, E: Binary(OpMul, Load(0), Const(2))}}})
 	// Different Dom: not merged, so forwarding cannot replace the load.
 	k.AddLoop(&Loop{Kind: LoopElem, Dom: "b", Ext: []int{4}, ExtRef: 0,
 		Stmts: []Stmt{{Kind: KStore, Param: 2, E: Binary(OpAdd, Load(1), Const(1))}}})
-	opt := optimize(k, nil)
-	if !slices.Contains(bufferLocals(opt), 1) {
-		t.Fatal("cross-loop local lost its buffer")
+	opt, kept := optimize(k, temps(3, 1), nil)
+	if !slices.Equal(kept, []int{0, 1, 2}) {
+		t.Fatalf("kept parameters %v: the cross-loop temporary lost its parameter", kept)
 	}
 	c := Compile(opt)
 	in := contiguous(F64, []int{4}, func(i int) float64 { return float64(i) })
+	tmp := contiguous(F64, []int{4}, func(int) float64 { return 0 })
 	out := contiguous(F64, []int{4}, func(int) float64 { return 0 })
-	local := Binding{Acc: Accessor{Strides: []int{1}}, Ext: []int{4}}
-	c.Execute(&PointArgs{Bind: []Binding{in, local, out}})
+	c.Execute(&PointArgs{Bind: []Binding{in, tmp, out}})
 	for i := 0; i < 4; i++ {
 		if got, want := out.Acc.Data.Get(i), float64(i)*2+1; got != want {
 			t.Fatalf("element %d = %g, want %g", i, got, want)

@@ -2,10 +2,11 @@ package kir
 
 // The oracle TestOptimizeMatchesReference and FuzzOptimizeMatchesReference
 // hold Compose to: the pipeline it replaced, as separate passes —
-// refConcat composes the remapped kernels, the locals are marked, and the
-// map-based loop fusion and scalarization that preceded the linear ones
-// (plus the one contract scalarization gained since: an element loop left
-// with no statements is dropped) optimize the result.
+// refConcat composes the remapped kernels, and the map-based loop fusion
+// and scalarization that preceded the linear ones optimize the result,
+// forwarding the temporaries marked in their own flags. Two contracts
+// were gained since: an element loop left with no statements is dropped,
+// and refCompact drops the temporaries the result no longer names.
 
 import (
 	"math"
@@ -29,7 +30,7 @@ func refCloneLoop(l *Loop) *Loop {
 // replaced by mapping[i]; nparams is the parameter count of the result.
 // Parameter dtypes follow their parameters.
 func refRemap(k *Kernel, mapping []int, nparams int) *Kernel {
-	c := &Kernel{Name: k.Name, NParams: nparams, Local: make([]bool, nparams), DTypes: make([]DType, nparams)}
+	c := &Kernel{Name: k.Name, NParams: nparams, DTypes: make([]DType, nparams)}
 	for p := 0; p < k.NParams && p < len(mapping); p++ {
 		c.DTypes[mapping[p]] = k.DTypeOf(p)
 	}
@@ -85,15 +86,29 @@ func refConcat(name string, nparams int, kernels []*Kernel, mappings [][]int) *K
 	return out
 }
 
-// optimize composes k alone, under the identity mapping and with its own
-// locals: Compose's optimization of a kernel built already concatenated.
-func optimize(k *Kernel, alias Alias) *Kernel {
+// optimize composes k alone, under the identity mapping and with the
+// temporaries temp marks (nil for none): Compose's optimization of a
+// kernel built already concatenated. kept[i] is the parameter of k that
+// the result's parameter i stands for.
+func optimize(k *Kernel, temp []bool, alias Alias) (opt *Kernel, kept []int) {
 	m := make([]int, k.NParams)
 	for p := range m {
 		m[p] = p
 	}
+	if temp == nil {
+		temp = make([]bool, k.NParams)
+	}
 	var c Composer
-	return c.Compose(k.Name, k.NParams, []*Kernel{k}, [][]int{m}, slices.Clone(k.Local), alias, true)
+	return c.Compose(k.Name, k.NParams, []*Kernel{k}, [][]int{m}, temp, alias, true)
+}
+
+// temps marks the parameters ps of an n-parameter kernel as temporaries.
+func temps(n int, ps ...int) []bool {
+	t := make([]bool, n)
+	for _, p := range ps {
+		t[p] = true
+	}
+	return t
 }
 
 // AliasFn reports whether two kernel parameters may reference overlapping
@@ -102,7 +117,7 @@ func optimize(k *Kernel, alias Alias) *Kernel {
 type AliasFn func(p, q int) bool
 
 func refFuseLoops(k *Kernel, alias AliasFn) *Kernel {
-	out := &Kernel{Name: k.Name, NParams: k.NParams, Local: append([]bool(nil), k.Local...), DTypes: append([]DType(nil), k.DTypes...)}
+	out := &Kernel{Name: k.Name, NParams: k.NParams, DTypes: append([]DType(nil), k.DTypes...)}
 	var cur *Loop
 	flush := func() {
 		if cur != nil {
@@ -163,10 +178,10 @@ func loopWritesReads(l *Loop) (writes, reads map[int]bool) {
 	return writes, loopLoads(l)
 }
 
-func refScalarize(k *Kernel) *Kernel {
-	out := &Kernel{Name: k.Name, NParams: k.NParams, Local: append([]bool(nil), k.Local...), DTypes: append([]DType(nil), k.DTypes...)}
+func refScalarize(k *Kernel, temp []bool) *Kernel {
+	out := &Kernel{Name: k.Name, NParams: k.NParams, DTypes: append([]DType(nil), k.DTypes...)}
 
-	// For dead-store elimination we need, per loop index, whether a local
+	// For dead-store elimination we need, per loop index, whether a temporary
 	// parameter is loaded by any later loop (or by a later statement that
 	// was not forwarded — handled below by only eliminating stores whose
 	// loop-local loads were all forwarded).
@@ -191,15 +206,15 @@ func refScalarize(k *Kernel) *Kernel {
 		nl := refCloneLoop(l)
 		nl.Stmts = nil
 		thisLoopLoads := loopLoads(l)
-		// avail maps a local parameter to the expression whose value the
+		// avail maps a temporary to the expression whose value the
 		// parameter's current element holds.
 		avail := map[int]*Expr{}
 		for _, s := range l.Stmts {
 			e := refForward(s.E, avail, map[*Expr]*Expr{})
 			switch {
-			case s.Kind == KStore && out.Local[s.Param]:
+			case s.Kind == KStore && temp[s.Param]:
 				// Forwarded consumers must observe the value the typed
-				// buffer would have held: storing to an f32/i32 local
+				// buffer would have held: storing to an f32/i32 temporary
 				// rounds, so forwarding has to round too or temporary
 				// elimination would change results at reduced precision.
 				if dt := out.DTypeOf(s.Param); dt != F64 {
@@ -210,7 +225,7 @@ func refScalarize(k *Kernel) *Kernel {
 				switch {
 				case loadedLater[li+1][s.Param]:
 					// A later loop still loads the parameter: the store
-					// (and its buffer) must stay.
+					// (and its region) must stay.
 					nl.Stmts = append(nl.Stmts, Stmt{Kind: KStore, Param: s.Param, E: e})
 				case thisLoopLoads[s.Param]:
 					// Forwarded within this loop: keep an eval-only
@@ -265,7 +280,7 @@ func loopLoads(l *Loop) map[int]bool {
 	return loads
 }
 
-// forward substitutes loads of available local values.
+// forward substitutes loads of available temporary values.
 func refForward(e *Expr, avail map[int]*Expr, memo map[*Expr]*Expr) *Expr {
 	if e == nil {
 		return nil
@@ -273,8 +288,8 @@ func refForward(e *Expr, avail map[int]*Expr, memo map[*Expr]*Expr) *Expr {
 	if r, ok := memo[e]; ok {
 		return r
 	}
-	// Loads of available local values are forwarded. OpLoadScalar loads of
-	// size-1 locals forward identically: the loops merged here share their
+	// Loads of available temporary values are forwarded. OpLoadScalar
+	// loads of size-1 temporaries forward identically: the loops merged here share their
 	// (single-element) iteration domain.
 	if e.Op == OpLoad || e.Op == OpLoadScalar {
 		if v, ok := avail[e.Param]; ok {
@@ -294,8 +309,136 @@ func refForward(e *Expr, avail map[int]*Expr, memo map[*Expr]*Expr) *Expr {
 	return &n
 }
 
-func refOptimize(k *Kernel, alias AliasFn) *Kernel {
-	return refScalarize(refFuseLoops(k, alias))
+func refOptimize(k *Kernel, temp []bool, alias AliasFn) *Kernel {
+	return refScalarize(refFuseLoops(k, alias), temp)
+}
+
+// refCompact drops the temporaries k names nowhere: parameters a statement
+// stores, reduces or loads, or a loop of another kind reads or writes,
+// stay, and so do all the others. An element loop whose extent reference
+// went takes, loop by loop, the first parameter it stores or loads
+// element-wise, a statement's destination before its loads, or else keeps
+// its reference. The kept parameters are renumbered in order and a KEval
+// names none.
+func refCompact(k *Kernel, temp []bool) (*Kernel, []int) {
+	stays := map[int]bool{}
+	for p := 0; p < k.NParams; p++ {
+		stays[p] = !temp[p]
+	}
+	for _, l := range k.Loops {
+		switch l.Kind {
+		case LoopElem:
+			for _, s := range l.Stmts {
+				if s.Kind != KEval {
+					stays[s.Param] = true
+				}
+			}
+			for p := range loopLoads(l) {
+				stays[p] = true
+			}
+		case LoopGEMV:
+			stays[l.MatA] = true
+			fallthrough
+		case LoopSpMV, LoopAxisReduce:
+			stays[l.Y], stays[l.X] = true, true
+			fallthrough
+		default:
+			stays[l.ExtRef] = true
+		}
+	}
+	extRef := make([]int, len(k.Loops))
+	for i, l := range k.Loops {
+		extRef[i] = l.ExtRef
+		if l.Kind != LoopElem || stays[l.ExtRef] {
+			continue
+		}
+		found := false
+		for _, s := range l.Stmts {
+			p := -1
+			if s.Kind == KStore {
+				p = s.Param
+			} else {
+				p = refFirstLoad(s.E)
+			}
+			if p >= 0 {
+				extRef[i], found = p, true
+				break
+			}
+		}
+		if !found {
+			stays[l.ExtRef] = true
+		}
+	}
+	var kept []int
+	idx := map[int]int{}
+	for p := 0; p < k.NParams; p++ {
+		if stays[p] {
+			idx[p] = len(kept)
+			kept = append(kept, p)
+		}
+	}
+	out := &Kernel{Name: k.Name, NParams: len(kept), DTypes: make([]DType, len(kept))}
+	for i, p := range kept {
+		out.DTypes[i] = k.DTypeOf(p)
+	}
+	memo := map[*Expr]*Expr{}
+	for i, l := range k.Loops {
+		nl := refCloneLoop(l)
+		nl.ExtRef = idx[extRef[i]]
+		switch l.Kind {
+		case LoopGEMV:
+			nl.MatA = idx[l.MatA]
+			fallthrough
+		case LoopSpMV, LoopAxisReduce:
+			nl.Y, nl.X = idx[l.Y], idx[l.X]
+		}
+		for j := range nl.Stmts {
+			s := &nl.Stmts[j]
+			if s.Kind == KEval {
+				s.Param = -1
+			} else {
+				s.Param = idx[s.Param]
+			}
+			s.E = refRenumber(s.E, idx, memo)
+		}
+		out.Loops = append(out.Loops, nl)
+	}
+	return out, kept
+}
+
+// refFirstLoad returns the parameter of e's first element load, read as a
+// tree (every parameter a statement loads stays), or -1.
+func refFirstLoad(e *Expr) int {
+	switch {
+	case e == nil:
+		return -1
+	case e.Op == OpLoad:
+		return e.Param
+	}
+	for _, x := range []*Expr{e.A, e.B, e.C} {
+		if p := refFirstLoad(x); p >= 0 {
+			return p
+		}
+	}
+	return -1
+}
+
+// refRenumber copies e with every load's parameter p renamed idx[p],
+// sharing what e shares.
+func refRenumber(e *Expr, idx map[int]int, memo map[*Expr]*Expr) *Expr {
+	if e == nil {
+		return nil
+	}
+	if r, ok := memo[e]; ok {
+		return r
+	}
+	n := *e
+	if e.Op == OpLoad || e.Op == OpLoadScalar {
+		n.Param = idx[e.Param]
+	}
+	n.A, n.B, n.C = refRenumber(e.A, idx, memo), refRenumber(e.B, idx, memo), refRenumber(e.C, idx, memo)
+	memo[e] = &n
+	return &n
 }
 
 // composition is Compose's input as the fusion engine hands it over.
@@ -303,44 +446,38 @@ type composition struct {
 	nparams  int
 	kernels  []*Kernel
 	mappings [][]int
-	local    []bool
+	temp     []bool
 	alias    Alias
 	// ext is the one element domain of a composition the evaluator can
 	// run (every parameter one vector of ext elements); 0 for the rest.
 	ext int
 }
 
-func (c *composition) compose() *Kernel {
+func (c *composition) compose() (*Kernel, []int) {
 	var cm Composer
-	return cm.Compose("composed", c.nparams, c.kernels, c.mappings, slices.Clone(c.local), c.alias, true)
+	return cm.Compose("composed", c.nparams, c.kernels, c.mappings, c.temp, c.alias, true)
 }
 
 // reference composes through the oracle passes.
-func (c *composition) reference() *Kernel { return c.referenceOf(true) }
+func (c *composition) reference() (*Kernel, []int) { return c.referenceOf(true) }
 
-// referenceOf is refConcat with the locals marked, optimized when
-// optimize is set.
-func (c *composition) referenceOf(optimize bool) *Kernel {
+// referenceOf is refConcat, optimized when optimize is set, and compacted.
+func (c *composition) referenceOf(optimize bool) (*Kernel, []int) {
 	k := refConcat("composed", c.nparams, c.kernels, c.mappings)
-	for p, l := range c.local {
-		if l {
-			k.MarkLocal(p)
+	if optimize {
+		var fn AliasFn
+		if c.alias != nil {
+			fn = func(p, q int) bool { return c.alias[p] >= 0 && c.alias[p] == c.alias[q] }
 		}
+		k = refOptimize(k, c.temp, fn)
 	}
-	if !optimize {
-		return k
-	}
-	var fn AliasFn
-	if c.alias != nil {
-		fn = func(p, q int) bool { return c.alias[p] >= 0 && c.alias[p] == c.alias[q] }
-	}
-	return refOptimize(k, fn)
+	return refCompact(k, c.temp)
 }
 
 // randComposed builds what core's compose hands Compose: a few generated
 // kernels (mixed dtypes, GEMV/axis-reduce/Random/Iota barriers) under
 // random, generally non-injective mappings, SpMV kernels between them, a
-// random local set and an alias relation — nil, everything in one class,
+// random temporary set and an alias relation — nil, everything in one class,
 // or random classes with unaliased parameters among them. Loop domains are
 // redrawn from two signatures so adjacent loops do merge. One case in four
 // is a runnable chain instead (randChain).
@@ -371,9 +508,9 @@ func randComposed(rng *rand.Rand) *composition {
 			add(spmv)
 		}
 	}
-	c.local = make([]bool, c.nparams)
-	for p := range c.local {
-		c.local[p] = rng.Intn(3) == 0
+	c.temp = make([]bool, c.nparams)
+	for p := range c.temp {
+		c.temp[p] = rng.Intn(3) == 0
 	}
 	switch rng.Intn(4) {
 	case 0:
@@ -391,16 +528,16 @@ func randComposed(rng *rand.Rand) *composition {
 // randChain builds a composition the evaluator can run: the program that
 // squares an array d times (a = a op a) as d+2 three-parameter kernels over
 // one vector domain. Fused parameter 0 is the input and 1 the output; the
-// links in between are locals of random dtype, each written once and read
+// links in between are temporaries of random dtype, each written once and read
 // twice by the next kernel, so forwarding doubles the walk per link and a
 // long chain passes forwardWalk.
 func randChain(rng *rand.Rand) *composition {
 	d := rng.Intn(25)
 	c := &composition{nparams: d + 3, ext: 1 + rng.Intn(20)}
-	c.local = make([]bool, c.nparams)
+	c.temp = make([]bool, c.nparams)
 	dts := make([]DType, c.nparams)
 	for p := 2; p < c.nparams; p++ {
-		c.local[p] = true
+		c.temp[p] = true
 		dts[p] = DType(rng.Intn(3))
 	}
 	ops := []Op{OpAdd, OpSub, OpMul, OpMax, OpMin}
@@ -423,23 +560,29 @@ func randChain(rng *rand.Rand) *composition {
 	return c
 }
 
-// run executes a runnable composition's kernel on inputs drawn from seed
-// and returns its output parameter.
-func (c *composition) run(k *Kernel, seed int64) Buffer {
+// run executes a runnable composition's kernel, whose parameters stand
+// for the fused parameters kept, on inputs drawn from seed and returns its
+// output parameter (fused parameter 1).
+func (c *composition) run(k *Kernel, kept []int, seed int64) Buffer {
 	rng := rand.New(rand.NewSource(seed))
-	bind := make([]Binding, c.nparams)
-	for p := range bind {
-		bind[p] = Binding{Acc: Accessor{Strides: []int{1}}, Ext: []int{c.ext}}
-		if !k.Local[p] {
-			buf := AllocBuffer(k.DTypeOf(p), c.ext)
-			for i := 0; i < c.ext; i++ {
-				buf.Set(i, 0.5+rng.Float64())
-			}
-			bind[p].Acc.Data = buf
+	vals := make([]float64, c.nparams*c.ext)
+	for i := range vals {
+		vals[i] = 0.5 + rng.Float64()
+	}
+	bind := make([]Binding, len(kept))
+	out := -1
+	for i, p := range kept {
+		buf := AllocBuffer(k.DTypeOf(i), c.ext)
+		for j := 0; j < c.ext; j++ {
+			buf.Set(j, vals[p*c.ext+j])
+		}
+		bind[i] = Binding{Acc: Accessor{Data: buf, Strides: []int{1}}, Ext: []int{c.ext}}
+		if p == 1 {
+			out = i
 		}
 	}
 	Compile(k).Execute(&PointArgs{Bind: bind})
-	return bind[1].Acc.Data
+	return bind[out].Acc.Data
 }
 
 // walkOf is the number of nodes an unshared walk of k's statements visits.
@@ -467,20 +610,18 @@ func walkOf(k *Kernel) int {
 }
 
 // runOptimizeDiff checks Compose against the reference on one generated
-// case: same loops and statements (FingerprintHash), same locals, same
-// buffered locals, same expression sharing (the instruction count), and on
-// a runnable case the same output bits. Past forwardWalk the reference
-// forwards what Compose stores, so there the results, the walk bound and
-// a wire round trip are what must hold.
+// case: same loops and statements (FingerprintHash), same kept parameters,
+// same expression sharing (the instruction count), and on a runnable case
+// the same output bits. Past forwardWalk the reference forwards what
+// Compose stores, so there the results, the walk bound and a wire round
+// trip are what must hold.
 func runOptimizeDiff(t *testing.T, seed uint64) {
 	t.Helper()
 	c := randComposed(rand.New(rand.NewSource(int64(seed))))
-	got, want := c.compose(), c.reference()
-	if !slices.Equal(got.Local, want.Local) {
-		t.Fatalf("seed %d: Local %v, want %v", seed, got.Local, want.Local)
-	}
+	got, gotKept := c.compose()
+	want, wantKept := c.reference()
 	if c.ext > 0 {
-		if g, w := c.run(got, int64(seed)), c.run(want, int64(seed)); !buffersEqualBits(g, w) {
+		if g, w := c.run(got, gotKept, int64(seed)), c.run(want, wantKept, int64(seed)); !buffersEqualBits(g, w) {
 			t.Fatalf("seed %d: chain of %d links computes %v, reference %v", seed, c.nparams-2, g, w)
 		}
 	}
@@ -500,11 +641,11 @@ func runOptimizeDiff(t *testing.T, seed uint64) {
 		}
 		return
 	}
+	if !slices.Equal(gotKept, wantKept) {
+		t.Fatalf("seed %d: kept parameters %v, want %v", seed, gotKept, wantKept)
+	}
 	if got.FingerprintHash() != want.FingerprintHash() {
 		t.Fatalf("seed %d (alias %v): kernels differ\n got %s\nwant %s", seed, c.alias, got.Fingerprint(), want.Fingerprint())
-	}
-	if g, w := bufferLocals(got), bufferLocals(want); !slices.Equal(g, w) {
-		t.Fatalf("seed %d: buffered locals %v, want %v", seed, g, w)
 	}
 	if g, w := Compile(got).NOps, Compile(want).NOps; g != w {
 		t.Fatalf("seed %d: %d instructions, want %d (expression sharing differs)", seed, g, w)
@@ -537,7 +678,7 @@ func FuzzOptimizeMatchesReference(f *testing.F) {
 func TestOptimizeAllocatesLinearly(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	chain := func(n int) *composition {
-		c := &composition{nparams: n + 1, local: make([]bool, n+1), alias: make(Alias, n+1)}
+		c := &composition{nparams: n + 1, temp: make([]bool, n+1), alias: make(Alias, n+1)}
 		for i := 0; i < n; i++ {
 			k := NewKernel("inc", 2)
 			k.AddLoop(&Loop{Kind: LoopElem, Dom: "d", Ext: []int{8}, ExtRef: 1,
@@ -560,7 +701,7 @@ func TestOptimizeAllocatesLinearly(t *testing.T) {
 	for _, n := range []int{64, 128, 256} {
 		c := chain(n)
 		var opt *Kernel
-		got := bytesOf(func() { opt = c.compose() })
+		got := bytesOf(func() { opt, _ = c.compose() })
 		ref := bytesOf(func() { c.reference() })
 		if len(opt.Loops) != 1 || len(opt.Loops[0].Stmts) != n {
 			t.Fatalf("n=%d: %d loops, want one loop of %d statements", n, len(opt.Loops), n)

@@ -8,9 +8,9 @@ import (
 )
 
 // TestOptimizePreservesSemantics generates random multi-loop element-wise
-// kernels with randomly demoted local parameters and checks that the full
-// pass pipeline (loop fusion + scalarization + dead-store elimination)
-// leaves the observable outputs bit-identical to the unoptimized kernel.
+// kernels with random temporaries and checks that the full pass pipeline
+// (loop fusion + scalarization + dead-store elimination) leaves the
+// observable outputs bit-identical to the unoptimized kernel.
 func TestOptimizePreservesSemantics(t *testing.T) {
 	fn := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -47,40 +47,38 @@ func TestOptimizePreservesSemantics(t *testing.T) {
 			}
 			k.AddLoop(&Loop{Kind: LoopElem, Dom: "v", Ext: []int{n}, ExtRef: 0, Stmts: stmts})
 		}
-		// Demote a random subset of non-input params that the caller will
-		// not observe.
-		locals := map[int]bool{}
+		// Mark a random subset of non-input params that the caller will
+		// not observe as temporaries.
+		temp := make([]bool, nParams)
 		for p := 2; p < nParams; p++ {
-			if rng.Intn(3) == 0 {
-				k.MarkLocal(p)
-				locals[p] = true
-			}
+			temp[p] = rng.Intn(3) == 0
 		}
 
-		exec := func(kk *Kernel) [][]float64 {
+		// exec runs kk, whose parameter i is k's parameter kept[i].
+		exec := func(kk *Kernel, kept []int) [][]float64 {
 			bufs := make([][]float64, nParams)
-			bind := make([]Binding, nParams)
-			for p := 0; p < nParams; p++ {
-				if kk.Local[p] {
-					bind[p] = Binding{Ext: []int{n}}
-					continue
-				}
+			bind := make([]Binding, len(kept))
+			for i, p := range kept {
 				bufs[p] = make([]float64, n)
 				for i := range bufs[p] {
 					// Deterministic init so both runs start identically.
 					bufs[p][i] = math.Round(float64((p*31+i*7)%13)) - 6
 				}
-				bind[p] = Binding{Acc: Accessor{Data: BufF64(bufs[p]), Strides: []int{1}}, Ext: []int{n}}
+				bind[i] = Binding{Acc: Accessor{Data: BufF64(bufs[p]), Strides: []int{1}}, Ext: []int{n}}
 			}
 			Compile(kk).Execute(&PointArgs{Bind: bind})
 			return bufs
 		}
 
-		got := exec(k)
-		want := exec(optimize(k, nil))
+		all := make([]int, nParams)
+		for p := range all {
+			all[p] = p
+		}
+		got := exec(k, all)
+		want := exec(optimize(k, temp, nil))
 
 		for p := 0; p < nParams; p++ {
-			if locals[p] || k.Local[p] {
+			if temp[p] {
 				continue
 			}
 			for i := 0; i < n; i++ {
@@ -100,9 +98,9 @@ func TestOptimizePreservesSemantics(t *testing.T) {
 // TestOptimizeIdempotent: running the pipeline twice changes nothing.
 func TestOptimizeIdempotent(t *testing.T) {
 	var c Composer
-	once := c.Compose("f", 5, []*Kernel{addKernel(), addKernel()}, [][]int{{0, 1, 2}, {2, 3, 4}},
+	once, _ := c.Compose("f", 5, []*Kernel{addKernel(), addKernel()}, [][]int{{0, 1, 2}, {2, 3, 4}},
 		[]bool{2: true, 4: false}, nil, true)
-	twice := optimize(once, nil)
+	twice, _ := optimize(once, nil, nil)
 	if len(once.Loops) != len(twice.Loops) {
 		t.Fatal("composition must be idempotent in loop structure")
 	}

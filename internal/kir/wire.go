@@ -21,7 +21,7 @@ import (
 
 // KernelWireVersion is the kernel codec version; decoders reject any
 // other value.
-const KernelWireVersion uint16 = 1
+const KernelWireVersion uint16 = 2
 
 // maxExprWalk bounds the expression nodes of a decoded kernel, counted as
 // a walk that revisits shared sub-expressions does. The largest fused
@@ -57,10 +57,8 @@ func EncodeKernel(k *Kernel) []byte {
 	w.U16(KernelWireVersion)
 	w.Str(k.Name)
 	w.I64(int64(k.NParams))
-	w.Bools(k.Local)
-	w.I64(int64(len(k.DTypes)))
-	for _, d := range k.DTypes {
-		w.U8(uint8(d))
+	for p := 0; p < k.NParams; p++ {
+		w.U8(uint8(k.DTypeOf(p)))
 	}
 
 	// Expression node table: children before parents, shared nodes once.
@@ -120,19 +118,12 @@ func DecodeKernel(data []byte) (*Kernel, error) {
 	}
 	k := &Kernel{}
 	k.Name = r.Str()
-	k.NParams = int(r.I64())
-	k.Local = r.Bools()
-	if r.Err() == nil && len(k.Local) != k.NParams {
-		// Every pass indexes Local by parameter, and the fingerprints loop
-		// to NParams: a count the flags do not back is not a kernel.
-		return nil, fmt.Errorf("kir: kernel %q: %d parameters with %d local flags", k.Name, k.NParams, len(k.Local))
-	}
-	ndt := r.Count(1)
-	if ndt > 0 {
-		k.DTypes = make([]DType, ndt)
-		for i := range k.DTypes {
-			k.DTypes[i] = DType(r.U8())
-		}
+	// One dtype byte per parameter backs the count: the fingerprints loop
+	// to NParams.
+	k.NParams = r.Count(1)
+	k.DTypes = make([]DType, k.NParams)
+	for i := range k.DTypes {
+		k.DTypes[i] = DType(r.U8())
 	}
 
 	nnodes := r.Count(34)

@@ -1,14 +1,15 @@
 package kir
 
 import (
+	"encoding/binary"
 	"strings"
 	"testing"
 )
 
 // TestDecodeKernelRejects: two bodies that parse field by field and still
 // are not kernels, both found by the FuzzDecodeStream kernel leg as hangs
-// in Fingerprint rather than as decode errors. A parameter count the local
-// flags do not back sends every "for p < NParams" loop off the end; a node
+// in Fingerprint rather than as decode errors. A parameter count the dtype
+// bytes do not back sends every "for p < NParams" loop off the end; a node
 // table that shares aggressively describes 2^n nodes to any walk that does
 // not remember shared nodes, which is how the fingerprints walk.
 func TestDecodeKernelRejects(t *testing.T) {
@@ -26,10 +27,11 @@ func TestDecodeKernelRejects(t *testing.T) {
 		return e
 	}
 
-	unbacked := store(Load(0))
-	unbacked.NParams = 1 << 40
-	if _, err := DecodeKernel(EncodeKernel(unbacked)); err == nil || !strings.Contains(err.Error(), "local flags") {
-		t.Errorf("a parameter count without local flags decoded: %v", err)
+	unbacked := EncodeKernel(store(Load(0)))
+	// The count follows the version and the name "k" (length, byte).
+	binary.LittleEndian.PutUint64(unbacked[2+8+1:], 1<<40)
+	if _, err := DecodeKernel(unbacked); err == nil || !strings.Contains(err.Error(), "count") {
+		t.Errorf("a parameter count without dtypes decoded: %v", err)
 	}
 	if _, err := DecodeKernel(EncodeKernel(store(shared(64)))); err == nil || !strings.Contains(err.Error(), "walked unshared") {
 		t.Errorf("a 2^64-node expression decoded: %v", err)

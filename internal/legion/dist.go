@@ -152,13 +152,13 @@ type distGroupState struct {
 // touches over colors [lo, hi): the whole store for replicated (None)
 // arguments, the hull of the point tasks' clipped tiles (argPlan.tileBox,
 // the binding arithmetic the unit executes) for tiled ones, and an empty
-// span for local (temporary-eliminated) and reduction arguments, which
-// touch no shared region data (reductions accumulate into private
-// partial cells). A rank syncs and ships exactly these spans, and its
-// unit executes against instances cut to them (instances).
+// span for reduction arguments, which touch no shared region data (they
+// accumulate into private partial cells). A rank syncs and ships exactly
+// these spans, and its unit executes against instances cut to them
+// (instances).
 func argShardSpan(plan *taskPlan, i, lo, hi int) ir.Span {
 	ap := &plan.args[i]
-	if ap.priv.Reduces() || ap.local {
+	if ap.priv.Reduces() {
 		return ir.Span{}
 	}
 	if ap.isNone {
@@ -196,7 +196,7 @@ type shardInst struct {
 // over the span spansFor computed, so a point task reaching outside its
 // shard's declared footprint faults instead of silently reading data its
 // rank has not synced. Replicated arguments read the canonical instance;
-// reduction and local arguments touch no region.
+// reduction arguments touch no region.
 func instances(plan *taskPlan, spans []ir.Span, s, shards int) []shardInst {
 	insts := make([]shardInst, len(plan.args))
 	for i := range plan.args {
@@ -280,7 +280,7 @@ func (ds *distGroupState) ship(e int, spans []ir.Span) {
 	for i := range plan.args {
 		ap := &plan.args[i]
 		sp := spans[i*ds.shards+ds.me]
-		if !ap.priv.Writes() || ap.local || sp.Empty() {
+		if !ap.priv.Writes() || sp.Empty() {
 			continue
 		}
 		ds.scratch = ap.data.AppendWire(ds.scratch[:0], sp.Lo, sp.Hi)
@@ -302,7 +302,7 @@ func (ds *distGroupState) enqueue(e int, spans []ir.Span) {
 	plan := ds.g.entries[e].plan
 	for i := range plan.args {
 		ap := &plan.args[i]
-		if !ap.priv.Writes() || ap.local {
+		if !ap.priv.Writes() {
 			continue
 		}
 		for s := 0; s < ds.shards; s++ {

@@ -199,7 +199,7 @@ type workerState struct {
 
 func (ws *workerState) prepare(nargs int, payload *Payload) {
 	if ws.scratch == nil {
-		ws.scratch = kir.NewScratch()
+		ws.scratch = &kir.Scratch{}
 	}
 	ws.pa.Scratch = ws.scratch
 	if cap(ws.pa.Bind) < nargs {
@@ -284,8 +284,7 @@ type argPlan struct {
 	priv  ir.Privilege
 	red   ir.ReduceOp
 
-	local  bool
-	data   kir.Buffer // the bound region (bind/unbind); nil for temporary-eliminated (local) args
+	data   kir.Buffer // the bound region (bind/unbind)
 	redIdx int        // index into taskPlan.redArgs when priv is Reduce
 
 	// overwrites: the task writes every element of the store before it
@@ -379,9 +378,6 @@ func (p *taskPlan) bind(rt *Runtime, t *ir.Task, whole bool) {
 		a := &t.Args[i]
 		ap := &p.args[i]
 		ap.store = a.Store
-		if ap.local {
-			continue
-		}
 		overwrite := whole && ap.overwrites && !namedTwice(t, i)
 		ap.data = rt.regionFor(a.Store, a.Red, overwrite).data
 		if ap.isNone {
@@ -422,13 +418,12 @@ func (rt *Runtime) buildPlan(t *ir.Task, e *kernelEntry) *taskPlan {
 		ap.part = a.Part
 		ap.priv = a.Priv
 		ap.red = a.Red
-		ap.local = t.Kernel.Local[i]
 		if a.Priv.Reduces() {
 			ap.redIdx = len(p.redArgs)
 			p.redArgs = append(p.redArgs, i)
 		}
-		ap.overwrites = !ap.local && !a.Priv.Reduces() && comp.Overwrites(i) && len(p.colors) > 0 &&
-			t.Launch.ContainsRect(a.Part.ColorSpace()) && a.Part.Covers(a.Store.Bounds())
+		ap.overwrites = !a.Priv.Reduces() && comp.Overwrites(i) && len(p.colors) > 0 &&
+			t.Launch.ContainsRect(a.Part.ColorSpace()) && a.Part.Covers(a.Store.Shape())
 		shape := a.Store.Shape()
 		strides := a.Store.Strides()
 		switch part := a.Part.(type) {
@@ -478,7 +473,7 @@ func (p *taskPlan) spanEligible(t *ir.Task, sh *spanShape) bool {
 	for i := range p.args {
 		ap := &p.args[i]
 		if ap.isNone {
-			if ap.local || ap.priv != ir.Read || ap.store.Size() != 1 {
+			if ap.priv != ir.Read || ap.store.Size() != 1 {
 				return false
 			}
 			continue
@@ -529,18 +524,17 @@ type spanShape struct {
 // reaches through a different partition whose view overlaps the written
 // one. Such a task has no defined result, fused or not; per-point
 // execution orders those accesses point by point, and it keeps that order.
-// Temporary-eliminated (local) arguments touch no region and cannot
-// alias. Checked per bound task: a cached plan matches tasks by shape,
-// not by which arguments share a store.
+// Checked per bound task: a cached plan matches tasks by shape, not by
+// which arguments share a store.
 func (p *taskPlan) misalignedSelfAlias(t *ir.Task) bool {
 	for i := range t.Args {
 		w := &t.Args[i]
-		if !w.Priv.Writes() || p.args[i].local {
+		if !w.Priv.Writes() {
 			continue
 		}
 		for j := range t.Args {
 			a := &t.Args[j]
-			if j != i && a.Store == w.Store && !p.args[j].local && !a.Part.Equal(w.Part) &&
+			if j != i && a.Store == w.Store && !a.Part.Equal(w.Part) &&
 				viewsOverlap(w.Part, a.Part, w.Store.Shape()) {
 				return true
 			}

@@ -30,8 +30,7 @@ func addConstTask(k *kir.Kernel, x, y *ir.Store, ext int) *ir.Task {
 // TestStructuralIdentitySharesProgram: the kernel cache goes by
 // kir.Kernel.FingerprintHash. Kernel objects that hash alike share one
 // entry — one compiled form, one codegen program and one execution plan;
-// one immediate, one parameter dtype or one local parameter apart, a
-// kernel gets its own.
+// one immediate or one parameter dtype apart, a kernel gets its own.
 func TestStructuralIdentitySharesProgram(t *testing.T) {
 	rt := New(nil)
 	var fact ir.Factory
@@ -70,13 +69,6 @@ func TestStructuralIdentitySharesProgram(t *testing.T) {
 	check("another immediate", 2)
 	rt.Execute(addConstTask(addConstKernel(ir.F32, ext, 1), x32, y32, ext))
 	check("another parameter dtype", 3)
-	local := addConstKernel(ir.F64, ext, 1)
-	local.MarkLocal(1)
-	rt.Execute(addConstTask(local, x, fact.NewStore("tmp", []int{ext}), ext))
-	check("another local parameter", 4)
-	if rt.Compiled(local) == rt.Compiled(a) {
-		t.Fatal("a kernel with a local parameter shares the compiled form of one without")
-	}
 }
 
 // TestWarmSingletonTaskRendersNoFingerprint: an unfused stream (and every

@@ -48,7 +48,7 @@ func mathExpr(a, b *kir.Expr) *kir.Expr {
 // spanScenarios are the shapes a span must reproduce per point: clipped
 // edge tiles in 1-D and 2-D, loops of one task tiled differently, a
 // one-row view whose second launch row holds empty tiles, a replicated
-// scalar, and a local temporary that survives into a task-local buffer.
+// scalar, and a temporary the fused kernel still names.
 var spanScenarios = map[string]spanScenario{
 	"1d clipped, replicated scalar": func(rt *Runtime, fact *ir.Factory, run func(*ir.Task)) []*ir.Store {
 		const n = 30 // tiles of 4: the last color holds 2 elements
@@ -99,14 +99,13 @@ var spanScenarios = map[string]spanScenario{
 	"2x4 surviving local temporary": func(rt *Runtime, fact *ir.Factory, run func(*ir.Task)) []*ir.Store {
 		x := filled(rt, fact, "x", 14, 16)
 		tmp, y := fact.NewStore("tmp", []int{14, 16}), fact.NewStore("y", []int{14, 16})
-		// tmp is stored by loop 0 and loaded by loop 1, so it keeps a
-		// task-local buffer sized by its bound extents.
+		// tmp is stored by loop 0 and loaded by loop 1: a temporary the
+		// fused kernel still names is an ordinary store, spanned like y.
 		k := kir.NewKernel("local", 3)
 		k.AddLoop(&kir.Loop{Kind: kir.LoopElem, Dom: "a", Ext: []int{7, 4}, ExtRef: 1,
 			Stmts: []kir.Stmt{{Kind: kir.KStore, Param: 1, E: kir.Binary(kir.OpMul, kir.Load(0), kir.Load(0))}}})
 		k.AddLoop(&kir.Loop{Kind: kir.LoopElem, Dom: "b", Ext: []int{7, 4}, ExtRef: 2,
 			Stmts: []kir.Stmt{{Kind: kir.KStore, Param: 2, E: mathExpr(kir.Load(1), kir.Load(0))}}})
-		k.MarkLocal(1)
 		part := view2(14, 16, 0, 0)
 		run(&ir.Task{Name: "local", Launch: launch2x4, Kernel: k, Args: []ir.Arg{
 			{Store: x, Part: part, Priv: ir.Read},

@@ -230,7 +230,7 @@ func (p *Pricer) updateWriters(t *ir.Task) {
 		id := a.Store.ID()
 		switch {
 		case a.Priv.Writes():
-			if a.Part.Covers(a.Store.Bounds()) {
+			if a.Part.Covers(a.Store.Shape()) {
 				p.writers[id] = append(p.writers[id][:0], a.Part)
 			} else if !anyEqual(p.writers[id], a.Part) {
 				p.addWriter(id, a.Part)

@@ -28,7 +28,7 @@ type Backend struct {
 
 // New returns an empty reference backend.
 func New() *Backend {
-	return &Backend{bufs: map[ir.StoreID]kir.Buffer{}, scratch: kir.NewScratch()}
+	return &Backend{bufs: map[ir.StoreID]kir.Buffer{}, scratch: &kir.Scratch{}}
 }
 
 // csrSource is what the oracle needs of a task payload: the point-local
@@ -54,9 +54,6 @@ func (b *Backend) Execute(t *ir.Task) {
 	data := make([]kir.Buffer, len(t.Args))
 	partials := make([]kir.Buffer, len(t.Args))
 	for i, a := range t.Args {
-		if t.Kernel.Local[i] {
-			continue // temporary-eliminated: the kernel allocates it
-		}
 		data[i] = b.buffer(a.Store, a.Red)
 		if a.Priv.Reduces() {
 			partials[i] = kir.AllocBuffer(a.Store.DType(), len(colors))

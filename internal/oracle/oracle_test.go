@@ -200,9 +200,9 @@ func TestSpMV(t *testing.T) {
 	})
 }
 
-// TestLocalArguments: a temporary-eliminated parameter gets a task-local
-// buffer, and a generator writing it still derives values from its
-// global (offset) coordinates.
+// TestLocalArguments: a temporary the fused kernel still names is an
+// ordinary argument, and a generator writing it through an offset tiling
+// derives values from its global (offset) coordinates.
 func TestLocalArguments(t *testing.T) {
 	const pad, tile = 8, 32
 	n := pad + points*tile
@@ -215,7 +215,6 @@ func TestLocalArguments(t *testing.T) {
 		k.AddLoop(&kir.Loop{Kind: kir.LoopRandom, Dom: "v", Ext: []int{tile}, ExtRef: 1, Seed: 5})
 		k.AddLoop(&kir.Loop{Kind: kir.LoopElem, Dom: "v", Ext: []int{tile}, ExtRef: 2,
 			Stmts: []kir.Stmt{{Kind: kir.KStore, Param: 2, E: kir.Binary(kir.OpMul, kir.Load(0), kir.Load(1))}}})
-		k.MarkLocal(1)
 		part := ir.NewTiling(launch, []int{points * tile}, []int{tile}, []int{pad}, nil, nil)
 		rt.Execute(&ir.Task{Name: "fused", Launch: launch, Kernel: k, Args: []ir.Arg{
 			{Store: x, Part: part, Priv: ir.Read},
@@ -253,7 +252,6 @@ func TestScalarReductions(t *testing.T) {
 				fill.AddLoop(&kir.Loop{Kind: kir.LoopElem, Dom: "v", Ext: []int{ext}, ExtRef: 0,
 					Stmts: []kir.Stmt{{Kind: kir.KStore, Param: 0, E: kir.Binary(kir.OpMul, kir.Const(tc.sign),
 						kir.Unary(kir.OpSqrt, kir.Binary(kir.OpAdd, kir.Load(1), kir.Const(1))))}}})
-				fill.MarkLocal(1)
 				rt.Execute(&ir.Task{Name: "fill", Launch: launch, Kernel: fill, Args: []ir.Arg{
 					{Store: x, Part: tp, Priv: ir.Write},
 					{Store: fact.NewStoreTyped("iota", []int{n}, dt), Part: tp, Priv: ir.Write}}})

@@ -56,14 +56,6 @@ func (w *Writer) Ints(vs []int) {
 	}
 }
 
-// Bools writes a length-prefixed run of Bool bytes.
-func (w *Writer) Bools(vs []bool) {
-	w.I64(int64(len(vs)))
-	for _, v := range vs {
-		w.Bool(v)
-	}
-}
-
 // F64s, F32s and I32s write store elements at their own width with no
 // length prefix: both sides of an element payload know the count.
 func (w *Writer) F64s(vs []float64) {
@@ -206,18 +198,6 @@ func (r *Reader) Ints() []int {
 	vs := make([]int, n)
 	for i := range vs {
 		vs[i] = int(r.I64())
-	}
-	return vs
-}
-
-func (r *Reader) Bools() []bool {
-	n := r.Count(1)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	vs := make([]bool, n)
-	for i := range vs {
-		vs[i] = r.Bool()
 	}
 	return vs
 }
