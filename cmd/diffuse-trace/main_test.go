@@ -89,7 +89,7 @@ func TestPrintStatsShardedDrain(t *testing.T) {
 
 // TestTaskLineCountsClosures: each traced task's line carries the closures
 // per block its element loops run on the codegen tier next to its loop
-// count — 9 for CG's fused5, whose stores and sum absorb their arithmetic
+// count — 8 for CG's fused5, whose stores and sum absorb their arithmetic
 // — and 0 under -interp. Its arguments are the 8 stores the kernel
 // touches: the two temporaries it forwards are none of them.
 func TestTaskLineCountsClosures(t *testing.T) {
@@ -108,7 +108,7 @@ func TestTaskLineCountsClosures(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("traced %d fused5 lines, want 2", len(lines))
 	}
-	for i, cg := range []string{"9", "0"} {
+	for i, cg := range []string{"8", "0"} {
 		m := want.FindStringSubmatch(lines[i])
 		if m == nil || m[1] != cg {
 			t.Fatalf("line %q: want loops=1 cg=%s", lines[i], cg)

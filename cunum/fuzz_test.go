@@ -29,6 +29,9 @@ var (
 // from seed, twice over (so the second pass issues keys the first one
 // interned), and returns the bits of every live array. Operands mix
 // dtypes, whole arrays and slices, and shape-[1] scalars that broadcast.
+// Some ops repeat on the same input, and some negations feed a product,
+// quotient or erf: the values kir.Compile computes once and the negations
+// it moves outward.
 func runInternedProgram(ctx *cunum.Context, seed uint64) []uint64 {
 	rng := rand.New(rand.NewSource(int64(seed)))
 	const n = 12
@@ -74,7 +77,7 @@ func runInternedProgram(ctx *cunum.Context, seed uint64) []uint64 {
 		rng.Seed(script) // both passes issue the same ops
 		for i := 0; i < ops; i++ {
 			var out *cunum.Array
-			switch rng.Intn(9) {
+			switch rng.Intn(11) {
 			case 0:
 				out = cunum.ApplyOp(fuzzBinary[rng.Intn(len(fuzzBinary))], []*cunum.Array{pick(), pick()})
 			case 1:
@@ -98,6 +101,26 @@ func runInternedProgram(ctx *cunum.Context, seed uint64) []uint64 {
 				out = cunum.ApplyOp([]string{"where", "fma"}[rng.Intn(2)], []*cunum.Array{pick(), pick(), pick()})
 			case 7:
 				out = pick().AsType(fuzzDTypes[rng.Intn(len(fuzzDTypes))])
+			case 8: // the same op on the same input twice: one value
+				op, a, k := fuzzConst[rng.Intn(len(fuzzConst))], pick(), c()
+				pool = append(pool, cunum.ApplyOp(op, []*cunum.Array{a}, k).Keep())
+				out = cunum.ApplyOp(op, []*cunum.Array{a}, k)
+			case 9: // a negation into a product, quotient or erf, beside the same op on the input
+				a, k := pick(), c()
+				op := []string{"divc", "mulc", "rdivc", "erf", "neg"}[rng.Intn(5)]
+				var consts []float64
+				if op != "erf" && op != "neg" {
+					consts = []float64{k}
+				}
+				if rng.Intn(2) == 0 {
+					pool = append(pool, cunum.ApplyOp(op, []*cunum.Array{a}, consts...).Keep())
+				}
+				neg := a.Neg()
+				out = cunum.ApplyOp(op, []*cunum.Array{neg}, consts...)
+				if rng.Intn(2) == 0 {
+					out = out.Erf()
+				}
+				neg.Free()
 			default: // a reduction feeds the scalars
 				a := pick()
 				var s *cunum.Array
@@ -116,7 +139,7 @@ func runInternedProgram(ctx *cunum.Context, seed uint64) []uint64 {
 			if out != nil {
 				pool = append(pool, out.Keep())
 			}
-			if len(pool) > 6 {
+			for len(pool) > 6 {
 				victim := 3 + rng.Intn(len(pool)-3)
 				pool[victim].Free()
 				pool = append(pool[:victim], pool[victim+1:]...)
@@ -139,12 +162,10 @@ var fuzzSchedules = [][2]int{{1, 1}, {1, 2}, {2, 512}, {3, 7}, {5, 512}, {16, 16
 // FuzzInternedOps holds random registry-op programs, issued fused through
 // the context's interned kernels and view tilings under a window schedule
 // drawn from the seed, to the reference backend running them unfused:
-// every bit read back must agree, except that a NaN matches any NaN. Go
-// leaves the payload of an operation on two NaNs to the operand order the
-// compiler picks: under the fuzzer's instrumented build, a sum meeting two
-// NaN payloads keeps a different one in the interpreter and in codegen.
-// The payload a single NaN constant carries through is pinned by
-// TestInternedKernelKeyDistinguishes instead. The committed corpus under
+// every bit read back must agree, NaN payloads included. An operation on
+// two NaNs keeps its first operand's payload in both kernel tiers and in
+// every build (kir pins it by an explicit select), so neither fusion nor
+// the fuzzer's instrumentation can move one. The committed corpus under
 // testdata/fuzz/FuzzInternedOps replays on every `go test`.
 func FuzzInternedOps(f *testing.F) {
 	for _, seed := range []uint64{0, 1, 7, 42, 1234, 99991} {
@@ -165,8 +186,7 @@ func FuzzInternedOps(f *testing.F) {
 				t.Fatalf("seed %d, width %d, window %v: %d elements, want %d", seed, procs, sched, len(got), len(want))
 			}
 			for i := range got {
-				g, w := math.Float64frombits(got[i]), math.Float64frombits(want[i])
-				if got[i] != want[i] && !(math.IsNaN(g) && math.IsNaN(w)) {
+				if got[i] != want[i] {
 					t.Fatalf("seed %d, width %d, window %v: element %d is %#x, reference %#x", seed, procs, sched, i, got[i], want[i])
 				}
 			}

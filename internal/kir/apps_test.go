@@ -110,7 +110,8 @@ func TestAppsCompositionsMatchReference(t *testing.T) {
 // TestCGSteadyKernelClosures pins the closures per block of natural CG's
 // steady fused kernels, where the codegen tier absorbs each update's
 // arithmetic into its store and each dot's product into its sum: fused5
-// (x += αp; r −= αAp; r·r) runs 9 where one per instruction was 14, the
+// (x += αp; r −= αAp; r·r) runs 8 where one per instruction was 14 (its
+// two loads of the updated r are one value since Compile numbers values), the
 // SpMV and p·Ap fused2 3 where it was 4, and the p-update fused2 3 where
 // it was 5.
 func TestCGSteadyKernelClosures(t *testing.T) {
@@ -133,8 +134,31 @@ func TestCGSteadyKernelClosures(t *testing.T) {
 		got[name] = kir.Codegen(kir.Compile(task.Kernel)).Closures()
 	}
 	cg.Iterate(2)
-	want := map[string]int{"fused5": 9, "fused2+spmv": 3, "fused2": 3}
+	want := map[string]int{"fused5": 8, "fused2+spmv": 3, "fused2": 3}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("closures per block of CG's fused kernels = %v, want %v", got, want)
+	}
+}
+
+// TestBlackScholesErfOnce pins what value numbering and the sign rules
+// save on Black-Scholes' fused step: cnd(−d) reuses cnd(d)'s erf, so
+// fused41 runs 2 erf instructions where its sources run 4, in 42 closures
+// per block (51 without them).
+func TestBlackScholesErfOnce(t *testing.T) {
+	ctx := cunum.NewContext(core.New(core.DefaultConfig(8)))
+	defer ctx.Close()
+	b := apps.NewBlackScholes(ctx, 64)
+	b.Iterate(2)
+	var erfs, closures, n int
+	ctx.Runtime().Legion().Trace = func(task *ir.Task) {
+		if task.Name == "fused41" {
+			c := kir.Compile(task.Kernel)
+			erfs, closures = kir.CountOps(c, kir.OpErf), kir.Codegen(c).Closures()
+			n++
+		}
+	}
+	b.Iterate(1)
+	if n != 1 || erfs != 2 || closures != 42 {
+		t.Fatalf("%d fused41 tasks with %d erf instructions in %d closures per block, want 1 with 2 in 42", n, erfs, closures)
 	}
 }

@@ -25,7 +25,7 @@ package kir
 // into an f64 cell folds the products with no product lane (dot). An
 // instruction is absorbed only when the consumer is its single reader and
 // no element store lies between the two. Natural CG's x += αp; r −= αAp;
-// r·r then runs 9 closures per block instead of 14. Every other shape
+// r·r then runs 8 closures per block instead of 14. Every other shape
 // keeps one closure per instruction.
 //
 // Element loops are the only loops this tier lowers. The others — SpMV,
@@ -40,9 +40,12 @@ package kir
 // through the identical float32/clampI32 conversions, reductions fold
 // lane values into the partial accumulator in element order, and the
 // final fold into the typed destination cell reuses the interpreter's
-// code path. An absorbed closure keeps each instruction's operand order
-// and rounds its products through an explicit float64 conversion, so the
-// compiler may not contract them into FMAs. Running an instruction across
+// code path. An absorbed closure keeps each instruction's operand order,
+// or computes the same bits another way (lowerAxpyStore), and rounds its
+// products through an explicit float64 conversion, so the compiler may
+// not contract them into FMAs. An add or mul keeps its first operand's
+// NaN payload as the interpreter's does (pinAdd, pinMul), selecting only
+// where two NaNs can meet. Running an instruction across
 // a whole block before the next instruction is observationally identical
 // because element-wise loops are element-parallel by system invariant:
 // the chunked/sharded executors already run a loop's elements in
@@ -202,6 +205,7 @@ func lowerElem(k *Kernel, cl *compiledLoop) cgLoop {
 		g.slotDT[s] = k.DTypeOf(p)
 	}
 	fused, absorbed := absorptions(k, cl, g.slotDT)
+	uniform := make([]bool, cl.nregs) // the register's lane holds one value
 	for i := range cl.body {
 		in := &cl.body[i]
 		if absorbed != nil && absorbed[i] {
@@ -209,8 +213,10 @@ func lowerElem(k *Kernel, cl *compiledLoop) cgLoop {
 		}
 		switch in.Op {
 		case OpConst:
+			uniform[in.Dst] = true
 			g.setup = append(g.setup, cgSetup{reg: int(in.Dst), param: -1, imm: in.Imm})
 		case OpLoadScalar:
+			uniform[in.Dst] = true
 			g.setup = append(g.setup, cgSetup{reg: int(in.Dst), param: int(in.Slot)})
 		case OpLoad:
 			g.elem = append(g.elem, lowerLoad(int(in.Dst), int(in.Slot), g.slotDT[in.Slot], inPlaceLoad(cl.body, i)))
@@ -229,7 +235,7 @@ func lowerElem(k *Kernel, cl *compiledLoop) cgLoop {
 		case OpCast:
 			g.elem = append(g.elem, lowerCast(int(in.Dst), int(in.A), DType(in.Slot)))
 		default:
-			op := lowerArith(in)
+			op := lowerArith(in, uniform)
 			if op == nil {
 				return cgLoop{} // unknown op: stay on the interpreter
 			}
@@ -376,16 +382,15 @@ func absorptions(k *Kernel, cl *compiledLoop, slotDT []DType) (map[int]absorptio
 // conversion, which forbids the compiler to contract it and the add into
 // an FMA the interpreter does not run.
 //
-// Each case keeps the operand order of both instructions, and with it the
-// NaN payload the interpreter keeps when both operands of one are NaNs:
-// its first operand's, the one its compiled add or mul holds in the
-// destination register. Here u is loop-invariant, so b's register is the
-// product's destination whichever operand comes first; when u does and
-// is a NaN, every product is u, quieted, and the product lane is then u's
-// own. A load the compiler folds into an add becomes its second operand,
-// so x + u·b leaves b's lane unresliced: its bounds check puts x's load in
-// an earlier block than the add, where it cannot be folded.
-// TestCodegenAbsorbsAxpyStore pins all of this.
+// Each case computes the interpreter's bits, NaN payloads included: an
+// operation on two NaNs keeps its first operand's (pinAdd, pinMul). Here
+// u is loop-invariant, so a block whose u is a NaN takes axpyNaN, which
+// runs the interpreter's selects. With u not a NaN, the product meets at
+// most one NaN and each sub keeps its first operand's by its order alone;
+// x + u·b is computed as x − b·(−u), a sub, which is the same sum (IEEE
+// defines x − y as x + (−y), and b·(−u) is −(b·u) to the bit whenever it
+// is not a NaN) and keeps x's payload over a NaN product's. Only u·b + x
+// selects per element. TestCodegenAbsorbsAxpyStore pins all of this.
 func lowerAxpyStore(slot int, f absorption) cgOp {
 	x, b, u, own, uFirst := f.x, f.m0, f.m1, f.own, f.uFirst
 	if uFirst {
@@ -393,35 +398,48 @@ func lowerAxpyStore(slot int, f absorption) cgOp {
 	}
 	operands := func(st *cgState) (d, a, v []float64, s float64) {
 		d = st.storeWindow(slot, own)
-		s = st.lane[u][0]
-		v = st.lane[b]
-		if uFirst && s != s {
-			v = st.lane[u]
+		return d, st.lane[x][:len(d)], st.lane[b][:len(d)], st.lane[u][0]
+	}
+	nan := func(st *cgState, d, a, v []float64, s float64) {
+		if uFirst {
+			v = st.lane[u][:len(d)] // u·b keeps u's payload
 		}
-		return d, st.lane[x][:len(d)], v, s
+		axpyNaN(f, d, a, v, s)
+		st.scatter(slot, d)
 	}
 	switch {
 	case f.op == OpAdd && !f.prodFirst:
 		return func(st *cgState) {
 			d, a, v, s := operands(st)
+			if s != s {
+				nan(st, d, a, v, s)
+				return
+			}
+			ns := -s
 			for i := range d {
-				d[i] = a[i] + float64(v[i]*s)
+				d[i] = a[i] - float64(v[i]*ns)
 			}
 			st.scatter(slot, d)
 		}
 	case f.op == OpAdd:
 		return func(st *cgState) {
 			d, a, v, s := operands(st)
-			v = v[:len(d)]
+			if s != s {
+				nan(st, d, a, v, s)
+				return
+			}
 			for i := range d {
-				d[i] = float64(v[i]*s) + a[i]
+				d[i] = pinAdd(float64(v[i]*s), a[i])
 			}
 			st.scatter(slot, d)
 		}
 	case !f.prodFirst:
 		return func(st *cgState) {
 			d, a, v, s := operands(st)
-			v = v[:len(d)]
+			if s != s {
+				nan(st, d, a, v, s)
+				return
+			}
 			for i := range d {
 				d[i] = a[i] - float64(v[i]*s)
 			}
@@ -430,7 +448,10 @@ func lowerAxpyStore(slot int, f absorption) cgOp {
 	default:
 		return func(st *cgState) {
 			d, a, v, s := operands(st)
-			v = v[:len(d)]
+			if s != s {
+				nan(st, d, a, v, s)
+				return
+			}
 			for i := range d {
 				d[i] = float64(v[i]*s) - a[i]
 			}
@@ -439,19 +460,47 @@ func lowerAxpyStore(slot int, f absorption) cgOp {
 	}
 }
 
+// axpyNaN computes a block of the absorbed store f with the interpreter's
+// selects: v is b's lane, or u's when u comes first.
+func axpyNaN(f absorption, d, a, v []float64, s float64) {
+	for i := range d {
+		p := pinMul(v[i], s)
+		switch {
+		case f.op == OpSub && f.prodFirst:
+			d[i] = p - a[i]
+		case f.op == OpSub:
+			d[i] = a[i] - p
+		case f.prodFirst:
+			d[i] = pinAdd(p, a[i])
+		default:
+			d[i] = pinAdd(a[i], p)
+		}
+	}
+}
+
 // lowerDotReduce folds the products of two lanes into a sum reduction's
 // partial accumulator in element order with no product lane, each product
 // rounded through float64 as lowerAxpyStore's are. Both factors are loads
 // and the accumulator is the add's first operand, as in the interpreter.
+// A block that meets a NaN folds again with the interpreter's payload
+// selects (pinMul, pinAdd); one that meets none runs the same operations
+// either way.
 func lowerDotReduce(ra, rb, ri int) cgOp {
 	return func(st *cgState) {
 		a := st.lane[ra][:st.n]
 		b := st.lane[rb][:len(a)]
 		s := st.racc[ri]
+		t := s
 		for i := range a {
-			s = s + float64(a[i]*b[i])
+			t = t + float64(a[i]*b[i])
 		}
-		st.racc[ri] = s
+		if t != t {
+			t = s
+			for i := range a {
+				t = pinAdd(t, pinMul(a[i], b[i]))
+			}
+		}
+		st.racc[ri] = t
 	}
 }
 
@@ -577,10 +626,19 @@ func lowerReduce(src, ri int, red RedOp) cgOp {
 		return func(st *cgState) {
 			a := st.lane[src][:st.n]
 			s := st.racc[ri]
+			t := s
 			for i := range a {
-				s = s + a[i]
+				t = t + a[i]
 			}
-			st.racc[ri] = s
+			if t != t {
+				// A NaN was met: fold again with the payload pinned. A sum
+				// that meets none runs the same additions either way.
+				t = s
+				for i := range a {
+					t = pinAdd(t, a[i])
+				}
+			}
+			st.racc[ri] = t
 		}
 	}
 }
@@ -617,16 +675,34 @@ func lowerCast(dst, src int, dt DType) cgOp {
 // Each case is a monomorphic loop over equal-length lane slices (resliced
 // to the destination's length so the compiler drops the bounds checks);
 // the math calls are the identical stdlib functions the interpreter uses.
-func lowerArith(in *Instr) cgOp {
+// An add or mul selects its first operand's NaN payload per element, as
+// the interpreter does (pinAdd, pinMul), unless an operand is uniform
+// (its register's lane holds one value): then only a block where that
+// value is a NaN can meet two NaNs, and only such a block selects.
+func lowerArith(in *Instr, uniform []bool) cgOp {
 	dst, ra, rb, rc := int(in.Dst), int(in.A), int(in.B), int(in.C)
+	ru := -1 // a uniform operand of an add or mul
+	if in.Op == OpAdd || in.Op == OpMul {
+		if uniform[ra] {
+			ru = ra
+		} else if uniform[rb] {
+			ru = rb
+		}
+	}
 	switch in.Op {
 	case OpAdd:
 		return func(st *cgState) {
 			d := st.lane[dst][:st.n]
 			a := st.lane[ra][:len(d)]
 			b := st.lane[rb][:len(d)]
+			if ru >= 0 && st.lane[ru][0] == st.lane[ru][0] {
+				for i := range d {
+					d[i] = a[i] + b[i]
+				}
+				return
+			}
 			for i := range d {
-				d[i] = a[i] + b[i]
+				d[i] = pinAdd(a[i], b[i])
 			}
 		}
 	case OpSub:
@@ -643,8 +719,14 @@ func lowerArith(in *Instr) cgOp {
 			d := st.lane[dst][:st.n]
 			a := st.lane[ra][:len(d)]
 			b := st.lane[rb][:len(d)]
+			if ru >= 0 && st.lane[ru][0] == st.lane[ru][0] {
+				for i := range d {
+					d[i] = a[i] * b[i]
+				}
+				return
+			}
 			for i := range d {
-				d[i] = a[i] * b[i]
+				d[i] = pinMul(a[i], b[i])
 			}
 		}
 	case OpDiv:
@@ -662,6 +744,14 @@ func lowerArith(in *Instr) cgOp {
 			a := st.lane[ra][:len(d)]
 			for i := range d {
 				d[i] = -a[i]
+			}
+		}
+	case opNegNum:
+		return func(st *cgState) {
+			d := st.lane[dst][:st.n]
+			a := st.lane[ra][:len(d)]
+			for i := range d {
+				d[i] = negNum(a[i])
 			}
 		}
 	case OpAbs:

@@ -281,14 +281,17 @@ func TestCodegenInPlaceLoadAliasRule(t *testing.T) {
 }
 
 // TestInPlaceLoads pins which loads the rule lets read the region: a
-// load whose last reader precedes every store, or that nothing reads,
-// goes in place; one read again after a store keeps its copy.
+// load whose last reader precedes every later store, or that nothing
+// reads, goes in place; one read again after a store keeps its copy.
 func TestInPlaceLoads(t *testing.T) {
 	k := aliasKernel([]int{8}, 0)
-	// A second, unshared load of param 0 read only before the store, and
-	// an evaluated load nothing reads.
-	k.Loops[0].Stmts[0].E = Binary(OpAdd, k.Loops[0].Stmts[0].E, Load(0))
-	k.Loops[0].Stmts = append(k.Loops[0].Stmts, Stmt{Kind: KEval, Param: 0, E: Load(0)})
+	// A second, unshared load of param 0 after the store to it (so it is
+	// its own value) read only before the next store, and an evaluated
+	// load nothing reads.
+	stmts := k.Loops[0].Stmts
+	k.Loops[0].Stmts = []Stmt{stmts[0], stmts[1],
+		{Kind: KStore, Param: 3, E: Binary(OpAdd, Load(0), Const(5))},
+		stmts[2], {Kind: KEval, Param: 0, E: Load(0)}}
 	c := Compile(k)
 	l := &c.loops[0]
 	var loads []bool
@@ -381,8 +384,9 @@ func axpyKernel(op Op, prodFirst, uFirst, inPlace bool, dt DType, n int) *Kernel
 // TestCodegenAbsorbsAxpyStore: an f64 store of a ± u·b lowers to one
 // closure beside its two loads, and computes the interpreter's bits for
 // every operand order, add and sub, unit and stride-2 destinations, a
-// destination the addend loads in place, and NaN operands meeting in both
-// orders, u included.
+// destination the addend loads in place, NaN operands meeting in both
+// orders, u included, and a u of ±0 or +Inf, whose products are signed
+// zeros or the invalid 0·∞.
 func TestCodegenAbsorbsAxpyStore(t *testing.T) {
 	const n = 700 // two blocks, the second partial
 	for _, op := range []Op{OpAdd, OpSub} {
@@ -390,7 +394,7 @@ func TestCodegenAbsorbsAxpyStore(t *testing.T) {
 			for _, uFirst := range []bool{false, true} {
 				for _, inPlace := range []bool{false, true} {
 					for _, str := range []int{1, 2} {
-						for _, u := range []float64{-0.75, nanB, nanA} {
+						for _, u := range []float64{-0.75, 0, math.Copysign(0, -1), math.Inf(1), nanB, nanA} {
 							name := fmt.Sprintf("%v prodFirst=%v uFirst=%v inPlace=%v stride=%d u=%v", op, prodFirst, uFirst, inPlace, str, u)
 							k := axpyKernel(op, prodFirst, uFirst, inPlace, F64, n)
 							got := runBothTiers(t, name, k, func() []Binding {

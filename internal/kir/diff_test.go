@@ -116,6 +116,7 @@ func randDiffKernel(rng, share *rand.Rand) *diffKernel {
 			l := &Loop{Kind: LoopElem, Dom: dom, Ext: shape, ExtRef: grid[rng.Intn(ng)]}
 			nst := 1 + rng.Intn(3)
 			var loads []*Expr // element loads of earlier statements
+			var exprs []*Expr // earlier statements' expressions
 			for s := 0; s < nst; s++ {
 				e := randExpr(rng, 3, grid, scalars)
 				st := Stmt{Kind: KStore}
@@ -129,15 +130,22 @@ func randDiffKernel(rng, share *rand.Rand) *diffKernel {
 					// consumer, and sometimes a read of an earlier
 					// statement's load node again: the sharing forwarding
 					// produces, whose value must survive a store between
-					// the two statements.
+					// the two statements. Sometimes a copy of this or an
+					// earlier statement's tree, or a negation chained into
+					// a product, quotient or erf: the values Compile
+					// numbers once and the negations it moves outward.
 					if share.Intn(3) == 0 {
 						e = absorbable(share, &st, grid, scalars, loads)
 					}
 					if len(loads) > 0 && share.Intn(2) == 0 {
 						e = Binary(OpAdd, e, loads[share.Intn(len(loads))])
 					}
+					if share.Intn(2) == 0 {
+						e = duplicated(share, e, exprs)
+					}
 				}
 				loads = appendLoads(loads, e)
+				exprs = append(exprs, e)
 				st.E = e
 				l.Stmts = append(l.Stmts, st)
 			}
@@ -267,6 +275,45 @@ func absorbable(rng *rand.Rand, st *Stmt, grid, scalars []int, loads []*Expr) *E
 	return Binary(op, load(), m)
 }
 
+// duplicated returns e combined with a structurally equal copy of itself
+// or of an earlier statement's expression (exprs), or e negated into a
+// product, quotient or erf, with a constant from randExpr's set (zero
+// among them, where no sign rule may fire).
+func duplicated(rng *rand.Rand, e *Expr, exprs []*Expr) *Expr {
+	c := Const([]float64{0, 1, -1, 0.5, -2.25, 3.7, 1e10, -1e-10}[rng.Intn(8)])
+	neg := Unary(OpNeg, e)
+	if rng.Intn(4) == 0 {
+		neg = Unary(OpNeg, Unary(OpNeg, neg))
+	}
+	switch rng.Intn(6) {
+	case 0:
+		return Binary([]Op{OpAdd, OpMul, OpSub}[rng.Intn(3)], e, cloneExpr(e))
+	case 1:
+		if len(exprs) > 0 {
+			return Binary([]Op{OpAdd, OpMul, OpMax}[rng.Intn(3)], e, cloneExpr(exprs[rng.Intn(len(exprs))]))
+		}
+		return Binary(OpAdd, cloneExpr(e), e)
+	case 2:
+		return Unary(OpErf, Binary(OpDiv, neg, c))
+	case 3:
+		return Binary(OpAdd, Unary(OpErf, e), Unary(OpErf, Unary(OpNeg, cloneExpr(e))))
+	case 4:
+		return Binary(OpMul, c, neg)
+	default:
+		return Binary(OpDiv, c, neg)
+	}
+}
+
+// cloneExpr copies e node for node: no node of the copy is e's.
+func cloneExpr(e *Expr) *Expr {
+	if e == nil {
+		return nil
+	}
+	n := *e
+	n.A, n.B, n.C = cloneExpr(e.A), cloneExpr(e.B), cloneExpr(e.C)
+	return &n
+}
+
 // appendLoads appends the element-load nodes of e (each once) to loads.
 func appendLoads(loads []*Expr, e *Expr) []*Expr {
 	if e == nil {
@@ -318,8 +365,9 @@ func (dk *diffKernel) bind(rng *rand.Rand) ([]Binding, []Buffer) {
 // runDiff executes the kernel once per backend on identical inputs and
 // compares every observable buffer bitwise. It returns how many stores
 // and reductions the codegen program computes with the arithmetic it
-// absorbed (axpy, dot).
-func runDiff(t *testing.T, seed uint64) (axpy, dot int) {
+// absorbed (axpy, dot), and how many erf(−x) the compiled kernel computes
+// from erf(x) (negnum).
+func runDiff(t *testing.T, seed uint64) (axpy, dot, negnum int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(seed)))
 	dk := randDiffKernel(rng, rand.New(rand.NewSource(^int64(seed))))
@@ -345,7 +393,11 @@ func runDiff(t *testing.T, seed uint64) (axpy, dot int) {
 				seed, p, dk.k.DTypeOf(p), opt.Fingerprint())
 		}
 	}
-	return absorbedShapes(coded)
+	axpy, dot = absorbedShapes(coded)
+	for i := range coded.loops {
+		negnum += countOps(&coded.loops[i], opNegNum)
+	}
+	return axpy, dot, negnum
 }
 
 // keptBindings returns the bindings of the parameters kept, in order.
@@ -408,22 +460,24 @@ func buffersEqualBits(a, b Buffer) bool {
 
 // TestDiffCodegenSeeds is the always-on differential sweep: several
 // hundred generated kernels per `go test` run, among them stores and
-// reductions that absorb their operand's arithmetic.
+// reductions that absorb their operand's arithmetic and erfs of negated
+// values.
 func TestDiffCodegenSeeds(t *testing.T) {
 	n := 400
 	if testing.Short() {
 		n = 50
 	}
-	var axpy, dot int
+	var axpy, dot, negnum int
 	for seed := 0; seed < n; seed++ {
-		a, d := runDiff(t, uint64(seed))
+		a, d, e := runDiff(t, uint64(seed))
 		axpy += a
 		dot += d
+		negnum += e
 	}
-	if axpy == 0 || dot == 0 {
-		t.Fatalf("the sweep lowered %d absorbed stores and %d absorbed reductions, want some of each", axpy, dot)
+	if axpy == 0 || dot == 0 || negnum == 0 {
+		t.Fatalf("the sweep lowered %d absorbed stores, %d absorbed reductions and %d erf(−x) from erf(x), want some of each", axpy, dot, negnum)
 	}
-	t.Logf("%d absorbed stores, %d absorbed reductions", axpy, dot)
+	t.Logf("%d absorbed stores, %d absorbed reductions, %d erf(−x) from erf(x)", axpy, dot, negnum)
 }
 
 // FuzzDiffCodegen is the native fuzz target over generator seeds; the

@@ -226,15 +226,17 @@ func (c *Compiled) execElem(l *compiledLoop, pa *PointArgs) {
 				b := &pa.Bind[in.Slot]
 				regs[in.Dst] = b.Acc.Data.Get(b.Acc.Base)
 			case OpAdd:
-				regs[in.Dst] = regs[in.A] + regs[in.B]
+				regs[in.Dst] = pinAdd(regs[in.A], regs[in.B])
 			case OpSub:
 				regs[in.Dst] = regs[in.A] - regs[in.B]
 			case OpMul:
-				regs[in.Dst] = regs[in.A] * regs[in.B]
+				regs[in.Dst] = pinMul(regs[in.A], regs[in.B])
 			case OpDiv:
 				regs[in.Dst] = regs[in.A] / regs[in.B]
 			case OpNeg:
 				regs[in.Dst] = -regs[in.A]
+			case opNegNum:
+				regs[in.Dst] = negNum(regs[in.A])
 			case OpAbs:
 				regs[in.Dst] = math.Abs(regs[in.A])
 			case OpSqrt:
@@ -602,6 +604,32 @@ func (c *Compiled) execAxisReduce(l *compiledLoop, pa *PointArgs) {
 			curOut -= out.Acc.Strides[d] * (in.Ext[d] - 1)
 		}
 	}
+}
+
+// pinAdd is a + b, and pinMul a·b, with the payload of a NaN a whatever b
+// is. On two NaN operands the hardware keeps one operand's payload, and Go
+// leaves which to the operand order the compiler picks for a commutative
+// op; the select makes it the first operand's in every build and tier.
+func pinAdd(a, b float64) float64 {
+	if a == a {
+		return a + b
+	}
+	return a + a
+}
+
+func pinMul(a, b float64) float64 {
+	if a == a {
+		return float64(a * b)
+	}
+	return a * a
+}
+
+// negNum is −v, except that a NaN passes unchanged (opNegNum).
+func negNum(v float64) float64 {
+	if v != v {
+		return v
+	}
+	return -v
 }
 
 // splitmix maps a 64-bit key to a float64 in [0,1) (splitmix64 finalizer).

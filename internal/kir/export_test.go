@@ -12,3 +12,12 @@ func WatchCompositions(f func(got, want *Kernel, gotKept, wantKept []int)) (stop
 	}
 	return func() { composeWatch = nil }
 }
+
+// CountOps counts the instructions of op in c's compiled loops.
+func CountOps(c *Compiled, op Op) int {
+	n := 0
+	for i := range c.loops {
+		n += countOps(&c.loops[i], op)
+	}
+	return n
+}

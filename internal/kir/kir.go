@@ -17,8 +17,11 @@
 //     within a merged loop, removing dead stores and the temporary itself:
 //     only one the kernel still names stays, as an ordinary parameter;
 //  3. Compile lowers the kernel to a compact register program executed by
-//     the evaluator in exec.go (the "generated code"), and Codegen lowers
-//     its element loops again into closures (codegen.go).
+//     the evaluator in exec.go (the "generated code"), computing each
+//     value of an element loop once: value numbering, and negations moved
+//     outward where the bits are the same for every input (the paper's
+//     canonicalization and CSE); Codegen lowers its element loops again
+//     into closures (codegen.go).
 //
 // kir is deliberately independent of the ir package: kernels reference
 // their parameters by index only.
@@ -74,7 +77,7 @@ var opNames = map[Op]string{
 	OpNeg: "neg", OpAbs: "abs", OpSqrt: "sqrt", OpExp: "exp",
 	OpLog: "log", OpErf: "erf", OpPow: "pow", OpMax: "max",
 	OpMin: "min", OpSin: "sin", OpCos: "cos", OpGE: "ge", OpLE: "le",
-	OpSel: "sel", OpCast: "cast",
+	OpSel: "sel", OpCast: "cast", opNegNum: "negnum",
 }
 
 // String implements fmt.Stringer.
@@ -85,7 +88,7 @@ func (o Op) Arity() int {
 	switch o {
 	case OpConst, OpLoad, OpLoadScalar:
 		return 0
-	case OpNeg, OpAbs, OpSqrt, OpExp, OpLog, OpErf, OpSin, OpCos, OpCast:
+	case OpNeg, OpAbs, OpSqrt, OpExp, OpLog, OpErf, OpSin, OpCos, OpCast, opNegNum:
 		return 1
 	case OpSel:
 		return 3
@@ -163,7 +166,7 @@ func (r RedOp) Combine(a, b float64) float64 {
 		}
 		return b
 	default:
-		return a + b
+		return pinAdd(a, b)
 	}
 }
 
