@@ -114,6 +114,18 @@ func TestAppsCodegenBitIdentity(t *testing.T) {
 			sc.Iterate(2)
 			return bits64(sc.Live())
 		}},
+		// Block widths that are not a multiple of 4: the unit-stride f64
+		// GEMV sums 1 and 32 column quads per row, then 2 tail columns.
+		{"stencil-chain-f64-t6", func(ctx *cunum.Context) []uint64 {
+			sc := apps.NewStencilChain(ctx, 120, 6, 4, apps.ChainSymmetric, cunum.F64)
+			sc.Iterate(2)
+			return bits64(sc.Live())
+		}},
+		{"stencil-chain-f64-t130", func(ctx *cunum.Context) []uint64 {
+			sc := apps.NewStencilChain(ctx, 260, 130, 4, apps.ChainUpwind, cunum.F64)
+			sc.Iterate(2)
+			return bits64(sc.Live())
+		}},
 	}
 	for _, r := range runners {
 		for _, shards := range []int{1, 4} {

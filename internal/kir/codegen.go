@@ -199,7 +199,9 @@ func lowerElem(k *Kernel, cl *compiledLoop) cgLoop {
 			}
 		}
 	}
-	g := cgLoop{nregs: cl.nregs, block: planBlock(cl.nregs)}
+	// elem is non-nil even for an empty body: that loop is lowered, to
+	// nothing.
+	g := cgLoop{elem: make([]cgOp, 0, len(cl.body)), nregs: cl.nregs, block: planBlock(cl.nregs)}
 	g.slotDT = make([]DType, len(cl.iter))
 	for s, p := range cl.iter {
 		g.slotDT[s] = k.DTypeOf(p)

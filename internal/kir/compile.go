@@ -74,7 +74,8 @@ type Compiled struct {
 }
 
 // Compile computes each value of an element loop once (loopBuilder: value
-// numbering, and the sign rules that hold to the bit); callers normally
+// numbering, and the sign rules that hold to the bit) and drops every value
+// nothing reads (dropDead); callers normally
 // pass the result of Compose. It panics on malformed kernels (programming
 // errors in generator functions).
 func Compile(k *Kernel) *Compiled {
@@ -208,10 +209,53 @@ func (b *loopBuilder) compileLoop(l *Loop) compiledLoop {
 			panic(fmt.Sprintf("kir: unknown stmt kind %d", s.Kind))
 		}
 	}
-	cl.body = b.instrs
+	cl.body = b.dropDead()
 	cl.nregs = int(b.next)
 	cl.iter = slices.Clone(b.slotOrder)
 	return cl
+}
+
+// dropDead returns the loop's instructions without the value instructions
+// that no store, reduction or kept instruction reads: a KEval whose
+// readers were dropped as dead stores, and what only it read. One
+// backward pass marks the live registers in the value-numbering table's
+// space, which the next loop clears; registers keep their numbers.
+func (b *loopBuilder) dropDead() []Instr {
+	if int(b.next) > len(b.vn) {
+		size := len(b.vn)
+		for size < int(b.next) {
+			size <<= 1
+		}
+		b.vn = make([]int32, size)
+	}
+	live := b.vn[:b.next]
+	clear(live)
+	kept := func(in *Instr) bool {
+		return in.Op == opStoreElem || in.Op == opReduceAcc || live[in.Dst] != 0
+	}
+	for i := len(b.instrs) - 1; i >= 0; i-- {
+		in := &b.instrs[i]
+		if !kept(in) {
+			continue
+		}
+		switch nreads(in) {
+		case 3:
+			live[in.C] = 1
+			fallthrough
+		case 2:
+			live[in.B] = 1
+			fallthrough
+		case 1:
+			live[in.A] = 1
+		}
+	}
+	body := b.instrs[:0]
+	for i := range b.instrs {
+		if in := &b.instrs[i]; kept(in) {
+			body = append(body, *in)
+		}
+	}
+	return body
 }
 
 // loopBuilder compiles one element loop at a time, keeping its tables from

@@ -3,6 +3,7 @@ package kir
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -253,4 +254,53 @@ func TestValueNumberingExact(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestDropDeadValues: Compile drops every value instruction that no store,
+// reduction or kept instruction reads (a KEval chain, and a load only it
+// read) without renumbering registers, and a loop left with no instruction
+// is lowered, to nothing, and does nothing on either tier. The last loop
+// reloads one parameter after each of its 80 stores, so its registers
+// outnumber the 64 entries of a hand-built kernel's value-numbering table,
+// whose space the marks take.
+func TestDropDeadValues(t *testing.T) {
+	k := NewKernel("dead", 3)
+	k.AddLoop(&Loop{Kind: LoopElem, Dom: "v", Ext: []int{4}, ExtRef: 0, Stmts: []Stmt{
+		{Kind: KEval, Param: -1, E: Binary(OpSub, Binary(OpMul, Load(0), Load(1)), Const(2))},
+		{Kind: KStore, Param: 2, E: Binary(OpAdd, Load(0), Const(1))},
+	}})
+	k.AddLoop(&Loop{Kind: LoopElem, Dom: "v", Ext: []int{4}, ExtRef: 0, Stmts: []Stmt{
+		{Kind: KEval, Param: -1, E: Unary(OpExp, Load(1))},
+	}})
+	var reloads []Stmt
+	for i := 0; i < 80; i++ {
+		reloads = append(reloads, Stmt{Kind: KStore, Param: 1, E: Load(1)})
+	}
+	reloads = append(reloads, Stmt{Kind: KStore, Param: 2, E: Binary(OpAdd, Load(2), Load(1))})
+	k.AddLoop(&Loop{Kind: LoopElem, Dom: "v", Ext: []int{4}, ExtRef: 0, Stmts: reloads})
+
+	c := Compile(k)
+	var ops []Op
+	for _, in := range c.loops[0].body {
+		ops = append(ops, in.Op)
+	}
+	if want := []Op{OpLoad, OpConst, OpAdd, opStoreElem}; !slices.Equal(ops, want) {
+		t.Fatalf("first loop compiles to %v, want %v", ops, want)
+	}
+	if c.loops[0].nregs != 7 || len(c.loops[1].body) != 0 || c.loops[2].nregs != 83 {
+		t.Fatalf("registers %d, %d instructions in the unread loop, %d reload registers: want 7, 0, 83",
+			c.loops[0].nregs, len(c.loops[1].body), c.loops[2].nregs)
+	}
+	cg := Compile(k)
+	cg.AttachProgram(Codegen(cg))
+	if got := Codegen(cg).Lowered(); got != 3 {
+		t.Fatalf("%d of 3 loops lowered", got)
+	}
+	for _, comp := range []*Compiled{c, cg} {
+		x, y, z := []float64{1, 2, 3, 4}, []float64{5, 6, 7, 8}, make([]float64, 4)
+		comp.Execute(&PointArgs{Bind: []Binding{flat(x, 4), flat(y, 4), flat(z, 4)}, Scratch: &Scratch{}})
+		if got := fmt.Sprint(x, y, z); got != "[1 2 3 4] [5 6 7 8] [7 9 11 13]" {
+			t.Fatalf("codegen %v: got %s, want [1 2 3 4] [5 6 7 8] [7 9 11 13]", comp.HasCodegen(), got)
+		}
+	}
 }

@@ -21,3 +21,15 @@ func CountOps(c *Compiled, op Op) int {
 	}
 	return n
 }
+
+// SetGEMVNative switches gemvUnit's native float64 quad loop on or off and
+// returns a function restoring the previous setting. Asked to switch it on
+// where the CPU or OS lacks AVX2, it changes nothing and reports false.
+func SetGEMVNative(on bool) (restore func(), ok bool) {
+	if on && !cpuAVX2() {
+		return func() {}, false
+	}
+	prev := gemvNative
+	gemvNative = on
+	return func() { gemvNative = prev }, true
+}

@@ -20,7 +20,8 @@
 //     the evaluator in exec.go (the "generated code"), computing each
 //     value of an element loop once: value numbering, and negations moved
 //     outward where the bits are the same for every input (the paper's
-//     canonicalization and CSE); Codegen lowers its element loops again
+//     canonicalization and CSE), and dropping every value nothing reads
+//     (its dead-code elimination); Codegen lowers its element loops again
 //     into closures (codegen.go).
 //
 // kir is deliberately independent of the ir package: kernels reference

@@ -312,8 +312,22 @@ func refGEMV[T float32 | float64](a []T, astr0, astr1 int, x []T, xstr int, y []
 // a remainder row, each with no column quad, no tail, both, and a
 // chain_sharded-wide block. Rows carry a NaN and an Inf-Inf cancellation
 // in the second row of a pair and an Inf in the first; accumulated y
-// cells hold a NaN in a paired row and in the last row.
+// cells hold a NaN in a paired row and in the last row. It runs once with
+// the native f64 quad loop off and once with it on.
 func TestGEMVPaths(t *testing.T) {
+	for _, native := range []bool{false, true} {
+		t.Run(fmt.Sprintf("native=%t", native), func(t *testing.T) {
+			restore, ok := SetGEMVNative(native)
+			defer restore()
+			if !ok {
+				t.Skip("the CPU or OS lacks AVX2: only the Go quad loop can run")
+			}
+			testGEMVPaths(t)
+		})
+	}
+}
+
+func testGEMVPaths(t *testing.T) {
 	const abase, xbase, ybase = 4, 3, 2
 	dtypes := [][3]DType{{F64, F64, F64}, {F32, F32, F32}, {F32, F64, F64}, {F64, F32, F64}, {F64, F64, F32}}
 	strides := [][3]int{{1, 1, 1}, {1, 1, 3}, {2, 1, 1}, {1, 2, 2}}

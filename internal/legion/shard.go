@@ -20,7 +20,7 @@ package legion
 // entry runs before the next entry, so consecutive tasks still stream
 // their operands in full. chain_sharded (BENCHMARK.json) keeps its 16 MB
 // of block operators in the 300 MB L3 of the 2-vCPU host it is measured
-// on, so the GEMV loop's instructions, not memory bandwidth, bound it.
+// on, so L3 bandwidth, not DRAM, bounds its vectorized GEMV loop.
 //
 // Dependences and halo exchange: program order is the only schedule, so
 // every dependence of the stream holds by construction. Enqueue still
