@@ -57,7 +57,10 @@
 # that one composer replaced (the concatenation, the remap, the optimize
 # pipeline with its loop-fusion and scalarization passes, the kernel
 # clone), and kir's task-local parameters that a fused kernel no longer
-# carries (the demotion, the buffer analysis, the kernel's flags) —
+# carries (the demotion, the buffer analysis, the kernel's flags), and
+# the codegen program's lowered-loop count that a codegen tier lowering
+# every element loop made constant, with the façade's two simulation
+# helpers no caller used —
 # so a sentence cannot
 # outlive what it quoted. ROADMAP.md is exempt: it keeps history. The one-character
 # brackets keep this script from matching its own pattern in a
@@ -86,6 +89,7 @@ removed="$removed"'|diffuse-[s]erve|examples/[s]erve\b|[S]ERVING\.md|[s]ervetran
 removed="$removed"'|DIFFUSE_DIST_[F]AULTS|[E]nvFaults|[P]arseSchedule'
 removed="$removed"'|kir\.[C]oncat\b|kir\.[O]ptimize\b|(^|[^[:alnum:]])[F]useLoops|(^|[^[:alnum:]])[S]calarize\b|[K]ernel\.(Remap|Clone)\b'
 removed="$removed"'|[M]arkLocal|[b]ufferLocals|[K]ernel\.Local\b'
+removed="$removed"'|[C]odegenProgram\.Lowered|\.[L]owered\(\)|diffuse\.[S]imConfig|[A]100Machine'
 
 # slugs_of FILE: print the GitHub anchor slug of every heading, skipping
 # fenced code blocks (a `# comment` inside a fence is not a heading).
@@ -104,7 +108,7 @@ for f in README.md DESIGN.md ROADMAP.md docs/*.md; do
   [ -e "$f" ] || continue
   dir=$(dirname "$f")
   if [ "$f" != ROADMAP.md ] && hits=$(grep -nE -e "$removed" "$f"); then
-    echo "$f: names something removed (the real-mode suite: see docs/BENCHMARKS.md; ReadAll32/WriteAll32: see DESIGN.md, the wire; the stage-barrier executor path: see DESIGN.md, sharded execution; feedback scheduling: see DESIGN.md, static schedule; the tcp rank mesh and serve batching: see docs/ARCHITECTURE.md, distributed execution; the rank drain: see docs/ARCHITECTURE.md, distributed execution; the wavefront DAG: see DESIGN.md, one drain loop; the executor policies: see DESIGN.md, the reference backend; the blocked GEMV: see DESIGN.md, kernel backends; the unit batch: see DESIGN.md, one drain loop; the window scan: see DESIGN.md, memoization and kernel identity; the binding recipes and run paths: see DESIGN.md, execution engine; the memory quota: see docs/ARCHITECTURE.md, service mode; the store repartition: see DESIGN.md, sharded execution; the serve binary, example, guide and trace mode: see docs/ARCHITECTURE.md, service mode; the rank fault script: see docs/ARCHITECTURE.md, fault injection; the kernel passes and the task-local parameters: see DESIGN.md, memoization and kernel identity):"
+    echo "$f: names something removed (the real-mode suite: see docs/BENCHMARKS.md; ReadAll32/WriteAll32: see DESIGN.md, the wire; the stage-barrier executor path: see DESIGN.md, sharded execution; feedback scheduling: see DESIGN.md, static schedule; the tcp rank mesh and serve batching: see docs/ARCHITECTURE.md, distributed execution; the rank drain: see docs/ARCHITECTURE.md, distributed execution; the wavefront DAG: see DESIGN.md, one drain loop; the executor policies: see DESIGN.md, the reference backend; the blocked GEMV: see DESIGN.md, kernel backends; the unit batch: see DESIGN.md, one drain loop; the window scan: see DESIGN.md, memoization and kernel identity; the binding recipes and run paths: see DESIGN.md, execution engine; the memory quota: see docs/ARCHITECTURE.md, service mode; the store repartition: see DESIGN.md, sharded execution; the serve binary, example, guide and trace mode: see docs/ARCHITECTURE.md, service mode; the rank fault script: see docs/ARCHITECTURE.md, fault injection; the kernel passes and the task-local parameters: see DESIGN.md, memoization and kernel identity; the lowered-loop count: see DESIGN.md, kernel backends):"
     echo "$hits"
     fail=1
   fi

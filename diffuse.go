@@ -119,15 +119,3 @@ func DistributedConfig(ranks int) Config {
 // > 1 must call it before anything else in main() — the parent launches
 // rank subprocesses by re-executing its own binary.
 func MaybeRankMain() { dist.MaybeRankMain() }
-
-// SimConfig returns a simulated-execution configuration on a modeled
-// A100 cluster with the given number of GPUs.
-func SimConfig(gpus int) Config {
-	cfg := core.DefaultConfig(gpus)
-	cfg.Mode = legion.ModeSim
-	return cfg
-}
-
-// A100Machine returns the calibrated machine constants used by the
-// paper-reproduction experiments.
-func A100Machine(gpus int) MachineConfig { return machine.DefaultA100(gpus) }

@@ -204,13 +204,13 @@ func TestCodegenCacheHitsAcrossFreshKernels(t *testing.T) {
 	}
 }
 
-// TestEveryElementLoopLowered: with codegen on, every element loop an app
-// emits runs compiled; none falls back to the interpreter's per-element
-// walk. Black-Scholes and the stencil chain are built the way the
-// benchmark builds them: the constructor's inputs are freed before the
-// first window drains and fresh ones take their place, which leaves the
-// set-up kernels storing to temporaries nothing reads. Every kernel that
-// reaches legion must lower each of its element loops.
+// TestEveryElementLoopLowered: with codegen on, every kernel an app emits
+// with an element loop runs compiled, and Codegen lowers each of its
+// element loops (it panics on one it cannot). Black-Scholes and the
+// stencil chain are built the way the benchmark builds them: the
+// constructor's inputs are freed before the first window drains and
+// fresh ones take their place, which leaves the set-up kernels storing to
+// temporaries nothing reads.
 func TestEveryElementLoopLowered(t *testing.T) {
 	runs := []struct {
 		name   string
@@ -271,8 +271,9 @@ func TestEveryElementLoopLowered(t *testing.T) {
 					elem++
 				}
 			}
-			if got := kir.Codegen(kir.Compile(k)).Lowered(); got != elem {
-				t.Errorf("%s: kernel %s lowers %d of its %d element loops", r.name, k.Name, got, elem)
+			c := ctx.Runtime().Legion().Compiled(k)
+			if got := kir.Codegen(c).Closures(); elem > 0 && (!c.HasCodegen() || got == 0) {
+				t.Errorf("%s: kernel %s with %d element loops runs %d closures per block, codegen %v", r.name, k.Name, elem, got, c.HasCodegen())
 			}
 		}
 		mu.Unlock()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"diffuse/internal/ir"
@@ -199,5 +200,38 @@ func TestDTypeFusionConstraint(t *testing.T) {
 	}
 	if n := fusiblePrefix(strayCast, scanOf(strayCast)); n != 2 {
 		t.Fatalf("unconnected cast task joined a foreign prefix (%d tasks fused, want 2)", n)
+	}
+}
+
+// TestSubmitStampsAndChecksParams: Submit stamps each argument store's
+// dtype onto the kernel parameter it binds, so an executor's codegen
+// program is lowered for the buffers it runs on, and panics, naming the
+// task, on a kernel whose parameter count differs from the task's
+// arguments, on either runtime.
+func TestSubmitStampsAndChecksParams(t *testing.T) {
+	const ext = 8
+	launch := ir.MakeRect(ir.Point{0}, ir.Point{4})
+	tile := ir.NewTiling(launch, []int{4 * ext}, []int{ext}, []int{0}, nil, nil)
+	for _, enabled := range []bool{false, true} {
+		r := newTestRuntime(enabled)
+		a := r.fact.NewStoreTyped("a", []int{4 * ext}, ir.F32)
+		b := r.fact.NewStoreTyped("b", []int{4 * ext}, ir.I32)
+		k := scaleKernel(ext)
+		r.Submit(&ir.Task{Name: "scale", Launch: launch, Kernel: k,
+			Args: []ir.Arg{{Store: a, Part: tile, Priv: ir.Read}, {Store: b, Part: tile, Priv: ir.Write}}})
+		if k.DTypeOf(0) != ir.F32 || k.DTypeOf(1) != ir.I32 {
+			t.Fatalf("enabled=%v: kernel dtypes %v, %v after Submit, want f32, i32", enabled, k.DTypeOf(0), k.DTypeOf(1))
+		}
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if want := "task short: kernel scale has 2 parameters for 1 arguments"; !strings.Contains(msg, want) {
+					t.Fatalf("enabled=%v: Submit recovered %q, want it to contain %q", enabled, msg, want)
+				}
+			}()
+			r.Submit(&ir.Task{Name: "short", Launch: launch, Kernel: scaleKernel(ext),
+				Args: []ir.Arg{{Store: a, Part: tile, Priv: ir.Read}}})
+		}()
+		r.Flush()
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"diffuse/internal/ir"
@@ -121,9 +122,14 @@ func (s *Session) Pending() int { return s.window.Len() }
 // every kernel downstream of it. A kernel that already carries its
 // arguments' dtypes is only read: cunum interns registry-op kernels
 // stamped and hashed, shares each across every task of its key, and
-// Submit never drops their cached fingerprint.
+// Submit never drops their cached fingerprint. A kernel whose parameter
+// count differs from the task's arguments is a malformed task: Submit
+// panics, naming it, before it can reach an executor.
 func (s *Session) Submit(t *ir.Task) {
-	if t.Kernel != nil && t.Kernel.NParams == len(t.Args) {
+	if t.Kernel != nil {
+		if t.Kernel.NParams != len(t.Args) {
+			panic(fmt.Sprintf("core: task %s: kernel %s has %d parameters for %d arguments", t.Name, t.Kernel.Name, t.Kernel.NParams, len(t.Args)))
+		}
 		for i, a := range t.Args {
 			if dt := a.Store.DType(); t.Kernel.DTypeOf(i) != dt {
 				t.Kernel.SetDType(i, dt)

@@ -150,6 +150,11 @@ func EncodeTask(t *Task, kernelRef int64) ([]byte, error) {
 // hash) is resolved through kernel, which should intern decoded kernels
 // by ref so repeated references yield the same *kir.Kernel. The decoded
 // task's Payload is always nil (see taskFlagPayload).
+//
+// It returns an error for a privilege or reduction byte outside its enum,
+// and for a kernel whose parameter count or dtypes disagree with the
+// argument stores: an executor runs the kernel's codegen program, lowered
+// for those dtypes, on the stores' buffers without checking them again.
 func DecodeTask(data []byte, stores func(StoreID) (*Store, error), kernel func(ref int64, fingerprint hash128.Sum) (*kir.Kernel, error)) (*Task, error) {
 	r := wire.NewReader(data)
 	if v := r.U16(); r.Err() == nil && v != WireVersion {
@@ -173,6 +178,12 @@ func DecodeTask(data []byte, stores func(StoreID) (*Store, error), kernel func(r
 		if r.Err() != nil {
 			break
 		}
+		if a.Priv > Reduce {
+			return nil, fmt.Errorf("ir: task %s arg %d: privilege %d is not one", t.Name, i, a.Priv)
+		}
+		if a.Red > RedMin {
+			return nil, fmt.Errorf("ir: task %s arg %d: reduction op %d is not one", t.Name, i, a.Red)
+		}
 		s, err := stores(sid)
 		if err != nil {
 			return nil, fmt.Errorf("ir: task %s arg %d: %w", t.Name, i, err)
@@ -187,6 +198,16 @@ func DecodeTask(data []byte, stores func(StoreID) (*Store, error), kernel func(r
 		k, err := kernel(kref, fp)
 		if err != nil {
 			return nil, fmt.Errorf("ir: task %s: %w", t.Name, err)
+		}
+		if k != nil {
+			if k.NParams != len(t.Args) {
+				return nil, fmt.Errorf("ir: task %s: kernel %s has %d parameters for %d arguments", t.Name, k.Name, k.NParams, len(t.Args))
+			}
+			for i, a := range t.Args {
+				if dt := a.Store.DType(); k.DTypeOf(i) != dt {
+					return nil, fmt.Errorf("ir: task %s arg %d: store of %s, kernel parameter of %s", t.Name, i, dt, k.DTypeOf(i))
+				}
+			}
 		}
 		t.Kernel = k
 	}

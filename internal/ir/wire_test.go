@@ -186,3 +186,82 @@ func TestTaskWireVersionMismatch(t *testing.T) {
 		t.Fatalf("error %q does not mention the wire version", err)
 	}
 }
+
+// TestDecodeTaskRejects: the decoder returns an error, naming the task and
+// the argument, for a privilege or reduction byte outside its enum, and
+// for a kernel whose parameter count or dtypes disagree with the argument
+// stores; the bytes it was given otherwise decode.
+func TestDecodeTaskRejects(t *testing.T) {
+	f := &ir.Factory{}
+	x := f.NewStoreTyped("x", []int{8}, ir.F32)
+	y := f.NewStoreTyped("y", []int{8}, ir.F64)
+	launch := ir.MakeRect(ir.Point{0}, ir.Point{1})
+	encode := func(priv ir.Privilege, red ir.ReduceOp) []byte {
+		task := &ir.Task{Name: "t", Launch: launch, Args: []ir.Arg{
+			{Store: x, Part: ir.ReplicateOver(launch), Priv: ir.Read},
+			{Store: y, Part: ir.ReplicateOver(launch), Priv: priv, Red: red},
+		}}
+		enc, err := ir.EncodeTask(task, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return enc
+	}
+	// offset finds the one byte two encodings differ in.
+	offset := func(a, b []byte) int {
+		for i := range a {
+			if a[i] != b[i] {
+				return i
+			}
+		}
+		t.Fatal("encodings do not differ")
+		return -1
+	}
+	base := encode(ir.Reduce, ir.RedSum)
+	privAt := offset(base, encode(ir.Write, ir.RedSum))
+	redAt := offset(base, encode(ir.Reduce, ir.RedMax))
+	kernel := func(dts ...ir.DType) *kir.Kernel {
+		k := kir.NewKernel("k", len(dts))
+		for p, dt := range dts {
+			k.SetDType(p, dt)
+		}
+		return k
+	}
+	cases := []struct {
+		name string
+		at   int
+		b    byte
+		k    *kir.Kernel
+		want string
+	}{
+		{"valid", -1, 0, kernel(ir.F32, ir.F64), ""},
+		{"privilege 4", privAt, 4, kernel(ir.F32, ir.F64), "task t arg 1: privilege 4 is not one"},
+		{"privilege 7", privAt, 7, kernel(ir.F32, ir.F64), "task t arg 1: privilege 7 is not one"},
+		{"privilege 255", privAt, 255, kernel(ir.F32, ir.F64), "task t arg 1: privilege 255 is not one"},
+		{"reduction op 4", redAt, 4, kernel(ir.F32, ir.F64), "task t arg 1: reduction op 4 is not one"},
+		{"reduction op 200", redAt, 200, kernel(ir.F32, ir.F64), "task t arg 1: reduction op 200 is not one"},
+		{"too few parameters", -1, 0, kernel(ir.F32), "task t: kernel k has 1 parameters for 2 arguments"},
+		{"too many parameters", -1, 0, kernel(ir.F32, ir.F64, ir.F64), "task t: kernel k has 3 parameters for 2 arguments"},
+		{"dtype", -1, 0, kernel(ir.F32, ir.I32), "task t arg 1: store of f64, kernel parameter of i32"},
+	}
+	for _, tc := range cases {
+		enc := append([]byte(nil), base...)
+		if tc.at >= 0 {
+			enc[tc.at] = tc.b
+		}
+		_, err := ir.DecodeTask(enc,
+			func(id ir.StoreID) (*ir.Store, error) {
+				if id == x.ID() {
+					return x, nil
+				}
+				return y, nil
+			},
+			func(int64, hash128.Sum) (*kir.Kernel, error) { return tc.k, nil })
+		switch {
+		case tc.want == "" && err != nil:
+			t.Fatalf("%s: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !bytes.Contains([]byte(err.Error()), []byte(tc.want))):
+			t.Fatalf("%s: decode returned %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+}

@@ -55,7 +55,13 @@ package kir
 // different views (mergeSafe), and aligned aliases see stores strictly in
 // instruction order either way. The one construct that would observe
 // batching — an OpLoadScalar of a cell the same loop stores element-wise
-// — is declined at lowering time (the loop stays on the interpreter).
+// — runs at a block of one element, the load in order among the closures
+// (lowerScalarLoad), so each element reads the cell the interpreter reads.
+//
+// The tier is chosen once per runtime, not per loop: an attached program
+// runs every element loop of its kernel. Its closures trust the kernel's
+// parameter dtypes, which Session.Submit stamps from the argument stores
+// and the task decoder checks against them.
 //
 // A CodegenProgram captures only lowering-time structure (register
 // indices, parameter numbers, dtypes, reduction ops) — never buffers,
@@ -67,6 +73,7 @@ package kir
 // generator) still hits.
 
 import (
+	"fmt"
 	"math"
 	"slices"
 )
@@ -79,42 +86,25 @@ type CodegenProgram struct {
 	loops []cgLoop
 }
 
-// cgLoop is the compiled form of one element-wise loop. A nil elem slice
-// leaves the loop on exec.go's code permanently: the interpreter for a
-// declined element loop, the one native loop for any other kind.
+// cgLoop is the compiled form of one element-wise loop; any other loop
+// kind keeps a zero cgLoop and runs its one native loop in exec.go.
 type cgLoop struct {
-	elem  []cgOp    // LoopElem: per-instruction block closures
-	setup []cgSetup // LoopElem: per-execution lane fills (consts, scalars)
-	// slotDT[s] is the dtype the load/store closures of slot s were
-	// specialized for; execElemCg verifies the bound buffer matches and
-	// falls back to the interpreter when a hand-built binding disagrees.
-	slotDT []DType
-	nregs  int
-	block  int // lane block size (elements), chosen by planBlock
+	elem  []cgOp    // per-instruction block closures
+	setup []cgSetup // per-execution lane fills (consts, hoisted scalars)
+	nregs int
+	block int // lane block size (elements): planBlock's, or 1 (lowerElem)
 }
 
 // cgOp executes one instruction across the current lane block.
 type cgOp func(st *cgState)
 
 // cgSetup fills one register's lanes once per loop execution: constants
-// and hoisted scalar loads (whose cell cannot change mid-loop; lowering
-// declines the loop otherwise).
+// and the scalar loads of cells the loop does not store, which cannot
+// change mid-loop.
 type cgSetup struct {
 	reg   int
 	param int // scalar-load source parameter; -1 for constants
 	imm   float64
-}
-
-// Lowered reports how many element loops of the program run on the
-// codegen backend (observability: tests and the trace tool).
-func (p *CodegenProgram) Lowered() int {
-	n := 0
-	for i := range p.loops {
-		if p.loops[i].elem != nil {
-			n++
-		}
-	}
-	return n
 }
 
 // Closures reports how many closures the program runs per block of
@@ -129,22 +119,21 @@ func (p *CodegenProgram) Closures() int {
 }
 
 // AttachProgram installs a codegen program on the compiled kernel;
-// Execute dispatches each lowered loop to its closures and every other
-// loop to the interpreter. The program must have been lowered from this
-// Compiled or from one of a twin kernel built the same way, so the
-// register/slot numbering agrees; the runtime attaches Codegen(c).
+// Execute then runs every element loop on its closures. The program must
+// have been lowered from this Compiled or from one of a twin kernel built
+// the same way, so the register/slot numbering agrees; the runtime
+// attaches Codegen(c).
 func (c *Compiled) AttachProgram(p *CodegenProgram) { c.prog = p }
 
 // HasCodegen reports whether any element loop of the kernel executes on
 // the codegen backend.
-func (c *Compiled) HasCodegen() bool { return c.prog != nil && c.prog.Lowered() > 0 }
+func (c *Compiled) HasCodegen() bool { return c.prog != nil && c.prog.Closures() > 0 }
 
 // Codegen lowers a compiled kernel into its closure-backend program — the
-// second compilation stage. It lowers element loops only and never fails:
-// a declined element loop (documented above) stays on the interpreter,
-// which the differential harness keeps bit-identical anyway, and every
-// other loop kind (SpMV, GEMV, Random, Iota, axis reductions) has one
-// native loop in exec.go that both tiers run.
+// second compilation stage. It lowers every element loop, and panics on an
+// op lowerArith does not know; every other loop kind (SpMV, GEMV, Random,
+// Iota, axis reductions) has one native loop in exec.go that both tiers
+// run.
 func Codegen(c *Compiled) *CodegenProgram {
 	p := &CodegenProgram{loops: make([]cgLoop, len(c.loops))}
 	for i := range c.loops {
@@ -186,27 +175,15 @@ func planBlock(nregs int) int {
 	return b &^ 7
 }
 
-// lowerElem lowers one element-wise loop body. Returns a zero cgLoop
-// (interpreter) when a decline rule fires.
+// lowerElem lowers one element-wise loop body. A scalar load of a
+// parameter the loop also stores element-wise reads the cell once per
+// element in the interpreter, after the stores of the elements before it.
+// Such a loop runs at a block of one element, and each such load is an
+// in-order closure (lowerScalarLoad) instead of a setup fill, so every
+// element reads the cell when the interpreter does.
 func lowerElem(k *Kernel, cl *compiledLoop) cgLoop {
-	// Decline: an OpLoadScalar of a parameter the same loop stores
-	// element-wise reads the cell once per element in the interpreter but
-	// once per loop here.
-	for _, in := range cl.body {
-		for _, ss := range cl.stores {
-			if in.Op == OpLoadScalar && cl.iter[ss.slot] == int(in.Slot) {
-				return cgLoop{}
-			}
-		}
-	}
-	// elem is non-nil even for an empty body: that loop is lowered, to
-	// nothing.
 	g := cgLoop{elem: make([]cgOp, 0, len(cl.body)), nregs: cl.nregs, block: planBlock(cl.nregs)}
-	g.slotDT = make([]DType, len(cl.iter))
-	for s, p := range cl.iter {
-		g.slotDT[s] = k.DTypeOf(p)
-	}
-	fused, absorbed := absorptions(k, cl, g.slotDT)
+	fused, absorbed := absorptions(k, cl)
 	uniform := make([]bool, cl.nregs) // the register's lane holds one value
 	for i := range cl.body {
 		in := &cl.body[i]
@@ -219,15 +196,20 @@ func lowerElem(k *Kernel, cl *compiledLoop) cgLoop {
 			g.setup = append(g.setup, cgSetup{reg: int(in.Dst), param: -1, imm: in.Imm})
 		case OpLoadScalar:
 			uniform[in.Dst] = true
+			if storesParam(cl, int(in.Slot)) {
+				g.block = 1
+				g.elem = append(g.elem, lowerScalarLoad(int(in.Dst), int(in.Slot)))
+				continue
+			}
 			g.setup = append(g.setup, cgSetup{reg: int(in.Dst), param: int(in.Slot)})
 		case OpLoad:
-			g.elem = append(g.elem, lowerLoad(int(in.Dst), int(in.Slot), g.slotDT[in.Slot], inPlaceLoad(cl.body, i)))
+			g.elem = append(g.elem, lowerLoad(int(in.Dst), int(in.Slot), k.DTypeOf(cl.iter[in.Slot]), inPlaceLoad(cl.body, i)))
 		case opStoreElem:
 			if f, ok := fused[i]; ok {
 				g.elem = append(g.elem, lowerAxpyStore(int(in.Slot), f))
 				continue
 			}
-			g.elem = append(g.elem, lowerStore(int(in.A), int(in.Slot), g.slotDT[in.Slot]))
+			g.elem = append(g.elem, lowerStore(int(in.A), int(in.Slot), k.DTypeOf(cl.iter[in.Slot])))
 		case opReduceAcc:
 			if f, ok := fused[i]; ok {
 				g.elem = append(g.elem, lowerDotReduce(f.m0, f.m1, int(in.Slot)))
@@ -237,14 +219,20 @@ func lowerElem(k *Kernel, cl *compiledLoop) cgLoop {
 		case OpCast:
 			g.elem = append(g.elem, lowerCast(int(in.Dst), int(in.A), DType(in.Slot)))
 		default:
-			op := lowerArith(in, uniform)
-			if op == nil {
-				return cgLoop{} // unknown op: stay on the interpreter
-			}
-			g.elem = append(g.elem, op)
+			g.elem = append(g.elem, lowerArith(in, uniform))
 		}
 	}
 	return g
+}
+
+// storesParam reports whether the loop stores parameter p element-wise.
+func storesParam(cl *compiledLoop, p int) bool {
+	for _, in := range cl.body {
+		if in.Op == opStoreElem && cl.iter[in.Slot] == p {
+			return true
+		}
+	}
+	return false
 }
 
 // inPlaceLoad reports whether the load body[i] may leave its register
@@ -304,7 +292,7 @@ type absorption struct {
 // is absorbed only when the consumer is its single reader and no element
 // store lies between the two, so computing it at the consumer reads the
 // lanes and region elements it would have read in place.
-func absorptions(k *Kernel, cl *compiledLoop, slotDT []DType) (map[int]absorption, []bool) {
+func absorptions(k *Kernel, cl *compiledLoop) (map[int]absorption, []bool) {
 	body := cl.body
 	counts := make([]int32, 2*cl.nregs)
 	readers, def := counts[:cl.nregs], counts[cl.nregs:]
@@ -350,7 +338,7 @@ func absorptions(k *Kernel, cl *compiledLoop, slotDT []DType) (map[int]absorptio
 	for j := range body {
 		in := &body[j]
 		switch {
-		case in.Op == opStoreElem && slotDT[in.Slot] == F64:
+		case in.Op == opStoreElem && k.DTypeOf(cl.iter[in.Slot]) == F64:
 			s := producer(in.A, j, OpAdd, OpSub)
 			if s < 0 {
 				continue
@@ -503,6 +491,20 @@ func lowerDotReduce(ra, rb, ri int) cgOp {
 			}
 		}
 		st.racc[ri] = t
+	}
+}
+
+// lowerScalarLoad builds the in-order closure of a scalar load of a cell
+// the loop stores: it fills the register's lane from the cell at its place
+// among the block's closures, after the stores of every earlier element.
+func lowerScalarLoad(dst, param int) cgOp {
+	return func(st *cgState) {
+		b := &st.bind[param]
+		v := b.Acc.Data.Get(b.Acc.Base)
+		d := st.lane[dst][:st.n]
+		for i := range d {
+			d[i] = v
+		}
 	}
 }
 
@@ -880,7 +882,7 @@ func lowerArith(in *Instr, uniform []bool) cgOp {
 			}
 		}
 	}
-	return nil
+	panic(fmt.Sprintf("kir: unknown op %d", in.Op))
 }
 
 // cgState is the per-goroutine execution state of the codegen backend:
@@ -902,6 +904,7 @@ type cgState struct {
 	i32  [][]int32
 
 	racc []float64
+	bind []Binding // the executing loop's bindings (lowerScalarLoad)
 }
 
 // cg returns the scratch's codegen state sized for one loop execution.
@@ -976,17 +979,15 @@ func (st *cgState) release() {
 		st.f64[s], st.f32[s], st.i32[s] = nil, nil, nil
 	}
 	clear(st.lane)
+	st.bind = nil
 }
 
-// execElemCg runs one element-wise loop on the codegen backend. It
-// returns false — before touching any data — when a runtime guard fails
-// (a bound buffer's dtype disagrees with the lowering), in which case the
-// caller runs the interpreter.
-func (c *Compiled) execElemCg(l *compiledLoop, g *cgLoop, pa *PointArgs) bool {
+// execElemCg runs one element-wise loop on the codegen backend.
+func (c *Compiled) execElemCg(l *compiledLoop, g *cgLoop, pa *PointArgs) {
 	ext := pa.Bind[l.extRef].Ext
 	total := extTotal(ext)
 	if total == 0 {
-		return true
+		return
 	}
 	rank := len(ext)
 	inner := 1
@@ -997,23 +998,13 @@ func (c *Compiled) execElemCg(l *compiledLoop, g *cgLoop, pa *PointArgs) bool {
 	// longer than it.
 	block := min(g.block, inner)
 	st := pa.Scratch.cg(g.nregs, block, len(l.iter), len(l.reduces))
+	st.bind = pa.Bind
 	for s, p := range l.iter {
-		b := &pa.Bind[p]
-		if b.Acc.Data.DType() != g.slotDT[s] {
-			st.release()
-			return false
-		}
-		switch g.slotDT[s] {
-		case F32:
-			st.f32[s] = b.Acc.Data.f32
-		case I32:
-			st.i32[s] = b.Acc.Data.i32
-		default:
-			st.f64[s] = b.Acc.Data.f64
-		}
-		st.cur[s] = b.Acc.Base
+		acc := &pa.Bind[p].Acc
+		st.f64[s], st.f32[s], st.i32[s] = acc.Data.f64, acc.Data.f32, acc.Data.i32
+		st.cur[s] = acc.Base
 		if rank > 0 {
-			st.istr[s] = b.Acc.Strides[rank-1]
+			st.istr[s] = acc.Strides[rank-1]
 		} else {
 			st.istr[s] = 0
 		}
@@ -1088,5 +1079,4 @@ func (c *Compiled) execElemCg(l *compiledLoop, g *cgLoop, pa *PointArgs) bool {
 		acc.Data.Set(acc.Base, rs.red.Combine(acc.Data.Get(acc.Base), st.racc[r]))
 	}
 	st.release()
-	return true
 }

@@ -3,6 +3,7 @@ package kir
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -73,28 +74,26 @@ func TestCodegenLanesSizedToTile(t *testing.T) {
 	}
 }
 
-// TestCodegenDeclinesScalarLoadOfStoredParam: the one construct that
-// could observe batching — reading a cell as a scalar while the same
-// loop stores it element-wise — must keep the loop on the interpreter.
-func TestCodegenDeclinesScalarLoadOfStoredParam(t *testing.T) {
+// TestCodegenLowersScalarLoadOfStoredParam: the one construct that
+// could observe batching — reading a cell as a scalar while the same loop
+// stores it element-wise — is lowered at a block of one element, the load
+// in order among the closures, and stores what the interpreter stores.
+// Element 0 reads 0 and stores 1 into cell 0; every later element reads
+// that 1 and stores 2 into its own cell, where a hoisted read would have
+// stored 1 everywhere. A scalar load of a cell the loop does not store
+// stays a setup fill: here it scales the first 2-D loop, and the second
+// loop runs it with the stored cell over rows.
+func TestCodegenLowersScalarLoadOfStoredParam(t *testing.T) {
 	k := NewKernel("selfref", 1)
 	k.AddLoop(&Loop{Kind: LoopElem, Dom: "d", Ext: []int{8}, ExtRef: 0,
 		Stmts: []Stmt{{Kind: KStore, Param: 0,
 			E: Binary(OpAdd, LoadScalar(0), Const(1))}}})
 	c := Compile(k)
 	p := Codegen(c)
-	if p.Lowered() != 0 {
-		t.Fatal("loop with a scalar load of its own store destination was lowered")
+	if g := &p.loops[0]; g.block != 1 || len(g.setup) != 1 || len(g.elem) != 3 {
+		t.Fatalf("block %d, %d setup fills, %d closures: want 1, 1 (the constant) and 3", g.block, len(g.setup), len(g.elem))
 	}
 	c.AttachProgram(p)
-	if c.HasCodegen() {
-		t.Fatal("HasCodegen true with nothing lowered")
-	}
-	// The interpreter still runs it, with its per-element read of cell 0:
-	// element 0 reads 0 and stores 1 into cell 0; every later element
-	// reads that 1 and stores 2 into its own cell. A batched execution
-	// would have read 0 for the whole block — the divergence the decline
-	// rule exists to prevent.
 	b := contiguous(F64, []int{8}, func(int) float64 { return 0 })
 	c.Execute(&PointArgs{Bind: []Binding{b}})
 	for i := 0; i < 8; i++ {
@@ -106,37 +105,20 @@ func TestCodegenDeclinesScalarLoadOfStoredParam(t *testing.T) {
 			t.Fatalf("element %d = %g, want %g", i, got, want)
 		}
 	}
-}
 
-// TestCodegenDTypeGuard: a lowered loop bound (by hand) to a buffer of a
-// different dtype must fall back to the interpreter rather than
-// misinterpret the raw slices.
-func TestCodegenDTypeGuard(t *testing.T) {
-	k := NewKernel("guard", 2) // declared f64
-	k.AddLoop(&Loop{Kind: LoopElem, Dom: "d", Ext: []int{16}, ExtRef: 0,
-		Stmts: []Stmt{{Kind: KStore, Param: 1,
-			E: Binary(OpMul, Load(0), Const(2))}}})
-	c := Compile(k)
-	c.AttachProgram(Codegen(c))
-	if !c.HasCodegen() {
-		t.Fatal("loop not lowered")
-	}
-	// Bind f32 buffers against the f64 lowering.
-	in := contiguous(F32, []int{16}, func(i int) float64 { return float64(i) + 0.5 })
-	out := contiguous(F32, []int{16}, func(int) float64 { return 0 })
-	pa := &PointArgs{Bind: []Binding{in, out}, Scratch: &Scratch{}}
-	if c.execElemCg(&c.loops[0], &c.prog.loops[0], pa) {
-		t.Fatal("codegen ran against buffers of the wrong dtype")
-	}
-	// Execute takes the fallback transparently and the interpreter
-	// computes the right values.
-	c.Execute(pa)
-	for i := 0; i < 16; i++ {
-		want := (float64(i) + 0.5) * 2 // exact in f32 at this range
-		if got := out.Acc.Data.Get(i); got != want {
-			t.Fatalf("element %d = %g, want %g", i, got, want)
-		}
-	}
+	k2 := NewKernel("selfref2d", 3)
+	k2.SetDType(1, F32)
+	k2.AddLoop(&Loop{Kind: LoopElem, Dom: "d", Ext: []int{5, 70}, ExtRef: 1, Stmts: []Stmt{
+		{Kind: KStore, Param: 1, E: Binary(OpMul, Binary(OpAdd, LoadScalar(1), Load(0)), LoadScalar(2))},
+		{Kind: KStore, Param: 0, E: Binary(OpSub, Load(1), LoadScalar(1))},
+	}})
+	k2.AddLoop(&Loop{Kind: LoopElem, Dom: "d", Ext: []int{5, 70}, ExtRef: 2,
+		Stmts: []Stmt{{Kind: KStore, Param: 2, E: Binary(OpAdd, LoadScalar(2), Load(0))}}})
+	runBothTiers(t, "selfref2d", k2, func() []Binding {
+		shape := []int{5, 70}
+		fill := func(i int) float64 { return float64(i%13)/8 - 0.7 }
+		return []Binding{contiguous(F64, shape, fill), contiguous(F32, shape, fill), contiguous(F64, shape, fill)}
+	})
 }
 
 // TestCodegenProgramShared: a program captures only lowering-time
@@ -168,25 +150,53 @@ func TestCodegenProgramShared(t *testing.T) {
 	}
 }
 
-// TestCodegenLowered: Lowered/HasCodegen count exactly the loops the
+// TestCodegenLowered: HasCodegen and Closures count exactly the loops the
 // backend takes — element loops, never generators or axis reductions,
 // which run their one native loop under both tiers.
 func TestCodegenLowered(t *testing.T) {
 	k := NewKernel("mixed", 3)
 	k.AddLoop(&Loop{Kind: LoopIota, Dom: "d", Ext: []int{8}, ExtRef: 0})
-	k.AddLoop(&Loop{Kind: LoopElem, Dom: "d", Ext: []int{8}, ExtRef: 0,
-		Stmts: []Stmt{{Kind: KStore, Param: 1, E: Binary(OpMul, Load(0), Load(0))}}})
 	k.AddLoop(&Loop{Kind: LoopAxisReduce, Dom: "d", Ext: []int{8},
 		ExtRef: 0, X: 1, Y: 2, Red: RedSum})
 	c := Compile(k)
+	c.AttachProgram(Codegen(c))
+	if c.HasCodegen() {
+		t.Fatal("HasCodegen true with no element loop")
+	}
+	k.AddLoop(&Loop{Kind: LoopElem, Dom: "d", Ext: []int{8}, ExtRef: 0,
+		Stmts: []Stmt{{Kind: KStore, Param: 1, E: Binary(OpMul, Load(0), Load(0))}}})
+	c = Compile(k)
+	if c.HasCodegen() {
+		t.Fatal("HasCodegen true with no program attached")
+	}
 	p := Codegen(c)
-	if got := p.Lowered(); got != 1 {
-		t.Fatalf("Lowered() = %d, want 1 (the element loop only)", got)
+	if got := p.Closures(); got != 3 {
+		t.Fatalf("Closures() = %d, want 3 (the element loop's load, mul and store)", got)
 	}
 	c.AttachProgram(p)
 	if !c.HasCodegen() {
 		t.Fatal("HasCodegen false with a lowered loop")
 	}
+}
+
+// TestCodegenPanicsOnUnknownOp: an op the backend does not know is a
+// malformed kernel, which Codegen rejects as Compile does.
+func TestCodegenPanicsOnUnknownOp(t *testing.T) {
+	k := NewKernel("unknown", 2)
+	k.AddLoop(&Loop{Kind: LoopElem, Dom: "d", Ext: []int{8}, ExtRef: 0,
+		Stmts: []Stmt{{Kind: KStore, Param: 1, E: Unary(OpAbs, Load(0))}}})
+	c := Compile(k)
+	for i := range c.loops[0].body {
+		if c.loops[0].body[i].Op == OpAbs {
+			c.loops[0].body[i].Op = 150
+		}
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "unknown op 150") {
+			t.Fatalf("Codegen recovered %v, want an unknown-op panic", r)
+		}
+	}()
+	Codegen(c)
 }
 
 // aliasKernel builds the sharing forwarding produces: one

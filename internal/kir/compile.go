@@ -3,7 +3,6 @@ package kir
 import (
 	"fmt"
 	"math"
-	"slices"
 )
 
 // Compile lowers an optimized kernel to a register program — the analogue
@@ -31,11 +30,6 @@ type Instr struct {
 	Imm     float64 // immediate for OpConst
 }
 
-type storeSlot struct {
-	slot int    // iteration slot to store through
-	reg  uint16 // register holding the value
-}
-
 type redSlot struct {
 	param int // kernel parameter (scalar destination)
 	reg   uint16
@@ -46,9 +40,8 @@ type compiledLoop struct {
 	kind       LoopKind
 	extRef     int
 	body       []Instr
-	stores     []storeSlot
 	reduces    []redSlot
-	iter       []int // slot -> parameter iterated element-wise
+	iter       []int // slot -> parameter a kept load or store iterates
 	nregs      int
 	y, x, matA int
 	acc        bool
@@ -66,7 +59,7 @@ type Compiled struct {
 	NOps int
 	// prog is the optional second-stage (codegen-backend) lowering; see
 	// codegen.go. Attached after Compile by the runtime's kernel cache,
-	// nil when the kernel runs fully interpreted.
+	// nil on a runtime that runs the interpreter.
 	prog *CodegenProgram
 	// overwrites[p] reports that the kernel's first access to parameter p
 	// is a store (Overwrites).
@@ -196,10 +189,8 @@ func (b *loopBuilder) compileLoop(l *Loop) compiledLoop {
 			// negation of it is emitted by the first consumer that needs it.
 		case KStore:
 			reg := b.reg(v)
-			slot := b.slot(s.Param)
-			cl.stores = append(cl.stores, storeSlot{slot: slot, reg: reg})
 			b.lastStore = len(b.instrs)
-			b.instrs = append(b.instrs, Instr{Op: opStoreElem, A: reg, Slot: int32(slot)})
+			b.instrs = append(b.instrs, Instr{Op: opStoreElem, A: reg, Slot: int32(b.slot(s.Param))})
 		case KReduce:
 			reg := b.reg(v)
 			ri := len(cl.reduces)
@@ -209,9 +200,8 @@ func (b *loopBuilder) compileLoop(l *Loop) compiledLoop {
 			panic(fmt.Sprintf("kir: unknown stmt kind %d", s.Kind))
 		}
 	}
-	cl.body = b.dropDead()
+	cl.body, cl.iter = b.dropDead()
 	cl.nregs = int(b.next)
-	cl.iter = slices.Clone(b.slotOrder)
 	return cl
 }
 
@@ -219,8 +209,11 @@ func (b *loopBuilder) compileLoop(l *Loop) compiledLoop {
 // that no store, reduction or kept instruction reads: a KEval whose
 // readers were dropped as dead stores, and what only it read. One
 // backward pass marks the live registers in the value-numbering table's
-// space, which the next loop clears; registers keep their numbers.
-func (b *loopBuilder) dropDead() []Instr {
+// space, which the next loop clears; registers keep their numbers. The
+// iteration slots are numbered again over the kept instructions, in order
+// of first use, so iter lists only the parameters a kept load or store
+// iterates.
+func (b *loopBuilder) dropDead() ([]Instr, []int) {
 	if int(b.next) > len(b.vn) {
 		size := len(b.vn)
 		for size < int(b.next) {
@@ -249,13 +242,23 @@ func (b *loopBuilder) dropDead() []Instr {
 			live[in.A] = 1
 		}
 	}
+	old := b.slotOrder
+	for _, p := range old {
+		b.slotOf[p] = 0
+	}
+	b.slotOrder = make([]int, 0, len(old))
 	body := b.instrs[:0]
-	for i := range b.instrs {
-		if in := &b.instrs[i]; kept(in) {
-			body = append(body, *in)
+	for _, in := range b.instrs {
+		if kept(&in) {
+			if in.Op == OpLoad || in.Op == opStoreElem {
+				in.Slot = int32(b.slot(old[in.Slot]))
+			}
+			body = append(body, in)
 		}
 	}
-	return body
+	iter := b.slotOrder
+	b.slotOrder = old // the builder's to reuse; iter is the loop's
+	return body, iter
 }
 
 // loopBuilder compiles one element loop at a time, keeping its tables from

@@ -3,6 +3,7 @@ package kir
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 )
@@ -258,7 +259,8 @@ func TestValueNumberingExact(t *testing.T) {
 
 // TestDropDeadValues: Compile drops every value instruction that no store,
 // reduction or kept instruction reads (a KEval chain, and a load only it
-// read) without renumbering registers, and a loop left with no instruction
+// read) without renumbering registers, keeps no iteration slot for a
+// parameter only dropped loads read, and a loop left with no instruction
 // is lowered, to nothing, and does nothing on either tier. The last loop
 // reloads one parameter after each of its 80 stores, so its registers
 // outnumber the 64 entries of a hand-built kernel's value-numbering table,
@@ -291,16 +293,48 @@ func TestDropDeadValues(t *testing.T) {
 		t.Fatalf("registers %d, %d instructions in the unread loop, %d reload registers: want 7, 0, 83",
 			c.loops[0].nregs, len(c.loops[1].body), c.loops[2].nregs)
 	}
+	if !slices.Equal(c.loops[0].iter, []int{0, 2}) || len(c.loops[1].iter) != 0 {
+		t.Fatalf("iteration slots %v and %v, want [0 2] and none: a dropped load keeps no slot", c.loops[0].iter, c.loops[1].iter)
+	}
 	cg := Compile(k)
 	cg.AttachProgram(Codegen(cg))
-	if got := Codegen(cg).Lowered(); got != 3 {
-		t.Fatalf("%d of 3 loops lowered", got)
-	}
 	for _, comp := range []*Compiled{c, cg} {
 		x, y, z := []float64{1, 2, 3, 4}, []float64{5, 6, 7, 8}, make([]float64, 4)
 		comp.Execute(&PointArgs{Bind: []Binding{flat(x, 4), flat(y, 4), flat(z, 4)}, Scratch: &Scratch{}})
 		if got := fmt.Sprint(x, y, z); got != "[1 2 3 4] [5 6 7 8] [7 9 11 13]" {
 			t.Fatalf("codegen %v: got %s, want [1 2 3 4] [5 6 7 8] [7 9 11 13]", comp.HasCodegen(), got)
+		}
+	}
+}
+
+// TestNoDeadSlots: over the differential sweep's generated kernels, as
+// generated and as composed, every iteration slot of a compiled element
+// loop is the slot of a kept load or store, so neither tier binds or
+// advances a cursor nothing reads.
+func TestNoDeadSlots(t *testing.T) {
+	dead := func(c *Compiled) (loop, slot int) {
+		for li := range c.loops {
+			l := &c.loops[li]
+			used := make([]bool, len(l.iter))
+			for _, in := range l.body {
+				if in.Op == OpLoad || in.Op == opStoreElem {
+					used[in.Slot] = true
+				}
+			}
+			if s := slices.Index(used, false); s >= 0 {
+				return li, s
+			}
+		}
+		return -1, -1
+	}
+	for seed := int64(0); seed < 400; seed++ {
+		dk := randDiffKernel(rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(^seed)))
+		opt, _ := optimize(dk.k, dk.temp, nil)
+		for _, k := range []*Kernel{dk.k, opt} {
+			if li, s := dead(Compile(k)); li >= 0 {
+				t.Fatalf("seed %d: loop %d iterates parameter %d in slot %d, which no kept instruction uses\nkernel: %s",
+					seed, li, Compile(k).loops[li].iter[s], s, k.Fingerprint())
+			}
 		}
 	}
 }

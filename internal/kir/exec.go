@@ -144,24 +144,22 @@ func (c *Compiled) Execute(pa *PointArgs) {
 	if pa.Scratch == nil {
 		pa.Scratch = &Scratch{}
 	}
-	// The codegen program, when attached, takes each element loop it
-	// lowered; a lowered loop whose runtime guard declines (dtype mismatch
-	// against a hand-built binding) falls back to the interpreter for that
-	// execution. Both backends are bit-identical. Every other loop kind
-	// has one native loop, the same under both.
+	// The tier is the kernel's, not the loop's: with a codegen program
+	// attached every element loop runs on its closures, without one on the
+	// interpreter (a runtime with codegen off, the reference oracle). Both
+	// are bit-identical. Every other loop kind has one native loop, the
+	// same under both.
 	for i := range c.loops {
 		l := &c.loops[i]
 		switch l.kind {
 		case LoopElem:
-			if len(l.body) == 0 {
-				continue // Compile dropped every value as unread
+			switch {
+			case len(l.body) == 0: // Compile dropped every value as unread
+			case prog != nil:
+				c.execElemCg(l, &prog.loops[i], pa)
+			default:
+				c.execElem(l, pa)
 			}
-			if prog != nil {
-				if g := &prog.loops[i]; g.elem != nil && c.execElemCg(l, g, pa) {
-					continue
-				}
-			}
-			c.execElem(l, pa)
 		case LoopSpMV:
 			c.execSpMV(l, pa)
 		case LoopGEMV:

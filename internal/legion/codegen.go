@@ -14,18 +14,18 @@ import (
 // iteration and still reuse it. Programs hold no region references: a
 // program outlives any store.
 
-// CodegenMode toggles the compiled-kernel backend for element loops. The
-// zero value is on: codegen is the default tier, the interpreter the
-// reference oracle and fallback. Every other loop kind (SpMV, GEMV,
-// Random, Iota, axis reductions) runs the same native loop in either
-// mode.
+// CodegenMode selects the kernel tier of element loops, once per runtime.
+// The zero value is on: codegen is the default tier, and the interpreter
+// runs only with it off and in the reference backend (internal/oracle);
+// no element loop falls back from one to the other. Every other loop kind
+// (SpMV, GEMV, Random, Iota, axis reductions) runs the same native loop
+// in either mode.
 type CodegenMode int
 
 // Codegen modes.
 const (
-	// CodegenOn lowers the element loops of every locally executed kernel
-	// through the closure backend (an element loop it declines stays on
-	// the interpreter).
+	// CodegenOn lowers every element loop of every locally executed
+	// kernel through the closure backend.
 	CodegenOn CodegenMode = iota
 	// CodegenOff runs every element loop interpreted — the bit-identical
 	// reference configuration benchmarks compare against.
@@ -35,7 +35,7 @@ const (
 // CodegenStats is a snapshot of the backend's activity counters.
 type CodegenStats struct {
 	// TasksCompiled / TasksInterpreted count index-task executions whose
-	// kernel did / did not have at least one codegen-lowered element loop.
+	// kernel did / did not run its element loops on a codegen program.
 	// A kernel of SpMV, GEMV, generator or axis-reduction loops alone
 	// counts as interpreted: those loops run one native loop either way.
 	TasksCompiled    int64
