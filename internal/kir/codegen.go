@@ -677,12 +677,15 @@ func lowerCast(dst, src int, dt DType) cgOp {
 
 // lowerArith builds the closure of one arithmetic/comparison instruction.
 // Each case is a monomorphic loop over equal-length lane slices (resliced
-// to the destination's length so the compiler drops the bounds checks);
-// the math calls are the identical stdlib functions the interpreter uses.
-// An add or mul selects its first operand's NaN payload per element, as
-// the interpreter does (pinAdd, pinMul), unless an operand is uniform
-// (its register's lane holds one value): then only a block where that
-// value is a NaN can meet two NaNs, and only such a block selects.
+// to the destination's length so the compiler drops the bounds checks).
+// Exp, log and erf hand the whole block to expBlock, logBlock and
+// erfBlock, which on amd64 with AVX2 and FMA compute it four lanes at a
+// time, bit for bit math's (vmath_amd64.go); the other math calls are
+// the stdlib functions the interpreter uses. An add or mul selects its
+// first operand's NaN payload per element, as the interpreter does
+// (pinAdd, pinMul), unless an operand is uniform (its register's lane
+// holds one value): then only a block where that value is a NaN can meet
+// two NaNs, and only such a block selects.
 func lowerArith(in *Instr, uniform []bool) cgOp {
 	dst, ra, rb, rc := int(in.Dst), int(in.A), int(in.B), int(in.C)
 	ru := -1 // a uniform operand of an add or mul
@@ -777,26 +780,17 @@ func lowerArith(in *Instr, uniform []bool) cgOp {
 	case OpExp:
 		return func(st *cgState) {
 			d := st.lane[dst][:st.n]
-			a := st.lane[ra][:len(d)]
-			for i := range d {
-				d[i] = math.Exp(a[i])
-			}
+			expBlock(d, st.lane[ra][:len(d)])
 		}
 	case OpLog:
 		return func(st *cgState) {
 			d := st.lane[dst][:st.n]
-			a := st.lane[ra][:len(d)]
-			for i := range d {
-				d[i] = math.Log(a[i])
-			}
+			logBlock(d, st.lane[ra][:len(d)])
 		}
 	case OpErf:
 		return func(st *cgState) {
 			d := st.lane[dst][:st.n]
-			a := st.lane[ra][:len(d)]
-			for i := range d {
-				d[i] = math.Erf(a[i])
-			}
+			erfBlock(d, st.lane[ra][:len(d)])
 		}
 	case OpPow:
 		return func(st *cgState) {

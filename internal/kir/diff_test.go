@@ -13,6 +13,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -336,9 +339,23 @@ func appendLoads(loads []*Expr, e *Expr) []*Expr {
 	return appendLoads(appendLoads(appendLoads(loads, e.A), e.B), e.C)
 }
 
-// bindDiff allocates and fills buffers for one run. The data is derived
+// edgeValues are the cells bind draws one in sixteen float cells from:
+// values where exp, log and erf leave their lanes for math (±0, ±Inf,
+// subnormals, exp's overflow and underflow at ±710 and ±746, erf's tiny
+// 2**-30) or change region or branch inside them (erf's bounds, and
+// sqrt(2)/2·2^k, where log's reduction takes k-1).
+var edgeValues = []float64{
+	0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+	math.SmallestNonzeroFloat64, -0x1p-1030, 0x0.fffffffffffffp-1022,
+	710, -710, 746, -746, 0x1p-30, -0x1p-30,
+	0.84375, -0.84375, 1.25, -1.25, 1 / 0.35, -1 / 0.35, 6, -6,
+	math.Sqrt2 / 2, math.Sqrt2 / 4, math.Sqrt2 * 8, math.Ldexp(math.Sqrt2/2, -1030), math.Ldexp(math.Sqrt2/2, 1000),
+}
+
+// bind allocates and fills buffers for one run. The data is derived
 // from the rng, so two calls with identically seeded rngs produce
-// identical inputs for the two backends.
+// identical inputs for the two backends. Float cells are normal draws
+// (σ 10), but one in sixteen is an edge value.
 func (dk *diffKernel) bind(rng *rand.Rand) ([]Binding, []Buffer) {
 	bind := make([]Binding, len(dk.shapes))
 	bufs := make([]Buffer, len(dk.shapes))
@@ -355,9 +372,11 @@ func (dk *diffKernel) bind(rng *rand.Rand) ([]Binding, []Buffer) {
 		dt := dk.k.DTypeOf(p)
 		buf := AllocBuffer(dt, n)
 		for i := 0; i < n; i++ {
-			switch dt {
-			case I32:
+			switch {
+			case dt == I32:
 				buf.Set(i, float64(rng.Int31n(200)-100))
+			case rng.Intn(16) == 0:
+				buf.Set(i, edgeValues[rng.Intn(len(edgeValues))])
 			default:
 				buf.Set(i, rng.NormFloat64()*10)
 			}
@@ -494,10 +513,10 @@ func TestDiffCodegenSeeds(t *testing.T) {
 
 // FuzzDiffCodegen is the native fuzz target over generator seeds; the
 // committed corpus in testdata/fuzz pins the seeds that exercised every
-// lowering path when the backend landed, one whose kernel absorbs into a
-// sum (seed-1007-dot), and one whose rank-2 loop scalar-loads a cell it
-// stores (seed-9-selfref). seed-1000-axpy no longer absorbs into a store:
-// the generator has changed since it was named.
+// lowering path when the backend landed, and three named for the shape
+// their kernel takes: seed-143-axpy absorbs into stores, seed-1007-dot
+// into a sum, and seed-9-selfref's rank-2 loop scalar-loads a cell it
+// stores. TestDiffCodegenNamedSeeds checks that each still does.
 func FuzzDiffCodegen(f *testing.F) {
 	for _, seed := range []uint64{0, 1, 7, 42, 1234, 99991, 1 << 33, 0xdeadbeef} {
 		f.Add(seed)
@@ -505,4 +524,47 @@ func FuzzDiffCodegen(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64) {
 		runDiff(t, seed)
 	})
+}
+
+// TestDiffCodegenNamedSeeds runs the corpus seeds of FuzzDiffCodegen whose
+// file names say what their kernel takes, seed-N-axpy, seed-N-dot and
+// seed-N-selfref, and requires that it still does: an absorbed store, an
+// absorbed reduction and a loop at a block of one element. A generator
+// change that moves a kernel off its shape fails here instead of leaving
+// a seed that pins nothing.
+func TestDiffCodegenNamedSeeds(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzDiffCodegen")
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, e := range ents {
+		parts := strings.Split(e.Name(), "-")
+		if len(parts) != 3 {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seed uint64
+		if _, err := fmt.Sscanf(string(data), "go test fuzz v1\nuint64(%d)", &seed); err != nil {
+			t.Fatalf("%s: %v", e.Name(), err)
+		}
+		axpy, dot, _, serial := runDiff(t, seed)
+		n := map[string]int{"axpy": axpy, "dot": dot, "selfref": serial}
+		got, ok := n[parts[2]]
+		if !ok {
+			t.Fatalf("%s: no check for a seed named %q", e.Name(), parts[2])
+		}
+		if got == 0 {
+			t.Errorf("%s: seed %d no longer takes its shape (%d absorbed stores, %d absorbed reductions, %d loops at a block of one)",
+				e.Name(), seed, axpy, dot, serial)
+		}
+		seen[parts[2]] = true
+	}
+	if len(seen) != 3 {
+		t.Errorf("named corpus seeds cover %v, want axpy, dot and selfref", seen)
+	}
 }

@@ -33,3 +33,15 @@ func SetGEMVNative(on bool) (restore func(), ok bool) {
 	gemvNative = on
 	return func() { gemvNative = prev }, true
 }
+
+// SetVMathNative switches the four-lane exp, log and erf on or off and
+// returns a function restoring the previous setting. Asked to switch them
+// on where vmathUsable does not hold, it changes nothing and reports false.
+func SetVMathNative(on bool) (restore func(), ok bool) {
+	if on && !vmathUsable() {
+		return func() {}, false
+	}
+	prev := vmathNative
+	vmathNative = on
+	return func() { vmathNative = prev }, true
+}
