@@ -94,6 +94,7 @@ step "test -race, GOMAXPROCS=1" env GOMAXPROCS=1 go test -race -count=1 ./...
 step "test kir, apps with GODEBUG=cpu.fma=off" env GODEBUG=cpu.fma=off go test -count=1 ./internal/kir ./internal/apps
 step "import fence (oracle, faultx)" import_fence
 step "fuzz FuzzDiffCodegen 30s" fuzz ./internal/kir FuzzDiffCodegen
+step "fuzz FuzzLanes 30s" fuzz ./internal/kir FuzzLanes
 step "fuzz FuzzDecodeStream 30s" fuzz ./internal/ir FuzzDecodeStream
 step "fuzz FuzzControlBody 30s" fuzz ./internal/dist FuzzControlBody
 step "fuzz FuzzReadFrame 30s" fuzz ./internal/serve FuzzReadFrame

@@ -679,9 +679,9 @@ func lowerCast(dst, src int, dt DType) cgOp {
 // Each case is a monomorphic loop over equal-length lane slices (resliced
 // to the destination's length so the compiler drops the bounds checks).
 // Exp, log and erf hand the whole block to expBlock, logBlock and
-// erfBlock, which on amd64 with AVX2 and FMA compute it four lanes at a
-// time, bit for bit math's (vmath_amd64.go); the other math calls are
-// the stdlib functions the interpreter uses. An add or mul selects its
+// erfBlock, which compute it four lanes at a time where lanes holds
+// their bit, bit for bit math's (lanes.go); the other math calls are the
+// stdlib functions the interpreter uses. An add or mul selects its
 // first operand's NaN payload per element, as the interpreter does
 // (pinAdd, pinMul), unless an operand is uniform (its register's lane
 // holds one value): then only a block where that value is a NaN can meet

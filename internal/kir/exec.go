@@ -446,10 +446,6 @@ func (c *Compiled) execGEMV(l *compiledLoop, pa *PointArgs) {
 	}
 }
 
-// gemvNative routes gemvUnit's float64 column quads through
-// gemvQuadsAVX2: set at init where the CPU and OS support AVX2.
-var gemvNative = cpuAVX2()
-
 // gemvUnit is the uniform-dtype GEMV over unit-stride rows and x: for
 // each of the matrix's rows (row i starts at ad[base+i*astr0]), y[i] is
 // set to, or accumulates, the row's dot product with xv. Each row sums
@@ -460,10 +456,10 @@ var gemvNative = cpuAVX2()
 // 4-wide windows of xv, and every row is resliced to len(xv), so a quad
 // of two rows costs one bounds check. Go emits no SIMD, and this loop
 // is bound by its instructions: one core reads 11–14 GB/s of matrix
-// whether it sits in L1 or L3 (2-vCPU Xeon). Where gemvNative is set,
-// float64 pairs sum their quads in gemvQuadsAVX2 instead, one ymm
-// register per row whose lane k is the Go loop's s_k, and only that loop
-// differs: the horizontal sum, the tail and the y update below are
+// whether it sits in L1 or L3 (2-vCPU Xeon). Where lanes holds laneGEMV
+// (lanes.go), float64 pairs sum their quads in gemvQuadsAVX2 instead, one
+// ymm register per row whose lane k is the Go loop's s_k, and only that
+// loop differs: the horizontal sum, the tail and the y update below are
 // shared. It reads 49–51 GB/s in L1 or L2 and 17.6 GB/s in L3, so bytes
 // bound it there; chain_sharded's step fell from 13.8 to 8.4 ms. It
 // assumes yd does not overlap xv: the second row of a pair reads xv
@@ -471,7 +467,7 @@ var gemvNative = cpuAVX2()
 func gemvUnit[T float32 | float64](ad []T, base, astr0 int, xv, yd []T, ybase, ystride, rows int, acc bool) {
 	cols := len(xv)
 	var zero T
-	native := gemvNative && unsafe.Sizeof(zero) == 8 && cols >= 4
+	native := lanes&laneGEMV != 0 && unsafe.Sizeof(zero) == 8 && cols >= 4
 	i := 0
 	for ; i+2 <= rows; i += 2 {
 		r0 := ad[base+i*astr0:][:cols]

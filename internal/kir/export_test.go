@@ -22,26 +22,17 @@ func CountOps(c *Compiled, op Op) int {
 	return n
 }
 
-// SetGEMVNative switches gemvUnit's native float64 quad loop on or off and
-// returns a function restoring the previous setting. Asked to switch it on
-// where the CPU or OS lacks AVX2, it changes nothing and reports false.
-func SetGEMVNative(on bool) (restore func(), ok bool) {
-	if on && !cpuAVX2() {
-		return func() {}, false
-	}
-	prev := gemvNative
-	gemvNative = on
-	return func() { gemvNative = prev }, true
-}
+// detectedLanes is the set detectLanes found at init.
+var detectedLanes = lanes
 
-// SetVMathNative switches the four-lane exp, log and erf on or off and
-// returns a function restoring the previous setting. Asked to switch them
-// on where vmathUsable does not hold, it changes nothing and reports false.
-func SetVMathNative(on bool) (restore func(), ok bool) {
-	if on && !vmathUsable() {
-		return func() {}, false
+// SetLanes switches on every native lane routine this host runs, or
+// switches them all off, and returns a function restoring the previous
+// setting and the set now on.
+func SetLanes(on bool) (restore func(), set laneSet) {
+	prev := lanes
+	lanes = 0
+	if on {
+		lanes = detectedLanes
 	}
-	prev := vmathNative
-	vmathNative = on
-	return func() { vmathNative = prev }, true
+	return func() { lanes = prev }, lanes
 }

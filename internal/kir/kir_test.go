@@ -313,14 +313,14 @@ func refGEMV[T float32 | float64](a []T, astr0, astr1 int, x []T, xstr int, y []
 // chain_sharded-wide block. Rows carry a NaN and an Inf-Inf cancellation
 // in the second row of a pair and an Inf in the first; accumulated y
 // cells hold a NaN in a paired row and in the last row. It runs once with
-// the native f64 quad loop off and once with it on.
+// the lanes off and once with them on.
 func TestGEMVPaths(t *testing.T) {
 	for _, native := range []bool{false, true} {
 		t.Run(fmt.Sprintf("native=%t", native), func(t *testing.T) {
-			restore, ok := SetGEMVNative(native)
+			restore, set := SetLanes(native)
 			defer restore()
-			if !ok {
-				t.Skip("the CPU or OS lacks AVX2: only the Go quad loop can run")
+			if native && set&laneGEMV == 0 {
+				t.Skip("this host runs no GEMV lanes (TestLanesDetected checks that it should not): only the Go quad loop can run")
 			}
 			testGEMVPaths(t)
 		})

@@ -1,0 +1,335 @@
+package kir
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"os"
+	"runtime"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// TestLanesDetected checks the lane set found at init against
+// /proc/cpuinfo's flags, which the kernel clears of AVX features the OS
+// does not save: the GEMV lanes where it lists avx2, exp, log and erf
+// where it lists fma too and GODEBUG lets math.Exp take its FMA path
+// (cpu.fma, cpu.avx and cpu.all=off stop it). A detection fault that
+// turned lanes off would otherwise only skip the lanes' halves of the
+// harness.
+func TestLanesDetected(t *testing.T) {
+	info, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		t.Skipf("no /proc/cpuinfo to check the detected lanes against: %v", err)
+	}
+	var flags []string
+	for _, line := range strings.Split(string(info), "\n") {
+		if name, list, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "flags" {
+			flags = strings.Fields(list)
+			break
+		}
+	}
+	godebug := os.Getenv("GODEBUG")
+	hidden := strings.Contains(godebug, "cpu.fma=off") || strings.Contains(godebug, "cpu.avx=off") || strings.Contains(godebug, "cpu.all=off")
+	var want laneSet
+	if runtime.GOARCH == "amd64" && slices.Contains(flags, "avx2") {
+		want = laneGEMV
+		if slices.Contains(flags, "fma") && !hidden {
+			want |= laneExp | laneLog | laneErf
+		}
+	}
+	if detectedLanes != want {
+		t.Fatalf("detected lanes %04b, want %04b (gemv, exp, log, erf from bit 0; avx2 %t, fma %t, GODEBUG=%q)",
+			detectedLanes, want, slices.Contains(flags, "avx2"), slices.Contains(flags, "fma"), godebug)
+	}
+}
+
+// TestLanes runs every native lane routine with the lanes on and off
+// against its scalar reference and requires its bits for every element:
+// math's for exp, log and erf (about 4 Mi arguments each), the Go quad
+// loop's for the GEMV (every shape of gemvRows by blockLengths, four
+// times). The arguments lead with each routine's edges in every lane of a
+// quad.
+func TestLanes(t *testing.T) {
+	for _, on := range []bool{true, false} {
+		t.Run(fmt.Sprintf("lanes=%t", on), func(t *testing.T) {
+			restore, set := SetLanes(on)
+			defer restore()
+			for _, c := range laneCases {
+				t.Run(c.name, func(t *testing.T) {
+					if on && set&c.bit == 0 {
+						t.Skipf("this host runs no %s lanes (TestLanesDetected checks that it should not)", c.name)
+					}
+					var lead []float64
+					for k := 0; k < 4; k++ {
+						lead = append(append(lead, make([]float64, k)...), c.gen.edges...)
+					}
+					c.check(t, rand.New(rand.NewSource(int64(len(c.name)))), c.blocks, lead)
+				})
+			}
+		})
+	}
+}
+
+// FuzzLanes runs every lane routine this host runs on a few blocks drawn
+// from its generator with the fuzzer's seed, starting anywhere in the
+// cycle of shapes, against its scalar reference.
+func FuzzLanes(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, blocks uint8) {
+		for _, c := range laneCases {
+			c.check(t, rand.New(rand.NewSource(seed)), 1+int(blocks)%32, nil)
+		}
+	})
+}
+
+// laneCase is one native routine under the harness: its bit in lanes, the
+// generator of its arguments, the blocks TestLanes runs and, for exp, log
+// and erf, the block function and its scalar reference. The GEMV's
+// reference is its Go quad loop.
+type laneCase struct {
+	name   string
+	bit    laneSet
+	gen    laneGen
+	blocks int
+	block  func(d, a []float64)
+	f      func(float64) float64
+}
+
+var laneCases = []laneCase{
+	{"gemv", laneGEMV, laneGen{common(), func(rng *rand.Rand) float64 {
+		switch rng.Intn(8) {
+		case 0:
+			return math.Copysign(0, float64(rng.Intn(2)*2-1))
+		case 1:
+			return math.Copysign(math.Float64frombits(1+rng.Uint64()%(1<<52-1)), float64(rng.Intn(2)*2-1))
+		default:
+			return math.Ldexp(rng.NormFloat64(), rng.Intn(121)-60)
+		}
+	}, 0x1p64}, 4 * len(gemvRows) * len(blockLengths), nil, nil},
+	{"exp", laneExp, laneGen{expEdges(), func(rng *rand.Rand) float64 {
+		if rng.Intn(2) == 0 {
+			return rng.NormFloat64() * 10
+		}
+		return rng.Float64()*1480 - 760
+	}, 0}, 43000, expBlock, math.Exp},
+	{"log", laneLog, laneGen{logEdges(), func(rng *rand.Rand) float64 {
+		if rng.Intn(2) == 0 {
+			return rng.Float64() * 10
+		}
+		return math.Float64frombits(rng.Uint64() &^ (1 << 63))
+	}, 0}, 43000, logBlock, math.Log},
+	{"erf", laneErf, laneGen{erfEdges(), func(rng *rand.Rand) float64 {
+		if rng.Intn(2) == 0 {
+			return rng.NormFloat64() * 3
+		}
+		return rng.Float64()*14 - 7
+	}, 0}, 43000, erfBlock, math.Erf},
+}
+
+// blockLengths are the lengths a routine's blocks cycle through: every
+// tail of a quad, with none, one and two quads before it and after many.
+// gemvRows are the GEMV's row counts: no pair, pairs with and without a
+// lone row, and a 128-row block.
+var (
+	blockLengths = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 127, 128, 129, 511, 512}
+	gemvRows     = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 128}
+)
+
+// laneGen draws the arguments of one routine's blocks: one of its edges
+// (1 in 16), a random bit pattern (1 in 4) or a value from its domain.
+type laneGen struct {
+	edges  []float64
+	domain func(*rand.Rand) float64
+	// bound, where set, keeps two NaNs from meeting in the GEMV's quad
+	// loop, where their payload would depend on operand order the Go
+	// compiler does not pin: every draw is finite and within ±bound, so no
+	// product or sum overflows, and block gives a matrix row one NaN with
+	// a random payload and sign (2 rows in 3) or up to two infinities,
+	// never both. A row's only NaNs are then its own or the default NaN of
+	// Inf·0 and Inf−Inf, whose bits are fixed.
+	bound float64
+}
+
+func (g laneGen) draw(rng *rand.Rand) float64 {
+	for {
+		var x float64
+		switch r := rng.Intn(16); {
+		case r == 0:
+			x = g.edges[rng.Intn(len(g.edges))]
+		case r < 5:
+			x = math.Float64frombits(rng.Uint64())
+		default:
+			x = g.domain(rng)
+		}
+		if g.bound == 0 || math.Abs(x) <= g.bound {
+			return x
+		}
+	}
+}
+
+// block returns n draws, with a row's NaN or infinities under bound.
+func (g laneGen) block(rng *rand.Rand, n int) []float64 {
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = g.draw(rng)
+	}
+	if g.bound == 0 || n == 0 {
+		return xs
+	}
+	if rng.Intn(3) > 0 {
+		xs[rng.Intn(n)] = randNaN(rng)
+		return xs
+	}
+	for k := rng.Intn(3); k > 0; k-- {
+		xs[rng.Intn(n)] = math.Inf(rng.Intn(2)*2 - 1)
+	}
+	return xs
+}
+
+// randNaN returns a quiet NaN with a random payload and sign.
+func randNaN(rng *rand.Rand) float64 {
+	return math.Float64frombits(0x7ff8000000000000 | rng.Uint64()&(1<<51-1) | uint64(rng.Intn(2))<<63)
+}
+
+// check runs the given number of c's blocks, starting at a random place in
+// the cycle of shapes, with the lanes as they are set, and fails tb on the
+// first bit that differs from c's reference. For exp, log and erf the
+// arguments are lead followed by draws, the block at every offset mod 4
+// of a buffer and every fifth block in place.
+func (c laneCase) check(tb testing.TB, rng *rand.Rand, blocks int, lead []float64) {
+	start := rng.Intn(4 * len(blockLengths) * len(gemvRows))
+	if c.block == nil {
+		checkGEMV(tb, c.gen, rng, start, blocks)
+		return
+	}
+	n := 0
+	for b := start; b < start+blocks; b++ {
+		n += blockLengths[b%len(blockLengths)]
+	}
+	xs := append(lead, c.gen.block(rng, n)...)
+	var src, dst [3 + 512]float64
+	for i, b := 0, start; i < len(xs); b++ {
+		m, off := min(blockLengths[b%len(blockLengths)], len(xs)-i), b/len(blockLengths)%4
+		d, a := dst[off:off+m], src[off:off+m]
+		if b%5 == 4 {
+			a = d
+		}
+		copy(a, xs[i:i+m])
+		c.block(d, a)
+		for k, x := range xs[i : i+m] {
+			if want := c.f(x); math.Float64bits(d[k]) != math.Float64bits(want) {
+				tb.Fatalf("%s(%v) [%#016x] = %v [%#016x], math gives %v [%#016x]", c.name,
+					x, math.Float64bits(x), d[k], math.Float64bits(d[k]), want, math.Float64bits(want))
+			}
+		}
+		i += m
+	}
+}
+
+// checkGEMV runs gemvUnit's f64 instantiation on rows of gemvRows by
+// columns of blockLengths, overwriting and accumulating, at random
+// offsets and strides, and requires the bits of its run with the GEMV
+// lanes off. x holds plain draws, so no NaN or infinity, and y cells may
+// hold NaNs, since the y update is shared code.
+func checkGEMV(tb testing.TB, g laneGen, rng *rand.Rand, start, blocks int) {
+	set := lanes
+	defer func() { lanes = set }()
+	for b := start; b < start+blocks; b++ {
+		rows, cols := gemvRows[b%len(gemvRows)], blockLengths[b/len(gemvRows)%len(blockLengths)]
+		acc := b/(len(gemvRows)*len(blockLengths))%2 == 1
+		abase, xbase, ybase := rng.Intn(5), rng.Intn(5), rng.Intn(5)
+		astr0, ystride := cols+rng.Intn(3), 1+rng.Intn(3)
+		a := make([]float64, abase+rows*astr0+2)
+		for i := 0; i < rows; i++ {
+			copy(a[abase+i*astr0:], g.block(rng, cols))
+		}
+		x := make([]float64, xbase+cols)
+		for i := range x {
+			x[i] = g.draw(rng)
+		}
+		y := make([]float64, ybase+rows*ystride+1)
+		for i := range y {
+			if y[i] = g.draw(rng); rng.Intn(10) == 0 {
+				y[i] = randNaN(rng)
+			}
+		}
+		run := func(s laneSet) []float64 {
+			lanes = s
+			out := slices.Clone(y)
+			gemvUnit(a, abase, astr0, x[xbase:], out, ybase, ystride, rows, acc)
+			return out
+		}
+		got, want := run(set), run(set&^laneGEMV)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				tb.Fatalf("rows=%d cols=%d astr0=%d ystride=%d acc=%t: y[%d] = %#x, %#x with the GEMV lanes off",
+					rows, cols, astr0, ystride, acc, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+		}
+	}
+}
+
+// around returns each x with its two neighbours.
+func around(xs ...float64) []float64 {
+	var out []float64
+	for _, x := range xs {
+		out = append(out, x, math.Nextafter(x, math.Inf(1)), math.Nextafter(x, math.Inf(-1)))
+	}
+	return out
+}
+
+// signed returns xs followed by their negations.
+func signed(xs []float64) []float64 {
+	out := append([]float64(nil), xs...)
+	for _, x := range xs {
+		out = append(out, -x)
+	}
+	return out
+}
+
+// nans are NaNs with payloads other than the default's, on both signs.
+var nans = []float64{
+	math.NaN(),
+	math.Float64frombits(0x7FF0000000000001),
+	math.Float64frombits(0x7FF4000000000000),
+	math.Float64frombits(0x7FFFFFFFFFFFFFFF),
+	math.Float64frombits(0xFFF8000000000123),
+	math.Float64frombits(0xFFF0000000000042),
+}
+
+// common are the edges every routine meets.
+func common() []float64 {
+	out := append(signed(around(0, 1, 2, math.SmallestNonzeroFloat64, 0x1p-1022, math.MaxFloat64)), nans...)
+	return append(out, math.Inf(1), math.Inf(-1))
+}
+
+// expEdges are exp's overflow threshold, the arguments where k =
+// round(x·log2(e)) crosses -1022 and 1023 (the rounding midpoints k ± 0.5
+// in units of ln 2), its underflow to zero and arguments whose result is
+// subnormal.
+func expEdges() []float64 {
+	out := append(common(), around(7.09782712893384e+02, 709.78, 710, 708, -708, -708.3964185322641, -745, -745.1332191019411, -746, -720, -1e300)...)
+	for _, k := range []float64{-1023, -1022, -1021, 1022, 1023, 1024} {
+		for _, h := range []float64{-0.5, 0.5} {
+			out = append(out, around((k+h)*math.Ln2, (k+h)/math.Log2E)...)
+		}
+	}
+	return out
+}
+
+// logEdges are log's subnormals, ±0, -1, sqrt(2)/2·2^k at every k (where
+// archLog's f1 <= sqrt(2)/2 takes k-1) and MaxFloat64.
+func logEdges() []float64 {
+	out := append(common(), around(-1, 0x1p-1074, 0x1p-1060, 0x0.fffffffffffffp-1022, 0x1p-1023, 0.5, math.Sqrt2, math.E)...)
+	for k := -1074; k <= 1024; k++ {
+		out = append(out, around(math.Ldexp(math.Sqrt2/2, k))...)
+	}
+	return out
+}
+
+// erfEdges are erf's region bounds, 2**-28 and the VeryTiny bound below
+// it, with their neighbours, on both signs.
+func erfEdges() []float64 {
+	return append(common(), signed(around(0.84375, 1.25, 1/0.35, 6, 0x1p-28, 2.848094538889218e-306, 28))...)
+}

@@ -1,7 +1,7 @@
 #include "textflag.h"
 
-// Four-lane exp, log and erf for vmath_amd64.go. Lane k of each routine
-// carries out, in the same order and with the same roundings, the
+// Four-lane exp, log and erf for vmathBlock (lanes.go). Lane k of each
+// routine carries out, in the same order and with the same roundings, the
 // operations Go's math package carries out for element k: exp is archExp's
 // FMA path (math/exp_amd64.s), log is archLog (math/log_amd64.s) and erf is
 // math/erf.go as the Go compiler builds it for amd64, one rounding per
