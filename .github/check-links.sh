@@ -1,5 +1,9 @@
 #!/usr/bin/env bash
-# Markdown link checker for the docs CI job.
+# Markdown link checker for the docs CI job, and the guard that keeps
+# every CI command in one place: each `run:` of .github/workflows/ci.yml
+# must be `bash .github/ci-local.sh ID...`, and each ID a step the script
+# defines (a `step ID ...` line), so no check is written twice and none
+# names a step that is gone.
 #
 # Validates, for README.md, DESIGN.md, ROADMAP.md, and docs/*.md:
 #   - relative file links point at files that exist;
@@ -107,6 +111,24 @@ slugs_of() {
 }
 
 fail=0
+
+ci=.github/workflows/ci.yml
+steps=" $(grep -oE '^[[:space:]]*step [a-z0-9-]+ ' .github/ci-local.sh | awk '{printf "%s ", $2}')"
+while IFS= read -r line; do
+  cmd=$(printf '%s' "$line" | sed -E 's/^[0-9]+:[[:space:]]*(-[[:space:]]+)?run:[[:space:]]*//')
+  if ! printf '%s' "$cmd" | grep -qE '^bash \.github/ci-local\.sh( [a-z0-9-]+)+[[:space:]]*$'; then
+    echo "$ci:${line%%:*}: runs a command of its own; write the check as a step of .github/ci-local.sh and run it by id: $cmd"
+    fail=1
+    continue
+  fi
+  for id in ${cmd#bash .github/ci-local.sh }; do
+    case "$steps" in
+      *" $id "*) ;;
+      *) echo "$ci:${line%%:*}: .github/ci-local.sh has no step '$id'"; fail=1 ;;
+    esac
+  done
+done < <(grep -nE '^[[:space:]]*(-[[:space:]]+)?run:' "$ci")
+
 for f in README.md DESIGN.md ROADMAP.md docs/*.md; do
   [ -e "$f" ] || continue
   dir=$(dirname "$f")

@@ -117,7 +117,7 @@ func TestPETScCGMatchesCunumCG(t *testing.T) {
 	pctx := petsc.NewContext(legion.ModeReal, 4)
 	A := BuildPoisson2D(pctx, 12)
 	b := pctx.Ones(A.Rows())
-	s := petsc.NewCG(pctx, A, b)
+	s := NewCG(pctx, A, b, true)
 	s.Iterate(25)
 	want := func() []float64 {
 		ctx := ctxWith(t, false, 4)

@@ -7,8 +7,8 @@ import (
 
 // BiCGSTAB is the Bi-Conjugate Gradient Stabilized solver of §7.1
 // (Fig. 11b), written in the natural high-level style (~27 tasks per
-// iteration before fusion, matching Fig. 9). The PETSc baseline lives in
-// internal/petsc.
+// iteration before fusion, matching Fig. 9). The PETSc baseline, with its
+// hand-fused VecAXPBYPCZ kernels, is internal/petsc's BiCGSTAB.
 type BiCGSTAB struct {
 	ctx  *cunum.Context
 	A    *sparse.CSR

@@ -8,17 +8,17 @@ import (
 )
 
 // CG is the Conjugate Gradient Krylov solver of §7.1 (Fig. 11a), written
-// three ways:
+// two ways:
 //
 //   - Natural: the textbook NumPy/SciPy formulation — every AXPY is two
 //     tasks, every scalar combination a single-point task. This is the
 //     stream Diffuse optimizes.
 //   - Manual: the hand-optimized Legate Sparse implementation the paper
 //     describes ("the implementation no longer resembled the high-level
-//     description of CG"): composite hand-fused kernels via
-//     cunum.Compute.
-//
-// The PETSc baseline lives in internal/petsc and shares this structure.
+//     description of CG"): one task per AXPY, from the element-op
+//     registry sparse registers into. On internal/petsc's context
+//     (fusion off, MPI-profile overheads) it is also the PETSc KSPCG
+//     baseline, which issues the same kernels in the same order.
 type CG struct {
 	ctx    *cunum.Context
 	A      *sparse.CSR

@@ -115,7 +115,7 @@ func petscCG(g int, sc Scale) Instance {
 	n := sc.side(krylovSide, g)
 	A := apps.BuildPoisson2D(ctx, n)
 	b := ctx.Ones(A.Rows())
-	a := petsc.NewCG(ctx, A, b)
+	a := apps.NewCG(ctx, A, b, true)
 	return Instance{Ctx: ctx, Iterate: a.Iterate}
 }
 

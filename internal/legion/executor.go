@@ -3,7 +3,7 @@ package legion
 // The persistent real-mode executor. One goroutine per point task with
 // every region, shape and stride re-resolved per point spent more time
 // standing up execution than executing on streams of fine-grained tasks.
-// This executor keeps a NumCPU-sized pool
+// This executor keeps a GOMAXPROCS-sized pool
 // of workers alive for the life of the Runtime and feeds it *chunks* —
 // groups of contiguous point-task colors sized by the machine cost model
 // so each dispatch carries enough work to amortize its scheduling. Workers
@@ -51,8 +51,10 @@ import (
 // ExecStats counts executor activity since the runtime was created.
 type ExecStats struct {
 	// InlineTasks is the number of index tasks executed on the submitting
-	// goroutine because their estimated duration was below the dispatch
-	// cutoff.
+	// goroutine: those whose estimated duration was below the dispatch
+	// cutoff, and every task when the pool has one worker
+	// (machine.Config.ChunkPoints). So under GOMAXPROCS=1 no task reaches
+	// the pool, and Chunks and Steals read zero.
 	InlineTasks int64
 	// PoolTasks is the number of index tasks dispatched to the worker
 	// pool.

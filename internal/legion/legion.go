@@ -2,7 +2,7 @@
 // the stand-in for the Legion runtime system of the paper. It accepts
 // streams of index tasks over partitioned stores (after Diffuse's fusion
 // layer has processed them) and executes their point tasks over real,
-// typed buffers on a persistent, NumCPU-sized worker pool (executor.go).
+// typed buffers on a persistent, GOMAXPROCS-sized worker pool (executor.go).
 // The launch domain is grouped into cache-friendly chunks of contiguous
 // colors sized by the host cost model; workers claim chunks from their own
 // range and steal from others' when dry, tasks cheaper than a dispatch run

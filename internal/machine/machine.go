@@ -91,13 +91,16 @@ func DefaultA100(gpus int) Config {
 	}
 }
 
-// HostExec returns constants approximating one host CPU core executing
-// interpreted kir kernels — the cost model the real-mode executor
-// (internal/legion) uses to derive chunk granularity. The absolute values
-// matter far less than their ratios: the evaluator dispatches a handful of
-// register instructions per element, so its effective "bandwidth" is two
-// to three orders of magnitude below the silicon's. workers is the pool
-// size (GOMAXPROCS for the real executor).
+// HostExec returns the static host cost model the real-mode executor
+// (internal/legion) uses to derive chunk granularity and the inline
+// cutoff. The constants were set when kir's interpreter ran element
+// loops, a handful of register instructions per element, which put the
+// effective "bandwidth" two to three orders of magnitude below the
+// silicon's. The codegen tier now runs every element loop, so they no
+// longer describe the kernels that run; they are kept as set, since
+// retuning them moves chunk sizes and inline decisions and is a
+// performance change.
+// workers is the pool size (GOMAXPROCS for the real executor).
 func HostExec(workers int) Config {
 	return Config{
 		GPUs:         workers,

@@ -5,6 +5,10 @@
 // column indices in the SpMV. It is built on the same executor and machine
 // model as Diffuse (the silicon is identical; the software stack differs)
 // with fusion disabled and MPI-profile overhead constants.
+//
+// KSPCG issues the same kernels in the same order as the hand-fused
+// apps.CG (manual = true), so the baseline's CG is that solver on
+// NewContext; BiCGSTAB below is the one solver of its own.
 package petsc
 
 import (
@@ -28,24 +32,10 @@ func NewContext(mode legion.Mode, gpus int) *cunum.Context {
 	return cunum.NewContext(core.New(cfg))
 }
 
-// axpy issues the fused y' = y + a*x kernel (VecAXPY).
-func axpy(y, x, a *cunum.Array) *cunum.Array {
-	return cunum.Compute("vecaxpy", []*cunum.Array{y, x, a}, func(l []*kir.Expr) *kir.Expr {
-		return kir.Binary(kir.OpAdd, l[0], kir.Binary(kir.OpMul, l[2], l[1]))
-	}).Keep()
-}
-
 // axmy issues the fused y' = y - a*x kernel.
 func axmy(y, x, a *cunum.Array) *cunum.Array {
 	return cunum.Compute("vecaxmy", []*cunum.Array{y, x, a}, func(l []*kir.Expr) *kir.Expr {
 		return kir.Binary(kir.OpSub, l[0], kir.Binary(kir.OpMul, l[2], l[1]))
-	}).Keep()
-}
-
-// aypx issues the fused y' = x + b*y kernel (VecAYPX).
-func aypx(y, x, b *cunum.Array) *cunum.Array {
-	return cunum.Compute("vecaypx", []*cunum.Array{y, x, b}, func(l []*kir.Expr) *kir.Expr {
-		return kir.Binary(kir.OpAdd, l[1], kir.Binary(kir.OpMul, l[2], l[0]))
 	}).Keep()
 }
 
@@ -59,68 +49,6 @@ func axpbypcz(z, x, y, a, b *cunum.Array, cScale float64) *cunum.Array {
 		cz := kir.Binary(kir.OpMul, kir.Const(cScale), l[0])
 		return kir.Binary(kir.OpAdd, kir.Binary(kir.OpAdd, ax, by), cz)
 	}).Keep()
-}
-
-// CG is KSPCG: the same mathematical iteration as apps.CG, with PETSc's
-// kernel granularity.
-type CG struct {
-	ctx   *cunum.Context
-	A     *sparse.CSR
-	X     *cunum.Array
-	R, P  *cunum.Array
-	RSold *cunum.Array
-}
-
-// NewCG prepares KSPCG state for A x = b, x0 = 0.
-func NewCG(ctx *cunum.Context, A *sparse.CSR, b *cunum.Array) *CG {
-	s := &CG{ctx: ctx, A: A}
-	n := A.Rows()
-	s.X = ctx.Zeros(n).Keep()
-	s.R = ctx.Empty(n).Keep()
-	s.R.Assign(b)
-	s.P = ctx.Empty(n).Keep()
-	s.P.Assign(s.R)
-	s.RSold = s.R.Dot(s.R).Keep()
-	return s
-}
-
-// Step performs one KSPCG iteration: SpMV, VecDot, VecAXPY x2, VecDot,
-// VecAYPX — six kernels plus two scalar host computations.
-func (s *CG) Step() {
-	Ap := s.A.SpMV(s.P).Keep()
-	pAp := s.P.Dot(Ap).Keep()
-	alpha := s.RSold.Div(pAp).Keep()
-
-	xNew := axpy(s.X, s.P, alpha)
-	rNew := axmy(s.R, Ap, alpha)
-	rsNew := rNew.Dot(rNew).Keep()
-	beta := rsNew.Div(s.RSold).Keep()
-	pNew := aypx(s.P, rNew, beta)
-
-	s.X.Free()
-	s.R.Free()
-	s.P.Free()
-	s.RSold.Free()
-	Ap.Free()
-	pAp.Free()
-	alpha.Free()
-	beta.Free()
-	s.X, s.R, s.P, s.RSold = xNew, rNew, pNew, rsNew
-}
-
-// Iterate runs n iterations.
-func (s *CG) Iterate(n int) {
-	for i := 0; i < n; i++ {
-		s.Step()
-	}
-	s.ctx.Flush()
-}
-
-// ResidualNorm returns ||r|| (ModeReal).
-func (s *CG) ResidualNorm() float64 {
-	nrm := s.R.Norm().Keep()
-	defer nrm.Free()
-	return nrm.Scalar()
 }
 
 // BiCGSTAB is KSPBCGS with PETSc's fused vector kernels.

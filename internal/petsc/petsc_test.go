@@ -13,7 +13,7 @@ func TestCGConverges(t *testing.T) {
 	ctx := petsc.NewContext(legion.ModeReal, 4)
 	A := apps.BuildPoisson2D(ctx, 16)
 	b := ctx.Ones(A.Rows())
-	s := petsc.NewCG(ctx, A, b)
+	s := apps.NewCG(ctx, A, b, true)
 	s.Iterate(80)
 	if r := s.ResidualNorm(); r > 1e-6*float64(A.Rows()) {
 		t.Fatalf("KSPCG residual %g", r)
@@ -38,7 +38,7 @@ func TestKernelGranularity(t *testing.T) {
 	ctx := petsc.NewContext(legion.ModeSim, 8)
 	A := apps.BuildPoisson2D(ctx, 64)
 	b := ctx.Ones(A.Rows())
-	s := petsc.NewCG(ctx, A, b)
+	s := apps.NewCG(ctx, A, b, true)
 	leg := ctx.Runtime().Legion()
 	s.Iterate(1)
 	t0 := leg.ExecutedTasks
@@ -59,7 +59,7 @@ func TestMatchesTextbookSolution(t *testing.T) {
 	n := 8
 	A := apps.BuildPoisson2D(ctx, n)
 	b := ctx.Ones(A.Rows())
-	s := petsc.NewCG(ctx, A, b)
+	s := apps.NewCG(ctx, A, b, true)
 	s.Iterate(120)
 	x := s.X.ToHost()
 	// Verify A x = b directly.
