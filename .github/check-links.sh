@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Markdown link checker for the docs CI job, and the guard that keeps
-# every CI command in one place: each `run:` of .github/workflows/ci.yml
-# must be `bash .github/ci-local.sh ID...`, and each ID a step the script
-# defines (a `step ID ...` line), so no check is written twice and none
-# names a step that is gone.
+# every CI command in one place: each `run:` of every workflow in
+# .github/workflows must be `bash .github/ci-local.sh ID...`, and each ID
+# a step the script defines (a `step ID ...` line), so no check is
+# written twice and none names a step that is gone. It fails, too, when
+# it finds no step in the script or no `run:` in the workflows, so a
+# renamed file cannot pass it unchecked.
 #
 # Validates, for README.md, DESIGN.md, ROADMAP.md, and docs/*.md:
 #   - relative file links point at files that exist;
@@ -72,6 +74,7 @@
 # brackets keep this script from matching its own pattern in a
 # repository-wide grep.
 set -u
+cd "$(dirname "$0")/.."
 
 removed='BENCH[_]real|-real[p]reset|-check[r]eal|diffuse-bench -(real|compare|serve|ranks|all)\b'
 removed="$removed"'|(Read|Write)[A]ll32' # also inside msgReadAll32/msgWriteAll32
@@ -112,22 +115,33 @@ slugs_of() {
 
 fail=0
 
-ci=.github/workflows/ci.yml
 steps=" $(grep -oE '^[[:space:]]*step [a-z0-9-]+ ' .github/ci-local.sh | awk '{printf "%s ", $2}')"
+if [ "$steps" = " " ]; then
+  echo ".github/ci-local.sh: no \`step ID\` line found"
+  fail=1
+fi
+runs=0
 while IFS= read -r line; do
-  cmd=$(printf '%s' "$line" | sed -E 's/^[0-9]+:[[:space:]]*(-[[:space:]]+)?run:[[:space:]]*//')
+  runs=$((runs + 1))
+  rest=${line#*:}                # FILE:LINE:TEXT, as grep -Hn prints it
+  at=${line%%:*}:${rest%%:*}
+  cmd=$(printf '%s' "${rest#*:}" | sed -E 's/^[[:space:]]*(-[[:space:]]+)?run:[[:space:]]*//')
   if ! printf '%s' "$cmd" | grep -qE '^bash \.github/ci-local\.sh( [a-z0-9-]+)+[[:space:]]*$'; then
-    echo "$ci:${line%%:*}: runs a command of its own; write the check as a step of .github/ci-local.sh and run it by id: $cmd"
+    echo "$at: runs a command of its own; write the check as a step of .github/ci-local.sh and run it by id: $cmd"
     fail=1
     continue
   fi
   for id in ${cmd#bash .github/ci-local.sh }; do
     case "$steps" in
       *" $id "*) ;;
-      *) echo "$ci:${line%%:*}: .github/ci-local.sh has no step '$id'"; fail=1 ;;
+      *) echo "$at: .github/ci-local.sh has no step '$id'"; fail=1 ;;
     esac
   done
-done < <(grep -nE '^[[:space:]]*(-[[:space:]]+)?run:' "$ci")
+done < <(grep -sHnE '^[[:space:]]*(-[[:space:]]+)?run:' .github/workflows/*.yml .github/workflows/*.yaml)
+if [ "$runs" -eq 0 ]; then
+  echo ".github/workflows: no \`run:\` step found"
+  fail=1
+fi
 
 for f in README.md DESIGN.md ROADMAP.md docs/*.md; do
   [ -e "$f" ] || continue

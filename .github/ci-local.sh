@@ -20,8 +20,11 @@
 # runs only when its module is already in the module cache and is named
 # as skipped otherwise. ci.yml names the proxy, so it runs there.
 set -u
+# ids: every step's id, read off the `step ID ` lines below, as
+# check-links.sh reads them.
+ids=$(grep -oE '^[[:space:]]*step [a-z0-9-]+ ' "$0" | awk '{printf "%s ", $2}')
 cd "$(dirname "$0")/.."
-[ -n "${GOPROXY:-}" ] || export GOPROXY=off GOTOOLCHAIN="${GOTOOLCHAIN:-local}"
+[ -n "${GOPROXY:-}" ] || export GOPROXY=off GOTOOLCHAIN=local
 
 gofmt_clean() {
 	local fmt
@@ -196,15 +199,11 @@ steps() {
 	step shards "shard demo example" go run ./examples/shards
 }
 
-# With mode=list, step records its id; with mode=run, it runs CMD in a
-# subshell when the id is wanted, with its output in a log.
+# step runs CMD in a subshell when the id is wanted, with its output in a
+# log.
 step() {
 	local id=$1 name=$2 start=$SECONDS log status
 	shift 2
-	if [ "$mode" = list ]; then
-		ids+=("$id")
-		return
-	fi
 	[ -z "$want" ] || [[ $want == *" $id "* ]] || return 0
 	n=$((n + 1))
 	log=$(printf '%s/%02d-%s.log' "$logs" "$n" "$id")
@@ -228,12 +227,9 @@ step() {
 	fi
 }
 
-ids=()
-mode=list
-steps
 for id in "$@"; do
-	[[ " ${ids[*]} " == *" $id "* ]] || {
-		echo "ci-local.sh: unknown step '$id'; the steps are: ${ids[*]}" >&2
+	[[ " $ids" == *" $id "* ]] || {
+		echo "ci-local.sh: unknown step '$id'; the steps are: $ids" >&2
 		exit 2
 	}
 done
@@ -244,7 +240,6 @@ logs=$(mktemp -d "${TMPDIR:-/tmp}/ci-local.XXXXXX")
 failed=0
 n=0
 
-mode=run
 steps
 echo "logs: $logs"
 exit $failed

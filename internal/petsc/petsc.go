@@ -8,7 +8,9 @@
 //
 // KSPCG issues the same kernels in the same order as the hand-fused
 // apps.CG (manual = true), so the baseline's CG is that solver on
-// NewContext; BiCGSTAB below is the one solver of its own.
+// NewContext; BiCGSTAB below is the one solver of its own. Its two
+// VecWAXPY updates are sparse.Axmy, as in apps.CG; VecAXPBYPCZ is the one
+// kernel of its own.
 package petsc
 
 import (
@@ -30,13 +32,6 @@ func NewContext(mode legion.Mode, gpus int) *cunum.Context {
 		Enabled: false,
 	}
 	return cunum.NewContext(core.New(cfg))
-}
-
-// axmy issues the fused y' = y - a*x kernel.
-func axmy(y, x, a *cunum.Array) *cunum.Array {
-	return cunum.Compute("vecaxmy", []*cunum.Array{y, x, a}, func(l []*kir.Expr) *kir.Expr {
-		return kir.Binary(kir.OpSub, l[0], kir.Binary(kir.OpMul, l[2], l[1]))
-	}).Keep()
 }
 
 // axpbypcz issues the fused z' = a*x + b*y + c*z kernel (VecAXPBYPCZ, the
@@ -85,7 +80,7 @@ func (s *BiCGSTAB) Step() {
 	rhv := s.RHat.Dot(V).Keep()
 	alpha := s.Rho.Div(rhv).Keep()
 
-	sVec := axmy(s.R, V, alpha) // s = r - alpha v
+	sVec := sparse.Axmy(s.R, V, alpha).Keep() // s = r - alpha v
 	T := s.A.SpMV(sVec).Keep()
 	tt := T.Dot(T).Keep()
 	ts := T.Dot(sVec).Keep()
@@ -93,7 +88,7 @@ func (s *BiCGSTAB) Step() {
 
 	// x' = x + alpha p + omega s (one fused VecAXPBYPCZ on x).
 	xNew := axpbypcz(s.X, s.P, sVec, alpha, omega, 1)
-	rNew := axmy(sVec, T, omega)
+	rNew := sparse.Axmy(sVec, T, omega).Keep()
 
 	rhoNew := s.RHat.Dot(rNew).Keep()
 	beta := rhoNew.Div(s.Rho).Mul(alpha.Div(omega)).Keep()
