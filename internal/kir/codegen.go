@@ -19,6 +19,16 @@ package kir
 // store can overwrite before its register's last reader (inPlaceLoad)
 // points its lane at the region's elements and copies nothing.
 //
+// Go emits no SIMD, so the arithmetic closures hand their block to the
+// lane layer (lanes.go): add, sub, mul, div, max, min, the compares,
+// select, sqrt, neg, negNum, abs, exp, log and erf each run an AVX2
+// routine over the block's quads where the host has one (lanes), lane k
+// computing element k's operation with the interpreter's operands in its
+// order, then a Go loop over the tail of fewer than four; so does the
+// absorbed axpy store below, as VMULPD then VADDPD or VSUBPD. Pow, sin
+// and cos, the reductions' folds (whose serial order is their bits) and
+// the loads, stores and casts stay Go loops.
+//
 // Two consumers absorb the arithmetic only they read (absorptions): an f64
 // element store of x ± u·b, u a constant or hoisted scalar load, writes
 // the result straight into the region (axpy), and a sum reduction of a·b
@@ -44,7 +54,8 @@ package kir
 // or computes the same bits another way (lowerAxpyStore), and rounds its
 // products through an explicit float64 conversion, so the compiler may
 // not contract them into FMAs. An add or mul keeps its first operand's
-// NaN payload as the interpreter's does (pinAdd, pinMul), selecting only
+// NaN payload as the interpreter's does (pinAdd, pinMul): in the lanes
+// because x86 returns the first source's NaN, in the Go loops by a select
 // where two NaNs can meet. Running an instruction across
 // a whole block before the next instruction is observationally identical
 // because element-wise loops are element-parallel by system invariant:
@@ -368,11 +379,16 @@ func absorptions(k *Kernel, cl *compiledLoop) (map[int]absorption, []bool) {
 // lowerAxpyStore builds the closure of an absorbed f64 element store of
 // x ± u·b. At unit stride it writes each element straight into the
 // region; otherwise it stages the block in the add's own lane and
-// scatters it. The product is rounded through an explicit float64
-// conversion, which forbids the compiler to contract it and the add into
-// an FMA the interpreter does not run.
+// scatters it. Where lanes holds laneAxpy the block's quads run
+// axpyQuadsAVX2: VMULPD, then VADDPD or VSUBPD, each with the
+// interpreter's operands in its order, so even a NaN keeps the payload the
+// interpreter's pins select. The tail of fewer than four, or the whole
+// block with the lanes off, runs the Go loop of the shape, its product
+// rounded through an explicit float64 conversion, which forbids the
+// compiler to contract it and the add into an FMA the interpreter does not
+// run.
 //
-// Each case computes the interpreter's bits, NaN payloads included: an
+// Each Go case computes the interpreter's bits, NaN payloads included: an
 // operation on two NaNs keeps its first operand's (pinAdd, pinMul). Here
 // u is loop-invariant, so a block whose u is a NaN takes axpyNaN, which
 // runs the interpreter's selects. With u not a NaN, the product meets at
@@ -380,74 +396,69 @@ func absorptions(k *Kernel, cl *compiledLoop) (map[int]absorption, []bool) {
 // x + u·b is computed as x − b·(−u), a sub, which is the same sum (IEEE
 // defines x − y as x + (−y), and b·(−u) is −(b·u) to the bit whenever it
 // is not a NaN) and keeps x's payload over a NaN product's. Only u·b + x
-// selects per element. TestCodegenAbsorbsAxpyStore pins all of this.
+// selects per element. TestCodegenAbsorbsAxpyStore pins all of this, with
+// the lanes on and off.
 func lowerAxpyStore(slot int, f absorption) cgOp {
 	x, b, u, own, uFirst := f.x, f.m0, f.m1, f.own, f.uFirst
 	if uFirst {
 		b, u = f.m1, f.m0
 	}
-	operands := func(st *cgState) (d, a, v []float64, s float64) {
-		d = st.storeWindow(slot, own)
-		return d, st.lane[x][:len(d)], st.lane[b][:len(d)], st.lane[u][0]
+	shape := 0 // axpyQuadsAVX2's: bit 0 sets sub, bit 1 puts the product first
+	if f.op == OpSub {
+		shape |= 1
 	}
-	nan := func(st *cgState, d, a, v []float64, s float64) {
-		if uFirst {
-			v = st.lane[u][:len(d)] // u·b keeps u's payload
+	if f.prodFirst {
+		shape |= 2
+	}
+	rest := axpyGo[shape]
+	return func(st *cgState) {
+		d := st.storeWindow(slot, own)
+		a, v, s := st.lane[x][:len(d)], st.lane[b][:len(d)], st.lane[u][0]
+		i := laneQuads(len(d), laneAxpy)
+		if i > 0 {
+			m0, m1 := st.lane[f.m0][:len(d)], st.lane[f.m1][:len(d)]
+			axpyQuadsAVX2(&d[0], &a[0], &m0[0], &m1[0], i, shape)
 		}
-		axpyNaN(f, d, a, v, s)
+		if s != s {
+			if uFirst {
+				v = st.lane[u][:len(d)] // u·b keeps u's payload
+			}
+			axpyNaN(f, d[i:], a[i:], v[i:], s)
+		} else {
+			rest(d[i:], a[i:], v[i:], s)
+		}
 		st.scatter(slot, d)
 	}
-	switch {
-	case f.op == OpAdd && !f.prodFirst:
-		return func(st *cgState) {
-			d, a, v, s := operands(st)
-			if s != s {
-				nan(st, d, a, v, s)
-				return
-			}
-			ns := -s
-			for i := range d {
-				d[i] = a[i] - float64(v[i]*ns)
-			}
-			st.scatter(slot, d)
+}
+
+// axpyGo are the Go loops of the four shapes for a u that is not a NaN,
+// indexed as axpyQuadsAVX2's shape: x + u·b (as x − b·(−u)), x − u·b,
+// u·b + x and u·b − x. v is b's lane and s is u.
+var axpyGo = [4]func(d, a, v []float64, s float64){
+	func(d, a, v []float64, s float64) {
+		a, v, ns := a[:len(d)], v[:len(d)], -s
+		for i := range d {
+			d[i] = a[i] - float64(v[i]*ns)
 		}
-	case f.op == OpAdd:
-		return func(st *cgState) {
-			d, a, v, s := operands(st)
-			if s != s {
-				nan(st, d, a, v, s)
-				return
-			}
-			for i := range d {
-				d[i] = pinAdd(float64(v[i]*s), a[i])
-			}
-			st.scatter(slot, d)
+	},
+	func(d, a, v []float64, s float64) {
+		a, v = a[:len(d)], v[:len(d)]
+		for i := range d {
+			d[i] = a[i] - float64(v[i]*s)
 		}
-	case !f.prodFirst:
-		return func(st *cgState) {
-			d, a, v, s := operands(st)
-			if s != s {
-				nan(st, d, a, v, s)
-				return
-			}
-			for i := range d {
-				d[i] = a[i] - float64(v[i]*s)
-			}
-			st.scatter(slot, d)
+	},
+	func(d, a, v []float64, s float64) {
+		a, v = a[:len(d)], v[:len(d)]
+		for i := range d {
+			d[i] = pinAdd(float64(v[i]*s), a[i])
 		}
-	default:
-		return func(st *cgState) {
-			d, a, v, s := operands(st)
-			if s != s {
-				nan(st, d, a, v, s)
-				return
-			}
-			for i := range d {
-				d[i] = float64(v[i]*s) - a[i]
-			}
-			st.scatter(slot, d)
+	},
+	func(d, a, v []float64, s float64) {
+		a, v = a[:len(d)], v[:len(d)]
+		for i := range d {
+			d[i] = float64(v[i]*s) - a[i]
 		}
-	}
+	},
 }
 
 // axpyNaN computes a block of the absorbed store f with the interpreter's
@@ -675,208 +686,92 @@ func lowerCast(dst, src int, dt DType) cgOp {
 	}
 }
 
-// lowerArith builds the closure of one arithmetic/comparison instruction.
-// Each case is a monomorphic loop over equal-length lane slices (resliced
-// to the destination's length so the compiler drops the bounds checks).
-// Exp, log and erf hand the whole block to expBlock, logBlock and
-// erfBlock, which compute it four lanes at a time where lanes holds
-// their bit, bit for bit math's (lanes.go); the other math calls are the
-// stdlib functions the interpreter uses. An add or mul selects its
-// first operand's NaN payload per element, as the interpreter does
-// (pinAdd, pinMul), unless an operand is uniform (its register's lane
-// holds one value): then only a block where that value is a NaN can meet
-// two NaNs, and only such a block selects.
+// lowerArith builds the closure of one arithmetic/comparison instruction:
+// it hands the instruction's lane block, resliced to the destination's
+// length, to the op's block function. The lane layer's blocks (lanes.go)
+// run their AVX2 quads where lanes holds their bit, bit for bit the
+// interpreter's, then a Go loop for the tail of fewer than four or for the
+// whole block: add, sub, mul, div, max, min, the two compares and select,
+// sqrt, neg, negNum, abs, and exp, log and erf. Pow, sin and cos stay a
+// loop of the stdlib functions the interpreter calls. An add or mul keeps
+// its first operand's NaN payload as the interpreter's does (pinAdd,
+// pinMul): the lanes for free, since x86 returns the first source's NaN,
+// and the Go loop by a select per element, unless an operand is uniform
+// (its register's lane holds one value) and not a NaN, so that no two
+// NaNs can meet in the block.
 func lowerArith(in *Instr, uniform []bool) cgOp {
 	dst, ra, rb, rc := int(in.Dst), int(in.A), int(in.B), int(in.C)
-	ru := -1 // a uniform operand of an add or mul
-	if in.Op == OpAdd || in.Op == OpMul {
+	switch in.Op {
+	case OpAdd, OpMul:
+		block := addBlock
+		if in.Op == OpMul {
+			block = mulBlock
+		}
+		ru := -1 // a uniform operand
 		if uniform[ra] {
 			ru = ra
 		} else if uniform[rb] {
 			ru = rb
 		}
-	}
-	switch in.Op {
-	case OpAdd:
 		return func(st *cgState) {
 			d := st.lane[dst][:st.n]
-			a := st.lane[ra][:len(d)]
-			b := st.lane[rb][:len(d)]
-			if ru >= 0 && st.lane[ru][0] == st.lane[ru][0] {
-				for i := range d {
-					d[i] = a[i] + b[i]
-				}
-				return
-			}
-			for i := range d {
-				d[i] = pinAdd(a[i], b[i])
-			}
-		}
-	case OpSub:
-		return func(st *cgState) {
-			d := st.lane[dst][:st.n]
-			a := st.lane[ra][:len(d)]
-			b := st.lane[rb][:len(d)]
-			for i := range d {
-				d[i] = a[i] - b[i]
-			}
-		}
-	case OpMul:
-		return func(st *cgState) {
-			d := st.lane[dst][:st.n]
-			a := st.lane[ra][:len(d)]
-			b := st.lane[rb][:len(d)]
-			if ru >= 0 && st.lane[ru][0] == st.lane[ru][0] {
-				for i := range d {
-					d[i] = a[i] * b[i]
-				}
-				return
-			}
-			for i := range d {
-				d[i] = pinMul(a[i], b[i])
-			}
-		}
-	case OpDiv:
-		return func(st *cgState) {
-			d := st.lane[dst][:st.n]
-			a := st.lane[ra][:len(d)]
-			b := st.lane[rb][:len(d)]
-			for i := range d {
-				d[i] = a[i] / b[i]
-			}
-		}
-	case OpNeg:
-		return func(st *cgState) {
-			d := st.lane[dst][:st.n]
-			a := st.lane[ra][:len(d)]
-			for i := range d {
-				d[i] = -a[i]
-			}
-		}
-	case opNegNum:
-		return func(st *cgState) {
-			d := st.lane[dst][:st.n]
-			a := st.lane[ra][:len(d)]
-			for i := range d {
-				d[i] = negNum(a[i])
-			}
-		}
-	case OpAbs:
-		return func(st *cgState) {
-			d := st.lane[dst][:st.n]
-			a := st.lane[ra][:len(d)]
-			for i := range d {
-				d[i] = math.Abs(a[i])
-			}
-		}
-	case OpSqrt:
-		return func(st *cgState) {
-			d := st.lane[dst][:st.n]
-			a := st.lane[ra][:len(d)]
-			for i := range d {
-				d[i] = math.Sqrt(a[i])
-			}
-		}
-	case OpExp:
-		return func(st *cgState) {
-			d := st.lane[dst][:st.n]
-			expBlock(d, st.lane[ra][:len(d)])
-		}
-	case OpLog:
-		return func(st *cgState) {
-			d := st.lane[dst][:st.n]
-			logBlock(d, st.lane[ra][:len(d)])
-		}
-	case OpErf:
-		return func(st *cgState) {
-			d := st.lane[dst][:st.n]
-			erfBlock(d, st.lane[ra][:len(d)])
-		}
-	case OpPow:
-		return func(st *cgState) {
-			d := st.lane[dst][:st.n]
-			a := st.lane[ra][:len(d)]
-			b := st.lane[rb][:len(d)]
-			for i := range d {
-				d[i] = math.Pow(a[i], b[i])
-			}
-		}
-	case OpMax:
-		return func(st *cgState) {
-			d := st.lane[dst][:st.n]
-			a := st.lane[ra][:len(d)]
-			b := st.lane[rb][:len(d)]
-			for i := range d {
-				d[i] = math.Max(a[i], b[i])
-			}
-		}
-	case OpMin:
-		return func(st *cgState) {
-			d := st.lane[dst][:st.n]
-			a := st.lane[ra][:len(d)]
-			b := st.lane[rb][:len(d)]
-			for i := range d {
-				d[i] = math.Min(a[i], b[i])
-			}
-		}
-	case OpSin:
-		return func(st *cgState) {
-			d := st.lane[dst][:st.n]
-			a := st.lane[ra][:len(d)]
-			for i := range d {
-				d[i] = math.Sin(a[i])
-			}
-		}
-	case OpCos:
-		return func(st *cgState) {
-			d := st.lane[dst][:st.n]
-			a := st.lane[ra][:len(d)]
-			for i := range d {
-				d[i] = math.Cos(a[i])
-			}
-		}
-	case OpGE:
-		return func(st *cgState) {
-			d := st.lane[dst][:st.n]
-			a := st.lane[ra][:len(d)]
-			b := st.lane[rb][:len(d)]
-			for i := range d {
-				if a[i] >= b[i] {
-					d[i] = 1
-				} else {
-					d[i] = 0
-				}
-			}
-		}
-	case OpLE:
-		return func(st *cgState) {
-			d := st.lane[dst][:st.n]
-			a := st.lane[ra][:len(d)]
-			b := st.lane[rb][:len(d)]
-			for i := range d {
-				if a[i] <= b[i] {
-					d[i] = 1
-				} else {
-					d[i] = 0
-				}
-			}
+			block(d, st.lane[ra][:len(d)], st.lane[rb][:len(d)], ru >= 0 && st.lane[ru][0] == st.lane[ru][0])
 		}
 	case OpSel:
 		return func(st *cgState) {
 			d := st.lane[dst][:st.n]
-			a := st.lane[ra][:len(d)]
-			b := st.lane[rb][:len(d)]
-			c := st.lane[rc][:len(d)]
-			for i := range d {
-				if a[i] != 0 {
-					d[i] = b[i]
-				} else {
-					d[i] = c[i]
-				}
-			}
+			selBlock(d, st.lane[ra][:len(d)], st.lane[rb][:len(d)], st.lane[rc][:len(d)])
+		}
+	}
+	if block := binaryBlocks[in.Op]; block != nil {
+		return func(st *cgState) {
+			d := st.lane[dst][:st.n]
+			block(d, st.lane[ra][:len(d)], st.lane[rb][:len(d)])
+		}
+	}
+	if block := unaryBlocks[in.Op]; block != nil {
+		return func(st *cgState) {
+			d := st.lane[dst][:st.n]
+			block(d, st.lane[ra][:len(d)])
 		}
 	}
 	panic(fmt.Sprintf("kir: unknown op %d", in.Op))
+}
+
+// binaryBlocks and unaryBlocks are the block functions of the two-operand
+// and one-operand ops other than add, mul and select.
+var (
+	binaryBlocks = map[Op]func(d, a, b []float64){
+		OpSub: subBlock, OpDiv: divBlock, OpMax: maxBlock, OpMin: minBlock,
+		OpGE: geBlock, OpLE: leBlock, OpPow: powBlock,
+	}
+	unaryBlocks = map[Op]func(d, a []float64){
+		OpNeg: negBlock, opNegNum: negNumBlock, OpAbs: absBlock, OpSqrt: sqrtBlock,
+		OpExp: expBlock, OpLog: logBlock, OpErf: erfBlock, OpSin: sinBlock, OpCos: cosBlock,
+	}
+)
+
+// powBlock, sinBlock and cosBlock are the ops with no lanes: a loop of the
+// stdlib function the interpreter calls.
+func powBlock(d, a, b []float64) {
+	a, b = a[:len(d)], b[:len(d)]
+	for i := range d {
+		d[i] = math.Pow(a[i], b[i])
+	}
+}
+
+func sinBlock(d, a []float64) {
+	a = a[:len(d)]
+	for i := range d {
+		d[i] = math.Sin(a[i])
+	}
+}
+
+func cosBlock(d, a []float64) {
+	a = a[:len(d)]
+	for i := range d {
+		d[i] = math.Cos(a[i])
+	}
 }
 
 // cgState is the per-goroutine execution state of the codegen backend:

@@ -326,7 +326,7 @@ var (
 
 // absorbVals are the element values the absorption tests cycle through:
 // the three NaNs, signed zeros and infinities, and ordinary numbers.
-var absorbVals = []float64{nanA, 1.5, nanB, -0.0, 3.25, math.Inf(1), nanC, -2, 0, 1e300, math.Inf(-1), 7}
+var absorbVals = []float64{nanA, 1.5, nanB, math.Copysign(0, -1), 3.25, math.Inf(1), nanC, -2, 0, 1e300, math.Inf(-1), 7}
 
 // vec binds a 1-D view of n elements of dt at inner stride str and base 1,
 // its element i holding absorbVals[(i*mul+add) % len] and the gaps between
@@ -397,28 +397,35 @@ func axpyKernel(op Op, prodFirst, uFirst, inPlace bool, dt DType, n int) *Kernel
 // every operand order, add and sub, unit and stride-2 destinations, a
 // destination the addend loads in place, NaN operands meeting in both
 // orders, u included, and a u of ±0 or +Inf, whose products are signed
-// zeros or the invalid 0·∞.
+// zeros or the invalid 0·∞: with the lanes on (axpyQuadsAVX2 and the Go
+// tail) and off (the Go loops alone).
 func TestCodegenAbsorbsAxpyStore(t *testing.T) {
 	const n = 700 // two blocks, the second partial
-	for _, op := range []Op{OpAdd, OpSub} {
-		for _, prodFirst := range []bool{false, true} {
-			for _, uFirst := range []bool{false, true} {
-				for _, inPlace := range []bool{false, true} {
-					for _, str := range []int{1, 2} {
-						for _, u := range []float64{-0.75, 0, math.Copysign(0, -1), math.Inf(1), nanB, nanA} {
-							name := fmt.Sprintf("%v prodFirst=%v uFirst=%v inPlace=%v stride=%d u=%v", op, prodFirst, uFirst, inPlace, str, u)
-							k := axpyKernel(op, prodFirst, uFirst, inPlace, F64, n)
-							got := runBothTiers(t, name, k, func() []Binding {
-								return []Binding{vec(F64, n, str, 1, 0), vec(F64, n, 1, 5, 2), cell(F64, u), vec(F64, n, str, 1, 3)}
-							})
-							if got != 3 {
-								t.Fatalf("%s: %d closures per block, want 3 (two loads and the store)", name, got)
+	for _, on := range []bool{true, false} {
+		t.Run(fmt.Sprintf("lanes=%t", on), func(t *testing.T) {
+			restore, _ := SetLanes(on)
+			defer restore()
+			for _, op := range []Op{OpAdd, OpSub} {
+				for _, prodFirst := range []bool{false, true} {
+					for _, uFirst := range []bool{false, true} {
+						for _, inPlace := range []bool{false, true} {
+							for _, str := range []int{1, 2} {
+								for _, u := range []float64{-0.75, 0, math.Copysign(0, -1), math.Inf(1), nanB, nanA} {
+									name := fmt.Sprintf("%v prodFirst=%v uFirst=%v inPlace=%v stride=%d u=%v", op, prodFirst, uFirst, inPlace, str, u)
+									k := axpyKernel(op, prodFirst, uFirst, inPlace, F64, n)
+									got := runBothTiers(t, name, k, func() []Binding {
+										return []Binding{vec(F64, n, str, 1, 0), vec(F64, n, 1, 5, 2), cell(F64, u), vec(F64, n, str, 1, 3)}
+									})
+									if got != 3 {
+										t.Fatalf("%s: %d closures per block, want 3 (two loads and the store)", name, got)
+									}
+								}
 							}
 						}
 					}
 				}
 			}
-		}
+		})
 	}
 }
 

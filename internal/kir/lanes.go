@@ -5,13 +5,32 @@ import "math"
 // laneSet holds one bit per routine of the lane layer (see the package
 // doc): a routine runs its AVX2 quads only where its bit is in lanes, and
 // the Go code it stands for everywhere else.
-type laneSet uint8
+type laneSet uint32
 
 const (
-	laneGEMV laneSet = 1 << iota // gemvUnit's float64 column quads (gemvQuadsAVX2)
-	laneExp                      // expBlock (expQuadsAVX2)
-	laneLog                      // logBlock (logQuadsAVX2)
-	laneErf                      // erfBlock (erfQuadsAVX2)
+	laneGEMV   laneSet = 1 << iota // gemvUnit's float64 column quads (gemvQuadsAVX2)
+	laneExp                        // expBlock (expQuadsAVX2)
+	laneLog                        // logBlock (logQuadsAVX2)
+	laneErf                        // erfBlock (erfQuadsAVX2)
+	laneAdd                        // addBlock (addQuadsAVX2)
+	laneSub                        // subBlock (subQuadsAVX2)
+	laneMul                        // mulBlock (mulQuadsAVX2)
+	laneDiv                        // divBlock (divQuadsAVX2)
+	laneMax                        // maxBlock (maxQuadsAVX2)
+	laneMin                        // minBlock (minQuadsAVX2)
+	laneGE                         // geBlock (geQuadsAVX2)
+	laneLE                         // leBlock (leQuadsAVX2)
+	laneSel                        // selBlock (selQuadsAVX2)
+	laneSqrt                       // sqrtBlock (sqrtQuadsAVX2)
+	laneNeg                        // negBlock (negQuadsAVX2)
+	laneNegNum                     // negNumBlock (negNumQuadsAVX2)
+	laneAbs                        // absBlock (absQuadsAVX2)
+	laneAxpy                       // lowerAxpyStore's quads (axpyQuadsAVX2)
+
+	// laneArith is the routines whose reference is IEEE hardware
+	// arithmetic, not math's code: AVX2 alone turns them on.
+	laneArith = laneAdd | laneSub | laneMul | laneDiv | laneMax | laneMin | laneGE | laneLE |
+		laneSel | laneSqrt | laneNeg | laneNegNum | laneAbs | laneAxpy
 )
 
 // lanes is the set of routines switched on, found once at init: empty off
@@ -49,5 +68,240 @@ func vmathBlock(d, a []float64, r laneSet, quads func(d, a *float64, n int) int,
 	}
 	for ; i < len(d); i++ {
 		d[i] = f(a[i])
+	}
+}
+
+// The arithmetic blocks below set d[i] for i < len(d) to the interpreter's
+// result for element i, its operands a[i], b[i] (and c[i]) in its source
+// order: their routine's quads first where lanes holds its bit, then a Go
+// loop for the tail of fewer than four, or for the whole block. A
+// routine covers every lane, so none leaves a quad to Go.
+
+// laneQuads is how many leading elements of a block of n the routine r
+// runs four lanes at a time: n rounded down to a multiple of 4 where lanes
+// holds r, else none.
+func laneQuads(n int, r laneSet) int {
+	if lanes&r == 0 {
+		return 0
+	}
+	return n &^ 3
+}
+
+// addBlock sets d[i] = pinAdd(a[i], b[i]). The lanes pin for free (an x86
+// add of two NaNs returns its first source's); the Go loop selects unless
+// free says no two NaNs can meet (an operand is uniform and not a NaN).
+func addBlock(d, a, b []float64, free bool) {
+	a, b = a[:len(d)], b[:len(d)]
+	i := laneQuads(len(d), laneAdd)
+	if i > 0 {
+		addQuadsAVX2(&d[0], &a[0], &b[0], i)
+	}
+	if free {
+		for ; i < len(d); i++ {
+			d[i] = a[i] + b[i]
+		}
+		return
+	}
+	for ; i < len(d); i++ {
+		d[i] = pinAdd(a[i], b[i])
+	}
+}
+
+// mulBlock sets d[i] = pinMul(a[i], b[i]), as addBlock does pinAdd.
+func mulBlock(d, a, b []float64, free bool) {
+	a, b = a[:len(d)], b[:len(d)]
+	i := laneQuads(len(d), laneMul)
+	if i > 0 {
+		mulQuadsAVX2(&d[0], &a[0], &b[0], i)
+	}
+	if free {
+		for ; i < len(d); i++ {
+			d[i] = a[i] * b[i]
+		}
+		return
+	}
+	for ; i < len(d); i++ {
+		d[i] = pinMul(a[i], b[i])
+	}
+}
+
+// subBlock sets d[i] = a[i] − b[i].
+func subBlock(d, a, b []float64) {
+	a, b = a[:len(d)], b[:len(d)]
+	i := laneQuads(len(d), laneSub)
+	if i > 0 {
+		subQuadsAVX2(&d[0], &a[0], &b[0], i)
+	}
+	for ; i < len(d); i++ {
+		d[i] = a[i] - b[i]
+	}
+}
+
+// divBlock sets d[i] = a[i] / b[i].
+func divBlock(d, a, b []float64) {
+	a, b = a[:len(d)], b[:len(d)]
+	i := laneQuads(len(d), laneDiv)
+	if i > 0 {
+		divQuadsAVX2(&d[0], &a[0], &b[0], i)
+	}
+	for ; i < len(d); i++ {
+		d[i] = a[i] / b[i]
+	}
+}
+
+// maxBlock sets d[i] = math.Max(a[i], b[i]).
+func maxBlock(d, a, b []float64) {
+	a, b = a[:len(d)], b[:len(d)]
+	i := laneQuads(len(d), laneMax)
+	if i > 0 {
+		maxQuadsAVX2(&d[0], &a[0], &b[0], i)
+	}
+	for ; i < len(d); i++ {
+		d[i] = maxOf(a[i], b[i])
+	}
+}
+
+// minBlock sets d[i] = math.Min(a[i], b[i]).
+func minBlock(d, a, b []float64) {
+	a, b = a[:len(d)], b[:len(d)]
+	i := laneQuads(len(d), laneMin)
+	if i > 0 {
+		minQuadsAVX2(&d[0], &a[0], &b[0], i)
+	}
+	for ; i < len(d); i++ {
+		d[i] = minOf(a[i], b[i])
+	}
+}
+
+// maxOf is math.Max with its special cases written out, bit for bit, in
+// their order: +Inf if either is, then math's NaN, then +0 over −0, then
+// the larger. math.Max is an assembly call on amd64, which the compiler
+// cannot inline; maxOf inlines.
+func maxOf(x, y float64) float64 {
+	switch {
+	case x > math.MaxFloat64 || y > math.MaxFloat64:
+		return posInf
+	case x != x || y != y:
+		return mathNaN
+	case x == 0 && y == 0:
+		return math.Float64frombits(math.Float64bits(x) & math.Float64bits(y))
+	case x > y:
+		return x
+	}
+	return y
+}
+
+// minOf is math.Min as maxOf is math.Max: −Inf, then math's NaN, then −0
+// over +0, then the smaller.
+func minOf(x, y float64) float64 {
+	switch {
+	case x < -math.MaxFloat64 || y < -math.MaxFloat64:
+		return negInf
+	case x != x || y != y:
+		return mathNaN
+	case x == 0 && y == 0:
+		return math.Float64frombits(math.Float64bits(x) | math.Float64bits(y))
+	case x < y:
+		return x
+	}
+	return y
+}
+
+// mathNaN is math.NaN()'s bits, 0x7FF8000000000001.
+var mathNaN = math.NaN()
+
+// geBlock sets d[i] = 1 where a[i] >= b[i], else 0.
+func geBlock(d, a, b []float64) {
+	a, b = a[:len(d)], b[:len(d)]
+	i := laneQuads(len(d), laneGE)
+	if i > 0 {
+		geQuadsAVX2(&d[0], &a[0], &b[0], i)
+	}
+	for ; i < len(d); i++ {
+		if a[i] >= b[i] {
+			d[i] = 1
+		} else {
+			d[i] = 0
+		}
+	}
+}
+
+// leBlock sets d[i] = 1 where a[i] <= b[i], else 0.
+func leBlock(d, a, b []float64) {
+	a, b = a[:len(d)], b[:len(d)]
+	i := laneQuads(len(d), laneLE)
+	if i > 0 {
+		leQuadsAVX2(&d[0], &a[0], &b[0], i)
+	}
+	for ; i < len(d); i++ {
+		if a[i] <= b[i] {
+			d[i] = 1
+		} else {
+			d[i] = 0
+		}
+	}
+}
+
+// selBlock sets d[i] = b[i] where a[i] != 0, else c[i].
+func selBlock(d, a, b, c []float64) {
+	a, b, c = a[:len(d)], b[:len(d)], c[:len(d)]
+	i := laneQuads(len(d), laneSel)
+	if i > 0 {
+		selQuadsAVX2(&d[0], &a[0], &b[0], &c[0], i)
+	}
+	for ; i < len(d); i++ {
+		if a[i] != 0 {
+			d[i] = b[i]
+		} else {
+			d[i] = c[i]
+		}
+	}
+}
+
+// sqrtBlock sets d[i] = math.Sqrt(a[i]).
+func sqrtBlock(d, a []float64) {
+	a = a[:len(d)]
+	i := laneQuads(len(d), laneSqrt)
+	if i > 0 {
+		sqrtQuadsAVX2(&d[0], &a[0], i)
+	}
+	for ; i < len(d); i++ {
+		d[i] = math.Sqrt(a[i])
+	}
+}
+
+// negBlock sets d[i] = −a[i].
+func negBlock(d, a []float64) {
+	a = a[:len(d)]
+	i := laneQuads(len(d), laneNeg)
+	if i > 0 {
+		negQuadsAVX2(&d[0], &a[0], i)
+	}
+	for ; i < len(d); i++ {
+		d[i] = -a[i]
+	}
+}
+
+// negNumBlock sets d[i] = negNum(a[i]).
+func negNumBlock(d, a []float64) {
+	a = a[:len(d)]
+	i := laneQuads(len(d), laneNegNum)
+	if i > 0 {
+		negNumQuadsAVX2(&d[0], &a[0], i)
+	}
+	for ; i < len(d); i++ {
+		d[i] = negNum(a[i])
+	}
+}
+
+// absBlock sets d[i] = math.Abs(a[i]).
+func absBlock(d, a []float64) {
+	a = a[:len(d)]
+	i := laneQuads(len(d), laneAbs)
+	if i > 0 {
+		absQuadsAVX2(&d[0], &a[0], i)
+	}
+	for ; i < len(d); i++ {
+		d[i] = math.Abs(a[i])
 	}
 }

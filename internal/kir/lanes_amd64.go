@@ -17,7 +17,7 @@ func gemvQuadsAVX2(r0, r1, x unsafe.Pointer, n int, p unsafe.Pointer)
 // expQuadsAVX2, logQuadsAVX2 and erfQuadsAVX2 are vmathBlock's quads for
 // math.Exp, math.Log and math.Erf (vmath_amd64.s): archExp's FMA path,
 // archLog, and erf.go with one rounding per operation and its two Exps as
-// exp lanes.
+// exp lanes, its quads in interleaved pairs.
 //
 //go:noescape
 func expQuadsAVX2(d, a *float64, n int) int
@@ -28,19 +28,67 @@ func logQuadsAVX2(d, a *float64, n int) int
 //go:noescape
 func erfQuadsAVX2(d, a *float64, n int) int
 
+// The arithmetic routines' quads (vmath_amd64.s), n a positive multiple of
+// 4: lane k computes element k with the interpreter's operands in its
+// source order.
+
+//go:noescape
+func addQuadsAVX2(d, a, b *float64, n int)
+
+//go:noescape
+func subQuadsAVX2(d, a, b *float64, n int)
+
+//go:noescape
+func mulQuadsAVX2(d, a, b *float64, n int)
+
+//go:noescape
+func divQuadsAVX2(d, a, b *float64, n int)
+
+//go:noescape
+func maxQuadsAVX2(d, a, b *float64, n int)
+
+//go:noescape
+func minQuadsAVX2(d, a, b *float64, n int)
+
+//go:noescape
+func geQuadsAVX2(d, a, b *float64, n int)
+
+//go:noescape
+func leQuadsAVX2(d, a, b *float64, n int)
+
+//go:noescape
+func selQuadsAVX2(d, a, b, c *float64, n int)
+
+//go:noescape
+func sqrtQuadsAVX2(d, a *float64, n int)
+
+//go:noescape
+func negQuadsAVX2(d, a *float64, n int)
+
+//go:noescape
+func negNumQuadsAVX2(d, a *float64, n int)
+
+//go:noescape
+func absQuadsAVX2(d, a *float64, n int)
+
+//go:noescape
+func axpyQuadsAVX2(d, x, m0, m1 *float64, n int, shape int)
+
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
 
 // detectLanes reads CPUID and XGETBV once and returns the routines this
 // host runs bit for bit. The GEMV needs AVX2 and an OS that saves the ymm
-// registers across context switches. Exp, log and erf need FMA as well,
-// and math.Exp on the FMA path the exp lanes follow, which the runtime
-// takes only where it may use AVX and FMA (GODEBUG=cpu.fma=off stops it):
-// off that path 23 of the exp probe's 256 exps round differently, and all
-// three stay off, so such a run is math's code throughout. Each then
-// passes its own probe, which guards it against a Go release whose math
-// computes it another way.
+// registers across context switches, and so do the arithmetic routines,
+// whose reference is the hardware's IEEE arithmetic: they need no FMA and
+// no probe, and stay on under GODEBUG=cpu.fma=off. Exp, log and erf need
+// FMA as well, and math.Exp on the FMA path the exp lanes follow, which
+// the runtime takes only where it may use AVX and FMA (GODEBUG=cpu.fma=off
+// stops it): off that path 23 of the exp probe's 256 exps round
+// differently, and all three stay off, so such a run is math's code
+// throughout. Each then passes its own probe, which guards it against a
+// Go release whose math computes it another way.
 func detectLanes() laneSet {
 	if maxID, _, _, _ := cpuid(0, 0); maxID < 7 {
 		return 0
@@ -63,7 +111,7 @@ func detectLanes() laneSet {
 		x[i] = float64(i-128)*0.31 + 1.0/7
 		abs[i], fifth[i] = math.Abs(x[i]), x[i]/5
 	}
-	set := laneGEMV
+	set := laneGEMV | laneArith
 	if ecx&fma == 0 || !vmathProbe(expQuadsAVX2, math.Exp, x[:]) {
 		return set
 	}

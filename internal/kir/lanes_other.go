@@ -18,3 +18,31 @@ func expQuadsAVX2(d, a *float64, n int) int { panic(noLanes) }
 func logQuadsAVX2(d, a *float64, n int) int { panic(noLanes) }
 
 func erfQuadsAVX2(d, a *float64, n int) int { panic(noLanes) }
+
+func addQuadsAVX2(d, a, b *float64, n int) { panic(noLanes) }
+
+func subQuadsAVX2(d, a, b *float64, n int) { panic(noLanes) }
+
+func mulQuadsAVX2(d, a, b *float64, n int) { panic(noLanes) }
+
+func divQuadsAVX2(d, a, b *float64, n int) { panic(noLanes) }
+
+func maxQuadsAVX2(d, a, b *float64, n int) { panic(noLanes) }
+
+func minQuadsAVX2(d, a, b *float64, n int) { panic(noLanes) }
+
+func geQuadsAVX2(d, a, b *float64, n int) { panic(noLanes) }
+
+func leQuadsAVX2(d, a, b *float64, n int) { panic(noLanes) }
+
+func selQuadsAVX2(d, a, b, c *float64, n int) { panic(noLanes) }
+
+func sqrtQuadsAVX2(d, a *float64, n int) { panic(noLanes) }
+
+func negQuadsAVX2(d, a *float64, n int) { panic(noLanes) }
+
+func negNumQuadsAVX2(d, a *float64, n int) { panic(noLanes) }
+
+func absQuadsAVX2(d, a *float64, n int) { panic(noLanes) }
+
+func axpyQuadsAVX2(d, x, m0, m1 *float64, n int, shape int) { panic(noLanes) }

@@ -13,11 +13,11 @@ import (
 
 // TestLanesDetected checks the lane set found at init against
 // /proc/cpuinfo's flags, which the kernel clears of AVX features the OS
-// does not save: the GEMV lanes where it lists avx2, exp, log and erf
-// where it lists fma too and GODEBUG lets math.Exp take its FMA path
-// (cpu.fma, cpu.avx and cpu.all=off stop it). A detection fault that
-// turned lanes off would otherwise only skip the lanes' halves of the
-// harness.
+// does not save: the GEMV and arithmetic lanes where it lists avx2, under
+// any GODEBUG, exp, log and erf where it lists fma too and GODEBUG lets
+// math.Exp take its FMA path (cpu.fma, cpu.avx and cpu.all=off stop it).
+// A detection fault that turned lanes off would otherwise only skip the
+// lanes' halves of the harness.
 func TestLanesDetected(t *testing.T) {
 	info, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {
@@ -34,23 +34,25 @@ func TestLanesDetected(t *testing.T) {
 	hidden := strings.Contains(godebug, "cpu.fma=off") || strings.Contains(godebug, "cpu.avx=off") || strings.Contains(godebug, "cpu.all=off")
 	var want laneSet
 	if runtime.GOARCH == "amd64" && slices.Contains(flags, "avx2") {
-		want = laneGEMV
+		want = laneGEMV | laneArith
 		if slices.Contains(flags, "fma") && !hidden {
 			want |= laneExp | laneLog | laneErf
 		}
 	}
 	if detectedLanes != want {
-		t.Fatalf("detected lanes %04b, want %04b (gemv, exp, log, erf from bit 0; avx2 %t, fma %t, GODEBUG=%q)",
+		t.Fatalf("detected lanes %018b, want %018b (lanes.go's order from bit 0: gemv, exp, log, erf, then the arithmetic; avx2 %t, fma %t, GODEBUG=%q)",
 			detectedLanes, want, slices.Contains(flags, "avx2"), slices.Contains(flags, "fma"), godebug)
 	}
 }
 
 // TestLanes runs every native lane routine with the lanes on and off
 // against its scalar reference and requires its bits for every element:
-// math's for exp, log and erf (about 4 Mi arguments each), the Go quad
-// loop's for the GEMV (every shape of gemvRows by blockLengths, four
-// times). The arguments lead with each routine's edges in every lane of a
-// quad.
+// math's for exp, log and erf (about 4 Mi arguments each), the
+// interpreter's for the arithmetic (about 400 Ki), the Go quad loop's for
+// the GEMV (every shape of gemvRows by blockLengths, four times). The
+// arguments lead with each routine's edges in every lane of a quad: each
+// edge for one operand, every pair of edges for two (NaNs with distinct
+// payloads meeting in both orders among them).
 func TestLanes(t *testing.T) {
 	for _, on := range []bool{true, false} {
 		t.Run(fmt.Sprintf("lanes=%t", on), func(t *testing.T) {
@@ -61,11 +63,7 @@ func TestLanes(t *testing.T) {
 					if on && set&c.bit == 0 {
 						t.Skipf("this host runs no %s lanes (TestLanesDetected checks that it should not)", c.name)
 					}
-					var lead []float64
-					for k := 0; k < 4; k++ {
-						lead = append(append(lead, make([]float64, k)...), c.gen.edges...)
-					}
-					c.check(t, rand.New(rand.NewSource(int64(len(c.name)))), c.blocks, lead)
+					c.check(t, rand.New(rand.NewSource(int64(len(c.name)))), c.blocks, c.lead())
 				})
 			}
 		})
@@ -78,23 +76,43 @@ func TestLanes(t *testing.T) {
 func FuzzLanes(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, blocks uint8) {
 		for _, c := range laneCases {
-			c.check(t, rand.New(rand.NewSource(seed)), 1+int(blocks)%32, nil)
+			c.check(t, rand.New(rand.NewSource(seed)), 1+int(blocks)%32, [3][]float64{})
 		}
 	})
 }
 
 // laneCase is one native routine under the harness: its bit in lanes, the
-// generator of its arguments, the blocks TestLanes runs and, for exp, log
-// and erf, the block function and its scalar reference. The GEMV's
-// reference is its Go quad loop.
+// generator of its arguments, the blocks TestLanes runs and, for every
+// routine but the GEMV, its number of operands, its block function and
+// the scalar reference for one element. The GEMV's reference is its Go
+// quad loop.
 type laneCase struct {
 	name   string
 	bit    laneSet
 	gen    laneGen
 	blocks int
-	block  func(d, a []float64)
-	f      func(float64) float64
+	arity  int
+	block  func(d []float64, x [3][]float64)
+	f      func(x [3]float64) float64
 }
+
+// unaryCase and binaryCase build the laneCase of a one- and a two-operand
+// block function.
+func unaryCase(name string, bit laneSet, gen laneGen, blocks int, block func(d, a []float64), f func(float64) float64) laneCase {
+	return laneCase{name, bit, gen, blocks, 1,
+		func(d []float64, x [3][]float64) { block(d, x[0]) },
+		func(x [3]float64) float64 { return f(x[0]) }}
+}
+
+func binaryCase(name string, bit laneSet, block func(d, a, b []float64), f func(a, b float64) float64) laneCase {
+	return laneCase{name, bit, arithGen, arithBlocks, 2,
+		func(d []float64, x [3][]float64) { block(d, x[0], x[1]) },
+		func(x [3]float64) float64 { return f(x[0], x[1]) }}
+}
+
+// arithBlocks is how many blocks TestLanes runs of each arithmetic
+// routine: about 400 Ki elements.
+const arithBlocks = 4000
 
 var laneCases = []laneCase{
 	{"gemv", laneGEMV, laneGen{common(), func(rng *rand.Rand) float64 {
@@ -106,25 +124,98 @@ var laneCases = []laneCase{
 		default:
 			return math.Ldexp(rng.NormFloat64(), rng.Intn(121)-60)
 		}
-	}, 0x1p64}, 4 * len(gemvRows) * len(blockLengths), nil, nil},
-	{"exp", laneExp, laneGen{expEdges(), func(rng *rand.Rand) float64 {
+	}, 0x1p64}, 4 * len(gemvRows) * len(blockLengths), 0, nil, nil},
+	unaryCase("exp", laneExp, laneGen{expEdges(), func(rng *rand.Rand) float64 {
 		if rng.Intn(2) == 0 {
 			return rng.NormFloat64() * 10
 		}
 		return rng.Float64()*1480 - 760
-	}, 0}, 43000, expBlock, math.Exp},
-	{"log", laneLog, laneGen{logEdges(), func(rng *rand.Rand) float64 {
+	}, 0}, 43000, expBlock, math.Exp),
+	unaryCase("log", laneLog, laneGen{logEdges(), func(rng *rand.Rand) float64 {
 		if rng.Intn(2) == 0 {
 			return rng.Float64() * 10
 		}
 		return math.Float64frombits(rng.Uint64() &^ (1 << 63))
-	}, 0}, 43000, logBlock, math.Log},
-	{"erf", laneErf, laneGen{erfEdges(), func(rng *rand.Rand) float64 {
+	}, 0}, 43000, logBlock, math.Log),
+	unaryCase("erf", laneErf, laneGen{erfEdges(), func(rng *rand.Rand) float64 {
 		if rng.Intn(2) == 0 {
 			return rng.NormFloat64() * 3
 		}
 		return rng.Float64()*14 - 7
-	}, 0}, 43000, erfBlock, math.Erf},
+	}, 0}, 43000, erfBlock, math.Erf),
+	// add and mul run their Go loop's free branch where b is uniform and
+	// not a NaN, as codegen does for a const or hoisted-scalar operand.
+	binaryCase("add", laneAdd, func(d, a, b []float64) { addBlock(d, a, b, uniformNumber(b)) }, pinAdd),
+	binaryCase("mul", laneMul, func(d, a, b []float64) { mulBlock(d, a, b, uniformNumber(b)) }, pinMul),
+	binaryCase("sub", laneSub, subBlock, func(a, b float64) float64 { return a - b }),
+	binaryCase("div", laneDiv, divBlock, func(a, b float64) float64 { return a / b }),
+	binaryCase("max", laneMax, maxBlock, math.Max),
+	binaryCase("min", laneMin, minBlock, math.Min),
+	binaryCase("ge", laneGE, geBlock, func(a, b float64) float64 { return b2f(a >= b) }),
+	binaryCase("le", laneLE, leBlock, func(a, b float64) float64 { return b2f(a <= b) }),
+	{"sel", laneSel, arithGen, arithBlocks, 3, func(d []float64, x [3][]float64) { selBlock(d, x[0], x[1], x[2]) },
+		func(x [3]float64) float64 {
+			if x[0] != 0 {
+				return x[1]
+			}
+			return x[2]
+		}},
+	unaryCase("sqrt", laneSqrt, arithGen, arithBlocks, sqrtBlock, math.Sqrt),
+	unaryCase("neg", laneNeg, arithGen, arithBlocks, negBlock, func(a float64) float64 { return -a }),
+	unaryCase("negnum", laneNegNum, arithGen, arithBlocks, negNumBlock, negNum),
+	unaryCase("abs", laneAbs, arithGen, arithBlocks, absBlock, math.Abs),
+}
+
+// arithGen draws the arithmetic routines' operands: common's edges with
+// 1e308, whose sums and products overflow, and normal numbers of either
+// sign over 2^±60, so that products, quotients and sums of near-equal
+// magnitudes all occur.
+var arithGen = laneGen{append(common(), signed([]float64{1e308, 0.5, 3})...), func(rng *rand.Rand) float64 {
+	return math.Ldexp(rng.NormFloat64(), rng.Intn(121)-60)
+}, 0}
+
+func b2f(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// uniformNumber reports whether b holds one value, not a NaN.
+func uniformNumber(b []float64) bool {
+	for _, v := range b {
+		if v != v || v != b[0] {
+			return false
+		}
+	}
+	return true
+}
+
+// lead returns the arguments TestLanes runs before its draws, per operand:
+// for each k < 4, k zeros then the edges (one operand) or every ordered
+// pair of edges (two and three, the third operand the edges in another
+// order), so that each meets every lane of a quad.
+func (c laneCase) lead() [3][]float64 {
+	var lead [3][]float64
+	e := c.gen.edges
+	for k := 0; k < 4; k++ {
+		for j := 0; j < c.arity; j++ {
+			lead[j] = append(lead[j], make([]float64, k)...)
+		}
+		if c.arity == 1 {
+			lead[0] = append(lead[0], e...)
+			continue
+		}
+		for p := range e {
+			for q := range e {
+				lead[0], lead[1] = append(lead[0], e[p]), append(lead[1], e[q])
+				if c.arity == 3 {
+					lead[2] = append(lead[2], e[(p*7+q*3)%len(e)])
+				}
+			}
+		}
+	}
+	return lead
 }
 
 // blockLengths are the lengths a routine's blocks cycle through: every
@@ -194,10 +285,12 @@ func randNaN(rng *rand.Rand) float64 {
 
 // check runs the given number of c's blocks, starting at a random place in
 // the cycle of shapes, with the lanes as they are set, and fails tb on the
-// first bit that differs from c's reference. For exp, log and erf the
-// arguments are lead followed by draws, the block at every offset mod 4
-// of a buffer and every fifth block in place.
-func (c laneCase) check(tb testing.TB, rng *rand.Rand, blocks int, lead []float64) {
+// first bit that differs from c's reference. Outside the GEMV each
+// operand's arguments are its lead followed by independent draws, the
+// block at every offset mod 4 of a buffer, every fifth block in place
+// (d is the first operand) and, past the lead, every third block's second
+// operand one value, as a const or hoisted scalar's lane is.
+func (c laneCase) check(tb testing.TB, rng *rand.Rand, blocks int, lead [3][]float64) {
 	start := rng.Intn(4 * len(blockLengths) * len(gemvRows))
 	if c.block == nil {
 		checkGEMV(tb, c.gen, rng, start, blocks)
@@ -207,23 +300,80 @@ func (c laneCase) check(tb testing.TB, rng *rand.Rand, blocks int, lead []float6
 	for b := start; b < start+blocks; b++ {
 		n += blockLengths[b%len(blockLengths)]
 	}
-	xs := append(lead, c.gen.block(rng, n)...)
-	var src, dst [3 + 512]float64
-	for i, b := 0, start; i < len(xs); b++ {
-		m, off := min(blockLengths[b%len(blockLengths)], len(xs)-i), b/len(blockLengths)%4
-		d, a := dst[off:off+m], src[off:off+m]
-		if b%5 == 4 {
-			a = d
+	var xs [3][]float64
+	for j := 0; j < c.arity; j++ {
+		xs[j] = append(lead[j], c.gen.block(rng, n)...)
+	}
+	var src [3][3 + 512]float64
+	var dst [3 + 512]float64
+	for i, b := 0, start; i < len(xs[0]); b++ {
+		m, off := min(blockLengths[b%len(blockLengths)], len(xs[0])-i), b/len(blockLengths)%4
+		if c.arity > 1 && b%3 == 2 && i >= len(lead[0]) {
+			for k := range m {
+				xs[1][i+k] = xs[1][i]
+			}
 		}
-		copy(a, xs[i:i+m])
+		d := dst[off : off+m]
+		var a [3][]float64
+		for j := 0; j < c.arity; j++ {
+			a[j] = src[j][off : off+m]
+		}
+		if b%5 == 4 {
+			a[0] = d
+		}
+		for j := 0; j < c.arity; j++ {
+			copy(a[j], xs[j][i:i+m])
+		}
 		c.block(d, a)
-		for k, x := range xs[i : i+m] {
+		for k := range m {
+			var x [3]float64
+			for j := 0; j < c.arity; j++ {
+				x[j] = xs[j][i+k]
+			}
 			if want := c.f(x); math.Float64bits(d[k]) != math.Float64bits(want) {
-				tb.Fatalf("%s(%v) [%#016x] = %v [%#016x], math gives %v [%#016x]", c.name,
-					x, math.Float64bits(x), d[k], math.Float64bits(d[k]), want, math.Float64bits(want))
+				tb.Fatalf("%s%v %s = %v [%#016x], the reference gives %v [%#016x]", c.name,
+					x[:c.arity], hexBits(x[:c.arity]), d[k], math.Float64bits(d[k]), want, math.Float64bits(want))
 			}
 		}
 		i += m
+	}
+}
+
+// hexBits formats the bits of xs.
+func hexBits(xs []float64) string {
+	var parts []string
+	for _, x := range xs {
+		parts = append(parts, fmt.Sprintf("%#016x", math.Float64bits(x)))
+	}
+	return "[" + strings.Join(parts, " ") + "]"
+}
+
+// TestMaxMinMatchMath checks maxOf and minOf, the Go loops of maxBlock and
+// minBlock, against math.Max and math.Min bit for bit on their special
+// cases: ±0 pairs in both orders, ±Inf against NaNs, NaNs with distinct
+// payloads, subnormals, and every ordered pair of arithGen's edges.
+func TestMaxMinMatchMath(t *testing.T) {
+	inf, nz := math.Inf(1), math.Copysign(0, -1)
+	sub := math.Float64frombits(1)
+	pairs := [][2]float64{
+		{0, nz}, {nz, 0}, {0, 0}, {nz, nz},
+		{inf, math.NaN()}, {math.NaN(), inf}, {-inf, math.NaN()}, {math.NaN(), -inf},
+		{inf, nans[4]}, {nans[4], -inf}, {nans[1], nans[2]}, {nans[2], nans[1]}, {nans[5], nans[3]},
+		{sub, -sub}, {-sub, sub}, {sub, 0}, {nz, -sub}, {0x1p-1022, sub}, {sub, sub},
+	}
+	for _, x := range arithGen.edges {
+		for _, y := range arithGen.edges {
+			pairs = append(pairs, [2]float64{x, y})
+		}
+	}
+	for _, p := range pairs {
+		x, y := p[0], p[1]
+		if got, want := maxOf(x, y), math.Max(x, y); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("maxOf(%v, %v) %s = %#016x, math.Max gives %#016x", x, y, hexBits(p[:]), math.Float64bits(got), math.Float64bits(want))
+		}
+		if got, want := minOf(x, y), math.Min(x, y); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("minOf(%v, %v) %s = %#016x, math.Min gives %#016x", x, y, hexBits(p[:]), math.Float64bits(got), math.Float64bits(want))
+		}
 	}
 }
 
@@ -332,4 +482,26 @@ func logEdges() []float64 {
 // it, with their neighbours, on both signs.
 func erfEdges() []float64 {
 	return append(common(), signed(around(0.84375, 1.25, 1/0.35, 6, 0x1p-28, 2.848094538889218e-306, 28))...)
+}
+
+// BenchmarkErfRegions times erfBlock, ns/elem per element, on 512-element
+// blocks whose arguments fall in one region of erf.go, both signs, and on
+// a mix over (0.001, 3) such as Black-Scholes' d1 and d2 draw.
+func BenchmarkErfRegions(b *testing.B) {
+	for _, r := range []struct {
+		name   string
+		lo, hi float64
+	}{{"small", 0x1p-27, 0.84375}, {"mid", 0.84375, 1.25}, {"big", 1.25, 6}, {"mixed", 0.001, 3}} {
+		rng := rand.New(rand.NewSource(1))
+		a, d := make([]float64, 512), make([]float64, 512)
+		for i := range a {
+			a[i] = math.Copysign(r.lo+rng.Float64()*(r.hi-r.lo), float64(rng.Intn(2)*2-1))
+		}
+		b.Run(r.name, func(b *testing.B) {
+			for range b.N {
+				erfBlock(d, a)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(a)), "ns/elem")
+		})
+	}
 }
