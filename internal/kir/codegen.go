@@ -379,8 +379,26 @@ func absorptions(k *Kernel, cl *compiledLoop) (map[int]absorption, []bool) {
 // lowerAxpyStore builds the closure of an absorbed f64 element store of
 // x ± u·b. At unit stride it writes each element straight into the
 // region; otherwise it stages the block in the add's own lane and
-// scatters it. Where lanes holds laneAxpy the block's quads run
-// axpyQuadsAVX2: VMULPD, then VADDPD or VSUBPD, each with the
+// scatters it. axpyBlock computes the block.
+func lowerAxpyStore(slot int, f absorption) cgOp {
+	shape := 0 // axpyQuadsAVX2's: bit 0 sets sub, bit 1 puts the product first
+	if f.op == OpSub {
+		shape |= 1
+	}
+	if f.prodFirst {
+		shape |= 2
+	}
+	return func(st *cgState) {
+		d := st.storeWindow(slot, f.own)
+		axpyBlock(d, st.lane[f.x], st.lane[f.m0], st.lane[f.m1], shape, f.uFirst)
+		st.scatter(slot, d)
+	}
+}
+
+// axpyBlock sets d[i] to the absorbed store's x[i] ± m0[i]·m1[i] in the
+// order shape gives, where m0 (uFirst) or m1 is u, uniform over the
+// block, and the other b. Where lanes holds laneAxpy the block's quads
+// run axpyQuadsAVX2: VMULPD, then VADDPD or VSUBPD, each with the
 // interpreter's operands in its order, so even a NaN keeps the payload the
 // interpreter's pins select. The tail of fewer than four, or the whole
 // block with the lanes off, runs the Go loop of the shape, its product
@@ -396,38 +414,28 @@ func absorptions(k *Kernel, cl *compiledLoop) (map[int]absorption, []bool) {
 // x + u·b is computed as x − b·(−u), a sub, which is the same sum (IEEE
 // defines x − y as x + (−y), and b·(−u) is −(b·u) to the bit whenever it
 // is not a NaN) and keeps x's payload over a NaN product's. Only u·b + x
-// selects per element. TestCodegenAbsorbsAxpyStore pins all of this, with
-// the lanes on and off.
-func lowerAxpyStore(slot int, f absorption) cgOp {
-	x, b, u, own, uFirst := f.x, f.m0, f.m1, f.own, f.uFirst
+// selects per element. TestLanes and TestCodegenAbsorbsAxpyStore pin all
+// of this, with the lanes on and off.
+func axpyBlock(d, x, m0, m1 []float64, shape int, uFirst bool) {
+	if len(d) == 0 {
+		return
+	}
+	x, m0, m1 = x[:len(d)], m0[:len(d)], m1[:len(d)]
+	i := laneQuads(len(d), laneAxpy)
+	if i > 0 {
+		axpyQuadsAVX2(&d[0], &x[0], &m0[0], &m1[0], i, shape)
+	}
+	v, s := m0, m1[0] // b's lane and u
 	if uFirst {
-		b, u = f.m1, f.m0
+		v, s = m1, m0[0]
 	}
-	shape := 0 // axpyQuadsAVX2's: bit 0 sets sub, bit 1 puts the product first
-	if f.op == OpSub {
-		shape |= 1
-	}
-	if f.prodFirst {
-		shape |= 2
-	}
-	rest := axpyGo[shape]
-	return func(st *cgState) {
-		d := st.storeWindow(slot, own)
-		a, v, s := st.lane[x][:len(d)], st.lane[b][:len(d)], st.lane[u][0]
-		i := laneQuads(len(d), laneAxpy)
-		if i > 0 {
-			m0, m1 := st.lane[f.m0][:len(d)], st.lane[f.m1][:len(d)]
-			axpyQuadsAVX2(&d[0], &a[0], &m0[0], &m1[0], i, shape)
-		}
-		if s != s {
-			if uFirst {
-				v = st.lane[u][:len(d)] // u·b keeps u's payload
-			}
-			axpyNaN(f, d[i:], a[i:], v[i:], s)
-		} else {
-			rest(d[i:], a[i:], v[i:], s)
-		}
-		st.scatter(slot, d)
+	switch {
+	case s == s:
+		axpyGo[shape](d[i:], x[i:], v[i:], s)
+	case uFirst:
+		axpyNaN(shape, d[i:], x[i:], m0[i:], s) // u·b keeps u's payload
+	default:
+		axpyNaN(shape, d[i:], x[i:], v[i:], s)
 	}
 }
 
@@ -461,17 +469,17 @@ var axpyGo = [4]func(d, a, v []float64, s float64){
 	},
 }
 
-// axpyNaN computes a block of the absorbed store f with the interpreter's
-// selects: v is b's lane, or u's when u comes first.
-func axpyNaN(f absorption, d, a, v []float64, s float64) {
+// axpyNaN computes a block of the absorbed store of the given shape with
+// the interpreter's selects: v is b's lane, or u's when u comes first.
+func axpyNaN(shape int, d, a, v []float64, s float64) {
 	for i := range d {
 		p := pinMul(v[i], s)
-		switch {
-		case f.op == OpSub && f.prodFirst:
+		switch shape {
+		case 3:
 			d[i] = p - a[i]
-		case f.op == OpSub:
+		case 1:
 			d[i] = a[i] - p
-		case f.prodFirst:
+		case 2:
 			d[i] = pinAdd(p, a[i])
 		default:
 			d[i] = pinAdd(a[i], p)

@@ -37,13 +37,22 @@ const (
 // amd64.
 var lanes = detectLanes()
 
-// expBlock sets d[i] = math.Exp(a[i]) for i < len(d).
+// The block functions below set d[i] for i < len(d) to the interpreter's
+// result for element i, its operands a[i], b[i] (and c[i]) in its source
+// order: their routine's quads first where lanes holds its bit, then Go
+// code for the tail of fewer than four, or for the whole block. Only exp,
+// log and erf's routines leave quads to Go; the arithmetic covers every
+// lane, and writes its Go loop out for the compiler to inline into
+// (through a function value, as vmathBlock's f, a sub takes three times
+// as long with the lanes off).
+
+// expBlock sets d[i] = math.Exp(a[i]).
 func expBlock(d, a []float64) { vmathBlock(d, a, laneExp, expQuadsAVX2, math.Exp) }
 
-// logBlock sets d[i] = math.Log(a[i]) for i < len(d).
+// logBlock sets d[i] = math.Log(a[i]).
 func logBlock(d, a []float64) { vmathBlock(d, a, laneLog, logQuadsAVX2, math.Log) }
 
-// erfBlock sets d[i] = math.Erf(a[i]) for i < len(d).
+// erfBlock sets d[i] = math.Erf(a[i]).
 func erfBlock(d, a []float64) { vmathBlock(d, a, laneErf, erfQuadsAVX2, math.Erf) }
 
 // vmathBlock sets d[i] = f(a[i]) for i < len(d): through quads where lanes
@@ -71,12 +80,6 @@ func vmathBlock(d, a []float64, r laneSet, quads func(d, a *float64, n int) int,
 	}
 }
 
-// The arithmetic blocks below set d[i] for i < len(d) to the interpreter's
-// result for element i, its operands a[i], b[i] (and c[i]) in its source
-// order: their routine's quads first where lanes holds its bit, then a Go
-// loop for the tail of fewer than four, or for the whole block. A
-// routine covers every lane, so none leaves a quad to Go.
-
 // laneQuads is how many leading elements of a block of n the routine r
 // runs four lanes at a time: n rounded down to a multiple of 4 where lanes
 // holds r, else none.
@@ -87,15 +90,31 @@ func laneQuads(n int, r laneSet) int {
 	return n &^ 3
 }
 
+// unaryQuads and binaryQuads run an arithmetic routine's quads over the
+// first laneQuads(len(d), r) elements and return that count, where the
+// block's Go loop starts.
+func unaryQuads(d, a []float64, r laneSet, quads func(d, a *float64, n int)) int {
+	i := laneQuads(len(d), r)
+	if i > 0 {
+		quads(&d[0], &a[0], i)
+	}
+	return i
+}
+
+func binaryQuads(d, a, b []float64, r laneSet, quads func(d, a, b *float64, n int)) int {
+	i := laneQuads(len(d), r)
+	if i > 0 {
+		quads(&d[0], &a[0], &b[0], i)
+	}
+	return i
+}
+
 // addBlock sets d[i] = pinAdd(a[i], b[i]). The lanes pin for free (an x86
 // add of two NaNs returns its first source's); the Go loop selects unless
 // free says no two NaNs can meet (an operand is uniform and not a NaN).
 func addBlock(d, a, b []float64, free bool) {
 	a, b = a[:len(d)], b[:len(d)]
-	i := laneQuads(len(d), laneAdd)
-	if i > 0 {
-		addQuadsAVX2(&d[0], &a[0], &b[0], i)
-	}
+	i := binaryQuads(d, a, b, laneAdd, addQuadsAVX2)
 	if free {
 		for ; i < len(d); i++ {
 			d[i] = a[i] + b[i]
@@ -110,10 +129,7 @@ func addBlock(d, a, b []float64, free bool) {
 // mulBlock sets d[i] = pinMul(a[i], b[i]), as addBlock does pinAdd.
 func mulBlock(d, a, b []float64, free bool) {
 	a, b = a[:len(d)], b[:len(d)]
-	i := laneQuads(len(d), laneMul)
-	if i > 0 {
-		mulQuadsAVX2(&d[0], &a[0], &b[0], i)
-	}
+	i := binaryQuads(d, a, b, laneMul, mulQuadsAVX2)
 	if free {
 		for ; i < len(d); i++ {
 			d[i] = a[i] * b[i]
@@ -128,11 +144,7 @@ func mulBlock(d, a, b []float64, free bool) {
 // subBlock sets d[i] = a[i] − b[i].
 func subBlock(d, a, b []float64) {
 	a, b = a[:len(d)], b[:len(d)]
-	i := laneQuads(len(d), laneSub)
-	if i > 0 {
-		subQuadsAVX2(&d[0], &a[0], &b[0], i)
-	}
-	for ; i < len(d); i++ {
+	for i := binaryQuads(d, a, b, laneSub, subQuadsAVX2); i < len(d); i++ {
 		d[i] = a[i] - b[i]
 	}
 }
@@ -140,84 +152,31 @@ func subBlock(d, a, b []float64) {
 // divBlock sets d[i] = a[i] / b[i].
 func divBlock(d, a, b []float64) {
 	a, b = a[:len(d)], b[:len(d)]
-	i := laneQuads(len(d), laneDiv)
-	if i > 0 {
-		divQuadsAVX2(&d[0], &a[0], &b[0], i)
-	}
-	for ; i < len(d); i++ {
+	for i := binaryQuads(d, a, b, laneDiv, divQuadsAVX2); i < len(d); i++ {
 		d[i] = a[i] / b[i]
 	}
 }
 
-// maxBlock sets d[i] = math.Max(a[i], b[i]).
+// maxBlock sets d[i] = math.Max(a[i], b[i]) (maxOf).
 func maxBlock(d, a, b []float64) {
 	a, b = a[:len(d)], b[:len(d)]
-	i := laneQuads(len(d), laneMax)
-	if i > 0 {
-		maxQuadsAVX2(&d[0], &a[0], &b[0], i)
-	}
-	for ; i < len(d); i++ {
+	for i := binaryQuads(d, a, b, laneMax, maxQuadsAVX2); i < len(d); i++ {
 		d[i] = maxOf(a[i], b[i])
 	}
 }
 
-// minBlock sets d[i] = math.Min(a[i], b[i]).
+// minBlock sets d[i] = math.Min(a[i], b[i]) (minOf).
 func minBlock(d, a, b []float64) {
 	a, b = a[:len(d)], b[:len(d)]
-	i := laneQuads(len(d), laneMin)
-	if i > 0 {
-		minQuadsAVX2(&d[0], &a[0], &b[0], i)
-	}
-	for ; i < len(d); i++ {
+	for i := binaryQuads(d, a, b, laneMin, minQuadsAVX2); i < len(d); i++ {
 		d[i] = minOf(a[i], b[i])
 	}
 }
 
-// maxOf is math.Max with its special cases written out, bit for bit, in
-// their order: +Inf if either is, then math's NaN, then +0 over −0, then
-// the larger. math.Max is an assembly call on amd64, which the compiler
-// cannot inline; maxOf inlines.
-func maxOf(x, y float64) float64 {
-	switch {
-	case x > math.MaxFloat64 || y > math.MaxFloat64:
-		return posInf
-	case x != x || y != y:
-		return mathNaN
-	case x == 0 && y == 0:
-		return math.Float64frombits(math.Float64bits(x) & math.Float64bits(y))
-	case x > y:
-		return x
-	}
-	return y
-}
-
-// minOf is math.Min as maxOf is math.Max: −Inf, then math's NaN, then −0
-// over +0, then the smaller.
-func minOf(x, y float64) float64 {
-	switch {
-	case x < -math.MaxFloat64 || y < -math.MaxFloat64:
-		return negInf
-	case x != x || y != y:
-		return mathNaN
-	case x == 0 && y == 0:
-		return math.Float64frombits(math.Float64bits(x) | math.Float64bits(y))
-	case x < y:
-		return x
-	}
-	return y
-}
-
-// mathNaN is math.NaN()'s bits, 0x7FF8000000000001.
-var mathNaN = math.NaN()
-
 // geBlock sets d[i] = 1 where a[i] >= b[i], else 0.
 func geBlock(d, a, b []float64) {
 	a, b = a[:len(d)], b[:len(d)]
-	i := laneQuads(len(d), laneGE)
-	if i > 0 {
-		geQuadsAVX2(&d[0], &a[0], &b[0], i)
-	}
-	for ; i < len(d); i++ {
+	for i := binaryQuads(d, a, b, laneGE, geQuadsAVX2); i < len(d); i++ {
 		if a[i] >= b[i] {
 			d[i] = 1
 		} else {
@@ -229,11 +188,7 @@ func geBlock(d, a, b []float64) {
 // leBlock sets d[i] = 1 where a[i] <= b[i], else 0.
 func leBlock(d, a, b []float64) {
 	a, b = a[:len(d)], b[:len(d)]
-	i := laneQuads(len(d), laneLE)
-	if i > 0 {
-		leQuadsAVX2(&d[0], &a[0], &b[0], i)
-	}
-	for ; i < len(d); i++ {
+	for i := binaryQuads(d, a, b, laneLE, leQuadsAVX2); i < len(d); i++ {
 		if a[i] <= b[i] {
 			d[i] = 1
 		} else {
@@ -261,11 +216,7 @@ func selBlock(d, a, b, c []float64) {
 // sqrtBlock sets d[i] = math.Sqrt(a[i]).
 func sqrtBlock(d, a []float64) {
 	a = a[:len(d)]
-	i := laneQuads(len(d), laneSqrt)
-	if i > 0 {
-		sqrtQuadsAVX2(&d[0], &a[0], i)
-	}
-	for ; i < len(d); i++ {
+	for i := unaryQuads(d, a, laneSqrt, sqrtQuadsAVX2); i < len(d); i++ {
 		d[i] = math.Sqrt(a[i])
 	}
 }
@@ -273,11 +224,7 @@ func sqrtBlock(d, a []float64) {
 // negBlock sets d[i] = −a[i].
 func negBlock(d, a []float64) {
 	a = a[:len(d)]
-	i := laneQuads(len(d), laneNeg)
-	if i > 0 {
-		negQuadsAVX2(&d[0], &a[0], i)
-	}
-	for ; i < len(d); i++ {
+	for i := unaryQuads(d, a, laneNeg, negQuadsAVX2); i < len(d); i++ {
 		d[i] = -a[i]
 	}
 }
@@ -285,11 +232,7 @@ func negBlock(d, a []float64) {
 // negNumBlock sets d[i] = negNum(a[i]).
 func negNumBlock(d, a []float64) {
 	a = a[:len(d)]
-	i := laneQuads(len(d), laneNegNum)
-	if i > 0 {
-		negNumQuadsAVX2(&d[0], &a[0], i)
-	}
-	for ; i < len(d); i++ {
+	for i := unaryQuads(d, a, laneNegNum, negNumQuadsAVX2); i < len(d); i++ {
 		d[i] = negNum(a[i])
 	}
 }
@@ -297,11 +240,7 @@ func negNumBlock(d, a []float64) {
 // absBlock sets d[i] = math.Abs(a[i]).
 func absBlock(d, a []float64) {
 	a = a[:len(d)]
-	i := laneQuads(len(d), laneAbs)
-	if i > 0 {
-		absQuadsAVX2(&d[0], &a[0], i)
-	}
-	for ; i < len(d); i++ {
+	for i := unaryQuads(d, a, laneAbs, absQuadsAVX2); i < len(d); i++ {
 		d[i] = math.Abs(a[i])
 	}
 }

@@ -17,7 +17,7 @@ func gemvQuadsAVX2(r0, r1, x unsafe.Pointer, n int, p unsafe.Pointer)
 // expQuadsAVX2, logQuadsAVX2 and erfQuadsAVX2 are vmathBlock's quads for
 // math.Exp, math.Log and math.Erf (vmath_amd64.s): archExp's FMA path,
 // archLog, and erf.go with one rounding per operation and its two Exps as
-// exp lanes, its quads in interleaved pairs.
+// exp lanes.
 //
 //go:noescape
 func expQuadsAVX2(d, a *float64, n int) int
@@ -139,3 +139,42 @@ func vmathProbe(quads func(d, a *float64, n int) int, f func(float64) float64, a
 	}
 	return true
 }
+
+// maxOf is math.Max with amd64's archMax (math/dim_amd64.s) written out,
+// bit for bit, in its order: +Inf if either is, then math's NaN, then +0
+// over −0, then the larger. archMax is an assembly call, which the
+// compiler cannot inline; maxOf inlines. Other architectures' math.Max
+// need not agree on a NaN's bits (arm64's passes a NaN operand's payload
+// through), so there maxOf is math.Max itself (lanes_other.go).
+func maxOf(x, y float64) float64 {
+	switch {
+	case x > math.MaxFloat64 || y > math.MaxFloat64:
+		return posInf
+	case x != x || y != y:
+		return mathNaN
+	case x == 0 && y == 0:
+		return math.Float64frombits(math.Float64bits(x) & math.Float64bits(y))
+	case x > y:
+		return x
+	}
+	return y
+}
+
+// minOf is math.Min as maxOf is math.Max, from archMin: −Inf, then math's
+// NaN, then −0 over +0, then the smaller.
+func minOf(x, y float64) float64 {
+	switch {
+	case x < -math.MaxFloat64 || y < -math.MaxFloat64:
+		return negInf
+	case x != x || y != y:
+		return mathNaN
+	case x == 0 && y == 0:
+		return math.Float64frombits(math.Float64bits(x) | math.Float64bits(y))
+	case x < y:
+		return x
+	}
+	return y
+}
+
+// mathNaN is math.NaN()'s bits, 0x7FF8000000000001.
+var mathNaN = math.NaN()

@@ -2,10 +2,20 @@
 
 package kir
 
-import "unsafe"
+import (
+	"math"
+	"unsafe"
+)
 
 // detectLanes finds no lanes off amd64: every routine keeps its Go code.
 func detectLanes() laneSet { return 0 }
+
+// maxOf and minOf are maxBlock and minBlock's Go loops: math.Max and
+// math.Min, the interpreter's calls, whose NaN bits differ by
+// architecture.
+func maxOf(x, y float64) float64 { return math.Max(x, y) }
+
+func minOf(x, y float64) float64 { return math.Min(x, y) }
 
 // The AVX2 entries, which an empty lane set never reaches.
 

@@ -85,15 +85,17 @@ func FuzzLanes(f *testing.F) {
 // generator of its arguments, the blocks TestLanes runs and, for every
 // routine but the GEMV, its number of operands, its block function and
 // the scalar reference for one element. The GEMV's reference is its Go
-// quad loop.
+// quad loop. uniform, where set, is 1 + the operand that holds one value
+// over each block (the absorbed store's u).
 type laneCase struct {
-	name   string
-	bit    laneSet
-	gen    laneGen
-	blocks int
-	arity  int
-	block  func(d []float64, x [3][]float64)
-	f      func(x [3]float64) float64
+	name    string
+	bit     laneSet
+	gen     laneGen
+	blocks  int
+	arity   int
+	block   func(d []float64, x [3][]float64)
+	f       func(x [3]float64) float64
+	uniform int
 }
 
 // unaryCase and binaryCase build the laneCase of a one- and a two-operand
@@ -101,13 +103,39 @@ type laneCase struct {
 func unaryCase(name string, bit laneSet, gen laneGen, blocks int, block func(d, a []float64), f func(float64) float64) laneCase {
 	return laneCase{name, bit, gen, blocks, 1,
 		func(d []float64, x [3][]float64) { block(d, x[0]) },
-		func(x [3]float64) float64 { return f(x[0]) }}
+		func(x [3]float64) float64 { return f(x[0]) }, 0}
 }
 
 func binaryCase(name string, bit laneSet, block func(d, a, b []float64), f func(a, b float64) float64) laneCase {
 	return laneCase{name, bit, arithGen, arithBlocks, 2,
 		func(d []float64, x [3][]float64) { block(d, x[0], x[1]) },
-		func(x [3]float64) float64 { return f(x[0], x[1]) }}
+		func(x [3]float64) float64 { return f(x[0], x[1]) }, 0}
+}
+
+// axpyCase is the laneCase of axpyBlock in one of its shapes, the
+// operands x, m0 and m1, u m0 where uFirst is set and m1 otherwise. Its
+// reference is the interpreter's: the product pinMul(m0, m1), then pinAdd
+// or a sub with the operands in the shape's order.
+func axpyCase(shape int, uFirst bool) laneCase {
+	name := []string{"x+p", "x-p", "p+x", "p-x"}[shape] + map[bool]string{false: "/u=m1", true: "/u=m0"}[uFirst]
+	u := 3
+	if uFirst {
+		u = 2
+	}
+	return laneCase{"axpy/" + name, laneAxpy, arithGen, arithBlocks, 3,
+		func(d []float64, x [3][]float64) { axpyBlock(d, x[0], x[1], x[2], shape, uFirst) },
+		func(x [3]float64) float64 {
+			p := pinMul(x[1], x[2])
+			switch shape {
+			case 1:
+				return x[0] - p
+			case 2:
+				return pinAdd(p, x[0])
+			case 3:
+				return p - x[0]
+			}
+			return pinAdd(x[0], p)
+		}, u}
 }
 
 // arithBlocks is how many blocks TestLanes runs of each arithmetic
@@ -124,7 +152,7 @@ var laneCases = []laneCase{
 		default:
 			return math.Ldexp(rng.NormFloat64(), rng.Intn(121)-60)
 		}
-	}, 0x1p64}, 4 * len(gemvRows) * len(blockLengths), 0, nil, nil},
+	}, 0x1p64}, 4 * len(gemvRows) * len(blockLengths), 0, nil, nil, 0},
 	unaryCase("exp", laneExp, laneGen{expEdges(), func(rng *rand.Rand) float64 {
 		if rng.Intn(2) == 0 {
 			return rng.NormFloat64() * 10
@@ -159,11 +187,13 @@ var laneCases = []laneCase{
 				return x[1]
 			}
 			return x[2]
-		}},
+		}, 0},
 	unaryCase("sqrt", laneSqrt, arithGen, arithBlocks, sqrtBlock, math.Sqrt),
 	unaryCase("neg", laneNeg, arithGen, arithBlocks, negBlock, func(a float64) float64 { return -a }),
 	unaryCase("negnum", laneNegNum, arithGen, arithBlocks, negNumBlock, negNum),
 	unaryCase("abs", laneAbs, arithGen, arithBlocks, absBlock, math.Abs),
+	axpyCase(0, false), axpyCase(1, false), axpyCase(2, false), axpyCase(3, false),
+	axpyCase(0, true), axpyCase(1, true), axpyCase(2, true), axpyCase(3, true),
 }
 
 // arithGen draws the arithmetic routines' operands: common's edges with
@@ -289,7 +319,8 @@ func randNaN(rng *rand.Rand) float64 {
 // operand's arguments are its lead followed by independent draws, the
 // block at every offset mod 4 of a buffer, every fifth block in place
 // (d is the first operand) and, past the lead, every third block's second
-// operand one value, as a const or hoisted scalar's lane is.
+// operand one value, as a const or hoisted scalar's lane is; a case's
+// uniform operand is one value over every block.
 func (c laneCase) check(tb testing.TB, rng *rand.Rand, blocks int, lead [3][]float64) {
 	start := rng.Intn(4 * len(blockLengths) * len(gemvRows))
 	if c.block == nil {
@@ -311,6 +342,12 @@ func (c laneCase) check(tb testing.TB, rng *rand.Rand, blocks int, lead [3][]flo
 		if c.arity > 1 && b%3 == 2 && i >= len(lead[0]) {
 			for k := range m {
 				xs[1][i+k] = xs[1][i]
+			}
+		}
+		if c.uniform > 0 {
+			u := xs[c.uniform-1][i : i+m]
+			for k := range u {
+				u[k] = u[0]
 			}
 		}
 		d := dst[off : off+m]
@@ -351,7 +388,8 @@ func hexBits(xs []float64) string {
 // TestMaxMinMatchMath checks maxOf and minOf, the Go loops of maxBlock and
 // minBlock, against math.Max and math.Min bit for bit on their special
 // cases: ±0 pairs in both orders, ±Inf against NaNs, NaNs with distinct
-// payloads, subnormals, and every ordered pair of arithGen's edges.
+// payloads, subnormals, and every ordered pair of arithGen's edges. On
+// amd64 they write archMax and archMin out; elsewhere they call math.
 func TestMaxMinMatchMath(t *testing.T) {
 	inf, nz := math.Inf(1), math.Copysign(0, -1)
 	sub := math.Float64frombits(1)

@@ -120,52 +120,52 @@ C4(sb6, $0x407DA874E79FE763)
 C4(sb7, $0xC03670E242712D62)
 
 // EXP_K rounds x·log2(e) to the nearest integer k, as archExp's
-// CVTSD2SL does: ki = k (int32), kf = k (float64), two distinct registers.
-#define EXP_K(x, kf, ki) \
-	VMULPD     log2e<>(SB), x, kf \
-	VCVTPD2DQY kf, ki \
-	VCVTDQ2PD  ki, kf
+// CVTSD2SL does: Y0 = x, X15 = k (int32), Y14 = k (float64).
+#define EXP_K \
+	VMULPD     log2e<>(SB), Y0, Y14 \
+	VCVTPD2DQY Y14, X15 \
+	VCVTDQ2PD  X15, Y14
 
 // EXP_REST finishes archExp's FMA path after EXP_K for lanes with
-// -1022 <= k <= 1023: x = exp(x). Clobbers kf and ki.
-#define EXP_REST(x, kf, ki) \
-	VFNMADD231PD ln2u<>(SB), kf, x \
-	VFNMADD231PD ln2l<>(SB), kf, x \
-	VMULPD       sixteenth<>(SB), x, x \
-	VMOVUPD      e8<>(SB), kf \
-	VFMADD213PD  e7<>(SB), x, kf \
-	VFMADD213PD  e6<>(SB), x, kf \
-	VFMADD213PD  e5<>(SB), x, kf \
-	VFMADD213PD  e4<>(SB), x, kf \
-	VFMADD213PD  e3<>(SB), x, kf \
-	VFMADD213PD  half<>(SB), x, kf \
-	VFMADD213PD  one<>(SB), x, kf \
-	VMULPD       kf, x, x \
-	VADDPD       two<>(SB), x, kf \
-	VMULPD       kf, x, x \
-	VADDPD       two<>(SB), x, kf \
-	VMULPD       kf, x, x \
-	VADDPD       two<>(SB), x, kf \
-	VMULPD       kf, x, x \
-	VADDPD       two<>(SB), x, kf \
-	VFMADD213PD  one<>(SB), kf, x \
-	VPADDD       bias<>(SB), ki, ki \
-	VPMOVZXDQ    ki, kf \
-	VPSLLQ       $52, kf, kf \
-	VMULPD       kf, x, x
+// -1022 <= k <= 1023: Y0 = exp(x). Clobbers Y14 and X15.
+#define EXP_REST \
+	VFNMADD231PD ln2u<>(SB), Y14, Y0 \
+	VFNMADD231PD ln2l<>(SB), Y14, Y0 \
+	VMULPD       sixteenth<>(SB), Y0, Y0 \
+	VMOVUPD      e8<>(SB), Y14 \
+	VFMADD213PD  e7<>(SB), Y0, Y14 \
+	VFMADD213PD  e6<>(SB), Y0, Y14 \
+	VFMADD213PD  e5<>(SB), Y0, Y14 \
+	VFMADD213PD  e4<>(SB), Y0, Y14 \
+	VFMADD213PD  e3<>(SB), Y0, Y14 \
+	VFMADD213PD  half<>(SB), Y0, Y14 \
+	VFMADD213PD  one<>(SB), Y0, Y14 \
+	VMULPD       Y14, Y0, Y0 \
+	VADDPD       two<>(SB), Y0, Y14 \
+	VMULPD       Y14, Y0, Y0 \
+	VADDPD       two<>(SB), Y0, Y14 \
+	VMULPD       Y14, Y0, Y0 \
+	VADDPD       two<>(SB), Y0, Y14 \
+	VMULPD       Y14, Y0, Y0 \
+	VADDPD       two<>(SB), Y0, Y14 \
+	VFMADD213PD  one<>(SB), Y14, Y0 \
+	VPADDD       bias<>(SB), X15, X15 \
+	VPMOVZXDQ    X15, Y14 \
+	VPSLLQ       $52, Y14, Y14 \
+	VMULPD       Y14, Y0, Y0
 
 // HORNER steps one Horner evaluation, t = c + s·t, two roundings.
 #define HORNER(t, s, c) \
 	VMULPD s, t, t \
 	VADDPD c, t, t
 
-// HORNER2 is HORNER with c ca's lane where m is clear and cb's where it
-// is set, blended in tmp.
-#define HORNER2(t, s, m, tmp, ca, cb) \
-	VMOVUPD   ca, tmp \
-	VBLENDVPD m, cb, tmp, tmp \
+// HORNER2 is HORNER with c ca's lane where Y11 is clear and cb's where it
+// is set.
+#define HORNER2(t, s, ca, cb) \
+	VMOVUPD   ca, Y3 \
+	VBLENDVPD Y11, cb, Y3, Y3 \
 	VMULPD    s, t, t \
-	VADDPD    tmp, t, t
+	VADDPD    Y3, t, t
 
 // func expQuadsAVX2(d, a *float64, n int) int
 //
@@ -183,7 +183,7 @@ TEXT ·expQuadsAVX2(SB), NOSPLIT, $0-32
 
 expLoop:
 	VMOVUPD   (SI)(BX*8), Y0
-	EXP_K(Y0, Y14, X15)
+	EXP_K
 	VCMPPD    $2, expOverflow<>(SB), Y0, Y1 // x <= Overflow
 	VCMPPD    $13, kmin<>(SB), Y14, Y2      // k >= -1022
 	VCMPPD    $2, kmax<>(SB), Y14, Y3       // k <= 1023
@@ -192,7 +192,7 @@ expLoop:
 	VMOVMSKPD Y1, AX
 	CMPQ      AX, $15
 	JNE       expDone
-	EXP_REST(Y0, Y14, X15)
+	EXP_REST
 	VMOVUPD   Y0, (DI)(BX*8)
 	ADDQ      $4, BX
 	CMPQ      BX, CX
@@ -285,20 +285,11 @@ logDone:
 // Sets d[i] = math.Erf(a[i]) quad by quad for i < n, n a multiple of 4,
 // and returns n, or the index of the first quad with a NaN, ±Inf or
 // |x| < 2**-28 lane, which it leaves unwritten. The lanes compute on |x|
-// and XOR x's sign into the result, since every signed branch of erf.go
-// is the negation of the unsigned one and rounding to nearest is
-// symmetric. Each region of erf.go with a lane in the quad computes all
-// four lanes and blends its own into the result, which starts at erf's 1
-// for |x| >= 6.
-//
-// The quads run in pairs, A (byte offset R11, |x| in Y8) and B (R12, Y9),
-// each region's two dependency chains interleaved: one quad's chain in
-// [1.25, 6), two Horner passes, two exps and three divides long, leaves
-// the core idle for most of its latency. B is A again, and the pair
-// advances (R13) by one quad, for a last lone quad and where B has a lane
-// the routine leaves. The results and the [1.25, 6) masks live in the
-// frame: A's result at 0(SP), B's at 32(SP), their masks at 64 and 96.
-TEXT ·erfQuadsAVX2(SB), NOSPLIT, $128-32
+// (Y8) and XOR x's sign (Y9) into the result, since every signed branch of
+// erf.go is the negation of the unsigned one and rounding to nearest is
+// symmetric. Y7 starts at erf's 1 for |x| >= 6, and each region of erf.go
+// with a lane in the quad computes all four lanes and blends its own in.
+TEXT ·erfQuadsAVX2(SB), NOSPLIT, $0-32
 	MOVQ d+0(FP), DI
 	MOVQ a+8(FP), SI
 	MOVQ n+16(FP), CX
@@ -307,255 +298,121 @@ TEXT ·erfQuadsAVX2(SB), NOSPLIT, $128-32
 	JGE  erfDone
 
 erfLoop:
-	LEAQ      (BX*8), R11
-	LEAQ      32(R11), R12
-	MOVQ      $8, R13
-	LEAQ      4(BX), AX
-	CMPQ      AX, CX
-	JLT       erfPair
-	MOVQ      R11, R12
-	MOVQ      $4, R13
-
-erfPair:
-	VMOVUPD   (SI)(R11*1), Y0
-	VMOVUPD   (SI)(R12*1), Y1
+	VMOVUPD   (SI)(BX*8), Y0
 	VANDPD    abs<>(SB), Y0, Y8
-	VANDPD    abs<>(SB), Y1, Y9
+	VANDPD    sign<>(SB), Y0, Y9
 	VCMPPD    $13, erfSmall<>(SB), Y8, Y10 // |x| >= 2**-28, not NaN
 	VCMPPD    $1, posinf<>(SB), Y8, Y11    // |x| < +Inf
 	VANDPD    Y11, Y10, Y10
 	VMOVMSKPD Y10, AX
 	CMPQ      AX, $15
 	JNE       erfDone
-	VCMPPD    $13, erfSmall<>(SB), Y9, Y10
-	VCMPPD    $1, posinf<>(SB), Y9, Y11
-	VANDPD    Y11, Y10, Y10
-	VMOVMSKPD Y10, AX
-	CMPQ      AX, $15
-	JEQ       erfBig
-	MOVQ      R11, R12
-	MOVQ      $4, R13
-	VMOVAPD   Y8, Y9
-
-erfBig:
 	VMOVUPD   one<>(SB), Y7
-	VMOVUPD   Y7, 0(SP)
-	VMOVUPD   Y7, 32(SP)
 
 	// 1.25 <= |x| < 6: 1 - Exp(-z·z-0.5625)·Exp((z-x)·(z+x)+R/S)/x, where
 	// R and S run one Horner pass over blended coefficients, ra and sa's
-	// below 1/0.35 and rb and sb's (one fewer, led by a 0) from it. A's
-	// s, R, S, coefficient mask and blend register are Y1, Y2, Y4, Y11 and
-	// Y3; B's Y5, Y6, Y7, Y12 and Y13.
+	// below 1/0.35 and rb and sb's (one fewer, led by a 0) from it.
 	VCMPPD    $13, erfB<>(SB), Y8, Y10
 	VCMPPD    $1, erfD<>(SB), Y8, Y11
 	VANDPD    Y11, Y10, Y10
-	VCMPPD    $13, erfB<>(SB), Y9, Y12
-	VCMPPD    $1, erfD<>(SB), Y9, Y13
-	VANDPD    Y13, Y12, Y12
-	VMOVUPD   Y10, 64(SP)
-	VMOVUPD   Y12, 96(SP)
-	VORPD     Y12, Y10, Y10
 	VMOVMSKPD Y10, AX
 	TESTQ     AX, AX
 	JZ        erfMid
 	VMULPD    Y8, Y8, Y0
 	VMOVUPD   one<>(SB), Y1
 	VDIVPD    Y0, Y1, Y1                 // s = 1 / (x·x)
-	VMULPD    Y9, Y9, Y0
-	VMOVUPD   one<>(SB), Y5
-	VDIVPD    Y0, Y5, Y5
 	VCMPPD    $13, erfC<>(SB), Y8, Y11   // x >= 1/0.35
-	VCMPPD    $13, erfC<>(SB), Y9, Y12
 	VANDNPD   ra7<>(SB), Y11, Y2
-	VANDNPD   ra7<>(SB), Y12, Y6
+	HORNER2(Y2, Y1, ra6<>(SB), rb6<>(SB))
+	HORNER2(Y2, Y1, ra5<>(SB), rb5<>(SB))
+	HORNER2(Y2, Y1, ra4<>(SB), rb4<>(SB))
+	HORNER2(Y2, Y1, ra3<>(SB), rb3<>(SB))
+	HORNER2(Y2, Y1, ra2<>(SB), rb2<>(SB))
+	HORNER2(Y2, Y1, ra1<>(SB), rb1<>(SB))
+	HORNER2(Y2, Y1, ra0<>(SB), rb0<>(SB)) // R
 	VANDNPD   sa8<>(SB), Y11, Y4
-	VANDNPD   sa8<>(SB), Y12, Y7
-	HORNER2(Y2, Y1, Y11, Y3, ra6<>(SB), rb6<>(SB))
-	HORNER2(Y6, Y5, Y12, Y13, ra6<>(SB), rb6<>(SB))
-	HORNER2(Y4, Y1, Y11, Y3, sa7<>(SB), sb7<>(SB))
-	HORNER2(Y7, Y5, Y12, Y13, sa7<>(SB), sb7<>(SB))
-	HORNER2(Y2, Y1, Y11, Y3, ra5<>(SB), rb5<>(SB))
-	HORNER2(Y6, Y5, Y12, Y13, ra5<>(SB), rb5<>(SB))
-	HORNER2(Y4, Y1, Y11, Y3, sa6<>(SB), sb6<>(SB))
-	HORNER2(Y7, Y5, Y12, Y13, sa6<>(SB), sb6<>(SB))
-	HORNER2(Y2, Y1, Y11, Y3, ra4<>(SB), rb4<>(SB))
-	HORNER2(Y6, Y5, Y12, Y13, ra4<>(SB), rb4<>(SB))
-	HORNER2(Y4, Y1, Y11, Y3, sa5<>(SB), sb5<>(SB))
-	HORNER2(Y7, Y5, Y12, Y13, sa5<>(SB), sb5<>(SB))
-	HORNER2(Y2, Y1, Y11, Y3, ra3<>(SB), rb3<>(SB))
-	HORNER2(Y6, Y5, Y12, Y13, ra3<>(SB), rb3<>(SB))
-	HORNER2(Y4, Y1, Y11, Y3, sa4<>(SB), sb4<>(SB))
-	HORNER2(Y7, Y5, Y12, Y13, sa4<>(SB), sb4<>(SB))
-	HORNER2(Y2, Y1, Y11, Y3, ra2<>(SB), rb2<>(SB))
-	HORNER2(Y6, Y5, Y12, Y13, ra2<>(SB), rb2<>(SB))
-	HORNER2(Y4, Y1, Y11, Y3, sa3<>(SB), sb3<>(SB))
-	HORNER2(Y7, Y5, Y12, Y13, sa3<>(SB), sb3<>(SB))
-	HORNER2(Y2, Y1, Y11, Y3, ra1<>(SB), rb1<>(SB))
-	HORNER2(Y6, Y5, Y12, Y13, ra1<>(SB), rb1<>(SB))
-	HORNER2(Y4, Y1, Y11, Y3, sa2<>(SB), sb2<>(SB))
-	HORNER2(Y7, Y5, Y12, Y13, sa2<>(SB), sb2<>(SB))
-	HORNER2(Y2, Y1, Y11, Y3, ra0<>(SB), rb0<>(SB)) // R
-	HORNER2(Y6, Y5, Y12, Y13, ra0<>(SB), rb0<>(SB))
-	HORNER2(Y4, Y1, Y11, Y3, sa1<>(SB), sb1<>(SB))
-	HORNER2(Y7, Y5, Y12, Y13, sa1<>(SB), sb1<>(SB))
-	HORNER(Y4, Y1, one<>(SB))                      // S
-	HORNER(Y7, Y5, one<>(SB))
+	HORNER2(Y4, Y1, sa7<>(SB), sb7<>(SB))
+	HORNER2(Y4, Y1, sa6<>(SB), sb6<>(SB))
+	HORNER2(Y4, Y1, sa5<>(SB), sb5<>(SB))
+	HORNER2(Y4, Y1, sa4<>(SB), sb4<>(SB))
+	HORNER2(Y4, Y1, sa3<>(SB), sb3<>(SB))
+	HORNER2(Y4, Y1, sa2<>(SB), sb2<>(SB))
+	HORNER2(Y4, Y1, sa1<>(SB), sb1<>(SB))
+	HORNER(Y4, Y1, one<>(SB))            // S
 	VDIVPD    Y4, Y2, Y2                 // R/S
-	VDIVPD    Y7, Y6, Y6
 	VANDPD    hi32<>(SB), Y8, Y5         // z
-	VANDPD    hi32<>(SB), Y9, Y7
 	VMULPD    Y5, Y5, Y0
 	VXORPD    sign<>(SB), Y0, Y0
 	VSUBPD    c0p5625<>(SB), Y0, Y0      // -z·z - 0.5625
-	VMULPD    Y7, Y7, Y1
-	VXORPD    sign<>(SB), Y1, Y1
-	VSUBPD    c0p5625<>(SB), Y1, Y1
-	EXP_K(Y0, Y14, X15)
-	EXP_K(Y1, Y12, X13)
-	EXP_REST(Y0, Y14, X15)
-	EXP_REST(Y1, Y12, X13)
-	VMOVAPD   Y0, Y10
-	VMOVAPD   Y1, Y11
+	EXP_K
+	EXP_REST
+	VMOVAPD   Y0, Y6
 	VSUBPD    Y8, Y5, Y0
 	VADDPD    Y8, Y5, Y3
 	VMULPD    Y3, Y0, Y0
 	VADDPD    Y2, Y0, Y0                 // (z-x)·(z+x) + R/S
-	VSUBPD    Y9, Y7, Y1
-	VADDPD    Y9, Y7, Y4
-	VMULPD    Y4, Y1, Y1
-	VADDPD    Y6, Y1, Y1
-	EXP_K(Y0, Y14, X15)
-	EXP_K(Y1, Y12, X13)
-	EXP_REST(Y0, Y14, X15)
-	EXP_REST(Y1, Y12, X13)
-	VMULPD    Y0, Y10, Y0                // r
+	EXP_K
+	EXP_REST
+	VMULPD    Y0, Y6, Y0                 // r
 	VDIVPD    Y8, Y0, Y0
 	VMOVUPD   one<>(SB), Y3
 	VSUBPD    Y0, Y3, Y0                 // 1 - r/x
-	VMULPD    Y1, Y11, Y1
-	VDIVPD    Y9, Y1, Y1
-	VMOVUPD   one<>(SB), Y4
-	VSUBPD    Y1, Y4, Y1
-	VMOVUPD   64(SP), Y12
-	VMOVUPD   96(SP), Y13
-	VMOVUPD   0(SP), Y3
-	VBLENDVPD Y12, Y0, Y3, Y3
-	VMOVUPD   Y3, 0(SP)
-	VMOVUPD   32(SP), Y4
-	VBLENDVPD Y13, Y1, Y4, Y4
-	VMOVUPD   Y4, 32(SP)
+	VBLENDVPD Y10, Y0, Y7, Y7
 
 erfMid:
 	// 0.84375 <= |x| < 1.25: erx + P/Q over s = x - 1.
 	VCMPPD    $13, erfA<>(SB), Y8, Y10
 	VCMPPD    $1, erfB<>(SB), Y8, Y11
 	VANDPD    Y11, Y10, Y10
-	VCMPPD    $13, erfA<>(SB), Y9, Y12
-	VCMPPD    $1, erfB<>(SB), Y9, Y13
-	VANDPD    Y13, Y12, Y12
-	VORPD     Y12, Y10, Y11
-	VMOVMSKPD Y11, AX
+	VMOVMSKPD Y10, AX
 	TESTQ     AX, AX
 	JZ        erfSmallRegion
 	VSUBPD    one<>(SB), Y8, Y1
-	VSUBPD    one<>(SB), Y9, Y5
 	VMOVUPD   pa6<>(SB), Y2
-	VMOVUPD   pa6<>(SB), Y6
-	VMOVUPD   qa6<>(SB), Y3
-	VMOVUPD   qa6<>(SB), Y7
 	HORNER(Y2, Y1, pa5<>(SB))
-	HORNER(Y6, Y5, pa5<>(SB))
-	HORNER(Y3, Y1, qa5<>(SB))
-	HORNER(Y7, Y5, qa5<>(SB))
 	HORNER(Y2, Y1, pa4<>(SB))
-	HORNER(Y6, Y5, pa4<>(SB))
-	HORNER(Y3, Y1, qa4<>(SB))
-	HORNER(Y7, Y5, qa4<>(SB))
 	HORNER(Y2, Y1, pa3<>(SB))
-	HORNER(Y6, Y5, pa3<>(SB))
-	HORNER(Y3, Y1, qa3<>(SB))
-	HORNER(Y7, Y5, qa3<>(SB))
 	HORNER(Y2, Y1, pa2<>(SB))
-	HORNER(Y6, Y5, pa2<>(SB))
-	HORNER(Y3, Y1, qa2<>(SB))
-	HORNER(Y7, Y5, qa2<>(SB))
 	HORNER(Y2, Y1, pa1<>(SB))
-	HORNER(Y6, Y5, pa1<>(SB))
-	HORNER(Y3, Y1, qa1<>(SB))
-	HORNER(Y7, Y5, qa1<>(SB))
 	HORNER(Y2, Y1, pa0<>(SB))
-	HORNER(Y6, Y5, pa0<>(SB))
+	VMOVUPD   qa6<>(SB), Y3
+	HORNER(Y3, Y1, qa5<>(SB))
+	HORNER(Y3, Y1, qa4<>(SB))
+	HORNER(Y3, Y1, qa3<>(SB))
+	HORNER(Y3, Y1, qa2<>(SB))
+	HORNER(Y3, Y1, qa1<>(SB))
 	HORNER(Y3, Y1, one<>(SB))
-	HORNER(Y7, Y5, one<>(SB))
 	VDIVPD    Y3, Y2, Y2
-	VDIVPD    Y7, Y6, Y6
 	VADDPD    erx<>(SB), Y2, Y0
-	VADDPD    erx<>(SB), Y6, Y1
-	VMOVUPD   0(SP), Y3
-	VBLENDVPD Y10, Y0, Y3, Y3
-	VMOVUPD   Y3, 0(SP)
-	VMOVUPD   32(SP), Y4
-	VBLENDVPD Y12, Y1, Y4, Y4
-	VMOVUPD   Y4, 32(SP)
+	VBLENDVPD Y10, Y0, Y7, Y7
 
 erfSmallRegion:
 	// |x| < 0.84375: x + x·(r/s) over z = x·x.
 	VCMPPD    $1, erfA<>(SB), Y8, Y10
-	VCMPPD    $1, erfA<>(SB), Y9, Y12
-	VORPD     Y12, Y10, Y11
-	VMOVMSKPD Y11, AX
+	VMOVMSKPD Y10, AX
 	TESTQ     AX, AX
 	JZ        erfStore
 	VMULPD    Y8, Y8, Y1
-	VMULPD    Y9, Y9, Y5
 	VMOVUPD   pp4<>(SB), Y2
-	VMOVUPD   pp4<>(SB), Y6
-	VMOVUPD   qq5<>(SB), Y3
-	VMOVUPD   qq5<>(SB), Y7
 	HORNER(Y2, Y1, pp3<>(SB))
-	HORNER(Y6, Y5, pp3<>(SB))
-	HORNER(Y3, Y1, qq4<>(SB))
-	HORNER(Y7, Y5, qq4<>(SB))
 	HORNER(Y2, Y1, pp2<>(SB))
-	HORNER(Y6, Y5, pp2<>(SB))
-	HORNER(Y3, Y1, qq3<>(SB))
-	HORNER(Y7, Y5, qq3<>(SB))
 	HORNER(Y2, Y1, pp1<>(SB))
-	HORNER(Y6, Y5, pp1<>(SB))
-	HORNER(Y3, Y1, qq2<>(SB))
-	HORNER(Y7, Y5, qq2<>(SB))
 	HORNER(Y2, Y1, pp0<>(SB))
-	HORNER(Y6, Y5, pp0<>(SB))
+	VMOVUPD   qq5<>(SB), Y3
+	HORNER(Y3, Y1, qq4<>(SB))
+	HORNER(Y3, Y1, qq3<>(SB))
+	HORNER(Y3, Y1, qq2<>(SB))
 	HORNER(Y3, Y1, qq1<>(SB))
-	HORNER(Y7, Y5, qq1<>(SB))
 	HORNER(Y3, Y1, one<>(SB))
-	HORNER(Y7, Y5, one<>(SB))
 	VDIVPD    Y3, Y2, Y2
-	VDIVPD    Y7, Y6, Y6
 	VMULPD    Y2, Y8, Y2
-	VMULPD    Y6, Y9, Y6
 	VADDPD    Y2, Y8, Y0
-	VADDPD    Y6, Y9, Y1
-	VMOVUPD   0(SP), Y3
-	VBLENDVPD Y10, Y0, Y3, Y3
-	VMOVUPD   Y3, 0(SP)
-	VMOVUPD   32(SP), Y4
-	VBLENDVPD Y12, Y1, Y4, Y4
-	VMOVUPD   Y4, 32(SP)
+	VBLENDVPD Y10, Y0, Y7, Y7
 
 erfStore:
-	// Both quads' arguments are read before either result is stored, so
-	// d may be a.
-	VMOVUPD (SI)(R11*1), Y0
-	VMOVUPD (SI)(R12*1), Y1
-	VANDPD  sign<>(SB), Y0, Y0
-	VANDPD  sign<>(SB), Y1, Y1
-	VXORPD  0(SP), Y0, Y0
-	VXORPD  32(SP), Y1, Y1
-	VMOVUPD Y0, (DI)(R11*1)
-	VMOVUPD Y1, (DI)(R12*1)
-	ADDQ    R13, BX
+	VXORPD  Y9, Y7, Y7
+	VMOVUPD Y7, (DI)(BX*8)
+	ADDQ    $4, BX
 	CMPQ    BX, CX
 	JLT     erfLoop
 
@@ -570,196 +427,128 @@ erfDone:
 // add, sub, mul or div of two NaNs returns the first source's NaN,
 // quieted, which is the payload pinAdd and pinMul select. Each takes a
 // positive multiple of 4 for n and sets d[i] for every i < n.
-
-// func addQuadsAVX2(d, a, b *float64, n int)
-TEXT ·addQuadsAVX2(SB), NOSPLIT, $0-32
-	MOVQ d+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	MOVQ n+24(FP), CX
-	XORQ BX, BX
-
-addLoop:
-	VMOVUPD (SI)(BX*8), Y0
-	VADDPD  (DX)(BX*8), Y0, Y0
-	VMOVUPD Y0, (DI)(BX*8)
-	ADDQ    $4, BX
-	CMPQ    BX, CX
-	JLT     addLoop
-	VZEROUPPER
-	RET
-
-// func subQuadsAVX2(d, a, b *float64, n int)
-TEXT ·subQuadsAVX2(SB), NOSPLIT, $0-32
-	MOVQ d+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	MOVQ n+24(FP), CX
-	XORQ BX, BX
-
-subLoop:
-	VMOVUPD (SI)(BX*8), Y0
-	VSUBPD  (DX)(BX*8), Y0, Y0
-	VMOVUPD Y0, (DI)(BX*8)
-	ADDQ    $4, BX
-	CMPQ    BX, CX
-	JLT     subLoop
-	VZEROUPPER
-	RET
-
-// func mulQuadsAVX2(d, a, b *float64, n int)
-TEXT ·mulQuadsAVX2(SB), NOSPLIT, $0-32
-	MOVQ d+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	MOVQ n+24(FP), CX
-	XORQ BX, BX
-
-mulLoop:
-	VMOVUPD (SI)(BX*8), Y0
-	VMULPD  (DX)(BX*8), Y0, Y0
-	VMOVUPD Y0, (DI)(BX*8)
-	ADDQ    $4, BX
-	CMPQ    BX, CX
-	JLT     mulLoop
-	VZEROUPPER
-	RET
-
-// func divQuadsAVX2(d, a, b *float64, n int)
-TEXT ·divQuadsAVX2(SB), NOSPLIT, $0-32
-	MOVQ d+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	MOVQ n+24(FP), CX
-	XORQ BX, BX
-
-divLoop:
-	VMOVUPD (SI)(BX*8), Y0
-	VDIVPD  (DX)(BX*8), Y0, Y0
-	VMOVUPD Y0, (DI)(BX*8)
-	ADDQ    $4, BX
-	CMPQ    BX, CX
-	JLT     divLoop
-	VZEROUPPER
-	RET
-
-// func maxQuadsAVX2(d, a, b *float64, n int)
 //
-// math.Max as archMax computes it (math/dim_amd64.s): VMAXPD's x > y ? x
-// : y is MAXSD's, and three blends lay archMax's special cases over it in
-// reverse order of precedence: the sign of zero (two zeros give x AND y,
-// +0 unless both are -0), then math's NaN, then +Inf.
-TEXT ·maxQuadsAVX2(SB), NOSPLIT, $0-32
-	MOVQ    d+0(FP), DI
-	MOVQ    a+8(FP), SI
-	MOVQ    b+16(FP), DX
-	MOVQ    n+24(FP), CX
-	XORQ    BX, BX
-	VMOVUPD posinf<>(SB), Y13
-	VMOVUPD mathNaN<>(SB), Y14
+// BINOP defines name(d, a, b *float64, n int) and UNOP name(d, a *float64,
+// n int). Each runs the macro setup once, then for each quad loads a's lanes into Y0 and runs
+// the macro op, which leaves d's lanes in Y0; b's quad is at (DX)(BX*8).
+// A routine's constants live in Y13-Y15.
+#define BINOP(name, setup, op) \
+	TEXT name(SB), NOSPLIT, $0-32 \
+	MOVQ    d+0(FP), DI \
+	MOVQ    a+8(FP), SI \
+	MOVQ    b+16(FP), DX \
+	MOVQ    n+24(FP), CX \
+	XORQ    BX, BX \
+	setup \
+loop: \
+	VMOVUPD (SI)(BX*8), Y0 \
+	op \
+	VMOVUPD Y0, (DI)(BX*8) \
+	ADDQ    $4, BX \
+	CMPQ    BX, CX \
+	JLT     loop \
+	VZEROUPPER \
+	RET
+
+#define UNOP(name, setup, op) \
+	TEXT name(SB), NOSPLIT, $0-24 \
+	MOVQ    d+0(FP), DI \
+	MOVQ    a+8(FP), SI \
+	MOVQ    n+16(FP), CX \
+	XORQ    BX, BX \
+	setup \
+loop: \
+	VMOVUPD (SI)(BX*8), Y0 \
+	op \
+	VMOVUPD Y0, (DI)(BX*8) \
+	ADDQ    $4, BX \
+	CMPQ    BX, CX \
+	JLT     loop \
+	VZEROUPPER \
+	RET
+
+#define K_NONE
+#define K_ONE VMOVUPD one<>(SB), Y15
+#define K_SIGN VMOVUPD sign<>(SB), Y15
+#define K_ABS VMOVUPD abs<>(SB), Y15
+
+#define OP_ADD VADDPD (DX)(BX*8), Y0, Y0
+#define OP_SUB VSUBPD (DX)(BX*8), Y0, Y0
+#define OP_MUL VMULPD (DX)(BX*8), Y0, Y0
+#define OP_DIV VDIVPD (DX)(BX*8), Y0, Y0
+
+BINOP(·addQuadsAVX2, K_NONE, OP_ADD)
+BINOP(·subQuadsAVX2, K_NONE, OP_SUB)
+BINOP(·mulQuadsAVX2, K_NONE, OP_MUL)
+BINOP(·divQuadsAVX2, K_NONE, OP_DIV)
+
+// OP_GE and OP_LE give 1 where a >= b (a <= b), else +0: a NaN compares
+// false.
+#define OP_GE \
+	VCMPPD $13, (DX)(BX*8), Y0, Y0 \
+	VANDPD Y15, Y0, Y0
+
+#define OP_LE \
+	VCMPPD $2, (DX)(BX*8), Y0, Y0 \
+	VANDPD Y15, Y0, Y0
+
+BINOP(·geQuadsAVX2, K_ONE, OP_GE)
+BINOP(·leQuadsAVX2, K_ONE, OP_LE)
+
+// MAXMIN is math.Max as archMax computes it (math/dim_amd64.s), with
+// insn VMAXPD, zero VANDPD and Y13 +Inf, or math.Min as archMin does, with
+// VMINPD, VORPD and -Inf. VMAXPD's x > y ? x : y is MAXSD's, and three
+// blends lay archMax's special cases over it in reverse order of
+// precedence: the sign of two zeros (x AND y, +0 unless both are -0; for
+// min x OR y), then math's NaN (Y14) where x or y is a NaN, then Y13
+// where x or y is it. Y15 is +0.
+#define MAXMIN(insn, zero) \
+	VMOVUPD   (DX)(BX*8), Y1 \
+	insn      Y1, Y0, Y2 \
+	VCMPPD    $0, Y15, Y0, Y3 \
+	VCMPPD    $0, Y15, Y1, Y4 \
+	VANDPD    Y4, Y3, Y3 \
+	zero      Y1, Y0, Y4 \
+	VBLENDVPD Y3, Y4, Y2, Y2 \
+	VCMPPD    $3, Y1, Y0, Y3 \
+	VBLENDVPD Y3, Y14, Y2, Y2 \
+	VCMPPD    $0, Y13, Y0, Y3 \
+	VCMPPD    $0, Y13, Y1, Y4 \
+	VORPD     Y4, Y3, Y3 \
+	VBLENDVPD Y3, Y13, Y2, Y0
+
+#define K_MAX \
+	VMOVUPD posinf<>(SB), Y13 \
+	VMOVUPD mathNaN<>(SB), Y14 \
 	VXORPD  Y15, Y15, Y15
 
-maxLoop:
-	VMOVUPD   (SI)(BX*8), Y0
-	VMOVUPD   (DX)(BX*8), Y1
-	VMAXPD    Y1, Y0, Y2
-	VCMPPD    $0, Y15, Y0, Y3 // x == 0
-	VCMPPD    $0, Y15, Y1, Y4 // y == 0
-	VANDPD    Y4, Y3, Y3
-	VANDPD    Y1, Y0, Y4
-	VBLENDVPD Y3, Y4, Y2, Y2
-	VCMPPD    $3, Y1, Y0, Y3  // x or y is a NaN
-	VBLENDVPD Y3, Y14, Y2, Y2
-	VCMPPD    $0, Y13, Y0, Y3 // x == +Inf
-	VCMPPD    $0, Y13, Y1, Y4 // y == +Inf
-	VORPD     Y4, Y3, Y3
-	VBLENDVPD Y3, Y13, Y2, Y2
-	VMOVUPD   Y2, (DI)(BX*8)
-	ADDQ      $4, BX
-	CMPQ      BX, CX
-	JLT       maxLoop
-	VZEROUPPER
-	RET
-
-// func minQuadsAVX2(d, a, b *float64, n int)
-//
-// math.Min as archMin computes it: maxQuadsAVX2 with VMINPD, x OR y for
-// two zeros (-0 if either is) and -Inf.
-TEXT ·minQuadsAVX2(SB), NOSPLIT, $0-32
-	MOVQ    d+0(FP), DI
-	MOVQ    a+8(FP), SI
-	MOVQ    b+16(FP), DX
-	MOVQ    n+24(FP), CX
-	XORQ    BX, BX
-	VMOVUPD neginf<>(SB), Y13
-	VMOVUPD mathNaN<>(SB), Y14
+#define K_MIN \
+	VMOVUPD neginf<>(SB), Y13 \
+	VMOVUPD mathNaN<>(SB), Y14 \
 	VXORPD  Y15, Y15, Y15
 
-minLoop:
-	VMOVUPD   (SI)(BX*8), Y0
-	VMOVUPD   (DX)(BX*8), Y1
-	VMINPD    Y1, Y0, Y2
-	VCMPPD    $0, Y15, Y0, Y3 // x == 0
-	VCMPPD    $0, Y15, Y1, Y4 // y == 0
-	VANDPD    Y4, Y3, Y3
-	VORPD     Y1, Y0, Y4
-	VBLENDVPD Y3, Y4, Y2, Y2
-	VCMPPD    $3, Y1, Y0, Y3  // x or y is a NaN
-	VBLENDVPD Y3, Y14, Y2, Y2
-	VCMPPD    $0, Y13, Y0, Y3 // x == -Inf
-	VCMPPD    $0, Y13, Y1, Y4 // y == -Inf
-	VORPD     Y4, Y3, Y3
-	VBLENDVPD Y3, Y13, Y2, Y2
-	VMOVUPD   Y2, (DI)(BX*8)
-	ADDQ      $4, BX
-	CMPQ      BX, CX
-	JLT       minLoop
-	VZEROUPPER
-	RET
+#define OP_MAX MAXMIN(VMAXPD, VANDPD)
+#define OP_MIN MAXMIN(VMINPD, VORPD)
 
-// func geQuadsAVX2(d, a, b *float64, n int)
-//
-// 1 where a >= b, else +0 (a NaN compares false).
-TEXT ·geQuadsAVX2(SB), NOSPLIT, $0-32
-	MOVQ    d+0(FP), DI
-	MOVQ    a+8(FP), SI
-	MOVQ    b+16(FP), DX
-	MOVQ    n+24(FP), CX
-	XORQ    BX, BX
-	VMOVUPD one<>(SB), Y15
+BINOP(·maxQuadsAVX2, K_MAX, OP_MAX)
+BINOP(·minQuadsAVX2, K_MIN, OP_MIN)
 
-geLoop:
-	VMOVUPD (SI)(BX*8), Y0
-	VCMPPD  $13, (DX)(BX*8), Y0, Y0
-	VANDPD  Y15, Y0, Y0
-	VMOVUPD Y0, (DI)(BX*8)
-	ADDQ    $4, BX
-	CMPQ    BX, CX
-	JLT     geLoop
-	VZEROUPPER
-	RET
+// OP_NEG flips the sign bit, as Go's -x does: a NaN keeps its payload
+// unquieted. OP_NEGNUM is negNum: OP_NEG, except that a NaN passes
+// unchanged. OP_ABS clears the sign bit, as math.Abs does.
+#define OP_SQRT VSQRTPD Y0, Y0
+#define OP_NEG VXORPD Y15, Y0, Y0
+#define OP_ABS VANDPD Y15, Y0, Y0
 
-// func leQuadsAVX2(d, a, b *float64, n int)
-//
-// 1 where a <= b, else +0.
-TEXT ·leQuadsAVX2(SB), NOSPLIT, $0-32
-	MOVQ    d+0(FP), DI
-	MOVQ    a+8(FP), SI
-	MOVQ    b+16(FP), DX
-	MOVQ    n+24(FP), CX
-	XORQ    BX, BX
-	VMOVUPD one<>(SB), Y15
+#define OP_NEGNUM \
+	VXORPD    Y15, Y0, Y1 \
+	VCMPPD    $3, Y0, Y0, Y2 \
+	VBLENDVPD Y2, Y0, Y1, Y0
 
-leLoop:
-	VMOVUPD (SI)(BX*8), Y0
-	VCMPPD  $2, (DX)(BX*8), Y0, Y0
-	VANDPD  Y15, Y0, Y0
-	VMOVUPD Y0, (DI)(BX*8)
-	ADDQ    $4, BX
-	CMPQ    BX, CX
-	JLT     leLoop
-	VZEROUPPER
-	RET
+UNOP(·sqrtQuadsAVX2, K_NONE, OP_SQRT)
+UNOP(·negQuadsAVX2, K_SIGN, OP_NEG)
+UNOP(·negNumQuadsAVX2, K_SIGN, OP_NEGNUM)
+UNOP(·absQuadsAVX2, K_ABS, OP_ABS)
 
 // func selQuadsAVX2(d, a, b, c *float64, n int)
 //
@@ -782,82 +571,6 @@ selLoop:
 	ADDQ      $4, BX
 	CMPQ      BX, CX
 	JLT       selLoop
-	VZEROUPPER
-	RET
-
-// func sqrtQuadsAVX2(d, a *float64, n int)
-TEXT ·sqrtQuadsAVX2(SB), NOSPLIT, $0-24
-	MOVQ d+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ n+16(FP), CX
-	XORQ BX, BX
-
-sqrtLoop:
-	VSQRTPD (SI)(BX*8), Y0
-	VMOVUPD Y0, (DI)(BX*8)
-	ADDQ    $4, BX
-	CMPQ    BX, CX
-	JLT     sqrtLoop
-	VZEROUPPER
-	RET
-
-// func negQuadsAVX2(d, a *float64, n int)
-//
-// Flips the sign bit, as Go's -x does: a NaN keeps its payload unquieted.
-TEXT ·negQuadsAVX2(SB), NOSPLIT, $0-24
-	MOVQ    d+0(FP), DI
-	MOVQ    a+8(FP), SI
-	MOVQ    n+16(FP), CX
-	XORQ    BX, BX
-	VMOVUPD sign<>(SB), Y15
-
-negLoop:
-	VXORPD  (SI)(BX*8), Y15, Y0
-	VMOVUPD Y0, (DI)(BX*8)
-	ADDQ    $4, BX
-	CMPQ    BX, CX
-	JLT     negLoop
-	VZEROUPPER
-	RET
-
-// func negNumQuadsAVX2(d, a *float64, n int)
-//
-// negNum: the sign bit flipped, except that a NaN passes unchanged.
-TEXT ·negNumQuadsAVX2(SB), NOSPLIT, $0-24
-	MOVQ    d+0(FP), DI
-	MOVQ    a+8(FP), SI
-	MOVQ    n+16(FP), CX
-	XORQ    BX, BX
-	VMOVUPD sign<>(SB), Y15
-
-negNumLoop:
-	VMOVUPD   (SI)(BX*8), Y0
-	VXORPD    Y15, Y0, Y1
-	VCMPPD    $3, Y0, Y0, Y2 // x is a NaN
-	VBLENDVPD Y2, Y0, Y1, Y1
-	VMOVUPD   Y1, (DI)(BX*8)
-	ADDQ      $4, BX
-	CMPQ      BX, CX
-	JLT       negNumLoop
-	VZEROUPPER
-	RET
-
-// func absQuadsAVX2(d, a *float64, n int)
-//
-// Clears the sign bit, as math.Abs does.
-TEXT ·absQuadsAVX2(SB), NOSPLIT, $0-24
-	MOVQ    d+0(FP), DI
-	MOVQ    a+8(FP), SI
-	MOVQ    n+16(FP), CX
-	XORQ    BX, BX
-	VMOVUPD abs<>(SB), Y15
-
-absLoop:
-	VANDPD  (SI)(BX*8), Y15, Y0
-	VMOVUPD Y0, (DI)(BX*8)
-	ADDQ    $4, BX
-	CMPQ    BX, CX
-	JLT     absLoop
 	VZEROUPPER
 	RET
 
