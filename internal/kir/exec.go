@@ -41,20 +41,6 @@ func (b *Binding) Rebase(data Buffer, lo int) {
 	b.Acc.Base -= lo
 }
 
-// CSRLocal is the local rows of a CSR matrix owned by one point task.
-// Column indices are global (they index the full dense vector parameter).
-// 32-bit indices mirror the paper's §7 methodology (both Legate Sparse and
-// PETSc store coordinates as 32-bit integers); values are a typed buffer so
-// matrices store their entries in either precision.
-type CSRLocal struct {
-	RowPtr []int32
-	Col    []int32
-	Val    Buffer
-}
-
-// Rows returns the number of local rows.
-func (c *CSRLocal) Rows() int { return len(c.RowPtr) - 1 }
-
 // PointArgs carries everything one point task needs to execute a compiled
 // kernel.
 type PointArgs struct {
@@ -336,35 +322,24 @@ func (c *Compiled) execSpMV(l *compiledLoop, pa *PointArgs) {
 		xstride = x.Strides[0]
 	}
 	rows := csr.Rows()
-	// Fast paths stream the raw slices; every other layout takes the
-	// generic widening loop below. With unit-stride f64 x and y, each row
-	// walks resliced value/column windows, so the inner loop pays no
-	// bounds check on them and no stride multiply; every row's sum is
-	// still one serial chain in nonzero order, the generic loop's, and a
-	// strided f64 SpMV runs exactly these float64 operations there.
-	if vals, xd, yd := csr.Val.F64(), x.Data.F64(), y.Data.F64(); vals != nil && xd != nil && yd != nil &&
-		xstride == 1 && ystride == 1 && rows > 0 {
-		rp := csr.RowPtr[1 : rows+1]
-		xv := xd[x.Base:]
-		yv := yd[y.Base:][:len(rp)]
-		lo := csr.RowPtr[0]
-		for i, hi := range rp {
-			vs := vals[lo:hi]
-			cs := csr.Col[lo:hi][:len(vs)]
-			sum := 0.0
-			for k, v := range vs {
-				sum += v * xv[cs[k]]
-			}
-			yv[i] = sum
-			lo = hi
-		}
+	if rows == 0 {
 		return
 	}
-	if vals, xd, yd := csr.Val.F32(), x.Data.F32(), y.Data.F32(); vals != nil && xd != nil && yd != nil {
+	csr.checkBindings(x, y, xstride, ystride)
+	// Every path sums each row from +0 over its entries in nonzero order,
+	// one serial chain, widened to float64 and rounded once at the store.
+	// Unit-stride f64 takes spmvUnit, four rows at a time; a strided f64
+	// SpMV runs exactly its float64 operations in the generic loop.
+	vals, col := csr.val, csr.col
+	if xd, yd := x.Data.F64(), y.Data.F64(); vals.f64 != nil && xd != nil && yd != nil && xstride == 1 && ystride == 1 {
+		spmvUnit(csr, xd[x.Base:], yd[y.Base:][:rows])
+		return
+	}
+	if xd, yd := x.Data.F32(), y.Data.F32(); vals.f32 != nil && xd != nil && yd != nil {
 		for i := 0; i < rows; i++ {
 			sum := 0.0
-			for k := csr.RowPtr[i]; k < csr.RowPtr[i+1]; k++ {
-				sum += float64(vals[k]) * float64(xd[x.Base+int(csr.Col[k])*xstride])
+			for k := range csr.entries(i) {
+				sum += float64(vals.f32[k]) * float64(xd[x.Base+int(col[k])*xstride])
 			}
 			yd[y.Base+i*ystride] = float32(sum)
 		}
@@ -372,8 +347,8 @@ func (c *Compiled) execSpMV(l *compiledLoop, pa *PointArgs) {
 	}
 	for i := 0; i < rows; i++ {
 		sum := 0.0
-		for k := csr.RowPtr[i]; k < csr.RowPtr[i+1]; k++ {
-			sum += csr.Val.Get(int(k)) * x.Data.Get(x.Base+int(csr.Col[k])*xstride)
+		for k := range csr.entries(i) {
+			sum += vals.Get(k) * x.Data.Get(x.Base+int(col[k])*xstride)
 		}
 		y.Data.Set(y.Base+i*ystride, sum)
 	}

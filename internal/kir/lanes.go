@@ -26,6 +26,7 @@ const (
 	laneNegNum                     // negNumBlock (negNumQuadsAVX2)
 	laneAbs                        // absBlock (absQuadsAVX2)
 	laneAxpy                       // lowerAxpyStore's quads (axpyQuadsAVX2)
+	laneSpMV                       // spmvUnit's SELL-4 chunks (spmvQuadsAVX2)
 
 	// laneArith is the routines whose reference is IEEE hardware
 	// arithmetic, not math's code: AVX2 alone turns them on.

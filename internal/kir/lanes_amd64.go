@@ -14,6 +14,15 @@ import (
 //go:noescape
 func gemvQuadsAVX2(r0, r1, x unsafe.Pointer, n int, p unsafe.Pointer)
 
+// spmvQuadsAVX2 sets y[4c+l], for each of the SELL-4 chunks c < chunks
+// and lanes l < 4, to row 4c+l's sum over its packed entries from +0, in
+// their order: entry k = chunkPtr[c]+4j+l adds val[k]·x[col[k]], the
+// product and the sum rounded as in spmvUnit's Go loop (spmv_amd64.s).
+// chunks is positive.
+//
+//go:noescape
+func spmvQuadsAVX2(y, val *float64, col *int32, x *float64, chunkPtr *int32, chunks int)
+
 // expQuadsAVX2, logQuadsAVX2 and erfQuadsAVX2 are vmathBlock's quads for
 // math.Exp, math.Log and math.Erf (vmath_amd64.s): archExp's FMA path,
 // archLog, and erf.go with one rounding per operation and its two Exps as
@@ -79,16 +88,16 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 // detectLanes reads CPUID and XGETBV once and returns the routines this
-// host runs bit for bit. The GEMV needs AVX2 and an OS that saves the ymm
-// registers across context switches, and so do the arithmetic routines,
-// whose reference is the hardware's IEEE arithmetic: they need no FMA and
-// no probe, and stay on under GODEBUG=cpu.fma=off. Exp, log and erf need
-// FMA as well, and math.Exp on the FMA path the exp lanes follow, which
-// the runtime takes only where it may use AVX and FMA (GODEBUG=cpu.fma=off
-// stops it): off that path 23 of the exp probe's 256 exps round
-// differently, and all three stay off, so such a run is math's code
-// throughout. Each then passes its own probe, which guards it against a
-// Go release whose math computes it another way.
+// host runs bit for bit. The GEMV and the SpMV need AVX2 and an OS that
+// saves the ymm registers across context switches, and so do the
+// arithmetic routines, whose reference is the hardware's IEEE arithmetic:
+// they need no FMA and no probe, and stay on under GODEBUG=cpu.fma=off.
+// Exp, log and erf need FMA as well, and math.Exp on the FMA path the exp
+// lanes follow, which the runtime takes only where it may use AVX and FMA
+// (GODEBUG=cpu.fma=off stops it): off that path 23 of the exp probe's 256
+// exps round differently, and all three stay off, so such a run is math's
+// code throughout. Each then passes its own probe, which guards it against
+// a Go release whose math computes it another way.
 func detectLanes() laneSet {
 	if maxID, _, _, _ := cpuid(0, 0); maxID < 7 {
 		return 0
@@ -111,7 +120,7 @@ func detectLanes() laneSet {
 		x[i] = float64(i-128)*0.31 + 1.0/7
 		abs[i], fifth[i] = math.Abs(x[i]), x[i]/5
 	}
-	set := laneGEMV | laneArith
+	set := laneGEMV | laneSpMV | laneArith
 	if ecx&fma == 0 || !vmathProbe(expQuadsAVX2, math.Exp, x[:]) {
 		return set
 	}

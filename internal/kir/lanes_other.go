@@ -23,6 +23,10 @@ const noLanes = "kir: no native lanes on this architecture"
 
 func gemvQuadsAVX2(r0, r1, x unsafe.Pointer, n int, p unsafe.Pointer) { panic(noLanes) }
 
+func spmvQuadsAVX2(y, val *float64, col *int32, x *float64, chunkPtr *int32, chunks int) {
+	panic(noLanes)
+}
+
 func expQuadsAVX2(d, a *float64, n int) int { panic(noLanes) }
 
 func logQuadsAVX2(d, a *float64, n int) int { panic(noLanes) }

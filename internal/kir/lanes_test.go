@@ -13,7 +13,7 @@ import (
 
 // TestLanesDetected checks the lane set found at init against
 // /proc/cpuinfo's flags, which the kernel clears of AVX features the OS
-// does not save: the GEMV and arithmetic lanes where it lists avx2, under
+// does not save: the GEMV, SpMV and arithmetic lanes where it lists avx2, under
 // any GODEBUG, exp, log and erf where it lists fma too and GODEBUG lets
 // math.Exp take its FMA path (cpu.fma, cpu.avx and cpu.all=off stop it).
 // A detection fault that turned lanes off would otherwise only skip the
@@ -34,13 +34,13 @@ func TestLanesDetected(t *testing.T) {
 	hidden := strings.Contains(godebug, "cpu.fma=off") || strings.Contains(godebug, "cpu.avx=off") || strings.Contains(godebug, "cpu.all=off")
 	var want laneSet
 	if runtime.GOARCH == "amd64" && slices.Contains(flags, "avx2") {
-		want = laneGEMV | laneArith
+		want = laneGEMV | laneSpMV | laneArith
 		if slices.Contains(flags, "fma") && !hidden {
 			want |= laneExp | laneLog | laneErf
 		}
 	}
 	if detectedLanes != want {
-		t.Fatalf("detected lanes %018b, want %018b (lanes.go's order from bit 0: gemv, exp, log, erf, then the arithmetic; avx2 %t, fma %t, GODEBUG=%q)",
+		t.Fatalf("detected lanes %018b, want %018b (lanes.go's order from bit 0: gemv, exp, log, erf, the arithmetic, then spmv; avx2 %t, fma %t, GODEBUG=%q)",
 			detectedLanes, want, slices.Contains(flags, "avx2"), slices.Contains(flags, "fma"), godebug)
 	}
 }
@@ -83,10 +83,11 @@ func FuzzLanes(f *testing.F) {
 
 // laneCase is one native routine under the harness: its bit in lanes, the
 // generator of its arguments, the blocks TestLanes runs and, for every
-// routine but the GEMV, its number of operands, its block function and
-// the scalar reference for one element. The GEMV's reference is its Go
-// quad loop. uniform, where set, is 1 + the operand that holds one value
-// over each block (the absorbed store's u).
+// element routine, its number of operands, its block function and the
+// scalar reference for one element. uniform, where set, is 1 + the
+// operand that holds one value over each block (the absorbed store's u).
+// The matrix-vector routines instead name their own check, run: the
+// GEMV's reference is its Go quad loop, the SpMV's a plain CSR loop.
 type laneCase struct {
 	name    string
 	bit     laneSet
@@ -96,6 +97,7 @@ type laneCase struct {
 	block   func(d []float64, x [3][]float64)
 	f       func(x [3]float64) float64
 	uniform int
+	run     func(tb testing.TB, g laneGen, rng *rand.Rand, start, blocks int)
 }
 
 // unaryCase and binaryCase build the laneCase of a one- and a two-operand
@@ -103,13 +105,13 @@ type laneCase struct {
 func unaryCase(name string, bit laneSet, gen laneGen, blocks int, block func(d, a []float64), f func(float64) float64) laneCase {
 	return laneCase{name, bit, gen, blocks, 1,
 		func(d []float64, x [3][]float64) { block(d, x[0]) },
-		func(x [3]float64) float64 { return f(x[0]) }, 0}
+		func(x [3]float64) float64 { return f(x[0]) }, 0, nil}
 }
 
 func binaryCase(name string, bit laneSet, block func(d, a, b []float64), f func(a, b float64) float64) laneCase {
 	return laneCase{name, bit, arithGen, arithBlocks, 2,
 		func(d []float64, x [3][]float64) { block(d, x[0], x[1]) },
-		func(x [3]float64) float64 { return f(x[0], x[1]) }, 0}
+		func(x [3]float64) float64 { return f(x[0], x[1]) }, 0, nil}
 }
 
 // axpyCase is the laneCase of axpyBlock in one of its shapes, the
@@ -135,7 +137,7 @@ func axpyCase(shape int, uFirst bool) laneCase {
 				return p - x[0]
 			}
 			return pinAdd(x[0], p)
-		}, u}
+		}, u, nil}
 }
 
 // arithBlocks is how many blocks TestLanes runs of each arithmetic
@@ -143,16 +145,8 @@ func axpyCase(shape int, uFirst bool) laneCase {
 const arithBlocks = 4000
 
 var laneCases = []laneCase{
-	{"gemv", laneGEMV, laneGen{common(), func(rng *rand.Rand) float64 {
-		switch rng.Intn(8) {
-		case 0:
-			return math.Copysign(0, float64(rng.Intn(2)*2-1))
-		case 1:
-			return math.Copysign(math.Float64frombits(1+rng.Uint64()%(1<<52-1)), float64(rng.Intn(2)*2-1))
-		default:
-			return math.Ldexp(rng.NormFloat64(), rng.Intn(121)-60)
-		}
-	}, 0x1p64}, 4 * len(gemvRows) * len(blockLengths), 0, nil, nil, 0},
+	{name: "gemv", bit: laneGEMV, gen: matvecGen, blocks: 4 * len(gemvRows) * len(blockLengths), run: checkGEMV},
+	{name: "spmv", bit: laneSpMV, gen: matvecGen, blocks: 4 * len(spmvRows) * spmvShapes, run: checkSpMV},
 	unaryCase("exp", laneExp, laneGen{expEdges(), func(rng *rand.Rand) float64 {
 		if rng.Intn(2) == 0 {
 			return rng.NormFloat64() * 10
@@ -187,7 +181,7 @@ var laneCases = []laneCase{
 				return x[1]
 			}
 			return x[2]
-		}, 0},
+		}, 0, nil},
 	unaryCase("sqrt", laneSqrt, arithGen, arithBlocks, sqrtBlock, math.Sqrt),
 	unaryCase("neg", laneNeg, arithGen, arithBlocks, negBlock, func(a float64) float64 { return -a }),
 	unaryCase("negnum", laneNegNum, arithGen, arithBlocks, negNumBlock, negNum),
@@ -195,6 +189,21 @@ var laneCases = []laneCase{
 	axpyCase(0, false), axpyCase(1, false), axpyCase(2, false), axpyCase(3, false),
 	axpyCase(0, true), axpyCase(1, true), axpyCase(2, true), axpyCase(3, true),
 }
+
+// matvecGen draws the GEMV's and the SpMV's operands: common's edges and
+// normal numbers over 2^±60, one in four of them ±0 or subnormal, all
+// within ±2^64, so that no product or sum overflows; its blocks hold the
+// only NaN or infinities (laneGen.bound).
+var matvecGen = laneGen{common(), func(rng *rand.Rand) float64 {
+	switch rng.Intn(8) {
+	case 0:
+		return math.Copysign(0, float64(rng.Intn(2)*2-1))
+	case 1:
+		return math.Copysign(math.Float64frombits(1+rng.Uint64()%(1<<52-1)), float64(rng.Intn(2)*2-1))
+	default:
+		return math.Ldexp(rng.NormFloat64(), rng.Intn(121)-60)
+	}
+}, 0x1p64}
 
 // arithGen draws the arithmetic routines' operands: common's edges with
 // 1e308, whose sums and products overflow, and normal numbers of either
@@ -323,8 +332,8 @@ func randNaN(rng *rand.Rand) float64 {
 // uniform operand is one value over every block.
 func (c laneCase) check(tb testing.TB, rng *rand.Rand, blocks int, lead [3][]float64) {
 	start := rng.Intn(4 * len(blockLengths) * len(gemvRows))
-	if c.block == nil {
-		checkGEMV(tb, c.gen, rng, start, blocks)
+	if c.run != nil {
+		c.run(tb, c.gen, rng, start, blocks)
 		return
 	}
 	n := 0
@@ -453,6 +462,79 @@ func checkGEMV(tb testing.TB, g laneGen, rng *rand.Rand, start, blocks int) {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 				tb.Fatalf("rows=%d cols=%d astr0=%d ystride=%d acc=%t: y[%d] = %#x, %#x with the GEMV lanes off",
 					rows, cols, astr0, ystride, acc, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+		}
+	}
+}
+
+// spmvRows are the SpMV's row counts: every remainder mod 4 after no, one,
+// two and many chunks. Its blocks draw each chunk's row lengths (up to 8)
+// in one of spmvShapes ways, in this order: each row its own length; one
+// length for the chunk, so nothing is left to the residual; one length
+// but for one shorter row; one length but for one empty row; one entry
+// per row, an injection's shape.
+var spmvRows = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 128, 129, 130, 131}
+
+const spmvShapes = 5
+
+// checkSpMV runs spmvUnit, with the lanes as they are set, on blocks of
+// spmvRows by spmvShapes over x of 1 to 40 columns, and requires for each
+// row the bits of a plain CSR loop over the arrays the layout was built
+// from, and y untouched past the rows. Columns are drawn at random, values
+// from g's plain draws, and x as one of g's blocks: one NaN or a few
+// infinities, never both, so that NaNs with two payloads never meet.
+func checkSpMV(tb testing.TB, g laneGen, rng *rand.Rand, start, blocks int) {
+	for b := start; b < start+blocks; b++ {
+		rows, shape := spmvRows[b%len(spmvRows)], b/len(spmvRows)%spmvShapes
+		cols := 1 + rng.Intn(40)
+		rowPtr := []int32{0}
+		var col []int32
+		var lens [4]int
+		for i := 0; i < rows; i++ {
+			if i%4 == 0 {
+				n := 1 + rng.Intn(8)
+				lens = [4]int{n, n, n, n}
+				switch shape {
+				case 0:
+					for l := range lens {
+						lens[l] = rng.Intn(9)
+					}
+				case 2:
+					lens[rng.Intn(4)] = rng.Intn(n)
+				case 3:
+					lens[rng.Intn(4)] = 0
+				case 4:
+					lens = [4]int{1, 1, 1, 1}
+				}
+			}
+			for range lens[i%4] {
+				col = append(col, int32(rng.Intn(cols)))
+			}
+			rowPtr = append(rowPtr, int32(len(col)))
+		}
+		val := make([]float64, len(col))
+		for k := range val {
+			val[k] = g.draw(rng)
+		}
+		xbase, ybase := rng.Intn(5), rng.Intn(5)
+		x := append(make([]float64, xbase), g.block(rng, cols)...)
+		y := make([]float64, ybase+rows+3)
+		for i := range y {
+			y[i] = randNaN(rng)
+		}
+		want := slices.Clone(y)
+		for i := 0; i < rows; i++ {
+			sum := 0.0
+			for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
+				sum += val[k] * x[xbase+int(col[k])]
+			}
+			want[ybase+i] = sum
+		}
+		spmvUnit(NewCSRLocal(rowPtr, col, BufF64(val)), x[xbase:], y[ybase:][:rows])
+		for i := range want {
+			if math.Float64bits(y[i]) != math.Float64bits(want[i]) {
+				tb.Fatalf("rows=%d shape=%d cols=%d: y[%d] = %#x, the CSR loop gives %#x (lanes %018b)",
+					rows, shape, cols, i-ybase, math.Float64bits(y[i]), math.Float64bits(want[i]), lanes)
 			}
 		}
 	}

@@ -254,15 +254,13 @@ func TestSpanChunkShapes(t *testing.T) {
 type identityCSR struct{ rows int }
 
 func (c identityCSR) Local(color int) *kir.CSRLocal {
-	l := &kir.CSRLocal{RowPtr: make([]int32, c.rows+1), Col: make([]int32, c.rows)}
-	vals := make([]float64, c.rows)
+	rowPtr, col, vals := make([]int32, c.rows+1), make([]int32, c.rows), make([]float64, c.rows)
 	for r := 0; r < c.rows; r++ {
-		l.RowPtr[r+1] = int32(r + 1)
-		l.Col[r] = int32(color*c.rows + r)
+		rowPtr[r+1] = int32(r + 1)
+		col[r] = int32(color*c.rows + r)
 		vals[r] = 1
 	}
-	l.Val = kir.BufF64(vals)
-	return l
+	return kir.NewCSRLocal(rowPtr, col, kir.BufF64(vals))
 }
 func (c identityCSR) Stats() (float64, float64) { return float64(c.rows), float64(c.rows) }
 func (c identityCSR) ValDType() kir.DType       { return kir.F64 }

@@ -155,7 +155,7 @@ func newTridiag(n int) *tridiag {
 	m := &tridiag{n: n}
 	rp := n / points
 	for c := 0; c < points; c++ {
-		l := &kir.CSRLocal{RowPtr: []int32{0}}
+		rowPtr, col := []int32{0}, []int32(nil)
 		var vals []float64
 		for r := c * rp; r < (c+1)*rp; r++ {
 			for _, j := range []int{r - 1, r, r + 1} {
@@ -166,13 +166,12 @@ func newTridiag(n int) *tridiag {
 				if j == r {
 					v = 2.000001
 				}
-				l.Col = append(l.Col, int32(j))
+				col = append(col, int32(j))
 				vals = append(vals, v)
 			}
-			l.RowPtr = append(l.RowPtr, int32(len(l.Col)))
+			rowPtr = append(rowPtr, int32(len(col)))
 		}
-		l.Val = kir.BufF64(vals)
-		m.local = append(m.local, l)
+		m.local = append(m.local, kir.NewCSRLocal(rowPtr, col, kir.BufF64(vals)))
 	}
 	return m
 }

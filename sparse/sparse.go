@@ -128,46 +128,28 @@ func NewTyped(ctx *cunum.Context, name string, rows, cols int, rowptr, col []int
 	p := ctx.Procs()
 	tile := (rows + p - 1) / p
 	m.locals = make([]*kir.CSRLocal, p)
-	totalNNZ := 0
 	totalHalo := 0
 	// The dense operand is partitioned like the rows (square matrices) or
 	// over cols/p blocks; remote accesses are columns outside the local
-	// block.
+	// block. seen[j] is 1 + the last point that counted column j.
 	xTile := (cols + p - 1) / p
+	seen := make([]int32, cols)
 	for c := 0; c < p; c++ {
-		lo := c * tile
-		hi := lo + tile
-		if lo > rows {
-			lo = rows
-		}
-		if hi > rows {
-			hi = rows
-		}
-		n := hi - lo
-		local := &kir.CSRLocal{RowPtr: make([]int32, n+1)}
-		base := rowptr[lo]
-		for i := 0; i <= n; i++ {
-			local.RowPtr[i] = int32(rowptr[lo+i] - base)
-		}
-		end := rowptr[hi]
-		local.Col = make([]int32, end-base)
-		for k := base; k < end; k++ {
-			local.Col[k-base] = int32(col[k])
-		}
-		local.Val = val.Slice(base, end)
-		totalNNZ += len(local.Col)
-		xlo, xhi := int32(c*xTile), int32((c+1)*xTile)
-		seen := map[int32]bool{}
-		for _, cc := range local.Col {
-			if (cc < xlo || cc >= xhi) && !seen[cc] {
-				seen[cc] = true
+		lo := min(c*tile, rows)
+		hi := min(lo+tile, rows)
+		// Each point's rows start a fresh SELL-4 layout at local row 0,
+		// so no chunk straddles two points.
+		m.locals[c] = kir.NewCSRLocal(rowptr[lo:hi+1], col, val)
+		xlo, xhi := c*xTile, (c+1)*xTile
+		for _, cc := range col[rowptr[lo]:rowptr[hi]] {
+			if (cc < xlo || cc >= xhi) && seen[cc] != int32(c+1) {
+				seen[cc] = int32(c + 1)
 				totalHalo++
 			}
 		}
-		m.locals[c] = local
 	}
 	m.rowsPP = float64(rows) / float64(p)
-	m.nnzPP = float64(totalNNZ) / float64(p)
+	m.nnzPP = float64(nnz) / float64(p)
 	m.haloElemsPP = float64(totalHalo) / float64(p)
 	return m
 }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"diffuse/cunum"
+	"diffuse/internal/apps"
 	"diffuse/internal/core"
 	"diffuse/internal/legion"
 	"diffuse/sparse"
@@ -162,5 +163,26 @@ func TestHaloStats(t *testing.T) {
 	h := y.ToHost()
 	if h[0] != 1 || h[n-1] != 1 || h[1] != 0 {
 		t.Fatalf("tridiagonal SpMV wrong: %v", h[:4])
+	}
+}
+
+// TestHaloAndNNZPinned pins the cost model's per-point statistics,
+// counted once from the whole matrix's column array: the 144² Poisson
+// matrix over 8 points (each point reads 18 grid rows, and the grid row
+// on each side of its block unless it is the first or last), and two
+// random 37×53 matrices over 4 points.
+func TestHaloAndNNZPinned(t *testing.T) {
+	A := apps.BuildPoisson2D(ctxWith(true, 8, legion.ModeReal), 144)
+	if halo, nnz := A.HaloStats(); halo != 252 || nnz != 12888 {
+		t.Fatalf("Poisson 144²: %g halo elements, %g nonzeros per point; want 252, 12888", halo, nnz)
+	}
+	for _, c := range []struct {
+		seed      int64
+		halo, nnz float64
+	}{{3, 38, 148.25}, {5, 37, 138.75}} {
+		B, _ := randomCSR(ctxWith(true, 4, legion.ModeReal), rand.New(rand.NewSource(c.seed)), 37, 53)
+		if halo, nnz := B.HaloStats(); halo != c.halo || nnz != c.nnz {
+			t.Fatalf("random seed %d: %g halo elements, %g nonzeros per point; want %g, %g", c.seed, halo, nnz, c.halo, c.nnz)
+		}
 	}
 }
