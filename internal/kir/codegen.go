@@ -730,6 +730,11 @@ func lowerArith(in *Instr, uniform []bool) cgOp {
 			d := st.lane[dst][:st.n]
 			selBlock(d, st.lane[ra][:len(d)], st.lane[rb][:len(d)], st.lane[rc][:len(d)])
 		}
+	case OpErf:
+		return func(st *cgState) {
+			d := st.lane[dst][:st.n]
+			erfBlock(d, st.lane[ra][:len(d)], &st.erf)
+		}
 	}
 	if block := binaryBlocks[in.Op]; block != nil {
 		return func(st *cgState) {
@@ -755,7 +760,7 @@ var (
 	}
 	unaryBlocks = map[Op]func(d, a []float64){
 		OpNeg: negBlock, opNegNum: negNumBlock, OpAbs: absBlock, OpSqrt: sqrtBlock,
-		OpExp: expBlock, OpLog: logBlock, OpErf: erfBlock, OpSin: sinBlock, OpCos: cosBlock,
+		OpExp: expBlock, OpLog: logBlock, OpSin: sinBlock, OpCos: cosBlock,
 	}
 )
 
@@ -802,6 +807,8 @@ type cgState struct {
 
 	racc []float64
 	bind []Binding // the executing loop's bindings (lowerScalarLoad)
+
+	erf erfRegions // erfBlock's scratch
 }
 
 // cg returns the scratch's codegen state sized for one loop execution.

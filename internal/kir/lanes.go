@@ -11,7 +11,7 @@ const (
 	laneGEMV   laneSet = 1 << iota // gemvUnit's float64 column quads (gemvQuadsAVX2)
 	laneExp                        // expBlock (expQuadsAVX2)
 	laneLog                        // logBlock (logQuadsAVX2)
-	laneErf                        // erfBlock (erfQuadsAVX2)
+	laneErf                        // erfBlock (erfSplitAVX2, erfQuadsAVX2, erfScatter)
 	laneAdd                        // addBlock (addQuadsAVX2)
 	laneSub                        // subBlock (subQuadsAVX2)
 	laneMul                        // mulBlock (mulQuadsAVX2)
@@ -53,8 +53,82 @@ func expBlock(d, a []float64) { vmathBlock(d, a, laneExp, expQuadsAVX2, math.Exp
 // logBlock sets d[i] = math.Log(a[i]).
 func logBlock(d, a []float64) { vmathBlock(d, a, laneLog, logQuadsAVX2, math.Log) }
 
-// erfBlock sets d[i] = math.Erf(a[i]).
-func erfBlock(d, a []float64) { vmathBlock(d, a, laneErf, erfQuadsAVX2, math.Erf) }
+// erfBlock sets d[i] = math.Erf(a[i]), with s its scratch. Where lanes
+// holds laneErf it first groups the block by erf.go region (s.split), so
+// that each quad erfQuadsAVX2 runs computes one region's polynomials
+// instead of every region any of its lanes falls in, then runs each
+// region through vmathBlock in place, its partial last quad padded with
+// copies of its last element, and scatters the results back through their
+// indices (erfScatter): a padded lane rewrites its element's result with
+// the same bits. Every a[i] is read before any d[i] is written, so d may
+// be a.
+func erfBlock(d, a []float64, s *erfRegions) {
+	if lanes&laneErf == 0 {
+		for i, x := range a[:len(d)] {
+			d[i] = math.Erf(x)
+		}
+		return
+	}
+	s.split(a[:len(d)])
+	for r, c := range s.n {
+		if c == 0 {
+			continue
+		}
+		v := s.v[r*s.stride : r*s.stride+(c+3)&^3]
+		idx := s.idx[r*s.stride : r*s.stride+len(v)]
+		for k := c; k < len(v); k++ {
+			v[k], idx[k] = v[c-1], idx[c-1]
+		}
+		vmathBlock(v, v, laneErf, erfQuadsAVX2, math.Erf)
+		erfScatter(&d[0], &v[0], &idx[0], len(v))
+	}
+}
+
+// erfRegions is erfBlock's scratch, one per worker: a block's arguments
+// grouped by erf.go region, region r's n[r] arguments at v[r·stride:]
+// and their elements' indices at idx[r·stride:]. Its buffers grow to the
+// largest block split and are reused.
+type erfRegions struct {
+	v      []float64
+	idx    []int64
+	stride int
+	n      [3]int
+}
+
+// split groups a by region: its quads through erfSplitAVX2, then its tail
+// of fewer than four by erfRegion, each region in element order. stride is
+// len(a) rounded up to a quad, so a region holding every element still
+// has room for its padded last quad.
+func (s *erfRegions) split(a []float64) {
+	s.stride = (len(a) + 3) &^ 3
+	if cap(s.v) < 3*s.stride {
+		s.v, s.idx = make([]float64, 3*s.stride), make([]int64, 3*s.stride)
+	}
+	s.v, s.idx = s.v[:3*s.stride], s.idx[:3*s.stride]
+	s.n = [3]int{}
+	q := len(a) &^ 3
+	if q > 0 {
+		s.n[0], s.n[1], s.n[2] = erfSplitAVX2(&a[0], q, &s.v[0], &s.idx[0], s.stride)
+	}
+	for i := q; i < len(a); i++ {
+		r := erfRegion(a[i])
+		k := r*s.stride + s.n[r]
+		s.v[k], s.idx[k] = a[i], int64(i)
+		s.n[r]++
+	}
+}
+
+// erfRegion is x's region in erfSplitAVX2's numbering: 0 for |x| below
+// 0.84375 or NaN, 1 below 1.25, 2 from there up.
+func erfRegion(x float64) int {
+	switch ax := math.Abs(x); {
+	case ax >= 1.25:
+		return 2
+	case ax >= 0.84375:
+		return 1
+	}
+	return 0
+}
 
 // vmathBlock sets d[i] = f(a[i]) for i < len(d): through quads where lanes
 // holds r, and through f for each quad the routine leaves and for the
@@ -62,7 +136,8 @@ func erfBlock(d, a []float64) { vmathBlock(d, a, laneErf, erfQuadsAVX2, math.Erf
 // 4, and returns n or the index of the first quad it left to the caller:
 // one with a lane the routine does not cover (the special cases math
 // branches to: NaN, ±Inf, overflow, denormal results, non-positive logs,
-// erf's tiny |x|).
+// erf's tiny |x|). erfBlock hands it one region at a time, a multiple of
+// 4 long.
 func vmathBlock(d, a []float64, r laneSet, quads func(d, a *float64, n int) int, f func(float64) float64) {
 	a = a[:len(d)]
 	i := 0

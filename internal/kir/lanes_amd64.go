@@ -37,6 +37,17 @@ func logQuadsAVX2(d, a *float64, n int) int
 //go:noescape
 func erfQuadsAVX2(d, a *float64, n int) int
 
+// erfSplitAVX2 and erfScatter are erfBlock's way into and out of its
+// regions (vmath_amd64.s): the split groups a quad-length block's
+// elements by erf.go region, and the scatter stores each region's results
+// back at their elements' indices.
+//
+//go:noescape
+func erfSplitAVX2(a *float64, n int, v *float64, idx *int64, stride int) (small, mid, big int)
+
+//go:noescape
+func erfScatter(d, v *float64, idx *int64, n int)
+
 // The arithmetic routines' quads (vmath_amd64.s), n a positive multiple of
 // 4: lane k computes element k with the interpreter's operands in its
 // source order.

@@ -33,6 +33,12 @@ func logQuadsAVX2(d, a *float64, n int) int { panic(noLanes) }
 
 func erfQuadsAVX2(d, a *float64, n int) int { panic(noLanes) }
 
+func erfSplitAVX2(a *float64, n int, v *float64, idx *int64, stride int) (small, mid, big int) {
+	panic(noLanes)
+}
+
+func erfScatter(d, v *float64, idx *int64, n int) { panic(noLanes) }
+
 func addQuadsAVX2(d, a, b *float64, n int) { panic(noLanes) }
 
 func subQuadsAVX2(d, a, b *float64, n int) { panic(noLanes) }

@@ -159,12 +159,7 @@ var laneCases = []laneCase{
 		}
 		return math.Float64frombits(rng.Uint64() &^ (1 << 63))
 	}, 0}, 43000, logBlock, math.Log),
-	unaryCase("erf", laneErf, laneGen{erfEdges(), func(rng *rand.Rand) float64 {
-		if rng.Intn(2) == 0 {
-			return rng.NormFloat64() * 3
-		}
-		return rng.Float64()*14 - 7
-	}, 0}, 43000, erfBlock, math.Erf),
+	unaryCase("erf", laneErf, erfGen, 43000, func(d, a []float64) { erfBlock(d, a, &erfScratch) }, math.Erf),
 	// add and mul run their Go loop's free branch where b is uniform and
 	// not a NaN, as codegen does for a const or hoisted-scalar operand.
 	binaryCase("add", laneAdd, func(d, a, b []float64) { addBlock(d, a, b, uniformNumber(b)) }, pinAdd),
@@ -189,6 +184,19 @@ var laneCases = []laneCase{
 	axpyCase(0, false), axpyCase(1, false), axpyCase(2, false), axpyCase(3, false),
 	axpyCase(0, true), axpyCase(1, true), axpyCase(2, true), axpyCase(3, true),
 }
+
+// erfGen draws erf's arguments: normal ones of scale 3 and uniform ones
+// over (−7, 7), past the last region's bound. erfScratch is the erf case's
+// scratch, reused across blocks of every length, as a worker's is.
+var (
+	erfGen = laneGen{erfEdges(), func(rng *rand.Rand) float64 {
+		if rng.Intn(2) == 0 {
+			return rng.NormFloat64() * 3
+		}
+		return rng.Float64()*14 - 7
+	}, 0}
+	erfScratch erfRegions
+)
 
 // matvecGen draws the GEMV's and the SpMV's operands: common's edges and
 // normal numbers over 2^±60, one in four of them ±0 or subnormal, all
@@ -258,11 +266,12 @@ func (c laneCase) lead() [3][]float64 {
 }
 
 // blockLengths are the lengths a routine's blocks cycle through: every
-// tail of a quad, with none, one and two quads before it and after many.
-// gemvRows are the GEMV's row counts: no pair, pairs with and without a
-// lone row, and a 128-row block.
+// tail of a quad, with none, one and two quads before it and after many,
+// and the 80 elements of Black-Scholes' fused kernel's blocks (planBlock
+// of its 51 registers). gemvRows are the GEMV's row counts: no pair,
+// pairs with and without a lone row, and a 128-row block.
 var (
-	blockLengths = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 127, 128, 129, 511, 512}
+	blockLengths = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 80, 127, 128, 129, 511, 512}
 	gemvRows     = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 128}
 )
 
@@ -604,22 +613,104 @@ func erfEdges() []float64 {
 	return append(common(), signed(around(0.84375, 1.25, 1/0.35, 6, 0x1p-28, 2.848094538889218e-306, 28))...)
 }
 
+// TestErfSplit checks that erfRegions.split is a permutation of its block
+// into erf.go's regions: the region counts sum to the block's length,
+// every index appears exactly once, in element order within its region,
+// and every element sits, bit for bit, in its own region (erfRegion). A
+// comparison with math.Erf alone would pass a split that copied an element
+// into two regions, since every copy computes the right value. The blocks
+// run each of blockLengths, drawn from erf's generator, from one region
+// alone, and with NaN, ±Inf and tiny lanes at every offset mod 4, one
+// scratch throughout, so each split lands on an earlier one's leftovers.
+func TestErfSplit(t *testing.T) {
+	if detectedLanes&laneErf == 0 {
+		t.Skip("this host runs no erf lanes (TestLanesDetected checks that it should not)")
+	}
+	rng := rand.New(rand.NewSource(1))
+	regions := [][2]float64{{0, 0.84375}, {0.84375, 1.25}, {1.25, 6}}
+	specials := append(signed([]float64{math.Inf(1), 0x1p-29, math.SmallestNonzeroFloat64, 0}), nans...)
+	var s erfRegions
+	for _, n := range blockLengths {
+		blocks := [][]float64{erfGen.block(rng, n)}
+		for _, r := range regions {
+			a := make([]float64, n)
+			for i := range a {
+				a[i] = math.Copysign(r[0]+rng.Float64()*(r[1]-r[0]), float64(rng.Intn(2)*2-1))
+			}
+			blocks = append(blocks, a)
+		}
+		for off := range 4 {
+			a := erfGen.block(rng, n)
+			for i := off; i < n; i += 4 {
+				a[i] = specials[rng.Intn(len(specials))]
+			}
+			blocks = append(blocks, a)
+		}
+		for _, a := range blocks {
+			s.split(a)
+			if got := s.n[0] + s.n[1] + s.n[2]; got != n {
+				t.Fatalf("n=%d: the regions hold %v elements, %d in all", n, s.n, got)
+			}
+			seen := make([]bool, n)
+			for r, c := range s.n {
+				last := int64(-1)
+				for k := range c {
+					i, v := s.idx[r*s.stride+k], s.v[r*s.stride+k]
+					if i <= last || i >= int64(n) || seen[i] {
+						t.Fatalf("n=%d: region %d's element %d has index %d, after %d or seen before", n, r, k, i, last)
+					}
+					seen[i], last = true, i
+					if math.Float64bits(v) != math.Float64bits(a[i]) || erfRegion(a[i]) != r {
+						t.Fatalf("n=%d: region %d holds %#016x for element %d, which is %#016x in region %d",
+							n, r, math.Float64bits(v), i, math.Float64bits(a[i]), erfRegion(a[i]))
+					}
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkErfRegions times erfBlock, ns/elem per element, on 512-element
 // blocks whose arguments fall in one region of erf.go, both signs, and on
-// a mix over (0.001, 3) such as Black-Scholes' d1 and d2 draw.
+// a mix over (0.001, 3); and on 16 blocks of 80 elements, the block
+// planBlock gives Black-Scholes' fused kernel, in the mix of regions
+// blackscholes_large's arguments fall in: 49.7 % below 0.84375, 16.1 %
+// below 1.25, 34.2 % from there up.
 func BenchmarkErfRegions(b *testing.B) {
-	for _, r := range []struct {
-		name   string
-		lo, hi float64
-	}{{"small", 0x1p-27, 0.84375}, {"mid", 0.84375, 1.25}, {"big", 1.25, 6}, {"mixed", 0.001, 3}} {
-		rng := rand.New(rand.NewSource(1))
-		a, d := make([]float64, 512), make([]float64, 512)
-		for i := range a {
-			a[i] = math.Copysign(r.lo+rng.Float64()*(r.hi-r.lo), float64(rng.Intn(2)*2-1))
+	uniform := func(lo, hi float64) func(*rand.Rand) float64 {
+		return func(rng *rand.Rand) float64 {
+			return math.Copysign(lo+rng.Float64()*(hi-lo), float64(rng.Intn(2)*2-1))
 		}
-		b.Run(r.name, func(b *testing.B) {
+	}
+	small, mid, big := uniform(0x1p-27, 0.84375), uniform(0.84375, 1.25), uniform(1.25, 6)
+	blackScholes := func(rng *rand.Rand) float64 {
+		switch p := rng.Float64(); {
+		case p < 0.497:
+			return small(rng)
+		case p < 0.497+0.161:
+			return mid(rng)
+		}
+		return big(rng)
+	}
+	for _, c := range []struct {
+		name          string
+		block, blocks int
+		draw          func(*rand.Rand) float64
+	}{
+		{"small", 512, 1, small}, {"mid", 512, 1, mid}, {"big", 512, 1, big},
+		{"mixed", 512, 1, uniform(0.001, 3)}, {"blackscholes", 80, 16, blackScholes},
+	} {
+		rng := rand.New(rand.NewSource(1))
+		a, d := make([]float64, c.block*c.blocks), make([]float64, c.block*c.blocks)
+		for i := range a {
+			a[i] = c.draw(rng)
+		}
+		var s erfRegions
+		b.Run(c.name, func(b *testing.B) {
 			for range b.N {
-				erfBlock(d, a)
+				for i := 0; i < len(a); i += c.block {
+					erfBlock(d[i:i+c.block], a[i:i+c.block], &s)
+				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(a)), "ns/elem")
 		})

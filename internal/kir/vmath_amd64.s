@@ -1,12 +1,12 @@
 #include "textflag.h"
 
 // The lane layer's four-lane routines (lanes.go): exp, log and erf for
-// vmathBlock, then codegen's arithmetic. Lane k of exp, log and erf
-// carries out, in the same order and with the same roundings, the
-// operations Go's math package carries out for element k: exp is archExp's
-// FMA path (math/exp_amd64.s), log is archLog (math/log_amd64.s) and erf is
-// math/erf.go as the Go compiler builds it for amd64, one rounding per
-// operation.
+// vmathBlock, erfBlock's region split and scatter, then codegen's
+// arithmetic. Lane k of exp, log and erf carries out, in the same order
+// and with the same roundings, the operations Go's math package carries
+// out for element k: exp is archExp's FMA path (math/exp_amd64.s), log is
+// archLog (math/log_amd64.s) and erf is math/erf.go as the Go compiler
+// builds it for amd64, one rounding per operation.
 
 // C4 defines a 32-byte constant holding bits in each of its four lanes.
 #define C4(name, bits) \
@@ -289,6 +289,11 @@ logDone:
 // erf.go is the negation of the unsigned one and rounding to nearest is
 // symmetric. Y7 starts at erf's 1 for |x| >= 6, and each region of erf.go
 // with a lane in the quad computes all four lanes and blends its own in.
+// erfBlock hands it one region of its split at a time (erfSplitAVX2), so
+// there a quad runs one region's polynomials, the split's region 2
+// holding both [1.25, 6) and erf's 1 beyond, and a region's padded last
+// quad computes copies of one element; detectLanes' probe hands it quads
+// of mixed regions.
 TEXT ·erfQuadsAVX2(SB), NOSPLIT, $0-32
 	MOVQ d+0(FP), DI
 	MOVQ a+8(FP), SI
@@ -419,6 +424,180 @@ erfStore:
 erfDone:
 	MOVQ       BX, ret+24(FP)
 	VZEROUPPER
+	RET
+
+// erfPerm is VPERMD's permutation for each mask m of four float64 lanes:
+// the lanes whose bit m sets, in order, packed to the front (Lk moves lane
+// k's two dwords), then lane 0 again, which the cursor does not count.
+// erfCount is 8 times the number of lanes m sets: the bytes the cursor
+// advances.
+#define L0 $0x0000000100000000
+#define L1 $0x0000000300000002
+#define L2 $0x0000000500000004
+#define L3 $0x0000000700000006
+
+#define PERM(off, a, b, c, d) \
+	DATA erfPerm<>+(off)(SB)/8, a \
+	DATA erfPerm<>+(off+8)(SB)/8, b \
+	DATA erfPerm<>+(off+16)(SB)/8, c \
+	DATA erfPerm<>+(off+24)(SB)/8, d
+
+PERM(0, L0, L0, L0, L0)
+PERM(32, L0, L0, L0, L0)
+PERM(64, L1, L0, L0, L0)
+PERM(96, L0, L1, L0, L0)
+PERM(128, L2, L0, L0, L0)
+PERM(160, L0, L2, L0, L0)
+PERM(192, L1, L2, L0, L0)
+PERM(224, L0, L1, L2, L0)
+PERM(256, L3, L0, L0, L0)
+PERM(288, L0, L3, L0, L0)
+PERM(320, L1, L3, L0, L0)
+PERM(352, L0, L1, L3, L0)
+PERM(384, L2, L3, L0, L0)
+PERM(416, L0, L2, L3, L0)
+PERM(448, L1, L2, L3, L0)
+PERM(480, L0, L1, L2, L3)
+GLOBL erfPerm<>(SB), RODATA|NOPTR, $512
+
+#define COUNT(m, bytes) DATA erfCount<>+(m*8)(SB)/8, $bytes
+
+COUNT(0, 0)
+COUNT(1, 8)
+COUNT(2, 8)
+COUNT(3, 16)
+COUNT(4, 8)
+COUNT(5, 16)
+COUNT(6, 16)
+COUNT(7, 24)
+COUNT(8, 8)
+COUNT(9, 16)
+COUNT(10, 16)
+COUNT(11, 24)
+COUNT(12, 16)
+COUNT(13, 24)
+COUNT(14, 24)
+COUNT(15, 32)
+GLOBL erfCount<>(SB), RODATA|NOPTR, $128
+
+DATA iota4<>+0(SB)/8, $0
+DATA iota4<>+8(SB)/8, $1
+DATA iota4<>+16(SB)/8, $2
+DATA iota4<>+24(SB)/8, $3
+GLOBL iota4<>(SB), RODATA|NOPTR, $32
+
+C4(four, $4) // int64 4
+
+// SPLIT_STORE packs the lanes of the quad's x (Y0) and index (Y4) that
+// the mask in AX selects to the front and stores them at the region's
+// cursors v and i, which it advances past them. Clobbers AX, DX, Y6 and
+// Y7.
+#define SPLIT_STORE(v, i) \
+	MOVQ    (R14)(AX*8), DX \
+	SHLQ    $5, AX \
+	VMOVDQU (DI)(AX*1), Y6 \
+	VPERMD  Y0, Y6, Y7 \
+	VMOVDQU Y7, (v) \
+	VPERMD  Y4, Y6, Y7 \
+	VMOVDQU Y7, (i) \
+	ADDQ    DX, v \
+	ADDQ    DX, i
+
+// func erfSplitAVX2(a *float64, n int, v *float64, idx *int64, stride int) (small, mid, big int)
+//
+// Groups the elements a[i], i < n, n a positive multiple of 4, by the
+// region of erf.go their |x| falls in: region 0 below 0.84375 (NaN
+// included, and the tiny |x| erfQuadsAVX2 leaves to math.Erf), 1 below
+// 1.25, 2 from there up (±Inf included). Region r's elements go, in
+// order, to v[r·stride:] with their indices i at idx[r·stride:], and it
+// returns the three counts. Each quad stores four lanes at each region's
+// cursor, the ones it counts packed to the front, so a region's writes
+// end at most 4 past its count before the last quad, within n <= stride,
+// and past its count they are garbage. The lane counts come from a
+// table, not POPCNT, which detectLanes does not check for.
+TEXT ·erfSplitAVX2(SB), NOSPLIT, $0-64
+	MOVQ    a+0(FP), SI
+	MOVQ    n+8(FP), CX
+	MOVQ    v+16(FP), R8
+	MOVQ    idx+24(FP), R11
+	MOVQ    stride+32(FP), DX
+	SHLQ    $3, DX
+	LEAQ    (R8)(DX*1), R9
+	LEAQ    (R9)(DX*1), R10
+	LEAQ    (R11)(DX*1), R12
+	LEAQ    (R12)(DX*1), R13
+	LEAQ    erfPerm<>(SB), DI
+	LEAQ    erfCount<>(SB), R14
+	VMOVUPD abs<>(SB), Y12
+	VMOVUPD erfA<>(SB), Y13
+	VMOVUPD erfB<>(SB), Y14
+	VMOVDQU four<>(SB), Y15
+	VMOVDQU iota4<>(SB), Y4
+	XORQ    BX, BX
+
+splitLoop:
+	VMOVUPD   (SI)(BX*8), Y0
+	VANDPD    Y12, Y0, Y1
+	VCMPPD    $13, Y13, Y1, Y2 // |x| >= 0.84375, NaN false
+	VCMPPD    $13, Y14, Y1, Y3 // |x| >= 1.25, NaN false
+	VANDNPD   Y2, Y3, Y5       // 0.84375 <= |x| < 1.25
+	VMOVMSKPD Y2, AX
+	XORQ      $15, AX
+	SPLIT_STORE(R8, R11)
+	VMOVMSKPD Y5, AX
+	SPLIT_STORE(R9, R12)
+	VMOVMSKPD Y3, AX
+	SPLIT_STORE(R10, R13)
+	VPADDQ    Y15, Y4, Y4
+	ADDQ      $4, BX
+	CMPQ      BX, CX
+	JLT       splitLoop
+
+	// The counts are each cursor's distance from its region's start.
+	MOVQ   v+16(FP), AX
+	MOVQ   stride+32(FP), DX
+	SHLQ   $3, DX
+	SUBQ   AX, R8
+	SHRQ   $3, R8
+	MOVQ   R8, small+40(FP)
+	ADDQ   DX, AX
+	SUBQ   AX, R9
+	SHRQ   $3, R9
+	MOVQ   R9, mid+48(FP)
+	ADDQ   DX, AX
+	SUBQ   AX, R10
+	SHRQ   $3, R10
+	MOVQ   R10, big+56(FP)
+	VZEROUPPER
+	RET
+
+// func erfScatter(d, v *float64, idx *int64, n int)
+//
+// Sets d[idx[k]] = v[k] for k < n, n a positive multiple of 4: erfBlock's
+// way back from a region to the block.
+TEXT ·erfScatter(SB), NOSPLIT, $0-32
+	MOVQ d+0(FP), DI
+	MOVQ v+8(FP), SI
+	MOVQ idx+16(FP), DX
+	MOVQ n+24(FP), CX
+	XORQ BX, BX
+
+scatterLoop:
+	MOVQ (DX)(BX*8), AX
+	MOVQ (SI)(BX*8), R8
+	MOVQ R8, (DI)(AX*8)
+	MOVQ 8(DX)(BX*8), AX
+	MOVQ 8(SI)(BX*8), R8
+	MOVQ R8, (DI)(AX*8)
+	MOVQ 16(DX)(BX*8), AX
+	MOVQ 16(SI)(BX*8), R8
+	MOVQ R8, (DI)(AX*8)
+	MOVQ 24(DX)(BX*8), AX
+	MOVQ 24(SI)(BX*8), R8
+	MOVQ R8, (DI)(AX*8)
+	ADDQ $4, BX
+	CMPQ BX, CX
+	JLT  scatterLoop
 	RET
 
 // The arithmetic routines below are codegen's element ops four lanes at a
