@@ -68,7 +68,10 @@
 # every element loop made constant, with the façade's two simulation
 # helpers no caller used, and kir's two copies of the native-routine
 # apparatus that one lane layer replaced (the two non-amd64 files, the
-# two test hooks, the two switches, the two bit tests) —
+# two test hooks, the two switches, the two bit tests), and the lane
+# layer's six AVX2 routines no workload paid for (min, the two compares,
+# select, neg and abs) with the set of arithmetic bits that one AVX2 bit
+# replaced and the Go min the interpreter's math.Min replaced —
 # so a sentence cannot
 # outlive what it quoted. ROADMAP.md is exempt: it keeps history. The one-character
 # brackets keep this script from matching its own pattern in a
@@ -99,6 +102,7 @@ removed="$removed"'|DIFFUSE_DIST_[F]AULTS|[E]nvFaults|[P]arseSchedule'
 removed="$removed"'|kir\.[C]oncat\b|kir\.[O]ptimize\b|(^|[^[:alnum:]])[F]useLoops|(^|[^[:alnum:]])[S]calarize\b|[K]ernel\.(Remap|Clone)\b'
 removed="$removed"'|[M]arkLocal|[b]ufferLocals|[K]ernel\.Local\b'
 removed="$removed"'|[C]odegenProgram\.Lowered|\.[L]owered\(\)|diffuse\.[S]imConfig|[A]100Machine'
+removed="$removed"'|\b([m]in|[g]e|[l]e|[s]el|[n]eg|[a]bs)QuadsAVX2|\b[l]aneArith\b|\b[m]inOf\b'
 removed="$removed"'|[g]emv_other\.go|[v]math_other\.go|[S]etGEMVNative|[S]etVMathNative|[g]emvNative|[v]mathNative|[T]estGEMVNativeMatchesGo|[T]estVMathMatchesMath'
 
 # slugs_of FILE: print the GitHub anchor slug of every heading, skipping
@@ -147,7 +151,7 @@ for f in README.md DESIGN.md ROADMAP.md docs/*.md; do
   [ -e "$f" ] || continue
   dir=$(dirname "$f")
   if [ "$f" != ROADMAP.md ] && hits=$(grep -nE -e "$removed" "$f"); then
-    echo "$f: names something removed (the real-mode suite: see docs/BENCHMARKS.md; ReadAll32/WriteAll32: see DESIGN.md, the wire; the stage-barrier executor path: see DESIGN.md, sharded execution; feedback scheduling: see DESIGN.md, static schedule; the tcp rank mesh and serve batching: see docs/ARCHITECTURE.md, distributed execution; the rank drain: see docs/ARCHITECTURE.md, distributed execution; the wavefront DAG: see DESIGN.md, one drain loop; the executor policies: see DESIGN.md, the reference backend; the blocked GEMV: see DESIGN.md, kernel backends; the unit batch: see DESIGN.md, one drain loop; the window scan: see DESIGN.md, memoization and kernel identity; the binding recipes and run paths: see DESIGN.md, execution engine; the memory quota: see docs/ARCHITECTURE.md, service mode; the store repartition: see DESIGN.md, sharded execution; the serve binary, example, guide and trace mode: see docs/ARCHITECTURE.md, service mode; the rank fault script: see docs/ARCHITECTURE.md, fault injection; the kernel passes and the task-local parameters: see DESIGN.md, memoization and kernel identity; the lowered-loop count: see DESIGN.md, kernel backends; the per-routine lane switches, hooks, fallback files and bit tests: see DESIGN.md, kernel backends):"
+    echo "$f: names something removed (the real-mode suite: see docs/BENCHMARKS.md; ReadAll32/WriteAll32: see DESIGN.md, the wire; the stage-barrier executor path: see DESIGN.md, sharded execution; feedback scheduling: see DESIGN.md, static schedule; the tcp rank mesh and serve batching: see docs/ARCHITECTURE.md, distributed execution; the rank drain: see docs/ARCHITECTURE.md, distributed execution; the wavefront DAG: see DESIGN.md, one drain loop; the executor policies: see DESIGN.md, the reference backend; the blocked GEMV: see DESIGN.md, kernel backends; the unit batch: see DESIGN.md, one drain loop; the window scan: see DESIGN.md, memoization and kernel identity; the binding recipes and run paths: see DESIGN.md, execution engine; the memory quota: see docs/ARCHITECTURE.md, service mode; the store repartition: see DESIGN.md, sharded execution; the serve binary, example, guide and trace mode: see docs/ARCHITECTURE.md, service mode; the rank fault script: see docs/ARCHITECTURE.md, fault injection; the kernel passes and the task-local parameters: see DESIGN.md, memoization and kernel identity; the lowered-loop count: see DESIGN.md, kernel backends; the per-routine lane switches, hooks, fallback files and bit tests: see DESIGN.md, kernel backends; the retired lane routines and bits: see DESIGN.md, kernel backends):"
     echo "$hits"
     fail=1
   fi

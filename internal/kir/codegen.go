@@ -397,7 +397,7 @@ func lowerAxpyStore(slot int, f absorption) cgOp {
 
 // axpyBlock sets d[i] to the absorbed store's x[i] ± m0[i]·m1[i] in the
 // order shape gives, where m0 (uFirst) or m1 is u, uniform over the
-// block, and the other b. Where lanes holds laneAxpy the block's quads
+// block, and the other b. Where lanes holds laneAVX2 the block's quads
 // run axpyQuadsAVX2: VMULPD, then VADDPD or VSUBPD, each with the
 // interpreter's operands in its order, so even a NaN keeps the payload the
 // interpreter's pins select. The tail of fewer than four, or the whole
@@ -421,7 +421,7 @@ func axpyBlock(d, x, m0, m1 []float64, shape int, uFirst bool) {
 		return
 	}
 	x, m0, m1 = x[:len(d)], m0[:len(d)], m1[:len(d)]
-	i := laneQuads(len(d), laneAxpy)
+	i := laneQuads(len(d))
 	if i > 0 {
 		axpyQuadsAVX2(&d[0], &x[0], &m0[0], &m1[0], i, shape)
 	}
@@ -696,11 +696,11 @@ func lowerCast(dst, src int, dt DType) cgOp {
 
 // lowerArith builds the closure of one arithmetic/comparison instruction:
 // it hands the instruction's lane block, resliced to the destination's
-// length, to the op's block function. The lane layer's blocks (lanes.go)
-// run their AVX2 quads where lanes holds their bit, bit for bit the
-// interpreter's, then a Go loop for the tail of fewer than four or for the
-// whole block: add, sub, mul, div, max, min, the two compares and select,
-// sqrt, neg, negNum, abs, and exp, log and erf. Pow, sin and cos stay a
+// length, to the op's block function (lanes.go). Add, sub, mul, div,
+// max, sqrt, negNum, exp, log and erf run their AVX2 quads where lanes
+// holds their bit, bit for bit the interpreter's, then a Go loop for the
+// tail of fewer than four or for the whole block. Min, the two compares,
+// select, neg and abs are their Go loop alone, and pow, sin and cos a
 // loop of the stdlib functions the interpreter calls. An add or mul keeps
 // its first operand's NaN payload as the interpreter's does (pinAdd,
 // pinMul): the lanes for free, since x86 returns the first source's NaN,

@@ -165,7 +165,7 @@ func (c *CSRLocal) checkBindings(x, y Accessor, xstride, ystride int) {
 // val·x[col] from +0, in the row's nonzero order: the f64 SpMV at unit
 // strides. The chunks run four rows at a time, lane l of chunk c row
 // 4c+l's serial sum over its packed entries: in spmvQuadsAVX2's ymm lanes
-// where lanes holds laneSpMV (lanes.go), else in four Go accumulators.
+// where lanes holds laneAVX2 (lanes.go), else in four Go accumulators.
 // Then each tail row adds its residual entries onto its lane sum, and the
 // last rows mod 4 sum theirs from +0. It assumes c.val is f64, and the
 // caller has checked xv and yv against c (checkBindings).
@@ -174,7 +174,7 @@ func spmvUnit(c *CSRLocal, xv, yv []float64) {
 	chunks := len(c.chunkPtr) - 1
 	switch {
 	case chunks == 0:
-	case lanes&laneSpMV != 0:
+	case lanes&laneAVX2 != 0:
 		spmvQuadsAVX2(&yv[0], unsafe.SliceData(vals), unsafe.SliceData(col), unsafe.SliceData(xv), &c.chunkPtr[0], chunks)
 	default:
 		for ch := 0; ch < chunks; ch++ {

@@ -431,7 +431,7 @@ func (c *Compiled) execGEMV(l *compiledLoop, pa *PointArgs) {
 // 4-wide windows of xv, and every row is resliced to len(xv), so a quad
 // of two rows costs one bounds check. Go emits no SIMD, and this loop
 // is bound by its instructions: one core reads 11–14 GB/s of matrix
-// whether it sits in L1 or L3 (2-vCPU Xeon). Where lanes holds laneGEMV
+// whether it sits in L1 or L3 (2-vCPU Xeon). Where lanes holds laneAVX2
 // (lanes.go), float64 pairs sum their quads in gemvQuadsAVX2 instead, one
 // ymm register per row whose lane k is the Go loop's s_k, and only that
 // loop differs: the horizontal sum, the tail and the y update below are
@@ -442,7 +442,7 @@ func (c *Compiled) execGEMV(l *compiledLoop, pa *PointArgs) {
 func gemvUnit[T float32 | float64](ad []T, base, astr0 int, xv, yd []T, ybase, ystride, rows int, acc bool) {
 	cols := len(xv)
 	var zero T
-	native := lanes&laneGEMV != 0 && unsafe.Sizeof(zero) == 8 && cols >= 4
+	native := lanes&laneAVX2 != 0 && unsafe.Sizeof(zero) == 8 && cols >= 4
 	i := 0
 	for ; i+2 <= rows; i += 2 {
 		r0 := ad[base+i*astr0:][:cols]

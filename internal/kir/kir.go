@@ -25,10 +25,13 @@
 //     into closures (codegen.go).
 //
 // Both tiers share one lane layer (lanes.go): on amd64 the unit-stride
-// float64 GEMV and SpMV and codegen's element ops run four lanes at a time
-// in AVX2 routines, lane k carrying out the Go code's operations for
-// element (or row) k in the same order, so the bits are the same. One lane set, found once
-// at init, switches each routine on where the host runs it bit for bit.
+// float64 GEMV and SpMV and the element ops a benchmark workload runs
+// (add, sub, mul, div, max, sqrt, negNum, exp, log, erf and the absorbed
+// axpy store) run four lanes at a time in AVX2 routines, lane k carrying
+// out the Go code's operations for element (or row) k in the same order,
+// so the bits are the same. One lane set of four bits, found once at
+// init, switches them on where the host runs them bit for bit: one for
+// AVX2, and one each for the exp, log and erf probes.
 //
 // kir is deliberately independent of the ir package: kernels reference
 // their parameters by index only.

@@ -2,50 +2,38 @@ package kir
 
 import "math"
 
-// laneSet holds one bit per routine of the lane layer (see the package
-// doc): a routine runs its AVX2 quads only where its bit is in lanes, and
-// the Go code it stands for everywhere else.
+// laneSet holds what detectLanes decides (see the package doc): whether
+// the host runs AVX2, which turns on every routine whose reference is IEEE
+// hardware arithmetic, and whether exp, log and erf each pass their probe.
+// A routine runs its AVX2 quads only where lanes holds its bit, and the Go
+// code it stands for everywhere else.
 type laneSet uint32
 
 const (
-	laneGEMV   laneSet = 1 << iota // gemvUnit's float64 column quads (gemvQuadsAVX2)
-	laneExp                        // expBlock (expQuadsAVX2)
-	laneLog                        // logBlock (logQuadsAVX2)
-	laneErf                        // erfBlock (erfSplitAVX2, erfQuadsAVX2, erfScatter)
-	laneAdd                        // addBlock (addQuadsAVX2)
-	laneSub                        // subBlock (subQuadsAVX2)
-	laneMul                        // mulBlock (mulQuadsAVX2)
-	laneDiv                        // divBlock (divQuadsAVX2)
-	laneMax                        // maxBlock (maxQuadsAVX2)
-	laneMin                        // minBlock (minQuadsAVX2)
-	laneGE                         // geBlock (geQuadsAVX2)
-	laneLE                         // leBlock (leQuadsAVX2)
-	laneSel                        // selBlock (selQuadsAVX2)
-	laneSqrt                       // sqrtBlock (sqrtQuadsAVX2)
-	laneNeg                        // negBlock (negQuadsAVX2)
-	laneNegNum                     // negNumBlock (negNumQuadsAVX2)
-	laneAbs                        // absBlock (absQuadsAVX2)
-	laneAxpy                       // lowerAxpyStore's quads (axpyQuadsAVX2)
-	laneSpMV                       // spmvUnit's SELL-4 chunks (spmvQuadsAVX2)
-
-	// laneArith is the routines whose reference is IEEE hardware
-	// arithmetic, not math's code: AVX2 alone turns them on.
-	laneArith = laneAdd | laneSub | laneMul | laneDiv | laneMax | laneMin | laneGE | laneLE |
-		laneSel | laneSqrt | laneNeg | laneNegNum | laneAbs | laneAxpy
+	// laneAVX2 turns on the GEMV's column quads (gemvQuadsAVX2), the
+	// SpMV's SELL-4 chunks (spmvQuadsAVX2), the arithmetic blocks' quads
+	// (add, sub, mul, div, max, sqrt and negNum) and lowerAxpyStore's
+	// (axpyQuadsAVX2).
+	laneAVX2 laneSet = 1 << iota
+	laneExp          // expBlock (expQuadsAVX2)
+	laneLog          // logBlock (logQuadsAVX2)
+	laneErf          // erfBlock (erfSplitAVX2, erfQuadsAVX2, erfScatter)
 )
 
-// lanes is the set of routines switched on, found once at init: empty off
-// amd64.
+// lanes is the set switched on, found once at init: empty off amd64.
 var lanes = detectLanes()
 
 // The block functions below set d[i] for i < len(d) to the interpreter's
 // result for element i, its operands a[i], b[i] (and c[i]) in its source
-// order: their routine's quads first where lanes holds its bit, then Go
-// code for the tail of fewer than four, or for the whole block. Only exp,
-// log and erf's routines leave quads to Go; the arithmetic covers every
-// lane, and writes its Go loop out for the compiler to inline into
-// (through a function value, as vmathBlock's f, a sub takes three times
-// as long with the lanes off).
+// order. Those with a routine run its quads first where lanes holds its
+// bit, then Go code for the tail of fewer than four, or for the whole
+// block. Only exp, log and erf's routines leave quads to Go; the
+// arithmetic covers every lane, and writes its Go loop out for the
+// compiler to inline into (through a function value, as vmathBlock's f, a
+// sub takes three times as long with the lanes off). min, the compares,
+// select, neg and abs have no routine: no workload runs enough of them to
+// pay for one (DESIGN.md, kernel backends), and their Go loop is all
+// there is.
 
 // expBlock sets d[i] = math.Exp(a[i]).
 func expBlock(d, a []float64) { vmathBlock(d, a, laneExp, expQuadsAVX2, math.Exp) }
@@ -156,29 +144,29 @@ func vmathBlock(d, a []float64, r laneSet, quads func(d, a *float64, n int) int,
 	}
 }
 
-// laneQuads is how many leading elements of a block of n the routine r
-// runs four lanes at a time: n rounded down to a multiple of 4 where lanes
-// holds r, else none.
-func laneQuads(n int, r laneSet) int {
-	if lanes&r == 0 {
+// laneQuads is how many leading elements of a block of n the arithmetic
+// routines run four lanes at a time: n rounded down to a multiple of 4
+// where lanes holds laneAVX2, else none.
+func laneQuads(n int) int {
+	if lanes&laneAVX2 == 0 {
 		return 0
 	}
 	return n &^ 3
 }
 
 // unaryQuads and binaryQuads run an arithmetic routine's quads over the
-// first laneQuads(len(d), r) elements and return that count, where the
+// first laneQuads(len(d)) elements and return that count, where the
 // block's Go loop starts.
-func unaryQuads(d, a []float64, r laneSet, quads func(d, a *float64, n int)) int {
-	i := laneQuads(len(d), r)
+func unaryQuads(d, a []float64, quads func(d, a *float64, n int)) int {
+	i := laneQuads(len(d))
 	if i > 0 {
 		quads(&d[0], &a[0], i)
 	}
 	return i
 }
 
-func binaryQuads(d, a, b []float64, r laneSet, quads func(d, a, b *float64, n int)) int {
-	i := laneQuads(len(d), r)
+func binaryQuads(d, a, b []float64, quads func(d, a, b *float64, n int)) int {
+	i := laneQuads(len(d))
 	if i > 0 {
 		quads(&d[0], &a[0], &b[0], i)
 	}
@@ -190,7 +178,7 @@ func binaryQuads(d, a, b []float64, r laneSet, quads func(d, a, b *float64, n in
 // free says no two NaNs can meet (an operand is uniform and not a NaN).
 func addBlock(d, a, b []float64, free bool) {
 	a, b = a[:len(d)], b[:len(d)]
-	i := binaryQuads(d, a, b, laneAdd, addQuadsAVX2)
+	i := binaryQuads(d, a, b, addQuadsAVX2)
 	if free {
 		for ; i < len(d); i++ {
 			d[i] = a[i] + b[i]
@@ -205,7 +193,7 @@ func addBlock(d, a, b []float64, free bool) {
 // mulBlock sets d[i] = pinMul(a[i], b[i]), as addBlock does pinAdd.
 func mulBlock(d, a, b []float64, free bool) {
 	a, b = a[:len(d)], b[:len(d)]
-	i := binaryQuads(d, a, b, laneMul, mulQuadsAVX2)
+	i := binaryQuads(d, a, b, mulQuadsAVX2)
 	if free {
 		for ; i < len(d); i++ {
 			d[i] = a[i] * b[i]
@@ -220,7 +208,7 @@ func mulBlock(d, a, b []float64, free bool) {
 // subBlock sets d[i] = a[i] − b[i].
 func subBlock(d, a, b []float64) {
 	a, b = a[:len(d)], b[:len(d)]
-	for i := binaryQuads(d, a, b, laneSub, subQuadsAVX2); i < len(d); i++ {
+	for i := binaryQuads(d, a, b, subQuadsAVX2); i < len(d); i++ {
 		d[i] = a[i] - b[i]
 	}
 }
@@ -228,7 +216,7 @@ func subBlock(d, a, b []float64) {
 // divBlock sets d[i] = a[i] / b[i].
 func divBlock(d, a, b []float64) {
 	a, b = a[:len(d)], b[:len(d)]
-	for i := binaryQuads(d, a, b, laneDiv, divQuadsAVX2); i < len(d); i++ {
+	for i := binaryQuads(d, a, b, divQuadsAVX2); i < len(d); i++ {
 		d[i] = a[i] / b[i]
 	}
 }
@@ -236,23 +224,23 @@ func divBlock(d, a, b []float64) {
 // maxBlock sets d[i] = math.Max(a[i], b[i]) (maxOf).
 func maxBlock(d, a, b []float64) {
 	a, b = a[:len(d)], b[:len(d)]
-	for i := binaryQuads(d, a, b, laneMax, maxQuadsAVX2); i < len(d); i++ {
+	for i := binaryQuads(d, a, b, maxQuadsAVX2); i < len(d); i++ {
 		d[i] = maxOf(a[i], b[i])
 	}
 }
 
-// minBlock sets d[i] = math.Min(a[i], b[i]) (minOf).
+// minBlock sets d[i] = math.Min(a[i], b[i]).
 func minBlock(d, a, b []float64) {
 	a, b = a[:len(d)], b[:len(d)]
-	for i := binaryQuads(d, a, b, laneMin, minQuadsAVX2); i < len(d); i++ {
-		d[i] = minOf(a[i], b[i])
+	for i := range d {
+		d[i] = math.Min(a[i], b[i])
 	}
 }
 
 // geBlock sets d[i] = 1 where a[i] >= b[i], else 0.
 func geBlock(d, a, b []float64) {
 	a, b = a[:len(d)], b[:len(d)]
-	for i := binaryQuads(d, a, b, laneGE, geQuadsAVX2); i < len(d); i++ {
+	for i := range d {
 		if a[i] >= b[i] {
 			d[i] = 1
 		} else {
@@ -264,7 +252,7 @@ func geBlock(d, a, b []float64) {
 // leBlock sets d[i] = 1 where a[i] <= b[i], else 0.
 func leBlock(d, a, b []float64) {
 	a, b = a[:len(d)], b[:len(d)]
-	for i := binaryQuads(d, a, b, laneLE, leQuadsAVX2); i < len(d); i++ {
+	for i := range d {
 		if a[i] <= b[i] {
 			d[i] = 1
 		} else {
@@ -276,11 +264,7 @@ func leBlock(d, a, b []float64) {
 // selBlock sets d[i] = b[i] where a[i] != 0, else c[i].
 func selBlock(d, a, b, c []float64) {
 	a, b, c = a[:len(d)], b[:len(d)], c[:len(d)]
-	i := laneQuads(len(d), laneSel)
-	if i > 0 {
-		selQuadsAVX2(&d[0], &a[0], &b[0], &c[0], i)
-	}
-	for ; i < len(d); i++ {
+	for i := range d {
 		if a[i] != 0 {
 			d[i] = b[i]
 		} else {
@@ -292,7 +276,7 @@ func selBlock(d, a, b, c []float64) {
 // sqrtBlock sets d[i] = math.Sqrt(a[i]).
 func sqrtBlock(d, a []float64) {
 	a = a[:len(d)]
-	for i := unaryQuads(d, a, laneSqrt, sqrtQuadsAVX2); i < len(d); i++ {
+	for i := unaryQuads(d, a, sqrtQuadsAVX2); i < len(d); i++ {
 		d[i] = math.Sqrt(a[i])
 	}
 }
@@ -300,7 +284,7 @@ func sqrtBlock(d, a []float64) {
 // negBlock sets d[i] = −a[i].
 func negBlock(d, a []float64) {
 	a = a[:len(d)]
-	for i := unaryQuads(d, a, laneNeg, negQuadsAVX2); i < len(d); i++ {
+	for i := range d {
 		d[i] = -a[i]
 	}
 }
@@ -308,7 +292,7 @@ func negBlock(d, a []float64) {
 // negNumBlock sets d[i] = negNum(a[i]).
 func negNumBlock(d, a []float64) {
 	a = a[:len(d)]
-	for i := unaryQuads(d, a, laneNegNum, negNumQuadsAVX2); i < len(d); i++ {
+	for i := unaryQuads(d, a, negNumQuadsAVX2); i < len(d); i++ {
 		d[i] = negNum(a[i])
 	}
 }
@@ -316,7 +300,7 @@ func negNumBlock(d, a []float64) {
 // absBlock sets d[i] = math.Abs(a[i]).
 func absBlock(d, a []float64) {
 	a = a[:len(d)]
-	for i := unaryQuads(d, a, laneAbs, absQuadsAVX2); i < len(d); i++ {
+	for i := range d {
 		d[i] = math.Abs(a[i])
 	}
 }

@@ -68,28 +68,10 @@ func divQuadsAVX2(d, a, b *float64, n int)
 func maxQuadsAVX2(d, a, b *float64, n int)
 
 //go:noescape
-func minQuadsAVX2(d, a, b *float64, n int)
-
-//go:noescape
-func geQuadsAVX2(d, a, b *float64, n int)
-
-//go:noescape
-func leQuadsAVX2(d, a, b *float64, n int)
-
-//go:noescape
-func selQuadsAVX2(d, a, b, c *float64, n int)
-
-//go:noescape
 func sqrtQuadsAVX2(d, a *float64, n int)
 
 //go:noescape
-func negQuadsAVX2(d, a *float64, n int)
-
-//go:noescape
 func negNumQuadsAVX2(d, a *float64, n int)
-
-//go:noescape
-func absQuadsAVX2(d, a *float64, n int)
 
 //go:noescape
 func axpyQuadsAVX2(d, x, m0, m1 *float64, n int, shape int)
@@ -99,10 +81,10 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 // detectLanes reads CPUID and XGETBV once and returns the routines this
-// host runs bit for bit. The GEMV and the SpMV need AVX2 and an OS that
-// saves the ymm registers across context switches, and so do the
-// arithmetic routines, whose reference is the hardware's IEEE arithmetic:
-// they need no FMA and no probe, and stay on under GODEBUG=cpu.fma=off.
+// host runs bit for bit. laneAVX2's routines (the GEMV, the SpMV and the
+// arithmetic), whose reference is the hardware's IEEE arithmetic, need
+// AVX2 and an OS that saves the ymm registers across context switches:
+// no FMA and no probe, so they stay on under GODEBUG=cpu.fma=off.
 // Exp, log and erf need FMA as well, and math.Exp on the FMA path the exp
 // lanes follow, which the runtime takes only where it may use AVX and FMA
 // (GODEBUG=cpu.fma=off stops it): off that path 23 of the exp probe's 256
@@ -131,7 +113,7 @@ func detectLanes() laneSet {
 		x[i] = float64(i-128)*0.31 + 1.0/7
 		abs[i], fifth[i] = math.Abs(x[i]), x[i]/5
 	}
-	set := laneGEMV | laneSpMV | laneArith
+	set := laneAVX2
 	if ecx&fma == 0 || !vmathProbe(expQuadsAVX2, math.Exp, x[:]) {
 		return set
 	}
@@ -175,22 +157,6 @@ func maxOf(x, y float64) float64 {
 	case x == 0 && y == 0:
 		return math.Float64frombits(math.Float64bits(x) & math.Float64bits(y))
 	case x > y:
-		return x
-	}
-	return y
-}
-
-// minOf is math.Min as maxOf is math.Max, from archMin: −Inf, then math's
-// NaN, then −0 over +0, then the smaller.
-func minOf(x, y float64) float64 {
-	switch {
-	case x < -math.MaxFloat64 || y < -math.MaxFloat64:
-		return negInf
-	case x != x || y != y:
-		return mathNaN
-	case x == 0 && y == 0:
-		return math.Float64frombits(math.Float64bits(x) | math.Float64bits(y))
-	case x < y:
 		return x
 	}
 	return y

@@ -10,12 +10,9 @@ import (
 // detectLanes finds no lanes off amd64: every routine keeps its Go code.
 func detectLanes() laneSet { return 0 }
 
-// maxOf and minOf are maxBlock and minBlock's Go loops: math.Max and
-// math.Min, the interpreter's calls, whose NaN bits differ by
-// architecture.
+// maxOf is maxBlock's Go loop: math.Max, the interpreter's call, whose NaN
+// bits differ by architecture.
 func maxOf(x, y float64) float64 { return math.Max(x, y) }
-
-func minOf(x, y float64) float64 { return math.Min(x, y) }
 
 // The AVX2 entries, which an empty lane set never reaches.
 
@@ -49,20 +46,8 @@ func divQuadsAVX2(d, a, b *float64, n int) { panic(noLanes) }
 
 func maxQuadsAVX2(d, a, b *float64, n int) { panic(noLanes) }
 
-func minQuadsAVX2(d, a, b *float64, n int) { panic(noLanes) }
-
-func geQuadsAVX2(d, a, b *float64, n int) { panic(noLanes) }
-
-func leQuadsAVX2(d, a, b *float64, n int) { panic(noLanes) }
-
-func selQuadsAVX2(d, a, b, c *float64, n int) { panic(noLanes) }
-
 func sqrtQuadsAVX2(d, a *float64, n int) { panic(noLanes) }
 
-func negQuadsAVX2(d, a *float64, n int) { panic(noLanes) }
-
 func negNumQuadsAVX2(d, a *float64, n int) { panic(noLanes) }
-
-func absQuadsAVX2(d, a *float64, n int) { panic(noLanes) }
 
 func axpyQuadsAVX2(d, x, m0, m1 *float64, n int, shape int) { panic(noLanes) }

@@ -13,9 +13,9 @@ import (
 
 // TestLanesDetected checks the lane set found at init against
 // /proc/cpuinfo's flags, which the kernel clears of AVX features the OS
-// does not save: the GEMV, SpMV and arithmetic lanes where it lists avx2, under
-// any GODEBUG, exp, log and erf where it lists fma too and GODEBUG lets
-// math.Exp take its FMA path (cpu.fma, cpu.avx and cpu.all=off stop it).
+// does not save: laneAVX2 where it lists avx2, under any GODEBUG, exp,
+// log and erf where it lists fma too and GODEBUG lets math.Exp take its
+// FMA path (cpu.fma, cpu.avx and cpu.all=off stop it).
 // A detection fault that turned lanes off would otherwise only skip the
 // lanes' halves of the harness.
 func TestLanesDetected(t *testing.T) {
@@ -34,15 +34,32 @@ func TestLanesDetected(t *testing.T) {
 	hidden := strings.Contains(godebug, "cpu.fma=off") || strings.Contains(godebug, "cpu.avx=off") || strings.Contains(godebug, "cpu.all=off")
 	var want laneSet
 	if runtime.GOARCH == "amd64" && slices.Contains(flags, "avx2") {
-		want = laneGEMV | laneSpMV | laneArith
+		want = laneAVX2
 		if slices.Contains(flags, "fma") && !hidden {
 			want |= laneExp | laneLog | laneErf
 		}
 	}
 	if detectedLanes != want {
-		t.Fatalf("detected lanes %018b, want %018b (lanes.go's order from bit 0: gemv, exp, log, erf, the arithmetic, then spmv; avx2 %t, fma %t, GODEBUG=%q)",
-			detectedLanes, want, slices.Contains(flags, "avx2"), slices.Contains(flags, "fma"), godebug)
+		t.Fatalf("detected lanes %s, want %s (avx2 %t, fma %t, GODEBUG=%q)",
+			laneNames(detectedLanes), laneNames(want), slices.Contains(flags, "avx2"), slices.Contains(flags, "fma"), godebug)
 	}
+}
+
+// laneNames names the bits of s, or says it is empty.
+func laneNames(s laneSet) string {
+	var names []string
+	for _, b := range []struct {
+		bit  laneSet
+		name string
+	}{{laneAVX2, "avx2"}, {laneExp, "exp"}, {laneLog, "log"}, {laneErf, "erf"}} {
+		if s&b.bit != 0 {
+			names = append(names, b.name)
+		}
+	}
+	if len(names) == 0 {
+		return "{}"
+	}
+	return "{" + strings.Join(names, ", ") + "}"
 }
 
 // TestLanes runs every native lane routine with the lanes on and off
@@ -50,9 +67,11 @@ func TestLanesDetected(t *testing.T) {
 // math's for exp, log and erf (about 4 Mi arguments each), the
 // interpreter's for the arithmetic (about 400 Ki), the Go quad loop's for
 // the GEMV (every shape of gemvRows by blockLengths, four times). The
-// arguments lead with each routine's edges in every lane of a quad: each
-// edge for one operand, every pair of edges for two (NaNs with distinct
-// payloads meeting in both orders among them).
+// block functions with no routine (bit 0) run their Go loop in both
+// halves, against the same references. The arguments lead with each
+// routine's edges in every lane of a quad: each edge for one operand,
+// every pair of edges for two (NaNs with distinct payloads meeting in both
+// orders among them).
 func TestLanes(t *testing.T) {
 	for _, on := range []bool{true, false} {
 		t.Run(fmt.Sprintf("lanes=%t", on), func(t *testing.T) {
@@ -60,7 +79,7 @@ func TestLanes(t *testing.T) {
 			defer restore()
 			for _, c := range laneCases {
 				t.Run(c.name, func(t *testing.T) {
-					if on && set&c.bit == 0 {
+					if c.bit != 0 && on && set&c.bit == 0 {
 						t.Skipf("this host runs no %s lanes (TestLanesDetected checks that it should not)", c.name)
 					}
 					c.check(t, rand.New(rand.NewSource(int64(len(c.name)))), c.blocks, c.lead())
@@ -81,13 +100,14 @@ func FuzzLanes(f *testing.F) {
 	})
 }
 
-// laneCase is one native routine under the harness: its bit in lanes, the
-// generator of its arguments, the blocks TestLanes runs and, for every
-// element routine, its number of operands, its block function and the
-// scalar reference for one element. uniform, where set, is 1 + the
-// operand that holds one value over each block (the absorbed store's u).
-// The matrix-vector routines instead name their own check, run: the
-// GEMV's reference is its Go quad loop, the SpMV's a plain CSR loop.
+// laneCase is one block function under the harness: its routine's bit in
+// lanes (0 where it has none), the generator of its arguments, the blocks
+// TestLanes runs and, for every element routine, its number of operands,
+// its block function and the scalar reference for one element. uniform,
+// where set, is 1 + the operand that holds one value over each block (the
+// absorbed store's u). The matrix-vector routines instead name their own
+// check, run: the GEMV's reference is its Go quad loop, the SpMV's a plain
+// CSR loop.
 type laneCase struct {
 	name    string
 	bit     laneSet
@@ -124,7 +144,7 @@ func axpyCase(shape int, uFirst bool) laneCase {
 	if uFirst {
 		u = 2
 	}
-	return laneCase{"axpy/" + name, laneAxpy, arithGen, arithBlocks, 3,
+	return laneCase{"axpy/" + name, laneAVX2, arithGen, arithBlocks, 3,
 		func(d []float64, x [3][]float64) { axpyBlock(d, x[0], x[1], x[2], shape, uFirst) },
 		func(x [3]float64) float64 {
 			p := pinMul(x[1], x[2])
@@ -145,8 +165,8 @@ func axpyCase(shape int, uFirst bool) laneCase {
 const arithBlocks = 4000
 
 var laneCases = []laneCase{
-	{name: "gemv", bit: laneGEMV, gen: matvecGen, blocks: 4 * len(gemvRows) * len(blockLengths), run: checkGEMV},
-	{name: "spmv", bit: laneSpMV, gen: matvecGen, blocks: 4 * len(spmvRows) * spmvShapes, run: checkSpMV},
+	{name: "gemv", bit: laneAVX2, gen: matvecGen, blocks: 4 * len(gemvRows) * len(blockLengths), run: checkGEMV},
+	{name: "spmv", bit: laneAVX2, gen: matvecGen, blocks: 4 * len(spmvRows) * spmvShapes, run: checkSpMV},
 	unaryCase("exp", laneExp, laneGen{expEdges(), func(rng *rand.Rand) float64 {
 		if rng.Intn(2) == 0 {
 			return rng.NormFloat64() * 10
@@ -162,25 +182,27 @@ var laneCases = []laneCase{
 	unaryCase("erf", laneErf, erfGen, 43000, func(d, a []float64) { erfBlock(d, a, &erfScratch) }, math.Erf),
 	// add and mul run their Go loop's free branch where b is uniform and
 	// not a NaN, as codegen does for a const or hoisted-scalar operand.
-	binaryCase("add", laneAdd, func(d, a, b []float64) { addBlock(d, a, b, uniformNumber(b)) }, pinAdd),
-	binaryCase("mul", laneMul, func(d, a, b []float64) { mulBlock(d, a, b, uniformNumber(b)) }, pinMul),
-	binaryCase("sub", laneSub, subBlock, func(a, b float64) float64 { return a - b }),
-	binaryCase("div", laneDiv, divBlock, func(a, b float64) float64 { return a / b }),
-	binaryCase("max", laneMax, maxBlock, math.Max),
-	binaryCase("min", laneMin, minBlock, math.Min),
-	binaryCase("ge", laneGE, geBlock, func(a, b float64) float64 { return b2f(a >= b) }),
-	binaryCase("le", laneLE, leBlock, func(a, b float64) float64 { return b2f(a <= b) }),
-	{"sel", laneSel, arithGen, arithBlocks, 3, func(d []float64, x [3][]float64) { selBlock(d, x[0], x[1], x[2]) },
+	binaryCase("add", laneAVX2, func(d, a, b []float64) { addBlock(d, a, b, uniformNumber(b)) }, pinAdd),
+	binaryCase("mul", laneAVX2, func(d, a, b []float64) { mulBlock(d, a, b, uniformNumber(b)) }, pinMul),
+	binaryCase("sub", laneAVX2, subBlock, func(a, b float64) float64 { return a - b }),
+	binaryCase("div", laneAVX2, divBlock, func(a, b float64) float64 { return a / b }),
+	binaryCase("max", laneAVX2, maxBlock, math.Max),
+	// min, the compares, select, neg and abs have no routine: bit 0 runs
+	// their Go loop in both halves of TestLanes.
+	binaryCase("min", 0, minBlock, math.Min),
+	binaryCase("ge", 0, geBlock, func(a, b float64) float64 { return b2f(a >= b) }),
+	binaryCase("le", 0, leBlock, func(a, b float64) float64 { return b2f(a <= b) }),
+	{"sel", 0, arithGen, arithBlocks, 3, func(d []float64, x [3][]float64) { selBlock(d, x[0], x[1], x[2]) },
 		func(x [3]float64) float64 {
 			if x[0] != 0 {
 				return x[1]
 			}
 			return x[2]
 		}, 0, nil},
-	unaryCase("sqrt", laneSqrt, arithGen, arithBlocks, sqrtBlock, math.Sqrt),
-	unaryCase("neg", laneNeg, arithGen, arithBlocks, negBlock, func(a float64) float64 { return -a }),
-	unaryCase("negnum", laneNegNum, arithGen, arithBlocks, negNumBlock, negNum),
-	unaryCase("abs", laneAbs, arithGen, arithBlocks, absBlock, math.Abs),
+	unaryCase("sqrt", laneAVX2, arithGen, arithBlocks, sqrtBlock, math.Sqrt),
+	unaryCase("neg", 0, arithGen, arithBlocks, negBlock, func(a float64) float64 { return -a }),
+	unaryCase("negnum", laneAVX2, arithGen, arithBlocks, negNumBlock, negNum),
+	unaryCase("abs", 0, arithGen, arithBlocks, absBlock, math.Abs),
 	axpyCase(0, false), axpyCase(1, false), axpyCase(2, false), axpyCase(3, false),
 	axpyCase(0, true), axpyCase(1, true), axpyCase(2, true), axpyCase(3, true),
 }
@@ -403,11 +425,11 @@ func hexBits(xs []float64) string {
 	return "[" + strings.Join(parts, " ") + "]"
 }
 
-// TestMaxMinMatchMath checks maxOf and minOf, the Go loops of maxBlock and
-// minBlock, against math.Max and math.Min bit for bit on their special
-// cases: ±0 pairs in both orders, ±Inf against NaNs, NaNs with distinct
-// payloads, subnormals, and every ordered pair of arithGen's edges. On
-// amd64 they write archMax and archMin out; elsewhere they call math.
+// TestMaxMinMatchMath checks maxOf, maxBlock's Go loop, against math.Max
+// bit for bit on its special cases: ±0 pairs in both orders, ±Inf against
+// NaNs, NaNs with distinct payloads, subnormals, and every ordered pair of
+// arithGen's edges. On amd64 it writes archMax out; elsewhere it calls
+// math. (minBlock calls math.Min itself, and TestLanes checks it.)
 func TestMaxMinMatchMath(t *testing.T) {
 	inf, nz := math.Inf(1), math.Copysign(0, -1)
 	sub := math.Float64frombits(1)
@@ -427,16 +449,13 @@ func TestMaxMinMatchMath(t *testing.T) {
 		if got, want := maxOf(x, y), math.Max(x, y); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("maxOf(%v, %v) %s = %#016x, math.Max gives %#016x", x, y, hexBits(p[:]), math.Float64bits(got), math.Float64bits(want))
 		}
-		if got, want := minOf(x, y), math.Min(x, y); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("minOf(%v, %v) %s = %#016x, math.Min gives %#016x", x, y, hexBits(p[:]), math.Float64bits(got), math.Float64bits(want))
-		}
 	}
 }
 
 // checkGEMV runs gemvUnit's f64 instantiation on rows of gemvRows by
 // columns of blockLengths, overwriting and accumulating, at random
-// offsets and strides, and requires the bits of its run with the GEMV
-// lanes off. x holds plain draws, so no NaN or infinity, and y cells may
+// offsets and strides, and requires the bits of its run with laneAVX2
+// off. x holds plain draws, so no NaN or infinity, and y cells may
 // hold NaNs, since the y update is shared code.
 func checkGEMV(tb testing.TB, g laneGen, rng *rand.Rand, start, blocks int) {
 	set := lanes
@@ -466,7 +485,7 @@ func checkGEMV(tb testing.TB, g laneGen, rng *rand.Rand, start, blocks int) {
 			gemvUnit(a, abase, astr0, x[xbase:], out, ybase, ystride, rows, acc)
 			return out
 		}
-		got, want := run(set), run(set&^laneGEMV)
+		got, want := run(set), run(set&^laneAVX2)
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 				tb.Fatalf("rows=%d cols=%d astr0=%d ystride=%d acc=%t: y[%d] = %#x, %#x with the GEMV lanes off",
@@ -542,8 +561,8 @@ func checkSpMV(tb testing.TB, g laneGen, rng *rand.Rand, start, blocks int) {
 		spmvUnit(NewCSRLocal(rowPtr, col, BufF64(val)), x[xbase:], y[ybase:][:rows])
 		for i := range want {
 			if math.Float64bits(y[i]) != math.Float64bits(want[i]) {
-				tb.Fatalf("rows=%d shape=%d cols=%d: y[%d] = %#x, the CSR loop gives %#x (lanes %018b)",
-					rows, shape, cols, i-ybase, math.Float64bits(y[i]), math.Float64bits(want[i]), lanes)
+				tb.Fatalf("rows=%d shape=%d cols=%d: y[%d] = %#x, the CSR loop gives %#x (lanes %s)",
+					rows, shape, cols, i-ybase, math.Float64bits(y[i]), math.Float64bits(want[i]), laneNames(lanes))
 			}
 		}
 	}

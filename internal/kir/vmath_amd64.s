@@ -1,12 +1,14 @@
 #include "textflag.h"
 
 // The lane layer's four-lane routines (lanes.go): exp, log and erf for
-// vmathBlock, erfBlock's region split and scatter, then codegen's
-// arithmetic. Lane k of exp, log and erf carries out, in the same order
-// and with the same roundings, the operations Go's math package carries
-// out for element k: exp is archExp's FMA path (math/exp_amd64.s), log is
-// archLog (math/log_amd64.s) and erf is math/erf.go as the Go compiler
-// builds it for amd64, one rounding per operation.
+// vmathBlock, erfBlock's region split and scatter, then the arithmetic
+// ops of codegen's that a benchmark workload runs (add, sub, mul, div,
+// max, sqrt, negNum and the absorbed axpy store). Lane k of exp, log and
+// erf carries out, in the same order and with the same roundings, the
+// operations Go's math package carries out for element k: exp is
+// archExp's FMA path (math/exp_amd64.s), log is archLog
+// (math/log_amd64.s) and erf is math/erf.go as the Go compiler builds it
+// for amd64, one rounding per operation.
 
 // C4 defines a 32-byte constant holding bits in each of its four lanes.
 #define C4(name, bits) \
@@ -22,7 +24,6 @@ C4(half, $0x3FE0000000000000)  // 0.5
 C4(sign, $0x8000000000000000)  // the sign bit
 C4(abs, $0x7FFFFFFFFFFFFFFF)   // all bits but the sign
 C4(posinf, $0x7FF0000000000000) // +Inf
-C4(neginf, $0xFFF0000000000000) // -Inf
 C4(mathNaN, $0x7FF8000000000001) // math.NaN()
 
 // exp (archExp's constants).
@@ -601,16 +602,18 @@ scatterLoop:
 	RET
 
 // The arithmetic routines below are codegen's element ops four lanes at a
-// time (lanes.go). Lane k runs element k's operation with the operands in
-// the interpreter's source order, each the instruction's first source: an
-// add, sub, mul or div of two NaNs returns the first source's NaN,
-// quieted, which is the payload pinAdd and pinMul select. Each takes a
-// positive multiple of 4 for n and sets d[i] for every i < n.
+// time (lanes.go): the ones a benchmark workload runs. The rest (min, the
+// compares, select, neg and abs) keep their block's Go loop. Lane k runs
+// element k's operation with the operands in the interpreter's source
+// order, each the instruction's first source: an add, sub, mul or div of
+// two NaNs returns the first source's NaN, quieted, which is the payload
+// pinAdd and pinMul select. Each takes a positive multiple of 4 for n and
+// sets d[i] for every i < n.
 //
 // BINOP defines name(d, a, b *float64, n int) and UNOP name(d, a *float64,
-// n int). Each runs the macro setup once, then for each quad loads a's lanes into Y0 and runs
-// the macro op, which leaves d's lanes in Y0; b's quad is at (DX)(BX*8).
-// A routine's constants live in Y13-Y15.
+// n int). Each runs the macro setup once, then for each quad loads a's
+// lanes into Y0 and runs the macro op, which leaves d's lanes in Y0; b's
+// quad is at (DX)(BX*8). A routine's constants live in Y13-Y15.
 #define BINOP(name, setup, op) \
 	TEXT name(SB), NOSPLIT, $0-32 \
 	MOVQ    d+0(FP), DI \
@@ -647,9 +650,7 @@ loop: \
 	RET
 
 #define K_NONE
-#define K_ONE VMOVUPD one<>(SB), Y15
 #define K_SIGN VMOVUPD sign<>(SB), Y15
-#define K_ABS VMOVUPD abs<>(SB), Y15
 
 #define OP_ADD VADDPD (DX)(BX*8), Y0, Y0
 #define OP_SUB VSUBPD (DX)(BX*8), Y0, Y0
@@ -661,33 +662,18 @@ BINOP(·subQuadsAVX2, K_NONE, OP_SUB)
 BINOP(·mulQuadsAVX2, K_NONE, OP_MUL)
 BINOP(·divQuadsAVX2, K_NONE, OP_DIV)
 
-// OP_GE and OP_LE give 1 where a >= b (a <= b), else +0: a NaN compares
-// false.
-#define OP_GE \
-	VCMPPD $13, (DX)(BX*8), Y0, Y0 \
-	VANDPD Y15, Y0, Y0
-
-#define OP_LE \
-	VCMPPD $2, (DX)(BX*8), Y0, Y0 \
-	VANDPD Y15, Y0, Y0
-
-BINOP(·geQuadsAVX2, K_ONE, OP_GE)
-BINOP(·leQuadsAVX2, K_ONE, OP_LE)
-
-// MAXMIN is math.Max as archMax computes it (math/dim_amd64.s), with
-// insn VMAXPD, zero VANDPD and Y13 +Inf, or math.Min as archMin does, with
-// VMINPD, VORPD and -Inf. VMAXPD's x > y ? x : y is MAXSD's, and three
-// blends lay archMax's special cases over it in reverse order of
-// precedence: the sign of two zeros (x AND y, +0 unless both are -0; for
-// min x OR y), then math's NaN (Y14) where x or y is a NaN, then Y13
-// where x or y is it. Y15 is +0.
-#define MAXMIN(insn, zero) \
+// OP_MAX is math.Max as archMax computes it (math/dim_amd64.s). VMAXPD's
+// x > y ? x : y is MAXSD's, and three blends lay archMax's special cases
+// over it in reverse order of precedence: the sign of two zeros (x AND y,
+// +0 unless both are -0), then math's NaN (Y14) where x or y is a NaN,
+// then +Inf (Y13) where x or y is it. Y15 is +0.
+#define OP_MAX \
 	VMOVUPD   (DX)(BX*8), Y1 \
-	insn      Y1, Y0, Y2 \
+	VMAXPD    Y1, Y0, Y2 \
 	VCMPPD    $0, Y15, Y0, Y3 \
 	VCMPPD    $0, Y15, Y1, Y4 \
 	VANDPD    Y4, Y3, Y3 \
-	zero      Y1, Y0, Y4 \
+	VANDPD    Y1, Y0, Y4 \
 	VBLENDVPD Y3, Y4, Y2, Y2 \
 	VCMPPD    $3, Y1, Y0, Y3 \
 	VBLENDVPD Y3, Y14, Y2, Y2 \
@@ -701,57 +687,19 @@ BINOP(·leQuadsAVX2, K_ONE, OP_LE)
 	VMOVUPD mathNaN<>(SB), Y14 \
 	VXORPD  Y15, Y15, Y15
 
-#define K_MIN \
-	VMOVUPD neginf<>(SB), Y13 \
-	VMOVUPD mathNaN<>(SB), Y14 \
-	VXORPD  Y15, Y15, Y15
-
-#define OP_MAX MAXMIN(VMAXPD, VANDPD)
-#define OP_MIN MAXMIN(VMINPD, VORPD)
-
 BINOP(·maxQuadsAVX2, K_MAX, OP_MAX)
-BINOP(·minQuadsAVX2, K_MIN, OP_MIN)
 
-// OP_NEG flips the sign bit, as Go's -x does: a NaN keeps its payload
-// unquieted. OP_NEGNUM is negNum: OP_NEG, except that a NaN passes
-// unchanged. OP_ABS clears the sign bit, as math.Abs does.
 #define OP_SQRT VSQRTPD Y0, Y0
-#define OP_NEG VXORPD Y15, Y0, Y0
-#define OP_ABS VANDPD Y15, Y0, Y0
 
+// OP_NEGNUM is negNum: it flips the sign bit, as Go's -x does, except
+// that a NaN passes unchanged.
 #define OP_NEGNUM \
 	VXORPD    Y15, Y0, Y1 \
 	VCMPPD    $3, Y0, Y0, Y2 \
 	VBLENDVPD Y2, Y0, Y1, Y0
 
 UNOP(·sqrtQuadsAVX2, K_NONE, OP_SQRT)
-UNOP(·negQuadsAVX2, K_SIGN, OP_NEG)
 UNOP(·negNumQuadsAVX2, K_SIGN, OP_NEGNUM)
-UNOP(·absQuadsAVX2, K_ABS, OP_ABS)
-
-// func selQuadsAVX2(d, a, b, c *float64, n int)
-//
-// b where a != 0 (a NaN included), else c.
-TEXT ·selQuadsAVX2(SB), NOSPLIT, $0-40
-	MOVQ   d+0(FP), DI
-	MOVQ   a+8(FP), SI
-	MOVQ   b+16(FP), DX
-	MOVQ   c+24(FP), R8
-	MOVQ   n+32(FP), CX
-	XORQ   BX, BX
-	VXORPD Y15, Y15, Y15
-
-selLoop:
-	VMOVUPD   (SI)(BX*8), Y0
-	VCMPPD    $4, Y15, Y0, Y0 // a != 0, unordered included
-	VMOVUPD   (R8)(BX*8), Y1
-	VBLENDVPD Y0, (DX)(BX*8), Y1, Y1
-	VMOVUPD   Y1, (DI)(BX*8)
-	ADDQ      $4, BX
-	CMPQ      BX, CX
-	JLT       selLoop
-	VZEROUPPER
-	RET
 
 // func axpyQuadsAVX2(d, x, m0, m1 *float64, n int, shape int)
 //
