@@ -79,12 +79,14 @@ tutorial_builds() {
 steps() {
 	step gofmt "gofmt" gofmt_clean
 	step vet "vet" go vet ./...
-	# internal/kir's lane layer runs the unit-stride f64 GEMV's column
-	# quads and codegen's exp, log and erf in AVX2 assembly routines on
-	# amd64 (gemv_amd64.s, vmath_amd64.s); elsewhere lanes_other.go leaves
-	# the lane set empty and every routine keeps its Go code. Vet for arm64
-	# and a 386 build keep that fallback compiling; vet on amd64 above
-	# already runs asmdecl over the assembly.
+	# internal/kir's lane layer runs AVX2 assembly routines on amd64
+	# (gemv_amd64.s, spmv_amd64.s, vmath_amd64.s): under laneAVX2 the
+	# unit-stride f64 GEMV's column quads, the f64 SpMV's row chunks,
+	# codegen's arithmetic and the absorbed axpy store; on bits of their
+	# own exp, log, and erf with its region split. Elsewhere
+	# lanes_other.go leaves the lane set empty and every routine keeps its
+	# Go code. Vet for arm64 and a 386 build keep that fallback compiling;
+	# vet on amd64 above already runs asmdecl over the assembly.
 	step cross-build "cross-build (arm64 vet, 386 build)" cross_build
 	step staticcheck "staticcheck" go run honnef.co/go/tools/cmd/staticcheck@2025.1 ./...
 	step build "build" go build ./...
@@ -94,13 +96,16 @@ steps() {
 	# other's passes instead of running.
 	step race "test -race" "${race[@]}"
 	step race-1 "test -race, GOMAXPROCS=1" env GOMAXPROCS=1 "${race[@]}"
-	# On amd64 kir's codegen computes exp, log and erf four lanes at a time
-	# (vmath_amd64.s), bit for bit math's, and the exp lanes follow
-	# math.Exp's FMA path. GODEBUG=cpu.fma=off takes math.Exp off that
-	# path: lane detection must then turn those three off (their scalar
-	# code is lanes_other.go's everywhere else) and keep the GEMV lanes on,
-	# and the bit-identity suites must still hold. A few seconds, so every
-	# leg runs it.
+	# On amd64 kir's codegen computes exp, log and erf (with erf's region
+	# split) four lanes at a time (vmath_amd64.s), each on its own lane
+	# bit, bit for bit math's, and the exp lanes follow math.Exp's FMA
+	# path. GODEBUG=cpu.fma=off takes math.Exp off that path: lane
+	# detection must then turn those three off (their scalar code is
+	# lanes_other.go's everywhere else) and keep laneAVX2 on, so the GEMV
+	# (gemv_amd64.s), the SpMV (spmv_amd64.s), the arithmetic and the
+	# absorbed axpy store (vmath_amd64.s) keep running, and the
+	# bit-identity suites must still hold. A few seconds, so every leg
+	# runs it.
 	step fma-off "test kir, apps with GODEBUG=cpu.fma=off" env GODEBUG=cpu.fma=off go test -count=1 ./internal/kir ./internal/apps
 	# internal/oracle is the serial interpreter backend the bit-identity
 	# suites compare the product against; internal/dist/faultx is the
@@ -115,11 +120,12 @@ steps() {
 	#
 	# The codegen-vs-interpreter differential harness.
 	step fuzz-codegen "fuzz FuzzDiffCodegen 30s" fuzz ./internal/kir FuzzDiffCodegen
-	# internal/kir's lane layer: every AVX2 routine the host runs (the
-	# GEMV's column quads, exp, log and erf) on blocks from the bit
-	# harness's generator (random bit patterns, NaN payloads, ±0, ±Inf,
-	# subnormals, each routine's edges, every length class and offset mod
-	# 4), against its scalar reference bit for bit.
+	# internal/kir's lane layer: every AVX2 routine the host runs (under
+	# laneAVX2 the GEMV, the SpMV, the arithmetic and the absorbed axpy
+	# store; on their own bits exp, log, and erf with its region split)
+	# on blocks from the bit harness's generator (random bit patterns, NaN
+	# payloads, ±0, ±Inf, subnormals, each routine's edges, every length
+	# class and offset mod 4), against its scalar reference bit for bit.
 	step fuzz-lanes "fuzz FuzzLanes 30s" fuzz ./internal/kir FuzzLanes
 	# The control-stream decoders that every rank feeds raw socket bytes —
 	# ir.DecodeTask and kir.DecodeKernel, the surface a corrupted or

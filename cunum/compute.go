@@ -15,14 +15,7 @@ func Compute(name string, ins []*Array, build func(loads []*kir.Expr) *kir.Expr)
 		panic("cunum: Compute requires at least one input")
 	}
 	c := ins[0].ctx
-	base := ins[0]
-	for _, in := range ins {
-		if !in.IsScalar() {
-			base = in
-			break
-		}
-	}
-	out := c.newArray(name, promoteDType(ins), base.shape, true)
+	out := c.newArray(name, promoteDType(ins), broadcastBase(ins).shape, true)
 	c.emitMap(name, out, ins, nil, nil, build)
 	consume(ins...)
 	return out

@@ -75,10 +75,11 @@ type CodegenStats = legion.CodegenStats
 
 // Kernel execution backends (Config.Codegen; ModeReal only).
 const (
-	// CodegenOn (default) runs element loops and large dense matvecs
-	// through the compiled-kernel closure tier.
+	// CodegenOn (default) runs element loops through the compiled-kernel
+	// closure tier. GEMV, SpMV, Random, Iota and axis reductions run one
+	// native loop under both backends; only element loops differ.
 	CodegenOn = legion.CodegenOn
-	// CodegenOff runs every kernel on the register interpreter — the
+	// CodegenOff runs element loops on the register interpreter — the
 	// bit-identical reference backend the benchmark's codegen rows
 	// measure against.
 	CodegenOff = legion.CodegenOff

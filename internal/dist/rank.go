@@ -140,166 +140,124 @@ func (rs *rankState) kernel(ref int64, fp hash128.Sum) (*kir.Kernel, error) {
 	return k, nil
 }
 
-// ctlOp is one decoded control message, ready to execute. Decode happens
-// on a dedicated goroutine so the (often long) group drains a task or
-// read triggers overlap with reading and decoding the messages behind it
-// in the stream; the store/kernel tables are only ever touched by the
-// decoder, in stream order, so a decoded *ir.Task is immutable by the
-// time the executor sees it.
-type ctlOp struct {
-	tag  uint64
-	task *ir.Task   // msgTask
-	st   *ir.Store  // msgWrite, msgRead, msgReadAt (resolved at decode time)
-	id   ir.StoreID // msgFree
-	off  int        // msgReadAt
-	data kir.Buffer // msgWrite
-	err  error      // decode or stream failure; terminal
-}
-
-// decodeLoop reads and decodes the control stream ahead of execution,
-// feeding decoded operations into ops. The channel's bound is the
-// decode-ahead window: a rank stuck in a long drain backpressures the
-// decoder instead of buffering the stream without limit. quit tears the
-// loop down when the executor returns first (shutdown or error).
-func (rs *rankState) decodeLoop(parent net.Conn, ops chan<- ctlOp, quit <-chan struct{}) {
-	emit := func(op ctlOp) bool {
-		select {
-		case ops <- op:
-			return op.err == nil && op.tag != msgShutdown
-		case <-quit:
-			return false
-		}
-	}
+// controlLoop runs the replicated control stream until shutdown: it reads
+// a frame, decodes it and executes it before it reads the next, so the
+// store and kernel tables change in stream order on the goroutine that
+// executes. Reading no further ahead than that cannot stall the ranks:
+// the parent writes each message to every rank before it writes the
+// next, so a drain only waits on peer data from entries every rank has
+// already been sent, and a rank that stops reading surfaces as the
+// parent's write deadline, not a hang.
+func (rs *rankState) controlLoop(parent net.Conn) error {
 	for {
 		tag, body, err := readFrame(parent)
 		if err != nil {
 			if errors.Is(err, io.EOF) {
-				err = fmt.Errorf("rank %d: parent closed the control stream before shutdown", rs.me)
-			} else {
-				err = fmt.Errorf("rank %d: control stream: %w", rs.me, err)
+				return fmt.Errorf("rank %d: parent closed the control stream before shutdown", rs.me)
 			}
-			emit(ctlOp{err: err})
-			return
+			return fmt.Errorf("rank %d: control stream: %w", rs.me, err)
 		}
-		op := ctlOp{tag: tag}
-		switch tag {
-		case msgStoreNew:
-			// Table mutations are decode-side only: the store must exist
-			// before any later message in the stream references it, and the
-			// executor never looks stores up by id.
-			s, err := decodeStoreNew(body)
-			if err != nil {
-				op.err = err
-				break
-			}
-			rs.stores[s.ID()] = s
-			continue // nothing to execute
-		case msgKernel:
-			r := wire.NewReader(body)
-			ref := r.I64()
-			if r.Err() != nil {
-				op.err = fmt.Errorf("kernel message: %w", r.Err())
-				break
-			}
-			k, err := kir.DecodeKernel(r.Bytes(r.Len()))
-			if err != nil {
-				op.err = fmt.Errorf("kernel %d: %w", ref, err)
-				break
-			}
-			rs.kernels[ref] = k
-			continue
-		case msgTask:
-			op.task, op.err = ir.DecodeTask(body, rs.store, rs.kernel)
-		case msgWrite:
-			var id ir.StoreID
-			id, op.data, op.err = decodeStoreData(body)
-			if op.err == nil {
-				op.st, op.err = rs.store(id)
-			}
-			if op.err == nil && op.data.Len() != op.st.Size() {
-				op.err = fmt.Errorf("dist: write of %d elements to store %d of %d", op.data.Len(), id, op.st.Size())
-			}
-		case msgFree:
-			var id int64
-			id, op.err = readIDBody(body)
-			op.id = ir.StoreID(id)
-			// The free is safe to apply to the decode table immediately:
-			// control replication guarantees no later message references a
-			// freed store. The runtime-side free happens at execution time.
-			delete(rs.stores, op.id)
-		case msgDrain:
-		case msgRead:
-			var id int64
-			if id, op.err = readIDBody(body); op.err == nil {
-				op.st, op.err = rs.store(ir.StoreID(id))
-			}
-		case msgReadAt:
-			var id ir.StoreID
-			if id, op.off, op.err = decodeReadAt(body); op.err == nil {
-				op.st, op.err = rs.store(id)
-			}
-		case msgShutdown:
-		default:
-			op.err = fmt.Errorf("unknown control message %d", tag)
+		if tag == msgShutdown {
+			return nil
 		}
-		if op.err != nil {
-			op.err = fmt.Errorf("rank %d: %w", rs.me, op.err)
-		}
-		if !emit(op) {
-			return
+		if err := rs.step(parent, tag, body); err != nil {
+			return fmt.Errorf("rank %d: %w", rs.me, err)
 		}
 	}
 }
 
-// controlLoop processes the replicated control stream until shutdown,
-// decoding ahead of execution on a separate goroutine. Every rank
-// executes every message (the drains inside host reads and writes are
+// step decodes and executes one control message. Every rank executes
+// every message (the drains inside host reads and writes are
 // collective), but only rank 0 sends reply payloads; every rank
 // acknowledges an explicit drain.
-func (rs *rankState) controlLoop(parent net.Conn) error {
+func (rs *rankState) step(parent net.Conn, tag uint64, body []byte) error {
 	reply := func(payload []byte) error {
 		if rs.me != 0 {
 			return nil
 		}
-		return writeFrame(parent, msgReply, payload)
-	}
-
-	ops := make(chan ctlOp, 128)
-	quit := make(chan struct{})
-	defer close(quit)
-	go rs.decodeLoop(parent, ops, quit)
-
-	for op := range ops {
-		if op.err != nil {
-			return op.err
+		if err := writeFrame(parent, msgReply, payload); err != nil {
+			return fmt.Errorf("reply: %w", err)
 		}
-		switch op.tag {
-		case msgTask:
-			rs.rt.Execute(op.task)
-		case msgWrite:
-			rs.rt.WriteBuffer(op.st, op.data)
-		case msgFree:
-			rs.rt.FreeStore(op.id)
-		case msgDrain:
-			rs.rt.DrainShardGroup()
-			if err := writeFrame(parent, msgDrainAck, nil); err != nil {
-				return fmt.Errorf("rank %d: drain acknowledgement: %w", rs.me, err)
-			}
-		case msgRead:
-			if err := reply(encodeStoreData(op.st.ID(), rs.rt.ReadBuffer(op.st))); err != nil {
-				return fmt.Errorf("rank %d: reply: %w", rs.me, err)
-			}
-		case msgReadAt:
-			v, ok := rs.rt.ReadAt(op.st, op.off)
-			var w wire.Writer
-			w.Bool(ok)
-			w.F64(v)
-			if err := reply(w.B); err != nil {
-				return fmt.Errorf("rank %d: reply: %w", rs.me, err)
-			}
-		case msgShutdown:
-			return nil
-		}
+		return nil
 	}
-	return fmt.Errorf("rank %d: control stream ended unexpectedly", rs.me)
+	switch tag {
+	case msgStoreNew:
+		// The store must exist before any later message references it.
+		s, err := decodeStoreNew(body)
+		if err != nil {
+			return err
+		}
+		rs.stores[s.ID()] = s
+	case msgKernel:
+		r := wire.NewReader(body)
+		ref := r.I64()
+		if r.Err() != nil {
+			return fmt.Errorf("kernel message: %w", r.Err())
+		}
+		k, err := kir.DecodeKernel(r.Bytes(r.Len()))
+		if err != nil {
+			return fmt.Errorf("kernel %d: %w", ref, err)
+		}
+		rs.kernels[ref] = k
+	case msgTask:
+		t, err := ir.DecodeTask(body, rs.store, rs.kernel)
+		if err != nil {
+			return err
+		}
+		rs.rt.Execute(t)
+	case msgWrite:
+		id, data, err := decodeStoreData(body)
+		if err != nil {
+			return err
+		}
+		s, err := rs.store(id)
+		if err != nil {
+			return err
+		}
+		if data.Len() != s.Size() {
+			return fmt.Errorf("dist: write of %d elements to store %d of %d", data.Len(), id, s.Size())
+		}
+		rs.rt.WriteBuffer(s, data)
+	case msgFree:
+		// Control replication guarantees no later message references a
+		// freed store.
+		id, err := readIDBody(body)
+		if err != nil {
+			return err
+		}
+		delete(rs.stores, ir.StoreID(id))
+		rs.rt.FreeStore(ir.StoreID(id))
+	case msgDrain:
+		rs.rt.DrainShardGroup()
+		if err := writeFrame(parent, msgDrainAck, nil); err != nil {
+			return fmt.Errorf("drain acknowledgement: %w", err)
+		}
+	case msgRead:
+		id, err := readIDBody(body)
+		if err != nil {
+			return err
+		}
+		s, err := rs.store(ir.StoreID(id))
+		if err != nil {
+			return err
+		}
+		return reply(encodeStoreData(s.ID(), rs.rt.ReadBuffer(s)))
+	case msgReadAt:
+		id, off, err := decodeReadAt(body)
+		if err != nil {
+			return err
+		}
+		s, err := rs.store(id)
+		if err != nil {
+			return err
+		}
+		v, ok := rs.rt.ReadAt(s, off)
+		var w wire.Writer
+		w.Bool(ok)
+		w.F64(v)
+		return reply(w.B)
+	default:
+		return fmt.Errorf("unknown control message %d", tag)
+	}
+	return nil
 }

@@ -20,12 +20,12 @@ package kir
 // points its lane at the region's elements and copies nothing.
 //
 // Go emits no SIMD, so the arithmetic closures hand their block to the
-// lane layer (lanes.go): add, sub, mul, div, max, min, the compares,
-// select, sqrt, neg, negNum, abs, exp, log and erf each run an AVX2
-// routine over the block's quads where the host has one (lanes), lane k
-// computing element k's operation with the interpreter's operands in its
-// order, then a Go loop over the tail of fewer than four; so does the
-// absorbed axpy store below, as VMULPD then VADDPD or VSUBPD. Pow, sin
+// lane layer (lanes.go): add, sub, mul, div, max, sqrt and negNum, and
+// exp, log and erf, each run an AVX2 routine over the block's quads where
+// the host has one (lanes), lane k computing element k's operation with
+// the interpreter's operands in its order, then a Go loop over the tail
+// of fewer than four; so does the absorbed axpy store below, as VMULPD
+// then VADDPD or VSUBPD. Min, the compares, select, neg, abs, pow, sin
 // and cos, the reductions' folds (whose serial order is their bits) and
 // the loads, stores and casts stay Go loops.
 //

@@ -282,9 +282,10 @@ type Kernel struct {
 	// nnodes counts the nodes Compose made for the kernel, by which
 	// Compile indexes registers; 0 on every other kernel (AddLoop clears it).
 	nnodes int
-	// fpMemo caches Fingerprint for its readers that ask repeatedly (the
-	// wire's kernel table, ir.Canonicalize); the runtime's own lookups go
-	// by fpHash. Reset by the build-time mutators (AddLoop, SetDType).
+	// fpMemo caches Fingerprint for its readers that ask repeatedly
+	// (ir.Canonicalize, the benchmark's kernel probe, tests); the runtime,
+	// the wire's kernel table and a rank's check of it go by fpHash. Reset
+	// by the build-time mutators (AddLoop, SetDType).
 	fpMemo string
 	// fpHash caches FingerprintHash under the same rules as fpMemo (reset
 	// together with it through dropFingerprint). Every submitted task's
@@ -463,9 +464,10 @@ func exprFingerprint(b *strings.Builder, e *Expr) {
 // have equal hashes exactly when their fingerprints are equal. It is the
 // one structural identity of a kernel body: the fusion memo key
 // (ir.Task.Seal) folds it once per submitted task, and legion keys its
-// one kernel cache by it. The string is rendered only where a human or
-// the wire reads it (ir.Canonicalize, the wire's kernel table and the
-// rank's check of it).
+// one kernel cache by it, and the wire's kernel table and a rank's check
+// of a task's kernel compare it. The string is rendered only where a
+// human or a test reads it (ir.Canonicalize, the benchmark's kernel
+// probe, tests).
 func (k *Kernel) FingerprintHash() hash128.Sum {
 	if k == nil {
 		return hash128.New(hashNilKernel).Sum()
