@@ -73,7 +73,10 @@
 # select, neg and abs) with the set of arithmetic bits that one AVX2 bit
 # replaced and the Go min the interpreter's math.Min replaced, and the
 # rank's decode-ahead goroutine that one control loop replaced (its loop
-# and its decoded-message type) —
+# and its decoded-message type), and the rank bootstrap that inherited
+# socket pairs replaced (the rendezvous directory and its environment
+# variable, the parent's socket file, the dial retry, the mesh dial and
+# accept, the hello message) —
 # so a sentence cannot
 # outlive what it quoted. ROADMAP.md is exempt: it keeps history. The one-character
 # brackets keep this script from matching its own pattern in a
@@ -106,6 +109,7 @@ removed="$removed"'|[M]arkLocal|[b]ufferLocals|[K]ernel\.Local\b'
 removed="$removed"'|[C]odegenProgram\.Lowered|\.[L]owered\(\)|diffuse\.[S]imConfig|[A]100Machine'
 removed="$removed"'|\b([m]in|[g]e|[l]e|[s]el|[n]eg|[a]bs)QuadsAVX2|\b[l]aneArith\b|\b[m]inOf\b'
 removed="$removed"'|[d]ecodeLoop|\b[c]tlOp\b|[d]ecode-ahead'
+removed="$removed"'|DIFFUSE_DIST_[D]IR|[d]ialRetry|[c]onnectMesh|[m]sgHello|[p]arent\.sock|[r]endezvous directory'
 removed="$removed"'|[g]emv_other\.go|[v]math_other\.go|[S]etGEMVNative|[S]etVMathNative|[g]emvNative|[v]mathNative|[T]estGEMVNativeMatchesGo|[T]estVMathMatchesMath'
 
 # slugs_of FILE: print the GitHub anchor slug of every heading, skipping

@@ -32,7 +32,12 @@ gofmt_clean() {
 	[ -z "$fmt" ] || { echo "gofmt needed on:" "$fmt"; return 1; }
 }
 
-cross_build() { GOARCH=arm64 go vet ./... && GOARCH=386 go build ./...; }
+cross_build() {
+	local pkgs
+	GOARCH=arm64 go vet ./... && GOARCH=386 go build ./... || return 1
+	pkgs=$(go list ./... | grep -vx diffuse/benchmark) || return 1
+	GOOS=windows go vet $pkgs
+}
 
 race=(go test -race -count=1 ./...)
 
@@ -86,8 +91,11 @@ steps() {
 	# own exp, log, and erf with its region split. Elsewhere
 	# lanes_other.go leaves the lane set empty and every routine keeps its
 	# Go code. Vet for arm64 and a 386 build keep that fallback compiling;
-	# vet on amd64 above already runs asmdecl over the assembly.
-	step cross-build "cross-build (arm64 vet, 386 build)" cross_build
+	# vet on amd64 above already runs asmdecl over the assembly. Vet for
+	# windows keeps internal/dist's non-unix socket-pair stub compiling,
+	# on every package but ./benchmark, which calls getrusage and builds
+	# only on unix.
+	step cross-build "cross-build (arm64 vet, 386 build, windows vet)" cross_build
 	step staticcheck "staticcheck" go run honnef.co/go/tools/cmd/staticcheck@2025.1 ./...
 	step build "build" go build ./...
 	# -count=1: the test cache keys on neither GOMAXPROCS nor the matrix

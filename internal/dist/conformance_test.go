@@ -1,6 +1,6 @@
 package dist
 
-// Transport conformance suite: the unix-socket peer mesh, and the
+// Transport conformance suite: the socket-pair peer mesh, and the
 // fault-injection wrapper around it in passthrough mode, must satisfy the
 // same contract, exercised here through one shared harness: full-mesh
 // bootstrap, per-tag FIFO ordering, tag demultiplexing, prompt failure of
@@ -11,7 +11,6 @@ package dist
 import (
 	"fmt"
 	"net"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -35,34 +34,41 @@ type testMesh struct {
 	tx  []sendRecver
 }
 
-// buildMesh bootstraps a full ranks-wide mesh in a fresh rendezvous
-// directory, with every rank's connectMesh running concurrently the way
-// real rank processes do.
+// buildMesh makes a full ranks-wide mesh in process from socket pairs,
+// one per two ranks, as Launch hands them to its ranks.
 func buildMesh(t *testing.T, ranks int, timeout time.Duration) *testMesh {
 	t.Helper()
-	dir := t.TempDir()
+	conns := make([][]net.Conn, ranks)
+	for me := range conns {
+		conns[me] = make([]net.Conn, ranks)
+	}
 	m := &testMesh{raw: make([]*Transport, ranks), tx: make([]sendRecver, ranks)}
-	errs := make([]error, ranks)
-	var wg sync.WaitGroup
-	for me := 0; me < ranks; me++ {
-		wg.Add(1)
-		go func(me int) {
-			defer wg.Done()
-			m.raw[me], errs[me] = connectMesh(dir, me, ranks, timeout)
-		}(me)
-	}
-	wg.Wait()
-	for me, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d connectMesh: %v", me, err)
-		}
-	}
 	t.Cleanup(func() {
-		for _, tx := range m.raw {
-			tx.Close()
+		for _, cs := range conns {
+			for _, c := range cs {
+				if c != nil {
+					c.Close()
+				}
+			}
 		}
 	})
+	for i := 0; i < ranks; i++ {
+		for j := i + 1; j < ranks; j++ {
+			pair, err := socketPair()
+			if err != nil {
+				t.Fatalf("pair for ranks %d and %d: %v", i, j, err)
+			}
+			if conns[i][j], err = fileConn(pair[0]); err != nil {
+				pair[1].Close()
+				t.Fatalf("rank %d end: %v", i, err)
+			}
+			if conns[j][i], err = fileConn(pair[1]); err != nil {
+				t.Fatalf("rank %d end: %v", j, err)
+			}
+		}
+	}
 	for me := range m.tx {
+		m.raw[me] = newTransport(me, conns[me], timeout)
 		m.tx[me] = m.raw[me]
 	}
 	return m
@@ -100,8 +106,8 @@ func TestTransportConformance(t *testing.T) {
 	}
 }
 
-// checkConnectMesh: a 3-rank bootstrap yields a full mesh where every
-// ordered pair can exchange a message.
+// checkConnectMesh: a 3-rank mesh is full: every ordered pair can
+// exchange a message.
 func checkConnectMesh(t *testing.T, build func(*testing.T, int, time.Duration) *testMesh) {
 	const ranks = 3
 	m := build(t, ranks, 5*time.Second)
@@ -235,72 +241,5 @@ func checkRecvTimeout(t *testing.T, build func(*testing.T, int, time.Duration) *
 	}
 	if !strings.Contains(err.Error(), "rank 0") || !strings.Contains(err.Error(), "timed out") {
 		t.Fatalf("timeout error does not name the peer: %v", err)
-	}
-}
-
-// TestDialRetryPermanentFailsFast: an address no socket can have must
-// not consume the retry budget — the regression dialRetry's error
-// classification exists to prevent (a misconfigured launch used to spin
-// on a hopeless dial for the full timeout before reporting).
-func TestDialRetryPermanentFailsFast(t *testing.T) {
-	start := time.Now()
-	addr := filepath.Join(t.TempDir(), strings.Repeat("x", 200)+".sock") // longer than a socket path may be
-	_, err := dialRetry(addr, 10*time.Second)
-	if err == nil {
-		t.Fatal("dial to an over-long socket path succeeded")
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("permanent dial failure took %v — retried instead of failing fast", elapsed)
-	}
-	if !strings.Contains(err.Error(), "permanent failure") {
-		t.Fatalf("error not classified permanent: %v", err)
-	}
-}
-
-// TestDialRetryWaitsForListener: the listener coming up late is the
-// expected bootstrap shape (every rank dials lower ranks that may not be
-// listening yet), so the dial must retry through the missing socket file
-// and succeed.
-func TestDialRetryWaitsForListener(t *testing.T) {
-	t.Run("unix", func(t *testing.T) {
-		addr := filepath.Join(t.TempDir(), "late.sock")
-		go func() {
-			time.Sleep(150 * time.Millisecond)
-			ln, err := net.Listen("unix", addr)
-			if err != nil {
-				return // the dialing side will report the failure
-			}
-			defer ln.Close()
-			if conn, err := ln.Accept(); err == nil {
-				conn.Close()
-			}
-		}()
-		start := time.Now()
-		conn, err := dialRetry(addr, 10*time.Second)
-		if err != nil {
-			t.Fatalf("dial through a late listener: %v", err)
-		}
-		conn.Close()
-		if elapsed := time.Since(start); elapsed < 100*time.Millisecond {
-			t.Fatalf("dial succeeded in %v — before the listener existed?", elapsed)
-		}
-	})
-}
-
-// TestDialRetryTransientTimesOut: a listener that never comes up exhausts
-// the deadline and reports the last transient error, not a permanent
-// classification.
-func TestDialRetryTransientTimesOut(t *testing.T) {
-	addr := filepath.Join(t.TempDir(), "never.sock")
-	start := time.Now()
-	_, err := dialRetry(addr, 300*time.Millisecond)
-	if err == nil {
-		t.Fatal("dial to a never-listening address succeeded")
-	}
-	if elapsed := time.Since(start); elapsed < 200*time.Millisecond {
-		t.Fatalf("transient dial gave up after %v, before the deadline", elapsed)
-	}
-	if strings.Contains(err.Error(), "permanent") {
-		t.Fatalf("transient failure misclassified permanent: %v", err)
 	}
 }

@@ -204,10 +204,20 @@ func TestDeadPeerSurfacesCleanError(t *testing.T) {
 	}
 }
 
+// openFDs counts this process's open file descriptors, or returns -1
+// where /proc is missing.
+func openFDs() int {
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return -1
+	}
+	return len(ents)
+}
+
 // TestMalformedTimeoutIsAnError: a DIFFUSE_DIST_TIMEOUT that is not a
 // positive duration is an error naming the variable and the value, which
-// Launch returns before it creates its rendezvous directory or starts a
-// rank; an unset or valid value selects the deadline as before.
+// Launch returns before it makes a socket pair or starts a rank; an unset
+// or valid value selects the deadline as before.
 func TestMalformedTimeoutIsAnError(t *testing.T) {
 	for _, tc := range []struct {
 		val  string
@@ -220,10 +230,9 @@ func TestMalformedTimeoutIsAnError(t *testing.T) {
 	}
 	for _, val := range []string{"3", "-1s", "0s", "abc"} {
 		t.Run(val, func(t *testing.T) {
-			// The rendezvous directory is made under TMPDIR, and every rank
-			// starts after it: an empty TMPDIR shows that nothing started.
-			tmp := t.TempDir()
-			t.Setenv("TMPDIR", tmp)
+			// Every socket pair is made before the first rank starts: an
+			// unmoved descriptor count shows that nothing started.
+			fds := openFDs()
 			t.Setenv(dist.EnvTimeout, val)
 			p, err := dist.Launch(2)
 			if err == nil {
@@ -233,10 +242,57 @@ func TestMalformedTimeoutIsAnError(t *testing.T) {
 			if msg := err.Error(); !strings.Contains(msg, dist.EnvTimeout) || !strings.Contains(msg, fmt.Sprintf("%q", val)) {
 				t.Fatalf("error does not name the variable and the value: %v", err)
 			}
-			if ents, _ := os.ReadDir(tmp); len(ents) != 0 {
-				t.Fatalf("Launch created %v before rejecting the timeout", ents)
+			if now := openFDs(); now != fds {
+				t.Fatalf("Launch left %d descriptors open, %d before, rejecting the timeout", now, fds)
 			}
 		})
+	}
+}
+
+// TestLaunchInsideRankIsAnError: a rank process has DIFFUSE_RANK set, and
+// a binary that forgot MaybeRankMain would run main in every rank, whose
+// Launch would start ranks of its own. Launch refuses, naming
+// MaybeRankMain, before it makes a socket pair or starts a process.
+func TestLaunchInsideRankIsAnError(t *testing.T) {
+	fds := openFDs()
+	t.Setenv(dist.EnvRank, "0")
+	p, err := dist.Launch(2)
+	if err == nil {
+		p.Close()
+		t.Fatal("Launch started ranks from inside a rank")
+	}
+	if !strings.Contains(err.Error(), "MaybeRankMain") {
+		t.Fatalf("error does not name MaybeRankMain: %v", err)
+	}
+	if now := openFDs(); now != fds {
+		t.Fatalf("Launch left %d descriptors open, %d before, refusing to run", now, fds)
+	}
+}
+
+// TestLaunchLeavesNoDescriptors: the parent closes its copies of the
+// ranks' socket ends once they have started, and Close closes its own
+// ends and reaps every rank, so launches leave the descriptor count
+// where it was.
+func TestLaunchLeavesNoDescriptors(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns rank subprocesses")
+	}
+	fds := openFDs()
+	if fds < 0 {
+		t.Skip("no /proc/self/fd")
+	}
+	for round := 0; round < 3; round++ {
+		p, err := dist.Launch(4)
+		if err != nil {
+			t.Fatalf("round %d: launch: %v", round, err)
+		}
+		p.Drain()
+		if err := p.Close(); err != nil {
+			t.Fatalf("round %d: close: %v", round, err)
+		}
+	}
+	if now := openFDs(); now != fds {
+		t.Fatalf("%d descriptors open after three launches, %d before", now, fds)
 	}
 }
 

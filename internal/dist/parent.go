@@ -27,8 +27,6 @@ import (
 // so the tables need no locking of their own; only the child-failure
 // state is shared with the reaper goroutines.
 type Parent struct {
-	ranks   int
-	dir     string // the rendezvous directory, removed at shutdown
 	cmds    []*exec.Cmd
 	outputs []*tailBuffer
 	conns   []net.Conn
@@ -73,16 +71,18 @@ func (t *tailBuffer) String() string {
 	return string(t.buf)
 }
 
-// Launch starts a distributed runtime of the given width on this host:
-// it creates the rendezvous directory every socket of the launch lives
-// in, re-executes the current binary once per rank (MaybeRankMain diverts
-// the children into the rank control loop), waits for every rank's
-// control connection, and starts the reapers that turn a dead child into
-// the first-failure error every subsequent operation reports. extraEnv
-// entries ("KEY=val") are appended to each rank's environment — how the
-// parent propagates runtime configuration (e.g. the codegen backend
-// toggle) that ranks must agree on. A malformed EnvTimeout is an error
-// returned before any directory, socket or process is created.
+// Launch starts a distributed runtime of the given width on this host.
+// It makes every connection of the launch before it starts a rank: one
+// unix socket pair per rank for control and one per two ranks for peer
+// traffic. It then re-executes the current binary once per rank
+// (MaybeRankMain diverts the children into the rank control loop), each
+// rank inheriting its ends (see peerFD), and starts the reapers that
+// turn a dead child into the first-failure error every subsequent
+// operation reports. extraEnv entries ("KEY=val") are appended to each
+// rank's environment — how the parent propagates runtime configuration
+// (e.g. the codegen backend toggle) that ranks must agree on. A
+// malformed EnvTimeout, or a call from inside a rank, is an error
+// returned before any socket or process is created.
 func Launch(ranks int, extraEnv ...string) (*Parent, error) {
 	if ranks < 1 {
 		return nil, fmt.Errorf("dist: rank count %d out of range", ranks)
@@ -91,79 +91,33 @@ func Launch(ranks int, extraEnv ...string) (*Parent, error) {
 	if err != nil {
 		return nil, err
 	}
+	if r := os.Getenv(EnvRank); r != "" {
+		return nil, fmt.Errorf("dist: Launch called in rank %s (%s is set): the binary must call MaybeRankMain first thing in main", r, EnvRank)
+	}
 	exe, err := os.Executable()
 	if err != nil {
 		return nil, fmt.Errorf("dist: locate executable: %w", err)
 	}
-	dir, err := os.MkdirTemp("", "diffuse-dist-")
-	if err != nil {
-		return nil, fmt.Errorf("dist: rendezvous dir: %w", err)
-	}
-	cleanup := func() { os.RemoveAll(dir) }
-	ln, err := net.Listen("unix", parentSocket(dir))
-	if err != nil {
-		cleanup()
-		return nil, fmt.Errorf("dist: parent listen: %w", err)
-	}
-	defer ln.Close()
 
 	p := &Parent{
-		ranks:      ranks,
-		dir:        dir,
 		conns:      make([]net.Conn, ranks),
 		childErrs:  make([]error, ranks),
 		timeout:    timeout,
 		sentStores: map[ir.StoreID]bool{},
 		kernelRefs: map[hash128.Sum]int64{},
 	}
-
-	for r := 0; r < ranks; r++ {
-		cmd := exec.Command(exe)
-		cmd.Env = append(os.Environ(),
-			EnvRank+"="+strconv.Itoa(r),
-			EnvRanks+"="+strconv.Itoa(ranks),
-			EnvDir+"="+dir,
-		)
-		cmd.Env = append(cmd.Env, extraEnv...)
-		out := &tailBuffer{limit: 8 << 10}
-		cmd.Stdout = out
-		cmd.Stderr = out
-		if err := cmd.Start(); err != nil {
-			p.kill()
-			cleanup()
-			return nil, fmt.Errorf("dist: start rank %d: %w", r, err)
+	if err := p.start(exe, extraEnv); err != nil {
+		p.kill()
+		for _, cmd := range p.cmds {
+			_ = cmd.Wait() // reaps the rank killed above; its status is the kill
 		}
-		p.cmds = append(p.cmds, cmd)
-		p.outputs = append(p.outputs, out)
+		for _, conn := range p.conns {
+			if conn != nil {
+				conn.Close()
+			}
+		}
+		return nil, err
 	}
-
-	ln.(*net.UnixListener).SetDeadline(time.Now().Add(p.timeout))
-	for i := 0; i < ranks; i++ {
-		conn, err := ln.Accept()
-		if err != nil {
-			p.kill()
-			err = fmt.Errorf("dist: waiting for rank connections: %w%s", err, p.outputTails())
-			cleanup()
-			return nil, err
-		}
-		tag, body, err := readFrame(conn)
-		if err != nil || tag != msgHello {
-			conn.Close()
-			p.kill()
-			cleanup()
-			return nil, fmt.Errorf("dist: bad hello from rank connection (tag %d): %v", tag, err)
-		}
-		r64, err := readIDBody(body)
-		r := int(r64)
-		if err != nil || r < 0 || r >= ranks || p.conns[r] != nil {
-			conn.Close()
-			p.kill()
-			cleanup()
-			return nil, fmt.Errorf("dist: hello names invalid rank %d", r)
-		}
-		p.conns[r] = conn
-	}
-
 	for i := range p.cmds {
 		p.reaped.Add(1)
 		go p.reap(i)
@@ -171,8 +125,62 @@ func Launch(ranks int, extraEnv ...string) (*Parent, error) {
 	return p, nil
 }
 
-// Ranks returns the rank count.
-func (p *Parent) Ranks() int { return p.ranks }
+// start makes the launch's socket pairs and starts every rank with its
+// ends. Whether or not every rank started, it closes the parent's
+// copies of the ranks' ends before it returns: a rank that dies must
+// leave its parent and peers reading EOF.
+func (p *Parent) start(exe string, extraEnv []string) error {
+	ranks := len(p.conns)
+	// ends[r] is what rank r inherits: its control end, then its peer
+	// ends in rank order.
+	ends := make([][]*os.File, ranks)
+	defer func() {
+		for _, fs := range ends {
+			for _, f := range fs {
+				f.Close()
+			}
+		}
+	}()
+	for r := range ends {
+		pair, err := socketPair()
+		if err != nil {
+			return fmt.Errorf("dist: control pair for rank %d: %w", r, err)
+		}
+		ends[r] = append(ends[r], pair[1])
+		if p.conns[r], err = fileConn(pair[0]); err != nil {
+			return fmt.Errorf("dist: control pair for rank %d: %w", r, err)
+		}
+	}
+	for i := range ends {
+		for j := i + 1; j < ranks; j++ {
+			pair, err := socketPair()
+			if err != nil {
+				return fmt.Errorf("dist: peer pair for ranks %d and %d: %w", i, j, err)
+			}
+			ends[i] = append(ends[i], pair[0])
+			ends[j] = append(ends[j], pair[1])
+		}
+	}
+
+	for r, fs := range ends {
+		cmd := exec.Command(exe)
+		cmd.Env = append(os.Environ(),
+			EnvRank+"="+strconv.Itoa(r),
+			EnvRanks+"="+strconv.Itoa(ranks),
+		)
+		cmd.Env = append(cmd.Env, extraEnv...)
+		cmd.ExtraFiles = fs
+		out := &tailBuffer{limit: 8 << 10}
+		cmd.Stdout = out
+		cmd.Stderr = out
+		if err := cmd.Start(); err != nil {
+			return fmt.Errorf("dist: start rank %d: %w", r, err)
+		}
+		p.cmds = append(p.cmds, cmd)
+		p.outputs = append(p.outputs, out)
+	}
+	return nil
+}
 
 // reap waits for one child and records its unexpected death. Every dead
 // rank is recorded, not just the first: one death usually cascades (the
@@ -199,14 +207,6 @@ func (p *Parent) outputTailLocked(i int) string {
 		return "\n--- rank " + strconv.Itoa(i) + " output ---\n" + out
 	}
 	return ""
-}
-
-func (p *Parent) outputTails() string {
-	s := ""
-	for i := range p.outputs {
-		s += p.outputTailLocked(i)
-	}
-	return s
 }
 
 // Err returns the recorded child failures joined in rank order, or nil.
@@ -437,7 +437,6 @@ func (p *Parent) Close() error {
 	for _, conn := range p.conns {
 		conn.Close()
 	}
-	os.RemoveAll(p.dir)
 	return firstErr
 }
 

@@ -1,22 +1,24 @@
 // Package dist is the multi-process distributed runtime: a parent process
 // launches one rank subprocess per shard on the same host (the same
 // binary, re-entered through MaybeRankMain) and control-replicates its
-// post-fusion task stream to every rank over unix-domain sockets. Each rank decodes the
-// identical stream, re-derives the identical sharded schedule through the
-// unchanged legion layer, executes the shard it owns, and exchanges
-// boundary spans with its peers (legion/dist.go). The parent owns no
-// array data: host reads gather from rank 0, host writes broadcast.
+// post-fusion task stream to every rank over unix socket pairs it makes
+// before it starts a rank. Each rank decodes the identical stream,
+// re-derives the identical sharded schedule through the unchanged legion
+// layer, executes the shard it owns, and exchanges boundary spans with
+// its peers (legion/dist.go). The parent owns no array data: host reads
+// gather from rank 0, host writes broadcast.
 //
 // The package has four parts:
 //
 //   - proto.go (this file): the framed message protocol shared by the
 //     parent control stream and the rank-to-rank peer links;
-//   - parent.go: process launch, child reaping, and the
+//   - parent.go: process launch, which makes every socket pair of the
+//     launch and hands each rank its ends, child reaping, and the
 //     legion.Backend that forwards the parent's execution surface;
 //   - rank.go: the rank process entry point and its control loop;
-//   - transport.go: the rendezvous sockets, the peer mesh and its tagged
-//     mailboxes — the legion.HaloTransport the distributed drain moves
-//     bytes through.
+//   - transport.go: the peer mesh over the inherited socket pairs and
+//     its tagged mailboxes — the legion.HaloTransport the distributed
+//     drain moves bytes through (socketpair_unix.go makes the pairs).
 package dist
 
 import (
@@ -29,16 +31,12 @@ import (
 )
 
 // Environment variables of the rank re-entry protocol. The parent sets
-// the first three; MaybeRankMain triggers on DIFFUSE_RANK.
+// the first two; MaybeRankMain triggers on DIFFUSE_RANK.
 const (
 	// EnvRank is this process's rank id (unset in the parent).
 	EnvRank = "DIFFUSE_RANK"
 	// EnvRanks is the total rank count.
 	EnvRanks = "DIFFUSE_RANKS"
-	// EnvDir is the launch's private rendezvous directory. Every socket
-	// of the launch is a file in it: the parent's control socket and one
-	// peer listen socket per rank, named by rank number.
-	EnvDir = "DIFFUSE_DIST_DIR"
 	// EnvTimeout optionally overrides the transport receive deadline
 	// (a positive Go duration string, e.g. "2s"; default 60s) — the
 	// bound after which a missing peer message surfaces as an error
@@ -56,10 +54,10 @@ const (
 // parent broadcasts every message to every rank in issue order — control
 // replication needs each rank to observe the identical sequence. Only
 // rank 0 answers read requests, on the reply tag; every rank acknowledges
-// a drain, so the parent's Drain is a barrier.
+// a drain, so the parent's Drain is a barrier. Tag 1 is unused: a
+// retired message had it, and the others keep their values.
 const (
-	msgHello    uint64 = iota + 1 // rank → parent/peer: 8-byte rank id
-	msgStoreNew                   // store id, dtype, name, shape
+	msgStoreNew uint64 = iota + 2 // store id, dtype, name, shape
 	msgKernel                     // kernel-table ref, kir wire bytes
 	msgTask                       // ir wire bytes (references store/kernel tables)
 	msgWrite                      // store data: store id, dtype, native-width elements
@@ -147,8 +145,8 @@ func readFrame(r io.Reader) (tag uint64, payload []byte, err error) {
 // parent and ranks are the same binary by construction (the parent
 // re-executes itself). Every decoder rejects a body with bytes left over.
 
-// idBody is the body of the one-integer messages (hello's rank id, the
-// store id of msgFree and msgRead); readIDBody decodes it.
+// idBody is the body of the one-integer messages (the store id of
+// msgFree and msgRead); readIDBody decodes it.
 func idBody(v int64) []byte {
 	var w wire.Writer
 	w.I64(v)

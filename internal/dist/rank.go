@@ -41,9 +41,8 @@ var wrapMesh func(tx *Transport, me int) legion.HaloTransport
 // kernel tables the parent fills lazily (StoreNew / Kernel messages
 // precede first reference), and the rank's runtime.
 type rankState struct {
-	me    int
-	ranks int
-	rt    *legion.Runtime
+	me int
+	rt *legion.Runtime
 
 	stores  map[ir.StoreID]*ir.Store
 	kernels map[int64]*kir.Kernel
@@ -73,28 +72,27 @@ func runRank() (err error) {
 	if err != nil || ranks < 1 || me < 0 || me >= ranks {
 		return fmt.Errorf("bad %s/%s: %q of %q", EnvRank, EnvRanks, os.Getenv(EnvRank), os.Getenv(EnvRanks))
 	}
-	dir := os.Getenv(EnvDir)
-	if dir == "" {
-		return fmt.Errorf("%s not set", EnvDir)
-	}
 	timeout, err := distTimeout()
 	if err != nil {
 		return err
 	}
 
-	parent, err := dialRetry(parentSocket(dir), timeout)
+	parent, err := fileConn(os.NewFile(3, "control"))
 	if err != nil {
-		return fmt.Errorf("connect to parent: %w", err)
+		return fmt.Errorf("control stream: %w", err)
 	}
 	defer parent.Close()
-	if err := writeFrame(parent, msgHello, idBody(int64(me))); err != nil {
-		return fmt.Errorf("hello to parent: %w", err)
+	// An error below ends the process, which closes what it opened.
+	conns := make([]net.Conn, ranks)
+	for peer := range conns {
+		if peer == me {
+			continue
+		}
+		if conns[peer], err = fileConn(os.NewFile(peerFD(me, peer), "peer")); err != nil {
+			return fmt.Errorf("rank %d link to rank %d: %w", me, peer, err)
+		}
 	}
-
-	tx, err := connectMesh(dir, me, ranks, timeout)
-	if err != nil {
-		return err
-	}
+	tx := newTransport(me, conns, timeout)
 	defer tx.Close()
 
 	var haloTx legion.HaloTransport = tx
@@ -110,7 +108,6 @@ func runRank() (err error) {
 
 	rs := &rankState{
 		me:      me,
-		ranks:   ranks,
 		rt:      rt,
 		stores:  map[ir.StoreID]*ir.Store{},
 		kernels: map[int64]*kir.Kernel{},

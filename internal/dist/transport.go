@@ -1,14 +1,10 @@
 package dist
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"os"
-	"path/filepath"
-	"strconv"
 	"sync"
-	"syscall"
 	"time"
 )
 
@@ -28,8 +24,8 @@ func distTimeout() (time.Duration, error) {
 	return 0, fmt.Errorf("dist: %s=%q: want a positive duration such as \"2s\"", EnvTimeout, s)
 }
 
-// Transport is the rank-to-rank peer mesh: one unix-domain socket
-// connection per peer, a reader goroutine per connection draining frames
+// Transport is the rank-to-rank peer mesh: one end of a unix-domain
+// socket pair per peer, a reader goroutine per connection draining frames
 // into per-tag mailboxes, and blocking tagged
 // receives with a deadline. Sends never block on the receiver's progress
 // (the kernel socket buffer plus the receiver's always-running reader
@@ -172,90 +168,32 @@ func (t *Transport) CloseLink(peer int) {
 	}
 }
 
-// Every endpoint of a launch is a socket file in one private rendezvous
-// directory the parent creates and hands the ranks in EnvDir: the
-// parent's control socket and one peer listen socket per rank, named by
-// rank number.
-
-func parentSocket(dir string) string { return filepath.Join(dir, "parent.sock") }
-
-func rankSocket(dir string, rank int) string {
-	return filepath.Join(dir, "rank-"+strconv.Itoa(rank)+".sock")
+// newTransport starts rank me's mesh over conns, one connection per
+// peer indexed by rank and nil at me.
+func newTransport(me int, conns []net.Conn, timeout time.Duration) *Transport {
+	t := &Transport{me: me, links: make([]*peerLink, len(conns)), timeout: timeout}
+	for peer, conn := range conns {
+		if conn != nil {
+			t.links[peer] = newPeerLink(peer, conn)
+		}
+	}
+	return t
 }
 
-// dialRetry dials a unix socket, retrying with exponential backoff until
-// the deadline while the listener is not up yet (the socket file missing,
-// or nothing accepting on it). Permanent failures — a path too long for a
-// socket address, say — fail fast without consuming the budget.
-func dialRetry(addr string, timeout time.Duration) (net.Conn, error) {
-	deadline := time.Now().Add(timeout)
-	backoff := time.Millisecond
-	for {
-		conn, err := net.DialTimeout("unix", addr, timeout)
-		if err == nil {
-			return conn, nil
-		}
-		if errors.Is(err, syscall.EINVAL) {
-			return nil, fmt.Errorf("dial %s: permanent failure: %w", addr, err)
-		}
-		if !time.Now().Before(deadline) {
-			return nil, fmt.Errorf("dial %s: %w", addr, err)
-		}
-		time.Sleep(backoff)
-		if backoff < 50*time.Millisecond {
-			backoff *= 2
-		}
-	}
+// fileConn turns one end of a socket pair into a net.Conn and closes
+// the file, whose descriptor the conn holds a duplicate of.
+func fileConn(f *os.File) (net.Conn, error) {
+	conn, err := net.FileConn(f)
+	f.Close()
+	return conn, err
 }
 
-// connectMesh builds the full peer mesh of rank me among ranks: listen on
-// this rank's socket in the rendezvous directory, dial every lower rank
-// (introducing ourselves with a hello frame), and accept every higher
-// rank. Every rank listens before it dials, so the dial-low/accept-high
-// orientation cannot deadlock; dials retry while lower-rank listeners
-// start up.
-func connectMesh(dir string, me, ranks int, timeout time.Duration) (*Transport, error) {
-	t := &Transport{me: me, links: make([]*peerLink, ranks), timeout: timeout}
-	ln, err := net.Listen("unix", rankSocket(dir, me))
-	if err != nil {
-		return nil, fmt.Errorf("rank %d listen: %w", me, err)
+// peerFD is the descriptor at which rank me inherits its end of the
+// pair it shares with peer: the control end is at fd 3, then one end
+// per peer in rank order from fd 4, me's own number skipped.
+func peerFD(me, peer int) uintptr {
+	if peer > me {
+		peer--
 	}
-	defer ln.Close()
-
-	for peer := 0; peer < me; peer++ {
-		conn, err := dialRetry(rankSocket(dir, peer), timeout)
-		if err != nil {
-			t.Close()
-			return nil, fmt.Errorf("rank %d connect to rank %d: %w", me, peer, err)
-		}
-		if err := writeFrame(conn, msgHello, idBody(int64(me))); err != nil {
-			t.Close()
-			return nil, fmt.Errorf("rank %d hello to rank %d: %w", me, peer, err)
-		}
-		t.links[peer] = newPeerLink(peer, conn)
-	}
-
-	ln.(*net.UnixListener).SetDeadline(time.Now().Add(timeout))
-	for n := me + 1; n < ranks; n++ {
-		conn, err := ln.Accept()
-		if err != nil {
-			t.Close()
-			return nil, fmt.Errorf("rank %d accept: %w", me, err)
-		}
-		tag, body, err := readFrame(conn)
-		if err != nil || tag != msgHello {
-			conn.Close()
-			t.Close()
-			return nil, fmt.Errorf("rank %d: bad hello (tag %d): %v", me, tag, err)
-		}
-		peer64, err := readIDBody(body)
-		peer := int(peer64)
-		if err != nil || peer <= me || peer >= ranks || t.links[peer] != nil {
-			conn.Close()
-			t.Close()
-			return nil, fmt.Errorf("rank %d: hello names invalid peer %d", me, peer)
-		}
-		t.links[peer] = newPeerLink(peer, conn)
-	}
-	return t, nil
+	return uintptr(4 + peer)
 }
